@@ -1,0 +1,72 @@
+package core
+
+import "testing"
+
+// The CPU side of the op path (ROADMAP aim 1c): the four u64 operations
+// allocate nothing on a warm table, and the write path has benchmarks with
+// the cost model off — pure engine time — to profile with
+// (go test -bench NoModel -cpuprofile).
+
+// warmU64Table returns a table preloaded with keys [0, n) in a pool with room
+// for that many again plus extra more.
+func warmU64Table(tb testing.TB, n, extra uint64) *Table {
+	tb.Helper()
+	tbl, err := New(64<<20+(2*n+extra)*64, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := uint64(0); k < n; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// TestU64OpsDoNotAllocate: Insert, Get, Update and Delete of inline records
+// are allocation-free. (AllocsPerRun reports the integer mean, so the one
+// mirror a split installs every few hundred inserts does not register; a
+// per-op allocation would.)
+func TestU64OpsDoNotAllocate(t *testing.T) {
+	const n = 50000
+	tbl := warmU64Table(t, n, 0)
+	defer tbl.Close()
+	next, i := uint64(n), uint64(0)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Insert", func() { _ = tbl.Insert(next, next); next++ }},
+		{"Get", func() { tbl.Get(i % n); i += 7919 }},
+		{"Update", func() { _, _ = tbl.Update(i%n, i); i += 7919 }},
+		{"Delete", func() { tbl.Delete(i % n); i++ }},
+	} {
+		if a := testing.AllocsPerRun(2000, c.op); a != 0 {
+			t.Errorf("%s allocates %.0f objects per op, want 0", c.name, a)
+		}
+	}
+}
+
+func BenchmarkInsertNoModel(b *testing.B) {
+	tbl := warmU64Table(b, 0, uint64(b.N))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tbl.Insert(uint64(i), uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUpdateNoModel(b *testing.B) {
+	const n = 200000
+	tbl := warmU64Table(b, n, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := uint64(i) * 7919 % n
+		if ok, err := tbl.Update(k, uint64(i)); !ok || err != nil {
+			b.Fatal(ok, err)
+		}
+	}
+}

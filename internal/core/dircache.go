@@ -26,17 +26,21 @@ import (
 //     introspection) read without touching PM segment headers.
 //
 // Operations route through the cache first and touch PM metadata only to
-// validate (validateRoute) or repair (cacheRepair). Coherence is
-// write-through: split publish and directory doubling update the cache under
-// dirMu before the splitting segment's bucket locks are released, so the
-// cache is stale only while a structural change is in flight. Correctness
-// never depends on that freshness — a stale route can only produce a failed
-// validation (readers re-check against the PM directory before trusting a
-// miss; writers validate after locking, and a seqlock-stable positive hit is
-// valid wherever the route came from, because a key's record is physically
-// present only in segments the directory routes it to, the copy/sweep window
-// of a split being covered by the segment's bucket locks). A failed
-// validation falls back to the PM path via cacheRepair and retries.
+// validate a route or repair it (cacheRepair). Coherence is write-through:
+// split publish and directory doubling update the cache under dirMu before
+// the splitting segment's bucket locks are released, so the cache is stale
+// only while a structural change is in flight. Correctness never depends on
+// that freshness — a stale route can only produce a failed validation.
+// Writers lock the key's bucket pair in the routed segment and check that
+// segment's own PM header claims the key (Table.lockOwner): one header line,
+// no PM directory read. Readers, holding no lock, re-check against the PM
+// directory (validateRoute) before trusting a miss DRAM cannot vouch for; a
+// seqlock-stable positive hit is valid wherever the route came from, because
+// a key's record is physically present only in segments the directory routes
+// it to, the copy/sweep window of a split being covered by the segment's
+// bucket locks. A failed validation refreshes the route via cacheRepair and
+// retries. The cache only ever holds segments a PM directory named — the
+// writers' check relies on it: a leaked split sibling's header claims too.
 //
 // Open and Create build the cache with one O(directory) pass; nothing about
 // it is persisted.
@@ -46,8 +50,9 @@ type dirCache struct {
 	// values mutate in place through the atomics.
 	view atomic.Pointer[dirView]
 
-	// hits counts routes that served their operation (a seqlock-stable
-	// positive read, or a route validateRoute confirmed against PM);
+	// hits counts routes that served their operation (a read answered in
+	// DRAM, a writer's route its locked segment's PM header confirmed, or a
+	// reader fallback validateRoute confirmed against the PM directory);
 	// misses counts stale routes that forced a repair + retry. Both are
 	// goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real

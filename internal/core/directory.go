@@ -9,7 +9,9 @@ import (
 // It is the crash-consistent source of truth for routing — written through
 // on every split publish and doubling, read back by recovery — but it is
 // not the hot path: operations route through the DRAM-resident mirror in
-// dircache.go and consult this block only to validate or repair a route.
+// dircache.go and consult this block only to repair a stale route or, on
+// lock-free paths, to validate one (writers check their locked segment's
+// header instead: Table.lockOwner).
 // Indexing uses the hash's most-significant bits, so all entries covering
 // one segment are contiguous — the property that lets a split publish its
 // new segment by flipping the upper half of a contiguous entry range, and

@@ -271,6 +271,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 	if err := tbl.verifyLogLive(); err != nil {
 		fail("log live-set invariant: %v", err)
 	}
+	mixedWritesAfterReopen(t, tbl)
 	tbl.Close()
 }
 

@@ -127,7 +127,8 @@ func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
 	// Mirror install + blob-reference capture in one streaming pass over the
 	// reconciled buckets. The whole segment is charged as one sequential
 	// read; the per-word loads inside mirrorFillBucket are quiet.
-	mir := t.mirrorInstall(seg, segDepth(p, seg), segPattern(p, seg))
+	l, pat := segMeta(p, seg)
+	mir := t.mirrorInstall(seg, l, pat)
 	var refs []pmem.Addr
 	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)

@@ -42,9 +42,8 @@ const (
 const splitStateInFlight = 1
 
 func segSplitState(p *pmem.Pool, seg pmem.Addr) uint64 {
-	// The split word shares the header line that segClaims already charged
-	// on this operation's validation, so the load is quiet
-	// (one-charge-per-line discipline).
+	// Quiet: the split word shares the header line the caller's claim check
+	// (segClaims) already charged on this operation.
 	return p.QuietLoadU64(seg.Add(segOffSplit))
 }
 
@@ -77,18 +76,24 @@ func segDepth(p *pmem.Pool, seg pmem.Addr) uint8 {
 	return uint8(p.LoadU64(seg.Add(segOffDepth)))
 }
 
-func segPattern(p *pmem.Pool, seg pmem.Addr) uint64 {
-	return p.LoadU64(seg.Add(segOffPattern))
+// segMeta returns seg's (local depth, pattern) pair. The depth load pays for
+// the header line; the pattern shares it and is read quietly.
+func segMeta(p *pmem.Pool, seg pmem.Addr) (uint8, uint64) {
+	return segDepth(p, seg), p.QuietLoadU64(seg.Add(segOffPattern))
 }
 
-// segClaims reports whether seg's own header metadata claims key ownership:
-// the key's top `local depth` hash bits equal the segment's pattern. Because
-// the segments' (depth, pattern) pairs partition the hash space — and the
-// transient windows where they do not are covered by the segment's bucket
-// locks — a claiming segment is the directory owner of the key.
+// segClaims reports whether seg's own PM header claims key ownership: the
+// key's top `local depth` hash bits equal the segment's pattern. One charged
+// read, the header line. For a caller holding the key's pair locks in seg
+// this is the whole route validation (Table.lockOwner): a publish narrows a
+// segment's claim — and flips the directory entries that implies — only
+// while holding all of the segment's bucket locks, segments are never
+// reclaimed, and the published (depth, pattern) pairs partition the hash
+// space, so the claiming segment is the key's directory owner. Lock-free
+// callers may catch a publish half done: Table.validateRoute.
 func segClaims(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts) bool {
-	l := segDepth(p, seg)
-	return hashfn.SegmentIndex(parts.Hash, l) == segPattern(p, seg)
+	l, pat := segMeta(p, seg)
+	return hashfn.SegmentIndex(parts.Hash, l) == pat
 }
 
 // segSetMeta updates local depth and pattern and persists the header line,
@@ -118,6 +123,12 @@ func segInit(p *pmem.Pool, seg pmem.Addr, depth uint8, pattern uint64) {
 func segPersist(p *pmem.Pool, seg pmem.Addr) {
 	p.Flush(seg, segmentSize)
 	p.Fence()
+}
+
+// homePair returns a key's two candidate buckets: its home and the next one.
+func homePair(parts hashfn.Parts) (b, b2 int) {
+	b = int(parts.BucketIndex(bucketBits))
+	return b, (b + 1) % normalBuckets
 }
 
 // lockPair acquires the two candidate buckets of a key in ascending index
@@ -151,8 +162,7 @@ func (l recLoc) inStash() bool { return l.bucket >= normalBuckets }
 // this home cannot move (we hold the home lock, which every stash mutation
 // of this home takes), and records of other homes can never alias our key.
 func segFindLocked(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (recLoc, bool) {
-	b := int(pk.parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(pk.parts)
 	if slot := bucketFindLocked(p, vl, segBucket(seg, b), pk); slot >= 0 {
 		return recLoc{bucket: b, slot: slot, tracked: -1}, true
 	}
@@ -221,8 +231,7 @@ func segFindW0Locked(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts, w0 uint64)
 // defers durability to a whole-segment flush (unpublished split siblings;
 // see bucketInsertLocked).
 func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, concurrent, persist bool, seed uint64) bool {
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(parts)
 	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
 
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
@@ -253,12 +262,15 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 		// migrated yet — the displacement stays on the unmigrated side of
 		// the front, where the migrator will still find its result.
 		if segSplitState(p, seg)&splitStateInFlight == 0 && bucketFreeSlots(p, b3a) > 0 {
-			m := p.QuietLoadU64(b2a.Add(bkOffMeta)) // b2's header line paid by its lock
+			// b2 is full (f1 == f2 == 0). Records 0 and 1 share the header
+			// line b2's lock paid for; each further record line is charged
+			// once, when the scan first reaches it (slots 2, 6, 10).
 			for slot := 0; slot < slotsPerBucket; slot++ {
-				if !metaSlotUsed(m, slot) {
-					continue
+				ra := recordAddr(b2a, slot)
+				if slot >= 2 && uint64(ra)%pmem.CachelineSize == 0 {
+					p.TouchRead(ra, pmem.CachelineSize)
 				}
-				vict := p.ReadKV(recordAddr(b2a, slot))
+				vict := p.QuietReadKV(ra)
 				vp := recSplitParts(vict, seed)
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
@@ -326,8 +338,7 @@ func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts
 // whichever representation it needs (blob bytes stay valid under its epoch
 // guard).
 func segSearchOpt(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (pmem.KV, bool) {
-	b := int(pk.parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(pk.parts)
 	kv, found, m, hi := bucketSearchOpt(p, vl, segBucket(seg, b), pk)
 	if found {
 		return kv, true

@@ -195,7 +195,7 @@ func TestWritersDuringSplitMigration(t *testing.T) {
 		// reinsert always finds the slot its delete just freed in the
 		// key's bucket pair, so none of these operations can trigger (and
 		// then wait on) the paused split — while sibling-claimed keys
-		// exercise assistDelete/assistUpdate/assistInsert, including the
+		// exercise assistDelete/assistOverwrite/assistInsert, including the
 		// migrator's duplicate probe when it later reaches a reinserted
 		// record's bucket.
 		var keys []uint64

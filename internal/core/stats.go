@@ -36,11 +36,11 @@ type TableStats struct {
 	AllocatedBytes uint64
 
 	// DirCacheHits and DirCacheMisses count cached-route outcomes. A hit is
-	// a route that served its operation — either a seqlock-stable positive
-	// Get (trusted without consulting the PM directory; that skip is the
-	// point of the cache) or a route that validateRoute confirmed against
-	// PM (negative reads, writers after locking). A miss is a stale route
-	// caught by a failed validation, forcing a repair + retry.
+	// a route that served its operation: a read answered from DRAM or a
+	// writer whose locked segment's own PM header claimed the key (neither
+	// reads the PM directory; that skip is the point of the cache), or a
+	// reader's PM fallback that validateRoute confirmed. A miss is a stale
+	// route caught by a failed validation, forcing a repair + retry.
 	DirCacheHits, DirCacheMisses uint64
 	// DirCacheHitRate is DirCacheHits over all route outcomes (1 when
 	// idle). Counters are cumulative since Create/Open; windowed consumers

@@ -23,17 +23,18 @@ import (
 //
 // Concurrency protocol:
 //   - Every operation routes key → segment through the DRAM directory cache
-//     (dircache.go); the PM directory is consulted only to validate a route
-//     or repair a stale one. Every operation runs inside an epoch guard so a
-//     retired directory block is never recycled under a reader still
-//     traversing it.
+//     (dircache.go); the PM directory is consulted only by lock-free
+//     validation or to repair a stale route. Every operation runs inside an
+//     epoch guard so a retired directory block is never recycled under a
+//     reader still traversing it.
 //   - Readers are optimistic and lock-free: scan buckets under seqlock
 //     version validation, and revalidate the route against the PM directory
 //     before concluding "not found". A seqlock-stable positive hit needs no
 //     revalidation (see dircache.go).
 //   - Writers lock only the key's two candidate buckets (plus stash /
-//     displacement buckets, in a fixed deadlock-free order), then revalidate
-//     the route and the segment's pattern before mutating.
+//     displacement buckets, in a fixed deadlock-free order), then check that
+//     the locked segment's own PM header claims the key (lockOwner, §4.4):
+//     one header line, no PM directory read.
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
 //     CAS on the segment header's split-state word (which doubles as the
 //     persistent split-progress marker), so splits of distinct segments
@@ -407,28 +408,48 @@ func (t *Table) parts(key uint64) hashfn.Parts {
 }
 
 // resolve walks the PM directory → segment for a key under the current
-// global depth: the authoritative (and charged) route, used by the split
-// slow path and by validateRoute. Both loads are atomic; a torn view across
-// a concurrent split is caught by the segment-pattern check.
-func (t *Table) resolve(parts hashfn.Parts) (dir, seg pmem.Addr) {
-	dir = pmem.Addr(t.pool.LoadU64(rootAddr.Add(rootOffDir)))
-	g := dirDepth(t.pool, dir)
-	seg = dirLoadEntry(t.pool, dir, parts.DirIndex(g))
-	return dir, seg
+// global depth: the authoritative (and charged) route, for the lock-free
+// callers — validateRoute and split's post-claim re-check. Both loads are
+// atomic; a torn view across a concurrent split is caught by the
+// segment-pattern check.
+func (t *Table) resolve(parts hashfn.Parts) pmem.Addr {
+	dir := pmem.Addr(t.pool.LoadU64(rootAddr.Add(rootOffDir)))
+	return dirLoadEntry(t.pool, dir, parts.DirIndex(dirDepth(t.pool, dir)))
 }
 
-// validateRoute checks a (typically cache-provided) route against PM truth:
-// (a) the PM directory still routes the key to seg and (b) seg's own pattern
-// claims the key. Writers call it after taking bucket locks; readers call it
-// before trusting a negative search. The pattern check carries the
-// correctness: during a split's publish window the directory entry and the
-// old segment's metadata change under the segment's bucket locks, so any
-// operation that got past those locks sees them reconciled.
+// validateRoute is the lock-free route check: (a) the PM directory still
+// routes the key to seg and (b) seg's own pattern claims the key. Readers
+// call it before trusting a negative search they cannot settle in DRAM;
+// holding no lock they may catch a publish half done, hence both halves. A
+// lock holder cannot, and skips the directory (lockOwner).
 func (t *Table) validateRoute(parts hashfn.Parts, seg pmem.Addr) bool {
-	if _, cur := t.resolve(parts); cur != seg {
+	if t.resolve(parts) != seg {
 		return false
 	}
 	return segClaims(t.pool, seg, parts)
+}
+
+// lockOwner is every writer's first step: route the key through the DRAM
+// directory cache, take its pair locks in the routed segment, and check that
+// this segment's own PM header claims the key — one charged read, and under
+// the locks sufficient (segClaims has the argument). A failed claim means
+// the route was stale: unlock, repair it from the PM directory, retry.
+// Returns with the pair locks held in the key's owning segment. The claim is
+// read from PM, never from the mirror; the cache only proposes candidates.
+func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (pmem.Addr, *segMirror) {
+	for {
+		seg, _ := t.cache.route(parts)
+		t.ensureRecovered(seg)
+		mir := t.mirror(seg)
+		lockPair(t.pool, mir, seg, b, b2)
+		if segClaims(t.pool, seg, parts) {
+			t.cache.hits.Inc()
+			return seg, mir
+		}
+		unlockPair(t.pool, mir, seg, b, b2)
+		t.cache.misses.Inc()
+		t.cacheRepair(parts)
+	}
 }
 
 // Insert adds key → value. It fails with ErrKeyExists if the key is present
@@ -524,26 +545,15 @@ func (t *Table) mapLogErr(err error) error {
 	return err
 }
 
-// insertKV is the shared insert protocol: route, lock, validate, duplicate
-// check by canonical key, representation-blind slot insert, split-assist
-// mirror, or split-and-retry.
+// insertKV is the shared insert protocol: route, lock and claim-check
+// (lockOwner), duplicate check by canonical key, representation-blind slot
+// insert, split-assist mirror, or split-and-retry.
 func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 	p := t.pool
 	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(parts)
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
-		lockPair(p, mir, seg, b, b2)
-		if !t.validateRoute(parts, seg) {
-			unlockPair(p, mir, seg, b, b2)
-			t.cache.misses.Inc()
-			t.cacheRepair(parts)
-			continue
-		}
-		t.cache.hits.Inc()
+		seg, mir := t.lockOwner(parts, b, b2)
 		if _, found := segFindLocked(p, t.vlog, seg, pk); found {
 			unlockPair(p, mir, seg, b, b2)
 			return ErrKeyExists
@@ -716,35 +726,22 @@ func (t *Table) DeleteB(key []byte) bool {
 func (t *Table) deleteByProbe(pk *probeKey) bool {
 	p := t.pool
 	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
-		lockPair(p, mir, seg, b, b2)
-		if !t.validateRoute(parts, seg) {
-			unlockPair(p, mir, seg, b, b2)
-			t.cache.misses.Inc()
-			t.cacheRepair(parts)
-			continue
+	b, b2 := homePair(parts)
+	seg, mir := t.lockOwner(parts, b, b2)
+	loc, found := segFindLocked(p, t.vlog, seg, pk)
+	if found {
+		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
+		segDeleteAt(p, mir, seg, parts, loc, true, true)
+		if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			t.assistDelete(sib, pk)
 		}
-		t.cache.hits.Inc()
-		loc, found := segFindLocked(p, t.vlog, seg, pk)
-		if found {
-			w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
-			segDeleteAt(p, mir, seg, parts, loc, true, true)
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
-				t.assistDelete(sib, pk)
-			}
-			if recIsIndirect(w0) {
-				t.retireBlob(recBlobAddr(w0))
-			}
-			t.count.Add(-1)
+		if recIsIndirect(w0) {
+			t.retireBlob(recBlobAddr(w0))
 		}
-		unlockPair(p, mir, seg, b, b2)
-		return found
+		t.count.Add(-1)
 	}
+	unlockPair(p, mir, seg, b, b2)
+	return found
 }
 
 // retireBlob frees a blob once no in-flight reader can still dereference
@@ -811,8 +808,7 @@ func (t *Table) UpdateB(key, value []byte) (bool, error) {
 func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 	p := t.pool
 	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(parts)
 	blob := pmem.Null
 	// freeBlob is only for outcomes where the blob was never published (no
 	// slot ever referenced it), so no reader can hold it and immediate
@@ -825,17 +821,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	}
 	inline8 := vb == nil || len(vb) == 8
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
-		lockPair(p, mir, seg, b, b2)
-		if !t.validateRoute(parts, seg) {
-			unlockPair(p, mir, seg, b, b2)
-			t.cache.misses.Inc()
-			t.cacheRepair(parts)
-			continue
-		}
-		t.cache.hits.Inc()
+		seg, mir := t.lockOwner(parts, b, b2)
 		loc, found := segFindLocked(p, t.vlog, seg, pk)
 		if !found {
 			unlockPair(p, mir, seg, b, b2)
@@ -860,7 +846,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 				mir.recWord(loc.bucket, loc.slot, 1).Store(v)
 			}
 			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
-				t.assistUpdate(sib, pk, pmem.KV{Key: w0, Value: v})
+				t.assistOverwrite(sib, pk, pmem.KV{Key: w0, Value: v}, false)
 			}
 			unlockPair(p, mir, seg, b, b2)
 			freeBlob()
@@ -898,7 +884,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 				mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 			}
 			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
-				t.assistUpdate(sib, pk, kv)
+				t.assistOverwrite(sib, pk, kv, false)
 			}
 			t.retireBlob(recBlobAddr(w0))
 			unlockPair(p, mir, seg, b, b2)
@@ -917,7 +903,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			}
 			continue
 		}
-		if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistConvert(sib, pk, kv) {
+		if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistOverwrite(sib, pk, kv, true) {
 			// Sibling cannot absorb the converted record: roll the
 			// conversion back (delete the new record, old value intact).
 			// The deleted record was transiently published — a stash
@@ -979,17 +965,15 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 	// the claim, a finished split may have relocated the key range or made
 	// room; re-check cheaply and release the claim if so. The claim value
 	// is transient (never persisted): recovery clears markers wholesale.
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	if _, seg := t.resolve(parts); seg != oldSeg ||
+	b, b2 := homePair(parts)
+	if t.resolve(parts) != oldSeg ||
 		bucketFreeSlots(p, segBucket(oldSeg, b)) > 0 ||
 		bucketFreeSlots(p, segBucket(oldSeg, b2)) > 0 {
 		p.StoreU64(spa, 0)
 		return nil
 	}
 	t.fr.Record(obs.EvSplitCAS, obs.TagNone, uint64(oldSeg), 0)
-	l := segDepth(p, oldSeg)
-	pat := segPattern(p, oldSeg)
+	l, pat := segMeta(p, oldSeg)
 
 	newSeg, err := t.alloc(segmentSize)
 	if err != nil {
@@ -1220,20 +1204,21 @@ func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*spl
 // optimistically, its home pair locked, and the slot re-verified under the
 // locks; a slot that changed identity in between is retried with the new
 // key (bounded in practice: slots change only while writers win the race).
+// Loads are quiet: splitMigrate's whole-segment TouchRead streamed these
+// lines microseconds earlier in this same split.
 func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa pmem.Addr, slot int, l uint8, a0 uint64) bool {
 	p := t.pool
 	for {
-		m := p.LoadU64(sa.Add(bkOffMeta))
+		m := p.QuietLoadU64(sa.Add(bkOffMeta))
 		if !metaSlotUsed(m, slot) {
 			return true
 		}
-		kv0 := p.ReadKV(recordAddr(sa, slot))
+		kv0 := p.QuietReadKV(recordAddr(sa, slot))
 		rp := recSplitParts(kv0, t.seed)
-		hb := int(rp.BucketIndex(bucketBits))
-		hb2 := (hb + 1) % normalBuckets
+		hb, hb2 := homePair(rp)
 		lockPair(p, oldMir, oldSeg, hb, hb2)
-		m = p.LoadU64(sa.Add(bkOffMeta))
-		kv := p.ReadKV(recordAddr(sa, slot))
+		m = p.QuietLoadU64(sa.Add(bkOffMeta))
+		kv := p.QuietReadKV(recordAddr(sa, slot))
 		if !metaSlotUsed(m, slot) || !recSameIdentity(kv0.Key, kv.Key, kv.Value, rp.Hash) {
 			unlockPair(p, oldMir, oldSeg, hb, hb2)
 			continue
@@ -1363,7 +1348,8 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 // sibling claims the key's hash, or null. The caller holds the key's bucket
 // locks in seg: a split cannot publish (which is what retires the marker)
 // without those locks, so a non-null sibling stays valid until they are
-// released.
+// released. The marker shares the header line lockOwner's claim check paid
+// for; the sibling's claim costs one read of its own header line.
 func (t *Table) splitSibling(seg pmem.Addr, parts hashfn.Parts) pmem.Addr {
 	st := segSplitState(t.pool, seg)
 	if st&splitStateInFlight == 0 {
@@ -1389,9 +1375,7 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 	t.splitAssists.Add(1)
 	p := t.pool
 	sibMir := t.mirror(sib)
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	// The key is fresh table-wide, but its sibling copy may already exist:
 	// if this insert reused a source slot the migration scan captured under
@@ -1402,7 +1386,7 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 	// it here — so probe before inserting.
 	ok := true
 	if _, dup := segFindLocked(p, t.vlog, sib, pk); !dup {
-		ok = segInsertLocked(p, sibMir, sib, parts, kv, true, false, t.seed)
+		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, true, false, t.seed)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 	return ok
@@ -1414,56 +1398,33 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 func (t *Table) assistDelete(sib pmem.Addr, pk *probeKey) {
 	p := t.pool
 	sibMir := t.mirror(sib)
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
-		segDeleteAt(p, sibMir, sib, parts, loc, true, false)
+		segDeleteAt(p, sibMir, sib, pk.parts, loc, true, false)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 }
 
-// assistUpdate mirrors a value update into the sibling of an in-flight
+// assistOverwrite mirrors a record overwrite into the sibling of an in-flight
 // split, so an already-migrated copy does not revive the old value at
-// publish: the sibling copy's record words are overwritten with kv (for an
-// inline record that is just the value word; for a copy-on-write update it
-// is the new blob's word 0, word 1 — the hash — being unchanged). A copy
-// the migrator has not made yet needs nothing: the migrator copies the
-// record's *current* words under the home bucket's lock, and its sibling
-// critical section serializes with this one.
-func (t *Table) assistUpdate(sib pmem.Addr, pk *probeKey, kv pmem.KV) {
-	p := t.pool
-	sibMir := t.mirror(sib)
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	lockPair(p, sibMir, sib, b, b2)
-	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
-		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
-		p.StoreU64(ra.Add(8), kv.Value)
-		p.StoreU64(ra, kv.Key)
-		if sibMir != nil {
-			sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-		}
+// publish: the copy's record words are overwritten with kv (for an inline
+// update that is just the value word; for a copy-on-write update it is the
+// new blob's word 0, word 1 — the hash — being unchanged). A copy the
+// migrator has not made yet needs nothing after a plain update (insert =
+// false): the migrator copies the record's *current* words under the home
+// bucket's lock, and its sibling critical section serializes with this one.
+// A representation conversion (insert = true) inserts the converted record
+// instead: the migrator will then skip the old slot, whose word 0 no longer
+// matches its scan, or dedupe against this copy through the assist counter's
+// gate. Reports false when the sibling cannot absorb that insert.
+func (t *Table) assistOverwrite(sib pmem.Addr, pk *probeKey, kv pmem.KV, insert bool) bool {
+	if insert {
+		t.splitAssists.Add(1) // before touching the sibling, like assistInsert
 	}
-	unlockPair(p, sibMir, sib, b, b2)
-}
-
-// assistConvert mirrors a representation conversion (inline → indirect
-// update) into the sibling: an upsert — overwrite the already-migrated
-// copy, or insert the converted record if the migrator has not reached it
-// yet (the migrator will then skip the old slot, whose word 0 no longer
-// matches its scan, or dedupe against this copy through the assist
-// counter's gate). Reports false when the sibling cannot absorb an insert.
-func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
-	t.splitAssists.Add(1) // before touching the sibling, like assistInsert
 	p := t.pool
 	sibMir := t.mirror(sib)
-	parts := pk.parts
-	b := int(parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
+	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	ok := true
 	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
@@ -1474,8 +1435,8 @@ func (t *Table) assistConvert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 			sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
 			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 		}
-	} else {
-		ok = segInsertLocked(p, sibMir, sib, parts, kv, true, false, t.seed)
+	} else if insert {
+		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, true, false, t.seed)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 	return ok
@@ -1520,7 +1481,7 @@ func (t *Table) recoverLazy(clean bool) error {
 		}
 		if !seen[e] {
 			seen[e] = true
-			l, pat := segDepth(p, e), segPattern(p, e)
+			l, pat := segMeta(p, e)
 			if l > g {
 				return fmt.Errorf("core: recovery: segment %#x deeper (%d) than directory (%d)", e, l, g)
 			}

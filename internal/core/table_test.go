@@ -131,7 +131,7 @@ func TestStashOverflowPaths(t *testing.T) {
 		}
 	}
 	// At least one record must have landed in a stash bucket.
-	_, seg := tbl.resolve(first)
+	seg := tbl.resolve(first)
 	stashUsed := 0
 	for j := 0; j < stashBuckets; j++ {
 		stashUsed += slotsPerBucket - bucketFreeSlots(p, segBucket(seg, normalBuckets+j))

@@ -15,6 +15,22 @@ import "sync/atomic"
 // store-first order a concurrent flush can at worst persist the new value
 // early, which is exactly what real hardware does when a neighboring flush
 // catches a fresh store to the same line.
+//
+// The byte-range stores (Copy, WriteBytes, Zero, VarLog.Append's payload
+// copies) are plain writes whose range may share a cacheline with another
+// goroutine's data (two blobs of one line). On a crash-tracked pool a
+// concurrent Flush snapshots every word of that line (copyLineToMedia), so
+// they run inside rangeStore, under the tracker's mutex — still ahead of the
+// dirty-marking, which retakes it. Untracked pools (every benchmark's
+// measured phase) pay a nil check.
+
+func (p *Pool) rangeStore(store func()) {
+	if p.crash != nil {
+		p.crash.mu.Lock()
+		defer p.crash.mu.Unlock()
+	}
+	store()
+}
 
 func (p *Pool) onRead(a Addr, n uint64) {
 	lines := lineSpan(a, n)
@@ -155,7 +171,7 @@ func (p *Pool) CompareAndSwapU32(a Addr, old, new uint32) bool {
 func (p *Pool) Copy(dst, src Addr, n uint64) {
 	p.check(dst, n)
 	p.check(src, n)
-	copy(p.data[dst:uint64(dst)+n], p.data[src:uint64(src)+n])
+	p.rangeStore(func() { copy(p.data[dst:uint64(dst)+n], p.data[src:uint64(src)+n]) })
 	p.onRead(src, n)
 	p.onWrite(dst, n)
 }
@@ -164,7 +180,7 @@ func (p *Pool) Copy(dst, src Addr, n uint64) {
 func (p *Pool) WriteBytes(a Addr, b []byte) {
 	n := uint64(len(b))
 	p.check(a, n)
-	copy(p.data[a:uint64(a)+n], b)
+	p.rangeStore(func() { copy(p.data[a:uint64(a)+n], b) })
 	p.onWrite(a, n)
 }
 
@@ -181,8 +197,10 @@ func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
 func (p *Pool) Zero(a Addr, n uint64) {
 	p.check(a, n)
 	b := p.data[a : uint64(a)+n]
-	for i := range b {
-		b[i] = 0
-	}
+	p.rangeStore(func() {
+		for i := range b {
+			b[i] = 0
+		}
+	})
 	p.onWrite(a, n)
 }

@@ -143,8 +143,14 @@ func TestKVHelpers(t *testing.T) {
 		t.Errorf("ReadKV = %+v", kv)
 	}
 	p.WriteValue(a, 33)
-	if got := p.ReadValue(a); got != 33 {
-		t.Errorf("ReadValue = %d, want 33", got)
+	// One charged read per record: the key load pays for the line, the value
+	// word shares it.
+	p.ResetStats()
+	if kv := p.ReadKV(a); kv.Value != 33 {
+		t.Errorf("ReadKV after WriteValue = %+v, want value 33", kv)
+	}
+	if s := p.Stats(); s.ReadLines != 1 {
+		t.Errorf("ReadKV charged %d read lines, want 1", s.ReadLines)
 	}
 	if got := p.ReadKey(a); got != 11 {
 		t.Errorf("ReadKey = %d, want 11", got)

@@ -14,11 +14,13 @@ type KV struct {
 	Value uint64
 }
 
-// ReadKV atomically loads the record at a (8-aligned). The two word loads
+// ReadKV atomically loads the record at a (16-aligned, so never straddling a
+// cacheline): the key load pays for the record's line, the value word shares
+// it and is read quietly — one charged read per record. The two word loads
 // are individually atomic, not jointly; callers that need a consistent pair
 // guard the read with a version check, as the bucket layer does.
 func (p *Pool) ReadKV(a Addr) KV {
-	return KV{Key: p.LoadU64(a), Value: p.LoadU64(a.Add(8))}
+	return KV{Key: p.LoadU64(a), Value: p.QuietLoadU64(a.Add(8))}
 }
 
 // QuietReadKV is ReadKV without accounting, for sequential scans that
@@ -40,11 +42,9 @@ func (p *Pool) WriteKV(a Addr, kv KV) {
 // PersistKV flushes and fences the record at a.
 func (p *Pool) PersistKV(a Addr) { p.Persist(a, RecordSize) }
 
-// ReadKey atomically loads just the key word of the record at a.
+// ReadKey atomically loads just the key word of the record at a, paying for
+// its line; the value word can then be read quietly, as ReadKV does.
 func (p *Pool) ReadKey(a Addr) uint64 { return p.LoadU64(a) }
-
-// ReadValue atomically loads just the value word of the record at a.
-func (p *Pool) ReadValue(a Addr) uint64 { return p.LoadU64(a.Add(8)) }
 
 // WriteValue atomically stores just the value word of the record at a, the
 // in-place Update fast path.

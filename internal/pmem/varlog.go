@@ -178,8 +178,10 @@ func (l *VarLog) Append(key, value []byte) (Addr, error) {
 	// expose are all uncommitted.
 	p.QuietStoreU64(a.Add(8), 0)
 	p.QuietStoreU64(a, packBlobHeader(klen, vlen, capBytes))
-	copy(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen)), key)
-	copy(p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen)), value)
+	p.rangeStore(func() { // a neighbouring blob's owner may be flushing these lines
+		copy(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen)), key)
+		copy(p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen)), value)
+	})
 	// One charge for the whole blob (and the crash-tracking dirty marks for
 	// the byte copies above); then make it durable.
 	p.TouchWrite(a, BlobHeaderSize+uint64(klen)+uint64(vlen))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -222,5 +223,73 @@ func TestVarLogRecoverTornHeader(t *testing.T) {
 	st := l2.Stats()
 	if st.LiveBlobs != 1 || st.FreeBytes != 0 {
 		t.Fatalf("stats after torn-header recovery = %+v, want 1 live, 0 free", st)
+	}
+}
+
+// TestVarLogAppendRacesFlush is the -race regression for the byte-range
+// store paths on a crash-tracked pool: blobs are 16-aligned, so neighbours
+// share cachelines, and one goroutine's Flush snapshots a line (atomic word
+// loads in copyLineToMedia) that another's Append is copying payload bytes
+// into. Two appenders write small blobs back to back while two flushers
+// sweep the log's lines; after a Crash every committed blob must read back.
+func TestVarLogAppendRacesFlush(t *testing.T) {
+	p, l := testLog(t, 1<<20, 0)
+	const appenders, perAppender = 2, 2000
+	type rec struct {
+		a    Addr
+		k, v []byte
+	}
+	recs := make([][]rec, appenders)
+	stop := make(chan struct{})
+	var flushers, writers sync.WaitGroup
+	for f := 0; f < 2; f++ {
+		flushers.Add(1)
+		go func(f int) {
+			defer flushers.Done()
+			lo, hi := uint64(4*CachelineSize), p.Size()
+			for a := lo + uint64(f)*4096; ; a += 2 * 4096 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if a+4096 > hi {
+					a = lo + uint64(f)*4096
+				}
+				p.Flush(Addr(a), 4096)
+			}
+		}(f)
+	}
+	for w := 0; w < appenders; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < perAppender; i++ {
+				k := []byte(fmt.Sprintf("k%d-%05d", w, i))
+				v := bytes.Repeat([]byte{byte(i)}, 1+i%23)
+				a, err := l.Append(k, v)
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				l.Commit(a)
+				recs[w] = append(recs[w], rec{a, k, v})
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	flushers.Wait()
+
+	p.Crash()
+	for w := range recs {
+		for _, r := range recs[w] {
+			if !l.KeyEquals(r.a, r.k) {
+				t.Fatalf("blob %#x: key lost after crash", r.a)
+			}
+			if got := l.AppendValue(nil, r.a); !bytes.Equal(got, r.v) {
+				t.Fatalf("blob %#x: value = %x, want %x", r.a, got, r.v)
+			}
+		}
 	}
 }
