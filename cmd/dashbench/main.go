@@ -68,6 +68,10 @@ type cellJSON struct {
 	PMWriteBytesPerOp   float64 `json:"pm_write_bytes_per_op"`
 	PMFlushedBytesPerOp float64 `json:"pm_flushed_bytes_per_op"`
 	PMFencesPerOp       float64 `json:"pm_fences_per_op"`
+	// Simulated device time the cost model charged (schema v8): per op, and
+	// the measured phase's total by category.
+	PMDeviceNSPerOp float64       `json:"pm_device_ns_per_op"`
+	PMDeviceNS      pmem.DeviceNS `json:"pm_device_ns"`
 
 	Count          int64   `json:"count"`
 	GlobalDepth    uint8   `json:"global_depth"`
@@ -242,7 +246,7 @@ func main() {
 		fmt.Printf("dashbench: debug endpoint on http://%s (/metrics, /trace, /debug/pprof)\n", srv.Addr())
 	}
 
-	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 7}
+	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 8}
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
@@ -259,8 +263,8 @@ func main() {
 
 	for _, mix := range mixes {
 		fmt.Printf("\nmix %s\n", mix)
-		fmt.Printf("  %7s %9s %9s %9s %9s %9s %10s %10s %6s %5s %7s %7s %6s\n",
-			"threads", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)", "PMrd B/op", "PMwr B/op", "lf", "depth", "dchit%", "fhit%", "splits")
+		fmt.Printf("  %7s %9s %9s %9s %9s %9s %10s %10s %9s %6s %5s %7s %7s %6s\n",
+			"threads", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)", "PMrd B/op", "PMwr B/op", "dev ns/op", "lf", "depth", "dchit%", "fhit%", "splits")
 		for _, th := range ladder {
 			cfg := bench.Config{
 				Threads:         th,
@@ -281,11 +285,11 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("mix %s threads %d: %w", mix.Name, th, err))
 			}
-			fmt.Printf("  %7d %9.3f %9.1f %9.1f %9.1f %9.1f %10.1f %10.1f %6.2f %5d %7.3f %7.3f %6d\n",
+			fmt.Printf("  %7d %9.3f %9.1f %9.1f %9.1f %9.1f %10.1f %10.1f %9.0f %6.2f %5d %7.3f %7.3f %6d\n",
 				th, res.MopsPerS,
 				float64(res.P50NS)/1e3, float64(res.P99NS)/1e3,
 				float64(res.P999NS)/1e3, float64(res.MaxNS)/1e3,
-				res.ReadBytesPerOp, res.WriteBytesPerOp,
+				res.ReadBytesPerOp, res.WriteBytesPerOp, res.DeviceNSPerOp,
 				res.Table.LoadFactor, res.Table.GlobalDepth,
 				100*res.Table.DirCacheHitRate, 100*res.Table.SegFilterHitRate,
 				res.Table.Splits)
@@ -321,8 +325,8 @@ func main() {
 		svcWarmup := *warmup
 		for _, sim := range simList {
 			fmt.Printf("\nservice sim %s (%d clients)\n", sim.Name, *threads)
-			fmt.Printf("  %13s %9s %9s %9s %9s %10s %9s %9s %7s %6s %6s\n",
-				"shards×batch", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "elided/op", "batchmean", "imbal", "reconn", "lf")
+			fmt.Printf("  %13s %9s %9s %9s %9s %10s %9s %9s %9s %7s %6s %6s\n",
+				"shards×batch", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "elided/op", "dev ns/op", "batchmean", "imbal", "reconn", "lf")
 			for _, shape := range [][2]int{{1, 1}, {*shards, *batch}} {
 				cfg := bench.ServiceConfig{
 					Shards:    shape[0],
@@ -343,10 +347,10 @@ func main() {
 				if err != nil {
 					fatal(fmt.Errorf("sim %s shards %d batch %d: %w", sim.Name, shape[0], shape[1], err))
 				}
-				fmt.Printf("  %13s %9.3f %9.1f %9.1f %9.1f %10.3f %9.3f %9.1f %7.3f %6d %6.2f\n",
+				fmt.Printf("  %13s %9.3f %9.1f %9.1f %9.1f %10.3f %9.3f %9.0f %9.1f %7.3f %6d %6.2f\n",
 					fmt.Sprintf("%d×%d", res.Shards, res.Batch), res.MopsPerS,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3, float64(res.P999NS)/1e3,
-					res.FencesPerOp, res.FencesElidedPerOp, res.BatchSizeMean,
+					res.FencesPerOp, res.FencesElidedPerOp, res.DeviceNSPerOp, res.BatchSizeMean,
 					res.Imbalance, res.Reconnects, res.LoadFactor)
 				if res.Shards > 1 {
 					for _, row := range res.PerShard {
@@ -461,6 +465,8 @@ func toCell(r *bench.Result) cellJSON {
 		PMWriteBytesPerOp:   r.WriteBytesPerOp,
 		PMFlushedBytesPerOp: r.FlushedBytesPerOp,
 		PMFencesPerOp:       r.FencesPerOp,
+		PMDeviceNSPerOp:     r.DeviceNSPerOp,
+		PMDeviceNS:          r.PM.DeviceNS,
 
 		Count:          r.Table.Count,
 		GlobalDepth:    r.Table.GlobalDepth,
@@ -532,6 +538,8 @@ func toSvcCell(r *bench.ServiceResult) cellJSON {
 		PMWriteBytesPerOp:   r.WriteBytesPerOp,
 		PMFlushedBytesPerOp: r.FlushedBytesPerOp,
 		PMFencesPerOp:       r.FencesPerOp,
+		PMDeviceNSPerOp:     r.DeviceNSPerOp,
+		PMDeviceNS:          r.PM.DeviceNS,
 
 		Count:       r.Count,
 		GlobalDepth: r.GlobalDepthMax,

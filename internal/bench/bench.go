@@ -106,11 +106,15 @@ type Result struct {
 
 	// PM is the raw traffic delta over the measured phase; the *PerOp fields
 	// convert it to bytes (lines × cacheline size) per measured operation.
+	// DeviceNSPerOp is the simulated device time the cost model charged per
+	// op (PM.DeviceNS has it by category): MeanNS minus it is CPU time plus
+	// the simulator's own overhead.
 	PM                pmem.StatsSnapshot
 	ReadBytesPerOp    float64
 	WriteBytesPerOp   float64
 	FlushedBytesPerOp float64
 	FencesPerOp       float64
+	DeviceNSPerOp     float64
 
 	// Table is the shape after the run.
 	Table core.TableStats
@@ -280,6 +284,7 @@ func Run(cfg Config) (*Result, error) {
 	res.WriteBytesPerOp = float64(pm.WriteLines) * pmem.CachelineSize / ops
 	res.FlushedBytesPerOp = float64(pm.FlushedLines) * pmem.CachelineSize / ops
 	res.FencesPerOp = float64(pm.Fences) / ops
+	res.DeviceNSPerOp = float64(pm.DeviceNS.Total()) / ops
 
 	// Lost-operation audit: the table must account for exactly the
 	// operations the workers report having applied. Inserts rejected with

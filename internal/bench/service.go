@@ -100,13 +100,15 @@ type ServiceResult struct {
 	// PM aggregates measured-phase traffic across every shard's pool; the
 	// *PerOp fields normalize by measured operations. FencesPerOp is the
 	// headline number batching drives down; FencesElidedPerOp counts the
-	// ordering points each batch's tail fence absorbed.
+	// ordering points each batch's tail fence absorbed; DeviceNSPerOp is
+	// the simulated device time charged per op (PM.DeviceNS by category).
 	PM                pmem.StatsSnapshot
 	ReadBytesPerOp    float64
 	WriteBytesPerOp   float64
 	FlushedBytesPerOp float64
 	FencesPerOp       float64
 	FencesElidedPerOp float64
+	DeviceNSPerOp     float64
 
 	// BatchSizeMean is the mean executor batch size over the measured
 	// phase; FlushSaved the fences saved (elided minus tail fences);
@@ -259,6 +261,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	res.FlushedBytesPerOp = float64(pm.FlushedLines) * pmem.CachelineSize / ops
 	res.FencesPerOp = float64(pm.Fences) / ops
 	res.FencesElidedPerOp = float64(pm.FencesElided) / ops
+	res.DeviceNSPerOp = float64(pm.DeviceNS.Total()) / ops
 	if bs := feWin.Hists["service.batch.size"]; bs.Count > 0 {
 		res.BatchSizeMean = bs.Mean
 	}

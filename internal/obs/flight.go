@@ -145,7 +145,7 @@ func (e Event) String() string {
 // seq=index+1); TraceSnapshot drops slots it catches mid-overwrite instead
 // of returning torn events.
 type Flight struct {
-	ops [shards]ring
+	ops [Shards]ring
 	ctl ring
 }
 
@@ -205,7 +205,7 @@ func (f *Flight) RecordAt(ts int64, t EventType, tag uint8, a, b uint64) {
 	}
 	r := &f.ctl
 	if t < evOpMax {
-		r = &f.ops[goShard()]
+		r = &f.ops[GoShard()]
 	}
 	i := r.cursor.Add(1) - 1
 	s := &r.slots[i&uint64(len(r.slots)-1)]

@@ -39,23 +39,24 @@ var epoch = time.Now()
 // Now returns nanoseconds since process start on the monotonic clock.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// shards is the fan-out of Counter and of the flight recorder's op lane.
-// 64 cachelines of counter is 4KiB per Counter — cheap enough to register
-// dozens, wide enough that a few dozen runnable goroutines rarely collide.
-const shards = 64
+// Shards is the fan-out of Counter, of the flight recorder's op lane and of
+// anything else keyed by GoShard (pmem's carry ledger). 64 cachelines of
+// counter is 4KiB per Counter — cheap enough to register dozens, wide
+// enough that a few dozen runnable goroutines rarely collide.
+const Shards = 64
 
-// goShard keys a shard by the calling goroutine: the address of a stack
-// local, pages apart for distinct goroutine stacks. Keying by goroutine
-// rather than by the operation's key hash matters under skew — hash keying
-// would re-converge every access to a hot key onto one cacheline,
-// recreating exactly the cross-thread hotspot the sharding removes. A
-// goroutine's shard is stable apart from stack moves, which only
-// redistribute, never contend.
-func goShard() uint64 {
+// GoShard keys a shard in [0, Shards) by the calling goroutine: the address
+// of a stack local, pages apart for distinct goroutine stacks. Keying by
+// goroutine rather than by the operation's key hash matters under skew —
+// hash keying would re-converge every access to a hot key onto one
+// cacheline, recreating exactly the cross-thread hotspot the sharding
+// removes. A goroutine's shard is stable apart from stack moves and call
+// depths a KiB apart, which only redistribute, never contend.
+func GoShard() uint64 {
 	var probe byte
 	s := uint64(uintptr(unsafe.Pointer(&probe)))
 	// Goroutine stacks are kibibytes apart; fold a few page-granular bits.
-	return (s>>10 ^ s>>16) % shards
+	return (s>>10 ^ s>>16) % Shards
 }
 
 // Counter is a cacheline-sharded event counter: increments spread over
@@ -64,7 +65,7 @@ func goShard() uint64 {
 // all methods are safe on a nil *Counter (no-ops reading zero), so optional
 // meters cost exactly one predictable branch when absent.
 type Counter struct {
-	shards [shards]counterShard
+	shards [Shards]counterShard
 }
 
 type counterShard struct {
@@ -80,7 +81,7 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.shards[goShard()].n.Add(n)
+	c.shards[GoShard()].n.Add(n)
 }
 
 // Total sums the shards. Exact at some instant during the call — the

@@ -36,7 +36,7 @@ func (p *Pool) onRead(a Addr, n uint64) {
 	lines := lineSpan(a, n)
 	p.stats.addRead(lines)
 	if p.model != nil {
-		p.model.chargeRead(lines)
+		p.stats.addDevice(devRead, p.model.chargeRead(lines))
 	}
 }
 
@@ -44,7 +44,7 @@ func (p *Pool) onWrite(a Addr, n uint64) {
 	lines := lineSpan(a, n)
 	p.stats.addWrite(lines)
 	if p.model != nil {
-		p.model.chargeWrite(lines)
+		p.stats.addDevice(devWrite, p.model.chargeWrite(lines))
 	}
 	p.markDirty(a, n)
 }

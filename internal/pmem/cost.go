@@ -2,7 +2,8 @@ package pmem
 
 import (
 	"sync/atomic"
-	"time"
+
+	"dash/internal/obs"
 )
 
 // CostModel charges simulated Optane DCPMM costs on every tracked PM access.
@@ -18,9 +19,23 @@ import (
 //     random-write bandwidth than DRAM, so a multicore workload saturates it
 //     long before the cores run out (§1.1, Fig. 1). A shared virtual clock
 //     per direction regulates aggregate line throughput: each access books
-//     its service time on the clock and spins until its finish time, so
-//     once offered load exceeds the configured bandwidth, extra threads only
-//     add queueing delay — exactly the flat scalability plateau of Fig. 1.
+//     its service time on the clock and owes the wait until its finish
+//     time, so once offered load exceeds the configured bandwidth, extra
+//     threads only add queueing delay — exactly the flat scalability
+//     plateau of Fig. 1.
+//
+// Device time is made to pass by spinning the calling goroutine on the
+// process's monotonic clock (obs.Now), and a clock read costs about as much
+// as the cheapest thing being priced. So a charge reads the clock once at
+// entry — for the regulator and the spin deadline both — and settles through
+// a per-goroutine carry ledger (spend): what a spin overshot is credited to
+// the goroutine's next charge, and a charge smaller than a clock read waits
+// on the ledger for the next spin. The ledger moves time between adjacent
+// charges of one goroutine and bounds how much: credit never exceeds tickNS
+// and debt stays below deferNS, so a goroutine is never ahead of or behind
+// its device time by 100 ns, and over any run of charges it is never charged
+// less than their sum. Flush is still eager and synchronous; the ledger is
+// the seam an asynchronous Flush with a draining Fence would book into.
 //
 // All costs scale by Scale so test suites can run the same code path fast.
 type CostModel struct {
@@ -39,10 +54,11 @@ type CostModel struct {
 	// with the same relative shape.
 	Scale int64
 
+	// Device-busy-until times on the obs.Now timeline, one per direction.
 	readClock  atomic.Int64
 	writeClock atomic.Int64
 
-	epoch time.Time
+	ledger [obs.Shards]ledgerShard
 }
 
 // DefaultOptane returns a cost model shaped like the paper's testbed:
@@ -57,7 +73,6 @@ func DefaultOptane() *CostModel {
 		ReadLineNS:     7,  // ≈ 9.1 GB/s aggregate
 		WriteLineNS:    26, // ≈ 2.5 GB/s aggregate
 		Scale:          1,
-		epoch:          time.Now(),
 	}
 }
 
@@ -68,23 +83,18 @@ func ScaledOptane(factor int64) *CostModel {
 	return m
 }
 
-func (m *CostModel) now() int64 {
-	return int64(time.Since(m.epoch))
-}
-
 // regulate books costNS of device time on clock and returns how many
-// nanoseconds past "now" the access completes (0 when under capacity).
-func (m *CostModel) regulate(clock *atomic.Int64, costNS int64) int64 {
-	now := m.now()
-	finish := clock.Add(costNS)
-	wait := finish - now
-	if wait < 0 {
+// nanoseconds past now the access completes (0 when under capacity). One
+// read-modify-write of the shared clock line either way.
+func regulate(clock *atomic.Int64, now, costNS int64) int64 {
+	c := clock.Load()
+	if c+costNS < now {
 		// Device idle: pull the clock up so idle time is not banked as
 		// credit. A lost race only under-charges one access.
-		clock.CompareAndSwap(finish, now)
+		clock.CompareAndSwap(c, now)
 		return 0
 	}
-	return wait
+	return clock.Add(costNS) - now
 }
 
 func (m *CostModel) scale(ns int64) int64 {
@@ -94,49 +104,89 @@ func (m *CostModel) scale(ns int64) int64 {
 	return ns
 }
 
-func spinNS(ns int64) {
-	if ns <= 0 {
+// The carry ledger's two bounds. The spin loop samples the clock once per
+// read, 37–47 ns on the reference box, so an undisturbed spin overshoots its
+// deadline by less than one read; tickNS, one read rounded up to a power of
+// two, is the most credit a spin may bank, however late a pre-empted one
+// wakes. deferNS is the smallest charge worth a clock read of its own: below
+// the cheapest read measured, above the 25 ns fence, and no more than tickNS/2
+// so the debt a goroutine parks on two shards still sums to under one tick.
+const (
+	tickNS  = 64
+	deferNS = 32
+)
+
+// ledgerShard is one goroutine's carry (keyed like obs.Counter): device time
+// charged but not yet spun (0 < carry < deferNS), or time a spin ran past its
+// deadline and the next charge need not spin again (-tickNS <= carry < 0).
+type ledgerShard struct {
+	carry atomic.Int64
+	_     [56]byte // pad to a cacheline
+}
+
+// spend is the one spin kernel. It makes the calling goroutine's wall time
+// pass for ns of device time plus whatever its ledger carries, measured from
+// now — the caller's entry clock read, or 0 if it took none (a fence has no
+// regulator to consult). What it owes below deferNS rides on the ledger to
+// the goroutine's next charge instead of buying clock reads of its own; what
+// the last loop read shows the spin overshot is credited to that next charge,
+// clamped to tickNS. The carry only ever moves by Add, by exactly what this
+// charge added to or took from it, so it stays conserved when goroutines
+// share a shard or one goroutine's call depths straddle two: a collision can
+// push a shard past a bound until its next charge settles it, never lose
+// device time or spend a credit twice.
+func (m *CostModel) spend(ns, now int64) {
+	sh := &m.ledger[obs.GoShard()]
+	carry := sh.carry.Load()
+	owed := ns + carry
+	if owed < deferNS {
+		sh.carry.Add(ns)
 		return
 	}
-	deadline := time.Now().Add(time.Duration(ns))
-	for time.Now().Before(deadline) {
+	if now == 0 {
+		now = obs.Now()
+	}
+	deadline := now + owed
+	for {
+		if over := obs.Now() - deadline; over >= 0 {
+			sh.carry.Add(-carry - min(over, tickNS))
+			return
+		}
 	}
 }
 
-func (m *CostModel) chargeRead(lines uint64) {
-	q := m.regulate(&m.readClock, m.scale(int64(lines)*m.ReadLineNS))
-	base := m.scale(m.ReadLatencyNS)
-	if q > base {
-		base = q
+// charged is what the model decided one access costs, known before it spins:
+// the scaled base latency, and the bandwidth queueing beyond it.
+type charged struct{ baseNS, queueNS int64 }
+
+// charge prices one regulated access: a single clock read at entry serves
+// both the bandwidth regulator (busyNS of device time on clock) and the spin
+// deadline, latencyNS or the queueing delay past it, whichever is longer.
+func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS int64) charged {
+	now := obs.Now()
+	c := charged{baseNS: m.scale(latencyNS)}
+	if q := regulate(clock, now, m.scale(busyNS)); q > c.baseNS {
+		c.queueNS = q - c.baseNS
 	}
-	spinNS(base)
+	m.spend(c.baseNS+c.queueNS, now)
+	return c
 }
 
-func (m *CostModel) chargeWrite(lines uint64) {
-	q := m.regulate(&m.writeClock, m.scale(int64(lines)*m.WriteLineNS))
-	base := m.scale(m.WriteLatencyNS)
-	if q > base {
-		base = q
-	}
-	spinNS(base)
+func (m *CostModel) chargeRead(lines uint64) charged {
+	return m.charge(&m.readClock, int64(lines)*m.ReadLineNS, m.ReadLatencyNS)
 }
 
-func (m *CostModel) chargeFlush(lines uint64) {
-	// A flush pushes the lines toward media, consuming write bandwidth.
-	q := m.regulate(&m.writeClock, m.scale(int64(lines)*m.WriteLineNS))
-	base := m.scale(m.FlushNS)
-	if q > base {
-		base = q
-	}
-	spinNS(base)
+func (m *CostModel) chargeWrite(lines uint64) charged {
+	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.WriteLatencyNS)
 }
 
-func (m *CostModel) chargeFence() {
-	spinNS(m.scale(m.FenceNS))
+// A flush pushes the lines toward media, consuming write bandwidth.
+func (m *CostModel) chargeFlush(lines uint64) charged {
+	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.FlushNS)
 }
 
-// ChargeSyntheticNS spins for the scaled duration; used by substrate models
-// (e.g. page-fault costs in the allocator) that are not per-line.
-func (m *CostModel) ChargeSyntheticNS(ns int64) {
-	spinNS(m.scale(ns))
+func (m *CostModel) chargeFence() charged {
+	c := charged{baseNS: m.scale(m.FenceNS)}
+	m.spend(c.baseNS, 0)
+	return c
 }

@@ -147,7 +147,7 @@ func (p *Pool) ResetStats() { p.stats.reset() }
 // names.
 func (p *Pool) RegisterMetrics(r *obs.Registry) { p.stats.Register(r) }
 
-// CostModel returns the active cost model, or nil.
+// Model returns the active cost model, or nil.
 func (p *Pool) Model() *CostModel { return p.model }
 
 // SetModel installs (or removes, with nil) the cost model. Not safe to call
@@ -208,7 +208,7 @@ func (p *Pool) Flush(a Addr, n uint64) {
 	lines := last - first + 1
 	p.stats.addFlush(lines)
 	if p.model != nil {
-		p.model.chargeFlush(lines)
+		p.stats.addDevice(devFlush, p.model.chargeFlush(lines))
 	}
 	if p.crash != nil {
 		p.crash.mu.Lock()
@@ -262,7 +262,7 @@ func (p *Pool) Fence() {
 	}
 	p.stats.addFence()
 	if p.model != nil {
-		p.model.chargeFence()
+		p.stats.addDevice(devFence, p.model.chargeFence())
 	}
 }
 

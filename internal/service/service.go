@@ -201,12 +201,7 @@ func (s *Shards) Count() int64 {
 func (s *Shards) PMStats() pmem.StatsSnapshot {
 	var agg pmem.StatsSnapshot
 	for _, p := range s.pools {
-		st := p.Stats()
-		agg.ReadLines += st.ReadLines
-		agg.WriteLines += st.WriteLines
-		agg.FlushedLines += st.FlushedLines
-		agg.Fences += st.Fences
-		agg.FencesElided += st.FencesElided
+		agg = agg.Add(p.Stats())
 	}
 	return agg
 }
