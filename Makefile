@@ -50,7 +50,7 @@ docs-check: vet
 	if [ -n "$$undoc" ]; then \
 		echo "exported identifiers missing doc comments:"; echo "$$undoc"; exit 1; \
 	fi
-	@stale=$$(for ident in mirrorRebuildAll; do \
+	@stale=$$(for ident in mirrorRebuildAll RunService ServiceConfig ServiceResult toSvcCell cellJSON; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -28,11 +28,12 @@ import (
 	"runtime/debug"
 
 	"dash/internal/bench"
-	"dash/internal/pmem"
 	"dash/internal/workload"
 )
 
 type cellConfig struct {
+	// Mix names a registered mix or client simulation
+	// (workload.ClientSimByName).
 	Mix       string  `json:"mix"`
 	Threads   int     `json:"threads"`
 	Ops       int64   `json:"ops"`
@@ -41,14 +42,15 @@ type cellConfig struct {
 	Theta     float64 `json:"theta"`
 	Seed      uint64  `json:"seed"`
 	Scale     int64   `json:"scale"`
-	// Shards > 0 turns the cell into a service-tier cell: Mix names a
-	// client simulation (workload.ClientSims) instead of a mix, and the
-	// cell runs it at (Shards, Batch) plus at the unbatched single-table
-	// baseline (1, 1) to compare against.
+	// Shards > 0 makes the cell a service cell at (Shards, Batch), which is
+	// additionally run at the unbatched single-table baseline (1, 1) for the
+	// svc_* ratio thresholds to compare against.
 	Shards int `json:"shards,omitempty"`
 	Batch  int `json:"batch,omitempty"`
 }
 
+// cellThresholds bounds a cell's metrics; a zero threshold is disabled and
+// its metric is printed for information only.
 type cellThresholds struct {
 	P999NSMax            int64   `json:"p999_ns_max"`
 	MaxNSMax             int64   `json:"max_ns_max"`
@@ -57,8 +59,8 @@ type cellThresholds struct {
 	LoadFactorMin        float64 `json:"load_factor_min"`
 	// RecoveryOpenNSMax, when > 0, turns the cell into a restart-latency
 	// gate: the cell's durable image is reopened on the crash path and
-	// core.Open's wall time (time-to-first-op, before any lazy per-segment
-	// work) must stay under the ceiling.
+	// Open's wall time (time-to-first-op, before any lazy per-segment work)
+	// must stay under the ceiling.
 	RecoveryOpenNSMax int64 `json:"recovery_open_ns_max"`
 	// Service-cell thresholds (Config.Shards > 0). SvcFenceRatioMax is the
 	// ceiling on (batched PM fences per op) / (unbatched baseline fences
@@ -70,7 +72,10 @@ type cellThresholds struct {
 }
 
 type gateCell struct {
-	Name       string         `json:"name"`
+	Name string `json:"name"`
+	// Why says what the cell guards and where its thresholds come from;
+	// printed when the cell fails.
+	Why        string         `json:"why"`
 	Config     cellConfig     `json:"config"`
 	Thresholds cellThresholds `json:"thresholds"`
 }
@@ -104,6 +109,7 @@ func main() {
 	for _, cell := range gf.Cells {
 		if !runCell(cell) {
 			failed = true
+			fmt.Printf("  why this cell exists: %s\n", cell.Why)
 		}
 	}
 	if failed {
@@ -114,149 +120,95 @@ func main() {
 	fmt.Println("benchgate: PASS")
 }
 
+// runCell runs one gate cell and checks its thresholds. A service cell runs
+// twice — at its (shards, batch) and at the unbatched single-table baseline
+// (1, 1) — and is additionally checked on the ratios between the two: the
+// batched run's fence count per op must be a committed fraction of the
+// baseline's and its aggregate throughput must not collapse against it.
 func runCell(cell gateCell) bool {
-	if cell.Config.Shards > 0 {
-		return runSvcCell(cell)
-	}
-	mix, ok := workload.MixByName(cell.Config.Mix)
+	cc, th := cell.Config, cell.Thresholds
+	sim, ok := workload.ClientSimByName(cc.Mix)
 	if !ok {
-		fatal(fmt.Errorf("unknown mix %q in gate cell %q", cell.Config.Mix, cell.Name))
+		fatal(fmt.Errorf("unknown mix or client sim %q in gate cell %q", cc.Mix, cell.Name))
 	}
-	cfg := bench.Config{
-		Threads:   cell.Config.Threads,
-		Ops:       cell.Config.Ops,
-		WarmupOps: cell.Config.WarmupOps,
-		Keyspace:  cell.Config.Keyspace,
-		Theta:     cell.Config.Theta,
-		Mix:       mix,
-		Seed:      cell.Config.Seed,
-	}
-	if cell.Config.Scale > 0 {
-		cfg.Model = pmem.ScaledOptane(cell.Config.Scale)
-	}
-	if cell.Thresholds.RecoveryOpenNSMax > 0 {
-		cfg.MeasureRecovery = true
-	}
-	fmt.Printf("benchgate[%s]: mix %s, %d threads, %d ops, keyspace %d, seed %d, scale %d\n",
-		cell.Name, mix.Name, cfg.Threads, cfg.Ops, cfg.Keyspace, cfg.Seed, cell.Config.Scale)
-
-	res, err := bench.Run(cfg)
-	if err != nil {
-		fatal(err)
-	}
-
-	th := cell.Thresholds
-	passed := true
-	check := func(name string, got, max float64) {
-		status := "ok  "
-		if max > 0 && got > max {
-			status = "FAIL"
-			passed = false
-		}
-		fmt.Printf("  %s %-26s %12.1f  (threshold <= %.1f)\n", status, name, got, max)
-	}
-	check("p999 latency ns", float64(res.P999NS), float64(th.P999NSMax))
-	check("max latency ns", float64(res.MaxNS), float64(th.MaxNSMax))
-	check("PM write bytes/op", res.WriteBytesPerOp, th.PMWriteBytesPerOpMax)
-	check("PM read bytes/op", res.ReadBytesPerOp, th.PMReadBytesPerOpMax)
-	if th.RecoveryOpenNSMax > 0 {
-		check("crash open ns (first op)", float64(res.RecoveryOpenNS), float64(th.RecoveryOpenNSMax))
-		fmt.Printf("  info fully_recovered_ms=%.2f clean_open_ms=%.2f\n",
-			float64(res.RecoveryFullNS)/1e6, float64(res.RecoveryCleanOpenNS)/1e6)
-	}
-	if th.LoadFactorMin > 0 {
-		status := "ok  "
-		if res.Table.LoadFactor < th.LoadFactorMin {
-			status = "FAIL"
-			passed = false
-		}
-		fmt.Printf("  %s %-26s %12.2f  (threshold >= %.2f)\n", status, "load factor", res.Table.LoadFactor, th.LoadFactorMin)
-	}
-	fmt.Printf("  info splits=%d stall_ms=%.2f assists=%d overflows=%d too_large=%d log_live_mib=%.1f\n",
-		res.Table.Splits, float64(res.Table.SplitStallNS)/1e6,
-		res.Table.SplitAssists, res.Counts.InsertOverflow, res.Counts.InsertTooLarge,
-		float64(res.Table.LogLiveBytes)/(1<<20))
-	return passed
-}
-
-// runSvcCell runs a service-tier gate cell: the simulation at the cell's
-// (shards, batch) and at the unbatched single-table baseline (1, 1), then
-// checks the batched run's fence count per op is a committed fraction of the
-// baseline's and its aggregate throughput at least matches it.
-func runSvcCell(cell gateCell) bool {
-	sim, ok := workload.ClientSimByName(cell.Config.Mix)
-	if !ok {
-		fatal(fmt.Errorf("unknown client sim %q in gate cell %q", cell.Config.Mix, cell.Name))
-	}
-	run := func(shards, batch int) *bench.ServiceResult {
-		cfg := bench.ServiceConfig{
-			Shards:    shards,
-			Batch:     batch,
-			Clients:   cell.Config.Threads,
-			Ops:       cell.Config.Ops,
-			WarmupOps: cell.Config.WarmupOps,
-			Keyspace:  cell.Config.Keyspace,
-			Theta:     cell.Config.Theta,
-			Sim:       sim,
-			Seed:      cell.Config.Seed,
-		}
-		if cell.Config.Scale > 0 {
-			cfg.Model = pmem.ScaledOptane(cell.Config.Scale)
-		}
-		res, err := bench.RunService(cfg)
+	run := func(shards, batch int) *bench.Result {
+		res, err := bench.Run(bench.Config{
+			Sim:             sim,
+			Threads:         cc.Threads,
+			Ops:             cc.Ops,
+			WarmupOps:       cc.WarmupOps,
+			Keyspace:        cc.Keyspace,
+			Theta:           cc.Theta,
+			Seed:            cc.Seed,
+			CostScale:       cc.Scale,
+			Shards:          shards,
+			Batch:           batch,
+			MeasureRecovery: th.RecoveryOpenNSMax > 0,
+		})
 		if err != nil {
 			fatal(err)
 		}
 		return res
 	}
-	fmt.Printf("benchgate[%s]: sim %s, %d clients, %d ops, keyspace %d, seed %d, scale %d — %d×%d vs 1×1 baseline\n",
-		cell.Name, sim.Name, cell.Config.Threads, cell.Config.Ops, cell.Config.Keyspace,
-		cell.Config.Seed, cell.Config.Scale, cell.Config.Shards, cell.Config.Batch)
+	fmt.Printf("benchgate[%s]: %s, %d threads, %d ops, keyspace %d, seed %d, scale %d",
+		cell.Name, sim.Name, cc.Threads, cc.Ops, cc.Keyspace, cc.Seed, cc.Scale)
+	if cc.Shards > 0 {
+		fmt.Printf(" — %d×%d vs 1×1 baseline", cc.Shards, cc.Batch)
+	}
+	fmt.Println()
 
-	baseline := run(1, 1)
-	target := run(cell.Config.Shards, cell.Config.Batch)
-
-	th := cell.Thresholds
 	passed := true
-	fenceRatio := 0.0
-	if baseline.FencesPerOp > 0 {
-		fenceRatio = target.FencesPerOp / baseline.FencesPerOp
-	}
-	mopsRatio := 0.0
-	if baseline.MopsPerS > 0 {
-		mopsRatio = target.MopsPerS / baseline.MopsPerS
-	}
-	if th.SvcFenceRatioMax > 0 {
-		status := "ok  "
-		if fenceRatio > th.SvcFenceRatioMax {
-			status = "FAIL"
-			passed = false
+	// check prints one metric against its bound (a ceiling, or a floor when
+	// atLeast) and fails the cell when it is past it. A zero bound is
+	// disabled: the metric prints as info, with nothing to have passed.
+	check := func(name string, got, bound float64, atLeast bool, prec int, note string) {
+		if bound <= 0 {
+			fmt.Printf("  info %-26s %12.*f\n", name, prec, got)
+			return
 		}
-		fmt.Printf("  %s %-26s %12.3f  (threshold <= %.3f; %.3f vs %.3f fences/op)\n",
-			status, "fence ratio vs baseline", fenceRatio, th.SvcFenceRatioMax,
-			target.FencesPerOp, baseline.FencesPerOp)
-	}
-	if th.SvcMopsRatioMin > 0 {
-		status := "ok  "
-		if mopsRatio < th.SvcMopsRatioMin {
-			status = "FAIL"
-			passed = false
+		status, rel, bad := "ok  ", "<=", got > bound
+		if atLeast {
+			rel, bad = ">=", got < bound
 		}
-		fmt.Printf("  %s %-26s %12.3f  (threshold >= %.3f; %.3f vs %.3f Mops/s)\n",
-			status, "throughput vs baseline", mopsRatio, th.SvcMopsRatioMin,
-			target.MopsPerS, baseline.MopsPerS)
-	}
-	if th.LoadFactorMin > 0 {
-		status := "ok  "
-		if target.LoadFactor < th.LoadFactorMin {
-			status = "FAIL"
-			passed = false
+		if bad {
+			status, passed = "FAIL", false
 		}
-		fmt.Printf("  %s %-26s %12.2f  (threshold >= %.2f)\n", status, "load factor (mean)", target.LoadFactor, th.LoadFactorMin)
+		fmt.Printf("  %s %-26s %12.*f  (threshold %s %.*f%s)\n", status, name, prec, got, rel, prec, bound, note)
 	}
-	fmt.Printf("  info batch_mean=%.1f flush_saved=%d imbalance=%.3f reconnects=%d elided_per_op=%.3f\n",
-		target.BatchSizeMean, target.FlushSaved, target.Imbalance, target.Reconnects,
-		target.FencesElidedPerOp)
+
+	var base *bench.Result
+	if cc.Shards > 0 {
+		base = run(1, 1)
+	}
+	res := run(cc.Shards, cc.Batch)
+	check("p999 latency ns", float64(res.P999NS), float64(th.P999NSMax), false, 1, "")
+	check("max latency ns", float64(res.MaxNS), float64(th.MaxNSMax), false, 1, "")
+	check("PM write bytes/op", res.WriteBytesPerOp, th.PMWriteBytesPerOpMax, false, 1, "")
+	check("PM read bytes/op", res.ReadBytesPerOp, th.PMReadBytesPerOpMax, false, 1, "")
+	if th.RecoveryOpenNSMax > 0 {
+		check("crash open ns (first op)", float64(res.RecoveryOpenNS), float64(th.RecoveryOpenNSMax), false, 1, "")
+		fmt.Printf("  info fully_recovered_ms=%.2f clean_open_ms=%.2f\n",
+			float64(res.RecoveryFullNS)/1e6, float64(res.RecoveryCleanOpenNS)/1e6)
+	}
+	check("load factor", res.LoadFactor, th.LoadFactorMin, true, 2, "")
+	fmt.Printf("  info splits=%d stall_ms=%.2f assists=%d overflows=%d too_large=%d log_live_mib=%.1f\n",
+		res.Splits, float64(res.SplitStallNS)/1e6, res.SplitAssists,
+		res.InsertOverflow, res.InsertTooLarge, float64(res.LogLiveBytes)/(1<<20))
+
+	if base != nil {
+		ratio := func(a, b float64) float64 {
+			if b > 0 {
+				return a / b
+			}
+			return 0
+		}
+		check("fence ratio vs baseline", ratio(res.FencesPerOp, base.FencesPerOp), th.SvcFenceRatioMax, false, 3,
+			fmt.Sprintf("; %.3f vs %.3f fences/op", res.FencesPerOp, base.FencesPerOp))
+		check("throughput vs baseline", ratio(res.MopsPerS, base.MopsPerS), th.SvcMopsRatioMin, true, 3,
+			fmt.Sprintf("; %.3f vs %.3f Mops/s", res.MopsPerS, base.MopsPerS))
+		fmt.Printf("  info batch_mean=%.1f flush_saved=%d imbalance=%.3f reconnects=%d elided_per_op=%.3f\n",
+			res.BatchSizeMean, res.FlushSaved, res.Imbalance, res.Reconnects, res.FencesElidedPerOp)
+	}
 	return passed
 }
 

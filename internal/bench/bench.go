@@ -1,8 +1,15 @@
 // Package bench is the concurrent benchmark harness for the Dash-EH engine:
-// it preloads a table, drives N goroutines through a deterministic workload
-// (warmup phase, then a timed measurement phase), and reports throughput,
-// per-op latency quantiles, PM traffic per operation, and the table's final
-// shape — the axes the paper evaluates on (§6, Fig. 6–9).
+// it builds a cell (one bare table, or a sharded service behind the batched
+// frontend), preloads it, drives N client goroutines through a deterministic
+// workload (warmup phase, then a timed measurement phase), and reports
+// throughput, per-op latency quantiles, PM traffic per operation, and the
+// final table shape — the axes the paper evaluates on (§6, Fig. 6–9).
+//
+// There is one runner. A bare table is a service cell with no frontend: the
+// same client loop fills the same service.Request from each workload.Op and
+// either hands it to service.Exec on the spot (Config.Shards == 0) or
+// submits it to the frontend's pipeline, and the same Result — which is the
+// BENCH file's row, JSON tags included — comes out of both.
 package bench
 
 import (
@@ -10,140 +17,349 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dash/internal/core"
+	"dash/internal/obs"
 	"dash/internal/pmem"
+	"dash/internal/service"
 	"dash/internal/workload"
 )
 
 // Config describes one benchmark cell.
 type Config struct {
-	// Threads is the number of worker goroutines.
+	// Sim is the workload: an operation mix plus the service-shaped
+	// stressors of a client simulation. A plain mix is a simulation with
+	// none (workload.ClientSimByName resolves mix names that way).
+	Sim workload.ClientSim
+	// Threads is the number of client goroutines.
 	Threads int
-	// Ops is the total number of measured operations, split across threads.
+	// Ops is the total number of measured operations, split across clients.
 	Ops int64
 	// WarmupOps is the total number of unmeasured warmup operations run
 	// before measurement; they heat caches and the cost-model clocks and
 	// (for mutating mixes) push the table past its cold-start shape.
 	WarmupOps int64
-	// Keyspace is the number of preloaded records.
+	// Keyspace is the number of preloaded records (spread over the shards
+	// by routing).
 	Keyspace uint64
-	// Theta is the Zipfian skew (0 = uniform); see workload.Config.
+	// Theta is the per-key Zipfian skew (0 = uniform); see workload.Config.
+	// Shard-level skew comes from the simulation profile.
 	Theta float64
-	// Mix is the operation mix.
-	Mix workload.Mix
 	// Seed makes the run reproducible.
 	Seed uint64
-	// PoolSize overrides the PM pool size; 0 sizes it from Keyspace and the
-	// mix's expected insert volume.
+	// PoolSize overrides the PM pool size (per shard); 0 sizes it from
+	// Keyspace and the mix's expected insert volume.
 	PoolSize uint64
-	// Model, when non-nil, is installed after preload so the measured phase
-	// pays simulated Optane latencies and bandwidth limits. Preload runs
-	// uncharged: it is setup, not workload.
-	Model *pmem.CostModel
+	// CostScale, when > 0, installs pmem.ScaledOptane(CostScale) on every
+	// pool after preload, so the measured phase pays simulated Optane
+	// latencies and bandwidth limits. Preload runs uncharged: it is setup,
+	// not workload.
+	CostScale int64
+	// Shards selects the engine. 0 is a direct cell: clients call one
+	// core.Table synchronously, and latency is the engine call's. ≥ 1 (a
+	// power of two) is a service cell: clients pipeline requests through a
+	// service.Frontend over that many shards, each keeping 2×Batch requests
+	// in flight, and latency is client-observed submit→completion time,
+	// queueing and batching included.
+	Shards int
+	// Batch is the frontend's max requests per fence-amortized batch
+	// (service cells only); 1, or anything below, is the unbatched baseline
+	// — one fence per write op.
+	Batch int
 	// MeasureRecovery, when true, exercises both restart paths after the
-	// measured phase: the crash path (image snapshotted while the table is
-	// open, so Open must reconcile and recovery completes lazily) and the
-	// clean-shutdown fast path (image snapshotted after Close persisted the
-	// clean marker). It fills the Result's Recovery*NS fields — crucially
-	// splitting time-to-first-op (RecoveryOpenNS) from
+	// measured phase: the crash path (images snapshotted while the tables
+	// are open, so Open must reconcile and recovery completes lazily) and
+	// the clean-shutdown fast path (images snapshotted after Close persisted
+	// the clean marker). It fills the Result's Recovery*NS fields —
+	// crucially splitting time-to-first-op (RecoveryOpenNS) from
 	// time-to-fully-recovered (RecoveryFullNS). The reopens run after every
 	// measured metric is taken, on unmodeled pools, so they perturb nothing
 	// and report raw engine time.
 	MeasureRecovery bool
-	// OnTable, when non-nil, is called with the live table right after it is
-	// created, before preload — the hook dashbench uses to point its debug
-	// endpoint (obs.Serve) at the cell currently running.
+	// OnTable, when non-nil, is called with every table the cell builds,
+	// right after it is created and before preload — the hook dashbench uses
+	// to point its debug endpoint (obs.Serve) at the cell currently running.
 	OnTable func(*core.Table)
 }
 
 // Counts tallies operation outcomes across warmup + measurement. They let
-// callers audit that no operation was lost: the final table count must equal
-// Preloaded + InsertOK − DeleteOK exactly.
+// callers audit that no operation was lost: the final record count must
+// equal Preloaded + InsertOK − DeleteOK exactly.
 type Counts struct {
-	Preloaded uint64
-	InsertOK  int64 // successful fresh inserts
-	InsertDup int64 // inserts rejected with ErrKeyExists (should be 0)
+	Preloaded uint64 `json:"-"`
+	InsertOK  int64  `json:"-"` // successful fresh inserts
+	InsertDup int64  `json:"-"` // inserts rejected with ErrKeyExists (should be 0)
 	// InsertOverflow counts inserts rejected with ErrSegmentOverflow (the
 	// pathological one-sided split). They add no record, so the audit
 	// formula ignores them — but they are counted and reported per cell
 	// rather than aborting the run, so a cell that sheds load under a
 	// skewed keyspace is visible instead of silently dropped.
-	InsertOverflow int64
+	InsertOverflow int64 `json:"insert_overflows"`
 	// InsertTooLarge counts inserts rejected with ErrRecordTooLarge
 	// (oversized key/value for the record log). Like overflows they add no
 	// record and are reported rather than aborting the cell.
-	InsertTooLarge int64
-	ReadHit        int64
-	ReadMiss       int64 // positive-read misses (deleted by a delete-bearing mix)
-	NegHit         int64 // negative reads that found a key (should be 0)
-	NegMiss        int64
-	UpdateOK       int64
-	UpdateNF       int64
-	DeleteOK       int64
-	DeleteNF       int64
+	InsertTooLarge int64 `json:"insert_too_large"`
+	ReadHit        int64 `json:"-"`
+	ReadMiss       int64 `json:"-"` // positive-read misses (deleted by a delete-bearing mix)
+	NegHit         int64 `json:"-"` // negative reads that found a key (should be 0)
+	NegMiss        int64 `json:"-"`
+	UpdateOK       int64 `json:"-"`
+	UpdateNF       int64 `json:"-"`
+	DeleteOK       int64 `json:"-"`
+	DeleteNF       int64 `json:"-"`
 }
 
-// Result is the outcome of one benchmark cell.
+// ShardRow is one shard's slice of a service cell's result.
+type ShardRow struct {
+	// Shard is the shard index.
+	Shard int `json:"shard"`
+	// Ops counts operations the shard's executor ran in the measured phase.
+	Ops uint64 `json:"ops"`
+	// FencesPerOp and FencesElidedPerOp are the shard pool's measured-phase
+	// fence traffic per shard-local operation.
+	FencesPerOp       float64 `json:"fences_per_op"`
+	FencesElidedPerOp float64 `json:"fences_elided_per_op"`
+	// Count and LoadFactor describe the shard table after the run.
+	Count      int64   `json:"count"`
+	LoadFactor float64 `json:"load_factor"`
+	// Splits counts the shard's measured-phase segment splits.
+	Splits uint64 `json:"splits"`
+}
+
+// Result is the outcome of one benchmark cell, and the cell's row in a
+// BENCH file: dashbench marshals it as is (schema v8; the JSON tags here, on
+// Counts and on core.TableStats are the schema).
 type Result struct {
-	Mix      string
-	Threads  int
-	Ops      int64
-	Elapsed  time.Duration
-	MopsPerS float64
+	// Mix names the mix or client simulation that ran; Threads is the client
+	// goroutine count.
+	Mix     string `json:"mix"`
+	Threads int    `json:"threads"`
+	// Ops and Elapsed cover the measured phase; MopsPerS is aggregate
+	// throughput (across all shards).
+	Ops      int64         `json:"ops"`
+	Elapsed  time.Duration `json:"elapsed_ns"`
+	MopsPerS float64       `json:"mops_per_s"`
 
-	// Latency over the measured phase, nanoseconds.
-	Hist   *Hist
-	P50NS  int64
-	P90NS  int64
-	P99NS  int64
-	P999NS int64
-	MaxNS  int64
-	MeanNS float64
+	// Latency over the measured phase, nanoseconds: the engine call in a
+	// direct cell, submit→completion in a service cell. MaxUS is MaxNS in
+	// µs, the tail number tracked across PRs.
+	Hist   *Hist   `json:"-"`
+	P50NS  int64   `json:"p50_ns"`
+	P90NS  int64   `json:"p90_ns"`
+	P99NS  int64   `json:"p99_ns"`
+	P999NS int64   `json:"p999_ns"`
+	MaxNS  int64   `json:"max_ns"`
+	MaxUS  float64 `json:"max_us"`
+	MeanNS float64 `json:"mean_ns"`
 
-	// PM is the raw traffic delta over the measured phase; the *PerOp fields
-	// convert it to bytes (lines × cacheline size) per measured operation.
-	// DeviceNSPerOp is the simulated device time the cost model charged per
-	// op (PM.DeviceNS has it by category): MeanNS minus it is CPU time plus
-	// the simulator's own overhead.
-	PM                pmem.StatsSnapshot
-	ReadBytesPerOp    float64
-	WriteBytesPerOp   float64
-	FlushedBytesPerOp float64
-	FencesPerOp       float64
-	DeviceNSPerOp     float64
+	// PM is the raw traffic delta over the measured phase, summed over every
+	// pool; the *PerOp fields convert it to bytes (lines × cacheline size)
+	// or counts per measured operation. DeviceNSPerOp is the simulated
+	// device time the cost model charged per op (DeviceNS, a copy of
+	// PM.DeviceNS, has it by category): MeanNS minus it is CPU time plus the
+	// simulator's own overhead.
+	PM                pmem.StatsSnapshot `json:"-"`
+	ReadBytesPerOp    float64            `json:"pm_read_bytes_per_op"`
+	WriteBytesPerOp   float64            `json:"pm_write_bytes_per_op"`
+	FlushedBytesPerOp float64            `json:"pm_flushed_bytes_per_op"`
+	FencesPerOp       float64            `json:"pm_fences_per_op"`
+	DeviceNSPerOp     float64            `json:"pm_device_ns_per_op"`
+	DeviceNS          pmem.DeviceNS      `json:"pm_device_ns"`
 
-	// Table is the shape after the run.
-	Table core.TableStats
-
-	// Recovery timings from re-opening the run's durable image
-	// (Config.MeasureRecovery); all zero when measurement was off. The
-	// crash-path reopen reports RecoveryOpenNS (core.Open wall: the
-	// O(directory) work before the table serves traffic — time-to-first-op)
-	// and RecoveryFullNS (Open through RecoverAll: every per-segment
-	// first-touch recovery plus the record-log sweep — time-to-fully-
-	// recovered); the phase fields break the crash recovery's work down.
+	// TableStats is the shape after the run, summed over shards
+	// (core.TableStats.Add), with the cumulative counters re-windowed to the
+	// measured phase. Its Recovery*NS fields are zero (the tables were
+	// created, not opened) unless Config.MeasureRecovery fills them from the
+	// reopens: RecoveryOpenNS is the crash-path Open's wall (the
+	// O(directory) work before the cell serves traffic — time-to-first-op),
+	// RecoveryFullNS Open through RecoverAll (every per-segment first-touch
+	// recovery plus the record-log sweep — time-to-fully-recovered), and the
+	// phase fields break the crash recovery's work down.
+	core.TableStats
 	// RecoveryCleanOpenNS is the clean-shutdown fast path's Open wall.
-	RecoveryOpenNS      int64
-	RecoveryFullNS      int64
-	RecoveryCleanOpenNS int64
-	RecoveryTotalNS     int64
-	RecoveryDirNS       int64
-	RecoverySegmentsNS  int64
-	RecoveryLogNS       int64
-	RecoveryMirrorsNS   int64
+	RecoveryCleanOpenNS int64 `json:"recovery_clean_open_ns,omitempty"`
 
-	Counts Counts
+	Counts
+
+	// Service-cell fields, zero (and absent from the row) for a direct cell.
+	// Shards and Batch echo the tier's shape; FencesElidedPerOp counts the
+	// ordering points each batch's tail fence absorbed (FencesPerOp already
+	// reflects the saving); BatchSizeMean is the mean executor batch size;
+	// FlushSaved the fences saved versus unbatched execution; Imbalance the
+	// (max/mean − 1) spread of ops across shards; Reconnects the
+	// connection-churn session count; PerShard the per-shard breakdown.
+	Shards            int        `json:"shards,omitempty"`
+	Batch             int        `json:"batch,omitempty"`
+	FencesElidedPerOp float64    `json:"pm_fences_elided_per_op,omitempty"`
+	BatchSizeMean     float64    `json:"shard_batch_mean,omitempty"`
+	FlushSaved        uint64     `json:"shard_flush_saved,omitempty"`
+	Imbalance         float64    `json:"shard_imbalance,omitempty"`
+	Reconnects        int64      `json:"svc_reconnects,omitempty"`
+	PerShard          []ShardRow `json:"shard_rows,omitempty"`
 }
 
-// errStopped is the sentinel a worker returns when another worker failed.
+// cell is the system under test: the tables and their pools, plus — for a
+// service cell — the shard layer that routes keys to them and the frontend
+// in front of it.
+type cell struct {
+	tables []*core.Table
+	pools  []*pmem.Pool
+	svc    *service.Shards   // nil in a direct cell
+	fe     *service.Frontend // nil in a direct cell
+}
+
+// newCell creates cfg's pools and freshly formatted tables, announces them
+// to cfg.OnTable and preloads the keyspace.
+func newCell(cfg Config) (*cell, error) {
+	var c *cell
+	if cfg.Shards == 0 {
+		pool, err := pmem.NewPool(pmem.Options{Size: cfg.poolSize()})
+		if err != nil {
+			return nil, err
+		}
+		tb, err := core.Create(pool, core.Options{Seed: cfg.Seed | 1})
+		if err != nil {
+			return nil, err
+		}
+		c = &cell{tables: []*core.Table{tb}, pools: []*pmem.Pool{pool}}
+	} else {
+		svc, err := service.New(service.Config{Shards: cfg.Shards, PoolSize: cfg.poolSize(), Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		c = serviceCell(svc)
+	}
+	if cfg.OnTable != nil {
+		for _, tb := range c.tables {
+			cfg.OnTable(tb)
+		}
+	}
+	if err := c.preload(cfg.Sim, cfg.Keyspace); err != nil {
+		c.close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// serviceCell wraps a shard layer's tables and pools.
+func serviceCell(svc *service.Shards) *cell {
+	c := &cell{svc: svc}
+	for i := 0; i < svc.N(); i++ {
+		c.tables = append(c.tables, svc.Table(i))
+		c.pools = append(c.pools, svc.Pool(i))
+	}
+	return c
+}
+
+// start readies a preloaded cell for traffic: it installs the cost model,
+// starts the frontend of a service cell, and returns cfg.Threads clients,
+// each with its own deterministic operation stream.
+func (c *cell) start(cfg Config) ([]*client, error) {
+	sim := cfg.Sim
+	gen, err := workload.NewSimGenerator(workload.SimConfig{
+		Keyspace:  cfg.Keyspace,
+		Theta:     cfg.Theta,
+		Seed:      cfg.Seed,
+		Sim:       sim,
+		NumShards: len(c.tables),
+		ShardOf: func(rank uint64) int {
+			key := workload.PreloadKey(rank)
+			if spec := sim.SpecFor(key); spec != nil {
+				return c.route(0, spec.AppendKey(nil, key))
+			}
+			return c.route(key, nil)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The cost model joins after preload, so only workload traffic is
+	// charged. One model for all pools shares its bandwidth clocks, modeling
+	// shards that live on one socket's DIMMs.
+	if cfg.CostScale > 0 {
+		model := pmem.ScaledOptane(cfg.CostScale)
+		for _, p := range c.pools {
+			p.SetModel(model)
+		}
+	}
+	window := 1
+	if c.svc != nil {
+		c.fe = service.NewFrontend(c.svc, cfg.Batch)
+		window = 2 * cfg.Batch // enough in-flight work to fill batches
+	}
+	clients := make([]*client, cfg.Threads)
+	for i := range clients {
+		clients[i] = &client{cell: c, sim: sim, stream: gen.Stream(i), slots: make([]slot, window)}
+	}
+	return clients, nil
+}
+
+// close shuts the frontend (if started) and every table down, uncharged;
+// idempotent. Only a pool that has a model is written to: a reopened
+// table's background recovery may still be reading its (unmodeled) pool.
+func (c *cell) close() {
+	if c.fe != nil {
+		c.fe.Close()
+	}
+	for i, tb := range c.tables {
+		if p := c.pools[i]; p.Model() != nil {
+			p.SetModel(nil)
+		}
+		tb.Close()
+	}
+}
+
+// route returns the table owning a key in the encoding it is submitted
+// with: a non-nil kb routes by byte hash, as the frontend does.
+func (c *cell) route(key uint64, kb []byte) int {
+	switch {
+	case c.svc == nil:
+		return 0
+	case kb != nil:
+		return c.svc.RouteB(kb)
+	}
+	return c.svc.Route(key)
+}
+
+// preload inserts the keyspace straight into the tables (bypassing the
+// frontend: preload is setup, not workload).
+func (c *cell) preload(sim workload.ClientSim, keyspace uint64) error {
+	var kbuf, vbuf []byte
+	for i := uint64(0); i < keyspace; i++ {
+		k := workload.PreloadKey(i)
+		var err error
+		if spec := sim.SpecFor(k); spec != nil {
+			kbuf = spec.AppendKey(kbuf[:0], k)
+			vbuf = spec.AppendValue(vbuf[:0], k, 0)
+			err = c.tables[c.route(0, kbuf)].InsertB(kbuf, vbuf)
+		} else {
+			err = c.tables[c.route(k, nil)].Insert(k, i)
+		}
+		if err != nil {
+			return fmt.Errorf("bench: preload key %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// snapshot reads every pool's traffic counters and every table's stats.
+func (c *cell) snapshot() ([]pmem.StatsSnapshot, []core.TableStats) {
+	pm := make([]pmem.StatsSnapshot, len(c.tables))
+	ts := make([]core.TableStats, len(c.tables))
+	for i, tb := range c.tables {
+		pm[i] = c.pools[i].Stats()
+		ts[i] = tb.Stats()
+	}
+	return pm, ts
+}
+
+// errStopped is the sentinel a client returns when another client failed.
 var errStopped = errors.New("bench: stopped by peer failure")
 
-// Run executes one benchmark cell: build pool and table, preload, warmup,
-// measure. Every phase is deterministic in cfg.Seed except scheduling.
+// Run executes one benchmark cell: build pools and tables, preload, start
+// the frontend (service cells), warmup, measure, audit, and optionally time
+// a restart. Every phase is deterministic in cfg.Seed except scheduling.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("bench: threads must be > 0")
@@ -151,61 +367,24 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Ops <= 0 {
 		return nil, fmt.Errorf("bench: ops must be > 0")
 	}
+	if cfg.Shards == 0 {
+		cfg.Batch = 0
+	} else if cfg.Batch < 1 {
+		cfg.Batch = 1
+	}
 
-	gen, err := workload.NewGenerator(workload.Config{
-		Keyspace: cfg.Keyspace,
-		Theta:    cfg.Theta,
-		Mix:      cfg.Mix,
-		Seed:     cfg.Seed,
-	})
+	c, err := newCell(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	pool, err := pmem.NewPool(pmem.Options{Size: cfg.poolSize()})
+	defer c.close()
+	clients, err := c.start(cfg)
 	if err != nil {
 		return nil, err
-	}
-	tb, err := core.Create(pool, core.Options{Seed: cfg.Seed | 1})
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	if cfg.OnTable != nil {
-		cfg.OnTable(tb)
-	}
-
-	if vs := cfg.Mix.Var; vs != nil {
-		var kbuf, vbuf []byte
-		for i := uint64(0); i < cfg.Keyspace; i++ {
-			k := workload.PreloadKey(i)
-			kbuf = vs.AppendKey(kbuf[:0], k)
-			vbuf = vs.AppendValue(vbuf[:0], k, 0)
-			if err := tb.InsertB(kbuf, vbuf); err != nil {
-				return nil, fmt.Errorf("bench: preload key %d: %w", i, err)
-			}
-		}
-	} else {
-		for i := uint64(0); i < cfg.Keyspace; i++ {
-			if err := tb.Insert(workload.PreloadKey(i), i); err != nil {
-				return nil, fmt.Errorf("bench: preload key %d: %w", i, err)
-			}
-		}
-	}
-
-	// The cost model joins after preload, so only workload traffic is charged.
-	if cfg.Model != nil {
-		pool.SetModel(cfg.Model)
-		defer pool.SetModel(nil)
-	}
-
-	workers := make([]*worker, cfg.Threads)
-	for w := range workers {
-		workers[w] = &worker{table: tb, stream: gen.Stream(w), varSpec: cfg.Mix.Var}
 	}
 
 	if cfg.WarmupOps > 0 {
-		if err := runPhase(workers, cfg.WarmupOps, false); err != nil {
+		if err := runPhase(clients, cfg.WarmupOps, false); err != nil {
 			return nil, err
 		}
 	}
@@ -219,336 +398,237 @@ func Run(cfg Config) (*Result, error) {
 	gcPrev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPrev)
 
-	before := pool.Stats()
-	tbefore := tb.Stats()
+	pmBefore, tsBefore := c.snapshot()
+	var feBefore obs.Snapshot
+	if c.fe != nil {
+		feBefore = c.fe.Metrics().Snapshot()
+	}
 	start := time.Now()
-	if err := runPhase(workers, cfg.Ops, true); err != nil {
+	if err := runPhase(clients, cfg.Ops, true); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	pm := pool.Stats().Sub(before)
+	pmAfter, tsAfter := c.snapshot()
 
 	res := &Result{
-		Mix:     cfg.Mix.Name,
+		Mix:     cfg.Sim.Name,
 		Threads: cfg.Threads,
 		Ops:     cfg.Ops,
 		Elapsed: elapsed,
 		Hist:    &Hist{},
-		PM:      pm,
-		Table:   tb.Stats(),
+		Shards:  cfg.Shards,
+		Batch:   cfg.Batch,
 	}
-	// Re-window the cumulative directory-cache and split counters to the
-	// measured phase, like every other per-op metric: preload and warmup
-	// would otherwise dilute the reported rates.
-	res.Table.DirCacheHits -= tbefore.DirCacheHits
-	res.Table.DirCacheMisses -= tbefore.DirCacheMisses
-	res.Table.DirCacheHitRate = 1
-	if hm := res.Table.DirCacheHits + res.Table.DirCacheMisses; hm > 0 {
-		res.Table.DirCacheHitRate = float64(res.Table.DirCacheHits) / float64(hm)
-	}
-	res.Table.SegFilterHits -= tbefore.SegFilterHits
-	res.Table.SegFilterMisses -= tbefore.SegFilterMisses
-	res.Table.SegFilterBypass -= tbefore.SegFilterBypass
-	res.Table.SegFilterChecks -= tbefore.SegFilterChecks
-	res.Table.SegFilterHeals -= tbefore.SegFilterHeals
-	res.Table.SegFilterHitRate = 1
-	if n := res.Table.SegFilterHits + res.Table.SegFilterMisses + res.Table.SegFilterBypass; n > 0 {
-		res.Table.SegFilterHitRate = float64(res.Table.SegFilterHits) / float64(n)
-	}
-	res.Table.Splits -= tbefore.Splits
-	res.Table.SplitStallNS -= tbefore.SplitStallNS
-	res.Table.SplitAssists -= tbefore.SplitAssists
-	res.Table.EpochRetired -= tbefore.EpochRetired
-	res.Table.EpochReclaimed -= tbefore.EpochReclaimed
-	res.Table.LogFreeHits -= tbefore.LogFreeHits
-	res.Table.LogFreeMisses -= tbefore.LogFreeMisses
-	res.Counts.Preloaded = cfg.Keyspace
-	for _, w := range workers {
-		res.Hist.Merge(&w.hist)
-		res.Counts.add(&w.counts)
+	res.Preloaded = cfg.Keyspace
+	for _, cl := range clients {
+		res.Hist.Merge(&cl.hist)
+		res.Counts.add(&cl.counts)
+		res.Reconnects += cl.reconnects
 	}
 	if res.Hist.Total() != uint64(cfg.Ops) {
 		return nil, fmt.Errorf("bench: recorded %d latencies for %d ops", res.Hist.Total(), cfg.Ops)
 	}
+
+	// Window every pool's traffic and every table's cumulative counters to
+	// the measured phase — preload and warmup would otherwise dilute the
+	// reported rates — then sum over the tables.
+	for i := range c.tables {
+		pmAfter[i] = pmAfter[i].Sub(pmBefore[i])
+		tsAfter[i] = tsAfter[i].Since(tsBefore[i])
+		res.PM = res.PM.Add(pmAfter[i])
+	}
+	res.TableStats = sumStats(tsAfter)
+
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.MopsPerS = float64(cfg.Ops) / sec / 1e6
 	}
-	res.P50NS = res.Hist.Quantile(0.50)
-	res.P90NS = res.Hist.Quantile(0.90)
-	res.P99NS = res.Hist.Quantile(0.99)
-	res.P999NS = res.Hist.Quantile(0.999)
-	res.MaxNS = res.Hist.Max()
-	res.MeanNS = res.Hist.Mean()
+	lat := res.Hist.Snapshot()
+	res.P50NS = lat.P50
+	res.P90NS = lat.Quantile(0.90)
+	res.P99NS = lat.P99
+	res.P999NS = lat.P999
+	res.MaxNS = lat.Max
+	res.MaxUS = float64(lat.Max) / 1e3
+	res.MeanNS = lat.Mean
 	ops := float64(cfg.Ops)
-	res.ReadBytesPerOp = float64(pm.ReadLines) * pmem.CachelineSize / ops
-	res.WriteBytesPerOp = float64(pm.WriteLines) * pmem.CachelineSize / ops
-	res.FlushedBytesPerOp = float64(pm.FlushedLines) * pmem.CachelineSize / ops
-	res.FencesPerOp = float64(pm.Fences) / ops
-	res.DeviceNSPerOp = float64(pm.DeviceNS.Total()) / ops
+	res.ReadBytesPerOp = float64(res.PM.ReadLines) * pmem.CachelineSize / ops
+	res.WriteBytesPerOp = float64(res.PM.WriteLines) * pmem.CachelineSize / ops
+	res.FlushedBytesPerOp = float64(res.PM.FlushedLines) * pmem.CachelineSize / ops
+	res.FencesPerOp = float64(res.PM.Fences) / ops
+	res.FencesElidedPerOp = float64(res.PM.FencesElided) / ops
+	res.DeviceNS = res.PM.DeviceNS
+	res.DeviceNSPerOp = float64(res.DeviceNS.Total()) / ops
 
-	// Lost-operation audit: the table must account for exactly the
-	// operations the workers report having applied. Inserts rejected with
-	// ErrSegmentOverflow added no record and are audited via their own
-	// counter, not by aborting the cell.
-	if want := int64(cfg.Keyspace) + res.Counts.InsertOK - res.Counts.DeleteOK; tb.Count() != want {
-		return nil, fmt.Errorf("bench: lost operations: table count %d, want %d", tb.Count(), want)
+	if c.fe != nil {
+		feWin := c.fe.Metrics().Snapshot().Sub(feBefore)
+		res.BatchSizeMean = feWin.Hists["service.batch.size"].Mean
+		res.FlushSaved = feWin.Counters["service.batch.flush_saved"]
+		// Per-shard rows; imbalance is the measured-phase spread of
+		// executor ops across shards.
+		var opsMax, opsSum uint64
+		for i, ts := range tsAfter {
+			row := ShardRow{
+				Shard:      i,
+				Ops:        feWin.Counters[fmt.Sprintf("service.shard.%d.ops", i)],
+				Count:      ts.Count,
+				LoadFactor: ts.LoadFactor,
+				Splits:     ts.Splits,
+			}
+			if row.Ops > 0 {
+				row.FencesPerOp = float64(pmAfter[i].Fences) / float64(row.Ops)
+				row.FencesElidedPerOp = float64(pmAfter[i].FencesElided) / float64(row.Ops)
+			}
+			res.PerShard = append(res.PerShard, row)
+			opsSum += row.Ops
+			opsMax = max(opsMax, row.Ops)
+		}
+		if opsSum > 0 {
+			mean := float64(opsSum) / float64(len(tsAfter))
+			res.Imbalance = float64(opsMax)/mean - 1
+		}
 	}
 
-	// Optional recovery measurement: reopen the run's durable image on both
-	// restart paths. Crash path first — the image is snapshotted while the
-	// table is still open, so its clean marker is unset and Open must
-	// reconcile — splitting time-to-first-op (Open's O(directory) wall) from
-	// time-to-fully-recovered (Open plus a synchronous RecoverAll: every
-	// first-touch segment recovery and the record-log sweep). Then the table
-	// is closed and the clean-shutdown image reopened through its fast path.
+	// Lost-operation audit: the tables must account for exactly the
+	// operations the clients report having applied. Inserts rejected with
+	// ErrSegmentOverflow added no record and are audited via their own
+	// counter, not by aborting the cell.
+	if want := int64(cfg.Keyspace) + res.InsertOK - res.DeleteOK; res.Count != want {
+		return nil, fmt.Errorf("bench: lost operations: record count %d, want %d", res.Count, want)
+	}
 	if cfg.MeasureRecovery {
-		want := tb.Count()
-		crashImg := pool.Snapshot() // table still open: crash-path image
-		tb.Close()
-		cleanImg := pool.Snapshot() // clean marker persisted: fast-path image
-
-		rp, err := pmem.OpenSnapshot(crashImg, pmem.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("bench: recovery snapshot: %w", err)
+		if err := c.measureRecovery(cfg, res); err != nil {
+			return nil, err
 		}
-		start := time.Now()
-		rt, err := core.Open(rp)
-		if err != nil {
-			return nil, fmt.Errorf("bench: crash reopen: %w", err)
-		}
-		res.RecoveryOpenNS = time.Since(start).Nanoseconds()
-		rt.RecoverAll()
-		res.RecoveryFullNS = time.Since(start).Nanoseconds()
-		rs := rt.Stats()
-		rt.Close()
-		if rs.Count != want {
-			return nil, fmt.Errorf("bench: crash recovery lost records: reopened count %d, want %d", rs.Count, want)
-		}
-		res.RecoveryTotalNS = rs.RecoveryTotalNS
-		res.RecoveryDirNS = rs.RecoveryDirNS
-		res.RecoverySegmentsNS = rs.RecoverySegmentsNS
-		res.RecoveryLogNS = rs.RecoveryLogNS
-		res.RecoveryMirrorsNS = rs.RecoveryMirrorsNS
-
-		cp, err := pmem.OpenSnapshot(cleanImg, pmem.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("bench: clean snapshot: %w", err)
-		}
-		start = time.Now()
-		ct, err := core.Open(cp)
-		if err != nil {
-			return nil, fmt.Errorf("bench: clean reopen: %w", err)
-		}
-		res.RecoveryCleanOpenNS = time.Since(start).Nanoseconds()
-		if got := ct.Count(); got != want {
-			return nil, fmt.Errorf("bench: clean reopen lost records: count %d, want %d", got, want)
-		}
-		ct.Close()
 	}
 	return res, nil
 }
 
-// poolSize returns cfg.PoolSize or a size derived from the record volume the
-// run can reach. 64 bytes per record covers the segment layout down to ~27%
-// load factor (the post-split trough), plus directory blocks and slack.
-// Variable-length mixes additionally budget each record's log blob at its
-// worst-case capacity (updates copy-on-write, but superseded blobs recycle
-// through the free list, so live log space stays ~one blob per record).
+// measureRecovery reopens the run's durable image on both restart paths.
+// Crash path first — the image is snapshotted while the tables are still
+// open, so their clean markers are unset and Open must reconcile —
+// splitting time-to-first-op (Open's O(directory) wall) from
+// time-to-fully-recovered (Open plus a synchronous RecoverAll: every
+// first-touch segment recovery and the record-log sweep). Then the tables
+// are closed and the clean-shutdown image reopened through its fast path.
+// A service cell reopens through service.Open, shard after shard.
+func (c *cell) measureRecovery(cfg Config, res *Result) error {
+	want := res.Count
+	crashImg := c.images() // tables still open: crash-path image
+	c.close()
+	cleanImg := c.images() // clean markers persisted: fast-path image
+
+	rc, start, err := reopen(cfg, crashImg)
+	if err != nil {
+		return fmt.Errorf("bench: crash reopen: %w", err)
+	}
+	res.RecoveryOpenNS = time.Since(start).Nanoseconds()
+	for _, tb := range rc.tables {
+		tb.RecoverAll()
+	}
+	res.RecoveryFullNS = time.Since(start).Nanoseconds()
+	_, ts := rc.snapshot()
+	rc.close()
+	rs := sumStats(ts)
+	if rs.Count != want {
+		return fmt.Errorf("bench: crash recovery lost records: reopened count %d, want %d", rs.Count, want)
+	}
+	res.RecoveryTotalNS = rs.RecoveryTotalNS
+	res.RecoveryDirNS = rs.RecoveryDirNS
+	res.RecoverySegmentsNS = rs.RecoverySegmentsNS
+	res.RecoveryLogNS = rs.RecoveryLogNS
+	res.RecoveryMirrorsNS = rs.RecoveryMirrorsNS
+
+	cc, start, err := reopen(cfg, cleanImg)
+	if err != nil {
+		return fmt.Errorf("bench: clean reopen: %w", err)
+	}
+	res.RecoveryCleanOpenNS = time.Since(start).Nanoseconds()
+	_, ts = cc.snapshot()
+	cc.close()
+	if got := sumStats(ts).Count; got != want {
+		return fmt.Errorf("bench: clean reopen lost records: count %d, want %d", got, want)
+	}
+	return nil
+}
+
+// images snapshots every pool's durable image.
+func (c *cell) images() [][]byte {
+	imgs := make([][]byte, len(c.pools))
+	for i, p := range c.pools {
+		imgs[i] = p.Snapshot()
+	}
+	return imgs
+}
+
+// reopen revives a cell of cfg's shape from durable images, on unmodeled
+// pools. The returned time is when opening the tables began (the pools are
+// set up before it: loading an image is not restart work).
+func reopen(cfg Config, imgs [][]byte) (*cell, time.Time, error) {
+	pools := make([]*pmem.Pool, len(imgs))
+	for i, img := range imgs {
+		p, err := pmem.OpenSnapshot(img, pmem.Options{})
+		if err != nil {
+			return nil, time.Time{}, err
+		}
+		pools[i] = p
+	}
+	start := time.Now()
+	if cfg.Shards == 0 {
+		tb, err := core.Open(pools[0])
+		if err != nil {
+			return nil, start, err
+		}
+		return &cell{tables: []*core.Table{tb}, pools: pools}, start, nil
+	}
+	svc, err := service.Open(pools, service.Config{Seed: cfg.Seed})
+	if err != nil {
+		return nil, start, err
+	}
+	return serviceCell(svc), start, nil
+}
+
+// sumStats folds per-table stats into one (core.TableStats.Add).
+func sumStats(ts []core.TableStats) core.TableStats {
+	sum := ts[0]
+	for _, s := range ts[1:] {
+		sum = sum.Add(s)
+	}
+	return sum
+}
+
+// poolSize returns cfg.PoolSize or a per-pool size derived from the record
+// volume the run can reach. 64 bytes per record covers the segment layout
+// down to ~27% load factor (the post-split trough). Variable-length
+// workloads additionally budget a worst-case blob per record plus per
+// update (updates copy-on-write and superseded blobs recycle through the
+// free list, but capacity classes don't always line up for reuse). A direct
+// cell's one pool holds it all plus directory blocks and slack; a service
+// cell splits it over the shards with 2× headroom for routing imbalance.
 func (cfg Config) poolSize() uint64 {
 	if cfg.PoolSize != 0 {
 		return cfg.PoolSize
 	}
-	inserts := uint64((cfg.Ops + cfg.WarmupOps) * int64(cfg.Mix.Percent[workload.OpInsert]) / 100)
-	size := (cfg.Keyspace+inserts)*64 + 8<<20
-	if vs := cfg.Mix.Var; vs != nil {
-		blob := uint64(16+vs.MaxKeyLen+vs.MaxValLen+15) &^ 15
-		// Budget a worst-case blob per record plus per update (capacity
-		// classes don't always line up for free-list reuse).
-		updates := uint64((cfg.Ops + cfg.WarmupOps) * int64(cfg.Mix.Percent[workload.OpUpdate]) / 100)
+	mix, total := cfg.Sim.Mix, cfg.Ops+cfg.WarmupOps
+	inserts := uint64(total * int64(mix.Percent[workload.OpInsert]) / 100)
+	size := (cfg.Keyspace + inserts) * 64
+	if cfg.Sim.Var() {
+		specs := cfg.Sim.Tenants
+		if len(specs) == 0 {
+			specs = []workload.VarSpec{*mix.Var}
+		}
+		maxKey, maxVal := 0, 0
+		for _, s := range specs {
+			maxKey = max(maxKey, s.MaxKeyLen)
+			maxVal = max(maxVal, s.MaxValLen)
+		}
+		blob := uint64(16+maxKey+maxVal+15) &^ 15
+		updates := uint64(total * int64(mix.Percent[workload.OpUpdate]) / 100)
 		size += (cfg.Keyspace + inserts + updates) * blob
 	}
-	return size
-}
-
-type worker struct {
-	table  *core.Table
-	stream *workload.Stream
-	hist   Hist
-	counts Counts
-
-	// Variable-length mode: non-nil varSpec switches apply to the []byte
-	// API, encoding keys/values into the reusable buffers below so the
-	// measured phase stays allocation-free.
-	varSpec    *workload.VarSpec
-	kbuf, vbuf []byte
-	updateSalt uint64
-}
-
-// runPhase drives every worker through its share of totalOps operations,
-// recording latency when measured is true. The first worker error (pool
-// exhaustion, lost-update anomalies surfaced as errors) stops the phase.
-func runPhase(workers []*worker, totalOps int64, measured bool) error {
-	n := int64(len(workers))
-	var (
-		wg       sync.WaitGroup
-		stopped  atomic.Bool
-		firstErr atomic.Pointer[error]
-	)
-	for i, w := range workers {
-		ops := totalOps / n
-		if int64(i) < totalOps%n {
-			ops++
-		}
-		wg.Add(1)
-		go func(w *worker, ops int64) {
-			defer wg.Done()
-			if err := w.run(ops, measured, &stopped); err != nil && !errors.Is(err, errStopped) {
-				e := err
-				if firstErr.CompareAndSwap(nil, &e) {
-					stopped.Store(true)
-				}
-			}
-		}(w, ops)
+	if cfg.Shards == 0 {
+		return size + 8<<20
 	}
-	wg.Wait()
-	if e := firstErr.Load(); e != nil {
-		return *e
-	}
-	return nil
-}
-
-func (w *worker) run(ops int64, measured bool, stopped *atomic.Bool) error {
-	for i := int64(0); i < ops; i++ {
-		if stopped.Load() {
-			return errStopped
-		}
-		op := w.stream.Next()
-		var start time.Time
-		if measured {
-			start = time.Now()
-		}
-		if err := w.apply(op); err != nil {
-			return err
-		}
-		if measured {
-			w.hist.Record(time.Since(start).Nanoseconds())
-		}
-	}
-	return nil
-}
-
-func (w *worker) apply(op workload.Op) error {
-	if w.varSpec != nil {
-		return w.applyVar(op)
-	}
-	c := &w.counts
-	switch op.Kind {
-	case workload.OpInsert:
-		switch err := w.table.Insert(op.Key, op.Key^0x9e3779b97f4a7c15); {
-		case err == nil:
-			c.InsertOK++
-		case errors.Is(err, core.ErrKeyExists):
-			c.InsertDup++
-		case errors.Is(err, core.ErrSegmentOverflow):
-			c.InsertOverflow++
-		default:
-			return err
-		}
-	case workload.OpRead:
-		if _, ok := w.table.Get(op.Key); ok {
-			c.ReadHit++
-		} else {
-			c.ReadMiss++
-		}
-	case workload.OpReadNeg:
-		if _, ok := w.table.Get(op.Key); ok {
-			c.NegHit++
-		} else {
-			c.NegMiss++
-		}
-	case workload.OpUpdate:
-		ok, err := w.table.Update(op.Key, op.Key+1)
-		if err != nil {
-			return err
-		}
-		if ok {
-			c.UpdateOK++
-		} else {
-			c.UpdateNF++
-		}
-	case workload.OpDelete:
-		if w.table.Delete(op.Key) {
-			c.DeleteOK++
-		} else {
-			c.DeleteNF++
-		}
-	default:
-		return fmt.Errorf("bench: unknown op kind %v", op.Kind)
-	}
-	return nil
-}
-
-// applyVar drives one operation through the variable-length []byte API,
-// encoding the abstract key deterministically via the mix's VarSpec.
-func (w *worker) applyVar(op workload.Op) error {
-	c := &w.counts
-	vs := w.varSpec
-	w.kbuf = vs.AppendKey(w.kbuf[:0], op.Key)
-	switch op.Kind {
-	case workload.OpInsert:
-		w.vbuf = vs.AppendValue(w.vbuf[:0], op.Key, 0)
-		switch err := w.table.InsertB(w.kbuf, w.vbuf); {
-		case err == nil:
-			c.InsertOK++
-		case errors.Is(err, core.ErrKeyExists):
-			c.InsertDup++
-		case errors.Is(err, core.ErrSegmentOverflow):
-			c.InsertOverflow++
-		case errors.Is(err, core.ErrRecordTooLarge):
-			c.InsertTooLarge++
-		default:
-			return err
-		}
-	case workload.OpRead:
-		v, ok := w.table.GetBAppend(w.vbuf[:0], w.kbuf)
-		w.vbuf = v[:0]
-		if ok {
-			c.ReadHit++
-		} else {
-			c.ReadMiss++
-		}
-	case workload.OpReadNeg:
-		v, ok := w.table.GetBAppend(w.vbuf[:0], w.kbuf)
-		w.vbuf = v[:0]
-		if ok {
-			c.NegHit++
-		} else {
-			c.NegMiss++
-		}
-	case workload.OpUpdate:
-		// A fresh salt per update changes the value's content and usually
-		// its length, exercising the copy-on-write path.
-		w.updateSalt++
-		w.vbuf = vs.AppendValue(w.vbuf[:0], op.Key, w.updateSalt)
-		ok, err := w.table.UpdateB(w.kbuf, w.vbuf)
-		if err != nil {
-			return err
-		}
-		if ok {
-			c.UpdateOK++
-		} else {
-			c.UpdateNF++
-		}
-	case workload.OpDelete:
-		if w.table.DeleteB(w.kbuf) {
-			c.DeleteOK++
-		} else {
-			c.DeleteNF++
-		}
-	default:
-		return fmt.Errorf("bench: unknown op kind %v", op.Kind)
-	}
-	return nil
+	return size/uint64(cfg.Shards)*2 + 8<<20
 }
 
 func (c *Counts) add(o *Counts) {

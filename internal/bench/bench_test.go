@@ -6,13 +6,15 @@ import (
 	"dash/internal/workload"
 )
 
-func mixFor(t *testing.T, name string) workload.Mix {
+// simFor resolves a registered mix (run as a plain simulation) or client
+// simulation.
+func simFor(t *testing.T, name string) workload.ClientSim {
 	t.Helper()
-	m, ok := workload.MixByName(name)
+	s, ok := workload.ClientSimByName(name)
 	if !ok {
-		t.Fatalf("mix %q not registered", name)
+		t.Fatalf("mix or sim %q not registered", name)
 	}
-	return m
+	return s
 }
 
 // TestSmokeBalanced is the harness's own smoke benchmark: 2 goroutines, ~10k
@@ -25,7 +27,7 @@ func TestSmokeBalanced(t *testing.T) {
 		Ops:       10_000,
 		WarmupOps: 1_000,
 		Keyspace:  4_096,
-		Mix:       mixFor(t, "balanced"),
+		Sim:       simFor(t, "balanced"),
 		Seed:      42,
 	})
 	if err != nil {
@@ -49,11 +51,11 @@ func TestSmokeBalanced(t *testing.T) {
 	}
 	// Run already audits table count == preload + inserts − deletes; double
 	// check the invariant from the outside.
-	if want := int64(res.Counts.Preloaded) + c.InsertOK - c.DeleteOK; res.Table.Count != want {
-		t.Errorf("table count %d, want %d", res.Table.Count, want)
+	if want := int64(res.Counts.Preloaded) + c.InsertOK - c.DeleteOK; res.Count != want {
+		t.Errorf("table count %d, want %d", res.Count, want)
 	}
-	if res.Table.LoadFactor <= 0 || res.Table.LoadFactor > 1 {
-		t.Errorf("load factor %f out of range", res.Table.LoadFactor)
+	if res.LoadFactor <= 0 || res.LoadFactor > 1 {
+		t.Errorf("load factor %f out of range", res.LoadFactor)
 	}
 	if res.PM.ReadLines == 0 || res.PM.WriteLines == 0 {
 		t.Errorf("measured phase reported no PM traffic: %+v", res.PM)
@@ -71,7 +73,7 @@ func TestSmokeDeleteHeavy(t *testing.T) {
 		Ops:      8_000,
 		Keyspace: 2_048,
 		Theta:    0.9,
-		Mix:      mixFor(t, "delete-heavy"),
+		Sim:      simFor(t, "delete-heavy"),
 		Seed:     7,
 	})
 	if err != nil {
@@ -91,7 +93,7 @@ func TestSmokeNegativeReads(t *testing.T) {
 		Threads:  2,
 		Ops:      4_000,
 		Keyspace: 1_024,
-		Mix:      mixFor(t, "read-neg"),
+		Sim:      simFor(t, "read-neg"),
 		Seed:     9,
 	})
 	if err != nil {
@@ -107,12 +109,18 @@ func TestSmokeNegativeReads(t *testing.T) {
 
 // TestRunRejectsBadConfig covers the validation edges.
 func TestRunRejectsBadConfig(t *testing.T) {
-	mix := mixFor(t, "read")
-	if _, err := Run(Config{Threads: 0, Ops: 10, Keyspace: 16, Mix: mix}); err == nil {
+	sim := simFor(t, "read")
+	if _, err := Run(Config{Threads: 0, Ops: 10, Keyspace: 16, Sim: sim}); err == nil {
 		t.Error("threads=0 accepted")
 	}
-	if _, err := Run(Config{Threads: 1, Ops: 0, Keyspace: 16, Mix: mix}); err == nil {
+	if _, err := Run(Config{Threads: 1, Ops: 0, Keyspace: 16, Sim: sim}); err == nil {
 		t.Error("ops=0 accepted")
+	}
+	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Sim: sim, Shards: -1}); err == nil {
+		t.Error("shards=-1 accepted")
+	}
+	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Sim: sim, Shards: 3}); err == nil {
+		t.Error("shards=3 (not a power of two) accepted")
 	}
 }
 
@@ -126,7 +134,7 @@ func TestSmokeVarMixes(t *testing.T) {
 		Ops:       6_000,
 		WarmupOps: 600,
 		Keyspace:  2_048,
-		Mix:       mixFor(t, "var-ycsb-b"),
+		Sim:       simFor(t, "var-ycsb-b"),
 		Seed:      42,
 	})
 	if err != nil {
@@ -142,11 +150,11 @@ func TestSmokeVarMixes(t *testing.T) {
 	if c.UpdateNF != 0 {
 		t.Errorf("%d var updates reported not-found", c.UpdateNF)
 	}
-	if res.Table.LogLiveBytes == 0 || res.Table.LogChunkBytes == 0 {
-		t.Errorf("var cell reported no record-log space: %+v", res.Table)
+	if res.LogLiveBytes == 0 || res.LogChunkBytes == 0 {
+		t.Errorf("var cell reported no record-log space: %+v", res.TableStats)
 	}
-	if res.Table.LogLiveBlobs < int64(res.Counts.Preloaded) {
-		t.Errorf("live blobs %d < preloaded %d", res.Table.LogLiveBlobs, res.Counts.Preloaded)
+	if res.LogLiveBlobs < int64(res.Counts.Preloaded) {
+		t.Errorf("live blobs %d < preloaded %d", res.LogLiveBlobs, res.Counts.Preloaded)
 	}
 
 	ins, err := Run(Config{
@@ -154,7 +162,7 @@ func TestSmokeVarMixes(t *testing.T) {
 		Ops:       4_000,
 		WarmupOps: 400,
 		Keyspace:  1_024,
-		Mix:       mixFor(t, "var-insert"),
+		Sim:       simFor(t, "var-insert"),
 		Seed:      7,
 	})
 	if err != nil {

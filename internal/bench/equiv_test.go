@@ -17,9 +17,10 @@ type equivCell struct {
 
 // TestEquivalenceWithParentHarness pins the op sequences the harness
 // generates: the constants were captured at commit 35c17b0 (PR 13) with the
-// two-harness bench.Run, before the harnesses were merged. A 1-thread cell
-// with the cost model off is deterministic, so any difference means the
-// runner feeds the table different operations than it used to.
+// old direct-table bench.Run, before the two harnesses were merged into one.
+// A 1-thread direct cell with the cost model off is deterministic, so any
+// difference means the runner feeds the table different operations than the
+// old one did.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -28,7 +29,7 @@ func TestEquivalenceWithParentHarness(t *testing.T) {
 				Ops:       10_000,
 				WarmupOps: 1_000,
 				Keyspace:  4_096,
-				Mix:       mixFor(t, want.mix),
+				Sim:       simFor(t, want.mix),
 				Seed:      42,
 			})
 			if err != nil {

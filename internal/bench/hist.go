@@ -2,25 +2,18 @@ package bench
 
 import "dash/internal/obs"
 
-// Hist is a log-bucketed latency histogram: 16 linear sub-buckets per power
-// of two, so any recorded value lands in a bucket whose floor is within 1/16
-// (6.25%) of it — plenty for p50/p99 reporting while the whole histogram is
-// one fixed 8KiB array. Each worker goroutine records into its own Hist with
-// no synchronization, and the harness merges them after the run.
+// Hist is a latency histogram in the layout shared with the engine-side
+// obs.Histogram (obs.BucketIndex: 16 linear sub-buckets per power of two, so
+// a recorded value lands in a bucket whose floor is within 6.25% of it), so
+// harness-measured and engine-measured distributions are directly
+// comparable. It exists because per-client unsynchronized recording is
+// cheaper than the concurrent one: each client goroutine records into its
+// own Hist, the harness merges them after the run, and Snapshot hands the
+// merged buckets to obs for the quantile walk.
 //
-// The bucket layout (obs.BucketIndex/obs.BucketFloor) is shared with the
-// engine-side obs.Histogram, so harness-measured and engine-measured
-// distributions are directly comparable; this type exists because per-worker
-// unsynchronized recording is cheaper than the concurrent one.
-const (
-	histBuckets = obs.NumBuckets
-	histSub     = obs.SubPerOctave
-)
-
-// Hist accumulates nanosecond durations. Not safe for concurrent use; use
-// one per goroutine and Merge.
+// Not safe for concurrent use; use one per goroutine and Merge.
 type Hist struct {
-	counts [histBuckets]uint64
+	counts [obs.NumBuckets]uint64
 	total  uint64
 	sum    uint64
 	max    int64
@@ -53,38 +46,8 @@ func (h *Hist) Merge(o *Hist) {
 // Total returns the number of recorded observations.
 func (h *Hist) Total() uint64 { return h.total }
 
-// Max returns the largest recorded value.
-func (h *Hist) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean of the recorded values (exact, not
-// bucketed), or 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Quantile returns the bucket floor of the q'th quantile (q in [0, 1]), a
-// conservative estimate within 6.25% below the true value. Returns 0 when
-// the histogram is empty.
-func (h *Hist) Quantile(q float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.total-1))
-	acc := uint64(0)
-	for i, c := range h.counts {
-		acc += c
-		if acc > rank {
-			return obs.BucketFloor(i)
-		}
-	}
-	return h.max
+// Snapshot summarises the distribution: count, exact mean and max, and the
+// bucket-floor quantiles (obs.HistSnapshot.Quantile for any other).
+func (h *Hist) Snapshot() obs.HistSnapshot {
+	return obs.NewHistSnapshot(append([]uint64(nil), h.counts[:]...), h.sum, h.max)
 }

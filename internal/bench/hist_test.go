@@ -9,7 +9,7 @@ import (
 func TestBucketRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, 15, 16, 17, 31, 32, 63, 100, 1000, 1 << 20, 1<<40 + 12345} {
 		idx := obs.BucketIndex(v)
-		if idx < 0 || idx >= histBuckets {
+		if idx < 0 || idx >= obs.NumBuckets {
 			t.Fatalf("obs.BucketIndex(%d) = %d out of range", v, idx)
 		}
 		floor := obs.BucketFloor(idx)
@@ -17,7 +17,7 @@ func TestBucketRoundTrip(t *testing.T) {
 			t.Errorf("obs.BucketFloor(%d) = %d > value %d", idx, floor, v)
 		}
 		// The floor must be within one sub-bucket (1/16) of the value.
-		if v >= histSub && float64(v-floor) > float64(v)/histSub {
+		if v >= obs.SubPerOctave && float64(v-floor) > float64(v)/obs.SubPerOctave {
 			t.Errorf("value %d floor %d off by more than 1/16", v, floor)
 		}
 		if idx > 0 && obs.BucketFloor(idx) <= obs.BucketFloor(idx-1) {
@@ -40,28 +40,35 @@ func TestHistQuantilesAndMerge(t *testing.T) {
 	if a.Total() != 1000 {
 		t.Fatalf("merged total = %d, want 1000", a.Total())
 	}
-	if a.Max() != 999 {
-		t.Fatalf("merged max = %d, want 999", a.Max())
+	s := a.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("snapshot count = %d, want 1000", s.Count)
 	}
-	if m := a.Mean(); m < 499 || m > 500 {
-		t.Fatalf("mean = %f, want ~499.5", m)
+	if s.Max != 999 {
+		t.Fatalf("merged max = %d, want 999", s.Max)
 	}
-	p50 := a.Quantile(0.5)
-	if p50 < 400 || p50 > 520 {
-		t.Fatalf("p50 = %d, want ~500 within bucket error", p50)
+	if s.Mean < 499 || s.Mean > 500 {
+		t.Fatalf("mean = %f, want ~499.5", s.Mean)
 	}
-	p99 := a.Quantile(0.99)
-	if p99 < 900 || p99 > 999 {
-		t.Fatalf("p99 = %d, want ~990 within bucket error", p99)
+	if s.P50 < 400 || s.P50 > 520 {
+		t.Fatalf("p50 = %d, want ~500 within bucket error", s.P50)
 	}
-	if q0, q1 := a.Quantile(0), a.Quantile(1); q0 != 0 || q1 < 930 {
+	if s.P99 < 900 || s.P99 > 999 {
+		t.Fatalf("p99 = %d, want ~990 within bucket error", s.P99)
+	}
+	if q0, q1 := s.Quantile(0), s.Quantile(1); q0 != 0 || q1 < 930 {
 		t.Fatalf("extreme quantiles = %d, %d", q0, q1)
+	}
+	// Snapshot copies: recording afterwards must not move it.
+	a.Record(1 << 30)
+	if s.Quantile(1) >= 1<<30 || a.Snapshot().Max != 1<<30 {
+		t.Fatal("snapshot aliases the live histogram")
 	}
 }
 
 func TestHistEmpty(t *testing.T) {
 	var h Hist
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Total() != 0 {
+	if s := h.Snapshot(); s.P50 != 0 || s.Mean != 0 || s.Max != 0 || h.Total() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }

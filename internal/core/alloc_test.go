@@ -11,7 +11,7 @@ import "testing"
 // for that many again plus extra more.
 func warmU64Table(tb testing.TB, n, extra uint64) *Table {
 	tb.Helper()
-	tbl, err := New(64<<20+(2*n+extra)*64, Options{})
+	tbl, err := newTable(64<<20+(2*n+extra)*64, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

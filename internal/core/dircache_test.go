@@ -60,7 +60,7 @@ func growTo(t *testing.T, tbl *Table, depth uint8, next *uint64, acked map[uint6
 // TestDirCacheCoherentAfterGrowth: organic splits and doublings must keep
 // the write-through cache exactly in sync with the PM directory.
 func TestDirCacheCoherentAfterGrowth(t *testing.T) {
-	tbl, err := New(64<<20, Options{})
+	tbl, err := newTable(64<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDirCacheCoherentAfterGrowth(t *testing.T) {
 // staleness is detected (misses counted), and that the cache heals back to
 // coherence. Correctness must not depend on cache freshness.
 func TestDirCacheStaleViewAllOps(t *testing.T) {
-	tbl, err := New(64<<20, Options{})
+	tbl, err := newTable(64<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDirCacheStaleViewAllOps(t *testing.T) {
 // segment) — the shape a half-missed split publish would leave — and check
 // the targeted repair path: the op succeeds and only that entry is fixed up.
 func TestDirCachePoisonedEntry(t *testing.T) {
-	tbl, err := New(64<<20, Options{})
+	tbl, err := newTable(64<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestDirCacheRebuildAfterCrash(t *testing.T) {
 // the already-acknowledged prefix, then checks cache coherence and that no
 // operation was misrouted. Meant for -race.
 func TestDirCacheConcurrentGrowth(t *testing.T) {
-	tbl, err := New(256<<20, Options{})
+	tbl, err := newTable(256<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

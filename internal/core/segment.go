@@ -224,13 +224,12 @@ func segFindW0Locked(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts, w0 uint64)
 // segInsertLocked places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
 // one bucket over, then the stash. Returns false when the segment needs to
-// split. With concurrent=true the caller holds the home pair's locks and
-// this function takes the extra locks it needs (displacement target via
-// trylock to stay deadlock-free, stash buckets in ascending order);
-// concurrent=false is the single-owner path used by recovery. persist=false
-// defers durability to a whole-segment flush (unpublished split siblings;
-// see bucketInsertLocked).
-func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, concurrent, persist bool, seed uint64) bool {
+// split. The caller holds the home pair's locks and this function takes the
+// extra locks it needs (displacement target via trylock to stay
+// deadlock-free, stash buckets in ascending order). persist=false defers
+// durability to a whole-segment flush (unpublished split siblings; see
+// bucketInsertLocked).
+func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, persist bool, seed uint64) bool {
 	b, b2 := homePair(parts)
 	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
 
@@ -254,7 +253,7 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// the victim into the sibling.
 	b3 := (b2 + 1) % normalBuckets
 	b3a := segBucket(seg, b3)
-	if !concurrent || tryLockBucket(p, mir, b3a, b3) {
+	if tryLockBucket(p, mir, b3a, b3) {
 		// The split-marker check must follow the b3 lock acquisition: the
 		// migrator copies a bucket only under that bucket's lock and only
 		// after storing the marker, so reading no marker through the locks
@@ -277,15 +276,11 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 				}
 				bucketInsertLocked(p, mir, b3a, b3, vp.FP, vict, persist)
 				bucketDeleteLocked(p, mir, b2a, b2, slot, persist)
-				if concurrent {
-					unlockBucket(p, mir, b3a, b3)
-				}
+				unlockBucket(p, mir, b3a, b3)
 				return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
 			}
 		}
-		if concurrent {
-			unlockBucket(p, mir, b3a, b3)
-		}
+		unlockBucket(p, mir, b3a, b3)
 	}
 
 	// Stash: record goes to any stash bucket with room; the home bucket
@@ -294,13 +289,9 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// recovery sweeps, never a dangling pointer.
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(seg, normalBuckets+j)
-		if concurrent {
-			lockBucket(p, mir, sa, normalBuckets+j)
-		}
+		lockBucket(p, mir, sa, normalBuckets+j)
 		ok := bucketInsertLocked(p, mir, sa, normalBuckets+j, parts.FP, kv, persist)
-		if concurrent {
-			unlockBucket(p, mir, sa, normalBuckets+j)
-		}
+		unlockBucket(p, mir, sa, normalBuckets+j)
 		if ok {
 			bucketTrackOverflow(p, mir, ba, b, parts.FP, j, persist)
 			return true

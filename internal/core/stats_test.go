@@ -7,7 +7,7 @@ import (
 )
 
 func TestTableStats(t *testing.T) {
-	tb, err := New(16<<20, Options{})
+	tb, err := newTable(16<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTableStats(t *testing.T) {
 // the snapshot must stay lock-free, race-clean and internally sane while the
 // table is mutating and splitting underneath it.
 func TestTableStatsConcurrent(t *testing.T) {
-	tb, err := New(32<<20, Options{})
+	tb, err := newTable(32<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

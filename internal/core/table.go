@@ -122,11 +122,6 @@ type Deps struct {
 	// on one shard's table pins only that shard's reclamation, never a
 	// neighbor's.
 	Epoch *epoch.Manager
-	// NoBackgroundRecovery stops Open from spawning the background recovery
-	// driver, leaving all deferred per-segment work to first touches and
-	// explicit RecoverAll calls — for embeddings (and tests) that need
-	// deterministic control over when recovery work happens.
-	NoBackgroundRecovery bool
 }
 
 // resolveEpoch returns the injected manager or a fresh private one.
@@ -316,24 +311,11 @@ func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	if err := t.recoverLazy(clean); err != nil {
 		return nil, err
 	}
-	if lr := t.lazy.Load(); lr != nil && !deps.NoBackgroundRecovery && !disableBackgroundRecovery.Load() {
+	if lr := t.lazy.Load(); lr != nil && !disableBackgroundRecovery.Load() {
 		go t.driveRecovery(lr)
 	}
 	return t, nil
 }
-
-// New is a convenience constructor: it builds a private pool of poolSize
-// bytes and formats a table in it.
-func New(poolSize uint64, opt Options) (*Table, error) {
-	pool, err := pmem.NewPool(pmem.Options{Size: poolSize})
-	if err != nil {
-		return nil, err
-	}
-	return Create(pool, opt)
-}
-
-// Pool returns the underlying persistent-memory pool.
-func (t *Table) Pool() *pmem.Pool { return t.pool }
 
 // Count returns the number of live records. While lazy recovery is still in
 // flight the exact global count needs every segment's contribution, so Count
@@ -558,7 +540,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			unlockPair(p, mir, seg, b, b2)
 			return ErrKeyExists
 		}
-		if segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
+		if segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
 			if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistInsert(sib, pk, kv) {
 				// The in-flight split's sibling cannot absorb the key's
 				// copy: the split is overflowing pathologically. Undo and
@@ -895,7 +877,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// record first, mirror it into any in-flight split's sibling, and
 		// only then delete the old inline slot — at every crash point the
 		// key exists at least once and at most twice (deduped by recovery).
-		if !segInsertLocked(p, mir, seg, parts, kv, true, true, t.seed) {
+		if !segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
 			if err := t.split(parts, seg); err != nil {
 				freeBlob()
@@ -1169,7 +1151,7 @@ func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*spl
 						continue
 					}
 				}
-				if !segInsertLocked(p, newMir, newSeg, c.rp, kv, true, false, t.seed) {
+				if !segInsertLocked(p, newMir, newSeg, c.rp, kv, false, t.seed) {
 					unlockPair(p, newMir, newSeg, h, h2)
 					return sc, false
 				}
@@ -1232,7 +1214,7 @@ func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa
 				_, dup = segFindLocked(p, t.vlog, newSeg, &pk)
 			}
 			if !dup {
-				ok = segInsertLocked(p, newMir, newSeg, rp, kv, true, false, t.seed)
+				ok = segInsertLocked(p, newMir, newSeg, rp, kv, false, t.seed)
 			}
 			unlockPair(p, newMir, newSeg, hb, hb2)
 		}
@@ -1386,7 +1368,7 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 	// it here — so probe before inserting.
 	ok := true
 	if _, dup := segFindLocked(p, t.vlog, sib, pk); !dup {
-		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, true, false, t.seed)
+		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, false, t.seed)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 	return ok
@@ -1436,7 +1418,7 @@ func (t *Table) assistOverwrite(sib pmem.Addr, pk *probeKey, kv pmem.KV, insert 
 			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 		}
 	} else if insert {
-		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, true, false, t.seed)
+		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, false, t.seed)
 	}
 	unlockPair(p, sibMir, sib, b, b2)
 	return ok

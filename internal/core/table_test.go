@@ -6,9 +6,19 @@ import (
 	"dash/internal/pmem"
 )
 
+// newTable builds a private pool of poolSize bytes and formats a table in
+// it (core.New until PR 15: only tests ever called it).
+func newTable(poolSize uint64, opt Options) (*Table, error) {
+	pool, err := pmem.NewPool(pmem.Options{Size: poolSize})
+	if err != nil {
+		return nil, err
+	}
+	return Create(pool, opt)
+}
+
 func newTestTable(t *testing.T, poolSize uint64, opt Options) *Table {
 	t.Helper()
-	tbl, err := New(poolSize, opt)
+	tbl, err := newTable(poolSize, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 func TestPoolFull(t *testing.T) {
 	// A pool big enough to format but too small to keep growing must
 	// surface ErrPoolFull rather than corrupt anything.
-	tbl, err := New(96*1024, Options{InitialDepth: 1})
+	tbl, err := newTable(96*1024, Options{InitialDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -382,7 +382,7 @@ func TestVarSplitMigration(t *testing.T) {
 }
 
 func BenchmarkVarInsertB(b *testing.B) {
-	tbl, err := New(1<<30, Options{})
+	tbl, err := newTable(1<<30, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -73,18 +73,25 @@ func (h *Histogram) Record(v int64) {
 
 // Snapshot captures the distribution with summary quantiles precomputed.
 func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
 	if h == nil {
-		return s
+		return HistSnapshot{}
 	}
-	s.Counts = make([]uint64, NumBuckets)
+	counts := make([]uint64, NumBuckets)
 	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.Counts[i] = c
+		counts[i] = h.counts[i].Load()
+	}
+	return NewHistSnapshot(counts, h.sum.Load(), h.max.Load())
+}
+
+// NewHistSnapshot summarises a raw bucket array in the shared layout (len
+// NumBuckets; the snapshot keeps it) with the exact sum and max recorded
+// alongside — how an unsynchronised recorder (bench.Hist) gets the same
+// quantile walk as a Histogram.
+func NewHistSnapshot(counts []uint64, sum uint64, max int64) HistSnapshot {
+	s := HistSnapshot{Sum: sum, Max: max, Counts: counts}
+	for _, c := range counts {
 		s.Count += c
 	}
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
 	s.summarize()
 	return s
 }

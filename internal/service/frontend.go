@@ -301,7 +301,7 @@ func (f *Frontend) execBatch(shard int, reqs []*Request) (alive bool) {
 	}()
 	pool.BeginFenceBatch()
 	for _, r := range reqs {
-		r.res = f.exec(tb, r)
+		r.res = Exec(tb, r)
 	}
 	elided := pool.EndFenceBatch()
 	if elided > 0 {
@@ -317,8 +317,11 @@ func (f *Frontend) execBatch(shard int, reqs []*Request) (alive bool) {
 	return true
 }
 
-// exec applies one request to the shard's table.
-func (f *Frontend) exec(tb *core.Table, r *Request) Result {
+// Exec applies one request to a table and returns its outcome: the one
+// place a request's Op becomes a Table call. The shard executors call it
+// inside a batch; a caller that owns a bare table (the benchmark harness's
+// direct cells) calls it synchronously, with no frontend in between.
+func Exec(tb *core.Table, r *Request) Result {
 	if r.KeyB != nil {
 		switch r.Op {
 		case OpGet:

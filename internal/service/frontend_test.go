@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -367,5 +368,76 @@ func TestFrontendMeters(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["service.queue.depth"]; !ok {
 		t.Fatal("service.queue.depth gauge missing")
+	}
+}
+
+// Exec is the one request → Table dispatch: every op, through both key
+// encodings, must land on the matching Table method and report its outcome
+// the way the frontend's clients read it.
+func TestExecDispatch(t *testing.T) {
+	pool, err := pmem.NewPool(pmem.Options{Size: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := core.Create(pool, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+
+	kb := []byte("a variable-length key")
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want Result
+		err  error
+	}{
+		{"u64 get miss", Request{Op: OpGet, Key: 7}, Result{}, nil},
+		{"u64 update miss", Request{Op: OpUpdate, Key: 7, Value: 1}, Result{}, nil},
+		{"u64 delete miss", Request{Op: OpDelete, Key: 7}, Result{}, nil},
+		{"u64 insert", Request{Op: OpInsert, Key: 7, Value: 70}, Result{}, nil},
+		{"u64 insert dup", Request{Op: OpInsert, Key: 7, Value: 71}, Result{}, core.ErrKeyExists},
+		{"u64 get", Request{Op: OpGet, Key: 7}, Result{Value: 70, Found: true}, nil},
+		{"u64 update", Request{Op: OpUpdate, Key: 7, Value: 72}, Result{Found: true}, nil},
+		{"u64 get updated", Request{Op: OpGet, Key: 7}, Result{Value: 72, Found: true}, nil},
+		{"u64 delete", Request{Op: OpDelete, Key: 7}, Result{Found: true}, nil},
+		{"u64 get deleted", Request{Op: OpGet, Key: 7}, Result{}, nil},
+
+		{"bytes get miss", Request{Op: OpGet, KeyB: kb}, Result{}, nil},
+		{"bytes update miss", Request{Op: OpUpdate, KeyB: kb, ValueB: []byte("x")}, Result{}, nil},
+		{"bytes delete miss", Request{Op: OpDelete, KeyB: kb}, Result{}, nil},
+		{"bytes insert", Request{Op: OpInsert, KeyB: kb, ValueB: []byte("first value")}, Result{}, nil},
+		{"bytes insert dup", Request{Op: OpInsert, KeyB: kb, ValueB: []byte("y")}, Result{}, core.ErrKeyExists},
+		{"bytes get", Request{Op: OpGet, KeyB: kb, ValueB: make([]byte, 0, 64)}, Result{ValueB: []byte("first value"), Found: true}, nil},
+		{"bytes update", Request{Op: OpUpdate, KeyB: kb, ValueB: []byte("a second, longer value")}, Result{Found: true}, nil},
+		{"bytes get updated", Request{Op: OpGet, KeyB: kb}, Result{ValueB: []byte("a second, longer value"), Found: true}, nil},
+		{"bytes delete", Request{Op: OpDelete, KeyB: kb}, Result{Found: true}, nil},
+		{"bytes get deleted", Request{Op: OpGet, KeyB: kb}, Result{}, nil},
+	} {
+		got := Exec(tb, &tc.req)
+		if !errors.Is(got.Err, tc.err) || (tc.err == nil && got.Err != nil) {
+			t.Errorf("%s: err = %v, want %v", tc.name, got.Err, tc.err)
+		}
+		if got.Found != tc.want.Found || got.Value != tc.want.Value || !bytes.Equal(got.ValueB, tc.want.ValueB) {
+			t.Errorf("%s: got {%d %q %v}, want {%d %q %v}", tc.name,
+				got.Value, got.ValueB, got.Found, tc.want.Value, tc.want.ValueB, tc.want.Found)
+		}
+	}
+	// A Get appends into the request's buffer: no allocation when it fits.
+	buf := make([]byte, 0, 64)
+	if err := tb.InsertB(kb, []byte("reuse me")); err != nil {
+		t.Fatal(err)
+	}
+	if got := Exec(tb, &Request{Op: OpGet, KeyB: kb, ValueB: buf}); &got.ValueB[0] != &buf[:1][0] {
+		t.Error("[]byte Get did not reuse the request's ValueB buffer")
+	}
+
+	for _, r := range []Request{{Op: OpDelete + 1, Key: 1}, {Op: OpDelete + 1, KeyB: kb}} {
+		if got := Exec(tb, &r); got.Err == nil || got.Found {
+			t.Errorf("unknown op %d (bytes %v): result %+v, want an error", r.Op, r.KeyB != nil, got)
+		}
+	}
+	if tb.Count() != 1 {
+		t.Errorf("table holds %d records after the sequence, want 1", tb.Count())
 	}
 }

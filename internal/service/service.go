@@ -58,10 +58,6 @@ type Config struct {
 	// InitialDepth is each shard table's starting global depth (see
 	// core.Options).
 	InitialDepth uint8
-	// Model, when non-nil, is the cost model installed on every shard's
-	// pool. Sharing one model across shards shares its bandwidth clocks,
-	// modeling shards that live on one socket's DIMMs.
-	Model *pmem.CostModel
 	// TrackCrashes enables crash tracking on every shard's pool (see
 	// pmem.Options).
 	TrackCrashes bool
@@ -75,7 +71,23 @@ type Shards struct {
 	shift       uint // 64 - log2(n); 64 means a single shard
 	tables      []*core.Table
 	pools       []*pmem.Pool
-	ems         []*epoch.Manager
+	// ems holds each shard's epoch manager — per-shard by construction, so a
+	// stalled guard on one shard never delays another shard's reclamation.
+	ems []*epoch.Manager
+}
+
+// allocShards allocates the layer for n shards (a power of two) routed by seed.
+func allocShards(n int, seed uint64) (*Shards, error) {
+	if n <= 0 || bits.OnesCount(uint(n)) != 1 {
+		return nil, fmt.Errorf("service: shard count %d is not a power of two", n)
+	}
+	return &Shards{
+		routingSeed: seed ^ routingSeedSalt,
+		shift:       64 - uint(bits.TrailingZeros(uint(n))),
+		tables:      make([]*core.Table, n),
+		pools:       make([]*pmem.Pool, n),
+		ems:         make([]*epoch.Manager, n),
+	}, nil
 }
 
 // New creates cfg.Shards fresh shards, each a newly formatted table in its
@@ -85,36 +97,23 @@ func New(cfg Config) (*Shards, error) {
 	if n == 0 {
 		n = 1
 	}
-	if n < 0 || bits.OnesCount(uint(n)) != 1 {
-		return nil, fmt.Errorf("service: shard count %d is not a power of two", n)
+	s, err := allocShards(n, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	s := &Shards{
-		routingSeed: cfg.Seed ^ routingSeedSalt,
-		shift:       64 - uint(bits.TrailingZeros(uint(n))),
-		tables:      make([]*core.Table, n),
-		pools:       make([]*pmem.Pool, n),
-		ems:         make([]*epoch.Manager, n),
-	}
-	for i := 0; i < n; i++ {
-		pool, err := pmem.NewPool(pmem.Options{
-			Size:         cfg.PoolSize,
-			CostModel:    cfg.Model,
-			TrackCrashes: cfg.TrackCrashes,
-		})
+	for i := range s.tables {
+		pool, err := pmem.NewPool(pmem.Options{Size: cfg.PoolSize, TrackCrashes: cfg.TrackCrashes})
 		if err != nil {
 			return nil, fmt.Errorf("service: shard %d pool: %w", i, err)
 		}
-		em := epoch.NewManager()
-		tb, err := core.CreateWith(pool, core.Deps{Epoch: em}, core.Options{
+		s.pools[i], s.ems[i] = pool, epoch.NewManager()
+		s.tables[i], err = core.CreateWith(pool, core.Deps{Epoch: s.ems[i]}, core.Options{
 			InitialDepth: cfg.InitialDepth,
 			Seed:         tableSeed(cfg.Seed, i),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("service: shard %d create: %w", i, err)
 		}
-		s.pools[i] = pool
-		s.tables[i] = tb
-		s.ems[i] = em
 	}
 	return s, nil
 }
@@ -124,26 +123,15 @@ func New(cfg Config) (*Shards, error) {
 // (each table's own hash seed is persistent in its root; only the routing
 // seed is re-derived), in the same order; the shard count is len(pools).
 func Open(pools []*pmem.Pool, cfg Config) (*Shards, error) {
-	n := len(pools)
-	if n == 0 || bits.OnesCount(uint(n)) != 1 {
-		return nil, fmt.Errorf("service: shard count %d is not a power of two", n)
-	}
-	s := &Shards{
-		routingSeed: cfg.Seed ^ routingSeedSalt,
-		shift:       64 - uint(bits.TrailingZeros(uint(n))),
-		tables:      make([]*core.Table, n),
-		pools:       make([]*pmem.Pool, n),
-		ems:         make([]*epoch.Manager, n),
+	s, err := allocShards(len(pools), cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	for i, pool := range pools {
-		em := epoch.NewManager()
-		tb, err := core.OpenWith(pool, core.Deps{Epoch: em})
-		if err != nil {
+		s.pools[i], s.ems[i] = pool, epoch.NewManager()
+		if s.tables[i], err = core.OpenWith(pool, core.Deps{Epoch: s.ems[i]}); err != nil {
 			return nil, fmt.Errorf("service: shard %d open: %w", i, err)
 		}
-		s.pools[i] = pool
-		s.tables[i] = tb
-		s.ems[i] = em
 	}
 	return s, nil
 }
@@ -182,10 +170,6 @@ func (s *Shards) Table(i int) *core.Table { return s.tables[i] }
 
 // Pool returns shard i's pool.
 func (s *Shards) Pool(i int) *pmem.Pool { return s.pools[i] }
-
-// Epoch returns shard i's epoch manager — per-shard by construction, so a
-// stalled guard on one shard never delays another shard's reclamation.
-func (s *Shards) Epoch(i int) *epoch.Manager { return s.ems[i] }
 
 // Count sums the live record counts of all shards (completing any
 // in-flight lazy recovery, per core.Table.Count).

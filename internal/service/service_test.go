@@ -167,7 +167,7 @@ func TestEpochPinningIsolatedPerShard(t *testing.T) {
 	defer s.Close()
 
 	// Pin shard 0: an in-flight reader that never exits.
-	guard := s.Epoch(0).Enter()
+	guard := s.ems[0].Enter()
 
 	// Retire work on both shards: indirect records (16-byte keys/values
 	// force blob storage) whose deletes defer the blob free to the epoch.
@@ -183,20 +183,20 @@ func TestEpochPinningIsolatedPerShard(t *testing.T) {
 				t.Fatalf("shard %d delete %d missed", sh, i)
 			}
 		}
-		s.Epoch(sh).Drain()
+		s.ems[sh].Drain()
 	}
 
-	if p := s.Epoch(1).Pending(); p != 0 {
+	if p := s.ems[1].Pending(); p != 0 {
 		t.Fatalf("unpinned shard still has %d pending retires after drain", p)
 	}
-	if p := s.Epoch(0).Pending(); p == 0 {
+	if p := s.ems[0].Pending(); p == 0 {
 		t.Fatal("pinned shard reclaimed everything despite an active guard")
 	}
 
 	// Releasing the guard unblocks shard 0's reclamation.
 	guard.Exit()
-	s.Epoch(0).Drain()
-	if p := s.Epoch(0).Pending(); p != 0 {
+	s.ems[0].Drain()
+	if p := s.ems[0].Pending(); p != 0 {
 		t.Fatalf("pinned shard still has %d pending retires after guard exit", p)
 	}
 }

@@ -38,7 +38,7 @@ type ClientSim struct {
 	ShardTheta float64
 	// SessionOps, when non-zero, is the connection-churn period: every
 	// SessionOps operations the client starts a new session, draining its
-	// pipeline first (SimOp.NewSession marks the boundary ops).
+	// pipeline first (SimStream.NewSession marks the boundary ops).
 	SessionOps int64
 	// Tenants, when non-empty, gives each key one of these VarSpec shapes
 	// (selected by SpecFor) instead of the mix's single Var shape.
@@ -67,14 +67,18 @@ func simMix(name string) Mix {
 	return m
 }
 
-// ClientSimByName looks a simulation up in the registry.
+// ClientSimByName looks a simulation up in the registry. A registered mix's
+// name resolves too, to that mix as a simulation with no stressor — no skew,
+// no churn, no tenants — whose streams are the mix's own, draw for draw: how
+// the harness runs a classic mix cell.
 func ClientSimByName(name string) (ClientSim, bool) {
 	for _, c := range ClientSims {
 		if c.Name == name {
 			return c, true
 		}
 	}
-	return ClientSim{}, false
+	m, ok := MixByName(name)
+	return ClientSim{Name: m.Name, Mix: m}, ok
 }
 
 // ClientSimNames returns the registered simulation names, in registry
@@ -95,8 +99,9 @@ func (c ClientSim) Var() bool { return c.Mix.Var != nil || len(c.Tenants) > 0 }
 // preload, reads and fresh inserts of one key always agree), else the
 // mix's Var spec, else nil (uint64 mode). Every spec embeds the key's 8
 // little-endian bytes first (see VarSpec), so encodings stay injective
-// across tenant shapes.
-func (c ClientSim) SpecFor(key uint64) *VarSpec {
+// across tenant shapes. (Pointer receiver: the harness calls this once per
+// operation, and a ClientSim is fifteen words to copy.)
+func (c *ClientSim) SpecFor(key uint64) *VarSpec {
 	if len(c.Tenants) > 0 {
 		return &c.Tenants[key%uint64(len(c.Tenants))]
 	}
@@ -191,24 +196,17 @@ func NewSimGenerator(cfg SimConfig) (*SimGenerator, error) {
 	return g, nil
 }
 
-// Sim returns the generator's simulation profile.
-func (g *SimGenerator) Sim() ClientSim { return g.sim }
-
-// SimOp is one simulated-client operation.
-type SimOp struct {
-	Op
-	// NewSession marks a connection-churn boundary: the client must drain
-	// its pipeline (every outstanding request completed) before submitting
-	// this op, modeling a reconnect.
-	NewSession bool
-}
-
-// SimStream emits one simulated client's operation sequence. Like Stream,
-// deterministic per (config, worker) and not safe for concurrent use.
+// SimStream emits one simulated client's operation sequence: the base
+// Stream — Next is the Stream's own, so a simulation with no stressor
+// replays its mix's stream draw for draw — plus the session schedule. Like
+// Stream, deterministic per (config, worker) and not safe for concurrent
+// use.
 type SimStream struct {
-	g       *SimGenerator
-	s       *Stream
-	opIndex int64
+	*Stream
+	// every > 0 makes each every'th op (the first excepted) open a new
+	// session; left counts down to the next one and never reaches zero when
+	// every is 0.
+	every, left int64
 }
 
 // Stream returns client worker's simulated operation stream.
@@ -228,13 +226,22 @@ func (g *SimGenerator) Stream(worker int) *SimStream {
 			}
 		}
 	}
-	return &SimStream{g: g, s: s}
+	ss := &SimStream{Stream: s, every: g.sim.SessionOps}
+	if ss.every > 0 {
+		ss.left = ss.every + 1
+	}
+	return ss
 }
 
-// Next returns the next operation and its session-boundary marker.
-func (s *SimStream) Next() SimOp {
-	op := s.s.Next()
-	boundary := s.g.sim.SessionOps > 0 && s.opIndex > 0 && s.opIndex%s.g.sim.SessionOps == 0
-	s.opIndex++
-	return SimOp{Op: op, NewSession: boundary}
+// NewSession reports whether the operation the following Next returns opens
+// a new session — a connection-churn boundary: the client must drain its
+// pipeline (every outstanding request completed) before submitting it,
+// modeling a reconnect. Call it exactly once before each Next.
+func (s *SimStream) NewSession() bool {
+	s.left--
+	if s.left != 0 {
+		return false
+	}
+	s.left = s.every
+	return true
 }

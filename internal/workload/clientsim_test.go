@@ -54,16 +54,23 @@ func TestSpecForDeterministic(t *testing.T) {
 	}
 }
 
-func simStreamOps(t *testing.T, cfg SimConfig, worker, n int) []SimOp {
+// simOp is one streamed operation with its session-boundary marker.
+type simOp struct {
+	Op
+	NewSession bool
+}
+
+func simStreamOps(t *testing.T, cfg SimConfig, worker, n int) []simOp {
 	t.Helper()
 	g, err := NewSimGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := g.Stream(worker)
-	ops := make([]SimOp, n)
+	ops := make([]simOp, n)
 	for i := range ops {
-		ops[i] = s.Next()
+		ops[i].NewSession = s.NewSession()
+		ops[i].Op = s.Next()
 	}
 	return ops
 }

@@ -211,9 +211,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Stream returns worker's operation stream. The same (Config, worker) pair
 // always yields the identical sequence; distinct workers are decorrelated.
 // A Stream is not safe for concurrent use — one per goroutine.
