@@ -50,7 +50,8 @@ docs-check: vet
 	if [ -n "$$undoc" ]; then \
 		echo "exported identifiers missing doc comments:"; echo "$$undoc"; exit 1; \
 	fi
-	@stale=$$(for ident in mirrorRebuildAll RunService ServiceConfig ServiceResult toSvcCell cellJSON; do \
+	@stale=$$(for ident in mirrorRebuildAll RunService ServiceConfig ServiceResult toSvcCell cellJSON \
+			popSlot pushSlot freeHead 'filters\.m'; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -77,22 +78,27 @@ bench-smoke:
 # the full cost model, checked against the thresholds committed in
 # bench-gate.json (tail latency, PM traffic per op, load-factor floor).
 # Fails the build when a tracked metric regresses past them; update the
-# thresholds in the same PR as an intentional perf change. The always-on
-# observability layer (registry counters + flight recorder) runs inside the
-# gated cells, so passing on unchanged thresholds doubles as the proof that
-# instrumentation overhead stays in the noise.
+# thresholds in the same PR as an intentional perf change. The observability
+# layer (registry counters, flight recorder with its sampled op lane) has no
+# off switch and runs inside the gated cells, so passing on unchanged
+# thresholds doubles as the proof that instrumentation overhead stays in the
+# noise.
 bench-gate:
 	$(GO) run ./cmd/benchgate -config bench-gate.json
 
 # bench is the real measurement matrix (core mix suite plus the
 # variable-length mixes × 1..8 threads under the full Optane cost model,
 # plus the service-tier suite: every client simulation at 4 shards ×
-# batch 16 against its 1×1 baseline) and writes the trajectory file
-# BENCH_pr9.json, recovery timings included.
+# batch 16 against its 1×1 baseline), recovery timings included. It writes
+# $(BENCH_OUT) — by default the git-ignored BENCH_local.json; the committed
+# BENCH_pr*.json files are history (BENCH_pr9.json is also the row schema of
+# record that cmd/dashbench's tests read), so name a new file to bank a run:
+# make bench BENCH_OUT=BENCH_pr16.json
+BENCH_OUT ?= BENCH_local.json
 bench:
 	$(GO) run ./cmd/dashbench -threads 8 -ops 100000 -keyspace 100000 \
 		-mix var-insert,var-read,var-ycsb-b -recovery \
-		-shards 4 -batch 16 -out BENCH_pr9.json
+		-shards 4 -batch 16 -out $(BENCH_OUT)
 
 # ci is the gate every change must pass: vet, build, the full test suite
 # plain (the tests that bound wall time from above — the cost model's

@@ -1,11 +1,18 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dash/internal/hashfn"
+)
 
 // The CPU side of the op path (ROADMAP aim 1c): the four u64 operations
-// allocate nothing on a warm table, and the write path has benchmarks with
-// the cost model off — pure engine time — to profile with
-// (go test -bench NoModel -cpuprofile).
+// allocate nothing on a warm table, and the read and write paths have
+// benchmarks with the cost model off — pure engine time — to profile with
+// (go test -bench 'NoModel|Get|Route' -cpu 1,2 -cpuprofile).
 
 // warmU64Table returns a table preloaded with keys [0, n) in a pool with room
 // for that many again plus extra more.
@@ -68,5 +75,59 @@ func BenchmarkUpdateNoModel(b *testing.B) {
 		if ok, err := tbl.Update(k, uint64(i)); !ok || err != nil {
 			b.Fatal(ok, err)
 		}
+	}
+}
+
+// readBenchKeys is the read benchmarks' table size: ≈ 1 400 segments, so
+// 23 MB of mirrors — past L2, like the benchmark of record's read_u64.
+const readBenchKeys = 1_000_000
+
+var readBench struct {
+	once sync.Once
+	tbl  *Table
+}
+
+// readBenchTable builds the shared 1M-key table once per process; the read
+// benchmarks never mutate it.
+func readBenchTable(b *testing.B) *Table {
+	readBench.once.Do(func() {
+		readBench.tbl = warmU64Table(b, readBenchKeys, 0)
+		runtime.GC() // or the build's garbage is collected on the first benchmark's time
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	return readBench.tbl
+}
+
+// benchGets drives Get from b.RunParallel (run with -cpu 1,2: ns/op is wall
+// time over total ops, so perfect scaling halves it) over keys base + a
+// per-goroutine stride walk of [0, readBenchKeys).
+func benchGets(b *testing.B, base uint64, wantFound bool) {
+	tbl := readBenchTable(b)
+	var lane atomic.Uint64
+	b.RunParallel(func(pb *testing.PB) {
+		i := lane.Add(1) * 104729
+		for pb.Next() {
+			if _, ok := tbl.Get(base + i%readBenchKeys); ok != wantFound {
+				b.Errorf("Get(%d) found=%v", base+i%readBenchKeys, ok)
+				return
+			}
+			i += 7919
+		}
+	})
+}
+
+func BenchmarkGetHit(b *testing.B)  { benchGets(b, 0, true) }
+func BenchmarkGetMiss(b *testing.B) { benchGets(b, 1<<40, false) }
+
+var routeSink *segMirror
+
+// BenchmarkRoute is the routing prefix of every operation: view load →
+// entry → descriptor → mirror pointer, for a pseudo-random hash.
+func BenchmarkRoute(b *testing.B) {
+	tbl := readBenchTable(b)
+	for i := 0; i < b.N; i++ {
+		d := tbl.cache.route(hashfn.Split(uint64(i) * 0x9E3779B97F4A7C15))
+		routeSink = d.mir.Load()
 	}
 }

@@ -5,9 +5,9 @@
 //
 //	table.go     — public Insert/Get/Delete/Update (uint64) and
 //	               InsertB/GetB/DeleteB/UpdateB ([]byte) APIs — two views of
-//	               one keyspace; optimistic lock-free readers guarded by
-//	               epoch.Manager, writers taking bucket version locks; split
-//	               orchestration and crash recovery.
+//	               one keyspace; optimistic readers that take no lock and
+//	               write no shared line (epoch.Manager guards), writers on
+//	               bucket version locks; split orchestration and recovery.
 //	record.go    — the slot-word contract: a bucket slot holds either an
 //	               inline 8B/8B record or a packed pointer (blob address |
 //	               key-length class, full key hash) into the pmem.VarLog,
@@ -18,14 +18,19 @@
 //	               an atomic root-pointer flip. The PM block is the
 //	               crash-consistent source of truth only; hot-path routing
 //	               goes through dircache.go.
-//	dircache.go  — DRAM-resident mirror of the directory (global depth,
-//	               segment addresses, local depths), consulted first by
-//	               every operation, kept fresh by write-through from splits
-//	               and doublings, validated against PM before any miss is
-//	               trusted, and rebuilt in O(directory) on Open.
+//	dircache.go  — DRAM-resident mirror of the directory: global depth and,
+//	               per entry, a pointer to the segment's descriptor (PM
+//	               address, local depth, filter mirror, unpublished sibling
+//	               while splitting), so one load routes an operation and
+//	               hands it everything DRAM knows about the segment.
+//	               Consulted first by every operation, kept fresh by
+//	               write-through from splits and doublings, validated
+//	               against PM before any miss is trusted, and rebuilt in
+//	               O(directory) on Open.
 //	segfilter.go — the same selective-persistence pattern one layer down:
 //	               a DRAM mirror per segment (bucket bitmaps, fingerprints
-//	               and record words under a shadow seqlock) that serves
+//	               and record words under a shadow seqlock), reached through
+//	               the segment's descriptor, that serves
 //	               read probes without touching PM buckets at all, written
 //	               through by every locked mutator, self-checked against
 //	               PM on a hash sample, healed in place, and rebuilt from
@@ -42,10 +47,14 @@
 //	obs.go       — the observability wiring: every table owns an
 //	               obs.Registry naming its meters (dircache.*, segfilter.*,
 //	               split.*, epoch.*, varlog.*, recovery.*, pmem.*) and an
-//	               always-on obs.Flight recording op completions with their
-//	               serving path, split lifecycle transitions, heals, epoch
-//	               advances and recovery phases; Metrics()/TraceSnapshot()
-//	               expose both, and obs.Serve puts them on HTTP.
+//	               obs.Flight recording every split lifecycle transition,
+//	               heal, epoch advance and recovery phase, and — through the
+//	               one op prologue/epilogue all eight operations share
+//	               (opBegin/opEnd: epoch guard, sampling decision, clock
+//	               reads) — a 1-in-64 key-hash sample of op completions
+//	               with their serving path, plus every rare diagnostic
+//	               outcome; Metrics()/TraceSnapshot() expose both, and
+//	               obs.Serve puts them on HTTP.
 //
 // Everything persistent is addressed by pmem.Pool offsets, so the whole
 // structure survives pmem's simulated power loss (Pool.Crash) and reopens

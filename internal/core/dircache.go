@@ -18,12 +18,13 @@ import (
 // ordinary Go memory:
 //
 //   - the global depth and the mirrored directory block's address,
-//   - one packed word per directory entry: the segment's 256-aligned PM
-//     address OR'd with its local depth in the low byte (the segment's
-//     pattern needs no slot of its own: pattern = entryIndex >> (global −
-//     local)). The hot route() path needs only the address; the mirrored
-//     local depth is what the coherence checks (and any future shape
-//     introspection) read without touching PM segment headers.
+//   - one pointer per directory entry, to the segment's DRAM descriptor
+//     (segDesc): its PM address, its local depth (the pattern needs no slot
+//     of its own: pattern = entryIndex >> (global − local)), its filter
+//     mirror (segfilter.go) and, while it is splitting, its unpublished
+//     sibling's descriptor. One load of the entry therefore yields the
+//     segment and everything DRAM knows about it, and a reader touches only
+//     lines no operation writes outside a split.
 //
 // Operations route through the cache first and touch PM metadata only to
 // validate a route or repair it (cacheRepair). Coherence is write-through:
@@ -64,33 +65,69 @@ type dirCache struct {
 	hits     *obs.Counter
 	misses   *obs.Counter
 	rebuilds *obs.Counter
+
+	// descs owns the descriptors, one per segment a PM directory has named,
+	// so a repaired or rebuilt view hands out the object in-flight operations
+	// already hold. Rebuild, repair and publish only, under dirMu.
+	descs map[pmem.Addr]*segDesc
 }
 
 type dirView struct {
 	depth   uint8
 	dir     pmem.Addr // the PM directory block this view mirrors
-	entries []atomic.Uint64
+	entries []atomic.Pointer[segDesc]
 }
 
-// entryDepthBits is the low-bit budget for the local depth packed into an
-// entry word; segment addresses are allocAlign-aligned so these bits are
-// always zero in the address.
-const entryDepthBits = allocAlign - 1
+// segDesc is the DRAM descriptor of one segment, permanent for the segment's
+// address: every view entry covering the segment points at the same object,
+// so whoever routed to the segment — before or after a split of it began —
+// reads the same mirror and the same sibling.
+type segDesc struct {
+	seg   pmem.Addr
+	depth atomic.Uint32 // local depth; stored by a split publish under all of seg's bucket locks
+	rec   atomic.Uint32 // first-touch recovery gate after Open (lazyrec.go); 0 = recovered
 
-func packEntry(seg pmem.Addr, local uint8) uint64 {
-	return uint64(seg) | uint64(local)
+	// mir is the segment's filter mirror: set before the descriptor is
+	// reachable (Create, a split's sibling) or by first-touch recovery, and
+	// never replaced — repairs rewrite the object in place. Nil: no mirror
+	// yet, reads take the PM path.
+	mir atomic.Pointer[segMirror]
+
+	// sib is the unpublished sibling while a split of seg is in flight:
+	// stored before the split marker, cleared before the marker clears.
+	sib atomic.Pointer[segDesc]
 }
 
-func unpackEntry(e uint64) (seg pmem.Addr, local uint8) {
-	return pmem.Addr(e &^ entryDepthBits), uint8(e & entryDepthBits)
-}
-
-// route returns the cached segment and local depth for the key's directory
-// slot. Pure DRAM: no PM traffic, no locks. The result may be stale while a
+// route returns the descriptor cached for the key's directory slot. Pure
+// DRAM: no PM traffic, no locks, no stores. The result may be stale while a
 // split or doubling is in flight; callers validate before trusting it.
-func (c *dirCache) route(parts hashfn.Parts) (seg pmem.Addr, local uint8) {
+func (c *dirCache) route(parts hashfn.Parts) *segDesc {
 	v := c.view.Load()
-	return unpackEntry(v.entries[parts.DirIndex(v.depth)].Load())
+	return v.entries[parts.DirIndex(v.depth)].Load()
+}
+
+// eachSegment calls fn once per distinct segment the view names.
+func (v *dirView) eachSegment(fn func(*segDesc)) {
+	seen := make(map[*segDesc]bool)
+	for i := range v.entries {
+		if d := v.entries[i].Load(); !seen[d] {
+			seen[d] = true
+			fn(d)
+		}
+	}
+}
+
+// descFor returns the descriptor of a segment the PM directory names,
+// creating it (mirror-less, depth from the segment header) the first time
+// the address is seen. Caller holds dirMu or is single-threaded.
+func (t *Table) descFor(seg pmem.Addr) *segDesc {
+	d := t.cache.descs[seg]
+	if d == nil {
+		d = &segDesc{seg: seg}
+		d.depth.Store(uint32(segDepth(t.pool, seg)))
+		t.cache.descs[seg] = d
+	}
+	return d
 }
 
 // cacheRebuild reconstructs the whole view from the PM directory in one
@@ -103,16 +140,9 @@ func (t *Table) cacheRebuild() {
 	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
 	depth := dirDepth(p, dir)
 	n := uint64(1) << depth
-	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Uint64, n)}
-	depths := make(map[pmem.Addr]uint8)
+	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Pointer[segDesc], n)}
 	for i := uint64(0); i < n; i++ {
-		seg := dirLoadEntry(p, dir, i)
-		l, ok := depths[seg]
-		if !ok {
-			l = segDepth(p, seg)
-			depths[seg] = l
-		}
-		v.entries[i].Store(packEntry(seg, l))
+		v.entries[i].Store(t.descFor(dirLoadEntry(p, dir, i)))
 	}
 	t.cache.view.Store(v)
 	t.cache.rebuilds.Inc()
@@ -137,38 +167,36 @@ func (t *Table) cacheRepair(parts hashfn.Parts) {
 		return
 	}
 	idx := parts.DirIndex(v.depth)
-	seg := dirLoadEntry(p, dir, idx)
-	v.entries[idx].Store(packEntry(seg, segDepth(p, seg)))
+	d := t.descFor(dirLoadEntry(p, dir, idx))
+	d.depth.Store(uint32(segDepth(p, d.seg)))
+	v.entries[idx].Store(d)
 }
 
 // cachePublishSplit write-through: mirror a completed split of the entry
-// range [start, start+span) — lower half keeps oldSeg, upper half routes to
-// newSeg, both now at newLocal. The caller holds dirMu and every bucket
-// lock of oldSeg, so this lands before any operation can observe the
-// post-split segment metadata.
-func (t *Table) cachePublishSplit(oldSeg, newSeg pmem.Addr, newLocal uint8, start, span uint64) {
+// range [start, start+span) — lower half keeps old, upper half routes to its
+// sibling, from here on a directory-named segment; both are now at newLocal.
+// The caller holds dirMu and every bucket lock of old.seg, so this lands
+// before any operation can observe the post-split segment metadata.
+func (t *Table) cachePublishSplit(old, sib *segDesc, newLocal uint8, start, span uint64) {
+	old.depth.Store(uint32(newLocal))
+	t.cache.descs[sib.seg] = sib
 	v := t.cache.view.Load()
-	half := span >> 1
-	for i := start; i < start+half; i++ {
-		v.entries[i].Store(packEntry(oldSeg, newLocal))
-	}
-	for i := start + half; i < start+span; i++ {
-		v.entries[i].Store(packEntry(newSeg, newLocal))
+	for i := start + span>>1; i < start+span; i++ {
+		v.entries[i].Store(sib)
 	}
 }
 
 // cacheDouble write-through: install the doubled view right after the PM
-// root pointer flipped to newDir. Every old entry is duplicated, preserving
-// each segment's packed local depth (doubling changes no segment's
-// coverage). The caller holds dirMu.
+// root pointer flipped to newDir. Every old entry is duplicated (doubling
+// changes no segment's coverage). The caller holds dirMu.
 func (t *Table) cacheDouble(newDir pmem.Addr) {
 	old := t.cache.view.Load()
 	n := uint64(len(old.entries))
-	v := &dirView{depth: old.depth + 1, dir: newDir, entries: make([]atomic.Uint64, 2*n)}
+	v := &dirView{depth: old.depth + 1, dir: newDir, entries: make([]atomic.Pointer[segDesc], 2*n)}
 	for i := uint64(0); i < n; i++ {
-		e := old.entries[i].Load()
-		v.entries[2*i].Store(e)
-		v.entries[2*i+1].Store(e)
+		d := old.entries[i].Load()
+		v.entries[2*i].Store(d)
+		v.entries[2*i+1].Store(d)
 	}
 	t.cache.view.Store(v)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -13,8 +14,12 @@ import (
 // coherent under concurrent growth (run with -race).
 
 // verifyCacheCoherent checks the cached view against the PM directory
-// entry-for-entry: same directory block, same depth, same segment per entry,
-// and a packed local depth matching the segment's own header.
+// entry-for-entry: same directory block, same depth, and per entry a
+// descriptor that names the PM directory's segment, carries the local depth
+// of that segment's own header, is the one descriptor of that segment (every
+// entry of a segment shares it, and the table's registry agrees), has no
+// split in flight, and — when the segment has a mirror — holds the mirror of
+// that segment and no other (header claim and every bucket match PM).
 func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	t.Helper()
 	p := tbl.pool
@@ -31,14 +36,33 @@ func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	if uint64(len(v.entries)) != n {
 		t.Fatalf("cache has %d entries, want %d", len(v.entries), n)
 	}
+	bySeg := make(map[pmem.Addr]*segDesc)
 	for i := uint64(0); i < n; i++ {
 		want := dirLoadEntry(p, dir, i)
-		seg, local := unpackEntry(v.entries[i].Load())
-		if seg != want {
-			t.Fatalf("entry %d: cache routes to %#x, PM directory to %#x", i, seg, want)
+		d := v.entries[i].Load()
+		if d == nil || d.seg != want {
+			t.Fatalf("entry %d: cache routes to %+v, PM directory to %#x", i, d, want)
 		}
-		if wl := segDepth(p, seg); local != wl {
-			t.Fatalf("entry %d: cached local depth %d, segment header says %d", i, local, wl)
+		if wl := segDepth(p, d.seg); uint8(d.depth.Load()) != wl {
+			t.Fatalf("entry %d: cached local depth %d, segment header says %d", i, d.depth.Load(), wl)
+		}
+		if first, ok := bySeg[d.seg]; ok && first != d {
+			t.Fatalf("entry %d: segment %#x has two descriptors", i, d.seg)
+		}
+		if bySeg[d.seg] != nil {
+			continue
+		}
+		bySeg[d.seg] = d
+		if tbl.cache.descs[d.seg] != d {
+			t.Fatalf("entry %d: descriptor of %#x is not the registered one", i, d.seg)
+		}
+		if sib := d.sib.Load(); sib != nil {
+			t.Fatalf("entry %d: quiescent segment %#x still links sibling %#x", i, d.seg, sib.seg)
+		}
+		if d.mir.Load() != nil {
+			if bad := tbl.mirrorVerifySeg(d); bad != 0 {
+				t.Fatalf("entry %d: descriptor of %#x holds a mirror with %d buckets unlike it", i, d.seg, bad)
+			}
 		}
 	}
 }
@@ -160,16 +184,16 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	}
 	v := tbl.cache.view.Load()
 	idx := tbl.parts(key).DirIndex(v.depth)
-	right, _ := unpackEntry(v.entries[idx].Load())
-	var wrong pmem.Addr
+	right := v.entries[idx].Load()
+	var wrong *segDesc
 	for i := range v.entries {
-		if seg, local := unpackEntry(v.entries[i].Load()); seg != right {
-			v.entries[idx].Store(packEntry(seg, local))
-			wrong = seg
+		if d := v.entries[i].Load(); d != right {
+			v.entries[idx].Store(d)
+			wrong = d
 			break
 		}
 	}
-	if wrong.IsNull() {
+	if wrong == nil {
 		t.Fatal("table has only one segment; cannot poison a route")
 	}
 
@@ -180,10 +204,129 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	if tbl.cache.misses.Total() == missesBefore {
 		t.Error("poisoned route produced no cache miss")
 	}
-	if seg, _ := unpackEntry(v.entries[idx].Load()); seg != right {
-		t.Errorf("repair left entry %d at %#x, want %#x", idx, seg, right)
+	if d := v.entries[idx].Load(); d != right {
+		t.Errorf("repair left entry %d at %#x, want %#x", idx, d.seg, right.seg)
 	}
 	verifyCacheCoherent(t, tbl)
+}
+
+// TestDescriptorCoherence walks one table through everything that writes a
+// descriptor — splits, two doublings, a poisoned entry and its repair, a
+// rolled-back split, a crash with Open and first touch — and after each
+// requires the whole view to be coherent (verifyCacheCoherent: segment, depth,
+// one descriptor per segment, its own mirror) with no mirror diverged from PM
+// and the mirrors' DRAM accounted exactly.
+func TestDescriptorCoherence(t *testing.T) {
+	disableBackgroundRecovery.Store(true)
+	t.Cleanup(func() { disableBackgroundRecovery.Store(false) })
+	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, tb *Table) {
+		t.Helper()
+		t.Log(stage)
+		verifyCacheCoherent(t, tb)
+		if bad := tb.mirrorVerifyAll(); bad != 0 {
+			t.Fatalf("%s: %d mirror buckets diverge from PM", stage, bad)
+		}
+		if st := tb.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
+			t.Fatalf("%s: %d mirror bytes for %d segments of %d", stage, st.SegFilterBytes, st.Segments, segMirrorBytes)
+		}
+	}
+	acked := make(map[uint64]uint64)
+	next := uint64(0)
+	growTo(t, tbl, 3, &next, acked)
+	check("after splits", tbl)
+	growTo(t, tbl, 5, &next, acked)
+	check("after two doublings", tbl)
+
+	// Poison one entry with another segment's descriptor; the repair must put
+	// back the very object it displaced, mirror and all.
+	v := tbl.cache.view.Load()
+	idx := tbl.parts(0).DirIndex(v.depth)
+	right := v.entries[idx].Load()
+	v.entries[idx].Store(v.entries[(idx+uint64(len(v.entries))/2)%uint64(len(v.entries))].Load())
+	if v.entries[idx].Load() == right {
+		t.Fatal("poison picked the entry's own segment")
+	}
+	if got, ok := tbl.Get(0); !ok || got != acked[0] {
+		t.Fatalf("poisoned-route Get(0) = %d,%v", got, ok)
+	}
+	if v.entries[idx].Load() != right {
+		t.Fatal("repair installed a different descriptor than the one the segment had")
+	}
+	check("after poison + repair", tbl)
+
+	// Roll a split back. The sibling is leaked and must be named by nothing.
+	var leaked pmem.Addr
+	overflowNextSplit(tbl, &leaked)
+	for leaked.IsNull() {
+		k := next
+		next++
+		if err := tbl.Insert(k, k*7+3); err == nil {
+			acked[k] = k*7 + 3
+		} else if !errors.Is(err, ErrSegmentOverflow) {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+	}
+	tbl.hookMidMigrate = nil
+	notNamed := func(stage string, tb *Table) {
+		t.Helper()
+		tb.cache.view.Load().eachSegment(func(d *segDesc) {
+			if d.seg == leaked {
+				t.Fatalf("%s: a view entry names the leaked sibling", stage)
+			}
+		})
+		if tb.cache.descs[leaked] != nil {
+			t.Fatalf("%s: the leaked sibling has a descriptor", stage)
+		}
+	}
+	check("after rolled-back split", tbl)
+	notNamed("after rolled-back split", tbl)
+	growTo(t, tbl, 6, &next, acked) // retries the same split, and doubles again
+	check("after retried split", tbl)
+	notNamed("after retried split", tbl)
+
+	// Crash, Open: descriptors for exactly the directory's segments, no
+	// mirror yet; first touch installs each into its descriptor.
+	pool.Crash()
+	reopened, err := pmem.OpenSnapshot(pool.Snapshot(), pmem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl2, err := Open(reopened)
+	if err != nil {
+		t.Fatalf("Open after crash: %v", err)
+	}
+	defer tbl2.Close()
+	if b := tbl2.Stats().SegFilterBytes; b != 0 {
+		t.Fatalf("Open allocated %d bytes of mirrors", b)
+	}
+	verifyCacheCoherent(t, tbl2)
+	notNamed("after Open", tbl2)
+	d0 := tbl2.cache.route(tbl2.parts(0))
+	if got, ok := tbl2.Get(0); !ok || got != acked[0] {
+		t.Fatalf("post-crash Get(0) = %d,%v", got, ok)
+	}
+	if d0.mir.Load() == nil {
+		t.Fatal("first touch did not install the mirror into the routed descriptor")
+	}
+	if b := tbl2.Stats().SegFilterBytes; b != segMirrorBytes {
+		t.Fatalf("one first touch left %d mirror bytes, want one mirror (%d)", b, segMirrorBytes)
+	}
+	for k, v := range acked {
+		if got, ok := tbl2.Get(k); !ok || got != v {
+			t.Fatalf("post-crash Get(%d) = %d,%v want %d,true", k, got, ok, v)
+		}
+	}
+	tbl2.RecoverAll()
+	check("after crash + Open + first touch", tbl2)
+	notNamed("after crash + Open + first touch", tbl2)
 }
 
 // TestDirCacheRebuildAfterCrash: after power loss and Open-time recovery the

@@ -14,8 +14,8 @@ import (
 // Lazy per-segment recovery (§4.6): Open does only the O(directory) work —
 // entry claims, segment metadata fixes, lock resets, chunk-chain validation,
 // dirCache rebuild — and defers everything O(data) to first touch. Every
-// directory-reachable segment starts "unrecovered" in a DRAM side table; the
-// first operation routed to it wins a CAS gate (the split-claim idiom) and
+// directory-reachable segment's descriptor starts "unrecovered"; the first
+// operation routed to it wins a CAS gate (the split-claim idiom) and
 // runs the per-segment reconcile — misroute/duplicate/ghost sweeps, count
 // re-derivation, filter-mirror install — while losers spin the winner out.
 // The record-log sweep runs as an incremental background pass once every
@@ -28,17 +28,13 @@ import (
 // segment's mirror and contributes its blob references, and the background
 // pass still runs to rebuild the record log's DRAM free list.
 
+// A descriptor's first-touch gate (segDesc.rec). Done is the zero value:
+// segments created after Open (split siblings) are born recovered.
 const (
-	segRecPending uint32 = iota
+	segRecDone uint32 = iota
+	segRecPending
 	segRecInFlight
-	segRecDone
 )
-
-// segRecoverState is one segment's first-touch gate. Pointer-stable: the
-// pending map is built once in Open and read-only afterwards.
-type segRecoverState struct {
-	state atomic.Uint32
-}
 
 // lazyRecovery is the DRAM side table describing what Open deferred. The
 // Table drops its pointer once the background pass finishes, restoring the
@@ -49,11 +45,9 @@ type lazyRecovery struct {
 	fixed  []pmem.Addr // reconciled directory image at Open, for misroute checks
 	openAt int64       // obs.Now() at Open, base of time-to-fully-recovered
 
-	// pending maps every directory-reachable segment at Open to its gate.
-	// Segments created after Open (split siblings) are absent — born
-	// recovered. order is the deterministic iteration for driveRecovery.
-	pending   map[pmem.Addr]*segRecoverState
-	order     []pmem.Addr
+	// order lists every directory-reachable segment at Open, each gated
+	// until its first touch: the deterministic iteration for driveRecovery.
+	order     []*segDesc
 	remaining atomic.Int64
 
 	// refs accumulates the blob addresses referenced by recovered segments'
@@ -75,33 +69,29 @@ type lazyRecovery struct {
 // recovery by hand. Package-private test knob, not part of the API.
 var disableBackgroundRecovery atomic.Bool
 
-// ensureRecovered gates one routed segment: a no-op once the table is fully
-// recovered (single pointer load) or when seg was already handled. Called at
-// the top of every op-loop iteration, before the segment's mirror or buckets
+// ensureRecovered gates one routed segment: one load of a word on the
+// descriptor line the caller reads next anyway. Called at the top of every
+// op-loop iteration, before the descriptor's mirror or the segment's buckets
 // are trusted.
-func (t *Table) ensureRecovered(seg pmem.Addr) {
-	lr := t.lazy.Load()
-	if lr == nil {
-		return
+func (t *Table) ensureRecovered(d *segDesc) {
+	if d.rec.Load() != segRecDone {
+		t.firstTouch(d)
 	}
-	s := lr.pending[seg]
-	if s == nil || s.state.Load() == segRecDone {
-		return
-	}
-	t.firstTouch(lr, s, seg)
 }
 
 // firstTouch is the once-per-segment gate: the CAS winner recovers the
-// segment, losers wait it out (no locks held at the call sites, so spinning
-// is deadlock-free — the same shape as split's claim).
-func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) {
-	if s.state.CompareAndSwap(segRecPending, segRecInFlight) {
-		t.recoverSegment(lr, seg)
-		s.state.Store(segRecDone)
+// segment (a gated descriptor implies t.lazy is still set), losers wait it
+// out (no locks held at the call sites, so spinning is deadlock-free — the
+// same shape as split's claim).
+func (t *Table) firstTouch(d *segDesc) {
+	if d.rec.CompareAndSwap(segRecPending, segRecInFlight) {
+		lr := t.lazy.Load()
+		t.recoverSegment(lr, d)
+		d.rec.Store(segRecDone)
 		lr.remaining.Add(-1)
 		return
 	}
-	for s.state.Load() != segRecDone {
+	for d.rec.Load() != segRecDone {
 		runtime.Gosched()
 	}
 }
@@ -111,8 +101,8 @@ func (t *Table) firstTouch(lr *lazyRecovery, s *segRecoverState, seg pmem.Addr) 
 // gate releases, so the sweeps run single-threaded exactly as they did in
 // eager recovery. A segment cannot split before it recovers (every mutator
 // gates first), so lr.fixed/lr.g still describe its coverage.
-func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
-	p := t.pool
+func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
+	p, seg := t.pool, d.seg
 	start := obs.Now()
 	if !lr.clean {
 		segSweep(p, seg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
@@ -124,11 +114,12 @@ func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
 	}
 	segDone := obs.Now()
 
-	// Mirror install + blob-reference capture in one streaming pass over the
+	// Mirror build + blob-reference capture in one streaming pass over the
 	// reconciled buckets. The whole segment is charged as one sequential
-	// read; the per-word loads inside mirrorFillBucket are quiet.
+	// read; the per-word loads inside mirrorFillBucket are quiet. The filled
+	// mirror goes into the descriptor last, still inside the gate.
 	l, pat := segMeta(p, seg)
-	mir := t.mirrorInstall(seg, l, pat)
+	mir := t.newMirror(l, pat)
 	var refs []pmem.Addr
 	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)
@@ -144,6 +135,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, seg pmem.Addr) {
 			}
 		}
 	}
+	d.mir.Store(mir)
 	if len(refs) > 0 {
 		lr.refMu.Lock()
 		for _, a := range refs {
@@ -190,10 +182,9 @@ func (t *Table) driveRecovery(lr *lazyRecovery) {
 	if lr.done.Load() {
 		return
 	}
-	for _, seg := range lr.order {
-		s := lr.pending[seg]
-		if s.state.Load() != segRecDone {
-			t.firstTouch(lr, s, seg)
+	for _, d := range lr.order {
+		if d.rec.Load() != segRecDone {
+			t.firstTouch(d)
 			runtime.Gosched()
 		}
 	}
@@ -258,16 +249,9 @@ func (t *Table) verifyLogLive() error {
 	t.em.Drain()
 	p := t.pool
 	refs := make(map[pmem.Addr]struct{})
-	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
-		}
-		seen[seg] = true
+	t.cache.view.Load().eachSegment(func(d *segDesc) {
 		for bi := 0; bi < totalBuckets; bi++ {
-			ba := segBucket(seg, bi)
+			ba := segBucket(d.seg, bi)
 			m := p.QuietLoadU64(ba.Add(bkOffMeta))
 			for slot := 0; slot < slotsPerBucket; slot++ {
 				if !metaSlotUsed(m, slot) {
@@ -278,7 +262,7 @@ func (t *Table) verifyLogLive() error {
 				}
 			}
 		}
-	}
+	})
 	free := t.vlog.FreeSpans()
 	var bad []string
 	t.vlog.WalkBlobs(func(a pmem.Addr, capBytes uint64, committed bool) {

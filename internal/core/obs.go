@@ -4,15 +4,59 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"dash/internal/epoch"
 	"dash/internal/obs"
 )
 
 // Observability wiring: every Table owns an obs.Registry (named meters) and
-// an obs.Flight (event recorder), both always on — the hot-path cost is a
-// goroutine-sharded counter add and, per operation, one ring-buffer event.
+// an obs.Flight (event recorder). The meters are always on — the hot-path
+// cost is a goroutine-sharded counter add. The recorder's control lane takes
+// every structural event; its op lane takes a 1-in-opSamplePeriod sample of
+// operations plus every operation with a rare diagnostic outcome (opEnd).
 // initObs is the single place a meter name exists, so the registry is the
 // authoritative list of what the engine measures; Stats() and the dashbench
 // schema read these same counters rather than keeping parallel state.
+
+// opSamplePeriod is the op lane's sampling period. The sample is chosen by
+// key-hash bits 32..37 — disjoint from the fingerprint and bucket bits, from
+// mirrorMaybeCheck's 20..29 and, below global depth 26, from the directory
+// bits — so choosing writes no shared state and the sampled keys span every
+// bucket and segment. A key is thus traced on every operation or on none.
+const opSamplePeriod = 64
+
+// opSpan carries an operation's epoch guard and, if sampled, its start time
+// from opBegin to opEnd.
+type opSpan struct {
+	g       epoch.Guard
+	start   int64
+	sampled bool
+}
+
+// opBegin is every Table operation's prologue. An unsampled operation reads
+// no clock and writes nothing but its own guard slot.
+func (t *Table) opBegin(pk *probeKey) opSpan {
+	op := opSpan{g: t.em.Enter()}
+	if (pk.parts.Hash>>32)&t.opSampleMask == 0 {
+		op.start, op.sampled = obs.Now(), true
+	}
+	return op
+}
+
+// opEnd is the matching epilogue: a sampled operation is recorded with its
+// start time and duration, an unsampled one only if a post-mortem must not
+// miss its outcome — a read that found no mirror, a mutation that failed for
+// a reason other than the key's presence — at completion, with duration 0.
+func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
+	if op.sampled {
+		t.fr.RecordAt(op.start, ev, tag, pk.parts.Hash, uint64(obs.Now()-op.start))
+	} else {
+		switch tag {
+		case obs.PathPMFallback, obs.OutcomeOverflow, obs.OutcomeTooLarge, obs.OutcomeErr:
+			t.fr.Record(ev, tag, pk.parts.Hash, 0)
+		}
+	}
+	op.g.Exit()
+}
 
 // meters holds the obs handles the table's code paths record into (the
 // layer-owned counters live on dirCache/segFilters/epoch.Manager/VarLog
@@ -119,6 +163,9 @@ func (t *Table) initObs() {
 	t.met.lazySegs = reg.Counter("recovery.lazy.segments")
 	t.met.lazySweepFreed = reg.Counter("recovery.lazy.sweep_freed")
 
+	// What an op-lane event stands for; obs.Serve's /trace prints it.
+	reg.Gauge("flight.op_sample_period", func() int64 { return int64(t.opSampleMask + 1) })
+
 	// Table shape.
 	reg.Gauge("table.count", func() int64 { return t.count.Load() })
 	reg.Gauge("table.global_depth", func() int64 { return int64(t.GlobalDepth()) })
@@ -131,7 +178,7 @@ func (t *Table) initObs() {
 // Stats(), the bench harness and the live endpoint (obs.Serve) all read.
 func (t *Table) Metrics() *obs.Registry { return t.reg }
 
-// TraceSnapshot dumps the flight recorder: every retained event (op
+// TraceSnapshot dumps the flight recorder: every retained event (sampled op
 // completions, split lifecycle transitions, heals, epoch advances, recovery
 // phases) merged across goroutine shards into one time-ordered log. Safe to
 // call concurrently with live traffic; events overwritten mid-read are
@@ -160,7 +207,8 @@ func insOutcome(err error) uint8 {
 	return obs.OutcomeErr
 }
 
-// updOutcome maps an update result to its flight-recorder tag.
+// updOutcome maps an update (or, with a nil error, delete) result to its
+// flight-recorder tag.
 func updOutcome(found bool, err error) uint8 {
 	if err != nil {
 		return insOutcome(err)
@@ -169,12 +217,4 @@ func updOutcome(found bool, err error) uint8 {
 		return obs.OutcomeMissing
 	}
 	return obs.OutcomeOK
-}
-
-// delOutcome maps a delete result to its flight-recorder tag.
-func delOutcome(found bool) uint8 {
-	if found {
-		return obs.OutcomeOK
-	}
-	return obs.OutcomeMissing
 }

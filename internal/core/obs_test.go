@@ -125,6 +125,7 @@ func TestObsConcurrentWithWriters(t *testing.T) {
 // mirror hits for present keys, DRAM-vouched negatives for absent ones.
 func TestReadPathTraceTags(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
+	tbl.opSampleMask = 0 // record every op
 	for k := uint64(0); k < 100; k++ {
 		if err := tbl.Insert(k, k); err != nil {
 			t.Fatal(err)
@@ -209,6 +210,7 @@ func TestRecoveryPhaseTimings(t *testing.T) {
 // outcome tags.
 func TestMutatorOutcomeTags(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
+	tbl.opSampleMask = 0 // record every op
 	if err := tbl.Insert(1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -236,5 +238,81 @@ func TestMutatorOutcomeTags(t *testing.T) {
 	}
 	if !dup || len(want) != 0 {
 		t.Fatalf("missing outcome tags: dup=%v remaining=%v", dup, want)
+	}
+}
+
+// TestOpLaneSampling pins what the op lane holds at the default period: about
+// one op in opSamplePeriod, timed; plus every op whose outcome a post-mortem
+// needs, sampled or not, stamped with duration 0. (That the control lane is
+// not sampled is TestTraceSplitLifecycle's business.)
+func TestOpLaneSampling(t *testing.T) {
+	tbl := newTestTable(t, 64<<20, Options{})
+	sampled := func(k uint64) bool { return (tbl.probeU64(k).parts.Hash>>32)&tbl.opSampleMask == 0 }
+	count := func(tb *Table, ty obs.EventType, tag uint8, unsampledOnly bool) (n int) {
+		for _, e := range tb.TraceSnapshot() {
+			if e.Type == ty && e.Tag == tag && !(unsampledOnly && e.B != 0) {
+				n++
+			}
+		}
+		return n
+	}
+
+	const preload, gets = 10_000, 64_000
+	for k := uint64(0); k < preload; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := 0
+	for k := uint64(0); k < gets; k++ {
+		tbl.Get(k)
+		if sampled(k) {
+			want++
+		}
+	}
+	got := count(tbl, obs.EvGet, obs.PathMirrorHit, false) + count(tbl, obs.EvGet, obs.PathMirrorNeg, false)
+	if got != want {
+		t.Errorf("%d Gets left %d EvGet events, %d keys are in the sample", gets, got, want)
+	}
+	if lo, hi := gets/opSamplePeriod*3/4, gets/opSamplePeriod*5/4; got < lo || got > hi {
+		t.Errorf("%d Gets left %d EvGet events, want %d..%d (1 in %d)", gets, got, lo, hi, opSamplePeriod)
+	}
+
+	// A read that finds no mirror is always recorded.
+	var key uint64
+	for key = 0; sampled(key); key++ {
+	}
+	d := tbl.cache.route(tbl.probeU64(key).parts)
+	mir := d.mir.Swap(nil)
+	if v, ok := tbl.Get(key); !ok || v != key {
+		t.Fatalf("mirror-less Get(%d) = %d,%v", key, v, ok)
+	}
+	d.mir.Store(mir)
+	if n := count(tbl, obs.EvGet, obs.PathPMFallback, true); n != 1 {
+		t.Errorf("unsampled PM-fallback read left %d zero-duration events, want 1", n)
+	}
+
+	// So is an insert that fails for lack of space, every time.
+	small := newTestTable(t, 96<<10, Options{})
+	var k uint64
+	for ; small.Insert(k, k) == nil; k++ {
+	}
+	failed := 1
+	for ; failed < 20; k++ {
+		if sampled(k) {
+			continue
+		}
+		if err := small.Insert(k, k); err == nil {
+			continue
+		} else if err != ErrPoolFull {
+			t.Fatalf("insert %d into a full pool: %v", k, err)
+		}
+		failed++
+	}
+	if n := count(small, obs.EvInsert, obs.OutcomeErr, false); n != failed {
+		t.Errorf("%d failed inserts left %d err events", failed, n)
+	}
+	if n := count(small, obs.EvInsert, obs.OutcomeErr, true); n < failed-1 {
+		t.Errorf("%d unsampled failed inserts left %d zero-duration events", failed-1, n)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -108,12 +107,12 @@ func mirClaims(mir *segMirror, parts hashfn.Parts) bool {
 	return hashfn.SegmentIndex(parts.Hash, uint8(mir.depth.Load())) == mir.pattern.Load()
 }
 
-// segFilters is the table's mirror registry plus its observability
-// counters. All counters are goroutine-sharded obs.Counters registered in
-// the table's obs.Registry (initObs) under segfilter.* names, so the
-// every-read increments cannot become a cross-thread hotspot.
+// segFilters is the mirrors' DRAM accounting plus their observability
+// counters; the mirrors hang off the segment descriptors (dircache.go). All
+// counters are goroutine-sharded obs.Counters registered in the table's
+// obs.Registry (initObs) under segfilter.* names, so the every-read
+// increments cannot become a cross-thread hotspot.
 type segFilters struct {
-	m     sync.Map      // pmem.Addr (segment) → *segMirror
 	bytes atomic.Uint64 // DRAM held by installed mirrors
 
 	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
@@ -123,40 +122,16 @@ type segFilters struct {
 	heals  *obs.Counter // mirrors rebuilt in place after a failed cross-check
 }
 
-// mirror returns seg's installed mirror, or nil (the PM fallback then
-// serves the operation and counts a bypass).
-func (t *Table) mirror(seg pmem.Addr) *segMirror {
-	if v, ok := t.filters.m.Load(seg); ok {
-		return v.(*segMirror)
-	}
-	return nil
-}
-
-// mirrorInstall registers a fresh zeroed mirror for seg carrying the given
-// header claim. Callers install before the segment becomes reachable
-// (Create formats unpublished segments; a split installs the sibling's
-// mirror before persisting the split marker), so no concurrent writer can
-// hold a previous object for this address.
-func (t *Table) mirrorInstall(seg pmem.Addr, depth uint8, pattern uint64) *segMirror {
+// newMirror returns a zeroed mirror carrying the given header claim. Callers
+// store it into the segment's descriptor before the segment is reachable
+// (Create, a split's sibling before its marker, first-touch recovery inside
+// its gate), so no writer can hold a previous object for the segment.
+func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	mir := &segMirror{}
 	mir.depth.Store(uint64(depth))
 	mir.pattern.Store(pattern)
-	if _, loaded := t.filters.m.Load(seg); !loaded {
-		t.filters.bytes.Add(segMirrorBytes)
-	}
-	t.filters.m.Store(seg, mir)
+	t.filters.bytes.Add(segMirrorBytes)
 	return mir
-}
-
-// mirrorDrop forgets seg's mirror — the rollback path of a failed split,
-// whose sibling is leaked. An assisting writer that already fetched the
-// pointer may keep writing into the orphaned object; that is harmless,
-// since nothing ever routes to the leaked segment again.
-func (t *Table) mirrorDrop(seg pmem.Addr) {
-	if _, loaded := t.filters.m.Load(seg); loaded {
-		t.filters.m.Delete(seg)
-		t.filters.bytes.Add(^(segMirrorBytes - 1))
-	}
 }
 
 // mirrorFillBucket copies one bucket's PM words into the mirror. The
@@ -336,9 +311,9 @@ func (t *Table) mirrorBucketMatchesPM(seg pmem.Addr, mir *segMirror, bi int) boo
 // quiet loads — the quiescent-state debugging/test oracle behind the
 // coherence tests. Returns the number of mismatching buckets (header
 // claims count as bucket 0). Only meaningful while no writer runs.
-func (t *Table) mirrorVerifySeg(seg pmem.Addr) int {
+func (t *Table) mirrorVerifySeg(d *segDesc) int {
 	p := t.pool
-	mir := t.mirror(seg)
+	seg, mir := d.seg, d.mir.Load()
 	if mir == nil {
 		return totalBuckets
 	}
@@ -371,16 +346,7 @@ func (t *Table) mirrorVerifySeg(seg pmem.Addr) int {
 // mirrorVerifyAll is mirrorVerifySeg over every directory-reachable
 // segment; the quiescent coherence oracle for tests.
 func (t *Table) mirrorVerifyAll() int {
-	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
 	bad := 0
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
-		}
-		seen[seg] = true
-		bad += t.mirrorVerifySeg(seg)
-	}
+	t.cache.view.Load().eachSegment(func(d *segDesc) { bad += t.mirrorVerifySeg(d) })
 	return bad
 }

@@ -126,8 +126,8 @@ func TestMirrorPoisonSelfHeal(t *testing.T) {
 	}
 
 	pk := tbl.probeU64(key)
-	seg, _ := tbl.cache.route(pk.parts)
-	mir := tbl.mirror(seg)
+	d := tbl.cache.route(pk.parts)
+	mir := d.mir.Load()
 	if mir == nil {
 		t.Fatal("no mirror installed for the key's segment")
 	}
@@ -150,7 +150,7 @@ func TestMirrorPoisonSelfHeal(t *testing.T) {
 	if v, ok := tbl.Get(key); !ok || v != val {
 		t.Fatalf("post-heal Get = %d,%v want %d", v, ok, val)
 	}
-	if bad := tbl.mirrorVerifySeg(seg); bad != 0 {
+	if bad := tbl.mirrorVerifySeg(d); bad != 0 {
 		t.Fatalf("segment mirror still has %d bad buckets after heal", bad)
 	}
 }

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"dash/internal/pmem"
-)
-
 // Table-shape introspection for the benchmark harness and tests: everything
 // an observer needs to reason about load factor, directory growth and stash
 // pressure without reaching into the layer internals.
@@ -142,23 +138,19 @@ func (t *Table) Stats() TableStats {
 	p := t.pool
 
 	v := t.cache.view.Load()
-	seen := make(map[pmem.Addr]bool)
 	var walked, stash int64
-	for i := range v.entries {
-		seg, _ := unpackEntry(v.entries[i].Load())
-		if seg.IsNull() || seen[seg] {
-			continue
-		}
-		seen[seg] = true
+	segments := 0
+	v.eachSegment(func(d *segDesc) {
+		segments++
 		for bi := 0; bi < totalBuckets; bi++ {
-			m := p.QuietLoadU64(segBucket(seg, bi).Add(bkOffMeta))
+			m := p.QuietLoadU64(segBucket(d.seg, bi).Add(bkOffMeta))
 			used := int64(slotsPerBucket - metaFreeSlots(m))
 			walked += used
 			if bi >= normalBuckets {
 				stash += used
 			}
 		}
-	}
+	})
 
 	hits, misses := t.cache.hits.Total(), t.cache.misses.Total()
 	fhits, fmisses, fbypass := t.filters.hits.Total(), t.filters.misses.Total(), t.filters.bypass.Total()
@@ -166,8 +158,8 @@ func (t *Table) Stats() TableStats {
 	st := TableStats{
 		Count:            t.count.Load(),
 		GlobalDepth:      v.depth,
-		Segments:         len(seen),
-		SlotCapacity:     int64(len(seen)) * slotsPerSegment,
+		Segments:         segments,
+		SlotCapacity:     int64(segments) * slotsPerSegment,
 		StashRecords:     stash,
 		AllocatedBytes:   p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)) - allocStart,
 		DirCacheHits:     hits,

@@ -124,14 +124,6 @@ type Deps struct {
 	Epoch *epoch.Manager
 }
 
-// resolveEpoch returns the injected manager or a fresh private one.
-func (d Deps) resolveEpoch() *epoch.Manager {
-	if d.Epoch != nil {
-		return d.Epoch
-	}
-	return epoch.NewManager()
-}
-
 // Table is a Dash extendible hash table living in a pmem.Pool.
 type Table struct {
 	pool *pmem.Pool
@@ -149,13 +141,15 @@ type Table struct {
 	// the first stop of every operation's key → segment routing.
 	cache dirCache
 
-	// filters is the per-segment DRAM filter mirror registry (segfilter.go),
-	// the cache's counterpart one layer down: reads probe buckets in DRAM
-	// and touch PM only for blob payloads. mirrorSampleMask tunes the
-	// sampled mirror-vs-PM cross-check (period-1; 0 checks every
-	// mirror-served read — the deterministic mode coherence tests use).
+	// filters meters the per-segment DRAM filter mirrors (segfilter.go), the
+	// cache's counterpart one layer down: reads probe buckets in DRAM and
+	// touch PM only for blob payloads. mirrorSampleMask tunes the sampled
+	// mirror-vs-PM cross-check and opSampleMask the flight recorder's op
+	// lane (obs.go); both are period-1, and tests set them to 0 to check,
+	// or record, every operation.
 	filters          segFilters
 	mirrorSampleMask uint64
+	opSampleMask     uint64
 
 	// dirMu serializes directory mutation: doubling, the entry flips of a
 	// split publish, and cache repair/rebuild. Splits themselves are
@@ -186,9 +180,9 @@ type Table struct {
 	splitStallNS atomic.Int64
 	splitAssists atomic.Uint64
 
-	// Observability (obs.go): reg names every meter, fr is the always-on
-	// flight recorder, met the table-level histogram/phase handles. Built
-	// by initObs before any operation runs.
+	// Observability (obs.go): reg names every meter, fr is the flight
+	// recorder, met the table-level histogram/phase handles. Built by
+	// initObs before any operation runs.
 	reg *obs.Registry
 	fr  *obs.Flight
 	met meters
@@ -216,6 +210,20 @@ type freeSpan struct {
 	size uint64
 }
 
+// newTableState builds the DRAM side of a table over pool: what Create and
+// Open share before either touches the image.
+func newTableState(pool *pmem.Pool, deps Deps, seed uint64) *Table {
+	t := &Table{pool: pool, em: deps.Epoch, seed: seed,
+		mirrorSampleMask: mirrorSamplePeriod - 1, opSampleMask: opSamplePeriod - 1}
+	if t.em == nil {
+		t.em = epoch.NewManager()
+	}
+	t.cache.descs = make(map[pmem.Addr]*segDesc)
+	t.vlog = pmem.NewVarLog(pool, rootAddr.Add(rootOffVarLog), 0, t.alloc)
+	t.initObs()
+	return t
+}
+
 // Create formats pool with an empty table and returns it, with default
 // dependencies (a private epoch manager). Multi-table embeddings that wire
 // dependencies explicitly use CreateWith.
@@ -233,8 +241,7 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 		opt.InitialDepth = 1
 	}
 	p := pool
-	t := &Table{pool: p, em: deps.resolveEpoch(), seed: opt.Seed,
-		mirrorSampleMask: mirrorSamplePeriod - 1}
+	t := newTableState(p, deps, opt.Seed)
 
 	p.WriteU64(rootAddr.Add(rootOffMagic), 0) // not a table until fully formatted
 	p.WriteU64(rootAddr.Add(rootOffFormat), tableFormat)
@@ -244,8 +251,6 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 	p.WriteU64(rootAddr.Add(rootOffClean), 0)  // open (not cleanly shut down)
 	p.WriteU64(rootAddr.Add(rootOffCount), 0)
 	p.Persist(rootAddr, pmem.CachelineSize)
-	t.vlog = pmem.NewVarLog(p, rootAddr.Add(rootOffVarLog), 0, t.alloc)
-	t.initObs()
 
 	nseg := 1 << opt.InitialDepth
 	segs := make([]pmem.Addr, nseg)
@@ -256,7 +261,7 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 		}
 		segInit(p, seg, opt.InitialDepth, uint64(i))
 		segPersist(p, seg)
-		t.mirrorInstall(seg, opt.InitialDepth, uint64(i))
+		t.descFor(seg).mir.Store(t.newMirror(opt.InitialDepth, uint64(i)))
 		segs[i] = seg
 	}
 	dir, err := t.alloc(dirSize(opt.InitialDepth))
@@ -295,14 +300,7 @@ func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	if f := p.ReadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
 		return nil, fmt.Errorf("core: unsupported table format %d (want %d)", f, tableFormat)
 	}
-	t := &Table{
-		pool:             p,
-		em:               deps.resolveEpoch(),
-		seed:             p.ReadU64(rootAddr.Add(rootOffSeed)),
-		mirrorSampleMask: mirrorSamplePeriod - 1,
-	}
-	t.vlog = pmem.NewVarLog(p, rootAddr.Add(rootOffVarLog), 0, t.alloc)
-	t.initObs()
+	t := newTableState(p, deps, p.ReadU64(rootAddr.Add(rootOffSeed)))
 	clean := p.ReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.
@@ -416,17 +414,18 @@ func (t *Table) validateRoute(parts hashfn.Parts, seg pmem.Addr) bool {
 // this segment's own PM header claims the key — one charged read, and under
 // the locks sufficient (segClaims has the argument). A failed claim means
 // the route was stale: unlock, repair it from the PM directory, retry.
-// Returns with the pair locks held in the key's owning segment. The claim is
-// read from PM, never from the mirror; the cache only proposes candidates.
-func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (pmem.Addr, *segMirror) {
+// Returns with the pair locks held in the key's owning segment, as its
+// descriptor and the mirror to write through to. The claim is read from PM,
+// never from the mirror; the cache only proposes candidates.
+func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (*segDesc, *segMirror) {
 	for {
-		seg, _ := t.cache.route(parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
+		d := t.cache.route(parts)
+		t.ensureRecovered(d)
+		seg, mir := d.seg, d.mir.Load()
 		lockPair(t.pool, mir, seg, b, b2)
 		if segClaims(t.pool, seg, parts) {
 			t.cache.hits.Inc()
-			return seg, mir
+			return d, mir
 		}
 		unlockPair(t.pool, mir, seg, b, b2)
 		t.cache.misses.Inc()
@@ -440,10 +439,8 @@ func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (pmem.Addr, *segMirror)
 // bit-63 keys cannot use the inline format (its discriminator bit) and
 // route through the record log as 8-byte blobs.
 func (t *Table) Insert(key, value uint64) error {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeU64(key)
+	op := t.opBegin(&pk)
 	var err error
 	if key&recIndirectBit != 0 {
 		var kb, vb [8]byte
@@ -453,7 +450,7 @@ func (t *Table) Insert(key, value uint64) error {
 	} else {
 		err = t.insertKV(&pk, pmem.KV{Key: key, Value: value})
 	}
-	t.fr.RecordAt(start, obs.EvInsert, insOutcome(err), pk.parts.Hash, uint64(obs.Now()-start))
+	t.opEnd(op, &pk, obs.EvInsert, insOutcome(err))
 	return err
 }
 
@@ -463,13 +460,11 @@ func (t *Table) Insert(key, value uint64) error {
 // keyspace), and an 8-byte-key/8-byte-value record whose key has bit 63
 // clear is stored inline, taking the fixed-record fast path.
 func (t *Table) InsertB(key, value []byte) error {
-	g := t.em.Enter()
-	defer g.Exit()
 	if len(key) == 0 || len(key) > pmem.MaxVarKeyLen || len(value) > pmem.MaxVarValueLen {
 		return ErrRecordTooLarge
 	}
-	start := obs.Now()
 	pk := t.probeBytes(key)
+	op := t.opBegin(&pk)
 	var err error
 	if len(key) == 8 && len(value) == 8 && binary.LittleEndian.Uint64(key)&recIndirectBit == 0 {
 		err = t.insertKV(&pk, pmem.KV{
@@ -479,7 +474,7 @@ func (t *Table) InsertB(key, value []byte) error {
 	} else {
 		err = t.insertIndirect(&pk, key, value)
 	}
-	t.fr.RecordAt(start, obs.EvInsert, insOutcome(err), pk.parts.Hash, uint64(obs.Now()-start))
+	t.opEnd(op, &pk, obs.EvInsert, insOutcome(err))
 	return err
 }
 
@@ -535,13 +530,14 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 	parts := pk.parts
 	b, b2 := homePair(parts)
 	for {
-		seg, mir := t.lockOwner(parts, b, b2)
+		d, mir := t.lockOwner(parts, b, b2)
+		seg := d.seg
 		if _, found := segFindLocked(p, t.vlog, seg, pk); found {
 			unlockPair(p, mir, seg, b, b2)
 			return ErrKeyExists
 		}
 		if segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistInsert(sib, pk, kv) {
+			if sib := t.splitSibling(d, parts); sib != nil && !t.assistInsert(sib, pk, kv) {
 				// The in-flight split's sibling cannot absorb the key's
 				// copy: the split is overflowing pathologically. Undo and
 				// surface it, matching what the migrator will report.
@@ -556,7 +552,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			return nil
 		}
 		unlockPair(p, mir, seg, b, b2)
-		if err := t.split(parts, seg); err != nil {
+		if err := t.split(parts, d); err != nil {
 			return err
 		}
 	}
@@ -573,16 +569,15 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 // first 8 bytes (zero-padded when shorter) — the fixed-width view of a
 // variable value.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeU64(key)
+	op := t.opBegin(&pk)
 	kv, blobHot, found := t.searchOpt(&pk)
-	t.fr.RecordAt(start, obs.EvGet, pk.path, pk.parts.Hash, uint64(obs.Now()-start))
-	if !found {
-		return 0, false
+	var v uint64
+	if found {
+		v = recValueU64Opt(t.vlog, kv, blobHot)
 	}
-	return recValueU64Opt(t.vlog, kv, blobHot), true
+	t.opEnd(op, &pk, obs.EvGet, pk.path)
+	return v, found
 }
 
 // GetB returns a copy of the value stored under a variable-length key (an
@@ -594,16 +589,14 @@ func (t *Table) GetB(key []byte) ([]byte, bool) {
 // GetBAppend is GetB appending the value to dst, for callers reusing
 // buffers on hot paths.
 func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeBytes(key)
+	op := t.opBegin(&pk)
 	kv, blobHot, found := t.searchOpt(&pk)
-	t.fr.RecordAt(start, obs.EvGet, pk.path, pk.parts.Hash, uint64(obs.Now()-start))
-	if !found {
-		return dst, false
+	if found {
+		dst = recAppendValueOpt(t.vlog, dst, kv, blobHot)
 	}
-	return recAppendValueOpt(t.vlog, dst, kv, blobHot), true
+	t.opEnd(op, &pk, obs.EvGet, pk.path)
+	return dst, found
 }
 
 // searchOpt is the shared lock-free read protocol, probing the segment's
@@ -633,9 +626,9 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool, bool) {
 	p := t.pool
 	for {
-		seg, _ := t.cache.route(pk.parts)
-		t.ensureRecovered(seg)
-		mir := t.mirror(seg)
+		d := t.cache.route(pk.parts)
+		t.ensureRecovered(d)
+		seg, mir := d.seg, d.mir.Load()
 		if mir == nil {
 			// No mirror installed (unexpected steady-state): PM path.
 			t.filters.bypass.Inc()
@@ -661,7 +654,7 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool, bool) {
 			return kv, blobHot, true
 		}
 		if mirClaims(mir, pk.parts) {
-			if seg2, _ := t.cache.route(pk.parts); seg2 == seg {
+			if t.cache.route(pk.parts) == d {
 				t.cache.hits.Inc()
 				t.filters.hits.Inc()
 				pk.path = obs.PathMirrorNeg
@@ -685,23 +678,20 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool, bool) {
 
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key uint64) bool {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeU64(key)
-	found := t.deleteByProbe(&pk)
-	t.fr.RecordAt(start, obs.EvDelete, delOutcome(found), pk.parts.Hash, uint64(obs.Now()-start))
-	return found
+	return t.deleteOp(&pk)
 }
 
 // DeleteB removes a variable-length key, reporting whether it was present.
 func (t *Table) DeleteB(key []byte) bool {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeBytes(key)
-	found := t.deleteByProbe(&pk)
-	t.fr.RecordAt(start, obs.EvDelete, delOutcome(found), pk.parts.Hash, uint64(obs.Now()-start))
+	return t.deleteOp(&pk)
+}
+
+func (t *Table) deleteOp(pk *probeKey) bool {
+	op := t.opBegin(pk)
+	found := t.deleteByProbe(pk)
+	t.opEnd(op, pk, obs.EvDelete, updOutcome(found, nil))
 	return found
 }
 
@@ -709,12 +699,13 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 	p := t.pool
 	parts := pk.parts
 	b, b2 := homePair(parts)
-	seg, mir := t.lockOwner(parts, b, b2)
+	d, mir := t.lockOwner(parts, b, b2)
+	seg := d.seg
 	loc, found := segFindLocked(p, t.vlog, seg, pk)
 	if found {
 		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
 		segDeleteAt(p, mir, seg, parts, loc, true, true)
-		if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+		if sib := t.splitSibling(d, parts); sib != nil {
 			t.assistDelete(sib, pk)
 		}
 		if recIsIndirect(w0) {
@@ -743,13 +734,8 @@ func (t *Table) retireBlob(blob pmem.Addr) {
 // (one atomic persisted store, no error path). Lock-free readers always
 // observe either the whole old or the whole new value.
 func (t *Table) Update(key, value uint64) (bool, error) {
-	g := t.em.Enter()
-	defer g.Exit()
-	start := obs.Now()
 	pk := t.probeU64(key)
-	found, err := t.updateByProbe(&pk, nil, value)
-	t.fr.RecordAt(start, obs.EvUpdate, updOutcome(found, err), pk.parts.Hash, uint64(obs.Now()-start))
-	return found, err
+	return t.updateOp(&pk, nil, value)
 }
 
 // UpdateB overwrites the value of an existing variable-length key. The
@@ -758,15 +744,17 @@ func (t *Table) Update(key, value uint64) (bool, error) {
 // whose length differs from the stored one is handled by the copy-on-write
 // path, including conversions between the inline and log representations.
 func (t *Table) UpdateB(key, value []byte) (bool, error) {
-	g := t.em.Enter()
-	defer g.Exit()
 	if len(key) == 0 || len(key) > pmem.MaxVarKeyLen || len(value) > pmem.MaxVarValueLen {
 		return false, ErrRecordTooLarge
 	}
-	start := obs.Now()
 	pk := t.probeBytes(key)
-	found, err := t.updateByProbe(&pk, value, 0)
-	t.fr.RecordAt(start, obs.EvUpdate, updOutcome(found, err), pk.parts.Hash, uint64(obs.Now()-start))
+	return t.updateOp(&pk, value, 0)
+}
+
+func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
+	op := t.opBegin(pk)
+	found, err := t.updateByProbe(pk, vb, vu)
+	t.opEnd(op, pk, obs.EvUpdate, updOutcome(found, err))
 	return found, err
 }
 
@@ -803,7 +791,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	}
 	inline8 := vb == nil || len(vb) == 8
 	for {
-		seg, mir := t.lockOwner(parts, b, b2)
+		d, mir := t.lockOwner(parts, b, b2)
+		seg := d.seg
 		loc, found := segFindLocked(p, t.vlog, seg, pk)
 		if !found {
 			unlockPair(p, mir, seg, b, b2)
@@ -827,7 +816,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 				// the new word, both linearizable.
 				mir.recWord(loc.bucket, loc.slot, 1).Store(v)
 			}
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			if sib := t.splitSibling(d, parts); sib != nil {
 				t.assistOverwrite(sib, pk, pmem.KV{Key: w0, Value: v}, false)
 			}
 			unlockPair(p, mir, seg, b, b2)
@@ -865,7 +854,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			if mir != nil {
 				mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 			}
-			if sib := t.splitSibling(seg, parts); !sib.IsNull() {
+			if sib := t.splitSibling(d, parts); sib != nil {
 				t.assistOverwrite(sib, pk, kv, false)
 			}
 			t.retireBlob(recBlobAddr(w0))
@@ -879,13 +868,13 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// key exists at least once and at most twice (deduped by recovery).
 		if !segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
-			if err := t.split(parts, seg); err != nil {
+			if err := t.split(parts, d); err != nil {
 				freeBlob()
 				return true, err
 			}
 			continue
 		}
-		if sib := t.splitSibling(seg, parts); !sib.IsNull() && !t.assistOverwrite(sib, pk, kv, true) {
+		if sib := t.splitSibling(d, parts); sib != nil && !t.assistOverwrite(sib, pk, kv, true) {
 			// Sibling cannot absorb the converted record: roll the
 			// conversion back (delete the new record, old value intact).
 			// The deleted record was transiently published — a stash
@@ -931,8 +920,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 // recovery clears the marker and the block leaks. A crash after it leaves
 // the directory image authoritative: recovery completes the flips, fixes
 // metadata and sweeps duplicates exactly as under the old protocol.
-func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
-	p := t.pool
+func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
+	p, oldSeg := t.pool, old.seg
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
 	spa := oldSeg.Add(segOffSplit)
 	if !p.CompareAndSwapU64(spa, 0, splitStateInFlight) {
@@ -964,11 +953,14 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 		return err
 	}
 	segInit(p, newSeg, l+1, pat<<1|1)
-	// The sibling's mirror must exist before the marker publishes the
-	// sibling to assisting writers: from the first assist on, every sibling
-	// mutation writes through, so the mirror is complete at publish time
-	// with no rebuild pass.
-	t.mirrorInstall(newSeg, l+1, pat<<1|1)
+	// The sibling's descriptor and mirror must hang off old before the marker
+	// publishes the sibling to assisting writers: from the first assist on,
+	// every sibling mutation writes through, so the mirror is complete at
+	// publish time with no rebuild pass.
+	sib := &segDesc{seg: newSeg}
+	sib.depth.Store(uint32(l + 1))
+	sib.mir.Store(t.newMirror(l+1, pat<<1|1))
+	old.sib.Store(sib)
 
 	// Snapshot the assist counter before the marker becomes visible: any
 	// assist that could race the copy loop bumps it past a0, which is what
@@ -981,24 +973,30 @@ func (t *Table) split(parts hashfn.Parts, oldSeg pmem.Addr) error {
 	}
 
 	mstart := obs.Now()
-	sc, ok := t.splitMigrate(oldSeg, newSeg, l, a0)
+	sc, ok := t.splitMigrate(old, sib, l, a0)
 	t.met.splitMigrateNS.Record(obs.Now() - mstart)
 	defer splitScanPool.Put(sc)
 	if !ok {
-		// Pathological one-sided overflow: roll back by clearing the
-		// marker. The sibling is leaked rather than reused — an assisting
-		// writer that read the marker just before the clear may still be
-		// writing into it under its bucket locks (and through a fetched
-		// mirror pointer; the dropped mirror object absorbs those stores
-		// harmlessly, since nothing routes to the leaked segment).
-		p.StoreU64(spa, 0)
-		p.Persist(spa, 8)
-		t.mirrorDrop(newSeg)
-		t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
+		t.splitRollback(old, sib) // pathological one-sided overflow
 		return ErrSegmentOverflow
 	}
 	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
-	return t.splitPublish(oldSeg, newSeg, l, pat, sc)
+	return t.splitPublish(old, sib, l, pat, sc)
+}
+
+// splitRollback abandons an unpublished split by clearing the marker. The
+// sibling is leaked rather than reused — an assisting writer that read the
+// marker just before the clear may still be writing into it under its bucket
+// locks, and through the mirror it fetched, which absorbs those stores
+// harmlessly: nothing routes to the leaked segment, and a writer that looks
+// for the sibling after the clear finds none (splitSibling).
+func (t *Table) splitRollback(old, sib *segDesc) {
+	old.sib.Store(nil) // before the marker clear lets the next split claim old
+	spa := old.seg.Add(segOffSplit)
+	t.pool.StoreU64(spa, 0)
+	t.pool.Persist(spa, 8)
+	t.filters.bytes.Add(^(segMirrorBytes - 1))
+	t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(old.seg), uint64(sib.seg))
 }
 
 // splitMigrate copies every record the sibling claims from oldSeg into the
@@ -1053,9 +1051,9 @@ type splitCand struct {
 	rp   hashfn.Parts
 }
 
-func (t *Table) splitMigrate(oldSeg, newSeg pmem.Addr, l uint8, a0 uint64) (*splitScan, bool) {
-	p := t.pool
-	oldMir, newMir := t.mirror(oldSeg), t.mirror(newSeg)
+func (t *Table) splitMigrate(old, sib *segDesc, l uint8, a0 uint64) (*splitScan, bool) {
+	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
+	oldMir, newMir := old.mir.Load(), sib.mir.Load()
 
 	// Phase 1 — optimistic scan, no locks: migration never mutates the old
 	// segment, so each bucket is snapshotted seqlock-style (stable version
@@ -1233,9 +1231,9 @@ func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa
 // bucket, and the DRAM directory cache is written through — only then do
 // the locks release. The stall this window causes is accumulated in
 // splitStallNS.
-func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *splitScan) error {
-	p := t.pool
-	oldMir := t.mirror(oldSeg)
+func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitScan) error {
+	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
+	oldMir := old.mir.Load()
 	begin := time.Now()
 	for i := 0; i < totalBuckets; i++ {
 		lockBucket(p, oldMir, segBucket(oldSeg, i), i)
@@ -1265,12 +1263,7 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 	if l == g {
 		newDir, err := t.alloc(dirSize(g + 1))
 		if err != nil {
-			// Nothing is published yet: roll back like a migration
-			// failure. The sibling is leaked, its mirror dropped.
-			p.StoreU64(oldSeg.Add(segOffSplit), 0)
-			p.Persist(oldSeg.Add(segOffSplit), 8)
-			t.mirrorDrop(newSeg)
-			t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), uint64(newSeg))
+			t.splitRollback(old, sib) // nothing is published yet
 			return err
 		}
 		dirInitDoubled(p, newDir, dir)
@@ -1301,7 +1294,9 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 	// Metadata bump and marker clear share the header line and persist
 	// once. The directory already routes the moved half to the sibling, so
 	// from here a crash rolls forward through recovery's directory-driven
-	// reconciliation.
+	// reconciliation. The sibling link goes first: once the marker reads
+	// clear the next split may claim oldSeg and hang its own sibling there.
+	old.sib.Store(nil)
 	p.StoreU64(oldSeg.Add(segOffSplit), 0)
 	segSetMeta(p, oldMir, oldSeg, l+1, pat<<1)
 	// Sweep by the scan's moved-slot bitmaps wherever the bucket's seqlock
@@ -1321,25 +1316,27 @@ func (t *Table) splitPublish(oldSeg, newSeg pmem.Addr, l uint8, pat uint64, sc *
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to
 	// newSeg.
-	t.cachePublishSplit(oldSeg, newSeg, l+1, estart, span)
+	t.cachePublishSplit(old, sib, l+1, estart, span)
 	t.splits.Add(1)
 	return nil
 }
 
-// splitSibling returns the sibling of an in-flight split of seg when that
-// sibling claims the key's hash, or null. The caller holds the key's bucket
-// locks in seg: a split cannot publish (which is what retires the marker)
-// without those locks, so a non-null sibling stays valid until they are
-// released. The marker shares the header line lockOwner's claim check paid
-// for; the sibling's claim costs one read of its own header line.
-func (t *Table) splitSibling(seg pmem.Addr, parts hashfn.Parts) pmem.Addr {
-	st := segSplitState(t.pool, seg)
+// splitSibling returns the sibling of an in-flight split of d's segment when
+// that sibling claims the key's hash, or nil. The caller holds the key's
+// bucket locks in the segment: a split cannot publish (which is what retires
+// the marker) without those locks, so a non-nil sibling stays valid until
+// they are released. The marker shares the header line lockOwner's claim
+// check paid for; the sibling's claim costs one read of its own header line.
+// The link is stored before the marker, so a marker without its link is one
+// a rollback already cleared: that sibling is leaked and needs no assist.
+func (t *Table) splitSibling(d *segDesc, parts hashfn.Parts) *segDesc {
+	st := segSplitState(t.pool, d.seg)
 	if st&splitStateInFlight == 0 {
-		return pmem.Null
+		return nil
 	}
-	sib := splitStateSibling(st)
-	if sib.IsNull() || !segClaims(t.pool, sib, parts) {
-		return pmem.Null
+	sib := d.sib.Load()
+	if sib == nil || sib.seg != splitStateSibling(st) || !segClaims(t.pool, sib.seg, parts) {
+		return nil
 	}
 	return sib
 }
@@ -1350,13 +1347,12 @@ func (t *Table) splitSibling(seg pmem.Addr, parts hashfn.Parts) pmem.Addr {
 // Reports false when the sibling cannot absorb the copy, i.e. the split is
 // overflowing pathologically. Durability is deferred to the publish's
 // whole-segment persist, like every pre-publish sibling write.
-func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
+func (t *Table) assistInsert(sd *segDesc, pk *probeKey, kv pmem.KV) bool {
 	// Count before touching the sibling: the migrator reads the counter
 	// under bucket locks ordered after this store, so a nonzero delta is
 	// visible before any duplicate can be.
 	t.splitAssists.Add(1)
-	p := t.pool
-	sibMir := t.mirror(sib)
+	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	// The key is fresh table-wide, but its sibling copy may already exist:
@@ -1377,9 +1373,8 @@ func (t *Table) assistInsert(sib pmem.Addr, pk *probeKey, kv pmem.KV) bool {
 // assistDelete mirrors a delete into the sibling of an in-flight split: if
 // the migrator already copied the record, the copy must die too or the key
 // would resurrect when the split publishes.
-func (t *Table) assistDelete(sib pmem.Addr, pk *probeKey) {
-	p := t.pool
-	sibMir := t.mirror(sib)
+func (t *Table) assistDelete(sd *segDesc, pk *probeKey) {
+	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
@@ -1400,12 +1395,11 @@ func (t *Table) assistDelete(sib pmem.Addr, pk *probeKey) {
 // instead: the migrator will then skip the old slot, whose word 0 no longer
 // matches its scan, or dedupe against this copy through the assist counter's
 // gate. Reports false when the sibling cannot absorb that insert.
-func (t *Table) assistOverwrite(sib pmem.Addr, pk *probeKey, kv pmem.KV, insert bool) bool {
+func (t *Table) assistOverwrite(sd *segDesc, pk *probeKey, kv pmem.KV, insert bool) bool {
 	if insert {
 		t.splitAssists.Add(1) // before touching the sibling, like assistInsert
 	}
-	p := t.pool
-	sibMir := t.mirror(sib)
+	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	ok := true
@@ -1556,17 +1550,17 @@ func (t *Table) recoverLazy(clean bool) error {
 	t.cacheRebuild()
 
 	lr := &lazyRecovery{
-		clean:   clean,
-		g:       g,
-		fixed:   fixed,
-		openAt:  rstart,
-		pending: make(map[pmem.Addr]*segRecoverState, len(segs)),
-		order:   make([]pmem.Addr, 0, len(segs)),
-		refs:    make(map[pmem.Addr]struct{}),
+		clean:  clean,
+		g:      g,
+		fixed:  fixed,
+		openAt: rstart,
+		order:  make([]*segDesc, 0, len(segs)),
+		refs:   make(map[pmem.Addr]struct{}),
 	}
 	for _, s := range segs {
-		lr.pending[s.addr] = &segRecoverState{}
-		lr.order = append(lr.order, s.addr)
+		d := t.cache.descs[s.addr]
+		d.rec.Store(segRecPending)
+		lr.order = append(lr.order, d)
 	}
 	lr.remaining.Store(int64(len(segs)))
 	t.lazy.Store(lr)

@@ -310,7 +310,7 @@ func TestMovedHalfAllWriters(t *testing.T) {
 	tbl := f.tbl
 	f.grow(t, func() bool { return tbl.GlobalDepth() >= 5 })
 	v := tbl.cache.view.Load()
-	old := make([]uint64, len(v.entries))
+	old := make([]*segDesc, len(v.entries))
 	for i := range old {
 		old[i] = v.entries[i].Load()
 	}
@@ -325,8 +325,7 @@ func TestMovedHalfAllWriters(t *testing.T) {
 		for i := range old {
 			// Only entries whose segment changed: the half that stayed put
 			// keeps its (correct) route and its refreshed local depth.
-			was, _ := unpackEntry(old[i])
-			if now, _ := unpackEntry(v.entries[i].Load()); now != was {
+			if v.entries[i].Load() != old[i] {
 				v.entries[i].Store(old[i])
 				moved++
 			}
@@ -340,6 +339,23 @@ func TestMovedHalfAllWriters(t *testing.T) {
 	f.verify(t)
 }
 
+// overflowNextSplit arms hookMidMigrate to stuff every slot of the next
+// split's unpublished sibling, so the migrator's next copy finds no room and
+// the split rolls back; *leaked receives the sibling's address.
+func overflowNextSplit(tbl *Table, leaked *pmem.Addr) {
+	p := tbl.pool
+	tbl.hookMidMigrate = func(oldSeg pmem.Addr, bucket int) {
+		if bucket != 0 || !leaked.IsNull() {
+			return
+		}
+		*leaked = splitStateSibling(segSplitState(p, oldSeg))
+		for bi := 0; bi < totalBuckets; bi++ {
+			for bucketInsertLocked(p, nil, segBucket(*leaked, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
+			}
+		}
+	}
+}
+
 // TestLeakedSiblingNeverRouted forces a split rollback (the migrator finds
 // its sibling full and reports ErrSegmentOverflow), which leaks a sibling
 // whose header still claims the upper half of the old segment's range. The
@@ -351,18 +367,7 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	defer tbl.Close()
 	p := tbl.pool
 	var leaked pmem.Addr
-	tbl.hookMidMigrate = func(oldSeg pmem.Addr, bucket int) {
-		if bucket != 0 || !leaked.IsNull() {
-			return
-		}
-		// Stuff every slot of the unpublished sibling so the migrator's next
-		// copy finds no room.
-		leaked = splitStateSibling(segSplitState(p, oldSeg))
-		for bi := 0; bi < totalBuckets; bi++ {
-			for bucketInsertLocked(p, nil, segBucket(leaked, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
-			}
-		}
-	}
+	overflowNextSplit(tbl, &leaked)
 	acked := make(map[uint64]uint64)
 	var k uint64
 	for ; leaked.IsNull(); k++ {
@@ -420,9 +425,16 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	}
 	view := tbl.cache.view.Load()
 	for i := range view.entries {
-		if seg, _ := unpackEntry(view.entries[i].Load()); seg == leaked {
+		d := view.entries[i].Load()
+		if d.seg == leaked {
 			t.Fatalf("cache entry %d routes to the leaked sibling", i)
 		}
+		if sib := d.sib.Load(); sib != nil {
+			t.Fatalf("segment %#x still links sibling %#x after its split ended", d.seg, sib.seg)
+		}
+	}
+	if tbl.cache.descs[leaked] != nil {
+		t.Fatal("the leaked sibling has a registered descriptor")
 	}
 	verifyCacheCoherent(t, tbl)
 }

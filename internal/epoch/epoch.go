@@ -10,6 +10,7 @@
 package epoch
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -28,12 +29,10 @@ const (
 type Manager struct {
 	global atomic.Uint64
 
+	// slots holds one padded word per possible guard. A goroutine claims a
+	// slot in its own obs.GoShard region, so guards on different cores write
+	// different cachelines; only TryAdvance's scan reads across them.
 	slots [MaxGuards]paddedSlot
-
-	// Lock-free free list of slot indexes, so acquiring a guard costs two
-	// atomics instead of a table scan.
-	freeHead atomic.Uint64 // (index+1) | generation<<32; 0 = empty
-	freeNext [MaxGuards]atomic.Uint32
 
 	mu      sync.Mutex
 	retired [3][]retiredItem // indexed by epoch % 3
@@ -56,7 +55,7 @@ type Manager struct {
 }
 
 type paddedSlot struct {
-	v atomic.Uint64 // activeBit | epoch
+	v atomic.Uint64 // activeBit | epoch; 0 = free
 	_ [56]byte
 }
 
@@ -69,13 +68,6 @@ type retiredItem struct {
 func NewManager() *Manager {
 	m := &Manager{AdvanceEvery: 64}
 	m.global.Store(1)
-	// Free list initially holds every slot. Encode head as index+1 with a
-	// generation counter in the high bits to defeat ABA.
-	for i := 0; i < MaxGuards-1; i++ {
-		m.freeNext[i].Store(uint32(i + 2))
-	}
-	m.freeNext[MaxGuards-1].Store(0)
-	m.freeHead.Store(1)
 	return m
 }
 
@@ -85,54 +77,35 @@ type Guard struct {
 	slot int
 }
 
-// Enter opens a critical section and returns its guard. It spins briefly if
-// all MaxGuards slots are busy (which would take hundreds of concurrent
-// operations in flight).
+// Enter opens a critical section and returns its guard: one CAS 0 →
+// activeBit|epoch on the first slot of the calling goroutine's shard region,
+// probing linearly past slots that are taken (a nested guard, or another
+// goroutine that hashed to the same shard). With every slot busy it yields
+// after each full pass, so the holders get the core they need to exit.
 func (m *Manager) Enter() Guard {
-	idx := m.popSlot()
-	e := m.global.Load()
-	m.slots[idx].v.Store(activeBit | e)
-	return Guard{m: m, slot: idx}
+	i := int(obs.GoShard()) * (MaxGuards / obs.Shards)
+	for n := 1; ; n++ {
+		if m.slots[i].v.CompareAndSwap(0, activeBit|m.global.Load()) {
+			return Guard{m: m, slot: i}
+		}
+		i = (i + 1) % MaxGuards
+		if n%MaxGuards == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // Exit closes the critical section.
-func (g Guard) Exit() {
-	g.m.slots[g.slot].v.Store(0)
-	g.m.pushSlot(g.slot)
-}
-
-func (m *Manager) popSlot() int {
-	for {
-		head := m.freeHead.Load()
-		idx := uint32(head)
-		if idx == 0 {
-			// All slots busy: extremely unlikely; cooperate and retry.
-			continue
-		}
-		next := m.freeNext[idx-1].Load()
-		gen := (head >> 32) + 1
-		if m.freeHead.CompareAndSwap(head, uint64(next)|gen<<32) {
-			return int(idx - 1)
-		}
-	}
-}
-
-func (m *Manager) pushSlot(i int) {
-	for {
-		head := m.freeHead.Load()
-		m.freeNext[i].Store(uint32(head))
-		gen := (head >> 32) + 1
-		if m.freeHead.CompareAndSwap(head, uint64(uint32(i+1))|gen<<32) {
-			return
-		}
-	}
-}
+func (g Guard) Exit() { g.m.slots[g.slot].v.Store(0) }
 
 // Retire schedules free to run once no active guard can still reach the
 // retired object.
 func (m *Manager) Retire(free func()) {
-	e := m.global.Load()
+	// The epoch is read under mu, which TryAdvance holds from its CAS to the
+	// moment it has taken its bucket: an object is never appended to the
+	// bucket an advance is about to free.
 	m.mu.Lock()
+	e := m.global.Load()
 	m.retired[e%3] = append(m.retired[e%3], retiredItem{free: free, at: obs.Now()})
 	m.mu.Unlock()
 	m.Retired.Inc()
@@ -159,12 +132,13 @@ func (m *Manager) TryAdvance() int {
 			return 0 // a straggler still runs in an older epoch
 		}
 	}
+	m.mu.Lock()
 	if !m.global.CompareAndSwap(e, e+1) {
+		m.mu.Unlock()
 		return 0 // someone else advanced; they will collect
 	}
-	// Everything retired in epoch e-1 is now two epochs old: no active
-	// guard can hold a reference.
-	m.mu.Lock()
+	// Everything retired in epoch e-2 is now more than two epochs old: no
+	// active guard can hold a reference.
 	bucket := (e + 1) % 3 // == (e-2) % 3
 	items := m.retired[bucket]
 	m.retired[bucket] = nil

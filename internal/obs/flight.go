@@ -116,7 +116,8 @@ func TagName(tag uint8) string {
 // timeline (Now); A and B are type-specific payloads (see the EventType
 // constants). Op events carry the operation's key hash in A and its
 // duration in nanoseconds in B, with TS at the operation's start — begin
-// and end in one record.
+// and end in one record — or, for an unsampled op recorded only for its
+// rare outcome, B = 0 and TS at completion.
 type Event struct {
 	TS   int64     `json:"ts"`
 	Type EventType `json:"type"`
@@ -216,10 +217,6 @@ func (f *Flight) RecordAt(ts int64, t EventType, tag uint8, a, b uint64) {
 	s.b.Store(b)
 	s.seq.Store(i + 1)
 }
-
-// Now is a convenience alias so callers holding a *Flight need no second
-// import path for timestamps.
-func (f *Flight) Now() int64 { return Now() }
 
 func (r *ring) snapshot(out []Event) []Event {
 	n := uint64(len(r.slots))

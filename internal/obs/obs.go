@@ -1,6 +1,8 @@
-// Package obs is the engine's always-on observability layer: one place for
-// the metrics and tracing machinery that was previously scattered, duplicated
-// or missing across the other packages. Three pieces:
+// Package obs is the engine's observability layer: one place for the metrics
+// and tracing machinery that was previously scattered, duplicated or missing
+// across the other packages. The meters are always on; how much of the
+// operation stream reaches the flight recorder is the recorder's caller's
+// choice (core samples, and says so in a gauge Serve prints). Three pieces:
 //
 //   - Counter and Histogram — lock-free, cacheline-sharded primitives cheap
 //     enough for every hot path (a Counter increment is one uncontended
@@ -12,11 +14,15 @@
 //     gauges and histograms under a dotted name ("dircache.hits",
 //     "split.migrate_ns", ...) and Table.Stats(), the bench re-windowing
 //     logic and the live endpoint all read the same Snapshot.
-//   - Flight — a fixed-size flight recorder of typed binary events (op
-//     completions with a path tag, split lifecycle transitions, heals,
-//     epoch advances, recovery phases). Recording allocates nothing and
-//     takes no locks; TraceSnapshot merges the per-goroutine rings into one
-//     time-ordered log that turns a p999 outlier into a narrative.
+//   - Flight — a fixed-size flight recorder of typed binary events in two
+//     lanes: a control lane for the rare structural events (split lifecycle
+//     transitions, heals, epoch advances, recovery phases), recorded
+//     unconditionally, and a goroutine-sharded op lane for per-operation
+//     completions with a path tag. Record and RecordAt never drop, but the
+//     engine feeds the op lane a sample: two clock reads and a ring slot
+//     were a third of a DRAM-served read. Recording allocates nothing and
+//     takes no locks; TraceSnapshot merges the rings into one time-ordered
+//     log that turns a p999 outlier into a narrative.
 //
 // Serve exposes all of it (plus net/http/pprof) over HTTP for live
 // introspection of a running table.

@@ -209,6 +209,7 @@ func (s fakeSource) TraceSnapshot() []Event { return s.fr.Snapshot() }
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test.hits").Add(7)
+	reg.Gauge("flight.op_sample_period", func() int64 { return 64 })
 	fr := NewFlight()
 	fr.Record(EvSplitPublish, TagNone, 42, 43)
 
@@ -231,7 +232,8 @@ func TestServe(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "test.hits") {
 		t.Fatalf("/metrics: code %d, body %q", code, body)
 	}
-	if code, body := get("/trace"); code != 200 || !strings.Contains(body, "split-publish") {
+	if code, body := get("/trace"); code != 200 || !strings.Contains(body, "split-publish") ||
+		!strings.HasPrefix(body, "# ") || !strings.Contains(body, "sampled 1 in 64") {
 		t.Fatalf("/trace: code %d, body %q", code, body)
 	}
 	if code, body := get("/trace?format=json"); code != 200 || !strings.Contains(body, `"a":42`) {
@@ -255,4 +257,16 @@ func TestServe(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("empty /metrics: code %d, want 503", resp.StatusCode)
 	}
+}
+
+// BenchmarkFlightRecord is the cost of one op-lane event, clock read
+// included (run with -cpu 1,2; the lane is goroutine-sharded).
+func BenchmarkFlightRecord(b *testing.B) {
+	f := NewFlight()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := uint64(0); pb.Next(); i++ {
+			f.Record(EvGet, PathMirrorHit, i, i)
+		}
+	})
 }

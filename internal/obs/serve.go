@@ -25,7 +25,10 @@ type Server struct {
 // Serve starts an HTTP endpoint on addr (":0" picks a free port) exposing
 //
 //	/metrics      — registry snapshot as JSON
-//	/trace        — merged flight-recorder dump, text (add ?format=json)
+//	/trace        — merged flight-recorder dump, text (add ?format=json); the
+//	                text form opens with a "#" line stating the op lane's
+//	                sample period when the source's registry has the
+//	                flight.op_sample_period gauge
 //	/debug/pprof/ — the standard runtime profiles
 //
 // against src. It returns once the listener is bound; requests are served
@@ -59,6 +62,13 @@ func Serve(addr string, src Source) (*Server, error) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		// What the dump can be read as: the source says, through its
+		// registry, how thinly it samples the op lane.
+		if reg := src.Metrics(); reg != nil {
+			if n := reg.Snapshot().Gauges["flight.op_sample_period"]; n > 1 {
+				fmt.Fprintf(w, "# control lane complete; op lane sampled 1 in %d by key hash, plus every pm-fallback read and failed mutation (b=0)\n", n)
+			}
+		}
 		for _, e := range events {
 			fmt.Fprintln(w, e.String())
 		}
