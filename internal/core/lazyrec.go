@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +71,158 @@ type lazyRecovery struct {
 // unrecovered state (first-touch races, mid-sweep crashes) set it and drive
 // recovery by hand. Package-private test knob, not part of the API.
 var disableBackgroundRecovery atomic.Bool
+
+// recoverLazy reconciles the table image with O(directory) work only. The
+// directory is the source of truth: every segment's true coverage — and from
+// it, its local depth and pattern — is re-derived by letting deeper segments
+// claim their canonical entry ranges first. This completes a partially
+// published split (the new segment was fully durable before the first entry
+// flip) and rolls an unpublished one back to a harmless leak; version locks
+// are reset and split markers cleared in the same per-segment pass (a small
+// constant per segment, so still O(directory)). The O(data) work — record
+// sweeps, dedupe, count derivation, mirror installs, the record-log sweep —
+// is deferred: recoverLazy builds the lazyRecovery side table and returns.
+// After a clean shutdown the image needs none of that reconciliation (the
+// passes are cheap no-ops, run anyway for their validation) and the count
+// comes straight from the root.
+func (t *Table) recoverLazy(clean bool) error {
+	p := t.pool
+	rstart := obs.Now()
+	dir := pmem.Addr(p.ReadU64(rootAddr.Add(rootOffDir)))
+	if dir.IsNull() {
+		return ErrNotATable
+	}
+	g := dirDepth(p, dir)
+	n := uint64(1) << g
+
+	type segInfo struct {
+		addr pmem.Addr
+		l    uint8
+		pat  uint64
+	}
+	entries := make([]pmem.Addr, n)
+	var segs []segInfo
+	seen := make(map[pmem.Addr]bool)
+	for i := uint64(0); i < n; i++ {
+		e := dirLoadEntry(p, dir, i)
+		entries[i] = e
+		if e.IsNull() {
+			return fmt.Errorf("core: recovery: null directory entry %d", i)
+		}
+		if !seen[e] {
+			seen[e] = true
+			l, pat := segMeta(p, e)
+			if l > g {
+				return fmt.Errorf("core: recovery: segment %#x deeper (%d) than directory (%d)", e, l, g)
+			}
+			segs = append(segs, segInfo{addr: e, l: l, pat: pat})
+		}
+	}
+
+	// Deepest-first claiming: a new segment (depth L+1) takes its canonical
+	// half before the stale old segment (still claiming depth L) takes the
+	// remainder, which completes any half-flipped publish.
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].l > segs[j].l })
+	fixed := make([]pmem.Addr, n)
+	for _, s := range segs {
+		start, span := dirCoverage(g, s.l, s.pat)
+		for i := start; i < start+span; i++ {
+			if fixed[i].IsNull() {
+				fixed[i] = s.addr
+			}
+		}
+	}
+	changed := false
+	for i := uint64(0); i < n; i++ {
+		if fixed[i].IsNull() {
+			return fmt.Errorf("core: recovery: directory entry %d unclaimed", i)
+		}
+		if fixed[i] != entries[i] {
+			dirStoreEntry(p, dir, i, fixed[i])
+			changed = true
+		}
+	}
+	if changed {
+		p.Persist(dirEntryAddr(dir, 0), 8*n)
+	}
+
+	// Re-derive each segment's (depth, pattern) from its actual coverage and
+	// reset every bucket's version lock. Coverage ranges are contiguous by
+	// construction, so one pass over fixed collects first/count for every
+	// segment.
+	type cover struct{ first, count uint64 }
+	covers := make(map[pmem.Addr]*cover, len(segs))
+	for i := uint64(0); i < n; i++ {
+		if c := covers[fixed[i]]; c != nil {
+			c.count++
+		} else {
+			covers[fixed[i]] = &cover{first: i, count: 1}
+		}
+	}
+	for _, s := range segs {
+		first, count := uint64(0), uint64(0)
+		if c := covers[s.addr]; c != nil {
+			first, count = c.first, c.count
+		}
+		if count == 0 || count&(count-1) != 0 {
+			return fmt.Errorf("core: recovery: segment %#x covers %d entries", s.addr, count)
+		}
+		l := g - uint8(bits.TrailingZeros64(count))
+		pat := first >> (g - l)
+		if l != s.l || pat != s.pat {
+			segSetMeta(p, nil, s.addr, l, pat)
+		}
+		for i := 0; i < totalBuckets; i++ {
+			p.StoreU64(segBucket(s.addr, i).Add(bkOffVersion), 0)
+		}
+		// Clear any split-progress marker, finishing or rolling back the
+		// half-migrated split it describes. If the marker's sibling made it
+		// into the directory, the claiming pass above already completed the
+		// flips and metadata and the record sweeps below drop the moved
+		// records' leftovers — the split rolls forward. Otherwise the
+		// sibling was never published: the directory still routes every key
+		// to this segment (which kept all its records; migration only
+		// reads), so the marker clear rolls the split back and the sibling
+		// block is leaked, like an unpublished block under the old
+		// protocol.
+		if p.LoadU64(s.addr.Add(segOffSplit)) != 0 {
+			p.StoreU64(s.addr.Add(segOffSplit), 0)
+			p.Persist(s.addr.Add(segOffSplit), 8)
+		}
+	}
+
+	// Validate the record log's chunk chain and snapshot the sweep frontier
+	// (O(#chunks)); the blob-level sweep itself is the background pass. Then
+	// mirror the reconciled directory into the DRAM cache — the last
+	// O(directory) step — and build the deferred-work side table.
+	if clean {
+		t.count.Store(int64(p.ReadU64(rootAddr.Add(rootOffCount))))
+	}
+	if err := t.vlog.RecoverChunks(); err != nil {
+		return err
+	}
+	t.cacheRebuild()
+
+	lr := &lazyRecovery{
+		clean:  clean,
+		g:      g,
+		fixed:  fixed,
+		openAt: rstart,
+		order:  make([]*segDesc, 0, len(segs)),
+		refs:   make(map[pmem.Addr]struct{}),
+	}
+	for _, s := range segs {
+		d := t.cache.descs[s.addr]
+		d.rec.Store(segRecPending)
+		lr.order = append(lr.order, d)
+	}
+	lr.remaining.Store(int64(len(segs)))
+	t.lazy.Store(lr)
+	end := obs.Now()
+	t.recordRecoveryPhase(phaseDir, obs.PhaseDirectory, rstart, end)
+	t.met.recoveryOpenNS.Store(end - rstart)
+	return nil
+}
 
 // ensureRecovered gates one routed segment: one load of a word on the
 // descriptor line the caller reads next anyway. Called at the top of every
@@ -153,6 +308,59 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
+}
+
+// dedupeSegment removes all but the first copy of any key appearing twice
+// in the segment, comparing *canonical* keys (an inline record's 8-byte
+// little-endian key, an indirect record's blob key bytes): an interrupted
+// displacement duplicates a record verbatim, but an interrupted
+// representation-converting update leaves the same user key once inline
+// and once as a blob pointer. segSweep's scan order matches lookup order
+// (normal buckets ascending, then stash), so the surviving copy is the one
+// lookups would return. This is the one recovery pass that dereferences
+// blobs — recovery is already O(data).
+func (t *Table) dedupeSegment(seg pmem.Addr) {
+	seenKeys := make(map[string]bool)
+	var buf [8]byte
+	segSweep(t.pool, seg, t.seed, func(_ hashfn.Parts, kv pmem.KV) bool {
+		var k string
+		if recIsIndirect(kv.Key) {
+			k = string(t.vlog.KeyBytes(recBlobAddr(kv.Key)))
+		} else {
+			binary.LittleEndian.PutUint64(buf[:], kv.Key)
+			k = string(buf[:])
+		}
+		if seenKeys[k] {
+			return true
+		}
+		seenKeys[k] = true
+		return false
+	})
+}
+
+// sweepStashGhosts deletes stash records that no home bucket references:
+// neither a tracking slot nor a positive overflow count points at them, so
+// no lookup can ever see them and the slot would leak forever.
+func (t *Table) sweepStashGhosts(seg pmem.Addr) {
+	p := t.pool
+	for j := 0; j < stashBuckets; j++ {
+		sa := segBucket(seg, normalBuckets+j)
+		m := p.LoadU64(sa.Add(bkOffMeta))
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			if !metaSlotUsed(m, slot) {
+				continue
+			}
+			parts := recSplitParts(p.ReadKV(recordAddr(sa, slot)), t.seed)
+			home := segBucket(seg, int(parts.BucketIndex(bucketBits)))
+			if findTrackedSlot(p, home, parts.FP, j) >= 0 {
+				continue
+			}
+			if metaOvCount(p.QuietLoadU64(home.Add(bkOffMeta))) > 0 {
+				continue
+			}
+			bucketDeleteLocked(p, nil, sa, normalBuckets+j, slot, true)
+		}
+	}
 }
 
 // RecoverAll completes recovery synchronously: recovers every still-pending
