@@ -124,10 +124,11 @@ func recordAddr(b pmem.Addr, slot int) pmem.Addr {
 // segment's DRAM mirror (segfilter.go) when one is attached: odd on
 // acquisition, even again on release. All mirror write-through happens
 // inside that odd window, so a mirror reader that observes a stable even
-// shadow version holds a snapshot consistent with PM — the exact contract
-// bucketSearchOpt has with the PM version word. mir is nil on the paths
-// that run without a mirror (recovery, and mirror repair's own fill).
-// bi is the bucket's index within its segment, the mirror's coordinate.
+// shadow version (mirBucketSearch) holds a snapshot consistent with PM — the
+// contract a seqlock reader of the PM version word itself would have. mir is
+// nil only where recovery runs before the segment's mirror exists (the
+// pre-mirror sweeps of lazyrec.go). bi is the bucket's index within its
+// segment, the mirror's coordinate.
 
 func lockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
 	va := b.Add(bkOffVersion)
@@ -348,48 +349,4 @@ func findTrackedSlot(p *pmem.Pool, b pmem.Addr, fp uint8, stashIdx int) int {
 	m := p.QuietLoadU64(b.Add(bkOffMeta))
 	hi := p.QuietLoadU64(b.Add(bkOffFPHi))
 	return metaFindTracked(m, hi, fp, stashIdx)
-}
-
-// --- reader-side operation: optimistic, lock-free ---
-
-// bucketSearchOpt scans one bucket without taking its lock. It loops until a
-// scan completes under an unchanged even version (seqlock read), so the
-// returned record words — and the header words handed back for
-// overflow-probing decisions — form a consistent snapshot. A matched
-// indirect record's blob may be dereferenced during the scan and again by
-// the caller: blob bytes are immutable from commit until epoch reclamation,
-// and the caller holds an epoch guard, so the bytes cannot change or be
-// reused underneath either read; a match found through a slot that mutated
-// mid-scan is discarded by the version recheck like any other stale read.
-//
-// Accounting follows the one-charge-per-line discipline: the version load
-// pays for the header cacheline, so the meta/fingerprint words sharing that
-// line are read quietly — a probe is charged one header line plus one line
-// per fingerprint-matched record it dereferences (plus the blob read on a
-// full-hash match).
-func bucketSearchOpt(p *pmem.Pool, vl *pmem.VarLog, b pmem.Addr, pk *probeKey) (kv pmem.KV, found bool, m, hi uint64) {
-	va := b.Add(bkOffVersion)
-	for {
-		v := p.LoadU64(va)
-		if v&1 != 0 {
-			runtime.Gosched()
-			continue
-		}
-		m = p.QuietLoadU64(b.Add(bkOffMeta))
-		lo := p.QuietLoadU64(b.Add(bkOffFPLo))
-		hi = p.QuietLoadU64(b.Add(bkOffFPHi))
-		kv, found = pmem.KV{}, false
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) || fpGet(lo, hi, slot) != pk.parts.FP {
-				continue
-			}
-			if r, ok := recProbe(p, vl, recordAddr(b, slot), pk); ok {
-				kv, found = r, true
-				break
-			}
-		}
-		if p.QuietLoadU64(va) == v {
-			return
-		}
-	}
 }

@@ -6,8 +6,15 @@
 //	table.go     — public Insert/Get/Delete/Update (uint64) and
 //	               InsertB/GetB/DeleteB/UpdateB ([]byte) APIs — two views of
 //	               one keyspace; optimistic readers that take no lock and
-//	               write no shared line (epoch.Manager guards), writers on
-//	               bucket version locks; split orchestration and recovery.
+//	               write no shared line (epoch.Manager guards) and probe
+//	               only the segment's DRAM mirror, writers on bucket version
+//	               locks; Create/Open/Close, the allocator and routing.
+//	split.go     — segment splits: per-segment CAS claim, lock-free migration
+//	               into the unpublished sibling, writers' assists, and the
+//	               three-step crash-consistent publish.
+//	lazyrec.go   — recovery: Open's O(directory) reconcile, the per-segment
+//	               first-touch gate every operation passes (Table.mirror),
+//	               the background driver and the record-log sweep.
 //	record.go    — the slot-word contract: a bucket slot holds either an
 //	               inline 8B/8B record or a packed pointer (blob address |
 //	               key-length class, full key hash) into the pmem.VarLog,
@@ -66,7 +73,6 @@
 // fingerprint from the low byte, bucket index from the next bits, directory
 // index from the MSBs — lives in hashfn.Parts.
 //
-// The exported entry points are Create (format a pool), Open (recover a
-// crashed or cleanly closed image) and New (pool + table in one call), all
-// returning the public *Table.
+// The exported entry points are Create (format a pool) and Open (recover a
+// crashed or cleanly closed image), both returning the public *Table.
 package core

@@ -52,8 +52,7 @@ type dirCache struct {
 	view atomic.Pointer[dirView]
 
 	// hits counts routes that served their operation (a read answered in
-	// DRAM, a writer's route its locked segment's PM header confirmed, or a
-	// reader fallback validateRoute confirmed against the PM directory);
+	// DRAM, a writer's route its locked segment's PM header confirmed);
 	// misses counts stale routes that forced a repair + retry. Both are
 	// goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real
@@ -85,12 +84,15 @@ type dirView struct {
 type segDesc struct {
 	seg   pmem.Addr
 	depth atomic.Uint32 // local depth; stored by a split publish under all of seg's bucket locks
-	rec   atomic.Uint32 // first-touch recovery gate after Open (lazyrec.go); 0 = recovered
+	rec   atomic.Uint32 // first-touch recovery claim after Open (lazyrec.go); 0 = recovered
 
-	// mir is the segment's filter mirror: set before the descriptor is
-	// reachable (Create, a split's sibling) or by first-touch recovery, and
-	// never replaced — repairs rewrite the object in place. Nil: no mirror
-	// yet, reads take the PM path.
+	// mir is the segment's filter mirror, never replaced once set — repairs
+	// rewrite the object in place. Invariant: a descriptor an operation has
+	// routed to and gated has a mirror. Create and a split store it before
+	// the descriptor is reachable; after Open it is nil exactly until the
+	// segment's first-touch recovery, which stores it last, so operations
+	// fetch it through Table.mirror, which runs that recovery. There is no
+	// mirror-less read or write path.
 	mir atomic.Pointer[segMirror]
 
 	// sib is the unpublished sibling while a split of seg is in flight:

@@ -18,8 +18,10 @@ import (
 // descriptor that names the PM directory's segment, carries the local depth
 // of that segment's own header, is the one descriptor of that segment (every
 // entry of a segment shares it, and the table's registry agrees), has no
-// split in flight, and — when the segment has a mirror — holds the mirror of
-// that segment and no other (header claim and every bucket match PM).
+// split in flight, and holds the mirror of that segment and no other (header
+// claim and every bucket match PM). Only a descriptor still behind its
+// first-touch gate may lack a mirror: every operation relies on a gated
+// descriptor having one (segDesc.mir).
 func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	t.Helper()
 	p := tbl.pool
@@ -59,10 +61,14 @@ func verifyCacheCoherent(t *testing.T, tbl *Table) {
 		if sib := d.sib.Load(); sib != nil {
 			t.Fatalf("entry %d: quiescent segment %#x still links sibling %#x", i, d.seg, sib.seg)
 		}
-		if d.mir.Load() != nil {
-			if bad := tbl.mirrorVerifySeg(d); bad != 0 {
-				t.Fatalf("entry %d: descriptor of %#x holds a mirror with %d buckets unlike it", i, d.seg, bad)
+		if d.mir.Load() == nil {
+			if d.rec.Load() == segRecDone {
+				t.Fatalf("entry %d: recovered segment %#x has no mirror", i, d.seg)
 			}
+			continue
+		}
+		if bad := tbl.mirrorVerifySeg(d); bad != 0 {
+			t.Fatalf("entry %d: descriptor of %#x holds a mirror with %d buckets unlike it", i, d.seg, bad)
 		}
 	}
 }

@@ -31,8 +31,11 @@ import (
 // segment's mirror and contributes its blob references, and the background
 // pass still runs to rebuild the record log's DRAM free list.
 
-// A descriptor's first-touch gate (segDesc.rec). Done is the zero value:
-// segments created after Open (split siblings) are born recovered.
+// A descriptor's first-touch claim (segDesc.rec): who recovers the segment,
+// and whether that is over. Done is the zero value: segments created after
+// Open (split siblings) are born recovered. Operations pass the gate by
+// fetching the mirror recovery stores last (Table.mirror), and come here
+// only when there is none yet.
 const (
 	segRecDone uint32 = iota
 	segRecPending
@@ -224,31 +227,40 @@ func (t *Table) recoverLazy(clean bool) error {
 	return nil
 }
 
-// ensureRecovered gates one routed segment: one load of a word on the
-// descriptor line the caller reads next anyway. Called at the top of every
-// op-loop iteration, before the descriptor's mirror or the segment's buckets
-// are trusted.
-func (t *Table) ensureRecovered(d *segDesc) {
-	if d.rec.Load() != segRecDone {
-		t.firstTouch(d)
+// mirror returns the filter mirror of a segment an operation routed to, and
+// is the first-touch gate: the mirror is the last thing recoverSegment
+// publishes, so a descriptor that has one is recovered, and one that has none
+// is recovered here (or waited for) before anything of the segment is
+// trusted. Never nil — segDesc.mir has the invariant. Kept small enough to
+// inline: on the op paths a hit is one load of a line they read anyway.
+func (t *Table) mirror(d *segDesc) (mir *segMirror) {
+	if mir = d.mir.Load(); mir == nil {
+		mir = t.firstTouch(d)
 	}
+	return
 }
 
 // firstTouch is the once-per-segment gate: the CAS winner recovers the
 // segment (a gated descriptor implies t.lazy is still set), losers wait it
 // out (no locks held at the call sites, so spinning is deadlock-free — the
-// same shape as split's claim).
-func (t *Table) firstTouch(d *segDesc) {
+// same shape as split's claim). Either way the segment's mirror exists on
+// return; a descriptor with no mirror and no recovery to wait for is a bug.
+func (t *Table) firstTouch(d *segDesc) *segMirror {
 	if d.rec.CompareAndSwap(segRecPending, segRecInFlight) {
 		lr := t.lazy.Load()
 		t.recoverSegment(lr, d)
 		d.rec.Store(segRecDone)
 		lr.remaining.Add(-1)
-		return
+	} else {
+		for d.rec.Load() != segRecDone {
+			runtime.Gosched()
+		}
 	}
-	for d.rec.Load() != segRecDone {
-		runtime.Gosched()
+	mir := d.mir.Load()
+	if mir == nil {
+		panic("core: recovered segment has no mirror")
 	}
+	return mir
 }
 
 // recoverSegment runs the deferred per-segment work under the caller's
@@ -272,7 +284,8 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	// Mirror build + blob-reference capture in one streaming pass over the
 	// reconciled buckets. The whole segment is charged as one sequential
 	// read; the per-word loads inside mirrorFillBucket are quiet. The filled
-	// mirror goes into the descriptor last, still inside the gate.
+	// mirror goes into the descriptor last: storing it is what opens the
+	// segment to operations (Table.mirror).
 	l, pat := segMeta(p, seg)
 	mir := t.newMirror(l, pat)
 	var refs []pmem.Addr
@@ -290,7 +303,6 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 			}
 		}
 	}
-	d.mir.Store(mir)
 	if len(refs) > 0 {
 		lr.refMu.Lock()
 		for _, a := range refs {
@@ -298,6 +310,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 		}
 		lr.refMu.Unlock()
 	}
+	d.mir.Store(mir)
 	end := obs.Now()
 
 	// Phase meters accumulate across first touches (the lazy analogue of the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dash/internal/pmem"
@@ -138,8 +139,10 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 // 8 goroutines race Get/Insert/Delete/Update onto the same unrecovered
 // segments. Each segment must recover exactly once (the lazy.segments
 // counter equals the open-time segment count), no acknowledged record may be
-// lost or duplicated, and the mirrors must be coherent after the gates
-// release.
+// lost or duplicated, every read must be mirror-served — segfilter.hits grows
+// by exactly the number of Gets: a retry after a miss adds a miss, never a
+// second hit, and there is no other way out of searchOpt — and the mirrors
+// must be coherent after the gates release.
 func TestLazyFirstTouchConcurrent(t *testing.T) {
 	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
 	if err != nil {
@@ -179,11 +182,15 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	// worker also inserts fresh keys, forcing splits to race the gates.
 	const workers = 8
 	const freshPerWorker = 150
+	hits0 := tbl2.filters.hits.Total()
+	var gets atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w uint64) {
 			defer wg.Done()
+			var reads uint64
+			defer func() { gets.Add(reads) }()
 			for k := uint64(0); k < nOld; k++ {
 				old, upd := k*7+3, k*7+4
 				if k%workers == w {
@@ -199,6 +206,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 							return
 						}
 					default:
+						reads++
 						if v, ok := tbl2.Get(k); !ok || v != old {
 							t.Errorf("owner get %d = %d,%v want %d", k, v, ok, old)
 							return
@@ -206,6 +214,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 					}
 					continue
 				}
+				reads++
 				v, ok := tbl2.Get(k)
 				switch k % 3 {
 				case 0: // racing a delete: present-with-old or absent
@@ -225,6 +234,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 					}
 				}
 				if k < nVar {
+					reads++
 					b, okB := tbl2.GetB(lazyVarKey(int(k)))
 					if !okB || !bytes.Equal(b, lazyVarVal(int(k))) {
 						t.Errorf("var key %d = %q,%v", k, b, okB)
@@ -244,6 +254,9 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+	if got := tbl2.filters.hits.Total() - hits0; got != gets.Load() {
+		t.Fatalf("%d Gets raced the gates, %d were mirror-served", gets.Load(), got)
 	}
 	tbl2.RecoverAll()
 
@@ -287,6 +300,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	if got := tbl2.Count(); got != wantCount {
 		t.Fatalf("Count = %d, want %d (ghost or duplicate slots)", got, wantCount)
 	}
+	verifyCacheCoherent(t, tbl2)
 	if bad := tbl2.mirrorVerifyAll(); bad != 0 {
 		t.Fatalf("mirror diverges in %d buckets after gated recovery", bad)
 	}

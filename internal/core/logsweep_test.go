@@ -138,7 +138,7 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 		t.Fatal("no lazy recovery state on a crash-path open")
 	}
 	for _, seg := range lr.order {
-		tblA.ensureRecovered(seg)
+		tblA.mirror(seg)
 	}
 	durable0 := poolA.Snapshot()
 	sweep := tblA.vlog.SweepStart()

@@ -44,14 +44,14 @@ func (t *Table) opBegin(pk *probeKey) opSpan {
 
 // opEnd is the matching epilogue: a sampled operation is recorded with its
 // start time and duration, an unsampled one only if a post-mortem must not
-// miss its outcome — a read that found no mirror, a mutation that failed for
-// a reason other than the key's presence — at completion, with duration 0.
+// miss its outcome — a mutation that failed for a reason other than the
+// key's presence — at completion, with duration 0.
 func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 	if op.sampled {
 		t.fr.RecordAt(op.start, ev, tag, pk.parts.Hash, uint64(obs.Now()-op.start))
 	} else {
 		switch tag {
-		case obs.PathPMFallback, obs.OutcomeOverflow, obs.OutcomeTooLarge, obs.OutcomeErr:
+		case obs.OutcomeOverflow, obs.OutcomeTooLarge, obs.OutcomeErr:
 			t.fr.Record(ev, tag, pk.parts.Hash, 0)
 		}
 	}
@@ -108,18 +108,17 @@ func (t *Table) initObs() {
 	// Per-segment filter mirrors.
 	t.filters.hits = reg.Counter("segfilter.hits")
 	t.filters.misses = reg.Counter("segfilter.misses")
-	t.filters.bypass = reg.Counter("segfilter.bypass")
 	t.filters.checks = reg.Counter("segfilter.checks")
 	t.filters.heals = reg.Counter("segfilter.heals")
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
 
 	// Per-path read outcome, the §5-style breakdown: which tier served a
 	// read. Derived views over the tier counters — the per-op resolution
-	// lives in the flight recorder's EvGet tags.
+	// lives in the flight recorder's EvGet tags. pm_fallback is a probe's
+	// trip to PM to revalidate its route before retrying in the mirror;
+	// there is no PM read path to fall back to.
 	reg.Gauge("read.path.mirror_served", func() int64 { return int64(t.filters.hits.Total()) })
-	reg.Gauge("read.path.pm_fallback", func() int64 {
-		return int64(t.filters.misses.Total() + t.filters.bypass.Total())
-	})
+	reg.Gauge("read.path.pm_fallback", func() int64 { return int64(t.filters.misses.Total()) })
 	reg.Gauge("read.path.heal", func() int64 { return int64(t.filters.heals.Total()) })
 	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
 
@@ -190,6 +189,15 @@ func (t *Table) TraceSnapshot() []obs.Event { return t.fr.Snapshot() }
 func (t *Table) recordRecoveryPhase(phase int, tag uint8, start, end int64) {
 	t.met.recoveryNS[phase].Store(end - start)
 	t.fr.RecordAt(start, obs.EvRecovery, tag, 0, uint64(end-start))
+}
+
+// readPath maps a read's result to its flight-recorder tag. Every answer
+// searchOpt returns was served by a mirror, so the tag says only which kind.
+func readPath(found bool) uint8 {
+	if found {
+		return obs.PathMirrorHit
+	}
+	return obs.PathMirrorNeg
 }
 
 // insOutcome maps an insert error to its flight-recorder tag.

@@ -101,7 +101,6 @@ type probeKey struct {
 	parts hashfn.Parts
 	kb    []byte // canonical key bytes; nil for the uint64 fast path
 	u     uint64 // the key when kb == nil
-	path  uint8  // obs path tag: which tier served the probe (searchOpt)
 }
 
 func (t *Table) probeU64(key uint64) probeKey {
@@ -173,10 +172,9 @@ func recProbe(p *pmem.Pool, vl *pmem.VarLog, ra pmem.Addr, pk *probeKey) (pmem.K
 // the blob's key bytes, which remains a PM read: a 64-bit hash match is not
 // key equality, and skipping the byte compare would return wrong records on
 // hash collisions. That one dereference uses KeyEqualsPrefetch, charging
-// the whole blob as a single streaming read; blobHot=true tells the caller
-// the value bytes are already paid for (extract with recValueU64Opt /
-// recAppendValueOpt).
-func mirRecMatch(vl *pmem.VarLog, w0, w1 uint64, pk *probeKey) (pmem.KV, bool, bool) {
+// the whole blob as a single streaming read, so the value bytes of an
+// indirect match are already paid for (recValueU64 / recAppendValue).
+func mirRecMatch(vl *pmem.VarLog, w0, w1 uint64, pk *probeKey) (pmem.KV, bool) {
 	if !recIsIndirect(w0) {
 		match := false
 		if pk.kb == nil {
@@ -185,65 +183,43 @@ func mirRecMatch(vl *pmem.VarLog, w0, w1 uint64, pk *probeKey) (pmem.KV, bool, b
 			match = binary.LittleEndian.Uint64(pk.kb) == w0
 		}
 		if !match {
-			return pmem.KV{}, false, false
+			return pmem.KV{}, false
 		}
-		return pmem.KV{Key: w0, Value: w1}, false, true
+		return pmem.KV{Key: w0, Value: w1}, true
 	}
 	if w1 != pk.parts.Hash {
-		return pmem.KV{}, false, false
+		return pmem.KV{}, false
 	}
 	if c := recClass(w0); c != 0 && c != klenClass(pk.keyLen()) {
-		return pmem.KV{}, false, false
+		return pmem.KV{}, false
 	}
 	blob := recBlobAddr(w0)
 	if pk.kb == nil {
 		if !vl.KeyEqualsPrefetchU64(blob, pk.u) {
-			return pmem.KV{}, false, false
+			return pmem.KV{}, false
 		}
 	} else if !vl.KeyEqualsPrefetch(blob, pk.kb) {
-		return pmem.KV{}, false, false
+		return pmem.KV{}, false
 	}
-	return pmem.KV{Key: w0, Value: w1}, true, true
+	return pmem.KV{Key: w0, Value: w1}, true
 }
 
-// recValueU64 extracts the uint64 view of a matched record's value.
+// recValueU64 extracts the uint64 view of a record mirRecMatch matched. An
+// indirect record's blob was charged whole by that match, so the extraction
+// is quiet.
 func recValueU64(vl *pmem.VarLog, kv pmem.KV) uint64 {
 	if recIsIndirect(kv.Key) {
-		return vl.ValueU64(recBlobAddr(kv.Key))
+		return vl.QuietValueU64(recBlobAddr(kv.Key))
 	}
 	return kv.Value
 }
 
-// recAppendValue appends a matched record's value bytes to dst (the
-// little-endian encoding for inline records).
+// recAppendValue appends the value bytes of a record mirRecMatch matched to
+// dst (the little-endian encoding for inline records); quiet like
+// recValueU64.
 func recAppendValue(vl *pmem.VarLog, dst []byte, kv pmem.KV) []byte {
 	if recIsIndirect(kv.Key) {
-		return vl.AppendValue(dst, recBlobAddr(kv.Key))
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], kv.Value)
-	return append(dst, buf[:]...)
-}
-
-// recValueU64Opt is recValueU64 aware of a prefetched blob: blobHot means
-// the probe already charged the whole blob, so extraction is quiet.
-func recValueU64Opt(vl *pmem.VarLog, kv pmem.KV, blobHot bool) uint64 {
-	if recIsIndirect(kv.Key) {
-		if blobHot {
-			return vl.QuietValueU64(recBlobAddr(kv.Key))
-		}
-		return vl.ValueU64(recBlobAddr(kv.Key))
-	}
-	return kv.Value
-}
-
-// recAppendValueOpt is recAppendValue aware of a prefetched blob.
-func recAppendValueOpt(vl *pmem.VarLog, dst []byte, kv pmem.KV, blobHot bool) []byte {
-	if recIsIndirect(kv.Key) {
-		if blobHot {
-			return vl.QuietAppendValue(dst, recBlobAddr(kv.Key))
-		}
-		return vl.AppendValue(dst, recBlobAddr(kv.Key))
+		return vl.QuietAppendValue(dst, recBlobAddr(kv.Key))
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], kv.Value)

@@ -53,13 +53,14 @@ import (
 //   - negatives additionally check the mirrored (depth, pattern) claim and
 //     re-read the route afterwards — the DRAM equivalent of
 //     validateRoute. If the DRAM state cannot vouch for a miss, the
-//     operation falls back to the PM path; if PM then says the route was
-//     fine, the mirror itself must be stale and is repaired in place
-//     (mirrorRepair, the cacheRepair of this layer);
+//     operation asks PM (validateRoute) and retries; if PM says the route
+//     was fine, the mirror itself must be stale and is repaired in place
+//     first (mirrorRepair, the cacheRepair of this layer);
 //   - Create installs mirrors segment by segment; Open installs none — each
 //     segment's mirror is built at its first-touch recovery (lazyrec.go),
-//     one streaming read per segment off the restart critical path, and the
-//     nil-means-bypass fallback below covers the window in between;
+//     one streaming read per segment off the restart critical path, and
+//     every operation fetches the mirror through Table.mirror, which is
+//     that first touch: no operation ever sees a segment without one;
 //   - a hash-sampled cross-check (mirrorMaybeCheck) compares the home
 //     bucket's mirror against PM on ~1/1024 of mirror-served reads, so
 //     even a divergence with no detectable symptom (a poisoned bitmap
@@ -116,8 +117,7 @@ type segFilters struct {
 	bytes atomic.Uint64 // DRAM held by installed mirrors
 
 	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
-	misses *obs.Counter // mirror probes that fell back to the PM path
-	bypass *obs.Counter // reads that found no mirror installed (expected 0)
+	misses *obs.Counter // mirror probes DRAM could not vouch for: route revalidated against PM, then retried
 	checks *obs.Counter // sampled mirror-vs-PM cross-checks run
 	heals  *obs.Counter // mirrors rebuilt in place after a failed cross-check
 }
@@ -180,14 +180,16 @@ func (t *Table) mirrorRepair(seg pmem.Addr, mir *segMirror) {
 
 // --- lock-free mirror probes (the read path) ---
 
-// mirBucketSearch scans one mirrored bucket under its shadow seqlock, the
-// DRAM twin of bucketSearchOpt: it loops until a scan completes under an
-// unchanged even shadow version, so the returned record words — and the
-// meta/fingerprint words handed back for overflow-probing decisions — form
-// a consistent snapshot of the bucket. An indirect candidate's blob is
-// verified (and fully charged) during the scan; a match through a slot
-// that mutated mid-scan is discarded by the version recheck.
-func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv pmem.KV, blobHot, found bool, m, hi uint64) {
+// mirBucketSearch scans one mirrored bucket without taking its lock. It
+// loops until a scan completes under an unchanged even shadow version
+// (seqlock read), so the returned record words — and the meta/fingerprint
+// words handed back for overflow-probing decisions — form a consistent
+// snapshot of the bucket. An indirect candidate's blob is verified (and
+// fully charged) during the scan: blob bytes are immutable from commit until
+// epoch reclamation and the caller holds an epoch guard, so they cannot
+// change or be reused underneath the read; a match through a slot that
+// mutated mid-scan is discarded by the version recheck.
+func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv pmem.KV, found bool, m, hi uint64) {
 	ver := mir.word(bi, mirBkVersion)
 	for {
 		v := ver.Load()
@@ -198,15 +200,15 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv 
 		m = mir.word(bi, mirBkMeta).Load()
 		lo := mir.word(bi, mirBkFPLo).Load()
 		hi = mir.word(bi, mirBkFPHi).Load()
-		kv, blobHot, found = pmem.KV{}, false, false
+		kv, found = pmem.KV{}, false
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) || fpGet(lo, hi, slot) != pk.parts.FP {
 				continue
 			}
 			w0 := mir.recWord(bi, slot, 0).Load()
 			w1 := mir.recWord(bi, slot, 1).Load()
-			if r, hot, ok := mirRecMatch(vl, w0, w1, pk); ok {
-				kv, blobHot, found = r, hot, true
+			if r, ok := mirRecMatch(vl, w0, w1, pk); ok {
+				kv, found = r, true
 				break
 			}
 		}
@@ -216,36 +218,40 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv 
 	}
 }
 
-// mirSegSearch probes the mirrored segment like segSearchOpt: candidate
-// pair fingerprint-first, then the home bucket's overflow metadata into the
-// stash. Zero PM traffic except the blob read of an indirect hit.
-func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey) (pmem.KV, bool, bool) {
+// mirSegSearch is the lock-free read path within one segment: probe the
+// candidate pair fingerprint-first, then follow the home bucket's overflow
+// metadata into the stash. Each bucket scan is individually version-stable;
+// cross-bucket races are caught by searchOpt's route recheck. Zero PM
+// traffic except the blob read of an indirect candidate. The match is
+// returned as the raw record words, which stay interpretable under the
+// caller's epoch guard.
+func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey) (pmem.KV, bool) {
 	b := int(pk.parts.BucketIndex(bucketBits))
 	b2 := (b + 1) % normalBuckets
-	kv, hot, found, m, hi := mirBucketSearch(vl, mir, b, pk)
+	kv, found, m, hi := mirBucketSearch(vl, mir, b, pk)
 	if found {
-		return kv, hot, true
+		return kv, true
 	}
-	if kv2, hot2, f2, _, _ := mirBucketSearch(vl, mir, b2, pk); f2 {
-		return kv2, hot2, true
+	if kv2, f2, _, _ := mirBucketSearch(vl, mir, b2, pk); f2 {
+		return kv2, true
 	}
 	for i := 0; i < maxOvSlots; i++ {
 		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
 			continue
 		}
 		j := ovIdxGet(hi, i)
-		if kv2, hot2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
-			return kv2, hot2, true
+		if kv2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
+			return kv2, true
 		}
 	}
 	if metaOvCount(m) > 0 {
 		for j := 0; j < stashBuckets; j++ {
-			if kv2, hot2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
-				return kv2, hot2, true
+			if kv2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
+				return kv2, true
 			}
 		}
 	}
-	return pmem.KV{}, false, false
+	return pmem.KV{}, false
 }
 
 // --- sampled self-check ---

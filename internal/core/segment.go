@@ -37,7 +37,7 @@ const (
 // bits hold the sibling segment's (256-aligned) address once it has been
 // allocated, or zero while the claim is still being set up. Recovery reads
 // the marker to finish or roll back a half-migrated split (see
-// Table.recover) and clears it, so — like the bucket version locks — the
+// Table.recoverLazy) and clears it, so — like the bucket version locks — the
 // word never survives a restart.
 const splitStateInFlight = 1
 
@@ -319,41 +319,6 @@ func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts
 	}
 	hb := int(parts.BucketIndex(bucketBits))
 	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked, persist)
-}
-
-// segSearchOpt is the lock-free read path: probe the candidate pair
-// fingerprint-first, then follow the home bucket's overflow metadata into
-// the stash. Each bucket scan is individually version-stable; cross-bucket
-// races are caught by the table layer's directory revalidation. The match
-// is returned as the raw record words — the caller extracts the value in
-// whichever representation it needs (blob bytes stay valid under its epoch
-// guard).
-func segSearchOpt(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (pmem.KV, bool) {
-	b, b2 := homePair(pk.parts)
-	kv, found, m, hi := bucketSearchOpt(p, vl, segBucket(seg, b), pk)
-	if found {
-		return kv, true
-	}
-	if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, b2), pk); f2 {
-		return kv2, true
-	}
-	for i := 0; i < maxOvSlots; i++ {
-		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
-			continue
-		}
-		j := ovIdxGet(hi, i)
-		if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, normalBuckets+j), pk); f2 {
-			return kv2, true
-		}
-	}
-	if metaOvCount(m) > 0 {
-		for j := 0; j < stashBuckets; j++ {
-			if kv2, f2, _, _ := bucketSearchOpt(p, vl, segBucket(seg, normalBuckets+j), pk); f2 {
-				return kv2, true
-			}
-		}
-	}
-	return pmem.KV{}, false
 }
 
 // segSweep deletes every record for which drop returns true, fixing stash

@@ -165,11 +165,11 @@ type splitCand struct {
 
 func (t *Table) splitMigrate(old, sib *segDesc, l uint8, a0 uint64) (*splitScan, bool) {
 	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
-	oldMir, newMir := old.mir.Load(), sib.mir.Load()
+	oldMir, newMir := t.mirror(old), t.mirror(sib)
 
 	// Phase 1 — optimistic scan, no locks: migration never mutates the old
 	// segment, so each bucket is snapshotted seqlock-style (stable version
-	// across the scan, like bucketSearchOpt). The whole segment is charged
+	// across the scan, like mirBucketSearch). The whole segment is charged
 	// as one streaming read up front — a sequential sweep of its lines,
 	// exactly what the hardware prefetcher would serve — and the per-word
 	// loads are quiet (one-charge-per-line).
@@ -345,7 +345,7 @@ func (t *Table) splitCopyStashSlot(oldMir, newMir *segMirror, oldSeg, newSeg, sa
 // splitStallNS.
 func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitScan) error {
 	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
-	oldMir := old.mir.Load()
+	oldMir := t.mirror(old)
 	begin := time.Now()
 	for i := 0; i < totalBuckets; i++ {
 		lockBucket(p, oldMir, segBucket(oldSeg, i), i)
@@ -464,7 +464,7 @@ func (t *Table) assistInsert(sd *segDesc, pk *probeKey, kv pmem.KV) bool {
 	// under bucket locks ordered after this store, so a nonzero delta is
 	// visible before any duplicate can be.
 	t.splitAssists.Add(1)
-	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
+	p, sib, sibMir := t.pool, sd.seg, t.mirror(sd)
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	// The key is fresh table-wide, but its sibling copy may already exist:
@@ -486,7 +486,7 @@ func (t *Table) assistInsert(sd *segDesc, pk *probeKey, kv pmem.KV) bool {
 // the migrator already copied the record, the copy must die too or the key
 // would resurrect when the split publishes.
 func (t *Table) assistDelete(sd *segDesc, pk *probeKey) {
-	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
+	p, sib, sibMir := t.pool, sd.seg, t.mirror(sd)
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	if loc, found := segFindLocked(p, t.vlog, sib, pk); found {
@@ -511,7 +511,7 @@ func (t *Table) assistOverwrite(sd *segDesc, pk *probeKey, kv pmem.KV, insert bo
 	if insert {
 		t.splitAssists.Add(1) // before touching the sibling, like assistInsert
 	}
-	p, sib, sibMir := t.pool, sd.seg, sd.mir.Load()
+	p, sib, sibMir := t.pool, sd.seg, t.mirror(sd)
 	b, b2 := homePair(pk.parts)
 	lockPair(p, sibMir, sib, b, b2)
 	ok := true
@@ -519,10 +519,8 @@ func (t *Table) assistOverwrite(sd *segDesc, pk *probeKey, kv pmem.KV, insert bo
 		ra := recordAddr(segBucket(sib, loc.bucket), loc.slot)
 		p.StoreU64(ra.Add(8), kv.Value)
 		p.StoreU64(ra, kv.Key)
-		if sibMir != nil {
-			sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
-			sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-		}
+		sibMir.recWord(loc.bucket, loc.slot, 1).Store(kv.Value)
+		sibMir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 	} else if insert {
 		ok = segInsertLocked(p, sibMir, sib, pk.parts, kv, false, t.seed)
 	}

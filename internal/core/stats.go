@@ -37,9 +37,9 @@ type TableStats struct {
 	// DirCacheHits and DirCacheMisses count cached-route outcomes. A hit is
 	// a route that served its operation: a read answered from DRAM or a
 	// writer whose locked segment's own PM header claimed the key (neither
-	// reads the PM directory; that skip is the point of the cache), or a
-	// reader's PM fallback that validateRoute confirmed. A miss is a stale
-	// route caught by a failed validation, forcing a repair + retry.
+	// reads the PM directory; that skip is the point of the cache). A miss
+	// is a stale route caught by a failed validation, forcing a repair +
+	// retry.
 	DirCacheHits   uint64 `json:"dir_cache_hits"`
 	DirCacheMisses uint64 `json:"dir_cache_misses"`
 	// DirCacheHitRate is DirCacheHits over all route outcomes (1 when
@@ -65,14 +65,16 @@ type TableStats struct {
 	// Segment filter mirror (segfilter.go) accounting. SegFilterBytes is the
 	// DRAM held by installed per-segment mirrors. Hits are reads fully served
 	// by a mirror (positive, or a miss the mirror could vouch for); Misses
-	// are probes that fell back to the PM path; Bypass counts reads that
-	// found no mirror installed (expected 0 outside recovery windows).
-	// Checks counts sampled mirror-vs-PM cross-checks, Heals in-place mirror
-	// repairs (sampled check or validation disagreement). Counters are
-	// cumulative since Create/Open; windowed consumers subtract a baseline.
+	// are probes DRAM could not vouch for, which revalidated the route
+	// against PM and retried. Checks counts sampled mirror-vs-PM
+	// cross-checks, Heals in-place mirror repairs (sampled check or
+	// validation disagreement). Counters are cumulative since Create/Open;
+	// windowed consumers subtract a baseline.
 	SegFilterBytes  uint64 `json:"seg_filter_bytes"`
 	SegFilterHits   uint64 `json:"seg_filter_hits"`
 	SegFilterMisses uint64 `json:"seg_filter_misses"`
+	// SegFilterBypass is always 0: no read runs without a mirror. Kept for
+	// benchmark/engine.go and the BENCH row schema; goes when they drop it.
 	SegFilterBypass uint64 `json:"seg_filter_bypass"`
 	// SegFilterHitRate is SegFilterHits over all mirror probe outcomes
 	// (1 when idle).
@@ -153,7 +155,6 @@ func (t *Table) Stats() TableStats {
 	})
 
 	hits, misses := t.cache.hits.Total(), t.cache.misses.Total()
-	fhits, fmisses, fbypass := t.filters.hits.Total(), t.filters.misses.Total(), t.filters.bypass.Total()
 	lg := t.vlog.Stats()
 	st := TableStats{
 		Count:            t.count.Load(),
@@ -167,9 +168,8 @@ func (t *Table) Stats() TableStats {
 		DirCacheRebuilds: t.cache.rebuilds.Total(),
 		DirCacheBytes:    8 * uint64(len(v.entries)),
 		SegFilterBytes:   t.filters.bytes.Load(),
-		SegFilterHits:    fhits,
-		SegFilterMisses:  fmisses,
-		SegFilterBypass:  fbypass,
+		SegFilterHits:    t.filters.hits.Total(),
+		SegFilterMisses:  t.filters.misses.Total(),
 		SegFilterChecks:  t.filters.checks.Total(),
 		SegFilterHeals:   t.filters.heals.Total(),
 		LogChunkBytes:    lg.ChunkBytes,
@@ -213,7 +213,7 @@ func (s *TableStats) deriveRates() {
 	if n := s.DirCacheHits + s.DirCacheMisses; n > 0 {
 		s.DirCacheHitRate = float64(s.DirCacheHits) / float64(n)
 	}
-	if n := s.SegFilterHits + s.SegFilterMisses + s.SegFilterBypass; n > 0 {
+	if n := s.SegFilterHits + s.SegFilterMisses; n > 0 {
 		s.SegFilterHitRate = float64(s.SegFilterHits) / float64(n)
 	}
 }
@@ -242,7 +242,6 @@ func (s TableStats) Add(o TableStats) TableStats {
 	s.SegFilterBytes += o.SegFilterBytes
 	s.SegFilterHits += o.SegFilterHits
 	s.SegFilterMisses += o.SegFilterMisses
-	s.SegFilterBypass += o.SegFilterBypass
 	s.SegFilterChecks += o.SegFilterChecks
 	s.SegFilterHeals += o.SegFilterHeals
 	s.Splits += o.Splits
@@ -278,7 +277,6 @@ func (s TableStats) Since(earlier TableStats) TableStats {
 	s.DirCacheMisses -= earlier.DirCacheMisses
 	s.SegFilterHits -= earlier.SegFilterHits
 	s.SegFilterMisses -= earlier.SegFilterMisses
-	s.SegFilterBypass -= earlier.SegFilterBypass
 	s.SegFilterChecks -= earlier.SegFilterChecks
 	s.SegFilterHeals -= earlier.SegFilterHeals
 	s.Splits -= earlier.Splits

@@ -13,9 +13,10 @@ import (
 	"dash/internal/pmem"
 )
 
-// Table layer (§4.4–4.6): the public Insert/Get/Delete/Update API, the
-// locking protocol tying the layers together, segment-split orchestration
-// with a crash-consistent three-step publish, and post-crash recovery.
+// Table layer (§4.4–4.6): the public Insert/Get/Delete/Update API and the
+// locking protocol tying the layers together. Segment-split orchestration
+// with its crash-consistent three-step publish is split.go, post-crash
+// recovery lazyrec.go.
 //
 // Concurrency protocol:
 //   - Every operation routes key → segment through the DRAM directory cache
@@ -23,10 +24,12 @@ import (
 //     validation or to repair a stale route. Every operation runs inside an
 //     epoch guard so a retired directory block is never recycled under a
 //     reader still traversing it.
-//   - Readers are optimistic and lock-free: scan buckets under seqlock
-//     version validation, and revalidate the route against the PM directory
-//     before concluding "not found". A seqlock-stable positive hit needs no
-//     revalidation (see dircache.go).
+//   - Readers are optimistic and lock-free: scan the routed segment's DRAM
+//     mirror buckets under seqlock version validation (segfilter.go — the
+//     only reader there is), and revalidate the route, in DRAM when it can
+//     vouch and against the PM directory when not, before concluding "not
+//     found". A seqlock-stable positive hit needs no revalidation (see
+//     dircache.go).
 //   - Writers lock only the key's two candidate buckets (plus stash /
 //     displacement buckets, in a fixed deadlock-free order), then check that
 //     the locked segment's own PM header claims the key (lockOwner, §4.4):
@@ -101,29 +104,10 @@ type Options struct {
 	Seed uint64
 }
 
-// Deps bundles a table's explicitly injectable runtime dependencies, so a
-// multi-table embedding (the service tier's shards) wires each table's
-// machinery by hand instead of relying on constructor-internal defaults.
-// The persistent pieces are not here on purpose: the pool is the explicit
-// first constructor argument, and the record log is persistent state
-// anchored in that pool's root — its handle derives from the pool handle,
-// so pool and log always travel together.
-type Deps struct {
-	// Epoch is the table's epoch-reclamation manager. Managers are strictly
-	// per-table state (the table registers its reclamation meters on it and
-	// retires its own directory blocks and log blobs through it); injecting
-	// one manager into two tables is a misuse. A nil Epoch gets a fresh
-	// private manager — the single-table default. Injection exists so an
-	// embedding owns the manager's lifecycle and isolation: a reader stalled
-	// on one shard's table pins only that shard's reclamation, never a
-	// neighbor's.
-	Epoch *epoch.Manager
-}
-
 // Table is a Dash extendible hash table living in a pmem.Pool.
 type Table struct {
 	pool *pmem.Pool
-	em   *epoch.Manager
+	em   *epoch.Manager // this table's own: a reader stalled here pins no other table's reclamation
 	seed uint64
 
 	// vlog is the PM record log holding every variable-length (and every
@@ -208,28 +192,17 @@ type freeSpan struct {
 
 // newTableState builds the DRAM side of a table over pool: what Create and
 // Open share before either touches the image.
-func newTableState(pool *pmem.Pool, deps Deps, seed uint64) *Table {
-	t := &Table{pool: pool, em: deps.Epoch, seed: seed,
+func newTableState(pool *pmem.Pool, seed uint64) *Table {
+	t := &Table{pool: pool, em: epoch.NewManager(), seed: seed,
 		mirrorSampleMask: mirrorSamplePeriod - 1, opSampleMask: opSamplePeriod - 1}
-	if t.em == nil {
-		t.em = epoch.NewManager()
-	}
 	t.cache.descs = make(map[pmem.Addr]*segDesc)
 	t.vlog = pmem.NewVarLog(pool, rootAddr.Add(rootOffVarLog), 0, t.alloc)
 	t.initObs()
 	return t
 }
 
-// Create formats pool with an empty table and returns it, with default
-// dependencies (a private epoch manager). Multi-table embeddings that wire
-// dependencies explicitly use CreateWith.
+// Create formats pool with an empty table and returns it.
 func Create(pool *pmem.Pool, opt Options) (*Table, error) {
-	return CreateWith(pool, Deps{}, opt)
-}
-
-// CreateWith formats pool with an empty table using explicitly injected
-// dependencies; see Deps for what is injectable and why.
-func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 	if opt.Seed == 0 {
 		opt.Seed = hashfn.DefaultSeed
 	}
@@ -237,7 +210,7 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 		opt.InitialDepth = 1
 	}
 	p := pool
-	t := newTableState(p, deps, opt.Seed)
+	t := newTableState(p, opt.Seed)
 
 	p.WriteU64(rootAddr.Add(rootOffMagic), 0) // not a table until fully formatted
 	p.WriteU64(rootAddr.Add(rootOffFormat), tableFormat)
@@ -283,12 +256,6 @@ func CreateWith(pool *pmem.Pool, deps Deps, opt Options) (*Table, error) {
 // only installs the segment's DRAM mirror. Call RecoverAll to force the
 // deferred work to complete synchronously.
 func Open(pool *pmem.Pool) (*Table, error) {
-	return OpenWith(pool, Deps{})
-}
-
-// OpenWith revives the table stored in pool like Open, using explicitly
-// injected dependencies; see Deps.
-func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	p := pool
 	if p.ReadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
 		return nil, ErrNotATable
@@ -296,7 +263,7 @@ func OpenWith(pool *pmem.Pool, deps Deps) (*Table, error) {
 	if f := p.ReadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
 		return nil, fmt.Errorf("core: unsupported table format %d (want %d)", f, tableFormat)
 	}
-	t := newTableState(p, deps, p.ReadU64(rootAddr.Add(rootOffSeed)))
+	t := newTableState(p, p.ReadU64(rootAddr.Add(rootOffSeed)))
 	clean := p.ReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.
@@ -416,8 +383,7 @@ func (t *Table) validateRoute(parts hashfn.Parts, seg pmem.Addr) bool {
 func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (*segDesc, *segMirror) {
 	for {
 		d := t.cache.route(parts)
-		t.ensureRecovered(d)
-		seg, mir := d.seg, d.mir.Load()
+		seg, mir := d.seg, t.mirror(d)
 		lockPair(t.pool, mir, seg, b, b2)
 		if segClaims(t.pool, seg, parts) {
 			t.cache.hits.Inc()
@@ -556,23 +522,24 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 
 // Get returns the value stored under key. Lock-free, and on the hot path
 // free of PM metadata traffic: the route comes from the DRAM directory
-// cache, and a found record under a stable bucket version is immediately
-// valid (segments are never reclaimed, and a key's record is physically
-// present only in segments that route to it — see dircache.go). A miss is
-// trusted only after the route revalidates against the PM directory; a
-// stale route instead repairs the cache and retries. For a record stored
+// cache, the probe runs in the segment's DRAM mirror, and a found record
+// under a stable bucket version is immediately valid (segments are never
+// reclaimed, and a key's record is physically present only in segments that
+// route to it — see dircache.go). A miss is trusted once the route is
+// revalidated, in DRAM when it can be and against the PM directory when not;
+// a stale route repairs the cache and retries (searchOpt). For a record stored
 // through the log the result is the little-endian uint64 of the value's
 // first 8 bytes (zero-padded when shorter) — the fixed-width view of a
 // variable value.
 func (t *Table) Get(key uint64) (uint64, bool) {
 	pk := t.probeU64(key)
 	op := t.opBegin(&pk)
-	kv, blobHot, found := t.searchOpt(&pk)
+	kv, found := t.searchOpt(&pk)
 	var v uint64
 	if found {
-		v = recValueU64Opt(t.vlog, kv, blobHot)
+		v = recValueU64(t.vlog, kv)
 	}
-	t.opEnd(op, &pk, obs.EvGet, pk.path)
+	t.opEnd(op, &pk, obs.EvGet, readPath(found))
 	return v, found
 }
 
@@ -587,22 +554,23 @@ func (t *Table) GetB(key []byte) ([]byte, bool) {
 func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 	pk := t.probeBytes(key)
 	op := t.opBegin(&pk)
-	kv, blobHot, found := t.searchOpt(&pk)
+	kv, found := t.searchOpt(&pk)
 	if found {
-		dst = recAppendValueOpt(t.vlog, dst, kv, blobHot)
+		dst = recAppendValue(t.vlog, dst, kv)
 	}
-	t.opEnd(op, &pk, obs.EvGet, pk.path)
+	t.opEnd(op, &pk, obs.EvGet, readPath(found))
 	return dst, found
 }
 
-// searchOpt is the shared lock-free read protocol, probing the segment's
-// DRAM filter mirror first (segfilter.go):
+// searchOpt is the lock-free read protocol — the only one: every probe runs
+// against the routed segment's DRAM filter mirror (segfilter.go), which
+// Table.mirror guarantees exists.
 //
-//   - a stable mirror hit is immediately valid, by the same argument as a
-//     stable PM hit (a key's record is physically present only in segments
-//     the directory routes it to, and the mirror's shadow seqlock makes a
-//     stable scan equivalent to a stable PM scan). blobHot reports that an
-//     indirect hit's blob was already charged in full by the probe.
+//   - a stable mirror hit is immediately valid: a key's record is physically
+//     present only in segments the directory routes it to, and the mirror's
+//     shadow seqlock makes a stable scan equivalent to a stable scan of the
+//     PM bucket under its version lock. An indirect hit's blob was charged
+//     in full by the probe.
 //   - a mirror miss is trusted entirely in DRAM when (a) the mirrored
 //     segment header still claims the key and (b) the route, re-read after
 //     the scans, still names this segment. That ordering is what makes it
@@ -611,51 +579,31 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 //     stable per-bucket scans could have missed (swept to the sibling)
 //     implies the publish unlocked before some scan — and then the
 //     route recheck, which runs after all scans, sees the new route.
-//   - anything else falls back to PM: a validateRoute success there means
-//     DRAM disagreed with PM truth, so the mirror heals itself
-//     (mirrorRepair) and the probe retries; a failure is the ordinary
-//     stale-route path (cacheRepair + retry).
+//   - anything else asks PM whether the route was right (validateRoute)
+//     and retries: a success means DRAM disagreed with PM truth, so the
+//     mirror heals itself first (mirrorRepair); a failure is the ordinary
+//     stale-route path (cacheRepair).
 //
 // A sampled cross-check (mirrorMaybeCheck) guards the trusted outcomes
 // against silent mirror corruption. The returned record words stay
 // interpretable under the caller's epoch guard.
-func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool, bool) {
-	p := t.pool
+func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	for {
 		d := t.cache.route(pk.parts)
-		t.ensureRecovered(d)
-		seg, mir := d.seg, d.mir.Load()
-		if mir == nil {
-			// No mirror installed (unexpected steady-state): PM path.
-			t.filters.bypass.Inc()
-			pk.path = obs.PathPMFallback
-			if kv, found := segSearchOpt(p, t.vlog, seg, pk); found {
-				t.cache.hits.Inc()
-				return kv, false, true
-			}
-			if t.validateRoute(pk.parts, seg) {
-				t.cache.hits.Inc()
-				return pmem.KV{}, false, false
-			}
-			t.cache.misses.Inc()
-			t.cacheRepair(pk.parts)
-			continue
-		}
-		kv, blobHot, found := mirSegSearch(t.vlog, mir, pk)
+		seg, mir := d.seg, t.mirror(d)
+		kv, found := mirSegSearch(t.vlog, mir, pk)
 		if found {
 			t.cache.hits.Inc()
 			t.filters.hits.Inc()
-			pk.path = obs.PathMirrorHit
 			t.mirrorMaybeCheck(seg, mir, pk)
-			return kv, blobHot, true
+			return kv, true
 		}
 		if mirClaims(mir, pk.parts) {
 			if t.cache.route(pk.parts) == d {
 				t.cache.hits.Inc()
 				t.filters.hits.Inc()
-				pk.path = obs.PathMirrorNeg
 				t.mirrorMaybeCheck(seg, mir, pk)
-				return pmem.KV{}, false, false
+				return pmem.KV{}, false
 			}
 		}
 		t.filters.misses.Inc()
@@ -805,13 +753,11 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			}
 			p.WriteValue(ra, v)
 			p.Persist(ra.Add(8), 8)
-			if mir != nil {
-				// Single-word mirror store; for a stash-resident record it
-				// happens outside the stash bucket's lock, which is exactly
-				// the PM store's own discipline — readers see the old or
-				// the new word, both linearizable.
-				mir.recWord(loc.bucket, loc.slot, 1).Store(v)
-			}
+			// Single-word mirror store; for a stash-resident record it
+			// happens outside the stash bucket's lock, which is exactly the
+			// PM store's own discipline — readers see the old or the new
+			// word, both linearizable.
+			mir.recWord(loc.bucket, loc.slot, 1).Store(v)
 			if sib := t.splitSibling(d, parts); sib != nil {
 				t.assistOverwrite(sib, pk, pmem.KV{Key: w0, Value: v}, false)
 			}
@@ -847,9 +793,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			// Copy-on-write flip: word 1 already holds the key's hash.
 			p.StoreU64(ra, kv.Key)
 			p.Persist(ra, 8)
-			if mir != nil {
-				mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-			}
+			mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 			if sib := t.splitSibling(d, parts); sib != nil {
 				t.assistOverwrite(sib, pk, kv, false)
 			}

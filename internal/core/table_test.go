@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dash/internal/pmem"
@@ -255,4 +256,46 @@ func findKeyWithPrefix(t *testing.T, tbl *Table, prefix uint64, depth uint8) uin
 	}
 	t.Fatal("no key found for prefix")
 	return 0
+}
+
+// TestEpochPinningIsolatedPerTable: every table owns its epoch manager, so a
+// guard pinned on one table must not stop another table — another shard of a
+// service — from reclaiming its retired blobs.
+func TestEpochPinningIsolatedPerTable(t *testing.T) {
+	tbls := [2]*Table{newTestTable(t, 16<<20, Options{Seed: 11}), newTestTable(t, 16<<20, Options{Seed: 13})}
+	defer tbls[0].Close()
+	defer tbls[1].Close()
+
+	// Pin table 0: an in-flight reader that never exits.
+	guard := tbls[0].em.Enter()
+
+	// Retire work on both tables: indirect records (16-byte keys/values
+	// force blob storage) whose deletes defer the blob free to the epoch.
+	for ti, tb := range tbls {
+		for i := 0; i < 256; i++ {
+			k := []byte(fmt.Sprintf("pin-%d-key-%03d", ti, i))
+			v := []byte(fmt.Sprintf("pin-%d-val-%03d", ti, i))
+			if err := tb.InsertB(k, v); err != nil {
+				t.Fatalf("table %d insert %d: %v", ti, i, err)
+			}
+			if !tb.DeleteB(k) {
+				t.Fatalf("table %d delete %d missed", ti, i)
+			}
+		}
+		tb.em.Drain()
+	}
+
+	if p := tbls[1].em.Pending(); p != 0 {
+		t.Fatalf("unpinned table still has %d pending retires after drain", p)
+	}
+	if p := tbls[0].em.Pending(); p == 0 {
+		t.Fatal("pinned table reclaimed everything despite an active guard")
+	}
+
+	// Releasing the guard unblocks table 0's reclamation.
+	guard.Exit()
+	tbls[0].em.Drain()
+	if p := tbls[0].em.Pending(); p != 0 {
+		t.Fatalf("pinned table still has %d pending retires after guard exit", p)
+	}
 }

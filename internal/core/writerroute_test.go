@@ -41,6 +41,13 @@ func fpMatches(tbl *Table, key uint64) int {
 	return n
 }
 
+// readLines returns how many PM lines op read from p (charged reads only).
+func readLines(p *pmem.Pool, op func()) uint64 {
+	before := p.Stats().ReadLines
+	op()
+	return p.Stats().ReadLines - before
+}
+
 // TestWriterReadCharges: on a quiet table with the cost model off, an
 // Insert into a non-full pair with no fingerprint collision reads exactly one
 // PM line (the locked segment's header), an in-place Update and a Delete of
@@ -50,11 +57,6 @@ func TestWriterReadCharges(t *testing.T) {
 	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 2})
 	defer tbl.Close()
 	p := tbl.pool
-	readLines := func(op func()) uint64 {
-		before := p.Stats().ReadLines
-		op()
-		return p.Stats().ReadLines - before
-	}
 
 	checked := 0
 	for k := uint64(1); k <= 400; k++ {
@@ -66,14 +68,14 @@ func TestWriterReadCharges(t *testing.T) {
 			}
 			continue
 		}
-		if n := readLines(func() {
+		if n := readLines(p, func() {
 			if err := tbl.Insert(k, k); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 1 {
 			t.Fatalf("Insert(%d) read %d PM lines, want 1 (the segment header)", k, n)
 		}
-		if n := readLines(func() {
+		if n := readLines(p, func() {
 			if ok, err := tbl.Update(k, k+1); !ok || err != nil {
 				t.Fatalf("Update(%d) = %v, %v", k, ok, err)
 			}
@@ -81,7 +83,7 @@ func TestWriterReadCharges(t *testing.T) {
 			t.Fatalf("Update(%d) read %d PM lines, want 2 (header + record)", k, n)
 		}
 		if k%2 == 0 {
-			if n := readLines(func() {
+			if n := readLines(p, func() {
 				if !tbl.Delete(k) {
 					t.Fatalf("Delete(%d) reported missing", k)
 				}
@@ -189,7 +191,7 @@ func (f *routeFixture) verify(t *testing.T) {
 		}
 		pk := tbl.probeU64(k)
 		seg := tbl.resolve(pk.parts)
-		if _, found := segSearchOpt(tbl.pool, tbl.vlog, seg, &pk); !found {
+		if _, found := segFindLocked(tbl.pool, tbl.vlog, seg, &pk); !found { // quiescent: no lock to hold
 			t.Fatalf("key %d is not in the segment %#x the PM directory routes it to", k, seg)
 		}
 	}
@@ -199,7 +201,7 @@ func (f *routeFixture) verify(t *testing.T) {
 		}
 		pk := tbl.probeBytes([]byte(k))
 		seg := tbl.resolve(pk.parts)
-		if _, found := segSearchOpt(tbl.pool, tbl.vlog, seg, &pk); !found {
+		if _, found := segFindLocked(tbl.pool, tbl.vlog, seg, &pk); !found {
 			t.Fatalf("key %q is not in the segment %#x the PM directory routes it to", k, seg)
 		}
 	}

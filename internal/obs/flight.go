@@ -68,9 +68,8 @@ const (
 	TagNone uint8 = iota
 
 	// Read paths (EvGet).
-	PathMirrorHit  // positive hit served by the DRAM filter mirror
-	PathMirrorNeg  // negative vouched for entirely in DRAM
-	PathPMFallback // no mirror installed (or unstable): PM bucket probe
+	PathMirrorHit // positive hit served by the DRAM filter mirror
+	PathMirrorNeg // negative vouched for entirely in DRAM
 
 	// Mutator outcomes (EvInsert/EvUpdate/EvDelete).
 	OutcomeOK
@@ -91,7 +90,6 @@ var tagNames = map[uint8]string{
 	TagNone:         "-",
 	PathMirrorHit:   "mirror-hit",
 	PathMirrorNeg:   "mirror-neg",
-	PathPMFallback:  "pm-fallback",
 	OutcomeOK:       "ok",
 	OutcomeExists:   "exists",
 	OutcomeMissing:  "missing",

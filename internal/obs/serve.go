@@ -66,7 +66,7 @@ func Serve(addr string, src Source) (*Server, error) {
 		// registry, how thinly it samples the op lane.
 		if reg := src.Metrics(); reg != nil {
 			if n := reg.Snapshot().Gauges["flight.op_sample_period"]; n > 1 {
-				fmt.Fprintf(w, "# control lane complete; op lane sampled 1 in %d by key hash, plus every pm-fallback read and failed mutation (b=0)\n", n)
+				fmt.Fprintf(w, "# control lane complete; op lane sampled 1 in %d by key hash, plus every failed mutation (b=0)\n", n)
 			}
 		}
 		for _, e := range events {

@@ -16,13 +16,12 @@ import "sync/atomic"
 // early, which is exactly what real hardware does when a neighboring flush
 // catches a fresh store to the same line.
 //
-// The byte-range stores (Copy, WriteBytes, Zero, VarLog.Append's payload
-// copies) are plain writes whose range may share a cacheline with another
-// goroutine's data (two blobs of one line). On a crash-tracked pool a
-// concurrent Flush snapshots every word of that line (copyLineToMedia), so
-// they run inside rangeStore, under the tracker's mutex — still ahead of the
-// dirty-marking, which retakes it. Untracked pools (every benchmark's
-// measured phase) pay a nil check.
+// A byte-range store (VarLog.Append's payload copies) is a plain write whose
+// range may share a cacheline with another goroutine's data (two blobs of
+// one line). On a crash-tracked pool a concurrent Flush snapshots every word
+// of that line (copyLineToMedia), so it runs inside rangeStore, under the
+// tracker's mutex — still ahead of the dirty-marking, which retakes it.
+// Untracked pools (every benchmark's measured phase) pay a nil check.
 
 func (p *Pool) rangeStore(store func()) {
 	if p.crash != nil {
@@ -83,36 +82,8 @@ func (p *Pool) WriteU64(a Addr, v uint64) {
 	p.onWrite(a, 8)
 }
 
-// ReadU32 loads a uint32 at a (4-aligned).
-func (p *Pool) ReadU32(a Addr) uint32 {
-	p.check(a, 4)
-	p.onRead(a, 4)
-	return *(*uint32)(p.base(a))
-}
-
-// WriteU32 stores v at a (4-aligned).
-func (p *Pool) WriteU32(a Addr, v uint32) {
-	p.check(a, 4)
-	*(*uint32)(p.base(a)) = v
-	p.onWrite(a, 4)
-}
-
-// ReadU8 loads one byte at a.
-func (p *Pool) ReadU8(a Addr) uint8 {
-	p.check(a, 1)
-	p.onRead(a, 1)
-	return p.data[a]
-}
-
-// WriteU8 stores one byte at a.
-func (p *Pool) WriteU8(a Addr, v uint8) {
-	p.check(a, 1)
-	p.data[a] = v
-	p.onWrite(a, 1)
-}
-
 // Atomic operations. These are both synchronization (for the simulated
-// threads) and 8-byte/4-byte atomic PM stores (for the simulated hardware).
+// threads) and 8-byte atomic PM stores (for the simulated hardware).
 
 // LoadU64 atomically loads the uint64 at a.
 func (p *Pool) LoadU64(a Addr) uint64 {
@@ -144,46 +115,6 @@ func (p *Pool) AddU64(a Addr, delta uint64) uint64 {
 	return v
 }
 
-// LoadU32 atomically loads the uint32 at a.
-func (p *Pool) LoadU32(a Addr) uint32 {
-	p.check(a, 4)
-	p.onRead(a, 4)
-	return atomic.LoadUint32((*uint32)(p.base(a)))
-}
-
-// StoreU32 atomically stores v at a.
-func (p *Pool) StoreU32(a Addr, v uint32) {
-	p.check(a, 4)
-	atomic.StoreUint32((*uint32)(p.base(a)), v)
-	p.onWrite(a, 4)
-}
-
-// CompareAndSwapU32 executes a CAS on the uint32 at a.
-func (p *Pool) CompareAndSwapU32(a Addr, old, new uint32) bool {
-	p.check(a, 4)
-	ok := atomic.CompareAndSwapUint32((*uint32)(p.base(a)), old, new)
-	p.onWrite(a, 4)
-	return ok
-}
-
-// Copy copies n bytes from src to dst within the pool, accounting one read
-// and one write.
-func (p *Pool) Copy(dst, src Addr, n uint64) {
-	p.check(dst, n)
-	p.check(src, n)
-	p.rangeStore(func() { copy(p.data[dst:uint64(dst)+n], p.data[src:uint64(src)+n]) })
-	p.onRead(src, n)
-	p.onWrite(dst, n)
-}
-
-// WriteBytes copies b into the pool at a.
-func (p *Pool) WriteBytes(a Addr, b []byte) {
-	n := uint64(len(b))
-	p.check(a, n)
-	p.rangeStore(func() { copy(p.data[a:uint64(a)+n], b) })
-	p.onWrite(a, n)
-}
-
 // ReadBytes copies n bytes at a out of the pool.
 func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
 	p.check(a, n)
@@ -191,16 +122,4 @@ func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
 	out := make([]byte, n)
 	copy(out, p.data[a:uint64(a)+n])
 	return out
-}
-
-// Zero clears [a, a+n).
-func (p *Pool) Zero(a Addr, n uint64) {
-	p.check(a, n)
-	b := p.data[a : uint64(a)+n]
-	p.rangeStore(func() {
-		for i := range b {
-			b[i] = 0
-		}
-	})
-	p.onWrite(a, n)
 }

@@ -34,10 +34,6 @@ import (
 // CachelineSize is the unit of flushing and of crash-atomicity tracking.
 const CachelineSize = 64
 
-// MediaBlockSize is Optane DCPMM's internal 256-byte access granularity;
-// the stats use it to report media-level traffic.
-const MediaBlockSize = 256
-
 // Addr is an offset into a Pool's arena. The zero Addr is the null pointer:
 // offset 0 is reserved and never handed out.
 type Addr uint64

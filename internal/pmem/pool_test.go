@@ -75,7 +75,7 @@ func TestCrashThenReopen(t *testing.T) {
 func TestQuietWritesStillCrashTracked(t *testing.T) {
 	p := newTracked(t, 4096)
 	a := Addr(CachelineSize)
-	p.QuietWriteU64(a, 99)
+	p.QuietStoreU64(a, 99)
 	if p.DirtyLines() == 0 {
 		t.Fatal("quiet write not tracked as dirty")
 	}
@@ -138,7 +138,8 @@ func TestKVHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := Addr(CachelineSize)
-	p.WriteKV(a, KV{Key: 11, Value: 22})
+	p.StoreU64(a, 11)
+	p.WriteValue(a, 22)
 	if kv := p.ReadKV(a); kv.Key != 11 || kv.Value != 22 {
 		t.Errorf("ReadKV = %+v", kv)
 	}

@@ -26,57 +26,10 @@ func (p *Pool) QuietReadU64(a Addr) uint64 {
 	return *(*uint64)(p.base(a))
 }
 
-// QuietWriteU64 stores v at a, tracked for crashes but not charged.
-func (p *Pool) QuietWriteU64(a Addr, v uint64) {
-	p.check(a, 8)
-	*(*uint64)(p.base(a)) = v
-	p.markDirty(a, 8)
-}
-
-// QuietReadU32 loads the uint32 at a without accounting.
-func (p *Pool) QuietReadU32(a Addr) uint32 {
-	p.check(a, 4)
-	return *(*uint32)(p.base(a))
-}
-
-// QuietWriteU32 stores v at a, tracked for crashes but not charged.
-func (p *Pool) QuietWriteU32(a Addr, v uint32) {
-	p.check(a, 4)
-	*(*uint32)(p.base(a)) = v
-	p.markDirty(a, 4)
-}
-
-// QuietReadU8 loads the byte at a without accounting.
-func (p *Pool) QuietReadU8(a Addr) uint8 {
-	p.check(a, 1)
-	return p.data[a]
-}
-
-// QuietWriteU8 stores v at a, tracked for crashes but not charged.
-func (p *Pool) QuietWriteU8(a Addr, v uint8) {
-	p.check(a, 1)
-	p.data[a] = v
-	p.markDirty(a, 1)
-}
-
-// QuietLoadU32 atomically loads the uint32 at a without accounting. Used to
-// re-verify a version lock living on a line the reader already paid for.
-func (p *Pool) QuietLoadU32(a Addr) uint32 {
-	p.check(a, 4)
-	return atomic.LoadUint32((*uint32)(p.base(a)))
-}
-
 // QuietLoadU64 atomically loads the uint64 at a without accounting.
 func (p *Pool) QuietLoadU64(a Addr) uint64 {
 	p.check(a, 8)
 	return atomic.LoadUint64((*uint64)(p.base(a)))
-}
-
-// QuietStoreU32 atomically stores v at a, tracked but not charged.
-func (p *Pool) QuietStoreU32(a Addr, v uint32) {
-	p.check(a, 4)
-	atomic.StoreUint32((*uint32)(p.base(a)), v)
-	p.markDirty(a, 4)
 }
 
 // QuietStoreU64 atomically stores v at a, tracked but not charged.
@@ -84,14 +37,6 @@ func (p *Pool) QuietStoreU64(a Addr, v uint64) {
 	p.check(a, 8)
 	atomic.StoreUint64((*uint64)(p.base(a)), v)
 	p.markDirty(a, 8)
-}
-
-// QuietCompareAndSwapU32 CASes the uint32 at a, tracked but not charged.
-func (p *Pool) QuietCompareAndSwapU32(a Addr, old, new uint32) bool {
-	p.check(a, 4)
-	ok := atomic.CompareAndSwapUint32((*uint32)(p.base(a)), old, new)
-	p.markDirty(a, 4)
-	return ok
 }
 
 // QuietBytes returns a view of [a, a+n) without accounting, for callers that

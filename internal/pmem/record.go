@@ -30,15 +30,6 @@ func (p *Pool) QuietReadKV(a Addr) KV {
 	return KV{Key: p.QuietLoadU64(a), Value: p.QuietLoadU64(a.Add(8))}
 }
 
-// WriteKV atomically stores the record at a (8-aligned). Value goes first so
-// that a torn observation under a stale version never pairs the new key with
-// the old value; visibility is in any case gated on the bucket's allocation
-// bitmap, which is published only after the record is durable.
-func (p *Pool) WriteKV(a Addr, kv KV) {
-	p.StoreU64(a.Add(8), kv.Value)
-	p.StoreU64(a, kv.Key)
-}
-
 // PersistKV flushes and fences the record at a.
 func (p *Pool) PersistKV(a Addr) { p.Persist(a, RecordSize) }
 

@@ -99,12 +99,6 @@ type DeviceNS struct {
 // Total is all device time charged.
 func (d DeviceNS) Total() uint64 { return d.Read + d.Write + d.Flush + d.Fence + d.Queue }
 
-// MediaReadBlocks estimates 256-byte media blocks read, Optane's internal
-// granularity: four cachelines per block, rounded up per access line.
-func (s StatsSnapshot) MediaReadBlocks() uint64 {
-	return (s.ReadLines*CachelineSize + MediaBlockSize - 1) / MediaBlockSize
-}
-
 // counters lists every counter of the snapshot, so arithmetic over
 // snapshots is written once.
 func (s *StatsSnapshot) counters() []*uint64 {

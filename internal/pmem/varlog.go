@@ -312,8 +312,8 @@ func (l *VarLog) KeyEqualsU64(a Addr, key uint64) bool {
 // KeyEqualsPrefetch is KeyEquals for callers that will extract the value on
 // a match: it charges one streaming read of the whole blob — header, key
 // and value occupy consecutive lines — instead of header+key now and the
-// value again later, so the extraction must use the Quiet variants
-// (QuietAppendValue, QuietValueU64). On the rare non-match (a full-hash
+// value again later, which is why the extractors (QuietAppendValue,
+// QuietValueU64) charge nothing. On the rare non-match (a full-hash
 // collision) the value lines are over-charged; the caller's filter makes
 // that negligible against the line the split charges would double-count on
 // every match.
@@ -339,16 +339,17 @@ func (l *VarLog) KeyEqualsPrefetchU64(a Addr, key uint64) bool {
 	return binary.LittleEndian.Uint64(p.QuietBytes(a.Add(BlobHeaderSize), 8)) == key
 }
 
-// QuietAppendValue is AppendValue without accounting, for callers whose
-// probe already charged the whole blob via KeyEqualsPrefetch.
+// QuietAppendValue appends the blob's value bytes to dst without
+// accounting: the caller's probe charged the whole blob (KeyEqualsPrefetch).
 func (l *VarLog) QuietAppendValue(dst []byte, a Addr) []byte {
 	p := l.pool
 	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
 	return append(dst, p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen))...)
 }
 
-// QuietValueU64 is ValueU64 without accounting, the KeyEqualsPrefetch
-// counterpart for uint64 values.
+// QuietValueU64 is the fixed-width view of a blob's value — the
+// little-endian uint64 of its first 8 bytes, zero-padded when the value is
+// shorter — without accounting, like QuietAppendValue.
 func (l *VarLog) QuietValueU64(a Addr) uint64 {
 	p := l.pool
 	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
@@ -366,29 +367,6 @@ func (l *VarLog) KeyBytes(a Addr) []byte {
 	p := l.pool
 	klen, _ := blobHeaderLens(p.QuietReadU64(a))
 	return p.ReadBytes(a.Add(BlobHeaderSize), uint64(klen))
-}
-
-// AppendValue appends the blob's value bytes to dst (charged).
-func (l *VarLog) AppendValue(dst []byte, a Addr) []byte {
-	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
-	p.TouchRead(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen))
-	return append(dst, p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen))...)
-}
-
-// ValueU64 is the fixed-width view of a blob's value: the little-endian
-// uint64 of its first 8 bytes, zero-padded when the value is shorter.
-func (l *VarLog) ValueU64(a Addr) uint64 {
-	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
-	n := uint64(vlen)
-	if n > 8 {
-		n = 8
-	}
-	p.TouchRead(a.Add(BlobHeaderSize+uint64(klen)), n)
-	var buf [8]byte
-	copy(buf[:], p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), n))
-	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // RecoverChunks rebuilds the log's chunk-level DRAM state after Open — the

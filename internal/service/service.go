@@ -6,10 +6,11 @@
 // Two layers:
 //
 //   - Shards — N independent core.Tables, each with its own pmem.Pool,
-//     epoch manager and record log (core.Deps makes that wiring explicit).
-//     Keys route to shards by the high bits of a *routing* hash whose seed
-//     differs from every per-table hash seed, so shard routing and each
-//     table's MSB directory indexing draw from independent bit streams.
+//     epoch manager and record log: a reader stalled on one shard pins only
+//     that shard's reclamation. Keys route to shards by the high bits of a
+//     *routing* hash whose seed differs from every per-table hash seed, so
+//     shard routing and each table's MSB directory indexing draw from
+//     independent bit streams.
 //   - Frontend — an asynchronous request pipeline (frontend.go): clients
 //     submit Get/Insert/Update/Delete requests over per-shard channels, one
 //     executor goroutine per shard drains them in batches, and each write
@@ -27,7 +28,6 @@ import (
 	"math/bits"
 
 	"dash/internal/core"
-	"dash/internal/epoch"
 	"dash/internal/hashfn"
 	"dash/internal/pmem"
 )
@@ -71,9 +71,6 @@ type Shards struct {
 	shift       uint // 64 - log2(n); 64 means a single shard
 	tables      []*core.Table
 	pools       []*pmem.Pool
-	// ems holds each shard's epoch manager — per-shard by construction, so a
-	// stalled guard on one shard never delays another shard's reclamation.
-	ems []*epoch.Manager
 }
 
 // allocShards allocates the layer for n shards (a power of two) routed by seed.
@@ -86,12 +83,11 @@ func allocShards(n int, seed uint64) (*Shards, error) {
 		shift:       64 - uint(bits.TrailingZeros(uint(n))),
 		tables:      make([]*core.Table, n),
 		pools:       make([]*pmem.Pool, n),
-		ems:         make([]*epoch.Manager, n),
 	}, nil
 }
 
 // New creates cfg.Shards fresh shards, each a newly formatted table in its
-// own pool with its own explicitly constructed epoch manager.
+// own pool.
 func New(cfg Config) (*Shards, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -106,8 +102,8 @@ func New(cfg Config) (*Shards, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: shard %d pool: %w", i, err)
 		}
-		s.pools[i], s.ems[i] = pool, epoch.NewManager()
-		s.tables[i], err = core.CreateWith(pool, core.Deps{Epoch: s.ems[i]}, core.Options{
+		s.pools[i] = pool
+		s.tables[i], err = core.Create(pool, core.Options{
 			InitialDepth: cfg.InitialDepth,
 			Seed:         tableSeed(cfg.Seed, i),
 		})
@@ -128,8 +124,8 @@ func Open(pools []*pmem.Pool, cfg Config) (*Shards, error) {
 		return nil, err
 	}
 	for i, pool := range pools {
-		s.pools[i], s.ems[i] = pool, epoch.NewManager()
-		if s.tables[i], err = core.OpenWith(pool, core.Deps{Epoch: s.ems[i]}); err != nil {
+		s.pools[i] = pool
+		if s.tables[i], err = core.Open(pool); err != nil {
 			return nil, fmt.Errorf("service: shard %d open: %w", i, err)
 		}
 	}

@@ -157,46 +157,3 @@ func TestFenceBatchWindowDeterministic(t *testing.T) {
 		t.Fatalf("batched flushed lines = %d, want >= %d (flushes are not elided)", batched.FlushedLines, n)
 	}
 }
-
-// Per-shard epoch managers isolate reclamation stalls: a guard pinned on one
-// shard must not stop the other shard from reclaiming retired blobs. This is
-// what the explicit core.Deps wiring buys — one manager per table, never
-// shared ambient state.
-func TestEpochPinningIsolatedPerShard(t *testing.T) {
-	s := newShards(t, 2, 11)
-	defer s.Close()
-
-	// Pin shard 0: an in-flight reader that never exits.
-	guard := s.ems[0].Enter()
-
-	// Retire work on both shards: indirect records (16-byte keys/values
-	// force blob storage) whose deletes defer the blob free to the epoch.
-	for sh := 0; sh < 2; sh++ {
-		tb := s.Table(sh)
-		for i := 0; i < 256; i++ {
-			k := []byte(fmt.Sprintf("pin-%d-key-%03d", sh, i))
-			v := []byte(fmt.Sprintf("pin-%d-val-%03d", sh, i))
-			if err := tb.InsertB(k, v); err != nil {
-				t.Fatalf("shard %d insert %d: %v", sh, i, err)
-			}
-			if !tb.DeleteB(k) {
-				t.Fatalf("shard %d delete %d missed", sh, i)
-			}
-		}
-		s.ems[sh].Drain()
-	}
-
-	if p := s.ems[1].Pending(); p != 0 {
-		t.Fatalf("unpinned shard still has %d pending retires after drain", p)
-	}
-	if p := s.ems[0].Pending(); p == 0 {
-		t.Fatal("pinned shard reclaimed everything despite an active guard")
-	}
-
-	// Releasing the guard unblocks shard 0's reclamation.
-	guard.Exit()
-	s.ems[0].Drain()
-	if p := s.ems[0].Pending(); p != 0 {
-		t.Fatalf("pinned shard still has %d pending retires after guard exit", p)
-	}
-}
