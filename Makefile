@@ -52,7 +52,8 @@ docs-check: vet
 	fi
 	@stale=$$(for ident in mirrorRebuildAll RunService ServiceConfig ServiceResult toSvcCell cellJSON \
 			popSlot pushSlot freeHead 'filters\.m' \
-			segSearchOpt bucketSearchOpt PathPMFallback CreateWith OpenWith blobHot 'core\.Deps'; do \
+			segSearchOpt bucketSearchOpt PathPMFallback CreateWith OpenWith blobHot 'core\.Deps' \
+			closeMu failPending; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

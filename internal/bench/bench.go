@@ -114,7 +114,7 @@ type Counts struct {
 type ShardRow struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`
-	// Ops counts operations the shard's executor ran in the measured phase.
+	// Ops counts operations the shard executed in the measured phase.
 	Ops uint64 `json:"ops"`
 	// FencesPerOp and FencesElidedPerOp are the shard pool's measured-phase
 	// fence traffic per shard-local operation.
@@ -185,7 +185,7 @@ type Result struct {
 	// Service-cell fields, zero (and absent from the row) for a direct cell.
 	// Shards and Batch echo the tier's shape; FencesElidedPerOp counts the
 	// ordering points each batch's tail fence absorbed (FencesPerOp already
-	// reflects the saving); BatchSizeMean is the mean executor batch size;
+	// reflects the saving); BatchSizeMean is the mean executed batch size;
 	// FlushSaved the fences saved versus unbatched execution; Imbalance the
 	// (max/mean − 1) spread of ops across shards; Reconnects the
 	// connection-churn session count; PerShard the per-shard breakdown.
@@ -464,7 +464,7 @@ func Run(cfg Config) (*Result, error) {
 		res.BatchSizeMean = feWin.Hists["service.batch.size"].Mean
 		res.FlushSaved = feWin.Counters["service.batch.flush_saved"]
 		// Per-shard rows; imbalance is the measured-phase spread of
-		// executor ops across shards.
+		// executed ops across shards.
 		var opsMax, opsSum uint64
 		for i, ts := range tsAfter {
 			row := ShardRow{

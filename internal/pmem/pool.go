@@ -271,8 +271,9 @@ func (p *Pool) Fence() {
 // tail fence, so callers must not acknowledge any operation in the window
 // before EndFenceBatch returns. Single-writer discipline required: the
 // window owner must be the only goroutine issuing persists on this pool
-// while the window is open (the service tier guarantees it with one
-// executor goroutine per shard). Windows do not nest.
+// while the window is open (the service tier guarantees it with a per-shard
+// combiner lock: whichever client holds it runs the shard's requests, and
+// nothing else writes to the shard's pool). Windows do not nest.
 func (p *Pool) BeginFenceBatch() {
 	p.fenceBatchElided.Store(0)
 	p.fenceBatchDepth.Store(1)

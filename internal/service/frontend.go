@@ -3,30 +3,46 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"dash/internal/core"
+	"dash/internal/hashfn"
 	"dash/internal/obs"
 )
 
 // Frontend: the batched asynchronous request pipeline in front of Shards.
 //
-// Clients submit Requests; Submit routes each to its key's shard queue and
-// returns immediately, so one client can keep many requests in flight
-// (pipelining). One executor goroutine per shard drains its queue in
-// batches of up to the configured batch size and runs each batch inside
-// the shard pool's fence-batch window (pmem.Pool.BeginFenceBatch): every
-// per-operation fence inside the batch is elided and one ordering fence at
-// the batch tail covers them all — the paper's selective-persistence
-// economics applied across requests instead of within one.
+// Clients submit Requests; Submit routes each to its key's shard queue — a
+// bounded FIFO — and returns, so one client can keep many requests in
+// flight (pipelining). No goroutine belongs to the frontend: a shard's
+// queue is run by whichever client needs a result from it (flat combining).
+// Each shard has a combiner lock; a client whose Wait finds its request not
+// yet done takes the lock if it is free, pops up to the configured batch
+// size of requests in FIFO order — its own and everybody else's — and
+// executes them inside the shard pool's fence-batch window
+// (pmem.Pool.BeginFenceBatch): every per-operation fence inside the batch
+// is elided and one ordering fence at the batch tail covers them all — the
+// paper's selective-persistence economics applied across requests instead
+// of within one. A waiter that finds its shard's lock taken helps another
+// shard that has queued work and a free lock, else yields the processor,
+// and parks only after parkAfterYields fruitless yields; the combiner that
+// releases a non-empty queue wakes the oldest parked waiter in it, so
+// "queued work, free lock, every owner asleep" is unreachable.
+//
+// A request nobody waits for is executed by the next client that runs its
+// shard: a waiter combining for a request queued behind it, a Submit that
+// finds the queue full, a helper, or Close. The price of owning no
+// goroutine is that parallelism is min(waiting clients, shards): one
+// pipelined client over two shards runs them on one core.
 //
 // Durability of acknowledgement is preserved exactly: no request in a
-// batch is completed (its Wait unblocked) until after the tail fence, so
-// an acknowledged write is durable in its shard's pool even though it
-// shared its fence with its batch-mates. The single-writer requirement of
-// the fence window holds by construction — the shard's executor goroutine
-// is the only goroutine executing operations on that shard.
+// batch is completed (its state flipped to done, its Wait released) until
+// after the tail fence, so an acknowledged write is durable in its shard's
+// pool even though it shared its fence with its batch-mates. The
+// single-writer requirement of the fence window is the combiner lock: only
+// its holder pops from the queue and executes operations on the shard.
 
 // Op enumerates the request kinds the frontend accepts.
 type Op uint8
@@ -43,8 +59,8 @@ const (
 )
 
 // ErrShardDown is wrapped into the results of requests that reached a
-// shard whose executor died mid-batch (a simulated crash unwound it); none
-// of those requests was acknowledged, so none is durable.
+// shard whose combiner was unwound mid-batch by a simulated crash; none of
+// those requests was acknowledged, so none is durable.
 var ErrShardDown = errors.New("service: shard executor down")
 
 // ErrClosed is wrapped into results of requests submitted after Close.
@@ -65,10 +81,25 @@ type Result struct {
 	Err error
 }
 
+// A request's state word; reqIdle is the zero Request's, never submitted.
+// Submit moves it to reqQueued; the combiner that
+// executed it (or the Submit that refused it) moves it to reqDone, strictly
+// after the batch's tail fence. reqParked is reqQueued with the owner
+// asleep on wake: whoever moves the word out of reqParked other than the
+// owner itself owes wake exactly one token.
+const (
+	reqIdle uint32 = iota
+	reqQueued
+	reqParked
+	reqDone
+)
+
 // Request is one pipelined operation. Fill Op, Key and Value (or KeyB and
 // ValueB for the variable-length API — a non-nil KeyB selects it), Submit,
 // then Wait. A Request may be reused for a new Submit after Wait returns;
-// the buffers it carries must not be touched between Submit and Wait.
+// the buffers it carries must not be touched between Submit and Wait. The
+// zero value is ready to use and a Request may be copied while it is not
+// in flight.
 type Request struct {
 	// Op is the operation kind.
 	Op Op
@@ -82,15 +113,80 @@ type Request struct {
 	// buffer a variable-length Get appends its result into.
 	ValueB []byte
 
-	res  Result
-	done chan struct{}
+	res      Result
+	fe       *Frontend     // set by Submit: Wait runs this frontend's shards
+	wake     chan struct{} // made on the owner's first park, then reused
+	submitAt int64         // obs.Now() at Submit if queue-wait sampled, else 0
+	shard    int32
+	// state is driven by sync/atomic functions rather than an atomic.Uint32
+	// so that a Request stays copyable under go vet.
+	state uint32
 }
 
-// Wait blocks until the request completes and returns its result. Must be
-// called exactly once per Submit, by the submitting client.
+// Wait returns the request's result, first running its shard — and, while
+// another client holds that shard, helping others — until the request is
+// done (see Frontend). Call it from the submitting client; once the request
+// is done further calls return the same Result.
 func (r *Request) Wait() Result {
-	<-r.done
+	if atomic.LoadUint32(&r.state) == reqQueued {
+		r.fe.await(r)
+	}
 	return r.res
+}
+
+// complete publishes r.res: the last touch of r by anyone but its owner,
+// who may reuse it the moment the word reads reqDone.
+func (r *Request) complete() {
+	if atomic.SwapUint32(&r.state, reqDone) == reqParked {
+		r.wake <- struct{}{}
+	}
+}
+
+// parkAfterYields is how many fruitless rounds — own shard held by another
+// combiner, no other shard to help, runtime.Gosched — a waiter makes before
+// it parks. Parking costs two futex hand-offs, the very cost this tier was
+// rebuilt to avoid, so the bound only has to keep a client whose shard is
+// stuck behind a slow combiner from burning a core for long. Measured on
+// the 2-vCPU reference box, benchmark/ svc_pipelined (2 clients x 16
+// outstanding, 2 shards, batch 16), seeds 1–3, k ops/s: 64 yields 821 865
+// 736; 512 yields 884 1 009 942; 4 096 yields 997 971 1 107; never parking
+// 938 1 032 925 — 512 is on the plateau. The executor-goroutine design this
+// replaced, which parked on every empty queue and every pending reply: 586
+// 635 629.
+const parkAfterYields = 512
+
+// queueWaitSamplePeriod is the sampling period of service.queue_wait_ns.
+// The sample is chosen by the low bits of the routing hash Submit computes
+// anyway (the shard index is its high bits), so choosing writes no shared
+// state; an unsampled request reads no clock.
+const queueWaitSamplePeriod = 64
+
+// shardQueue is one shard's submitted-request FIFO and its combiner lock.
+type shardQueue struct {
+	// mu guards ring, head and dead; depth is written under it. It is held
+	// for a push, a pop or a scan, never across an operation.
+	mu    sync.Mutex
+	ring  []*Request
+	head  int
+	dead  bool         // a crash unwound a combiner mid-batch
+	depth atomic.Int32 // queued requests; read lock-free by helpers and the gauge
+
+	// combiner is the shard's single-writer lock: its holder alone pops
+	// requests and executes them, inside one fence-batch window per batch.
+	// Clients only TryLock it; Close, which must get in, Locks it.
+	combiner sync.Mutex
+	batch    []*Request   // the holder's current batch
+	inWindow atomic.Int32 // goroutines between window open and close; 1 at most
+	// parked counts waiters parked or about to park on this shard. A waiter
+	// raises it before its last TryLock and a combiner reads it after
+	// Unlock, so one of the two always sees the other.
+	parked atomic.Int32
+
+	// The two errors a dead or closed frontend turns requests away with,
+	// built once: a dead shard makes this path hot.
+	errDown, errClosed error
+
+	_ [64]byte // keep neighbouring shards' queues off one cache line
 }
 
 // Frontend is the batched async front door to a Shards layer. Construct
@@ -99,23 +195,30 @@ func (r *Request) Wait() Result {
 type Frontend struct {
 	shards *Shards
 	batch  int
-	queues []chan *Request
-	dead   []atomic.Bool // shard executor unwound by a crash
-	wg     sync.WaitGroup
+	queues []shardQueue
 	closed atomic.Bool
-	// closeMu orders Submit's enqueue against Close's channel close so a
-	// racing Submit fails cleanly instead of sending on a closed channel.
-	closeMu sync.RWMutex
+	// windowOverlaps counts batches that opened a fence window while another
+	// goroutine was inside the same shard's: the single-writer invariant
+	// broken. Always 0; tests read it.
+	windowOverlaps atomic.Uint64
 
-	reg        *obs.Registry
-	batchSize  *obs.Histogram
-	flushSaved *obs.Counter
-	shardOps   []*obs.Counter
+	reg         *obs.Registry
+	batchSize   *obs.Histogram
+	execNS      *obs.Histogram
+	tailFenceNS *obs.Histogram
+	queueWaitNS *obs.Histogram
+	flushSaved  *obs.Counter
+	combineOwn  *obs.Counter
+	combineHelp *obs.Counter
+	waitParked  *obs.Counter
+	submitFull  *obs.Counter
+	shardOps    []*obs.Counter
 }
 
-// NewFrontend starts one executor goroutine per shard, each batching up to
-// batch requests per fence window (batch < 1 means 1: unbatched, one fence
-// per write op — the baseline configuration benchmarks compare against).
+// NewFrontend builds the per-shard queues; it starts no goroutine. A
+// combiner batches up to batch requests per fence window (batch < 1 means
+// 1: unbatched, one fence per write op — the baseline configuration
+// benchmarks compare against).
 func NewFrontend(s *Shards, batch int) *Frontend {
 	if batch < 1 {
 		batch = 1
@@ -123,19 +226,20 @@ func NewFrontend(s *Shards, batch int) *Frontend {
 	f := &Frontend{
 		shards: s,
 		batch:  batch,
-		queues: make([]chan *Request, s.N()),
-		dead:   make([]atomic.Bool, s.N()),
+		queues: make([]shardQueue, s.N()),
 	}
-	f.initObs()
 	qcap := 4 * batch
 	if qcap < 16 {
 		qcap = 16
 	}
 	for i := range f.queues {
-		f.queues[i] = make(chan *Request, qcap)
-		f.wg.Add(1)
-		go f.run(i)
+		q := &f.queues[i]
+		q.ring = make([]*Request, qcap)
+		q.batch = make([]*Request, 0, batch)
+		q.errDown = fmt.Errorf("service: shard %d: %w", i, ErrShardDown)
+		q.errClosed = fmt.Errorf("service: shard %d: %w", i, ErrClosed)
 	}
+	f.initObs()
 	return f
 }
 
@@ -146,14 +250,26 @@ func (f *Frontend) initObs() {
 	f.reg = reg
 	f.batchSize = reg.Histogram("service.batch.size")
 	f.flushSaved = reg.Counter("service.batch.flush_saved")
+	// Per batch, not per op: window open → last operation returned, and the
+	// tail fence of a batch that owed one.
+	f.execNS = reg.Histogram("service.batch.exec_ns")
+	f.tailFenceNS = reg.Histogram("service.batch.tail_fence_ns")
+	// Submit → popped by a combiner, on a 1-in-queueWaitSamplePeriod sample.
+	f.queueWaitNS = reg.Histogram("service.queue_wait_ns")
+	// Who ran a batch: a client on the shard it needed a result from (or
+	// room in), or one helping another shard while its own was taken.
+	f.combineOwn = reg.Counter("service.combine.own")
+	f.combineHelp = reg.Counter("service.combine.helped")
+	f.waitParked = reg.Counter("service.wait.parked")
+	f.submitFull = reg.Counter("service.submit.full")
 	f.shardOps = make([]*obs.Counter, f.shards.N())
 	for i := range f.shardOps {
 		f.shardOps[i] = reg.Counter(fmt.Sprintf("service.shard.%d.ops", i))
 	}
 	reg.Gauge("service.queue.depth", func() int64 {
 		var n int64
-		for _, q := range f.queues {
-			n += int64(len(q))
+		for i := range f.queues {
+			n += int64(f.queues[i].depth.Load())
 		}
 		return n
 	})
@@ -164,8 +280,9 @@ func (f *Frontend) initObs() {
 	})
 }
 
-// Metrics returns the frontend's meter registry (service.batch.size,
-// service.batch.flush_saved, service.shard.imbalance, service.queue.depth,
+// Metrics returns the frontend's meter registry (service.batch.*,
+// service.combine.*, service.queue_wait_ns, service.wait.parked,
+// service.submit.full, service.shard.imbalance, service.queue.depth,
 // per-shard op counters).
 func (f *Frontend) Metrics() *obs.Registry { return f.reg }
 
@@ -188,123 +305,256 @@ func (f *Frontend) Imbalance() float64 {
 	return float64(max)/mean - 1
 }
 
-// Submit routes r to its shard's queue and returns once enqueued. The
-// request completes asynchronously; Wait blocks for it. Safe from any
-// number of goroutines.
+// Submit routes r to its shard's queue and returns once it is enqueued;
+// the request completes when some client runs that shard, and Wait does so
+// itself if nobody has. A full queue does not block: the submitter runs
+// the shard (or helps another, or yields to the combiner that is draining
+// it) until there is room. A closed frontend or a dead shard refuses the
+// request at once, with ErrClosed or ErrShardDown as its result. Safe from
+// any number of goroutines.
 func (f *Frontend) Submit(r *Request) {
-	if r.done == nil {
-		r.done = make(chan struct{}, 1)
-	}
-	r.res = Result{}
-	var shard int
+	var h uint64
 	if r.KeyB != nil {
-		shard = f.shards.RouteB(r.KeyB)
+		h = hashfn.Hash64(r.KeyB, f.shards.routingSeed)
 	} else {
-		shard = f.shards.Route(r.Key)
+		h = hashfn.HashU64(r.Key, f.shards.routingSeed)
 	}
-	f.closeMu.RLock()
-	if f.closed.Load() || f.dead[shard].Load() {
-		f.closeMu.RUnlock()
-		r.res.Err = f.downErr(shard)
-		r.done <- struct{}{}
-		return
+	shard := f.shards.shardOf(h)
+	q := &f.queues[shard]
+	r.res = Result{}
+	r.fe, r.shard, r.submitAt = f, int32(shard), 0
+	if h%queueWaitSamplePeriod == 0 {
+		r.submitAt = obs.Now()
 	}
-	f.queues[shard] <- r
-	f.closeMu.RUnlock()
-}
-
-func (f *Frontend) downErr(shard int) error {
-	if f.closed.Load() {
-		return fmt.Errorf("service: shard %d: %w", shard, ErrClosed)
-	}
-	return fmt.Errorf("service: shard %d: %w", shard, ErrShardDown)
-}
-
-// Close drains and stops every shard executor. Pending requests complete
-// first; requests submitted after Close fail with ErrClosed. Idempotent.
-func (f *Frontend) Close() {
-	if f.closed.Swap(true) {
-		return
-	}
-	f.closeMu.Lock()
-	for _, q := range f.queues {
-		close(q)
-	}
-	f.closeMu.Unlock()
-	f.wg.Wait()
-}
-
-// run is shard's executor loop: block for one request, then opportunistically
-// drain up to batch−1 more without blocking, and execute them as one
-// fence-amortized batch. Group size adapts to load by itself — an idle
-// service degenerates to batch size 1 with no added latency, a loaded one
-// rides the queue depth up to the cap.
-func (f *Frontend) run(shard int) {
-	defer f.wg.Done()
-	q := f.queues[shard]
-	buf := make([]*Request, 0, f.batch)
-	for {
-		r, ok := <-q
-		if !ok {
-			return
-		}
-		buf = append(buf[:0], r)
-	fill:
-		for len(buf) < f.batch {
-			select {
-			case r2, ok2 := <-q:
-				if !ok2 {
-					f.execBatch(shard, buf)
-					return
-				}
-				buf = append(buf, r2)
-			default:
-				break fill
+	atomic.StoreUint32(&r.state, reqQueued)
+	for full := false; ; {
+		q.mu.Lock()
+		// closed and dead are read under the lock Close's drain and a crash's
+		// sweep pop under: a request enqueued past this check is one they see.
+		if closed := f.closed.Load(); closed || q.dead {
+			q.mu.Unlock()
+			r.res.Err = q.errDown
+			if closed {
+				r.res.Err = q.errClosed
 			}
-		}
-		if !f.execBatch(shard, buf) {
-			f.failPending(shard)
+			atomic.StoreUint32(&r.state, reqDone)
 			return
+		}
+		if n := int(q.depth.Load()); n < len(q.ring) {
+			q.ring[(q.head+n)%len(q.ring)] = r
+			q.depth.Store(int32(n + 1))
+			q.mu.Unlock()
+			return
+		}
+		q.mu.Unlock()
+		if !full {
+			full = true
+			f.submitFull.Inc()
+		}
+		if f.combine(shard, shard) == 0 && f.help(shard) == 0 {
+			runtime.Gosched()
 		}
 	}
 }
 
-// failPending takes over a dead shard's queue, failing every request that
-// arrives (or was already enqueued) until Close closes the queue — so no
-// racing Submit ever blocks on a shard with no executor.
-func (f *Frontend) failPending(shard int) {
-	for r := range f.queues[shard] {
-		r.res = Result{Err: f.downErr(shard)}
-		r.done <- struct{}{}
+// await runs shards until r is done: r's own whenever its combiner lock is
+// free, any other with queued work while it is not. Only after
+// parkAfterYields rounds in which neither was possible does it park.
+func (f *Frontend) await(r *Request) {
+	own := int(r.shard)
+	ran := 0 // requests this call executed, r among them or not
+	for yields := 0; atomic.LoadUint32(&r.state) != reqDone; {
+		n := f.combine(own, own)
+		if n == 0 {
+			n = f.help(own)
+		}
+		switch {
+		case n > 0:
+			ran += n
+			yields = 0
+		case yields < parkAfterYields:
+			yields++
+			runtime.Gosched()
+		default:
+			ran += f.park(r)
+			yields = 0
+		}
 	}
+	// Having worked for other clients, let them run before this one submits
+	// more. With more clients than processors the owners of the requests a
+	// combiner executes are mostly not running, and Go does not preempt a
+	// goroutine that never blocks for 10 ms: their results would wait for a
+	// processor while this client pipelines on. Measured with 4 clients x
+	// 32 outstanding on 2 procs over 2 shards: client p99 819–918 µs without
+	// this yield, 377–410 with it (executor goroutines: 442–590), at the
+	// same 0.95–1.08 Mops/s; with a client per processor it costs nothing
+	// measurable, and a client that ran only its own request skips it.
+	if ran > 1 {
+		runtime.Gosched()
+	}
+}
+
+// help runs one batch on the first shard other than own that has queued
+// work and a free combiner lock, and returns how many requests it ran.
+func (f *Frontend) help(own int) int {
+	for i := 1; i < len(f.queues); i++ {
+		if n := f.combine((own+i)%len(f.queues), own); n > 0 {
+			return n
+		}
+	}
+	return 0
+}
+
+// park puts r's owner to sleep until r is done or a releasing combiner
+// picks it to run the shard. The last TryLock, after the parked count and
+// the state word are raised, closes the race with a combiner releasing the
+// lock concurrently: either this waiter gets the lock — it then runs a
+// batch instead of sleeping, and returns its size — or that combiner's
+// release sees the count, and r if it is still queued. (TryLock can also
+// fail with no holder while Close, the one caller that blocks in Lock, is
+// being handed the mutex; Close then drains the queue, r included.)
+func (f *Frontend) park(r *Request) int {
+	q := &f.queues[r.shard]
+	if r.wake == nil {
+		r.wake = make(chan struct{}, 1)
+	}
+	q.parked.Add(1)
+	defer q.parked.Add(-1)
+	if !atomic.CompareAndSwapUint32(&r.state, reqQueued, reqParked) {
+		return 0 // done meanwhile
+	}
+	if !q.combiner.TryLock() {
+		f.waitParked.Inc()
+		<-r.wake
+		return 0
+	}
+	// Nobody is running the shard: stay awake and run it. If the word
+	// already left reqParked, a token is on its way; take it.
+	if !atomic.CompareAndSwapUint32(&r.state, reqParked, reqQueued) {
+		<-r.wake
+	}
+	n := f.runBatch(int(r.shard), int(r.shard))
+	f.release(q)
+	return n
+}
+
+// combine runs one batch of shard's queue if it has work and its combiner
+// lock is free, and returns how many requests it ran. own is the shard the
+// caller needs served, for the own/helped meters.
+func (f *Frontend) combine(shard, own int) int {
+	q := &f.queues[shard]
+	if q.depth.Load() == 0 || !q.combiner.TryLock() {
+		return 0
+	}
+	n := f.runBatch(shard, own)
+	f.release(q)
+	return n
+}
+
+// release gives the combiner lock up and, if requests are still queued and
+// some waiter sleeps, wakes the oldest sleeper among them to take over.
+// Sleepers whose request was in the batch were woken by complete.
+func (f *Frontend) release(q *shardQueue) {
+	q.combiner.Unlock()
+	if q.parked.Load() == 0 {
+		return
+	}
+	q.mu.Lock()
+	for i, n := 0, int(q.depth.Load()); i < n; i++ {
+		r := q.ring[(q.head+i)%len(q.ring)]
+		if atomic.CompareAndSwapUint32(&r.state, reqParked, reqQueued) {
+			r.wake <- struct{}{}
+			break
+		}
+	}
+	q.mu.Unlock()
+}
+
+// pop moves up to max requests, in FIFO order, from the queue into q.batch
+// and returns them. The caller holds q.combiner.
+func (q *shardQueue) pop(max int) []*Request {
+	q.mu.Lock()
+	n := min(int(q.depth.Load()), max)
+	reqs := q.batch[:n]
+	for i := range reqs {
+		reqs[i] = q.ring[q.head]
+		q.ring[q.head] = nil
+		if q.head++; q.head == len(q.ring) {
+			q.head = 0
+		}
+	}
+	q.depth.Add(int32(-n))
+	q.mu.Unlock()
+	return reqs
+}
+
+// runBatch pops up to batch of shard's requests and executes them as one
+// fence-amortized batch, returning how many it ran. The caller holds the
+// shard's combiner lock. Group size adapts to load by itself — an idle service
+// degenerates to batch size 1 with no added latency, a loaded one rides
+// the queue depth up to the cap.
+func (f *Frontend) runBatch(shard, own int) int {
+	reqs := f.queues[shard].pop(f.batch)
+	if len(reqs) == 0 {
+		return 0
+	}
+	if shard == own {
+		f.combineOwn.Inc()
+	} else {
+		f.combineHelp.Inc()
+	}
+	f.execBatch(shard, reqs)
+	return len(reqs)
 }
 
 // execBatch executes one batch inside the shard pool's fence window and
-// acknowledges every request only after the tail fence. Returns false when
-// the batch unwound via panic — the simulated-crash path: the pool's state
-// is post-crash, no request in the batch was acknowledged as successful,
-// and the shard is marked dead.
-func (f *Frontend) execBatch(shard int, reqs []*Request) (alive bool) {
+// completes every request only after the tail fence. A batch that unwinds
+// via panic — the simulated-crash path — is recovered here, in whichever
+// client's goroutine is the combiner: the pool's state is post-crash, so
+// the shard is marked dead and the batch, everything queued behind it and
+// (in Submit) everything that comes later fail with ErrShardDown; nothing
+// in the batch was acknowledged as successful.
+func (f *Frontend) execBatch(shard int, reqs []*Request) {
+	q := &f.queues[shard]
 	tb := f.shards.Table(shard)
 	pool := f.shards.Pool(shard)
+	if q.inWindow.Add(1) != 1 {
+		f.windowOverlaps.Add(1)
+	}
 	defer func() {
-		if p := recover(); p != nil {
-			f.dead[shard].Store(true)
-			pool.AbortFenceBatch()
-			err := fmt.Errorf("service: shard %d crashed mid-batch (%v): %w", shard, p, ErrShardDown)
-			for _, r := range reqs {
-				r.res = Result{Err: err}
-				r.done <- struct{}{}
+		q.inWindow.Add(-1)
+		p := recover()
+		if p == nil {
+			return
+		}
+		pool.AbortFenceBatch()
+		err := fmt.Errorf("service: shard %d crashed mid-batch (%v): %w", shard, p, ErrShardDown)
+		for _, r := range reqs {
+			r.res = Result{Err: err}
+			r.complete()
+		}
+		q.mu.Lock()
+		q.dead = true // under mu: once set, no Submit enqueues
+		q.mu.Unlock()
+		for rest := q.pop(f.batch); len(rest) > 0; rest = q.pop(f.batch) {
+			for _, r := range rest {
+				r.res = Result{Err: q.errDown}
+				r.complete()
 			}
-			alive = false
 		}
 	}()
+	t0 := obs.Now()
 	pool.BeginFenceBatch()
 	for _, r := range reqs {
+		if r.submitAt != 0 {
+			f.queueWaitNS.Record(t0 - r.submitAt)
+		}
 		r.res = Exec(tb, r)
 	}
-	elided := pool.EndFenceBatch()
-	if elided > 0 {
+	t1 := obs.Now()
+	f.execNS.Record(t1 - t0)
+	if elided := pool.EndFenceBatch(); elided > 0 {
+		f.tailFenceNS.Record(obs.Now() - t1)
 		f.flushSaved.Add(elided - 1)
 	}
 	f.batchSize.Record(int64(len(reqs)))
@@ -312,13 +562,30 @@ func (f *Frontend) execBatch(shard int, reqs []*Request) (alive bool) {
 	// Acknowledge strictly after the tail fence: every acknowledged write
 	// in the batch is durable.
 	for _, r := range reqs {
-		r.done <- struct{}{}
+		r.complete()
 	}
-	return true
+}
+
+// Close refuses further requests, then runs every shard's queue dry as its
+// combiner: requests submitted before Close complete (executed, or failed
+// with ErrShardDown on a dead shard) whether or not anyone waits for them,
+// and requests submitted once Close has begun fail with ErrClosed without
+// waiting for it to finish. Idempotent.
+func (f *Frontend) Close() {
+	if f.closed.Swap(true) {
+		return
+	}
+	for i := range f.queues {
+		q := &f.queues[i]
+		q.combiner.Lock()
+		for f.runBatch(i, i) > 0 {
+		}
+		f.release(q)
+	}
 }
 
 // Exec applies one request to a table and returns its outcome: the one
-// place a request's Op becomes a Table call. The shard executors call it
+// place a request's Op becomes a Table call. Combiners call it
 // inside a batch; a caller that owns a bare table (the benchmark harness's
 // direct cells) calls it synchronously, with no frontend in between.
 func Exec(tb *core.Table, r *Request) Result {

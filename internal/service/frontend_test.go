@@ -112,7 +112,7 @@ func TestFrontendPipelinedMixedOpsRace(t *testing.T) {
 				}
 			}
 			submit := func(slot int, kind int, key uint64, op Op, val uint64) {
-				if window[slot].done != nil {
+				if window[slot].fe != nil {
 					check(slot)
 				}
 				kinds[slot], keys[slot] = kind, key
@@ -137,7 +137,7 @@ func TestFrontendPipelinedMixedOpsRace(t *testing.T) {
 				}
 			}
 			for i := range window {
-				if window[i].done != nil {
+				if window[i].fe != nil {
 					check(i)
 				}
 			}
@@ -187,10 +187,22 @@ func TestFrontendSingleRequestReuse(t *testing.T) {
 // loss mid-batch.
 type crashNow struct{}
 
-// Crash in the middle of a batch: the shard dies, its batch fails with
-// ErrShardDown (nothing in it was acknowledged), other shards keep serving,
-// and reopening every shard recovers exactly the acknowledged writes.
+// Crash in the middle of a batch: the shard dies, its batch and everything
+// queued behind it fail with ErrShardDown (nothing in them was
+// acknowledged), other shards keep serving, and reopening every shard
+// recovers every acknowledged write. The panic unwinds whichever client's
+// Wait or Submit happens to be the shard's combiner, and is recovered
+// there: with one client that is the only caller there is, with four
+// pipelined ones it is any of them, helpers from the other shard included.
 func TestFrontendCrashMidBatchRecovery(t *testing.T) {
+	for _, clients := range []int{1, 4} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			testCrashMidBatch(t, clients)
+		})
+	}
+}
+
+func testCrashMidBatch(t *testing.T, clients int) {
 	cfg := Config{Shards: 2, PoolSize: 16 << 20, Seed: 17, TrackCrashes: true}
 	s, err := New(cfg)
 	if err != nil {
@@ -200,6 +212,7 @@ func TestFrontendCrashMidBatchRecovery(t *testing.T) {
 
 	// Preload through the frontend; all acknowledged, so all must survive.
 	acked := make(map[uint64]uint64)
+	var ackedOn [2]uint64 // requests that completed without ErrShardDown, per shard
 	r := &Request{}
 	for k := uint64(0); k < 2000; k++ {
 		r.Op, r.Key, r.Value = OpInsert, k, k*5+1
@@ -208,6 +221,7 @@ func TestFrontendCrashMidBatchRecovery(t *testing.T) {
 			t.Fatalf("preload %d: %v", k, res.Err)
 		}
 		acked[k] = k*5 + 1
+		ackedOn[s.Route(k)]++
 	}
 
 	// Arm a countdown crash on shard 0's pool: power loss a few hundred
@@ -222,53 +236,112 @@ func TestFrontendCrashMidBatchRecovery(t *testing.T) {
 		}
 	})
 
-	// Drive pipelined inserts until shard 0 reports down. Requests that
-	// completed without error before the crash are acknowledged — the
-	// recovery oracle. Unacknowledged (failed) ones must NOT be present
-	// after reopen... they may be partially written but never both
-	// published and fenced as a batch; the engine's own crash consistency
-	// covers slot-level atomicity, the frontend only promises "no ack
-	// before tail fence".
-	var sawDown bool
-	window := make([]*Request, 8)
-	wkeys := make([]uint64, len(window))
-	for i := range window {
-		window[i] = &Request{}
+	// Drive pipelined inserts until shard 0 reports down, and then some more
+	// to see the other shard keep acknowledging. Requests that completed
+	// without error before the crash are acknowledged — the recovery oracle.
+	// Unacknowledged (failed) ones may be partially written but were never
+	// both published and fenced as a batch; the engine's own crash
+	// consistency covers slot-level atomicity, the frontend only promises
+	// "no ack before tail fence".
+	const afterDown = 200 // acks each client collects from shard 1 after it saw shard 0 down
+	type tally struct {
+		acked   map[uint64]uint64
+		ackedOn [2]uint64
+		sawDown bool
 	}
-	harvest := func(slot int) {
-		res := window[slot].Wait()
-		if res.Err == nil {
-			acked[wkeys[slot]] = wkeys[slot]*5 + 1
-		} else if errors.Is(res.Err, ErrShardDown) {
-			sawDown = true
-		} else if !errors.Is(res.Err, core.ErrKeyExists) {
-			t.Errorf("unexpected error: %v", res.Err)
-		}
+	tallies := make([]tally, clients)
+	var wg sync.WaitGroup
+	for c := range tallies {
+		wg.Add(1)
+		go func(c int, tl *tally) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("client %d observed a panic: %v", c, p)
+				}
+			}()
+			tl.acked = make(map[uint64]uint64)
+			window := make([]*Request, 8)
+			wkeys := make([]uint64, len(window))
+			for i := range window {
+				window[i] = &Request{}
+			}
+			moreAcks := 0
+			harvest := func(slot int) {
+				res := window[slot].Wait()
+				shard := s.Route(wkeys[slot])
+				switch {
+				case errors.Is(res.Err, ErrShardDown):
+					if shard != 0 {
+						t.Errorf("client %d: shard %d reported down: %v", c, shard, res.Err)
+					}
+					tl.sawDown = true
+					return
+				case res.Err == nil:
+					tl.acked[wkeys[slot]] = wkeys[slot]*5 + 1
+				case !errors.Is(res.Err, core.ErrKeyExists):
+					t.Errorf("client %d: unexpected error: %v", c, res.Err)
+				}
+				tl.ackedOn[shard]++
+				// Per-shard FIFO: once one of this client's shard-0 requests
+				// failed, every later one sits behind the crash.
+				if tl.sawDown {
+					if shard == 0 {
+						t.Errorf("client %d: key %d acknowledged on the dead shard", c, wkeys[slot])
+					}
+					moreAcks++
+				}
+			}
+			for i := 0; i < 20000 && moreAcks < afterDown; i++ {
+				k := uint64(c+1)<<40 | uint64(i)
+				slot := i % len(window)
+				if i >= len(window) {
+					harvest(slot)
+				}
+				wkeys[slot] = k
+				w := window[slot]
+				w.Op, w.Key, w.Value = OpInsert, k, k*5+1
+				fe.Submit(w)
+			}
+			for i := range window {
+				if window[i].fe != nil {
+					harvest(i)
+				}
+			}
+			if moreAcks < afterDown {
+				t.Errorf("client %d: %d acks after the crash, want %d: crash hook never fired or shard 1 stopped", c, moreAcks, afterDown)
+			}
+		}(c, &tallies[c])
 	}
-	for i := 0; i < 20000 && !sawDown; i++ {
-		k := uint64(1)<<40 | uint64(i)
-		slot := i % len(window)
-		if i >= len(window) {
-			harvest(slot)
-		}
-		wkeys[slot] = k
-		w := window[slot]
-		w.Op, w.Key, w.Value = OpInsert, k, k*5+1
-		fe.Submit(w)
-	}
-	for i := range window {
-		if window[i].done != nil {
-			harvest(i)
-		}
-	}
-	if !sawDown {
-		t.Fatal("crash hook never fired; raise the insert budget")
-	}
+	wg.Wait()
 	crashPool.SetFlushHook(nil)
+	for c := range tallies {
+		if !tallies[c].sawDown {
+			t.Fatalf("client %d never saw ErrShardDown", c)
+		}
+		for k, v := range tallies[c].acked {
+			acked[k] = v
+		}
+		for i := range ackedOn {
+			ackedOn[i] += tallies[c].ackedOn[i]
+		}
+	}
+	// The op meters count completed batches only: what a shard executed is
+	// exactly what it acknowledged, the crashed batch and the requests swept
+	// out of the queue behind it are in neither.
+	snap := fe.Metrics().Snapshot()
+	for i, want := range ackedOn {
+		if got := snap.Counters[fmt.Sprintf("service.shard.%d.ops", i)]; got != want {
+			t.Errorf("shard %d executed %d requests, acknowledged %d", i, got, want)
+		}
+	}
+	if n := fe.windowOverlaps.Load(); n != 0 {
+		t.Errorf("%d fence windows overlapped on one shard", n)
+	}
 
 	// A fresh submit routed to the dead shard fails fast with ErrShardDown.
 	probeDead := func() bool {
-		for k := uint64(1) << 41; ; k++ {
+		for k := uint64(1) << 51; ; k++ {
 			if s.Route(k) != 0 {
 				continue
 			}
@@ -345,29 +418,55 @@ func TestFrontendMeters(t *testing.T) {
 	s := newShards(t, 2, 6)
 	defer s.Close()
 	fe := NewFrontend(s, 4)
+	const ops = 2000
 	r := &Request{}
-	for k := uint64(0); k < 200; k++ {
+	for k := uint64(0); k < ops; k++ {
 		r.Op, r.Key, r.Value = OpInsert, k, k
 		fe.Submit(r)
 		r.Wait()
 	}
 	fe.Close()
 	snap := fe.Metrics().Snapshot()
-	if snap.Hists["service.batch.size"].Count == 0 {
+	batches := snap.Hists["service.batch.size"].Count
+	if batches == 0 {
 		t.Fatal("service.batch.size never recorded")
 	}
 	var total uint64
 	for i := 0; i < s.N(); i++ {
 		total += snap.Counters[fmt.Sprintf("service.shard.%d.ops", i)]
 	}
-	if total != 200 {
-		t.Fatalf("per-shard op counters sum to %d, want 200", total)
+	if total != ops {
+		t.Fatalf("per-shard op counters sum to %d, want %d", total, ops)
 	}
-	if _, ok := snap.Gauges["service.shard.imbalance"]; !ok {
-		t.Fatal("service.shard.imbalance gauge missing")
+	for _, g := range []string{"service.shard.imbalance", "service.queue.depth"} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Errorf("gauge %s missing", g)
+		}
 	}
-	if _, ok := snap.Gauges["service.queue.depth"]; !ok {
-		t.Fatal("service.queue.depth gauge missing")
+	for _, c := range []string{"service.batch.flush_saved", "service.combine.own", "service.combine.helped",
+		"service.wait.parked", "service.submit.full"} {
+		if _, ok := snap.Counters[c]; !ok {
+			t.Errorf("counter %s missing", c)
+		}
+	}
+	// One client that waits for each request runs every batch itself, on
+	// the request's own shard, and never finds a queue full or a lock taken.
+	if own, helped := snap.Counters["service.combine.own"], snap.Counters["service.combine.helped"]; own != batches || helped != 0 {
+		t.Errorf("combine.own = %d, combine.helped = %d over %d batches of a lone synchronous client", own, helped, batches)
+	}
+	if p, f := snap.Counters["service.wait.parked"], snap.Counters["service.submit.full"]; p != 0 || f != 0 {
+		t.Errorf("wait.parked = %d, submit.full = %d, want 0 and 0", p, f)
+	}
+	// The per-batch spans: one exec span per batch, one tail-fence span per
+	// batch that elided a fence — every one here, they are all inserts.
+	for _, h := range []string{"service.batch.exec_ns", "service.batch.tail_fence_ns"} {
+		if got := snap.Hists[h]; got.Count != batches || got.Max <= 0 {
+			t.Errorf("%s: %d spans (max %d ns) over %d insert batches", h, got.Count, got.Max, batches)
+		}
+	}
+	// Queue wait is sampled by routing-hash bits: about ops/64 requests.
+	if n := snap.Hists["service.queue_wait_ns"].Count; n == 0 || n > ops/queueWaitSamplePeriod*4 {
+		t.Errorf("service.queue_wait_ns has %d samples of %d requests, want about 1 in %d", n, ops, queueWaitSamplePeriod)
 	}
 }
 

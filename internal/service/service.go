@@ -12,10 +12,13 @@
 //     shard routing and each table's MSB directory indexing draw from
 //     independent bit streams.
 //   - Frontend — an asynchronous request pipeline (frontend.go): clients
-//     submit Get/Insert/Update/Delete requests over per-shard channels, one
-//     executor goroutine per shard drains them in batches, and each write
-//     batch runs inside a pmem fence-batch window, paying one ordering
-//     fence per batch tail instead of one per operation.
+//     submit Get/Insert/Update/Delete requests into per-shard FIFO queues,
+//     and the tier owns no goroutine to drain them — the client that waits
+//     for a result takes the shard's combiner lock and runs the queue
+//     itself, in batches, each inside a pmem fence-batch window that pays
+//     one ordering fence per batch tail instead of one per operation. A
+//     request nobody waits for is run by the next client that does run its
+//     shard, or by Close; parallelism is min(waiting clients, shards).
 //
 // Nothing above a single table's crash consistency changes: each shard is a
 // complete, independently recoverable Dash table, and a batch is
@@ -142,13 +145,17 @@ func tableSeed(seed uint64, i int) uint64 {
 // N returns the shard count.
 func (s *Shards) N() int { return len(s.tables) }
 
+// shardOf returns the shard index a routing hash names: its top log2(N)
+// bits (a shift by 64, the single-shard case, yields 0).
+func (s *Shards) shardOf(h uint64) int { return int(h >> s.shift) }
+
 // Route returns the shard index owning a uint64 key: the top log2(N) bits
 // of the routing hash.
 func (s *Shards) Route(key uint64) int {
 	if s.shift == 64 {
 		return 0
 	}
-	return int(hashfn.HashU64(key, s.routingSeed) >> s.shift)
+	return s.shardOf(hashfn.HashU64(key, s.routingSeed))
 }
 
 // RouteB returns the shard index owning a []byte key. An 8-byte key routes
@@ -158,7 +165,7 @@ func (s *Shards) RouteB(key []byte) int {
 	if s.shift == 64 {
 		return 0
 	}
-	return int(hashfn.Hash64(key, s.routingSeed) >> s.shift)
+	return s.shardOf(hashfn.Hash64(key, s.routingSeed))
 }
 
 // Table returns shard i's table.

@@ -17,7 +17,7 @@ import "fmt"
 //     pipeline (waits for every outstanding request) before continuing.
 //     No sleeping is involved, so throughput stays comparable; what churn
 //     costs is batching opportunity, since every drain empties the queues
-//     the executors batch from.
+//     batches are formed from.
 //   - mixed tenant profiles: each key belongs deterministically to one of
 //     a fixed set of tenants, each with its own VarSpec key/value-size
 //     shape, so one run carries small-record and large-record tenants
