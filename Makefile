@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race ci fmt-check docs-check benchmark-check bench bench-smoke bench-gate
+.PHONY: all vet build test race race-split ci fmt-check docs-check benchmark-check bench bench-smoke bench-gate
 
 all: ci
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-split repeats the tests that race writers and readers against segment
+# splits — the unlocked copy, its validation by bucket versions, the recopy
+# under the locks, rollback — five times under the race detector: a split's
+# interleavings are timing, and one pass of `race` samples few of them.
+race-split:
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit' ./internal/core
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -53,7 +60,9 @@ docs-check: vet
 	@stale=$$(for ident in mirrorRebuildAll RunService ServiceConfig ServiceResult toSvcCell cellJSON \
 			popSlot pushSlot freeHead 'filters\.m' \
 			segSearchOpt bucketSearchOpt PathPMFallback CreateWith OpenWith blobHot 'core\.Deps' \
-			closeMu failPending; do \
+			closeMu failPending \
+			assistInsert assistDelete assistOverwrite splitSibling splitCopyStashSlot segFindW0Locked \
+			probeOfRecord recSameIdentity splitAssists; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

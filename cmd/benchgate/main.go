@@ -191,9 +191,8 @@ func runCell(cell gateCell) bool {
 			float64(res.RecoveryFullNS)/1e6, float64(res.RecoveryCleanOpenNS)/1e6)
 	}
 	check("load factor", res.LoadFactor, th.LoadFactorMin, true, 2, "")
-	fmt.Printf("  info splits=%d stall_ms=%.2f assists=%d overflows=%d too_large=%d log_live_mib=%.1f\n",
-		res.Splits, float64(res.SplitStallNS)/1e6, res.SplitAssists,
-		res.InsertOverflow, res.InsertTooLarge, float64(res.LogLiveBytes)/(1<<20))
+	fmt.Printf("  info splits=%d stall_ms=%.2f overflows=%d too_large=%d log_live_mib=%.1f\n",
+		res.Splits, float64(res.SplitStallNS)/1e6, res.InsertOverflow, res.InsertTooLarge, float64(res.LogLiveBytes)/(1<<20))
 
 	if base != nil {
 		ratio := func(a, b float64) float64 {

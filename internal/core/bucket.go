@@ -125,10 +125,12 @@ func recordAddr(b pmem.Addr, slot int) pmem.Addr {
 // acquisition, even again on release. All mirror write-through happens
 // inside that odd window, so a mirror reader that observes a stable even
 // shadow version (mirBucketSearch) holds a snapshot consistent with PM — the
-// contract a seqlock reader of the PM version word itself would have. mir is
-// nil only where recovery runs before the segment's mirror exists (the
-// pre-mirror sweeps of lazyrec.go). bi is the bucket's index within its
-// segment, the mirror's coordinate.
+// contract a seqlock reader of the PM version word itself would have. (A
+// split's unpublished sibling is written through with no lock held at all:
+// no reader can reach its mirror before the publish.) mir is nil only where
+// recovery runs before the segment's mirror exists (the pre-mirror sweeps of
+// lazyrec.go). bi is the bucket's index within its segment, the mirror's
+// coordinate.
 
 func lockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
 	va := b.Add(bkOffVersion)
@@ -316,17 +318,14 @@ func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp u
 // bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
 // stash: trackedSlot names the tracking slot when the record was tracked,
 // or -1 when it was only counted.
-// persist=false is for unpublished split siblings (see bucketInsertLocked).
-func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int, persist bool) {
+func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int) {
 	m := p.QuietLoadU64(b.Add(bkOffMeta))
 	nm := metaAddOvCount(m, -1)
 	if trackedSlot >= 0 {
 		nm = metaClearOvFP(m, trackedSlot)
 	}
 	p.QuietStoreU64(b.Add(bkOffMeta), nm)
-	if persist {
-		p.Persist(b.Add(bkOffMeta), 8)
-	}
+	p.Persist(b.Add(bkOffMeta), 8)
 	if mir != nil {
 		mir.word(bi, mirBkMeta).Store(nm)
 	}

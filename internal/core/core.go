@@ -9,9 +9,11 @@
 //	               write no shared line (epoch.Manager guards) and probe
 //	               only the segment's DRAM mirror, writers on bucket version
 //	               locks; Create/Open/Close, the allocator and routing.
-//	split.go     — segment splits: per-segment CAS claim, lock-free migration
-//	               into the unpublished sibling, writers' assists, and the
-//	               three-step crash-consistent publish.
+//	split.go     — segment splits: per-segment CAS claim, a copy into a
+//	               sibling only the owner can reach that holds no lock,
+//	               its validation by bucket versions (and the recopy under
+//	               the locks when a writer moved one), and the three-step
+//	               crash-consistent publish. Writers are blind to it.
 //	lazyrec.go   — recovery: Open's O(directory) reconcile, the per-segment
 //	               first-touch gate every operation passes (Table.mirror),
 //	               the background driver and the record-log sweep.
@@ -27,9 +29,9 @@
 //	               goes through dircache.go.
 //	dircache.go  — DRAM-resident mirror of the directory: global depth and,
 //	               per entry, a pointer to the segment's descriptor (PM
-//	               address, local depth, filter mirror, unpublished sibling
-//	               while splitting), so one load routes an operation and
-//	               hands it everything DRAM knows about the segment.
+//	               address, local depth, filter mirror), so one load routes
+//	               an operation and hands it everything DRAM knows about
+//	               the segment.
 //	               Consulted first by every operation, kept fresh by
 //	               write-through from splits and doublings, validated
 //	               against PM before any miss is trusted, and rebuilt in

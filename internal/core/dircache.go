@@ -20,11 +20,10 @@ import (
 //   - the global depth and the mirrored directory block's address,
 //   - one pointer per directory entry, to the segment's DRAM descriptor
 //     (segDesc): its PM address, its local depth (the pattern needs no slot
-//     of its own: pattern = entryIndex >> (global − local)), its filter
-//     mirror (segfilter.go) and, while it is splitting, its unpublished
-//     sibling's descriptor. One load of the entry therefore yields the
+//     of its own: pattern = entryIndex >> (global − local)) and its filter
+//     mirror (segfilter.go). One load of the entry therefore yields the
 //     segment and everything DRAM knows about it, and a reader touches only
-//     lines no operation writes outside a split.
+//     lines no operation writes outside a split's publish.
 //
 // Operations route through the cache first and touch PM metadata only to
 // validate a route or repair it (cacheRepair). Coherence is write-through:
@@ -79,8 +78,7 @@ type dirView struct {
 
 // segDesc is the DRAM descriptor of one segment, permanent for the segment's
 // address: every view entry covering the segment points at the same object,
-// so whoever routed to the segment — before or after a split of it began —
-// reads the same mirror and the same sibling.
+// so whoever routed to the segment, whenever, reads the same mirror.
 type segDesc struct {
 	seg   pmem.Addr
 	depth atomic.Uint32 // local depth; stored by a split publish under all of seg's bucket locks
@@ -94,10 +92,6 @@ type segDesc struct {
 	// fetch it through Table.mirror, which runs that recovery. There is no
 	// mirror-less read or write path.
 	mir atomic.Pointer[segMirror]
-
-	// sib is the unpublished sibling while a split of seg is in flight:
-	// stored before the split marker, cleared before the marker clears.
-	sib atomic.Pointer[segDesc]
 }
 
 // route returns the descriptor cached for the key's directory slot. Pure

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
@@ -58,8 +57,8 @@ func verifyCacheCoherent(t *testing.T, tbl *Table) {
 		if tbl.cache.descs[d.seg] != d {
 			t.Fatalf("entry %d: descriptor of %#x is not the registered one", i, d.seg)
 		}
-		if sib := d.sib.Load(); sib != nil {
-			t.Fatalf("entry %d: quiescent segment %#x still links sibling %#x", i, d.seg, sib.seg)
+		if st := p.QuietLoadU64(d.seg.Add(segOffSplit)); st != 0 {
+			t.Fatalf("entry %d: quiescent segment %#x still carries split marker %#x", i, d.seg, st)
 		}
 		if d.mir.Load() == nil {
 			if d.rec.Load() == segRecDone {
@@ -218,10 +217,10 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 
 // TestDescriptorCoherence walks one table through everything that writes a
 // descriptor — splits, two doublings, a poisoned entry and its repair, a
-// rolled-back split, a crash with Open and first touch — and after each
-// requires the whole view to be coherent (verifyCacheCoherent: segment, depth,
-// one descriptor per segment, its own mirror) with no mirror diverged from PM
-// and the mirrors' DRAM accounted exactly.
+// crash that leaks a split's sibling, a crash with Open and first touch — and
+// after each requires the whole view to be coherent (verifyCacheCoherent:
+// segment, depth, one descriptor per segment, its own mirror) with no mirror
+// diverged from PM and the mirrors' DRAM accounted exactly.
 func TestDescriptorCoherence(t *testing.T) {
 	disableBackgroundRecovery.Store(true)
 	t.Cleanup(func() { disableBackgroundRecovery.Store(false) })
@@ -268,19 +267,10 @@ func TestDescriptorCoherence(t *testing.T) {
 	}
 	check("after poison + repair", tbl)
 
-	// Roll a split back. The sibling is leaked and must be named by nothing.
-	var leaked pmem.Addr
-	overflowNextSplit(tbl, &leaked)
-	for leaked.IsNull() {
-		k := next
-		next++
-		if err := tbl.Insert(k, k*7+3); err == nil {
-			acked[k] = k*7 + 3
-		} else if !errors.Is(err, ErrSegmentOverflow) {
-			t.Fatalf("insert %d: %v", k, err)
-		}
-	}
-	tbl.hookMidMigrate = nil
+	// Crash a split before its first entry flip. The sibling is leaked and
+	// must be named by nothing.
+	tbl, leaked := leakSiblingByCrash(t, pool, tbl, &next, acked)
+	tbl.RecoverAll()
 	notNamed := func(stage string, tb *Table) {
 		t.Helper()
 		tb.cache.view.Load().eachSegment(func(d *segDesc) {
@@ -292,8 +282,8 @@ func TestDescriptorCoherence(t *testing.T) {
 			t.Fatalf("%s: the leaked sibling has a descriptor", stage)
 		}
 	}
-	check("after rolled-back split", tbl)
-	notNamed("after rolled-back split", tbl)
+	check("after crash-leaked sibling", tbl)
+	notNamed("after crash-leaked sibling", tbl)
 	growTo(t, tbl, 6, &next, acked) // retries the same split, and doubles again
 	check("after retried split", tbl)
 	notNamed("after retried split", tbl)

@@ -62,10 +62,13 @@ func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 // layer-owned counters live on dirCache/segFilters/epoch.Manager/VarLog
 // themselves; these are the table-level ones).
 type meters struct {
-	// Split phase durations: migrate (concurrent copy phase) and the
-	// publish stall (all bucket locks held, the tail-latency window).
+	// Split phase durations: migrate (the unlocked copy) and the publish
+	// stall (all bucket locks held, the tail-latency window) — and how many
+	// splits paid for a second copy inside that window because a writer
+	// moved a bucket version under the first.
 	splitMigrateNS      *obs.Histogram
 	splitPublishStallNS *obs.Histogram
+	splitRecopies       *obs.Counter
 
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a
 	// freshly created table. phaseDir is stored once by Open; the lazy
@@ -122,12 +125,11 @@ func (t *Table) initObs() {
 	reg.Gauge("read.path.heal", func() int64 { return int64(t.filters.heals.Total()) })
 	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
 
-	// Splits: lifecycle counters stay on the Table (splitAssists is
-	// load-bearing for the migrator's duplicate gate), exposed as gauges;
-	// the phase durations are histograms.
+	// Splits: the lifecycle counters Stats reads stay on the Table, exposed
+	// as gauges; the phase durations are histograms.
 	reg.Gauge("split.completed", func() int64 { return int64(t.splits.Load()) })
 	reg.Gauge("split.stall_ns", func() int64 { return t.splitStallNS.Load() })
-	reg.Gauge("split.assists", func() int64 { return int64(t.splitAssists.Load()) })
+	t.met.splitRecopies = reg.Counter("split.recopies")
 	t.met.splitMigrateNS = reg.Histogram("split.migrate_ns")
 	t.met.splitPublishStallNS = reg.Histogram("split.publish_stall_ns")
 

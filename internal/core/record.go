@@ -63,19 +63,6 @@ func klenClass(klen int) int {
 	return 0
 }
 
-// recSameIdentity reports whether a record currently holding words (w0, w1)
-// is still the logical record a lock-free scan captured as scannedW0 with
-// hash scannedHash: exact word equality for inline records, stored-hash
-// equality for indirect ones — a copy-on-write update flips an indirect
-// record's word 0 to a new blob but never changes its key or hash, and the
-// caller copies the current words, so identity must survive the flip.
-func recSameIdentity(scannedW0, w0, w1, scannedHash uint64) bool {
-	if !recIsIndirect(scannedW0) {
-		return w0 == scannedW0
-	}
-	return recIsIndirect(w0) && w1 == scannedHash
-}
-
 // recHash returns the full hash of the record held in kv: read from the
 // record itself for indirect records, recomputed from the inline key
 // otherwise. This is the routing contract that keeps splits and sweeps
@@ -224,16 +211,4 @@ func recAppendValue(vl *pmem.VarLog, dst []byte, kv pmem.KV) []byte {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], kv.Value)
 	return append(dst, buf[:]...)
-}
-
-// probeOfRecord rebuilds a probeKey for a record already stored in the
-// table — the migration duplicate check probes the sibling by user key,
-// which for indirect records means reading the blob's key bytes (rare:
-// only when writer assists raced the copy loop). buf is reused scratch.
-func probeOfRecord(vl *pmem.VarLog, kv pmem.KV, parts hashfn.Parts, buf []byte) (probeKey, []byte) {
-	if !recIsIndirect(kv.Key) {
-		return probeKey{parts: parts, u: kv.Key}, buf
-	}
-	buf = append(buf[:0], vl.KeyBytes(recBlobAddr(kv.Key))...)
-	return probeKey{parts: parts, kb: buf}, buf
 }

@@ -42,10 +42,11 @@ import (
 //     and copy-on-write update, displacement, stash spill and untrack,
 //     the publish sweep, and the split metadata bump), all inside the
 //     bucket's PM lock with the shadow version odd;
-//   - a split's sibling gets its mirror installed before the split marker
-//     is persisted, i.e. before any migrator or assisting writer can touch
-//     the sibling, so the sibling's mirror is complete the moment the
-//     publish makes the segment reachable;
+//   - a split's sibling gets its mirror when it gets its block, and the
+//     split's copy — the only writer an unpublished sibling has, so it
+//     takes no lock and the shadow versions stay even — writes every insert
+//     through, so the sibling's mirror is complete the moment the publish
+//     makes the segment reachable;
 //   - lock-free readers validate against the shadow seqlock: a scan is
 //     trusted only if the bucket's shadow version was even and unchanged
 //     across it, which makes a stable mirror scan exactly as consistent
@@ -124,7 +125,7 @@ type segFilters struct {
 
 // newMirror returns a zeroed mirror carrying the given header claim. Callers
 // store it into the segment's descriptor before the segment is reachable
-// (Create, a split's sibling before its marker, first-touch recovery inside
+// (Create, a split's sibling before its copy, first-touch recovery inside
 // its gate), so no writer can hold a previous object for the segment.
 func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	mir := &segMirror{}

@@ -41,18 +41,6 @@ const (
 // word never survives a restart.
 const splitStateInFlight = 1
 
-func segSplitState(p *pmem.Pool, seg pmem.Addr) uint64 {
-	// Quiet: the split word shares the header line the caller's claim check
-	// (segClaims) already charged on this operation.
-	return p.QuietLoadU64(seg.Add(segOffSplit))
-}
-
-// splitStateSibling extracts the sibling address from a split-state word
-// (null while the split is claimed but the sibling not yet allocated).
-func splitStateSibling(st uint64) pmem.Addr {
-	return pmem.Addr(st &^ uint64(allocAlign-1))
-}
-
 func segBucket(seg pmem.Addr, i int) pmem.Addr {
 	return seg.Add(uint64(segHeaderSize + i*bucketSize))
 }
@@ -191,45 +179,20 @@ func segFindLocked(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (
 	return recLoc{}, false
 }
 
-// segFindW0Locked locates the record whose word 0 equals w0 exactly — the
-// physical-identity lookup the representation-conversion rollback needs to
-// pick the *new* of two same-key records apart (word 0 is unique per
-// record: an inline key exists at most once and a blob address is never
-// shared between live records of one segment). Caller holds the home
-// pair's locks; parts are the record's hash parts.
-func segFindW0Locked(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts, w0 uint64) (recLoc, bool) {
-	b := int(parts.BucketIndex(bucketBits))
-	candidates := make([]int, 0, 2+stashBuckets)
-	candidates = append(candidates, b, (b+1)%normalBuckets)
-	for j := 0; j < stashBuckets; j++ {
-		candidates = append(candidates, normalBuckets+j)
-	}
-	for ci, bi := range candidates {
-		ba := segBucket(seg, bi)
-		m := p.QuietLoadU64(ba.Add(bkOffMeta))
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) || p.QuietLoadU64(recordAddr(ba, slot)) != w0 {
-				continue
-			}
-			loc := recLoc{bucket: bi, slot: slot, tracked: -1}
-			if ci >= 2 {
-				loc.tracked = findTrackedSlot(p, segBucket(seg, b), parts.FP, bi-normalBuckets)
-			}
-			return loc, true
-		}
-	}
-	return recLoc{}, false
-}
-
 // segInsertLocked places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
 // one bucket over, then the stash. Returns false when the segment needs to
 // split. The caller holds the home pair's locks and this function takes the
 // extra locks it needs (displacement target via trylock to stay
-// deadlock-free, stash buckets in ascending order). persist=false defers
-// durability to a whole-segment flush (unpublished split siblings; see
+// deadlock-free, stash buckets in ascending order).
+//
+// private=true is the mode for building a split's unpublished sibling, which
+// only the split owner can reach: there is nobody to exclude, so no lock is
+// taken at all (the caller holds none either), and nothing is persisted —
+// durability comes from the publish's whole-segment flush (see
 // bucketInsertLocked).
-func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, persist bool, seed uint64) bool {
+func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool, seed uint64) bool {
+	persist := !private
 	b, b2 := homePair(parts)
 	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
 
@@ -246,25 +209,16 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// *own* records (home == b2, i.e. not itself displaced) to b2's probing
 	// bucket b3. The moved key stays within its candidate pair, so readers
 	// still find it; the copy-then-delete order means a crash can at worst
-	// duplicate it, which recovery deduplicates. Disabled while a split of
-	// this segment is in flight: a displacement could hop a record over the
-	// migration front (out of a not-yet-copied bucket into an already-copied
-	// one), and unlike a plain insert there is no assisting writer mirroring
-	// the victim into the sibling.
+	// duplicate it, which recovery deduplicates.
 	b3 := (b2 + 1) % normalBuckets
 	b3a := segBucket(seg, b3)
-	if tryLockBucket(p, mir, b3a, b3) {
-		// The split-marker check must follow the b3 lock acquisition: the
-		// migrator copies a bucket only under that bucket's lock and only
-		// after storing the marker, so reading no marker through the locks
-		// we hold (b, b2, b3) proves none of the three buckets has been
-		// migrated yet — the displacement stays on the unmigrated side of
-		// the front, where the migrator will still find its result.
-		if segSplitState(p, seg)&splitStateInFlight == 0 && bucketFreeSlots(p, b3a) > 0 {
+	if private || tryLockBucket(p, mir, b3a, b3) {
+		displaced := false
+		if bucketFreeSlots(p, b3a) > 0 {
 			// b2 is full (f1 == f2 == 0). Records 0 and 1 share the header
 			// line b2's lock paid for; each further record line is charged
 			// once, when the scan first reaches it (slots 2, 6, 10).
-			for slot := 0; slot < slotsPerBucket; slot++ {
+			for slot := 0; slot < slotsPerBucket && !displaced; slot++ {
 				ra := recordAddr(b2a, slot)
 				if slot >= 2 && uint64(ra)%pmem.CachelineSize == 0 {
 					p.TouchRead(ra, pmem.CachelineSize)
@@ -276,11 +230,15 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 				}
 				bucketInsertLocked(p, mir, b3a, b3, vp.FP, vict, persist)
 				bucketDeleteLocked(p, mir, b2a, b2, slot, persist)
-				unlockBucket(p, mir, b3a, b3)
-				return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+				displaced = true
 			}
 		}
-		unlockBucket(p, mir, b3a, b3)
+		if !private {
+			unlockBucket(p, mir, b3a, b3)
+		}
+		if displaced {
+			return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+		}
 	}
 
 	// Stash: record goes to any stash bucket with room; the home bucket
@@ -289,9 +247,13 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// recovery sweeps, never a dangling pointer.
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(seg, normalBuckets+j)
-		lockBucket(p, mir, sa, normalBuckets+j)
+		if !private {
+			lockBucket(p, mir, sa, normalBuckets+j)
+		}
 		ok := bucketInsertLocked(p, mir, sa, normalBuckets+j, parts.FP, kv, persist)
-		unlockBucket(p, mir, sa, normalBuckets+j)
+		if !private {
+			unlockBucket(p, mir, sa, normalBuckets+j)
+		}
 		if ok {
 			bucketTrackOverflow(p, mir, ba, b, parts.FP, j, persist)
 			return true
@@ -302,23 +264,22 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 
 // segDeleteAt removes the record at loc, fixing the home bucket's overflow
 // metadata when the record lived in the stash. Caller holds the home pair's
-// locks (or owns the whole segment). persist=false defers durability
-// (unpublished split siblings; see bucketInsertLocked).
-func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent, persist bool) {
+// locks (or owns the whole segment).
+func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
 	sa := segBucket(seg, loc.bucket)
 	if !loc.inStash() {
-		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, persist)
+		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 		return
 	}
 	if concurrent {
 		lockBucket(p, mir, sa, loc.bucket)
 	}
-	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, persist)
+	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 	if concurrent {
 		unlockBucket(p, mir, sa, loc.bucket)
 	}
 	hb := int(parts.BucketIndex(bucketBits))
-	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked, persist)
+	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked)
 }
 
 // segSweep deletes every record for which drop returns true, fixing stash
@@ -345,31 +306,31 @@ func segSweep(p *pmem.Pool, seg pmem.Addr, seed uint64, drop func(parts hashfn.P
 				loc.tracked = findTrackedSlot(p, home, parts.FP, bi-normalBuckets)
 			}
 			// Recovery-only path: mirrors are rebuilt wholesale afterwards.
-			segDeleteAt(p, nil, seg, parts, loc, false, true)
+			segDeleteAt(p, nil, seg, parts, loc, false)
 			removed++
 		}
 	}
 	return removed
 }
 
-// segSweepBatched removes every record for which drop returns true with one
-// header store + flush per *bucket* instead of per record, plus a single
-// fence at the end — the persist-batched sweep the split publish runs while
-// it holds every bucket lock. Only allocation bitmaps and overflow-tracking
-// metadata change (all packed in the bucket meta words); dropping a bucket's
-// records and untracking its stash spills therefore coalesce into one
-// persisted word per touched bucket. Returns the number of records removed.
+// segSweepBatched removes a split's moved records with one header store +
+// flush per *bucket* instead of per record, plus a single fence at the end —
+// the persist-batched sweep the split publish runs while it holds every
+// bucket lock. Only allocation bitmaps and overflow-tracking metadata change
+// (all packed in the bucket meta words); dropping a bucket's records and
+// untracking its stash spills therefore coalesce into one persisted word per
+// touched bucket. Returns the number of records removed.
 //
-// known/knownValid let the caller skip record reads entirely: when
-// knownValid[bi], known[bi] is the bucket's drop-slot bitmap (precomputed by
-// the migration scan and proven current by the bucket's seqlock version).
-// Only normal buckets may be marked known — stash drops need each record's
-// hash to fix its home bucket's overflow tracking.
+// Normal buckets are swept without a record read: known[bi] is the bucket's
+// drop-slot bitmap, computed by the split's copy scan and proven current by
+// the bucket versions (splitCopy). Stash records are read, and dropped when
+// drop says so — each drop needs the record's hash to fix its home bucket's
+// overflow tracking.
 //
-// Unlike segSweep the drop decision is computed for all records first and
-// applied per meta word, so drop must not depend on sweep order (the split
-// publish's depth-bit predicate does not).
-func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64, knownValid []bool, hookMidSweep func()) int {
+// The drop decision is computed for all records first and applied per meta
+// word, so drop must not depend on sweep order (the split publish's
+// depth-bit predicate does not).
+func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64, hookMidSweep func()) int {
 	var metas [totalBuckets]uint64 // stack-sized: the sweep allocates nothing
 	var dirty [totalBuckets]bool
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -377,17 +338,16 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 		metas[bi] = p.QuietLoadU64(segBucket(seg, bi).Add(bkOffMeta))
 	}
 	removed := 0
-	for bi := 0; bi < totalBuckets; bi++ {
+	for bi := 0; bi < normalBuckets; bi++ {
+		if drops := known[bi] & metas[bi] & slotMask; drops != 0 {
+			metas[bi] &^= drops
+			dirty[bi] = true
+			removed += bits.OnesCount64(drops)
+		}
+	}
+	for bi := normalBuckets; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)
 		m := metas[bi] // pre-sweep snapshot: iterate original occupancy
-		if knownValid != nil && bi < normalBuckets && knownValid[bi] {
-			if drops := known[bi] & m & slotMask; drops != 0 {
-				metas[bi] = m &^ drops
-				dirty[bi] = true
-				removed += bits.OnesCount64(drops)
-			}
-			continue
-		}
 		touchRecordLines(p, ba, m)
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
@@ -400,21 +360,19 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 			}
 			metas[bi] = metaClearSlot(metas[bi], slot)
 			dirty[bi] = true
-			if bi >= normalBuckets {
-				// Stash record: fix the home bucket's overflow tracking in
-				// its *buffered* meta word — searching the buffer (not PM)
-				// keeps two same-fingerprint drops from resolving to the
-				// same tracking slot. The hi word (stash indexes) never
-				// changes during a sweep, so reading it from PM is exact.
-				home := int(parts.BucketIndex(bucketBits))
-				hhi := p.QuietLoadU64(segBucket(seg, home).Add(bkOffFPHi))
-				if ts := metaFindTracked(metas[home], hhi, parts.FP, bi-normalBuckets); ts >= 0 {
-					metas[home] = metaClearOvFP(metas[home], ts)
-				} else {
-					metas[home] = metaAddOvCount(metas[home], -1)
-				}
-				dirty[home] = true
+			// Fix the home bucket's overflow tracking in its *buffered* meta
+			// word — searching the buffer (not PM) keeps two
+			// same-fingerprint drops from resolving to the same tracking
+			// slot. The hi word (stash indexes) never changes during a
+			// sweep, so reading it from PM is exact.
+			home := int(parts.BucketIndex(bucketBits))
+			hhi := p.QuietLoadU64(segBucket(seg, home).Add(bkOffFPHi))
+			if ts := metaFindTracked(metas[home], hhi, parts.FP, bi-normalBuckets); ts >= 0 {
+				metas[home] = metaClearOvFP(metas[home], ts)
+			} else {
+				metas[home] = metaAddOvCount(metas[home], -1)
 			}
+			dirty[home] = true
 			removed++
 		}
 	}

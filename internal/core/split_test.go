@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,9 +162,9 @@ func TestReaderDuringSplitMigration(t *testing.T) {
 
 // TestWritersDuringSplitMigration pauses the first split mid-migration and
 // drives concurrent inserts, deletes and updates against the splitting
-// segment from other goroutines — the writer-assist path: sibling-claimed
-// mutations must be mirrored into the unpublished sibling (and duplicates
-// deduped by the migrator) or records would be lost, resurrected or stale
+// segment from other goroutines — the validate-and-recopy path: the publish
+// must notice that the copy it holds is of a state that no longer exists and
+// redo it under the locks, or records would be lost, resurrected or stale
 // once the split publishes.
 func TestWritersDuringSplitMigration(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
@@ -194,10 +196,8 @@ func TestWritersDuringSplitMigration(t *testing.T) {
 		// every 5th, update every 7th, delete+reinsert every 11th. A
 		// reinsert always finds the slot its delete just freed in the
 		// key's bucket pair, so none of these operations can trigger (and
-		// then wait on) the paused split — while sibling-claimed keys
-		// exercise assistDelete/assistOverwrite/assistInsert, including the
-		// migrator's duplicate probe when it later reaches a reinserted
-		// record's bucket.
+		// then wait on) the paused split — while every one of them moves
+		// bucket versions the paused copy has already snapshotted.
 		var keys []uint64
 		for k := range state {
 			keys = append(keys, k)
@@ -253,12 +253,446 @@ func TestWritersDuringSplitMigration(t *testing.T) {
 	if got, want := tbl.Count(), int64(len(state)); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
-	// The fixed seed makes the key→segment mapping deterministic: a quarter
-	// of the mid-split mutations hit the splitting segment's sibling-claimed
-	// half, so assists must have been exercised.
-	if a := tbl.Stats().SplitAssists; a == 0 {
-		t.Fatal("mid-split writers never exercised the assist path")
+	// The fixed seed makes the key→segment mapping deterministic: half of
+	// the mid-split mutations hit the splitting segment, so its copy must
+	// have been rejected and redone.
+	if r := tbl.met.splitRecopies.Total(); r < 1 {
+		t.Fatal("mid-split writers never forced a recopy")
 	}
+}
+
+// pauseFirstCopy arms hookMidMigrate to run during once, halfway through the
+// insert phase of the first split's unlocked copy — every source bucket
+// snapshotted, no lock of the splitting segment held — with that segment's
+// address. during runs on its own goroutine (the hook's is inside an
+// operation) while the splitting inserter stays parked.
+func pauseFirstCopy(tbl *Table, during func(seg pmem.Addr)) {
+	var once sync.Once
+	tbl.hookMidMigrate = func(seg pmem.Addr, bucket int) {
+		if bucket != normalBuckets/2 {
+			return
+		}
+		once.Do(func() {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				during(seg)
+			}()
+			<-done
+		})
+	}
+}
+
+// TestSplitCopyValidatedByVersions pins the one thing writers and a split
+// still say to each other: a mutation of the splitting segment after its
+// buckets were snapshotted moves a bucket version, and the publish then
+// throws the copy away and redoes it under the locks — exactly once, for
+// every kind of mutation there is, including the ones that change nothing
+// the copy read. Each case applies one mutation to the moving half while the
+// first split's unlocked copy is paused; the table must end in the oracle's
+// state with its mirrors exact, and split.recopies at 1.
+func TestSplitCopyValidatedByVersions(t *testing.T) {
+	type env struct {
+		*routeFixture
+		seg pmem.Addr // the splitting segment
+		l   uint8     // its local depth: DepthBit(l) names the moving half
+	}
+	// pick returns the first i < next whose u64 (or, with varKey, []byte)
+	// record lives in the moving half of the splitting segment at a place
+	// ok accepts. The fixture is quiescent: no lock is needed to look.
+	pick := func(t *testing.T, e *env, varKey bool, ok func(pk *probeKey, loc recLoc) bool) (uint64, bool) {
+		for i := uint64(0); i < e.next; i++ {
+			pk := e.tbl.probeU64(i)
+			if varKey {
+				pk = e.tbl.probeBytes(routeKeyB(i))
+			}
+			if e.tbl.cache.route(pk.parts).seg != e.seg || !pk.parts.DepthBit(e.l) {
+				continue
+			}
+			if loc, found := segFindLocked(e.tbl.pool, e.tbl.vlog, e.seg, &pk); found && ok(&pk, loc) {
+				return i, true
+			}
+		}
+		t.Error("the splitting segment holds no record of the kind this case needs")
+		return 0, false
+	}
+	anywhere := func(*probeKey, recLoc) bool { return true }
+	// fresh returns an absent u64 key the splitting segment's moving half
+	// would own, whose bucket pair ok accepts.
+	fresh := func(t *testing.T, e *env, ok func(b, b2 int) bool) (uint64, bool) {
+		for k := uint64(1) << 40; k < 1<<40+100000; k++ {
+			parts := e.tbl.parts(k)
+			if e.tbl.cache.route(parts).seg != e.seg || !parts.DepthBit(e.l) {
+				continue
+			}
+			if b, b2 := homePair(parts); ok(b, b2) {
+				return k, true
+			}
+		}
+		t.Error("no fresh key fits this case")
+		return 0, false
+	}
+	free := func(e *env, bi int) int { return bucketFreeSlots(e.tbl.pool, segBucket(e.seg, bi)) }
+	version := func(e *env, bi int) uint64 {
+		return e.tbl.pool.QuietLoadU64(segBucket(e.seg, bi).Add(bkOffVersion))
+	}
+
+	cases := []struct {
+		name   string
+		mutate func(t *testing.T, e *env)
+	}{
+		{"no interference", nil},
+		{"in-place Update in a normal bucket", func(t *testing.T, e *env) {
+			k, ok := pick(t, e, false, func(_ *probeKey, loc recLoc) bool { return !loc.inStash() })
+			if !ok {
+				return
+			}
+			if ok, err := e.tbl.Update(k, k+100); !ok || err != nil {
+				t.Errorf("Update(%d) = %v, %v", k, ok, err)
+			}
+			e.u[k] = k + 100
+		}},
+		{"in-place Update of a stash-resident record", func(t *testing.T, e *env) {
+			var stash int
+			k, ok := pick(t, e, false, func(_ *probeKey, loc recLoc) bool { stash = loc.bucket; return loc.inStash() })
+			if !ok {
+				return
+			}
+			home, _ := homePair(e.tbl.parts(k))
+			sv, hv := version(e, stash), version(e, home)
+			if ok, err := e.tbl.Update(k, k+100); !ok || err != nil {
+				t.Errorf("Update(%d) = %v, %v", k, ok, err)
+			}
+			e.u[k] = k + 100
+			// The record's own bucket cannot vouch for it; its home can.
+			if version(e, stash) != sv || version(e, home) == hv {
+				t.Errorf("stash version %d→%d, home version %d→%d: want only the home's to move",
+					sv, version(e, stash), hv, version(e, home))
+			}
+		}},
+		{"Delete", func(t *testing.T, e *env) {
+			k, ok := pick(t, e, false, anywhere)
+			if !ok {
+				return
+			}
+			if !e.tbl.Delete(k) {
+				t.Errorf("Delete(%d) reported missing", k)
+			}
+			delete(e.u, k)
+		}},
+		{"Delete + Insert of the same key", func(t *testing.T, e *env) {
+			// The reinsert takes the slot the delete freed: the bucket holds
+			// the same key in the same place as when it was snapshotted.
+			k, ok := pick(t, e, false, func(_ *probeKey, loc recLoc) bool { return !loc.inStash() })
+			if !ok {
+				return
+			}
+			if !e.tbl.Delete(k) {
+				t.Errorf("Delete(%d) reported missing", k)
+			}
+			if err := e.tbl.Insert(k, k+200); err != nil {
+				t.Errorf("re-Insert(%d): %v", k, err)
+			}
+			e.u[k] = k + 200
+		}},
+		{"Insert that displaces a neighbour's record", func(t *testing.T, e *env) {
+			var b3 int
+			k, ok := fresh(t, e, func(b, b2 int) bool {
+				b3 = (b2 + 1) % normalBuckets
+				return free(e, b) == 0 && free(e, b2) == 0 && free(e, b3) > 0
+			})
+			if !ok {
+				return
+			}
+			before := free(e, b3)
+			if err := e.tbl.Insert(k, k+1); err != nil {
+				t.Errorf("Insert(%d): %v", k, err)
+			}
+			e.u[k] = k + 1
+			if free(e, b3) != before-1 {
+				t.Errorf("Insert(%d) displaced nothing into bucket %d", k, b3)
+			}
+		}},
+		{"copy-on-write UpdateB", func(t *testing.T, e *env) {
+			i, ok := pick(t, e, true, anywhere)
+			if !ok {
+				return
+			}
+			if ok, err := e.tbl.UpdateB(routeKeyB(i), routeValB(i, 1)); !ok || err != nil {
+				t.Errorf("UpdateB(%d) = %v, %v", i, ok, err)
+			}
+			e.b[string(routeKeyB(i))] = routeValB(i, 1)
+		}},
+		{"inline → indirect converting UpdateB", func(t *testing.T, e *env) {
+			// The converted record is inserted beside the old one: only a
+			// pair with a free slot takes it without waiting for the split.
+			k, ok := pick(t, e, false, func(pk *probeKey, _ recLoc) bool {
+				b, b2 := homePair(pk.parts)
+				return free(e, b) > 0 || free(e, b2) > 0
+			})
+			if !ok {
+				return
+			}
+			var kb [8]byte
+			binary.LittleEndian.PutUint64(kb[:], k)
+			if ok, err := e.tbl.UpdateB(kb[:], routeValB(k, 3)); !ok || err != nil {
+				t.Errorf("UpdateB(%d) = %v, %v", k, ok, err)
+			}
+			delete(e.u, k)
+			e.b[string(kb[:])] = routeValB(k, 3)
+		}},
+		{"Update of an absent key", func(t *testing.T, e *env) {
+			// Locks the pair and stores nothing: the versions cannot tell,
+			// so this too costs a recopy.
+			k, ok := fresh(t, e, func(int, int) bool { return true })
+			if !ok {
+				return
+			}
+			if ok, err := e.tbl.Update(k, 1); ok || err != nil {
+				t.Errorf("Update(absent %d) = %v, %v", k, ok, err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := &env{routeFixture: newRouteFixture(t)}
+			defer e.tbl.Close()
+			tbl := e.tbl
+			pauseFirstCopy(tbl, func(seg pmem.Addr) {
+				e.seg, e.l = seg, uint8(tbl.pool.QuietLoadU64(seg.Add(segOffDepth)))
+				if c.mutate != nil {
+					c.mutate(t, e)
+				}
+			})
+			e.grow(t, func() bool { return tbl.splits.Load() >= 1 })
+			want := uint64(1)
+			if c.mutate == nil {
+				want = 0
+			}
+			if got := tbl.met.splitRecopies.Total(); got != want {
+				t.Errorf("split.recopies = %d, want %d", got, want)
+			}
+			e.verify(t)
+		})
+	}
+}
+
+// TestSplitCharges pins what an undisturbed split costs, in the mould of
+// TestWriterReadCharges: on a quiet table with the cost model off, the insert
+// that carries the first split (sequential keys, default seed: its failed
+// attempt, the split, its retry) charges exactly these PM lines. The parent
+// protocol, whose copy locked the sibling's pairs and each stash record's
+// home pair in the old segment, read 356 and wrote 294 here; flushes and
+// fences are the same 341 and 11, which is the proof that the protocol lost
+// locks and no persist.
+func TestSplitCharges(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	p := tbl.pool
+	for k := uint64(0); ; k++ {
+		before := p.Stats()
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if tbl.splits.Load() == 0 {
+			continue
+		}
+		after := p.Stats()
+		got := [4]uint64{after.ReadLines - before.ReadLines, after.WriteLines - before.WriteLines,
+			after.FlushedLines - before.FlushedLines, after.Fences - before.Fences}
+		if want := [4]uint64{284, 90, 341, 11}; got != want {
+			t.Fatalf("Insert(%d) with the first split charged read/write/flush/fence = %v, want %v", k, got, want)
+		}
+		break
+	}
+	if r := tbl.met.splitRecopies.Total(); r != 0 {
+		t.Fatalf("an undisturbed split recopied %d times", r)
+	}
+}
+
+// TestSplitOverflowUnderLocksRecyclesSibling drives the locked copy — the
+// only one entitled to — into ErrSegmentOverflow: the first split's unlocked
+// copy is invalidated (a lock and unlock of one bucket, all mirrorRepair
+// would do), and the sibling is stuffed as soon as the recopy under the locks
+// has placed its first group. The split must roll back, losing nothing, and
+// hand the sibling's block back to the allocator.
+func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	p := tbl.pool
+	var sibling pmem.Addr
+	runs := 0
+	tbl.hookMidMigrate = func(seg pmem.Addr, bucket int) {
+		if bucket != 0 {
+			return
+		}
+		switch runs++; runs {
+		case 1: // unlocked run
+			mir := tbl.cache.descs[seg].mir.Load()
+			lockBucket(p, mir, segBucket(seg, 7), 7)
+			unlockBucket(p, mir, segBucket(seg, 7), 7)
+		case 2: // the recopy: all of seg's locks are held
+			sibling = pmem.Addr(p.QuietLoadU64(seg.Add(segOffSplit)) &^ splitStateInFlight)
+			for bi := 0; bi < totalBuckets; bi++ {
+				for bucketInsertLocked(p, nil, segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
+				}
+			}
+		}
+	}
+	acked := make(map[uint64]uint64)
+	var k uint64
+	for ; ; k++ {
+		err := tbl.Insert(k, k+1)
+		if errors.Is(err, ErrSegmentOverflow) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+		acked[k] = k + 1
+	}
+	tbl.hookMidMigrate = nil
+	if runs != 2 || tbl.met.splitRecopies.Total() != 1 {
+		t.Fatalf("the overflow came after %d copy runs and %d recopies, want 2 and 1", runs, tbl.met.splitRecopies.Total())
+	}
+	if len(tbl.freeList) != 1 || tbl.freeList[0] != (freeSpan{addr: sibling, size: allocRound(segmentSize)}) {
+		t.Fatalf("free list = %+v, want the sibling's block %#x", tbl.freeList, sibling)
+	}
+	if st := tbl.Stats(); st.Splits != 0 || st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
+		t.Fatalf("after the rollback: %d splits, %d mirror bytes for %d segments", st.Splits, st.SegFilterBytes, st.Segments)
+	}
+	verifyCacheCoherent(t, tbl) // includes: no marker left
+	if _, ok := tbl.Get(k); ok {
+		t.Fatalf("the refused key %d is readable", k)
+	}
+
+	// The retried split takes the recycled block, not a new one.
+	frontier := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt))
+	for ; tbl.splits.Load() == 0; k++ {
+		if err := tbl.Insert(k, k+1); err != nil {
+			t.Fatalf("insert %d after the rollback: %v", k, err)
+		}
+		acked[k] = k + 1
+	}
+	if tbl.cache.descs[sibling] == nil || len(tbl.freeList) != 0 {
+		t.Fatalf("the retried split did not publish the recycled block (free list %+v)", tbl.freeList)
+	}
+	if got := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)); got-frontier >= allocRound(segmentSize) {
+		t.Fatalf("the retried split moved the frontier %d→%d: room for a segment, past its doubled directory", frontier, got)
+	}
+	for key, want := range acked {
+		if v, ok := tbl.Get(key); !ok || v != want {
+			t.Fatalf("Get(%d) = %d,%v want %d,true", key, v, ok, want)
+		}
+	}
+	if got := tbl.Count(); got != int64(len(acked)) {
+		t.Fatalf("Count = %d, want %d", got, len(acked))
+	}
+	verifyCacheCoherent(t, tbl)
+}
+
+// TestPoolFullMidSplitStaysServiceable: a split that dies at its directory
+// doubling (the pool fits the sibling but not the doubled directory) must
+// cost the pool one block however often its insert is retried, and leave a
+// table that serves everything else — and whose crash image reopens to
+// exactly the acknowledged set.
+func TestPoolFullMidSplitStaysServiceable(t *testing.T) {
+	// Find the insert behind the 4 → 5 doubling and the frontier before it;
+	// single-threaded growth is deterministic, so a second table replays it.
+	poolBlock := allocRound(segmentSize) // what alloc carves for a segment
+	opt := Options{InitialDepth: 1}
+	scout := newTestTable(t, 64<<20, opt)
+	var trigger, frontier uint64
+	for k := uint64(0); ; k++ {
+		f := scout.pool.QuietLoadU64(rootAddr.Add(rootOffAllocNxt))
+		if err := scout.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if scout.GlobalDepth() == 5 {
+			trigger, frontier = k, f
+			break
+		}
+	}
+	scout.Close()
+
+	pool, err := pmem.NewPool(pmem.Options{Size: frontier + poolBlock, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make(map[uint64]uint64)
+	for k := uint64(0); k < trigger; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+		acked[k] = k
+	}
+	for try := 0; try < 100; try++ {
+		if err := tbl.Insert(trigger, trigger); !errors.Is(err, ErrPoolFull) {
+			t.Fatalf("try %d of the doubling insert: %v, want ErrPoolFull", try, err)
+		}
+		if got := pool.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)); got != frontier+poolBlock {
+			t.Fatalf("try %d left the frontier at %d, want %d (one sibling past %d)", try, got, frontier+poolBlock, frontier)
+		}
+	}
+
+	// Everything that needs no new block still works.
+	for k := uint64(0); k < trigger; k++ {
+		switch k % 3 {
+		case 0:
+			if ok, err := tbl.Update(k, k+5); !ok || err != nil {
+				t.Fatalf("Update(%d) = %v, %v", k, ok, err)
+			}
+			acked[k] = k + 5
+		case 1:
+			if !tbl.Delete(k) {
+				t.Fatalf("Delete(%d) reported missing", k)
+			}
+			delete(acked, k)
+		}
+	}
+	fresh := 0
+	for k := uint64(1) << 40; k < 1<<40+200; k++ {
+		if err := tbl.Insert(k, k); err == nil {
+			acked[k] = k
+			fresh++
+		} else if !errors.Is(err, ErrPoolFull) {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no insert found room in a full pool's segments")
+	}
+	check := func(stage string, tb *Table) {
+		t.Helper()
+		for k, want := range acked {
+			if v, ok := tb.Get(k); !ok || v != want {
+				t.Fatalf("%s: Get(%d) = %d,%v want %d,true", stage, k, v, ok, want)
+			}
+		}
+		if _, ok := tb.Get(trigger); ok {
+			t.Fatalf("%s: the refused key %d is readable", stage, trigger)
+		}
+		if got := tb.Count(); got != int64(len(acked)) {
+			t.Fatalf("%s: Count = %d, want %d", stage, got, len(acked))
+		}
+		verifyCacheCoherent(t, tb)
+		if st := tb.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
+			t.Fatalf("%s: %d mirror bytes for %d segments", stage, st.SegFilterBytes, st.Segments)
+		}
+	}
+	check("full pool", tbl)
+
+	pool.Crash()
+	reopened, err := Open(pool)
+	if err != nil {
+		t.Fatalf("Open after crash: %v", err)
+	}
+	defer reopened.Close()
+	check("reopened", reopened)
 }
 
 // --- crash injection at the new publish points ---

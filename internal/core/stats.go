@@ -86,12 +86,14 @@ type TableStats struct {
 	// consumers (internal/bench) subtract a baseline snapshot.
 	Splits uint64 `json:"splits"`
 	// SplitStallNS is the cumulative wall time split publishes held every
-	// bucket lock of their segment (including any directory doubling): the
-	// table-freeze exposure that remains now that migration is incremental.
+	// bucket lock of their segment (including any directory doubling, and
+	// the recopy when a writer invalidated the unlocked copy): the
+	// segment-freeze exposure that remains now that the copy runs unlocked.
 	SplitStallNS int64 `json:"split_stall_ns"`
-	// SplitAssists counts writer operations mirrored into an in-flight
-	// split's unpublished sibling (the writer-side cost of not freezing the
-	// segment during migration).
+	// SplitAssists is always 0: writers do nothing for an in-flight split
+	// (registry counter split.recopies is what a racing writer costs). Kept
+	// for benchmark/engine.go and the BENCH row schema; goes when they drop
+	// it.
 	SplitAssists uint64 `json:"split_assists"`
 
 	// Epoch reclamation accounting: objects handed to Retire, objects
@@ -178,7 +180,6 @@ func (t *Table) Stats() TableStats {
 		LogFreeBytes:     lg.FreeBytes,
 		Splits:           t.splits.Load(),
 		SplitStallNS:     t.splitStallNS.Load(),
-		SplitAssists:     t.splitAssists.Load(),
 
 		EpochRetired:   t.em.Retired.Total(),
 		EpochReclaimed: t.em.Reclaimed.Total(),
@@ -246,7 +247,6 @@ func (s TableStats) Add(o TableStats) TableStats {
 	s.SegFilterHeals += o.SegFilterHeals
 	s.Splits += o.Splits
 	s.SplitStallNS += o.SplitStallNS
-	s.SplitAssists += o.SplitAssists
 	s.EpochRetired += o.EpochRetired
 	s.EpochReclaimed += o.EpochReclaimed
 	s.EpochPending += o.EpochPending
@@ -281,7 +281,6 @@ func (s TableStats) Since(earlier TableStats) TableStats {
 	s.SegFilterHeals -= earlier.SegFilterHeals
 	s.Splits -= earlier.Splits
 	s.SplitStallNS -= earlier.SplitStallNS
-	s.SplitAssists -= earlier.SplitAssists
 	s.EpochRetired -= earlier.EpochRetired
 	s.EpochReclaimed -= earlier.EpochReclaimed
 	s.LogFreeHits -= earlier.LogFreeHits

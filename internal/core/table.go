@@ -37,21 +37,21 @@ import (
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
 //     CAS on the segment header's split-state word (which doubles as the
 //     persistent split-progress marker), so splits of distinct segments
-//     proceed in parallel. The owner copies records into the unpublished
-//     sibling one bucket at a time under that bucket's version lock;
-//     readers and writers on the other buckets proceed normally. Writers
-//     that mutate the splitting segment mirror ("assist") any operation on
-//     a key the sibling claims into the sibling too, so the migration front
-//     needs no writer-side coordination beyond the marker check. The only
-//     stop-the-world moment is the short publish step: all bucket locks are
-//     taken, the fully-built sibling is persisted with one flush+fence, the
-//     directory entries flip, the old segment's metadata bumps, moved
-//     records are swept with one persist per bucket, and the directory
-//     cache is written through — then everything unlocks.
+//     proceed in parallel. The owner copies the sibling's half into a
+//     sibling nobody else can reach, holding none of the old segment's
+//     locks: readers and writers proceed normally and never look at the
+//     split state — a writer's part in the protocol is the bucket versions
+//     its locks bump anyway. The only stop-the-world moment is the short
+//     publish step: all bucket locks are taken, the copy stands if no
+//     bucket version moved since it was snapshotted and is redone under the
+//     locks otherwise, the fully-built sibling is persisted with one
+//     flush+fence, the directory entries flip, the old segment's metadata
+//     bumps, moved records are swept with one persist per bucket, and the
+//     directory cache is written through — then everything unlocks.
 //   - Directory doubling (and the entry flips of a publish) serialize on the
-//     narrow dirMu; nothing else does. Lock order is: old-segment bucket
-//     locks → sibling bucket locks → dirMu, each level acquired in
-//     ascending index order (pairs sorted, displacement via trylock).
+//     narrow dirMu; nothing else does. Lock order is: bucket locks → dirMu,
+//     buckets acquired in ascending index order (pairs sorted, displacement
+//     via trylock). An unpublished sibling's buckets are never locked.
 
 // Root block layout, at the first usable cacheline of the pool.
 const (
@@ -152,13 +152,9 @@ type Table struct {
 
 	// splits counts completed segment splits; splitStallNS accumulates the
 	// wall time their exclusive publish windows (all bucket locks held,
-	// including any directory doubling) stalled the segment; splitAssists
-	// counts writer operations mirrored into an in-flight split's sibling.
-	// The migrator probes the sibling for duplicates only when assists
-	// happened, so the counter is also load-bearing (see splitMigrate).
+	// including any directory doubling) stalled the segment.
 	splits       atomic.Uint64
 	splitStallNS atomic.Int64
-	splitAssists atomic.Uint64
 
 	// Observability (obs.go): reg names every meter, fr is the flight
 	// recorder, met the table-level histogram/phase handles. Built by
@@ -170,7 +166,7 @@ type Table struct {
 	// Test hooks fired inside split; used by crash-consistency tests to
 	// simulate power loss at the protocol's interesting points.
 	hookAfterMarker     func()                          // split marker persisted, no records migrated
-	hookMidMigrate      func(seg pmem.Addr, bucket int) // after each migrated bucket, outside its lock
+	hookMidMigrate      func(seg pmem.Addr, bucket int) // after each copied group of either copy run (splitCopy)
 	hookAfterSegPersist func()                          // sibling fully persisted, nothing published
 	hookMidPublish      func()                          // first directory entry of a multi-entry flip persisted
 	hookAfterPublish    func()                          // all entries flipped, old-segment meta/sweep pending
@@ -316,7 +312,7 @@ func (t *Table) Close() {
 // CAS: a crash can at worst leak a block that was never published, never
 // hand out the same published block twice.
 func (t *Table) alloc(size uint64) (pmem.Addr, error) {
-	size = (size + allocAlign - 1) &^ (allocAlign - 1)
+	size = allocRound(size)
 	t.freeMu.Lock()
 	for i, s := range t.freeList {
 		if s.size >= size {
@@ -340,11 +336,15 @@ func (t *Table) alloc(size uint64) (pmem.Addr, error) {
 	}
 }
 
+// freePush returns a block alloc handed out for a size-byte request; the
+// span records what alloc really carved, so a request of the same size fits.
 func (t *Table) freePush(a pmem.Addr, size uint64) {
 	t.freeMu.Lock()
-	t.freeList = append(t.freeList, freeSpan{addr: a, size: size})
+	t.freeList = append(t.freeList, freeSpan{addr: a, size: allocRound(size)})
 	t.freeMu.Unlock()
 }
+
+func allocRound(size uint64) uint64 { return (size + allocAlign - 1) &^ (allocAlign - 1) }
 
 func (t *Table) parts(key uint64) hashfn.Parts {
 	return hashfn.Split(hashfn.HashU64(key, t.seed))
@@ -443,13 +443,8 @@ func (t *Table) InsertB(key, value []byte) error {
 // insertIndirect writes the blob (with the crash hooks between its persist,
 // commit and publication) and inserts the packed record. The blob is
 // allocated before any lock is taken and survives split retries; it is
-// returned to the log on any failure. On most failures (duplicate key,
-// pool exhaustion) the record was never published, no reader can hold the
-// blob, and the free is immediate — but the ErrSegmentOverflow rollback
-// deleted a record that WAS transiently published (a stash placement
-// releases the stash-bucket lock before the rollback, and readers reach
-// the stash through preexisting overflow metadata), so that path must
-// epoch-retire the blob like any other reader-reachable free.
+// returned to the log on any failure. A failed insert never published the
+// record, so no reader can hold the blob and the free is immediate.
 func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	blob, err := t.vlog.Append(key, value)
 	if err != nil {
@@ -464,11 +459,7 @@ func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	}
 	kv := pmem.KV{Key: recPack(blob, len(key)), Value: pk.parts.Hash}
 	if err := t.insertKV(pk, kv); err != nil {
-		if errors.Is(err, ErrSegmentOverflow) {
-			t.retireBlob(blob)
-		} else {
-			t.vlog.Free(blob)
-		}
+		t.vlog.Free(blob)
 		return err
 	}
 	return nil
@@ -486,7 +477,7 @@ func (t *Table) mapLogErr(err error) error {
 
 // insertKV is the shared insert protocol: route, lock and claim-check
 // (lockOwner), duplicate check by canonical key, representation-blind slot
-// insert, split-assist mirror, or split-and-retry.
+// insert, or split-and-retry.
 func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 	p := t.pool
 	parts := pk.parts
@@ -498,17 +489,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			unlockPair(p, mir, seg, b, b2)
 			return ErrKeyExists
 		}
-		if segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
-			if sib := t.splitSibling(d, parts); sib != nil && !t.assistInsert(sib, pk, kv) {
-				// The in-flight split's sibling cannot absorb the key's
-				// copy: the split is overflowing pathologically. Undo and
-				// surface it, matching what the migrator will report.
-				if loc, found := segFindLocked(p, t.vlog, seg, pk); found {
-					segDeleteAt(p, mir, seg, parts, loc, true, true)
-				}
-				unlockPair(p, mir, seg, b, b2)
-				return ErrSegmentOverflow
-			}
+		if segInsertLocked(p, mir, seg, parts, kv, false, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
 			t.count.Add(1)
 			return nil
@@ -648,10 +629,7 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 	loc, found := segFindLocked(p, t.vlog, seg, pk)
 	if found {
 		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
-		segDeleteAt(p, mir, seg, parts, loc, true, true)
-		if sib := t.splitSibling(d, parts); sib != nil {
-			t.assistDelete(sib, pk)
-		}
+		segDeleteAt(p, mir, seg, parts, loc, true)
 		if recIsIndirect(w0) {
 			t.retireBlob(recBlobAddr(w0))
 		}
@@ -672,11 +650,10 @@ func (t *Table) retireBlob(blob pmem.Addr) {
 // Update overwrites the value of an existing key. The bool reports whether
 // the key was present; a non-nil error means the key exists but the update
 // did not happen (value unchanged): records stored through the log update
-// copy-on-write, which can fail with ErrPoolFull, ErrRecordTooLarge is
-// impossible here, and a pathological sibling overflow during an in-flight
-// split surfaces as ErrSegmentOverflow. Inline records update in place
-// (one atomic persisted store, no error path). Lock-free readers always
-// observe either the whole old or the whole new value.
+// copy-on-write, which can fail with ErrPoolFull (ErrRecordTooLarge is
+// impossible here). Inline records update in place (one atomic persisted
+// store, no error path). Lock-free readers always observe either the whole
+// old or the whole new value.
 func (t *Table) Update(key, value uint64) (bool, error) {
 	pk := t.probeU64(key)
 	return t.updateOp(&pk, nil, value)
@@ -684,9 +661,11 @@ func (t *Table) Update(key, value uint64) (bool, error) {
 
 // UpdateB overwrites the value of an existing variable-length key. The
 // returned bool reports presence; the error reports ErrRecordTooLarge,
-// ErrPoolFull or ErrSegmentOverflow (the update did not happen). A value
-// whose length differs from the stored one is handled by the copy-on-write
-// path, including conversions between the inline and log representations.
+// ErrPoolFull or — only when converting an inline record needed a split that
+// overflowed one-sidedly — ErrSegmentOverflow (the update did not happen). A
+// value whose length differs from the stored one is handled by the
+// copy-on-write path, including conversions between the inline and log
+// representations.
 func (t *Table) UpdateB(key, value []byte) (bool, error) {
 	if len(key) == 0 || len(key) > pmem.MaxVarKeyLen || len(value) > pmem.MaxVarValueLen {
 		return false, ErrRecordTooLarge
@@ -713,9 +692,9 @@ func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 //     word whatever the value length.
 //   - inline record, non-8-byte value → representation conversion: the new
 //     indirect record is inserted alongside the old inline one and the old
-//     slot is deleted after the sibling assist succeeds. A crash in
-//     between leaves both — recovery's canonical-key dedupe keeps exactly
-//     one, which is correct for an unacknowledged update.
+//     slot is deleted after it. A crash in between leaves both — recovery's
+//     canonical-key dedupe keeps exactly one, which is correct for an
+//     unacknowledged update.
 //
 // The new blob is allocated lazily on first need and reused across split
 // retries; it is freed on any outcome that does not publish it.
@@ -724,10 +703,9 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	parts := pk.parts
 	b, b2 := homePair(parts)
 	blob := pmem.Null
-	// freeBlob is only for outcomes where the blob was never published (no
-	// slot ever referenced it), so no reader can hold it and immediate
-	// reuse is safe; the conversion rollback below, whose record WAS
-	// transiently readable, epoch-retires instead.
+	// freeBlob is for the outcomes that never published the blob (no slot
+	// ever referenced it), so no reader can hold it and immediate reuse is
+	// safe.
 	freeBlob := func() {
 		if !blob.IsNull() {
 			t.vlog.Free(blob)
@@ -758,9 +736,6 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			// PM store's own discipline — readers see the old or the new
 			// word, both linearizable.
 			mir.recWord(loc.bucket, loc.slot, 1).Store(v)
-			if sib := t.splitSibling(d, parts); sib != nil {
-				t.assistOverwrite(sib, pk, pmem.KV{Key: w0, Value: v}, false)
-			}
 			unlockPair(p, mir, seg, b, b2)
 			freeBlob()
 			return true, nil
@@ -794,19 +769,16 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			p.StoreU64(ra, kv.Key)
 			p.Persist(ra, 8)
 			mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
-			if sib := t.splitSibling(d, parts); sib != nil {
-				t.assistOverwrite(sib, pk, kv, false)
-			}
 			t.retireBlob(recBlobAddr(w0))
 			unlockPair(p, mir, seg, b, b2)
 			return true, nil
 		}
 
 		// Representation conversion (inline → indirect): insert the new
-		// record first, mirror it into any in-flight split's sibling, and
-		// only then delete the old inline slot — at every crash point the
-		// key exists at least once and at most twice (deduped by recovery).
-		if !segInsertLocked(p, mir, seg, parts, kv, true, t.seed) {
+		// record first and only then delete the old inline slot — at every
+		// crash point the key exists at least once and at most twice
+		// (deduped by recovery).
+		if !segInsertLocked(p, mir, seg, parts, kv, false, t.seed) {
 			unlockPair(p, mir, seg, b, b2)
 			if err := t.split(parts, d); err != nil {
 				freeBlob()
@@ -814,25 +786,11 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			}
 			continue
 		}
-		if sib := t.splitSibling(d, parts); sib != nil && !t.assistOverwrite(sib, pk, kv, true) {
-			// Sibling cannot absorb the converted record: roll the
-			// conversion back (delete the new record, old value intact).
-			// The deleted record was transiently published — a stash
-			// placement is readable the moment segInsertLocked drops the
-			// stash lock — so the blob is epoch-retired, not freed for
-			// immediate reuse.
-			if nloc, ok := segFindW0Locked(p, seg, parts, kv.Key); ok {
-				segDeleteAt(p, mir, seg, parts, nloc, true, true)
-			}
-			unlockPair(p, mir, seg, b, b2)
-			t.retireBlob(blob)
-			return true, ErrSegmentOverflow
-		}
 		// loc still names the old inline slot: the new record's insert may
 		// have displaced records, but never this one (displacement only
 		// moves records homed in the probing neighbor b2; this key's home
 		// is b).
-		segDeleteAt(p, mir, seg, parts, loc, true, true)
+		segDeleteAt(p, mir, seg, parts, loc, true)
 		unlockPair(p, mir, seg, b, b2)
 		return true, nil
 	}
