@@ -62,7 +62,8 @@ docs-check: vet
 			segSearchOpt bucketSearchOpt PathPMFallback CreateWith OpenWith blobHot 'core\.Deps' \
 			closeMu failPending \
 			assistInsert assistDelete assistOverwrite splitSibling splitCopyStashSlot segFindW0Locked \
-			probeOfRecord recSameIdentity splitAssists; do \
+			probeOfRecord recSameIdentity splitAssists \
+			segClaims bucketFindLocked segFindLocked recProbe findTrackedSlot; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -22,16 +22,34 @@ type equivCell struct {
 // difference means the runner feeds the table different operations than the
 // old one did.
 //
-// The balanced cell's reads and writes were re-pinned at PR 20 (from 8 318 and
-// 17 787), when the split's copy stopped locking: its measured phase runs 8
-// splits, and each lost the lock CASes of the old copy (two per destination
-// home pair of the sibling, two more on the old segment's home pair and two
-// on the sibling's per stash record, the sibling's stash-bucket and
-// displacement locks: −1 702 write lines, ≈ 213 a split) and the record lines
-// the sweep re-read in buckets whose version those old-segment locks had
-// moved (−636 read lines, ≈ 80 a split). Flushed lines and fences did not
-// move, which is the proof that no persist went with the locks; the other
-// two cells split nothing in their measured phase and did not move at all.
+// Reads and writes of all three cells were re-pinned at PR 21, when the bucket
+// lock, the route claim and the writers' probe moved to the segment mirror;
+// FlushedLines and Fences did not move in any of them, which is the proof
+// that no persist moved with them. Per cell, from the PR 20 pins (the
+// balanced cell's had been re-pinned there, from 8 318 and 17 787, when the
+// split's copy stopped locking):
+//
+//   - balanced (4 968 writer ops, 5 019 slot inserts of which 4 497 into
+//     slots ≥ 2, 59 displacements, 170 stash spills, 8 splits). Writes
+//     16 085 → 10 364: −10 975 lock CASes (2 × 4 968 pair locks, 237
+//     displacement try-locks, 274 stash-bucket locks, 8 × 66 publish locks),
+//     and the header-line stores those CASes used to pay for are charged where
+//     they happen: +4 497 (an insert into a slot that does not share the
+//     header line), +59 (a displaced record's bitmap clear), +170 (overflow
+//     tracking), +528 (the sweeps' meta words, one per swept bucket). Reads
+//     7 682 → 77: −4 968 claim checks, −356 record lines of
+//     fingerprint-matched slots, −8 × 265 for the copy's streaming read of
+//     the old segment, −8 for the splits' read of its header, −153 for
+//     displacement victim scans and the sweeps' stash records; what is left
+//     is the splits' PM directory walks and the allocator.
+//   - delete-heavy (7 469 writer ops, 2 446 inserts of which 1 754 into
+//     slots ≥ 2, 2 616 deletes of which 37 from the stash). Writes 17 421 →
+//     6 853: −2 × 7 469 pair locks −37 stash-bucket locks, +1 754 +2 616 (a
+//     delete's bitmap clear) +37 (its untracking). Reads 10 428 → 2: −7 469
+//     claim checks −2 957 record lines.
+//   - var-ycsb-b (533 copy-on-write updates). Writes 4 136 → 3 070: −2 × 533.
+//     Reads 34 323 → 33 240: −533 claim checks −550 record lines; the blobs'
+//     key lines stay.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -62,16 +80,16 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 7682, WriteLines: 16085, FlushedLines: 12952, Fences: 10318},
+		pm:     pmem.StatsSnapshot{ReadLines: 77, WriteLines: 10364, FlushedLines: 12952, Fences: 10318},
 	},
 	{
 		mix:    "delete-heavy",
 		counts: Counts{Preloaded: 4096, InsertOK: 2711, ReadHit: 1531, ReadMiss: 1249, DeleteOK: 3069, DeleteNF: 2440},
-		pm:     pmem.StatsSnapshot{ReadLines: 10428, WriteLines: 17421, FlushedLines: 7545, Fences: 7545},
+		pm:     pmem.StatsSnapshot{ReadLines: 2, WriteLines: 6853, FlushedLines: 7545, Fences: 7545},
 	},
 	{
 		mix:    "var-ycsb-b",
 		counts: Counts{Preloaded: 4096, ReadHit: 10425, UpdateOK: 575},
-		pm:     pmem.StatsSnapshot{ReadLines: 34323, WriteLines: 4136, FlushedLines: 3070, Fences: 1812},
+		pm:     pmem.StatsSnapshot{ReadLines: 33240, WriteLines: 3070, FlushedLines: 3070, Fences: 1812},
 	},
 }

@@ -9,15 +9,17 @@ import (
 
 // Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: a 32-byte
 // header followed by 14 fixed-size records. The header packs everything a
-// probe needs — version lock, allocation bitmap, per-slot fingerprints and
-// the overflow ("stash") tracking metadata — into four 8-byte words so that
-// every shared field is read and written with aligned atomic u64 accesses.
-// That keeps optimistic lock-free readers within the Go memory model (and
-// clean under -race) while preserving the paper's layout goals: the header
-// lives in the bucket's first cacheline, so a negative probe costs one PM
-// read, and the bitmap word is the single atomic commit point for inserts.
+// probe needs — allocation bitmap, per-slot fingerprints and the overflow
+// ("stash") tracking metadata — into 8-byte words so that every shared field
+// is read and written with aligned atomic u64 accesses, preserving the
+// paper's layout goals: the header lives in the bucket's first cacheline, so
+// publishing a record is one line, and the bitmap word is the single atomic
+// commit point for inserts. The segment's DRAM mirror (segfilter.go) carries
+// the same words plus the bucket's version lock; every probe, a reader's or
+// a writer's, runs there.
 //
-//	word 0 (off  0): version lock — seqlock counter, odd = write-locked
+//	word 0 (off  0): reserved — never read, any value is legal (images
+//	                 from when the version lock lived here carry one)
 //	word 1 (off  8): bits 0..13  allocation bitmap (slot in use)
 //	                 bits 16..19 overflow-slot bitmap
 //	                 bits 24..31 overflow count (untracked stash spills)
@@ -37,7 +39,7 @@ const (
 	bucketSize     = 256
 	slotsPerBucket = 14
 
-	bkOffVersion = 0
+	bkOffVersion = 0 // reserved word: names it for the tests that prove it inert
 	bkOffMeta    = 8
 	bkOffFPLo    = 16
 	bkOffFPHi    = 24
@@ -120,96 +122,71 @@ func recordAddr(b pmem.Addr, slot int) pmem.Addr {
 
 // --- version lock (seqlock: even = free, odd = write-locked) ---
 //
-// Every lock/unlock pair also bumps the bucket's shadow version in the
-// segment's DRAM mirror (segfilter.go) when one is attached: odd on
-// acquisition, even again on release. All mirror write-through happens
-// inside that odd window, so a mirror reader that observes a stable even
-// shadow version (mirBucketSearch) holds a snapshot consistent with PM — the
-// contract a seqlock reader of the PM version word itself would have. (A
-// split's unpublished sibling is written through with no lock held at all:
-// no reader can reach its mirror before the publish.) mir is nil only where
-// recovery runs before the segment's mirror exists (the pre-mirror sweeps of
-// lazyrec.go). bi is the bucket's index within its segment, the mirror's
-// coordinate.
+// The bucket lock is the version word of the bucket's entry in the segment's
+// DRAM mirror (segfilter.go): odd while a writer holds it, even again — and
+// one higher — on release. A lock is state only a running process can hold,
+// so it lives only where a running process looks; PM word 0 of every bucket
+// is reserved (nobody reads it, old images may carry any value there). All
+// PM mutation and all mirror write-through of a bucket happen inside that odd
+// window, so a mirror reader that observes a stable even version
+// (mirBucketSearch) holds a snapshot that is also PM's. (A split's
+// unpublished sibling is written with no lock held at all: nobody else can
+// reach it before the publish.) bi is the bucket's index within its segment,
+// the mirror's coordinate.
 
-func lockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
-	va := b.Add(bkOffVersion)
-	for {
-		v := p.QuietLoadU64(va)
-		if v&1 == 0 && p.CompareAndSwapU64(va, v, v+1) {
-			if mir != nil {
-				mir.word(bi, mirBkVersion).Add(1)
-			}
-			return
-		}
+func tryLockBucket(mir *segMirror, bi int) bool {
+	ver := mir.word(bi, mirBkVersion)
+	v := ver.Load()
+	return v&1 == 0 && ver.CompareAndSwap(v, v+1)
+}
+
+// lockBucket spins (yielding) until the bucket is ours. An acquisition that
+// found the bucket taken is counted once, in bucket.lock_contended: the
+// uncontended path pays one CAS and nothing else. (The counter is the
+// table's, not the mirror's: a mirror holds no pointer, so the collector
+// never scans one and the allocator lays its words out unshifted.)
+func (t *Table) lockBucket(mir *segMirror, bi int) {
+	if tryLockBucket(mir, bi) {
+		return
+	}
+	t.filters.lockContended.Inc()
+	for !tryLockBucket(mir, bi) {
 		runtime.Gosched()
 	}
 }
 
-func tryLockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) bool {
-	va := b.Add(bkOffVersion)
-	v := p.QuietLoadU64(va)
-	if v&1 == 0 && p.CompareAndSwapU64(va, v, v+1) {
-		if mir != nil {
-			mir.word(bi, mirBkVersion).Add(1)
-		}
-		return true
-	}
-	return false
-}
-
 // unlockBucket releases the lock and advances the version so that any
-// optimistic reader whose scan overlapped the critical section retries. The
-// lock word is deliberately never flushed: it is DRAM-meaning state that
-// recovery resets wholesale after a crash. The store is quiet: the
-// acquisition CAS charged the header line, which stays cache-hot for the
-// whole critical section (write-side one-charge-per-line). The shadow
-// version goes even first: once the PM version admits readers the mirror
-// must already be readable.
-func unlockBucket(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int) {
-	if mir != nil {
-		mir.word(bi, mirBkVersion).Add(1)
-	}
-	va := b.Add(bkOffVersion)
-	p.QuietStoreU64(va, p.QuietLoadU64(va)+1)
+// optimistic reader whose scan overlapped the critical section retries.
+func unlockBucket(mir *segMirror, bi int) {
+	mir.word(bi, mirBkVersion).Add(1)
 }
 
 // --- writer-side operations; the caller holds the bucket's lock ---
 //
-// Header words (meta, fingerprints) are accessed quietly throughout this
-// section, reads and writes alike: the caller's lock acquisition CAS'd the
-// version word, paying for the header cacheline once, and the line stays
-// cache-hot until the unlock — real hardware absorbs the remaining header
-// accesses and writes the line back once (one-charge-per-line; see
-// pmem/quiet.go). Each record's first store still pays for its record
-// line, as does every record-line dereference, and all flush/fence charges
-// are untouched, so per-op media traffic remains honestly counted.
-// (Recovery also calls some of these without holding locks; it is
-// single-threaded and unbenchmarked, so the accounting shortfall there is
-// irrelevant.)
+// Every decision a mutator makes — which slot is free, which fingerprints
+// and tracking slots are set — is read from the mirror, which is exact by
+// write-through: PM is only stored to. Charging follows the tree's
+// one-charge-per-line rule (pmem/quiet.go) with nothing paid in advance: the
+// first store an operation makes to a line is a charged store, further
+// stores to that line before its flush are quiet — real hardware absorbs
+// them in the cache and writes the line back once. A bucket's header line
+// also holds records 0 and 1, so a record store into one of those slots has
+// paid for the header words that publish it. All flush/fence charges are
+// untouched, so per-op media traffic remains honestly counted.
 
-// bucketFindLocked probes fingerprint-first: only slots whose one-byte
-// fingerprint matches are dereferenced, bounding PM reads per probe (§4.1).
-// The record comparison is representation-agnostic (record.go): inline
-// slots compare the key word, indirect slots compare the stored full hash
-// and then the log blob.
-func bucketFindLocked(p *pmem.Pool, vl *pmem.VarLog, b pmem.Addr, pk *probeKey) int {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
-	lo := p.QuietLoadU64(b.Add(bkOffFPLo))
-	hi := p.QuietLoadU64(b.Add(bkOffFPHi))
-	for slot := 0; slot < slotsPerBucket; slot++ {
-		if !metaSlotUsed(m, slot) || fpGet(lo, hi, slot) != pk.parts.FP {
-			continue
-		}
-		if _, ok := recProbe(p, vl, recordAddr(b, slot), pk); ok {
-			return slot
-		}
+// storeWord stores one PM word: charged, or quiet (crash-tracked all the
+// same) when the caller has already paid for the word's line or a later
+// whole-segment flush will.
+func storeWord(p *pmem.Pool, a pmem.Addr, v uint64, charged bool) {
+	if charged {
+		p.StoreU64(a, v)
+	} else {
+		p.QuietStoreU64(a, v)
 	}
-	return -1
 }
 
-func bucketFreeSlots(p *pmem.Pool, b pmem.Addr) int {
-	return metaFreeSlots(p.QuietLoadU64(b.Add(bkOffMeta)))
+func bucketFreeSlots(mir *segMirror, bi int) int {
+	return metaFreeSlots(mir.word(bi, mirBkMeta).Load())
 }
 
 // bucketInsertLocked writes the record, persists it, and only then publishes
@@ -223,11 +200,11 @@ func bucketFreeSlots(p *pmem.Pool, b pmem.Addr) int {
 // right before the directory publishes it — a crash before that point rolls
 // the whole sibling back, so nothing written into it needs individual
 // ordering.
-// All mutators below write through to the segment mirror (mir, nil-able)
-// after mutating PM; the caller's lock holds the bucket's shadow version
-// odd, so the store order within the window is immaterial.
+// All mutators below write through to the segment mirror after mutating PM;
+// the caller's lock holds the bucket's version odd, so the store order within
+// the window is immaterial.
 func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) bool {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
+	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
 	if slot < 0 {
 		return false
@@ -237,36 +214,31 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 	// pairs the new key with the old value); the first store pays for the
 	// record's cacheline, the second shares it (records are 16-aligned and
 	// never straddle a line). In persist=false mode — building an
-	// unpublished split sibling — even the first store is quiet: the
-	// sibling's lines are charged wholesale by the publish's one
-	// flush+fence per line, which is also when they actually reach media.
-	if persist {
-		p.StoreU64(ra.Add(8), kv.Value)
-	} else {
-		p.QuietStoreU64(ra.Add(8), kv.Value)
-	}
+	// unpublished split sibling — every store is quiet: the sibling's lines
+	// are charged wholesale by the publish's one flush+fence per line, which
+	// is also when they actually reach media.
+	storeWord(p, ra.Add(8), kv.Value, persist)
 	p.QuietStoreU64(ra, kv.Key)
 	if persist {
 		p.PersistKV(ra)
 	}
-	lo := p.QuietLoadU64(b.Add(bkOffFPLo))
-	hi := p.QuietLoadU64(b.Add(bkOffFPHi))
-	lo, hi = fpSet(lo, hi, slot, fp)
-	p.QuietStoreU64(b.Add(bkOffFPLo), lo)
+	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
+	// The header line is a second line unless the record went into slot 0
+	// or 1, which live in it.
+	storeWord(p, b.Add(bkOffFPLo), lo, persist && slot >= 2)
+	m = metaSetSlot(m, slot)
 	p.QuietStoreU64(b.Add(bkOffFPHi), hi)
-	p.QuietStoreU64(b.Add(bkOffMeta), metaSetSlot(m, slot))
+	p.QuietStoreU64(b.Add(bkOffMeta), m)
 	// Meta and fingerprint words share the bucket's first cacheline, so one
 	// flush makes the publish atomic at crash granularity.
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 24)
 	}
-	if mir != nil {
-		mir.recWord(bi, slot, 1).Store(kv.Value)
-		mir.recWord(bi, slot, 0).Store(kv.Key)
-		mir.word(bi, mirBkFPLo).Store(lo)
-		mir.word(bi, mirBkFPHi).Store(hi)
-		mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
-	}
+	mir.recWord(bi, slot, 1).Store(kv.Value)
+	mir.recWord(bi, slot, 0).Store(kv.Key)
+	mir.word(bi, mirBkFPLo).Store(lo)
+	mir.word(bi, mirBkFPHi).Store(hi)
+	mir.word(bi, mirBkMeta).Store(m)
 	return true
 }
 
@@ -274,14 +246,12 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 // whole operation; the record bytes and fingerprint become dead.
 // persist=false is for unpublished split siblings (see bucketInsertLocked).
 func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot int, persist bool) {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
-	p.QuietStoreU64(b.Add(bkOffMeta), metaClearSlot(m, slot))
+	m := metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot)
+	storeWord(p, b.Add(bkOffMeta), m, persist)
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 	}
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(metaClearSlot(m, slot))
-	}
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // bucketTrackOverflow records in the home bucket that one of its keys went
@@ -289,50 +259,47 @@ func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot 
 // tracking slot is free, otherwise by bumping the overflow count.
 // persist=false is for unpublished split siblings (see bucketInsertLocked).
 func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, stashIdx int, persist bool) {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
+	m := mir.word(bi, mirBkMeta).Load()
 	for i := 0; i < maxOvSlots; i++ {
 		if metaOvSlotUsed(m, i) {
 			continue
 		}
-		hi := p.QuietLoadU64(b.Add(bkOffFPHi))
-		p.QuietStoreU64(b.Add(bkOffFPHi), ovIdxSet(hi, i, stashIdx))
-		p.QuietStoreU64(b.Add(bkOffMeta), metaSetOvFP(m, i, fp))
+		hi := ovIdxSet(mir.word(bi, mirBkFPHi).Load(), i, stashIdx)
+		m = metaSetOvFP(m, i, fp)
+		storeWord(p, b.Add(bkOffFPHi), hi, persist)
+		p.QuietStoreU64(b.Add(bkOffMeta), m)
 		if persist {
 			p.Persist(b.Add(bkOffMeta), 24)
 		}
-		if mir != nil {
-			mir.word(bi, mirBkFPHi).Store(ovIdxSet(hi, i, stashIdx))
-			mir.word(bi, mirBkMeta).Store(metaSetOvFP(m, i, fp))
-		}
+		mir.word(bi, mirBkFPHi).Store(hi)
+		mir.word(bi, mirBkMeta).Store(m)
 		return
 	}
-	p.QuietStoreU64(b.Add(bkOffMeta), metaAddOvCount(m, +1))
+	m = metaAddOvCount(m, +1)
+	storeWord(p, b.Add(bkOffMeta), m, persist)
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 	}
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(metaAddOvCount(m, +1))
-	}
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
 // stash: trackedSlot names the tracking slot when the record was tracked,
 // or -1 when it was only counted.
 func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int) {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
+	m := mir.word(bi, mirBkMeta).Load()
 	nm := metaAddOvCount(m, -1)
 	if trackedSlot >= 0 {
 		nm = metaClearOvFP(m, trackedSlot)
 	}
-	p.QuietStoreU64(b.Add(bkOffMeta), nm)
+	p.StoreU64(b.Add(bkOffMeta), nm)
 	p.Persist(b.Add(bkOffMeta), 8)
-	if mir != nil {
-		mir.word(bi, mirBkMeta).Store(nm)
-	}
+	mir.word(bi, mirBkMeta).Store(nm)
 }
 
-// metaFindTracked is the pure form of findTrackedSlot: the tracking slot in
-// the given header words matching (fingerprint, stash index), or -1.
+// metaFindTracked returns the tracking slot in a home bucket's header words
+// (m the meta word, hi the fingerprint word carrying the stash indexes)
+// matching (fingerprint, stash index), or -1.
 func metaFindTracked(m, hi uint64, fp uint8, stashIdx int) int {
 	for i := 0; i < maxOvSlots; i++ {
 		if metaOvSlotUsed(m, i) && metaOvFP(m, i) == fp && ovIdxGet(hi, i) == stashIdx {
@@ -340,12 +307,4 @@ func metaFindTracked(m, hi uint64, fp uint8, stashIdx int) int {
 		}
 	}
 	return -1
-}
-
-// findTrackedSlot returns the home bucket's tracking slot matching
-// (fingerprint, stash index), or -1.
-func findTrackedSlot(p *pmem.Pool, b pmem.Addr, fp uint8, stashIdx int) int {
-	m := p.QuietLoadU64(b.Add(bkOffMeta))
-	hi := p.QuietLoadU64(b.Add(bkOffFPHi))
-	return metaFindTracked(m, hi, fp, stashIdx)
 }

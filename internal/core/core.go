@@ -37,19 +37,22 @@
 //	               against PM before any miss is trusted, and rebuilt in
 //	               O(directory) on Open.
 //	segfilter.go — the same selective-persistence pattern one layer down:
-//	               a DRAM mirror per segment (bucket bitmaps, fingerprints
-//	               and record words under a shadow seqlock), reached through
-//	               the segment's descriptor, that serves
-//	               read probes without touching PM buckets at all, written
-//	               through by every locked mutator, self-checked against
-//	               PM on a hash sample, healed in place, and rebuilt from
-//	               the reconciled image on Open.
+//	               a DRAM mirror per segment (the header claim and, per
+//	               bucket, the version lock, bitmaps, fingerprints and
+//	               record words), reached through the segment's descriptor.
+//	               It is the runtime truth: the one probe readers and
+//	               writers share runs there, a writer's lock, claim check
+//	               and placement decisions read it, and PM only takes the
+//	               stores — written through by every mutator, self-checked
+//	               against PM on a hash sample, healed in place, and
+//	               rebuilt from the image on Open.
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow with fingerprint tracking metadata.
 //	bucket.go    — 256-byte cacheline-aligned buckets of 14 records with
-//	               one-byte fingerprints probed before any key dereference,
-//	               a seqlock version word, and a bitmap commit point.
+//	               one-byte fingerprints probed before any key dereference
+//	               and a bitmap commit point; the bucket's seqlock version
+//	               lock, which lives in the mirror, and the mutators.
 //	stats.go     — lock-free TableStats snapshot (shape, load factor, stash
 //	               pressure, directory-cache hit rates) for benchmarks and
 //	               monitoring.

@@ -101,6 +101,9 @@ func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64)
 	if got, want := tbl.Count(), int64(len(acked)); got != want {
 		t.Fatalf("recovered count = %d, want %d", got, want)
 	}
+	// Count completed recovery: the rebuilt mirrors — which its sweeps wrote
+	// through, and which every write below decides from — must equal PM.
+	requireMirrorsExact(t, tbl)
 	// The recovered table must keep functioning, including further splits.
 	mixedWritesAfterReopen(t, tbl)
 	const more = 3000
@@ -115,6 +118,7 @@ func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64)
 			t.Fatalf("post-recovery Get(%d) = %d,%v", k, v, ok)
 		}
 	}
+	requireMirrorsExact(t, tbl)
 	tbl.Close()
 }
 

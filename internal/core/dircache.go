@@ -32,9 +32,10 @@ import (
 // only while a structural change is in flight. Correctness never depends on
 // that freshness — a stale route can only produce a failed validation.
 // Writers lock the key's bucket pair in the routed segment and check that
-// segment's own PM header claims the key (Table.lockOwner): one header line,
-// no PM directory read. Readers, holding no lock, re-check against the PM
-// directory (validateRoute) before trusting a miss DRAM cannot vouch for; a
+// segment's mirrored header claims the key (Table.lockOwner; the mirror hangs
+// off the descriptor the route returned): no PM read at all. Readers, holding
+// no lock, re-check against the PM directory and the segment's PM header
+// (validateRoute) before trusting a miss DRAM cannot vouch for; a
 // seqlock-stable positive hit is valid wherever the route came from, because
 // a key's record is physically present only in segments the directory routes
 // it to, the copy/sweep window of a split being covered by the segment's
@@ -51,7 +52,7 @@ type dirCache struct {
 	view atomic.Pointer[dirView]
 
 	// hits counts routes that served their operation (a read answered in
-	// DRAM, a writer's route its locked segment's PM header confirmed);
+	// DRAM, a writer's route its locked segment's mirrored claim confirmed);
 	// misses counts stale routes that forced a repair + retry. Both are
 	// goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real

@@ -11,7 +11,7 @@ import (
 // not the hot path: operations route through the DRAM-resident mirror in
 // dircache.go and consult this block only to repair a stale route or, on
 // lock-free paths, to validate one (writers check their locked segment's
-// header instead: Table.lockOwner).
+// mirrored claim instead: Table.lockOwner).
 // Indexing uses the hash's most-significant bits, so all entries covering
 // one segment are contiguous — the property that lets a split publish its
 // new segment by flipping the upper half of a contiguous entry range, and

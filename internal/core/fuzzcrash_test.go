@@ -271,7 +271,11 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 	if err := tbl.verifyLogLive(); err != nil {
 		fail("log live-set invariant: %v", err)
 	}
+	if bad := tbl.mirrorVerifyAll(); bad != 0 {
+		fail("%d mirror buckets diverge from PM after recovery", bad)
+	}
 	mixedWritesAfterReopen(t, tbl)
+	requireMirrorsExact(t, tbl)
 	tbl.Close()
 }
 

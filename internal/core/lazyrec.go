@@ -15,12 +15,12 @@ import (
 )
 
 // Lazy per-segment recovery (§4.6): Open does only the O(directory) work —
-// entry claims, segment metadata fixes, lock resets, chunk-chain validation,
-// dirCache rebuild — and defers everything O(data) to first touch. Every
+// entry claims, segment metadata fixes, chunk-chain validation, dirCache
+// rebuild — and defers everything O(data) to first touch. Every
 // directory-reachable segment's descriptor starts "unrecovered"; the first
 // operation routed to it wins a CAS gate (the split-claim idiom) and
-// runs the per-segment reconcile — misroute/duplicate/ghost sweeps, count
-// re-derivation, filter-mirror install — while losers spin the winner out.
+// runs the per-segment reconcile — mirror build, misroute/duplicate/ghost
+// sweeps, count re-derivation — while losers spin the winner out.
 // The record-log sweep runs as an incremental background pass once every
 // segment has recovered (it needs the complete reference set), free-listing
 // dead blobs in small batches under epoch guards.
@@ -80,11 +80,12 @@ var disableBackgroundRecovery atomic.Bool
 // it, its local depth and pattern — is re-derived by letting deeper segments
 // claim their canonical entry ranges first. This completes a partially
 // published split (the new segment was fully durable before the first entry
-// flip) and rolls an unpublished one back to a harmless leak; version locks
-// are reset and split markers cleared in the same per-segment pass (a small
-// constant per segment, so still O(directory)). The O(data) work — record
-// sweeps, dedupe, count derivation, mirror installs, the record-log sweep —
-// is deferred: recoverLazy builds the lazyRecovery side table and returns.
+// flip) and rolls an unpublished one back to a harmless leak; split markers
+// are cleared in the same per-segment pass (a small constant per segment, so
+// still O(directory)). Bucket locks need no pass at all: they live in the
+// mirrors, which died with the process that held them. The O(data) work —
+// mirror builds, record sweeps, dedupe, count derivation, the record-log
+// sweep — is deferred: recoverLazy builds the lazyRecovery side table and returns.
 // After a clean shutdown the image needs none of that reconciliation (the
 // passes are cheap no-ops, run anyway for their validation) and the count
 // comes straight from the root.
@@ -149,10 +150,9 @@ func (t *Table) recoverLazy(clean bool) error {
 		p.Persist(dirEntryAddr(dir, 0), 8*n)
 	}
 
-	// Re-derive each segment's (depth, pattern) from its actual coverage and
-	// reset every bucket's version lock. Coverage ranges are contiguous by
-	// construction, so one pass over fixed collects first/count for every
-	// segment.
+	// Re-derive each segment's (depth, pattern) from its actual coverage.
+	// Coverage ranges are contiguous by construction, so one pass over fixed
+	// collects first/count for every segment.
 	type cover struct{ first, count uint64 }
 	covers := make(map[pmem.Addr]*cover, len(segs))
 	for i := uint64(0); i < n; i++ {
@@ -173,10 +173,7 @@ func (t *Table) recoverLazy(clean bool) error {
 		l := g - uint8(bits.TrailingZeros64(count))
 		pat := first >> (g - l)
 		if l != s.l || pat != s.pat {
-			segSetMeta(p, nil, s.addr, l, pat)
-		}
-		for i := 0; i < totalBuckets; i++ {
-			p.StoreU64(segBucket(s.addr, i).Add(bkOffVersion), 0)
+			segSetMeta(p, s.addr, l, pat)
 		}
 		// Clear any split-progress marker, finishing or rolling back the
 		// half-migrated split it describes. If the marker's sibling made it
@@ -265,34 +262,37 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 
 // recoverSegment runs the deferred per-segment work under the caller's
 // exclusive gate: no operation can touch the segment's buckets until the
-// gate releases, so the sweeps run single-threaded exactly as they did in
-// eager recovery. A segment cannot split before it recovers (every mutator
-// gates first), so lr.fixed/lr.g still describe its coverage.
+// gate releases, so it runs single-threaded exactly as eager recovery did. A
+// segment cannot split before it recovers (every mutator gates first), so
+// lr.fixed/lr.g still describe its coverage.
+//
+// The mirror comes first — one streaming pass over the segment's PM lines,
+// the only PM reads recovery makes of it — because the sweeps are mutators
+// like any other: they read the mirror and store to both. It goes into the
+// descriptor last: storing it is what opens the segment to operations
+// (Table.mirror).
 func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	p, seg := t.pool, d.seg
 	start := obs.Now()
-	if !lr.clean {
-		segSweep(p, seg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
-			return lr.fixed[rp.DirIndex(lr.g)] != seg
-		})
-		t.dedupeSegment(seg)
-		t.sweepStashGhosts(seg)
-		t.count.Add(int64(segCount(p, seg)))
-	}
-	segDone := obs.Now()
-
-	// Mirror build + blob-reference capture in one streaming pass over the
-	// reconciled buckets. The whole segment is charged as one sequential
-	// read; the per-word loads inside mirrorFillBucket are quiet. The filled
-	// mirror goes into the descriptor last: storing it is what opens the
-	// segment to operations (Table.mirror).
 	l, pat := segMeta(p, seg)
 	mir := t.newMirror(l, pat)
+	for bi := 0; bi < totalBuckets; bi++ {
+		mirrorFillBucket(p, mir, seg, bi)
+	}
+	mirDone := obs.Now()
+
+	if !lr.clean {
+		t.segSweep(mir, seg, func(rp hashfn.Parts, _ pmem.KV) bool {
+			return lr.fixed[rp.DirIndex(lr.g)] != seg
+		})
+		t.dedupeSegment(seg, mir)
+		t.sweepStashGhosts(seg, mir)
+		t.count.Add(int64(segCount(mir)))
+	}
+	sweepDone := obs.Now()
+	// Blob references of the records that survived the sweeps.
 	var refs []pmem.Addr
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		p.TouchRead(ba, pmem.CachelineSize) // header line
-		mirrorFillBucket(p, mir, seg, bi)
 		m := mir.word(bi, mirBkMeta).Load()
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
@@ -316,8 +316,8 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	// Phase meters accumulate across first touches (the lazy analogue of the
 	// eager one-shot phases); the per-segment latency histogram is what the
 	// tail pays at first touch.
-	t.met.recoveryNS[phaseSegments].Add(segDone - start)
-	t.met.recoveryNS[phaseMirrors].Add(end - segDone)
+	t.met.recoveryNS[phaseSegments].Add(sweepDone - mirDone)
+	t.met.recoveryNS[phaseMirrors].Add(mirDone - start + end - sweepDone)
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
@@ -332,10 +332,10 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 // (normal buckets ascending, then stash), so the surviving copy is the one
 // lookups would return. This is the one recovery pass that dereferences
 // blobs — recovery is already O(data).
-func (t *Table) dedupeSegment(seg pmem.Addr) {
+func (t *Table) dedupeSegment(seg pmem.Addr, mir *segMirror) {
 	seenKeys := make(map[string]bool)
 	var buf [8]byte
-	segSweep(t.pool, seg, t.seed, func(_ hashfn.Parts, kv pmem.KV) bool {
+	t.segSweep(mir, seg, func(_ hashfn.Parts, kv pmem.KV) bool {
 		var k string
 		if recIsIndirect(kv.Key) {
 			k = string(t.vlog.KeyBytes(recBlobAddr(kv.Key)))
@@ -354,24 +354,21 @@ func (t *Table) dedupeSegment(seg pmem.Addr) {
 // sweepStashGhosts deletes stash records that no home bucket references:
 // neither a tracking slot nor a positive overflow count points at them, so
 // no lookup can ever see them and the slot would leak forever.
-func (t *Table) sweepStashGhosts(seg pmem.Addr) {
-	p := t.pool
+func (t *Table) sweepStashGhosts(seg pmem.Addr, mir *segMirror) {
 	for j := 0; j < stashBuckets; j++ {
-		sa := segBucket(seg, normalBuckets+j)
-		m := p.LoadU64(sa.Add(bkOffMeta))
+		sb := normalBuckets + j
+		m := mir.word(sb, mirBkMeta).Load()
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue
 			}
-			parts := recSplitParts(p.ReadKV(recordAddr(sa, slot)), t.seed)
-			home := segBucket(seg, int(parts.BucketIndex(bucketBits)))
-			if findTrackedSlot(p, home, parts.FP, j) >= 0 {
+			parts := recSplitParts(mir.rec(sb, slot), t.seed)
+			home := int(parts.BucketIndex(bucketBits))
+			hm := mir.word(home, mirBkMeta).Load()
+			if metaFindTracked(hm, mir.word(home, mirBkFPHi).Load(), parts.FP, j) >= 0 || metaOvCount(hm) > 0 {
 				continue
 			}
-			if metaOvCount(p.QuietLoadU64(home.Add(bkOffMeta))) > 0 {
-				continue
-			}
-			bucketDeleteLocked(p, nil, sa, normalBuckets+j, slot, true)
+			bucketDeleteLocked(t.pool, mir, segBucket(seg, sb), sb, slot, true)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dash/internal/pmem"
 )
@@ -343,4 +344,101 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 		}
 	}
 	tbl3.Close()
+}
+
+// TestOpenIgnoresStaleLockWords: word 0 of a PM bucket is reserved — the
+// version lock lives in the mirror, which a restart rebuilds unlocked — so
+// Open neither resets nor reads it, and no value there can wedge a writer.
+// The image is taken inside a split's publish, all 66 locks of the splitting
+// segment held, and then every bucket's word 0 of every segment is set odd by
+// hand, which is what an image written while the lock lived in PM looks like
+// at its worst. Every kind of write, further splits included, must complete
+// on those buckets (a hang is the failure) and leave the mirrors exact.
+func TestOpenIgnoresStaleLockWords(t *testing.T) {
+	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img []byte
+	tbl.hookMidSweep = func() {
+		if img == nil {
+			img = pool.Snapshot()
+		}
+	}
+	acked := make(map[uint64]uint64)
+	for k := uint64(0); img == nil; k++ {
+		if err := tbl.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		if img == nil {
+			acked[k] = k + 1
+		}
+	}
+
+	p, err := pmem.OpenSnapshot(img, pmem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
+	stale := 0
+	for i := uint64(0); i < 1<<dirDepth(p, dir); i++ {
+		segs := []pmem.Addr{dirLoadEntry(p, dir, i)}
+		if sib := p.QuietLoadU64(segs[0].Add(segOffSplit)) &^ splitStateInFlight; sib != 0 {
+			segs = append(segs, pmem.Addr(sib))
+		}
+		for _, seg := range segs {
+			for bi := 0; bi < totalBuckets; bi++ {
+				p.QuietStoreU64(segBucket(seg, bi).Add(bkOffVersion), 0xDEAD0001)
+				stale++
+			}
+		}
+	}
+	if stale < 3*totalBuckets {
+		t.Fatalf("only %d lock words made stale: the image should hold a split in flight", stale)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		re, err := Open(p)
+		if err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
+		defer re.Close()
+		for k, v := range acked {
+			if ok, err := re.Update(k, v+1); !ok || err != nil {
+				t.Errorf("Update(%d) = %v, %v", k, ok, err)
+				return
+			}
+			if k%3 == 0 && !re.Delete(k) {
+				t.Errorf("Delete(%d) reported missing", k)
+				return
+			}
+		}
+		splits := re.splits.Load()
+		for k := uint64(1) << 32; re.splits.Load() < splits+4; k++ {
+			if err := re.Insert(k, k); err != nil {
+				t.Errorf("Insert(%d): %v", k, err)
+				return
+			}
+		}
+		for k, v := range acked {
+			if got, ok := re.Get(k); ok != (k%3 != 0) || (ok && got != v+1) {
+				t.Errorf("Get(%d) = %d,%v", k, got, ok)
+				return
+			}
+		}
+		re.RecoverAll()
+		requireMirrorsExact(t, re)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("writes on buckets with stale PM lock words did not complete")
+	}
 }

@@ -114,6 +114,8 @@ func (t *Table) initObs() {
 	t.filters.checks = reg.Counter("segfilter.checks")
 	t.filters.heals = reg.Counter("segfilter.heals")
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
+	// The bucket locks live in the mirrors: acquisitions that had to wait.
+	t.filters.lockContended = reg.Counter("bucket.lock_contended")
 
 	// Per-path read outcome, the §5-style breakdown: which tier served a
 	// read. Derived views over the tier counters — the per-op resolution

@@ -115,80 +115,40 @@ func (pk *probeKey) keyLen() int {
 	return 8
 }
 
-// recProbe checks the record at ra against pk and returns the record words
-// on a match. The word-0 load is charged (it pays for the record's
-// cacheline, as the fixed-format probe did); word 1 shares that line. The
-// blob dereference — reached only when fingerprint, stored hash and length
-// class all match — is charged inside the VarLog accessors.
-func recProbe(p *pmem.Pool, vl *pmem.VarLog, ra pmem.Addr, pk *probeKey) (pmem.KV, bool) {
-	w0 := p.ReadKey(ra)
-	if !recIsIndirect(w0) {
-		match := false
+// mirRecMatch reports whether the mirrored record words r hold the probe's
+// key — the one record matcher, the hash-filter hook of the mirror's probe
+// (segfilter.go). Inline records compare entirely in DRAM; an indirect
+// candidate is pre-filtered by the mirrored full key hash and length class
+// (also DRAM) and only then verified against the blob's key bytes, which
+// remains a PM read: a 64-bit hash match is not key equality, and skipping
+// the byte compare would return wrong records on hash collisions. A reader
+// makes that one dereference with KeyEqualsPrefetch, charging the whole blob
+// as a single streaming read, so the value bytes of an indirect match are
+// already paid for (recValueU64 / recAppendValue); a writer wants no value
+// and reads the key lines only (KeyEquals).
+func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
+	if !recIsIndirect(r.Key) {
 		if pk.kb == nil {
-			match = w0 == pk.u
-		} else if len(pk.kb) == 8 {
-			match = binary.LittleEndian.Uint64(pk.kb) == w0
+			return r.Key == pk.u
 		}
-		if !match {
-			return pmem.KV{}, false
-		}
-		return pmem.KV{Key: w0, Value: p.QuietLoadU64(ra.Add(8))}, true
+		return len(pk.kb) == 8 && binary.LittleEndian.Uint64(pk.kb) == r.Key
 	}
-	w1 := p.QuietLoadU64(ra.Add(8))
-	if w1 != pk.parts.Hash {
-		return pmem.KV{}, false
+	if r.Value != pk.parts.Hash {
+		return false
 	}
-	if c := recClass(w0); c != 0 && c != klenClass(pk.keyLen()) {
-		return pmem.KV{}, false
+	if c := recClass(r.Key); c != 0 && c != klenClass(pk.keyLen()) {
+		return false
 	}
-	blob := recBlobAddr(w0)
-	if pk.kb == nil {
-		if !vl.KeyEqualsU64(blob, pk.u) {
-			return pmem.KV{}, false
-		}
-	} else if !vl.KeyEquals(blob, pk.kb) {
-		return pmem.KV{}, false
+	blob := recBlobAddr(r.Key)
+	switch {
+	case pk.kb == nil && writer:
+		return vl.KeyEqualsU64(blob, pk.u)
+	case pk.kb == nil:
+		return vl.KeyEqualsPrefetchU64(blob, pk.u)
+	case writer:
+		return vl.KeyEquals(blob, pk.kb)
 	}
-	return pmem.KV{Key: w0, Value: w1}, true
-}
-
-// mirRecMatch is recProbe against mirrored record words — the hash-filter
-// hook of the segment filter mirror (segfilter.go). Inline records compare
-// entirely in DRAM; an indirect candidate is pre-filtered by the mirrored
-// full key hash and length class (also DRAM) and only then verified against
-// the blob's key bytes, which remains a PM read: a 64-bit hash match is not
-// key equality, and skipping the byte compare would return wrong records on
-// hash collisions. That one dereference uses KeyEqualsPrefetch, charging
-// the whole blob as a single streaming read, so the value bytes of an
-// indirect match are already paid for (recValueU64 / recAppendValue).
-func mirRecMatch(vl *pmem.VarLog, w0, w1 uint64, pk *probeKey) (pmem.KV, bool) {
-	if !recIsIndirect(w0) {
-		match := false
-		if pk.kb == nil {
-			match = w0 == pk.u
-		} else if len(pk.kb) == 8 {
-			match = binary.LittleEndian.Uint64(pk.kb) == w0
-		}
-		if !match {
-			return pmem.KV{}, false
-		}
-		return pmem.KV{Key: w0, Value: w1}, true
-	}
-	if w1 != pk.parts.Hash {
-		return pmem.KV{}, false
-	}
-	if c := recClass(w0); c != 0 && c != klenClass(pk.keyLen()) {
-		return pmem.KV{}, false
-	}
-	blob := recBlobAddr(w0)
-	if pk.kb == nil {
-		if !vl.KeyEqualsPrefetchU64(blob, pk.u) {
-			return pmem.KV{}, false
-		}
-	} else if !vl.KeyEqualsPrefetch(blob, pk.kb) {
-		return pmem.KV{}, false
-	}
-	return pmem.KV{Key: w0, Value: w1}, true
+	return vl.KeyEqualsPrefetch(blob, pk.kb)
 }
 
 // recValueU64 extracts the uint64 view of a record mirRecMatch matched. An

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
@@ -10,47 +11,50 @@ import (
 	"dash/internal/pmem"
 )
 
-// DRAM-resident per-segment filter mirror — the dirCache pattern (PR 3)
-// pushed down one layer. The PM buckets remain the crash-consistent source
-// of truth, but on the read path they are mostly metadata traffic: a lookup
-// used to charge the home bucket's header line, one line per
-// fingerprint-matched record, and often the neighbor bucket's lines too,
-// before reaching the one thing that actually answers the query. All of
-// that is reconstructible, so every segment carries a mirror of its buckets
-// in ordinary Go memory:
+// DRAM-resident per-segment mirror — the dirCache pattern (PR 3) pushed down
+// one layer, and the runtime home of everything an operation *reads*. PM holds what recovery alone can answer — records, bitmaps,
+// fingerprints, the (depth, pattern) claim — and is the only crash truth; but
+// a running table looks none of it up there. Every segment carries a mirror
+// of its buckets in ordinary Go memory:
 //
-//   - per bucket: a shadow of the seqlock version (odd while a locked
-//     mutator is mid-flight), the meta word (allocation bitmap + overflow
-//     tracking), both fingerprint words, and all 14 record word pairs —
-//     for inline records the key and value themselves, for indirect
-//     records the packed blob address and the stored full key hash;
-//   - per segment: the header's (local depth, pattern) claim, which lets a
-//     negative lookup validate its route without touching the PM directory
-//     or segment header.
+//   - per bucket: the version lock (a seqlock word, odd while a writer holds
+//     the bucket — it exists only here, bucket.go), the meta word (allocation
+//     bitmap + overflow tracking), both fingerprint words, and all 14 record
+//     word pairs — for inline records the key and value themselves, for
+//     indirect records the packed blob address and the stored full key hash;
+//   - per segment: the header's (local depth, pattern) claim, against which
+//     a writer validates its route under its pair locks (Table.lockOwner) and
+//     a negative lookup validates its miss, neither touching the PM
+//     directory or segment header.
 //
-// Reads therefore probe entirely in DRAM and dereference PM only for
-// record payloads that genuinely live there: an inline hit or any miss
-// costs zero charged PM lines, and an indirect hit charges exactly one
-// streaming read of its blob. Writers keep probing PM under their bucket
-// locks (the mirror never becomes load-bearing for mutation decisions, so
-// a poisoned mirror cannot corrupt PM) and write every mutation through to
-// the mirror while the bucket's shadow version is odd.
+// Readers and writers run one probe (mirSegSearch → mirBucketSearch →
+// mirRecMatch; a writer passes locked) and dereference PM only for record
+// payloads that genuinely live there: an inline hit or any miss costs zero
+// charged PM lines, an indirect candidate charges a read of its blob (key
+// lines for a writer, the whole blob for a reader, who wants the value
+// next). Writers take every placement decision here too — free slots,
+// displacement victims, overflow tracking — and PM only takes their stores,
+// each followed at once by the same store to the mirror. DRAM is therefore
+// the runtime truth and write-through exactness a correctness invariant: a
+// mirror word that differs from its PM word is not a slow path but a bug that
+// can misplace a record. It is asserted wherever a test tears a table down
+// (mirrorVerifyAll), and the sampled cross-check below stays as the net
+// under it.
 //
-// Coherence mirrors the dirCache discipline:
+// Coherence:
 //
-//   - write-through from every locked mutator (insert, delete, in-place
-//     and copy-on-write update, displacement, stash spill and untrack,
-//     the publish sweep, and the split metadata bump), all inside the
-//     bucket's PM lock with the shadow version odd;
+//   - write-through from every mutator (insert, delete, in-place and
+//     copy-on-write update, displacement, stash spill and untrack, the
+//     publish sweep, the split metadata bump, recovery's sweeps), all inside
+//     the bucket's lock with the version odd. No mutator has a mirror-less
+//     form: the mirror is built before the first of them can run;
 //   - a split's sibling gets its mirror when it gets its block, and the
 //     split's copy — the only writer an unpublished sibling has, so it
-//     takes no lock and the shadow versions stay even — writes every insert
+//     takes no lock and the versions stay even — writes every insert
 //     through, so the sibling's mirror is complete the moment the publish
 //     makes the segment reachable;
-//   - lock-free readers validate against the shadow seqlock: a scan is
-//     trusted only if the bucket's shadow version was even and unchanged
-//     across it, which makes a stable mirror scan exactly as consistent
-//     as the PM scan it replaces;
+//   - lock-free readers validate against the seqlock: a scan is trusted only
+//     if the bucket's version was even and unchanged across it;
 //   - negatives additionally check the mirrored (depth, pattern) claim and
 //     re-read the route afterwards — the DRAM equivalent of
 //     validateRoute. If the DRAM state cannot vouch for a miss, the
@@ -61,14 +65,16 @@ import (
 //     segment's mirror is built at its first-touch recovery (lazyrec.go),
 //     one streaming read per segment off the restart critical path, and
 //     every operation fetches the mirror through Table.mirror, which is
-//     that first touch: no operation ever sees a segment without one;
+//     that first touch: no operation ever sees a segment without one. The
+//     rebuild is what makes the locks vanish with the process that held
+//     them: a new mirror's version words are zero;
 //   - a hash-sampled cross-check (mirrorMaybeCheck) compares the home
 //     bucket's mirror against PM on ~1/1024 of mirror-served reads, so
 //     even a divergence with no detectable symptom (a poisoned bitmap
 //     yielding silent false negatives) is found and healed while costing
 //     well under one PM byte per operation.
 const (
-	mirBkVersion = 0 // shadow seqlock: odd while the bucket's PM lock is held
+	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
 	mirBkMeta    = 1 // mirror of the PM meta word (bitmap + overflow tracking)
 	mirBkFPLo    = 2 // mirror of fingerprint word 2
 	mirBkFPHi    = 3 // mirror of fingerprint word 3 (incl. stash indexes)
@@ -85,7 +91,7 @@ const (
 // segMirror is the DRAM mirror of one segment. The object is permanent for
 // its segment address: repairs rewrite it in place, so a writer that
 // fetched the pointer before a repair keeps writing through to the object
-// being healed — each bucket's PM lock serializes the two.
+// being healed — each bucket's lock, which lives in it, serializes the two.
 type segMirror struct {
 	depth   atomic.Uint64 // mirror of the segment header's local depth
 	pattern atomic.Uint64 // mirror of the segment header's pattern
@@ -103,8 +109,30 @@ func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
 	return &m.w[bi*mirBkWords+mirBkRecords+2*slot+j]
 }
 
-// mirClaims is segClaims against the mirrored header words: does this
-// segment's (depth, pattern) claim the key? Pure DRAM.
+// rec loads the two words of one mirrored record. The loads are individually
+// atomic; a caller that needs the pair consistent holds the bucket's lock or
+// validates its version.
+func (m *segMirror) rec(bi, slot int) pmem.KV {
+	return pmem.KV{Key: m.recWord(bi, slot, 0).Load(), Value: m.recWord(bi, slot, 1).Load()}
+}
+
+// setClaim writes the segment header's (depth, pattern) through to the
+// mirror, next to the PM store it follows (segSetMeta).
+func (m *segMirror) setClaim(depth uint8, pattern uint64) {
+	m.depth.Store(uint64(depth))
+	m.pattern.Store(pattern)
+}
+
+// mirClaims reports whether the segment's mirrored (depth, pattern) claims
+// key ownership: the key's top `local depth` hash bits equal the pattern.
+// Pure DRAM. For a caller holding the key's pair locks in the segment this is
+// the whole route validation (Table.lockOwner): a publish narrows a segment's
+// claim — PM header and mirror, one after the other — and flips the directory
+// entries that implies only while holding all of the segment's bucket locks,
+// segments are never reclaimed, and the published (depth, pattern) pairs
+// partition the hash space, so the claiming segment is the key's directory
+// owner. Lock-free callers may catch a publish half done and re-read the
+// route after (searchOpt).
 func mirClaims(mir *segMirror, parts hashfn.Parts) bool {
 	return hashfn.SegmentIndex(parts.Hash, uint8(mir.depth.Load())) == mir.pattern.Load()
 }
@@ -112,8 +140,8 @@ func mirClaims(mir *segMirror, parts hashfn.Parts) bool {
 // segFilters is the mirrors' DRAM accounting plus their observability
 // counters; the mirrors hang off the segment descriptors (dircache.go). All
 // counters are goroutine-sharded obs.Counters registered in the table's
-// obs.Registry (initObs) under segfilter.* names, so the every-read
-// increments cannot become a cross-thread hotspot.
+// obs.Registry (initObs), so the every-read increments cannot become a
+// cross-thread hotspot.
 type segFilters struct {
 	bytes atomic.Uint64 // DRAM held by installed mirrors
 
@@ -121,27 +149,45 @@ type segFilters struct {
 	misses *obs.Counter // mirror probes DRAM could not vouch for: route revalidated against PM, then retried
 	checks *obs.Counter // sampled mirror-vs-PM cross-checks run
 	heals  *obs.Counter // mirrors rebuilt in place after a failed cross-check
+
+	lockContended *obs.Counter // bucket-lock acquisitions that found the bucket taken
 }
 
-// newMirror returns a zeroed mirror carrying the given header claim. Callers
-// store it into the segment's descriptor before the segment is reachable
-// (Create, a split's sibling before its copy, first-touch recovery inside
-// its gate), so no writer can hold a previous object for the segment.
+// newMirror returns a zeroed mirror — every bucket unlocked — carrying the
+// given header claim. Callers store it into the segment's descriptor before
+// the segment is reachable (Create, a split's sibling before its copy,
+// first-touch recovery inside its gate), so no writer can hold a previous
+// object for the segment.
 func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	mir := &segMirror{}
-	mir.depth.Store(uint64(depth))
-	mir.pattern.Store(pattern)
+	mir.setClaim(depth, pattern)
 	t.filters.bytes.Add(segMirrorBytes)
 	return mir
 }
 
+// touchRecordLines accounts one sequential read of the record cachelines a
+// full scan of a PM bucket dereferences, so the per-record loads themselves
+// can be quiet (one-charge-per-line: a scan streams the bucket's lines once;
+// the header line, which also holds records 0 and 1, was paid by the caller's
+// meta load). Slots are allocated lowest-first, so only lines up to the
+// highest used slot are charged. Only the mirror's own upkeep scans PM
+// buckets: the fill below and the sampled cross-check.
+func touchRecordLines(p *pmem.Pool, ba pmem.Addr, m uint64) {
+	last := bits.Len64(m&slotMask) - 1 // highest used slot, -1 when empty
+	if last < 2 {
+		return // records 0 and 1 live in the header's cacheline
+	}
+	end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
+	p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
+}
+
 // mirrorFillBucket copies one bucket's PM words into the mirror. The
-// caller owns the bucket (its PM lock, or single-threaded recovery) and
-// has charged the bucket's header line; record lines are charged here as
-// one streaming read up to the highest used slot, like every bucket scan.
+// caller owns the bucket (its lock, or recovery's first-touch gate). The meta
+// load pays for the header line; record lines are charged as one streaming
+// read up to the highest used slot.
 func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 	ba := segBucket(seg, bi)
-	m := p.QuietLoadU64(ba.Add(bkOffMeta))
+	m := p.LoadU64(ba.Add(bkOffMeta))
 	mir.word(bi, mirBkMeta).Store(m)
 	mir.word(bi, mirBkFPLo).Store(p.QuietLoadU64(ba.Add(bkOffFPLo)))
 	mir.word(bi, mirBkFPHi).Store(p.QuietLoadU64(ba.Add(bkOffFPHi)))
@@ -159,100 +205,106 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 }
 
 // mirrorRepair reconciles seg's mirror with PM truth in place, bucket by
-// bucket under each bucket's PM lock — cacheRepair one layer down. The
-// header claim is copied first, under bucket 0's lock: a publish mutates
-// the header only while holding every bucket lock, so holding any one of
-// them excludes it.
+// bucket under each bucket's lock — cacheRepair one layer down. The header
+// claim is copied first, under bucket 0's lock: a publish mutates the header
+// only while holding every bucket lock, so holding any one of them excludes
+// it. What a repair cannot undo is a store a writer already placed on the
+// word of a diverged mirror; the net is for DRAM faults and bugs, not a
+// second protocol.
 func (t *Table) mirrorRepair(seg pmem.Addr, mir *segMirror) {
 	p := t.pool
 	t.filters.heals.Inc()
 	t.fr.Record(obs.EvMirrorHeal, obs.TagNone, uint64(seg), 0)
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		lockBucket(p, mir, ba, bi)
+		t.lockBucket(mir, bi)
 		if bi == 0 {
-			mir.depth.Store(p.LoadU64(seg.Add(segOffDepth)))
-			mir.pattern.Store(p.QuietLoadU64(seg.Add(segOffPattern)))
+			mir.setClaim(segMeta(p, seg))
 		}
 		mirrorFillBucket(p, mir, seg, bi)
-		unlockBucket(p, mir, ba, bi)
+		unlockBucket(mir, bi)
 	}
 }
 
-// --- lock-free mirror probes (the read path) ---
+// --- the probe: one for readers and writers ---
 
-// mirBucketSearch scans one mirrored bucket without taking its lock. It
-// loops until a scan completes under an unchanged even shadow version
-// (seqlock read), so the returned record words — and the meta/fingerprint
-// words handed back for overflow-probing decisions — form a consistent
-// snapshot of the bucket. An indirect candidate's blob is verified (and
-// fully charged) during the scan: blob bytes are immutable from commit until
-// epoch reclamation and the caller holds an epoch guard, so they cannot
-// change or be reused underneath the read; a match through a slot that
-// mutated mid-scan is discarded by the version recheck.
-func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey) (kv pmem.KV, found bool, m, hi uint64) {
+// mirBucketSearch scans one mirrored bucket for the probe's key and returns
+// the matching record's words and slot (-1: none), plus the meta and
+// fingerprint-hi words for the caller's overflow-probing decisions.
+//
+// A reader (locked = false) does not take the bucket's lock: it loops until a
+// scan completes under an unchanged even version (seqlock read), so what it
+// returns is a consistent snapshot of the bucket. A writer (locked = true)
+// holds the lock of the bucket — or, for a stash bucket, of the key's home
+// bucket, which every mutation of that home's stash records takes — so the
+// words that could match its key cannot move and it scans once. An indirect
+// candidate's blob is verified during the scan: blob bytes are immutable from
+// commit until epoch reclamation and the caller holds an epoch guard, so they
+// cannot change or be reused underneath the read; a reader's match through a
+// slot that mutated mid-scan is discarded by the version recheck.
+func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, locked bool) (kv pmem.KV, slot int, m, hi uint64) {
 	ver := mir.word(bi, mirBkVersion)
 	for {
 		v := ver.Load()
-		if v&1 != 0 {
+		if v&1 != 0 && !locked {
 			runtime.Gosched()
 			continue
 		}
 		m = mir.word(bi, mirBkMeta).Load()
 		lo := mir.word(bi, mirBkFPLo).Load()
 		hi = mir.word(bi, mirBkFPHi).Load()
-		kv, found = pmem.KV{}, false
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) || fpGet(lo, hi, slot) != pk.parts.FP {
+		kv, slot = pmem.KV{}, -1
+		for s := 0; s < slotsPerBucket; s++ {
+			if !metaSlotUsed(m, s) || fpGet(lo, hi, s) != pk.parts.FP {
 				continue
 			}
-			w0 := mir.recWord(bi, slot, 0).Load()
-			w1 := mir.recWord(bi, slot, 1).Load()
-			if r, ok := mirRecMatch(vl, w0, w1, pk); ok {
-				kv, found = r, true
+			if r := mir.rec(bi, s); mirRecMatch(vl, r, pk, locked) {
+				kv, slot = r, s
 				break
 			}
 		}
-		if ver.Load() == v {
+		if locked || ver.Load() == v {
 			return
 		}
 	}
 }
 
-// mirSegSearch is the lock-free read path within one segment: probe the
+// mirSegSearch locates the probe's key within one segment: probe the
 // candidate pair fingerprint-first, then follow the home bucket's overflow
-// metadata into the stash. Each bucket scan is individually version-stable;
-// cross-bucket races are caught by searchOpt's route recheck. Zero PM
-// traffic except the blob read of an indirect candidate. The match is
-// returned as the raw record words, which stay interpretable under the
-// caller's epoch guard.
-func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey) (pmem.KV, bool) {
-	b := int(pk.parts.BucketIndex(bucketBits))
-	b2 := (b + 1) % normalBuckets
-	kv, found, m, hi := mirBucketSearch(vl, mir, b, pk)
-	if found {
-		return kv, true
+// metadata into the stash. Zero PM traffic except the blob read of an
+// indirect candidate. The match is returned as the raw record words, which
+// stay interpretable under the caller's epoch guard, and its place.
+//
+// A reader's bucket scans are individually version-stable; cross-bucket races
+// are caught by searchOpt's route recheck. A writer (locked = true) holds the
+// home pair's locks; the stash buckets it scans without theirs: records of
+// this home cannot move (every stash mutation of this home takes the home
+// lock), and records of other homes can never alias the key.
+func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey, locked bool) (pmem.KV, recLoc, bool) {
+	b, b2 := homePair(pk.parts)
+	kv, slot, m, hi := mirBucketSearch(vl, mir, b, pk, locked)
+	if slot >= 0 {
+		return kv, recLoc{bucket: b, slot: slot, tracked: -1}, true
 	}
-	if kv2, f2, _, _ := mirBucketSearch(vl, mir, b2, pk); f2 {
-		return kv2, true
+	if kv, slot, _, _ = mirBucketSearch(vl, mir, b2, pk, locked); slot >= 0 {
+		return kv, recLoc{bucket: b2, slot: slot, tracked: -1}, true
 	}
 	for i := 0; i < maxOvSlots; i++ {
 		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
 			continue
 		}
-		j := ovIdxGet(hi, i)
-		if kv2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
-			return kv2, true
+		sb := normalBuckets + ovIdxGet(hi, i)
+		if kv, slot, _, _ = mirBucketSearch(vl, mir, sb, pk, locked); slot >= 0 {
+			return kv, recLoc{bucket: sb, slot: slot, tracked: i}, true
 		}
 	}
 	if metaOvCount(m) > 0 {
-		for j := 0; j < stashBuckets; j++ {
-			if kv2, f2, _, _ := mirBucketSearch(vl, mir, normalBuckets+j, pk); f2 {
-				return kv2, true
+		for sb := normalBuckets; sb < totalBuckets; sb++ {
+			if kv, slot, _, _ = mirBucketSearch(vl, mir, sb, pk, locked); slot >= 0 {
+				return kv, recLoc{bucket: sb, slot: slot, tracked: -1}, true
 			}
 		}
 	}
-	return pmem.KV{}, false
+	return pmem.KV{}, recLoc{}, false
 }
 
 // --- sampled self-check ---
@@ -275,40 +327,33 @@ func (t *Table) mirrorMaybeCheck(seg pmem.Addr, mir *segMirror, pk *probeKey) {
 }
 
 // mirrorBucketMatchesPM optimistically compares one bucket's mirror with
-// PM: both sides are snapshotted under stable (even, unchanged) versions,
-// which proves they describe the same quiescent state and are directly
-// comparable. Any racing writer — or an unlocked single-word record store,
-// which the seqlock deliberately does not cover — voids the comparison and
-// reports a (possibly spurious) match; only a doubly-stable mismatch is
-// real. PM reads are charged like any probe: the version load pays for the
-// header line, record lines are one streaming touch.
+// PM under the bucket's seqlock: every store to either side happens with the
+// version odd, so an even version unchanged across the comparison proves both
+// sides were quiescent and directly comparable. Any racing writer voids the
+// comparison and reports a (possibly spurious) match; only a stable mismatch
+// is real. PM reads are charged like any scan of a PM bucket: the meta load
+// pays for the header line, record lines are one streaming touch.
 func (t *Table) mirrorBucketMatchesPM(seg pmem.Addr, mir *segMirror, bi int) bool {
 	p := t.pool
 	ba := segBucket(seg, bi)
-	va := ba.Add(bkOffVersion)
-	pv := p.LoadU64(va)
-	mv := mir.word(bi, mirBkVersion).Load()
-	if pv&1 != 0 || mv&1 != 0 {
+	ver := mir.word(bi, mirBkVersion)
+	v := ver.Load()
+	if v&1 != 0 {
 		return true
 	}
-	m := p.QuietLoadU64(ba.Add(bkOffMeta))
-	lo := p.QuietLoadU64(ba.Add(bkOffFPLo))
-	hi := p.QuietLoadU64(ba.Add(bkOffFPHi))
+	m := p.LoadU64(ba.Add(bkOffMeta))
 	ok := m == mir.word(bi, mirBkMeta).Load() &&
-		lo == mir.word(bi, mirBkFPLo).Load() &&
-		hi == mir.word(bi, mirBkFPHi).Load()
+		p.QuietLoadU64(ba.Add(bkOffFPLo)) == mir.word(bi, mirBkFPLo).Load() &&
+		p.QuietLoadU64(ba.Add(bkOffFPHi)) == mir.word(bi, mirBkFPHi).Load()
 	if ok {
 		touchRecordLines(p, ba, m)
 		for slot := 0; slot < slotsPerBucket && ok; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
+			if metaSlotUsed(m, slot) {
+				ok = p.QuietReadKV(recordAddr(ba, slot)) == mir.rec(bi, slot)
 			}
-			ra := recordAddr(ba, slot)
-			ok = p.QuietLoadU64(ra) == mir.recWord(bi, slot, 0).Load() &&
-				p.QuietLoadU64(ra.Add(8)) == mir.recWord(bi, slot, 1).Load()
 		}
 	}
-	if p.QuietLoadU64(va) != pv || mir.word(bi, mirBkVersion).Load() != mv {
+	if ver.Load() != v {
 		return true // racing writer: nothing provable either way
 	}
 	return ok
@@ -336,12 +381,9 @@ func (t *Table) mirrorVerifySeg(d *segDesc) int {
 			p.QuietLoadU64(ba.Add(bkOffFPLo)) == mir.word(bi, mirBkFPLo).Load() &&
 			p.QuietLoadU64(ba.Add(bkOffFPHi)) == mir.word(bi, mirBkFPHi).Load()
 		for slot := 0; slot < slotsPerBucket && ok; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
+			if metaSlotUsed(m, slot) {
+				ok = p.QuietReadKV(recordAddr(ba, slot)) == mir.rec(bi, slot)
 			}
-			ra := recordAddr(ba, slot)
-			ok = p.QuietLoadU64(ra) == mir.recWord(bi, slot, 0).Load() &&
-				p.QuietLoadU64(ra.Add(8)) == mir.recWord(bi, slot, 1).Load()
 		}
 		if !ok {
 			bad++

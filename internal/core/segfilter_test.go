@@ -7,15 +7,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dash/internal/pmem"
 )
 
-// The segment filter mirror (segfilter.go) is pure DRAM acceleration: PM
-// stays the source of truth and the mirror must agree with it at every
-// quiescent point — across splits, directory doublings, crash-recovery
-// rebuilds, and after deliberate corruption. mirrorVerifyAll is the oracle:
-// zero mismatching buckets table-wide.
+// The segment mirror (segfilter.go) is what a running table reads, PM what a
+// crash leaves: the two must agree word for word at every quiescent point —
+// across splits, directory doublings, crash-recovery rebuilds, and after
+// deliberate corruption. mirrorVerifyAll is the oracle: zero mismatching
+// buckets table-wide.
 
 // TestMirrorCoherenceAfterSplits grows a table through many splits and at
 // least one directory doubling single-threaded, interleaving deletes and
@@ -114,6 +115,11 @@ func TestMirrorCoherenceConcurrent(t *testing.T) {
 // the silent-false-negative failure mode, invisible to every validation the
 // hot path runs — and proves the sampled cross-check finds and heals it.
 // Sampling is forced to 100% (mirrorSampleMask = 0) so one read suffices.
+// Only reads run while the mirror is poisoned: writers decide from the mirror
+// too, so a writer that met this bucket before the heal would have taken a
+// used slot for a free one. Exactness is the contract (every test table is
+// checked for it at teardown); the cross-check is the net under it, for
+// faults no protocol can prevent.
 func TestMirrorPoisonSelfHeal(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
 	tbl.mirrorSampleMask = 0
@@ -262,18 +268,7 @@ func TestReaderReadCharges(t *testing.T) {
 	p := tbl.pool
 	// blobLines is the number of cachelines pk's record's blob spans.
 	blobLines := func(pk probeKey, vlen int) uint64 {
-		seg := tbl.resolve(pk.parts)
-		loc, found := segFindLocked(p, tbl.vlog, seg, &pk) // quiescent: no lock to hold
-		if !found {
-			t.Fatalf("record %x not in the segment its key routes to", pk.parts.Hash)
-		}
-		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
-		if !recIsIndirect(w0) {
-			t.Fatalf("record %x is stored inline", pk.parts.Hash)
-		}
-		first := uint64(recBlobAddr(w0))
-		last := first + pmem.BlobHeaderSize + uint64(pk.keyLen()+vlen) - 1
-		return last/pmem.CachelineSize - first/pmem.CachelineSize + 1
+		return lineSpan(blobOf(t, tbl, pk), pmem.BlobHeaderSize+pk.keyLen()+vlen)
 	}
 
 	const n = 300
@@ -342,7 +337,7 @@ func TestMirrorDuringSplitMigration(t *testing.T) {
 	paused := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	tbl.hookMidMigrate = func(_ pmem.Addr, bucket int) {
+	tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
 		if bucket != normalBuckets/2 {
 			return
 		}
@@ -393,4 +388,21 @@ func TestMirrorDuringSplitMigration(t *testing.T) {
 	if bad := tbl.mirrorVerifyAll(); bad != 0 {
 		t.Fatalf("mirror diverged from PM in %d buckets after the split published", bad)
 	}
+}
+
+// TestMirrorRecordsNeverStraddleALine pins the layout every probe's cache
+// behaviour rests on: a mirrored record's two words share a cacheline. It
+// holds because segMirror contains no pointer — the allocator prefixes a
+// pointer-carrying object of this size with a type header, which shifts every
+// word by 8 bytes and splits each fourth record across two lines (and makes
+// the collector scan 17 KB per segment).
+func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 3})
+	defer tbl.Close()
+	tbl.cache.view.Load().eachSegment(func(d *segDesc) {
+		mir := d.mir.Load()
+		if off := uintptr(unsafe.Pointer(mir.recWord(0, 0, 0))) % 16; off != 0 {
+			t.Errorf("mirror %p: record words start %d bytes off a 16-byte boundary", mir, off)
+		}
+	})
 }

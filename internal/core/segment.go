@@ -45,21 +45,6 @@ func segBucket(seg pmem.Addr, i int) pmem.Addr {
 	return seg.Add(uint64(segHeaderSize + i*bucketSize))
 }
 
-// touchRecordLines accounts one sequential read of the record cachelines a
-// full bucket scan dereferences, so the per-record loads themselves can be
-// quiet (one-charge-per-line: a scan streams the bucket's lines once; the
-// header line, which also holds records 0 and 1, was already paid by the
-// caller's lock acquisition or version load). Slots are allocated
-// lowest-first, so only lines up to the highest used slot are charged.
-func touchRecordLines(p *pmem.Pool, ba pmem.Addr, m uint64) {
-	last := bits.Len64(m&slotMask) - 1 // highest used slot, -1 when empty
-	if last < 2 {
-		return // records 0 and 1 live in the header's cacheline
-	}
-	end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
-	p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
-}
-
 func segDepth(p *pmem.Pool, seg pmem.Addr) uint8 {
 	return uint8(p.LoadU64(seg.Add(segOffDepth)))
 }
@@ -70,32 +55,16 @@ func segMeta(p *pmem.Pool, seg pmem.Addr) (uint8, uint64) {
 	return segDepth(p, seg), p.QuietLoadU64(seg.Add(segOffPattern))
 }
 
-// segClaims reports whether seg's own PM header claims key ownership: the
-// key's top `local depth` hash bits equal the segment's pattern. One charged
-// read, the header line. For a caller holding the key's pair locks in seg
-// this is the whole route validation (Table.lockOwner): a publish narrows a
-// segment's claim — and flips the directory entries that implies — only
-// while holding all of the segment's bucket locks, segments are never
-// reclaimed, and the published (depth, pattern) pairs partition the hash
-// space, so the claiming segment is the key's directory owner. Lock-free
-// callers may catch a publish half done: Table.validateRoute.
-func segClaims(p *pmem.Pool, seg pmem.Addr, parts hashfn.Parts) bool {
-	l, pat := segMeta(p, seg)
-	return hashfn.SegmentIndex(parts.Hash, l) == pat
-}
-
-// segSetMeta updates local depth and pattern and persists the header line,
-// writing through to the segment's DRAM mirror when one is attached. The
-// only concurrent caller is the split publish, which holds every bucket
-// lock, so mirror readers cannot observe the claim mid-change.
-func segSetMeta(p *pmem.Pool, mir *segMirror, seg pmem.Addr, depth uint8, pattern uint64) {
+// segSetMeta updates local depth and pattern and persists the header line.
+// The caller writes the same claim through to the segment's mirror
+// (segMirror.setClaim) where one exists. The only concurrent caller is the
+// split publish, which holds every bucket lock, so neither a writer's claim
+// check (Table.lockOwner) nor a mirror reader can observe the claim
+// mid-change.
+func segSetMeta(p *pmem.Pool, seg pmem.Addr, depth uint8, pattern uint64) {
 	p.StoreU64(seg.Add(segOffDepth), uint64(depth))
 	p.StoreU64(seg.Add(segOffPattern), pattern)
 	p.Persist(seg, segHeaderSize)
-	if mir != nil {
-		mir.depth.Store(uint64(depth))
-		mir.pattern.Store(pattern)
-	}
 }
 
 // segInit zeroes a freshly allocated segment and writes its header. The
@@ -123,17 +92,17 @@ func homePair(parts hashfn.Parts) (b, b2 int) {
 // order; with every writer following the same order (normal buckets
 // ascending, then stash buckets ascending, displacement targets only via
 // trylock) the lock graph is acyclic.
-func lockPair(p *pmem.Pool, mir *segMirror, seg pmem.Addr, b1, b2 int) {
+func (t *Table) lockPair(mir *segMirror, b1, b2 int) {
 	if b2 < b1 {
 		b1, b2 = b2, b1
 	}
-	lockBucket(p, mir, segBucket(seg, b1), b1)
-	lockBucket(p, mir, segBucket(seg, b2), b2)
+	t.lockBucket(mir, b1)
+	t.lockBucket(mir, b2)
 }
 
-func unlockPair(p *pmem.Pool, mir *segMirror, seg pmem.Addr, b1, b2 int) {
-	unlockBucket(p, mir, segBucket(seg, b1), b1)
-	unlockBucket(p, mir, segBucket(seg, b2), b2)
+func unlockPair(mir *segMirror, b1, b2 int) {
+	unlockBucket(mir, b1)
+	unlockBucket(mir, b2)
 }
 
 // recLoc names a record inside a segment.
@@ -145,59 +114,26 @@ type recLoc struct {
 
 func (l recLoc) inStash() bool { return l.bucket >= normalBuckets }
 
-// segFindLocked locates the probe's key while the caller holds the home
-// pair's locks. Stash buckets are scanned without their locks: records of
-// this home cannot move (we hold the home lock, which every stash mutation
-// of this home takes), and records of other homes can never alias our key.
-func segFindLocked(p *pmem.Pool, vl *pmem.VarLog, seg pmem.Addr, pk *probeKey) (recLoc, bool) {
-	b, b2 := homePair(pk.parts)
-	if slot := bucketFindLocked(p, vl, segBucket(seg, b), pk); slot >= 0 {
-		return recLoc{bucket: b, slot: slot, tracked: -1}, true
-	}
-	if slot := bucketFindLocked(p, vl, segBucket(seg, b2), pk); slot >= 0 {
-		return recLoc{bucket: b2, slot: slot, tracked: -1}, true
-	}
-	ba := segBucket(seg, b)
-	m := p.QuietLoadU64(ba.Add(bkOffMeta)) // header line paid by the caller's lock
-	hi := p.QuietLoadU64(ba.Add(bkOffFPHi))
-	for i := 0; i < maxOvSlots; i++ {
-		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
-			continue
-		}
-		j := ovIdxGet(hi, i)
-		if slot := bucketFindLocked(p, vl, segBucket(seg, normalBuckets+j), pk); slot >= 0 {
-			return recLoc{bucket: normalBuckets + j, slot: slot, tracked: i}, true
-		}
-	}
-	if metaOvCount(m) > 0 {
-		for j := 0; j < stashBuckets; j++ {
-			if slot := bucketFindLocked(p, vl, segBucket(seg, normalBuckets+j), pk); slot >= 0 {
-				return recLoc{bucket: normalBuckets + j, slot: slot, tracked: -1}, true
-			}
-		}
-	}
-	return recLoc{}, false
-}
-
 // segInsertLocked places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
 // one bucket over, then the stash. Returns false when the segment needs to
 // split. The caller holds the home pair's locks and this function takes the
 // extra locks it needs (displacement target via trylock to stay
-// deadlock-free, stash buckets in ascending order).
+// deadlock-free, stash buckets in ascending order). Every placement decision
+// — free-slot counts, the displacement victim — is read from the mirror.
 //
 // private=true is the mode for building a split's unpublished sibling, which
 // only the split owner can reach: there is nobody to exclude, so no lock is
 // taken at all (the caller holds none either), and nothing is persisted —
 // durability comes from the publish's whole-segment flush (see
 // bucketInsertLocked).
-func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool, seed uint64) bool {
-	persist := !private
+func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) bool {
+	p, persist := t.pool, !private
 	b, b2 := homePair(parts)
 	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
 
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
-	f1, f2 := bucketFreeSlots(p, ba), bucketFreeSlots(p, b2a)
+	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
 		return bucketInsertLocked(p, mir, ba, b, parts.FP, kv, persist)
 	}
@@ -212,19 +148,13 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	// duplicate it, which recovery deduplicates.
 	b3 := (b2 + 1) % normalBuckets
 	b3a := segBucket(seg, b3)
-	if private || tryLockBucket(p, mir, b3a, b3) {
+	if private || tryLockBucket(mir, b3) {
 		displaced := false
-		if bucketFreeSlots(p, b3a) > 0 {
-			// b2 is full (f1 == f2 == 0). Records 0 and 1 share the header
-			// line b2's lock paid for; each further record line is charged
-			// once, when the scan first reaches it (slots 2, 6, 10).
+		if bucketFreeSlots(mir, b3) > 0 {
+			// b2 is full (f1 == f2 == 0): every slot holds a record.
 			for slot := 0; slot < slotsPerBucket && !displaced; slot++ {
-				ra := recordAddr(b2a, slot)
-				if slot >= 2 && uint64(ra)%pmem.CachelineSize == 0 {
-					p.TouchRead(ra, pmem.CachelineSize)
-				}
-				vict := p.QuietReadKV(ra)
-				vp := recSplitParts(vict, seed)
+				vict := mir.rec(b2, slot)
+				vp := recSplitParts(vict, t.seed)
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
@@ -234,7 +164,7 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 			}
 		}
 		if !private {
-			unlockBucket(p, mir, b3a, b3)
+			unlockBucket(mir, b3)
 		}
 		if displaced {
 			return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
@@ -248,11 +178,11 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 	for j := 0; j < stashBuckets; j++ {
 		sa := segBucket(seg, normalBuckets+j)
 		if !private {
-			lockBucket(p, mir, sa, normalBuckets+j)
+			t.lockBucket(mir, normalBuckets+j)
 		}
 		ok := bucketInsertLocked(p, mir, sa, normalBuckets+j, parts.FP, kv, persist)
 		if !private {
-			unlockBucket(p, mir, sa, normalBuckets+j)
+			unlockBucket(mir, normalBuckets+j)
 		}
 		if ok {
 			bucketTrackOverflow(p, mir, ba, b, parts.FP, j, persist)
@@ -265,48 +195,47 @@ func segInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.P
 // segDeleteAt removes the record at loc, fixing the home bucket's overflow
 // metadata when the record lived in the stash. Caller holds the home pair's
 // locks (or owns the whole segment).
-func segDeleteAt(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
-	sa := segBucket(seg, loc.bucket)
+func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
+	p, sa := t.pool, segBucket(seg, loc.bucket)
 	if !loc.inStash() {
 		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 		return
 	}
 	if concurrent {
-		lockBucket(p, mir, sa, loc.bucket)
+		t.lockBucket(mir, loc.bucket)
 	}
 	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 	if concurrent {
-		unlockBucket(p, mir, sa, loc.bucket)
+		unlockBucket(mir, loc.bucket)
 	}
 	hb := int(parts.BucketIndex(bucketBits))
 	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked)
 }
 
 // segSweep deletes every record for which drop returns true, fixing stash
-// tracking metadata as it goes. The caller owns every bucket of the segment
-// (split cleanup holds all locks; recovery is single-threaded). Returns the
-// number of records removed.
-func segSweep(p *pmem.Pool, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool) int {
+// tracking metadata as it goes, and returns the number of records removed.
+// Recovery's pass: the caller owns the whole segment (its first-touch gate)
+// and has built mir from it, so like every mutator it reads the mirror and
+// stores to both.
+func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.Parts, kv pmem.KV) bool) int {
 	removed := 0
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		m := p.LoadU64(ba.Add(bkOffMeta))
+		m := mir.word(bi, mirBkMeta).Load()
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue
 			}
-			kv := p.ReadKV(recordAddr(ba, slot))
-			parts := recSplitParts(kv, seed)
+			kv := mir.rec(bi, slot)
+			parts := recSplitParts(kv, t.seed)
 			if !drop(parts, kv) {
 				continue
 			}
 			loc := recLoc{bucket: bi, slot: slot, tracked: -1}
 			if loc.inStash() {
-				home := segBucket(seg, int(parts.BucketIndex(bucketBits)))
-				loc.tracked = findTrackedSlot(p, home, parts.FP, bi-normalBuckets)
+				home := int(parts.BucketIndex(bucketBits))
+				loc.tracked = metaFindTracked(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets)
 			}
-			// Recovery-only path: mirrors are rebuilt wholesale afterwards.
-			segDeleteAt(p, nil, seg, parts, loc, false)
+			t.segDeleteAt(mir, seg, parts, loc, false)
 			removed++
 		}
 	}
@@ -323,9 +252,9 @@ func segSweep(p *pmem.Pool, seg pmem.Addr, seed uint64, drop func(parts hashfn.P
 //
 // Normal buckets are swept without a record read: known[bi] is the bucket's
 // drop-slot bitmap, computed by the split's copy scan and proven current by
-// the bucket versions (splitCopy). Stash records are read, and dropped when
-// drop says so — each drop needs the record's hash to fix its home bucket's
-// overflow tracking.
+// the bucket versions (splitCopy). Stash records are read, from the mirror,
+// and dropped when drop says so — each drop needs the record's hash to fix
+// its home bucket's overflow tracking.
 //
 // The drop decision is computed for all records first and applied per meta
 // word, so drop must not depend on sweep order (the split publish's
@@ -334,8 +263,7 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 	var metas [totalBuckets]uint64 // stack-sized: the sweep allocates nothing
 	var dirty [totalBuckets]bool
 	for bi := 0; bi < totalBuckets; bi++ {
-		// Header lines were paid by the caller's lock acquisitions.
-		metas[bi] = p.QuietLoadU64(segBucket(seg, bi).Add(bkOffMeta))
+		metas[bi] = mir.word(bi, mirBkMeta).Load()
 	}
 	removed := 0
 	for bi := 0; bi < normalBuckets; bi++ {
@@ -346,14 +274,12 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 		}
 	}
 	for bi := normalBuckets; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
 		m := metas[bi] // pre-sweep snapshot: iterate original occupancy
-		touchRecordLines(p, ba, m)
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue
 			}
-			kv := p.QuietReadKV(recordAddr(ba, slot))
+			kv := mir.rec(bi, slot)
 			parts := recSplitParts(kv, seed)
 			if !drop(parts, kv) {
 				continue
@@ -361,12 +287,12 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 			metas[bi] = metaClearSlot(metas[bi], slot)
 			dirty[bi] = true
 			// Fix the home bucket's overflow tracking in its *buffered* meta
-			// word — searching the buffer (not PM) keeps two
+			// word — searching the buffer (not the mirror) keeps two
 			// same-fingerprint drops from resolving to the same tracking
 			// slot. The hi word (stash indexes) never changes during a
-			// sweep, so reading it from PM is exact.
+			// sweep, so the mirror's is exact.
 			home := int(parts.BucketIndex(bucketBits))
-			hhi := p.QuietLoadU64(segBucket(seg, home).Add(bkOffFPHi))
+			hhi := mir.word(home, mirBkFPHi).Load()
 			if ts := metaFindTracked(metas[home], hhi, parts.FP, bi-normalBuckets); ts >= 0 {
 				metas[home] = metaClearOvFP(metas[home], ts)
 			} else {
@@ -382,10 +308,8 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 			continue
 		}
 		a := segBucket(seg, bi).Add(bkOffMeta)
-		p.QuietStoreU64(a, metas[bi]) // header line paid by the caller's lock
-		if mir != nil {
-			mir.word(bi, mirBkMeta).Store(metas[bi])
-		}
+		p.StoreU64(a, metas[bi]) // the sweep's one store to this header line
+		mir.word(bi, mirBkMeta).Store(metas[bi])
 		p.Flush(a, 8)
 		if !fenced && hookMidSweep != nil {
 			// Crash-injection point: first meta line flushed, fence and the
@@ -400,10 +324,10 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 }
 
 // segCount returns the number of live records (allocation bitmap popcount).
-func segCount(p *pmem.Pool, seg pmem.Addr) int {
+func segCount(mir *segMirror) int {
 	n := 0
 	for bi := 0; bi < totalBuckets; bi++ {
-		n += slotsPerBucket - bucketFreeSlots(p, segBucket(seg, bi))
+		n += slotsPerBucket - bucketFreeSlots(mir, bi)
 	}
 	return n
 }

@@ -37,7 +37,7 @@ import (
 // the directory image authoritative: recovery completes the flips, fixes
 // metadata and sweeps duplicates exactly as under the old protocol.
 func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
-	p, oldSeg := t.pool, old.seg
+	p, oldSeg, oldMir := t.pool, old.seg, t.mirror(old)
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
 	spa := oldSeg.Add(segOffSplit)
 	if !p.CompareAndSwapU64(spa, 0, splitStateInFlight) {
@@ -53,14 +53,14 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	// room; re-check cheaply and release the claim if so. The claim value
 	// is transient (never persisted): recovery clears markers wholesale.
 	b, b2 := homePair(parts)
-	if t.resolve(parts) != oldSeg ||
-		bucketFreeSlots(p, segBucket(oldSeg, b)) > 0 ||
-		bucketFreeSlots(p, segBucket(oldSeg, b2)) > 0 {
+	if t.resolve(parts) != oldSeg || bucketFreeSlots(oldMir, b) > 0 || bucketFreeSlots(oldMir, b2) > 0 {
 		p.StoreU64(spa, 0)
 		return nil
 	}
 	t.fr.Record(obs.EvSplitCAS, obs.TagNone, uint64(oldSeg), 0)
-	l, pat := segMeta(p, oldSeg)
+	// Only a publish changes a segment's claim, and this segment's next
+	// publish is ours.
+	l, pat := uint8(oldMir.depth.Load()), oldMir.pattern.Load()
 
 	newSeg, err := t.alloc(segmentSize)
 	if err != nil {
@@ -106,11 +106,11 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 	t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(old.seg), uint64(sib.seg))
 }
 
-// splitScan is what splitCopy's scan of the old segment learned, kept for the
-// publish: per bucket the seqlock version its snapshot was stable under —
-// the copy stands iff every bucket reads ver[bi]+1 once the publish holds the
-// locks (+1 for the publish's own lock) — and per normal bucket the bitmap of
-// moved (sibling-claimed) slots, which the sweep then drops without
+// splitScan is what splitCopy's scan of the old segment's mirror learned, kept
+// for the publish: per bucket the seqlock version its snapshot was stable
+// under — the copy stands iff every bucket reads ver[bi]+1 once the publish
+// holds the locks (+1 for the publish's own lock) — and per normal bucket the
+// bitmap of moved (sibling-claimed) slots, which the sweep then drops without
 // re-reading a record.
 //
 // Instances are pooled: a split allocates nothing steady-state, so the
@@ -138,10 +138,11 @@ type splitCand struct {
 }
 
 // splitCopy builds the sibling's half of old in the private sibling. Each of
-// the 66 source buckets is snapshotted seqlock-style (stable version across
-// the scan, like mirBucketSearch; splitScan keeps the version) and the
-// sibling-claimed records are inserted — normal-bucket records grouped by
-// destination home pair, then stash records in slot order — taking no
+// the 66 source buckets is snapshotted from old's mirror seqlock-style (stable
+// version across the scan, like a reader's mirBucketSearch; splitScan keeps
+// the version) — the copy reads no PM line of old — and the sibling-claimed
+// records are inserted — normal-bucket records grouped by destination home
+// pair, then stash records in slot order — taking no
 // sibling lock, nobody else can reach it, and persisting nothing: the publish
 // makes the whole sibling durable with one flush+fence before any directory
 // entry points at it, and a crash before that rolls it back wholesale.
@@ -161,37 +162,35 @@ type splitCand struct {
 //
 // Otherwise splitPublish wipes the sibling and runs this again under all of
 // old's locks (locked = true: versions are odd, and stable by construction),
-// which is the paper's split. Reports false when the sibling has no room for
-// a record. From the locked run that is the pathological one-sided overflow;
+// which is the paper's split. The version it validates against is the lock
+// word itself (bucket.go), so there is no second counter to keep in step with
+// the locks: "no writer held this bucket since the snapshot" and "the version
+// reads ver+1 under my lock" are one fact. Reports false when the sibling has
+// no room for a record. From the locked run that is the pathological one-sided overflow;
 // an unlocked run can see a record mid-displacement twice, so there it only
 // means this copy failed.
 func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool) bool {
-	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
-	newMir := sib.mir.Load()
+	oldSeg, newSeg := old.seg, sib.seg
+	oldMir, newMir := t.mirror(old), sib.mir.Load()
 
-	// Scan. It never mutates the old segment. The whole segment is charged
-	// as one streaming read up front — a sequential sweep of its lines,
-	// exactly what the hardware prefetcher would serve — and the per-word
-	// loads are quiet (one-charge-per-line).
-	p.TouchRead(oldSeg, segmentSize)
+	// Scan. It never mutates the old segment.
 	sc.cand = sc.cand[:0]
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(oldSeg, bi)
-		va := ba.Add(bkOffVersion)
+		ver := oldMir.word(bi, mirBkVersion)
 		for {
-			v := p.QuietLoadU64(va)
+			v := ver.Load()
 			if v&1 != 0 && !locked {
 				runtime.Gosched()
 				continue
 			}
-			m := p.QuietLoadU64(ba.Add(bkOffMeta))
+			m := oldMir.word(bi, mirBkMeta).Load()
 			n0 := len(sc.cand)
 			moved := uint64(0)
 			for slot := 0; slot < slotsPerBucket; slot++ {
 				if !metaSlotUsed(m, slot) {
 					continue
 				}
-				kv := p.QuietReadKV(recordAddr(ba, slot))
+				kv := oldMir.rec(bi, slot)
 				rp := recSplitParts(kv, t.seed)
 				if rp.DepthBit(l) {
 					moved |= 1 << uint(slot)
@@ -202,7 +201,7 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 					sc.cand = append(sc.cand, splitCand{kv: kv, rp: rp, group: group})
 				}
 			}
-			if p.QuietLoadU64(va) == v {
+			if ver.Load() == v {
 				sc.ver[bi] = v
 				if bi < normalBuckets {
 					sc.moved[bi] = moved
@@ -233,12 +232,12 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 	}
 	for g := 0; g < totalBuckets; g++ {
 		for _, c := range grouped[cnt[g]:cnt[g+1]] {
-			if !segInsertLocked(p, newMir, newSeg, c.rp, c.kv, true, t.seed) {
+			if !t.segInsertLocked(newMir, newSeg, c.rp, c.kv, true) {
 				return false
 			}
 		}
 		if t.hookMidMigrate != nil {
-			t.hookMidMigrate(oldSeg, g)
+			t.hookMidMigrate(oldSeg, sib, g)
 		}
 	}
 	return true
@@ -260,20 +259,19 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	oldMir := t.mirror(old)
 	begin := time.Now()
 	for i := 0; i < totalBuckets; i++ {
-		lockBucket(p, oldMir, segBucket(oldSeg, i), i)
+		t.lockBucket(oldMir, i)
 	}
 	defer func() {
 		for i := 0; i < totalBuckets; i++ {
-			unlockBucket(p, oldMir, segBucket(oldSeg, i), i)
+			unlockBucket(oldMir, i)
 		}
 		stall := time.Since(begin).Nanoseconds()
 		t.splitStallNS.Add(stall)
 		t.met.splitPublishStallNS.Record(stall)
 	}()
 
-	// Header lines were paid by the lock acquisitions above.
 	for bi := 0; copied && bi < totalBuckets; bi++ {
-		copied = p.QuietLoadU64(segBucket(oldSeg, bi).Add(bkOffVersion)) == sc.ver[bi]+1
+		copied = oldMir.word(bi, mirBkVersion).Load() == sc.ver[bi]+1
 	}
 	if !copied {
 		// A writer touched old during the copy (or the copy ran out of
@@ -338,7 +336,8 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	// from here a crash rolls forward through recovery's directory-driven
 	// reconciliation.
 	p.StoreU64(oldSeg.Add(segOffSplit), 0)
-	segSetMeta(p, oldMir, oldSeg, l+1, pat<<1)
+	segSetMeta(p, oldSeg, l+1, pat<<1)
+	oldMir.setClaim(l+1, pat<<1)
 	// The copy this publish accepted (or made) snapshotted the frozen state,
 	// so its moved-slot bitmaps are exact: normal buckets sweep by bitmap
 	// alone, and only the stash is re-read (each stash drop needs the

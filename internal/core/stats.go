@@ -36,7 +36,7 @@ type TableStats struct {
 
 	// DirCacheHits and DirCacheMisses count cached-route outcomes. A hit is
 	// a route that served its operation: a read answered from DRAM or a
-	// writer whose locked segment's own PM header claimed the key (neither
+	// writer whose locked segment's mirrored header claimed the key (neither
 	// reads the PM directory; that skip is the point of the cache). A miss
 	// is a stale route caught by a failed validation, forcing a repair +
 	// retry.

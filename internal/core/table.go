@@ -24,16 +24,23 @@ import (
 //     validation or to repair a stale route. Every operation runs inside an
 //     epoch guard so a retired directory block is never recycled under a
 //     reader still traversing it.
-//   - Readers are optimistic and lock-free: scan the routed segment's DRAM
-//     mirror buckets under seqlock version validation (segfilter.go — the
-//     only reader there is), and revalidate the route, in DRAM when it can
-//     vouch and against the PM directory when not, before concluding "not
+//   - Every probe, a reader's or a writer's, runs in the routed segment's
+//     DRAM mirror (segfilter.go — the only probe there is). The mirror is the
+//     runtime truth — locks, claim, bitmaps, fingerprints, record words — and
+//     PM the crash truth: an operation stores to PM and never looks anything
+//     up there but a blob's bytes.
+//   - Readers are optimistic and lock-free: scan the mirror buckets under
+//     seqlock version validation, and revalidate the route, in DRAM when it
+//     can vouch and against the PM directory when not, before concluding "not
 //     found". A seqlock-stable positive hit needs no revalidation (see
 //     dircache.go).
 //   - Writers lock only the key's two candidate buckets (plus stash /
-//     displacement buckets, in a fixed deadlock-free order), then check that
-//     the locked segment's own PM header claims the key (lockOwner, §4.4):
-//     one header line, no PM directory read.
+//     displacement buckets, in a fixed deadlock-free order) — the lock is the
+//     mirror bucket's version word, the one readers validate against — then
+//     check that the locked segment's mirrored header claims the key
+//     (lockOwner, §4.4): no PM read at all. They decide where the record goes
+//     from the mirror, store to PM, persist, and store the same words to the
+//     mirror before unlocking.
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
 //     CAS on the segment header's split-state word (which doubles as the
 //     persistent split-progress marker), so splits of distinct segments
@@ -165,12 +172,12 @@ type Table struct {
 
 	// Test hooks fired inside split; used by crash-consistency tests to
 	// simulate power loss at the protocol's interesting points.
-	hookAfterMarker     func()                          // split marker persisted, no records migrated
-	hookMidMigrate      func(seg pmem.Addr, bucket int) // after each copied group of either copy run (splitCopy)
-	hookAfterSegPersist func()                          // sibling fully persisted, nothing published
-	hookMidPublish      func()                          // first directory entry of a multi-entry flip persisted
-	hookAfterPublish    func()                          // all entries flipped, old-segment meta/sweep pending
-	hookMidSweep        func()                          // first swept bucket persisted, rest pending
+	hookAfterMarker     func()                                        // split marker persisted, no records migrated
+	hookMidMigrate      func(seg pmem.Addr, sib *segDesc, bucket int) // after each copied group of either copy run (splitCopy)
+	hookAfterSegPersist func()                                        // sibling fully persisted, nothing published
+	hookMidPublish      func()                                        // first directory entry of a multi-entry flip persisted
+	hookAfterPublish    func()                                        // all entries flipped, old-segment meta/sweep pending
+	hookMidSweep        func()                                        // first swept bucket persisted, rest pending
 
 	// Varlog crash hooks, the record-log counterparts: after a blob's
 	// bytes persist but before its commit word, after commit but before
@@ -243,9 +250,9 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 }
 
 // Open revives the table stored in pool with O(directory) work up front
-// (§4.6 instant restart): directory reconciliation, segment metadata and
-// lock-word fixes, dirCache rebuild. Everything O(data) — duplicate/ghost
-// sweeps, count re-derivation, filter-mirror installs — is deferred to each
+// (§4.6 instant restart): directory reconciliation, segment metadata fixes,
+// dirCache rebuild. Everything O(data) — mirror builds, duplicate/ghost
+// sweeps, count re-derivation — is deferred to each
 // segment's first touch (lazyrec.go), and the record-log sweep runs as an
 // incremental background pass. After a clean shutdown (Close persisted the
 // root's clean marker) even the deferred sweeps are skipped: first touch
@@ -360,36 +367,38 @@ func (t *Table) resolve(parts hashfn.Parts) pmem.Addr {
 	return dirLoadEntry(t.pool, dir, parts.DirIndex(dirDepth(t.pool, dir)))
 }
 
-// validateRoute is the lock-free route check: (a) the PM directory still
-// routes the key to seg and (b) seg's own pattern claims the key. Readers
-// call it before trusting a negative search they cannot settle in DRAM;
-// holding no lock they may catch a publish half done, hence both halves. A
-// lock holder cannot, and skips the directory (lockOwner).
+// validateRoute asks PM whether a route is right: (a) the PM directory still
+// routes the key to seg and (b) seg's own PM header claims the key. Readers
+// call it when DRAM could not settle a negative search — the one place an
+// operation consults PM metadata, and what tells a stale cache entry from a
+// diverged mirror (searchOpt). Holding no lock they may catch a publish half
+// done, hence both halves.
 func (t *Table) validateRoute(parts hashfn.Parts, seg pmem.Addr) bool {
 	if t.resolve(parts) != seg {
 		return false
 	}
-	return segClaims(t.pool, seg, parts)
+	l, pat := segMeta(t.pool, seg)
+	return hashfn.SegmentIndex(parts.Hash, l) == pat
 }
 
 // lockOwner is every writer's first step: route the key through the DRAM
 // directory cache, take its pair locks in the routed segment, and check that
-// this segment's own PM header claims the key — one charged read, and under
-// the locks sufficient (segClaims has the argument). A failed claim means
-// the route was stale: unlock, repair it from the PM directory, retry.
-// Returns with the pair locks held in the key's owning segment, as its
-// descriptor and the mirror to write through to. The claim is read from PM,
-// never from the mirror; the cache only proposes candidates.
+// this segment's mirrored header claims the key — no PM read, and under the
+// locks sufficient (mirClaims has the argument). A failed claim means the
+// route was stale: unlock, repair it from the PM directory, retry. Returns
+// with the pair locks held in the key's owning segment, as its descriptor and
+// the mirror that holds the locks, answers the probe and takes the
+// write-through; the cache only proposes candidates.
 func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (*segDesc, *segMirror) {
 	for {
 		d := t.cache.route(parts)
-		seg, mir := d.seg, t.mirror(d)
-		lockPair(t.pool, mir, seg, b, b2)
-		if segClaims(t.pool, seg, parts) {
+		mir := t.mirror(d)
+		t.lockPair(mir, b, b2)
+		if mirClaims(mir, parts) {
 			t.cache.hits.Inc()
 			return d, mir
 		}
-		unlockPair(t.pool, mir, seg, b, b2)
+		unlockPair(mir, b, b2)
 		t.cache.misses.Inc()
 		t.cacheRepair(parts)
 	}
@@ -479,22 +488,21 @@ func (t *Table) mapLogErr(err error) error {
 // (lockOwner), duplicate check by canonical key, representation-blind slot
 // insert, or split-and-retry.
 func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
-	p := t.pool
 	parts := pk.parts
 	b, b2 := homePair(parts)
 	for {
 		d, mir := t.lockOwner(parts, b, b2)
 		seg := d.seg
-		if _, found := segFindLocked(p, t.vlog, seg, pk); found {
-			unlockPair(p, mir, seg, b, b2)
+		if _, _, found := mirSegSearch(t.vlog, mir, pk, true); found {
+			unlockPair(mir, b, b2)
 			return ErrKeyExists
 		}
-		if segInsertLocked(p, mir, seg, parts, kv, false, t.seed) {
-			unlockPair(p, mir, seg, b, b2)
+		if t.segInsertLocked(mir, seg, parts, kv, false) {
+			unlockPair(mir, b, b2)
 			t.count.Add(1)
 			return nil
 		}
-		unlockPair(p, mir, seg, b, b2)
+		unlockPair(mir, b, b2)
 		if err := t.split(parts, d); err != nil {
 			return err
 		}
@@ -548,10 +556,10 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 // Table.mirror guarantees exists.
 //
 //   - a stable mirror hit is immediately valid: a key's record is physically
-//     present only in segments the directory routes it to, and the mirror's
-//     shadow seqlock makes a stable scan equivalent to a stable scan of the
-//     PM bucket under its version lock. An indirect hit's blob was charged
-//     in full by the probe.
+//     present only in segments the directory routes it to, and every
+//     mutation of a bucket, PM and mirror, happens with the bucket's version
+//     odd, so a scan under a stable even version saw a state PM also held.
+//     An indirect hit's blob was charged in full by the probe.
 //   - a mirror miss is trusted entirely in DRAM when (a) the mirrored
 //     segment header still claims the key and (b) the route, re-read after
 //     the scans, still names this segment. That ordering is what makes it
@@ -572,7 +580,7 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	for {
 		d := t.cache.route(pk.parts)
 		seg, mir := d.seg, t.mirror(d)
-		kv, found := mirSegSearch(t.vlog, mir, pk)
+		kv, _, found := mirSegSearch(t.vlog, mir, pk, false)
 		if found {
 			t.cache.hits.Inc()
 			t.filters.hits.Inc()
@@ -621,21 +629,19 @@ func (t *Table) deleteOp(pk *probeKey) bool {
 }
 
 func (t *Table) deleteByProbe(pk *probeKey) bool {
-	p := t.pool
 	parts := pk.parts
 	b, b2 := homePair(parts)
 	d, mir := t.lockOwner(parts, b, b2)
 	seg := d.seg
-	loc, found := segFindLocked(p, t.vlog, seg, pk)
+	kv, loc, found := mirSegSearch(t.vlog, mir, pk, true)
 	if found {
-		w0 := p.QuietLoadU64(recordAddr(segBucket(seg, loc.bucket), loc.slot))
-		segDeleteAt(p, mir, seg, parts, loc, true)
-		if recIsIndirect(w0) {
-			t.retireBlob(recBlobAddr(w0))
+		t.segDeleteAt(mir, seg, parts, loc, true)
+		if recIsIndirect(kv.Key) {
+			t.retireBlob(recBlobAddr(kv.Key))
 		}
 		t.count.Add(-1)
 	}
-	unlockPair(p, mir, seg, b, b2)
+	unlockPair(mir, b, b2)
 	return found
 }
 
@@ -715,14 +721,14 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	for {
 		d, mir := t.lockOwner(parts, b, b2)
 		seg := d.seg
-		loc, found := segFindLocked(p, t.vlog, seg, pk)
+		old, loc, found := mirSegSearch(t.vlog, mir, pk, true)
 		if !found {
-			unlockPair(p, mir, seg, b, b2)
+			unlockPair(mir, b, b2)
 			freeBlob()
 			return false, nil
 		}
 		ra := recordAddr(segBucket(seg, loc.bucket), loc.slot)
-		w0 := p.QuietLoadU64(ra)
+		w0 := old.Key
 
 		if !recIsIndirect(w0) && inline8 {
 			v := vu
@@ -736,7 +742,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			// PM store's own discipline — readers see the old or the new
 			// word, both linearizable.
 			mir.recWord(loc.bucket, loc.slot, 1).Store(v)
-			unlockPair(p, mir, seg, b, b2)
+			unlockPair(mir, b, b2)
 			freeBlob()
 			return true, nil
 		}
@@ -754,7 +760,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			var err error
 			blob, err = t.vlog.Append(pk.keyBytes(&kbuf), value)
 			if err != nil {
-				unlockPair(p, mir, seg, b, b2)
+				unlockPair(mir, b, b2)
 				return true, t.mapLogErr(err)
 			}
 			t.vlog.Commit(blob)
@@ -770,7 +776,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			p.Persist(ra, 8)
 			mir.recWord(loc.bucket, loc.slot, 0).Store(kv.Key)
 			t.retireBlob(recBlobAddr(w0))
-			unlockPair(p, mir, seg, b, b2)
+			unlockPair(mir, b, b2)
 			return true, nil
 		}
 
@@ -778,8 +784,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// record first and only then delete the old inline slot — at every
 		// crash point the key exists at least once and at most twice
 		// (deduped by recovery).
-		if !segInsertLocked(p, mir, seg, parts, kv, false, t.seed) {
-			unlockPair(p, mir, seg, b, b2)
+		if !t.segInsertLocked(mir, seg, parts, kv, false) {
+			unlockPair(mir, b, b2)
 			if err := t.split(parts, d); err != nil {
 				freeBlob()
 				return true, err
@@ -790,8 +796,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// have displaced records, but never this one (displacement only
 		// moves records homed in the probing neighbor b2; this key's home
 		// is b).
-		segDeleteAt(p, mir, seg, parts, loc, true)
-		unlockPair(p, mir, seg, b, b2)
+		t.segDeleteAt(mir, seg, parts, loc, true)
+		unlockPair(mir, b, b2)
 		return true, nil
 	}
 }

@@ -17,14 +17,30 @@ func newTable(poolSize uint64, opt Options) (*Table, error) {
 	return Create(pool, opt)
 }
 
+// newTestTable is newTable for a test, and checks at the test's end what every
+// operation of the table relied on while it ran: each mirror word equals its
+// PM word (write-through exactness — writers decide from the mirror).
 func newTestTable(t *testing.T, poolSize uint64, opt Options) *Table {
 	t.Helper()
 	tbl, err := newTable(poolSize, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { requireMirrorsExact(t, tbl) })
 	return tbl
 }
+
+// requireMirrorsExact fails the test if any bucket of any segment of the
+// quiescent table differs between its mirror and PM.
+func requireMirrorsExact(t *testing.T, tbl *Table) {
+	t.Helper()
+	if bad := tbl.mirrorVerifyAll(); bad != 0 {
+		t.Errorf("%d mirror buckets diverge from PM", bad)
+	}
+}
+
+// mirrorOf returns the mirror of a directory-named, recovered segment.
+func mirrorOf(tbl *Table, seg pmem.Addr) *segMirror { return tbl.cache.descs[seg].mir.Load() }
 
 func TestBasicOps(t *testing.T) {
 	tbl := newTestTable(t, 1<<20, Options{})
@@ -123,7 +139,6 @@ func TestFillSplitsAndDoubles(t *testing.T) {
 // the stash, then verifies lookup and delete through the overflow metadata.
 func TestStashOverflowPaths(t *testing.T) {
 	tbl := newTestTable(t, 4<<20, Options{InitialDepth: 1})
-	p := tbl.pool
 
 	// Collect keys that all map to directory entry 0 and the same target
 	// bucket, so they exhaust the pair (b, b+1) and hit the stash.
@@ -145,7 +160,7 @@ func TestStashOverflowPaths(t *testing.T) {
 	seg := tbl.resolve(first)
 	stashUsed := 0
 	for j := 0; j < stashBuckets; j++ {
-		stashUsed += slotsPerBucket - bucketFreeSlots(p, segBucket(seg, normalBuckets+j))
+		stashUsed += slotsPerBucket - bucketFreeSlots(mirrorOf(tbl, seg), normalBuckets+j)
 	}
 	if stashUsed == 0 {
 		t.Fatal("no records in stash despite overfilling one bucket pair")

@@ -71,6 +71,7 @@ func verifyVarCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[int][]byte,
 	if got, want := tbl.Count(), int64(len(acked)); got != want {
 		t.Fatalf("recovered count = %d, want %d", got, want)
 	}
+	requireMirrorsExact(t, tbl) // Count completed recovery
 	st := tbl.Stats()
 	if got, want := st.LogLiveBlobs, int64(len(acked)); got != want {
 		t.Fatalf("recovered live blobs = %d, want %d (ghost or lost blob)", got, want)
@@ -89,6 +90,7 @@ func verifyVarCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[int][]byte,
 			t.Fatalf("post-recovery GetB %d = %v", i, ok)
 		}
 	}
+	requireMirrorsExact(t, tbl)
 }
 
 // crashVarHook arms one varlog hook, runs one more InsertB (which must

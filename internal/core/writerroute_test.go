@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,88 +14,105 @@ import (
 )
 
 // Writer route validation tests. A writer routes from the DRAM directory
-// cache, locks the key's bucket pair and checks the locked segment's own PM
-// header (lockOwner): these tests pin what that costs (one header line, no
-// PM directory read), that every stale route is caught by the claim check on
+// cache, locks the key's bucket pair and checks the locked segment's mirrored
+// header claim (lockOwner): these tests pin what a write costs (no PM read
+// but a blob's key, and exactly the stores the protocol persists), that every
+// stale route is caught by the claim check on
 // all six write entry points, that a leaked split sibling — whose header
 // still claims half a range — is never routed to, and that concurrent
 // histories through hundreds of splits end in the oracle's state.
 
-// fpMatches counts the used slots of the key's bucket pair whose fingerprint
-// equals the key's: each one costs a probe a charged record-line read.
-func fpMatches(tbl *Table, key uint64) int {
-	p := tbl.pool
-	parts := tbl.parts(key)
-	seg := tbl.resolve(parts)
-	b := int(parts.BucketIndex(bucketBits))
-	n := 0
-	for _, bi := range []int{b, (b + 1) % normalBuckets} {
-		ba := segBucket(seg, bi)
-		m := p.QuietLoadU64(ba.Add(bkOffMeta))
-		lo, hi := p.QuietLoadU64(ba.Add(bkOffFPLo)), p.QuietLoadU64(ba.Add(bkOffFPHi))
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if metaSlotUsed(m, slot) && fpGet(lo, hi, slot) == parts.FP {
-				n++
-			}
-		}
-	}
-	return n
+// pmLines returns what op charged p: read lines, written lines, flushed lines
+// and fences, in that order.
+func pmLines(p *pmem.Pool, op func()) [4]uint64 {
+	b := p.Stats()
+	op()
+	a := p.Stats()
+	return [4]uint64{a.ReadLines - b.ReadLines, a.WriteLines - b.WriteLines, a.FlushedLines - b.FlushedLines, a.Fences - b.Fences}
 }
 
 // readLines returns how many PM lines op read from p (charged reads only).
-func readLines(p *pmem.Pool, op func()) uint64 {
-	before := p.Stats().ReadLines
-	op()
-	return p.Stats().ReadLines - before
+func readLines(p *pmem.Pool, op func()) uint64 { return pmLines(p, op)[0] }
+
+// lineSpan is the number of cachelines the n bytes at a touch.
+func lineSpan(a pmem.Addr, n int) uint64 {
+	return (uint64(a)+uint64(n)-1)/pmem.CachelineSize - uint64(a)/pmem.CachelineSize + 1
 }
 
-// TestWriterReadCharges: on a quiet table with the cost model off, an
-// Insert into a non-full pair with no fingerprint collision reads exactly one
-// PM line (the locked segment's header), an in-place Update and a Delete of
-// an inline record exactly two (header + the one fingerprint-matched record
-// line), and 10k mixed writes read no PM directory line at all.
+// blobOf returns the blob address of the indirect record stored under pk on
+// the quiescent table.
+func blobOf(t *testing.T, tbl *Table, pk probeKey) pmem.Addr {
+	t.Helper()
+	kv, _, found := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
+	if !found || !recIsIndirect(kv.Key) {
+		t.Fatalf("record %x: found=%v, want an indirect record", pk.parts.Hash, found)
+	}
+	return recBlobAddr(kv.Key)
+}
+
+// TestWriterReadCharges: on a quiet table with the cost model off, an Insert,
+// an in-place Update and a Delete of an inline record read no PM line at all
+// — route, lock, claim, duplicate check, fingerprint probe and placement are
+// all answered by the mirror, whatever fingerprints collide — a writer that
+// finds an indirect record reads exactly the key lines of its blob (not the
+// value: a writer wants none), and 10k mixed writes read no PM directory line.
 func TestWriterReadCharges(t *testing.T) {
 	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 2})
 	defer tbl.Close()
 	p := tbl.pool
 
-	checked := 0
 	for k := uint64(1); k <= 400; k++ {
-		if fpMatches(tbl, k) != 0 {
-			// A colliding fingerprint costs a record dereference; not the
-			// case this test pins.
-			if err := tbl.Insert(k, k); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
 		if n := readLines(p, func() {
 			if err := tbl.Insert(k, k); err != nil {
 				t.Fatal(err)
 			}
-		}); n != 1 {
-			t.Fatalf("Insert(%d) read %d PM lines, want 1 (the segment header)", k, n)
+		}); n != 0 {
+			t.Fatalf("Insert(%d) read %d PM lines, want 0", k, n)
 		}
 		if n := readLines(p, func() {
 			if ok, err := tbl.Update(k, k+1); !ok || err != nil {
 				t.Fatalf("Update(%d) = %v, %v", k, ok, err)
 			}
-		}); n != 2 {
-			t.Fatalf("Update(%d) read %d PM lines, want 2 (header + record)", k, n)
+		}); n != 0 {
+			t.Fatalf("Update(%d) read %d PM lines, want 0", k, n)
 		}
 		if k%2 == 0 {
 			if n := readLines(p, func() {
 				if !tbl.Delete(k) {
 					t.Fatalf("Delete(%d) reported missing", k)
 				}
-			}); n != 2 {
-				t.Fatalf("Delete(%d) read %d PM lines, want 2 (header + record)", k, n)
+			}); n != 0 {
+				t.Fatalf("Delete(%d) read %d PM lines, want 0", k, n)
 			}
 		}
-		checked++
 	}
-	if checked < 200 {
-		t.Fatalf("only %d collision-free keys checked", checked)
+
+	// Indirect records: the probe's one PM dereference is the candidate
+	// blob's header + key. A copy-on-write UpdateB also appends a blob, which
+	// reads the log's bump pointer (one line) unless a freed span fits.
+	for i := uint64(0); i < 200; i++ {
+		key, klen := routeKeyB(i), len(routeKeyB(i))
+		if err := tbl.InsertB(key, routeValB(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+		want := lineSpan(blobOf(t, tbl, tbl.probeBytes(key)), pmem.BlobHeaderSize+klen)
+		bump := tbl.vlog.FreeMisses.Total()
+		if n := readLines(p, func() {
+			if ok, err := tbl.UpdateB(key, routeValB(i, 1)); !ok || err != nil {
+				t.Fatalf("UpdateB(%d) = %v, %v", i, ok, err)
+			}
+		}); n != want+tbl.vlog.FreeMisses.Total()-bump {
+			t.Fatalf("UpdateB(%d) read %d PM lines, want %d key lines + %d for the log's bump pointer",
+				i, n, want, tbl.vlog.FreeMisses.Total()-bump)
+		}
+		want = lineSpan(blobOf(t, tbl, tbl.probeBytes(key)), pmem.BlobHeaderSize+klen)
+		if n := readLines(p, func() {
+			if !tbl.DeleteB(key) {
+				t.Fatalf("DeleteB(%d) reported missing", i)
+			}
+		}); n != want {
+			t.Fatalf("DeleteB(%d) read %d PM lines, want its blob's %d key lines", i, n, want)
+		}
 	}
 
 	// Grow past several splits, then make any PM directory read fatal: with
@@ -146,6 +165,158 @@ func TestWriterReadCharges(t *testing.T) {
 	}
 }
 
+// TestWriterWriteCharges pins a write's PM stores the way TestWriterReadCharges
+// pins its reads: on a quiet table with the cost model off an Insert of an
+// inline record writes one line when its slot shares the bucket's header line
+// (slots 0 and 1) and two otherwise, an in-place Update and a Delete one; each
+// persists what it always did (2 flushed lines and 2 fences, 1 and 1, 1 and
+// 1). With no lock word in PM every line an operation changes is a store the
+// protocol needs, which gives the second half its oracle: over a mixed
+// history — displacement, stash spill, copy-on-write, representation
+// conversion, splits — the cachelines of the pool whose bytes an operation
+// changed are never more than the write lines it was charged (plus, for an
+// operation that ran a split, the flushed lines: the unpublished sibling is
+// charged by its publishing flush). A header store left quiet fails it.
+func TestWriterWriteCharges(t *testing.T) {
+	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 2})
+	defer tbl.Close()
+	p := tbl.pool
+	for k := uint64(1); k <= 400; k++ {
+		got := pmLines(p, func() {
+			if err := tbl.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		pk := tbl.probeU64(k)
+		_, loc, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
+		want := [4]uint64{0, 2, 2, 2}
+		if loc.slot < 2 {
+			want[1] = 1
+		}
+		if got != want {
+			t.Fatalf("Insert(%d) into slot %d charged read/write/flush/fence = %v, want %v", k, loc.slot, got, want)
+		}
+		if got := pmLines(p, func() {
+			if ok, err := tbl.Update(k, k+1); !ok || err != nil {
+				t.Fatalf("Update(%d) = %v, %v", k, ok, err)
+			}
+		}); got != [4]uint64{0, 1, 1, 1} {
+			t.Fatalf("Update(%d) charged read/write/flush/fence = %v, want [0 1 1 1]", k, got)
+		}
+		if k%2 == 0 {
+			if got := pmLines(p, func() {
+				if !tbl.Delete(k) {
+					t.Fatalf("Delete(%d) reported missing", k)
+				}
+			}); got != [4]uint64{0, 1, 1, 1} {
+				t.Fatalf("Delete(%d) charged read/write/flush/fence = %v, want [0 1 1 1]", k, got)
+			}
+		}
+	}
+
+	// The oracle. changedLines diffs the pool's allocated prefix against a
+	// shadow copy, line by line, and brings the shadow up to date.
+	shadow := make([]byte, p.Size())
+	changedLines := func() (n uint64) {
+		// From the root line (the pool's first) to the allocator's frontier.
+		end := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)) - uint64(rootAddr)
+		cur := p.QuietBytes(rootAddr, end)
+		const page = 64 * pmem.CachelineSize
+		for off := uint64(0); off < end; off += page {
+			pe := min(off+page, end)
+			if bytes.Equal(cur[off:pe], shadow[off:pe]) {
+				continue
+			}
+			for l := off; l < pe; l += pmem.CachelineSize {
+				if le := min(l+pmem.CachelineSize, pe); !bytes.Equal(cur[l:le], shadow[l:le]) {
+					n++
+					copy(shadow[l:le], cur[l:le])
+				}
+			}
+		}
+		return n
+	}
+	changedLines()
+
+	rng := rand.New(rand.NewSource(21))
+	const keys = 6000
+	var displaced, spilled, cow, converted int
+	for i := 0; i < 20000; i++ {
+		k := uint64(rng.Intn(keys)) + 1000
+		var kb [8]byte
+		binary.LittleEndian.PutUint64(kb[:], k)
+		vkey := routeKeyB(k)
+		pk := tbl.probeU64(k)
+		mir := tbl.mirror(tbl.cache.route(pk.parts))
+		b, b2 := homePair(pk.parts)
+		pairFull := bucketFreeSlots(mir, b) == 0 && bucketFreeSlots(mir, b2) == 0
+		old, _, present := mirSegSearch(tbl.vlog, mir, &pk, true)
+
+		kind := ""
+		before, splits := p.Stats(), tbl.splits.Load()
+		switch r := rng.Intn(100); {
+		case r < 40:
+			kind = "Insert"
+			if err := tbl.Insert(k, k); err == nil && pairFull && tbl.splits.Load() == splits {
+				if _, loc, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.inStash() {
+					spilled++
+				} else {
+					displaced++
+				}
+			} else if err != nil && !errors.Is(err, ErrKeyExists) {
+				t.Fatal(err)
+			}
+		case r < 55:
+			kind = "InsertB"
+			if err := tbl.InsertB(vkey, routeValB(k, 0)); err != nil && !errors.Is(err, ErrKeyExists) {
+				t.Fatal(err)
+			}
+		case r < 65:
+			kind = "Update"
+			if _, err := tbl.Update(k, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if present && recIsIndirect(old.Key) {
+				cow++
+			}
+		case r < 75:
+			kind = "UpdateB (copy-on-write)"
+			if ok, err := tbl.UpdateB(vkey, routeValB(k, uint64(i))); err != nil {
+				t.Fatal(err)
+			} else if ok {
+				cow++
+			}
+		case r < 82:
+			kind = "UpdateB (converting)"
+			if _, err := tbl.UpdateB(kb[:], routeValB(k, uint64(i))); err != nil {
+				t.Fatal(err)
+			}
+			if present && !recIsIndirect(old.Key) {
+				converted++
+			}
+		case r < 92:
+			kind = "Delete"
+			tbl.Delete(k)
+		default:
+			kind = "DeleteB"
+			tbl.DeleteB(vkey)
+		}
+		st := p.Stats().Sub(before)
+		bound := st.WriteLines
+		if tbl.splits.Load() != splits {
+			bound += st.FlushedLines
+		}
+		if n := changedLines(); n > bound {
+			t.Fatalf("op %d, %s of key %d: %d cachelines changed, %d write lines charged (%d flushed, split: %v)",
+				i, kind, k, n, st.WriteLines, st.FlushedLines, tbl.splits.Load() != splits)
+		}
+	}
+	if tbl.splits.Load() == 0 || displaced == 0 || spilled == 0 || cow == 0 || converted == 0 {
+		t.Fatalf("history ran %d splits, %d displacements, %d stash spills, %d copy-on-write updates, %d conversions: want some of each",
+			tbl.splits.Load(), displaced, spilled, cow, converted)
+	}
+}
+
 // routeFixture is a table grown through splits and doublings holding both
 // inline u64 records and indirect []byte records, with their oracle.
 type routeFixture struct {
@@ -190,7 +361,7 @@ func (f *routeFixture) verify(t *testing.T) {
 		}
 		pk := tbl.probeU64(k)
 		seg := tbl.resolve(pk.parts)
-		if _, found := segFindLocked(tbl.pool, tbl.vlog, seg, &pk); !found { // quiescent: no lock to hold
+		if _, _, found := mirSegSearch(tbl.vlog, mirrorOf(tbl, seg), &pk, true); !found { // quiescent: no lock to hold
 			t.Fatalf("key %d is not in the segment %#x the PM directory routes it to", k, seg)
 		}
 	}
@@ -200,7 +371,7 @@ func (f *routeFixture) verify(t *testing.T) {
 		}
 		pk := tbl.probeBytes([]byte(k))
 		seg := tbl.resolve(pk.parts)
-		if _, found := segFindLocked(tbl.pool, tbl.vlog, seg, &pk); !found {
+		if _, _, found := mirSegSearch(tbl.vlog, mirrorOf(tbl, seg), &pk, true); !found {
 			t.Fatalf("key %q is not in the segment %#x the PM directory routes it to", k, seg)
 		}
 	}
@@ -377,8 +548,9 @@ func leakSiblingByCrash(t *testing.T, pool *pmem.Pool, tbl *Table, next *uint64,
 // and the first entry flip, which leaks a sibling whose header still claims
 // the upper half of the old segment's range. The claim check trusts headers,
 // so it matters that nothing can ever propose the leaked segment: no
-// directory entry and no cache entry names it, and none of its bucket locks
-// is ever taken again, whatever runs afterwards.
+// directory entry and no cache entry names it, so it has no descriptor, no
+// mirror and therefore no lock to take, and none of its bytes ever changes
+// again, whatever runs afterwards.
 func TestLeakedSiblingNeverRouted(t *testing.T) {
 	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
 	if err != nil {
@@ -392,13 +564,13 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	var k uint64
 	tbl, leaked := leakSiblingByCrash(t, pool, tbl, &k, acked)
 	defer tbl.Close()
-	versions := func() (vs [totalBuckets]uint64) {
-		for bi := range vs {
-			vs[bi] = pool.QuietLoadU64(segBucket(leaked, bi).Add(bkOffVersion))
-		}
-		return vs
+	// A bucket lock is a word of the segment's mirror, and a mirror hangs off
+	// a descriptor: a segment without one cannot be locked. What an operation
+	// could still do to the leaked block is store into it.
+	if tbl.cache.descs[leaked] != nil {
+		t.Fatal("the leaked sibling has a registered descriptor after Open")
 	}
-	before := versions()
+	before := string(pool.QuietBytes(leaked, segmentSize))
 
 	// Everything the table can do, including the retried split of the same
 	// segment and further doublings.
@@ -430,8 +602,8 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	if got := tbl.Count(); got != int64(len(acked)) {
 		t.Fatalf("Count = %d, want %d", got, len(acked))
 	}
-	if versions() != before {
-		t.Fatal("an operation locked a bucket of the leaked sibling")
+	if string(pool.QuietBytes(leaked, segmentSize)) != before {
+		t.Fatal("an operation stored into the leaked sibling")
 	}
 	view := tbl.cache.view.Load()
 	for i := range view.entries {
