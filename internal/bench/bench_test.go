@@ -57,8 +57,10 @@ func TestSmokeBalanced(t *testing.T) {
 	if res.LoadFactor <= 0 || res.LoadFactor > 1 {
 		t.Errorf("load factor %f out of range", res.LoadFactor)
 	}
-	if res.PM.ReadLines == 0 || res.PM.WriteLines == 0 {
-		t.Errorf("measured phase reported no PM traffic: %+v", res.PM)
+	// A u64 mix reads no PM line (a running table reads PM only for blob
+	// payloads), so the meter's proof of life is the writes and flushes.
+	if res.PM.ReadLines != 0 || res.PM.WriteLines == 0 || res.PM.FlushedLines == 0 {
+		t.Errorf("measured phase PM traffic %+v, want writes and flushes and no read", res.PM)
 	}
 	if res.P50NS < 0 || res.P99NS < res.P50NS || res.MaxNS < res.P99NS {
 		t.Errorf("latency quantiles inconsistent: p50=%d p99=%d max=%d", res.P50NS, res.P99NS, res.MaxNS)

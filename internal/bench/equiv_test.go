@@ -50,6 +50,24 @@ type equivCell struct {
 //   - var-ycsb-b (533 copy-on-write updates). Writes 4 136 → 3 070: −2 × 533.
 //     Reads 34 323 → 33 240: −533 claim checks −550 record lines; the blobs'
 //     key lines stay.
+//
+// Reads were re-pinned again when the last PM metadata reads of a running
+// table moved to DRAM; writes moved only where a PM read-modify-write or a
+// per-entry charge went, and FlushedLines and Fences again did not move:
+//
+//   - balanced (8 splits, one doubling from depth 3). Reads 77 → 0: −19 for
+//     the readers' sampled mirror-vs-PM check (1/1024 of 5 495 Gets, a bucket
+//     each), −8 × 6 for each split's PM directory walks (its post-claim
+//     re-check 3, its publish 2) and the allocator's frontier load (1), −10
+//     for the doubling (the new directory's frontier load, the old block's
+//     depth and 8 entries). Writes 10 364 → 10 339: −8 split-word CASes, −17
+//     for the doubled block's depth and 16 entries, now quiet stores charged
+//     by the flush that publishes the block.
+//   - delete-heavy. Reads 2 → 0: the sampled check.
+//   - var-ycsb-b. Reads 33 240 → 33 007: −20 for the sampled check, −213 for
+//     the record log's allocation words (the bump pointer of every append
+//     the free list missed, the head pointer of a chunk grow); what is left
+//     is the blobs' key and value lines.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -80,16 +98,16 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 77, WriteLines: 10364, FlushedLines: 12952, Fences: 10318},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 10339, FlushedLines: 12952, Fences: 10318},
 	},
 	{
 		mix:    "delete-heavy",
 		counts: Counts{Preloaded: 4096, InsertOK: 2711, ReadHit: 1531, ReadMiss: 1249, DeleteOK: 3069, DeleteNF: 2440},
-		pm:     pmem.StatsSnapshot{ReadLines: 2, WriteLines: 6853, FlushedLines: 7545, Fences: 7545},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 6853, FlushedLines: 7545, Fences: 7545},
 	},
 	{
 		mix:    "var-ycsb-b",
 		counts: Counts{Preloaded: 4096, ReadHit: 10425, UpdateOK: 575},
-		pm:     pmem.StatsSnapshot{ReadLines: 33240, WriteLines: 3070, FlushedLines: 3070, Fences: 1812},
+		pm:     pmem.StatsSnapshot{ReadLines: 33007, WriteLines: 3070, FlushedLines: 3070, Fences: 1812},
 	},
 }

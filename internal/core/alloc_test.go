@@ -18,10 +18,7 @@ import (
 // for that many again plus extra more.
 func warmU64Table(tb testing.TB, n, extra uint64) *Table {
 	tb.Helper()
-	tbl, err := newTable(64<<20+(2*n+extra)*64, Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	tbl := newTestTable(tb, 64<<20+(2*n+extra)*64, Options{})
 	for k := uint64(0); k < n; k++ {
 		if err := tbl.Insert(k, k); err != nil {
 			tb.Fatal(err)

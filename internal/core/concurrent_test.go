@@ -209,10 +209,7 @@ func TestConcurrentWithCrashTracking(t *testing.T) {
 	wg.Wait()
 
 	pool.Crash()
-	tbl2, err := Open(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl2 := openTestTable(t, pool)
 	for w := uint64(0); w < workers; w++ {
 		for i := uint64(0); i < per; i++ {
 			key := w<<32 + i

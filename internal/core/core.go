@@ -9,9 +9,10 @@
 //	               write no shared line (epoch.Manager guards) and probe
 //	               only the segment's DRAM mirror, writers on bucket version
 //	               locks; Create/Open/Close, the allocator and routing.
-//	split.go     — segment splits: per-segment CAS claim, a copy into a
-//	               sibling only the owner can reach that holds no lock,
-//	               its validation by bucket versions (and the recopy under
+//	split.go     — segment splits: a per-segment CAS claim on the DRAM
+//	               descriptor, a copy into a sibling only the owner can
+//	               reach that holds no lock, its validation by bucket
+//	               versions (and the recopy under
 //	               the locks when a writer moved one), and the three-step
 //	               crash-consistent publish. Writers are blind to it.
 //	lazyrec.go   — recovery: Open's O(directory) reconcile, the per-segment
@@ -25,16 +26,15 @@
 //	directory.go — extendible-hashing directory: global depth + 2^depth
 //	               segment pointers indexed by the hash's MSBs, doubled via
 //	               an atomic root-pointer flip. The PM block is the
-//	               crash-consistent source of truth only; hot-path routing
-//	               goes through dircache.go.
+//	               crash-consistent source of truth only; a running table
+//	               routes through dircache.go and only stores here.
 //	dircache.go  — DRAM-resident mirror of the directory: global depth and,
 //	               per entry, a pointer to the segment's descriptor (PM
-//	               address, local depth, filter mirror), so one load routes
+//	               address, split claim, filter mirror), so one load routes
 //	               an operation and hands it everything DRAM knows about
-//	               the segment.
-//	               Consulted first by every operation, kept fresh by
-//	               write-through from splits and doublings, validated
-//	               against PM before any miss is trusted, and rebuilt in
+//	               the segment. The runtime truth of routing: kept exact by
+//	               write-through from splits and doublings, a stale route
+//	               repaired from it, never from PM, and rebuilt in
 //	               O(directory) on Open.
 //	segfilter.go — the same selective-persistence pattern one layer down:
 //	               a DRAM mirror per segment (the header claim and, per
@@ -43,9 +43,11 @@
 //	               It is the runtime truth: the one probe readers and
 //	               writers share runs there, a writer's lock, claim check
 //	               and placement decisions read it, and PM only takes the
-//	               stores — written through by every mutator, self-checked
-//	               against PM on a hash sample, healed in place, and
-//	               rebuilt from the image on Open.
+//	               stores — written through by every mutator and rebuilt
+//	               from the image on Open.
+//	verify.go    — Table.Verify, the quiescent check that every DRAM word
+//	               a running table trusts (view, claims, mirrors,
+//	               allocation frontiers) equals the PM word it stands for.
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow with fingerprint tracking metadata.
@@ -60,8 +62,8 @@
 //	               obs.Registry naming its meters (dircache.*, segfilter.*,
 //	               split.*, epoch.*, varlog.*, recovery.*, pmem.*) and an
 //	               obs.Flight recording every split lifecycle transition,
-//	               heal, epoch advance and recovery phase, and — through the
-//	               one op prologue/epilogue all eight operations share
+//	               route repair, epoch advance and recovery phase, and —
+//	               through the one op prologue/epilogue all eight share
 //	               (opBegin/opEnd: epoch guard, sampling decision, clock
 //	               reads) — a 1-in-64 key-hash sample of op completions
 //	               with their serving path, plus every rare diagnostic

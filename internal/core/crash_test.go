@@ -85,10 +85,7 @@ func mixedWritesAfterReopen(t *testing.T, tbl *Table) {
 // and the table accepts (and serves) new inserts.
 func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64) {
 	t.Helper()
-	tbl, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl := openTestTable(t, pool)
 	for k, want := range acked {
 		v, ok := tbl.Get(k)
 		if !ok {
@@ -101,9 +98,10 @@ func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64)
 	if got, want := tbl.Count(), int64(len(acked)); got != want {
 		t.Fatalf("recovered count = %d, want %d", got, want)
 	}
-	// Count completed recovery: the rebuilt mirrors — which its sweeps wrote
-	// through, and which every write below decides from — must equal PM.
-	requireMirrorsExact(t, tbl)
+	// Count completed recovery: the rebuilt DRAM state — mirrors its sweeps
+	// wrote through, view, frontiers — which every write below decides from
+	// must equal PM.
+	requireVerified(t, tbl)
 	// The recovered table must keep functioning, including further splits.
 	mixedWritesAfterReopen(t, tbl)
 	const more = 3000
@@ -118,7 +116,7 @@ func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64)
 			t.Fatalf("post-recovery Get(%d) = %d,%v", k, v, ok)
 		}
 	}
-	requireMirrorsExact(t, tbl)
+	requireVerified(t, tbl)
 	tbl.Close()
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // DRAM-resident directory cache. The PM directory block (directory.go) stays
-// the crash-consistent source of truth, but on the hot paths it is pure
-// overhead: every Get/Insert/Delete/Update used to pay three charged PM reads
-// (root pointer, directory depth, directory entry) plus two more for the
+// the crash-consistent source of truth, but a running table never reads it:
+// every Get/Insert/Delete/Update used to pay three charged PM reads (root
+// pointer, directory depth, directory entry) plus two more for the
 // segment-header pattern check before touching a single bucket. All of that
 // state is reconstructible, so — following the paper's goal of a probe
 // costing ~one segment access (§4.3, §4.7) — a dirCache mirrors it in
@@ -19,32 +19,36 @@ import (
 //
 //   - the global depth and the mirrored directory block's address,
 //   - one pointer per directory entry, to the segment's DRAM descriptor
-//     (segDesc): its PM address, its local depth (the pattern needs no slot
-//     of its own: pattern = entryIndex >> (global − local)) and its filter
-//     mirror (segfilter.go). One load of the entry therefore yields the
-//     segment and everything DRAM knows about it, and a reader touches only
-//     lines no operation writes outside a split's publish.
+//     (segDesc): its PM address, its split claim and its filter mirror
+//     (segfilter.go), which carries the segment's (local depth, pattern).
+//     One load of the entry therefore yields the segment and everything
+//     DRAM knows about it, and a reader touches only lines no operation
+//     writes outside a split's publish.
 //
-// Operations route through the cache first and touch PM metadata only to
-// validate a route or repair it (cacheRepair). Coherence is write-through:
-// split publish and directory doubling update the cache under dirMu before
-// the splitting segment's bucket locks are released, so the cache is stale
-// only while a structural change is in flight. Correctness never depends on
-// that freshness — a stale route can only produce a failed validation.
-// Writers lock the key's bucket pair in the routed segment and check that
-// segment's mirrored header claims the key (Table.lockOwner; the mirror hangs
-// off the descriptor the route returned): no PM read at all. Readers, holding
-// no lock, re-check against the PM directory and the segment's PM header
-// (validateRoute) before trusting a miss DRAM cannot vouch for; a
-// seqlock-stable positive hit is valid wherever the route came from, because
-// a key's record is physically present only in segments the directory routes
-// it to, the copy/sweep window of a split being covered by the segment's
-// bucket locks. A failed validation refreshes the route via cacheRepair and
-// retries. The cache only ever holds segments a PM directory named — the
-// writers' check relies on it: a leaked split sibling's header claims too.
+// The view is the runtime truth of routing, as the mirror is of the buckets:
+// operations route through it, splits take the directory's address and
+// depth from it, a doubling copies its entries from it, and a stale route is
+// repaired from it (cacheRepair); the PM block only takes the stores.
+// Coherence is write-through: split publish and directory doubling update
+// the view under dirMu before the splitting segment's bucket locks are
+// released, so a route is stale only while a structural change is in flight
+// or was loaded before one. Correctness never depends on that freshness — a
+// stale route can only produce a failed claim check. Writers lock the key's
+// bucket pair in the routed segment and check that segment's mirrored header
+// claims the key (Table.lockOwner; the mirror hangs off the descriptor the
+// route returned). Readers, holding no lock, trust a miss only if the
+// mirrored claim covers the key and the route did not move across the probe;
+// a seqlock-stable positive hit is valid wherever the route came from,
+// because a key's record is physically present only in segments the
+// directory routes it to, the copy/sweep window of a split being covered by
+// the segment's bucket locks. A failed check waits out the publish via
+// cacheRepair and retries. The cache only ever holds segments a PM directory
+// named — the writers' check relies on it: a leaked split sibling's header
+// claims too.
 //
-// Open and Create build the cache with one O(directory) pass; nothing about
-// it is persisted.
+// Open and Create build the cache with one O(directory) pass over the PM
+// directory (cacheRebuild) — the only time it is read; nothing about the
+// cache is persisted.
 type dirCache struct {
 	// view is an immutable-shape snapshot: the entries slice is fixed at
 	// 2^depth and only ever swapped wholesale (doubling, rebuild). Entry
@@ -57,8 +61,7 @@ type dirCache struct {
 	// goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real
 	// thread counts. rebuilds counts full O(directory) reconstructions
-	// (Create, Open, and the belt-and-braces depth-mismatch path of
-	// cacheRepair) — rare, but registered the same way for uniformity.
+	// (Create, Open) — rare, but registered the same way for uniformity.
 	// All three live in the table's obs.Registry (initObs) under
 	// dircache.* names.
 	hits     *obs.Counter
@@ -66,8 +69,7 @@ type dirCache struct {
 	rebuilds *obs.Counter
 
 	// descs owns the descriptors, one per segment a PM directory has named,
-	// so a repaired or rebuilt view hands out the object in-flight operations
-	// already hold. Rebuild, repair and publish only, under dirMu.
+	// so every entry of a segment shares one. Rebuild and publish only.
 	descs map[pmem.Addr]*segDesc
 }
 
@@ -81,17 +83,17 @@ type dirView struct {
 // address: every view entry covering the segment points at the same object,
 // so whoever routed to the segment, whenever, reads the same mirror.
 type segDesc struct {
-	seg   pmem.Addr
-	depth atomic.Uint32 // local depth; stored by a split publish under all of seg's bucket locks
-	rec   atomic.Uint32 // first-touch recovery claim after Open (lazyrec.go); 0 = recovered
+	seg      pmem.Addr
+	rec      atomic.Uint32 // first-touch recovery claim after Open (lazyrec.go); 0 = recovered
+	splitter atomic.Bool   // split ownership (split.go): set from the claim until the publish is written through
 
-	// mir is the segment's filter mirror, never replaced once set — repairs
-	// rewrite the object in place. Invariant: a descriptor an operation has
-	// routed to and gated has a mirror. Create and a split store it before
-	// the descriptor is reachable; after Open it is nil exactly until the
-	// segment's first-touch recovery, which stores it last, so operations
-	// fetch it through Table.mirror, which runs that recovery. There is no
-	// mirror-less read or write path.
+	// mir is the segment's filter mirror, never replaced once set.
+	// Invariant: a descriptor an operation has routed to and gated has a
+	// mirror. Create and a split store it before the descriptor is
+	// reachable; after Open it is nil exactly until the segment's first-touch
+	// recovery, which stores it last, so operations fetch it through
+	// Table.mirror, which runs that recovery. There is no mirror-less read or
+	// write path.
 	mir atomic.Pointer[segMirror]
 }
 
@@ -115,23 +117,20 @@ func (v *dirView) eachSegment(fn func(*segDesc)) {
 }
 
 // descFor returns the descriptor of a segment the PM directory names,
-// creating it (mirror-less, depth from the segment header) the first time
-// the address is seen. Caller holds dirMu or is single-threaded.
+// creating it (mirror-less) the first time the address is seen. Create and
+// Open only: single-threaded.
 func (t *Table) descFor(seg pmem.Addr) *segDesc {
 	d := t.cache.descs[seg]
 	if d == nil {
 		d = &segDesc{seg: seg}
-		d.depth.Store(uint32(segDepth(t.pool, seg)))
 		t.cache.descs[seg] = d
 	}
 	return d
 }
 
 // cacheRebuild reconstructs the whole view from the PM directory in one
-// O(directory) pass — the Open/Create path, and the recovery path for a view
-// that no longer matches the PM directory's shape. Single-threaded callers
-// (Create, recover) call it directly; concurrent callers must hold dirMu
-// so the swap cannot race a doubling.
+// O(directory) pass: Create and Open, single-threaded, are its only callers
+// and the only readers of the PM directory.
 func (t *Table) cacheRebuild() {
 	p := t.pool
 	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
@@ -145,37 +144,25 @@ func (t *Table) cacheRebuild() {
 	t.cache.rebuilds.Inc()
 }
 
-// cacheRepair refreshes the key's route from the PM directory after a failed
-// validation. It serializes on dirMu so it cannot race the write-through
-// of an in-flight split publish or doubling (and taking the mutex also means
-// a repair naturally waits out the directory change that made the route
-// stale). If the view no longer mirrors the current directory block — which
-// write-through should make impossible, but a cache poisoned by a bug or a
-// test must still heal — the whole view is rebuilt.
+// cacheRepair is what an operation does after its route failed a claim
+// check: the route was loaded before some publish or doubling wrote the view
+// through, or while one still is — a publish narrows the old segment's
+// mirrored claim before it writes the view entries, both under dirMu. Taking
+// dirMu waits out the one in flight; the caller then routes again from the
+// current view, which write-through has made right. Pure DRAM: nothing here
+// reads the PM directory, which only a rebuild does.
 func (t *Table) cacheRepair(parts hashfn.Parts) {
-	t.dirMu.Lock()
-	defer t.dirMu.Unlock()
 	t.fr.Record(obs.EvRouteRepair, obs.TagNone, parts.Hash, 0)
-	p := t.pool
-	v := t.cache.view.Load()
-	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
-	if dir != v.dir || dirDepth(p, dir) != v.depth {
-		t.cacheRebuild()
-		return
-	}
-	idx := parts.DirIndex(v.depth)
-	d := t.descFor(dirLoadEntry(p, dir, idx))
-	d.depth.Store(uint32(segDepth(p, d.seg)))
-	v.entries[idx].Store(d)
+	t.dirMu.Lock()
+	t.dirMu.Unlock() // the wait is the whole repair
 }
 
 // cachePublishSplit write-through: mirror a completed split of the entry
 // range [start, start+span) — lower half keeps old, upper half routes to its
-// sibling, from here on a directory-named segment; both are now at newLocal.
-// The caller holds dirMu and every bucket lock of old.seg, so this lands
-// before any operation can observe the post-split segment metadata.
-func (t *Table) cachePublishSplit(old, sib *segDesc, newLocal uint8, start, span uint64) {
-	old.depth.Store(uint32(newLocal))
+// sibling, from here on a directory-named segment. The caller holds dirMu
+// and every bucket lock of old.seg, so this lands before any writer can
+// observe the post-split segment metadata.
+func (t *Table) cachePublishSplit(sib *segDesc, start, span uint64) {
 	t.cache.descs[sib.seg] = sib
 	v := t.cache.view.Load()
 	for i := start + span>>1; i < start+span; i++ {

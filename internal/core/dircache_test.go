@@ -1,74 +1,102 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dash/internal/pmem"
 )
 
 // Directory-cache coherence tests: the DRAM view must mirror the PM
-// directory after organic growth, survive deliberately poisoned (stale)
-// routes on every operation, rebuild correctly after a crash, and stay
-// coherent under concurrent growth (run with -race).
+// directory after organic growth, route every operation that meets a stale
+// route — one loaded before a publish or doubling wrote the view through —
+// to the right segment, rebuild correctly after a crash, stay coherent
+// under concurrent growth (run with -race), and, poisoned, be named by
+// Verify.
 
-// verifyCacheCoherent checks the cached view against the PM directory
-// entry-for-entry: same directory block, same depth, and per entry a
-// descriptor that names the PM directory's segment, carries the local depth
-// of that segment's own header, is the one descriptor of that segment (every
-// entry of a segment shares it, and the table's registry agrees), has no
-// split in flight, and holds the mirror of that segment and no other (header
-// claim and every bucket match PM). Only a descriptor still behind its
-// first-touch gate may lack a mirror: every operation relies on a gated
-// descriptor having one (segDesc.mir).
+// verifyCacheCoherent checks the view the way Verify does — against the PM
+// directory entry for entry, each descriptor's mirrored claim covering its
+// entries, its mirror equal to its segment — and adds what only a test can
+// ask of the descriptors: one per segment, the registered one, with no split
+// in flight (no PM marker, no DRAM claim), and holding a mirror unless it is
+// still behind its first-touch gate (every operation relies on a gated
+// descriptor having one: segDesc.mir).
 func verifyCacheCoherent(t *testing.T, tbl *Table) {
 	t.Helper()
-	p := tbl.pool
+	if err := tbl.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
 	v := tbl.cache.view.Load()
-	dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
-	if v.dir != dir {
-		t.Fatalf("cache mirrors directory %#x, PM root points at %#x", v.dir, dir)
-	}
-	g := dirDepth(p, dir)
-	if v.depth != g {
-		t.Fatalf("cache depth %d, PM directory depth %d", v.depth, g)
-	}
-	n := uint64(1) << g
-	if uint64(len(v.entries)) != n {
-		t.Fatalf("cache has %d entries, want %d", len(v.entries), n)
-	}
 	bySeg := make(map[pmem.Addr]*segDesc)
-	for i := uint64(0); i < n; i++ {
-		want := dirLoadEntry(p, dir, i)
+	for i := range v.entries {
 		d := v.entries[i].Load()
-		if d == nil || d.seg != want {
-			t.Fatalf("entry %d: cache routes to %+v, PM directory to %#x", i, d, want)
-		}
-		if wl := segDepth(p, d.seg); uint8(d.depth.Load()) != wl {
-			t.Fatalf("entry %d: cached local depth %d, segment header says %d", i, d.depth.Load(), wl)
-		}
-		if first, ok := bySeg[d.seg]; ok && first != d {
-			t.Fatalf("entry %d: segment %#x has two descriptors", i, d.seg)
-		}
-		if bySeg[d.seg] != nil {
+		if first, ok := bySeg[d.seg]; ok {
+			if first != d {
+				t.Fatalf("entry %d: segment %#x has two descriptors", i, d.seg)
+			}
 			continue
 		}
 		bySeg[d.seg] = d
 		if tbl.cache.descs[d.seg] != d {
 			t.Fatalf("entry %d: descriptor of %#x is not the registered one", i, d.seg)
 		}
-		if st := p.QuietLoadU64(d.seg.Add(segOffSplit)); st != 0 {
-			t.Fatalf("entry %d: quiescent segment %#x still carries split marker %#x", i, d.seg, st)
+		if st := tbl.pool.QuietLoadU64(d.seg.Add(segOffSplit)); st != 0 || d.splitter.Load() {
+			t.Fatalf("entry %d: quiescent segment %#x still has a split in flight (marker %#x)", i, d.seg, st)
 		}
-		if d.mir.Load() == nil {
-			if d.rec.Load() == segRecDone {
-				t.Fatalf("entry %d: recovered segment %#x has no mirror", i, d.seg)
-			}
-			continue
+		if d.mir.Load() == nil && d.rec.Load() == segRecDone {
+			t.Fatalf("entry %d: recovered segment %#x has no mirror", i, d.seg)
 		}
-		if bad := tbl.mirrorVerifySeg(d); bad != 0 {
-			t.Fatalf("entry %d: descriptor of %#x holds a mirror with %d buckets unlike it", i, d.seg, bad)
+	}
+}
+
+// behindPublish runs op the way an operation meets a stale route in a
+// running table: it routed before a publish or doubling wrote the view
+// through, and that change may still be in flight, holding dirMu. The test
+// plays the change: it takes dirMu, makes the view stale (stale installs the
+// routes op is to meet and returns what undoes it) and runs op; a second
+// goroutine, once op's claim or route check has failed — its repair now
+// waits on dirMu — or op's own split has reached its publish — which takes
+// dirMu next — or op has returned, writes the view back and releases dirMu,
+// as the publish would. Reports whether op failed a check.
+func behindPublish(tbl *Table, stale func() (restore func()), op func()) bool {
+	tbl.dirMu.Lock()
+	restore := stale()
+	misses := tbl.cache.misses.Total()
+	var done, publishing atomic.Bool
+	prevHook := tbl.hookAfterSegPersist
+	tbl.hookAfterSegPersist = func() {
+		if prevHook != nil {
+			prevHook()
 		}
+		publishing.Store(true)
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for tbl.cache.misses.Total() == misses && !publishing.Load() && !done.Load() {
+			runtime.Gosched()
+		}
+		restore()
+		tbl.dirMu.Unlock()
+	}()
+	op()
+	done.Store(true)
+	<-released
+	tbl.hookAfterSegPersist = prevHook
+	return tbl.cache.misses.Total() != misses
+}
+
+// staleView returns a stale function for behindPublish that installs view v
+// wholesale.
+func staleView(tbl *Table, v *dirView) func() func() {
+	return func() func() {
+		cur := tbl.cache.view.Load()
+		tbl.cache.view.Store(v)
+		return func() { tbl.cache.view.Store(cur) }
 	}
 }
 
@@ -89,10 +117,7 @@ func growTo(t *testing.T, tbl *Table, depth uint8, next *uint64, acked map[uint6
 // TestDirCacheCoherentAfterGrowth: organic splits and doublings must keep
 // the write-through cache exactly in sync with the PM directory.
 func TestDirCacheCoherentAfterGrowth(t *testing.T) {
-	tbl, err := newTable(64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTestTable(t, 64<<20, Options{})
 	defer tbl.Close()
 	acked := make(map[uint64]uint64)
 	next := uint64(0)
@@ -108,80 +133,111 @@ func TestDirCacheCoherentAfterGrowth(t *testing.T) {
 	}
 }
 
-// TestDirCacheStaleViewAllOps: restore a view snapshotted two doublings ago
-// — every route in it is allowed to be arbitrarily stale — and check that
-// reads, inserts, updates and deletes all still behave correctly, that the
-// staleness is detected (misses counted), and that the cache heals back to
-// coherence. Correctness must not depend on cache freshness.
+// TestDirCacheStaleViewAllOps: every operation meets the view as it was two
+// doublings ago — every route in it may name a segment that has split,
+// twice — while the change that makes it current is in flight
+// (behindPublish). Reads, inserts, updates and deletes must all behave
+// correctly, the staleness must be detected (misses counted), and nothing of
+// it may be left behind. Correctness must not depend on cache freshness.
 func TestDirCacheStaleViewAllOps(t *testing.T) {
-	tbl, err := newTable(64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTestTable(t, 64<<20, Options{})
 	defer tbl.Close()
 	acked := make(map[uint64]uint64)
 	next := uint64(0)
 	growTo(t, tbl, 3, &next, acked)
-	stale := tbl.cache.view.Load()
+	stale := staleView(tbl, tbl.cache.view.Load())
 	growTo(t, tbl, 5, &next, acked) // ≥ 2 doublings past the snapshot
 
-	tbl.cache.view.Store(stale)
-	for k, v := range acked {
-		if got, ok := tbl.Get(k); !ok || got != v {
-			t.Fatalf("stale-view Get(%d) = %d,%v want %d,true", k, got, ok, v)
+	met := 0
+	count := func(stalled bool) {
+		if stalled {
+			met++
 		}
 	}
-	if tbl.cache.misses.Total() == 0 {
-		t.Error("reads over a two-doublings-stale view produced no cache miss")
+	for k, v := range acked {
+		count(behindPublish(tbl, stale, func() {
+			if got, ok := tbl.Get(k); !ok || got != v {
+				t.Fatalf("stale-view Get(%d) = %d,%v want %d,true", k, got, ok, v)
+			}
+		}))
+		count(behindPublish(tbl, stale, func() {
+			if _, ok := tbl.Get(k + 1<<40); ok {
+				t.Fatalf("stale-view Get(%d) found a key never inserted", k+1<<40)
+			}
+		}))
 	}
-	verifyCacheCoherent(t, tbl) // the first miss must have rebuilt it
+	if met == 0 {
+		t.Error("reads over a two-doublings-stale view met no stale route")
+	}
+	verifyCacheCoherent(t, tbl)
 
 	// Writers against the stale view: update/delete of moved keys, plus
 	// fresh inserts, must all detect the stale route after locking.
-	tbl.cache.view.Store(stale)
+	met = 0
 	for k := range acked {
-		if ok, err := tbl.Update(k, k+100); !ok || err != nil {
-			t.Fatalf("stale-view Update(%d) reported missing", k)
-		}
+		count(behindPublish(tbl, stale, func() {
+			if ok, err := tbl.Update(k, k+100); !ok || err != nil {
+				t.Fatalf("stale-view Update(%d) = %v, %v", k, ok, err)
+			}
+		}))
 		acked[k] = k + 100
 	}
-	tbl.cache.view.Store(stale)
 	for k := uint64(1 << 20); k < 1<<20+64; k++ {
-		if err := tbl.Insert(k, k); err != nil {
-			t.Fatalf("stale-view Insert(%d): %v", k, err)
-		}
+		count(behindPublish(tbl, stale, func() {
+			if err := tbl.Insert(k, k); err != nil {
+				t.Fatalf("stale-view Insert(%d): %v", k, err)
+			}
+		}))
 		acked[k] = k
 	}
-	tbl.cache.view.Store(stale)
 	for k := uint64(1 << 20); k < 1<<20+64; k++ {
-		if !tbl.Delete(k) {
-			t.Fatalf("stale-view Delete(%d) reported missing", k)
-		}
+		count(behindPublish(tbl, stale, func() {
+			if !tbl.Delete(k) {
+				t.Fatalf("stale-view Delete(%d) reported missing", k)
+			}
+		}))
 		delete(acked, k)
+	}
+	if met == 0 {
+		t.Error("writes over a two-doublings-stale view met no stale route")
 	}
 	verifyCacheCoherent(t, tbl)
 	for k, v := range acked {
 		if got, ok := tbl.Get(k); !ok || got != v {
-			t.Fatalf("post-heal Get(%d) = %d,%v want %d,true", k, got, ok, v)
+			t.Fatalf("afterwards Get(%d) = %d,%v want %d,true", k, got, ok, v)
 		}
 	}
 }
 
-// TestDirCachePoisonedEntry: corrupt a single route (right depth, wrong
-// segment) — the shape a half-missed split publish would leave — and check
-// the targeted repair path: the op succeeds and only that entry is fixed up.
-func TestDirCachePoisonedEntry(t *testing.T) {
-	tbl, err := newTable(64<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
+// poisonEntry points view entry idx at another segment's descriptor, which,
+// owning a different pattern, cannot claim it, and returns what it displaced.
+func poisonEntry(t *testing.T, v *dirView, idx uint64) (right *segDesc) {
+	t.Helper()
+	right = v.entries[idx].Load()
+	for i := range v.entries {
+		if d := v.entries[i].Load(); d != right {
+			v.entries[idx].Store(d)
+			return right
+		}
 	}
+	t.Fatal("table has only one segment; cannot poison a route")
+	return nil
+}
+
+// TestDirCachePoisonedEntry: corrupt a single route (right depth, wrong
+// segment) — the shape a half-missed split publish would leave. The view is
+// the runtime truth of routing, so nothing at run time repairs it from PM:
+// Verify must name the entry, and only it — both that it differs from the
+// PM directory and that its segment's claim does not cover it. An operation
+// meeting the same route while a publish is still writing it through must
+// wait for that write, then succeed.
+func TestDirCachePoisonedEntry(t *testing.T) {
+	tbl := newTestTable(t, 64<<20, Options{})
 	defer tbl.Close()
 	acked := make(map[uint64]uint64)
 	next := uint64(0)
 	growTo(t, tbl, 4, &next, acked)
 
-	// Pick a preloaded key and point its directory slot at some other
-	// segment (which, owning a different pattern, cannot hold the key).
 	var key, val uint64
 	for k, v := range acked {
 		key, val = k, v
@@ -189,38 +245,46 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	}
 	v := tbl.cache.view.Load()
 	idx := tbl.parts(key).DirIndex(v.depth)
-	right := v.entries[idx].Load()
-	var wrong *segDesc
-	for i := range v.entries {
-		if d := v.entries[i].Load(); d != right {
-			v.entries[idx].Store(d)
-			wrong = d
-			break
+	right := poisonEntry(t, v, idx)
+	wrong := v.entries[idx].Load()
+	err := tbl.Verify()
+	if err == nil {
+		t.Fatal("Verify passed a poisoned view entry")
+	}
+	want := []string{
+		fmt.Sprintf("view entry %d names segment %#x, PM directory %#x", idx, wrong.seg, right.seg),
+		fmt.Sprintf("view entry %d: segment %#x claims", idx, wrong.seg),
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("Verify = %v, want the poisoned entry named twice and nothing else", err)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Fatalf("Verify line %d = %q, want %q…", i, lines[i], w)
 		}
 	}
-	if wrong == nil {
-		t.Fatal("table has only one segment; cannot poison a route")
-	}
+	v.entries[idx].Store(right)
 
-	missesBefore := tbl.cache.misses.Total()
-	if got, ok := tbl.Get(key); !ok || got != val {
-		t.Fatalf("poisoned-route Get(%d) = %d,%v want %d,true", key, got, ok, val)
-	}
-	if tbl.cache.misses.Total() == missesBefore {
-		t.Error("poisoned route produced no cache miss")
-	}
-	if d := v.entries[idx].Load(); d != right {
-		t.Errorf("repair left entry %d at %#x, want %#x", idx, d.seg, right.seg)
+	if !behindPublish(tbl, func() func() {
+		poisonEntry(t, v, idx)
+		return func() { v.entries[idx].Store(right) }
+	}, func() {
+		if got, ok := tbl.Get(key); !ok || got != val {
+			t.Fatalf("poisoned-route Get(%d) = %d,%v want %d,true", key, got, ok, val)
+		}
+	}) {
+		t.Error("a read over a poisoned route met no stale route")
 	}
 	verifyCacheCoherent(t, tbl)
 }
 
 // TestDescriptorCoherence walks one table through everything that writes a
-// descriptor — splits, two doublings, a poisoned entry and its repair, a
-// crash that leaks a split's sibling, a crash with Open and first touch — and
-// after each requires the whole view to be coherent (verifyCacheCoherent:
-// segment, depth, one descriptor per segment, its own mirror) with no mirror
-// diverged from PM and the mirrors' DRAM accounted exactly.
+// descriptor — splits, two doublings, a read behind a publish that moves its
+// route, a crash that leaks a split's sibling, a crash with Open and first
+// touch — and after each requires the whole view to be coherent
+// (verifyCacheCoherent: Verify, one descriptor per segment, its own mirror)
+// and the mirrors' DRAM accounted exactly.
 func TestDescriptorCoherence(t *testing.T) {
 	disableBackgroundRecovery.Store(true)
 	t.Cleanup(func() { disableBackgroundRecovery.Store(false) })
@@ -236,9 +300,6 @@ func TestDescriptorCoherence(t *testing.T) {
 		t.Helper()
 		t.Log(stage)
 		verifyCacheCoherent(t, tb)
-		if bad := tb.mirrorVerifyAll(); bad != 0 {
-			t.Fatalf("%s: %d mirror buckets diverge from PM", stage, bad)
-		}
 		if st := tb.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
 			t.Fatalf("%s: %d mirror bytes for %d segments of %d", stage, st.SegFilterBytes, st.Segments, segMirrorBytes)
 		}
@@ -250,22 +311,24 @@ func TestDescriptorCoherence(t *testing.T) {
 	growTo(t, tbl, 5, &next, acked)
 	check("after two doublings", tbl)
 
-	// Poison one entry with another segment's descriptor; the repair must put
-	// back the very object it displaced, mirror and all.
+	// A read that routed to another segment's descriptor while the publish
+	// writing the right one is in flight: it waits the publish out and reads
+	// through the very object the entry held, mirror and all.
 	v := tbl.cache.view.Load()
 	idx := tbl.parts(0).DirIndex(v.depth)
-	right := v.entries[idx].Load()
-	v.entries[idx].Store(v.entries[(idx+uint64(len(v.entries))/2)%uint64(len(v.entries))].Load())
-	if v.entries[idx].Load() == right {
-		t.Fatal("poison picked the entry's own segment")
-	}
-	if got, ok := tbl.Get(0); !ok || got != acked[0] {
-		t.Fatalf("poisoned-route Get(0) = %d,%v", got, ok)
-	}
+	var right *segDesc
+	behindPublish(tbl, func() func() {
+		right = poisonEntry(t, v, idx)
+		return func() { v.entries[idx].Store(right) }
+	}, func() {
+		if got, ok := tbl.Get(0); !ok || got != acked[0] {
+			t.Fatalf("poisoned-route Get(0) = %d,%v", got, ok)
+		}
+	})
 	if v.entries[idx].Load() != right {
-		t.Fatal("repair installed a different descriptor than the one the segment had")
+		t.Fatal("the entry holds a different descriptor than the one the segment had")
 	}
-	check("after poison + repair", tbl)
+	check("after a read behind a publish", tbl)
 
 	// Crash a split before its first entry flip. The sibling is leaked and
 	// must be named by nothing.
@@ -295,10 +358,7 @@ func TestDescriptorCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(reopened)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl2 := openTestTable(t, reopened)
 	defer tbl2.Close()
 	if b := tbl2.Stats().SegFilterBytes; b != 0 {
 		t.Fatalf("Open allocated %d bytes of mirrors", b)
@@ -345,10 +405,7 @@ func TestDirCacheRebuildAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(reopened)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl2 := openTestTable(t, reopened)
 	defer tbl2.Close()
 	if r := tbl2.cache.rebuilds.Total(); r != 1 {
 		t.Errorf("open performed %d cache rebuilds, want 1", r)
@@ -370,10 +427,7 @@ func TestDirCacheRebuildAfterCrash(t *testing.T) {
 // the already-acknowledged prefix, then checks cache coherence and that no
 // operation was misrouted. Meant for -race.
 func TestDirCacheConcurrentGrowth(t *testing.T) {
-	tbl, err := newTable(256<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTestTable(t, 256<<20, Options{})
 	defer tbl.Close()
 
 	const (

@@ -7,11 +7,10 @@ import (
 // Directory layer (§4.3, §4.7). The directory is one PM block: a header
 // cacheline holding the global depth, followed by 2^depth segment pointers.
 // It is the crash-consistent source of truth for routing — written through
-// on every split publish and doubling, read back by recovery — but it is
-// not the hot path: operations route through the DRAM-resident mirror in
-// dircache.go and consult this block only to repair a stale route or, on
-// lock-free paths, to validate one (writers check their locked segment's
-// mirrored claim instead: Table.lockOwner).
+// on every split publish and doubling, read back by Create and recovery —
+// but a running table never reads it: operations route, validate and repair
+// through the DRAM-resident view in dircache.go, and a doubling copies the
+// entries from that view.
 // Indexing uses the hash's most-significant bits, so all entries covering
 // one segment are contiguous — the property that lets a split publish its
 // new segment by flipping the upper half of a contiguous entry range, and
@@ -47,30 +46,17 @@ func dirStoreEntry(p *pmem.Pool, dir pmem.Addr, idx uint64, seg pmem.Addr) {
 	p.StoreU64(dirEntryAddr(dir, idx), uint64(seg))
 }
 
-// dirInitFresh formats a directory block over the given segments and
-// persists it.
-func dirInitFresh(p *pmem.Pool, dir pmem.Addr, depth uint8, segs []pmem.Addr) {
-	p.StoreU64(dir.Add(dirOffDepth), uint64(depth))
-	for i, s := range segs {
-		dirStoreEntry(p, dir, uint64(i), s)
+// dirInit formats a fresh directory block — its depth and, per entry, the
+// segment seg names — and persists it; the caller then flips the root
+// pointer to it. Nothing can reach the block before that flip, so its
+// stores are quiet: the flush that publishes its lines is their charge, the
+// tree's rule for an unpublished block (segInit, a split's sibling).
+func dirInit(p *pmem.Pool, dir pmem.Addr, depth uint8, seg func(i uint64) pmem.Addr) {
+	p.QuietStoreU64(dir.Add(dirOffDepth), uint64(depth))
+	for i := uint64(0); i < 1<<depth; i++ {
+		p.QuietStoreU64(dirEntryAddr(dir, i), uint64(seg(i)))
 	}
 	p.Persist(dir, dirSize(depth))
-}
-
-// dirInitDoubled formats newDir as oldDir with depth+1: every old entry is
-// duplicated so each segment initially covers twice the entries, leaving
-// every segment's local depth unchanged. Persists the whole block; the
-// caller then flips the root pointer.
-func dirInitDoubled(p *pmem.Pool, newDir, oldDir pmem.Addr) {
-	depth := dirDepth(p, oldDir)
-	p.StoreU64(newDir.Add(dirOffDepth), uint64(depth)+1)
-	n := uint64(1) << depth
-	for i := uint64(0); i < n; i++ {
-		seg := dirLoadEntry(p, oldDir, i)
-		dirStoreEntry(p, newDir, 2*i, seg)
-		dirStoreEntry(p, newDir, 2*i+1, seg)
-	}
-	p.Persist(newDir, dirSize(depth+1))
 }
 
 // dirCoverage returns the contiguous entry range [start, start+span) that a

@@ -271,11 +271,13 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 	if err := tbl.verifyLogLive(); err != nil {
 		fail("log live-set invariant: %v", err)
 	}
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		fail("%d mirror buckets diverge from PM after recovery", bad)
+	if err := tbl.Verify(); err != nil {
+		fail("after recovery: %v", err)
 	}
 	mixedWritesAfterReopen(t, tbl)
-	requireMirrorsExact(t, tbl)
+	if err := tbl.Verify(); err != nil {
+		fail("after writes on the recovered table: %v", err)
+	}
 	tbl.Close()
 }
 

@@ -32,11 +32,7 @@ func reopenImage(t *testing.T, img []byte) (*Table, *pmem.Pool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return tbl, pool
+	return openTestTable(t, pool), pool
 }
 
 func lazyVarKey(i int) []byte { return []byte(fmt.Sprintf("lazy-var-key-%04d", i)) }
@@ -55,6 +51,7 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyAtTeardown(t, tbl)
 	const nU, nV = 2000, 300
 	for k := uint64(0); k < nU; k++ {
 		if err := tbl.Insert(k, k*5+1); err != nil {
@@ -116,9 +113,7 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 			t.Fatalf("var key %d = %q,%v", i, v, ok)
 		}
 	}
-	if bad := tbl2.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("mirror diverges in %d buckets after lazy recovery", bad)
-	}
+	requireVerified(t, tbl2)
 	if err := tbl2.verifyLogLive(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +148,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyAtTeardown(t, tbl)
 	const nOld = 2*slotsPerSegment + 300
 	const nVar = 200
 	for k := uint64(0); k < nOld; k++ {
@@ -302,9 +298,6 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 		t.Fatalf("Count = %d, want %d (ghost or duplicate slots)", got, wantCount)
 	}
 	verifyCacheCoherent(t, tbl2)
-	if bad := tbl2.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("mirror diverges in %d buckets after gated recovery", bad)
-	}
 	if err := tbl2.verifyLogLive(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +315,7 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyAtTeardown(t, tbl)
 	const n = 800
 	for k := uint64(0); k < n; k++ {
 		if err := tbl.Insert(k, k+1); err != nil {
@@ -363,6 +357,7 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyAtTeardown(t, tbl)
 	var img []byte
 	tbl.hookMidSweep = func() {
 		if img == nil {
@@ -434,7 +429,7 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 			}
 		}
 		re.RecoverAll()
-		requireMirrorsExact(t, re)
+		requireVerified(t, re)
 	}()
 	select {
 	case <-done:

@@ -18,10 +18,10 @@ import (
 // schema read these same counters rather than keeping parallel state.
 
 // opSamplePeriod is the op lane's sampling period. The sample is chosen by
-// key-hash bits 32..37 — disjoint from the fingerprint and bucket bits, from
-// mirrorMaybeCheck's 20..29 and, below global depth 26, from the directory
-// bits — so choosing writes no shared state and the sampled keys span every
-// bucket and segment. A key is thus traced on every operation or on none.
+// key-hash bits 32..37 — disjoint from the fingerprint and bucket bits and,
+// below global depth 26, from the directory bits — so choosing writes no
+// shared state and the sampled keys span every bucket and segment. A key is
+// thus traced on every operation or on none.
 const opSamplePeriod = 64
 
 // opSpan carries an operation's epoch guard and, if sampled, its start time
@@ -111,20 +111,17 @@ func (t *Table) initObs() {
 	// Per-segment filter mirrors.
 	t.filters.hits = reg.Counter("segfilter.hits")
 	t.filters.misses = reg.Counter("segfilter.misses")
-	t.filters.checks = reg.Counter("segfilter.checks")
-	t.filters.heals = reg.Counter("segfilter.heals")
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
 	// The bucket locks live in the mirrors: acquisitions that had to wait.
 	t.filters.lockContended = reg.Counter("bucket.lock_contended")
 
 	// Per-path read outcome, the §5-style breakdown: which tier served a
 	// read. Derived views over the tier counters — the per-op resolution
-	// lives in the flight recorder's EvGet tags. pm_fallback is a probe's
-	// trip to PM to revalidate its route before retrying in the mirror;
-	// there is no PM read path to fall back to.
+	// lives in the flight recorder's EvGet tags. stale_route is a probe
+	// whose claim or route check failed and that retried after waiting out
+	// the publish that moved it; every answer comes from a mirror.
 	reg.Gauge("read.path.mirror_served", func() int64 { return int64(t.filters.hits.Total()) })
-	reg.Gauge("read.path.pm_fallback", func() int64 { return int64(t.filters.misses.Total()) })
-	reg.Gauge("read.path.heal", func() int64 { return int64(t.filters.heals.Total()) })
+	reg.Gauge("read.path.stale_route", func() int64 { return int64(t.filters.misses.Total()) })
 	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
 
 	// Splits: the lifecycle counters Stats reads stay on the Table, exposed
@@ -182,10 +179,10 @@ func (t *Table) initObs() {
 func (t *Table) Metrics() *obs.Registry { return t.reg }
 
 // TraceSnapshot dumps the flight recorder: every retained event (sampled op
-// completions, split lifecycle transitions, heals, epoch advances, recovery
-// phases) merged across goroutine shards into one time-ordered log. Safe to
-// call concurrently with live traffic; events overwritten mid-read are
-// dropped, never torn.
+// completions, split lifecycle transitions, route repairs, epoch advances,
+// recovery phases) merged across goroutine shards into one time-ordered log.
+// Safe to call concurrently with live traffic; events overwritten mid-read
+// are dropped, never torn.
 func (t *Table) TraceSnapshot() []obs.Event { return t.fr.Snapshot() }
 
 // recordRecoveryPhase stores one phase duration and logs it to the control

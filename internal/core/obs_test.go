@@ -171,10 +171,7 @@ func TestRecoveryPhaseTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Open(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := openTestTable(t, pool)
 	defer rt.Close()
 	if rt.Count() != tbl.Count() {
 		t.Fatalf("reopened count %d, want %d", rt.Count(), tbl.Count())

@@ -11,11 +11,12 @@ import (
 	"dash/internal/pmem"
 )
 
-// DRAM-resident per-segment mirror — the dirCache pattern (PR 3) pushed down
-// one layer, and the runtime home of everything an operation *reads*. PM holds what recovery alone can answer — records, bitmaps,
-// fingerprints, the (depth, pattern) claim — and is the only crash truth; but
-// a running table looks none of it up there. Every segment carries a mirror
-// of its buckets in ordinary Go memory:
+// DRAM-resident per-segment mirror — the dirCache pattern pushed down one
+// layer, and the runtime home of everything an operation *reads*. PM holds
+// what recovery alone can answer — records, bitmaps, fingerprints, the
+// (depth, pattern) claim — and is the only crash truth; but a running table
+// looks none of it up there. Every segment carries a mirror of its buckets
+// in ordinary Go memory:
 //
 //   - per bucket: the version lock (a seqlock word, odd while a writer holds
 //     the bucket — it exists only here, bucket.go), the meta word (allocation
@@ -37,9 +38,11 @@ import (
 // each followed at once by the same store to the mirror. DRAM is therefore
 // the runtime truth and write-through exactness a correctness invariant: a
 // mirror word that differs from its PM word is not a slow path but a bug that
-// can misplace a record. It is asserted wherever a test tears a table down
-// (mirrorVerifyAll), and the sampled cross-check below stays as the net
-// under it.
+// can misplace a record, and nothing at run time second-guesses the mirror
+// against PM — a divergent word has misplaced a record before any reader
+// could notice it, and no heal from PM could undo that. The net is a check,
+// not a protocol: Table.Verify (mirrorVerifyAll) at the teardown of every
+// test table and after every crash reopen.
 //
 // Coherence:
 //
@@ -56,23 +59,17 @@ import (
 //   - lock-free readers validate against the seqlock: a scan is trusted only
 //     if the bucket's version was even and unchanged across it;
 //   - negatives additionally check the mirrored (depth, pattern) claim and
-//     re-read the route afterwards — the DRAM equivalent of
-//     validateRoute. If the DRAM state cannot vouch for a miss, the
-//     operation asks PM (validateRoute) and retries; if PM says the route
-//     was fine, the mirror itself must be stale and is repaired in place
-//     first (mirrorRepair, the cacheRepair of this layer);
+//     re-read the route afterwards. A claim that fails, or a route that
+//     moved, means a publish narrowed the claim (and writes the view
+//     through, under dirMu) since the probe routed: the reader waits it out
+//     (cacheRepair) and retries, exactly like a writer whose claim failed;
 //   - Create installs mirrors segment by segment; Open installs none — each
 //     segment's mirror is built at its first-touch recovery (lazyrec.go),
 //     one streaming read per segment off the restart critical path, and
 //     every operation fetches the mirror through Table.mirror, which is
 //     that first touch: no operation ever sees a segment without one. The
 //     rebuild is what makes the locks vanish with the process that held
-//     them: a new mirror's version words are zero;
-//   - a hash-sampled cross-check (mirrorMaybeCheck) compares the home
-//     bucket's mirror against PM on ~1/1024 of mirror-served reads, so
-//     even a divergence with no detectable symptom (a poisoned bitmap
-//     yielding silent false negatives) is found and healed while costing
-//     well under one PM byte per operation.
+//     them: a new mirror's version words are zero.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
 	mirBkMeta    = 1 // mirror of the PM meta word (bitmap + overflow tracking)
@@ -80,18 +77,10 @@ const (
 	mirBkFPHi    = 3 // mirror of fingerprint word 3 (incl. stash indexes)
 	mirBkRecords = 4 // 2 words per slot: the record's word 0 and word 1
 	mirBkWords   = mirBkRecords + 2*slotsPerBucket
-
-	// mirrorSamplePeriod is the default sampling period of the PM
-	// cross-check: one mirror-served read in this many (selected by key
-	// hash, so the check adds no shared counter to the hot path) pays a
-	// few PM lines to compare its home bucket against the mirror.
-	mirrorSamplePeriod = 1024
 )
 
-// segMirror is the DRAM mirror of one segment. The object is permanent for
-// its segment address: repairs rewrite it in place, so a writer that
-// fetched the pointer before a repair keeps writing through to the object
-// being healed — each bucket's lock, which lives in it, serializes the two.
+// segMirror is the DRAM mirror of one segment, permanent for its segment
+// address.
 type segMirror struct {
 	depth   atomic.Uint64 // mirror of the segment header's local depth
 	pattern atomic.Uint64 // mirror of the segment header's pattern
@@ -146,9 +135,7 @@ type segFilters struct {
 	bytes atomic.Uint64 // DRAM held by installed mirrors
 
 	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
-	misses *obs.Counter // mirror probes DRAM could not vouch for: route revalidated against PM, then retried
-	checks *obs.Counter // sampled mirror-vs-PM cross-checks run
-	heals  *obs.Counter // mirrors rebuilt in place after a failed cross-check
+	misses *obs.Counter // reads whose claim or route check failed: repaired, then retried
 
 	lockContended *obs.Counter // bucket-lock acquisitions that found the bucket taken
 }
@@ -165,33 +152,22 @@ func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	return mir
 }
 
-// touchRecordLines accounts one sequential read of the record cachelines a
-// full scan of a PM bucket dereferences, so the per-record loads themselves
-// can be quiet (one-charge-per-line: a scan streams the bucket's lines once;
-// the header line, which also holds records 0 and 1, was paid by the caller's
-// meta load). Slots are allocated lowest-first, so only lines up to the
-// highest used slot are charged. Only the mirror's own upkeep scans PM
-// buckets: the fill below and the sampled cross-check.
-func touchRecordLines(p *pmem.Pool, ba pmem.Addr, m uint64) {
-	last := bits.Len64(m&slotMask) - 1 // highest used slot, -1 when empty
-	if last < 2 {
-		return // records 0 and 1 live in the header's cacheline
-	}
-	end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
-	p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
-}
-
-// mirrorFillBucket copies one bucket's PM words into the mirror. The
-// caller owns the bucket (its lock, or recovery's first-touch gate). The meta
-// load pays for the header line; record lines are charged as one streaming
-// read up to the highest used slot.
+// mirrorFillBucket copies one bucket's PM words into the mirror: recovery's
+// build, under its first-touch gate — the only PM read of a bucket there is.
+// The meta load pays for the header line; the record lines are charged as
+// one sequential read up to the highest used slot (slots are allocated
+// lowest-first; records 0 and 1 share the header's line), so the per-record
+// loads are quiet.
 func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 	ba := segBucket(seg, bi)
 	m := p.LoadU64(ba.Add(bkOffMeta))
 	mir.word(bi, mirBkMeta).Store(m)
 	mir.word(bi, mirBkFPLo).Store(p.QuietLoadU64(ba.Add(bkOffFPLo)))
 	mir.word(bi, mirBkFPHi).Store(p.QuietLoadU64(ba.Add(bkOffFPHi)))
-	touchRecordLines(p, ba, m)
+	if last := bits.Len64(m&slotMask) - 1; last >= 2 {
+		end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
+		p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
+	}
 	for slot := 0; slot < slotsPerBucket; slot++ {
 		if !metaSlotUsed(m, slot) {
 			mir.recWord(bi, slot, 0).Store(0)
@@ -201,27 +177,6 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 		ra := recordAddr(ba, slot)
 		mir.recWord(bi, slot, 0).Store(p.QuietLoadU64(ra))
 		mir.recWord(bi, slot, 1).Store(p.QuietLoadU64(ra.Add(8)))
-	}
-}
-
-// mirrorRepair reconciles seg's mirror with PM truth in place, bucket by
-// bucket under each bucket's lock — cacheRepair one layer down. The header
-// claim is copied first, under bucket 0's lock: a publish mutates the header
-// only while holding every bucket lock, so holding any one of them excludes
-// it. What a repair cannot undo is a store a writer already placed on the
-// word of a diverged mirror; the net is for DRAM faults and bugs, not a
-// second protocol.
-func (t *Table) mirrorRepair(seg pmem.Addr, mir *segMirror) {
-	p := t.pool
-	t.filters.heals.Inc()
-	t.fr.Record(obs.EvMirrorHeal, obs.TagNone, uint64(seg), 0)
-	for bi := 0; bi < totalBuckets; bi++ {
-		t.lockBucket(mir, bi)
-		if bi == 0 {
-			mir.setClaim(segMeta(p, seg))
-		}
-		mirrorFillBucket(p, mir, seg, bi)
-		unlockBucket(mir, bi)
 	}
 }
 
@@ -305,97 +260,4 @@ func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey, locked bool) (p
 		}
 	}
 	return pmem.KV{}, recLoc{}, false
-}
-
-// --- sampled self-check ---
-
-// mirrorMaybeCheck cross-checks the probe's home bucket against PM on a
-// hash-selected sample of mirror-served reads (~1/mirrorSamplePeriod; the
-// selection uses hash bits disjoint from the routing bits so the sampled
-// set spans buckets). This is the safety net for divergence with no
-// hot-path symptom: a mirror that silently lost a slot answers misses that
-// nothing else would ever question. A detected mismatch heals the whole
-// segment's mirror.
-func (t *Table) mirrorMaybeCheck(seg pmem.Addr, mir *segMirror, pk *probeKey) {
-	if (pk.parts.Hash>>20)&t.mirrorSampleMask != 0 {
-		return
-	}
-	t.filters.checks.Inc()
-	if !t.mirrorBucketMatchesPM(seg, mir, int(pk.parts.BucketIndex(bucketBits))) {
-		t.mirrorRepair(seg, mir)
-	}
-}
-
-// mirrorBucketMatchesPM optimistically compares one bucket's mirror with
-// PM under the bucket's seqlock: every store to either side happens with the
-// version odd, so an even version unchanged across the comparison proves both
-// sides were quiescent and directly comparable. Any racing writer voids the
-// comparison and reports a (possibly spurious) match; only a stable mismatch
-// is real. PM reads are charged like any scan of a PM bucket: the meta load
-// pays for the header line, record lines are one streaming touch.
-func (t *Table) mirrorBucketMatchesPM(seg pmem.Addr, mir *segMirror, bi int) bool {
-	p := t.pool
-	ba := segBucket(seg, bi)
-	ver := mir.word(bi, mirBkVersion)
-	v := ver.Load()
-	if v&1 != 0 {
-		return true
-	}
-	m := p.LoadU64(ba.Add(bkOffMeta))
-	ok := m == mir.word(bi, mirBkMeta).Load() &&
-		p.QuietLoadU64(ba.Add(bkOffFPLo)) == mir.word(bi, mirBkFPLo).Load() &&
-		p.QuietLoadU64(ba.Add(bkOffFPHi)) == mir.word(bi, mirBkFPHi).Load()
-	if ok {
-		touchRecordLines(p, ba, m)
-		for slot := 0; slot < slotsPerBucket && ok; slot++ {
-			if metaSlotUsed(m, slot) {
-				ok = p.QuietReadKV(recordAddr(ba, slot)) == mir.rec(bi, slot)
-			}
-		}
-	}
-	if ver.Load() != v {
-		return true // racing writer: nothing provable either way
-	}
-	return ok
-}
-
-// mirrorVerifySeg compares one segment's whole mirror against PM with
-// quiet loads — the quiescent-state debugging/test oracle behind the
-// coherence tests. Returns the number of mismatching buckets (header
-// claims count as bucket 0). Only meaningful while no writer runs.
-func (t *Table) mirrorVerifySeg(d *segDesc) int {
-	p := t.pool
-	seg, mir := d.seg, d.mir.Load()
-	if mir == nil {
-		return totalBuckets
-	}
-	bad := 0
-	if mir.depth.Load() != p.QuietLoadU64(seg.Add(segOffDepth)) ||
-		mir.pattern.Load() != p.QuietLoadU64(seg.Add(segOffPattern)) {
-		bad++
-	}
-	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
-		m := p.QuietLoadU64(ba.Add(bkOffMeta))
-		ok := m == mir.word(bi, mirBkMeta).Load() &&
-			p.QuietLoadU64(ba.Add(bkOffFPLo)) == mir.word(bi, mirBkFPLo).Load() &&
-			p.QuietLoadU64(ba.Add(bkOffFPHi)) == mir.word(bi, mirBkFPHi).Load()
-		for slot := 0; slot < slotsPerBucket && ok; slot++ {
-			if metaSlotUsed(m, slot) {
-				ok = p.QuietReadKV(recordAddr(ba, slot)) == mir.rec(bi, slot)
-			}
-		}
-		if !ok {
-			bad++
-		}
-	}
-	return bad
-}
-
-// mirrorVerifyAll is mirrorVerifySeg over every directory-reachable
-// segment; the quiescent coherence oracle for tests.
-func (t *Table) mirrorVerifyAll() int {
-	bad := 0
-	t.cache.view.Load().eachSegment(func(d *segDesc) { bad += t.mirrorVerifySeg(d) })
-	return bad
 }

@@ -14,9 +14,9 @@ import (
 
 // The segment mirror (segfilter.go) is what a running table reads, PM what a
 // crash leaves: the two must agree word for word at every quiescent point —
-// across splits, directory doublings, crash-recovery rebuilds, and after
-// deliberate corruption. mirrorVerifyAll is the oracle: zero mismatching
-// buckets table-wide.
+// across splits, directory doublings and crash-recovery rebuilds, and a
+// deliberate corruption must be named. Table.Verify is the oracle: its
+// mirror half (mirrorVerifyAll) compares every bucket table-wide.
 
 // TestMirrorCoherenceAfterSplits grows a table through many splits and at
 // least one directory doubling single-threaded, interleaving deletes and
@@ -55,9 +55,7 @@ func TestMirrorCoherenceAfterSplits(t *testing.T) {
 	if st.GlobalDepth <= 1 {
 		t.Fatalf("expected the fill to deepen the directory, depth still %d", st.GlobalDepth)
 	}
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("mirror diverged from PM in %d buckets after splits", bad)
-	}
+	requireVerified(t, tbl)
 	for k, want := range live {
 		if v, ok := tbl.Get(k); !ok || v != want {
 			t.Fatalf("key %d = %d,%v want %d", k, v, ok, want)
@@ -103,59 +101,56 @@ func TestMirrorCoherenceConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("mirror diverged from PM in %d buckets after concurrent load", bad)
-	}
+	requireVerified(t, tbl)
 	if s := tbl.Stats(); s.Splits == 0 {
 		t.Fatal("fill completed without any split; the test exercised nothing")
 	}
 }
 
 // TestMirrorPoisonSelfHeal corrupts a key's home bucket in the mirror —
-// the silent-false-negative failure mode, invisible to every validation the
-// hot path runs — and proves the sampled cross-check finds and heals it.
-// Sampling is forced to 100% (mirrorSampleMask = 0) so one read suffices.
-// Only reads run while the mirror is poisoned: writers decide from the mirror
-// too, so a writer that met this bucket before the heal would have taken a
-// used slot for a free one. Exactness is the contract (every test table is
-// checked for it at teardown); the cross-check is the net under it, for
-// faults no protocol can prevent.
+// the silent-false-negative failure mode — and requires Verify to name the
+// poisoned bucket, and only it. Nothing at run time second-guesses the mirror
+// against PM: a read is served the poisoned miss without a PM line, and a
+// writer meeting the bucket would take a used slot for a free one, so the
+// mirror's exactness is a contract, checked by Verify at every test table's
+// teardown, not a state the table heals itself out of. Putting the words
+// back is what makes the table whole again.
 func TestMirrorPoisonSelfHeal(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
-	tbl.mirrorSampleMask = 0
 
 	const key, val = 12345, 999
 	if err := tbl.Insert(key, val); err != nil {
 		t.Fatal(err)
 	}
-
 	pk := tbl.probeU64(key)
 	d := tbl.cache.route(pk.parts)
 	mir := d.mir.Load()
-	if mir == nil {
-		t.Fatal("no mirror installed for the key's segment")
-	}
 	b := int(pk.parts.BucketIndex(bucketBits))
 	// Zero the home bucket's mirrored bitmap and fingerprints: the mirror
 	// now swears the key does not exist, and the negative still validates
 	// (depth/pattern claim and route are intact).
-	mir.word(b, mirBkMeta).Store(0)
-	mir.word(b, mirBkFPLo).Store(0)
-	mir.word(b, mirBkFPHi).Store(0)
+	var saved [3]uint64
+	for i, w := range []int{mirBkMeta, mirBkFPLo, mirBkFPHi} {
+		saved[i] = mir.word(b, w).Swap(0)
+	}
+	if n := readLines(tbl.pool, func() {
+		if _, ok := tbl.Get(key); ok {
+			t.Fatal("a poisoned mirror served the key: the test poisoned nothing")
+		}
+	}); n != 0 {
+		t.Fatalf("the poisoned read went to PM for %d lines", n)
+	}
+	err := tbl.Verify()
+	want := fmt.Sprintf("segment %#x bucket %d: mirror diverges from PM", d.seg, b)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Verify = %v, want exactly %q", err, want)
+	}
 
-	healsBefore := tbl.filters.heals.Total()
-	// First read may be served the poisoned miss, but its sampled check
-	// compares the home bucket against PM, sees the divergence and repairs
-	// the whole segment's mirror in place.
-	tbl.Get(key)
-	if tbl.filters.heals.Total() == healsBefore {
-		t.Fatal("sampled cross-check did not trigger a heal")
+	for i, w := range []int{mirBkMeta, mirBkFPLo, mirBkFPHi} {
+		mir.word(b, w).Store(saved[i])
 	}
 	if v, ok := tbl.Get(key); !ok || v != val {
-		t.Fatalf("post-heal Get = %d,%v want %d", v, ok, val)
-	}
-	if bad := tbl.mirrorVerifySeg(d); bad != 0 {
-		t.Fatalf("segment mirror still has %d bad buckets after heal", bad)
+		t.Fatalf("Get after the words are back = %d,%v want %d", v, ok, val)
 	}
 }
 
@@ -220,18 +215,13 @@ func TestMirrorRebuildAfterCrash(t *testing.T) {
 	}
 
 	pool.Crash()
-	tbl2, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl2 := openTestTable(t, pool)
 	defer tbl2.Close()
 
 	// Mirrors install lazily at first touch; force every segment's
 	// recovery before running the quiescent coherence oracle.
 	tbl2.RecoverAll()
-	if bad := tbl2.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("rebuilt mirror diverges from PM in %d buckets", bad)
-	}
+	requireVerified(t, tbl2)
 	before := tbl2.Stats()
 	for k, want := range live {
 		if v, ok := tbl2.Get(k); !ok || v != want {
@@ -264,7 +254,6 @@ func TestMirrorRebuildAfterCrash(t *testing.T) {
 func TestReaderReadCharges(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
 	defer tbl.Close()
-	tbl.mirrorSampleMask = ^uint64(0) // no sampled cross-check: it reads PM
 	p := tbl.pool
 	// blobLines is the number of cachelines pk's record's blob spans.
 	blobLines := func(pk probeKey, vlen int) uint64 {
@@ -385,9 +374,7 @@ func TestMirrorDuringSplitMigration(t *testing.T) {
 		t.Fatal("prober did not finish")
 	}
 
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("mirror diverged from PM in %d buckets after the split published", bad)
-	}
+	requireVerified(t, tbl)
 }
 
 // TestMirrorRecordsNeverStraddleALine pins the layout every probe's cache

@@ -31,28 +31,24 @@ const (
 	slotsPerSegment = totalBuckets * slotsPerBucket
 )
 
-// The split-state word at segOffSplit is both the runtime split-ownership
-// claim and the persistent split-progress marker. Zero means no split is in
-// flight. The low bit set means a split owns this segment; the remaining
-// bits hold the sibling segment's (256-aligned) address once it has been
-// allocated, or zero while the claim is still being set up. Recovery reads
-// the marker to finish or roll back a half-migrated split (see
-// Table.recoverLazy) and clears it, so — like the bucket version locks — the
-// word never survives a restart.
+// The split-state word at segOffSplit is the persistent split-progress
+// marker — nothing else: who owns a running split is DRAM state (segDesc).
+// Zero means no split is in flight; otherwise the low bit is set and the
+// remaining bits hold the sibling segment's (256-aligned) address. A split
+// stores it, persisted, before it copies anything, and clears it in the same
+// header persist that narrows the claim. Recovery reads the marker to finish
+// or roll back a half-migrated split (see Table.recoverLazy) and clears it.
 const splitStateInFlight = 1
 
 func segBucket(seg pmem.Addr, i int) pmem.Addr {
 	return seg.Add(uint64(segHeaderSize + i*bucketSize))
 }
 
-func segDepth(p *pmem.Pool, seg pmem.Addr) uint8 {
-	return uint8(p.LoadU64(seg.Add(segOffDepth)))
-}
-
-// segMeta returns seg's (local depth, pattern) pair. The depth load pays for
-// the header line; the pattern shares it and is read quietly.
+// segMeta returns seg's (local depth, pattern) pair — recovery's read of
+// the header the mirror carries at run time. The depth load pays for the
+// header line; the pattern shares it and is read quietly.
 func segMeta(p *pmem.Pool, seg pmem.Addr) (uint8, uint64) {
-	return segDepth(p, seg), p.QuietLoadU64(seg.Add(segOffPattern))
+	return uint8(p.LoadU64(seg.Add(segOffDepth))), p.QuietLoadU64(seg.Add(segOffPattern))
 }
 
 // segSetMeta updates local depth and pattern and persists the header line.

@@ -11,12 +11,14 @@ import (
 )
 
 // split replaces oldSeg by two segments of local depth+1 with bounded
-// stalls. Ownership is claimed by CAS on the segment's split-state word
+// stalls. Ownership is claimed by CAS on the segment's DRAM descriptor
 // (per-segment: splits of distinct segments run in parallel; a loser waits
-// the winner out and retries its operation). From the claim to the publish
-// the owner is the only goroutine that reads or writes the sibling; writers
-// of oldSeg know nothing of the split and tell it nothing — the bucket
-// versions they bump anyway carry the one bit it needs. The owner:
+// the winner out and retries its operation) and released only once the
+// publish has written the view through, so the next owner reads the claim
+// this split published. From the claim to the publish the owner is the only
+// goroutine that reads or writes the sibling; writers of oldSeg know nothing
+// of the split and tell it nothing — the bucket versions they bump anyway
+// carry the one bit it needs. The owner:
 //
 //  1. allocates and initializes the sibling, and persists the split-progress
 //     marker (sibling address | in-flight bit) into oldSeg's header — the
@@ -39,22 +41,22 @@ import (
 func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	p, oldSeg, oldMir := t.pool, old.seg, t.mirror(old)
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
-	spa := oldSeg.Add(segOffSplit)
-	if !p.CompareAndSwapU64(spa, 0, splitStateInFlight) {
+	if !old.splitter.CompareAndSwap(false, true) {
 		// Another goroutine owns this segment's split. Wait it out (no
 		// locks held here); the caller revalidates its route and retries.
-		for p.QuietLoadU64(spa)&splitStateInFlight != 0 {
+		for old.splitter.Load() {
 			runtime.Gosched()
 		}
 		return nil
 	}
+	defer old.splitter.Store(false)
 	// We own the split. Between the failed insert that brought us here and
 	// the claim, a finished split may have relocated the key range or made
-	// room; re-check cheaply and release the claim if so. The claim value
-	// is transient (never persisted): recovery clears markers wholesale.
+	// room; re-check cheaply, in DRAM, and decline if so: the previous owner
+	// released the claim only after writing its publish through, so the
+	// mirrored claim and bitmaps read here are the published ones.
 	b, b2 := homePair(parts)
-	if t.resolve(parts) != oldSeg || bucketFreeSlots(oldMir, b) > 0 || bucketFreeSlots(oldMir, b2) > 0 {
-		p.StoreU64(spa, 0)
+	if !mirClaims(oldMir, parts) || bucketFreeSlots(oldMir, b) > 0 || bucketFreeSlots(oldMir, b2) > 0 {
 		return nil
 	}
 	t.fr.Record(obs.EvSplitCAS, obs.TagNone, uint64(oldSeg), 0)
@@ -64,7 +66,6 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 
 	newSeg, err := t.alloc(segmentSize)
 	if err != nil {
-		p.StoreU64(spa, 0)
 		t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(oldSeg), 0)
 		return err
 	}
@@ -74,9 +75,9 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	// writes through, so the mirror is complete at publish time with no
 	// rebuild pass.
 	sib := &segDesc{seg: newSeg}
-	sib.depth.Store(uint32(l + 1))
 	sib.mir.Store(t.newMirror(l+1, pat<<1|1))
 
+	spa := oldSeg.Add(segOffSplit)
 	p.StoreU64(spa, uint64(newSeg)|splitStateInFlight)
 	p.Persist(spa, 8)
 	if t.hookAfterMarker != nil {
@@ -295,18 +296,22 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 		t.hookAfterSegPersist()
 	}
 
+	// The view is the directory's runtime copy, exact under dirMu: the
+	// publish reads the block's address and depth there, and a doubling
+	// copies its entries from there into the new block.
 	t.dirMu.Lock()
 	defer t.dirMu.Unlock()
-
-	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
-	g := dirDepth(p, dir)
+	v := t.cache.view.Load()
+	dir, g := v.dir, v.depth
 	if l == g {
 		newDir, err := t.alloc(dirSize(g + 1))
 		if err != nil {
 			t.splitRollback(old, sib) // nothing is published yet
 			return err
 		}
-		dirInitDoubled(p, newDir, dir)
+		// Every entry duplicated: each segment initially covers twice the
+		// entries, and no local depth changes.
+		dirInit(p, newDir, g+1, func(i uint64) pmem.Addr { return v.entries[i>>1].Load().seg })
 		p.StoreU64(rootAddr.Add(rootOffDir), uint64(newDir))
 		p.Persist(rootAddr.Add(rootOffDir), 8)
 		old, oldSize := dir, dirSize(g)
@@ -348,8 +353,8 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to
-	// newSeg.
-	t.cachePublishSplit(old, sib, l+1, estart, span)
+	// newSeg. The split claim (split) is released after both.
+	t.cachePublishSplit(sib, estart, span)
 	t.splits.Add(1)
 	return nil
 }

@@ -47,7 +47,7 @@ type TableStats struct {
 	// (internal/bench) subtract a baseline snapshot.
 	DirCacheHitRate float64 `json:"dir_cache_hit_rate"`
 	// DirCacheRebuilds counts full O(directory) cache reconstructions
-	// (Create/Open plus any recovery rebuild; doublings are not rebuilds).
+	// (Create and Open; doublings are not rebuilds).
 	DirCacheRebuilds uint64 `json:"-"`
 	// DirCacheBytes approximates the cache's DRAM footprint: 8 bytes per
 	// directory entry.
@@ -65,11 +65,9 @@ type TableStats struct {
 	// Segment filter mirror (segfilter.go) accounting. SegFilterBytes is the
 	// DRAM held by installed per-segment mirrors. Hits are reads fully served
 	// by a mirror (positive, or a miss the mirror could vouch for); Misses
-	// are probes DRAM could not vouch for, which revalidated the route
-	// against PM and retried. Checks counts sampled mirror-vs-PM
-	// cross-checks, Heals in-place mirror repairs (sampled check or
-	// validation disagreement). Counters are cumulative since Create/Open;
-	// windowed consumers subtract a baseline.
+	// are probes whose claim or route check failed, which waited out the
+	// publish that moved their route and retried. Counters are cumulative
+	// since Create/Open; windowed consumers subtract a baseline.
 	SegFilterBytes  uint64 `json:"seg_filter_bytes"`
 	SegFilterHits   uint64 `json:"seg_filter_hits"`
 	SegFilterMisses uint64 `json:"seg_filter_misses"`
@@ -79,8 +77,12 @@ type TableStats struct {
 	// SegFilterHitRate is SegFilterHits over all mirror probe outcomes
 	// (1 when idle).
 	SegFilterHitRate float64 `json:"seg_filter_hit_rate"`
-	SegFilterChecks  uint64  `json:"seg_filter_checks"`
-	SegFilterHeals   uint64  `json:"seg_filter_heals"`
+	// SegFilterChecks and SegFilterHeals are always 0: nothing at run time
+	// checks a mirror against PM or heals it from PM (Table.Verify is the
+	// check). Kept for benchmark/engine.go and the BENCH row schema, like
+	// SegFilterBypass.
+	SegFilterChecks uint64 `json:"seg_filter_checks"`
+	SegFilterHeals  uint64 `json:"seg_filter_heals"`
 
 	// Splits counts completed segment splits since Create/Open. Windowed
 	// consumers (internal/bench) subtract a baseline snapshot.
@@ -172,8 +174,6 @@ func (t *Table) Stats() TableStats {
 		SegFilterBytes:   t.filters.bytes.Load(),
 		SegFilterHits:    t.filters.hits.Total(),
 		SegFilterMisses:  t.filters.misses.Total(),
-		SegFilterChecks:  t.filters.checks.Total(),
-		SegFilterHeals:   t.filters.heals.Total(),
 		LogChunkBytes:    lg.ChunkBytes,
 		LogLiveBytes:     lg.LiveBytes,
 		LogLiveBlobs:     lg.LiveBlobs,
@@ -243,8 +243,6 @@ func (s TableStats) Add(o TableStats) TableStats {
 	s.SegFilterBytes += o.SegFilterBytes
 	s.SegFilterHits += o.SegFilterHits
 	s.SegFilterMisses += o.SegFilterMisses
-	s.SegFilterChecks += o.SegFilterChecks
-	s.SegFilterHeals += o.SegFilterHeals
 	s.Splits += o.Splits
 	s.SplitStallNS += o.SplitStallNS
 	s.EpochRetired += o.EpochRetired
@@ -277,8 +275,6 @@ func (s TableStats) Since(earlier TableStats) TableStats {
 	s.DirCacheMisses -= earlier.DirCacheMisses
 	s.SegFilterHits -= earlier.SegFilterHits
 	s.SegFilterMisses -= earlier.SegFilterMisses
-	s.SegFilterChecks -= earlier.SegFilterChecks
-	s.SegFilterHeals -= earlier.SegFilterHeals
 	s.Splits -= earlier.Splits
 	s.SplitStallNS -= earlier.SplitStallNS
 	s.EpochRetired -= earlier.EpochRetired

@@ -7,10 +7,7 @@ import (
 )
 
 func TestTableStats(t *testing.T) {
-	tb, err := newTable(16<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := newTestTable(t, 16<<20, Options{})
 	defer tb.Close()
 
 	const n = 3000 // enough to force several splits from depth 1
@@ -68,10 +65,7 @@ func TestTableStats(t *testing.T) {
 // the snapshot must stay lock-free, race-clean and internally sane while the
 // table is mutating and splitting underneath it.
 func TestTableStatsConcurrent(t *testing.T) {
-	tb, err := newTable(32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := newTestTable(t, 32<<20, Options{})
 	defer tb.Close()
 
 	var wg sync.WaitGroup

@@ -20,20 +20,19 @@ import (
 //
 // Concurrency protocol:
 //   - Every operation routes key → segment through the DRAM directory cache
-//     (dircache.go); the PM directory is consulted only by lock-free
-//     validation or to repair a stale route. Every operation runs inside an
-//     epoch guard so a retired directory block is never recycled under a
-//     reader still traversing it.
+//     (dircache.go), which a stale route repairs from too; the PM directory
+//     is only stored to. Every operation runs inside an epoch guard so a
+//     retired directory block is never recycled under a reader still
+//     traversing it.
 //   - Every probe, a reader's or a writer's, runs in the routed segment's
-//     DRAM mirror (segfilter.go — the only probe there is). The mirror is the
-//     runtime truth — locks, claim, bitmaps, fingerprints, record words — and
-//     PM the crash truth: an operation stores to PM and never looks anything
-//     up there but a blob's bytes.
+//     DRAM mirror (segfilter.go — the only probe there is). DRAM is the
+//     runtime truth — routes, locks, claims, bitmaps, fingerprints, record
+//     words, allocation frontiers — and PM the crash truth: an operation
+//     stores to PM and never looks anything up there but a blob's bytes.
 //   - Readers are optimistic and lock-free: scan the mirror buckets under
-//     seqlock version validation, and revalidate the route, in DRAM when it
-//     can vouch and against the PM directory when not, before concluding "not
-//     found". A seqlock-stable positive hit needs no revalidation (see
-//     dircache.go).
+//     seqlock version validation, and before concluding "not found" check
+//     that the mirrored claim covers the key and the route did not move. A
+//     seqlock-stable positive hit needs no revalidation (see dircache.go).
 //   - Writers lock only the key's two candidate buckets (plus stash /
 //     displacement buckets, in a fixed deadlock-free order) — the lock is the
 //     mirror bucket's version word, the one readers validate against — then
@@ -42,8 +41,8 @@ import (
 //     from the mirror, store to PM, persist, and store the same words to the
 //     mirror before unlocking.
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
-//     CAS on the segment header's split-state word (which doubles as the
-//     persistent split-progress marker), so splits of distinct segments
+//     CAS on the segment's DRAM descriptor (the PM split-state word is only
+//     the persistent split-progress marker), so splits of distinct segments
 //     proceed in parallel. The owner copies the sibling's half into a
 //     sibling nobody else can reach, holding none of the old segment's
 //     locks: readers and writers proceed normally and never look at the
@@ -67,8 +66,8 @@ const (
 	rootOffMagic    = 0
 	rootOffFormat   = 8
 	rootOffSeed     = 16
-	rootOffDir      = 24 // atomic: current directory block
-	rootOffAllocNxt = 32 // atomic: bump-allocator frontier
+	rootOffDir      = 24 // current directory block
+	rootOffAllocNxt = 32 // bump-allocator frontier
 	rootOffVarLog   = 40 // head of the variable-length record log's chunk chain
 	rootOffClean    = 48 // cleanShutdownMagic after Close; 0 while the table is open
 	rootOffCount    = 56 // record count persisted by a clean Close
@@ -130,24 +129,24 @@ type Table struct {
 
 	// filters meters the per-segment DRAM filter mirrors (segfilter.go), the
 	// cache's counterpart one layer down: reads probe buckets in DRAM and
-	// touch PM only for blob payloads. mirrorSampleMask tunes the sampled
-	// mirror-vs-PM cross-check and opSampleMask the flight recorder's op
-	// lane (obs.go); both are period-1, and tests set them to 0 to check,
-	// or record, every operation.
-	filters          segFilters
-	mirrorSampleMask uint64
-	opSampleMask     uint64
+	// touch PM only for blob payloads. opSampleMask tunes the flight
+	// recorder's op lane (obs.go): period-1, and tests set it to 0 to record
+	// every operation.
+	filters      segFilters
+	opSampleMask uint64
 
 	// dirMu serializes directory mutation: doubling, the entry flips of a
-	// split publish, and cache repair/rebuild. Splits themselves are
-	// per-segment (claimed via the segment header's split-state word) and
+	// split publish, and the cache's rebuild; a repair waits on it. Splits
+	// themselves are per-segment (claimed on the segment's descriptor) and
 	// run concurrently; they touch dirMu only for their short publish.
 	dirMu sync.Mutex
 
-	// DRAM free list of retired PM blocks (old directories), refilled via
-	// epoch reclamation and consumed by alloc.
-	freeMu   sync.Mutex
-	freeList []freeSpan
+	// The allocator, under freeMu: allocNext is the bump frontier (its PM
+	// word only takes the stores, alloc), freeList the retired PM blocks
+	// (old directories, rolled-back siblings) alloc reuses first.
+	freeMu    sync.Mutex
+	allocNext uint64
+	freeList  []freeSpan
 
 	count atomic.Int64
 
@@ -196,8 +195,7 @@ type freeSpan struct {
 // newTableState builds the DRAM side of a table over pool: what Create and
 // Open share before either touches the image.
 func newTableState(pool *pmem.Pool, seed uint64) *Table {
-	t := &Table{pool: pool, em: epoch.NewManager(), seed: seed,
-		mirrorSampleMask: mirrorSamplePeriod - 1, opSampleMask: opSamplePeriod - 1}
+	t := &Table{pool: pool, em: epoch.NewManager(), seed: seed, opSampleMask: opSamplePeriod - 1}
 	t.cache.descs = make(map[pmem.Addr]*segDesc)
 	t.vlog = pmem.NewVarLog(pool, rootAddr.Add(rootOffVarLog), 0, t.alloc)
 	t.initObs()
@@ -218,6 +216,7 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 	p.WriteU64(rootAddr.Add(rootOffMagic), 0) // not a table until fully formatted
 	p.WriteU64(rootAddr.Add(rootOffFormat), tableFormat)
 	p.WriteU64(rootAddr.Add(rootOffSeed), opt.Seed)
+	t.allocNext = allocStart
 	p.StoreU64(rootAddr.Add(rootOffAllocNxt), allocStart)
 	p.WriteU64(rootAddr.Add(rootOffVarLog), 0) // record log grows lazily
 	p.WriteU64(rootAddr.Add(rootOffClean), 0)  // open (not cleanly shut down)
@@ -240,7 +239,7 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dirInitFresh(p, dir, opt.InitialDepth, segs)
+	dirInit(p, dir, opt.InitialDepth, func(i uint64) pmem.Addr { return segs[i] })
 	p.StoreU64(rootAddr.Add(rootOffDir), uint64(dir))
 	// Magic last: its persist is the commit point of formatting.
 	p.WriteU64(rootAddr.Add(rootOffMagic), tableMagic)
@@ -267,6 +266,7 @@ func Open(pool *pmem.Pool) (*Table, error) {
 		return nil, fmt.Errorf("core: unsupported table format %d (want %d)", f, tableFormat)
 	}
 	t := newTableState(p, p.ReadU64(rootAddr.Add(rootOffSeed)))
+	t.allocNext = p.ReadU64(rootAddr.Add(rootOffAllocNxt))
 	clean := p.ReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.
@@ -315,9 +315,12 @@ func (t *Table) Close() {
 }
 
 // alloc carves size bytes (256-aligned) out of the pool, reusing retired
-// blocks when one fits. The bump frontier is persisted immediately after the
-// CAS: a crash can at worst leak a block that was never published, never
-// hand out the same published block twice.
+// blocks when one fits. The bump frontier is a DRAM counter; its PM word is
+// stored under freeMu, so the stores land in the order of their values, and
+// persisted after the unlock but before the block is returned: a flush only
+// ever copies the latest (largest) value, so the persisted frontier never
+// goes backwards, and a crash can at worst leak a block that was never
+// published, never hand out the same published block twice.
 func (t *Table) alloc(size uint64) (pmem.Addr, error) {
 	size = allocRound(size)
 	t.freeMu.Lock()
@@ -328,19 +331,17 @@ func (t *Table) alloc(size uint64) (pmem.Addr, error) {
 			return s.addr, nil
 		}
 	}
-	t.freeMu.Unlock()
-	na := rootAddr.Add(rootOffAllocNxt)
-	for {
-		cur := t.pool.LoadU64(na)
-		next := cur + size
-		if next > t.pool.Size() {
-			return 0, ErrPoolFull
-		}
-		if t.pool.CompareAndSwapU64(na, cur, next) {
-			t.pool.Persist(na, 8)
-			return pmem.Addr(cur), nil
-		}
+	a := t.allocNext
+	if a+size > t.pool.Size() {
+		t.freeMu.Unlock()
+		return 0, ErrPoolFull
 	}
+	t.allocNext = a + size
+	na := rootAddr.Add(rootOffAllocNxt)
+	t.pool.StoreU64(na, t.allocNext)
+	t.freeMu.Unlock()
+	t.pool.Persist(na, 8)
+	return pmem.Addr(a), nil
 }
 
 // freePush returns a block alloc handed out for a size-byte request; the
@@ -357,35 +358,11 @@ func (t *Table) parts(key uint64) hashfn.Parts {
 	return hashfn.Split(hashfn.HashU64(key, t.seed))
 }
 
-// resolve walks the PM directory → segment for a key under the current
-// global depth: the authoritative (and charged) route, for the lock-free
-// callers — validateRoute and split's post-claim re-check. Both loads are
-// atomic; a torn view across a concurrent split is caught by the
-// segment-pattern check.
-func (t *Table) resolve(parts hashfn.Parts) pmem.Addr {
-	dir := pmem.Addr(t.pool.LoadU64(rootAddr.Add(rootOffDir)))
-	return dirLoadEntry(t.pool, dir, parts.DirIndex(dirDepth(t.pool, dir)))
-}
-
-// validateRoute asks PM whether a route is right: (a) the PM directory still
-// routes the key to seg and (b) seg's own PM header claims the key. Readers
-// call it when DRAM could not settle a negative search — the one place an
-// operation consults PM metadata, and what tells a stale cache entry from a
-// diverged mirror (searchOpt). Holding no lock they may catch a publish half
-// done, hence both halves.
-func (t *Table) validateRoute(parts hashfn.Parts, seg pmem.Addr) bool {
-	if t.resolve(parts) != seg {
-		return false
-	}
-	l, pat := segMeta(t.pool, seg)
-	return hashfn.SegmentIndex(parts.Hash, l) == pat
-}
-
 // lockOwner is every writer's first step: route the key through the DRAM
 // directory cache, take its pair locks in the routed segment, and check that
 // this segment's mirrored header claims the key — no PM read, and under the
 // locks sufficient (mirClaims has the argument). A failed claim means the
-// route was stale: unlock, repair it from the PM directory, retry. Returns
+// route was stale: unlock, wait out the publish that moved it, retry. Returns
 // with the pair locks held in the key's owning segment, as its descriptor and
 // the mirror that holds the locks, answers the probe and takes the
 // write-through; the cache only proposes candidates.
@@ -514,9 +491,9 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 // cache, the probe runs in the segment's DRAM mirror, and a found record
 // under a stable bucket version is immediately valid (segments are never
 // reclaimed, and a key's record is physically present only in segments that
-// route to it — see dircache.go). A miss is trusted once the route is
-// revalidated, in DRAM when it can be and against the PM directory when not;
-// a stale route repairs the cache and retries (searchOpt). For a record stored
+// route to it — see dircache.go). A miss is trusted once the mirrored claim
+// and the route vouch for it; a stale route waits out the publish that moved
+// it and retries (searchOpt). For a record stored
 // through the log the result is the little-endian uint64 of the value's
 // first 8 bytes (zero-padded when shorter) — the fixed-width view of a
 // variable value.
@@ -560,50 +537,31 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 //     mutation of a bucket, PM and mirror, happens with the bucket's version
 //     odd, so a scan under a stable even version saw a state PM also held.
 //     An indirect hit's blob was charged in full by the probe.
-//   - a mirror miss is trusted entirely in DRAM when (a) the mirrored
-//     segment header still claims the key and (b) the route, re-read after
-//     the scans, still names this segment. That ordering is what makes it
-//     sound: a split publish updates the directory cache and the mirrored
-//     claim while holding every bucket lock, so any record this probe's
-//     stable per-bucket scans could have missed (swept to the sibling)
-//     implies the publish unlocked before some scan — and then the
+//   - a mirror miss is trusted when (a) the mirrored segment header still
+//     claims the key and (b) the route, re-read after the scans, still
+//     names this segment. That ordering is what makes it sound: a split
+//     publish narrows the mirrored claim and then writes the directory
+//     cache through, both while holding every bucket lock, so any record
+//     this probe's stable per-bucket scans could have missed (swept to the
+//     sibling) implies the publish unlocked before some scan — and then the
 //     route recheck, which runs after all scans, sees the new route.
-//   - anything else asks PM whether the route was right (validateRoute)
-//     and retries: a success means DRAM disagreed with PM truth, so the
-//     mirror heals itself first (mirrorRepair); a failure is the ordinary
-//     stale-route path (cacheRepair).
+//   - anything else is a route some publish (or doubling) has moved or is
+//     moving: the reader does what a writer does — waits it out
+//     (cacheRepair) and retries from the current view.
 //
-// A sampled cross-check (mirrorMaybeCheck) guards the trusted outcomes
-// against silent mirror corruption. The returned record words stay
-// interpretable under the caller's epoch guard.
+// The returned record words stay interpretable under the caller's epoch
+// guard.
 func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	for {
 		d := t.cache.route(pk.parts)
-		seg, mir := d.seg, t.mirror(d)
+		mir := t.mirror(d)
 		kv, _, found := mirSegSearch(t.vlog, mir, pk, false)
-		if found {
+		if found || mirClaims(mir, pk.parts) && t.cache.route(pk.parts) == d {
 			t.cache.hits.Inc()
 			t.filters.hits.Inc()
-			t.mirrorMaybeCheck(seg, mir, pk)
-			return kv, true
-		}
-		if mirClaims(mir, pk.parts) {
-			if t.cache.route(pk.parts) == d {
-				t.cache.hits.Inc()
-				t.filters.hits.Inc()
-				t.mirrorMaybeCheck(seg, mir, pk)
-				return pmem.KV{}, false
-			}
+			return kv, found
 		}
 		t.filters.misses.Inc()
-		if t.validateRoute(pk.parts, seg) {
-			// PM vouches for the route the DRAM state would not: the
-			// mirror (claim or directory cache entry) is out of sync with
-			// PM. Heal the mirror and retry; a stale cache entry instead
-			// fails the validation below and repairs there.
-			t.mirrorRepair(seg, mir)
-			continue
-		}
 		t.cache.misses.Inc()
 		t.cacheRepair(pk.parts)
 	}

@@ -7,35 +7,47 @@ import (
 	"dash/internal/pmem"
 )
 
-// newTable builds a private pool of poolSize bytes and formats a table in
-// it (core.New until PR 15: only tests ever called it).
-func newTable(poolSize uint64, opt Options) (*Table, error) {
-	pool, err := pmem.NewPool(pmem.Options{Size: poolSize})
-	if err != nil {
-		return nil, err
-	}
-	return Create(pool, opt)
-}
-
-// newTestTable is newTable for a test, and checks at the test's end what every
-// operation of the table relied on while it ran: each mirror word equals its
-// PM word (write-through exactness — writers decide from the mirror).
-func newTestTable(t *testing.T, poolSize uint64, opt Options) *Table {
+// newTestTable formats a table in a private pool of poolSize bytes and
+// checks at the test's end what every operation of the table relied on while
+// it ran: DRAM — view, claims, mirrors, frontiers — equals PM (Verify).
+func newTestTable(t testing.TB, poolSize uint64, opt Options) *Table {
 	t.Helper()
-	tbl, err := newTable(poolSize, opt)
+	pool, err := pmem.NewPool(pmem.Options{Size: poolSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { requireMirrorsExact(t, tbl) })
+	tbl, err := Create(pool, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAtTeardown(t, tbl)
 	return tbl
 }
 
-// requireMirrorsExact fails the test if any bucket of any segment of the
-// quiescent table differs between its mirror and PM.
-func requireMirrorsExact(t *testing.T, tbl *Table) {
+// openTestTable opens the table in pool and, like newTestTable, verifies it
+// at the test's end.
+func openTestTable(t testing.TB, pool *pmem.Pool) *Table {
 	t.Helper()
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Errorf("%d mirror buckets diverge from PM", bad)
+	tbl, err := Open(pool)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	verifyAtTeardown(t, tbl)
+	return tbl
+}
+
+// verifyAtTeardown runs requireVerified when the test ends: every table a
+// test leaves alive must be one a crash could reopen from what it stored.
+func verifyAtTeardown(t testing.TB, tbl *Table) {
+	t.Cleanup(func() { requireVerified(t, tbl) })
+}
+
+// requireVerified fails the test if the quiescent table's DRAM state differs
+// from its PM image anywhere (Table.Verify).
+func requireVerified(t testing.TB, tbl *Table) {
+	t.Helper()
+	if err := tbl.Verify(); err != nil {
+		t.Errorf("Verify: %v", err)
 	}
 }
 
@@ -157,7 +169,7 @@ func TestStashOverflowPaths(t *testing.T) {
 		}
 	}
 	// At least one record must have landed in a stash bucket.
-	seg := tbl.resolve(first)
+	seg := tbl.cache.route(first).seg
 	stashUsed := 0
 	for j := 0; j < stashBuckets; j++ {
 		stashUsed += slotsPerBucket - bucketFreeSlots(mirrorOf(tbl, seg), normalBuckets+j)
@@ -194,21 +206,18 @@ func TestReopenCleanImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyAtTeardown(t, tbl)
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
 		if err := tbl.Insert(i, i+7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	img := pool.Snapshot()
-	pool2, err := pmem.OpenSnapshot(img, pmem.Options{TrackCrashes: true})
+	pool2, err := pmem.OpenSnapshot(pool.Snapshot(), pmem.Options{TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl2, err := Open(pool2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl2 := openTestTable(t, pool2)
 	if tbl2.Count() != n {
 		t.Fatalf("reopened count = %d, want %d", tbl2.Count(), n)
 	}
@@ -239,10 +248,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 func TestPoolFull(t *testing.T) {
 	// A pool big enough to format but too small to keep growing must
 	// surface ErrPoolFull rather than corrupt anything.
-	tbl, err := newTable(96*1024, Options{InitialDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := newTestTable(t, 96*1024, Options{InitialDepth: 1})
 	var lastErr error
 	for i := uint64(0); i < 1<<20; i++ {
 		if lastErr = tbl.Insert(i, i); lastErr != nil {

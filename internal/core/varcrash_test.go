@@ -54,10 +54,7 @@ func varCrashTable(t *testing.T, n int) (*pmem.Pool, *Table, map[int][]byte) {
 // table fully functional for further variable inserts.
 func verifyVarCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[int][]byte, wantOrphanFree bool) {
 	t.Helper()
-	tbl, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl := openTestTable(t, pool)
 	defer tbl.Close()
 	for i, want := range acked {
 		v, ok := tbl.GetB(varKey(i, 16+i%100))
@@ -71,7 +68,7 @@ func verifyVarCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[int][]byte,
 	if got, want := tbl.Count(), int64(len(acked)); got != want {
 		t.Fatalf("recovered count = %d, want %d", got, want)
 	}
-	requireMirrorsExact(t, tbl) // Count completed recovery
+	requireVerified(t, tbl) // Count completed recovery
 	st := tbl.Stats()
 	if got, want := st.LogLiveBlobs, int64(len(acked)); got != want {
 		t.Fatalf("recovered live blobs = %d, want %d (ghost or lost blob)", got, want)
@@ -90,7 +87,6 @@ func verifyVarCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[int][]byte,
 			t.Fatalf("post-recovery GetB %d = %v", i, ok)
 		}
 	}
-	requireMirrorsExact(t, tbl)
 }
 
 // crashVarHook arms one varlog hook, runs one more InsertB (which must
@@ -219,10 +215,7 @@ func TestCrashMidConvertUpdate(t *testing.T) {
 	if !crashed {
 		t.Fatal("converting UpdateB finished without crashing")
 	}
-	tbl2, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl2 := openTestTable(t, pool)
 	defer tbl2.Close()
 	if got := tbl2.Count(); got != 200 {
 		t.Fatalf("count after conversion crash = %d, want 200 (no ghost duplicate)", got)

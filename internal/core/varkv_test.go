@@ -246,10 +246,7 @@ func TestVarCrashReopen(t *testing.T) {
 		}
 	}
 	pool.Crash()
-	tbl2, err := Open(pool)
-	if err != nil {
-		t.Fatalf("Open after crash: %v", err)
-	}
+	tbl2 := openTestTable(t, pool)
 	defer tbl2.Close()
 	if got := tbl2.Count(); got != n {
 		t.Fatalf("recovered count = %d, want %d", got, n)
@@ -382,10 +379,7 @@ func TestVarSplitMigration(t *testing.T) {
 }
 
 func BenchmarkVarInsertB(b *testing.B) {
-	tbl, err := newTable(1<<30, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tbl := newTestTable(b, 1<<30, Options{})
 	b.ResetTimer()
 	var k, v []byte
 	for i := 0; i < b.N; i++ {

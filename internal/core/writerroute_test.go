@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dash/internal/hashfn"
 	"dash/internal/pmem"
 )
 
@@ -88,22 +89,20 @@ func TestWriterReadCharges(t *testing.T) {
 	}
 
 	// Indirect records: the probe's one PM dereference is the candidate
-	// blob's header + key. A copy-on-write UpdateB also appends a blob, which
-	// reads the log's bump pointer (one line) unless a freed span fits.
+	// blob's header + key. A copy-on-write UpdateB also appends a blob, whose
+	// bump pointer is DRAM: the append reads nothing.
 	for i := uint64(0); i < 200; i++ {
 		key, klen := routeKeyB(i), len(routeKeyB(i))
 		if err := tbl.InsertB(key, routeValB(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 		want := lineSpan(blobOf(t, tbl, tbl.probeBytes(key)), pmem.BlobHeaderSize+klen)
-		bump := tbl.vlog.FreeMisses.Total()
 		if n := readLines(p, func() {
 			if ok, err := tbl.UpdateB(key, routeValB(i, 1)); !ok || err != nil {
 				t.Fatalf("UpdateB(%d) = %v, %v", i, ok, err)
 			}
-		}); n != want+tbl.vlog.FreeMisses.Total()-bump {
-			t.Fatalf("UpdateB(%d) read %d PM lines, want %d key lines + %d for the log's bump pointer",
-				i, n, want, tbl.vlog.FreeMisses.Total()-bump)
+		}); n != want {
+			t.Fatalf("UpdateB(%d) read %d PM lines, want its blob's %d key lines", i, n, want)
 		}
 		want = lineSpan(blobOf(t, tbl, tbl.probeBytes(key)), pmem.BlobHeaderSize+klen)
 		if n := readLines(p, func() {
@@ -116,9 +115,9 @@ func TestWriterReadCharges(t *testing.T) {
 	}
 
 	// Grow past several splits, then make any PM directory read fatal: with
-	// the root's directory pointer nulled, resolve, cacheRepair and a split
-	// publish would all dereference address 0 and panic. Delete-then-reinsert
-	// of one key always finds the slot it just freed, so no split can start.
+	// the root's directory pointer nulled, a walk of the PM directory would
+	// dereference address 0 and panic. Delete-then-reinsert of one key always
+	// finds the slot it just freed, so no split can start.
 	const n = 20000
 	base := uint64(1) << 32
 	for k := base; k < base+n; k++ {
@@ -317,6 +316,137 @@ func TestWriterWriteCharges(t *testing.T) {
 	}
 }
 
+// TestRuntimeReadsNoPM pins what the charge tests above pin per operation
+// for a whole running table: outside recovery, PM is read only for blob
+// payloads. On a model-off table grown from two segments, a 20k-op mixed u64
+// history — inserts, duplicate inserts, updates, deletes, hits and misses —
+// runs through splits and doublings while a second goroutine issues negative
+// Gets the whole time, so readers meet publishes in flight and take the
+// repair path; the pool's ReadLines must not move at all. A variable-length
+// history then reads, per operation, exactly the lines of the one blob its
+// probe dereferences: the whole blob for a hit, the key lines for a writer
+// that found its key, nothing for a miss.
+func TestRuntimeReadsNoPM(t *testing.T) {
+	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	p := tbl.pool
+	before := p.Stats().ReadLines
+
+	var stop atomic.Bool
+	negatives := make(chan uint64)
+	go func() {
+		n := uint64(0)
+		for k := uint64(1) << 62; !stop.Load(); k++ {
+			if _, ok := tbl.Get(k); ok {
+				t.Errorf("negative Get(%#x) found a key never inserted", k)
+				break
+			}
+			n++
+		}
+		negatives <- n
+	}()
+	rng := rand.New(rand.NewSource(26))
+	live := make(map[uint64]uint64)
+	for i := 0; i < 20000; i++ {
+		k := uint64(rng.Intn(16000))
+		v, present := live[k]
+		switch r := rng.Intn(10); {
+		case r < 5:
+			err := tbl.Insert(k, k+uint64(i))
+			if present && !errors.Is(err, ErrKeyExists) || !present && err != nil {
+				t.Fatalf("op %d: Insert(%d) = %v, present %v", i, k, err, present)
+			}
+			if !present {
+				live[k] = k + uint64(i)
+			}
+		case r < 7:
+			if ok, err := tbl.Update(k, uint64(i)); ok != present || err != nil {
+				t.Fatalf("op %d: Update(%d) = %v, %v; present %v", i, k, ok, err, present)
+			}
+			if present {
+				live[k] = uint64(i)
+			}
+		case r < 8:
+			if tbl.Delete(k) != present {
+				t.Fatalf("op %d: Delete(%d) disagrees with presence %v", i, k, present)
+			}
+			delete(live, k)
+		default:
+			if got, ok := tbl.Get(k); ok != present || got != v {
+				t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", i, k, got, ok, v, present)
+			}
+		}
+	}
+	stop.Store(true)
+	negs := <-negatives
+	splits, depth := tbl.splits.Load(), tbl.GlobalDepth()
+	if splits < 4 || depth < 2 {
+		t.Fatalf("history ran %d splits to global depth %d, want >= 4 splits and a doubling", splits, depth)
+	}
+	if n := p.Stats().ReadLines - before; n != 0 {
+		t.Fatalf("a u64 history (%d splits, depth %d, %d concurrent negative Gets, %d read repairs) read %d PM lines, want 0",
+			splits, depth, negs, tbl.filters.misses.Total(), n)
+	}
+	t.Logf("%d splits to depth %d; %d concurrent negative Gets, %d of them repaired", splits, depth, negs, tbl.filters.misses.Total())
+
+	// Variable-length records: each op's expected charge comes from the
+	// blob its key holds on the quiescent table before the op.
+	vals := make(map[uint64][]byte)
+	splits = tbl.splits.Load()
+	for i := 0; i < 6000; i++ {
+		id := uint64(rng.Intn(3000))
+		key := routeKeyB(id)
+		pk := tbl.probeBytes(key)
+		old, present := vals[id]
+		keyLines, blobLines := uint64(0), uint64(0)
+		if present {
+			blob := blobOf(t, tbl, pk)
+			keyLines = lineSpan(blob, pmem.BlobHeaderSize+len(key))
+			blobLines = lineSpan(blob, pmem.BlobHeaderSize+len(key)+len(old))
+		}
+		var want uint64
+		got := readLines(p, func() {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				want = keyLines // a duplicate's compare
+				nv := routeValB(id, uint64(i))
+				if err := tbl.InsertB(key, nv); present != errors.Is(err, ErrKeyExists) || !present && err != nil {
+					t.Fatalf("op %d: InsertB(%q) = %v, present %v", i, key, err, present)
+				}
+				if !present {
+					vals[id] = nv
+				}
+			case r < 6:
+				want = keyLines
+				nv := routeValB(id, uint64(i))
+				if ok, err := tbl.UpdateB(key, nv); ok != present || err != nil {
+					t.Fatalf("op %d: UpdateB(%q) = %v, %v; present %v", i, key, ok, err, present)
+				}
+				if present {
+					vals[id] = nv
+				}
+			case r < 7:
+				want = keyLines
+				if tbl.DeleteB(key) != present {
+					t.Fatalf("op %d: DeleteB(%q) disagrees with presence %v", i, key, present)
+				}
+				delete(vals, id)
+			default:
+				want = blobLines
+				if v, ok := tbl.GetB(key); ok != present || !bytes.Equal(v, old) {
+					t.Fatalf("op %d: GetB(%q) = %x,%v want %x,%v", i, key, v, ok, old, present)
+				}
+			}
+		})
+		if got != want {
+			t.Fatalf("op %d on %q (present %v) read %d PM lines, want %d: only its blob's", i, key, present, got, want)
+		}
+	}
+	if tbl.splits.Load() == splits {
+		t.Fatal("the variable-length history ran no split")
+	}
+}
+
 // routeFixture is a table grown through splits and doublings holding both
 // inline u64 records and indirect []byte records, with their oracle.
 type routeFixture struct {
@@ -349,6 +479,15 @@ func (f *routeFixture) grow(t *testing.T, done func() bool) {
 	}
 }
 
+// pmRoute walks the PM directory for a key, quietly: the segment a crash
+// would route it to.
+func pmRoute(tbl *Table, parts hashfn.Parts) pmem.Addr {
+	p := tbl.pool
+	dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
+	idx := parts.DirIndex(uint8(p.QuietLoadU64(dir.Add(dirOffDepth))))
+	return pmem.Addr(p.QuietLoadU64(dirEntryAddr(dir, idx)))
+}
+
 // verify checks the oracle through the read path, the exact Count, cache and
 // mirror coherence, and — the point of these tests — that every record
 // physically lives in the segment the PM directory routes its key to.
@@ -360,7 +499,7 @@ func (f *routeFixture) verify(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v want %d,true", k, got, ok, v)
 		}
 		pk := tbl.probeU64(k)
-		seg := tbl.resolve(pk.parts)
+		seg := pmRoute(tbl, pk.parts)
 		if _, _, found := mirSegSearch(tbl.vlog, mirrorOf(tbl, seg), &pk, true); !found { // quiescent: no lock to hold
 			t.Fatalf("key %d is not in the segment %#x the PM directory routes it to", k, seg)
 		}
@@ -370,7 +509,7 @@ func (f *routeFixture) verify(t *testing.T) {
 			t.Fatalf("GetB(%q) = %x,%v want %x,true", k, got, ok, v)
 		}
 		pk := tbl.probeBytes([]byte(k))
-		seg := tbl.resolve(pk.parts)
+		seg := pmRoute(tbl, pk.parts)
 		if _, _, found := mirSegSearch(tbl.vlog, mirrorOf(tbl, seg), &pk, true); !found {
 			t.Fatalf("key %q is not in the segment %#x the PM directory routes it to", k, seg)
 		}
@@ -379,76 +518,85 @@ func (f *routeFixture) verify(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
 	verifyCacheCoherent(t, tbl)
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("%d mirror words diverge from PM", bad)
-	}
 }
 
-// writeAllSix drives every write entry point over routes the caller's poison
-// function has just made stale (it is re-applied before each batch, since
-// the first failed claim starts repairing them): each op must fail the
-// claim check, repair, retry and land in the owning segment.
-func (f *routeFixture) writeAllSix(t *testing.T, fresh int, poison func()) {
+// writeAllSix drives every write entry point, each operation over the
+// routes stale installs while the change that makes them current is in
+// flight (behindPublish): an op whose route is stale must fail the claim
+// check, wait the change out, retry and land in the owning segment, and each
+// entry point must meet at least one such route.
+func (f *routeFixture) writeAllSix(t *testing.T, fresh int, stale func() func()) {
 	t.Helper()
 	tbl := f.tbl
-	batch := func(name string, run func()) {
+	batch := func(name string, each func(op func(func()))) {
 		t.Helper()
-		poison()
-		before := tbl.cache.misses.Total()
-		run()
-		if tbl.cache.misses.Total() == before {
+		met := false
+		each(func(op func()) { met = behindPublish(tbl, stale, op) || met })
+		if !met {
 			t.Errorf("%s over stale routes failed no claim check", name)
 		}
 	}
-	batch("Update", func() {
+	batch("Update", func(run func(func())) {
 		for k := range f.u {
-			if ok, err := tbl.Update(k, k+100); !ok || err != nil {
-				t.Fatalf("stale-route Update(%d) = %v, %v", k, ok, err)
-			}
+			run(func() {
+				if ok, err := tbl.Update(k, k+100); !ok || err != nil {
+					t.Fatalf("stale-route Update(%d) = %v, %v", k, ok, err)
+				}
+			})
 			f.u[k] = k + 100
 		}
 	})
-	batch("UpdateB", func() {
+	batch("UpdateB", func(run func(func())) {
 		for i := uint64(0); i < f.next; i++ {
 			k := routeKeyB(i)
-			if ok, err := tbl.UpdateB(k, routeValB(i, 1)); !ok || err != nil {
-				t.Fatalf("stale-route UpdateB(%q) = %v, %v", k, ok, err)
-			}
+			run(func() {
+				if ok, err := tbl.UpdateB(k, routeValB(i, 1)); !ok || err != nil {
+					t.Fatalf("stale-route UpdateB(%q) = %v, %v", k, ok, err)
+				}
+			})
 			f.b[string(k)] = routeValB(i, 1)
 		}
 	})
 	base := uint64(1) << 40
-	batch("Insert", func() {
+	batch("Insert", func(run func(func())) {
 		for k := base; k < base+uint64(fresh); k++ {
-			if err := tbl.Insert(k, k); err != nil {
-				t.Fatalf("stale-route Insert(%d): %v", k, err)
-			}
+			run(func() {
+				if err := tbl.Insert(k, k); err != nil {
+					t.Fatalf("stale-route Insert(%d): %v", k, err)
+				}
+			})
 			f.u[k] = k
 		}
 	})
-	batch("InsertB", func() {
+	batch("InsertB", func(run func(func())) {
 		for i := base; i < base+uint64(fresh); i++ {
-			if err := tbl.InsertB(routeKeyB(i), routeValB(i, 2)); err != nil {
-				t.Fatalf("stale-route InsertB(%d): %v", i, err)
-			}
+			run(func() {
+				if err := tbl.InsertB(routeKeyB(i), routeValB(i, 2)); err != nil {
+					t.Fatalf("stale-route InsertB(%d): %v", i, err)
+				}
+			})
 			f.b[string(routeKeyB(i))] = routeValB(i, 2)
 		}
 	})
-	batch("Delete", func() {
+	batch("Delete", func(run func(func())) {
 		for k := range f.u {
 			if k%2 == 0 {
-				if !tbl.Delete(k) {
-					t.Fatalf("stale-route Delete(%d) reported missing", k)
-				}
+				run(func() {
+					if !tbl.Delete(k) {
+						t.Fatalf("stale-route Delete(%d) reported missing", k)
+					}
+				})
 				delete(f.u, k)
 			}
 		}
 	})
-	batch("DeleteB", func() {
+	batch("DeleteB", func(run func(func())) {
 		for i := uint64(0); i < f.next; i += 2 {
-			if !tbl.DeleteB(routeKeyB(i)) {
-				t.Fatalf("stale-route DeleteB(%d) reported missing", i)
-			}
+			run(func() {
+				if !tbl.DeleteB(routeKeyB(i)) {
+					t.Fatalf("stale-route DeleteB(%d) reported missing", i)
+				}
+			})
 			delete(f.b, string(routeKeyB(i)))
 		}
 	})
@@ -466,16 +614,16 @@ func TestStaleViewAllWriters(t *testing.T) {
 	f := newRouteFixture(t)
 	defer f.tbl.Close()
 	f.grow(t, func() bool { return f.tbl.GlobalDepth() >= 3 })
-	stale := f.tbl.cache.view.Load()
+	stale := staleView(f.tbl, f.tbl.cache.view.Load())
 	f.grow(t, func() bool { return f.tbl.GlobalDepth() >= 5 })
-	f.writeAllSix(t, 64, func() { f.tbl.cache.view.Store(stale) })
+	f.writeAllSix(t, 64, stale)
 	f.verify(t)
 }
 
-// TestMovedHalfAllWriters: the shape a missed publish write-through would
-// leave — same directory, but the entries of every half moved by the last
-// dozen splits still name the old segment, whose header no longer claims
-// those keys — under all six writers.
+// TestMovedHalfAllWriters: the shape an operation meets between a publish's
+// claim narrowing and its view write-through — same directory, but the
+// entries of every half moved by the last dozen splits still name the old
+// segment, whose header no longer claims those keys — under all six writers.
 func TestMovedHalfAllWriters(t *testing.T) {
 	f := newRouteFixture(t)
 	defer f.tbl.Close()
@@ -489,25 +637,31 @@ func TestMovedHalfAllWriters(t *testing.T) {
 	s0 := tbl.splits.Load()
 	f.grow(t, func() bool { return tbl.splits.Load() >= s0+12 })
 	moved := 0
-	poison := func() {
+	stale := func() func() {
 		if tbl.cache.view.Load() != v {
 			t.Fatal("directory doubled; the entry snapshot no longer fits the view")
 		}
+		cur := make([]*segDesc, len(v.entries))
 		moved = 0
 		for i := range old {
 			// Only entries whose segment changed: the half that stayed put
-			// keeps its (correct) route and its refreshed local depth.
-			if v.entries[i].Load() != old[i] {
+			// keeps its (correct) route.
+			if cur[i] = v.entries[i].Load(); cur[i] != old[i] {
 				v.entries[i].Store(old[i])
 				moved++
 			}
 		}
+		return func() {
+			for i := range cur {
+				v.entries[i].Store(cur[i])
+			}
+		}
 	}
-	poison()
+	stale()()
 	if moved == 0 {
 		t.Fatal("no directory entry moved between the snapshot and the writes")
 	}
-	f.writeAllSix(t, 500, poison)
+	f.writeAllSix(t, 500, stale)
 	f.verify(t)
 }
 
@@ -563,6 +717,7 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	acked := make(map[uint64]uint64)
 	var k uint64
 	tbl, leaked := leakSiblingByCrash(t, pool, tbl, &k, acked)
+	verifyAtTeardown(t, tbl)
 	defer tbl.Close()
 	// A bucket lock is a word of the segment's mirror, and a mirror hangs off
 	// a descriptor: a segment without one cannot be locked. What an operation
@@ -715,7 +870,4 @@ func TestWriterHistoryThroughSplits(t *testing.T) {
 		t.Fatalf("history saw %d splits and global depth %d, want >= 200 and >= 4", s, g)
 	}
 	verifyCacheCoherent(t, tbl)
-	if bad := tbl.mirrorVerifyAll(); bad != 0 {
-		t.Fatalf("%d mirror words diverge from PM", bad)
-	}
 }

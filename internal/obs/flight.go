@@ -29,7 +29,6 @@ const (
 	EvSplitSweep    // moved records swept from old seg; A = old seg, B = stall ns
 	EvSplitRollback // split abandoned before publish; A = segment addr
 	EvDirDouble     // directory doubled; A = new global depth
-	EvMirrorHeal    // filter mirror healed from PM; A = segment addr
 	EvRouteRepair   // stale dirCache route repaired; A = key hash
 	EvEpochAdvance  // epoch advanced; A = new epoch, B = objects reclaimed
 	EvRecovery      // recovery phase finished; Tag = phase, B = duration ns
@@ -48,7 +47,6 @@ var evNames = map[EventType]string{
 	EvSplitSweep:    "split-sweep",
 	EvSplitRollback: "split-rollback",
 	EvDirDouble:     "dir-double",
-	EvMirrorHeal:    "mirror-heal",
 	EvRouteRepair:   "route-repair",
 	EvEpochAdvance:  "epoch-advance",
 	EvRecovery:      "recovery-phase",
@@ -137,8 +135,9 @@ func (e Event) String() string {
 //     per-operation events, so concurrent writers never share a cursor
 //     cacheline;
 //   - the control lane: one ring reserved for the rare structural events
-//     (split lifecycle, heals, epoch advances, recovery), so their history
-//     survives long after millions of op events have wrapped the op lane.
+//     (split lifecycle, route repairs, epoch advances, recovery), so their
+//     history survives long after millions of op events have wrapped the op
+//     lane.
 //
 // A slot is published by a seqlock-style protocol (seq=0 → fields →
 // seq=index+1); TraceSnapshot drops slots it catches mid-overwrite instead

@@ -16,7 +16,7 @@
 //     logic and the live endpoint all read the same Snapshot.
 //   - Flight — a fixed-size flight recorder of typed binary events in two
 //     lanes: a control lane for the rare structural events (split lifecycle
-//     transitions, heals, epoch advances, recovery phases), recorded
+//     transitions, route repairs, epoch advances, recovery phases), recorded
 //     unconditionally, and a goroutine-sharded op lane for per-operation
 //     completions with a path tag. Record and RecordAt never drop, but the
 //     engine feeds the op lane a sample: two clock reads and a ring slot

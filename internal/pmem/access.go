@@ -82,8 +82,10 @@ func (p *Pool) WriteU64(a Addr, v uint64) {
 	p.onWrite(a, 8)
 }
 
-// Atomic operations. These are both synchronization (for the simulated
-// threads) and 8-byte atomic PM stores (for the simulated hardware).
+// Atomic loads and stores: 8-byte PM accesses that never tear, for words
+// another goroutine may load or flush concurrently. There is no
+// read-modify-write: PM holds no runtime state to synchronize on, so every
+// word is written by a plain store whose value the writer decided in DRAM.
 
 // LoadU64 atomically loads the uint64 at a.
 func (p *Pool) LoadU64(a Addr) uint64 {
@@ -97,22 +99,6 @@ func (p *Pool) StoreU64(a Addr, v uint64) {
 	p.check(a, 8)
 	atomic.StoreUint64((*uint64)(p.base(a)), v)
 	p.onWrite(a, 8)
-}
-
-// CompareAndSwapU64 executes a CAS on the uint64 at a.
-func (p *Pool) CompareAndSwapU64(a Addr, old, new uint64) bool {
-	p.check(a, 8)
-	ok := atomic.CompareAndSwapUint64((*uint64)(p.base(a)), old, new)
-	p.onWrite(a, 8)
-	return ok
-}
-
-// AddU64 atomically adds delta to the uint64 at a and returns the new value.
-func (p *Pool) AddU64(a Addr, delta uint64) uint64 {
-	p.check(a, 8)
-	v := atomic.AddUint64((*uint64)(p.base(a)), delta)
-	p.onWrite(a, 8)
-	return v
 }
 
 // ReadBytes copies n bytes at a out of the pool.

@@ -108,27 +108,55 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // TestConcurrentAtomics exercises the atomic accessors from many goroutines
-// under -race: the pool's words must behave like regular Go atomics.
+// under -race: the pool's words must behave like regular Go atomics. Eight
+// writers store ascending values into words that share two cachelines while
+// readers load them and flush their lines; no load may see a word go
+// backwards, and each word ends at its writer's last store.
 func TestConcurrentAtomics(t *testing.T) {
-	p, err := NewPool(Options{Size: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr := Addr(CachelineSize)
-	var wg sync.WaitGroup
+	p := newTracked(t, 4096)
+	base := Addr(CachelineSize)
 	const workers, perWorker = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				p.AddU64(ctr, 1)
+			defer readers.Done()
+			var last [workers]uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for w := range last {
+					v := p.LoadU64(base.Add(uint64(w) * 8))
+					if v < last[w] {
+						t.Errorf("word %d went back from %d to %d", w, last[w], v)
+						return
+					}
+					last[w] = v
+				}
+				p.Flush(base, workers*8)
 			}
 		}()
 	}
-	wg.Wait()
-	if got := p.LoadU64(ctr); got != workers*perWorker {
-		t.Errorf("counter = %d, want %d", got, workers*perWorker)
+	for w := 0; w < workers; w++ {
+		writers.Add(1)
+		go func(a Addr) {
+			defer writers.Done()
+			for i := uint64(1); i <= perWorker; i++ {
+				p.StoreU64(a, i)
+			}
+		}(base.Add(uint64(w) * 8))
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	for w := 0; w < workers; w++ {
+		if got := p.LoadU64(base.Add(uint64(w) * 8)); got != perWorker {
+			t.Errorf("word %d = %d, want %d", w, got, perWorker)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func TestStatsConcurrentAccessors(t *testing.T) {
 				a := base.Add(uint64(i%1000) * 8)
 				pool.WriteU64(a, uint64(i))
 				_ = pool.LoadU64(a)
-				pool.AddU64(a, 1)
+				pool.StoreU64(a, uint64(i)+1)
 				pool.Persist(a, 8)
 			}
 		}(w)

@@ -27,9 +27,9 @@ import (
 //	word 0: next chunk address (0 terminates the chain)
 //	word 1: chunk size in bytes (header included)
 //	word 2: bump frontier — absolute address of the first free byte,
-//	        persisted right after every allocation CAS like the pool's
-//	        main frontier, so a crash can at worst leak a blob that was
-//	        never published, never hand the same bytes out twice
+//	        persisted before every blob it covers is handed out, so a
+//	        crash can at worst leak a blob that was never published, never
+//	        hand the same bytes out twice
 //
 // A blob is 16-aligned and self-describing:
 //
@@ -68,14 +68,15 @@ type VarLog struct {
 	chunkSz  uint64
 	alloc    func(size uint64) (Addr, error)
 
-	// cur is the chunk currently bump-allocated from (0 until the first
-	// Append); rollover and the free list serialize on mu.
-	cur atomic.Uint64
-	mu  sync.Mutex
-	// free maps blob capacity → reusable blob addresses. Exact-capacity
-	// reuse only: the header's capacity field must keep describing the
-	// span so a post-crash log walk can stride over it.
-	free map[uint64][]Addr
+	// The allocator's runtime state is DRAM, under mu: cur is the chunk
+	// blobs are carved from — the chain's head, 0 until the first Append —
+	// and bump and end its first free byte and its limit. PM only takes the
+	// frontier's stores (allocBlob). free maps blob capacity → reusable blob
+	// addresses. Exact-capacity reuse only: the header's capacity field must
+	// keep describing the span so a post-crash log walk can stride over it.
+	mu             sync.Mutex
+	cur, bump, end uint64
+	free           map[uint64][]Addr
 
 	// DRAM stats; rebuilt by Recover.
 	chunkBytes atomic.Uint64 // pool bytes held by chunks
@@ -128,8 +129,10 @@ var ErrBlobTooLarge = errors.New("pmem: blob exceeds varlog size bounds")
 
 // NewVarLog attaches a log to the pointer word at headAddr (zero for an
 // empty log; Create-time callers persist that zero themselves). alloc hands
-// out chunk-sized pool blocks; chunkSize 0 selects VarChunkSize. Call
-// Recover before use when headAddr may name existing chunks.
+// out chunk-sized pool blocks; chunkSize 0 selects VarChunkSize, and a
+// smaller size must still hold the chunk header plus the largest blob the
+// caller appends. Call Recover before use when headAddr may name existing
+// chunks.
 func NewVarLog(pool *Pool, headAddr Addr, chunkSize uint64, alloc func(size uint64) (Addr, error)) *VarLog {
 	if chunkSize == 0 {
 		chunkSize = VarChunkSize
@@ -216,7 +219,11 @@ func (l *VarLog) Free(a Addr) {
 
 // allocBlob hands out a 16-aligned span: free list first (exact capacity
 // class), then the current chunk's bump frontier, growing the chain when
-// the chunk is full.
+// the chunk is full. The bump is a DRAM counter; its PM word is stored under
+// mu, so the stores land in the order of their values, and persisted after
+// the unlock but before the span is returned: a flush only ever copies the
+// latest (largest) value, so the persisted frontier never goes backwards and
+// covers every span ever handed out.
 func (l *VarLog) allocBlob(capBytes uint64) (Addr, error) {
 	l.mu.Lock()
 	if spans := l.free[capBytes]; len(spans) > 0 {
@@ -227,46 +234,31 @@ func (l *VarLog) allocBlob(capBytes uint64) (Addr, error) {
 		l.FreeHits.Inc()
 		return a, nil
 	}
-	l.mu.Unlock()
-	p := l.pool
-	for {
-		chunk := Addr(l.cur.Load())
-		if !chunk.IsNull() {
-			ba := chunk.Add(chunkOffBump)
-			for {
-				bump := p.LoadU64(ba)
-				end := uint64(chunk) + p.QuietReadU64(chunk.Add(chunkOffSize))
-				if bump+capBytes > end {
-					break // chunk full; roll over
-				}
-				if p.CompareAndSwapU64(ba, bump, bump+capBytes) {
-					p.Persist(ba, 8)
-					l.FreeMisses.Inc()
-					return Addr(bump), nil
-				}
-			}
-		}
-		if err := l.growLocked(chunk); err != nil {
+	if l.bump+capBytes > l.end {
+		if err := l.grow(); err != nil {
+			l.mu.Unlock()
 			return Null, err
 		}
 	}
+	a := Addr(l.bump)
+	l.bump += capBytes
+	ba := Addr(l.cur).Add(chunkOffBump)
+	l.pool.StoreU64(ba, l.bump)
+	l.mu.Unlock()
+	l.pool.Persist(ba, 8)
+	l.FreeMisses.Inc()
+	return a, nil
 }
 
-// growLocked links a fresh chunk at the head of the chain if no one else
-// did since the caller observed prev as the current chunk.
-func (l *VarLog) growLocked(prev Addr) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if Addr(l.cur.Load()) != prev {
-		return nil // another Append already grew the chain
-	}
+// grow links a fresh chunk at the head of the chain and makes it the one
+// blobs are carved from. The caller holds mu.
+func (l *VarLog) grow() error {
 	chunk, err := l.alloc(l.chunkSz)
 	if err != nil {
 		return err
 	}
 	p := l.pool
-	head := Addr(p.LoadU64(l.headAddr))
-	p.StoreU64(chunk.Add(chunkOffNext), uint64(head))
+	p.StoreU64(chunk.Add(chunkOffNext), l.cur)
 	p.StoreU64(chunk.Add(chunkOffSize), l.chunkSz)
 	p.StoreU64(chunk.Add(chunkOffBump), uint64(chunk)+chunkHeaderSize)
 	p.Persist(chunk, chunkHeaderSize)
@@ -274,7 +266,7 @@ func (l *VarLog) growLocked(prev Addr) error {
 	// leaks the block, exactly like every other unpublished allocation.
 	p.StoreU64(l.headAddr, uint64(chunk))
 	p.Persist(l.headAddr, 8)
-	l.cur.Store(uint64(chunk))
+	l.cur, l.bump, l.end = uint64(chunk), uint64(chunk)+chunkHeaderSize, uint64(chunk)+l.chunkSz
 	l.chunkBytes.Add(l.chunkSz)
 	return nil
 }
@@ -379,15 +371,15 @@ func (l *VarLog) KeyBytes(a Addr) []byte {
 func (l *VarLog) RecoverChunks() error {
 	p := l.pool
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.free = make(map[uint64][]Addr)
-	l.mu.Unlock()
 	l.chunkBytes.Store(0)
 	l.liveBytes.Store(0)
 	l.liveBlobs.Store(0)
 	l.freeBytes.Store(0)
 
 	head := Addr(p.ReadU64(l.headAddr))
-	l.cur.Store(uint64(head))
+	l.cur, l.bump, l.end = uint64(head), 0, 0
 	l.sweepHead, l.sweepLimit = head, 0
 	for chunk := head; !chunk.IsNull(); {
 		size := p.ReadU64(chunk.Add(chunkOffSize))
@@ -396,7 +388,7 @@ func (l *VarLog) RecoverChunks() error {
 			return fmt.Errorf("pmem: varlog chunk %#x corrupt (size %d bump %#x)", chunk, size, bump)
 		}
 		if chunk == head {
-			l.sweepLimit = bump
+			l.sweepLimit, l.bump, l.end = bump, bump, uint64(chunk)+size
 		}
 		l.chunkBytes.Add(size)
 		chunk = Addr(p.ReadU64(chunk.Add(chunkOffNext)))
@@ -528,6 +520,24 @@ func (l *VarLog) WalkBlobs(fn func(a Addr, capBytes uint64, committed bool)) {
 		}
 		chunk = Addr(p.QuietLoadU64(chunk.Add(chunkOffNext)))
 	}
+}
+
+// Verify reports whether the allocator's DRAM state is what the PM image
+// says: the head pointer names the chunk blobs are carved from, and that
+// chunk's persisted frontier is the DRAM one. Quiescent-state check.
+func (l *VarLog) Verify() error {
+	p := l.pool
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if head := p.QuietLoadU64(l.headAddr); head != l.cur {
+		return fmt.Errorf("pmem: varlog carves from chunk %#x, PM head is %#x", l.cur, head)
+	}
+	if l.cur != 0 {
+		if bump := p.QuietLoadU64(Addr(l.cur).Add(chunkOffBump)); bump != l.bump {
+			return fmt.Errorf("pmem: varlog frontier %#x, PM frontier %#x", l.bump, bump)
+		}
+	}
+	return nil
 }
 
 // FreeSpans snapshots the set of blob addresses parked on the DRAM free
