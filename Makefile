@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-split ci fmt-check docs-check no-pm-rmw benchmark-check bench bench-smoke bench-gate
+.PHONY: all vet build test race race-split ci fmt-check docs-check pm-door benchmark-check bench bench-smoke bench-gate
 
 all: ci
 
@@ -65,7 +65,8 @@ docs-check: vet
 			assistInsert assistDelete assistOverwrite splitSibling splitCopyStashSlot segFindW0Locked \
 			probeOfRecord recSameIdentity splitAssists \
 			segClaims bucketFindLocked segFindLocked recProbe findTrackedSlot \
-			validateRoute mirrorRepair mirrorMaybeCheck mirrorBucketMatchesPM mirrorSampleMask CompareAndSwapU64; do \
+			validateRoute mirrorRepair mirrorMaybeCheck mirrorBucketMatchesPM mirrorSampleMask CompareAndSwapU64 \
+			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -143,12 +144,19 @@ bench:
 		-mix var-insert,var-read,var-ycsb-b -recovery \
 		-shards 4 -batch 16 -out $(BENCH_OUT)
 
-# no-pm-rmw fails if anything under internal/ names a PM read-modify-write:
-# PM holds no runtime state, so every PM word is written by a plain store
-# whose value was decided in DRAM (the pool has no CAS or add to offer).
-no-pm-rmw:
-	@hits=$$(grep -rnE 'CompareAndSwapU64|AddU64' internal/); if [ -n "$$hits" ]; then \
-		echo "PM read-modify-write under internal/:"; echo "$$hits"; exit 1; \
+# pm-door fails if a PM store can bypass the pool's one door
+# (internal/pmem/access.go): nothing under internal/ outside that file
+# indexes the arena or takes a pointer into it, and nothing copies into a
+# QuietBytes view — a store through a raw view would be neither charged nor
+# crash-tracked. It also fails if anything names a PM read-modify-write: PM
+# holds no runtime state, so every PM word is written by a plain store whose
+# value was decided in DRAM (the pool has no CAS or add to offer).
+pm-door:
+	@hits=$$(grep -rnE 'p\.data\[|p\.base\(' internal/ | grep -v '^internal/pmem/access\.go:'; \
+		grep -rnE 'copy\([^,]*QuietBytes\(' internal/; \
+		grep -rnE 'CompareAndSwapU64|AddU64' internal/); \
+	if [ -n "$$hits" ]; then \
+		echo "PM store outside the door, or a PM read-modify-write, under internal/:"; echo "$$hits"; exit 1; \
 	fi
 
 # ci is the gate every change must pass: vet, build, the full test suite
@@ -156,7 +164,7 @@ no-pm-rmw:
 # accuracy and bandwidth plateau — skip themselves under the race detector,
 # which multiplies the cost of a spin loop) and under the race detector (the
 # concurrency tests rely on it; the cost model's never-under-charge half
-# runs here too), the docs lint, the PM read-modify-write grep, the repo
+# runs here too), the docs lint, the PM door grep, the repo
 # benchmark's own vet and tests, the dashbench pipeline smoke, and the
 # perf-regression gate.
-ci: fmt-check vet build test race docs-check no-pm-rmw benchmark-check bench-smoke bench-gate
+ci: fmt-check vet build test race docs-check pm-door benchmark-check bench-smoke bench-gate

@@ -195,13 +195,21 @@ func TestMeasuredPhaseAllocationFree(t *testing.T) {
 			if err := runPhase(clients, cfg.WarmupOps, false); err != nil {
 				t.Fatal(err)
 			}
+			_, ts0 := c.snapshot()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if err := runPhase(clients, ops, true); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			if n := after.Mallocs - before.Mallocs; n > ops/100 {
+			_, ts1 := c.snapshot()
+			var splits uint64
+			for i := range ts1 {
+				splits += ts1[i].Splits - ts0[i].Splits
+			}
+			n := after.Mallocs - before.Mallocs
+			t.Logf("%d allocations, %d splits over %d measured ops", n, splits, ops)
+			if n > ops/100 {
 				t.Errorf("%d allocations over %d measured ops, want none per op", n, ops)
 			}
 		})

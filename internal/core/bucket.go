@@ -166,7 +166,7 @@ func unlockBucket(mir *segMirror, bi int) {
 // Every decision a mutator makes — which slot is free, which fingerprints
 // and tracking slots are set — is read from the mirror, which is exact by
 // write-through: PM is only stored to. Charging follows the tree's
-// one-charge-per-line rule (pmem/quiet.go) with nothing paid in advance: the
+// one-charge-per-line rule (pmem/access.go) with nothing paid in advance: the
 // first store an operation makes to a line is a charged store, further
 // stores to that line before its flush are quiet — real hardware absorbs
 // them in the cache and writes the line back once. A bucket's header line
@@ -220,7 +220,7 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 	storeWord(p, ra.Add(8), kv.Value, persist)
 	p.QuietStoreU64(ra, kv.Key)
 	if persist {
-		p.PersistKV(ra)
+		p.Persist(ra, pmem.RecordSize)
 	}
 	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
 	// The header line is a second line unless the record went into slot 0

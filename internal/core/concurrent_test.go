@@ -183,7 +183,7 @@ func TestConcurrentSameKeys(t *testing.T) {
 // atomically while neighbors' lock words change), then power loss and
 // recovery of everything the writers were acknowledged.
 func TestConcurrentWithCrashTracking(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 16 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

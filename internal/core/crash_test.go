@@ -124,7 +124,7 @@ func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64)
 // to simulate power loss the nth time it fires.
 func crashAtHook(t *testing.T, arm func(tbl *Table, pool *pmem.Pool, fire func())) (*pmem.Pool, map[uint64]uint64) {
 	t.Helper()
-	pool, err := pmem.NewPool(pmem.Options{Size: 16 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCrashAfterPublish(t *testing.T) {
 // Requires a segment whose local depth lags the global depth by ≥ 2, built
 // by skewing inserts onto one hash prefix first.
 func TestCrashMidPublish(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 32 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 func TestDescriptorCoherence(t *testing.T) {
 	disableBackgroundRecovery.Store(true)
 	t.Cleanup(func() { disableBackgroundRecovery.Store(false) })
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestDescriptorCoherence(t *testing.T) {
 // TestDirCacheRebuildAfterCrash: after power loss and Open-time recovery the
 // cache must be rebuilt to mirror the recovered directory in one pass.
 func TestDirCacheRebuildAfterCrash(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dash/internal/pmem"
@@ -138,7 +140,7 @@ func applyCrashOp(tbl *Table, op fuzzOp) error {
 // the total flush count observed.
 func runToCrash(t *testing.T, ops []fuzzOp, crashAt int) (pool *pmem.Pool, acked int, crashed bool, flushes int) {
 	t.Helper()
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,25 +178,73 @@ func runToCrash(t *testing.T, ops []fuzzOp, crashAt int) (pool *pmem.Pool, acked
 	return pool, acked, crashed, flushes
 }
 
+// crashRun is one writer's history and how much of it was acknowledged when
+// the power went: ops[:acked] returned, ops[acked] (if any) was in flight.
+type crashRun struct {
+	ops   []fuzzOp
+	acked int
+}
+
 // verifyCrashPoint reopens a crashed pool and checks the full acceptance
-// contract described at the top of the file. The oracle probes double as the
-// lazy first touches: every live key is read through the gated public path
-// before RecoverAll forces the remainder.
-func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashAt int) {
+// contract described at the top of the file, for every writer's history.
+// The oracle probes double as the lazy first touches: every live key is read
+// through the gated public path before RecoverAll forces the remainder.
+func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, crashAt int) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("crash point %d (op %d %+v): %s", crashAt, acked, ops[acked], fmt.Sprintf(format, args...))
+		t.Fatalf("crash point %d: %s", crashAt, fmt.Sprintf(format, args...))
 	}
-	mU, mV := crashOracle(ops[:acked])
-	inFlight := ops[acked]
-
 	tbl, err := Open(pool)
 	if err != nil {
 		fail("Open: %v", err)
 	}
+	expected := 0
+	for w, r := range runs {
+		expected += verifyCrashRun(t, tbl, r, fmt.Sprintf("crash point %d, writer %d", crashAt, w))
+	}
+	for k := uint64(1 << 50); k < 1<<50+16; k++ {
+		if _, ok := tbl.Get(k); ok {
+			fail("phantom key %d", k)
+		}
+	}
+
+	// Force the rest of recovery (untouched segments + the log sweep), then
+	// check the global invariants the per-key probes cannot see.
+	tbl.RecoverAll()
+	if got := tbl.Count(); got != int64(expected) {
+		fail("Count = %d, want %d (duplicate or leaked slots)", got, expected)
+	}
+	if err := tbl.verifyLogLive(); err != nil {
+		fail("log live-set invariant: %v", err)
+	}
+	if err := tbl.Verify(); err != nil {
+		fail("after recovery: %v", err)
+	}
+	mixedWritesAfterReopen(t, tbl)
+	if err := tbl.Verify(); err != nil {
+		fail("after writes on the recovered table: %v", err)
+	}
+	tbl.Close()
+}
+
+// verifyCrashRun checks one writer's keys on the reopened table — every
+// acknowledged op exactly, the in-flight op old-or-new — and returns how
+// many of its keys are live.
+func verifyCrashRun(t *testing.T, tbl *Table, r crashRun, where string) int {
+	t.Helper()
+	var inFlight fuzzOp
+	flying := r.acked < len(r.ops) // a history that completed has no op in flight
+	if flying {
+		inFlight = r.ops[r.acked]
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s (op %d %+v): %s", where, r.acked, inFlight, fmt.Sprintf(format, args...))
+	}
+	mU, mV := crashOracle(r.ops[:r.acked])
 	for id, want := range mU {
-		if !inFlight.varK && id == inFlight.id {
+		if flying && !inFlight.varK && id == inFlight.id {
 			continue
 		}
 		if v, ok := tbl.Get(id); !ok || v != want {
@@ -202,7 +252,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 		}
 	}
 	for id, want := range mV {
-		if inFlight.varK && id == inFlight.id {
+		if flying && inFlight.varK && id == inFlight.id {
 			continue
 		}
 		v, ok := tbl.GetB(fuzzVarKey(id))
@@ -210,10 +260,9 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 			fail("acked var key %d = %q,%v want %q", id, v, ok, fuzzVarVal(want))
 		}
 	}
-	for k := uint64(1 << 50); k < 1<<50+16; k++ {
-		if _, ok := tbl.Get(k); ok {
-			fail("phantom key %d", k)
-		}
+	live := len(mU) + len(mV)
+	if !flying {
+		return live
 	}
 
 	// The in-flight op is allowed exactly two outcomes: its old state or its
@@ -242,9 +291,15 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 		if inPresent && !matches(inFlight.val) {
 			fail("in-flight insert: torn value %d/%q", got, gotB)
 		}
+		if inPresent {
+			live++
+		}
 	case 'd':
 		if inPresent && !matches(oldVal) {
 			fail("in-flight delete: torn value %d/%q", got, gotB)
+		}
+		if !inPresent {
+			live--
 		}
 	case 'u':
 		if !inPresent {
@@ -254,31 +309,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, ops []fuzzOp, acked, crashA
 			fail("in-flight update: torn value %d/%q (old %d new %d)", got, gotB, oldVal, inFlight.val)
 		}
 	}
-
-	// Force the rest of recovery (untouched segments + the log sweep), then
-	// check the global invariants the per-key probes cannot see.
-	tbl.RecoverAll()
-	expected := len(mU) + len(mV)
-	if inFlight.kind == 'i' && inPresent {
-		expected++
-	}
-	if inFlight.kind == 'd' && !inPresent {
-		expected--
-	}
-	if got := tbl.Count(); got != int64(expected) {
-		fail("Count = %d, want %d (duplicate or leaked slots)", got, expected)
-	}
-	if err := tbl.verifyLogLive(); err != nil {
-		fail("log live-set invariant: %v", err)
-	}
-	if err := tbl.Verify(); err != nil {
-		fail("after recovery: %v", err)
-	}
-	mixedWritesAfterReopen(t, tbl)
-	if err := tbl.Verify(); err != nil {
-		fail("after writes on the recovered table: %v", err)
-	}
-	tbl.Close()
+	return live
 }
 
 // TestCrashPointFuzz sweeps >= 200 evenly spaced crash points across the
@@ -308,11 +339,127 @@ func TestCrashPointFuzz(t *testing.T) {
 		if !crashed {
 			t.Fatalf("crash point %d never fired (total %d)", crashAt, total)
 		}
-		verifyCrashPoint(t, pool, ops, acked, crashAt)
+		verifyCrashPoint(t, pool, []crashRun{{ops, acked}}, crashAt)
 		points++
 	}
 	if points < target {
 		t.Fatalf("swept only %d crash points, want >= %d", points, target)
 	}
 	t.Logf("swept %d crash points across %d flush boundaries (%d ops)", points, total, len(ops))
+}
+
+// Writers in flight: three goroutines replay their own seeded histories —
+// over disjoint keys, u64 and variable-length mixed — against one table, and
+// the power goes at the K-th flush issued by any of them. The image is the
+// media as the K-th flush's hook finds it, taken before that flush copies a
+// line: every flush after it waits in its hook until the image is taken, so
+// nothing issued after the K-th reaches it. Writers are not unwound: a
+// writer dying while it holds a bucket lock, a split or the log's mutex would
+// leave another spinning on it before its next flush, so each runs on and
+// stops at its next op boundary instead. A writer's acknowledged prefix is
+// read at the crash point, before the image: an op that returned by then had
+// all its flushes issued before the K-th and completed, so it must be in the
+// image, and the one op it was running may land or not.
+
+// crashWriters is the number of concurrent writers; writer w's keys are its
+// history's ids shifted by w<<32, past every other writer's.
+const crashWriters = 3
+
+func writerHistories(seed int64, n int) [][]fuzzOp {
+	hists := make([][]fuzzOp, crashWriters)
+	for w := range hists {
+		hists[w] = genCrashHistory(seed+int64(w), n)
+		for i := range hists[w] {
+			hists[w][i].id += uint64(w) << 32
+		}
+	}
+	return hists
+}
+
+// runWritersToCrash replays hists concurrently against a fresh table and
+// returns the image taken at the crashAt-th flush (nil: crashAt <= 0, or the
+// run ended first), each writer's acknowledged prefix at that point, and the
+// number of flushes the run issued.
+func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byte, runs []crashRun, flushes int64) {
+	t.Helper()
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make([]atomic.Int64, len(hists))
+	var (
+		count  atomic.Int64
+		stop   atomic.Bool
+		frozen = make(chan struct{})
+	)
+	pool.SetFlushHook(func() {
+		switch n := count.Add(1); {
+		case n == crashAt:
+			for w := range hists {
+				runs = append(runs, crashRun{hists[w], int(acked[w].Load())})
+			}
+			img = pool.Snapshot()
+			stop.Store(true)
+			close(frozen)
+		case crashAt > 0 && n > crashAt:
+			<-frozen
+		}
+	})
+	var wg sync.WaitGroup
+	for w, ops := range hists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, op := range ops {
+				if stop.Load() {
+					return
+				}
+				if err := applyCrashOp(tbl, op); err != nil {
+					t.Errorf("writer %d op %d (%+v): %v", w, i, op, err)
+					return
+				}
+				acked[w].Store(int64(i + 1))
+			}
+		}()
+	}
+	wg.Wait()
+	pool.SetFlushHook(nil)
+	return img, runs, count.Load()
+}
+
+// TestCrashPointsWritersInFlight crashes the three-writer run at >= 100
+// evenly spaced flushes and checks, per writer, the contract of
+// TestCrashPointFuzz on the reopened image.
+func TestCrashPointsWritersInFlight(t *testing.T) {
+	withLazyGates(t)
+	hists := writerHistories(21, 400)
+	_, _, total := runWritersToCrash(t, hists, 0)
+	if total < 2000 {
+		t.Fatalf("the history flushed only %d times", total)
+	}
+	// Flush counts differ a little from run to run (who splits, who grows
+	// the log); stop short of the end so every point fires.
+	const target = 100
+	stride := total * 9 / 10 / target
+	points := 0
+	for crashAt := stride; crashAt <= total*9/10; crashAt += stride {
+		img, runs, _ := runWritersToCrash(t, hists, crashAt)
+		if img == nil {
+			t.Fatalf("crash point %d never fired (dry run: %d flushes)", crashAt, total)
+		}
+		pool, err := pmem.OpenSnapshot(img, pmem.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyCrashPoint(t, pool, runs, int(crashAt))
+		points++
+	}
+	if points < target {
+		t.Fatalf("crashed at only %d points, want >= %d", points, target)
+	}
+	t.Logf("crashed at %d points across %d flushes of %d writers", points, total, crashWriters)
 }

@@ -92,7 +92,7 @@ var disableBackgroundRecovery atomic.Bool
 func (t *Table) recoverLazy(clean bool) error {
 	p := t.pool
 	rstart := obs.Now()
-	dir := pmem.Addr(p.ReadU64(rootAddr.Add(rootOffDir)))
+	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
 	if dir.IsNull() {
 		return ErrNotATable
 	}
@@ -196,7 +196,7 @@ func (t *Table) recoverLazy(clean bool) error {
 	// mirror the reconciled directory into the DRAM cache — the last
 	// O(directory) step — and build the deferred-work side table.
 	if clean {
-		t.count.Store(int64(p.ReadU64(rootAddr.Add(rootOffCount))))
+		t.count.Store(int64(p.LoadU64(rootAddr.Add(rootOffCount))))
 	}
 	if err := t.vlog.RecoverChunks(); err != nil {
 		return err

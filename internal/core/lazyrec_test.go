@@ -43,7 +43,7 @@ func lazyVarVal(i int) []byte { return []byte(fmt.Sprintf("lazy-var-val-%d-%d", 
 // segment is touched — and leave every segment pending; reads then recover
 // segments through the gates, and RecoverAll finishes the rest.
 func TestLazyCleanShutdownFastPath(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 // second hit, and there is no other way out of searchOpt — and the mirrors
 // must be coherent after the gates release.
 func TestLazyFirstTouchConcurrent(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 // full recovery and persist the count + clean marker, so the next reopen
 // takes the clean fast path with the exact count.
 func TestLazyCloseAfterCrashOpen(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 32 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 // at its worst. Every kind of write, further splits included, must complete
 // on those buckets (a hang is the failure) and leave the mirrors exact.
 func TestOpenIgnoresStaleLockWords(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

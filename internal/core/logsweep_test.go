@@ -31,7 +31,7 @@ func sweepVal(i, gen int) []byte {
 // image never sees). Returns the crash image and the surviving id set.
 func buildSweepImage(t *testing.T) ([]byte, map[int]int) {
 	t.Helper()
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

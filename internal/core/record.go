@@ -82,8 +82,8 @@ func recSplitParts(kv pmem.KV, seed uint64) hashfn.Parts {
 // probeKey is a representation-agnostic lookup key: precomputed hash parts
 // plus the canonical key in whichever form the caller holds it. kb == nil
 // is the uint64 fast path (canonically the 8-byte little-endian encoding
-// of u); it materializes no byte slice — inline records compare words and
-// indirect records compare through VarLog.KeyEqualsU64.
+// of u): inline records compare words, and only an indirect candidate's
+// blob compare encodes u, into a stack buffer (keyBytes).
 type probeKey struct {
 	parts hashfn.Parts
 	kb    []byte // canonical key bytes; nil for the uint64 fast path
@@ -122,10 +122,10 @@ func (pk *probeKey) keyLen() int {
 // (also DRAM) and only then verified against the blob's key bytes, which
 // remains a PM read: a 64-bit hash match is not key equality, and skipping
 // the byte compare would return wrong records on hash collisions. A reader
-// makes that one dereference with KeyEqualsPrefetch, charging the whole blob
-// as a single streaming read, so the value bytes of an indirect match are
-// already paid for (recValueU64 / recAppendValue); a writer wants no value
-// and reads the key lines only (KeyEquals).
+// makes that one dereference charging the whole blob as a single streaming
+// read, so the value bytes of an indirect match are already paid for
+// (recValueU64 / recAppendValue); a writer wants no value and reads the key
+// lines only.
 func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
 	if !recIsIndirect(r.Key) {
 		if pk.kb == nil {
@@ -139,16 +139,8 @@ func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
 	if c := recClass(r.Key); c != 0 && c != klenClass(pk.keyLen()) {
 		return false
 	}
-	blob := recBlobAddr(r.Key)
-	switch {
-	case pk.kb == nil && writer:
-		return vl.KeyEqualsU64(blob, pk.u)
-	case pk.kb == nil:
-		return vl.KeyEqualsPrefetchU64(blob, pk.u)
-	case writer:
-		return vl.KeyEquals(blob, pk.kb)
-	}
-	return vl.KeyEqualsPrefetch(blob, pk.kb)
+	var buf [8]byte
+	return vl.KeyEquals(recBlobAddr(r.Key), pk.keyBytes(&buf), !writer)
 }
 
 // recValueU64 extracts the uint64 view of a record mirRecMatch matched. An

@@ -161,7 +161,7 @@ func TestMirrorPoisonSelfHeal(t *testing.T) {
 // exact values, negatives for deleted and never-inserted keys, all served
 // through the mirror path.
 func TestMirrorRebuildAfterCrash(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,12 +63,15 @@ func segSetMeta(p *pmem.Pool, seg pmem.Addr, depth uint8, pattern uint64) {
 	p.Persist(seg, segHeaderSize)
 }
 
+// zeroSegment is the image segInit stores over a recycled block.
+var zeroSegment [segmentSize]byte
+
 // segInit zeroes a freshly allocated segment and writes its header. The
 // caller persists the whole range once it is fully populated; until then
 // the segment is unpublished and invisible to every other goroutine — so
 // the zeroing is quiet, its media traffic charged by that publishing flush.
 func segInit(p *pmem.Pool, seg pmem.Addr, depth uint8, pattern uint64) {
-	p.QuietZero(seg, segmentSize)
+	p.QuietStoreBytes(seg, zeroSegment[:])
 	p.StoreU64(seg.Add(segOffDepth), uint64(depth))
 	p.StoreU64(seg.Add(segOffPattern), pattern)
 }

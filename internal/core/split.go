@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"dash/internal/hashfn"
@@ -85,8 +84,11 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	}
 
 	mstart := obs.Now()
-	sc := splitScanPool.Get().(*splitScan)
-	defer splitScanPool.Put(sc)
+	sc := t.scan.Swap(nil)
+	if sc == nil {
+		sc = new(splitScan)
+	}
+	defer t.scan.Store(sc)
 	copied := t.splitCopy(old, sib, l, sc, false)
 	t.met.splitMigrateNS.Record(obs.Now() - mstart)
 	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
@@ -114,18 +116,19 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 // bitmap of moved (sibling-claimed) slots, which the sweep then drops without
 // re-reading a record.
 //
-// Instances are pooled: a split allocates nothing steady-state, so the
-// resize path adds no GC pressure (on small-core boxes, GC mark assists
-// were showing up as multi-ms latency outliers dwarfing the splits
-// themselves).
+// Each table keeps one spare (Table.scan), sized for a full segment — a
+// bucket snapshot holds at most slotsPerBucket records — so a split
+// allocates nothing steady-state and the resize path adds no GC pressure (on
+// small-core boxes, GC mark assists were showing up as multi-ms latency
+// outliers dwarfing the splits themselves). A split that finds the spare
+// taken by a concurrent one allocates one instance.
 type splitScan struct {
 	ver     [totalBuckets]uint64
 	moved   [normalBuckets]uint64
-	cand    []splitCand
-	grouped []splitCand
+	n       int // cand[:n] holds the scan's finds
+	cand    [slotsPerSegment]splitCand
+	grouped [slotsPerSegment]splitCand
 }
-
-var splitScanPool = sync.Pool{New: func() any { return new(splitScan) }}
 
 // splitCand is one sibling-claimed record the scan found: its two words as
 // snapshotted, its hash parts (read from the record words; the scan never
@@ -175,7 +178,7 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
 
 	// Scan. It never mutates the old segment.
-	sc.cand = sc.cand[:0]
+	sc.n = 0
 	for bi := 0; bi < totalBuckets; bi++ {
 		ver := oldMir.word(bi, mirBkVersion)
 		for {
@@ -185,7 +188,7 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 				continue
 			}
 			m := oldMir.word(bi, mirBkMeta).Load()
-			n0 := len(sc.cand)
+			n0 := sc.n
 			moved := uint64(0)
 			for slot := 0; slot < slotsPerBucket; slot++ {
 				if !metaSlotUsed(m, slot) {
@@ -199,7 +202,8 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 					if bi < normalBuckets {
 						group = int(rp.BucketIndex(bucketBits))
 					}
-					sc.cand = append(sc.cand, splitCand{kv: kv, rp: rp, group: group})
+					sc.cand[sc.n] = splitCand{kv: kv, rp: rp, group: group}
+					sc.n++
 				}
 			}
 			if ver.Load() == v {
@@ -209,25 +213,23 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 				}
 				break
 			}
-			sc.cand = sc.cand[:n0] // torn snapshot; rescan this bucket
+			sc.n = n0 // torn snapshot; rescan this bucket
 		}
 	}
 
 	// Copy, in group order (a stable counting sort: within a group records
 	// keep their scan order, bucket then slot).
+	cand := sc.cand[:sc.n]
 	var cnt [totalBuckets + 1]int
-	for _, c := range sc.cand {
+	for _, c := range cand {
 		cnt[c.group+1]++
 	}
 	for g := 1; g <= totalBuckets; g++ {
 		cnt[g] += cnt[g-1]
 	}
-	if cap(sc.grouped) < len(sc.cand) {
-		sc.grouped = make([]splitCand, len(sc.cand))
-	}
-	grouped := sc.grouped[:len(sc.cand)]
+	grouped := sc.grouped[:sc.n]
 	pos := cnt
-	for _, c := range sc.cand {
+	for _, c := range cand {
 		grouped[pos[c.group]] = c
 		pos[c.group]++
 	}

@@ -162,6 +162,10 @@ type Table struct {
 	splits       atomic.Uint64
 	splitStallNS atomic.Int64
 
+	// scan is the table's spare split scan buffer (split.go), nil while a
+	// split holds it.
+	scan atomic.Pointer[splitScan]
+
 	// Observability (obs.go): reg names every meter, fr is the flight
 	// recorder, met the table-level histogram/phase handles. Built by
 	// initObs before any operation runs.
@@ -213,14 +217,14 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 	p := pool
 	t := newTableState(p, opt.Seed)
 
-	p.WriteU64(rootAddr.Add(rootOffMagic), 0) // not a table until fully formatted
-	p.WriteU64(rootAddr.Add(rootOffFormat), tableFormat)
-	p.WriteU64(rootAddr.Add(rootOffSeed), opt.Seed)
+	p.StoreU64(rootAddr.Add(rootOffMagic), 0) // not a table until fully formatted
+	p.StoreU64(rootAddr.Add(rootOffFormat), tableFormat)
+	p.StoreU64(rootAddr.Add(rootOffSeed), opt.Seed)
 	t.allocNext = allocStart
 	p.StoreU64(rootAddr.Add(rootOffAllocNxt), allocStart)
-	p.WriteU64(rootAddr.Add(rootOffVarLog), 0) // record log grows lazily
-	p.WriteU64(rootAddr.Add(rootOffClean), 0)  // open (not cleanly shut down)
-	p.WriteU64(rootAddr.Add(rootOffCount), 0)
+	p.StoreU64(rootAddr.Add(rootOffVarLog), 0) // record log grows lazily
+	p.StoreU64(rootAddr.Add(rootOffClean), 0)  // open (not cleanly shut down)
+	p.StoreU64(rootAddr.Add(rootOffCount), 0)
 	p.Persist(rootAddr, pmem.CachelineSize)
 
 	nseg := 1 << opt.InitialDepth
@@ -242,7 +246,7 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 	dirInit(p, dir, opt.InitialDepth, func(i uint64) pmem.Addr { return segs[i] })
 	p.StoreU64(rootAddr.Add(rootOffDir), uint64(dir))
 	// Magic last: its persist is the commit point of formatting.
-	p.WriteU64(rootAddr.Add(rootOffMagic), tableMagic)
+	p.StoreU64(rootAddr.Add(rootOffMagic), tableMagic)
 	p.Persist(rootAddr, pmem.CachelineSize)
 	t.cacheRebuild()
 	return t, nil
@@ -259,18 +263,18 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 // deferred work to complete synchronously.
 func Open(pool *pmem.Pool) (*Table, error) {
 	p := pool
-	if p.ReadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
+	if p.LoadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
 		return nil, ErrNotATable
 	}
-	if f := p.ReadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
+	if f := p.LoadU64(rootAddr.Add(rootOffFormat)); f != tableFormat {
 		return nil, fmt.Errorf("core: unsupported table format %d (want %d)", f, tableFormat)
 	}
-	t := newTableState(p, p.ReadU64(rootAddr.Add(rootOffSeed)))
-	t.allocNext = p.ReadU64(rootAddr.Add(rootOffAllocNxt))
-	clean := p.ReadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
+	t := newTableState(p, p.LoadU64(rootAddr.Add(rootOffSeed)))
+	t.allocNext = p.LoadU64(rootAddr.Add(rootOffAllocNxt))
+	clean := p.LoadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.
-	p.WriteU64(rootAddr.Add(rootOffClean), 0)
+	p.StoreU64(rootAddr.Add(rootOffClean), 0)
 	p.Persist(rootAddr.Add(rootOffClean), 8)
 	if err := t.recoverLazy(clean); err != nil {
 		return nil, err
@@ -309,8 +313,8 @@ func (t *Table) Close() {
 	t.RecoverAll()
 	t.em.Drain()
 	p := t.pool
-	p.WriteU64(rootAddr.Add(rootOffCount), uint64(t.count.Load()))
-	p.WriteU64(rootAddr.Add(rootOffClean), cleanShutdownMagic)
+	p.StoreU64(rootAddr.Add(rootOffCount), uint64(t.count.Load()))
+	p.StoreU64(rootAddr.Add(rootOffClean), cleanShutdownMagic)
 	p.Persist(rootAddr, pmem.CachelineSize)
 }
 
@@ -648,8 +652,8 @@ func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 // updateByProbe implements both update flavors: vb == nil is the uint64
 // path (value = vu). The write strategy is chosen per record:
 //
-//   - inline record, 8-byte new value → in-place WriteValue (the original
-//     fast path; crash-atomic by word atomicity).
+//   - inline record, 8-byte new value → in-place store of the value word
+//     (the original fast path; crash-atomic by word atomicity).
 //   - indirect record → copy-on-write: append+commit a new blob, flip the
 //     slot's word 0 with one atomic persisted store, epoch-retire the old
 //     blob. Word 1 (the key's hash) is unchanged, so the flip is a single
@@ -693,7 +697,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			if vb != nil {
 				v = binary.LittleEndian.Uint64(vb)
 			}
-			p.WriteValue(ra, v)
+			p.StoreU64(ra.Add(8), v)
 			p.Persist(ra.Add(8), 8)
 			// Single-word mirror store; for a stash-resident record it
 			// happens outside the stash bucket's lock, which is exactly the

@@ -198,7 +198,7 @@ func TestStashOverflowPaths(t *testing.T) {
 // TestReopenCleanImage: a table snapshot taken after quiescence reopens with
 // every record intact (clean-shutdown recovery path).
 func TestReopenCleanImage(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 8 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // records and returns it with its pool and the acked contents.
 func varCrashTable(t *testing.T, n int) (*pmem.Pool, *Table, map[int][]byte) {
 	t.Helper()
-	pool, err := pmem.NewPool(pmem.Options{Size: 32 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCrashMidUpdateCOW(t *testing.T) {
 // exactly once afterwards, with either the old or the new value (the
 // update was never acknowledged).
 func TestCrashMidConvertUpdate(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 32 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

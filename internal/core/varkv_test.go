@@ -231,7 +231,7 @@ func TestVarRecordTooLarge(t *testing.T) {
 // TestVarCrashReopen closes the loop persistence-wise: a table full of
 // variable records survives Snapshot/Open with exact bytes.
 func TestVarCrashReopen(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 32 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,8 @@ func (t *Table) mirrorVerifyAll() []error {
 				p.QuietLoadU64(ba.Add(bkOffFPLo)) == mir.word(bi, mirBkFPLo).Load() &&
 				p.QuietLoadU64(ba.Add(bkOffFPHi)) == mir.word(bi, mirBkFPHi).Load()
 			for slot := 0; slot < slotsPerBucket && ok; slot++ {
-				ok = !metaSlotUsed(m, slot) || p.QuietReadKV(recordAddr(ba, slot)) == mir.rec(bi, slot)
+				ra := recordAddr(ba, slot)
+				ok = !metaSlotUsed(m, slot) || (pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}) == mir.rec(bi, slot)
 			}
 			if !ok {
 				errs = append(errs, fmt.Errorf("segment %#x bucket %d: mirror diverges from PM", seg, bi))

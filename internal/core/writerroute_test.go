@@ -706,7 +706,7 @@ func leakSiblingByCrash(t *testing.T, pool *pmem.Pool, tbl *Table, next *uint64,
 // mirror and therefore no lock to take, and none of its bytes ever changes
 // again, whatever runs afterwards.
 func TestLeakedSiblingNeverRouted(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 64 << 20, TrackCrashes: true})
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,141 @@
 package pmem
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+	"unsafe"
+)
 
-// The typed accessors below are the instrumented data path: they perform the
-// memory operation, record PM traffic, mark crash-tracking dirt and charge
-// the cost model. Data-structure code should touch the arena only through
-// them (or through Bytes paired with explicit TouchRead/TouchWrite) so that
-// the experiment counters mean something.
+// Every access to the arena goes through this file, and every store through
+// one function, store. The accessors are the instrumented data path: they
+// perform the memory operation, record PM traffic, charge the cost model and
+// mark the crash tracker's lines dirty, so that the experiment counters mean
+// something and Crash discards exactly what real hardware would.
 //
-// Write accessors perform the store BEFORE accounting: marking a line dirty
-// ahead of the store would open a window where a concurrent Flush of the
-// same line copies the old bytes, clears the dirty flag, and the store then
-// lands unmarked — Crash would silently keep an unflushed store. With the
-// store-first order a concurrent flush can at worst persist the new value
-// early, which is exactly what real hardware does when a neighboring flush
-// catches a fresh store to the same line.
+// Each direction has a charged and a quiet form for a word and for a byte
+// range: LoadU64 / QuietLoadU64 and ReadBytes / QuietBytes for loads,
+// StoreU64 / QuietStoreU64 and QuietStoreBytes for stores; TouchRead and
+// TouchWrite charge for a range a caller moved quietly (VarLog.Append stores
+// a blob's header words and bytes quietly and charges the blob's lines
+// once). Word accesses are atomic, so lock-free readers racing a locked
+// writer, and a Flush copying a line another goroutine stores a word into,
+// stay within the Go memory model. ReadU64 and WriteU64 are aliases of
+// LoadU64 and StoreU64, kept as the benchmark's probe names.
 //
-// A byte-range store (VarLog.Append's payload copies) is a plain write whose
-// range may share a cacheline with another goroutine's data (two blobs of
-// one line). On a crash-tracked pool a concurrent Flush snapshots every word
-// of that line (copyLineToMedia), so it runs inside rangeStore, under the
-// tracker's mutex — still ahead of the dirty-marking, which retakes it.
-// Untracked pools (every benchmark's measured phase) pay a nil check.
+// Quiet forms implement the "one charge per cacheline" discipline: structure
+// code accounts a line once (a charged accessor or a Touch) and then may
+// touch the rest of that line quietly, mirroring how the CPU cache absorbs
+// repeated accesses to a hot line. They are also the right tool for
+// observers (stats walks, Verify, tests) that must not perturb an
+// experiment's traffic counters. They are NOT a way to make a hot path look
+// cheap: metadata an operation reads every time should either pay per access
+// or be mirrored in DRAM outright (internal/core's view and mirrors). A quiet
+// store is still a store: it is crash-tracked like any other.
+//
+// A store lands BEFORE its lines are marked dirty. Flush clears a line's
+// dirty bit before it copies the line, so a mark that lands after the clear
+// survives the flush, and a store that landed before the clear is in the
+// copy; marking ahead of the store would let a flush copy the old bytes and
+// clear the mark, and the store would then land unmarked — Crash would keep
+// an unflushed store. Byte-range stores additionally copy each line under
+// its busy bit, so a flush never snapshots a line half-way through a copy
+// (the words of a range are plain memory, not atomics). Untracked pools
+// (every benchmark's measured phase) pay one nil check, and a range store
+// there is a plain memmove.
 
-func (p *Pool) rangeStore(store func()) {
-	if p.crash != nil {
-		p.crash.mu.Lock()
-		defer p.crash.mu.Unlock()
+// store is the pool's one door for PM stores: it writes src at a — or, when
+// src is nil, the word v, atomically — then charges the lines written (if
+// charged) and marks them dirty.
+func (p *Pool) store(a Addr, src []byte, v uint64, charged bool) {
+	n := uint64(len(src))
+	if src == nil {
+		n = 8
+	} else if n == 0 {
+		return
 	}
-	store()
+	p.check(a, n)
+	t := p.crash
+	switch {
+	case src == nil:
+		atomic.StoreUint64(p.word(a), v)
+	case t == nil:
+		copy(p.data[a:uint64(a)+n], src)
+	default:
+		first, last := lineRange(a, n)
+		for l := first; l <= last; l++ {
+			lo, hi := max(uint64(a), l*CachelineSize), min(uint64(a)+n, (l+1)*CachelineSize)
+			t.lock(l, 0)
+			copy(p.data[lo:hi], src[lo-uint64(a):])
+			t.unlock(l)
+		}
+	}
+	if charged {
+		p.onWrite(a, n)
+	}
+	if t != nil {
+		t.markDirty(a, n)
+	}
 }
+
+// word returns the arena word at a (8-aligned, in bounds).
+func (p *Pool) word(a Addr) *uint64 { return (*uint64)(unsafe.Pointer(&p.data[a])) }
+
+// StoreU64 atomically stores v at a (8-aligned), charged.
+func (p *Pool) StoreU64(a Addr, v uint64) { p.store(a, nil, v, true) }
+
+// QuietStoreU64 atomically stores v at a, tracked but not charged.
+func (p *Pool) QuietStoreU64(a Addr, v uint64) { p.store(a, nil, v, false) }
+
+// QuietStoreBytes copies src to a, tracked but not charged: the caller pays
+// with TouchWrite, or the flush that publishes an unpublished block does.
+func (p *Pool) QuietStoreBytes(a Addr, src []byte) { p.store(a, src, 0, false) }
+
+// WriteU64 is StoreU64.
+func (p *Pool) WriteU64(a Addr, v uint64) { p.StoreU64(a, v) }
+
+// LoadU64 atomically loads the uint64 at a (8-aligned), charged.
+func (p *Pool) LoadU64(a Addr) uint64 {
+	p.check(a, 8)
+	p.onRead(a, 8)
+	return atomic.LoadUint64(p.word(a))
+}
+
+// QuietLoadU64 atomically loads the uint64 at a without accounting.
+func (p *Pool) QuietLoadU64(a Addr) uint64 {
+	p.check(a, 8)
+	return atomic.LoadUint64(p.word(a))
+}
+
+// ReadU64 is LoadU64.
+func (p *Pool) ReadU64(a Addr) uint64 { return p.LoadU64(a) }
+
+// ReadBytes copies n bytes at a out of the pool, charged.
+func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
+	out := make([]byte, n)
+	copy(out, p.QuietBytes(a, n))
+	p.onRead(a, n)
+	return out
+}
+
+// QuietBytes returns a read view of [a, a+n) without accounting, for
+// callers that pay with TouchRead. Stores go through QuietStoreBytes.
+func (p *Pool) QuietBytes(a Addr, n uint64) []byte {
+	p.check(a, n)
+	return p.data[a : uint64(a)+n : uint64(a)+n]
+}
+
+// Bytes is QuietBytes, kept for the benchmark, which pre-faults an arena and
+// corrupts an image on purpose through it: a store through this view
+// bypasses the door, so it is neither charged nor crash-tracked.
+func (p *Pool) Bytes(a Addr, n uint64) []byte { return p.QuietBytes(a, n) }
+
+// TouchRead charges a PM read of [a, a+n) made through a quiet view (e.g. a
+// bulk key comparison).
+func (p *Pool) TouchRead(a Addr, n uint64) { p.check(a, n); p.onRead(a, n) }
+
+// TouchWrite charges a PM write of [a, a+n) made through quiet stores, which
+// tracked the lines themselves.
+func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n) }
 
 func (p *Pool) onRead(a Addr, n uint64) {
 	lines := lineSpan(a, n)
@@ -45,67 +151,75 @@ func (p *Pool) onWrite(a Addr, n uint64) {
 	if p.model != nil {
 		p.stats.addDevice(devWrite, p.model.chargeWrite(lines))
 	}
-	p.markDirty(a, n)
+}
+
+// lineRange returns the first and last cacheline index of [a, a+n), n > 0.
+func lineRange(a Addr, n uint64) (first, last uint64) {
+	return uint64(a) / CachelineSize, (uint64(a) + n - 1) / CachelineSize
 }
 
 func lineSpan(a Addr, n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
-	first := uint64(a) / CachelineSize
-	last := (uint64(a) + n - 1) / CachelineSize
+	first, last := lineRange(a, n)
 	return last - first + 1
 }
 
-// TouchRead accounts a PM read of [a, a+n) performed through a raw Bytes
-// view (e.g. a bulk key comparison).
-func (p *Pool) TouchRead(a Addr, n uint64) { p.check(a, n); p.onRead(a, n) }
-
-// TouchWrite accounts a PM write of [a, a+n) performed through a raw Bytes
-// view. It also marks the lines dirty for crash tracking; call it after the
-// stores, not before (see the ordering note above).
-func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n) }
-
-// ReadU64 loads a little-endian-independent native uint64 at a (8-aligned).
-func (p *Pool) ReadU64(a Addr) uint64 {
-	p.check(a, 8)
-	p.onRead(a, 8)
-	return *(*uint64)(p.base(a))
+// tracker is the crash-tracking line table: the media image — what survives
+// a power loss — and one state word per cacheline, so tracked stores and
+// flushes on different lines never meet and no lock spans the pool.
+type tracker struct {
+	media []byte
+	lines []atomic.Uint32
 }
 
-// WriteU64 stores v at a (8-aligned). On x86 an aligned 8-byte store is
-// atomic with respect to tearing, which several Dash commit protocols rely
-// on; the simulation preserves that by using a single native store.
-func (p *Pool) WriteU64(a Addr, v uint64) {
-	p.check(a, 8)
-	*(*uint64)(p.base(a)) = v
-	p.onWrite(a, 8)
+// Line state bits.
+const (
+	lineDirty uint32 = 1 << iota // stored since its last flush began
+	lineBusy                     // a flush or a byte-range store is copying the line
+)
+
+func newTracker(size uint64) *tracker {
+	return &tracker{media: make([]byte, size), lines: make([]atomic.Uint32, size/CachelineSize)}
 }
 
-// Atomic loads and stores: 8-byte PM accesses that never tear, for words
-// another goroutine may load or flush concurrently. There is no
-// read-modify-write: PM holds no runtime state to synchronize on, so every
-// word is written by a plain store whose value the writer decided in DRAM.
-
-// LoadU64 atomically loads the uint64 at a.
-func (p *Pool) LoadU64(a Addr) uint64 {
-	p.check(a, 8)
-	p.onRead(a, 8)
-	return atomic.LoadUint64((*uint64)(p.base(a)))
+// lock takes line l's busy bit, clearing the state bits in clear with it.
+// A holder copies one line and lets go, so a waiter yields rather than parks.
+func (t *tracker) lock(l uint64, clear uint32) {
+	s := &t.lines[l]
+	for {
+		if v := s.Load(); v&lineBusy == 0 && s.CompareAndSwap(v, v&^clear|lineBusy) {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
-// StoreU64 atomically stores v at a.
-func (p *Pool) StoreU64(a Addr, v uint64) {
-	p.check(a, 8)
-	atomic.StoreUint64((*uint64)(p.base(a)), v)
-	p.onWrite(a, 8)
+func (t *tracker) unlock(l uint64) { t.lines[l].And(^lineBusy) }
+
+// markDirty marks the lines of [a, a+n) dirty; it never waits for a busy
+// line (the ordering argument above needs only that it follows the store).
+func (t *tracker) markDirty(a Addr, n uint64) {
+	first, last := lineRange(a, n)
+	for l := first; l <= last; l++ {
+		if s := &t.lines[l]; s.Load()&lineDirty == 0 {
+			s.Or(lineDirty)
+		}
+	}
 }
 
-// ReadBytes copies n bytes at a out of the pool.
-func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
-	p.check(a, n)
-	p.onRead(a, n)
-	out := make([]byte, n)
-	copy(out, p.data[a:uint64(a)+n])
-	return out
+// writeBack copies line l from the arena to the media image, one atomic word
+// load at a time. The caller holds the line's busy bit.
+func (p *Pool) writeBack(l uint64) {
+	for off := l * CachelineSize; off < (l+1)*CachelineSize; off += 8 {
+		*(*uint64)(unsafe.Pointer(&p.crash.media[off])) = atomic.LoadUint64(p.word(Addr(off)))
+	}
+}
+
+// revert copies line l from the media image back into the arena (Crash).
+func (p *Pool) revert(l uint64) {
+	for off := l * CachelineSize; off < (l+1)*CachelineSize; off += 8 {
+		atomic.StoreUint64(p.word(Addr(off)), *(*uint64)(unsafe.Pointer(&p.crash.media[off])))
+	}
 }

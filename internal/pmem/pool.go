@@ -9,11 +9,14 @@
 //
 // The pool models the persistence domain of real hardware: a store becomes
 // durable only once its cacheline has been flushed (CLWB) and a fence has
-// ordered the flush. With crash tracking enabled the pool keeps a shadow
-// "media" image that receives data only on Flush; Crash discards everything
-// that never reached media, exactly like power loss discards dirty CPU
-// cachelines. An optional CostModel charges Optane-shaped latencies and a
-// bandwidth penalty so that excessive PM traffic destroys multicore
+// ordered the flush. Every store enters the arena through one door
+// (access.go) that stores, charges and marks the line dirty, in that order.
+// With crash tracking enabled the pool keeps a shadow "media" image that
+// receives a line only when it is flushed, plus one atomic state word per
+// line (clean or dirty, and busy while it is being copied); Crash discards
+// everything that never reached media, exactly like power loss discards
+// dirty CPU cachelines. An optional CostModel charges Optane-shaped latencies
+// and a bandwidth penalty so that excessive PM traffic destroys multicore
 // scalability the way it does on the real DIMMs.
 //
 // On top of the raw arena, VarLog (varlog.go) provides a crash-consistent
@@ -24,7 +27,6 @@ package pmem
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -49,11 +51,12 @@ func (a Addr) Add(n uint64) Addr { return a + Addr(n) }
 
 // Pool is a simulated persistent-memory arena.
 //
-// All mutating accessors go through the pool so that persistence tracking and
-// cost accounting observe every PM access. Concurrent use is safe in the same
-// sense raw memory is: distinct words may be accessed concurrently, and the
-// atomic accessors provide the usual synchronization. Crash tracking adds
-// internal locking and is intended for (mostly) single-threaded crash tests.
+// Every access goes through the pool's accessors so that persistence
+// tracking and cost accounting observe it. Concurrent use is safe in the
+// same sense raw memory is: every word is loaded and stored atomically, and
+// distinct byte ranges may be written concurrently. Crash tracking keeps
+// that true with no lock wider than one cacheline, so a tracked pool runs
+// its writers truly in parallel.
 type Pool struct {
 	data  []byte   // the arena; base is 8-byte aligned
 	words []uint64 // keeps the backing array alive and aligned
@@ -64,8 +67,8 @@ type Pool struct {
 
 	model *CostModel // nil when cost charging is disabled
 
-	// Crash-tracking state; nil unless EnableCrashTracking was called.
-	crash *crashTracker
+	// The crash tracker's line table; nil unless Options.TrackCrashes.
+	crash *tracker
 
 	// flushHook, when non-nil, runs at the top of every Flush, before any
 	// line reaches the media image — the persist boundary crash-injection
@@ -82,12 +85,6 @@ type Pool struct {
 	fenceBatchElided atomic.Uint64
 }
 
-type crashTracker struct {
-	mu    sync.Mutex
-	media []byte              // durable image; receives lines on Flush
-	dirty map[uint64]struct{} // cacheline indexes written since last flush
-}
-
 // Options configures a Pool.
 type Options struct {
 	// Size is the arena capacity in bytes. Rounded up to a cacheline.
@@ -95,9 +92,10 @@ type Options struct {
 	// CostModel, when non-nil, charges simulated Optane latencies on every
 	// tracked PM access. Leave nil for functional tests.
 	CostModel *CostModel
-	// TrackCrashes enables the shadow media image used by Crash/Recover
-	// tests. It roughly doubles memory use and serializes writes, so it is
-	// meant for crash-consistency tests, not benchmarks.
+	// TrackCrashes enables the media image and line table Crash and Snapshot
+	// need: Size bytes of media plus 4 bytes per cacheline. Every store then
+	// marks its line and every flush copies it, so it is meant for
+	// crash-consistency tests, not measurements.
 	TrackCrashes bool
 }
 
@@ -119,10 +117,7 @@ func NewPool(opt Options) (*Pool, error) {
 		model: opt.CostModel,
 	}
 	if opt.TrackCrashes {
-		p.crash = &crashTracker{
-			media: make([]byte, size),
-			dirty: make(map[uint64]struct{}),
-		}
+		p.crash = newTracker(size)
 	}
 	return p, nil
 }
@@ -156,34 +151,6 @@ func (p *Pool) check(a Addr, n uint64) {
 	}
 }
 
-// Bytes returns a mutable view of [a, a+n). The caller is responsible for
-// calling Flush to persist modifications; use the typed accessors when
-// accounting matters.
-func (p *Pool) Bytes(a Addr, n uint64) []byte {
-	p.check(a, n)
-	return p.data[a : uint64(a)+n : uint64(a)+n]
-}
-
-// base returns an unsafe pointer to offset a. a must be in bounds.
-func (p *Pool) base(a Addr) unsafe.Pointer {
-	return unsafe.Pointer(&p.data[a])
-}
-
-// markDirty records that the cachelines covering [a, a+n) hold unflushed
-// stores (crash tracking only).
-func (p *Pool) markDirty(a Addr, n uint64) {
-	if p.crash == nil || n == 0 {
-		return
-	}
-	first := uint64(a) / CachelineSize
-	last := (uint64(a) + n - 1) / CachelineSize
-	p.crash.mu.Lock()
-	for l := first; l <= last; l++ {
-		p.crash.dirty[l] = struct{}{}
-	}
-	p.crash.mu.Unlock()
-}
-
 // Flush simulates CLWB over the cachelines covering [a, a+n): the lines are
 // copied to the durable media image (when crash tracking is on), counted,
 // and charged by the cost model. On real hardware the flush only becomes
@@ -191,6 +158,11 @@ func (p *Pool) markDirty(a Addr, n uint64) {
 // strictly weaker adversary for ordering bugs *within* a line but identical
 // at the granularity crash tests exercise (whole lines either survive or
 // vanish).
+//
+// A tracked flush takes each line's busy bit, clearing its dirty bit, and
+// copies the line word by word: a second flush or a byte-range store on the
+// same line waits for the copy, so media never goes back to an older copy,
+// and a store that lands during the copy marks the line dirty again.
 func (p *Pool) Flush(a Addr, n uint64) {
 	if n == 0 {
 		return
@@ -199,35 +171,18 @@ func (p *Pool) Flush(a Addr, n uint64) {
 		(*h)()
 	}
 	p.check(a, n)
-	first := uint64(a) / CachelineSize
-	last := (uint64(a) + n - 1) / CachelineSize
+	first, last := lineRange(a, n)
 	lines := last - first + 1
 	p.stats.addFlush(lines)
 	if p.model != nil {
 		p.stats.addDevice(devFlush, p.model.chargeFlush(lines))
 	}
-	if p.crash != nil {
-		p.crash.mu.Lock()
+	if t := p.crash; t != nil {
 		for l := first; l <= last; l++ {
-			off := l * CachelineSize
-			p.copyLineToMedia(off)
-			delete(p.crash.dirty, l)
+			t.lock(l, lineDirty)
+			p.writeBack(l)
+			t.unlock(l)
 		}
-		p.crash.mu.Unlock()
-	}
-}
-
-// copyLineToMedia copies one cacheline from the arena into the media image
-// using atomic word loads: another goroutine may be storing words of the
-// same line concurrently (e.g. a bucket lock CAS while a neighbor's record
-// in the same line is flushed), and like real CLWB the copy must snapshot
-// each word atomically rather than race on it. The caller holds crash.mu.
-func (p *Pool) copyLineToMedia(off uint64) {
-	for i := uint64(0); i < CachelineSize; i += 8 {
-		v := atomic.LoadUint64((*uint64)(unsafe.Pointer(&p.data[off+i])))
-		// media comes from make([]byte, n) with n a multiple of 64, so it is
-		// 8-aligned; store native-endian to stay byte-identical to the arena.
-		*(*uint64)(unsafe.Pointer(&p.crash.media[off+i])) = v
 	}
 }
 
@@ -308,29 +263,34 @@ func (p *Pool) Persist(a Addr, n uint64) {
 }
 
 // Crash simulates power loss: every cacheline not flushed since its last
-// store reverts to its media content. Requires TrackCrashes. The pool remains
-// usable; callers then run their recovery procedure.
+// store reverts to its media content. Requires TrackCrashes, and no store or
+// flush in flight on another goroutine (a crash hook runs on the goroutine
+// whose flush it interrupts). The pool remains usable; callers then run
+// their recovery procedure.
 func (p *Pool) Crash() {
-	if p.crash == nil {
+	t := p.crash
+	if t == nil {
 		panic("pmem: Crash called without TrackCrashes")
 	}
-	p.crash.mu.Lock()
-	defer p.crash.mu.Unlock()
-	for l := range p.crash.dirty {
-		off := l * CachelineSize
-		copy(p.data[off:off+CachelineSize], p.crash.media[off:off+CachelineSize])
-		delete(p.crash.dirty, l)
+	for l := range t.lines {
+		if t.lines[l].Load()&lineDirty != 0 {
+			p.revert(uint64(l))
+			t.lines[l].Store(0)
+		}
 	}
 }
 
 // DirtyLines reports how many cachelines currently hold unflushed stores.
 func (p *Pool) DirtyLines() int {
-	if p.crash == nil {
-		return 0
+	n := 0
+	if t := p.crash; t != nil {
+		for l := range t.lines {
+			if t.lines[l].Load()&lineDirty != 0 {
+				n++
+			}
+		}
 	}
-	p.crash.mu.Lock()
-	defer p.crash.mu.Unlock()
-	return len(p.crash.dirty)
+	return n
 }
 
 // Snapshot copies the *durable* image of the pool (media content if crash
@@ -338,16 +298,21 @@ func (p *Pool) DirtyLines() int {
 // restart after a clean or unclean shutdown.
 func (p *Pool) Snapshot() []byte {
 	out := make([]byte, p.size)
-	if p.crash != nil {
-		p.crash.mu.Lock()
-		copy(out, p.crash.media)
-		// Lines never written since pool creation are identical in both
-		// images, so copying media alone is correct: media starts zeroed
-		// exactly like the arena.
-		p.crash.mu.Unlock()
+	t := p.crash
+	if t == nil {
+		copy(out, p.data)
 		return out
 	}
-	copy(out, p.data)
+	// Lines never written since pool creation are identical in both images,
+	// so copying media alone is correct: media starts zeroed exactly like the
+	// arena. Each line is copied under its busy bit, so a flush running
+	// concurrently lands whole or not at all.
+	for l := range t.lines {
+		off := uint64(l) * CachelineSize
+		t.lock(uint64(l), 0)
+		copy(out[off:off+CachelineSize], t.media[off:])
+		t.unlock(uint64(l))
+	}
 	return out
 }
 

@@ -1,8 +1,13 @@
 package pmem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func newTracked(t *testing.T, size uint64) *Pool {
@@ -71,18 +76,107 @@ func TestCrashThenReopen(t *testing.T) {
 }
 
 // TestQuietWritesStillCrashTracked: quiet accessors skip accounting but a
-// store is a store for crash purposes.
+// store is a store for crash purposes — a word, and a byte range across
+// three lines, of which only the flushed one survives.
 func TestQuietWritesStillCrashTracked(t *testing.T) {
 	p := newTracked(t, 4096)
 	a := Addr(CachelineSize)
 	p.QuietStoreU64(a, 99)
-	if p.DirtyLines() == 0 {
-		t.Fatal("quiet write not tracked as dirty")
+	if p.DirtyLines() != 1 {
+		t.Fatalf("quiet word store left %d dirty lines, want 1", p.DirtyLines())
 	}
 	p.Crash()
-	if got := p.ReadU64(a); got != 0 {
+	if got := p.LoadU64(a); got != 0 {
 		t.Errorf("unflushed quiet write survived: got %d", got)
 	}
+
+	b := Addr(4*CachelineSize + 40) // the range straddles lines 4, 5 and 6
+	src := bytes.Repeat([]byte{0xAB}, 2*CachelineSize)
+	p.QuietStoreBytes(b, src)
+	if s := p.Stats(); s.WriteLines != 0 {
+		t.Errorf("quiet byte store charged %d write lines", s.WriteLines)
+	}
+	if p.DirtyLines() != 3 {
+		t.Fatalf("quiet byte store left %d dirty lines, want 3", p.DirtyLines())
+	}
+	p.Persist(5*CachelineSize, CachelineSize)
+	p.Crash()
+	got := p.QuietBytes(b, uint64(len(src)))
+	head, mid, tail := CachelineSize-40, CachelineSize-40+CachelineSize, len(src)
+	if !bytes.Equal(got[:head], make([]byte, head)) || !bytes.Equal(got[mid:tail], make([]byte, tail-mid)) {
+		t.Errorf("unflushed lines of a quiet byte store survived: %x", got)
+	}
+	if !bytes.Equal(got[head:mid], src[head:mid]) {
+		t.Errorf("flushed line of a quiet byte store lost: %x", got[head:mid])
+	}
+}
+
+// media reads the media image's word at a, under its line's busy bit.
+func (p *Pool) media(a Addr) uint64 {
+	l := uint64(a) / CachelineSize
+	p.crash.lock(l, 0)
+	defer p.crash.unlock(l)
+	return binary.NativeEndian.Uint64(p.crash.media[a:])
+}
+
+// TestSameLineFlushes races two flushers and a storer on the same lines. The
+// storer writes ascending values into the first word of every line, then
+// publishes the value. After any Flush returns, media must hold a value no
+// older than the one published before that flush began — at every later
+// instant, so a flusher checks every line against the largest such value
+// of all flushes returned so far (durable). A flush copies each line under
+// the line's busy bit: without that exclusion a flush that loaded a word
+// before a store can write it to media after another flush wrote the newer
+// value, and media goes back. The window is a preemption between a word's
+// load and its store, so the test runs more threads than the box has cores
+// to let the OS preempt anywhere; under the race detector the missing
+// exclusion is reported outright.
+func TestSameLineFlushes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const lines = 16
+	p := newTracked(t, (lines+2)*CachelineSize)
+	base := Addr(CachelineSize)
+	var stored, durable atomic.Uint64
+	stop := make(chan struct{})
+	var storer, flushers sync.WaitGroup
+	storer.Add(1)
+	go func() {
+		defer storer.Done()
+		for v := uint64(1); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for l := uint64(0); l < lines; l++ {
+				p.StoreU64(base.Add(l*CachelineSize), v)
+			}
+			stored.Store(v)
+		}
+	}()
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for f := 0; f < 2; f++ {
+		flushers.Add(1)
+		go func() {
+			defer flushers.Done()
+			for i := 0; time.Now().Before(deadline); i++ {
+				before := stored.Load()
+				p.Flush(base, lines*CachelineSize)
+				for d := durable.Load(); d < before && !durable.CompareAndSwap(d, before); d = durable.Load() {
+				}
+				floor := durable.Load()
+				for l := uint64(0); l < lines; l++ {
+					if m := p.media(base.Add(l * CachelineSize)); m < floor {
+						t.Errorf("flush %d: line %d media holds %d, but a returned flush began after %d was stored", i, l, m, floor)
+						return
+					}
+				}
+			}
+		}()
+	}
+	flushers.Wait()
+	close(stop)
+	storer.Wait()
 }
 
 // TestStatsAccounting spot-checks the traffic counters the experiments use.
@@ -157,34 +251,5 @@ func TestConcurrentAtomics(t *testing.T) {
 		if got := p.LoadU64(base.Add(uint64(w) * 8)); got != perWorker {
 			t.Errorf("word %d = %d, want %d", w, got, perWorker)
 		}
-	}
-}
-
-func TestKVHelpers(t *testing.T) {
-	p, err := NewPool(Options{Size: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Addr(CachelineSize)
-	p.StoreU64(a, 11)
-	p.WriteValue(a, 22)
-	if kv := p.ReadKV(a); kv.Key != 11 || kv.Value != 22 {
-		t.Errorf("ReadKV = %+v", kv)
-	}
-	p.WriteValue(a, 33)
-	// One charged read per record: the key load pays for the line, the value
-	// word shares it.
-	p.ResetStats()
-	if kv := p.ReadKV(a); kv.Value != 33 {
-		t.Errorf("ReadKV after WriteValue = %+v, want value 33", kv)
-	}
-	if s := p.Stats(); s.ReadLines != 1 {
-		t.Errorf("ReadKV charged %d read lines, want 1", s.ReadLines)
-	}
-	if got := p.ReadKey(a); got != 11 {
-		t.Errorf("ReadKey = %d, want 11", got)
-	}
-	if got := AlignUp(Addr(257), 256); got != 512 {
-		t.Errorf("AlignUp(257,256) = %d, want 512", got)
 	}
 }

@@ -181,14 +181,13 @@ func (l *VarLog) Append(key, value []byte) (Addr, error) {
 	// expose are all uncommitted.
 	p.QuietStoreU64(a.Add(8), 0)
 	p.QuietStoreU64(a, packBlobHeader(klen, vlen, capBytes))
-	p.rangeStore(func() { // a neighbouring blob's owner may be flushing these lines
-		copy(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen)), key)
-		copy(p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen)), value)
-	})
-	// One charge for the whole blob (and the crash-tracking dirty marks for
-	// the byte copies above); then make it durable.
-	p.TouchWrite(a, BlobHeaderSize+uint64(klen)+uint64(vlen))
-	p.Persist(a, BlobHeaderSize+uint64(klen)+uint64(vlen))
+	p.QuietStoreBytes(a.Add(BlobHeaderSize), key)
+	p.QuietStoreBytes(a.Add(BlobHeaderSize+uint64(klen)), value)
+	// One charge for the whole blob, the run of lines the persist writes
+	// back; then make it durable.
+	n := BlobHeaderSize + uint64(klen) + uint64(vlen)
+	p.TouchWrite(a, n)
+	p.Persist(a, n)
 	return a, nil
 }
 
@@ -198,7 +197,7 @@ func (l *VarLog) Commit(a Addr) {
 	p := l.pool
 	p.StoreU64(a.Add(8), blobCommitMagic)
 	p.Persist(a.Add(8), 8)
-	capBytes := blobHeaderCap(p.QuietReadU64(a))
+	capBytes := blobHeaderCap(p.QuietLoadU64(a))
 	l.liveBytes.Add(capBytes)
 	l.liveBlobs.Add(1)
 }
@@ -208,7 +207,7 @@ func (l *VarLog) Commit(a Addr) {
 // must guarantee no reader can still dereference the blob (epoch-defer the
 // call when lock-free readers are in play).
 func (l *VarLog) Free(a Addr) {
-	capBytes := blobHeaderCap(l.pool.QuietReadU64(a))
+	capBytes := blobHeaderCap(l.pool.QuietLoadU64(a))
 	l.mu.Lock()
 	l.free[capBytes] = append(l.free[capBytes], a)
 	l.mu.Unlock()
@@ -274,68 +273,37 @@ func (l *VarLog) grow() error {
 // Lens returns the blob's key and value lengths (quiet: the header shares
 // the line the caller's dereference already charged).
 func (l *VarLog) Lens(a Addr) (klen, vlen int) {
-	return blobHeaderLens(l.pool.QuietReadU64(a))
+	return blobHeaderLens(l.pool.QuietLoadU64(a))
 }
 
-// KeyEquals reports whether the blob's key bytes equal key, charging one
-// read of header+key (the dereference a matching fingerprint+hash bought).
-func (l *VarLog) KeyEquals(a Addr, key []byte) bool {
+// KeyEquals reports whether the blob's key bytes equal key, charging the one
+// dereference a matching fingerprint and hash bought: header and key, or —
+// withValue, for a caller that will extract the value on a match — the whole
+// blob as one streaming read (header, key and value occupy consecutive
+// lines), which is why the extractors (QuietAppendValue, QuietValueU64)
+// charge nothing. On the rare non-match (a full-hash collision) withValue
+// over-charges the value lines; the caller's filter makes that negligible
+// against the line a split charge would double-count on every match.
+func (l *VarLog) KeyEquals(a Addr, key []byte, withValue bool) bool {
 	p := l.pool
-	klen, _ := blobHeaderLens(p.QuietReadU64(a))
+	klen, vlen := blobHeaderLens(p.QuietLoadU64(a))
 	if klen != len(key) {
 		return false
 	}
-	p.TouchRead(a, BlobHeaderSize+uint64(klen))
+	n := BlobHeaderSize + uint64(klen)
+	if withValue {
+		n += uint64(vlen)
+	}
+	p.TouchRead(a, n)
 	return string(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen))) == string(key)
-}
-
-// KeyEqualsU64 is KeyEquals for the canonical 8-byte little-endian encoding
-// of a uint64 key, without materializing the bytes.
-func (l *VarLog) KeyEqualsU64(a Addr, key uint64) bool {
-	p := l.pool
-	klen, _ := blobHeaderLens(p.QuietReadU64(a))
-	if klen != 8 {
-		return false
-	}
-	p.TouchRead(a, BlobHeaderSize+8)
-	return binary.LittleEndian.Uint64(p.QuietBytes(a.Add(BlobHeaderSize), 8)) == key
-}
-
-// KeyEqualsPrefetch is KeyEquals for callers that will extract the value on
-// a match: it charges one streaming read of the whole blob — header, key
-// and value occupy consecutive lines — instead of header+key now and the
-// value again later, which is why the extractors (QuietAppendValue,
-// QuietValueU64) charge nothing. On the rare non-match (a full-hash
-// collision) the value lines are over-charged; the caller's filter makes
-// that negligible against the line the split charges would double-count on
-// every match.
-func (l *VarLog) KeyEqualsPrefetch(a Addr, key []byte) bool {
-	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
-	if klen != len(key) {
-		return false
-	}
-	p.TouchRead(a, BlobHeaderSize+uint64(klen)+uint64(vlen))
-	return string(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen))) == string(key)
-}
-
-// KeyEqualsPrefetchU64 is KeyEqualsPrefetch for the canonical 8-byte
-// little-endian encoding of a uint64 key.
-func (l *VarLog) KeyEqualsPrefetchU64(a Addr, key uint64) bool {
-	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
-	if klen != 8 {
-		return false
-	}
-	p.TouchRead(a, BlobHeaderSize+8+uint64(vlen))
-	return binary.LittleEndian.Uint64(p.QuietBytes(a.Add(BlobHeaderSize), 8)) == key
 }
 
 // QuietAppendValue appends the blob's value bytes to dst without
-// accounting: the caller's probe charged the whole blob (KeyEqualsPrefetch).
+// accounting: the caller's probe charged the whole blob (KeyEquals
+// withValue).
 func (l *VarLog) QuietAppendValue(dst []byte, a Addr) []byte {
 	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
+	klen, vlen := blobHeaderLens(p.QuietLoadU64(a))
 	return append(dst, p.QuietBytes(a.Add(BlobHeaderSize+uint64(klen)), uint64(vlen))...)
 }
 
@@ -344,7 +312,7 @@ func (l *VarLog) QuietAppendValue(dst []byte, a Addr) []byte {
 // shorter — without accounting, like QuietAppendValue.
 func (l *VarLog) QuietValueU64(a Addr) uint64 {
 	p := l.pool
-	klen, vlen := blobHeaderLens(p.QuietReadU64(a))
+	klen, vlen := blobHeaderLens(p.QuietLoadU64(a))
 	n := uint64(vlen)
 	if n > 8 {
 		n = 8
@@ -357,7 +325,7 @@ func (l *VarLog) QuietValueU64(a Addr) uint64 {
 // KeyBytes returns a copy of the blob's key (charged).
 func (l *VarLog) KeyBytes(a Addr) []byte {
 	p := l.pool
-	klen, _ := blobHeaderLens(p.QuietReadU64(a))
+	klen, _ := blobHeaderLens(p.QuietLoadU64(a))
 	return p.ReadBytes(a.Add(BlobHeaderSize), uint64(klen))
 }
 
@@ -378,12 +346,12 @@ func (l *VarLog) RecoverChunks() error {
 	l.liveBlobs.Store(0)
 	l.freeBytes.Store(0)
 
-	head := Addr(p.ReadU64(l.headAddr))
+	head := Addr(p.LoadU64(l.headAddr))
 	l.cur, l.bump, l.end = uint64(head), 0, 0
 	l.sweepHead, l.sweepLimit = head, 0
 	for chunk := head; !chunk.IsNull(); {
-		size := p.ReadU64(chunk.Add(chunkOffSize))
-		bump := p.ReadU64(chunk.Add(chunkOffBump))
+		size := p.LoadU64(chunk.Add(chunkOffSize))
+		bump := p.LoadU64(chunk.Add(chunkOffBump))
 		if size < chunkHeaderSize || bump < uint64(chunk)+chunkHeaderSize || bump > uint64(chunk)+size {
 			return fmt.Errorf("pmem: varlog chunk %#x corrupt (size %d bump %#x)", chunk, size, bump)
 		}
@@ -391,7 +359,7 @@ func (l *VarLog) RecoverChunks() error {
 			l.sweepLimit, l.bump, l.end = bump, bump, uint64(chunk)+size
 		}
 		l.chunkBytes.Add(size)
-		chunk = Addr(p.ReadU64(chunk.Add(chunkOffNext)))
+		chunk = Addr(p.LoadU64(chunk.Add(chunkOffNext)))
 	}
 	return nil
 }

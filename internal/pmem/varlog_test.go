@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,7 +20,7 @@ func testLog(t *testing.T, poolSize, chunkSize uint64) (*Pool, *VarLog) {
 	headAddr := Addr(CachelineSize)
 	next := Addr(4 * CachelineSize)
 	alloc := func(size uint64) (Addr, error) {
-		a := AlignUp(next, 256)
+		a := (next + 255) &^ 255
 		if uint64(a)+size > p.Size() {
 			return Null, errors.New("test pool full")
 		}
@@ -53,10 +54,10 @@ func TestVarLogRoundtrip(t *testing.T) {
 		if klen != len(r.k) || vlen != len(r.v) {
 			t.Fatalf("rec %d lens = (%d,%d), want (%d,%d)", i, klen, vlen, len(r.k), len(r.v))
 		}
-		if !l.KeyEquals(r.a, r.k) {
+		if !l.KeyEquals(r.a, r.k, false) {
 			t.Fatalf("rec %d key mismatch", i)
 		}
-		if l.KeyEquals(r.a, append([]byte{0}, r.k...)) {
+		if l.KeyEquals(r.a, append([]byte{0}, r.k...), false) {
 			t.Fatalf("rec %d matched a wrong key", i)
 		}
 		if got := l.QuietAppendValue(nil, r.a); !bytes.Equal(got, r.v) {
@@ -69,21 +70,39 @@ func TestVarLogRoundtrip(t *testing.T) {
 	}
 }
 
+// TestVarLogU64Key: an 8-byte key compares as its little-endian encoding,
+// and KeyEquals charges header+key, or the whole blob withValue.
 func TestVarLogU64Key(t *testing.T) {
-	_, l := testLog(t, 1<<20, 0)
+	p, l := testLog(t, 1<<20, 0)
 	key := []byte{0xEF, 0xBE, 0xAD, 0xDE, 0x78, 0x56, 0x34, 0x12}
-	a, err := l.Append(key, []byte("value"))
+	a, err := l.Append(key, make([]byte, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Commit(a)
-	if !l.KeyEqualsU64(a, 0x12345678DEADBEEF) {
-		t.Fatal("KeyEqualsU64 rejected the little-endian encoding")
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], 0x12345678DEADBEEF)
+	for _, withValue := range []bool{false, true} {
+		p.ResetStats()
+		if !l.KeyEquals(a, buf[:], withValue) {
+			t.Fatal("KeyEquals rejected the little-endian encoding")
+		}
+		if got, want := p.Stats().ReadLines, lineSpan(a, BlobHeaderSize+8); !withValue && got != want {
+			t.Errorf("KeyEquals charged %d lines, want header+key's %d", got, want)
+		}
+		if got, want := p.Stats().ReadLines, lineSpan(a, BlobHeaderSize+108); withValue && got != want {
+			t.Errorf("KeyEquals withValue charged %d lines, want the blob's %d", got, want)
+		}
 	}
-	if l.KeyEqualsU64(a, 0x12345678DEADBEF0) {
-		t.Fatal("KeyEqualsU64 matched a different key")
+	binary.LittleEndian.PutUint64(buf[:], 0x12345678DEADBEF0)
+	if l.KeyEquals(a, buf[:], false) {
+		t.Fatal("KeyEquals matched a different key")
 	}
-	if got := l.QuietValueU64(a); got != 0x65756c6176 { // "value" zero-padded, LE
+	b, err := l.Append(key, []byte("value"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.QuietValueU64(b); got != 0x65756c6176 { // "value" zero-padded, LE
 		t.Fatalf("ValueU64 = %#x", got)
 	}
 }
@@ -128,7 +147,7 @@ func TestVarLogFreeReuse(t *testing.T) {
 	if st := l.Stats(); st.FreeBytes != 0 || st.LiveBytes != used.LiveBytes {
 		t.Fatalf("post-reuse stats = %+v, want live %d", st, used.LiveBytes)
 	}
-	if !l.KeyEquals(b, []byte("fedcba9876543210")) {
+	if !l.KeyEquals(b, []byte("fedcba9876543210"), false) {
 		t.Fatal("reused blob serves the old key")
 	}
 }
@@ -148,7 +167,7 @@ func TestVarLogChunkRollover(t *testing.T) {
 		t.Fatalf("expected multiple chunks, got %+v", st)
 	}
 	for i, a := range addrs {
-		if !l.KeyEquals(a, []byte(fmt.Sprintf("key-%03d-padded-out", i))) {
+		if !l.KeyEquals(a, []byte(fmt.Sprintf("key-%03d-padded-out", i)), false) {
 			t.Fatalf("blob %d unreadable after rollovers", i)
 		}
 	}
@@ -185,7 +204,7 @@ func TestVarLogRecover(t *testing.T) {
 	if st.FreeBytes != wantFree {
 		t.Fatalf("recovered free bytes = %d, want %d (orphan + uncommitted)", st.FreeBytes, wantFree)
 	}
-	if !l2.KeyEquals(kept, []byte("kept-key-0123456")) {
+	if !l2.KeyEquals(kept, []byte("kept-key-0123456"), false) {
 		t.Fatal("referenced blob unreadable after recovery")
 	}
 	// The reclaimed spans must be reusable without growing the chain.
@@ -227,10 +246,11 @@ func TestVarLogRecoverTornHeader(t *testing.T) {
 }
 
 // TestVarLogAppendRacesFlush is the -race regression for the byte-range
-// store paths on a crash-tracked pool: blobs are 16-aligned, so neighbours
-// share cachelines, and one goroutine's Flush snapshots a line (atomic word
-// loads in copyLineToMedia) that another's Append is copying payload bytes
-// into. Two appenders write small blobs back to back while two flushers
+// store path on a crash-tracked pool: blobs are 16-aligned, so neighbours
+// share cachelines, and one goroutine's Flush copies a line (writeBack) that
+// another's Append is copying payload bytes into (QuietStoreBytes); the
+// line's busy bit orders the two. Two appenders write small blobs back to
+// back while two flushers
 // sweep the log's lines; after a Crash every committed blob must read back.
 func TestVarLogAppendRacesFlush(t *testing.T) {
 	p, l := testLog(t, 1<<20, 0)
@@ -284,7 +304,7 @@ func TestVarLogAppendRacesFlush(t *testing.T) {
 	p.Crash()
 	for w := range recs {
 		for _, r := range recs[w] {
-			if !l.KeyEquals(r.a, r.k) {
+			if !l.KeyEquals(r.a, r.k, false) {
 				t.Fatalf("blob %#x: key lost after crash", r.a)
 			}
 			if got := l.QuietAppendValue(nil, r.a); !bytes.Equal(got, r.v) {

@@ -203,7 +203,7 @@ func TestFrontendCrashMidBatchRecovery(t *testing.T) {
 }
 
 func testCrashMidBatch(t *testing.T, clients int) {
-	cfg := Config{Shards: 2, PoolSize: 16 << 20, Seed: 17, TrackCrashes: true}
+	cfg := Config{Shards: 2, PoolSize: 4 << 20, Seed: 17, TrackCrashes: true}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
