@@ -390,6 +390,11 @@ func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byt
 	if err != nil {
 		t.Fatal(err)
 	}
+	// started[w] is stored before writer w checks stop, and the hook stores
+	// stop before it reads started: a writer whose next op the hook did not
+	// see as started sees stop and never runs it. Writer w's op in flight is
+	// ops[acked] only if started > acked; trimming ops to started says so.
+	started := make([]atomic.Int64, len(hists))
 	acked := make([]atomic.Int64, len(hists))
 	var (
 		count  atomic.Int64
@@ -399,11 +404,12 @@ func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byt
 	pool.SetFlushHook(func() {
 		switch n := count.Add(1); {
 		case n == crashAt:
+			stop.Store(true)
 			for w := range hists {
-				runs = append(runs, crashRun{hists[w], int(acked[w].Load())})
+				s := started[w].Load()
+				runs = append(runs, crashRun{hists[w][:s], int(acked[w].Load())})
 			}
 			img = pool.Snapshot()
-			stop.Store(true)
 			close(frozen)
 		case crashAt > 0 && n > crashAt:
 			<-frozen
@@ -415,6 +421,7 @@ func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byt
 		go func() {
 			defer wg.Done()
 			for i, op := range ops {
+				started[w].Store(int64(i + 1))
 				if stop.Load() {
 					return
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"time"
 
 	"dash/internal/hashfn"
@@ -84,11 +85,8 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	}
 
 	mstart := obs.Now()
-	sc := t.scan.Swap(nil)
-	if sc == nil {
-		sc = new(splitScan)
-	}
-	defer t.scan.Store(sc)
+	sc := splitScanPool.Get().(*splitScan)
+	defer splitScanPool.Put(sc)
 	copied := t.splitCopy(old, sib, l, sc, false)
 	t.met.splitMigrateNS.Record(obs.Now() - mstart)
 	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
@@ -116,12 +114,11 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 // bitmap of moved (sibling-claimed) slots, which the sweep then drops without
 // re-reading a record.
 //
-// Each table keeps one spare (Table.scan), sized for a full segment — a
-// bucket snapshot holds at most slotsPerBucket records — so a split
-// allocates nothing steady-state and the resize path adds no GC pressure (on
-// small-core boxes, GC mark assists were showing up as multi-ms latency
-// outliers dwarfing the splits themselves). A split that finds the spare
-// taken by a concurrent one allocates one instance.
+// Instances are pooled: a split allocates nothing steady-state, so the
+// resize path adds no GC pressure (on small-core boxes, GC mark assists
+// were showing up as multi-ms latency outliers dwarfing the splits
+// themselves). The buffers are arrays sized for a full segment, so an
+// instance the pool dropped costs one allocation to replace, not a regrowth.
 type splitScan struct {
 	ver     [totalBuckets]uint64
 	moved   [normalBuckets]uint64
@@ -129,6 +126,8 @@ type splitScan struct {
 	cand    [slotsPerSegment]splitCand
 	grouped [slotsPerSegment]splitCand
 }
+
+var splitScanPool = sync.Pool{New: func() any { return new(splitScan) }}
 
 // splitCand is one sibling-claimed record the scan found: its two words as
 // snapshotted, its hash parts (read from the record words; the scan never

@@ -162,10 +162,6 @@ type Table struct {
 	splits       atomic.Uint64
 	splitStallNS atomic.Int64
 
-	// scan is the table's spare split scan buffer (split.go), nil while a
-	// split holds it.
-	scan atomic.Pointer[splitScan]
-
 	// Observability (obs.go): reg names every meter, fr is the flight
 	// recorder, met the table-level histogram/phase handles. Built by
 	// initObs before any operation runs.

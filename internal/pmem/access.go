@@ -43,20 +43,20 @@ import (
 // (every benchmark's measured phase) pay one nil check, and a range store
 // there is a plain memmove.
 
-// store is the pool's one door for PM stores: it writes src at a — or, when
-// src is nil, the word v, atomically — then charges the lines written (if
-// charged) and marks them dirty.
-func (p *Pool) store(a Addr, src []byte, v uint64, charged bool) {
-	n := uint64(len(src))
-	if src == nil {
-		n = 8
-	} else if n == 0 {
-		return
+// store is the pool's one door for PM stores: it writes either the word v at
+// a, atomically (word), or the bytes of src (a range; an empty one stores
+// nothing), then charges the lines written (if charged) and marks them dirty.
+func (p *Pool) store(a Addr, word bool, v uint64, src []byte, charged bool) {
+	n := uint64(8)
+	if !word {
+		if n = uint64(len(src)); n == 0 {
+			return
+		}
 	}
 	p.check(a, n)
 	t := p.crash
 	switch {
-	case src == nil:
+	case word:
 		atomic.StoreUint64(p.word(a), v)
 	case t == nil:
 		copy(p.data[a:uint64(a)+n], src)
@@ -81,14 +81,14 @@ func (p *Pool) store(a Addr, src []byte, v uint64, charged bool) {
 func (p *Pool) word(a Addr) *uint64 { return (*uint64)(unsafe.Pointer(&p.data[a])) }
 
 // StoreU64 atomically stores v at a (8-aligned), charged.
-func (p *Pool) StoreU64(a Addr, v uint64) { p.store(a, nil, v, true) }
+func (p *Pool) StoreU64(a Addr, v uint64) { p.store(a, true, v, nil, true) }
 
 // QuietStoreU64 atomically stores v at a, tracked but not charged.
-func (p *Pool) QuietStoreU64(a Addr, v uint64) { p.store(a, nil, v, false) }
+func (p *Pool) QuietStoreU64(a Addr, v uint64) { p.store(a, true, v, nil, false) }
 
 // QuietStoreBytes copies src to a, tracked but not charged: the caller pays
 // with TouchWrite, or the flush that publishes an unpublished block does.
-func (p *Pool) QuietStoreBytes(a Addr, src []byte) { p.store(a, src, 0, false) }
+func (p *Pool) QuietStoreBytes(a Addr, src []byte) { p.store(a, false, 0, src, false) }
 
 // WriteU64 is StoreU64.
 func (p *Pool) WriteU64(a Addr, v uint64) { p.StoreU64(a, v) }

@@ -152,6 +152,50 @@ func TestVarLogFreeReuse(t *testing.T) {
 	}
 }
 
+// TestVarLogEmptyValueStaysInBlob: a blob whose key ends 13 bytes into its
+// last 16-byte unit, with an empty value, ends 3 bytes short of its capacity.
+// Appending it into a freed span directly before a committed blob must store
+// nothing past its key: the neighbour's header still reads back.
+func TestVarLogEmptyValueStaysInBlob(t *testing.T) {
+	_, l := testLog(t, 1<<20, 0)
+	key := []byte("thirteen-byte")
+	a, err := l.Append(key, []byte("abc")) // capacity 32, as with an empty value
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Commit(a)
+	nkey, nval := []byte("neighbour"), []byte("committed")
+	b, err := l.Append(nkey, nval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Commit(b)
+	if b != a.Add(blobCap(len(key), 0)) {
+		t.Fatalf("neighbour at %#x, want directly after %#x", b, a)
+	}
+	l.Free(a)
+	for _, value := range [][]byte{nil, {}} {
+		c, err := l.Append(key, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != a {
+			t.Fatalf("append went to %#x, want reuse of %#x", c, a)
+		}
+		l.Commit(c)
+		if klen, vlen := l.Lens(b); klen != len(nkey) || vlen != len(nval) {
+			t.Fatalf("value %v: neighbour lens = (%d,%d), want (%d,%d)", value, klen, vlen, len(nkey), len(nval))
+		}
+		if !l.KeyEquals(b, nkey, true) || !bytes.Equal(l.QuietAppendValue(nil, b), nval) {
+			t.Fatalf("value %v: neighbour no longer reads back", value)
+		}
+		if !l.KeyEquals(c, key, true) || len(l.QuietAppendValue(nil, c)) != 0 {
+			t.Fatalf("value %v: the blob does not read back", value)
+		}
+		l.Free(c)
+	}
+}
+
 func TestVarLogChunkRollover(t *testing.T) {
 	_, l := testLog(t, 1<<20, 1024) // tiny chunks force the chain to grow
 	var addrs []Addr
