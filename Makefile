@@ -66,7 +66,8 @@ docs-check: vet
 			probeOfRecord recSameIdentity splitAssists \
 			segClaims bucketFindLocked segFindLocked recProbe findTrackedSlot \
 			validateRoute mirrorRepair mirrorMaybeCheck mirrorBucketMatchesPM mirrorSampleMask CompareAndSwapU64 \
-			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch; do \
+			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch \
+			verifyLogLive verifyCacheCoherent mirrorVerifyAll WalkBlobs ResetStats; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

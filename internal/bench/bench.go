@@ -295,19 +295,28 @@ func (c *cell) start(cfg Config) ([]*client, error) {
 	return clients, nil
 }
 
-// close shuts the frontend (if started) and every table down, uncharged;
-// idempotent. Only a pool that has a model is written to: a reopened
-// table's background recovery may still be reading its (unmodeled) pool.
-func (c *cell) close() {
+// close shuts the frontend (if started) and every table down, uncharged,
+// once each table has completed its recovery and passed Verify — every cell
+// ends here — and returns what Verify found; idempotent. Only a pool that
+// has a model is written to: a reopened table's background recovery may
+// still be reading its (unmodeled) pool.
+func (c *cell) close() error {
 	if c.fe != nil {
 		c.fe.Close()
 	}
+	var errs []error
 	for i, tb := range c.tables {
 		if p := c.pools[i]; p.Model() != nil {
 			p.SetModel(nil)
 		}
+		tb.RecoverAll()
+		if err := tb.Verify(); err != nil {
+			errs = append(errs, fmt.Errorf("bench: table %d: %w", i, err))
+		}
 		tb.Close()
 	}
+	c.tables = nil
+	return errors.Join(errs...)
 }
 
 // route returns the table owning a key in the encoding it is submitted
@@ -358,8 +367,9 @@ func (c *cell) snapshot() ([]pmem.StatsSnapshot, []core.TableStats) {
 var errStopped = errors.New("bench: stopped by peer failure")
 
 // Run executes one benchmark cell: build pools and tables, preload, start
-// the frontend (service cells), warmup, measure, audit, and optionally time
-// a restart. Every phase is deterministic in cfg.Seed except scheduling.
+// the frontend (service cells), warmup, measure, audit, optionally time a
+// restart, and check every table it closes (cell.close). Every phase is
+// deterministic in cfg.Seed except scheduling.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("bench: threads must be > 0")
@@ -499,6 +509,8 @@ func Run(cfg Config) (*Result, error) {
 		if err := c.measureRecovery(cfg, res); err != nil {
 			return nil, err
 		}
+	} else if err := c.close(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -514,7 +526,9 @@ func Run(cfg Config) (*Result, error) {
 func (c *cell) measureRecovery(cfg Config, res *Result) error {
 	want := res.Count
 	crashImg := c.images() // tables still open: crash-path image
-	c.close()
+	if err := c.close(); err != nil {
+		return err
+	}
 	cleanImg := c.images() // clean markers persisted: fast-path image
 
 	rc, start, err := reopen(cfg, crashImg)
@@ -527,7 +541,9 @@ func (c *cell) measureRecovery(cfg Config, res *Result) error {
 	}
 	res.RecoveryFullNS = time.Since(start).Nanoseconds()
 	_, ts := rc.snapshot()
-	rc.close()
+	if err := rc.close(); err != nil {
+		return fmt.Errorf("bench: crash reopen: %w", err)
+	}
 	rs := sumStats(ts)
 	if rs.Count != want {
 		return fmt.Errorf("bench: crash recovery lost records: reopened count %d, want %d", rs.Count, want)
@@ -544,7 +560,9 @@ func (c *cell) measureRecovery(cfg Config, res *Result) error {
 	}
 	res.RecoveryCleanOpenNS = time.Since(start).Nanoseconds()
 	_, ts = cc.snapshot()
-	cc.close()
+	if err := cc.close(); err != nil {
+		return fmt.Errorf("bench: clean reopen: %w", err)
+	}
 	if got := sumStats(ts).Count; got != want {
 		return fmt.Errorf("bench: clean reopen lost records: count %d, want %d", got, want)
 	}

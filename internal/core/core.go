@@ -45,9 +45,8 @@
 //	               and placement decisions read it, and PM only takes the
 //	               stores — written through by every mutator and rebuilt
 //	               from the image on Open.
-//	verify.go    — Table.Verify, the quiescent check that every DRAM word
-//	               a running table trusts (view, claims, mirrors,
-//	               allocation frontiers) equals the PM word it stands for.
+//	verify.go    — Table.Verify, the table's one invariant checker; its doc
+//	               comment is the list of what DRAM and PM must agree on.
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow with fingerprint tracking metadata.

@@ -10,11 +10,9 @@ import (
 // loss, unwinding out of the in-flight operation.
 type crashNow struct{}
 
-// insertUntilCrash feeds keys to tbl until a hook fires pool.Crash and
-// panics, returning the keys whose Insert was acknowledged (returned nil
-// before the crash) and whether the crash happened.
-func insertUntilCrash(t *testing.T, tbl *Table, start, max uint64, acked map[uint64]uint64) (crashed bool) {
-	t.Helper()
+// crashes runs f and reports whether a crash hook unwound it; any other
+// panic goes on.
+func crashes(f func()) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(crashNow); !ok {
@@ -23,106 +21,91 @@ func insertUntilCrash(t *testing.T, tbl *Table, start, max uint64, acked map[uin
 			crashed = true
 		}
 	}()
-	for k := start; k < start+max; k++ {
-		if err := tbl.Insert(k, k*3+1); err != nil {
-			t.Fatalf("insert %d: %v", k, err)
-		}
-		acked[k] = k*3 + 1
-	}
+	f()
 	return false
 }
 
-// mixedWritesAfterReopen runs 1000 writes — inserts, updates, deletes and
-// re-inserts over a key range of its own — through a recovered table and
-// checks every reply, the surviving values and the Count delta: the writer
-// path (route from the rebuilt cache, claim check against recovered segment
-// headers) must work on whatever image recovery produced.
-func mixedWritesAfterReopen(t *testing.T, tbl *Table) {
+// insertUntilCrash feeds keys to tbl until a hook fires pool.Crash and
+// panics, recording in acked the keys whose Insert was acknowledged (returned
+// nil before the crash), and reports whether the crash happened.
+func insertUntilCrash(t *testing.T, tbl *Table, start, max uint64, acked map[uint64]uint64) bool {
+	t.Helper()
+	return crashes(func() {
+		for k := start; k < start+max; k++ {
+			if err := tbl.Insert(k, k*3+1); err != nil {
+				t.Fatalf("insert %d: %v", k, err)
+			}
+			acked[k] = k*3 + 1
+		}
+	})
+}
+
+// ackedRun is the history of inserting acked's pairs, every insert
+// acknowledged: what a hook test hands verifyCrashPoint. The insert the hook
+// crashed is no part of it — it never reached its record's store — so the
+// check stays exact.
+func ackedRun(acked map[uint64]uint64) []crashRun {
+	ops := make([]fuzzOp, 0, len(acked))
+	for k, v := range acked {
+		ops = append(ops, fuzzOp{kind: 'i', id: k, val: v})
+	}
+	return []crashRun{{ops, len(ops)}}
+}
+
+// writesAfterReopen runs writes through a recovered table and checks them as
+// a history of their own: inserts, updates, deletes and re-inserts, u64 and
+// variable-length (whose blobs may take what the recovery sweep reclaimed),
+// over ids no crash history uses, then inserts keys of one home bucket of one
+// segment until it splits — their pair, then the stash fill up, so a few
+// dozen inserts do it. Every reply, every surviving record and the
+// Count delta must be exact: the writer path — route from the rebuilt cache,
+// claim check against recovered headers, placement from recovered mirrors, a
+// split of a recovered segment — must work on whatever image recovery
+// produced.
+func writesAfterReopen(t *testing.T, tbl *Table, where string) {
 	t.Helper()
 	const base = uint64(1) << 41
+	var ops []fuzzOp
+	for _, ph := range []struct {
+		kind         byte
+		n, nVar, gen uint64 // u64 ids and variable-length ids from base on, value offset
+	}{{'i', 400, 20, 0}, {'u', 300, 10, 9}, {'d', 200, 5, 0}, {'i', 100, 2, 1}} {
+		for k := base; k < base+ph.n; k++ {
+			ops = append(ops, fuzzOp{ph.kind, false, k, k + ph.gen})
+		}
+		for k := base; k < base+ph.nVar; k++ {
+			ops = append(ops, fuzzOp{ph.kind, true, k, k + ph.gen})
+		}
+	}
 	before := tbl.Count()
-	for k := base; k < base+400; k++ {
-		if err := tbl.Insert(k, k); err != nil {
-			t.Fatalf("post-recovery insert %d: %v", k, err)
+	for _, op := range ops {
+		if err := applyCrashOp(tbl, op); err != nil {
+			t.Fatalf("%s: post-recovery %v", where, err)
 		}
 	}
-	for k := base; k < base+300; k++ {
-		if ok, err := tbl.Update(k, k+9); !ok || err != nil {
-			t.Fatalf("post-recovery Update(%d) = %v, %v", k, ok, err)
+	id := base << 1
+	first := tbl.parts(id)
+	seg, b, splits := tbl.cache.route(first), first.BucketIndex(bucketBits), tbl.splits.Load()
+	for ; tbl.splits.Load() == splits; id++ {
+		if p := tbl.parts(id); p.BucketIndex(bucketBits) != b || tbl.cache.route(p) != seg {
+			continue
 		}
+		op := fuzzOp{kind: 'i', id: id, val: id}
+		if err := applyCrashOp(tbl, op); err != nil {
+			t.Fatalf("%s: post-recovery insert into a full segment: %v", where, err)
+		}
+		ops = append(ops, op)
 	}
-	for k := base; k < base+200; k++ {
-		if !tbl.Delete(k) {
-			t.Fatalf("post-recovery Delete(%d) reported missing", k)
-		}
-	}
-	for k := base; k < base+100; k++ {
-		if err := tbl.Insert(k, k+1); err != nil {
-			t.Fatalf("post-recovery re-insert %d: %v", k, err)
-		}
-	}
-	for k := base; k < base+400; k++ {
-		want, live := k, true
-		switch {
-		case k < base+100:
-			want = k + 1
-		case k < base+200:
-			live = false
-		case k < base+300:
-			want = k + 9
-		}
-		if v, ok := tbl.Get(k); ok != live || (live && v != want) {
-			t.Fatalf("post-recovery Get(%d) = %d,%v want %d,%v", k, v, ok, want, live)
-		}
-	}
-	if got := tbl.Count(); got != before+300 {
-		t.Fatalf("post-recovery Count = %d, want %d", got, before+300)
+	live := verifyCrashRun(t, tbl, crashRun{ops, len(ops)}, where+", writes after recovery")
+	if got := tbl.Count(); got != before+int64(live) {
+		t.Fatalf("%s: Count = %d after the writes that followed recovery, want %d", where, got, before+int64(live))
 	}
 }
 
-// verifyCrashRecovery reopens the crashed pool image and checks the
-// acceptance contract: every acknowledged insert is readable with its value,
-// and the table accepts (and serves) new inserts.
-func verifyCrashRecovery(t *testing.T, pool *pmem.Pool, acked map[uint64]uint64) {
-	t.Helper()
-	tbl := openTestTable(t, pool)
-	for k, want := range acked {
-		v, ok := tbl.Get(k)
-		if !ok {
-			t.Fatalf("acknowledged key %d lost after crash", k)
-		}
-		if v != want {
-			t.Fatalf("key %d = %d after crash, want %d", k, v, want)
-		}
-	}
-	if got, want := tbl.Count(), int64(len(acked)); got != want {
-		t.Fatalf("recovered count = %d, want %d", got, want)
-	}
-	// Count completed recovery: the rebuilt DRAM state — mirrors its sweeps
-	// wrote through, view, frontiers — which every write below decides from
-	// must equal PM.
-	requireVerified(t, tbl)
-	// The recovered table must keep functioning, including further splits.
-	mixedWritesAfterReopen(t, tbl)
-	const more = 3000
-	base := uint64(1 << 40)
-	for k := base; k < base+more; k++ {
-		if err := tbl.Insert(k, k); err != nil {
-			t.Fatalf("post-recovery insert %d: %v", k, err)
-		}
-	}
-	for k := base; k < base+more; k++ {
-		if v, ok := tbl.Get(k); !ok || v != k {
-			t.Fatalf("post-recovery Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-	requireVerified(t, tbl)
-	tbl.Close()
-}
-
-// crashAtHook builds a crash-tracked table and arms one of the split hooks
-// to simulate power loss the nth time it fires.
-func crashAtHook(t *testing.T, arm func(tbl *Table, pool *pmem.Pool, fire func())) (*pmem.Pool, map[uint64]uint64) {
+// crashAtHook builds a crash-tracked table, arms one of the split hooks to
+// simulate power loss, inserts keys until it fires, and checks the reopened
+// image against the acknowledged inserts (verifyCrashPoint).
+func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 	t.Helper()
 	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
@@ -132,11 +115,10 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, pool *pmem.Pool, fire func()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fire := func() {
+	arm(tbl, func() {
 		pool.Crash()
 		panic(crashNow{})
-	}
-	arm(tbl, pool, fire)
+	})
 	acked := make(map[uint64]uint64)
 	if !insertUntilCrash(t, tbl, 0, 1<<20, acked) {
 		t.Fatal("workload finished without triggering the crash hook")
@@ -144,17 +126,14 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, pool *pmem.Pool, fire func()
 	if len(acked) == 0 {
 		t.Fatal("crashed before any insert was acknowledged")
 	}
-	return pool, acked
+	verifyCrashPoint(t, pool, ackedRun(acked), t.Name())
 }
 
 // TestCrashBeforePublish: power loss after the new segment is fully
 // persisted but before any directory entry points at it. The new segment
 // must be rolled back to a leak; the old segment still holds everything.
 func TestCrashBeforePublish(t *testing.T) {
-	pool, acked := crashAtHook(t, func(tbl *Table, _ *pmem.Pool, fire func()) {
-		tbl.hookAfterSegPersist = fire
-	})
-	verifyCrashRecovery(t, pool, acked)
+	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterSegPersist = fire })
 }
 
 // TestCrashAfterPublish: power loss after the directory entries point at the
@@ -162,10 +141,7 @@ func TestCrashBeforePublish(t *testing.T) {
 // Recovery must fix the old segment's stale metadata and drop the moved
 // records' leftover copies.
 func TestCrashAfterPublish(t *testing.T) {
-	pool, acked := crashAtHook(t, func(tbl *Table, _ *pmem.Pool, fire func()) {
-		tbl.hookAfterPublish = fire
-	})
-	verifyCrashRecovery(t, pool, acked)
+	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterPublish = fire })
 }
 
 // TestCrashMidPublish: power loss after the first flipped directory entry of
@@ -205,15 +181,7 @@ func TestCrashMidPublish(t *testing.T) {
 		pool.Crash()
 		panic(crashNow{})
 	}
-	crashed := func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashNow); !ok {
-					panic(r)
-				}
-				c = true
-			}
-		}()
+	crashed := crashes(func() {
 		for k := uint64(0); k < 1<<22; k++ {
 			if tbl.parts(k).DirIndex(1) != 1 {
 				continue
@@ -223,10 +191,9 @@ func TestCrashMidPublish(t *testing.T) {
 			}
 			acked[k] = k*3 + 1
 		}
-		return false
-	}()
+	})
 	if !crashed || !fired {
 		t.Fatal("workload did not crash mid-publish")
 	}
-	verifyCrashRecovery(t, pool, acked)
+	verifyCrashPoint(t, pool, ackedRun(acked), t.Name())
 }

@@ -24,8 +24,8 @@ import (
 //   - the persisted frontiers lie at or past the end of every block a
 //     published structure references: the directory and its segments, the
 //     log's chunks and the ledger's blocks below the table's frontier, every
-//     blob a slot references below its chunk's frontier (verifyLogLive: the
-//     log walk, which stops at the frontier, finds it committed);
+//     blob a slot references below its chunk's frontier, and committed
+//     (Verify);
 //   - blocks and blobs allocated afterwards are disjoint from every live one.
 
 // span is the byte range [lo, hi) of a live or freshly allocated block.
@@ -75,14 +75,7 @@ func runFrontierHistory(t *testing.T, crashAt int64) (*pmem.Pool, pmem.Addr, int
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(crashNow); !ok {
-						panic(r)
-					}
-				}
-			}()
-			f()
+			crashes(f)
 		}()
 	}
 	for half := uint64(0); half < 2; half++ {
@@ -127,9 +120,6 @@ func checkFrontiers(t *testing.T, pool *pmem.Pool, ledger pmem.Addr, crashAt int
 	tbl.RecoverAll()
 	if err := tbl.Verify(); err != nil {
 		fail("Verify: %v", err)
-	}
-	if err := tbl.verifyLogLive(); err != nil {
-		fail("%v", err)
 	}
 	// Blocks never overlap one another, blobs never overlap one another or a
 	// block other than the chunk holding them.

@@ -18,14 +18,18 @@ import (
 // can lose a cacheline — then reopen, lazily touch every segment through the
 // public read path, and require state equivalence against an oracle map.
 //
-// The acceptance contract at each crash point:
+// The acceptance contract at each crash point — verifyCrashPoint, the one
+// reopen oracle of the crash suites (the split and record-log hook tests
+// hand it their acknowledged inserts with no op in flight):
 //   - every acknowledged op is fully visible (exact values, exact absences);
 //   - the single in-flight op is atomic: the key reads as its old state or
 //     its new state, never anything else (no torn values, no ghosts);
 //   - Count, re-derived from bucket popcounts at first touch, matches the
 //     observed live set (duplicates or leaked slots would shift it);
-//   - after the background sweep, the record log's live set equals the set
-//     of blobs the slots reference (no leak, no double-free).
+//   - the recovered table passes Verify — among its invariants, after the
+//     background sweep, the record log's live set equals the set of blobs
+//     the slots reference (no leak, no double-free) — and keeps passing it
+//     after writes that split a recovered segment (writesAfterReopen).
 //
 // Flush boundaries within one prefix of the history are deterministic (the
 // table is single-threaded here and owns every flush), so "the Kth flush"
@@ -154,23 +158,14 @@ func runToCrash(t *testing.T, ops []fuzzOp, crashAt int) (pool *pmem.Pool, acked
 			panic(crashNow{})
 		}
 	})
-	crashed = func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashNow); !ok {
-					panic(r)
-				}
-				c = true
-			}
-		}()
+	crashed = crashes(func() {
 		for i := range ops {
 			if err := applyCrashOp(tbl, ops[i]); err != nil {
 				t.Fatalf("op %d (%+v): %v", i, ops[i], err)
 			}
 			acked = i + 1
 		}
-		return false
-	}()
+	})
 	pool.SetFlushHook(nil)
 	if crashed {
 		pool.Crash()
@@ -189,11 +184,12 @@ type crashRun struct {
 // contract described at the top of the file, for every writer's history.
 // The oracle probes double as the lazy first touches: every live key is read
 // through the gated public path before RecoverAll forces the remainder.
-func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, crashAt int) {
+// Returns the table, closed, for a test's own assertions on its meters.
+func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, where string) *Table {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("crash point %d: %s", crashAt, fmt.Sprintf(format, args...))
+		t.Fatalf("%s: %s", where, fmt.Sprintf(format, args...))
 	}
 	tbl, err := Open(pool)
 	if err != nil {
@@ -201,7 +197,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, crashAt in
 	}
 	expected := 0
 	for w, r := range runs {
-		expected += verifyCrashRun(t, tbl, r, fmt.Sprintf("crash point %d, writer %d", crashAt, w))
+		expected += verifyCrashRun(t, tbl, r, fmt.Sprintf("%s, writer %d", where, w))
 	}
 	for k := uint64(1 << 50); k < 1<<50+16; k++ {
 		if _, ok := tbl.Get(k); ok {
@@ -215,17 +211,15 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, crashAt in
 	if got := tbl.Count(); got != int64(expected) {
 		fail("Count = %d, want %d (duplicate or leaked slots)", got, expected)
 	}
-	if err := tbl.verifyLogLive(); err != nil {
-		fail("log live-set invariant: %v", err)
-	}
 	if err := tbl.Verify(); err != nil {
 		fail("after recovery: %v", err)
 	}
-	mixedWritesAfterReopen(t, tbl)
+	writesAfterReopen(t, tbl, where)
 	if err := tbl.Verify(); err != nil {
 		fail("after writes on the recovered table: %v", err)
 	}
 	tbl.Close()
+	return tbl
 }
 
 // verifyCrashRun checks one writer's keys on the reopened table — every
@@ -339,7 +333,7 @@ func TestCrashPointFuzz(t *testing.T) {
 		if !crashed {
 			t.Fatalf("crash point %d never fired (total %d)", crashAt, total)
 		}
-		verifyCrashPoint(t, pool, []crashRun{{ops, acked}}, crashAt)
+		verifyCrashPoint(t, pool, []crashRun{{ops, acked}}, fmt.Sprintf("crash point %d", crashAt))
 		points++
 	}
 	if points < target {
@@ -462,7 +456,7 @@ func TestCrashPointsWritersInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyCrashPoint(t, pool, runs, int(crashAt))
+		verifyCrashPoint(t, pool, runs, fmt.Sprintf("crash point %d", crashAt))
 		points++
 	}
 	if points < target {

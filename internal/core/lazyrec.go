@@ -96,7 +96,21 @@ func (t *Table) recoverLazy(clean bool) error {
 	if dir.IsNull() {
 		return ErrNotATable
 	}
+	// Every block address the image names is checked against the persisted
+	// frontier (Open checked it against the pool) before it is dereferenced
+	// or sized for: a corrupt word fails Open, it does not panic it or make
+	// it allocate for a directory no pool could hold.
+	frontier := t.allocNext
+	isBlock := func(a pmem.Addr, size uint64) bool {
+		return uint64(a)%allocAlign == 0 && uint64(a) >= allocStart && uint64(a) <= frontier && size <= frontier-uint64(a)
+	}
+	if !isBlock(dir, dirHeaderSize) {
+		return fmt.Errorf("core: corrupt image: root names directory %#x, not a block in [%#x, %#x)", dir, allocStart, frontier)
+	}
 	g := dirDepth(p, dir)
+	if g > 56 || !isBlock(dir, dirSize(g)) {
+		return fmt.Errorf("core: corrupt image: directory %#x of depth %d overruns the allocation frontier %#x", dir, g, frontier)
+	}
 	n := uint64(1) << g
 
 	type segInfo struct {
@@ -110,14 +124,14 @@ func (t *Table) recoverLazy(clean bool) error {
 	for i := uint64(0); i < n; i++ {
 		e := dirLoadEntry(p, dir, i)
 		entries[i] = e
-		if e.IsNull() {
-			return fmt.Errorf("core: recovery: null directory entry %d", i)
+		if !isBlock(e, segmentSize) {
+			return fmt.Errorf("core: corrupt image: directory entry %d names %#x, not a segment in [%#x, %#x)", i, e, allocStart, frontier)
 		}
 		if !seen[e] {
 			seen[e] = true
 			l, pat := segMeta(p, e)
-			if l > g {
-				return fmt.Errorf("core: recovery: segment %#x deeper (%d) than directory (%d)", e, l, g)
+			if l > g || pat>>l != 0 {
+				return fmt.Errorf("core: recovery: segment %#x claims (depth %d, pattern %#x) under directory depth %d", e, l, pat, g)
 			}
 			segs = append(segs, segInfo{addr: e, l: l, pat: pat})
 		}
@@ -364,11 +378,9 @@ func (t *Table) sweepStashGhosts(seg pmem.Addr, mir *segMirror) {
 			}
 			parts := recSplitParts(mir.rec(sb, slot), t.seed)
 			home := int(parts.BucketIndex(bucketBits))
-			hm := mir.word(home, mirBkMeta).Load()
-			if metaFindTracked(hm, mir.word(home, mirBkFPHi).Load(), parts.FP, j) >= 0 || metaOvCount(hm) > 0 {
-				continue
+			if !stashReachable(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, j) {
+				bucketDeleteLocked(t.pool, mir, segBucket(seg, sb), sb, slot, true)
 			}
-			bucketDeleteLocked(t.pool, mir, segBucket(seg, sb), sb, slot, true)
 		}
 	}
 }
@@ -453,46 +465,4 @@ func (t *Table) recoveryPending() int64 {
 		return lr.remaining.Load()
 	}
 	return 0
-}
-
-// verifyLogLive is the end-of-sweep invariant oracle: the record log's live
-// set — committed blobs not parked on the free list — must equal the set of
-// blobs the segments' slots reference. Quiescent-state test helper; it
-// drains the epoch manager first so retired-but-unreclaimed frees settle,
-// and requires recovery to have completed.
-func (t *Table) verifyLogLive() error {
-	if t.lazy.Load() != nil {
-		return fmt.Errorf("core: verifyLogLive before recovery completed")
-	}
-	t.em.Drain()
-	p := t.pool
-	refs := make(map[pmem.Addr]struct{})
-	t.cache.view.Load().eachSegment(func(d *segDesc) {
-		for bi := 0; bi < totalBuckets; bi++ {
-			ba := segBucket(d.seg, bi)
-			m := p.QuietLoadU64(ba.Add(bkOffMeta))
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				if !metaSlotUsed(m, slot) {
-					continue
-				}
-				if w0 := p.QuietLoadU64(recordAddr(ba, slot)); recIsIndirect(w0) {
-					refs[recBlobAddr(w0)] = struct{}{}
-				}
-			}
-		}
-	})
-	free := t.vlog.FreeSpans()
-	var bad []string
-	t.vlog.WalkBlobs(func(a pmem.Addr, capBytes uint64, committed bool) {
-		_, isRef := refs[a]
-		_, isFree := free[a]
-		live := committed && !isFree
-		if live != isRef {
-			bad = append(bad, fmt.Sprintf("blob %#x: committed=%v free=%v referenced=%v", a, committed, isFree, isRef))
-		}
-	})
-	if len(bad) > 0 {
-		return fmt.Errorf("core: log live set diverges from slot references: %v", bad)
-	}
-	return nil
 }

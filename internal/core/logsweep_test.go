@@ -18,7 +18,7 @@ import (
 // and (b) two independent reopens of the same image converge on the
 // identical free set and freed count — leak-or-reclaim is deterministic —
 // with the end-of-sweep invariant (live set == segment-referenced set)
-// checked by the verifyLogLive oracle.
+// checked by Verify.
 
 func sweepKey(i int) []byte { return []byte(fmt.Sprintf("sweep-key-%04d", i)) }
 func sweepVal(i, gen int) []byte {
@@ -64,7 +64,7 @@ func buildSweepImage(t *testing.T) ([]byte, map[int]int) {
 
 // recoverFully reopens an image and drives recovery to completion, returning
 // the table plus its final free set and sweep-freed counter.
-func recoverFully(t *testing.T, img []byte) (*Table, map[pmem.Addr]struct{}, uint64) {
+func recoverFully(t *testing.T, img []byte) (*Table, map[pmem.Addr]bool, uint64) {
 	t.Helper()
 	tbl, _ := reopenImage(t, img)
 	tbl.RecoverAll()
@@ -72,7 +72,7 @@ func recoverFully(t *testing.T, img []byte) (*Table, map[pmem.Addr]struct{}, uin
 	return tbl, tbl.vlog.FreeSpans(), freed
 }
 
-func sameSpans(a, b map[pmem.Addr]struct{}) bool {
+func sameSpans(a, b map[pmem.Addr]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -93,9 +93,7 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	if freedB == 0 {
 		t.Fatal("sweep reclaimed nothing; the image carries no dead blobs and the test is vacuous")
 	}
-	if err := tblB.verifyLogLive(); err != nil {
-		t.Fatalf("end-of-sweep invariant: %v", err)
-	}
+	requireVerified(t, tblB)
 	for i, gen := range live {
 		v, ok := tblB.GetB(sweepKey(i))
 		if !ok || !bytes.Equal(v, sweepVal(i, gen)) {
@@ -125,9 +123,7 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	if freedC != freedB || !sameSpans(freeC, freeB) {
 		t.Fatalf("sweep not deterministic: freed %d/%d spans %d/%d", freedC, freedB, len(freeC), len(freeB))
 	}
-	if err := tblC.verifyLogLive(); err != nil {
-		t.Fatalf("end-of-sweep invariant on reopen: %v", err)
-	}
+	requireVerified(t, tblC)
 
 	// Mid-sweep run: recover the segments, then step the sweep by hand in
 	// small batches, checking the durable image never moves; resume the same
@@ -181,9 +177,7 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	// oracle on the hand-driven table too.
 	lr.done.Store(true)
 	tblA.lazy.Store(nil)
-	if err := tblA.verifyLogLive(); err != nil {
-		t.Fatalf("end-of-sweep invariant after hand-driven resume: %v", err)
-	}
+	requireVerified(t, tblA)
 
 	tblA.Close()
 	tblB.Close()

@@ -36,13 +36,9 @@ import (
 // next). Writers take every placement decision here too — free slots,
 // displacement victims, overflow tracking — and PM only takes their stores,
 // each followed at once by the same store to the mirror. DRAM is therefore
-// the runtime truth and write-through exactness a correctness invariant: a
-// mirror word that differs from its PM word is not a slow path but a bug that
-// can misplace a record, and nothing at run time second-guesses the mirror
-// against PM — a divergent word has misplaced a record before any reader
-// could notice it, and no heal from PM could undo that. The net is a check,
-// not a protocol: Table.Verify (mirrorVerifyAll) at the teardown of every
-// test table and after every crash reopen.
+// the runtime truth: a mirror word that differs from its PM word is a bug
+// that can misplace a record before any reader could notice, so nothing at
+// run time second-guesses the mirror; the net is a check, Table.Verify.
 //
 // Coherence:
 //

@@ -113,6 +113,13 @@ type recLoc struct {
 
 func (l recLoc) inStash() bool { return l.bucket >= normalBuckets }
 
+// stashReachable reports whether a lookup reaches a record with fingerprint
+// fp in stash bucket j, given its home bucket's meta and fingerprint-hi
+// words: the home tracks it, or counts untracked spills.
+func stashReachable(hm, hhi uint64, fp uint8, j int) bool {
+	return metaFindTracked(hm, hhi, fp, j) >= 0 || metaOvCount(hm) > 0
+}
+
 // segInsertLocked places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
 // one bucket over, then the stash. Returns false when the segment needs to

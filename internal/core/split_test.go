@@ -553,7 +553,6 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 			t.Errorf("Get(%d) = %d,%v want %d,true", k, v, ok, want)
 		}
 	}
-	verifyCacheCoherent(t, tbl)
 }
 
 // TestSplitCharges pins what an undisturbed split costs, in the mould of
@@ -646,7 +645,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	if st := tbl.Stats(); st.Splits != 0 || st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
 		t.Fatalf("after the rollback: %d splits, %d mirror bytes for %d segments", st.Splits, st.SegFilterBytes, st.Segments)
 	}
-	verifyCacheCoherent(t, tbl) // includes: no marker left
+	requireVerified(t, tbl) // includes: no marker left
 	if _, ok := tbl.Get(k); ok {
 		t.Fatalf("the refused key %d is readable", k)
 	}
@@ -673,7 +672,6 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	if got := tbl.Count(); got != int64(len(acked)) {
 		t.Fatalf("Count = %d, want %d", got, len(acked))
 	}
-	verifyCacheCoherent(t, tbl)
 }
 
 // TestPoolFullMidSplitStaysServiceable: a split that dies at its directory
@@ -764,7 +762,7 @@ func TestPoolFullMidSplitStaysServiceable(t *testing.T) {
 		if got := tb.Count(); got != int64(len(acked)) {
 			t.Fatalf("%s: Count = %d, want %d", stage, got, len(acked))
 		}
-		verifyCacheCoherent(t, tb)
+		requireVerified(t, tb)
 		if st := tb.Stats(); st.SegFilterBytes != uint64(st.Segments)*segMirrorBytes {
 			t.Fatalf("%s: %d mirror bytes for %d segments", stage, st.SegFilterBytes, st.Segments)
 		}
@@ -783,10 +781,7 @@ func TestPoolFullMidSplitStaysServiceable(t *testing.T) {
 // marker is persisted, before any record is migrated. Recovery must clear
 // the marker and roll the split back; the old segment still owns everything.
 func TestCrashAfterSplitMarker(t *testing.T) {
-	pool, acked := crashAtHook(t, func(tbl *Table, _ *pmem.Pool, fire func()) {
-		tbl.hookAfterMarker = fire
-	})
-	verifyCrashRecovery(t, pool, acked)
+	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterMarker = fire })
 }
 
 // TestCrashMidSplitMigration: power loss halfway through the incremental
@@ -794,14 +789,13 @@ func TestCrashAfterSplitMarker(t *testing.T) {
 // nothing. Recovery must roll back via the marker; no acknowledged record
 // may be lost (migration only reads the old segment).
 func TestCrashMidSplitMigration(t *testing.T) {
-	pool, acked := crashAtHook(t, func(tbl *Table, _ *pmem.Pool, fire func()) {
+	crashAtHook(t, func(tbl *Table, fire func()) {
 		tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
 			if bucket == normalBuckets/2 {
 				fire()
 			}
 		}
 	})
-	verifyCrashRecovery(t, pool, acked)
 }
 
 // TestCrashMidSweep: power loss after the directory flips and the old
@@ -809,8 +803,5 @@ func TestCrashMidSplitMigration(t *testing.T) {
 // sweep persisted. Recovery must finish the sweep from the directory image
 // (the remaining leftover copies route elsewhere and are dropped).
 func TestCrashMidSweep(t *testing.T) {
-	pool, acked := crashAtHook(t, func(tbl *Table, _ *pmem.Pool, fire func()) {
-		tbl.hookMidSweep = fire
-	})
-	verifyCrashRecovery(t, pool, acked)
+	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookMidSweep = fire })
 }

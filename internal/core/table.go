@@ -267,6 +267,9 @@ func Open(pool *pmem.Pool) (*Table, error) {
 	}
 	t := newTableState(p, p.LoadU64(rootAddr.Add(rootOffSeed)))
 	t.allocNext = p.LoadU64(rootAddr.Add(rootOffAllocNxt))
+	if t.allocNext < allocStart || t.allocNext > p.Size() {
+		return nil, fmt.Errorf("core: corrupt image: allocation frontier %#x outside the %d-byte pool", t.allocNext, p.Size())
+	}
 	clean := p.LoadU64(rootAddr.Add(rootOffClean)) == cleanShutdownMagic
 	// Consume the marker before anything else: from here on the image can
 	// diverge from the persisted count, so a crash must take the crash path.

@@ -36,10 +36,14 @@ func openTestTable(t testing.TB, pool *pmem.Pool) *Table {
 	return tbl
 }
 
-// verifyAtTeardown runs requireVerified when the test ends: every table a
-// test leaves alive must be one a crash could reopen from what it stored.
+// verifyAtTeardown completes the table's recovery and runs requireVerified
+// when the test ends: every table a test leaves alive must be one a crash
+// could reopen from what it stored.
 func verifyAtTeardown(t testing.TB, tbl *Table) {
-	t.Cleanup(func() { requireVerified(t, tbl) })
+	t.Cleanup(func() {
+		tbl.RecoverAll()
+		requireVerified(t, tbl)
+	})
 }
 
 // requireVerified fails the test if the quiescent table's DRAM state differs

@@ -67,7 +67,7 @@ func GoShard() uint64 {
 
 // Counter is a cacheline-sharded event counter: increments spread over
 // independent lines, reads sum the shards. The total is exact (per-shard
-// atomics, monotone between resets). The zero value is ready to use, and
+// atomics, monotone). The zero value is ready to use, and
 // all methods are safe on a nil *Counter (no-ops reading zero), so optional
 // meters cost exactly one predictable branch when absent.
 type Counter struct {
@@ -102,17 +102,4 @@ func (c *Counter) Total() uint64 {
 		t += c.shards[i].n.Load()
 	}
 	return t
-}
-
-// Reset zeroes the counter shard by shard. Safe to call while writers run —
-// each store is atomic — but increments landing mid-reset may survive in
-// not-yet-cleared shards or vanish in already-cleared ones; a mid-run reset
-// re-baselines "roughly now" rather than at one instant.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		c.shards[i].n.Store(0)
-	}
 }

@@ -285,10 +285,6 @@ func TestDeviceTimeBooked(t *testing.T) {
 	if g := r.Snapshot().Gauges; g["pmem.device_ns.read"] != int64(want.Read) || g["pmem.device_ns.fence"] != int64(want.Fence) || g["pmem.device_ns.queue"] != int64(want.Queue) {
 		t.Errorf("registry gauges %v", g)
 	}
-	p.ResetStats()
-	if d := p.Stats().DeviceNS; d != (DeviceNS{}) {
-		t.Errorf("after reset: %+v", d)
-	}
 }
 
 // BenchmarkCharge times each priced call at 1 and 2 goroutines; ns/call is

@@ -130,10 +130,6 @@ func (p *Pool) Size() uint64 { return p.size }
 // not cross-counter) consistency it provides.
 func (p *Pool) Stats() StatsSnapshot { return p.stats.snapshot() }
 
-// ResetStats zeroes the PM traffic counters. Safe to call mid-run; see
-// Stats.reset for what concurrent increments may observe.
-func (p *Pool) ResetStats() { p.stats.reset() }
-
 // RegisterMetrics exposes the pool's traffic counters on r under pmem.*
 // names.
 func (p *Pool) RegisterMetrics(r *obs.Registry) { p.stats.Register(r) }

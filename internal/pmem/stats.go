@@ -68,7 +68,7 @@ func (s *Stats) Register(r *obs.Registry) {
 // counter is an independent atomic, so a snapshot is race-free but not a
 // single consistent cut — each counter is exact at some instant during the
 // call, which is the strongest guarantee lock-free accounting can offer and
-// all a windowed measurement needs (counters only grow between resets).
+// all a windowed measurement needs (counters only grow).
 type StatsSnapshot struct {
 	// ReadLines and WriteLines count cachelines touched by reads/writes.
 	ReadLines, WriteLines uint64
@@ -118,10 +118,10 @@ func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
 }
 
 // Sub returns s minus earlier, for windowed measurements. The subtraction
-// saturates at zero per counter: if a concurrent reset fell between the two
-// snapshots, a counter can be smaller in the later one, and a saturated zero
-// is a sane reading where a wrapped ~2^64 would poison every per-op metric
-// derived from the window.
+// saturates at zero per counter: a caller that passes the snapshots in the
+// wrong order, or an earlier one from another pool, gets a zero, a sane
+// reading where a wrapped ~2^64 would poison every per-op metric derived
+// from the window.
 func (s StatsSnapshot) Sub(earlier StatsSnapshot) StatsSnapshot {
 	ec := earlier.counters()
 	for i, c := range s.counters() {
@@ -148,20 +148,5 @@ func (s *Stats) snapshot() StatsSnapshot {
 			Fence: s.deviceNS[devFence].Total(),
 			Queue: s.deviceNS[devQueue].Total(),
 		},
-	}
-}
-
-// reset zeroes the counters shard by shard. Safe to call while accessors
-// run — each store is atomic — but increments landing mid-reset may survive
-// in not-yet-cleared shards or vanish in already-cleared ones; a mid-run
-// reset therefore re-baselines "roughly now" rather than at one instant.
-func (s *Stats) reset() {
-	s.readLines.Reset()
-	s.writeLines.Reset()
-	s.flushes.Reset()
-	s.fences.Reset()
-	s.elidedFences.Reset()
-	for k := range s.deviceNS {
-		s.deviceNS[k].Reset()
 	}
 }

@@ -47,9 +47,9 @@ import (
 // fences them; Commit sets the commit word with its own persist. The caller
 // publishes the blob by pointing a table slot at it only after Commit, so
 // at any crash a blob is in exactly one of three states: unwritten or
-// uncommitted (reclaimed by Recover), committed but unreferenced (the crash
-// fell between commit and slot publish, or between a copy-on-write slot
-// flip and nothing — Recover reclaims it once the caller reports which
+// uncommitted (reclaimed by the recovery sweep), committed but unreferenced
+// (the crash fell between commit and slot publish, or between a copy-on-write
+// slot flip and nothing — the sweep reclaims it once the caller reports which
 // blobs its slots still reference), or committed and referenced (kept).
 //
 // # Reuse
@@ -78,7 +78,7 @@ type VarLog struct {
 	cur, bump, end uint64
 	free           map[uint64][]Addr
 
-	// DRAM stats; rebuilt by Recover.
+	// DRAM stats; rebuilt by RecoverChunks and the sweep.
 	chunkBytes atomic.Uint64 // pool bytes held by chunks
 	liveBytes  atomic.Uint64 // capacity of committed, not-freed blobs
 	liveBlobs  atomic.Int64
@@ -131,8 +131,8 @@ var ErrBlobTooLarge = errors.New("pmem: blob exceeds varlog size bounds")
 // empty log; Create-time callers persist that zero themselves). alloc hands
 // out chunk-sized pool blocks; chunkSize 0 selects VarChunkSize, and a
 // smaller size must still hold the chunk header plus the largest blob the
-// caller appends. Call Recover before use when headAddr may name existing
-// chunks.
+// caller appends. Call RecoverChunks before use when headAddr may name
+// existing chunks, and sweep them (SweepStart) before trusting the free list.
 func NewVarLog(pool *Pool, headAddr Addr, chunkSize uint64, alloc func(size uint64) (Addr, error)) *VarLog {
 	if chunkSize == 0 {
 		chunkSize = VarChunkSize
@@ -349,17 +349,25 @@ func (l *VarLog) RecoverChunks() error {
 	head := Addr(p.LoadU64(l.headAddr))
 	l.cur, l.bump, l.end = uint64(head), 0, 0
 	l.sweepHead, l.sweepLimit = head, 0
+	// Every chunk must lie in the pool and the chain's chunks must fit in it
+	// together, which bounds the walk on a chain whose next words loop.
+	from, total := l.headAddr, uint64(0)
 	for chunk := head; !chunk.IsNull(); {
+		if uint64(chunk)%CachelineSize != 0 || uint64(chunk)+chunkHeaderSize > p.size {
+			return fmt.Errorf("pmem: varlog chunk pointer %#x (word %#x) names no chunk of the pool", chunk, from)
+		}
 		size := p.LoadU64(chunk.Add(chunkOffSize))
 		bump := p.LoadU64(chunk.Add(chunkOffBump))
-		if size < chunkHeaderSize || bump < uint64(chunk)+chunkHeaderSize || bump > uint64(chunk)+size {
-			return fmt.Errorf("pmem: varlog chunk %#x corrupt (size %d bump %#x)", chunk, size, bump)
+		total += size
+		if size < chunkHeaderSize || size > p.size-uint64(chunk) || total > p.size || bump < uint64(chunk)+chunkHeaderSize || bump > uint64(chunk)+size {
+			return fmt.Errorf("pmem: varlog chunk %#x (word %#x) corrupt (size %d bump %#x)", chunk, from, size, bump)
 		}
 		if chunk == head {
 			l.sweepLimit, l.bump, l.end = bump, bump, uint64(chunk)+size
 		}
 		l.chunkBytes.Add(size)
-		chunk = Addr(p.LoadU64(chunk.Add(chunkOffNext)))
+		from = chunk.Add(chunkOffNext)
+		chunk = Addr(p.LoadU64(from))
 	}
 	return nil
 }
@@ -454,68 +462,53 @@ func (s *LogSweep) nextChunk() {
 	s.limit = p.QuietLoadU64(s.chunk.Add(chunkOffBump))
 }
 
-// Recover is the synchronous composition RecoverChunks + a full sweep — the
-// eager-recovery convenience for callers (and tests) with no concurrent
-// traffic to stay out of the way of.
-func (l *VarLog) Recover(referenced func(Addr) bool) error {
-	if err := l.RecoverChunks(); err != nil {
-		return err
+// Verify checks a quiescent log with quiet loads: the PM head names the chunk
+// blobs are carved from, at the DRAM frontier; and given referenced (nil
+// skips it), the blobs the caller's slots hold, committed and off the free
+// list is exactly referenced. The walk stops, as the recovery sweep does, at
+// a header that never reached media: what lies behind it is leaked.
+func (l *VarLog) Verify(referenced map[Addr]struct{}) error {
+	p, free := l.pool, l.FreeSpans()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var errs []error
+	if head := p.QuietLoadU64(l.headAddr); head != l.cur {
+		errs = append(errs, fmt.Errorf("pmem: varlog carves from chunk %#x, PM head is %#x", l.cur, head))
+	} else if bump := Addr(head).Add(chunkOffBump); head != 0 && p.QuietLoadU64(bump) != l.bump {
+		errs = append(errs, fmt.Errorf("pmem: varlog frontier %#x, PM frontier %#x", l.bump, p.QuietLoadU64(bump)))
 	}
-	s := l.SweepStart()
-	for {
-		if done, _ := s.Step(1024, referenced); done {
-			return nil
+	if referenced == nil {
+		return errors.Join(errs...)
+	}
+	for a := range referenced {
+		if p.QuietLoadU64(a.Add(8)) != blobCommitMagic || free[a] {
+			errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is referenced, but uncommitted or free", a))
 		}
 	}
-}
-
-// WalkBlobs calls fn for every blob currently reachable by a log walk (each
-// chunk up to its live bump frontier), reporting its capacity and whether
-// its commit word is set. Quiescent-state debug/test oracle: concurrent
-// appends void the walk's meaning.
-func (l *VarLog) WalkBlobs(fn func(a Addr, capBytes uint64, committed bool)) {
-	p := l.pool
-	for chunk := Addr(p.QuietLoadU64(l.headAddr)); !chunk.IsNull(); {
+	for chunk := Addr(l.cur); !chunk.IsNull(); chunk = Addr(p.QuietLoadU64(chunk.Add(chunkOffNext))) {
 		bump := p.QuietLoadU64(chunk.Add(chunkOffBump))
 		for a := chunk.Add(chunkHeaderSize); uint64(a) < bump; {
-			h := p.QuietLoadU64(a)
-			capBytes := blobHeaderCap(h)
+			capBytes := blobHeaderCap(p.QuietLoadU64(a))
 			if capBytes == 0 || uint64(a)+capBytes > bump {
 				break
 			}
-			fn(a, capBytes, p.QuietLoadU64(a.Add(8)) == blobCommitMagic)
+			if _, ref := referenced[a]; !ref && !free[a] && p.QuietLoadU64(a.Add(8)) == blobCommitMagic {
+				errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is committed, unreferenced and not free", a))
+			}
 			a = a.Add(capBytes)
 		}
-		chunk = Addr(p.QuietLoadU64(chunk.Add(chunkOffNext)))
 	}
-}
-
-// Verify reports whether the allocator's DRAM state is what the PM image
-// says: the head pointer names the chunk blobs are carved from, and that
-// chunk's persisted frontier is the DRAM one. Quiescent-state check.
-func (l *VarLog) Verify() error {
-	p := l.pool
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if head := p.QuietLoadU64(l.headAddr); head != l.cur {
-		return fmt.Errorf("pmem: varlog carves from chunk %#x, PM head is %#x", l.cur, head)
-	}
-	if l.cur != 0 {
-		if bump := p.QuietLoadU64(Addr(l.cur).Add(chunkOffBump)); bump != l.bump {
-			return fmt.Errorf("pmem: varlog frontier %#x, PM frontier %#x", l.bump, bump)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // FreeSpans snapshots the set of blob addresses parked on the DRAM free
-// list. Quiescent-state debug/test oracle.
-func (l *VarLog) FreeSpans() map[Addr]struct{} {
-	out := make(map[Addr]struct{})
+// list.
+func (l *VarLog) FreeSpans() map[Addr]bool {
+	out := make(map[Addr]bool)
 	l.mu.Lock()
 	for _, spans := range l.free {
 		for _, a := range spans {
-			out[a] = struct{}{}
+			out[a] = true
 		}
 	}
 	l.mu.Unlock()

@@ -374,6 +374,12 @@ func testCrashMidBatch(t *testing.T, clients int) {
 			t.Fatalf("key %d = %d after crash, want %d", k, v, want)
 		}
 	}
+	for i := 0; i < re.N(); i++ {
+		re.Table(i).RecoverAll()
+		if err := re.Table(i).Verify(); err != nil {
+			t.Errorf("shard %d after reopen: %v", i, err)
+		}
+	}
 	// The recovered service keeps working end to end.
 	fe2 := NewFrontend(re, 8)
 	defer fe2.Close()
