@@ -33,9 +33,10 @@ fmt-check:
 # flags malformed doc comments), a missing-package-comment lint — every
 # package directory must have at least one file opening with a "// Package"
 # (or, for main packages, "// Command") doc comment — an exported-identifier
-# doc lint on internal/service (every top-level exported func/type/const/var
-# and exported method must carry a doc comment), and a stale-reference check
-# that greps the prose docs for identifiers that no longer exist in the code.
+# doc lint on every package under internal/ (every top-level exported
+# func/type/const/var and exported method must carry a doc comment), and a
+# stale-reference check that greps the prose docs for identifiers that no
+# longer exist in the code.
 docs-check: vet
 	@missing=$$($(GO) list -f '{{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r dir files; do \
@@ -48,7 +49,7 @@ docs-check: vet
 	if [ -n "$$missing" ]; then \
 		echo "packages missing a package doc comment:"; echo "$$missing"; exit 1; \
 	fi
-	@undoc=$$(for f in internal/service/*.go; do \
+	@undoc=$$(for f in $$(find internal -name '*.go' | sort); do \
 		case "$$f" in *_test.go) continue;; esac; \
 		awk -v file="$$f" ' \
 			/^(func|type|const|var) [A-Z]/ || /^func \([^)]*\) [A-Z]/ { \
@@ -67,7 +68,8 @@ docs-check: vet
 			segClaims bucketFindLocked segFindLocked recProbe findTrackedSlot \
 			validateRoute mirrorRepair mirrorMaybeCheck mirrorBucketMatchesPM mirrorSampleMask CompareAndSwapU64 \
 			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch \
-			verifyLogLive verifyCacheCoherent mirrorVerifyAll WalkBlobs ResetStats; do \
+			verifyLogLive verifyCacheCoherent mirrorVerifyAll WalkBlobs ResetStats \
+			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path'; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -76,7 +78,7 @@ docs-check: vet
 	if [ -n "$$stale" ]; then \
 		echo "docs reference identifiers that no longer exist:"; echo "$$stale"; exit 1; \
 	fi
-	@echo "docs-check: all packages documented, service exports documented, no stale doc references"
+	@echo "docs-check: all packages documented, internal/ exports documented, no stale doc references"
 
 # benchmark-check vets and tests the repo benchmark, a module of its own
 # (benchmark/go.mod) that `./...` from the root does not reach: the only
@@ -135,10 +137,9 @@ bench-gate:
 # variable-length mixes × 1..8 threads under the full Optane cost model,
 # plus the service-tier suite: every client simulation at 4 shards ×
 # batch 16 against its 1×1 baseline), recovery timings included. It writes
-# $(BENCH_OUT) — by default the git-ignored BENCH_local.json; the committed
-# BENCH_pr*.json files are history (BENCH_pr9.json is also the row schema of
-# record that cmd/dashbench's tests read), so name a new file to bank a run:
-# make bench BENCH_OUT=BENCH_pr16.json
+# $(BENCH_OUT) — by default the git-ignored BENCH_local.json; ROADMAP.md's
+# "Measured baselines" keeps the trajectory of earlier runs, so name a new
+# file to bank one: make bench BENCH_OUT=BENCH_banked.json
 BENCH_OUT ?= BENCH_local.json
 bench:
 	$(GO) run ./cmd/dashbench -threads 8 -ops 100000 -keyspace 100000 \

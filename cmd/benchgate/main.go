@@ -191,8 +191,10 @@ func runCell(cell gateCell) bool {
 			float64(res.RecoveryFullNS)/1e6, float64(res.RecoveryCleanOpenNS)/1e6)
 	}
 	check("load factor", res.LoadFactor, th.LoadFactorMin, true, 2, "")
+	m := res.Meters
 	fmt.Printf("  info splits=%d stall_ms=%.2f overflows=%d too_large=%d log_live_mib=%.1f\n",
-		res.Splits, float64(res.SplitStallNS)/1e6, res.InsertOverflow, res.InsertTooLarge, float64(res.LogLiveBytes)/(1<<20))
+		m.Counters["split.completed"], float64(m.Counters["split.stall_ns"])/1e6, res.InsertOverflow, res.InsertTooLarge,
+		float64(m.Gauges["varlog.live_bytes"])/(1<<20))
 
 	if base != nil {
 		ratio := func(a, b float64) float64 {
@@ -206,7 +208,8 @@ func runCell(cell gateCell) bool {
 		check("throughput vs baseline", ratio(res.MopsPerS, base.MopsPerS), th.SvcMopsRatioMin, true, 3,
 			fmt.Sprintf("; %.3f vs %.3f Mops/s", res.MopsPerS, base.MopsPerS))
 		fmt.Printf("  info batch_mean=%.1f flush_saved=%d imbalance=%.3f reconnects=%d elided_per_op=%.3f\n",
-			res.BatchSizeMean, res.FlushSaved, res.Imbalance, res.Reconnects, res.FencesElidedPerOp)
+			m.Hists["service.batch.size"].Mean, m.Counters["service.batch.flush_saved"], res.Imbalance, res.Reconnects,
+			res.FencesElidedPerOp)
 	}
 	return passed
 }

@@ -132,7 +132,7 @@ func main() {
 		fmt.Printf("dashbench: debug endpoint on http://%s (/metrics, /trace, /debug/pprof)\n", srv.Addr())
 	}
 
-	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 8}
+	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 9}
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
@@ -173,19 +173,17 @@ func main() {
 		if n := res.InsertTooLarge; n > 0 {
 			fmt.Printf("          ^ %d inserts rejected as too large\n", n)
 		}
-		if lb := res.LogLiveBytes; lb > 0 {
-			fmt.Printf("          ^ record log: %.1f MiB live (%d blobs), %.1f MiB free-listed, %.1f MiB chunks\n",
-				float64(lb)/(1<<20), res.LogLiveBlobs,
-				float64(res.LogFreeBytes)/(1<<20), float64(res.LogChunkBytes)/(1<<20))
+		if g := res.Meters.Gauges; g["varlog.live_bytes"] > 0 {
+			fmt.Printf("          ^ record log: %.1f MiB live, %.1f MiB free-listed\n",
+				float64(g["varlog.live_bytes"])/(1<<20), float64(g["varlog.free_bytes"])/(1<<20))
 		}
-		if *recovery {
+		if rec := res.Recovery; rec != nil {
+			ms := func(name string) float64 { return float64(rec.Counters["recovery."+name+"_ns"]) / 1e6 }
 			fmt.Printf("          ^ restart: crash open %.2fms (first op), fully recovered %.2fms, clean open %.2fms\n",
 				float64(res.RecoveryOpenNS)/1e6, float64(res.RecoveryFullNS)/1e6,
 				float64(res.RecoveryCleanOpenNS)/1e6)
 			fmt.Printf("          ^ recovery work: %.2fms total (dir %.2f, segments %.2f, log %.2f, mirrors %.2f)\n",
-				float64(res.RecoveryTotalNS)/1e6, float64(res.RecoveryDirNS)/1e6,
-				float64(res.RecoverySegmentsNS)/1e6, float64(res.RecoveryLogNS)/1e6,
-				float64(res.RecoveryMirrorsNS)/1e6)
+				ms("total"), ms("directory"), ms("segments"), ms("log"), ms("mirrors"))
 		}
 		outJSON.Results = append(outJSON.Results, res)
 	}
@@ -205,7 +203,8 @@ func main() {
 					float64(res.P999NS)/1e3, float64(res.MaxNS)/1e3,
 					res.ReadBytesPerOp, res.WriteBytesPerOp, res.DeviceNSPerOp,
 					res.LoadFactor, res.GlobalDepth,
-					100*res.DirCacheHitRate, 100*res.SegFilterHitRate, res.Splits)
+					100*hitRate(res.Meters, "dircache"), 100*hitRate(res.Meters, "segfilter"),
+					res.Meters.Counters["split.completed"])
 			})
 		}
 	}
@@ -222,7 +221,7 @@ func main() {
 				fmt.Printf("  %13s %9.3f %9.1f %9.1f %9.1f %10.3f %9.3f %9.0f %9.1f %7.3f %6d %6.2f\n",
 					fmt.Sprintf("%d×%d", res.Shards, res.Batch), res.MopsPerS,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3, float64(res.P999NS)/1e3,
-					res.FencesPerOp, res.FencesElidedPerOp, res.DeviceNSPerOp, res.BatchSizeMean,
+					res.FencesPerOp, res.FencesElidedPerOp, res.DeviceNSPerOp, res.Meters.Hists["service.batch.size"].Mean,
 					res.Imbalance, res.Reconnects, res.LoadFactor)
 				if res.Shards > 1 {
 					for _, row := range res.PerShard {
@@ -244,6 +243,15 @@ func main() {
 		}
 		fmt.Printf("\nwrote %d results to %s\n", len(outJSON.Results), *out)
 	}
+}
+
+// hitRate is a tier's hits over its hits and misses in m (1 when idle).
+func hitRate(m obs.Snapshot, tier string) float64 {
+	hits, misses := m.Counters[tier+".hits"], m.Counters[tier+".misses"]
+	if hits+misses == 0 {
+		return 1
+	}
+	return float64(hits) / float64(hits+misses)
 }
 
 // selectMixes resolves the mix set: the core suite plus -mix additions, or
@@ -320,6 +328,13 @@ func (s *liveSource) TraceSnapshot() []obs.Event {
 		return t.TraceSnapshot()
 	}
 	return nil
+}
+
+func (s *liveSource) OpSamplePeriod() int {
+	if t := s.tb.Load(); t != nil {
+		return t.OpSamplePeriod()
+	}
+	return 0
 }
 
 func fatal(err error) {

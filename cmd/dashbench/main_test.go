@@ -2,73 +2,43 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"sort"
+	"maps"
+	"slices"
 	"testing"
 
 	"dash/internal/bench"
+	"dash/internal/core"
+	"dash/internal/pmem"
+	"dash/internal/service"
 	"dash/internal/workload"
 )
 
-// schemaAdditions are the row keys a BENCH file carries today that
-// BENCH_pr9.json, the last committed trajectory file, predates: the device
-// time columns of schema v8 (PR 13). A key added to bench.Result (or to the
-// core.TableStats it embeds) must be listed here and in the README's
-// "Reading the BENCH JSON" section, or this test fails.
-var schemaAdditions = []string{"pm_device_ns", "pm_device_ns_per_op"}
+// The BENCH row's header (schema v9): every key of a row but "meters". A
+// key added to bench.Result must be listed here and in the README's
+// "Reading the BENCH JSON" section, or TestRowSchema fails. The restart
+// walls are present on -recovery rows only, the service columns on service
+// rows only.
+var (
+	headerKeys = []string{
+		"mix", "threads", "ops", "elapsed_ns", "mops_per_s",
+		"p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns", "max_us", "mean_ns",
+		"pm_read_bytes_per_op", "pm_write_bytes_per_op", "pm_flushed_bytes_per_op",
+		"pm_fences_per_op", "pm_device_ns_per_op", "pm_device_ns",
+		"count", "global_depth", "segments", "load_factor", "stash_share", "allocated_bytes",
+		"insert_overflows", "insert_too_large",
+	}
+	recoveryKeys = []string{"recovery_open_ns", "recovery_full_ns", "recovery_clean_open_ns", "recovery_meters"}
+	serviceKeys  = []string{"shards", "batch", "pm_fences_elided_per_op", "shard_imbalance", "svc_reconnects", "shard_rows"}
+)
 
-// rowKeys marshals one result the way dashbench writes it and returns the
-// row's key set.
-func rowKeys(t *testing.T, cfg bench.Config) map[string]bool {
-	t.Helper()
-	res, err := bench.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var row map[string]json.RawMessage
-	if err := json.Unmarshal(data, &row); err != nil {
-		t.Fatal(err)
-	}
-	keys := map[string]bool{}
-	for k := range row {
-		keys[k] = true
-	}
-	return keys
-}
-
-// TestRowSchemaMatchesTrajectoryFile pins the BENCH row format: a
-// marshalled bench.Result has exactly the keys of the corresponding row of
-// BENCH_pr9.json (classic rows there were measured with -recovery; its first
-// service row is the 1×1 baseline, where imbalance and reconnects are zero
-// and omitted) plus the listed additions.
-func TestRowSchemaMatchesTrajectoryFile(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_pr9.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		Results []map[string]json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatal(err)
-	}
-	var classic, service map[string]json.RawMessage
-	for _, row := range file.Results {
-		_, isSvc := row["shards"]
-		if isSvc && service == nil {
-			service = row
-		} else if !isSvc && classic == nil {
-			classic = row
-		}
-	}
-	if classic == nil || service == nil {
-		t.Fatal("BENCH_pr9.json lacks a classic or a service row")
-	}
-
+// TestRowSchema pins the BENCH row format: a marshalled bench.Result has
+// exactly the header keys listed above plus "meters", and the meters of a
+// direct row (and its recovery_meters) name exactly what a fresh table's
+// registry holds — a 2-shard service row's, what a fresh table's and a fresh
+// frontend's hold — meter by meter and kind by kind. A meter registered in
+// core/obs.go or by the frontend therefore reaches the row with no other
+// edit, and this test keeps passing.
+func TestRowSchema(t *testing.T) {
 	sim := func(name string) workload.ClientSim {
 		s, ok := workload.ClientSimByName(name)
 		if !ok {
@@ -77,40 +47,89 @@ func TestRowSchemaMatchesTrajectoryFile(t *testing.T) {
 		return s
 	}
 	base := bench.Config{Threads: 2, Ops: 2000, WarmupOps: 200, Keyspace: 2048, Seed: 42}
-	classicCfg, serviceCfg := base, base
-	classicCfg.Sim, classicCfg.MeasureRecovery = sim("insert"), true
-	serviceCfg.Sim, serviceCfg.Shards, serviceCfg.Batch = sim("svc-balanced"), 1, 1
+	direct, svc := base, base
+	direct.Sim, direct.MeasureRecovery = sim("insert"), true
+	// svc-churn reconnects, and two shards never take exactly equal shares
+	// of this seed's ops: neither of the columns omitted at zero is.
+	svc.Sim, svc.Shards, svc.Batch = sim("svc-churn"), 2, 4
+
+	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := core.Create(pool, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	shards, err := service.New(service.Config{Shards: 2, PoolSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shards.Close()
+	fe := service.NewFrontend(shards, 4)
+	defer fe.Close()
+	tableMeters := meterNames(t, marshal(t, tbl.Metrics().Snapshot()))
+	serviceMeters := meterNames(t, marshal(t, tbl.Metrics().Snapshot().Add(fe.Metrics().Snapshot())))
 
 	for _, tc := range []struct {
-		name string
-		want map[string]json.RawMessage
-		got  map[string]bool
+		name   string
+		cfg    bench.Config
+		keys   []string
+		meters []string
 	}{
-		{"classic", classic, rowKeys(t, classicCfg)},
-		{"service", service, rowKeys(t, serviceCfg)},
+		{"direct", direct, slices.Concat(headerKeys, recoveryKeys), tableMeters},
+		{"service", svc, slices.Concat(headerKeys, serviceKeys), serviceMeters},
 	} {
-		want := map[string]bool{}
-		for k := range tc.want {
-			want[k] = true
+		res, err := bench.Run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range schemaAdditions {
-			want[k] = true
+		var row map[string]json.RawMessage
+		if err := json.Unmarshal(marshal(t, res), &row); err != nil {
+			t.Fatal(err)
 		}
-		var missing, extra []string
-		for k := range want {
-			if !tc.got[k] {
-				missing = append(missing, k)
-			}
+		want := append([]string{"meters"}, tc.keys...)
+		if got := slices.Sorted(maps.Keys(row)); !slices.Equal(got, slices.Sorted(slices.Values(want))) {
+			t.Errorf("%s row keys %v\nwant %v", tc.name, got, slices.Sorted(slices.Values(want)))
 		}
-		for k := range tc.got {
-			if !want[k] {
-				extra = append(extra, k)
-			}
+		checkMeters(t, tc.name+" meters", row["meters"], tc.meters)
+		if rec, ok := row["recovery_meters"]; ok {
+			checkMeters(t, tc.name+" recovery_meters", rec, tableMeters)
 		}
-		sort.Strings(missing)
-		sort.Strings(extra)
-		if len(missing)+len(extra) > 0 {
-			t.Errorf("%s row: missing keys %v, unlisted keys %v", tc.name, missing, extra)
+	}
+}
+
+// marshal encodes v the way dashbench writes its rows.
+func marshal(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// meterNames lists a marshalled registry snapshot's meters as kind/name.
+func meterNames(t *testing.T, data json.RawMessage) []string {
+	t.Helper()
+	var kinds map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(data, &kinds); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for kind, meters := range kinds {
+		for name := range meters {
+			names = append(names, kind+"/"+name)
 		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+func checkMeters(t *testing.T, what string, got json.RawMessage, want []string) {
+	t.Helper()
+	if names := meterNames(t, got); !slices.Equal(names, want) {
+		t.Errorf("%s %v\nwant what a fresh registry holds: %v", what, names, want)
 	}
 }

@@ -71,11 +71,11 @@ type Config struct {
 	// measured phase: the crash path (images snapshotted while the tables
 	// are open, so Open must reconcile and recovery completes lazily) and
 	// the clean-shutdown fast path (images snapshotted after Close persisted
-	// the clean marker). It fills the Result's Recovery*NS fields —
-	// crucially splitting time-to-first-op (RecoveryOpenNS) from
-	// time-to-fully-recovered (RecoveryFullNS). The reopens run after every
-	// measured metric is taken, on unmodeled pools, so they perturb nothing
-	// and report raw engine time.
+	// the clean marker). It fills the Result's restart walls — crucially
+	// splitting time-to-first-op (RecoveryOpenNS) from
+	// time-to-fully-recovered (RecoveryFullNS) — and Recovery. The reopens
+	// run after every measured metric is taken, on unmodeled pools, so they
+	// perturb nothing and report raw engine time.
 	MeasureRecovery bool
 	// OnTable, when non-nil, is called with every table the cell builds,
 	// right after it is created and before preload — the hook dashbench uses
@@ -128,13 +128,18 @@ type ShardRow struct {
 }
 
 // Result is the outcome of one benchmark cell, and the cell's row in a
-// BENCH file: dashbench marshals it as is (schema v8; the JSON tags here, on
-// Counts and on core.TableStats are the schema).
+// BENCH file: dashbench marshals it as is (schema v9; the JSON tags here and
+// on Counts are the row's header). The header holds what the harness itself
+// measures, times or walks; every meter the engine keeps arrives in Meters,
+// under its registry name, with no copy in between.
 type Result struct {
 	// Mix names the mix or client simulation that ran; Threads is the client
-	// goroutine count.
+	// goroutine count. Shards and Batch echo a service cell's shape (zero,
+	// and absent from the row, for a direct cell).
 	Mix     string `json:"mix"`
 	Threads int    `json:"threads"`
+	Shards  int    `json:"shards,omitempty"`
+	Batch   int    `json:"batch,omitempty"`
 	// Ops and Elapsed cover the measured phase; MopsPerS is aggregate
 	// throughput (across all shards).
 	Ops      int64         `json:"ops"`
@@ -142,61 +147,73 @@ type Result struct {
 	MopsPerS float64       `json:"mops_per_s"`
 
 	// Latency over the measured phase, nanoseconds: the engine call in a
-	// direct cell, submit→completion in a service cell. MaxUS is MaxNS in
-	// µs, the tail number tracked across PRs.
-	Hist   *Hist   `json:"-"`
-	P50NS  int64   `json:"p50_ns"`
-	P90NS  int64   `json:"p90_ns"`
-	P99NS  int64   `json:"p99_ns"`
-	P999NS int64   `json:"p999_ns"`
-	MaxNS  int64   `json:"max_ns"`
-	MaxUS  float64 `json:"max_us"`
-	MeanNS float64 `json:"mean_ns"`
+	// direct cell, submit→completion in a service cell. Hist is every
+	// client's recorder merged; MaxUS is MaxNS in µs, the tail number
+	// tracked across PRs.
+	Hist   obs.HistSnapshot `json:"-"`
+	P50NS  int64            `json:"p50_ns"`
+	P90NS  int64            `json:"p90_ns"`
+	P99NS  int64            `json:"p99_ns"`
+	P999NS int64            `json:"p999_ns"`
+	MaxNS  int64            `json:"max_ns"`
+	MaxUS  float64          `json:"max_us"`
+	MeanNS float64          `json:"mean_ns"`
 
 	// PM is the raw traffic delta over the measured phase, summed over every
 	// pool; the *PerOp fields convert it to bytes (lines × cacheline size)
-	// or counts per measured operation. DeviceNSPerOp is the simulated
-	// device time the cost model charged per op (DeviceNS, a copy of
-	// PM.DeviceNS, has it by category): MeanNS minus it is CPU time plus the
-	// simulator's own overhead.
+	// or counts per measured operation. FencesElidedPerOp counts the
+	// ordering points batch tail fences absorbed (service cells; FencesPerOp
+	// already reflects the saving). DeviceNSPerOp is the simulated device
+	// time the cost model charged per op (DeviceNS, a copy of PM.DeviceNS,
+	// has it by category): MeanNS minus it is CPU time plus the simulator's
+	// own overhead.
 	PM                pmem.StatsSnapshot `json:"-"`
 	ReadBytesPerOp    float64            `json:"pm_read_bytes_per_op"`
 	WriteBytesPerOp   float64            `json:"pm_write_bytes_per_op"`
 	FlushedBytesPerOp float64            `json:"pm_flushed_bytes_per_op"`
 	FencesPerOp       float64            `json:"pm_fences_per_op"`
+	FencesElidedPerOp float64            `json:"pm_fences_elided_per_op,omitempty"`
 	DeviceNSPerOp     float64            `json:"pm_device_ns_per_op"`
 	DeviceNS          pmem.DeviceNS      `json:"pm_device_ns"`
 
-	// TableStats is the shape after the run, summed over shards
-	// (core.TableStats.Add), with the cumulative counters re-windowed to the
-	// measured phase. Its Recovery*NS fields are zero (the tables were
-	// created, not opened) unless Config.MeasureRecovery fills them from the
-	// reopens: RecoveryOpenNS is the crash-path Open's wall (the
-	// O(directory) work before the cell serves traffic — time-to-first-op),
-	// RecoveryFullNS Open through RecoverAll (every per-segment first-touch
-	// recovery plus the record-log sweep — time-to-fully-recovered), and the
-	// phase fields break the crash recovery's work down.
-	core.TableStats
-	// RecoveryCleanOpenNS is the clean-shutdown fast path's Open wall.
-	RecoveryCleanOpenNS int64 `json:"recovery_clean_open_ns,omitempty"`
+	// The tables' shape after the run (core.Table.Stats), summed over
+	// shards: total count, segments and allocated bytes, the deepest
+	// shard's depth, load factor as total count ÷ total slot capacity and
+	// stash share as stash records ÷ count.
+	Count          int64   `json:"count"`
+	GlobalDepth    uint8   `json:"global_depth"`
+	Segments       int     `json:"segments"`
+	LoadFactor     float64 `json:"load_factor"`
+	StashShare     float64 `json:"stash_share"`
+	AllocatedBytes uint64  `json:"allocated_bytes"`
 
 	Counts
 
-	// Service-cell fields, zero (and absent from the row) for a direct cell.
-	// Shards and Batch echo the tier's shape; FencesElidedPerOp counts the
-	// ordering points each batch's tail fence absorbed (FencesPerOp already
-	// reflects the saving); BatchSizeMean is the mean executed batch size;
-	// FlushSaved the fences saved versus unbatched execution; Imbalance the
-	// (max/mean − 1) spread of ops across shards; Reconnects the
-	// connection-churn session count; PerShard the per-shard breakdown.
-	Shards            int        `json:"shards,omitempty"`
-	Batch             int        `json:"batch,omitempty"`
-	FencesElidedPerOp float64    `json:"pm_fences_elided_per_op,omitempty"`
-	BatchSizeMean     float64    `json:"shard_batch_mean,omitempty"`
-	FlushSaved        uint64     `json:"shard_flush_saved,omitempty"`
-	Imbalance         float64    `json:"shard_imbalance,omitempty"`
-	Reconnects        int64      `json:"svc_reconnects,omitempty"`
-	PerShard          []ShardRow `json:"shard_rows,omitempty"`
+	// Restart walls (Config.MeasureRecovery only), timed by the harness:
+	// RecoveryOpenNS is the crash-path Open (the O(directory) work before
+	// the cell serves traffic — time-to-first-op), RecoveryFullNS Open
+	// through RecoverAll (every first-touch segment recovery plus the
+	// record-log sweep — time-to-fully-recovered), RecoveryCleanOpenNS the
+	// clean-shutdown fast path's Open. Recovery is the crash-reopened
+	// tables' registries once fully recovered, summed over shards: its
+	// recovery.* meters break the restart's work down.
+	RecoveryOpenNS      int64         `json:"recovery_open_ns,omitempty"`
+	RecoveryFullNS      int64         `json:"recovery_full_ns,omitempty"`
+	RecoveryCleanOpenNS int64         `json:"recovery_clean_open_ns,omitempty"`
+	Recovery            *obs.Snapshot `json:"recovery_meters,omitempty"`
+
+	// Service cells only: Imbalance is the (max/mean − 1) spread of ops
+	// across shards, Reconnects the connection-churn session count,
+	// PerShard the per-shard breakdown.
+	Imbalance  float64    `json:"shard_imbalance,omitempty"`
+	Reconnects int64      `json:"svc_reconnects,omitempty"`
+	PerShard   []ShardRow `json:"shard_rows,omitempty"`
+
+	// Meters is every table's registry windowed to the measured phase
+	// (obs.Snapshot.Sub) and summed over the tables (obs.Snapshot.Add), plus
+	// the frontend's registry on a service cell: a meter registered in
+	// core/obs.go or by the frontend reaches the row with no edit here.
+	Meters obs.Snapshot `json:"meters"`
 }
 
 // cell is the system under test: the tables and their pools, plus — for a
@@ -352,7 +369,7 @@ func (c *cell) preload(sim workload.ClientSim, keyspace uint64) error {
 	return nil
 }
 
-// snapshot reads every pool's traffic counters and every table's stats.
+// snapshot reads every pool's traffic counters and walks every table.
 func (c *cell) snapshot() ([]pmem.StatsSnapshot, []core.TableStats) {
 	pm := make([]pmem.StatsSnapshot, len(c.tables))
 	ts := make([]core.TableStats, len(c.tables))
@@ -361,6 +378,18 @@ func (c *cell) snapshot() ([]pmem.StatsSnapshot, []core.TableStats) {
 		ts[i] = tb.Stats()
 	}
 	return pm, ts
+}
+
+// meters reads every table's registry, then the frontend's if it runs.
+func (c *cell) meters() []obs.Snapshot {
+	var ms []obs.Snapshot
+	for _, tb := range c.tables {
+		ms = append(ms, tb.Metrics().Snapshot())
+	}
+	if c.fe != nil {
+		ms = append(ms, c.fe.Metrics().Snapshot())
+	}
+	return ms
 }
 
 // errStopped is the sentinel a client returns when another client failed.
@@ -408,58 +437,58 @@ func Run(cfg Config) (*Result, error) {
 	gcPrev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPrev)
 
-	pmBefore, tsBefore := c.snapshot()
-	var feBefore obs.Snapshot
-	if c.fe != nil {
-		feBefore = c.fe.Metrics().Snapshot()
-	}
+	pmBefore, _ := c.snapshot()
+	before := c.meters()
 	start := time.Now()
 	if err := runPhase(clients, cfg.Ops, true); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	pmAfter, tsAfter := c.snapshot()
+	pmAfter, ts := c.snapshot()
+	after := c.meters()
 
 	res := &Result{
 		Mix:     cfg.Sim.Name,
 		Threads: cfg.Threads,
-		Ops:     cfg.Ops,
-		Elapsed: elapsed,
-		Hist:    &Hist{},
 		Shards:  cfg.Shards,
 		Batch:   cfg.Batch,
+		Ops:     cfg.Ops,
+		Elapsed: elapsed,
 	}
 	res.Preloaded = cfg.Keyspace
 	for _, cl := range clients {
-		res.Hist.Merge(&cl.hist)
+		res.Hist = res.Hist.Add(cl.hist.Snapshot())
 		res.Counts.add(&cl.counts)
 		res.Reconnects += cl.reconnects
 	}
-	if res.Hist.Total() != uint64(cfg.Ops) {
-		return nil, fmt.Errorf("bench: recorded %d latencies for %d ops", res.Hist.Total(), cfg.Ops)
+	if res.Hist.Count != uint64(cfg.Ops) {
+		return nil, fmt.Errorf("bench: recorded %d latencies for %d ops", res.Hist.Count, cfg.Ops)
 	}
 
-	// Window every pool's traffic and every table's cumulative counters to
-	// the measured phase — preload and warmup would otherwise dilute the
-	// reported rates — then sum over the tables.
-	for i := range c.tables {
+	// Window every pool's traffic and every registry to the measured phase
+	// — preload and warmup would otherwise dilute the reported rates — then
+	// sum over the pools and registries.
+	win := make([]obs.Snapshot, len(after))
+	for i := range after {
+		win[i] = after[i].Sub(before[i])
+		res.Meters = res.Meters.Add(win[i])
+	}
+	for i := range pmAfter {
 		pmAfter[i] = pmAfter[i].Sub(pmBefore[i])
-		tsAfter[i] = tsAfter[i].Since(tsBefore[i])
 		res.PM = res.PM.Add(pmAfter[i])
 	}
-	res.TableStats = sumStats(tsAfter)
+	res.addShape(ts)
 
 	if sec := elapsed.Seconds(); sec > 0 {
 		res.MopsPerS = float64(cfg.Ops) / sec / 1e6
 	}
-	lat := res.Hist.Snapshot()
-	res.P50NS = lat.P50
-	res.P90NS = lat.Quantile(0.90)
-	res.P99NS = lat.P99
-	res.P999NS = lat.P999
-	res.MaxNS = lat.Max
-	res.MaxUS = float64(lat.Max) / 1e3
-	res.MeanNS = lat.Mean
+	res.P50NS = res.Hist.P50
+	res.P90NS = res.Hist.Quantile(0.90)
+	res.P99NS = res.Hist.P99
+	res.P999NS = res.Hist.P999
+	res.MaxNS = res.Hist.Max
+	res.MaxUS = float64(res.Hist.Max) / 1e3
+	res.MeanNS = res.Hist.Mean
 	ops := float64(cfg.Ops)
 	res.ReadBytesPerOp = float64(res.PM.ReadLines) * pmem.CachelineSize / ops
 	res.WriteBytesPerOp = float64(res.PM.WriteLines) * pmem.CachelineSize / ops
@@ -470,19 +499,18 @@ func Run(cfg Config) (*Result, error) {
 	res.DeviceNSPerOp = float64(res.DeviceNS.Total()) / ops
 
 	if c.fe != nil {
-		feWin := c.fe.Metrics().Snapshot().Sub(feBefore)
-		res.BatchSizeMean = feWin.Hists["service.batch.size"].Mean
-		res.FlushSaved = feWin.Counters["service.batch.flush_saved"]
-		// Per-shard rows; imbalance is the measured-phase spread of
-		// executed ops across shards.
+		// Per-shard rows from the frontend's per-shard op counters (its
+		// window follows the tables'); imbalance is the measured-phase
+		// spread of executed ops across shards.
+		fe := win[len(c.tables)]
 		var opsMax, opsSum uint64
-		for i, ts := range tsAfter {
+		for i, st := range ts {
 			row := ShardRow{
 				Shard:      i,
-				Ops:        feWin.Counters[fmt.Sprintf("service.shard.%d.ops", i)],
-				Count:      ts.Count,
-				LoadFactor: ts.LoadFactor,
-				Splits:     ts.Splits,
+				Ops:        fe.Counters[fmt.Sprintf("service.shard.%d.ops", i)],
+				Count:      st.Count,
+				LoadFactor: st.LoadFactor,
+				Splits:     win[i].Counters["split.completed"],
 			}
 			if row.Ops > 0 {
 				row.FencesPerOp = float64(pmAfter[i].Fences) / float64(row.Ops)
@@ -493,7 +521,7 @@ func Run(cfg Config) (*Result, error) {
 			opsMax = max(opsMax, row.Ops)
 		}
 		if opsSum > 0 {
-			mean := float64(opsSum) / float64(len(tsAfter))
+			mean := float64(opsSum) / float64(len(ts))
 			res.Imbalance = float64(opsMax)/mean - 1
 		}
 	}
@@ -540,33 +568,40 @@ func (c *cell) measureRecovery(cfg Config, res *Result) error {
 		tb.RecoverAll()
 	}
 	res.RecoveryFullNS = time.Since(start).Nanoseconds()
-	_, ts := rc.snapshot()
+	var rec obs.Snapshot
+	for _, m := range rc.meters() {
+		rec = rec.Add(m)
+	}
+	res.Recovery = &rec
+	got := rc.count()
 	if err := rc.close(); err != nil {
 		return fmt.Errorf("bench: crash reopen: %w", err)
 	}
-	rs := sumStats(ts)
-	if rs.Count != want {
-		return fmt.Errorf("bench: crash recovery lost records: reopened count %d, want %d", rs.Count, want)
+	if got != want {
+		return fmt.Errorf("bench: crash recovery lost records: reopened count %d, want %d", got, want)
 	}
-	res.RecoveryTotalNS = rs.RecoveryTotalNS
-	res.RecoveryDirNS = rs.RecoveryDirNS
-	res.RecoverySegmentsNS = rs.RecoverySegmentsNS
-	res.RecoveryLogNS = rs.RecoveryLogNS
-	res.RecoveryMirrorsNS = rs.RecoveryMirrorsNS
 
 	cc, start, err := reopen(cfg, cleanImg)
 	if err != nil {
 		return fmt.Errorf("bench: clean reopen: %w", err)
 	}
 	res.RecoveryCleanOpenNS = time.Since(start).Nanoseconds()
-	_, ts = cc.snapshot()
+	got = cc.count()
 	if err := cc.close(); err != nil {
 		return fmt.Errorf("bench: clean reopen: %w", err)
 	}
-	if got := sumStats(ts).Count; got != want {
+	if got != want {
 		return fmt.Errorf("bench: clean reopen lost records: count %d, want %d", got, want)
 	}
 	return nil
+}
+
+// count is the cell's record count over all its tables.
+func (c *cell) count() (n int64) {
+	for _, tb := range c.tables {
+		n += tb.Count()
+	}
+	return n
 }
 
 // images snapshots every pool's durable image.
@@ -605,13 +640,23 @@ func reopen(cfg Config, imgs [][]byte) (*cell, time.Time, error) {
 	return serviceCell(svc), start, nil
 }
 
-// sumStats folds per-table stats into one (core.TableStats.Add).
-func sumStats(ts []core.TableStats) core.TableStats {
-	sum := ts[0]
-	for _, s := range ts[1:] {
-		sum = sum.Add(s)
+// addShape sums the tables' shape walks into r's shape columns.
+func (r *Result) addShape(ts []core.TableStats) {
+	var capacity, stash int64
+	for _, st := range ts {
+		r.Count += st.Count
+		r.GlobalDepth = max(r.GlobalDepth, st.GlobalDepth)
+		r.Segments += st.Segments
+		r.AllocatedBytes += st.AllocatedBytes
+		capacity += st.SlotCapacity
+		stash += st.StashRecords
 	}
-	return sum
+	if capacity > 0 {
+		r.LoadFactor = float64(r.Count) / float64(capacity)
+	}
+	if r.Count > 0 {
+		r.StashShare = float64(stash) / float64(r.Count)
+	}
 }
 
 // poolSize returns cfg.PoolSize or a per-pool size derived from the record

@@ -36,8 +36,8 @@ func TestSmokeBalanced(t *testing.T) {
 	if res.MopsPerS <= 0 {
 		t.Errorf("throughput = %f Mops/s, want > 0", res.MopsPerS)
 	}
-	if res.Hist.Total() != 10_000 {
-		t.Errorf("histogram holds %d observations, want 10000", res.Hist.Total())
+	if res.Hist.Count != 10_000 {
+		t.Errorf("histogram holds %d observations, want 10000", res.Hist.Count)
 	}
 	c := res.Counts
 	if got := c.InsertOK + c.ReadHit + c.ReadMiss; got != 11_000 {
@@ -84,8 +84,8 @@ func TestSmokeDeleteHeavy(t *testing.T) {
 	if res.Counts.DeleteOK == 0 {
 		t.Error("delete-heavy mix deleted nothing")
 	}
-	if res.Hist.Total() != 8_000 {
-		t.Errorf("histogram holds %d observations, want 8000", res.Hist.Total())
+	if res.Hist.Count != 8_000 {
+		t.Errorf("histogram holds %d observations, want 8000", res.Hist.Count)
 	}
 }
 
@@ -152,11 +152,9 @@ func TestSmokeVarMixes(t *testing.T) {
 	if c.UpdateNF != 0 {
 		t.Errorf("%d var updates reported not-found", c.UpdateNF)
 	}
-	if res.LogLiveBytes == 0 || res.LogChunkBytes == 0 {
-		t.Errorf("var cell reported no record-log space: %+v", res.TableStats)
-	}
-	if res.LogLiveBlobs < int64(res.Counts.Preloaded) {
-		t.Errorf("live blobs %d < preloaded %d", res.LogLiveBlobs, res.Counts.Preloaded)
+	// Every preloaded record is a blob of at least 16 header bytes.
+	if live := res.Meters.Gauges["varlog.live_bytes"]; live < 16*int64(res.Counts.Preloaded) {
+		t.Errorf("var cell's record log holds %d live bytes for %d preloaded records", live, res.Counts.Preloaded)
 	}
 
 	ins, err := Run(Config{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dash/internal/core"
+	"dash/internal/obs"
 	"dash/internal/service"
 	"dash/internal/workload"
 )
@@ -23,7 +24,7 @@ type client struct {
 	slots  []slot
 	next   int // round-robin slot cursor
 
-	hist       Hist
+	hist       obs.Histogram
 	counts     Counts
 	reconnects int64
 	updateSalt uint64

@@ -26,23 +26,30 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 }
 
+// mergeClientHists folds the clients' latency histograms the way Run does
+// after the measured phase: one snapshot per client, added onto a zero
+// HistSnapshot.
+func mergeClientHists(clients []*client) obs.HistSnapshot {
+	var s obs.HistSnapshot
+	for _, cl := range clients {
+		s = s.Add(cl.hist.Snapshot())
+	}
+	return s
+}
+
 func TestHistQuantilesAndMerge(t *testing.T) {
-	var a, b Hist
-	// 1000 observations: 0..999 split across two histograms.
+	a, b := &client{}, &client{}
+	// 1000 observations: 0..999 split across two clients.
 	for v := int64(0); v < 1000; v++ {
 		if v%2 == 0 {
-			a.Record(v)
+			a.hist.Record(v)
 		} else {
-			b.Record(v)
+			b.hist.Record(v)
 		}
 	}
-	a.Merge(&b)
-	if a.Total() != 1000 {
-		t.Fatalf("merged total = %d, want 1000", a.Total())
-	}
-	s := a.Snapshot()
+	s := mergeClientHists([]*client{a, b})
 	if s.Count != 1000 {
-		t.Fatalf("snapshot count = %d, want 1000", s.Count)
+		t.Fatalf("merged count = %d, want 1000", s.Count)
 	}
 	if s.Max != 999 {
 		t.Fatalf("merged max = %d, want 999", s.Max)
@@ -59,16 +66,17 @@ func TestHistQuantilesAndMerge(t *testing.T) {
 	if q0, q1 := s.Quantile(0), s.Quantile(1); q0 != 0 || q1 < 930 {
 		t.Fatalf("extreme quantiles = %d, %d", q0, q1)
 	}
-	// Snapshot copies: recording afterwards must not move it.
-	a.Record(1 << 30)
-	if s.Quantile(1) >= 1<<30 || a.Snapshot().Max != 1<<30 {
-		t.Fatal("snapshot aliases the live histogram")
+	// The merge copies: recording afterwards must not move it.
+	a.hist.Record(1 << 30)
+	if s.Quantile(1) >= 1<<30 || mergeClientHists([]*client{a, b}).Max != 1<<30 {
+		t.Fatal("merged snapshot aliases a live client histogram")
 	}
 }
 
 func TestHistEmpty(t *testing.T) {
-	var h Hist
-	if s := h.Snapshot(); s.P50 != 0 || s.Mean != 0 || s.Max != 0 || h.Total() != 0 {
-		t.Fatal("empty histogram should report zeros")
+	for _, clients := range [][]*client{nil, {{}, {}}} {
+		if s := mergeClientHists(clients); s.Count != 0 || s.P50 != 0 || s.Mean != 0 || s.Max != 0 {
+			t.Fatalf("%d idle clients merge to %+v, want zeros", len(clients), s)
+		}
 	}
 }

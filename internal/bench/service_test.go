@@ -34,8 +34,8 @@ func TestServiceCellAllSims(t *testing.T) {
 			if res.Mix != sim.Name || res.Threads != 2 || res.Shards != 2 || res.Batch != 4 {
 				t.Fatalf("result echoes %q threads %d shards %d batch %d", res.Mix, res.Threads, res.Shards, res.Batch)
 			}
-			if res.Hist.Total() != 4000 {
-				t.Fatalf("latency samples = %d, want 4000", res.Hist.Total())
+			if res.Hist.Count != 4000 {
+				t.Fatalf("latency samples = %d, want 4000", res.Hist.Count)
 			}
 			if len(res.PerShard) != 2 {
 				t.Fatalf("PerShard rows = %d, want 2", len(res.PerShard))
@@ -93,15 +93,17 @@ func TestServiceCellFenceReduction(t *testing.T) {
 	if batched.FencesPerOp >= baseline.FencesPerOp {
 		t.Fatalf("batched %.3f fences/op, want < baseline %.3f", batched.FencesPerOp, baseline.FencesPerOp)
 	}
-	if batched.BatchSizeMean <= 1 {
-		t.Fatalf("batch mean %.2f, want > 1", batched.BatchSizeMean)
+	if mean := batched.Meters.Hists["service.batch.size"].Mean; mean <= 1 {
+		t.Fatalf("batch mean %.2f, want > 1", mean)
 	}
 }
 
 // A service row carries the engine's telemetry summed over its shards: the
 // table-shape, DRAM-tier and split columns the old service harness left at
-// zero. Load factor is total count over total slot capacity.
+// zero. Global depth is the deepest shard's, load factor is total count over
+// total slot capacity, and the per-shard splits sum to the row's.
 func TestServiceRowCarriesTableTelemetry(t *testing.T) {
+	var tables []*core.Table
 	res, err := Run(Config{
 		Shards:    2,
 		Batch:     8,
@@ -111,26 +113,40 @@ func TestServiceRowCarriesTableTelemetry(t *testing.T) {
 		Keyspace:  4_096,
 		Sim:       simFor(t, "svc-balanced"),
 		Seed:      42,
+		OnTable:   func(tb *core.Table) { tables = append(tables, tb) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Splits == 0 || res.SegFilterHits == 0 || res.DirCacheHits == 0 {
+	c, g := res.Meters.Counters, res.Meters.Gauges
+	if c["split.completed"] == 0 || c["segfilter.hits"] == 0 || c["dircache.hits"] == 0 {
 		t.Errorf("splits %d, seg filter hits %d, dir cache hits %d: want all non-zero",
-			res.Splits, res.SegFilterHits, res.DirCacheHits)
+			c["split.completed"], c["segfilter.hits"], c["dircache.hits"])
 	}
-	if res.DirCacheBytes == 0 || res.SegFilterBytes == 0 || res.AllocatedBytes == 0 {
-		t.Errorf("DRAM/PM footprints not summed: %+v", res.TableStats)
+	if g["segfilter.bytes"] == 0 || res.AllocatedBytes == 0 {
+		t.Errorf("DRAM/PM footprints not summed: segfilter %d, allocated %d", g["segfilter.bytes"], res.AllocatedBytes)
 	}
 	var splits uint64
 	for _, row := range res.PerShard {
 		splits += row.Splits
 	}
-	if splits != res.Splits {
-		t.Errorf("per-shard splits sum to %d, aggregate %d", splits, res.Splits)
+	if splits != c["split.completed"] {
+		t.Errorf("per-shard splits sum to %d, aggregate %d", splits, c["split.completed"])
 	}
-	if want := float64(res.Count) / float64(res.SlotCapacity); res.LoadFactor != want || want <= 0 || want > 1 {
-		t.Errorf("load factor %f, want count/capacity = %f", res.LoadFactor, want)
+	// The shards are closed, not gone: their shape is still there to walk.
+	var depth uint8
+	var count, capacity int64
+	for _, tb := range tables {
+		st := tb.Stats()
+		depth = max(depth, st.GlobalDepth)
+		count += st.Count
+		capacity += st.SlotCapacity
+	}
+	if len(tables) != 2 || res.GlobalDepth != depth {
+		t.Errorf("global depth %d over %d tables, want the deepest shard's %d", res.GlobalDepth, len(tables), depth)
+	}
+	if want := float64(count) / float64(capacity); res.Count != count || res.LoadFactor != want || want <= 0 || want > 1 {
+		t.Errorf("count %d, load factor %f, want %d and count/capacity = %f", res.Count, res.LoadFactor, count, want)
 	}
 }
 
@@ -158,8 +174,9 @@ func TestServiceCellRecoveryAndOnTable(t *testing.T) {
 	if res.RecoveryOpenNS <= 0 || res.RecoveryFullNS < res.RecoveryOpenNS || res.RecoveryCleanOpenNS <= 0 {
 		t.Errorf("restart timings open %d full %d clean %d", res.RecoveryOpenNS, res.RecoveryFullNS, res.RecoveryCleanOpenNS)
 	}
-	if res.RecoverySegmentsNS <= 0 || res.RecoveryLogNS <= 0 {
-		t.Errorf("recovery work not summed over shards: segments %d log %d", res.RecoverySegmentsNS, res.RecoveryLogNS)
+	if rec := res.Recovery; rec == nil || rec.Counters["recovery.segments_ns"] == 0 || rec.Counters["recovery.log_ns"] == 0 ||
+		rec.Counters["recovery.lazy.segments"] != uint64(res.Segments) {
+		t.Errorf("recovery work not summed over shards: %+v, %d segments", rec, res.Segments)
 	}
 }
 

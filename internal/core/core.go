@@ -54,9 +54,10 @@
 //	               one-byte fingerprints probed before any key dereference
 //	               and a bitmap commit point; the bucket's seqlock version
 //	               lock, which lives in the mirror, and the mutators.
-//	stats.go     — lock-free TableStats snapshot (shape, load factor, stash
-//	               pressure, directory-cache hit rates) for benchmarks and
-//	               monitoring.
+//	stats.go     — lock-free TableStats snapshot: the shape walk (count,
+//	               depth, segments, load factor, stash share, allocated
+//	               bytes), plus meter readings the repo benchmark reads by
+//	               field name.
 //	obs.go       — the observability wiring: every table owns an
 //	               obs.Registry naming its meters (dircache.*, segfilter.*,
 //	               split.*, epoch.*, varlog.*, recovery.*, pmem.*) and an

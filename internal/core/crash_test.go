@@ -85,8 +85,8 @@ func writesAfterReopen(t *testing.T, tbl *Table, where string) {
 	}
 	id := base << 1
 	first := tbl.parts(id)
-	seg, b, splits := tbl.cache.route(first), first.BucketIndex(bucketBits), tbl.splits.Load()
-	for ; tbl.splits.Load() == splits; id++ {
+	seg, b, splits := tbl.cache.route(first), first.BucketIndex(bucketBits), tbl.met.splits.Total()
+	for ; tbl.met.splits.Total() == splits; id++ {
 		if p := tbl.parts(id); p.BucketIndex(bucketBits) != b || tbl.cache.route(p) != seg {
 			continue
 		}

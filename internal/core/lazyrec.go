@@ -234,7 +234,7 @@ func (t *Table) recoverLazy(clean bool) error {
 	t.lazy.Store(lr)
 	end := obs.Now()
 	t.recordRecoveryPhase(phaseDir, obs.PhaseDirectory, rstart, end)
-	t.met.recoveryOpenNS.Store(end - rstart)
+	t.met.recoveryOpenNS.Add(uint64(end - rstart))
 	return nil
 }
 
@@ -330,8 +330,8 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	// Phase meters accumulate across first touches (the lazy analogue of the
 	// eager one-shot phases); the per-segment latency histogram is what the
 	// tail pays at first touch.
-	t.met.recoveryNS[phaseSegments].Add(sweepDone - mirDone)
-	t.met.recoveryNS[phaseMirrors].Add(mirDone - start + end - sweepDone)
+	t.met.recoveryNS[phaseSegments].Add(uint64(sweepDone - mirDone))
+	t.met.recoveryNS[phaseMirrors].Add(uint64(mirDone - start + end - sweepDone))
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
@@ -443,17 +443,17 @@ func (t *Table) driveRecovery(lr *lazyRecovery) {
 		runtime.Gosched()
 	}
 	lend := obs.Now()
-	t.met.recoveryNS[phaseLog].Add(lend - lstart)
+	t.met.recoveryNS[phaseLog].Add(uint64(lend - lstart))
 	t.fr.RecordAt(lstart, obs.EvRecovery, obs.PhaseLog, 0, uint64(lend-lstart))
 	// Summarize the accumulated lazy phases into the trace (the eager
 	// protocol's one-shot phase events), and report the total as the summed
 	// phase work — the comparable of the old eager total, while FullNS is
 	// the Open→done wall time foreground traffic actually experienced.
-	segNS, mirNS := t.met.recoveryNS[phaseSegments].Load(), t.met.recoveryNS[phaseMirrors].Load()
-	t.fr.RecordAt(lend, obs.EvRecovery, obs.PhaseSegments, 0, uint64(segNS))
-	t.fr.RecordAt(lend, obs.EvRecovery, obs.PhaseMirrors, 0, uint64(mirNS))
-	t.met.recoveryTotalNS.Store(t.met.recoveryNS[phaseDir].Load() + segNS + mirNS + t.met.recoveryNS[phaseLog].Load())
-	t.met.recoveryFullNS.Store(lend - lr.openAt)
+	segNS, mirNS := t.met.recoveryNS[phaseSegments].Total(), t.met.recoveryNS[phaseMirrors].Total()
+	t.fr.RecordAt(lend, obs.EvRecovery, obs.PhaseSegments, 0, segNS)
+	t.fr.RecordAt(lend, obs.EvRecovery, obs.PhaseMirrors, 0, mirNS)
+	t.met.recoveryTotalNS.Add(t.met.recoveryNS[phaseDir].Total() + segNS + mirNS + t.met.recoveryNS[phaseLog].Total())
+	t.met.recoveryFullNS.Add(uint64(lend - lr.openAt))
 	lr.done.Store(true)
 	t.lazy.Store(nil)
 }

@@ -78,11 +78,12 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 	if st.Count != want {
 		t.Fatalf("clean open Count = %d, want %d (root-restored, no segment touched)", st.Count, want)
 	}
-	if st.RecoveryPendingSegments != int64(st.Segments) || st.Segments < 2 {
-		t.Fatalf("pending = %d, want every one of %d segments", st.RecoveryPendingSegments, st.Segments)
+	if pending := tbl2.recoveryPending(); pending != int64(st.Segments) || st.Segments < 2 {
+		t.Fatalf("pending = %d, want every one of %d segments", pending, st.Segments)
 	}
-	if st.RecoveryOpenNS <= 0 {
-		t.Fatal("RecoveryOpenNS not recorded")
+	openNS := tbl2.met.recoveryOpenNS.Total()
+	if openNS == 0 {
+		t.Fatal("recovery.open_ns not recorded")
 	}
 	for k := uint64(0); k < nU; k++ { // reads through the first-touch gates
 		v, ok := tbl2.Get(k)
@@ -97,12 +98,11 @@ func TestLazyCleanShutdownFastPath(t *testing.T) {
 		}
 	}
 	tbl2.RecoverAll()
-	st = tbl2.Stats()
-	if st.RecoveryPendingSegments != 0 {
-		t.Fatalf("still %d pending after RecoverAll", st.RecoveryPendingSegments)
+	if pending := tbl2.recoveryPending(); pending != 0 {
+		t.Fatalf("still %d pending after RecoverAll", pending)
 	}
-	if st.RecoveryFullNS < st.RecoveryOpenNS {
-		t.Fatalf("FullNS %d < OpenNS %d", st.RecoveryFullNS, st.RecoveryOpenNS)
+	if fullNS := tbl2.met.recoveryFullNS.Total(); fullNS < openNS {
+		t.Fatalf("recovery.full_ns %d < recovery.open_ns %d", fullNS, openNS)
 	}
 	if got := tbl2.Count(); got != want {
 		t.Fatalf("recovered Count = %d, want %d", got, want)
@@ -259,7 +259,7 @@ func TestLazyFirstTouchConcurrent(t *testing.T) {
 	if got := tbl2.Metrics().Snapshot().Counters["recovery.lazy.segments"]; got != uint64(segs0) {
 		t.Fatalf("recovery.lazy.segments = %d, want exactly %d", got, segs0)
 	}
-	if got := tbl2.Stats().RecoveryPendingSegments; got != 0 {
+	if got := tbl2.recoveryPending(); got != 0 {
 		t.Fatalf("%d segments still pending", got)
 	}
 
@@ -408,8 +408,8 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 				return
 			}
 		}
-		splits := re.splits.Load()
-		for k := uint64(1) << 32; re.splits.Load() < splits+4; k++ {
+		splits := re.met.splits.Total()
+		for k := uint64(1) << 32; re.met.splits.Total() < splits+4; k++ {
 			if err := re.Insert(k, k); err != nil {
 				t.Errorf("Insert(%d): %v", k, err)
 				return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"dash/internal/epoch"
 	"dash/internal/obs"
@@ -14,8 +13,9 @@ import (
 // every structural event; its op lane takes a 1-in-opSamplePeriod sample of
 // operations plus every operation with a rare diagnostic outcome (opEnd).
 // initObs is the single place a meter name exists, so the registry is the
-// authoritative list of what the engine measures; Stats() and the dashbench
-// schema read these same counters rather than keeping parallel state.
+// authoritative list of what the engine measures; the BENCH row carries the
+// registry as it is, and Stats() reads these same counters rather than
+// keeping parallel state.
 
 // opSamplePeriod is the op lane's sampling period. The sample is chosen by
 // key-hash bits 32..37 — disjoint from the fingerprint and bucket bits and,
@@ -62,27 +62,33 @@ func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 // layer-owned counters live on dirCache/segFilters/epoch.Manager/VarLog
 // themselves; these are the table-level ones).
 type meters struct {
-	// Split phase durations: migrate (the unlocked copy) and the publish
-	// stall (all bucket locks held, the tail-latency window) — and how many
-	// splits paid for a second copy inside that window because a writer
-	// moved a bucket version under the first.
+	// Splits: how many completed, the cumulative wall time their publishes
+	// held every bucket lock of their segment (including any directory
+	// doubling, and the recopy when a writer invalidated the unlocked copy),
+	// the phase durations — migrate (the unlocked copy) and the publish
+	// stall (the tail-latency window) — and how many splits paid for a
+	// second copy inside that window because a writer moved a bucket
+	// version under the first.
+	splits              *obs.Counter
+	splitStallNS        *obs.Counter
 	splitMigrateNS      *obs.Histogram
 	splitPublishStallNS *obs.Histogram
 	splitRecopies       *obs.Counter
 
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a
-	// freshly created table. phaseDir is stored once by Open; the lazy
+	// freshly created table. phaseDir is added once by Open; the lazy
 	// phases (segments/mirrors/log) accumulate as first-touch recoveries
-	// and the background sweep run, converging to the eager totals.
-	recoveryNS      [4]atomic.Int64
-	recoveryTotalNS atomic.Int64
+	// and the background sweep run, converging to the eager totals, which
+	// recoveryTotalNS adds once the sweep is done.
+	recoveryNS      [4]*obs.Counter
+	recoveryTotalNS *obs.Counter
 
 	// Lazy-recovery meters: Open's O(directory) wall time (time-to-first-op),
-	// the Open→sweep-done wall time (time-to-fully-recovered), per-segment
-	// first-touch latencies, and counters for recovered segments and blobs
-	// the background sweep free-listed.
-	recoveryOpenNS atomic.Int64
-	recoveryFullNS atomic.Int64
+	// the Open→sweep-done wall time (time-to-fully-recovered), each added
+	// once, per-segment first-touch latencies, and counters for recovered
+	// segments and blobs the background sweep free-listed.
+	recoveryOpenNS *obs.Counter
+	recoveryFullNS *obs.Counter
 	lazySegNS      *obs.Histogram
 	lazySegs       *obs.Counter
 	lazySweepFreed *obs.Counter
@@ -94,6 +100,8 @@ const (
 	phaseLog
 	phaseMirrors
 )
+
+var phaseNames = [...]string{"directory", "segments", "log", "mirrors"}
 
 // initObs builds the registry and flight recorder and hands every layer its
 // counters. Called by Create/Open after the pool, epoch manager and record
@@ -115,19 +123,9 @@ func (t *Table) initObs() {
 	// The bucket locks live in the mirrors: acquisitions that had to wait.
 	t.filters.lockContended = reg.Counter("bucket.lock_contended")
 
-	// Per-path read outcome, the §5-style breakdown: which tier served a
-	// read. Derived views over the tier counters — the per-op resolution
-	// lives in the flight recorder's EvGet tags. stale_route is a probe
-	// whose claim or route check failed and that retried after waiting out
-	// the publish that moved it; every answer comes from a mirror.
-	reg.Gauge("read.path.mirror_served", func() int64 { return int64(t.filters.hits.Total()) })
-	reg.Gauge("read.path.stale_route", func() int64 { return int64(t.filters.misses.Total()) })
-	reg.Gauge("read.path.dircache_miss", func() int64 { return int64(t.cache.misses.Total()) })
-
-	// Splits: the lifecycle counters Stats reads stay on the Table, exposed
-	// as gauges; the phase durations are histograms.
-	reg.Gauge("split.completed", func() int64 { return int64(t.splits.Load()) })
-	reg.Gauge("split.stall_ns", func() int64 { return t.splitStallNS.Load() })
+	// Splits: lifecycle counters and phase-duration histograms.
+	t.met.splits = reg.Counter("split.completed")
+	t.met.splitStallNS = reg.Counter("split.stall_ns")
 	t.met.splitRecopies = reg.Counter("split.recopies")
 	t.met.splitMigrateNS = reg.Histogram("split.migrate_ns")
 	t.met.splitPublishStallNS = reg.Histogram("split.publish_stall_ns")
@@ -147,28 +145,24 @@ func (t *Table) initObs() {
 	reg.Gauge("varlog.free_bytes", func() int64 { return int64(t.vlog.Stats().FreeBytes) })
 
 	// Recovery phase wall times (Open only; zero after Create).
-	reg.Gauge("recovery.directory_ns", func() int64 { return t.met.recoveryNS[phaseDir].Load() })
-	reg.Gauge("recovery.segments_ns", func() int64 { return t.met.recoveryNS[phaseSegments].Load() })
-	reg.Gauge("recovery.log_ns", func() int64 { return t.met.recoveryNS[phaseLog].Load() })
-	reg.Gauge("recovery.mirrors_ns", func() int64 { return t.met.recoveryNS[phaseMirrors].Load() })
-	reg.Gauge("recovery.total_ns", func() int64 { return t.met.recoveryTotalNS.Load() })
+	for phase, name := range phaseNames {
+		t.met.recoveryNS[phase] = reg.Counter("recovery." + name + "_ns")
+	}
+	t.met.recoveryTotalNS = reg.Counter("recovery.total_ns")
 
 	// Lazy recovery: restart latency split into time-to-first-op (Open's
 	// O(directory) work) and time-to-fully-recovered (background sweep
 	// done), plus the first-touch machinery's own meters.
-	reg.Gauge("recovery.open_ns", func() int64 { return t.met.recoveryOpenNS.Load() })
-	reg.Gauge("recovery.full_ns", func() int64 { return t.met.recoveryFullNS.Load() })
+	t.met.recoveryOpenNS = reg.Counter("recovery.open_ns")
+	t.met.recoveryFullNS = reg.Counter("recovery.full_ns")
 	reg.Gauge("recovery.lazy.pending", func() int64 { return t.recoveryPending() })
 	t.met.lazySegNS = reg.Histogram("recovery.lazy.seg_ns")
 	t.met.lazySegs = reg.Counter("recovery.lazy.segments")
 	t.met.lazySweepFreed = reg.Counter("recovery.lazy.sweep_freed")
 
-	// What an op-lane event stands for; obs.Serve's /trace prints it.
-	reg.Gauge("flight.op_sample_period", func() int64 { return int64(t.opSampleMask + 1) })
-
-	// Table shape.
+	// Records held. (The table's shape — depth, segments — is Stats(); the
+	// op lane's sample period is OpSamplePeriod.)
 	reg.Gauge("table.count", func() int64 { return t.count.Load() })
-	reg.Gauge("table.global_depth", func() int64 { return int64(t.GlobalDepth()) })
 
 	// PM traffic, alongside the engine meters.
 	t.pool.RegisterMetrics(reg)
@@ -178,6 +172,11 @@ func (t *Table) initObs() {
 // Stats(), the bench harness and the live endpoint (obs.Serve) all read.
 func (t *Table) Metrics() *obs.Registry { return t.reg }
 
+// OpSamplePeriod is the flight recorder's op-lane sampling period: the
+// operations of one key in that many are recorded (obs.Serve's /trace says
+// so).
+func (t *Table) OpSamplePeriod() int { return int(t.opSampleMask + 1) }
+
 // TraceSnapshot dumps the flight recorder: every retained event (sampled op
 // completions, split lifecycle transitions, route repairs, epoch advances,
 // recovery phases) merged across goroutine shards into one time-ordered log.
@@ -185,10 +184,10 @@ func (t *Table) Metrics() *obs.Registry { return t.reg }
 // are dropped, never torn.
 func (t *Table) TraceSnapshot() []obs.Event { return t.fr.Snapshot() }
 
-// recordRecoveryPhase stores one phase duration and logs it to the control
+// recordRecoveryPhase adds one phase duration and logs it to the control
 // lane, so a trace of a reopened table starts with its recovery timeline.
 func (t *Table) recordRecoveryPhase(phase int, tag uint8, start, end int64) {
-	t.met.recoveryNS[phase].Store(end - start)
+	t.met.recoveryNS[phase].Add(uint64(end - start))
 	t.fr.RecordAt(start, obs.EvRecovery, tag, 0, uint64(end-start))
 }
 

@@ -58,13 +58,49 @@ func TestTraceSplitLifecycle(t *testing.T) {
 
 	// The registry saw the same splits the trace did.
 	snap := tbl.Metrics().Snapshot()
-	if snap.Gauges["split.completed"] != int64(tbl.Stats().Splits) {
+	if snap.Counters["split.completed"] != tbl.Stats().Splits {
 		t.Fatalf("registry split.completed = %d, stats = %d",
-			snap.Gauges["split.completed"], tbl.Stats().Splits)
+			snap.Counters["split.completed"], tbl.Stats().Splits)
 	}
 	if snap.Hists["split.migrate_ns"].Count != uint64(tbl.Stats().Splits) {
 		t.Fatalf("split.migrate_ns count = %d, want %d",
 			snap.Hists["split.migrate_ns"].Count, tbl.Stats().Splits)
+	}
+}
+
+// TestSnapshotWindowsSplitsAndTraffic checks that a window of the registry
+// reports what happened in it: splits, their stall time and PM lines written
+// are counters, so Snapshot.Sub leaves the window's share of them, not the
+// totals since Create.
+func TestSnapshotWindowsSplitsAndTraffic(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{})
+	insert := func(from, n uint64) {
+		for k := from; k < from+n; k++ {
+			if err := tbl.Insert(k*0x9e3779b97f4a7c15, k); err != nil {
+				t.Fatalf("insert %d: %v", k, err)
+			}
+		}
+	}
+	insert(0, 3000)
+	before := tbl.Metrics().Snapshot()
+	pmBefore, splitsBefore := tbl.pool.Stats(), tbl.Stats().Splits
+	if splitsBefore == 0 {
+		t.Fatal("no split before the window; grow the first batch")
+	}
+	insert(3000, 3000)
+	w := tbl.Metrics().Snapshot().Sub(before)
+	splits := tbl.Stats().Splits - splitsBefore
+	if splits == 0 {
+		t.Fatal("no split inside the window; grow the second batch")
+	}
+	if got := w.Counters["split.completed"]; got != splits {
+		t.Errorf("windowed split.completed = %d, want the window's %d splits", got, splits)
+	}
+	if got, hist := w.Counters["split.stall_ns"], w.Hists["split.publish_stall_ns"]; got == 0 || got != hist.Sum {
+		t.Errorf("windowed split.stall_ns = %d, want the window's publish stalls, %d ns", got, hist.Sum)
+	}
+	if got, want := w.Counters["pmem.write_lines"], tbl.pool.Stats().Sub(pmBefore).WriteLines; got != want {
+		t.Errorf("windowed pmem.write_lines = %d, want the window's %d", got, want)
 	}
 }
 
@@ -155,7 +191,7 @@ func TestReadPathTraceTags(t *testing.T) {
 }
 
 // TestRecoveryPhaseTimings reopens a durable image and checks the recovery
-// phases are timed, exposed through Stats(), the registry, and the trace.
+// phases are timed, exposed through the registry, Stats(), and the trace.
 func TestRecoveryPhaseTimings(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
 	for k := uint64(0); k < 5000; k++ {
@@ -163,7 +199,7 @@ func TestRecoveryPhaseTimings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tbl.Stats().RecoveryTotalNS != 0 {
+	if tbl.Metrics().Snapshot().Counters["recovery.total_ns"] != 0 {
 		t.Fatal("freshly created table reports recovery time")
 	}
 
@@ -177,16 +213,17 @@ func TestRecoveryPhaseTimings(t *testing.T) {
 		t.Fatalf("reopened count %d, want %d", rt.Count(), tbl.Count())
 	}
 
-	st := rt.Stats()
-	if st.RecoveryTotalNS <= 0 {
+	st, c := rt.Stats(), rt.Metrics().Snapshot().Counters
+	total := c["recovery.total_ns"]
+	if total == 0 {
 		t.Fatal("recovery total not recorded")
 	}
-	phases := st.RecoveryDirNS + st.RecoverySegmentsNS + st.RecoveryLogNS + st.RecoveryMirrorsNS
-	if phases <= 0 || phases > st.RecoveryTotalNS {
-		t.Fatalf("phase sum %d vs total %d", phases, st.RecoveryTotalNS)
+	phases := c["recovery.directory_ns"] + c["recovery.segments_ns"] + c["recovery.log_ns"] + c["recovery.mirrors_ns"]
+	if phases == 0 || phases > total {
+		t.Fatalf("phase sum %d vs total %d", phases, total)
 	}
-	if g := rt.Metrics().Snapshot().Gauges["recovery.total_ns"]; g != st.RecoveryTotalNS {
-		t.Fatalf("registry recovery.total_ns = %d, stats = %d", g, st.RecoveryTotalNS)
+	if statsSum := st.RecoveryDirNS + st.RecoverySegmentsNS + st.RecoveryLogNS + st.RecoveryMirrorsNS; uint64(statsSum) != phases {
+		t.Fatalf("Stats phase sum %d, registry %d", statsSum, phases)
 	}
 
 	// The reopened table's trace starts with the four recovery phases.

@@ -222,7 +222,7 @@ func TestMirrorRebuildAfterCrash(t *testing.T) {
 	// recovery before running the quiescent coherence oracle.
 	tbl2.RecoverAll()
 	requireVerified(t, tbl2)
-	before := tbl2.Stats()
+	before := tbl2.Metrics().Snapshot()
 	for k, want := range live {
 		if v, ok := tbl2.Get(k); !ok || v != want {
 			t.Fatalf("after rebuild: key %d = %d,%v want %d", k, v, ok, want)
@@ -240,9 +240,9 @@ func TestMirrorRebuildAfterCrash(t *testing.T) {
 		}
 	}
 	reads := uint64(len(live) + len(liveVar) + 100)
-	if st := tbl2.Stats().Since(before); st.SegFilterHits != reads || st.SegFilterMisses != 0 {
-		t.Fatalf("%d quiescent reads: %d mirror-served, %d sent to PM; want all mirror-served",
-			reads, st.SegFilterHits, st.SegFilterMisses)
+	if w := tbl2.Metrics().Snapshot().Sub(before); w.Counters["segfilter.hits"] != reads || w.Counters["segfilter.misses"] != 0 {
+		t.Fatalf("%d quiescent reads: %d mirror-served, %d retried; want all mirror-served",
+			reads, w.Counters["segfilter.hits"], w.Counters["segfilter.misses"])
 	}
 }
 

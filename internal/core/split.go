@@ -255,7 +255,7 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool
 // metadata bumps together with the marker clear in one header persist, the
 // moved records are swept with one persist per touched bucket, and the DRAM
 // directory cache is written through — only then do the locks release. The
-// stall this window causes is accumulated in splitStallNS.
+// stall this window causes is accumulated in split.stall_ns.
 func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitScan, copied bool) error {
 	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
 	oldMir := t.mirror(old)
@@ -268,7 +268,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 			unlockBucket(oldMir, i)
 		}
 		stall := time.Since(begin).Nanoseconds()
-		t.splitStallNS.Add(stall)
+		t.met.splitStallNS.Add(uint64(stall))
 		t.met.splitPublishStallNS.Record(stall)
 	}()
 
@@ -356,6 +356,6 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	// get past the locks, the cache already routes the moved half to
 	// newSeg. The split claim (split) is released after both.
 	t.cachePublishSplit(sib, estart, span)
-	t.splits.Add(1)
+	t.met.splits.Inc()
 	return nil
 }

@@ -463,7 +463,7 @@ func TestSplitCopyValidatedByVersions(t *testing.T) {
 					c.mutate(t, e)
 				}
 			})
-			e.grow(t, func() bool { return tbl.splits.Load() >= 1 })
+			e.grow(t, func() bool { return tbl.met.splits.Total() >= 1 })
 			want := uint64(1)
 			if c.mutate == nil {
 				want = 0
@@ -509,7 +509,7 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 	inserted := make(chan struct{})
 	go func() {
 		defer close(inserted)
-		for k := uint64(0); tbl.splits.Load() == 0; k++ {
+		for k := uint64(0); tbl.met.splits.Total() == 0; k++ {
 			if err := tbl.Insert(k, k+1); err != nil {
 				t.Errorf("insert %d: %v", k, err)
 				return
@@ -582,7 +582,7 @@ func TestSplitCharges(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if tbl.splits.Load() == 0 {
+		if tbl.met.splits.Total() == 0 {
 			continue
 		}
 		if want := [4]uint64{0, 78, 341, 11}; got != want {
@@ -652,7 +652,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 
 	// The retried split takes the recycled block, not a new one.
 	frontier := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt))
-	for ; tbl.splits.Load() == 0; k++ {
+	for ; tbl.met.splits.Total() == 0; k++ {
 		if err := tbl.Insert(k, k+1); err != nil {
 			t.Fatalf("insert %d after the rollback: %v", k, err)
 		}

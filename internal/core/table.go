@@ -156,12 +156,6 @@ type Table struct {
 	// after recovery completes, restoring the ungated hot path.
 	lazy atomic.Pointer[lazyRecovery]
 
-	// splits counts completed segment splits; splitStallNS accumulates the
-	// wall time their exclusive publish windows (all bucket locks held,
-	// including any directory doubling) stalled the segment.
-	splits       atomic.Uint64
-	splitStallNS atomic.Int64
-
 	// Observability (obs.go): reg names every meter, fr is the flight
 	// recorder, met the table-level histogram/phase handles. Built by
 	// initObs before any operation runs.

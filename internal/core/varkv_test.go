@@ -43,8 +43,8 @@ func TestVarRoundtrip(t *testing.T) {
 	if got := tbl.Count(); got != n {
 		t.Fatalf("count = %d, want %d", got, n)
 	}
-	if s := tbl.Stats(); s.Splits == 0 || s.LogLiveBlobs != n {
-		t.Fatalf("expected splits and %d live blobs, got %+v", n, s)
+	if s, blobs := tbl.Stats(), tbl.vlog.Stats().LiveBlobs; s.Splits == 0 || blobs != n {
+		t.Fatalf("expected splits and %d live blobs, got %d and %+v", n, blobs, s)
 	}
 	for i := 0; i < n; i++ {
 		klen := 16 + i%113
@@ -103,7 +103,7 @@ func TestVarUpdateCOW(t *testing.T) {
 		t.Fatalf("UpdateB of absent key = %v, %v", ok, err)
 	}
 	tbl.Close() // drain epochs so retired blobs reach the free list
-	if s := tbl.Stats(); s.LogLiveBlobs != n || s.LogFreeBytes == 0 {
+	if s := tbl.vlog.Stats(); s.LiveBlobs != n || s.FreeBytes == 0 {
 		t.Fatalf("after COW churn: %+v, want %d live blobs and a non-empty free list", s, n)
 	}
 }
@@ -197,8 +197,8 @@ func TestVarU64Interop(t *testing.T) {
 		t.Fatalf("Insert duplicate of InsertB key: %v", err)
 	}
 	tbl.Close() // drain epochs so the deleted records' blob frees land
-	if s := tbl.Stats(); s.LogLiveBlobs != 0 {
-		t.Fatalf("inline-only table holds %d live blobs", s.LogLiveBlobs)
+	if blobs := tbl.vlog.Stats().LiveBlobs; blobs != 0 {
+		t.Fatalf("inline-only table holds %d live blobs", blobs)
 	}
 }
 

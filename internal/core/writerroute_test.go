@@ -124,7 +124,7 @@ func TestWriterReadCharges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count, splits, misses := tbl.Count(), tbl.splits.Load(), tbl.cache.misses.Total()
+	count, splits, misses := tbl.Count(), tbl.met.splits.Total(), tbl.cache.misses.Total()
 	dirWord := rootAddr.Add(rootOffDir)
 	dir := p.QuietLoadU64(dirWord)
 	p.QuietStoreU64(dirWord, 0)
@@ -154,9 +154,9 @@ func TestWriterReadCharges(t *testing.T) {
 			writes += 2
 		}
 	}()
-	if tbl.splits.Load() != splits || tbl.cache.misses.Total() != misses {
+	if tbl.met.splits.Total() != splits || tbl.cache.misses.Total() != misses {
 		t.Fatalf("mixed writes split (%d→%d) or repaired a route (%d→%d)",
-			splits, tbl.splits.Load(), misses, tbl.cache.misses.Total())
+			splits, tbl.met.splits.Total(), misses, tbl.cache.misses.Total())
 	}
 	if got := tbl.Count(); got != count {
 		t.Fatalf("Count = %d, want %d", got, count)
@@ -251,11 +251,11 @@ func TestWriterWriteCharges(t *testing.T) {
 		old, _, present := mirSegSearch(tbl.vlog, mir, &pk, true)
 
 		kind := ""
-		before, splits := p.Stats(), tbl.splits.Load()
+		before, splits := p.Stats(), tbl.met.splits.Total()
 		switch r := rng.Intn(100); {
 		case r < 40:
 			kind = "Insert"
-			if err := tbl.Insert(k, k); err == nil && pairFull && tbl.splits.Load() == splits {
+			if err := tbl.Insert(k, k); err == nil && pairFull && tbl.met.splits.Total() == splits {
 				if _, loc, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.inStash() {
 					spilled++
 				} else {
@@ -301,17 +301,17 @@ func TestWriterWriteCharges(t *testing.T) {
 		}
 		st := p.Stats().Sub(before)
 		bound := st.WriteLines
-		if tbl.splits.Load() != splits {
+		if tbl.met.splits.Total() != splits {
 			bound += st.FlushedLines
 		}
 		if n := changedLines(); n > bound {
 			t.Fatalf("op %d, %s of key %d: %d cachelines changed, %d write lines charged (%d flushed, split: %v)",
-				i, kind, k, n, st.WriteLines, st.FlushedLines, tbl.splits.Load() != splits)
+				i, kind, k, n, st.WriteLines, st.FlushedLines, tbl.met.splits.Total() != splits)
 		}
 	}
-	if tbl.splits.Load() == 0 || displaced == 0 || spilled == 0 || cow == 0 || converted == 0 {
+	if tbl.met.splits.Total() == 0 || displaced == 0 || spilled == 0 || cow == 0 || converted == 0 {
 		t.Fatalf("history ran %d splits, %d displacements, %d stash spills, %d copy-on-write updates, %d conversions: want some of each",
-			tbl.splits.Load(), displaced, spilled, cow, converted)
+			tbl.met.splits.Total(), displaced, spilled, cow, converted)
 	}
 }
 
@@ -378,7 +378,7 @@ func TestRuntimeReadsNoPM(t *testing.T) {
 	}
 	stop.Store(true)
 	negs := <-negatives
-	splits, depth := tbl.splits.Load(), tbl.GlobalDepth()
+	splits, depth := tbl.met.splits.Total(), tbl.GlobalDepth()
 	if splits < 4 || depth < 2 {
 		t.Fatalf("history ran %d splits to global depth %d, want >= 4 splits and a doubling", splits, depth)
 	}
@@ -391,7 +391,7 @@ func TestRuntimeReadsNoPM(t *testing.T) {
 	// Variable-length records: each op's expected charge comes from the
 	// blob its key holds on the quiescent table before the op.
 	vals := make(map[uint64][]byte)
-	splits = tbl.splits.Load()
+	splits = tbl.met.splits.Total()
 	for i := 0; i < 6000; i++ {
 		id := uint64(rng.Intn(3000))
 		key := routeKeyB(id)
@@ -441,7 +441,7 @@ func TestRuntimeReadsNoPM(t *testing.T) {
 			t.Fatalf("op %d on %q (present %v) read %d PM lines, want %d: only its blob's", i, key, present, got, want)
 		}
 	}
-	if tbl.splits.Load() == splits {
+	if tbl.met.splits.Total() == splits {
 		t.Fatal("the variable-length history ran no split")
 	}
 }
@@ -615,8 +615,8 @@ func TestMovedHalfAllWriters(t *testing.T) {
 	for i := range old {
 		old[i] = v.entries[i].Load()
 	}
-	s0 := tbl.splits.Load()
-	f.grow(t, func() bool { return tbl.splits.Load() >= s0+12 })
+	s0 := tbl.met.splits.Total()
+	f.grow(t, func() bool { return tbl.met.splits.Total() >= s0+12 })
 	moved := 0
 	stale := func() func() {
 		if tbl.cache.view.Load() != v {
@@ -837,7 +837,7 @@ func TestWriterHistoryThroughSplits(t *testing.T) {
 	if got := tbl.Count(); got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	if s, g := tbl.splits.Load(), tbl.GlobalDepth(); s < 200 || g < 4 {
+	if s, g := tbl.met.splits.Total(), tbl.GlobalDepth(); s < 200 || g < 4 {
 		t.Fatalf("history saw %d splits and global depth %d, want >= 200 and >= 4", s, g)
 	}
 	requireVerified(t, tbl)

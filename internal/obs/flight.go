@@ -53,6 +53,7 @@ var evNames = map[EventType]string{
 	EvSegRecover:    "seg-recover",
 }
 
+// String is the event type's name as the text trace prints it.
 func (t EventType) String() string {
 	if s, ok := evNames[t]; ok {
 		return s
@@ -122,6 +123,8 @@ type Event struct {
 	B    uint64    `json:"b"`
 }
 
+// String formats the event as one line of the text trace: time in ms,
+// type, tag, and the two payloads.
 func (e Event) String() string {
 	return fmt.Sprintf("%14.6fms %-14s %-11s a=%#x b=%d",
 		float64(e.TS)/1e6, e.Type.String(), TagName(e.Tag), e.A, e.B)

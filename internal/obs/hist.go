@@ -5,15 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// The log-bucketed layout shared by obs.Histogram and bench.Hist: 16 linear
-// sub-buckets per power of two, so any recorded value lands in a bucket
-// whose floor is within 1/16 (6.25%) of it — plenty for p50/p99 reporting
-// while a whole histogram is one fixed 8KiB array.
+// The log-bucketed layout of every latency distribution in the tree: 16
+// linear sub-buckets per power of two, so any recorded value lands in a
+// bucket whose floor is within 1/16 (6.25%) of it — plenty for p50/p99
+// reporting while a whole histogram is one fixed 8KiB array.
 const (
 	histSub = 16 // linear sub-buckets per octave
 
-	// NumBuckets is the fixed bucket count of the shared layout;
-	// SubPerOctave its linear resolution within each power of two.
+	// NumBuckets is the fixed bucket count of the layout; SubPerOctave its
+	// linear resolution within each power of two.
 	NumBuckets   = 1024
 	SubPerOctave = histSub
 )
@@ -40,15 +40,15 @@ func BucketFloor(idx int) int64 {
 	return int64(histSub+off) << (uint(e) - 4)
 }
 
-// Histogram is the concurrent counterpart of bench.Hist: the same bucket
-// layout, but every bucket is an independent atomic so any goroutine can
-// Record without coordination. A record is two uncontended atomic adds plus
-// a rarely-contended max CAS; there is no total-order cut across buckets,
-// which (as with Counter) is exactly enough for windowed quantiles.
-// Methods are safe on a nil *Histogram.
+// Histogram is a latency distribution every bucket of which is an
+// independent atomic, so any goroutine can Record without coordination. A
+// record is two uncontended atomic adds plus a rarely-contended max CAS;
+// there is no total-order cut across buckets, which (as with Counter) is
+// exactly enough for windowed quantiles. One recorder per goroutine, merged
+// with HistSnapshot.Add, keeps even those adds uncontended (the bench
+// harness's clients do that). Methods are safe on a nil *Histogram.
 type Histogram struct {
 	counts [NumBuckets]atomic.Uint64
-	total  atomic.Uint64
 	sum    atomic.Uint64
 	max    atomic.Int64
 }
@@ -59,7 +59,6 @@ func (h *Histogram) Record(v int64) {
 		return
 	}
 	h.counts[BucketIndex(v)].Add(1)
-	h.total.Add(1)
 	if v > 0 {
 		h.sum.Add(uint64(v))
 	}
@@ -76,21 +75,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	counts := make([]uint64, NumBuckets)
+	s := HistSnapshot{Sum: h.sum.Load(), Max: h.max.Load(), Counts: make([]uint64, NumBuckets)}
 	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return NewHistSnapshot(counts, h.sum.Load(), h.max.Load())
-}
-
-// NewHistSnapshot summarises a raw bucket array in the shared layout (len
-// NumBuckets; the snapshot keeps it) with the exact sum and max recorded
-// alongside — how an unsynchronised recorder (bench.Hist) gets the same
-// quantile walk as a Histogram.
-func NewHistSnapshot(counts []uint64, sum uint64, max int64) HistSnapshot {
-	s := HistSnapshot{Sum: sum, Max: max, Counts: counts}
-	for _, c := range counts {
-		s.Count += c
+		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	s.summarize()
 	return s
@@ -98,7 +86,7 @@ func NewHistSnapshot(counts []uint64, sum uint64, max int64) HistSnapshot {
 
 // HistSnapshot is a point-in-time view of a Histogram, JSON-ready: the
 // exported summary fields are derived from Counts when the snapshot is
-// taken (and re-derived after Sub).
+// taken (and re-derived after Sub and Add).
 type HistSnapshot struct {
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
@@ -140,26 +128,38 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 // Max is the later snapshot's max (the true window max is unknowable from
 // two cumulative snapshots, and the later max bounds it from above).
 func (s HistSnapshot) Sub(earlier HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Max: s.Max, Counts: make([]uint64, NumBuckets)}
 	sat := func(a, b uint64) uint64 {
 		if a < b {
 			return 0
 		}
 		return a - b
 	}
+	return combine(s, earlier, sat, sat(s.Sum, earlier.Sum), s.Max)
+}
+
+// Add returns the distribution of s and o together — several recorders'
+// snapshots merged into one: buckets and sums add, Max is the larger, and
+// the summary fields are re-derived from the summed buckets.
+func (s HistSnapshot) Add(o HistSnapshot) HistSnapshot {
+	add := func(a, b uint64) uint64 { return a + b }
+	return combine(s, o, add, s.Sum+o.Sum, max(s.Max, o.Max))
+}
+
+// combine builds the snapshot whose every bucket is f of s's and o's (an
+// absent bucket array reads as zeros), with the given sum and max.
+func combine(s, o HistSnapshot, f func(a, b uint64) uint64, sum uint64, hi int64) HistSnapshot {
+	out := HistSnapshot{Sum: sum, Max: hi, Counts: make([]uint64, NumBuckets)}
 	for i := range out.Counts {
-		var e uint64
-		if i < len(earlier.Counts) {
-			e = earlier.Counts[i]
-		}
-		var c uint64
+		var a, b uint64
 		if i < len(s.Counts) {
-			c = s.Counts[i]
+			a = s.Counts[i]
 		}
-		out.Counts[i] = sat(c, e)
+		if i < len(o.Counts) {
+			b = o.Counts[i]
+		}
+		out.Counts[i] = f(a, b)
 		out.Count += out.Counts[i]
 	}
-	out.Sum = sat(s.Sum, earlier.Sum)
 	out.summarize()
 	return out
 }

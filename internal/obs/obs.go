@@ -2,18 +2,19 @@
 // and tracing machinery that was previously scattered, duplicated or missing
 // across the other packages. The meters are always on; how much of the
 // operation stream reaches the flight recorder is the recorder's caller's
-// choice (core samples, and says so in a gauge Serve prints). Three pieces:
+// choice (core samples, and tells Serve the period). Three pieces:
 //
 //   - Counter and Histogram — lock-free, cacheline-sharded primitives cheap
 //     enough for every hot path (a Counter increment is one uncontended
 //     atomic add on a goroutine-private shard; a Histogram record is two).
-//     Histogram uses the same log-bucketed layout as the benchmark
-//     harness (16 linear sub-buckets per octave), so engine-side and
-//     harness-side distributions are directly comparable.
+//     The bench harness's clients record latency into Histograms too, so
+//     engine-side and harness-side distributions share one layout (16
+//     linear sub-buckets per octave) and one quantile walk.
 //   - Registry — names the meters. Every layer registers its counters,
 //     gauges and histograms under a dotted name ("dircache.hits",
-//     "split.migrate_ns", ...) and Table.Stats(), the bench re-windowing
-//     logic and the live endpoint all read the same Snapshot.
+//     "split.migrate_ns", ...); the live endpoint serves a Snapshot, and the
+//     bench harness windows Snapshots (Sub) and sums them over tables (Add)
+//     into its BENCH row.
 //   - Flight — a fixed-size flight recorder of typed binary events in two
 //     lanes: a control lane for the rare structural events (split lifecycle
 //     transitions, route repairs, epoch advances, recovery phases), recorded

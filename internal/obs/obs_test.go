@@ -115,6 +115,110 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestHistSnapshotAdd merges two recorders' snapshots, as the bench harness
+// merges its clients': buckets, count and sum add, Max is the larger, the
+// quantiles are re-derived from the merged buckets, and subtracting one part
+// gives back the other.
+func TestHistSnapshotAdd(t *testing.T) {
+	var a, b Histogram
+	// 1000 observations: 0..999 split across two histograms.
+	for v := int64(0); v < 1000; v++ {
+		if v%2 == 0 {
+			a.Record(v)
+		} else {
+			b.Record(v)
+		}
+	}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	s := sa.Add(sb)
+	if s.Count != 1000 || s.Sum != 999*1000/2 || s.Max != 999 {
+		t.Fatalf("merged count %d sum %d max %d, want 1000, 499500, 999", s.Count, s.Sum, s.Max)
+	}
+	for i := range s.Counts {
+		if s.Counts[i] != sa.Counts[i]+sb.Counts[i] {
+			t.Fatalf("bucket %d = %d, want %d + %d", i, s.Counts[i], sa.Counts[i], sb.Counts[i])
+		}
+	}
+	if s.Mean < 499 || s.Mean > 500 {
+		t.Fatalf("mean = %f, want ~499.5", s.Mean)
+	}
+	if s.P50 < 400 || s.P50 > 520 {
+		t.Fatalf("p50 = %d, want ~500 within bucket error", s.P50)
+	}
+	if s.P99 < 900 || s.P99 > 999 {
+		t.Fatalf("p99 = %d, want ~990 within bucket error", s.P99)
+	}
+	if q0, q1 := s.Quantile(0), s.Quantile(1); q0 != 0 || q1 < 930 {
+		t.Fatalf("extreme quantiles = %d, %d", q0, q1)
+	}
+
+	// Add then Sub is the identity on everything but Max, which a window
+	// keeps from its later snapshot (a bound, see Sub).
+	back := s.Sub(sb)
+	if back.Count != sa.Count || back.Sum != sa.Sum || back.Mean != sa.Mean ||
+		back.P50 != sa.P50 || back.P99 != sa.P99 || back.P999 != sa.P999 {
+		t.Fatalf("(a+b)−b = %+v, want a's summary", back)
+	}
+	for i := range back.Counts {
+		if back.Counts[i] != sa.Counts[i] {
+			t.Fatalf("(a+b)−b bucket %d = %d, want %d", i, back.Counts[i], sa.Counts[i])
+		}
+	}
+
+	// The empty snapshot is Add's identity and merges to zeros.
+	if z := (HistSnapshot{}).Add(HistSnapshot{}); z.Count != 0 || z.P50 != 0 || z.Mean != 0 || z.Max != 0 {
+		t.Fatalf("empty merge = %+v", z)
+	}
+	if e := (HistSnapshot{}).Add(sa); e.Count != sa.Count || e.P99 != sa.P99 || e.Max != sa.Max {
+		t.Fatalf("empty + a = %+v, want a", e)
+	}
+	// Snapshots copy: recording afterwards moves neither part nor sum.
+	a.Record(1 << 30)
+	if s.Quantile(1) >= 1<<30 || sa.Max == 1<<30 || a.Snapshot().Max != 1<<30 {
+		t.Fatal("snapshot aliases the live histogram")
+	}
+}
+
+// TestSnapshotAdd sums two registries' snapshots as the bench harness sums
+// its tables': counters, gauges and histograms add over the union of the
+// names, and subtracting one part again gives back the other's counters and
+// buckets. A counter registered by pointer is windowed like any other.
+func TestSnapshotAdd(t *testing.T) {
+	r1, r2 := NewRegistry(), NewRegistry()
+	var held Counter
+	held.Add(6)
+	r1.RegisterCounter("held", &held)
+	r1.Counter("x").Add(3)
+	r2.Counter("x").Add(4)
+	r2.Counter("only2").Add(1)
+	r1.Gauge("g", func() int64 { return 5 })
+	r2.Gauge("g", func() int64 { return -2 })
+	r1.Histogram("h").Record(10)
+	r2.Histogram("h").Record(1000)
+
+	s1, s2 := r1.Snapshot(), r2.Snapshot()
+	sum := s1.Add(s2)
+	if sum.Counters["x"] != 7 || sum.Counters["only2"] != 1 || sum.Counters["held"] != 6 || sum.Gauges["g"] != 3 {
+		t.Fatalf("sum = %+v", sum)
+	}
+	if h := sum.Hists["h"]; h.Count != 2 || h.Sum != 1010 || h.Max != 1000 || h.P50 != 10 {
+		t.Fatalf("summed histogram = %+v", h)
+	}
+
+	back := sum.Sub(s2)
+	if back.Counters["x"] != 3 || back.Counters["only2"] != 0 || back.Counters["held"] != 6 {
+		t.Fatalf("(s1+s2)−s2 counters = %v, want s1's", back.Counters)
+	}
+	if h := back.Hists["h"]; h.Count != 1 || h.Sum != 10 || h.P50 != 10 {
+		t.Fatalf("(s1+s2)−s2 histogram = %+v, want s1's", h)
+	}
+
+	held.Add(2)
+	if w := r1.Snapshot().Sub(s1); w.Counters["held"] != 2 {
+		t.Fatalf("windowed registered counter = %d, want 2", w.Counters["held"])
+	}
+}
+
 // TestFlightWraparound fills tiny rings far past capacity from one goroutine
 // and checks the snapshot retains exactly the newest events, time-ordered.
 func TestFlightWraparound(t *testing.T) {
@@ -194,21 +298,22 @@ func TestFlightConcurrentSnapshot(t *testing.T) {
 }
 
 type fakeSource struct {
-	reg *Registry
-	fr  *Flight
+	reg    *Registry
+	fr     *Flight
+	period int
 }
 
 func (s fakeSource) Metrics() *Registry     { return s.reg }
 func (s fakeSource) TraceSnapshot() []Event { return s.fr.Snapshot() }
+func (s fakeSource) OpSamplePeriod() int    { return s.period }
 
 func TestServe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test.hits").Add(7)
-	reg.Gauge("flight.op_sample_period", func() int64 { return 64 })
 	fr := NewFlight()
 	fr.Record(EvSplitPublish, TagNone, 42, 43)
 
-	srv, err := Serve("127.0.0.1:0", fakeSource{reg: reg, fr: fr})
+	srv, err := Serve("127.0.0.1:0", fakeSource{reg: reg, fr: fr, period: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

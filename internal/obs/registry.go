@@ -5,8 +5,13 @@ import "sync"
 // Registry names the meters. Registration (Counter/Histogram/Gauge) is a
 // startup-time operation under a mutex; callers keep the returned pointer
 // and the hot path never touches the registry again. Snapshot walks
-// everything for Stats(), the bench harness and the live endpoint — one
-// source of truth for all three.
+// everything for the bench harness's BENCH row and the live endpoint — one
+// source of truth for both.
+//
+// A count that only grows is a Counter, so that Snapshot.Sub windows it; a
+// Gauge is an amount that can move either way (bytes held, records pending),
+// so that Snapshot.Add can sum it over tables. Shape and configuration
+// (depths, sampling periods) are neither and are not registered.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -36,6 +41,14 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// RegisterCounter registers a counter its owner already holds (one embedded
+// in a struct, say) under name; last registration wins.
+func (r *Registry) RegisterCounter(name string, c *Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -50,8 +63,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Gauge registers a read-on-demand value under name (last registration
-// wins). Gauges report instantaneous state — pending retires, mirror bytes,
-// recovery phase durations — that a monotone counter cannot express.
+// wins). Gauges report instantaneous amounts — pending retires, mirror bytes,
+// live records — that a monotone counter cannot express.
 func (r *Registry) Gauge(name string, read func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -110,6 +123,30 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 	}
 	for name, h := range s.Hists {
 		out.Hists[name] = h.Sub(earlier.Hists[name])
+	}
+	return out
+}
+
+// Add returns s plus o over the union of their meter names: counters and
+// gauges add, histograms add bucket-wise. It sums the windows of several
+// tables — a service's shards — into one, which is why a gauge must be an
+// amount (see Registry).
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	out := Snapshot{
+		Counters: make(map[string]uint64, len(s.Counters)),
+		Gauges:   make(map[string]int64, len(s.Gauges)),
+		Hists:    make(map[string]HistSnapshot, len(s.Hists)),
+	}
+	for _, x := range []Snapshot{s, o} {
+		for name, v := range x.Counters {
+			out.Counters[name] += v
+		}
+		for name, v := range x.Gauges {
+			out.Gauges[name] += v
+		}
+		for name, h := range x.Hists {
+			out.Hists[name] = out.Hists[name].Add(h)
+		}
 	}
 	return out
 }

@@ -9,11 +9,14 @@ import (
 )
 
 // Source is what a live endpoint introspects — *core.Table satisfies it.
-// Either method may return nil (e.g. before the table under test exists);
-// the handlers answer 503 until it does.
+// Metrics and TraceSnapshot may return nil (e.g. before the table under test
+// exists); the handlers answer 503 until they do. OpSamplePeriod says how
+// thinly the source samples its flight recorder's op lane: the operations of
+// one key in that many are recorded (1, or 0, when every one is).
 type Source interface {
 	Metrics() *Registry
 	TraceSnapshot() []Event
+	OpSamplePeriod() int
 }
 
 // Server is a running introspection endpoint.
@@ -27,8 +30,7 @@ type Server struct {
 //	/metrics      — registry snapshot as JSON
 //	/trace        — merged flight-recorder dump, text (add ?format=json); the
 //	                text form opens with a "#" line stating the op lane's
-//	                sample period when the source's registry has the
-//	                flight.op_sample_period gauge
+//	                sample period when the source samples it
 //	/debug/pprof/ — the standard runtime profiles
 //
 // against src. It returns once the listener is bound; requests are served
@@ -62,12 +64,10 @@ func Serve(addr string, src Source) (*Server, error) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		// What the dump can be read as: the source says, through its
-		// registry, how thinly it samples the op lane.
-		if reg := src.Metrics(); reg != nil {
-			if n := reg.Snapshot().Gauges["flight.op_sample_period"]; n > 1 {
-				fmt.Fprintf(w, "# control lane complete; op lane sampled 1 in %d by key hash, plus every failed mutation (b=0)\n", n)
-			}
+		// What the dump can be read as: how thinly the source samples the
+		// op lane.
+		if n := src.OpSamplePeriod(); n > 1 {
+			fmt.Fprintf(w, "# control lane complete; op lane sampled 1 in %d by key hash, plus every failed mutation (b=0)\n", n)
 		}
 		for _, e := range events {
 			fmt.Fprintln(w, e.String())

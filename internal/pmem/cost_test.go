@@ -282,8 +282,8 @@ func TestDeviceTimeBooked(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	p.RegisterMetrics(r)
-	if g := r.Snapshot().Gauges; g["pmem.device_ns.read"] != int64(want.Read) || g["pmem.device_ns.fence"] != int64(want.Fence) || g["pmem.device_ns.queue"] != int64(want.Queue) {
-		t.Errorf("registry gauges %v", g)
+	if c := r.Snapshot().Counters; c["pmem.device_ns.read"] != want.Read || c["pmem.device_ns.fence"] != want.Fence || c["pmem.device_ns.queue"] != want.Queue {
+		t.Errorf("registry counters %v", c)
 	}
 }
 

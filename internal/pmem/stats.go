@@ -47,18 +47,17 @@ func (s *Stats) addDevice(kind int, c charged) {
 	}
 }
 
-// Register exposes the pool's traffic counters on an obs.Registry under
-// pmem.* names, so the engine's metrics endpoint shows PM traffic alongside
-// the table-level meters.
+// Register registers the pool's traffic counters themselves on an
+// obs.Registry under pmem.* names, so the engine's metrics — and a window of
+// them — carry PM traffic alongside the table-level meters.
 func (s *Stats) Register(r *obs.Registry) {
-	r.Gauge("pmem.read_lines", func() int64 { return int64(s.readLines.Total()) })
-	r.Gauge("pmem.write_lines", func() int64 { return int64(s.writeLines.Total()) })
-	r.Gauge("pmem.flushed_lines", func() int64 { return int64(s.flushes.Total()) })
-	r.Gauge("pmem.fences", func() int64 { return int64(s.fences.Total()) })
-	r.Gauge("pmem.fences_elided", func() int64 { return int64(s.elidedFences.Total()) })
+	r.RegisterCounter("pmem.read_lines", &s.readLines)
+	r.RegisterCounter("pmem.write_lines", &s.writeLines)
+	r.RegisterCounter("pmem.flushed_lines", &s.flushes)
+	r.RegisterCounter("pmem.fences", &s.fences)
+	r.RegisterCounter("pmem.fences_elided", &s.elidedFences)
 	for k, name := range deviceKindNames {
-		c := &s.deviceNS[k]
-		r.Gauge("pmem.device_ns."+name, func() int64 { return int64(c.Total()) })
+		r.RegisterCounter("pmem.device_ns."+name, &s.deviceNS[k])
 	}
 }
 

@@ -48,6 +48,7 @@ const (
 	numOpKinds = 5
 )
 
+// String is the operation kind's name.
 func (k OpKind) String() string {
 	switch k {
 	case OpInsert:
