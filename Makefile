@@ -69,7 +69,8 @@ docs-check: vet
 			validateRoute mirrorRepair mirrorMaybeCheck mirrorBucketMatchesPM mirrorSampleMask CompareAndSwapU64 \
 			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch \
 			verifyLogLive verifyCacheCoherent mirrorVerifyAll WalkBlobs ResetStats \
-			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path'; do \
+			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path' \
+			blobCommitMagic hookVarCommitted; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -24,8 +24,8 @@ import (
 //   - the persisted frontiers lie at or past the end of every block a
 //     published structure references: the directory and its segments, the
 //     log's chunks and the ledger's blocks below the table's frontier, every
-//     blob a slot references below its chunk's frontier, and committed
-//     (Verify);
+//     blob a slot references below its chunk's frontier, and reached by the
+//     log's walk (Verify);
 //   - blocks and blobs allocated afterwards are disjoint from every live one.
 
 // span is the byte range [lo, hi) of a live or freshly allocated block.

@@ -426,13 +426,9 @@ func (t *Table) driveRecovery(lr *lazyRecovery) {
 	// simply skipped — never double-freed, never handed out twice.
 	lstart := obs.Now()
 	sweep := t.vlog.SweepStart()
-	referenced := func(a pmem.Addr) bool {
-		_, ok := lr.refs[a]
-		return ok
-	}
 	for {
 		g := t.em.Enter()
-		done, freed := sweep.Step(sweepStepBlobs, referenced)
+		done, freed := sweep.Step(sweepStepBlobs, lr.refs)
 		g.Exit()
 		if freed > 0 {
 			t.met.lazySweepFreed.Add(uint64(freed))

@@ -10,11 +10,13 @@ import (
 
 // The background record-log sweep (driveRecovery's final phase) classifies
 // every blob that existed at Open as referenced-by-some-segment (live) or
-// not (free-listed). It is pure DRAM bookkeeping: it writes nothing durable,
-// so a crash mid-sweep leaves exactly the image a crash before the sweep
-// leaves, and "resume after crash" is just a fresh reopen running the same
-// deterministic classification. This test proves both halves: (a) the sweep
-// issues no PM writes (durable image identical before and after stepping),
+// not (free-listed). On an image with no hole (a blob whose header a crash
+// lost, which the sweep bridges with a filler header) it is pure DRAM
+// bookkeeping: it writes nothing durable, so a crash mid-sweep leaves exactly
+// the image a crash before the sweep leaves, and "resume after crash" is just
+// a fresh reopen running the same deterministic classification. This test
+// proves both halves: (a) the sweep issues no PM writes (durable image
+// identical before and after stepping),
 // and (b) two independent reopens of the same image converge on the
 // identical free set and freed count — leak-or-reclaim is deterministic —
 // with the end-of-sweep invariant (live set == segment-referenced set)
@@ -138,16 +140,10 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	}
 	durable0 := poolA.Snapshot()
 	sweep := tblA.vlog.SweepStart()
-	referenced := func(a pmem.Addr) bool {
-		lr.refMu.Lock()
-		_, ok := lr.refs[a]
-		lr.refMu.Unlock()
-		return ok
-	}
 	totalFreed, steps, done := 0, 0, false
 	for !done && steps < 4 { // stop mid-sweep
 		var freed int
-		done, freed = sweep.Step(16, referenced)
+		done, freed = sweep.Step(16, lr.refs)
 		totalFreed += freed
 		steps++
 	}
@@ -164,7 +160,7 @@ func TestLogSweepCrashResumeDeterministic(t *testing.T) {
 	}
 	for !done { // resume to completion
 		var freed int
-		done, freed = sweep.Step(sweepStepBlobs, referenced)
+		done, freed = sweep.Step(sweepStepBlobs, lr.refs)
 		totalFreed += freed
 	}
 	if uint64(totalFreed) != freedB {

@@ -73,7 +73,7 @@ const (
 	rootOffCount    = 56 // record count persisted by a clean Close
 
 	tableMagic  = 0x44617368454831 // "DashEH1"
-	tableFormat = 3                // 3 = clean-shutdown marker root; 2 = indirect (varlog) records
+	tableFormat = 4                // 4 = one-word blob header, no commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog) records
 	allocStart  = 256              // first allocatable offset; keeps blocks 256-aligned
 	allocAlign  = 256
 
@@ -173,11 +173,10 @@ type Table struct {
 	hookMidSweep        func()                                        // first swept bucket persisted, rest pending
 
 	// Varlog crash hooks, the record-log counterparts: after a blob's
-	// bytes persist but before its commit word, after commit but before
-	// any slot references it, and mid-copy-on-write-update (new blob
-	// committed, slot word not yet flipped).
+	// bytes persist but before any slot references it, and
+	// mid-copy-on-write-update (new blob persisted, slot word not yet
+	// flipped).
 	hookVarAppended  func()
-	hookVarCommitted func()
 	hookVarMidUpdate func()
 }
 
@@ -423,11 +422,12 @@ func (t *Table) InsertB(key, value []byte) error {
 	return err
 }
 
-// insertIndirect writes the blob (with the crash hooks between its persist,
-// commit and publication) and inserts the packed record. The blob is
-// allocated before any lock is taken and survives split retries; it is
-// returned to the log on any failure. A failed insert never published the
-// record, so no reader can hold the blob and the free is immediate.
+// insertIndirect writes the blob (with the crash hook between its persist
+// and its publication, the slot store that commits it) and inserts the
+// packed record. The blob is allocated before any lock is taken and survives
+// split retries; it is returned to the log on any failure. A failed insert
+// never published the record, so no reader can hold the blob and the free is
+// immediate.
 func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	blob, err := t.vlog.Append(key, value)
 	if err != nil {
@@ -437,9 +437,6 @@ func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 		t.hookVarAppended()
 	}
 	t.vlog.Commit(blob)
-	if t.hookVarCommitted != nil {
-		t.hookVarCommitted()
-	}
 	kv := pmem.KV{Key: recPack(blob, len(key)), Value: pk.parts.Hash}
 	if err := t.insertKV(pk, kv); err != nil {
 		t.vlog.Free(blob)
@@ -647,10 +644,10 @@ func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 //
 //   - inline record, 8-byte new value → in-place store of the value word
 //     (the original fast path; crash-atomic by word atomicity).
-//   - indirect record → copy-on-write: append+commit a new blob, flip the
-//     slot's word 0 with one atomic persisted store, epoch-retire the old
-//     blob. Word 1 (the key's hash) is unchanged, so the flip is a single
-//     word whatever the value length.
+//   - indirect record → copy-on-write: append a new blob, flip the slot's
+//     word 0 with one atomic persisted store — the new blob's commit —
+//     epoch-retire the old blob. Word 1 (the key's hash) is unchanged, so the
+//     flip is a single word whatever the value length.
 //   - inline record, non-8-byte value → representation conversion: the new
 //     indirect record is inserted alongside the old inline one and the old
 //     slot is deleted after it. A crash in between leaves both — recovery's

@@ -30,8 +30,9 @@ import (
 //     its untrack leaves a stale count), and no canonical key appears twice;
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
-//     frees are drained: count is the bitmaps' popcount, and the committed
-//     blobs off the log's free list are exactly those slots name
+//     frees are drained: count is the bitmaps' popcount; every blob a slot
+//     names is one the log's chunk walk reaches, off the free list, and
+//     every blob the walk reaches is named by a slot or free
 //     (pmem.VarLog.Verify).
 //
 // It returns an error naming each entry, segment, slot and word that breaks

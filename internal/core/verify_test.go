@@ -90,6 +90,8 @@ func moveRecord(t *testing.T, tbl *Table, d *segDesc, bi, slot, to int) {
 
 func normalSlot(_ *segDesc, bi, _ int, _ pmem.KV) bool { return bi < normalBuckets }
 
+func indirectSlot(_ *segDesc, _, _ int, kv pmem.KV) bool { return recIsIndirect(kv.Key) }
+
 // TestVerifyNamesEachCorruption breaks one invariant per row — in PM and
 // mirror alike, through quiet stores, so that only the clause under test can
 // see it — and requires Verify to name it and nothing else. The last row
@@ -137,16 +139,33 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			moveRecord(t, tbl, d, bi, slot, normalBuckets)
 		}},
 		{"count off by one", "bitmaps hold", func(_ *testing.T, tbl *Table) { tbl.count.Add(1) }},
-		{"slot naming an uncommitted blob", "is referenced, but uncommitted or free", func(t *testing.T, tbl *Table) {
-			d, bi, slot := slotWhere(t, tbl, func(_ *segDesc, _, _ int, kv pmem.KV) bool { return recIsIndirect(kv.Key) })
-			tbl.pool.QuietStoreU64(recBlobAddr(d.mir.Load().recWord(bi, slot, 0).Load()).Add(8), 0)
+		{"slot naming a free blob", "is referenced, but free", func(t *testing.T, tbl *Table) {
+			d, bi, slot := slotWhere(t, tbl, indirectSlot)
+			tbl.vlog.Free(recBlobAddr(d.mir.Load().recWord(bi, slot, 0).Load()))
 		}},
-		{"committed blob no slot names, off the free list", "committed, unreferenced and not free", func(t *testing.T, tbl *Table) {
+		{"slot naming an address inside another blob", "not a blob the chunk walk reaches", func(t *testing.T, tbl *Table) {
+			// The slot's own blob goes to the free list, so that only the
+			// slot is wrong, not the blob it stops naming.
+			d, bi, slot := slotWhere(t, tbl, indirectSlot)
+			w := d.mir.Load().recWord(bi, slot, 0)
+			tbl.vlog.Free(recBlobAddr(w.Load()))
+			setWord(tbl, recordAddr(segBucket(d.seg, bi), slot), w, w.Load()+16)
+		}},
+		{"walked blob neither referenced nor free", "neither referenced nor free", func(t *testing.T, tbl *Table) {
 			a, err := tbl.vlog.Append([]byte("nobody's key"), []byte("nobody's value"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			tbl.vlog.Commit(a)
+		}},
+		{"blob header a walk cannot stride over", "the walk breaks", func(t *testing.T, tbl *Table) {
+			// The newest blob, freed: nothing behind it for the walk to miss.
+			a, err := tbl.vlog.Append([]byte("nobody's key"), []byte("nobody's value"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.vlog.Free(a)
+			tbl.pool.QuietStoreU64(a, 0)
 		}},
 		{"split marker left set", "split marker", func(_ *testing.T, tbl *Table) {
 			d := tbl.cache.view.Load().entries[0].Load()
@@ -223,6 +242,7 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 		word       pmem.Addr
 		v          uint64
 	}{
+		{"format-3 image, blobs with a commit word", "unsupported table format 3", rootAddr.Add(rootOffFormat), 3},
 		{"directory pointer past the pool", "root names directory", rootAddr.Add(rootOffDir), p.Size() + 4096},
 		{"misaligned directory pointer", "root names directory", rootAddr.Add(rootOffDir), uint64(dir) + 8},
 		{"directory depth no pool holds", "of depth 40 overruns", dir.Add(dirOffDepth), 40},

@@ -132,7 +132,7 @@ func (e Event) String() string {
 
 // Flight is the fixed-size flight recorder. Recording claims a slot index
 // with one atomic add and stores the fields with plain atomics — no locks,
-// no allocation, wait-free. Two lanes:
+// no allocation past an op-lane shard's first event, wait-free. Two lanes:
 //
 //   - the op lane: goroutine-sharded rings for the high-volume
 //     per-operation events, so concurrent writers never share a cursor
@@ -145,9 +145,15 @@ func (e Event) String() string {
 // A slot is published by a seqlock-style protocol (seq=0 → fields →
 // seq=index+1); TraceSnapshot drops slots it catches mid-overwrite instead
 // of returning torn events.
+//
+// The control lane is allocated up front; an op-lane shard's ring is
+// allocated by the shard's first event, so a recorder holds only the shards
+// its goroutines have written (a table's op lane is 64 × 2048 slots, 5 MiB,
+// when every shard is in use, and most never are).
 type Flight struct {
-	ops [Shards]ring
-	ctl ring
+	ops     [Shards]atomic.Pointer[ring]
+	opSlots int
+	ctl     ring
 }
 
 const (
@@ -175,12 +181,23 @@ func NewFlight() *Flight { return NewFlightSized(defaultOpSlots, defaultCtlSlots
 // and ctlSlots control-lane slots; both are rounded up to a power of two
 // (minimum 2).
 func NewFlightSized(opSlots, ctlSlots int) *Flight {
-	f := new(Flight)
-	for i := range f.ops {
-		f.ops[i].slots = make([]slot, ceilPow2(opSlots))
-	}
+	f := &Flight{opSlots: ceilPow2(opSlots)}
 	f.ctl.slots = make([]slot, ceilPow2(ctlSlots))
 	return f
+}
+
+// opLane returns op-lane shard i, allocating its ring on the shard's first
+// event: of goroutines racing to install one, the CAS loser drops its ring
+// and records into the winner's.
+func (f *Flight) opLane(i uint64) *ring {
+	if r := f.ops[i].Load(); r != nil {
+		return r
+	}
+	r := &ring{slots: make([]slot, f.opSlots)}
+	if f.ops[i].CompareAndSwap(nil, r) {
+		return r
+	}
+	return f.ops[i].Load()
 }
 
 func ceilPow2(n int) int {
@@ -206,8 +223,12 @@ func (f *Flight) RecordAt(ts int64, t EventType, tag uint8, a, b uint64) {
 	}
 	r := &f.ctl
 	if t < evOpMax {
-		r = &f.ops[GoShard()]
+		r = f.opLane(GoShard())
 	}
+	r.record(ts, t, tag, a, b)
+}
+
+func (r *ring) record(ts int64, t EventType, tag uint8, a, b uint64) {
 	i := r.cursor.Add(1) - 1
 	s := &r.slots[i&uint64(len(r.slots)-1)]
 	s.seq.Store(0)
@@ -256,7 +277,9 @@ func (f *Flight) Snapshot() []Event {
 	// recorder attached", not "nothing recorded yet".
 	out := make([]Event, 0, 64)
 	for i := range f.ops {
-		out = f.ops[i].snapshot(out)
+		if r := f.ops[i].Load(); r != nil { // a shard never written has no ring
+			out = r.snapshot(out)
+		}
 	}
 	out = f.ctl.snapshot(out)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })

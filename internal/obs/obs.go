@@ -21,8 +21,9 @@
 //     unconditionally, and a goroutine-sharded op lane for per-operation
 //     completions with a path tag. Record and RecordAt never drop, but the
 //     engine feeds the op lane a sample: two clock reads and a ring slot
-//     were a third of a DRAM-served read. Recording allocates nothing and
-//     takes no locks; TraceSnapshot merges the rings into one time-ordered
+//     were a third of a DRAM-served read. Recording takes no locks and
+//     allocates only an op-lane shard's ring, on the shard's first event;
+//     TraceSnapshot merges the rings into one time-ordered
 //     log that turns a p999 outlier into a narrative.
 //
 // Serve exposes all of it (plus net/http/pprof) over HTTP for live

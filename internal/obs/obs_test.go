@@ -297,6 +297,69 @@ func TestFlightConcurrentSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
+// allocatedLanes counts the op-lane shards that have a ring.
+func allocatedLanes(f *Flight) int {
+	n := 0
+	for i := range f.ops {
+		if f.ops[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFlightLanesAllocatedOnFirstRecord: a fresh recorder holds only the
+// control lane; an op event allocates its shard's ring and nothing else, and
+// control events allocate no op shard.
+func TestFlightLanesAllocatedOnFirstRecord(t *testing.T) {
+	f := NewFlight()
+	f.Record(EvSplitTrigger, TagNone, 1, 2)
+	if n := allocatedLanes(f); n != 0 {
+		t.Fatalf("a recorder with control events only holds %d op shards, want 0", n)
+	}
+	f.Record(EvGet, PathMirrorHit, 3, 4)
+	if n := allocatedLanes(f); n != 1 {
+		t.Fatalf("one op event allocated %d op shards, want 1", n)
+	}
+	if ev := f.Snapshot(); len(ev) != 2 {
+		t.Fatalf("snapshot = %v, want both events", ev)
+	}
+}
+
+// TestFlightLaneFirstRecordsRace: goroutines making the first records of one
+// shard concurrently install one ring between them, and every event lands in
+// it (a loser recording into a ring it failed to install would lose its
+// event).
+func TestFlightLaneFirstRecordsRace(t *testing.T) {
+	const writers = 8
+	f := NewFlightSized(writers, 2)
+	start := make(chan struct{})
+	rings := make([]*ring, writers)
+	var wg sync.WaitGroup
+	for g := range rings {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rings[g] = f.opLane(5)
+			rings[g].record(int64(g), EvInsert, OutcomeOK, uint64(g), 0)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, r := range rings {
+		if r != rings[0] {
+			t.Fatalf("writer %d recorded into ring %p, writer 0 into %p", g, r, rings[0])
+		}
+	}
+	if n := allocatedLanes(f); n != 1 {
+		t.Fatalf("%d op shards allocated, want 1", n)
+	}
+	if ev := f.Snapshot(); len(ev) != writers {
+		t.Fatalf("snapshot holds %d events, want %d", len(ev), writers)
+	}
+}
+
 type fakeSource struct {
 	reg    *Registry
 	fr     *Flight

@@ -37,31 +37,30 @@ import (
 //	        | capacity/16 (bits 32..47) — capacity is the blob's full
 //	        footprint including this header, which is what lets a log walk
 //	        stride over blobs whose content lengths shrank on reuse
-//	word 1: commit word — blobCommitMagic once the blob's bytes are
-//	        durable, anything else means the blob never finished
 //	then:   key bytes, value bytes, padding to 16
 //
 // # Crash protocol
 //
-// Append writes header (commit word cleared) and bytes, then flushes and
-// fences them; Commit sets the commit word with its own persist. The caller
-// publishes the blob by pointing a table slot at it only after Commit, so
-// at any crash a blob is in exactly one of three states: unwritten or
-// uncommitted (reclaimed by the recovery sweep), committed but unreferenced
-// (the crash fell between commit and slot publish, or between a copy-on-write
-// slot flip and nothing — the sweep reclaims it once the caller reports which
-// blobs its slots still reference), or committed and referenced (kept).
+// A blob has no commit word: the caller's slot store that names it is its
+// commit. Append writes header and bytes, then flushes and fences them, all
+// before it returns the address any slot can be pointed at, so a slot never
+// names a blob whose bytes are not durable. At any crash a blob is therefore
+// referenced (kept) or not (the crash fell before its slot published, or
+// after the slot moved on to another blob — the recovery sweep reclaims it
+// once the caller reports which blobs its slots still reference).
 //
 // # Reuse
 //
 // Free pushes a blob onto a DRAM free list keyed by capacity; nothing is
-// written to PM — an unreferenced blob is already dead at crash
-// granularity, whatever its commit word says. The caller is responsible for
-// epoch-deferring Free of a blob that lock-free readers may still be
-// dereferencing (the same discipline the engine applies to retired
-// directory blocks). Reusing a span whose media image still says
-// "committed" is safe because Append clears the commit word before the
-// payload persist: the new content can only ever surface as uncommitted.
+// written to PM — an unreferenced blob is already dead at crash granularity.
+// The caller frees a blob only after the slot store that stopped naming it
+// has persisted, and epoch-defers the Free of a blob that lock-free readers
+// may still be dereferencing (the same discipline the engine applies to
+// retired directory blocks). A reused span is then named by no slot on media
+// until the new blob's own slot publishes, after Append's persist: whatever
+// mix of old and new bytes a crash leaves in it is unreferenced, and the
+// header's capacity, equal on both sides of the reuse, keeps the walk's
+// stride.
 type VarLog struct {
 	pool     *Pool
 	headAddr Addr // pool address of the head-chunk pointer word
@@ -102,8 +101,8 @@ const (
 	// VarChunkSize is the default chunk size new logs allocate in.
 	VarChunkSize = 256 << 10
 
-	// BlobHeaderSize is the fixed per-blob header footprint.
-	BlobHeaderSize = 16
+	// BlobHeaderSize is the fixed per-blob header footprint: one word.
+	BlobHeaderSize = 8
 
 	// MaxVarKeyLen and MaxVarValueLen bound one blob's content. The bound
 	// keeps every blob far below one chunk (an Append never cascades into
@@ -115,12 +114,11 @@ const (
 	MaxVarValueLen = 4 << 10
 
 	blobAlign       = 16
+	maxBlobCap      = 0xFFFF * blobAlign // the header's 16-bit capacity field
 	chunkHeaderSize = CachelineSize
 	chunkOffNext    = 0
 	chunkOffSize    = 8
 	chunkOffBump    = 16
-
-	blobCommitMagic = 0xB10BC0117EDBEEF1
 )
 
 // ErrBlobTooLarge is returned by Append when a record exceeds the log's
@@ -161,9 +159,10 @@ func blobCap(klen, vlen int) uint64 {
 	return (BlobHeaderSize + uint64(klen) + uint64(vlen) + blobAlign - 1) &^ (blobAlign - 1)
 }
 
-// Append allocates a blob, writes header and content and persists them with
-// the commit word cleared. The blob is not live until Commit; a crash
-// before Commit leaves it reclaimable. Concurrent Appends are safe.
+// Append allocates a blob, writes header and content and persists them: on
+// return the blob is durable, and a slot store naming it commits it. Until
+// then a crash leaves it unreferenced, and so reclaimable. Concurrent
+// Appends are safe.
 func (l *VarLog) Append(key, value []byte) (Addr, error) {
 	klen, vlen := len(key), len(value)
 	if klen == 0 || klen > MaxVarKeyLen || vlen > MaxVarValueLen {
@@ -175,11 +174,6 @@ func (l *VarLog) Append(key, value []byte) (Addr, error) {
 		return Null, err
 	}
 	p := l.pool
-	// Clear the commit word before anything else lands: if this span is a
-	// reused blob whose media image says "committed", the clear must be in
-	// the same flush set as the new content, so the torn states a crash can
-	// expose are all uncommitted.
-	p.QuietStoreU64(a.Add(8), 0)
 	p.QuietStoreU64(a, packBlobHeader(klen, vlen, capBytes))
 	p.QuietStoreBytes(a.Add(BlobHeaderSize), key)
 	p.QuietStoreBytes(a.Add(BlobHeaderSize+uint64(klen)), value)
@@ -191,13 +185,11 @@ func (l *VarLog) Append(key, value []byte) (Addr, error) {
 	return a, nil
 }
 
-// Commit marks the blob durable-and-complete. After Commit the caller may
-// publish the blob's address; the content must never change again.
+// Commit counts an appended blob as live space, before the caller publishes
+// its address; the content must never change again. It writes no PM: the
+// caller's slot store is the blob's commit point.
 func (l *VarLog) Commit(a Addr) {
-	p := l.pool
-	p.StoreU64(a.Add(8), blobCommitMagic)
-	p.Persist(a.Add(8), 8)
-	capBytes := blobHeaderCap(p.QuietLoadU64(a))
+	capBytes := blobHeaderCap(l.pool.QuietLoadU64(a))
 	l.liveBytes.Add(capBytes)
 	l.liveBlobs.Add(1)
 }
@@ -376,19 +368,26 @@ func (l *VarLog) RecoverChunks() error {
 // RecoverChunks ran, classifying each exactly once: blobs the caller's
 // segments referenced at their recovery stay live (their space is accounted
 // as the baseline runtime Frees and Commits have been applying deltas to);
-// everything else — blobs whose commit never landed, and committed blobs no
-// slot references — is reclaimed onto the free list. A blob whose header
-// never reached media (capacity 0, or striding past the frontier) ends its
-// chunk's walk; the bytes behind it are leaked, never handed out twice.
+// every other blob — one whose slot never published, or no longer names it —
+// is reclaimed onto the free list.
+//
+// A blob whose header never reached media (capacity 0, or striding past the
+// frontier: the crash fell between the frontier's persist and the blob's)
+// is a hole of unknown length, and blobs behind it may be referenced — a
+// concurrent Append that finished first, or one made since Open. No slot
+// names a byte between the hole and the next referenced blob, so the sweep
+// stores and persists one filler header spanning that gap and free-lists it
+// like any dead blob: every later walk strides over it. It is the only PM
+// the sweep writes, and a re-run writes the same filler.
 //
 // The sweep is safe against concurrent foreground traffic without locks:
 // it never visits spans appended after Open (bounded by the snapshot
 // frontier), and a pre-existing span can only be concurrently rewritten if
 // it was freed since Open — which requires it to have been referenced at
 // its segment's recovery, so the referenced check skips it without touching
-// its free-list state. Word reads are atomic, so a racing reuse's header
-// stores (same capacity by the exact-capacity reuse rule) never tear the
-// stride.
+// its free-list state; a filler covers only bytes nothing references or
+// has free-listed. Word reads are atomic, so a racing reuse's header stores
+// (same capacity by the exact-capacity reuse rule) never tear the stride.
 type LogSweep struct {
 	l     *VarLog
 	chunk Addr   // current chunk; Null once the walk is exhausted
@@ -412,7 +411,7 @@ func (l *VarLog) SweepStart() *LogSweep {
 // complete and how many blobs it free-listed. Call under an epoch guard when
 // lock-free readers are in play, and yield between steps: each step's PM
 // cost is bounded, so the sweep never blocks foreground operations.
-func (s *LogSweep) Step(maxBlobs int, referenced func(Addr) bool) (done bool, freed int) {
+func (s *LogSweep) Step(maxBlobs int, referenced map[Addr]struct{}) (done bool, freed int) {
 	l, p := s.l, s.l.pool
 	for n := 0; n < maxBlobs; {
 		if s.chunk.IsNull() {
@@ -423,16 +422,16 @@ func (s *LogSweep) Step(maxBlobs int, referenced func(Addr) bool) (done bool, fr
 			continue
 		}
 		a := s.pos
-		h := p.QuietLoadU64(a)
-		capBytes := blobHeaderCap(h)
+		capBytes := blobHeaderCap(p.QuietLoadU64(a))
 		if capBytes == 0 || uint64(a)+capBytes > s.limit {
-			// Header never persisted: leak the rest of this chunk.
-			s.nextChunk()
-			continue
+			capBytes = s.gap(a, referenced)
+			p.StoreU64(a, packBlobHeader(0, 0, capBytes))
+			p.Persist(a, BlobHeaderSize)
+		} else {
+			// One streaming charge for the header line of this stride.
+			p.TouchRead(a, BlobHeaderSize)
 		}
-		// One streaming charge for the header+commit line of this stride.
-		p.TouchRead(a, BlobHeaderSize)
-		if referenced(a) {
+		if _, ref := referenced[a]; ref {
 			l.liveBytes.Add(capBytes)
 			l.liveBlobs.Add(1)
 		} else {
@@ -446,6 +445,19 @@ func (s *LogSweep) Step(maxBlobs int, referenced func(Addr) bool) (done bool, fr
 		n++
 	}
 	return s.chunk.IsNull(), freed
+}
+
+// gap returns the length of the filler for a hole at a: up to the lowest
+// referenced blob past a in the chunk, or else the walk limit, and no longer
+// than a header's capacity field can say (a longer gap takes more fillers).
+func (s *LogSweep) gap(a Addr, referenced map[Addr]struct{}) uint64 {
+	end := s.limit
+	for r := range referenced {
+		if r > a && uint64(r) < end {
+			end = uint64(r)
+		}
+	}
+	return min(end-uint64(a), maxBlobCap)
 }
 
 // nextChunk advances the sweep to the following chunk in the chain; chunks
@@ -464,9 +476,9 @@ func (s *LogSweep) nextChunk() {
 
 // Verify checks a quiescent log with quiet loads: the PM head names the chunk
 // blobs are carved from, at the DRAM frontier; and given referenced (nil
-// skips it), the blobs the caller's slots hold, committed and off the free
-// list is exactly referenced. The walk stops, as the recovery sweep does, at
-// a header that never reached media: what lies behind it is leaked.
+// skips it), the blobs the caller's slots hold: each is a blob the chunk walk
+// reaches and is off the free list, and every blob the walk reaches is
+// referenced or free.
 func (l *VarLog) Verify(referenced map[Addr]struct{}) error {
 	p, free := l.pool, l.FreeSpans()
 	l.mu.Lock()
@@ -480,22 +492,27 @@ func (l *VarLog) Verify(referenced map[Addr]struct{}) error {
 	if referenced == nil {
 		return errors.Join(errs...)
 	}
-	for a := range referenced {
-		if p.QuietLoadU64(a.Add(8)) != blobCommitMagic || free[a] {
-			errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is referenced, but uncommitted or free", a))
-		}
-	}
+	walked := make(map[Addr]bool)
 	for chunk := Addr(l.cur); !chunk.IsNull(); chunk = Addr(p.QuietLoadU64(chunk.Add(chunkOffNext))) {
 		bump := p.QuietLoadU64(chunk.Add(chunkOffBump))
 		for a := chunk.Add(chunkHeaderSize); uint64(a) < bump; {
 			capBytes := blobHeaderCap(p.QuietLoadU64(a))
 			if capBytes == 0 || uint64(a)+capBytes > bump {
+				errs = append(errs, fmt.Errorf("pmem: varlog chunk %#x: the walk breaks at %#x (header %#x)", chunk, a, p.QuietLoadU64(a)))
 				break
 			}
-			if _, ref := referenced[a]; !ref && !free[a] && p.QuietLoadU64(a.Add(8)) == blobCommitMagic {
-				errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is committed, unreferenced and not free", a))
+			walked[a] = true
+			if _, ref := referenced[a]; !ref && !free[a] {
+				errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is neither referenced nor free", a))
 			}
 			a = a.Add(capBytes)
+		}
+	}
+	for a := range referenced {
+		if !walked[a] {
+			errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is referenced, but not a blob the chunk walk reaches", a))
+		} else if free[a] {
+			errs = append(errs, fmt.Errorf("pmem: varlog blob %#x is referenced, but free", a))
 		}
 	}
 	return errors.Join(errs...)

@@ -159,7 +159,7 @@ func TestVarLogFreeReuse(t *testing.T) {
 // nothing past its key: the neighbour's header still reads back.
 func TestVarLogEmptyValueStaysInBlob(t *testing.T) {
 	_, l := testLog(t, 1<<20, 0)
-	key := []byte("thirteen-byte")
+	key := []byte("a-twenty-one-byte-key") // with the 8-byte header, 13 bytes into a unit
 	a, err := l.Append(key, []byte("abc")) // capacity 32, as with an empty value
 	if err != nil {
 		t.Fatal(err)
@@ -218,88 +218,93 @@ func TestVarLogChunkRollover(t *testing.T) {
 	}
 }
 
-// TestVarLogRecover covers the sweep's classification matrix: committed and
-// referenced blobs survive, committed-but-unreferenced and uncommitted
-// blobs are reclaimed onto the free list, and a blob whose header never
-// reached media ends its chunk's walk.
 // recoverLog is RecoverChunks plus a full sweep: recovery with no concurrent
-// traffic to stay out of the way of.
-func recoverLog(l *VarLog, referenced func(Addr) bool) error {
+// traffic to stay out of the way of. It returns the recovered log.
+func recoverLog(t *testing.T, p *Pool, referenced map[Addr]struct{}) *VarLog {
+	t.Helper()
+	l := NewVarLog(p, Addr(CachelineSize), 0, func(uint64) (Addr, error) {
+		return Null, errors.New("no growth during recovery test")
+	})
 	if err := l.RecoverChunks(); err != nil {
-		return err
+		t.Fatal(err)
 	}
 	for s := l.SweepStart(); ; {
 		if done, _ := s.Step(1024, referenced); done {
-			return nil
+			return l
 		}
 	}
 }
 
+// TestVarLogRecover covers the sweep's classification: a referenced blob
+// survives, and a blob no slot names — counted live by Commit or not — is
+// reclaimed onto the free list, reusable without growing the chain.
 func TestVarLogRecover(t *testing.T) {
 	p, l := testLog(t, 1<<20, 0)
 	kept, _ := l.Append([]byte("kept-key-0123456"), []byte("kept-val"))
 	l.Commit(kept)
 	orphan, _ := l.Append([]byte("orphan-key-01234"), []byte("orphan-val"))
 	l.Commit(orphan)
-	uncommitted, _ := l.Append([]byte("uncommitted-key0"), []byte("uncommitted"))
-	_ = uncommitted
+	unpublished, _ := l.Append([]byte("unpublished-key0"), []byte("unpublished"))
 
-	// Simulate the crash: everything unflushed reverts to media. Append and
-	// Commit persist eagerly, so all three blobs (two committed) survive.
+	// Simulate the crash: everything unflushed reverts to media. Append
+	// persists eagerly, so all three blobs survive; one is referenced.
 	p.Crash()
-
-	l2 := NewVarLog(p, Addr(CachelineSize), 0, func(uint64) (Addr, error) {
-		return Null, errors.New("no growth during recovery test")
-	})
-	if err := recoverLog(l2, func(a Addr) bool { return a == kept }); err != nil {
-		t.Fatal(err)
-	}
+	refs := map[Addr]struct{}{kept: {}}
+	l2 := recoverLog(t, p, refs)
 	st := l2.Stats()
 	if st.LiveBlobs != 1 {
 		t.Fatalf("recovered live blobs = %d, want 1 (the referenced one)", st.LiveBlobs)
 	}
 	wantFree := blobCap(16, 10) + blobCap(16, 11)
 	if st.FreeBytes != wantFree {
-		t.Fatalf("recovered free bytes = %d, want %d (orphan + uncommitted)", st.FreeBytes, wantFree)
+		t.Fatalf("recovered free bytes = %d, want %d (orphan + unpublished)", st.FreeBytes, wantFree)
+	}
+	if err := l2.Verify(refs); err != nil {
+		t.Fatal(err)
 	}
 	if !l2.KeyEquals(kept, []byte("kept-key-0123456"), false) {
 		t.Fatal("referenced blob unreadable after recovery")
 	}
-	// The reclaimed spans must be reusable without growing the chain.
 	a, err := l2.Append([]byte("reuse-key-012345"), []byte("reuse-val0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != orphan && a != uncommitted {
+	if a != orphan && a != unpublished {
 		t.Fatalf("post-recovery append went to %#x, want a reclaimed span", a)
 	}
 }
 
 // TestVarLogRecoverTornHeader: a blob allocated (frontier persisted) whose
-// header never reached media must stop the walk without panicking and leak
-// the tail — deterministically, on every recovery.
+// header never reached media is a hole of unknown length, with a referenced
+// blob and an unreferenced one behind it. Recovery must bridge the hole with
+// one free filler up to the referenced blob, keep that blob live and walk on
+// past it; a second recovery of the image strides over the filler, reaches
+// the same state and writes nothing.
 func TestVarLogRecoverTornHeader(t *testing.T) {
 	p, l := testLog(t, 1<<20, 0)
 	a1, _ := l.Append([]byte("first-key-012345"), []byte("v1"))
-	l.Commit(a1)
-	// Hand-simulate a torn append: bump the frontier (persisted) without
-	// ever writing the header.
-	chunk := Addr(p.ReadU64(Addr(CachelineSize)))
-	bumpAddr := chunk.Add(chunkOffBump)
-	bump := p.ReadU64(bumpAddr)
-	p.StoreU64(bumpAddr, bump+64)
-	p.Persist(bumpAddr, 8)
-	p.Crash()
-
-	l2 := NewVarLog(p, Addr(CachelineSize), 0, func(uint64) (Addr, error) {
-		return Null, errors.New("no growth")
-	})
-	if err := recoverLog(l2, func(a Addr) bool { return a == a1 }); err != nil {
+	hole, err := l.allocBlob(64) // a torn append: the header never lands
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := l2.Stats()
-	if st.LiveBlobs != 1 || st.FreeBytes != 0 {
-		t.Fatalf("stats after torn-header recovery = %+v, want 1 live, 0 free", st)
+	a2, _ := l.Append([]byte("behind-the-hole"), []byte("v2"))
+	a3, _ := l.Append([]byte("unreferenced-key"), []byte("v3"))
+	p.Crash()
+
+	refs := map[Addr]struct{}{a1: {}, a2: {}}
+	for run := 1; run <= 2; run++ {
+		img := p.Snapshot()
+		l2 := recoverLog(t, p, refs)
+		free := l2.FreeSpans()
+		if st := l2.Stats(); st.LiveBlobs != 2 || !free[hole] || !free[a3] || st.FreeBytes != 64+blobCap(16, 2) {
+			t.Fatalf("recovery %d: stats %+v, free %v; want a1 and a2 live, the 64-byte hole and a3 free", run, st, free)
+		}
+		if err := l2.Verify(refs); err != nil {
+			t.Fatalf("recovery %d: %v", run, err)
+		}
+		if run == 2 && !bytes.Equal(img, p.Snapshot()) {
+			t.Fatal("recovering a bridged image wrote PM")
+		}
 	}
 }
 
