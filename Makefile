@@ -70,7 +70,9 @@ docs-check: vet
 			rangeStore QuietReadU64 QuietZero KeyEqualsU64 KeyEqualsPrefetch \
 			verifyLogLive verifyCacheCoherent mirrorVerifyAll WalkBlobs ResetStats \
 			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path' \
-			blobCommitMagic hookVarCommitted; do \
+			blobCommitMagic hookVarCommitted \
+			hookAfterMarker hookAfterSegPersist hookMidPublish hookAfterPublish hookMidSweep \
+			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -1,13 +1,24 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"dash/internal/hashfn"
 	"dash/internal/pmem"
 )
 
-// crashNow is the sentinel panic a crash hook throws after simulating power
-// loss, unwinding out of the in-flight operation.
+// Single-writer crash matrix. A protocol's crash consistency is an ordering
+// of persists, and recovery reconciles whichever prefix of them survived, so
+// the flushes an op issues are its complete set of crash points: each row
+// below replays a history, then crashes one op at every one of its flushes
+// (crashAtEveryFlush) and reopens each image through verifyCrashPoint, the
+// crash suites' one oracle (fuzzcrash_test.go). The split rows' ops are
+// inserts that carry a split; the record-log rows are in varcrash_test.go.
+
+// crashNow is the sentinel panic a crash hook throws to simulate power loss,
+// unwinding out of the in-flight operation.
 type crashNow struct{}
 
 // crashes runs f and reports whether a crash hook unwound it; any other
@@ -25,9 +36,9 @@ func crashes(f func()) (crashed bool) {
 	return false
 }
 
-// insertUntilCrash feeds keys to tbl until a hook fires pool.Crash and
-// panics, recording in acked the keys whose Insert was acknowledged (returned
-// nil before the crash), and reports whether the crash happened.
+// insertUntilCrash feeds keys to tbl until a flush hook panics with
+// crashNow, recording in acked the keys whose Insert was acknowledged
+// (returned nil before the crash), and reports whether the crash happened.
 func insertUntilCrash(t *testing.T, tbl *Table, start, max uint64, acked map[uint64]uint64) bool {
 	t.Helper()
 	return crashes(func() {
@@ -38,18 +49,6 @@ func insertUntilCrash(t *testing.T, tbl *Table, start, max uint64, acked map[uin
 			acked[k] = k*3 + 1
 		}
 	})
-}
-
-// ackedRun is the history of inserting acked's pairs, every insert
-// acknowledged: what a hook test hands verifyCrashPoint. The insert the hook
-// crashed is no part of it — it never reached its record's store — so the
-// check stays exact.
-func ackedRun(acked map[uint64]uint64) []crashRun {
-	ops := make([]fuzzOp, 0, len(acked))
-	for k, v := range acked {
-		ops = append(ops, fuzzOp{kind: 'i', id: k, val: v})
-	}
-	return []crashRun{{ops, len(ops)}}
 }
 
 // writesAfterReopen runs writes through a recovered table and checks them as
@@ -102,98 +101,187 @@ func writesAfterReopen(t *testing.T, tbl *Table, where string) {
 	}
 }
 
-// crashAtHook builds a crash-tracked table, arms one of the split hooks to
-// simulate power loss, inserts keys until it fires, and checks the reopened
-// image against the acknowledged inserts (verifyCrashPoint).
-func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
+// crashCase is one row of the single-writer crash matrix: prefix, replayed
+// on a fresh crash-tracked table created with opt, then last, the op
+// crashed.
+type crashCase struct {
+	opt    Options
+	prefix []fuzzOp
+	last   fuzzOp
+	arm    func(tbl *Table) // if set, runs on each table between prefix and last
+	check  func(tbl *Table) // if set, gets each crash point's reopened table, closed
+}
+
+// crashAtEveryFlush crashes c.last at each of its flushes. For k = 1, 2, …
+// it replays c.prefix on a fresh table and runs c.last with the power cut at
+// its k-th flush: that flush and every later one panics before it copies a
+// line, so nothing the unwinding op flushes reaches media. Each image goes
+// through verifyCrashPoint with c.last in flight, then c.check. The first k
+// at which c.last completes is the dry run that ends the sweep; its table is
+// returned for the row's checks of the completed op, with the number of
+// crash points — every flush c.last issues.
+func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 	t.Helper()
-	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := Create(pool, Options{InitialDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arm(tbl, func() {
+	hist := append(slices.Clip(c.prefix), c.last)
+	for k := 1; ; k++ {
+		pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Create(pool, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range c.prefix {
+			if err := applyCrashOp(tbl, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.arm != nil {
+			c.arm(tbl)
+		}
+		flushes := 0
+		pool.SetFlushHook(func(pmem.Addr, uint64) {
+			if flushes++; flushes >= k {
+				panic(crashNow{})
+			}
+		})
+		crashed := crashes(func() {
+			if err := applyCrashOp(tbl, c.last); err != nil {
+				t.Fatalf("the last op returned: %v", err)
+			}
+		})
+		pool.SetFlushHook(nil)
+		if !crashed {
+			if flushes != k-1 || k == 1 {
+				t.Fatalf("the last op completed with %d flushes after crashing at each of %d", flushes, k-1)
+			}
+			return tbl, k - 1
+		}
 		pool.Crash()
-		panic(crashNow{})
-	})
-	acked := make(map[uint64]uint64)
-	if !insertUntilCrash(t, tbl, 0, 1<<20, acked) {
-		t.Fatal("workload finished without triggering the crash hook")
+		reopened := verifyCrashPoint(t, pool, []crashRun{{hist, len(c.prefix)}}, fmt.Sprintf("crash at flush %d of the last op", k))
+		if c.check != nil {
+			c.check(reopened)
+		}
 	}
-	if len(acked) == 0 {
-		t.Fatal("crashed before any insert was acknowledged")
-	}
-	verifyCrashPoint(t, pool, ackedRun(acked), t.Name())
 }
 
-// TestCrashBeforePublish: power loss after the new segment is fully
-// persisted but before any directory entry points at it. The new segment
-// must be rolled back to a leak; the old segment still holds everything.
-func TestCrashBeforePublish(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterSegPersist = fire })
-}
-
-// TestCrashAfterPublish: power loss after the directory entries point at the
-// new segment but before the old segment's depth bump and record sweep.
-// Recovery must fix the old segment's stale metadata and drop the moved
-// records' leftover copies.
-func TestCrashAfterPublish(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterPublish = fire })
-}
-
-// TestCrashMidPublish: power loss after the first flipped directory entry of
-// a multi-entry publish range — the half-flipped state where part of the
-// directory routes to the new segment and part still routes to the old one.
-// Requires a segment whose local depth lags the global depth by ≥ 2, built
-// by skewing inserts onto one hash prefix first.
-func TestCrashMidPublish(t *testing.T) {
-	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := Create(pool, Options{InitialDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acked := make(map[uint64]uint64)
-
-	// Phase 1: grow the directory by splitting only prefix-0 segments until
-	// global depth ≥ 3, leaving the prefix-1 segment at local depth 1 with a
-	// 4-entry coverage (publish range of 2 entries).
-	for k := uint64(0); tbl.GlobalDepth() < 3; k++ {
-		if tbl.parts(k).DirIndex(1) != 0 {
+// crashSplitRow runs a split row, in parallel with the others. A dry run on
+// a table of InitialDepth 1 inserts the keys next yields (asked once per
+// insert, with the dry-run table) up to the first whose insert carries a
+// split that want accepts, given the global depth before the insert; growth
+// on one goroutine is deterministic, so a fresh table given the inserts
+// before it as a prefix splits the same way at the same insert. That insert
+// is crashed at each of its flushes — at least 70: the marker, the sibling,
+// the publish, the header, one per swept bucket and the retried insert's.
+// Returns the table on which it completed.
+func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0 uint8) bool, arm func(*Table)) *Table {
+	t.Helper()
+	t.Parallel()
+	opt := Options{InitialDepth: 1}
+	dry := newTestTable(t, 2<<20, opt)
+	defer dry.Close()
+	var prefix []fuzzOp
+	for {
+		k := next(dry)
+		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
+		g0, splits := dry.GlobalDepth(), dry.met.splits.Total()
+		if err := applyCrashOp(dry, op); err != nil {
+			t.Fatalf("dry run: %v", err)
+		}
+		if dry.met.splits.Total() == splits || !want(dry, g0) {
+			prefix = append(prefix, op)
 			continue
 		}
-		if err := tbl.Insert(k, k*3+1); err != nil {
-			t.Fatalf("skew insert %d: %v", k, err)
+		done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op, arm: arm})
+		if points < 70 {
+			t.Fatalf("the splitting insert issued %d flushes, want >= 70", points)
 		}
-		acked[k] = k*3 + 1
+		t.Logf("crashed the splitting insert, after %d inserts, at each of its %d flushes", len(prefix), points)
+		return done
 	}
+}
 
-	// Phase 2: arm the mid-publish hook and fill the lagging prefix-1
-	// segment until it splits with a multi-entry flip.
-	fired := false
-	tbl.hookMidPublish = func() {
-		fired = true
-		pool.Crash()
-		panic(crashNow{})
+// keysWhere is a next function for crashSplitRow: the keys from 0 up whose
+// hash parts in accepts, asked with the table they go to. A skewed prefix
+// fills one segment, not all, before the split a row wants.
+func keysWhere(in func(tbl *Table, p hashfn.Parts) bool) func(*Table) uint64 {
+	k := uint64(0)
+	return func(tbl *Table) uint64 {
+		for !in(tbl, tbl.parts(k)) {
+			k++
+		}
+		k++
+		return k - 1
 	}
-	crashed := crashes(func() {
-		for k := uint64(0); k < 1<<22; k++ {
-			if tbl.parts(k).DirIndex(1) != 1 {
-				continue
+}
+
+// prefix0 is a keysWhere predicate: the keys whose top hash bit is 0, all
+// homed in the first of a one-bit directory's two segments.
+func prefix0(_ *Table, p hashfn.Parts) bool { return p.DirIndex(1) == 0 }
+
+// doubles and keepsDepth are want functions for crashSplitRow: the split
+// doubled the directory, or it did not.
+func doubles(tbl *Table, g0 uint8) bool    { return tbl.GlobalDepth() > g0 }
+func keepsDepth(tbl *Table, g0 uint8) bool { return tbl.GlobalDepth() == g0 }
+
+// TestCrashBeforePublish crashes the first split of a one-bit directory —
+// the split that doubles it — at every flush: before the publish (the
+// marker, the sibling's persist, the doubled directory block and the root
+// pointer that names it) and after it (the entry flip, the header, the
+// sweep, the retried insert). Before the first entry flip recovery rolls
+// back through the marker and the sibling leaks; after it, recovery rolls
+// forward from the directory.
+func TestCrashBeforePublish(t *testing.T) {
+	crashSplitRow(t, keysWhere(prefix0), doubles, nil)
+}
+
+// TestCrashAfterPublish crashes a split that does not double — its publish
+// is the entry flip alone — at every flush; from the flip on, recovery must
+// narrow the old segment's stale header and drop the moved records' leftover
+// copies. The prefix splits the prefix-0 segment, doubling the directory to
+// depth 2, then fills the prefix-1 segment, still at local depth 1.
+func TestCrashAfterPublish(t *testing.T) {
+	crashSplitRow(t, keysWhere(func(tbl *Table, p hashfn.Parts) bool {
+		if tbl.GlobalDepth() < 2 {
+			return p.DirIndex(1) == 0
+		}
+		return p.DirIndex(1) == 1
+	}), keepsDepth, nil)
+}
+
+// TestCrashMidPublish crashes a multi-entry publish at every flush, the
+// half-flipped state — part of the sibling's entries routing to it, part
+// still to the old segment — among them. The prefix fills the prefix-0
+// segment with keys of top bits 00 until the global depth is 3 (its first
+// split moves none of them, so the retried insert splits it again), which
+// leaves the prefix-1 segment at local depth 1 covering 4 entries; the prefix
+// then fills it, and its split flips 2.
+func TestCrashMidPublish(t *testing.T) {
+	crashSplitRow(t, keysWhere(func(tbl *Table, p hashfn.Parts) bool {
+		if tbl.GlobalDepth() < 3 {
+			return p.DirIndex(2) == 0
+		}
+		return p.DirIndex(1) == 1
+	}), func(tbl *Table, g0 uint8) bool { return g0 >= 3 && tbl.GlobalDepth() == g0 }, nil)
+}
+
+// TestCrashMidSweep crashes a split whose unlocked copy was invalidated at
+// every flush: a lock and unlock of one bucket during the copy — the least a
+// writer does — makes the publish redo the copy under the locks, and the
+// sweep then drops the records the recopy moved, by the recopy's bitmaps.
+func TestCrashMidSweep(t *testing.T) {
+	done := crashSplitRow(t, keysWhere(prefix0), doubles, func(tbl *Table) {
+		perturbed := false
+		tbl.hookMidMigrate = func(seg pmem.Addr, _ *segDesc, _ int) {
+			if !perturbed { // the unlocked run; the recopy holds every lock
+				perturbed = true
+				tbl.lockBucket(mirrorOf(tbl, seg), 7)
+				unlockBucket(mirrorOf(tbl, seg), 7)
 			}
-			if err := tbl.Insert(k, k*3+1); err != nil {
-				t.Fatalf("fill insert %d: %v", k, err)
-			}
-			acked[k] = k*3 + 1
 		}
 	})
-	if !crashed || !fired {
-		t.Fatal("workload did not crash mid-publish")
+	if r := done.met.splitRecopies.Total(); r != 1 {
+		t.Fatalf("the split recopied %d times, want 1", r)
 	}
-	verifyCrashPoint(t, pool, ackedRun(acked), t.Name())
 }

@@ -24,21 +24,22 @@ import (
 // plays the change: it takes dirMu, makes the view stale (stale installs the
 // routes op is to meet and returns what undoes it) and runs op; a second
 // goroutine, once op's claim or route check has failed — its repair now
-// waits on dirMu — or op's own split has reached its publish — which takes
-// dirMu next — or op has returned, writes the view back and releases dirMu,
-// as the publish would. Reports whether op failed a check.
+// waits on dirMu — or op's own split has reached its publish — whose
+// sibling persist, the one whole-segment flush a running table issues,
+// comes just before it takes dirMu — or op has returned, writes the view
+// back and releases dirMu, as the publish would. Reports whether op failed a
+// check.
 func behindPublish(tbl *Table, stale func() (restore func()), op func()) bool {
 	tbl.dirMu.Lock()
 	restore := stale()
 	misses := tbl.cache.misses.Total()
 	var done, publishing atomic.Bool
-	prevHook := tbl.hookAfterSegPersist
-	tbl.hookAfterSegPersist = func() {
-		if prevHook != nil {
-			prevHook()
+	tbl.pool.SetFlushHook(func(_ pmem.Addr, n uint64) {
+		if n == segmentSize {
+			publishing.Store(true)
 		}
-		publishing.Store(true)
-	}
+	})
+	defer tbl.pool.SetFlushHook(nil)
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -51,7 +52,6 @@ func behindPublish(tbl *Table, stale func() (restore func()), op func()) bool {
 	op()
 	done.Store(true)
 	<-released
-	tbl.hookAfterSegPersist = prevHook
 	return tbl.cache.misses.Total() != misses
 }
 

@@ -64,7 +64,7 @@ func runFrontierHistory(t *testing.T, crashAt int64) (*pmem.Pool, pmem.Addr, int
 	}
 	var flushes atomic.Int64
 	var crashed atomic.Bool
-	pool.SetFlushHook(func() {
+	pool.SetFlushHook(func(pmem.Addr, uint64) {
 		if crashed.Load() || flushes.Add(1) == crashAt {
 			crashed.Store(true)
 			panic(crashNow{})
@@ -195,7 +195,11 @@ func checkFrontiers(t *testing.T, pool *pmem.Pool, ledger pmem.Addr, crashAt int
 	}
 }
 
+// TestFrontierCrashPoints runs in parallel with the split crash rows
+// (crash_test.go): like them, it is a long crash sweep that shares no
+// package state.
 func TestFrontierCrashPoints(t *testing.T) {
+	t.Parallel()
 	_, _, total := runFrontierHistory(t, 0)
 	if total < 500 {
 		t.Fatalf("the history flushed only %d times", total)

@@ -2,9 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,8 +19,9 @@ import (
 // public read path, and require state equivalence against an oracle map.
 //
 // The acceptance contract at each crash point — verifyCrashPoint, the one
-// reopen oracle of the crash suites (the split and record-log hook tests
-// hand it their acknowledged inserts with no op in flight):
+// reopen oracle of the crash suites (the single-writer matrix of
+// crash_test.go and varcrash_test.go hands it a replayed prefix with the
+// crashed op in flight, the writers-in-flight test below one run per writer):
 //   - every acknowledged op is fully visible (exact values, exact absences);
 //   - the single in-flight op is atomic: the key reads as its old state or
 //     its new state, never anything else (no torn values, no ghosts);
@@ -33,10 +34,13 @@ import (
 //
 // Flush boundaries within one prefix of the history are deterministic (the
 // table is single-threaded here and owns every flush), so "the Kth flush"
-// names a reproducible machine state.
+// names a reproducible machine state. The sweep samples the history's
+// flushes; the single-writer matrix crashes chosen ops at every one.
 
-// fuzzOp is one step of the seeded history: kind 'i'/'d'/'u', on the inline
-// u64 path or (varK) the indirect variable-length path.
+// fuzzOp is one step of a history: kind 'i'/'d'/'u', on the inline u64 path
+// or (varK) the indirect variable-length path; or 'c', an UpdateB of a u64
+// key to the long value fuzzVarVal(val), which converts its record to an
+// indirect one.
 type fuzzOp struct {
 	kind byte
 	varK bool
@@ -84,6 +88,16 @@ func genCrashHistory(seed int64, n int) []fuzzOp {
 	return ops
 }
 
+// oracleVal is what the oracle holds for op's key once op applied: the value
+// Get returns, or for a variable-length key the id of its fuzzVarVal. A
+// converted record's Get reads the first 8 bytes of its value.
+func (op fuzzOp) oracleVal() uint64 {
+	if op.kind == 'c' {
+		return binary.LittleEndian.Uint64(fuzzVarVal(op.val))
+	}
+	return op.val
+}
+
 // crashOracle replays an acknowledged prefix into plain maps.
 func crashOracle(ops []fuzzOp) (mU, mV map[uint64]uint64) {
 	mU, mV = map[uint64]uint64{}, map[uint64]uint64{}
@@ -93,8 +107,8 @@ func crashOracle(ops []fuzzOp) (mU, mV map[uint64]uint64) {
 			m = mV
 		}
 		switch op.kind {
-		case 'i', 'u':
-			m[op.id] = op.val
+		case 'i', 'u', 'c':
+			m[op.id] = op.oracleVal()
 		case 'd':
 			delete(m, op.id)
 		}
@@ -130,18 +144,23 @@ func applyCrashOp(tbl *Table, op fuzzOp) error {
 		if ok, err := tbl.Update(op.id, op.val); err != nil || !ok {
 			return fmt.Errorf("update %d: %v %v", op.id, ok, err)
 		}
+	case 'c':
+		if ok, err := tbl.UpdateB(binary.LittleEndian.AppendUint64(nil, op.id), fuzzVarVal(op.val)); err != nil || !ok {
+			return fmt.Errorf("converting update %d: %v %v", op.id, ok, err)
+		}
 	}
 	return nil
 }
 
 // runToCrash replays ops against a fresh table, simulating power loss at the
 // crashAt-th flush (crashAt <= 0 disables the crash and just counts). The
-// hook fires before the flushed line can reach media; the sentinel panic
-// unwinds the in-flight op, and Crash() then reverts every line stored but
-// not flushed — including stores issued by deferred cleanups on the unwound
-// stack, which never flush. Returns the pool (its durable image IS the crash
-// state), the number of fully acknowledged ops, whether the crash fired, and
-// the total flush count observed.
+// hook panics at that flush and every later one, before the flushed line can
+// reach media; the sentinel panic unwinds the in-flight op, and Crash() then
+// reverts every line stored but not flushed — including stores issued by
+// deferred cleanups on the unwound stack, which never reach media. Returns
+// the pool (its durable image IS the crash state), the number of fully
+// acknowledged ops, whether the crash fired, and the total flush count
+// observed.
 func runToCrash(t *testing.T, ops []fuzzOp, crashAt int) (pool *pmem.Pool, acked int, crashed bool, flushes int) {
 	t.Helper()
 	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
@@ -152,9 +171,8 @@ func runToCrash(t *testing.T, ops []fuzzOp, crashAt int) (pool *pmem.Pool, acked
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetFlushHook(func() {
-		flushes++
-		if flushes == crashAt {
+	pool.SetFlushHook(func(pmem.Addr, uint64) {
+		if flushes++; crashAt > 0 && flushes >= crashAt {
 			panic(crashNow{})
 		}
 	})
@@ -295,20 +313,19 @@ func verifyCrashRun(t *testing.T, tbl *Table, r crashRun, where string) int {
 		if !inPresent {
 			live--
 		}
-	case 'u':
+	case 'u', 'c':
 		if !inPresent {
 			fail("in-flight update dropped the key")
 		}
-		if !matches(oldVal) && !matches(inFlight.val) {
-			fail("in-flight update: torn value %d/%q (old %d new %d)", got, gotB, oldVal, inFlight.val)
+		if newVal := inFlight.oracleVal(); !matches(oldVal) && !matches(newVal) {
+			fail("in-flight update: torn value %d/%q (old %d new %d)", got, gotB, oldVal, newVal)
 		}
 	}
 	return live
 }
 
 // TestCrashPointFuzz sweeps >= 200 evenly spaced crash points across the
-// seeded history by default; DASH_CRASH_SWEEP=full crashes at every single
-// flush boundary (slow — minutes, not for the default `go test` budget).
+// seeded history.
 func TestCrashPointFuzz(t *testing.T) {
 	withLazyGates(t)
 	ops := genCrashHistory(8, slotsPerSegment+slotsPerSegment/2)
@@ -324,9 +341,6 @@ func TestCrashPointFuzz(t *testing.T) {
 
 	const target = 200
 	stride := total / target
-	if os.Getenv("DASH_CRASH_SWEEP") == "full" {
-		stride = 1
-	}
 	points := 0
 	for crashAt := 1; crashAt <= total; crashAt += stride {
 		pool, acked, crashed, _ := runToCrash(t, ops, crashAt)
@@ -395,7 +409,7 @@ func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byt
 		stop   atomic.Bool
 		frozen = make(chan struct{})
 	)
-	pool.SetFlushHook(func() {
+	pool.SetFlushHook(func(pmem.Addr, uint64) {
 		switch n := count.Add(1); {
 		case n == crashAt:
 			stop.Store(true)

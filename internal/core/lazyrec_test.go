@@ -337,10 +337,12 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 // version lock lives in the mirror, which a restart rebuilds unlocked — so
 // Open neither resets nor reads it, and no value there can wedge a writer.
 // The image is taken inside a split's publish, all 66 locks of the splitting
-// segment held, and then every bucket's word 0 of every segment is set odd by
-// hand, which is what an image written while the lock lived in PM looks like
-// at its worst. Every kind of write, further splits included, must complete
-// on those buckets (a hang is the failure) and leave the mirrors exact.
+// segment held — at its sweep's second flush, the header narrowed and one
+// bucket swept — and then every bucket's word 0 of every segment is set odd
+// by hand, which is what an image written while the lock lived in PM looks
+// like at its worst. Every kind of write, further splits included, must
+// complete on those buckets (a hang is the failure) and leave the mirrors
+// exact.
 func TestOpenIgnoresStaleLockWords(t *testing.T) {
 	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
@@ -352,11 +354,18 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 	}
 	verifyAtTeardown(t, tbl)
 	var img []byte
-	tbl.hookMidSweep = func() {
-		if img == nil {
-			img = pool.Snapshot()
+	swept := -1 // flushes since the split's header persist
+	pool.SetFlushHook(func(_ pmem.Addr, n uint64) {
+		switch {
+		case img != nil:
+		case n == segHeaderSize: // the header persist: no u64 insert flushes 64 bytes otherwise
+			swept = 0
+		case swept >= 0:
+			if swept++; swept == 2 {
+				img = pool.Snapshot()
+			}
 		}
-	}
+	})
 	acked := make(map[uint64]uint64)
 	for k := uint64(0); img == nil; k++ {
 		if err := tbl.Insert(k, k+1); err != nil {
@@ -366,6 +375,7 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 			acked[k] = k + 1
 		}
 	}
+	pool.SetFlushHook(nil)
 
 	p, err := pmem.OpenSnapshot(img, pmem.Options{})
 	if err != nil {

@@ -265,7 +265,7 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 // The drop decision is computed for all records first and applied per meta
 // word, so drop must not depend on sweep order (the split publish's
 // depth-bit predicate does not).
-func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64, hookMidSweep func()) int {
+func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64) int {
 	var metas [totalBuckets]uint64 // stack-sized: the sweep allocates nothing
 	var dirty [totalBuckets]bool
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -308,7 +308,6 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 			removed++
 		}
 	}
-	fenced := false
 	for bi := 0; bi < totalBuckets; bi++ {
 		if !dirty[bi] {
 			continue
@@ -317,13 +316,6 @@ func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, d
 		p.StoreU64(a, metas[bi]) // the sweep's one store to this header line
 		mir.word(bi, mirBkMeta).Store(metas[bi])
 		p.Flush(a, 8)
-		if !fenced && hookMidSweep != nil {
-			// Crash-injection point: first meta line flushed, fence and the
-			// remaining buckets still pending.
-			p.Fence()
-			fenced = true
-			hookMidSweep()
-		}
 	}
 	p.Fence()
 	return removed

@@ -80,9 +80,6 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	spa := oldSeg.Add(segOffSplit)
 	p.StoreU64(spa, uint64(newSeg)|splitStateInFlight)
 	p.Persist(spa, 8)
-	if t.hookAfterMarker != nil {
-		t.hookAfterMarker()
-	}
 
 	mstart := obs.Now()
 	sc := splitScanPool.Get().(*splitScan)
@@ -293,9 +290,6 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 
 	// One flush+fence for the whole sibling replaces per-record persists.
 	segPersist(p, newSeg)
-	if t.hookAfterSegPersist != nil {
-		t.hookAfterSegPersist()
-	}
 
 	// The view is the directory's runtime copy, exact under dirMu: the
 	// publish reads the block's address and depth there, and a doubling
@@ -324,16 +318,9 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	}
 
 	estart, span := dirCoverage(g, l, pat)
-	half := span >> 1
-	for i := estart + half; i < estart+span; i++ {
+	for i := estart + span>>1; i < estart+span; i++ {
 		dirStoreEntry(p, dir, i, newSeg)
 		p.Persist(dirEntryAddr(dir, i), 8)
-		if t.hookMidPublish != nil && i == estart+half {
-			t.hookMidPublish()
-		}
-	}
-	if t.hookAfterPublish != nil {
-		t.hookAfterPublish()
 	}
 	t.fr.Record(obs.EvSplitPublish, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 
@@ -350,7 +337,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	// record's hash to fix its home bucket's overflow tracking).
 	segSweepBatched(p, oldMir, oldSeg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
 		return rp.DepthBit(l)
-	}, sc.moved[:], t.hookMidSweep)
+	}, sc.moved[:])
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to

@@ -490,11 +490,12 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 	var first atomic.Uint64 // the first split's segment
 	tbl.hookMidMigrate = func(seg pmem.Addr, _ *segDesc, _ int) { first.CompareAndSwap(0, uint64(seg)) }
-	var published, armed atomic.Bool
-	tbl.hookAfterPublish = func() { armed.Store(published.CompareAndSwap(false, true)) }
+	var parkedOnce atomic.Bool
 	parked, release := make(chan struct{}), make(chan struct{})
-	tbl.pool.SetFlushHook(func() {
-		if armed.CompareAndSwap(true, false) { // segSetMeta's persist
+	tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
+		// The header persist (segSetMeta) is the only flush of a whole
+		// segment header; the marker's persists flush its one word.
+		if uint64(a) == first.Load() && n == segHeaderSize && parkedOnce.CompareAndSwap(false, true) {
 			close(parked)
 			select {
 			case <-release:
@@ -773,35 +774,4 @@ func TestPoolFullMidSplitStaysServiceable(t *testing.T) {
 	reopened := openTestTable(t, pool)
 	defer reopened.Close()
 	check("reopened", reopened)
-}
-
-// --- crash injection at the new publish points ---
-
-// TestCrashAfterSplitMarker: power loss right after the split-progress
-// marker is persisted, before any record is migrated. Recovery must clear
-// the marker and roll the split back; the old segment still owns everything.
-func TestCrashAfterSplitMarker(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookAfterMarker = fire })
-}
-
-// TestCrashMidSplitMigration: power loss halfway through the incremental
-// copy — the sibling holds an unflushed partial copy, the directory knows
-// nothing. Recovery must roll back via the marker; no acknowledged record
-// may be lost (migration only reads the old segment).
-func TestCrashMidSplitMigration(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) {
-		tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
-			if bucket == normalBuckets/2 {
-				fire()
-			}
-		}
-	})
-}
-
-// TestCrashMidSweep: power loss after the directory flips and the old
-// segment's metadata bump, with only the first bucket of the moved-record
-// sweep persisted. Recovery must finish the sweep from the directory image
-// (the remaining leftover copies route elsewhere and are dropped).
-func TestCrashMidSweep(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) { tbl.hookMidSweep = fire })
 }

@@ -163,21 +163,12 @@ type Table struct {
 	fr  *obs.Flight
 	met meters
 
-	// Test hooks fired inside split; used by crash-consistency tests to
-	// simulate power loss at the protocol's interesting points.
-	hookAfterMarker     func()                                        // split marker persisted, no records migrated
-	hookMidMigrate      func(seg pmem.Addr, sib *segDesc, bucket int) // after each copied group of either copy run (splitCopy)
-	hookAfterSegPersist func()                                        // sibling fully persisted, nothing published
-	hookMidPublish      func()                                        // first directory entry of a multi-entry flip persisted
-	hookAfterPublish    func()                                        // all entries flipped, old-segment meta/sweep pending
-	hookMidSweep        func()                                        // first swept bucket persisted, rest pending
-
-	// Varlog crash hooks, the record-log counterparts: after a blob's
-	// bytes persist but before any slot references it, and
-	// mid-copy-on-write-update (new blob persisted, slot word not yet
-	// flipped).
-	hookVarAppended  func()
-	hookVarMidUpdate func()
+	// hookMidMigrate is a test hook fired after each copied group of either
+	// copy run of a split (splitCopy): the copy issues no flush, so a test
+	// that pauses or perturbs it has no flush to recognise it by. Crash
+	// tests need no hook: every persist step is a Flush, and
+	// pmem.Pool.SetFlushHook sees each one with its range.
+	hookMidMigrate func(seg pmem.Addr, sib *segDesc, bucket int)
 }
 
 type freeSpan struct {
@@ -422,19 +413,15 @@ func (t *Table) InsertB(key, value []byte) error {
 	return err
 }
 
-// insertIndirect writes the blob (with the crash hook between its persist
-// and its publication, the slot store that commits it) and inserts the
-// packed record. The blob is allocated before any lock is taken and survives
-// split retries; it is returned to the log on any failure. A failed insert
-// never published the record, so no reader can hold the blob and the free is
-// immediate.
+// insertIndirect writes the blob and inserts the packed record; the slot
+// store that publishes the record is the blob's commit. The blob is
+// allocated before any lock is taken and survives split retries; it is
+// returned to the log on any failure. A failed insert never published the
+// record, so no reader can hold the blob and the free is immediate.
 func (t *Table) insertIndirect(pk *probeKey, key, value []byte) error {
 	blob, err := t.vlog.Append(key, value)
 	if err != nil {
 		return t.mapLogErr(err)
-	}
-	if t.hookVarAppended != nil {
-		t.hookVarAppended()
 	}
 	t.vlog.Commit(blob)
 	kv := pmem.KV{Key: recPack(blob, len(key)), Value: pk.parts.Hash}
@@ -716,9 +703,6 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 				return true, t.mapLogErr(err)
 			}
 			t.vlog.Commit(blob)
-		}
-		if t.hookVarMidUpdate != nil {
-			t.hookVarMidUpdate()
 		}
 		kv := pmem.KV{Key: recPack(blob, pk.keyLen()), Value: parts.Hash}
 

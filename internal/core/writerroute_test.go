@@ -648,26 +648,30 @@ func TestMovedHalfAllWriters(t *testing.T) {
 
 // leakSiblingByCrash inserts keys from *next on (insertUntilCrash: recorded
 // in acked) until a split has made its sibling durable, simulates power loss
-// there — before the first directory entry flips — and reopens the image.
-// That is the one way left to make a segment whose header claims a range
-// nothing routes to it: a split that rolls back at run time recycles its
-// sibling's block. Returns the reopened table and the leaked segment.
+// at the next flush — before the first directory entry flips — and reopens
+// the image. That is the one way left to make a segment whose header claims
+// a range nothing routes to it: a split that rolls back at run time recycles
+// its sibling's block. The sibling's persist is the one whole-segment flush
+// a running table issues, and its address is the sibling. Returns the
+// reopened table and the leaked segment.
 func leakSiblingByCrash(t *testing.T, pool *pmem.Pool, tbl *Table, next *uint64, acked map[uint64]uint64) (*Table, pmem.Addr) {
 	t.Helper()
 	var leaked pmem.Addr
-	tbl.hookAfterSegPersist = func() {
-		tbl.cache.view.Load().eachSegment(func(d *segDesc) {
-			if st := pool.QuietLoadU64(d.seg.Add(segOffSplit)); st != 0 {
-				leaked = pmem.Addr(st &^ splitStateInFlight)
-			}
-		})
-		pool.Crash()
-		panic(crashNow{})
-	}
+	pool.SetFlushHook(func(a pmem.Addr, n uint64) {
+		switch {
+		case !leaked.IsNull():
+			panic(crashNow{})
+		case n == segmentSize:
+			leaked = a
+		}
+	})
 	before := len(acked)
-	if !insertUntilCrash(t, tbl, *next, 1<<20, acked) {
+	crashed := insertUntilCrash(t, tbl, *next, 1<<20, acked)
+	pool.SetFlushHook(nil)
+	if !crashed {
 		t.Fatal("no split reached its sibling's persist")
 	}
+	pool.Crash()
 	*next += uint64(len(acked) - before) // the key in flight at the crash is absent again
 	reopened, err := Open(pool)
 	if err != nil {

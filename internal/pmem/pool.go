@@ -75,7 +75,7 @@ type Pool struct {
 	// tests hook to simulate power loss at each point a real machine could
 	// lose it. Installed via SetFlushHook; the hook may call Crash and panic
 	// to unwind the interrupted operation.
-	flushHook atomic.Pointer[func()]
+	flushHook atomic.Pointer[func(a Addr, n uint64)]
 
 	// Fence-batching window (BeginFenceBatch/EndFenceBatch): while depth is
 	// non-zero, Fence elides the real fence and counts it instead, and the
@@ -164,7 +164,7 @@ func (p *Pool) Flush(a Addr, n uint64) {
 		return
 	}
 	if h := p.flushHook.Load(); h != nil {
-		(*h)()
+		(*h)(a, n)
 	}
 	p.check(a, n)
 	first, last := lineRange(a, n)
@@ -183,12 +183,13 @@ func (p *Pool) Flush(a Addr, n uint64) {
 }
 
 // SetFlushHook installs (or, with nil, removes) a callback invoked at the
-// start of every Flush, before any cacheline is copied to the media image.
-// Crash-point fuzz tests use it to count persist boundaries and simulate
-// power loss at the Kth one (typically by calling Crash and panicking out of
-// the interrupted operation). The hook must not itself touch the pool
-// through accounting accessors.
-func (p *Pool) SetFlushHook(h func()) {
+// start of every Flush with the flushed range [a, a+n), before any cacheline
+// is copied to the media image. Crash tests use it to count persist
+// boundaries and simulate power loss at the Kth one (typically by calling
+// Crash and panicking out of the interrupted operation), or to recognise one
+// protocol step by the range it flushes. The hook must not itself touch the
+// pool through accounting accessors.
+func (p *Pool) SetFlushHook(h func(a Addr, n uint64)) {
 	if h == nil {
 		p.flushHook.Store(nil)
 		return

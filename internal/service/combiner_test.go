@@ -44,7 +44,7 @@ func keysOn(s *Shards, shard, n int, base uint64) []uint64 {
 func blockFlush(pool *pmem.Pool, when func() bool) (entered, release chan struct{}) {
 	entered, release = make(chan struct{}), make(chan struct{})
 	var once atomic.Bool
-	pool.SetFlushHook(func() {
+	pool.SetFlushHook(func(pmem.Addr, uint64) {
 		if (when == nil || when()) && once.CompareAndSwap(false, true) {
 			close(entered)
 			<-release
@@ -268,7 +268,7 @@ func testOversubscribed(t *testing.T, shards, keys int, stallEvery int64) {
 	if stallEvery > 0 {
 		var flushes atomic.Int64
 		for i := 0; i < s.N(); i++ {
-			s.Pool(i).SetFlushHook(func() {
+			s.Pool(i).SetFlushHook(func(pmem.Addr, uint64) {
 				if flushes.Add(1)%stallEvery == 0 {
 					time.Sleep(20 * time.Millisecond)
 				}

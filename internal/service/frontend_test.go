@@ -229,7 +229,7 @@ func testCrashMidBatch(t *testing.T, clients int) {
 	var left atomic.Int32
 	left.Store(300)
 	crashPool := s.Pool(0)
-	crashPool.SetFlushHook(func() {
+	crashPool.SetFlushHook(func(pmem.Addr, uint64) {
 		if left.Add(-1) == 0 {
 			crashPool.Crash()
 			panic(crashNow{})
