@@ -236,6 +236,72 @@ func TestCrashBeforePublish(t *testing.T) {
 	crashSplitRow(t, keysWhere(prefix0), doubles, nil)
 }
 
+// crashAtHook builds a crash-tracked table of InitialDepth 1, lets arm set up
+// the one crash point it names (fire cuts the power there and unwinds), and
+// inserts keys until it fires. The reopened image is checked against the
+// acknowledged inserts (verifyCrashPoint); the insert in flight never reached
+// its record's store, so it is no part of the history.
+func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
+	t.Helper()
+	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm(tbl, func() {
+		pool.SetFlushHook(nil)
+		pool.Crash()
+		panic(crashNow{})
+	})
+	acked := make(map[uint64]uint64)
+	if !insertUntilCrash(t, tbl, 0, 1<<20, acked) {
+		t.Fatal("workload finished without reaching the crash point")
+	}
+	ops := make([]fuzzOp, 0, len(acked))
+	for k, v := range acked {
+		ops = append(ops, fuzzOp{kind: 'i', id: k, val: v})
+	}
+	verifyCrashPoint(t, pool, []crashRun{{ops, len(ops)}}, t.Name())
+}
+
+// TestCrashAfterSplitMarker: power loss right after the first split's
+// progress marker is persisted, at the flush that follows it (the sibling's
+// persist). Recovery must clear the marker and roll the split back; the old
+// segment still owns everything. The marker's flush is the one 8-byte flush
+// of a segment's marker word.
+func TestCrashAfterSplitMarker(t *testing.T) {
+	crashAtHook(t, func(tbl *Table, fire func()) {
+		markers := make(map[pmem.Addr]bool)
+		for seg := range tbl.cache.descs {
+			markers[seg.Add(segOffSplit)] = true
+		}
+		marked := false
+		tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
+			if marked {
+				fire()
+			}
+			marked = n == 8 && markers[a]
+		})
+	})
+}
+
+// TestCrashMidSplitMigration: power loss halfway through the unlocked copy —
+// the sibling holds an unflushed partial copy, the directory knows nothing.
+// Recovery must roll back via the marker; no acknowledged record may be lost
+// (the copy only reads the old segment).
+func TestCrashMidSplitMigration(t *testing.T) {
+	crashAtHook(t, func(tbl *Table, fire func()) {
+		tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
+			if bucket == normalBuckets/2 {
+				fire()
+			}
+		}
+	})
+}
+
 // TestCrashAfterPublish crashes a split that does not double — its publish
 // is the entry flip alone — at every flush; from the flip on, recovery must
 // narrow the old segment's stale header and drop the moved records' leftover
