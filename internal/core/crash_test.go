@@ -169,13 +169,14 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 // crashSplitRow runs a split row, in parallel with the others. A dry run on
 // a table of InitialDepth 1 inserts the keys next yields (asked once per
 // insert, with the dry-run table) up to the first whose insert carries a
-// split that want accepts, given the global depth before the insert; growth
+// split that want accepts, given the global depth before the insert and the
+// local depth of the segment the key routed to; growth
 // on one goroutine is deterministic, so a fresh table given the inserts
 // before it as a prefix splits the same way at the same insert. That insert
 // is crashed at each of its flushes — at least 70: the marker, the sibling,
 // the publish, the header, one per swept bucket and the retried insert's.
 // Returns the table on which it completed.
-func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0 uint8) bool, arm func(*Table)) *Table {
+func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8) bool, arm func(*Table)) *Table {
 	t.Helper()
 	t.Parallel()
 	opt := Options{InitialDepth: 1}
@@ -186,10 +187,11 @@ func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table,
 		k := next(dry)
 		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
 		g0, splits := dry.GlobalDepth(), dry.met.splits.Total()
+		l0 := uint8(dry.cache.route(dry.parts(k)).mir.Load().depth.Load())
 		if err := applyCrashOp(dry, op); err != nil {
 			t.Fatalf("dry run: %v", err)
 		}
-		if dry.met.splits.Total() == splits || !want(dry, g0) {
+		if dry.met.splits.Total() == splits || !want(dry, g0, l0) {
 			prefix = append(prefix, op)
 			continue
 		}
@@ -222,8 +224,8 @@ func prefix0(_ *Table, p hashfn.Parts) bool { return p.DirIndex(1) == 0 }
 
 // doubles and keepsDepth are want functions for crashSplitRow: the split
 // doubled the directory, or it did not.
-func doubles(tbl *Table, g0 uint8) bool    { return tbl.GlobalDepth() > g0 }
-func keepsDepth(tbl *Table, g0 uint8) bool { return tbl.GlobalDepth() == g0 }
+func doubles(tbl *Table, g0, _ uint8) bool    { return tbl.GlobalDepth() > g0 }
+func keepsDepth(tbl *Table, g0, _ uint8) bool { return tbl.GlobalDepth() == g0 }
 
 // TestCrashBeforePublish crashes the first split of a one-bit directory —
 // the split that doubles it — at every flush: before the publish (the
@@ -237,10 +239,11 @@ func TestCrashBeforePublish(t *testing.T) {
 }
 
 // crashAtHook builds a crash-tracked table of InitialDepth 1, lets arm set up
-// the one crash point it names (fire cuts the power there and unwinds), and
-// inserts keys until it fires. The reopened image is checked against the
-// acknowledged inserts (verifyCrashPoint); the insert in flight never reached
-// its record's store, so it is no part of the history.
+// the one crash point it names, and inserts keys until arm's fire cuts the
+// power there: fire panics, and so does every flush after it, so nothing the
+// unwinding insert flushes reaches media. The reopened image is checked
+// against the acknowledged inserts (verifyCrashPoint); the insert in flight
+// never reached its record's store, so it is no part of the history.
 func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 	t.Helper()
 	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
@@ -252,14 +255,15 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 		t.Fatal(err)
 	}
 	arm(tbl, func() {
-		pool.SetFlushHook(nil)
-		pool.Crash()
+		pool.SetFlushHook(func(pmem.Addr, uint64) { panic(crashNow{}) })
 		panic(crashNow{})
 	})
 	acked := make(map[uint64]uint64)
 	if !insertUntilCrash(t, tbl, 0, 1<<20, acked) {
 		t.Fatal("workload finished without reaching the crash point")
 	}
+	pool.SetFlushHook(nil)
+	pool.Crash()
 	ops := make([]fuzzOp, 0, len(acked))
 	for k, v := range acked {
 		ops = append(ops, fuzzOp{kind: 'i', id: k, val: v})
@@ -271,7 +275,8 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 // progress marker is persisted, at the flush that follows it (the sibling's
 // persist). Recovery must clear the marker and roll the split back; the old
 // segment still owns everything. The marker's flush is the one 8-byte flush
-// of a segment's marker word.
+// of a segment's marker word. The image is the one TestCrashBeforePublish
+// checks at the second flush of the same split; this test names the point.
 func TestCrashAfterSplitMarker(t *testing.T) {
 	crashAtHook(t, func(tbl *Table, fire func()) {
 		markers := make(map[pmem.Addr]bool)
@@ -291,7 +296,9 @@ func TestCrashAfterSplitMarker(t *testing.T) {
 // TestCrashMidSplitMigration: power loss halfway through the unlocked copy —
 // the sibling holds an unflushed partial copy, the directory knows nothing.
 // Recovery must roll back via the marker; no acknowledged record may be lost
-// (the copy only reads the old segment).
+// (the copy only reads the old segment). The copy issues no flush, so the
+// image is again the one TestCrashBeforePublish checks at the split's second
+// flush; this test names the point.
 func TestCrashMidSplitMigration(t *testing.T) {
 	crashAtHook(t, func(tbl *Table, fire func()) {
 		tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
@@ -322,14 +329,15 @@ func TestCrashAfterPublish(t *testing.T) {
 // segment with keys of top bits 00 until the global depth is 3 (its first
 // split moves none of them, so the retried insert splits it again), which
 // leaves the prefix-1 segment at local depth 1 covering 4 entries; the prefix
-// then fills it, and its split flips 2.
+// then fills it, and its split flips 2. The row takes the first split that
+// keeps the directory's depth, of a segment at least 2 below it.
 func TestCrashMidPublish(t *testing.T) {
 	crashSplitRow(t, keysWhere(func(tbl *Table, p hashfn.Parts) bool {
 		if tbl.GlobalDepth() < 3 {
 			return p.DirIndex(2) == 0
 		}
 		return p.DirIndex(1) == 1
-	}), func(tbl *Table, g0 uint8) bool { return g0 >= 3 && tbl.GlobalDepth() == g0 }, nil)
+	}), func(tbl *Table, g0, l0 uint8) bool { return g0-l0 >= 2 && tbl.GlobalDepth() == g0 }, nil)
 }
 
 // TestCrashMidSweep crashes a split whose unlocked copy was invalidated at

@@ -317,8 +317,17 @@ func verifyCrashRun(t *testing.T, tbl *Table, r crashRun, where string) int {
 		if !inPresent {
 			fail("in-flight update dropped the key")
 		}
-		if newVal := inFlight.oracleVal(); !matches(oldVal) && !matches(newVal) {
+		newVal := inFlight.oracleVal()
+		if !matches(oldVal) && !matches(newVal) {
 			fail("in-flight update: torn value %d/%q (old %d new %d)", got, gotB, oldVal, newVal)
+		}
+		// Get reads a converted record's first 8 bytes; the rest of its blob
+		// must be whole too.
+		if inFlight.kind == 'c' && matches(newVal) {
+			want := fuzzVarVal(inFlight.val)
+			if v, _ := tbl.GetB(binary.LittleEndian.AppendUint64(nil, inFlight.id)); !bytes.Equal(v, want) {
+				fail("in-flight converting update: value %q, want %q", v, want)
+			}
 		}
 	}
 	return live

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dash/internal/pmem"
@@ -29,8 +31,9 @@ func inserts(n int, varK bool) []fuzzOp {
 
 // crashOrphaning runs a record-log row and requires the recovery sweep to
 // have reclaimed a blob at one crash point at least: the one after the op's
-// blob persisted and before a slot named it.
-func crashOrphaning(t *testing.T, c crashCase) {
+// blob persisted and before a slot named it. Returns the table on which the
+// op completed.
+func crashOrphaning(t *testing.T, c crashCase) *Table {
 	t.Helper()
 	reclaimed := 0
 	c.check = func(tbl *Table) {
@@ -38,11 +41,12 @@ func crashOrphaning(t *testing.T, c crashCase) {
 			reclaimed++
 		}
 	}
-	_, points := crashAtEveryFlush(t, c)
+	done, points := crashAtEveryFlush(t, c)
 	if reclaimed == 0 {
 		t.Fatalf("no crash point of %d had the sweep reclaim the op's orphaned blob", points)
 	}
 	t.Logf("crashed at each of %d flushes; the sweep reclaimed a blob at %d", points, reclaimed)
+	return done
 }
 
 // TestCrashAfterBlobAppend crashes an InsertB at every flush: the blob's
@@ -64,9 +68,16 @@ func TestCrashMidUpdateCOW(t *testing.T) {
 // every flush: an inline record updated to a long value ('c') inserts the
 // new indirect record beside the old inline one, then deletes the old. The
 // key must exist exactly once afterwards (recovery dedupes the pair), with
-// its old value or its new one.
+// its old value or its new one. Until the old record's delete persists,
+// recovery keeps the old one, so every crash point reads the old value; the
+// new one, whole, is checked on the run that completed.
 func TestCrashMidConvertUpdate(t *testing.T) {
-	crashOrphaning(t, crashCase{prefix: inserts(200, false), last: fuzzOp{'c', false, 5, 60}})
+	last := fuzzOp{'c', false, 5, 60}
+	done := crashOrphaning(t, crashCase{prefix: inserts(200, false), last: last})
+	want := fuzzVarVal(last.val)
+	if v, _ := done.GetB(binary.LittleEndian.AppendUint64(nil, last.id)); !bytes.Equal(v, want) {
+		t.Fatalf("the converted record reads %q, want %q", v, want)
+	}
 }
 
 // TestCrashReusedSpan is the case a commit word would once have guarded: a

@@ -198,20 +198,6 @@ func hammer(p *Pool, g, n int) float64 {
 	return float64(g*n) / (float64(obs.Now()-t0) / 1e9)
 }
 
-// bestHammer is hammer's highest rate over a few runs: a run the host
-// pre-empted leaves the device idle for the pause, and the regulator banks no
-// idle time, so such a run only reads low and says nothing about the model.
-// Best of a few, like TestChargeAccuracy; an upper bound checked on the best
-// run holds for every run.
-func bestHammer(p *Pool, g, n int) float64 {
-	const tries = 5
-	best := 0.0
-	for try := 0; try < tries; try++ {
-		best = max(best, hammer(p, g, n))
-	}
-	return best
-}
-
 // TestBandwidthPlateau: with the device good for one line per 2 µs and four
 // goroutines each wanting one per 300 ns, aggregate throughput sits at the
 // device's rate; one goroutine asking for less than the device gives pays
@@ -224,14 +210,14 @@ func TestBandwidthPlateau(t *testing.T) {
 	m := &CostModel{ReadLatencyNS: 300, ReadLineNS: 2000}
 	p := costPool(t, m)
 	capacity := 1e9 / float64(m.ReadLineNS)
-	if got := bestHammer(p, 4, 2_000); got < 0.8*capacity || got > 1.2*capacity {
+	if got := hammer(p, 4, 2_000); got < 0.8*capacity || got > 1.2*capacity {
 		t.Errorf("4 goroutines: %.0f lines/s, device capacity %.0f", got, capacity)
 	}
 
 	m = &CostModel{ReadLatencyNS: 2000, ReadLineNS: 300}
 	p = costPool(t, m)
 	const n = 2_000
-	if got, ceil := bestHammer(p, 1, n), 1e9/float64(m.ReadLatencyNS); got > ceil || got < 0.8*ceil {
+	if got, ceil := hammer(p, 1, n), 1e9/float64(m.ReadLatencyNS); got > ceil || got < 0.8*ceil {
 		t.Errorf("1 goroutine under capacity: %.0f lines/s, latency allows %.0f", got, ceil)
 	}
 }
