@@ -72,7 +72,7 @@ docs-check: vet
 			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path' \
 			blobCommitMagic hookVarCommitted \
 			hookAfterMarker hookAfterSegPersist hookMidPublish hookAfterPublish hookMidSweep \
-			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP; do \
+			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP mirBkWords; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

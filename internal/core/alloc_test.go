@@ -117,6 +117,54 @@ func benchGets(b *testing.B, base uint64, wantFound bool) {
 func BenchmarkGetHit(b *testing.B)  { benchGets(b, 0, true) }
 func BenchmarkGetMiss(b *testing.B) { benchGets(b, 1<<40, false) }
 
+// BenchmarkMirSegSearch is the probe alone — mirSegSearch on the mirror a
+// Get routes to, with the key hashed and routed beforehand — over the shared
+// table, whose mirrors exceed L2: keys found in their home bucket, keys found
+// in its neighbour, and absent keys, each a stride walk of 2^16 probes.
+func BenchmarkMirSegSearch(b *testing.B) {
+	tbl := readBenchTable(b)
+	type probe struct {
+		mir *segMirror
+		pk  probeKey
+	}
+	const n = 1 << 16
+	var home, neighbour, miss []probe
+	for i := uint64(0); i < readBenchKeys && (len(home) < n || len(neighbour) < n || len(miss) < n); i++ {
+		k := i * 7919 % readBenchKeys
+		for _, key := range []uint64{k, k + 1<<40} {
+			p := probe{pk: tbl.probeU64(key)}
+			p.mir = tbl.mirror(tbl.cache.route(p.pk.parts))
+			_, loc, found := mirSegSearch(tbl.vlog, p.mir, &p.pk, false)
+			b1, b2 := homePair(p.pk.parts)
+			switch {
+			case !found && len(miss) < n:
+				miss = append(miss, p)
+			case found && loc.bucket == b1 && len(home) < n:
+				home = append(home, p)
+			case found && loc.bucket == b2 && len(neighbour) < n:
+				neighbour = append(neighbour, p)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		ps    []probe
+		found bool
+	}{{"hit-home", home, true}, {"hit-neighbour", neighbour, true}, {"miss", miss, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			if len(c.ps) != n {
+				b.Fatalf("%d probes, want %d", len(c.ps), n)
+			}
+			for i := 0; i < b.N; i++ {
+				p := &c.ps[i&(n-1)]
+				if _, _, found := mirSegSearch(tbl.vlog, p.mir, &p.pk, false); found != c.found {
+					b.Fatalf("key %d: found = %v", p.pk.u, found)
+				}
+			}
+		})
+	}
+}
+
 var routeSink *segMirror
 
 // BenchmarkRoute is the routing prefix of every operation: view load →

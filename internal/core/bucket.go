@@ -100,6 +100,30 @@ func fpGet(lo, hi uint64, slot int) uint8 {
 	}
 	return uint8(hi >> uint(8*(slot-8)))
 }
+
+// fpMatches returns the slots whose fingerprint in (lo, hi) is fp, bit s for
+// slot s, with no per-slot loop: a byte of w ^ fp·0x0101…01 is zero exactly
+// where the slot matches (zeroBytes). Bytes 6 and 7 of hi — the stash
+// indexes and a spare byte — are not slots and never set a bit.
+func fpMatches(lo, hi uint64, fp uint8) uint64 {
+	b := uint64(fp) * lowBytes
+	return (zeroBytes(lo^b) | zeroBytes(hi^b)<<8) & slotMask
+}
+
+const (
+	lowBytes = 0x0101010101010101
+	lowSeven = 0x7F7F7F7F7F7F7F7F
+)
+
+// zeroBytes sets bit i iff byte i of x is zero. Adding 0x7F to a byte's low
+// seven bits cannot carry into the next byte, so no byte's answer borrows
+// from its neighbour's; the multiply gathers the eight 0x80 flags — bit 8i
+// moved to bit 56+i — into the top byte without any two colliding.
+func zeroBytes(x uint64) uint64 {
+	z := ^((x&lowSeven + lowSeven) | x | lowSeven)
+	return (z >> 7) * 0x0102040810204080 >> 56
+}
+
 func fpSet(lo, hi uint64, slot int, fp uint8) (uint64, uint64) {
 	if slot < 8 {
 		lo = lo&^(0xFF<<uint(8*slot)) | uint64(fp)<<uint(8*slot)

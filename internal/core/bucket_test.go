@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestMetaBitHelpers(t *testing.T) {
 	var m uint64
@@ -81,5 +84,54 @@ func TestFingerprintWords(t *testing.T) {
 		if fpGet(lo, hi, slot) != uint8(slot+1) {
 			t.Fatalf("ov idx writes clobbered fp slot %d", slot)
 		}
+	}
+}
+
+// fpMatchesRef is fpMatches one slot at a time, through fpGet (the way
+// Verify reads fingerprints).
+func fpMatchesRef(lo, hi uint64, fp uint8) uint64 {
+	var mask uint64
+	for slot := 0; slot < slotsPerBucket; slot++ {
+		if fpGet(lo, hi, slot) == fp {
+			mask |= 1 << uint(slot)
+		}
+	}
+	return mask
+}
+
+// TestFPMatches checks the one-compare fingerprint match against the
+// per-slot loop for every fingerprint: over random words, over words built
+// from the bytes a zero-byte test that lets a borrow cross bytes gets wrong
+// (0x00, 0x80, 0xFF, the fingerprint and its neighbours), and with the
+// fingerprint in every byte, hi's bytes 6 and 7 included — the stash indexes
+// and the spare byte, which are not slots and must never set a bit.
+func TestFPMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	check := func(lo, hi uint64, fp uint8) {
+		t.Helper()
+		if got, want := fpMatches(lo, hi, fp), fpMatchesRef(lo, hi, fp); got != want {
+			t.Fatalf("fpMatches(%#x, %#x, %#x) = %#x, the per-slot loop says %#x", lo, hi, fp, got, want)
+		}
+	}
+	for v := 0; v < 256; v++ {
+		fp := uint8(v)
+		for i := 0; i < 200; i++ {
+			check(rng.Uint64(), rng.Uint64(), fp)
+		}
+		pool := []uint8{0x00, 0x80, 0xFF, fp, fp ^ 0x80, fp ^ 1, fp + 1, fp - 1}
+		word := func() uint64 {
+			var w uint64
+			for b := 0; b < 8; b++ {
+				w |= uint64(pool[rng.Intn(len(pool))]) << (8 * b)
+			}
+			return w
+		}
+		for i := 0; i < 200; i++ {
+			check(word(), word(), fp)
+		}
+		all := uint64(fp) * lowBytes
+		check(all, all, fp)
+		check(^all, all, fp)                           // only hi: slots 8..13, bytes 6 and 7
+		check(^all, all&^(1<<48-1)|^all&(1<<48-1), fp) // only bytes 6 and 7: no slot
 	}
 }

@@ -66,32 +66,57 @@ import (
 //     that first touch: no operation ever sees a segment without one. The
 //     rebuild is what makes the locks vanish with the process that held
 //     them: a new mirror's version words are zero.
+//
+// Layout. A probe decides from a bucket's header alone which records to
+// read (§4.2), so the headers are packed apart from the records: hdr holds
+// every bucket's four header words (32 B, two buckets to a cacheline — the
+// mirror is a pointer-free object of a 64-byte-aligned size class, and hdr
+// comes first), recs the 14 record word pairs of each bucket in bucket
+// order. The pair (b, b+1) a key probes shares one header line for even b
+// and spans two adjacent ones for odd b (the wrapping pair (63, 0) aside),
+// and a probe reads only the records its fingerprints name. Only word,
+// recWord and reset know this layout.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
 	mirBkMeta    = 1 // mirror of the PM meta word (bitmap + overflow tracking)
 	mirBkFPLo    = 2 // mirror of fingerprint word 2
 	mirBkFPHi    = 3 // mirror of fingerprint word 3 (incl. stash indexes)
-	mirBkRecords = 4 // 2 words per slot: the record's word 0 and word 1
-	mirBkWords   = mirBkRecords + 2*slotsPerBucket
+	mirHdrWords  = 4 // header words per bucket
 )
 
 // segMirror is the DRAM mirror of one segment, permanent for its segment
 // address.
 type segMirror struct {
-	depth   atomic.Uint64 // mirror of the segment header's local depth
-	pattern atomic.Uint64 // mirror of the segment header's pattern
-	w       [totalBuckets * mirBkWords]atomic.Uint64
+	hdr     [totalBuckets][mirHdrWords]atomic.Uint64
+	recs    [totalBuckets * slotsPerBucket][2]atomic.Uint64 // a record's word 0 and word 1
+	depth   atomic.Uint64                                   // mirror of the segment header's local depth
+	pattern atomic.Uint64                                   // mirror of the segment header's pattern
 }
 
 // segMirrorBytes is the DRAM footprint one mirror adds, for Stats.
 var segMirrorBytes = uint64(unsafe.Sizeof(segMirror{}))
 
 func (m *segMirror) word(bi, off int) *atomic.Uint64 {
-	return &m.w[bi*mirBkWords+off]
+	return &m.hdr[bi][off]
 }
 
 func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
-	return &m.w[bi*mirBkWords+mirBkRecords+2*slot+j]
+	return &m.recs[bi*slotsPerBucket+slot][j]
+}
+
+// reset zeroes every bucket — header (so every lock is free) and records —
+// and keeps the claim: a split's recopy starting its sibling over, which
+// nobody but the split can reach.
+func (m *segMirror) reset() {
+	for bi := range m.hdr {
+		for w := range m.hdr[bi] {
+			m.hdr[bi][w].Store(0)
+		}
+	}
+	for i := range m.recs {
+		m.recs[i][0].Store(0)
+		m.recs[i][1].Store(0)
+	}
 }
 
 // rec loads the two words of one mirrored record. The loads are individually
@@ -180,7 +205,9 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 
 // mirBucketSearch scans one mirrored bucket for the probe's key and returns
 // the matching record's words and slot (-1: none), plus the meta and
-// fingerprint-hi words for the caller's overflow-probing decisions.
+// fingerprint-hi words for the caller's overflow-probing decisions. The
+// header words alone pick the candidates — used slots whose fingerprint
+// matches, in one compare (fpMatches) — and only their records are read.
 //
 // A reader (locked = false) does not take the bucket's lock: it loops until a
 // scan completes under an unchanged even version (seqlock read), so what it
@@ -204,10 +231,8 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, lock
 		lo := mir.word(bi, mirBkFPLo).Load()
 		hi = mir.word(bi, mirBkFPHi).Load()
 		kv, slot = pmem.KV{}, -1
-		for s := 0; s < slotsPerBucket; s++ {
-			if !metaSlotUsed(m, s) || fpGet(lo, hi, s) != pk.parts.FP {
-				continue
-			}
+		for c := fpMatches(lo, hi, pk.parts.FP) & m; c != 0; c &= c - 1 {
+			s := bits.TrailingZeros64(c)
 			if r := mir.rec(bi, s); mirRecMatch(vl, r, pk, locked) {
 				kv, slot = r, s
 				break

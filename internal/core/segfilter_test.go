@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -391,4 +392,54 @@ func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
 			t.Errorf("mirror %p: record words start %d bytes off a 16-byte boundary", mir, off)
 		}
 	})
+}
+
+// TestMirrorHeaderPairsShareALine pins the layout a probe's header read
+// rests on: on a live mirror the header words of buckets b and b+1 lie in one
+// cacheline for every even b, so a key's candidate pair costs one header
+// line (two adjacent ones for odd b). It also pins the mirror's size, which
+// core.segfilter_bytes and heap_mb are measured in, and that reset zeroes
+// every header and record word and leaves the claim alone.
+func TestMirrorHeaderPairsShareALine(t *testing.T) {
+	if segMirrorBytes != 16912 {
+		t.Fatalf("a mirror is %d bytes, want 16912: 66 × 32 B of headers, 66 × 14 × 16 B of records, the claim", segMirrorBytes)
+	}
+	line := func(w *atomic.Uint64) uintptr { return uintptr(unsafe.Pointer(w)) / pmem.CachelineSize }
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 3})
+	defer tbl.Close()
+	tbl.cache.view.Load().eachSegment(func(d *segDesc) {
+		mir := d.mir.Load()
+		for b := 0; b < totalBuckets; b += 2 {
+			if first, last := line(mir.word(b, mirBkVersion)), line(mir.word(b+1, mirBkFPHi)); first != last {
+				t.Errorf("mirror %p: the headers of buckets %d and %d span lines %d..%d", mir, b, b+1, first, last)
+			}
+		}
+	})
+
+	mir := &segMirror{}
+	mir.setClaim(5, 0x13)
+	var words []*atomic.Uint64
+	for bi := 0; bi < totalBuckets; bi++ {
+		for off := 0; off < mirHdrWords; off++ {
+			words = append(words, mir.word(bi, off))
+		}
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			words = append(words, mir.recWord(bi, slot, 0), mir.recWord(bi, slot, 1))
+		}
+	}
+	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
+		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)
+	}
+	for _, w := range words {
+		w.Store(^uint64(0))
+	}
+	mir.reset()
+	for i, w := range words {
+		if w.Load() != 0 {
+			t.Fatalf("reset left word %d (at offset %d) nonzero", i, uintptr(unsafe.Pointer(w))-uintptr(unsafe.Pointer(mir)))
+		}
+	}
+	if mir.depth.Load() != 5 || mir.pattern.Load() != 0x13 {
+		t.Fatalf("reset changed the claim to (%d, %#x)", mir.depth.Load(), mir.pattern.Load())
+	}
 }

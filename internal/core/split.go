@@ -278,10 +278,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 		// the locks now freeze; only this run's "no room" is the truth.
 		t.met.splitRecopies.Inc()
 		segInit(p, newSeg, l+1, pat<<1|1)
-		newMir := sib.mir.Load()
-		for i := range newMir.w {
-			newMir.w[i].Store(0)
-		}
+		sib.mir.Load().reset()
 		if !t.splitCopy(old, sib, l, sc, true) {
 			t.splitRollback(old, sib)
 			return ErrSegmentOverflow
