@@ -17,10 +17,10 @@ race:
 	$(GO) test -race ./...
 
 # race-split repeats the tests that race writers and readers against segment
-# splits — the unlocked copy, its validation by bucket versions, the recopy
-# under the locks, rollback, a second claimant against a publish in flight —
-# five times under the race detector: a split's interleavings are timing, and
-# one pass of `race` samples few of them.
+# splits — the locked copy and publish, rollback, splits of distinct segments
+# in parallel, a second claimant against a publish in flight — five times
+# under the race detector: a split's interleavings are timing, and one pass
+# of `race` samples few of them.
 race-split:
 	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant' ./internal/core
 
@@ -72,7 +72,8 @@ docs-check: vet
 			sumStats deriveRates SegFilterChecks DirCacheRebuilds schemaAdditions 'read\.path' \
 			blobCommitMagic hookVarCommitted \
 			hookAfterMarker hookAfterSegPersist hookMidPublish hookAfterPublish hookMidSweep \
-			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP mirBkWords; do \
+			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP mirBkWords \
+			hookMidMigrate splitRecopies pauseFirstCopy; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -10,11 +10,10 @@
 //	               only the segment's DRAM mirror, writers on bucket version
 //	               locks; Create/Open/Close, the allocator and routing.
 //	split.go     — segment splits: a per-segment CAS claim on the DRAM
-//	               descriptor, a copy into a sibling only the owner can
-//	               reach that holds no lock, its validation by bucket
-//	               versions (and the recopy under
-//	               the locks when a writer moved one), and the three-step
-//	               crash-consistent publish. Writers are blind to it.
+//	               descriptor, a copy under the old segment's bucket locks
+//	               into a sibling only the owner can reach, and the
+//	               three-step crash-consistent publish. Writers are blind
+//	               to it.
 //	lazyrec.go   — recovery: Open's O(directory) reconcile, the per-segment
 //	               first-touch gate every operation passes (Table.mirror),
 //	               the background driver and the record-log sweep.

@@ -175,8 +175,7 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 // before it as a prefix splits the same way at the same insert. That insert
 // is crashed at each of its flushes — at least 70: the marker, the sibling,
 // the publish, the header, one per swept bucket and the retried insert's.
-// Returns the table on which it completed.
-func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8) bool, arm func(*Table)) *Table {
+func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8) bool) {
 	t.Helper()
 	t.Parallel()
 	opt := Options{InitialDepth: 1}
@@ -195,12 +194,12 @@ func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table,
 			prefix = append(prefix, op)
 			continue
 		}
-		done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op, arm: arm})
+		_, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op})
 		if points < 70 {
 			t.Fatalf("the splitting insert issued %d flushes, want >= 70", points)
 		}
 		t.Logf("crashed the splitting insert, after %d inserts, at each of its %d flushes", len(prefix), points)
-		return done
+		return
 	}
 }
 
@@ -235,7 +234,7 @@ func keepsDepth(tbl *Table, g0, _ uint8) bool { return tbl.GlobalDepth() == g0 }
 // back through the marker and the sibling leaks; after it, recovery rolls
 // forward from the directory.
 func TestCrashBeforePublish(t *testing.T) {
-	crashSplitRow(t, keysWhere(prefix0), doubles, nil)
+	crashSplitRow(t, keysWhere(prefix0), doubles)
 }
 
 // crashAtHook builds a crash-tracked table of InitialDepth 1, lets arm set up
@@ -279,10 +278,7 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 // checks at the second flush of the same split; this test names the point.
 func TestCrashAfterSplitMarker(t *testing.T) {
 	crashAtHook(t, func(tbl *Table, fire func()) {
-		markers := make(map[pmem.Addr]bool)
-		for seg := range tbl.cache.descs {
-			markers[seg.Add(segOffSplit)] = true
-		}
+		markers := markerWords(tbl)
 		marked := false
 		tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
 			if marked {
@@ -290,22 +286,6 @@ func TestCrashAfterSplitMarker(t *testing.T) {
 			}
 			marked = n == 8 && markers[a]
 		})
-	})
-}
-
-// TestCrashMidSplitMigration: power loss halfway through the unlocked copy —
-// the sibling holds an unflushed partial copy, the directory knows nothing.
-// Recovery must roll back via the marker; no acknowledged record may be lost
-// (the copy only reads the old segment). The copy issues no flush, so the
-// image is again the one TestCrashBeforePublish checks at the split's second
-// flush; this test names the point.
-func TestCrashMidSplitMigration(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) {
-		tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
-			if bucket == normalBuckets/2 {
-				fire()
-			}
-		}
 	})
 }
 
@@ -320,7 +300,7 @@ func TestCrashAfterPublish(t *testing.T) {
 			return p.DirIndex(1) == 0
 		}
 		return p.DirIndex(1) == 1
-	}), keepsDepth, nil)
+	}), keepsDepth)
 }
 
 // TestCrashMidPublish crashes a multi-entry publish at every flush, the
@@ -337,25 +317,5 @@ func TestCrashMidPublish(t *testing.T) {
 			return p.DirIndex(2) == 0
 		}
 		return p.DirIndex(1) == 1
-	}), func(tbl *Table, g0, l0 uint8) bool { return g0-l0 >= 2 && tbl.GlobalDepth() == g0 }, nil)
-}
-
-// TestCrashMidSweep crashes a split whose unlocked copy was invalidated at
-// every flush: a lock and unlock of one bucket during the copy — the least a
-// writer does — makes the publish redo the copy under the locks, and the
-// sweep then drops the records the recopy moved, by the recopy's bitmaps.
-func TestCrashMidSweep(t *testing.T) {
-	done := crashSplitRow(t, keysWhere(prefix0), doubles, func(tbl *Table) {
-		perturbed := false
-		tbl.hookMidMigrate = func(seg pmem.Addr, _ *segDesc, _ int) {
-			if !perturbed { // the unlocked run; the recopy holds every lock
-				perturbed = true
-				tbl.lockBucket(mirrorOf(tbl, seg), 7)
-				unlockBucket(mirrorOf(tbl, seg), 7)
-			}
-		}
-	})
-	if r := done.met.splitRecopies.Total(); r != 1 {
-		t.Fatalf("the split recopied %d times, want 1", r)
-	}
+	}), func(tbl *Table, g0, l0 uint8) bool { return g0-l0 >= 2 && tbl.GlobalDepth() == g0 })
 }

@@ -63,17 +63,13 @@ func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 // themselves; these are the table-level ones).
 type meters struct {
 	// Splits: how many completed, the cumulative wall time their publishes
-	// held every bucket lock of their segment (including any directory
-	// doubling, and the recopy when a writer invalidated the unlocked copy),
-	// the phase durations — migrate (the unlocked copy) and the publish
-	// stall (the tail-latency window) — and how many splits paid for a
-	// second copy inside that window because a writer moved a bucket
-	// version under the first.
+	// held every bucket lock of their segment (the copy and any directory
+	// doubling included), and the phase durations — migrate (the copy,
+	// inside the publish) and the publish stall (the tail-latency window).
 	splits              *obs.Counter
 	splitStallNS        *obs.Counter
 	splitMigrateNS      *obs.Histogram
 	splitPublishStallNS *obs.Histogram
-	splitRecopies       *obs.Counter
 
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a
 	// freshly created table. phaseDir is added once by Open; the lazy
@@ -126,7 +122,6 @@ func (t *Table) initObs() {
 	// Splits: lifecycle counters and phase-duration histograms.
 	t.met.splits = reg.Counter("split.completed")
 	t.met.splitStallNS = reg.Counter("split.stall_ns")
-	t.met.splitRecopies = reg.Counter("split.recopies")
 	t.met.splitMigrateNS = reg.Histogram("split.migrate_ns")
 	t.met.splitPublishStallNS = reg.Histogram("split.publish_stall_ns")
 

@@ -104,21 +104,6 @@ func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
 	return &m.recs[bi*slotsPerBucket+slot][j]
 }
 
-// reset zeroes every bucket — header (so every lock is free) and records —
-// and keeps the claim: a split's recopy starting its sibling over, which
-// nobody but the split can reach.
-func (m *segMirror) reset() {
-	for bi := range m.hdr {
-		for w := range m.hdr[bi] {
-			m.hdr[bi][w].Store(0)
-		}
-	}
-	for i := range m.recs {
-		m.recs[i][0].Store(0)
-		m.recs[i][1].Store(0)
-	}
-}
-
 // rec loads the two words of one mirrored record. The loads are individually
 // atomic; a caller that needs the pair consistent holds the bucket's lock or
 // validates its version.

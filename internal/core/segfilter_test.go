@@ -314,67 +314,136 @@ func TestReaderReadCharges(t *testing.T) {
 	}
 }
 
-// TestMirrorDuringSplitMigration pauses the first split mid-migration (the
-// PR 4 assist-test pattern) and probes every acknowledged key through the
-// mirror path while half the old segment is copied and the sibling is
-// unpublished: the sibling's mirror is installed before the split marker, so
-// reads must stay exact throughout. After release, the published mirrors
-// must match PM.
+// TestMirrorDuringSplitMigration parks the first split at its sibling's
+// whole-segment persist — the copy done, every bucket lock of the splitting
+// segment held, no directory entry flipped — and checks what those locks do
+// to the rest of the table. Gets of keys in other segments return, exact,
+// and absent keys there miss. A Get and an Insert aimed at the splitting
+// segment, started while the split is parked, return only after it is
+// released: the Get with the exact value, the Insert with its key in the
+// half that owns it after the split. The table then verifies clean.
 func TestMirrorDuringSplitMigration(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
 
-	acked := make(map[uint64]uint64)
-	paused := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	tbl.hookMidMigrate = func(_ pmem.Addr, _ *segDesc, bucket int) {
-		if bucket != normalBuckets/2 {
-			return
-		}
-		once.Do(func() {
-			close(paused)
+	var (
+		parkedOnce       atomic.Bool
+		sibling          pmem.Addr // set by the hook before parked closes
+		parked, release  = make(chan struct{}), make(chan struct{})
+		acked            = make(map[uint64]uint64)
+		inserterFinished = make(chan struct{})
+	)
+	tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
+		if n == segmentSize && parkedOnce.CompareAndSwap(false, true) {
+			sibling = a
+			close(parked)
 			select {
 			case <-release:
 			case <-time.After(splitTestTimeout):
-				t.Error("prober never released the paused split")
+				t.Error("the parked split was never released")
 			}
-		})
-	}
-
-	proberDone := make(chan struct{})
+		}
+	})
+	defer tbl.pool.SetFlushHook(nil)
 	go func() {
-		defer close(proberDone)
-		<-paused
-		// The inserter is parked inside the hook, so acked is frozen and the
-		// channel close orders these reads after its last write.
-		for k, want := range acked {
-			if v, ok := tbl.Get(k); !ok || v != want {
-				t.Errorf("mid-split mirror probe: key %d = %d,%v want %d", k, v, ok, want)
-				break
+		defer close(inserterFinished)
+		for k := uint64(0); tbl.met.splits.Total() == 0; k++ {
+			if err := tbl.Insert(k, k*7+3); err != nil {
+				t.Errorf("insert %d: %v", k, err)
+				return
 			}
+			acked[k] = k*7 + 3
 		}
-		// Absent keys must also miss cleanly mid-split.
-		for k := uint64(1 << 60); k < 1<<60+50; k++ {
-			if _, ok := tbl.Get(k); ok {
-				t.Errorf("mid-split mirror probe: phantom key %d", k)
-				break
-			}
-		}
-		close(release)
 	}()
-
-	for k := uint64(0); k < 3*slotsPerSegment; k++ {
-		if err := tbl.Insert(k, k*7+3); err != nil {
-			t.Fatalf("insert %d: %v", k, err)
-		}
-		acked[k] = k*7 + 3
-	}
 	select {
-	case <-proberDone:
-	case <-time.After(splitTestTimeout):
-		t.Fatal("prober did not finish")
+	case <-parked:
+	case <-inserterFinished:
+		t.Fatal("the first split never reached its sibling's persist")
 	}
 
+	// The inserter is parked inside the publish, so acked is frozen and the
+	// channel close orders these reads after its last write.
+	var old *segDesc
+	tbl.cache.view.Load().eachSegment(func(d *segDesc) {
+		if p := tbl.pool.QuietLoadU64(d.seg.Add(segOffSplit)); p == uint64(sibling)|splitStateInFlight {
+			old = d
+		}
+	})
+	if old == nil {
+		t.Fatal("no segment's marker names the parked sibling")
+	}
+	l := uint8(old.mir.Load().depth.Load())
+	splitting := func(k uint64) bool { return tbl.cache.route(tbl.parts(k)) == old }
+	elsewhere, inOld := 0, uint64(0)
+	for k, want := range acked {
+		if splitting(k) {
+			inOld = k
+			continue
+		}
+		if v, ok := tbl.Get(k); !ok || v != want {
+			t.Fatalf("mid-split Get(%d) in another segment = %d,%v want %d", k, v, ok, want)
+		}
+		elsewhere++
+	}
+	if elsewhere == 0 || !splitting(inOld) {
+		t.Fatalf("the history put %d keys in the other segment; want keys on both sides", elsewhere)
+	}
+	for k := uint64(1 << 60); k < 1<<60+50; k++ {
+		if splitting(k) {
+			continue
+		}
+		if _, ok := tbl.Get(k); ok {
+			t.Fatalf("mid-split Get of absent key %d found it", k)
+		}
+	}
+
+	// A fresh key the split moves to the sibling.
+	fresh := uint64(1) << 40
+	for !splitting(fresh) || !tbl.parts(fresh).DepthBit(l) {
+		fresh++
+	}
+	type getReply struct {
+		v  uint64
+		ok bool
+	}
+	got, inserted := make(chan getReply, 1), make(chan error, 1)
+	var started sync.WaitGroup
+	started.Add(2)
+	go func() {
+		started.Done()
+		v, ok := tbl.Get(inOld)
+		got <- getReply{v, ok}
+	}()
+	go func() {
+		started.Done()
+		inserted <- tbl.Insert(fresh, 99)
+	}()
+	started.Wait()
+	time.Sleep(50 * time.Millisecond)
+	if len(got) != 0 || len(inserted) != 0 {
+		t.Errorf("Get(%d) returned: %v, Insert(%d) returned: %v — under the splitting segment's locks", inOld, len(got) != 0, fresh, len(inserted) != 0)
+	}
+	close(release)
+	<-inserterFinished
+	if r := <-got; !r.ok || r.v != acked[inOld] {
+		t.Errorf("Get(%d) across the split = %d,%v want %d", inOld, r.v, r.ok, acked[inOld])
+	}
+	if err := <-inserted; err != nil {
+		t.Fatalf("Insert(%d) across the split: %v", fresh, err)
+	}
+	pk := tbl.probeU64(fresh)
+	if d := tbl.cache.route(pk.parts); d.seg != sibling {
+		t.Errorf("Insert(%d) routes to %#x after the split, want the sibling %#x", fresh, d.seg, sibling)
+	}
+	if kv, _, ok := mirSegSearch(tbl.vlog, mirrorOf(tbl, sibling), &pk, true); !ok || kv.Value != 99 {
+		t.Errorf("Insert(%d) is not in the sibling's half", fresh)
+	}
+	for k, want := range acked {
+		if v, ok := tbl.Get(k); !ok || v != want {
+			t.Fatalf("post-split Get(%d) = %d,%v want %d", k, v, ok, want)
+		}
+	}
+	requireVerified(t, tbl)
 }
 
 // TestMirrorRecordsNeverStraddleALine pins the layout every probe's cache
@@ -398,8 +467,7 @@ func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
 // rests on: on a live mirror the header words of buckets b and b+1 lie in one
 // cacheline for every even b, so a key's candidate pair costs one header
 // line (two adjacent ones for odd b). It also pins the mirror's size, which
-// core.segfilter_bytes and heap_mb are measured in, and that reset zeroes
-// every header and record word and leaves the claim alone.
+// core.segfilter_bytes and heap_mb are measured in.
 func TestMirrorHeaderPairsShareALine(t *testing.T) {
 	if segMirrorBytes != 16912 {
 		t.Fatalf("a mirror is %d bytes, want 16912: 66 × 32 B of headers, 66 × 14 × 16 B of records, the claim", segMirrorBytes)
@@ -417,7 +485,6 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 	})
 
 	mir := &segMirror{}
-	mir.setClaim(5, 0x13)
 	var words []*atomic.Uint64
 	for bi := 0; bi < totalBuckets; bi++ {
 		for off := 0; off < mirHdrWords; off++ {
@@ -429,17 +496,5 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 	}
 	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
 		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)
-	}
-	for _, w := range words {
-		w.Store(^uint64(0))
-	}
-	mir.reset()
-	for i, w := range words {
-		if w.Load() != 0 {
-			t.Fatalf("reset left word %d (at offset %d) nonzero", i, uintptr(unsafe.Pointer(w))-uintptr(unsafe.Pointer(mir)))
-		}
-	}
-	if mir.depth.Load() != 5 || mir.pattern.Load() != 0x13 {
-		t.Fatalf("reset changed the claim to (%d, %#x)", mir.depth.Load(), mir.pattern.Load())
 	}
 }

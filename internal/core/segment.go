@@ -257,8 +257,8 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 // touched bucket. Returns the number of records removed.
 //
 // Normal buckets are swept without a record read: known[bi] is the bucket's
-// drop-slot bitmap, computed by the split's copy scan and proven current by
-// the bucket versions (splitCopy). Stash records are read, from the mirror,
+// drop-slot bitmap, computed by the split's copy scan under the same locks
+// (splitCopy), so still current. Stash records are read, from the mirror,
 // and dropped when drop says so — each drop needs the record's hash to fix
 // its home bucket's overflow tracking.
 //

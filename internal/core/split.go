@@ -17,22 +17,18 @@ import (
 // publish has written the view through, so the next owner reads the claim
 // this split published. From the claim to the publish the owner is the only
 // goroutine that reads or writes the sibling; writers of oldSeg know nothing
-// of the split and tell it nothing — the bucket versions they bump anyway
-// carry the one bit it needs. The owner:
+// of the split and tell it nothing. The owner:
 //
 //  1. allocates and initializes the sibling, and persists the split-progress
 //     marker (sibling address | in-flight bit) into oldSeg's header — the
 //     point from which a crash rolls back by clearing the marker;
-//  2. copies the sibling's half of the records holding no lock of oldSeg
-//     (splitCopy) — readers and writers of all 66 buckets proceed —
-//     remembering the version each bucket was snapshotted under;
-//  3. publishes (splitPublish): the only stop-the-world step — under all
-//     bucket locks the copy is accepted if no bucket's version has moved and
-//     redone under the locks otherwise, the sibling is persisted with one
-//     flush+fence, the directory entries flip (doubling first if needed,
-//     both under dirMu), oldSeg's metadata bumps and its moved records are
-//     swept with one persist per bucket, and the directory cache is written
-//     through.
+//  2. under all of oldSeg's bucket locks, copies the sibling's half of the
+//     records into the sibling (splitCopy) — the paper's split;
+//  3. publishes (splitPublish), still under those locks: the sibling is
+//     persisted with one flush+fence, the directory entries flip (doubling
+//     first if needed, both under dirMu), oldSeg's metadata bumps and its
+//     moved records are swept with one persist per bucket, and the directory
+//     cache is written through.
 //
 // A crash before the first entry flip leaves the sibling unpublished:
 // recovery clears the marker and the block leaks. A crash after it leaves
@@ -80,14 +76,7 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	spa := oldSeg.Add(segOffSplit)
 	p.StoreU64(spa, uint64(newSeg)|splitStateInFlight)
 	p.Persist(spa, 8)
-
-	mstart := obs.Now()
-	sc := splitScanPool.Get().(*splitScan)
-	defer splitScanPool.Put(sc)
-	copied := t.splitCopy(old, sib, l, sc, false)
-	t.met.splitMigrateNS.Record(obs.Now() - mstart)
-	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
-	return t.splitPublish(old, sib, l, pat, sc, copied)
+	return t.splitPublish(old, sib, l, pat)
 }
 
 // splitRollback abandons an unpublished split: the marker is cleared and the
@@ -105,11 +94,8 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 }
 
 // splitScan is what splitCopy's scan of the old segment's mirror learned, kept
-// for the publish: per bucket the seqlock version its snapshot was stable
-// under — the copy stands iff every bucket reads ver[bi]+1 once the publish
-// holds the locks (+1 for the publish's own lock) — and per normal bucket the
-// bitmap of moved (sibling-claimed) slots, which the sweep then drops without
-// re-reading a record.
+// for the publish: per normal bucket the bitmap of moved (sibling-claimed)
+// slots, which the sweep then drops without re-reading a record.
 //
 // Instances are pooled: a split allocates nothing steady-state, so the
 // resize path adds no GC pressure (on small-core boxes, GC mark assists
@@ -117,7 +103,6 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 // themselves). The buffers are arrays sized for a full segment, so an
 // instance the pool dropped costs one allocation to replace, not a regrowth.
 type splitScan struct {
-	ver     [totalBuckets]uint64
 	moved   [normalBuckets]uint64
 	n       int // cand[:n] holds the scan's finds
 	cand    [slotsPerSegment]splitCand
@@ -127,7 +112,7 @@ type splitScan struct {
 var splitScanPool = sync.Pool{New: func() any { return new(splitScan) }}
 
 // splitCand is one sibling-claimed record the scan found: its two words as
-// snapshotted, its hash parts (read from the record words; the scan never
+// scanned, its hash parts (read from the record words; the scan never
 // dereferences blobs, which is what keeps split cost independent of record
 // size) and its place in the copy order — the destination home bucket, or
 // for a stash record its source bucket, which sorts after every home.
@@ -137,123 +122,80 @@ type splitCand struct {
 	group int
 }
 
-// splitCopy builds the sibling's half of old in the private sibling. Each of
-// the 66 source buckets is snapshotted from old's mirror seqlock-style (stable
-// version across the scan, like a reader's mirBucketSearch; splitScan keeps
-// the version) — the copy reads no PM line of old — and the sibling-claimed
-// records are inserted — normal-bucket records grouped by destination home
-// pair, then stash records in slot order — taking no
+// splitCopy builds the sibling's half of old in the private sibling. The
+// caller holds every bucket lock of old, so its mirror is frozen: the scan
+// reads each bucket's records from the mirror — no PM line of old — and the
+// sibling-claimed records are inserted — normal-bucket records grouped by
+// destination home pair, then stash records in slot order — taking no
 // sibling lock, nobody else can reach it, and persisting nothing: the publish
 // makes the whole sibling durable with one flush+fence before any directory
 // entry points at it, and a crash before that rolls it back wholesale.
-//
-// It runs first with no lock of old held (locked = false), writers mutating
-// old underneath it, so its result is only a candidate: splitPublish accepts
-// it iff no bucket's version moved. That is proof enough. Every mutation of a
-// segment holds the key's home-pair locks from before its first store to
-// after its last, so a bucket whose version reads ver+1 under the publish's
-// lock was neither locked nor changed since its snapshot — with one
-// exception that the scan order closes: a stash record is updated in place
-// under its *home* pair's locks, not the stash bucket's. The stash buckets
-// are therefore snapshotted last: an update later than the stash snapshot is
-// later than its home bucket's too, and moves that version. An untouched
-// version vector thus means the 66 snapshots were all of one state, the one
-// the publish has frozen.
-//
-// Otherwise splitPublish wipes the sibling and runs this again under all of
-// old's locks (locked = true: versions are odd, and stable by construction),
-// which is the paper's split. The version it validates against is the lock
-// word itself (bucket.go), so there is no second counter to keep in step with
-// the locks: "no writer held this bucket since the snapshot" and "the version
-// reads ver+1 under my lock" are one fact. Reports false when the sibling has
-// no room for a record. From the locked run that is the pathological one-sided overflow;
-// an unlocked run can see a record mid-displacement twice, so there it only
-// means this copy failed.
-func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan, locked bool) bool {
-	oldSeg, newSeg := old.seg, sib.seg
+// Reports false when the sibling has no room for a record: the pathological
+// one-sided overflow.
+func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
 
 	// Scan. It never mutates the old segment.
 	sc.n = 0
 	for bi := 0; bi < totalBuckets; bi++ {
-		ver := oldMir.word(bi, mirBkVersion)
-		for {
-			v := ver.Load()
-			if v&1 != 0 && !locked {
-				runtime.Gosched()
+		m := oldMir.word(bi, mirBkMeta).Load()
+		moved := uint64(0)
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			if !metaSlotUsed(m, slot) {
 				continue
 			}
-			m := oldMir.word(bi, mirBkMeta).Load()
-			n0 := sc.n
-			moved := uint64(0)
-			for slot := 0; slot < slotsPerBucket; slot++ {
-				if !metaSlotUsed(m, slot) {
-					continue
-				}
-				kv := oldMir.rec(bi, slot)
-				rp := recSplitParts(kv, t.seed)
-				if rp.DepthBit(l) {
-					moved |= 1 << uint(slot)
-					group := bi
-					if bi < normalBuckets {
-						group = int(rp.BucketIndex(bucketBits))
-					}
-					sc.cand[sc.n] = splitCand{kv: kv, rp: rp, group: group}
-					sc.n++
-				}
-			}
-			if ver.Load() == v {
-				sc.ver[bi] = v
+			kv := oldMir.rec(bi, slot)
+			rp := recSplitParts(kv, t.seed)
+			if rp.DepthBit(l) {
+				moved |= 1 << uint(slot)
+				group := bi
 				if bi < normalBuckets {
-					sc.moved[bi] = moved
+					group = int(rp.BucketIndex(bucketBits))
 				}
-				break
+				sc.cand[sc.n] = splitCand{kv: kv, rp: rp, group: group}
+				sc.n++
 			}
-			sc.n = n0 // torn snapshot; rescan this bucket
+		}
+		if bi < normalBuckets {
+			sc.moved[bi] = moved
 		}
 	}
 
 	// Copy, in group order (a stable counting sort: within a group records
 	// keep their scan order, bucket then slot).
 	cand := sc.cand[:sc.n]
-	var cnt [totalBuckets + 1]int
+	var pos [totalBuckets + 1]int
 	for _, c := range cand {
-		cnt[c.group+1]++
+		pos[c.group+1]++
 	}
 	for g := 1; g <= totalBuckets; g++ {
-		cnt[g] += cnt[g-1]
+		pos[g] += pos[g-1]
 	}
 	grouped := sc.grouped[:sc.n]
-	pos := cnt
 	for _, c := range cand {
 		grouped[pos[c.group]] = c
 		pos[c.group]++
 	}
-	for g := 0; g < totalBuckets; g++ {
-		for _, c := range grouped[cnt[g]:cnt[g+1]] {
-			if !t.segInsertLocked(newMir, newSeg, c.rp, c.kv, true) {
-				return false
-			}
-		}
-		if t.hookMidMigrate != nil {
-			t.hookMidMigrate(oldSeg, sib, g)
+	for _, c := range grouped {
+		if !t.segInsertLocked(newMir, sib.seg, c.rp, c.kv, true) {
+			return false
 		}
 	}
 	return true
 }
 
-// splitPublish is the split's only stop-the-world step, and it is short:
-// every bucket lock of oldSeg is taken (excluding writers and spinning out
-// optimistic readers), the unlocked copy is validated against the bucket
-// versions — and redone here, under the locks, if a writer got in its way —
-// the finished sibling becomes durable with a single whole-segment
-// flush+fence, the directory entries flip under dirMu (doubling first when
-// the segment's depth has caught up with the global depth), oldSeg's
-// metadata bumps together with the marker clear in one header persist, the
-// moved records are swept with one persist per touched bucket, and the DRAM
-// directory cache is written through — only then do the locks release. The
-// stall this window causes is accumulated in split.stall_ns.
-func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitScan, copied bool) error {
+// splitPublish is the split's only stop-the-world step: every bucket lock of
+// oldSeg is taken (excluding writers and spinning out optimistic readers),
+// the sibling's half is copied (splitCopy) — its one failure, a sibling with
+// no room, rolls the split back — the finished sibling becomes durable with a
+// single whole-segment flush+fence, the directory entries flip under dirMu
+// (doubling first when the segment's depth has caught up with the global
+// depth), oldSeg's metadata bumps together with the marker clear in one
+// header persist, the moved records are swept with one persist per touched
+// bucket, and the DRAM directory cache is written through — only then do the
+// locks release. The stall this window causes is accumulated in
+// split.stall_ns.
+func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
 	oldMir := t.mirror(old)
 	begin := time.Now()
@@ -269,21 +211,15 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 		t.met.splitPublishStallNS.Record(stall)
 	}()
 
-	for bi := 0; copied && bi < totalBuckets; bi++ {
-		copied = oldMir.word(bi, mirBkVersion).Load() == sc.ver[bi]+1
+	mstart := obs.Now()
+	sc := splitScanPool.Get().(*splitScan)
+	defer splitScanPool.Put(sc)
+	if !t.splitCopy(old, sib, l, sc) {
+		t.splitRollback(old, sib)
+		return ErrSegmentOverflow
 	}
-	if !copied {
-		// A writer touched old during the copy (or the copy ran out of
-		// room on a torn view). Start the sibling over and copy the state
-		// the locks now freeze; only this run's "no room" is the truth.
-		t.met.splitRecopies.Inc()
-		segInit(p, newSeg, l+1, pat<<1|1)
-		sib.mir.Load().reset()
-		if !t.splitCopy(old, sib, l, sc, true) {
-			t.splitRollback(old, sib)
-			return ErrSegmentOverflow
-		}
-	}
+	t.met.splitMigrateNS.Record(obs.Now() - mstart)
+	t.fr.Record(obs.EvSplitMigrate, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 
 	// One flush+fence for the whole sibling replaces per-record persists.
 	segPersist(p, newSeg)
@@ -328,10 +264,10 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64, sc *splitSc
 	p.StoreU64(oldSeg.Add(segOffSplit), 0)
 	segSetMeta(p, oldSeg, l+1, pat<<1)
 	oldMir.setClaim(l+1, pat<<1)
-	// The copy this publish accepted (or made) snapshotted the frozen state,
-	// so its moved-slot bitmaps are exact: normal buckets sweep by bitmap
-	// alone, and only the stash is re-read (each stash drop needs the
-	// record's hash to fix its home bucket's overflow tracking).
+	// The copy scanned the state the locks froze, so its moved-slot bitmaps
+	// are exact: normal buckets sweep by bitmap alone, and only the stash is
+	// re-read (each stash drop needs the record's hash to fix its home
+	// bucket's overflow tracking).
 	segSweepBatched(p, oldMir, oldSeg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
 		return rp.DepthBit(l)
 	}, sc.moved[:])

@@ -54,7 +54,8 @@ type TableStats struct {
 	// SegFilterBypass, SegFilterHeals and SplitAssists name nothing and are
 	// always 0: every read has a mirror, nothing at run time heals a mirror
 	// from PM (Table.Verify is the check), and writers do nothing for an
-	// in-flight split (split.recopies is what a racing writer costs).
+	// in-flight split (a writer of the splitting segment waits out its
+	// publish on the bucket locks).
 	SegFilterBypass, SegFilterHeals, SplitAssists uint64
 }
 

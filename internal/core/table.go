@@ -43,14 +43,10 @@ import (
 //   - Segment splits are per-segment and concurrent: ownership is claimed by
 //     CAS on the segment's DRAM descriptor (the PM split-state word is only
 //     the persistent split-progress marker), so splits of distinct segments
-//     proceed in parallel. The owner copies the sibling's half into a
-//     sibling nobody else can reach, holding none of the old segment's
-//     locks: readers and writers proceed normally and never look at the
-//     split state — a writer's part in the protocol is the bucket versions
-//     its locks bump anyway. The only stop-the-world moment is the short
-//     publish step: all bucket locks are taken, the copy stands if no
-//     bucket version moved since it was snapshotted and is redone under the
-//     locks otherwise, the fully-built sibling is persisted with one
+//     proceed in parallel. Readers and writers never look at the split
+//     state. The only stop-the-world moment is the publish step: all bucket
+//     locks are taken, the sibling's half is copied into a sibling nobody
+//     else can reach, the fully-built sibling is persisted with one
 //     flush+fence, the directory entries flip, the old segment's metadata
 //     bumps, moved records are swept with one persist per bucket, and the
 //     directory cache is written through — then everything unlocks.
@@ -162,13 +158,6 @@ type Table struct {
 	reg *obs.Registry
 	fr  *obs.Flight
 	met meters
-
-	// hookMidMigrate is a test hook fired after each copied group of either
-	// copy run of a split (splitCopy): the copy issues no flush, so a test
-	// that pauses or perturbs it has no flush to recognise it by. Crash
-	// tests need no hook: every persist step is a Flush, and
-	// pmem.Pool.SetFlushHook sees each one with its range.
-	hookMidMigrate func(seg pmem.Addr, sib *segDesc, bucket int)
 }
 
 type freeSpan struct {
