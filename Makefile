@@ -18,11 +18,13 @@ race:
 
 # race-split repeats the tests that race writers and readers against segment
 # splits — the locked copy and publish, rollback, splits of distinct segments
-# in parallel, a second claimant against a publish in flight — five times
+# in parallel, a second claimant against a publish in flight — and the ones
+# that crash what a split's DRAM-only sweep leaves in PM (an insert into a
+# stale slot, a first touch after a clean reopen, a second split) five times
 # under the race detector: a split's interleavings are timing, and one pass
 # of `race` samples few of them.
 race-split:
-	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant' ./internal/core
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean' ./internal/core
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -84,6 +84,19 @@ type equivCell struct {
 //     −10 frontier stores, because 10 more appends found a freed span of
 //     their class (free-list hits 320 → 330, bumps 213 → 203); the same 10
 //     bumps are the fences 1 279 → 1 269.
+//
+// The two u64 cells were re-pinned when a split's sweep of its moved half
+// became DRAM-only (core's segDrop) and an insert into a slot the sweep left
+// set in PM began persisting its bucket's meta word first; counts and reads
+// did not move, and the persist-first step charges no line of its own:
+//
+//   - balanced (8 splits, 502 persist-first steps in
+//     bucket.stale_meta_persists). Writes 10 339 → 9 811: −8 × 66 sweep meta
+//     words. Flushed lines 12 952 → 12 926: −528 sweep flushes, +502. Fences
+//     10 318 → 10 812: −8 sweep fences, +502.
+//   - delete-heavy (no split while measured; 4 persist-first steps in buckets
+//     the preload's splits left behind). Flushed lines and fences 7 545 →
+//     7 549; writes unchanged.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -114,12 +127,12 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 10339, FlushedLines: 12952, Fences: 10318},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 9811, FlushedLines: 12926, Fences: 10812},
 	},
 	{
 		mix:    "delete-heavy",
 		counts: Counts{Preloaded: 4096, InsertOK: 2711, ReadHit: 1531, ReadMiss: 1249, DeleteOK: 3069, DeleteNF: 2440},
-		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 6853, FlushedLines: 7545, Fences: 7545},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 6853, FlushedLines: 7549, Fences: 7549},
 	},
 	{
 		mix:    "var-ycsb-b",

@@ -219,19 +219,37 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 // line is flushed leaves the slot invisible, a crash after leaves the whole
 // record durable (§4.1 insert ordering).
 //
-// persist=false skips both persists: the mode for building an *unpublished*
+// The slot is the mirror's lowest free one, and it may still be set in PM: a
+// drop (segDrop) clears slots in the mirror alone. No record is stored under
+// a committed bit, so then the bucket's meta word — the mirror's, which has
+// the bit clear — is persisted first. That store pays for the header line,
+// which the insert stores to anyway, so the line is charged once and the
+// detour costs one flush and one fence (bucket.stale_meta_persists).
+//
+// persist=false skips every persist: the mode for building an *unpublished*
 // split sibling, whose durability comes from one whole-segment flush+fence
 // right before the directory publishes it — a crash before that point rolls
 // the whole sibling back, so nothing written into it needs individual
-// ordering.
+// ordering — and whose mirror, new, remembers no PM word.
 // All mutators below write through to the segment mirror after mutating PM;
 // the caller's lock holds the bucket's version odd, so the store order within
 // the window is immaterial.
-func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) bool {
+func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) bool {
+	p := t.pool
 	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
 	if slot < 0 {
 		return false
+	}
+	var pm uint64 // PM's meta word where a drop left it behind, else 0
+	if persist {
+		pm = mir.pmMeta[bi].Load()
+	}
+	hdrPaid := metaSlotUsed(pm, slot)
+	if hdrPaid {
+		p.StoreU64(b.Add(bkOffMeta), m)
+		p.Persist(b.Add(bkOffMeta), 8)
+		t.filters.stalePersists.Inc()
 	}
 	ra := recordAddr(b, slot)
 	// Value first, then key (a torn observation under a stale version never
@@ -241,15 +259,15 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 	// unpublished split sibling — every store is quiet: the sibling's lines
 	// are charged wholesale by the publish's one flush+fence per line, which
 	// is also when they actually reach media.
-	storeWord(p, ra.Add(8), kv.Value, persist)
+	storeWord(p, ra.Add(8), kv.Value, persist && (slot >= 2 || !hdrPaid))
 	p.QuietStoreU64(ra, kv.Key)
 	if persist {
 		p.Persist(ra, pmem.RecordSize)
 	}
 	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
 	// The header line is a second line unless the record went into slot 0
-	// or 1, which live in it.
-	storeWord(p, b.Add(bkOffFPLo), lo, persist && slot >= 2)
+	// or 1, which live in it, or the stale-slot detour has paid for it.
+	storeWord(p, b.Add(bkOffFPLo), lo, persist && slot >= 2 && !hdrPaid)
 	m = metaSetSlot(m, slot)
 	p.QuietStoreU64(b.Add(bkOffFPHi), hi)
 	p.QuietStoreU64(b.Add(bkOffMeta), m)
@@ -257,6 +275,9 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 	// flush makes the publish atomic at crash granularity.
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 24)
+		if pm != 0 {
+			mir.pmMeta[bi].Store(0)
+		}
 	}
 	mir.recWord(bi, slot, 1).Store(kv.Value)
 	mir.recWord(bi, slot, 0).Store(kv.Key)
@@ -274,6 +295,7 @@ func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot 
 	storeWord(p, b.Add(bkOffMeta), m, persist)
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
+		mir.metaPersisted(bi)
 	}
 	mir.word(bi, mirBkMeta).Store(m)
 }
@@ -294,6 +316,7 @@ func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp u
 		p.QuietStoreU64(b.Add(bkOffMeta), m)
 		if persist {
 			p.Persist(b.Add(bkOffMeta), 24)
+			mir.metaPersisted(bi)
 		}
 		mir.word(bi, mirBkFPHi).Store(hi)
 		mir.word(bi, mirBkMeta).Store(m)
@@ -303,6 +326,7 @@ func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp u
 	storeWord(p, b.Add(bkOffMeta), m, persist)
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
+		mir.metaPersisted(bi)
 	}
 	mir.word(bi, mirBkMeta).Store(m)
 }
@@ -318,6 +342,7 @@ func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, tr
 	}
 	p.StoreU64(b.Add(bkOffMeta), nm)
 	p.Persist(b.Add(bkOffMeta), 8)
+	mir.metaPersisted(bi)
 	mir.word(bi, mirBkMeta).Store(nm)
 }
 

@@ -109,11 +109,14 @@ type crashCase struct {
 	prefix []fuzzOp
 	last   fuzzOp
 	arm    func(tbl *Table) // if set, runs on each table between prefix and last
+	reopen bool             // if set, each table is closed and opened again after arm, before last
 	check  func(tbl *Table) // if set, gets each crash point's reopened table, closed
 }
 
 // crashAtEveryFlush crashes c.last at each of its flushes. For k = 1, 2, …
-// it replays c.prefix on a fresh table and runs c.last with the power cut at
+// it replays c.prefix on a fresh table (closed and reopened if c.reopen asks,
+// which leaves every segment to c.last's first touch under withLazyGates)
+// and runs c.last with the power cut at
 // its k-th flush: that flush and every later one panics before it copies a
 // line, so nothing the unwinding op flushes reaches media. Each image goes
 // through verifyCrashPoint with c.last in flight, then c.check. The first k
@@ -139,6 +142,12 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 		}
 		if c.arm != nil {
 			c.arm(tbl)
+		}
+		if c.reopen {
+			tbl.Close()
+			if tbl, err = Open(pool); err != nil {
+				t.Fatal(err)
+			}
 		}
 		flushes := 0
 		pool.SetFlushHook(func(pmem.Addr, uint64) {
@@ -170,12 +179,14 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 // a table of InitialDepth 1 inserts the keys next yields (asked once per
 // insert, with the dry-run table) up to the first whose insert carries a
 // split that want accepts, given the global depth before the insert and the
-// local depth of the segment the key routed to; growth
+// local depth of the segment the key routed to, and whether that segment's
+// mirror remembered a PM meta word — a drop an earlier split left; growth
 // on one goroutine is deterministic, so a fresh table given the inserts
 // before it as a prefix splits the same way at the same insert. That insert
-// is crashed at each of its flushes — at least 70: the marker, the sibling,
-// the publish, the header, one per swept bucket and the retried insert's.
-func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8) bool) {
+// is crashed at each of its flushes — at least 7: the allocator's frontier,
+// the marker, the sibling, an entry flip, the header and the retried insert's
+// record and header (the sweep of the moved half flushes nothing).
+func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8, remembered bool) bool) {
 	t.Helper()
 	t.Parallel()
 	opt := Options{InitialDepth: 1}
@@ -186,17 +197,18 @@ func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table,
 		k := next(dry)
 		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
 		g0, splits := dry.GlobalDepth(), dry.met.splits.Total()
-		l0 := uint8(dry.cache.route(dry.parts(k)).mir.Load().depth.Load())
+		mir := dry.cache.route(dry.parts(k)).mir.Load()
+		l0, remembered := uint8(mir.depth.Load()), remembersPM(mir)
 		if err := applyCrashOp(dry, op); err != nil {
 			t.Fatalf("dry run: %v", err)
 		}
-		if dry.met.splits.Total() == splits || !want(dry, g0, l0) {
+		if dry.met.splits.Total() == splits || !want(dry, g0, l0, remembered) {
 			prefix = append(prefix, op)
 			continue
 		}
 		_, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op})
-		if points < 70 {
-			t.Fatalf("the splitting insert issued %d flushes, want >= 70", points)
+		if points < 7 {
+			t.Fatalf("the splitting insert issued %d flushes, want >= 7", points)
 		}
 		t.Logf("crashed the splitting insert, after %d inserts, at each of its %d flushes", len(prefix), points)
 		return
@@ -223,8 +235,19 @@ func prefix0(_ *Table, p hashfn.Parts) bool { return p.DirIndex(1) == 0 }
 
 // doubles and keepsDepth are want functions for crashSplitRow: the split
 // doubled the directory, or it did not.
-func doubles(tbl *Table, g0, _ uint8) bool    { return tbl.GlobalDepth() > g0 }
-func keepsDepth(tbl *Table, g0, _ uint8) bool { return tbl.GlobalDepth() == g0 }
+func doubles(tbl *Table, g0, _ uint8, _ bool) bool    { return tbl.GlobalDepth() > g0 }
+func keepsDepth(tbl *Table, g0, _ uint8, _ bool) bool { return tbl.GlobalDepth() == g0 }
+
+// remembersPM reports whether any bucket of mir remembers a PM meta word: a
+// drop left PM behind the mirror there.
+func remembersPM(mir *segMirror) bool {
+	for bi := range mir.pmMeta {
+		if mir.pmMeta[bi].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // TestCrashBeforePublish crashes the first split of a one-bit directory —
 // the split that doubles it — at every flush: before the publish (the
@@ -317,5 +340,82 @@ func TestCrashMidPublish(t *testing.T) {
 			return p.DirIndex(2) == 0
 		}
 		return p.DirIndex(1) == 1
-	}), func(tbl *Table, g0, l0 uint8) bool { return g0-l0 >= 2 && tbl.GlobalDepth() == g0 })
+	}), func(tbl *Table, g0, l0 uint8, _ bool) bool { return g0-l0 >= 2 && tbl.GlobalDepth() == g0 })
+}
+
+// TestCrashStaleSlotInsert crashes, at every flush, the first insert after a
+// split into a slot the publish left set in PM: the persist of the bucket's
+// meta word that clears the slot's bit, then the insert's record and header
+// persists. Had the record gone in first, a crash after its flush would
+// leave it under the moved record's committed bit and fingerprint.
+func TestCrashStaleSlotInsert(t *testing.T) {
+	opt := Options{InitialDepth: 1}
+	dry := newTestTable(t, 2<<20, opt)
+	defer dry.Close()
+	prefix := insertThroughSplit(t, dry)
+	k, bi, slot, ok := staleSlotKey(dry, rememberingSegment(t, dry), 1<<40)
+	if !ok {
+		t.Fatal("no insert after the split lands in a stale slot")
+	}
+	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: fuzzOp{kind: 'i', id: k, val: k*3 + 1}})
+	if points != 3 {
+		t.Fatalf("the insert into stale slot %d of bucket %d issued %d flushes, want 3: meta word, record, header", slot, bi, points)
+	}
+	if n := done.filters.stalePersists.Total(); n != 1 {
+		t.Fatalf("the completed insert counted %d stale meta persists, want 1", n)
+	}
+}
+
+// TestCrashFirstTouchAfterCleanReopen: a split, a clean Close and an Open,
+// then an insert that is the old segment's first touch — whose route filter
+// drops the moved records the split left in PM from the new mirror, storing
+// nothing — and lands in one of their slots, crashed at every flush. The
+// completed run must verify too: a clean image skips the crash sweeps, not
+// the route filter, and a record the filter kept would sit in a segment that
+// does not claim it.
+func TestCrashFirstTouchAfterCleanReopen(t *testing.T) {
+	withLazyGates(t)
+	opt := Options{InitialDepth: 1}
+	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dry, err := Create(pool, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := insertThroughSplit(t, dry)
+	dry.Close()
+	dry = openTestTable(t, pool)
+	dry.RecoverAll()
+	k, _, _, ok := staleSlotKey(dry, rememberingSegment(t, dry), 1<<40)
+	if !ok {
+		t.Fatal("no insert after the clean reopen lands in a slot the route filter dropped")
+	}
+	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: fuzzOp{kind: 'i', id: k, val: k*3 + 1}, reopen: true})
+	if points != 3 {
+		t.Fatalf("the first touch and its insert issued %d flushes, want 3: meta word, record, header", points)
+	}
+	done.RecoverAll()
+	if err := done.Verify(); err != nil {
+		t.Fatalf("the completed first touch: %v", err)
+	}
+	if st := done.Stats(); st.Records != done.Count() {
+		t.Fatalf("Stats walks %d records, Count is %d", st.Records, done.Count())
+	}
+}
+
+// TestCrashSecondSplitRemembered crashes, at every flush, the second split of
+// a segment whose buckets still remember the PM meta words its first split
+// left: after the first split the prefix inserts only keys of the old
+// segment's bucket 0, so the pair (0, 1) and the stash fill and split it
+// again while its other buckets have not been written since. Its drop must
+// keep the older remembered words, which are what PM holds.
+func TestCrashSecondSplitRemembered(t *testing.T) {
+	crashSplitRow(t, keysWhere(func(tbl *Table, p hashfn.Parts) bool {
+		if tbl.GlobalDepth() < 2 {
+			return p.DirIndex(1) == 0
+		}
+		return p.DirIndex(2) == 0 && p.BucketIndex(bucketBits) == 0
+	}), func(_ *Table, _, _ uint8, remembered bool) bool { return remembered })
 }

@@ -26,10 +26,13 @@ import (
 // dead blobs in small batches under epoch guards.
 //
 // After a *clean* shutdown (Close persisted the root's clean marker) the
-// per-segment sweeps and the count derivation are skipped entirely — the
-// image is reconciled by construction — but first touch still installs the
-// segment's mirror and contributes its blob references, and the background
-// pass still runs to rebuild the record log's DRAM free list.
+// duplicate and ghost sweeps and the count derivation are skipped — the image
+// holds neither, and the root holds the count — but first touch still
+// installs the segment's mirror, drops by route the records splits moved
+// away (a split removes them from the old segment's mirror only, so every
+// image, clean or not, can hold them), and contributes its blob references,
+// and the background pass still runs to rebuild the record log's DRAM free
+// list.
 
 // A descriptor's first-touch claim (segDesc.rec): who recovers the segment,
 // and whether that is over. Done is the zero value: segments created after
@@ -46,7 +49,7 @@ const (
 // Table drops its pointer once the background pass finishes, restoring the
 // ungated hot path.
 type lazyRecovery struct {
-	clean  bool        // clean-shutdown image: skip sweeps and count derivation
+	clean  bool        // clean-shutdown image: skip the crash sweeps and count derivation
 	g      uint8       // global depth at Open
 	fixed  []pmem.Addr // reconciled directory image at Open, for misroute checks
 	openAt int64       // obs.Now() at Open, base of time-to-fully-recovered
@@ -285,6 +288,12 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 // like any other: they read the mirror and store to both. It goes into the
 // descriptor last: storing it is what opens the segment to operations
 // (Table.mirror).
+//
+// The route filter runs on every image: it drops each record the directory
+// routes elsewhere — the moved half a split left in PM, and on a crash image
+// a half-published split's leftovers — from the mirror alone (segDrop, as
+// the publish does), storing nothing. The duplicate and ghost sweeps, which
+// only a crash can make work for, persist their deletes.
 func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	p, seg := t.pool, d.seg
 	start := obs.Now()
@@ -295,10 +304,17 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	}
 	mirDone := obs.Now()
 
+	var misrouted [totalBuckets]uint64
+	for bi := 0; bi < totalBuckets; bi++ {
+		m := mir.word(bi, mirBkMeta).Load()
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			if metaSlotUsed(m, slot) && lr.fixed[recSplitParts(mir.rec(bi, slot), t.seed).DirIndex(lr.g)] != seg {
+				misrouted[bi] |= 1 << uint(slot)
+			}
+		}
+	}
+	segDrop(mir, t.seed, &misrouted, false)
 	if !lr.clean {
-		t.segSweep(mir, seg, func(rp hashfn.Parts, _ pmem.KV) bool {
-			return lr.fixed[rp.DirIndex(lr.g)] != seg
-		})
 		t.dedupeSegment(seg, mir)
 		t.sweepStashGhosts(seg, mir)
 		t.count.Add(int64(segCount(mir)))

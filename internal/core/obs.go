@@ -118,6 +118,7 @@ func (t *Table) initObs() {
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
 	// The bucket locks live in the mirrors: acquisitions that had to wait.
 	t.filters.lockContended = reg.Counter("bucket.lock_contended")
+	t.filters.stalePersists = reg.Counter("bucket.stale_meta_persists")
 
 	// Splits: lifecycle counters and phase-duration histograms.
 	t.met.splits = reg.Counter("split.completed")

@@ -44,9 +44,13 @@ import (
 //
 //   - write-through from every mutator (insert, delete, in-place and
 //     copy-on-write update, displacement, stash spill and untrack, the
-//     publish sweep, the split metadata bump, recovery's sweeps), all inside
-//     the bucket's lock with the version odd. No mutator has a mirror-less
-//     form: the mirror is built before the first of them can run;
+//     split metadata bump, recovery's duplicate and ghost sweeps), all
+//     inside the bucket's lock with the version odd. No mutator has a
+//     mirror-less form: the mirror is built before the first of them can
+//     run. The one mirror change PM does not take is a drop (segDrop: the
+//     publish's sweep of the moved half, recovery's route filter), which
+//     clears slots in DRAM alone; the bucket remembers the PM meta word it
+//     left behind (pmMeta) until its next persisted meta store;
 //   - a split's sibling gets its mirror when it gets its block, and the
 //     split's copy — the only writer an unpublished sibling has, so it
 //     takes no lock and the versions stay even — writes every insert
@@ -89,6 +93,7 @@ const (
 type segMirror struct {
 	hdr     [totalBuckets][mirHdrWords]atomic.Uint64
 	recs    [totalBuckets * slotsPerBucket][2]atomic.Uint64 // a record's word 0 and word 1
+	pmMeta  [totalBuckets]atomic.Uint64                     // per bucket, the PM meta word a DRAM-only drop left behind; 0: PM's is the mirror's
 	depth   atomic.Uint64                                   // mirror of the segment header's local depth
 	pattern atomic.Uint64                                   // mirror of the segment header's pattern
 }
@@ -109,6 +114,33 @@ func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
 // validates its version.
 func (m *segMirror) rec(bi, slot int) pmem.KV {
 	return pmem.KV{Key: m.recWord(bi, slot, 0).Load(), Value: m.recWord(bi, slot, 1).Load()}
+}
+
+// dropMeta is the DRAM-only meta store of a drop (segDrop): bucket bi's
+// mirror meta becomes nm and PM keeps its word, which the mirror remembers
+// unless it already remembers one — then PM has not moved since. A drop only
+// clears slot bits and overflow tracking, so the word it changes has a bit
+// set and the remembered word is never 0. The caller holds the bucket's lock
+// or owns the segment.
+func (m *segMirror) dropMeta(bi int, nm uint64) {
+	w := m.word(bi, mirBkMeta)
+	old := w.Load()
+	if old == nm {
+		return
+	}
+	if m.pmMeta[bi].Load() == 0 {
+		m.pmMeta[bi].Store(old)
+	}
+	w.Store(nm)
+}
+
+// metaPersisted forgets bucket bi's remembered PM meta word once a persisted
+// store of the mirror's meta word — every meta store a bucket mutator makes
+// (bucket.go) — is durable: PM equals the mirror again.
+func (m *segMirror) metaPersisted(bi int) {
+	if m.pmMeta[bi].Load() != 0 {
+		m.pmMeta[bi].Store(0)
+	}
 }
 
 // setClaim writes the segment header's (depth, pattern) through to the
@@ -144,6 +176,7 @@ type segFilters struct {
 	misses *obs.Counter // reads whose claim or route check failed: repaired, then retried
 
 	lockContended *obs.Counter // bucket-lock acquisitions that found the bucket taken
+	stalePersists *obs.Counter // inserts that persisted their bucket's meta first: the slot was still set in PM
 }
 
 // newMirror returns a zeroed mirror — every bucket unlocked — carrying the

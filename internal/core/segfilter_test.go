@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -467,11 +468,32 @@ func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
 // rests on: on a live mirror the header words of buckets b and b+1 lie in one
 // cacheline for every even b, so a key's candidate pair costs one header
 // line (two adjacent ones for odd b). It also pins the mirror's size, which
-// core.segfilter_bytes and heap_mb are measured in.
+// core.segfilter_bytes is measured in, and the allocator size class it is
+// served from, which heap_mb is: 17 440 bytes, in the 18 432-byte class (the
+// remembered PM meta words, 528 bytes, fit in what rounding to it wasted).
 func TestMirrorHeaderPairsShareALine(t *testing.T) {
-	if segMirrorBytes != 16912 {
-		t.Fatalf("a mirror is %d bytes, want 16912: 66 × 32 B of headers, 66 × 14 × 16 B of records, the claim", segMirrorBytes)
+	if segMirrorBytes != 17440 {
+		t.Fatalf("a mirror is %d bytes, want 17440: 66 × 32 B of headers, 66 × 14 × 16 B of records, 66 remembered PM meta words, the claim", segMirrorBytes)
 	}
+	const class = 18432
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ci := 0 // the smallest size class a mirror fits
+	for ci < len(before.BySize)-1 && uint64(before.BySize[ci].Size) < segMirrorBytes {
+		ci++
+	}
+	if got := before.BySize[ci].Size; got != class || uint64(got) < segMirrorBytes {
+		t.Fatalf("a %d-byte mirror is served from the %d-byte size class, want the %d-byte one", segMirrorBytes, got, class)
+	}
+	held := make([]*segMirror, 64)
+	for i := range held {
+		held[i] = &segMirror{}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.BySize[ci].Mallocs - before.BySize[ci].Mallocs; n < uint64(len(held)) {
+		t.Fatalf("%d mirrors allocated, but the %d-byte class counted %d allocations", len(held), class, n)
+	}
+	runtime.KeepAlive(held)
 	line := func(w *atomic.Uint64) uintptr { return uintptr(unsafe.Pointer(w)) / pmem.CachelineSize }
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 3})
 	defer tbl.Close()
@@ -493,6 +515,7 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			words = append(words, mir.recWord(bi, slot, 0), mir.recWord(bi, slot, 1))
 		}
+		words = append(words, &mir.pmMeta[bi])
 	}
 	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
 		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)

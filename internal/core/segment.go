@@ -141,10 +141,10 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
 	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
-		return bucketInsertLocked(p, mir, ba, b, parts.FP, kv, persist)
+		return t.bucketInsertLocked(mir, ba, b, parts.FP, kv, persist)
 	}
 	if f2 > 0 {
-		return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+		return t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
 	}
 
 	// Displacement: make room in the probing bucket b2 by moving one of its
@@ -164,7 +164,7 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
-				bucketInsertLocked(p, mir, b3a, b3, vp.FP, vict, persist)
+				t.bucketInsertLocked(mir, b3a, b3, vp.FP, vict, persist)
 				bucketDeleteLocked(p, mir, b2a, b2, slot, persist)
 				displaced = true
 			}
@@ -173,7 +173,7 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 			unlockBucket(mir, b3)
 		}
 		if displaced {
-			return bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+			return t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
 		}
 	}
 
@@ -186,7 +186,7 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 		if !private {
 			t.lockBucket(mir, normalBuckets+j)
 		}
-		ok := bucketInsertLocked(p, mir, sa, normalBuckets+j, parts.FP, kv, persist)
+		ok := t.bucketInsertLocked(mir, sa, normalBuckets+j, parts.FP, kv, persist)
 		if !private {
 			unlockBucket(mir, normalBuckets+j)
 		}
@@ -218,11 +218,11 @@ func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, l
 	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked)
 }
 
-// segSweep deletes every record for which drop returns true, fixing stash
-// tracking metadata as it goes, and returns the number of records removed.
-// Recovery's pass: the caller owns the whole segment (its first-touch gate)
-// and has built mir from it, so like every mutator it reads the mirror and
-// stores to both.
+// segSweep deletes every record for which drop returns true, persisted,
+// fixing stash tracking metadata as it goes, and returns the number of records
+// removed. Recovery's duplicate sweep (dedupeSegment): the caller owns the
+// whole segment (its first-touch gate) and has built mir from it, so like
+// every mutator it reads the mirror and stores to both.
 func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.Parts, kv pmem.KV) bool) int {
 	removed := 0
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -248,77 +248,52 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 	return removed
 }
 
-// segSweepBatched removes a split's moved records with one header store +
-// flush per *bucket* instead of per record, plus a single fence at the end —
-// the persist-batched sweep the split publish runs while it holds every
-// bucket lock. Only allocation bitmaps and overflow-tracking metadata change
-// (all packed in the bucket meta words); dropping a bucket's records and
-// untracking its stash spills therefore coalesce into one persisted word per
-// touched bucket. Returns the number of records removed.
+// segDrop removes the slots drops names (per bucket, a slot bitmap) from the
+// segment's mirror alone: the split publish's sweep of its moved half and
+// recovery's route filter. It stores nothing to PM. A bucket it changes keeps
+// its PM meta word, which the mirror remembers (dropMeta) until the bucket's
+// next persisted meta store, and each dropped record stays in PM under its
+// set bit — a stale slot — until then. Both callers drop only records the
+// directory routes to another segment, and routing only narrows (a split
+// hands a segment's keys to a sibling, nothing ever hands them back), so a
+// stale slot always holds a record the segment does not claim: recovery's
+// route filter, which runs on every image, drops it again, and an insert
+// never reuses it before a meta word with its bit clear is durable
+// (bucketInsertLocked).
 //
-// Normal buckets are swept without a record read: known[bi] is the bucket's
-// drop-slot bitmap, computed by the split's copy scan under the same locks
-// (splitCopy), so still current. Stash records are read, from the mirror,
-// and dropped when drop says so — each drop needs the record's hash to fix
-// its home bucket's overflow tracking.
-//
-// The drop decision is computed for all records first and applied per meta
-// word, so drop must not depend on sweep order (the split publish's
-// depth-bit predicate does not).
-func segSweepBatched(p *pmem.Pool, mir *segMirror, seg pmem.Addr, seed uint64, drop func(parts hashfn.Parts, kv pmem.KV) bool, known []uint64) int {
-	var metas [totalBuckets]uint64 // stack-sized: the sweep allocates nothing
-	var dirty [totalBuckets]bool
+// untrack also removes each dropped stash record from its home bucket's
+// overflow tracking, in the home's mirror meta — the publish's case, which
+// drops from an exact mirror. Recovery passes false: a stale stash slot
+// outlives the publish that dropped it, and the home's PM word may already
+// have stopped tracking it (a persisted store of the home's mirror meta), so
+// untracking it again could strip the cover of a live record that shares its
+// fingerprint and stash bucket, or a count unit. Left alone, a home that
+// still tracks it over-approximates — the state a crash between a stash
+// delete and its untrack leaves, which a probe pays for with at most a stash
+// scan.
+func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64, untrack bool) {
 	for bi := 0; bi < totalBuckets; bi++ {
-		metas[bi] = mir.word(bi, mirBkMeta).Load()
-	}
-	removed := 0
-	for bi := 0; bi < normalBuckets; bi++ {
-		if drops := known[bi] & metas[bi] & slotMask; drops != 0 {
-			metas[bi] &^= drops
-			dirty[bi] = true
-			removed += bits.OnesCount64(drops)
-		}
-	}
-	for bi := normalBuckets; bi < totalBuckets; bi++ {
-		m := metas[bi] // pre-sweep snapshot: iterate original occupancy
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
-			kv := mir.rec(bi, slot)
-			parts := recSplitParts(kv, seed)
-			if !drop(parts, kv) {
-				continue
-			}
-			metas[bi] = metaClearSlot(metas[bi], slot)
-			dirty[bi] = true
-			// Fix the home bucket's overflow tracking in its *buffered* meta
-			// word — searching the buffer (not the mirror) keeps two
-			// same-fingerprint drops from resolving to the same tracking
-			// slot. The hi word (stash indexes) never changes during a
-			// sweep, so the mirror's is exact.
-			home := int(parts.BucketIndex(bucketBits))
-			hhi := mir.word(home, mirBkFPHi).Load()
-			if ts := metaFindTracked(metas[home], hhi, parts.FP, bi-normalBuckets); ts >= 0 {
-				metas[home] = metaClearOvFP(metas[home], ts)
-			} else {
-				metas[home] = metaAddOvCount(metas[home], -1)
-			}
-			dirty[home] = true
-			removed++
-		}
-	}
-	for bi := 0; bi < totalBuckets; bi++ {
-		if !dirty[bi] {
+		m := mir.word(bi, mirBkMeta).Load()
+		d := drops[bi] & m & slotMask
+		if d == 0 {
 			continue
 		}
-		a := segBucket(seg, bi).Add(bkOffMeta)
-		p.StoreU64(a, metas[bi]) // the sweep's one store to this header line
-		mir.word(bi, mirBkMeta).Store(metas[bi])
-		p.Flush(a, 8)
+		mir.dropMeta(bi, m&^d)
+		if !untrack || bi < normalBuckets {
+			continue
+		}
+		for ; d != 0; d &= d - 1 {
+			parts := recSplitParts(mir.rec(bi, bits.TrailingZeros64(d)), seed)
+			home := int(parts.BucketIndex(bucketBits))
+			hm := mir.word(home, mirBkMeta).Load()
+			if ts := metaFindTracked(hm, mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets); ts >= 0 {
+				hm = metaClearOvFP(hm, ts)
+			} else {
+				hm = metaAddOvCount(hm, -1)
+			}
+			mir.dropMeta(home, hm)
+		}
 	}
-	p.Fence()
-	return removed
 }
 
 // segCount returns the number of live records (allocation bitmap popcount).

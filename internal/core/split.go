@@ -26,14 +26,17 @@ import (
 //     records into the sibling (splitCopy) — the paper's split;
 //  3. publishes (splitPublish), still under those locks: the sibling is
 //     persisted with one flush+fence, the directory entries flip (doubling
-//     first if needed, both under dirMu), oldSeg's metadata bumps and its
-//     moved records are swept with one persist per bucket, and the directory
-//     cache is written through.
+//     first if needed, both under dirMu), oldSeg's metadata bumps, its moved
+//     records are dropped from its mirror — PM keeps them, under bits only
+//     the next persisted meta store of their bucket clears (segDrop) — and
+//     the directory cache is written through.
 //
 // A crash before the first entry flip leaves the sibling unpublished:
 // recovery clears the marker and the block leaks. A crash after it leaves
-// the directory image authoritative: recovery completes the flips, fixes
-// metadata and sweeps duplicates exactly as under the old protocol.
+// the directory image authoritative: recovery completes the flips and fixes
+// metadata, and first touch drops the moved records' leftovers by route —
+// the same filter that drops them after a clean shutdown, since the publish
+// never removes them from PM.
 func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	p, oldSeg, oldMir := t.pool, old.seg, t.mirror(old)
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
@@ -94,8 +97,8 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 }
 
 // splitScan is what splitCopy's scan of the old segment's mirror learned, kept
-// for the publish: per normal bucket the bitmap of moved (sibling-claimed)
-// slots, which the sweep then drops without re-reading a record.
+// for the publish: per bucket the bitmap of moved (sibling-claimed) slots,
+// which the publish's drop then clears without re-reading a normal record.
 //
 // Instances are pooled: a split allocates nothing steady-state, so the
 // resize path adds no GC pressure (on small-core boxes, GC mark assists
@@ -103,7 +106,7 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 // themselves). The buffers are arrays sized for a full segment, so an
 // instance the pool dropped costs one allocation to replace, not a regrowth.
 type splitScan struct {
-	moved   [normalBuckets]uint64
+	moved   [totalBuckets]uint64
 	n       int // cand[:n] holds the scan's finds
 	cand    [slotsPerSegment]splitCand
 	grouped [slotsPerSegment]splitCand
@@ -156,9 +159,7 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 				sc.n++
 			}
 		}
-		if bi < normalBuckets {
-			sc.moved[bi] = moved
-		}
+		sc.moved[bi] = moved
 	}
 
 	// Copy, in group order (a stable counting sort: within a group records
@@ -191,10 +192,10 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 // single whole-segment flush+fence, the directory entries flip under dirMu
 // (doubling first when the segment's depth has caught up with the global
 // depth), oldSeg's metadata bumps together with the marker clear in one
-// header persist, the moved records are swept with one persist per touched
-// bucket, and the DRAM directory cache is written through — only then do the
-// locks release. The stall this window causes is accumulated in
-// split.stall_ns.
+// header persist, the moved records are dropped from oldSeg's mirror — a
+// DRAM-only sweep that stores nothing to oldSeg's buckets (segDrop) — and the
+// DRAM directory cache is written through — only then do the locks release.
+// The stall this window causes is accumulated in split.stall_ns.
 func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	p, oldSeg, newSeg := t.pool, old.seg, sib.seg
 	oldMir := t.mirror(old)
@@ -265,12 +266,12 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	segSetMeta(p, oldSeg, l+1, pat<<1)
 	oldMir.setClaim(l+1, pat<<1)
 	// The copy scanned the state the locks froze, so its moved-slot bitmaps
-	// are exact: normal buckets sweep by bitmap alone, and only the stash is
-	// re-read (each stash drop needs the record's hash to fix its home
-	// bucket's overflow tracking).
-	segSweepBatched(p, oldMir, oldSeg, t.seed, func(rp hashfn.Parts, _ pmem.KV) bool {
-		return rp.DepthBit(l)
-	}, sc.moved[:])
+	// are exact: the drop clears them from the mirror alone and re-reads only
+	// the stash records (each needs its hash to fix its home bucket's
+	// overflow tracking). PM keeps the moved records under their bits: the
+	// directory already routes them to the sibling, and recovery drops them by
+	// route on whatever image it opens.
+	segDrop(oldMir, t.seed, &sc.moved, true)
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to

@@ -194,16 +194,19 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 // none: the claim is a DRAM CAS, the post-claim re-check, the publish and the
 // doubling take the route, the directory's address and depth and its entries
 // from the view, the allocator's frontier is DRAM, and the copy scans the old
-// segment's mirror. The 78 writes are the stores the protocol makes — two
+// segment's mirror. The 12 writes are the stores the protocol makes — two
 // allocator frontiers, marker, sibling header, root pointer, flipped entry,
-// old header, one meta word per swept bucket, the retried insert — with no
-// lock among them; the doubled directory's words are quiet, charged by the
-// flush that publishes the block. With the claim a CAS on the PM split word,
-// PM directory walks, the allocator's frontier a PM CAS and the doubling
-// charged per entry, the same insert read 10 and wrote 84 (with the locks
-// and the copy's scan in PM too, 284 and 90); flushes and fences are the
-// same 341 and 11 throughout, which is the proof that no move took a
-// persist with it.
+// old header, the retried insert — with no lock among them; the doubled
+// directory's words are quiet, charged by the flush that publishes the block,
+// and the sweep of the moved half stores nothing (segDrop). The retried
+// insert's slot is free in PM too; had a drop left it set there, the insert
+// would persist its bucket's meta word first, one more flush and fence
+// (TestStaleSlotInsertCharges). History: with the sweep persisted — one meta
+// word per bucket it touched, each flushed, and a fence — the same insert
+// charged 0 / 78 / 341 / 11; with the claim a CAS on the PM split word, PM
+// directory walks, the allocator's frontier a PM CAS and the doubling charged
+// per entry, 10 / 84 / 341 / 11, and with the locks and the copy's scan in PM
+// too, 284 / 90 / 341 / 11.
 func TestSplitCharges(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 	defer tbl.Close()
@@ -217,11 +220,134 @@ func TestSplitCharges(t *testing.T) {
 		if tbl.met.splits.Total() == 0 {
 			continue
 		}
-		if want := [4]uint64{0, 78, 341, 11}; got != want {
+		if want := [4]uint64{0, 12, 275, 10}; got != want {
 			t.Fatalf("Insert(%d) with the first split charged read/write/flush/fence = %v, want %v", k, got, want)
 		}
 		break
 	}
+}
+
+// insertThroughSplit inserts sequential keys into tbl, from 0, up to and
+// including the first insert that carries a split, and returns them as a
+// crash history's ops.
+func insertThroughSplit(t *testing.T, tbl *Table) []fuzzOp {
+	t.Helper()
+	var ops []fuzzOp
+	for k := uint64(0); tbl.met.splits.Total() == 0; k++ {
+		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
+		if err := applyCrashOp(tbl, op); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// rememberingSegment returns the one segment of tbl whose mirror remembers a
+// PM meta word: the old segment of tbl's only split, or after a reopen the
+// segment the route filter dropped its leftovers from.
+func rememberingSegment(t *testing.T, tbl *Table) *segDesc {
+	t.Helper()
+	var found *segDesc
+	for _, d := range tbl.cache.descs {
+		if mir := d.mir.Load(); mir != nil && remembersPM(mir) {
+			if found != nil {
+				t.Fatalf("segments %#x and %#x both remember PM meta words", found.seg, d.seg)
+			}
+			found = d
+		}
+	}
+	if found == nil {
+		t.Fatal("no segment remembers a PM meta word: nothing was dropped in DRAM alone")
+	}
+	return found
+}
+
+// staleSlotKey returns the first key from `from` up, of the next 1<<16, that
+// routes to d and whose insert lands in a stale slot: the bucket a balanced
+// insert picks for it has its lowest free slot still set in the PM meta word
+// its mirror remembers. It returns that bucket and slot too; ok is false if
+// no key of the range does.
+func staleSlotKey(tbl *Table, d *segDesc, from uint64) (k uint64, bi, slot int, ok bool) {
+	mir := d.mir.Load()
+	for k = from; k < from+1<<16; k++ {
+		parts := tbl.parts(k)
+		if tbl.cache.route(parts) != d {
+			continue
+		}
+		b, b2 := homePair(parts)
+		switch f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2); {
+		case f1 >= f2 && f1 > 0:
+			bi = b
+		case f2 > 0:
+			bi = b2
+		default:
+			continue
+		}
+		slot = metaFirstFree(mir.word(bi, mirBkMeta).Load())
+		if metaSlotUsed(mir.pmMeta[bi].Load(), slot) {
+			return k, bi, slot, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// TestStaleSlotInsertCharges pins the one cost a DRAM-only sweep moves onto
+// a later insert. After a split the old segment's moved records stay set in
+// its PM bitmaps; an insert whose slot — the lowest free one in the mirror,
+// as always — is one of them persists the bucket's meta word before it
+// stores the record, so no record is ever stored under a committed bit. On a
+// quiet table with the cost model off, each such first insert after the
+// split writes the lines an insert into that slot always writes (2, or 1 for
+// slots 0 and 1, which share the header's line), plus exactly one flush and
+// one fence: 0 / 2 / 3 / 3 or 0 / 1 / 3 / 3. It counts in
+// bucket.stale_meta_persists, lands in the slot, and leaves its bucket
+// remembering no PM word.
+func TestStaleSlotInsertCharges(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	p := tbl.pool
+	insertThroughSplit(t, tbl)
+	d := rememberingSegment(t, tbl)
+	mir := d.mir.Load()
+	var inHeader, inRecordLine int
+	for from := uint64(1) << 40; ; {
+		k, bi, slot, ok := staleSlotKey(tbl, d, from)
+		if !ok {
+			break
+		}
+		from = k + 1
+		persists := tbl.filters.stalePersists.Total()
+		got := pmLines(p, func() {
+			if err := tbl.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := [4]uint64{0, 2, 3, 3}
+		if slot < 2 {
+			want[1] = 1
+			inHeader++
+		} else {
+			inRecordLine++
+		}
+		if got != want {
+			t.Fatalf("Insert(%d) into stale slot %d of bucket %d charged read/write/flush/fence = %v, want %v", k, slot, bi, got, want)
+		}
+		pk := tbl.probeU64(k)
+		if _, loc, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.bucket != bi || loc.slot != slot {
+			t.Fatalf("Insert(%d) landed in bucket %d slot %d, want the stale slot %d of bucket %d", k, loc.bucket, loc.slot, slot, bi)
+		}
+		if n := tbl.filters.stalePersists.Total() - persists; n != 1 {
+			t.Fatalf("Insert(%d) counted %d stale meta persists, want 1", k, n)
+		}
+		if r := mir.pmMeta[bi].Load(); r != 0 {
+			t.Fatalf("after Insert(%d), bucket %d still remembers PM meta %#x", k, bi, r)
+		}
+	}
+	if inRecordLine == 0 {
+		t.Fatal("no insert after the split took a stale slot outside the header line")
+	}
+	t.Logf("%d stale-slot inserts into record lines, %d into the header line", inRecordLine, inHeader)
 }
 
 // TestSplitOverflowUnderLocksRecyclesSibling drives the copy into
@@ -254,7 +380,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	sib := &segDesc{seg: sibling}
 	sib.mir.Store(tbl.newMirror(l+1, pat<<1|1))
 	for bi := 0; bi < totalBuckets; bi++ {
-		for bucketInsertLocked(p, sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
+		for tbl.bucketInsertLocked(sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
 		}
 	}
 	spa := old.seg.Add(segOffSplit)

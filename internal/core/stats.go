@@ -26,10 +26,13 @@ type TableStats struct {
 	SlotCapacity int64
 	// LoadFactor is Count / SlotCapacity.
 	LoadFactor float64
-	// StashRecords is the number of records living in stash buckets.
+	// Records is the number of records the walk found in the mirrors of
+	// recovered segments: Count once recovery is complete, at quiescence.
+	Records int64
+	// StashRecords is the number of those records living in stash buckets.
 	StashRecords int64
-	// StashShare is StashRecords over the records observed by the walk — the
-	// fraction of lookups' worst-case extra probes the stash is absorbing.
+	// StashShare is StashRecords over Records — the fraction of lookups'
+	// worst-case extra probes the stash is absorbing.
 	StashShare float64
 	// AllocatedBytes is the PM consumed by the bump allocator (segments,
 	// directories, including retired-but-reusable blocks).
@@ -59,12 +62,14 @@ type TableStats struct {
 	SegFilterBypass, SegFilterHeals, SplitAssists uint64
 }
 
-// Stats walks the DRAM directory cache for the segment set — observing the
-// shape costs no PM directory traffic at all — and every segment's bucket
-// headers via quiet (unaccounted) loads, so observing the table does not
-// perturb the PM-traffic counters or the cost model mid-benchmark. It takes
-// no locks; the epoch guard keeps the walk well-defined against concurrent
-// structural changes.
+// Stats walks the DRAM directory cache for the segment set and the mirrors
+// of the recovered segments for their records — observing the table reads no
+// PM line, so it does not perturb the PM-traffic counters or the cost model
+// mid-benchmark. (PM bitmaps would count a split's moved records twice: the
+// old segment keeps them in PM until its buckets are next written.) A segment
+// still awaiting first touch has no mirror and is not walked; Stats does not
+// recover it. It takes no locks; the epoch guard keeps the walk well-defined
+// against concurrent structural changes.
 func (t *Table) Stats() TableStats {
 	g := t.em.Enter()
 	defer g.Exit()
@@ -75,9 +80,12 @@ func (t *Table) Stats() TableStats {
 	segments := 0
 	v.eachSegment(func(d *segDesc) {
 		segments++
+		mir := d.mir.Load()
+		if mir == nil {
+			return
+		}
 		for bi := 0; bi < totalBuckets; bi++ {
-			m := p.QuietLoadU64(segBucket(d.seg, bi).Add(bkOffMeta))
-			used := int64(slotsPerBucket - metaFreeSlots(m))
+			used := int64(slotsPerBucket - bucketFreeSlots(mir, bi))
 			walked += used
 			if bi >= normalBuckets {
 				stash += used
@@ -91,6 +99,7 @@ func (t *Table) Stats() TableStats {
 		GlobalDepth:    v.depth,
 		Segments:       segments,
 		SlotCapacity:   int64(segments) * slotsPerSegment,
+		Records:        walked,
 		StashRecords:   stash,
 		AllocatedBytes: p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)) - allocStart,
 

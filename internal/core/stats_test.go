@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"dash/internal/pmem"
 )
 
 func TestTableStats(t *testing.T) {
@@ -59,6 +61,33 @@ func TestTableStats(t *testing.T) {
 	if got := tb.Stats().Count; got != n-100 {
 		t.Errorf("Count after deletes = %d, want %d", got, n-100)
 	}
+}
+
+// TestStatsRecordsFromMirrors: Stats counts records in the mirrors, not in
+// the PM bitmaps, which keep a split's moved records until their buckets are
+// next written. Right after a split, and after a clean reopen whose first
+// touches dropped those records from the new mirrors by route, its record
+// count is Count.
+func TestStatsRecordsFromMirrors(t *testing.T) {
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertThroughSplit(t, tbl)
+	check := func(when string, tbl *Table) {
+		t.Helper()
+		n := tbl.Count() // first, for the reopened table: it finishes recovery
+		if st := tbl.Stats(); st.Records != n || st.StashRecords > n {
+			t.Fatalf("%s: Stats walks %d records, %d of them in stashes; Count is %d", when, st.Records, st.StashRecords, n)
+		}
+	}
+	check("right after the split", tbl)
+	tbl.Close()
+	check("after a clean reopen", openTestTable(t, pool))
 }
 
 // TestTableStatsConcurrent exercises Stats against live writers under -race:

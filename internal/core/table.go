@@ -48,8 +48,10 @@ import (
 //     locks are taken, the sibling's half is copied into a sibling nobody
 //     else can reach, the fully-built sibling is persisted with one
 //     flush+fence, the directory entries flip, the old segment's metadata
-//     bumps, moved records are swept with one persist per bucket, and the
-//     directory cache is written through — then everything unlocks.
+//     bumps, moved records are dropped from its mirror (DRAM only: PM keeps
+//     them until each bucket's next persisted meta store, and recovery drops
+//     them by route), and the directory cache is written through — then
+//     everything unlocks.
 //   - Directory doubling (and the entry flips of a publish) serialize on the
 //     narrow dirMu; nothing else does. Lock order is: bucket locks → dirMu,
 //     buckets acquired in ascending index order (pairs sorted, displacement
@@ -68,9 +70,15 @@ const (
 	rootOffClean    = 48 // cleanShutdownMagic after Close; 0 while the table is open
 	rootOffCount    = 56 // record count persisted by a clean Close
 
-	tableMagic  = 0x44617368454831 // "DashEH1"
-	tableFormat = 4                // 4 = one-word blob header, no commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog) records
-	allocStart  = 256              // first allocatable offset; keeps blocks 256-aligned
+	tableMagic = 0x44617368454831 // "DashEH1"
+	// tableFormat 5: a split leaves its moved records set in the old
+	// segment's PM bitmaps (segDrop), so every image, a clean one too, needs
+	// recovery's route filter. A format-4 binary skips it on a clean image and
+	// would serve a moved record from two segments. 4 = one-word blob header,
+	// no commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog)
+	// records.
+	tableFormat = 5
+	allocStart  = 256 // first allocatable offset; keeps blocks 256-aligned
 	allocAlign  = 256
 
 	// cleanShutdownMagic in the root's clean word certifies the image was

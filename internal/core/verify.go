@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"dash/internal/hashfn"
 	"dash/internal/pmem"
@@ -21,13 +22,21 @@ import (
 //     covers every entry naming it, and every entry it covers names it: the
 //     claims partition the hash space;
 //   - no split marker is set, no splitter held; a recovered segment has a
-//     mirror, equal to PM word for word (PM bucket word 0 is reserved);
-//   - in a segment whose mirror equals PM, every used slot, read from the
+//     mirror, and its mirror equals PM but for what a DRAM-only drop
+//     (segDrop) left behind (PM bucket word 0 is reserved): a bucket's PM
+//     meta word is the word its mirror remembers where it remembers one, and
+//     the mirror's meta word elsewhere; every slot set in the mirror is set
+//     in PM; fingerprint words and the record words of every used slot equal
+//     PM's; and every slot set in PM but not in the mirror — a stale slot —
+//     holds a record the segment does not claim, routed to another segment
+//     (routing only narrows, so this holds across generations of splits);
+//   - in a segment whose mirror matches PM so, every used slot, read from the
 //     mirror: its fingerprint is its record hash's, the hash is claimed by
 //     the segment, a normal record sits in its home pair, a stash record is
 //     reachable from its home bucket by a matching tracking slot or an
 //     overflow count > 0 (not the reverse: a crash between a stash delete and
-//     its untrack leaves a stale count), and no canonical key appears twice;
+//     its untrack, or a stale slot's drop at recovery, leaves a stale count),
+//     and no canonical key appears twice;
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
 //     frees are drained: count is the bitmaps' popcount; every blob a slot
@@ -117,9 +126,11 @@ func (t *Table) Verify() error {
 }
 
 // verifySegment checks a recovered segment in one pass: its mirror against
-// PM word for word and, read from the mirror, every used slot, whose findings
-// count only if the whole mirror matched. It returns the records the bitmaps
-// hold and whether the mirror matched; indirect records' blobs go into refs.
+// PM — word for word but for the stale slots a drop left in PM, each of which
+// must hold a record the segment does not claim — and, read from the mirror,
+// every used slot, whose findings count only if the whole mirror matched. It
+// returns the records the bitmaps hold and whether the mirror matched;
+// indirect records' blobs go into refs.
 func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]struct{}, fail func(string, ...any)) (int64, bool) {
 	p := t.pool
 	l, pat := mir.depth.Load(), mir.pattern.Load()
@@ -140,7 +151,34 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 		metas[bi], his[bi] = m, hi
-		same := p.QuietLoadU64(ba.Add(bkOffMeta)) == m && p.QuietLoadU64(ba.Add(bkOffFPLo)) == lo && p.QuietLoadU64(ba.Add(bkOffFPHi)) == hi
+		// Where the mirror remembers no PM meta word, PM's is the mirror's and
+		// the word joins the fingerprint and record words' comparison. Where it
+		// remembers one, PM's is that word, every slot the mirror uses is set
+		// there, and a slot set there alone is stale: it must hold a record
+		// the segment does not claim.
+		pm := p.QuietLoadU64(ba.Add(bkOffMeta))
+		r := mir.pmMeta[bi].Load()
+		same := r != 0 || pm == m
+		if r != 0 {
+			if pm != r {
+				fail("segment %#x bucket %d: PM meta %#x, but the mirror remembers %#x", seg, bi, pm, r)
+				ok = false
+			}
+			if lost := m &^ pm & slotMask; lost != 0 {
+				fail("segment %#x bucket %d: slots %#x set in the mirror, clear in PM", seg, bi, lost)
+				ok = false
+			}
+			for stale := pm &^ m & slotMask; stale != 0; stale &= stale - 1 {
+				slot := bits.TrailingZeros64(stale)
+				ra := recordAddr(ba, slot)
+				kv := pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}
+				if h := recSplitParts(kv, t.seed).Hash; hashfn.SegmentIndex(h, uint8(l)) == pat {
+					fail("segment %#x bucket %d slot %d: stale in PM, and its record hash %#x is claimed by the segment", seg, bi, slot, h)
+					ok = false
+				}
+			}
+		}
+		same = same && p.QuietLoadU64(ba.Add(bkOffFPLo)) == lo && p.QuietLoadU64(ba.Add(bkOffFPHi)) == hi
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue

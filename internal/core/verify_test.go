@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,30 @@ func moveRecord(t *testing.T, tbl *Table, d *segDesc, bi, slot, to int) {
 	setWord(tbl, segBucket(d.seg, bi).Add(bkOffMeta), mir.word(bi, mirBkMeta), metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 
+// rememberingBucket returns the first bucket, in view order, whose mirror
+// remembers a PM meta word and for which ok holds, after inserting keys until
+// one more split has left such words behind.
+func rememberingBucket(t *testing.T, tbl *Table, ok func(mir *segMirror, bi int) bool) (*segDesc, int) {
+	t.Helper()
+	for k, splits := uint64(1)<<40, tbl.met.splits.Total(); tbl.met.splits.Total() == splits; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := tbl.cache.view.Load()
+	for i := range v.entries {
+		d := v.entries[i].Load()
+		mir := d.mir.Load()
+		for bi := 0; bi < totalBuckets; bi++ {
+			if mir.pmMeta[bi].Load() != 0 && ok(mir, bi) {
+				return d, bi
+			}
+		}
+	}
+	t.Fatal("no bucket remembers a PM meta word the corruption needs")
+	return nil, 0
+}
+
 func normalSlot(_ *segDesc, bi, _ int, _ pmem.KV) bool { return bi < normalBuckets }
 
 func indirectSlot(_ *segDesc, _, _ int, kv pmem.KV) bool { return recIsIndirect(kv.Key) }
@@ -137,6 +162,32 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 				return bi < normalBuckets && !stashReachable(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, 0)
 			})
 			moveRecord(t, tbl, d, bi, slot, normalBuckets)
+		}},
+		{"PM meta other than the remembered word", "but the mirror remembers", func(t *testing.T, tbl *Table) {
+			d, bi := rememberingBucket(t, tbl, func(*segMirror, int) bool { return true })
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load())
+		}},
+		{"PM meta other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
+			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool { return d.mir.Load().pmMeta[bi].Load() == 0 })
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaAddOvCount(d.mir.Load().word(bi, mirBkMeta).Load(), +1))
+		}},
+		{"PM record word other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
+			d, bi, slot := slotWhere(t, tbl, normalSlot)
+			a := recordAddr(segBucket(d.seg, bi), slot).Add(8)
+			tbl.pool.QuietStoreU64(a, tbl.pool.QuietLoadU64(a)+1)
+		}},
+		{"mirror slot clear in PM", "set in the mirror, clear in PM", func(t *testing.T, tbl *Table) {
+			d, bi := rememberingBucket(t, tbl, func(mir *segMirror, bi int) bool { return mir.word(bi, mirBkMeta).Load()&slotMask != 0 })
+			mir := d.mir.Load()
+			r := mir.pmMeta[bi].Load() &^ (1 << bits.TrailingZeros64(mir.word(bi, mirBkMeta).Load()))
+			mir.pmMeta[bi].Store(r)
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), r)
+		}},
+		{"stale slot holding a record the segment claims", "stale in PM", func(t *testing.T, tbl *Table) {
+			d, bi, slot := slotWhere(t, tbl, normalSlot)
+			mir := d.mir.Load()
+			mir.dropMeta(bi, metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
+			tbl.count.Add(-1)
 		}},
 		{"count off by one", "bitmaps hold", func(_ *testing.T, tbl *Table) { tbl.count.Add(1) }},
 		{"slot naming a free blob", "is referenced, but free", func(t *testing.T, tbl *Table) {
@@ -243,6 +294,7 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 		v          uint64
 	}{
 		{"format-3 image, blobs with a commit word", "unsupported table format 3", rootAddr.Add(rootOffFormat), 3},
+		{"format-4 image, no route filter on a clean open", "unsupported table format 4", rootAddr.Add(rootOffFormat), 4},
 		{"directory pointer past the pool", "root names directory", rootAddr.Add(rootOffDir), p.Size() + 4096},
 		{"misaligned directory pointer", "root names directory", rootAddr.Add(rootOffDir), uint64(dir) + 8},
 		{"directory depth no pool holds", "of depth 40 overruns", dir.Add(dirOffDepth), 40},
