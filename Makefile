@@ -18,13 +18,15 @@ race:
 
 # race-split repeats the tests that race writers and readers against segment
 # splits — the locked copy and publish, rollback, splits of distinct segments
-# in parallel, a second claimant against a publish in flight — and the ones
-# that crash what a split's DRAM-only sweep leaves in PM (an insert into a
-# stale slot, a first touch after a clean reopen, a second split) five times
-# under the race detector: a split's interleavings are timing, and one pass
-# of `race` samples few of them.
+# in parallel, a second claimant against a publish in flight, the copy's
+# top-down fill — and the ones that crash what a split's DRAM-only sweep
+# leaves in PM (an insert into a stale slot, a first touch after a clean
+# reopen, a second split, stash records on both sides of a split) or what
+# the stash tracking recovery recomputes rests on (a spill, a stash delete)
+# five times under the race detector: a split's interleavings are timing,
+# and one pass of `race` samples few of them.
 race-split:
-	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean' ./internal/core
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|Stash' ./internal/core
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

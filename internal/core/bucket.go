@@ -7,29 +7,29 @@ import (
 	"dash/internal/pmem"
 )
 
-// Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: a 32-byte
-// header followed by 14 fixed-size records. The header packs everything a
-// probe needs — allocation bitmap, per-slot fingerprints and the overflow
-// ("stash") tracking metadata — into 8-byte words so that every shared field
-// is read and written with aligned atomic u64 accesses, preserving the
-// paper's layout goals: the header lives in the bucket's first cacheline, so
-// publishing a record is one line, and the bitmap word is the single atomic
-// commit point for inserts. The segment's DRAM mirror (segfilter.go) carries
-// the same words plus the bucket's version lock; every probe, a reader's or
-// a writer's, runs there.
+// Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: a 16-byte
+// header holding the allocation bitmap, then 14 fixed-size records, then 16
+// bytes of padding. The bitmap word is the single atomic commit point for
+// inserts and deletes, and it lives in the bucket's first cacheline together
+// with records 0..2: an insert into one of those slots publishes its record
+// and commits it in one line.
 //
-//	word 0 (off  0): reserved — never read, any value is legal (images
-//	                 from when the version lock lived here carry one)
-//	word 1 (off  8): bits 0..13  allocation bitmap (slot in use)
-//	                 bits 16..19 overflow-slot bitmap
-//	                 bits 24..31 overflow count (untracked stash spills)
-//	                 bits 32..63 overflow fingerprints [4]uint8
-//	word 2 (off 16): fingerprints of slots 0..7
-//	word 3 (off 24): bytes 0..5 fingerprints of slots 8..13
-//	                 byte 6: overflow stash indexes, 2 bits per overflow slot
-//	records (off 32): 14 × 16-byte records, each either an inline 8B/8B KV
-//	                 or an indirect (log blob address | key-length class,
-//	                 full key hash) pair — see record.go
+//	off   0: the meta word — bits 0..13 the allocation bitmap (slot in use);
+//	         every other bit is zero
+//	off   8: padding — never read, any value is legal
+//	off  16: 14 × 16-byte records, each either an inline 8B/8B KV or an
+//	         indirect (log blob address | key-length class, full key hash)
+//	         pair — see record.go
+//	off 240: padding — never read, any value is legal
+//
+// PM holds nothing a running op loads: every probe, a reader's or a
+// writer's, runs in the segment's DRAM mirror (segfilter.go), whose header
+// words also carry what PM does not keep — per-slot fingerprints and the
+// overflow ("stash") tracking — and the bucket's version lock. Both are
+// functions of the committed records (a fingerprint is a byte of the
+// record's hash, a stash record's tracking is its home bucket's), so
+// recovery recomputes them at first touch (recoverSegment) and storing them
+// would only cost lines.
 //
 // The two record words are still stored value-word-first and probed
 // fingerprint-first whatever the representation; word 0's bit 63
@@ -39,11 +39,14 @@ const (
 	bucketSize     = 256
 	slotsPerBucket = 14
 
-	bkOffVersion = 0 // reserved word: names it for the tests that prove it inert
-	bkOffMeta    = 8
-	bkOffFPLo    = 16
-	bkOffFPHi    = 24
-	bkOffRecords = 32
+	bkOffMeta    = 0
+	bkOffPadding = 8 // header padding: keeps records 16-aligned
+	bkOffRecords = 16
+	bkOffTail    = bkOffRecords + slotsPerBucket*pmem.RecordSize // tail padding, to bucketSize
+
+	// hdrLineSlots is how many records share the header's cacheline: an
+	// insert into one of them stores one line, the others two.
+	hdrLineSlots = (pmem.CachelineSize - bkOffRecords) / pmem.RecordSize
 
 	// maxOvSlots is how many stash spills a bucket tracks precisely by
 	// fingerprint; further spills only bump the overflow count and force a
@@ -54,6 +57,16 @@ const (
 )
 
 // --- pure bit helpers on the packed header words (unit-testable) ---
+//
+// The mirror (segfilter.go) packs a bucket's header into three words:
+//
+//	meta: bits 0..13  allocation bitmap — PM's meta word is these bits alone
+//	      bits 16..19 overflow-slot bitmap
+//	      bits 24..31 overflow count (untracked stash spills)
+//	      bits 32..63 overflow fingerprints [4]uint8
+//	fpLo: fingerprints of slots 0..7
+//	fpHi: bytes 0..5 fingerprints of slots 8..13; byte 6 the overflow stash
+//	      indexes, 2 bits per overflow slot
 
 func metaSlotUsed(m uint64, slot int) bool { return m&(1<<uint(slot)) != 0 }
 func metaSetSlot(m uint64, slot int) uint64 {
@@ -70,6 +83,9 @@ func metaFirstFree(m uint64) int {
 	}
 	return bits.TrailingZeros64(free)
 }
+
+// metaLastFree returns the highest free slot, or -1.
+func metaLastFree(m uint64) int { return bits.Len64(^m&slotMask) - 1 }
 
 func metaOvSlotUsed(m uint64, i int) bool { return m&(1<<uint(16+i)) != 0 }
 func metaOvFP(m uint64, i int) uint8      { return uint8(m >> uint(32+8*i)) }
@@ -149,10 +165,9 @@ func recordAddr(b pmem.Addr, slot int) pmem.Addr {
 // The bucket lock is the version word of the bucket's entry in the segment's
 // DRAM mirror (segfilter.go): odd while a writer holds it, even again — and
 // one higher — on release. A lock is state only a running process can hold,
-// so it lives only where a running process looks; PM word 0 of every bucket
-// is reserved (nobody reads it, old images may carry any value there). All
-// PM mutation and all mirror write-through of a bucket happen inside that odd
-// window, so a mirror reader that observes a stable even version
+// so it lives only where a running process looks, and PM has no word for it.
+// All PM mutation and all mirror write-through of a bucket happen inside that
+// odd window, so a mirror reader that observes a stable even version
 // (mirBucketSearch) holds a snapshot that is also PM's. (A split's
 // unpublished sibling is written with no lock held at all: nobody else can
 // reach it before the publish.) bi is the bucket's index within its segment,
@@ -189,14 +204,15 @@ func unlockBucket(mir *segMirror, bi int) {
 //
 // Every decision a mutator makes — which slot is free, which fingerprints
 // and tracking slots are set — is read from the mirror, which is exact by
-// write-through: PM is only stored to. Charging follows the tree's
-// one-charge-per-line rule (pmem/access.go) with nothing paid in advance: the
-// first store an operation makes to a line is a charged store, further
-// stores to that line before its flush are quiet — real hardware absorbs
-// them in the cache and writes the line back once. A bucket's header line
-// also holds records 0 and 1, so a record store into one of those slots has
-// paid for the header words that publish it. All flush/fence charges are
-// untouched, so per-op media traffic remains honestly counted.
+// write-through: PM is only stored to, and only records and bitmaps. Charging
+// follows the tree's one-charge-per-line rule (pmem/access.go) with nothing
+// paid in advance: the first store an operation makes to a line is a charged
+// store, further stores to that line before its flush are quiet — real
+// hardware absorbs them in the cache and writes the line back once. A
+// bucket's header line also holds records 0..hdrLineSlots-1, so a record
+// store into one of those slots has paid for the bitmap store that commits
+// it. All flush/fence charges are untouched, so per-op media traffic remains
+// honestly counted.
 
 // storeWord stores one PM word: charged, or quiet (crash-tracked all the
 // same) when the caller has already paid for the word's line or a later
@@ -214,40 +230,47 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 }
 
 // bucketInsertLocked writes the record, persists it, and only then publishes
-// it by setting fingerprint and bitmap and persisting the header word. The
-// single atomic bitmap store is the commit point: a crash before the header
-// line is flushed leaves the slot invisible, a crash after leaves the whole
-// record durable (§4.1 insert ordering).
+// it by setting its bitmap bit and persisting the meta word: the single
+// atomic bitmap store is the commit point, a crash before the header line is
+// flushed leaves the slot invisible, a crash after leaves the whole record
+// durable (§4.1 insert ordering). The fingerprint goes to the mirror alone.
+// It returns the slot taken, or -1 when the bucket is full.
 //
-// The slot is the mirror's lowest free one, and it may still be set in PM: a
-// drop (segDrop) clears slots in the mirror alone. No record is stored under
-// a committed bit, so then the bucket's meta word — the mirror's, which has
-// the bit clear — is persisted first. That store pays for the header line,
-// which the insert stores to anyway, so the line is charged once and the
-// detour costs one flush and one fence (bucket.stale_meta_persists).
+// The slot is the mirror's lowest free one — the header line's slots first —
+// and it may still be set in PM: a drop (segDrop) clears slots in the mirror
+// alone. No record is stored under a committed bit, so then the bucket's
+// bitmap — the mirror's, which has the bit clear — is persisted first. That
+// store pays for the header line, which the insert stores to anyway, so the
+// line is charged once and the detour costs one flush and one fence
+// (bucket.stale_meta_persists).
 //
 // persist=false skips every persist: the mode for building an *unpublished*
 // split sibling, whose durability comes from one whole-segment flush+fence
 // right before the directory publishes it — a crash before that point rolls
 // the whole sibling back, so nothing written into it needs individual
-// ordering — and whose mirror, new, remembers no PM word.
+// ordering — and whose mirror, new, remembers no PM word. That mode takes the
+// highest free slot instead, so the records a split copies leave the header
+// line's slots to the inserts that follow the publish.
 // All mutators below write through to the segment mirror after mutating PM;
 // the caller's lock holds the bucket's version odd, so the store order within
 // the window is immaterial.
-func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) bool {
+func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
 	p := t.pool
 	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
-	if slot < 0 {
-		return false
+	if !persist {
+		slot = metaLastFree(m)
 	}
-	var pm uint64 // PM's meta word where a drop left it behind, else 0
+	if slot < 0 {
+		return -1
+	}
+	var pm uint64 // PM's bitmap where a drop left it behind, else 0
 	if persist {
 		pm = mir.pmMeta[bi].Load()
 	}
 	hdrPaid := metaSlotUsed(pm, slot)
 	if hdrPaid {
-		p.StoreU64(b.Add(bkOffMeta), m)
+		p.StoreU64(b.Add(bkOffMeta), m&slotMask)
 		p.Persist(b.Add(bkOffMeta), 8)
 		t.filters.stalePersists.Inc()
 	}
@@ -259,32 +282,28 @@ func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8
 	// unpublished split sibling — every store is quiet: the sibling's lines
 	// are charged wholesale by the publish's one flush+fence per line, which
 	// is also when they actually reach media.
-	storeWord(p, ra.Add(8), kv.Value, persist && (slot >= 2 || !hdrPaid))
+	storeWord(p, ra.Add(8), kv.Value, persist && (slot >= hdrLineSlots || !hdrPaid))
 	p.QuietStoreU64(ra, kv.Key)
 	if persist {
 		p.Persist(ra, pmem.RecordSize)
 	}
-	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
-	// The header line is a second line unless the record went into slot 0
-	// or 1, which live in it, or the stale-slot detour has paid for it.
-	storeWord(p, b.Add(bkOffFPLo), lo, persist && slot >= 2 && !hdrPaid)
+	// The header line is a second line unless the record went into one of
+	// the slots that share it, or the stale-slot detour has paid for it.
 	m = metaSetSlot(m, slot)
-	p.QuietStoreU64(b.Add(bkOffFPHi), hi)
-	p.QuietStoreU64(b.Add(bkOffMeta), m)
-	// Meta and fingerprint words share the bucket's first cacheline, so one
-	// flush makes the publish atomic at crash granularity.
+	storeWord(p, b.Add(bkOffMeta), m&slotMask, persist && slot >= hdrLineSlots && !hdrPaid)
 	if persist {
-		p.Persist(b.Add(bkOffMeta), 24)
+		p.Persist(b.Add(bkOffMeta), 8)
 		if pm != 0 {
 			mir.pmMeta[bi].Store(0)
 		}
 	}
+	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
 	mir.recWord(bi, slot, 1).Store(kv.Value)
 	mir.recWord(bi, slot, 0).Store(kv.Key)
 	mir.word(bi, mirBkFPLo).Store(lo)
 	mir.word(bi, mirBkFPHi).Store(hi)
 	mir.word(bi, mirBkMeta).Store(m)
-	return true
+	return slot
 }
 
 // bucketDeleteLocked unpublishes a slot. Clearing the bitmap bit is the
@@ -292,7 +311,7 @@ func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8
 // persist=false is for unpublished split siblings (see bucketInsertLocked).
 func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot int, persist bool) {
 	m := metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot)
-	storeWord(p, b.Add(bkOffMeta), m, persist)
+	storeWord(p, b.Add(bkOffMeta), m&slotMask, persist)
 	if persist {
 		p.Persist(b.Add(bkOffMeta), 8)
 		mir.metaPersisted(bi)
@@ -300,50 +319,35 @@ func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot 
 	mir.word(bi, mirBkMeta).Store(m)
 }
 
-// bucketTrackOverflow records in the home bucket that one of its keys went
-// to stash bucket stashIdx: precisely (fingerprint + stash index) while a
-// tracking slot is free, otherwise by bumping the overflow count.
-// persist=false is for unpublished split siblings (see bucketInsertLocked).
-func bucketTrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, stashIdx int, persist bool) {
+// bucketTrackOverflow records in the home bucket's mirror that one of its
+// keys went to stash bucket stashIdx: precisely (fingerprint + stash index)
+// while a tracking slot is free, otherwise by bumping the overflow count. It
+// stores nothing to PM: the stash record's own bitmap bit commits it, and
+// recovery recomputes the tracking from the committed records.
+func bucketTrackOverflow(mir *segMirror, bi int, fp uint8, stashIdx int) {
 	m := mir.word(bi, mirBkMeta).Load()
 	for i := 0; i < maxOvSlots; i++ {
 		if metaOvSlotUsed(m, i) {
 			continue
 		}
-		hi := ovIdxSet(mir.word(bi, mirBkFPHi).Load(), i, stashIdx)
-		m = metaSetOvFP(m, i, fp)
-		storeWord(p, b.Add(bkOffFPHi), hi, persist)
-		p.QuietStoreU64(b.Add(bkOffMeta), m)
-		if persist {
-			p.Persist(b.Add(bkOffMeta), 24)
-			mir.metaPersisted(bi)
-		}
-		mir.word(bi, mirBkFPHi).Store(hi)
-		mir.word(bi, mirBkMeta).Store(m)
+		mir.word(bi, mirBkFPHi).Store(ovIdxSet(mir.word(bi, mirBkFPHi).Load(), i, stashIdx))
+		mir.word(bi, mirBkMeta).Store(metaSetOvFP(m, i, fp))
 		return
 	}
-	m = metaAddOvCount(m, +1)
-	storeWord(p, b.Add(bkOffMeta), m, persist)
-	if persist {
-		p.Persist(b.Add(bkOffMeta), 8)
-		mir.metaPersisted(bi)
-	}
-	mir.word(bi, mirBkMeta).Store(m)
+	mir.word(bi, mirBkMeta).Store(metaAddOvCount(m, +1))
 }
 
 // bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
-// stash: trackedSlot names the tracking slot when the record was tracked,
-// or -1 when it was only counted.
-func bucketUntrackOverflow(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, trackedSlot int) {
+// stash, in the mirror alone: trackedSlot names the tracking slot when the
+// record was tracked, or -1 when it was only counted.
+func bucketUntrackOverflow(mir *segMirror, bi int, trackedSlot int) {
 	m := mir.word(bi, mirBkMeta).Load()
-	nm := metaAddOvCount(m, -1)
 	if trackedSlot >= 0 {
-		nm = metaClearOvFP(m, trackedSlot)
+		m = metaClearOvFP(m, trackedSlot)
+	} else {
+		m = metaAddOvCount(m, -1)
 	}
-	p.StoreU64(b.Add(bkOffMeta), nm)
-	p.Persist(b.Add(bkOffMeta), 8)
-	mir.metaPersisted(bi)
-	mir.word(bi, mirBkMeta).Store(nm)
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // metaFindTracked returns the tracking slot in a home bucket's header words

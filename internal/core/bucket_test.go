@@ -7,18 +7,26 @@ import (
 
 func TestMetaBitHelpers(t *testing.T) {
 	var m uint64
-	if metaFirstFree(m) != 0 || metaFreeSlots(m) != slotsPerBucket {
+	if metaFirstFree(m) != 0 || metaLastFree(m) != slotsPerBucket-1 || metaFreeSlots(m) != slotsPerBucket {
 		t.Fatal("empty bucket should have all slots free")
 	}
 	for i := 0; i < slotsPerBucket; i++ {
 		m = metaSetSlot(m, i)
 	}
-	if metaFirstFree(m) != -1 || metaFreeSlots(m) != 0 {
+	if metaFirstFree(m) != -1 || metaLastFree(m) != -1 || metaFreeSlots(m) != 0 {
 		t.Fatal("full bucket should have no free slots")
 	}
 	m = metaClearSlot(m, 5)
-	if metaFirstFree(m) != 5 || !metaSlotUsed(m, 4) || metaSlotUsed(m, 5) {
+	if metaFirstFree(m) != 5 || metaLastFree(m) != 5 || !metaSlotUsed(m, 4) || metaSlotUsed(m, 5) {
 		t.Fatal("clear slot 5 not reflected")
+	}
+	m = metaClearSlot(m, 9)
+	if metaFirstFree(m) != 5 || metaLastFree(m) != 9 {
+		t.Fatalf("slots 5 and 9 free: first %d, last %d", metaFirstFree(m), metaLastFree(m))
+	}
+	// Tracking bits above the bitmap are not slots.
+	if metaLastFree(metaAddOvCount(m, +1)) != 9 {
+		t.Fatal("the overflow count reads as a free slot")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -418,4 +419,187 @@ func TestCrashSecondSplitRemembered(t *testing.T) {
 		}
 		return p.DirIndex(2) == 0 && p.BucketIndex(bucketBits) == 0
 	}), func(_ *Table, _, _ uint8, remembered bool) bool { return remembered })
+}
+
+// homedIn5 is a keysWhere predicate: the keys of the prefix-0 segment of a
+// one-bit directory whose home is its bucket 5, so that they fill the pair
+// (5, 6) and then, none of them homed in 6 for a displacement to move, spill
+// to the stash.
+func homedIn5(_ *Table, p hashfn.Parts) bool {
+	return p.DirIndex(1) == 0 && p.BucketIndex(bucketBits) == 5
+}
+
+// stashSpillHistory inserts homedIn5 keys into a dry table of InitialDepth 1
+// up to the first insert that spills to the stash, and returns the inserts
+// before it and that one.
+func stashSpillHistory(t *testing.T) (prefix []fuzzOp, spill fuzzOp) {
+	t.Helper()
+	dry := newTestTable(t, 2<<20, Options{InitialDepth: 1})
+	defer dry.Close()
+	next := keysWhere(homedIn5)
+	for {
+		k := next(dry)
+		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
+		spills := dry.met.placed[placedStash].Total()
+		if err := applyCrashOp(dry, op); err != nil {
+			t.Fatal(err)
+		}
+		if dry.met.placed[placedStash].Total() > spills {
+			return prefix, op
+		}
+		prefix = append(prefix, op)
+	}
+}
+
+// TestCrashStashSpill crashes an insert that spills to the stash at every
+// flush: its record's, then its stash bucket's bitmap, the commit. The home
+// bucket's tracking is the mirror's alone, so a spill stores and persists
+// nothing else (a third flush, the home's header line, while PM kept the
+// tracking), and every reopened image's tracking is recomputed from the
+// stash records that survived (verifyCrashPoint checks it is exact).
+func TestCrashStashSpill(t *testing.T) {
+	prefix, spill := stashSpillHistory(t)
+	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: prefix, last: spill})
+	if points != 2 {
+		t.Fatalf("the stash spill issued %d flushes, want 2: record, bitmap", points)
+	}
+	requireExactTracking(t, done, "the completed spill")
+}
+
+// TestCrashStashDelete crashes the delete of a stash record at its one
+// flush, the stash bucket's bitmap: the untrack is the home's mirror's
+// alone (a second flush while PM kept the tracking).
+func TestCrashStashDelete(t *testing.T) {
+	prefix, spill := stashSpillHistory(t)
+	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: append(prefix, spill), last: fuzzOp{kind: 'd', id: spill.id}})
+	if points != 1 {
+		t.Fatalf("the stash delete issued %d flushes, want 1: the bitmap", points)
+	}
+	requireExactTracking(t, done, "the completed delete")
+}
+
+// TestCrashStashMovedBySplit: stash records on both sides of a split, a
+// clean Close and an Open, then the delete of a stash record the old segment
+// kept — its first touch — crashed at every flush. The split drops its moved
+// half's stash records from the old mirror alone, so the old segment's PM
+// stash still holds them under set bits; first touch drops them by route and
+// computes the stash tracking from the records that survive, so it must be
+// exact: no home tracks a record the filter dropped, none is counted but
+// unreachable, and the mirrors count what Count does.
+func TestCrashStashMovedBySplit(t *testing.T) {
+	withLazyGates(t)
+	opt := Options{InitialDepth: 1}
+	dry := newTestTable(t, 2<<20, opt)
+	defer dry.Close()
+	// Spill homedIn5 keys until the stash holds some of either half, then
+	// fill the segment with any prefix-0 keys until it splits.
+	var prefix []fuzzOp
+	var moved, kept []uint64
+	homed := keysWhere(homedIn5)
+	for len(moved) < 2 || len(kept) < 2 {
+		k := homed(dry)
+		spills := dry.met.placed[placedStash].Total()
+		prefix = append(prefix, fuzzOp{kind: 'i', id: k, val: k*3 + 1})
+		if err := applyCrashOp(dry, prefix[len(prefix)-1]); err != nil {
+			t.Fatal(err)
+		}
+		if dry.met.placed[placedStash].Total() == spills {
+			continue
+		}
+		if dry.parts(k).DirIndex(2) == 1 {
+			moved = append(moved, k)
+		} else {
+			kept = append(kept, k)
+		}
+	}
+	fill := keysWhere(prefix0)
+	for dry.met.splits.Total() == 0 {
+		k := fill(dry)
+		if homedIn5(dry, dry.parts(k)) {
+			continue // taken above
+		}
+		prefix = append(prefix, fuzzOp{kind: 'i', id: k, val: k*3 + 1})
+		if err := applyCrashOp(dry, prefix[len(prefix)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dry.GlobalDepth() != 2 {
+		t.Fatalf("the prefix left global depth %d, want the one split to depth 2", dry.GlobalDepth())
+	}
+	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, reopen: true, last: fuzzOp{kind: 'd', id: kept[0]}})
+	if points != 1 {
+		t.Fatalf("the first touch and its stash delete issued %d flushes, want 1: the bitmap", points)
+	}
+	done.RecoverAll()
+	requireVerified(t, done)
+	requireExactTracking(t, done, "the completed first touch")
+	if st := done.Stats(); st.Records != done.Count() {
+		t.Fatalf("the mirrors hold %d records, Count is %d", st.Records, done.Count())
+	}
+	for _, k := range append(moved, kept[1:]...) {
+		if v, ok := done.Get(k); !ok || v != k*3+1 {
+			t.Fatalf("stash key %d = %d,%v after the first touch", k, v, ok)
+		}
+	}
+}
+
+// requireExactTracking checks the overflow tracking of every recovered
+// segment of tbl against its stash records: each home bucket's tracking
+// slots and overflow count add up to the stash records homed there, each
+// tracking slot names the fingerprint and stash bucket of one of them, and
+// the writers' probe finds every stash record — none is counted but
+// unreachable. (Verify checks only the last: a tracking that
+// over-approximates costs probes a stash scan, not an answer.)
+func requireExactTracking(t *testing.T, tbl *Table, where string) {
+	t.Helper()
+	type mark struct {
+		fp uint8
+		j  int
+	}
+	for seg, d := range tbl.cache.descs {
+		mir := d.mir.Load()
+		if mir == nil {
+			continue
+		}
+		var homed [normalBuckets]int
+		marks := make(map[int]map[mark]int)
+		for j := 0; j < stashBuckets; j++ {
+			sb := normalBuckets + j
+			for used := mir.word(sb, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
+				kv := mir.rec(sb, bits.TrailingZeros64(used))
+				parts := recSplitParts(kv, tbl.seed)
+				home := int(parts.BucketIndex(bucketBits))
+				homed[home]++
+				if marks[home] == nil {
+					marks[home] = make(map[mark]int)
+				}
+				marks[home][mark{parts.FP, j}]++
+				pk := tbl.probeU64(kv.Key)
+				if recIsIndirect(kv.Key) {
+					pk = tbl.probeBytes(tbl.vlog.KeyBytes(recBlobAddr(kv.Key)))
+				}
+				if _, loc, ok := mirSegSearch(tbl.vlog, mir, &pk, true); !ok || loc.bucket != sb {
+					t.Fatalf("%s: segment %#x: the stash record %+v of home %d is unreachable", where, seg, kv, home)
+				}
+			}
+		}
+		for home := 0; home < normalBuckets; home++ {
+			m, hi := mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load()
+			n := int(metaOvCount(m))
+			for i := 0; i < maxOvSlots; i++ {
+				if !metaOvSlotUsed(m, i) {
+					continue
+				}
+				n++
+				k := mark{metaOvFP(m, i), ovIdxGet(hi, i)}
+				if marks[home][k] == 0 {
+					t.Fatalf("%s: segment %#x home %d: tracking slot %d names fingerprint %#x in stash bucket %d, which holds no such record of it", where, seg, home, i, k.fp, k.j)
+				}
+				marks[home][k]--
+			}
+			if n != homed[home] {
+				t.Fatalf("%s: segment %#x home %d tracks %d stash records, the stash holds %d", where, seg, home, n, homed[home])
+			}
+		}
+	}
 }

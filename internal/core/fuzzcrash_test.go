@@ -30,7 +30,9 @@ import (
 //   - the recovered table passes Verify — among its invariants, after the
 //     background sweep, the record log's live set equals the set of blobs
 //     the slots reference (no leak, no double-free) — and keeps passing it
-//     after writes that split a recovered segment (writesAfterReopen).
+//     after writes that split a recovered segment (writesAfterReopen);
+//   - the stash tracking recovery recomputed is exact: every home bucket
+//     tracks exactly the stash records homed there (requireExactTracking).
 //
 // Flush boundaries within one prefix of the history are deterministic (the
 // table is single-threaded here and owns every flush), so "the Kth flush"
@@ -232,6 +234,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, where stri
 	if err := tbl.Verify(); err != nil {
 		fail("after recovery: %v", err)
 	}
+	requireExactTracking(t, tbl, where)
 	writesAfterReopen(t, tbl, where)
 	if err := tbl.Verify(); err != nil {
 		fail("after writes on the recovered table: %v", err)

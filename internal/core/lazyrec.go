@@ -19,18 +19,20 @@ import (
 // rebuild — and defers everything O(data) to first touch. Every
 // directory-reachable segment's descriptor starts "unrecovered"; the first
 // operation routed to it wins a CAS gate (the split-claim idiom) and
-// runs the per-segment reconcile — mirror build, misroute/duplicate/ghost
-// sweeps, count re-derivation — while losers spin the winner out.
+// runs the per-segment reconcile — mirror build, route filter with the
+// fingerprints and stash tracking PM does not keep, duplicate sweep, count
+// re-derivation — while losers spin the winner out.
 // The record-log sweep runs as an incremental background pass once every
 // segment has recovered (it needs the complete reference set), free-listing
 // dead blobs in small batches under epoch guards.
 //
 // After a *clean* shutdown (Close persisted the root's clean marker) the
-// duplicate and ghost sweeps and the count derivation are skipped — the image
-// holds neither, and the root holds the count — but first touch still
-// installs the segment's mirror, drops by route the records splits moved
-// away (a split removes them from the old segment's mirror only, so every
-// image, clean or not, can hold them), and contributes its blob references,
+// duplicate sweep and the count derivation are skipped — the image holds no
+// duplicate, and the root holds the count — but first touch still installs
+// the segment's mirror, drops by route the records splits moved away (a
+// split removes them from the old segment's mirror only, so every image,
+// clean or not, can hold them), recomputes fingerprints and stash tracking,
+// and contributes its blob references,
 // and the background pass still runs to rebuild the record log's DRAM free
 // list.
 
@@ -49,7 +51,7 @@ const (
 // Table drops its pointer once the background pass finishes, restoring the
 // ungated hot path.
 type lazyRecovery struct {
-	clean  bool        // clean-shutdown image: skip the crash sweeps and count derivation
+	clean  bool        // clean-shutdown image: skip the duplicate sweep and count derivation
 	g      uint8       // global depth at Open
 	fixed  []pmem.Addr // reconciled directory image at Open, for misroute checks
 	openAt int64       // obs.Now() at Open, base of time-to-fully-recovered
@@ -87,7 +89,7 @@ var disableBackgroundRecovery atomic.Bool
 // are cleared in the same per-segment pass (a small constant per segment, so
 // still O(directory)). Bucket locks need no pass at all: they live in the
 // mirrors, which died with the process that held them. The O(data) work —
-// mirror builds, record sweeps, dedupe, count derivation, the record-log
+// mirror builds, the route filter, dedupe, count derivation, the record-log
 // sweep — is deferred: recoverLazy builds the lazyRecovery side table and returns.
 // After a clean shutdown the image needs none of that reconciliation (the
 // passes are cheap no-ops, run anyway for their validation) and the count
@@ -195,7 +197,7 @@ func (t *Table) recoverLazy(clean bool) error {
 		// Clear any split-progress marker, finishing or rolling back the
 		// half-migrated split it describes. If the marker's sibling made it
 		// into the directory, the claiming pass above already completed the
-		// flips and metadata and the record sweeps below drop the moved
+		// flips and metadata and the route filter at first touch drops the moved
 		// records' leftovers — the split rolls forward. Otherwise the
 		// sibling was never published: the directory still routes every key
 		// to this segment (which kept all its records; migration only
@@ -289,11 +291,17 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 // descriptor last: storing it is what opens the segment to operations
 // (Table.mirror).
 //
-// The route filter runs on every image: it drops each record the directory
-// routes elsewhere — the moved half a split left in PM, and on a crash image
-// a half-published split's leftovers — from the mirror alone (segDrop, as
-// the publish does), storing nothing. The duplicate and ghost sweeps, which
-// only a crash can make work for, persist their deletes.
+// One pass over the records then does, from each record's hash, what PM
+// does not keep. The route filter, on every image, drops each record the
+// directory routes elsewhere — the moved half a split left in PM, and on a
+// crash image a half-published split's leftovers — from the mirror alone,
+// as the publish does (dropMeta), storing nothing. Every record it keeps gets
+// its fingerprint and, in the stash, its home bucket's overflow tracking:
+// recomputed from the committed records, the tracking covers exactly the
+// stash records that survive: every kept one is reachable, and no home
+// tracks one the filter dropped. The duplicate sweep, which
+// only a crash can make work for, persists its deletes and untracks as every
+// delete does.
 func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	p, seg := t.pool, d.seg
 	start := obs.Now()
@@ -304,19 +312,29 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	}
 	mirDone := obs.Now()
 
-	var misrouted [totalBuckets]uint64
+	// Stash buckets come last, so every home's meta word is final but for
+	// the tracking they add to it.
 	for bi := 0; bi < totalBuckets; bi++ {
 		m := mir.word(bi, mirBkMeta).Load()
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if metaSlotUsed(m, slot) && lr.fixed[recSplitParts(mir.rec(bi, slot), t.seed).DirIndex(lr.g)] != seg {
-				misrouted[bi] |= 1 << uint(slot)
+		var lo, hi, misrouted uint64
+		for used := m; used != 0; used &= used - 1 {
+			slot := bits.TrailingZeros64(used)
+			parts := recSplitParts(mir.rec(bi, slot), t.seed)
+			if lr.fixed[parts.DirIndex(lr.g)] != seg {
+				misrouted |= 1 << uint(slot)
+				continue
+			}
+			lo, hi = fpSet(lo, hi, slot, parts.FP)
+			if bi >= normalBuckets {
+				bucketTrackOverflow(mir, int(parts.BucketIndex(bucketBits)), parts.FP, bi-normalBuckets)
 			}
 		}
+		mir.word(bi, mirBkFPLo).Store(lo)
+		mir.word(bi, mirBkFPHi).Store(hi)
+		mir.dropMeta(bi, m&^misrouted)
 	}
-	segDrop(mir, t.seed, &misrouted, false)
 	if !lr.clean {
 		t.dedupeSegment(seg, mir)
-		t.sweepStashGhosts(seg, mir)
 		t.count.Add(int64(segCount(mir)))
 	}
 	sweepDone := obs.Now()
@@ -379,26 +397,6 @@ func (t *Table) dedupeSegment(seg pmem.Addr, mir *segMirror) {
 		seenKeys[k] = true
 		return false
 	})
-}
-
-// sweepStashGhosts deletes stash records that no home bucket references:
-// neither a tracking slot nor a positive overflow count points at them, so
-// no lookup can ever see them and the slot would leak forever.
-func (t *Table) sweepStashGhosts(seg pmem.Addr, mir *segMirror) {
-	for j := 0; j < stashBuckets; j++ {
-		sb := normalBuckets + j
-		m := mir.word(sb, mirBkMeta).Load()
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
-			parts := recSplitParts(mir.rec(sb, slot), t.seed)
-			home := int(parts.BucketIndex(bucketBits))
-			if !stashReachable(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, j) {
-				bucketDeleteLocked(t.pool, mir, segBucket(seg, sb), sb, slot, true)
-			}
-		}
-	}
 }
 
 // RecoverAll completes recovery synchronously: recovers every still-pending

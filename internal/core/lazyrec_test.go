@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dash/internal/pmem"
 )
@@ -333,17 +333,16 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 	tbl3.Close()
 }
 
-// TestOpenIgnoresStaleLockWords: word 0 of a PM bucket is reserved — the
-// version lock lives in the mirror, which a restart rebuilds unlocked — so
-// Open neither resets nor reads it, and no value there can wedge a writer.
-// The image is taken inside a split's publish, all 66 locks of the splitting
-// segment held — at its sweep's second flush, the header narrowed and one
-// bucket swept — and then every bucket's word 0 of every segment is set odd
-// by hand, which is what an image written while the lock lived in PM looks
-// like at its worst. Every kind of write, further splits included, must
-// complete on those buckets (a hang is the failure) and leave the mirrors
-// exact.
-func TestOpenIgnoresStaleLockWords(t *testing.T) {
+// TestOpenNeverReadsBucketPadding: a PM bucket's header padding (bytes
+// 8..15) and tail padding (bytes 240..255) hold nothing — first-touch
+// recovery, the ops and Verify read neither — so no value there can change
+// what a reopened table holds. Two images get garbage in both paddings of
+// every bucket of every segment: a crash image taken at a split's sibling
+// persist (the marker set, the sibling's block among the segments filled)
+// and the image a clean Close leaves. On each reopened table every kind of
+// write, further splits included, must complete and leave a table that
+// verifies, with the mirrors counting what Count does.
+func TestOpenNeverReadsBucketPadding(t *testing.T) {
 	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
@@ -352,91 +351,80 @@ func TestOpenIgnoresStaleLockWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyAtTeardown(t, tbl)
-	var img []byte
-	swept := -1 // flushes since the split's header persist
+	var crashImg []byte
 	pool.SetFlushHook(func(_ pmem.Addr, n uint64) {
-		switch {
-		case img != nil:
-		case n == segHeaderSize: // the header persist: no u64 insert flushes 64 bytes otherwise
-			swept = 0
-		case swept >= 0:
-			if swept++; swept == 2 {
-				img = pool.Snapshot()
-			}
+		if crashImg == nil && n == segmentSize && tbl.met.splits.Total() >= 2 {
+			crashImg = pool.Snapshot()
 		}
 	})
 	acked := make(map[uint64]uint64)
-	for k := uint64(0); img == nil; k++ {
+	for k := uint64(0); crashImg == nil; k++ {
 		if err := tbl.Insert(k, k+1); err != nil {
 			t.Fatal(err)
 		}
-		if img == nil {
+		if crashImg == nil {
 			acked[k] = k + 1
 		}
 	}
 	pool.SetFlushHook(nil)
+	cleanAcked := maps.Clone(acked)
+	for k := uint64(1) << 36; k < 1<<36+500; k++ {
+		if err := tbl.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+		cleanAcked[k] = k + 1
+	}
+	tbl.Close()
 
-	p, err := pmem.OpenSnapshot(img, pmem.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
-	stale := 0
-	for i := uint64(0); i < 1<<dirDepth(p, dir); i++ {
-		segs := []pmem.Addr{dirLoadEntry(p, dir, i)}
-		if sib := p.QuietLoadU64(segs[0].Add(segOffSplit)) &^ splitStateInFlight; sib != 0 {
-			segs = append(segs, pmem.Addr(sib))
-		}
-		for _, seg := range segs {
-			for bi := 0; bi < totalBuckets; bi++ {
-				p.QuietStoreU64(segBucket(seg, bi).Add(bkOffVersion), 0xDEAD0001)
-				stale++
+	for _, c := range []struct {
+		name  string
+		img   []byte
+		acked map[uint64]uint64
+	}{{"crash inside a split", crashImg, acked}, {"clean", pool.Snapshot(), cleanAcked}} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := pmem.OpenSnapshot(c.img, pmem.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if stale < 3*totalBuckets {
-		t.Fatalf("only %d lock words made stale: the image should hold a split in flight", stale)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		re, err := Open(p)
-		if err != nil {
-			t.Errorf("Open: %v", err)
-			return
-		}
-		defer re.Close()
-		for k, v := range acked {
-			if ok, err := re.Update(k, v+1); !ok || err != nil {
-				t.Errorf("Update(%d) = %v, %v", k, ok, err)
-				return
+			dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
+			segs := make(map[pmem.Addr]bool)
+			for i := uint64(0); i < 1<<dirDepth(p, dir); i++ {
+				seg := dirLoadEntry(p, dir, i)
+				segs[seg] = true
+				if sib := p.QuietLoadU64(seg.Add(segOffSplit)) &^ splitStateInFlight; sib != 0 {
+					segs[pmem.Addr(sib)] = true
+				}
 			}
-			if k%3 == 0 && !re.Delete(k) {
-				t.Errorf("Delete(%d) reported missing", k)
-				return
+			fillPadding(p, segs)
+			re, err := Open(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		splits := re.met.splits.Total()
-		for k := uint64(1) << 32; re.met.splits.Total() < splits+4; k++ {
-			if err := re.Insert(k, k); err != nil {
-				t.Errorf("Insert(%d): %v", k, err)
-				return
+			defer re.Close()
+			for k, v := range c.acked {
+				if ok, err := re.Update(k, v+1); !ok || err != nil {
+					t.Fatalf("Update(%d) = %v, %v", k, ok, err)
+				}
+				if k%3 == 0 && !re.Delete(k) {
+					t.Fatalf("Delete(%d) reported missing", k)
+				}
 			}
-		}
-		for k, v := range acked {
-			if got, ok := re.Get(k); ok != (k%3 != 0) || (ok && got != v+1) {
-				t.Errorf("Get(%d) = %d,%v", k, got, ok)
-				return
+			splits := re.met.splits.Total()
+			for k := uint64(1) << 32; re.met.splits.Total() < splits+4; k++ {
+				if err := re.Insert(k, k); err != nil {
+					t.Fatalf("Insert(%d): %v", k, err)
+				}
 			}
-		}
-		re.RecoverAll()
-		requireVerified(t, re)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("writes on buckets with stale PM lock words did not complete")
+			for k, v := range c.acked {
+				if got, ok := re.Get(k); ok != (k%3 != 0) || (ok && got != v+1) {
+					t.Fatalf("Get(%d) = %d,%v", k, got, ok)
+				}
+			}
+			re.RecoverAll()
+			requireVerified(t, re)
+			if st := re.Stats(); st.Records != re.Count() {
+				t.Fatalf("the mirrors hold %d records, Count is %d", st.Records, re.Count())
+			}
+		})
 	}
 }

@@ -71,6 +71,12 @@ type meters struct {
 	splitMigrateNS      *obs.Histogram
 	splitPublishStallNS *obs.Histogram
 
+	// Where the table's inserts land (segInsertLocked; a split's copy is not
+	// counted), indexed placedHome..placedStash, and how many of them took a
+	// slot that shares its bucket's header line: a one-line commit.
+	placed     [placedKinds]*obs.Counter
+	headerLine *obs.Counter
+
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a
 	// freshly created table. phaseDir is added once by Open; the lazy
 	// phases (segments/mirrors/log) accumulate as first-touch recoveries
@@ -99,6 +105,8 @@ const (
 
 var phaseNames = [...]string{"directory", "segments", "log", "mirrors"}
 
+var placedNames = [placedKinds]string{"home", "probe", "displaced", "stash"}
+
 // initObs builds the registry and flight recorder and hands every layer its
 // counters. Called by Create/Open after the pool, epoch manager and record
 // log exist but before any operation (or recovery) runs.
@@ -125,6 +133,12 @@ func (t *Table) initObs() {
 	t.met.splitStallNS = reg.Counter("split.stall_ns")
 	t.met.splitMigrateNS = reg.Histogram("split.migrate_ns")
 	t.met.splitPublishStallNS = reg.Histogram("split.publish_stall_ns")
+
+	// Inserts: where each record went, and the one-line commits.
+	for where, name := range placedNames {
+		t.met.placed[where] = reg.Counter("insert.placed." + name)
+	}
+	t.met.headerLine = reg.Counter("insert.header_line")
 
 	// Epoch reclamation: retire→free lag is the latency cost of a stalled
 	// reader; pending is the space cost.

@@ -13,16 +13,17 @@ import (
 
 // DRAM-resident per-segment mirror — the dirCache pattern pushed down one
 // layer, and the runtime home of everything an operation *reads*. PM holds
-// what recovery alone can answer — records, bitmaps, fingerprints, the
-// (depth, pattern) claim — and is the only crash truth; but a running table
-// looks none of it up there. Every segment carries a mirror of its buckets
-// in ordinary Go memory:
+// what recovery alone can answer — records, bitmaps, the (depth, pattern)
+// claim — and is the only crash truth; but a running table looks none of it
+// up there. Every segment carries a mirror of its buckets in ordinary Go
+// memory:
 //
 //   - per bucket: the version lock (a seqlock word, odd while a writer holds
 //     the bucket — it exists only here, bucket.go), the meta word (allocation
-//     bitmap + overflow tracking), both fingerprint words, and all 14 record
-//     word pairs — for inline records the key and value themselves, for
-//     indirect records the packed blob address and the stored full key hash;
+//     bitmap, PM's, plus overflow tracking, the mirror's own), both
+//     fingerprint words (the mirror's own) and all 14 record word pairs — for
+//     inline records the key and value themselves, for indirect records the
+//     packed blob address and the stored full key hash;
 //   - per segment: the header's (local depth, pattern) claim, against which
 //     a writer validates its route under its pair locks (Table.lockOwner) and
 //     a negative lookup validates its miss, neither touching the PM
@@ -36,21 +37,23 @@ import (
 // next). Writers take every placement decision here too — free slots,
 // displacement victims, overflow tracking — and PM only takes their stores,
 // each followed at once by the same store to the mirror. DRAM is therefore
-// the runtime truth: a mirror word that differs from its PM word is a bug
-// that can misplace a record before any reader could notice, so nothing at
-// run time second-guesses the mirror; the net is a check, Table.Verify.
+// the runtime truth: a mirror word that differs from its PM word, or from
+// what recovery would recompute from the records, is a bug that can misplace
+// a record before any reader could notice, so nothing at run time
+// second-guesses the mirror; the net is a check, Table.Verify.
 //
 // Coherence:
 //
 //   - write-through from every mutator (insert, delete, in-place and
 //     copy-on-write update, displacement, stash spill and untrack, the
-//     split metadata bump, recovery's duplicate and ghost sweeps), all
+//     split metadata bump, recovery's duplicate sweep), all
 //     inside the bucket's lock with the version odd. No mutator has a
 //     mirror-less form: the mirror is built before the first of them can
-//     run. The one mirror change PM does not take is a drop (segDrop: the
-//     publish's sweep of the moved half, recovery's route filter), which
-//     clears slots in DRAM alone; the bucket remembers the PM meta word it
-//     left behind (pmMeta) until its next persisted meta store;
+//     run. PM does not take the mirror's own words (fingerprints, stash
+//     tracking), nor a drop (segDrop, the publish's sweep of the moved
+//     half; dropMeta, recovery's route filter), which clears slots in DRAM
+//     alone; the bucket remembers the PM bitmap it left behind (pmMeta)
+//     until its next persisted meta store;
 //   - a split's sibling gets its mirror when it gets its block, and the
 //     split's copy — the only writer an unpublished sibling has, so it
 //     takes no lock and the versions stay even — writes every insert
@@ -82,9 +85,9 @@ import (
 // recWord and reset know this layout.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
-	mirBkMeta    = 1 // mirror of the PM meta word (bitmap + overflow tracking)
-	mirBkFPLo    = 2 // mirror of fingerprint word 2
-	mirBkFPHi    = 3 // mirror of fingerprint word 3 (incl. stash indexes)
+	mirBkMeta    = 1 // bits 0..13 PM's bitmap; bits 16..63 overflow tracking (bucket.go)
+	mirBkFPLo    = 2 // fingerprints of slots 0..7
+	mirBkFPHi    = 3 // fingerprints of slots 8..13; byte 6 the overflow stash indexes
 	mirHdrWords  = 4 // header words per bucket
 )
 
@@ -93,7 +96,7 @@ const (
 type segMirror struct {
 	hdr     [totalBuckets][mirHdrWords]atomic.Uint64
 	recs    [totalBuckets * slotsPerBucket][2]atomic.Uint64 // a record's word 0 and word 1
-	pmMeta  [totalBuckets]atomic.Uint64                     // per bucket, the PM meta word a DRAM-only drop left behind; 0: PM's is the mirror's
+	pmMeta  [totalBuckets]atomic.Uint64                     // per bucket, the PM bitmap a DRAM-only drop left behind; 0: PM's is the mirror's
 	depth   atomic.Uint64                                   // mirror of the segment header's local depth
 	pattern atomic.Uint64                                   // mirror of the segment header's pattern
 }
@@ -116,12 +119,12 @@ func (m *segMirror) rec(bi, slot int) pmem.KV {
 	return pmem.KV{Key: m.recWord(bi, slot, 0).Load(), Value: m.recWord(bi, slot, 1).Load()}
 }
 
-// dropMeta is the DRAM-only meta store of a drop (segDrop): bucket bi's
-// mirror meta becomes nm and PM keeps its word, which the mirror remembers
-// unless it already remembers one — then PM has not moved since. A drop only
-// clears slot bits and overflow tracking, so the word it changes has a bit
-// set and the remembered word is never 0. The caller holds the bucket's lock
-// or owns the segment.
+// dropMeta is the DRAM-only meta store of a drop (segDrop, recovery's route
+// filter): bucket bi's mirror meta becomes nm, whose bitmap has lost slots,
+// and PM keeps its bitmap, which the mirror remembers unless it already
+// remembers one — then PM has not moved since. The bitmap a drop changes has
+// a bit set, so the remembered word is never 0. The caller holds the
+// bucket's lock or owns the segment.
 func (m *segMirror) dropMeta(bi int, nm uint64) {
 	w := m.word(bi, mirBkMeta)
 	old := w.Load()
@@ -129,14 +132,14 @@ func (m *segMirror) dropMeta(bi int, nm uint64) {
 		return
 	}
 	if m.pmMeta[bi].Load() == 0 {
-		m.pmMeta[bi].Store(old)
+		m.pmMeta[bi].Store(old & slotMask)
 	}
 	w.Store(nm)
 }
 
 // metaPersisted forgets bucket bi's remembered PM meta word once a persisted
-// store of the mirror's meta word — every meta store a bucket mutator makes
-// (bucket.go) — is durable: PM equals the mirror again.
+// store of the mirror's bitmap — every meta store a bucket mutator makes
+// (bucket.go) — is durable: PM's word is the mirror's bitmap again.
 func (m *segMirror) metaPersisted(bi int) {
 	if m.pmMeta[bi].Load() != 0 {
 		m.pmMeta[bi].Store(0)
@@ -191,26 +194,24 @@ func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	return mir
 }
 
-// mirrorFillBucket copies one bucket's PM words into the mirror: recovery's
-// build, under its first-touch gate — the only PM read of a bucket there is.
-// The meta load pays for the header line; the record lines are charged as
-// one sequential read up to the highest used slot (slots are allocated
-// lowest-first; records 0 and 1 share the header's line), so the per-record
-// loads are quiet.
+// mirrorFillBucket copies one bucket's PM words — its bitmap and the records
+// under it — into the mirror: recovery's build, under its first-touch gate,
+// and the only PM read of a bucket there is. The fingerprints and overflow
+// tracking PM does not keep are recomputed from the records afterwards
+// (recoverSegment). The meta load pays for the header line, which holds
+// records 0..hdrLineSlots-1 too; the other record lines are charged as one
+// sequential read from the first to the last that holds a used slot, so
+// the per-record loads are quiet. Neither padding is read.
 func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 	ba := segBucket(seg, bi)
-	m := p.LoadU64(ba.Add(bkOffMeta))
+	m := p.LoadU64(ba.Add(bkOffMeta)) & slotMask
 	mir.word(bi, mirBkMeta).Store(m)
-	mir.word(bi, mirBkFPLo).Store(p.QuietLoadU64(ba.Add(bkOffFPLo)))
-	mir.word(bi, mirBkFPHi).Store(p.QuietLoadU64(ba.Add(bkOffFPHi)))
-	if last := bits.Len64(m&slotMask) - 1; last >= 2 {
-		end := uint64(bkOffRecords + (last+1)*pmem.RecordSize)
-		p.TouchRead(ba.Add(pmem.CachelineSize), end-pmem.CachelineSize)
+	if rest := m >> hdrLineSlots; rest != 0 {
+		first := recordAddr(ba, hdrLineSlots+bits.TrailingZeros64(rest))
+		p.TouchRead(first, uint64(recordAddr(ba, bits.Len64(m))-first))
 	}
 	for slot := 0; slot < slotsPerBucket; slot++ {
 		if !metaSlotUsed(m, slot) {
-			mir.recWord(bi, slot, 0).Store(0)
-			mir.recWord(bi, slot, 1).Store(0)
 			continue
 		}
 		ra := recordAddr(ba, slot)

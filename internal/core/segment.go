@@ -12,8 +12,8 @@ import (
 // segment's extendible-hashing state (local depth + pattern). Keys map to a
 // target bucket b and may also live in its neighbor b+1 (balanced insert),
 // migrate a neighbor's record one bucket over (displacement), or spill into
-// a stash bucket with tracking metadata left in the home bucket so that
-// negative lookups rarely touch the stash.
+// a stash bucket with tracking metadata left in the home bucket's mirror so
+// that negative lookups rarely touch the stash.
 const (
 	bucketBits    = 6
 	normalBuckets = 1 << bucketBits // 64
@@ -120,20 +120,49 @@ func stashReachable(hm, hhi uint64, fp uint8, j int) bool {
 	return metaFindTracked(hm, hhi, fp, j) >= 0 || metaOvCount(hm) > 0
 }
 
-// segInsertLocked places a record, trying in order: the emptier of the two
+// Where segPlace put a record: the meters' index (insert.placed.*).
+const (
+	placedHome = iota
+	placedProbe
+	placedDisplaced
+	placedStash
+	placedKinds
+)
+
+// segInsertLocked places a record (segPlace) and reports whether it found a
+// slot; false means the segment needs to split. Placements of the table's
+// own inserts are metered — where the record went, and whether its slot
+// shares its bucket's header line (insert.header_line: a one-line commit) —
+// a split's copy is not.
+func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) bool {
+	where, slot := t.segPlace(mir, seg, parts, kv, private)
+	if slot < 0 {
+		return false
+	}
+	if !private {
+		t.met.placed[where].Inc()
+		if slot < hdrLineSlots {
+			t.met.headerLine.Inc()
+		}
+	}
+	return true
+}
+
+// segPlace places a record, trying in order: the emptier of the two
 // candidate buckets (balanced insert), displacing a neighbor-owned record
-// one bucket over, then the stash. Returns false when the segment needs to
-// split. The caller holds the home pair's locks and this function takes the
-// extra locks it needs (displacement target via trylock to stay
-// deadlock-free, stash buckets in ascending order). Every placement decision
-// — free-slot counts, the displacement victim — is read from the mirror.
+// one bucket over, then the stash. It returns where the record went and its
+// slot, -1 when there is no room. The caller holds the home pair's locks and
+// this function takes the extra locks it needs (displacement target via
+// trylock to stay deadlock-free, stash buckets in ascending order). Every
+// placement decision — free-slot counts, the displacement victim — is read
+// from the mirror.
 //
 // private=true is the mode for building a split's unpublished sibling, which
 // only the split owner can reach: there is nobody to exclude, so no lock is
 // taken at all (the caller holds none either), and nothing is persisted —
 // durability comes from the publish's whole-segment flush (see
 // bucketInsertLocked).
-func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) bool {
+func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) (where, slot int) {
 	p, persist := t.pool, !private
 	b, b2 := homePair(parts)
 	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
@@ -141,10 +170,10 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
 	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
-		return t.bucketInsertLocked(mir, ba, b, parts.FP, kv, persist)
+		return placedHome, t.bucketInsertLocked(mir, ba, b, parts.FP, kv, persist)
 	}
 	if f2 > 0 {
-		return t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
+		return placedProbe, t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
 	}
 
 	// Displacement: make room in the probing bucket b2 by moving one of its
@@ -158,14 +187,14 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 		displaced := false
 		if bucketFreeSlots(mir, b3) > 0 {
 			// b2 is full (f1 == f2 == 0): every slot holds a record.
-			for slot := 0; slot < slotsPerBucket && !displaced; slot++ {
-				vict := mir.rec(b2, slot)
+			for vs := 0; vs < slotsPerBucket && !displaced; vs++ {
+				vict := mir.rec(b2, vs)
 				vp := recSplitParts(vict, t.seed)
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
 				t.bucketInsertLocked(mir, b3a, b3, vp.FP, vict, persist)
-				bucketDeleteLocked(p, mir, b2a, b2, slot, persist)
+				bucketDeleteLocked(p, mir, b2a, b2, vs, persist)
 				displaced = true
 			}
 		}
@@ -173,34 +202,32 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 			unlockBucket(mir, b3)
 		}
 		if displaced {
-			return t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
+			return placedDisplaced, t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
 		}
 	}
 
-	// Stash: record goes to any stash bucket with room; the home bucket
-	// (locked by us) learns about it via overflow metadata. Record first,
-	// metadata second: a crash in between leaves an unreachable ghost that
-	// recovery sweeps, never a dangling pointer.
+	// Stash: the record goes to any stash bucket with room, where its bitmap
+	// bit commits it; the home bucket (locked by us) learns about it through
+	// its mirror's overflow tracking, which PM does not keep.
 	for j := 0; j < stashBuckets; j++ {
-		sa := segBucket(seg, normalBuckets+j)
 		if !private {
 			t.lockBucket(mir, normalBuckets+j)
 		}
-		ok := t.bucketInsertLocked(mir, sa, normalBuckets+j, parts.FP, kv, persist)
+		slot = t.bucketInsertLocked(mir, segBucket(seg, normalBuckets+j), normalBuckets+j, parts.FP, kv, persist)
 		if !private {
 			unlockBucket(mir, normalBuckets+j)
 		}
-		if ok {
-			bucketTrackOverflow(p, mir, ba, b, parts.FP, j, persist)
-			return true
+		if slot >= 0 {
+			bucketTrackOverflow(mir, b, parts.FP, j)
+			return placedStash, slot
 		}
 	}
-	return false
+	return placedStash, -1
 }
 
 // segDeleteAt removes the record at loc, fixing the home bucket's overflow
-// metadata when the record lived in the stash. Caller holds the home pair's
-// locks (or owns the whole segment).
+// tracking (in its mirror) when the record lived in the stash. Caller holds
+// the home pair's locks (or owns the whole segment).
 func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
 	p, sa := t.pool, segBucket(seg, loc.bucket)
 	if !loc.inStash() {
@@ -214,8 +241,7 @@ func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, l
 	if concurrent {
 		unlockBucket(mir, loc.bucket)
 	}
-	hb := int(parts.BucketIndex(bucketBits))
-	bucketUntrackOverflow(p, mir, segBucket(seg, hb), hb, loc.tracked)
+	bucketUntrackOverflow(mir, int(parts.BucketIndex(bucketBits)), loc.tracked)
 }
 
 // segSweep deletes every record for which drop returns true, persisted,
@@ -249,29 +275,19 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 }
 
 // segDrop removes the slots drops names (per bucket, a slot bitmap) from the
-// segment's mirror alone: the split publish's sweep of its moved half and
-// recovery's route filter. It stores nothing to PM. A bucket it changes keeps
-// its PM meta word, which the mirror remembers (dropMeta) until the bucket's
-// next persisted meta store, and each dropped record stays in PM under its
-// set bit — a stale slot — until then. Both callers drop only records the
-// directory routes to another segment, and routing only narrows (a split
-// hands a segment's keys to a sibling, nothing ever hands them back), so a
-// stale slot always holds a record the segment does not claim: recovery's
-// route filter, which runs on every image, drops it again, and an insert
-// never reuses it before a meta word with its bit clear is durable
-// (bucketInsertLocked).
-//
-// untrack also removes each dropped stash record from its home bucket's
-// overflow tracking, in the home's mirror meta — the publish's case, which
-// drops from an exact mirror. Recovery passes false: a stale stash slot
-// outlives the publish that dropped it, and the home's PM word may already
-// have stopped tracking it (a persisted store of the home's mirror meta), so
-// untracking it again could strip the cover of a live record that shares its
-// fingerprint and stash bucket, or a count unit. Left alone, a home that
-// still tracks it over-approximates — the state a crash between a stash
-// delete and its untrack leaves, which a probe pays for with at most a stash
-// scan.
-func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64, untrack bool) {
+// segment's mirror alone: the split publish's sweep of its moved half. It
+// stores nothing to PM. A bucket it changes keeps its PM bitmap, which the
+// mirror remembers (dropMeta) until the bucket's next persisted meta store,
+// and each dropped record stays in PM under its set bit — a stale slot —
+// until then. The publish drops only records the directory routes to the
+// sibling, and routing only narrows (a split hands a segment's keys to a
+// sibling, nothing ever hands them back), so a stale slot always holds a
+// record the segment does not claim: recovery's route filter, which runs on
+// every image, drops it again, and an insert never reuses it before a bitmap
+// with its bit clear is durable (bucketInsertLocked). Each dropped stash
+// record also leaves its home bucket's overflow tracking, which lives in the
+// mirror alone.
+func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 	for bi := 0; bi < totalBuckets; bi++ {
 		m := mir.word(bi, mirBkMeta).Load()
 		d := drops[bi] & m & slotMask
@@ -279,19 +295,13 @@ func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64, untrack b
 			continue
 		}
 		mir.dropMeta(bi, m&^d)
-		if !untrack || bi < normalBuckets {
+		if bi < normalBuckets {
 			continue
 		}
 		for ; d != 0; d &= d - 1 {
 			parts := recSplitParts(mir.rec(bi, bits.TrailingZeros64(d)), seed)
 			home := int(parts.BucketIndex(bucketBits))
-			hm := mir.word(home, mirBkMeta).Load()
-			if ts := metaFindTracked(hm, mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets); ts >= 0 {
-				hm = metaClearOvFP(hm, ts)
-			} else {
-				hm = metaAddOvCount(hm, -1)
-			}
-			mir.dropMeta(home, hm)
+			bucketUntrackOverflow(mir, home, metaFindTracked(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets))
 		}
 	}
 }

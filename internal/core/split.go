@@ -133,8 +133,11 @@ type splitCand struct {
 // sibling lock, nobody else can reach it, and persisting nothing: the publish
 // makes the whole sibling durable with one flush+fence before any directory
 // entry points at it, and a crash before that rolls it back wholesale.
-// Reports false when the sibling has no room for a record: the pathological
-// one-sided overflow.
+// Each bucket fills from its highest free slot down (bucketInsertLocked's
+// unpublished mode), so every sibling bucket the copy leaves with room keeps
+// its header line's slots free: the inserts that follow the publish commit
+// there in one line. Reports false when the sibling has no room for a
+// record: the pathological one-sided overflow.
 func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
 
@@ -271,7 +274,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	// overflow tracking). PM keeps the moved records under their bits: the
 	// directory already routes them to the sibling, and recovery drops them by
 	// route on whatever image it opens.
-	segDrop(oldMir, t.seed, &sc.moved, true)
+	segDrop(oldMir, t.seed, &sc.moved)
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to

@@ -194,14 +194,19 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 // none: the claim is a DRAM CAS, the post-claim re-check, the publish and the
 // doubling take the route, the directory's address and depth and its entries
 // from the view, the allocator's frontier is DRAM, and the copy scans the old
-// segment's mirror. The 12 writes are the stores the protocol makes — two
+// segment's mirror. The 11 writes are the stores the protocol makes — two
 // allocator frontiers, marker, sibling header, root pointer, flipped entry,
 // old header, the retried insert — with no lock among them; the doubled
 // directory's words are quiet, charged by the flush that publishes the block,
 // and the sweep of the moved half stores nothing (segDrop). The retried
-// insert's slot is free in PM too; had a drop left it set there, the insert
-// would persist its bucket's meta word first, one more flush and fence
-// (TestStaleSlotInsertCharges). History: with the sweep persisted — one meta
+// insert routes to the sibling and lands in slot 0 of its bucket 10, which
+// the copy, filling each bucket from its highest free slot down, left free:
+// its record shares the header line, so it writes one line where an insert
+// into slot 3 or above writes two (12 writes while the copy filled from
+// slot 0, which put the insert in slot 5). The slot is free in PM too; had
+// a drop left it set there, the insert would persist its bucket's meta word
+// first, one more flush and fence (TestStaleSlotInsertCharges). History:
+// with the sweep persisted — one meta
 // word per bucket it touched, each flushed, and a fence — the same insert
 // charged 0 / 78 / 341 / 11; with the claim a CAS on the PM split word, PM
 // directory walks, the allocator's frontier a PM CAS and the doubling charged
@@ -220,11 +225,69 @@ func TestSplitCharges(t *testing.T) {
 		if tbl.met.splits.Total() == 0 {
 			continue
 		}
-		if want := [4]uint64{0, 12, 275, 10}; got != want {
+		if want := [4]uint64{0, 11, 275, 10}; got != want {
 			t.Fatalf("Insert(%d) with the first split charged read/write/flush/fence = %v, want %v", k, got, want)
 		}
 		break
 	}
+}
+
+// TestSplitLeavesHeaderLineFree: the split's copy fills each sibling bucket
+// from its highest free slot down, so a sibling bucket the copy leaves with
+// room keeps its header line's slots for the inserts that follow. Over the
+// first 12 splits of sequential keys, every bucket of each new sibling that
+// holds at most slotsPerBucket-hdrLineSlots records — the insert that
+// carried the split aside, which may have gone there — has slots
+// 0..hdrLineSlots-1 free in its mirror and in PM. (A displacement inside the
+// copy frees a slot of a full bucket and refills it at once, so a bucket
+// never holds fewer records than the highest slot the copy gave it implies.)
+func TestSplitLeavesHeaderLineFree(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	const hdrSlots = 1<<hdrLineSlots - 1
+	known := make(map[pmem.Addr]bool)
+	for seg := range tbl.cache.descs {
+		known[seg] = true
+	}
+	checked := 0
+	for k := uint64(0); tbl.met.splits.Total() < 12; k++ {
+		splits := tbl.met.splits.Total()
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if tbl.met.splits.Total() == splits {
+			continue
+		}
+		var sib *segDesc
+		for seg, d := range tbl.cache.descs {
+			if !known[seg] {
+				sib, known[seg] = d, true
+			}
+		}
+		pk := tbl.probeU64(k)
+		into := tbl.cache.route(pk.parts)
+		_, at, _ := mirSegSearch(tbl.vlog, into.mir.Load(), &pk, true)
+		mir := sib.mir.Load()
+		for bi := 0; bi < totalBuckets; bi++ {
+			m := mir.word(bi, mirBkMeta).Load() & slotMask
+			pm := tbl.pool.QuietLoadU64(segBucket(sib.seg, bi).Add(bkOffMeta))
+			if into == sib && at.bucket == bi {
+				m, pm = metaClearSlot(m, at.slot), metaClearSlot(pm, at.slot)
+			}
+			if metaFreeSlots(m) < hdrLineSlots {
+				continue
+			}
+			checked++
+			if m&hdrSlots != 0 || pm&hdrSlots != 0 {
+				t.Fatalf("split %d: sibling %#x bucket %d holds %d copied records, and its header line's slots are used: mirror %#x, PM %#x",
+					tbl.met.splits.Total(), sib.seg, bi, slotsPerBucket-metaFreeSlots(m), m, pm)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no sibling bucket was left with room")
+	}
+	t.Logf("%d sibling buckets checked over 12 splits", checked)
 }
 
 // insertThroughSplit inserts sequential keys into tbl, from 0, up to and
@@ -324,7 +387,7 @@ func TestStaleSlotInsertCharges(t *testing.T) {
 			}
 		})
 		want := [4]uint64{0, 2, 3, 3}
-		if slot < 2 {
+		if slot < hdrLineSlots {
 			want[1] = 1
 			inHeader++
 		} else {
@@ -380,7 +443,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	sib := &segDesc{seg: sibling}
 	sib.mir.Store(tbl.newMirror(l+1, pat<<1|1))
 	for bi := 0; bi < totalBuckets; bi++ {
-		for tbl.bucketInsertLocked(sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) {
+		for tbl.bucketInsertLocked(sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) >= 0 {
 		}
 	}
 	spa := old.seg.Add(segOffSplit)

@@ -71,13 +71,14 @@ const (
 	rootOffCount    = 56 // record count persisted by a clean Close
 
 	tableMagic = 0x44617368454831 // "DashEH1"
-	// tableFormat 5: a split leaves its moved records set in the old
-	// segment's PM bitmaps (segDrop), so every image, a clean one too, needs
-	// recovery's route filter. A format-4 binary skips it on a clean image and
-	// would serve a moved record from two segments. 4 = one-word blob header,
-	// no commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog)
-	// records.
-	tableFormat = 5
+	// tableFormat 6: a PM bucket header is the bitmap alone and records start
+	// at offset 16 (bucket.go); fingerprints and stash tracking are
+	// recomputed at first touch. A format-5 image keeps them in the words
+	// where format 6 keeps records. 5 = a split leaves its moved records set
+	// in the old segment's PM bitmaps (segDrop), so every image needs
+	// recovery's route filter; 4 = one-word blob header, no commit word; 3 =
+	// clean-shutdown marker root; 2 = indirect (varlog) records.
+	tableFormat = 6
 	allocStart  = 256 // first allocatable offset; keeps blocks 256-aligned
 	allocAlign  = 256
 
@@ -231,13 +232,12 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 
 // Open revives the table stored in pool with O(directory) work up front
 // (§4.6 instant restart): directory reconciliation, segment metadata fixes,
-// dirCache rebuild. Everything O(data) — mirror builds, duplicate/ghost
-// sweeps, count re-derivation — is deferred to each
-// segment's first touch (lazyrec.go), and the record-log sweep runs as an
-// incremental background pass. After a clean shutdown (Close persisted the
-// root's clean marker) even the deferred sweeps are skipped: first touch
-// only installs the segment's DRAM mirror. Call RecoverAll to force the
-// deferred work to complete synchronously.
+// dirCache rebuild. Everything O(data) — mirror builds, the route filter,
+// the duplicate sweep, count re-derivation — is deferred to each segment's
+// first touch (lazyrec.go), and the record-log sweep runs as an incremental
+// background pass. After a clean shutdown (Close persisted the root's clean
+// marker) the duplicate sweep and the count derivation are skipped. Call
+// RecoverAll to force the deferred work to complete synchronously.
 func Open(pool *pmem.Pool) (*Table, error) {
 	p := pool
 	if p.LoadU64(rootAddr.Add(rootOffMagic)) != tableMagic {

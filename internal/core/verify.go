@@ -23,20 +23,22 @@ import (
 //     claims partition the hash space;
 //   - no split marker is set, no splitter held; a recovered segment has a
 //     mirror, and its mirror equals PM but for what a DRAM-only drop
-//     (segDrop) left behind (PM bucket word 0 is reserved): a bucket's PM
-//     meta word is the word its mirror remembers where it remembers one, and
-//     the mirror's meta word elsewhere; every slot set in the mirror is set
-//     in PM; fingerprint words and the record words of every used slot equal
-//     PM's; and every slot set in PM but not in the mirror — a stale slot —
-//     holds a record the segment does not claim, routed to another segment
-//     (routing only narrows, so this holds across generations of splits);
+//     (segDrop) left behind: a bucket's PM meta word has no bit above 13
+//     set, and its bitmap is the one its mirror remembers where it remembers
+//     one, and the mirror's bitmap elsewhere; every slot set in the mirror is
+//     set in PM; the record words of every used slot equal PM's; and every
+//     slot set in PM but not in the mirror — a stale slot — holds a record
+//     the segment does not claim, routed to another segment (routing only
+//     narrows, so this holds across generations of splits). A bucket's two
+//     paddings are never read: any bytes there are legal;
 //   - in a segment whose mirror matches PM so, every used slot, read from the
-//     mirror: its fingerprint is its record hash's, the hash is claimed by
-//     the segment, a normal record sits in its home pair, a stash record is
+//     mirror: its fingerprint is its record hash's (PM keeps none: the
+//     mirror's must be what recovery recomputes), the hash is claimed by the
+//     segment, a normal record sits in its home pair, a stash record is
 //     reachable from its home bucket by a matching tracking slot or an
-//     overflow count > 0 (not the reverse: a crash between a stash delete and
-//     its untrack, or a stale slot's drop at recovery, leaves a stale count),
-//     and no canonical key appears twice;
+//     overflow count > 0 (the tracking, also the mirror's alone, is what
+//     keeps a probe from missing a stash record), and no canonical key
+//     appears twice;
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
 //     frees are drained: count is the bitmaps' popcount; every blob a slot
@@ -151,14 +153,19 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 		metas[bi], his[bi] = m, hi
-		// Where the mirror remembers no PM meta word, PM's is the mirror's and
-		// the word joins the fingerprint and record words' comparison. Where it
-		// remembers one, PM's is that word, every slot the mirror uses is set
-		// there, and a slot set there alone is stale: it must hold a record
-		// the segment does not claim.
+		// PM's meta word is a bitmap and nothing else. Where the mirror
+		// remembers no PM bitmap, PM's is the mirror's and joins the record
+		// words' comparison. Where it remembers one, PM's is that one, every
+		// slot the mirror uses is set there, and a slot set there alone is
+		// stale: it must hold a record the segment does not claim.
 		pm := p.QuietLoadU64(ba.Add(bkOffMeta))
+		if pm&^slotMask != 0 {
+			fail("segment %#x bucket %d: PM meta %#x has bits above 13 set", seg, bi, pm)
+			ok = false
+		}
+		pm &= slotMask
 		r := mir.pmMeta[bi].Load()
-		same := r != 0 || pm == m
+		same := r != 0 || pm == m&slotMask
 		if r != 0 {
 			if pm != r {
 				fail("segment %#x bucket %d: PM meta %#x, but the mirror remembers %#x", seg, bi, pm, r)
@@ -178,7 +185,6 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 				}
 			}
 		}
-		same = same && p.QuietLoadU64(ba.Add(bkOffFPLo)) == lo && p.QuietLoadU64(ba.Add(bkOffFPHi)) == hi
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			if !metaSlotUsed(m, slot) {
 				continue

@@ -61,8 +61,9 @@ func slotWhere(t *testing.T, tbl *Table, ok func(d *segDesc, bi, slot int, kv pm
 }
 
 // putRecord stores kv into a free slot of bucket bi of d's segment, in PM and
-// mirror alike, quietly and outside every protocol: the record's words, its
-// fingerprint and its bitmap bit.
+// mirror alike, quietly and outside every protocol: the record's words and its
+// bitmap bit, and its fingerprint in the mirror, the only place that keeps
+// one.
 func putRecord(t *testing.T, tbl *Table, d *segDesc, bi int, kv pmem.KV) {
 	t.Helper()
 	mir, ba := d.mir.Load(), segBucket(d.seg, bi)
@@ -75,9 +76,11 @@ func putRecord(t *testing.T, tbl *Table, d *segDesc, bi int, kv pmem.KV) {
 	ra := recordAddr(ba, slot)
 	setWord(tbl, ra, mir.recWord(bi, slot, 0), kv.Key)
 	setWord(tbl, ra.Add(8), mir.recWord(bi, slot, 1), kv.Value)
-	setWord(tbl, ba.Add(bkOffFPLo), mir.word(bi, mirBkFPLo), lo)
-	setWord(tbl, ba.Add(bkOffFPHi), mir.word(bi, mirBkFPHi), hi)
-	setWord(tbl, ba.Add(bkOffMeta), mir.word(bi, mirBkMeta), metaSetSlot(m, slot))
+	mir.word(bi, mirBkFPLo).Store(lo)
+	mir.word(bi, mirBkFPHi).Store(hi)
+	m = metaSetSlot(m, slot)
+	tbl.pool.QuietStoreU64(ba.Add(bkOffMeta), m&slotMask)
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // moveRecord moves the record in slot of bucket bi to bucket to, PM and
@@ -86,7 +89,9 @@ func moveRecord(t *testing.T, tbl *Table, d *segDesc, bi, slot, to int) {
 	t.Helper()
 	mir := d.mir.Load()
 	putRecord(t, tbl, d, to, mir.rec(bi, slot))
-	setWord(tbl, segBucket(d.seg, bi).Add(bkOffMeta), mir.word(bi, mirBkMeta), metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
+	m := metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot)
+	tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), m&slotMask)
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // rememberingBucket returns the first bucket, in view order, whose mirror
@@ -131,8 +136,8 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			mir := d.mir.Load()
 			lo, hi := mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 			lo, hi = fpSet(lo, hi, slot, fpGet(lo, hi, slot)^0xFF)
-			setWord(tbl, segBucket(d.seg, bi).Add(bkOffFPLo), mir.word(bi, mirBkFPLo), lo)
-			setWord(tbl, segBucket(d.seg, bi).Add(bkOffFPHi), mir.word(bi, mirBkFPHi), hi)
+			mir.word(bi, mirBkFPLo).Store(lo)
+			mir.word(bi, mirBkFPHi).Store(hi)
 		}},
 		{"record in a segment that does not claim it", "is not claimed by the segment", func(t *testing.T, tbl *Table) {
 			d, bi, slot := slotWhere(t, tbl, normalSlot)
@@ -165,9 +170,19 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 		}},
 		{"PM meta other than the remembered word", "but the mirror remembers", func(t *testing.T, tbl *Table) {
 			d, bi := rememberingBucket(t, tbl, func(*segMirror, int) bool { return true })
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load())
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load()&slotMask)
 		}},
 		{"PM meta other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
+			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool {
+				mir := d.mir.Load()
+				return mir.pmMeta[bi].Load() == 0 && bucketFreeSlots(mir, bi) > 0
+			})
+			m := d.mir.Load().word(bi, mirBkMeta).Load()
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaSetSlot(m, metaFirstFree(m))&slotMask)
+		}},
+		{"PM meta with bits above the bitmap", "bits above 13", func(t *testing.T, tbl *Table) {
+			// The mirror's overflow tracking, stored where format 5 kept it:
+			// every bit of the bitmap is right.
 			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool { return d.mir.Load().pmMeta[bi].Load() == 0 })
 			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaAddOvCount(d.mir.Load().word(bi, mirBkMeta).Load(), +1))
 		}},
@@ -262,6 +277,13 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			}
 		})
 	}
+	t.Run("reads no padding", func(t *testing.T) {
+		tbl := corruptible(t)
+		fillPadding(tbl.pool, tbl.cache.descs)
+		if err := tbl.Verify(); err != nil {
+			t.Fatalf("Verify read the buckets' padding: %v", err)
+		}
+	})
 	t.Run("moves no PM counter", func(t *testing.T) {
 		tbl := corruptible(t)
 		if !tbl.DeleteB(varKey(0, 24)) { // a retired blob for Verify's drain to free
@@ -275,6 +297,19 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			t.Fatalf("Verify moved the PM counters from %+v to %+v", before, after)
 		}
 	})
+}
+
+// fillPadding stores garbage over both paddings of every bucket of the
+// segments in segs — words no part of the table may read — quietly.
+func fillPadding[D any](p *pmem.Pool, segs map[pmem.Addr]D) {
+	for seg := range segs {
+		for bi := 0; bi < totalBuckets; bi++ {
+			ba := segBucket(seg, bi)
+			for _, off := range []uint64{bkOffPadding, bkOffTail, bkOffTail + 8} {
+				p.QuietStoreU64(ba.Add(off), 0xDEADBEEF_FFFFFFFF^uint64(bi)<<16^off)
+			}
+		}
+	}
 }
 
 // TestOpenRejectsCorruptImage corrupts one word of a table's image per row —
@@ -295,6 +330,7 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 	}{
 		{"format-3 image, blobs with a commit word", "unsupported table format 3", rootAddr.Add(rootOffFormat), 3},
 		{"format-4 image, no route filter on a clean open", "unsupported table format 4", rootAddr.Add(rootOffFormat), 4},
+		{"format-5 image, fingerprints and stash tracking in PM", "unsupported table format 5", rootAddr.Add(rootOffFormat), 5},
 		{"directory pointer past the pool", "root names directory", rootAddr.Add(rootOffDir), p.Size() + 4096},
 		{"misaligned directory pointer", "root names directory", rootAddr.Add(rootOffDir), uint64(dir) + 8},
 		{"directory depth no pool holds", "of depth 40 overruns", dir.Add(dirOffDepth), 40},

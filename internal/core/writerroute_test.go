@@ -166,7 +166,8 @@ func TestWriterReadCharges(t *testing.T) {
 // TestWriterWriteCharges pins a write's PM stores the way TestWriterReadCharges
 // pins its reads: on a quiet table with the cost model off an Insert of an
 // inline record writes one line when its slot shares the bucket's header line
-// (slots 0 and 1) and two otherwise, an in-place Update and a Delete one; each
+// (slots 0..2 since the header shrank to the bitmap; 0 and 1 before) and two
+// otherwise, an in-place Update and a Delete one; each
 // persists what it always did (2 flushed lines and 2 fences, 1 and 1, 1 and
 // 1). With no lock word in PM every line an operation changes is a store the
 // protocol needs, which gives the second half its oracle: over a mixed
@@ -188,7 +189,7 @@ func TestWriterWriteCharges(t *testing.T) {
 		pk := tbl.probeU64(k)
 		_, loc, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
 		want := [4]uint64{0, 2, 2, 2}
-		if loc.slot < 2 {
+		if loc.slot < hdrLineSlots {
 			want[1] = 1
 		}
 		if got != want {

@@ -219,14 +219,17 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 }
 
-// TestFlightWraparound fills tiny rings far past capacity from one goroutine
-// and checks the snapshot retains exactly the newest events, time-ordered.
+// TestFlightWraparound fills tiny rings far past capacity and checks the
+// snapshot retains exactly the newest events, time-ordered. The op events go
+// into op-lane shard 0 directly: RecordAt picks the shard from the calling
+// goroutine's stack address (GoShard), which a stack growth mid-loop moves,
+// and events spread over two shards would retain more than one ring holds.
 func TestFlightWraparound(t *testing.T) {
 	f := NewFlightSized(4, 8)
 	const total = 100
 	for i := 0; i < total; i++ {
 		// Explicit ascending timestamps; A carries the sequence number.
-		f.RecordAt(int64(i), EvGet, PathMirrorHit, uint64(i), 0)
+		f.opLane(0).record(int64(i), EvGet, PathMirrorHit, uint64(i), 0)
 		f.RecordAt(int64(i), EvSplitTrigger, TagNone, uint64(i), 0)
 	}
 	ev := f.Snapshot()
@@ -241,8 +244,8 @@ func TestFlightWraparound(t *testing.T) {
 			t.Fatalf("unexpected event type %v", e.Type)
 		}
 	}
-	// One goroutine records into one op shard: exactly the ring size
-	// survives, and it must be the newest entries in order.
+	// One op shard: exactly the ring size survives, and it must be the
+	// newest entries in order.
 	if len(ops) != 4 || len(ctl) != 8 {
 		t.Fatalf("retained %d op / %d ctl events, want 4 / 8", len(ops), len(ctl))
 	}
