@@ -22,7 +22,7 @@ race:
 # top-down fill — and the ones that crash what a split's DRAM-only sweep
 # leaves in PM (an insert into a stale slot, a first touch after a clean
 # reopen, a second split, stash records on both sides of a split) or what
-# the stash tracking recovery recomputes rests on (a spill, a stash delete)
+# the stash count recovery recomputes rests on (a spill, a stash delete)
 # five times under the race detector: a split's interleavings are timing,
 # and one pass of `race` samples few of them.
 race-split:
@@ -77,7 +77,9 @@ docs-check: vet
 			blobCommitMagic hookVarCommitted \
 			hookAfterMarker hookAfterSegPersist hookMidPublish hookAfterPublish hookMidSweep \
 			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP mirBkWords \
-			hookMidMigrate splitRecopies pauseFirstCopy; do \
+			hookMidMigrate splitRecopies pauseFirstCopy \
+			metaFindTracked bucketTrackOverflow bucketUntrackOverflow stashReachable \
+			maxOvSlots ovIdxGet metaOvCount; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -134,7 +134,7 @@ func BenchmarkMirSegSearch(b *testing.B) {
 		for _, key := range []uint64{k, k + 1<<40} {
 			p := probe{pk: tbl.probeU64(key)}
 			p.mir = tbl.mirror(tbl.cache.route(p.pk.parts))
-			_, loc, found := mirSegSearch(tbl.vlog, p.mir, &p.pk, false)
+			_, loc, found, _ := mirSegSearch(tbl.vlog, p.mir, &p.pk, false)
 			b1, b2 := homePair(p.pk.parts)
 			switch {
 			case !found && len(miss) < n:
@@ -157,7 +157,7 @@ func BenchmarkMirSegSearch(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				p := &c.ps[i&(n-1)]
-				if _, _, found := mirSegSearch(tbl.vlog, p.mir, &p.pk, false); found != c.found {
+				if _, _, found, _ := mirSegSearch(tbl.vlog, p.mir, &p.pk, false); found != c.found {
 					b.Fatalf("key %d: found = %v", p.pk.u, found)
 				}
 			}

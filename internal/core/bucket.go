@@ -25,11 +25,11 @@ import (
 // PM holds nothing a running op loads: every probe, a reader's or a
 // writer's, runs in the segment's DRAM mirror (segfilter.go), whose header
 // words also carry what PM does not keep — per-slot fingerprints and the
-// overflow ("stash") tracking — and the bucket's version lock. Both are
+// home bucket's stash count — and the bucket's version lock. Both are
 // functions of the committed records (a fingerprint is a byte of the
-// record's hash, a stash record's tracking is its home bucket's), so
-// recovery recomputes them at first touch (recoverSegment) and storing them
-// would only cost lines.
+// record's hash, a stash count the number of stash records whose hash names
+// the bucket their home), so recovery recomputes them at first touch
+// (recoverSegment) and storing them would only cost lines.
 //
 // The two record words are still stored value-word-first and probed
 // fingerprint-first whatever the representation; word 0's bit 63
@@ -48,12 +48,11 @@ const (
 	// insert into one of them stores one line, the others two.
 	hdrLineSlots = (pmem.CachelineSize - bkOffRecords) / pmem.RecordSize
 
-	// maxOvSlots is how many stash spills a bucket tracks precisely by
-	// fingerprint; further spills only bump the overflow count and force a
-	// full stash scan on lookup (§4.2).
-	maxOvSlots = 4
-
 	slotMask = (1 << slotsPerBucket) - 1
+
+	// metaStashShift places a home bucket's stash count in the mirror's meta
+	// word, above the bitmap.
+	metaStashShift = 16
 )
 
 // --- pure bit helpers on the packed header words (unit-testable) ---
@@ -61,12 +60,10 @@ const (
 // The mirror (segfilter.go) packs a bucket's header into three words:
 //
 //	meta: bits 0..13  allocation bitmap — PM's meta word is these bits alone
-//	      bits 16..19 overflow-slot bitmap
-//	      bits 24..31 overflow count (untracked stash spills)
-//	      bits 32..63 overflow fingerprints [4]uint8
+//	      bits 16..23 stash count: how many records homed here live in the
+//	                  stash (at most the stash's 28 slots); every other bit 0
 //	fpLo: fingerprints of slots 0..7
-//	fpHi: bytes 0..5 fingerprints of slots 8..13; byte 6 the overflow stash
-//	      indexes, 2 bits per overflow slot
+//	fpHi: bytes 0..5 fingerprints of slots 8..13; bytes 6 and 7 unused
 
 func metaSlotUsed(m uint64, slot int) bool { return m&(1<<uint(slot)) != 0 }
 func metaSetSlot(m uint64, slot int) uint64 {
@@ -87,28 +84,7 @@ func metaFirstFree(m uint64) int {
 // metaLastFree returns the highest free slot, or -1.
 func metaLastFree(m uint64) int { return bits.Len64(^m&slotMask) - 1 }
 
-func metaOvSlotUsed(m uint64, i int) bool { return m&(1<<uint(16+i)) != 0 }
-func metaOvFP(m uint64, i int) uint8      { return uint8(m >> uint(32+8*i)) }
-func metaSetOvFP(m uint64, i int, fp uint8) uint64 {
-	m |= 1 << uint(16+i)
-	m &^= 0xFF << uint(32+8*i)
-	return m | uint64(fp)<<uint(32+8*i)
-}
-func metaClearOvFP(m uint64, i int) uint64 {
-	return m &^ (1<<uint(16+i) | 0xFF<<uint(32+8*i))
-}
-func metaOvCount(m uint64) uint64 { return (m >> 24) & 0xFF }
-func metaAddOvCount(m uint64, delta int) uint64 {
-	c := metaOvCount(m)
-	if delta > 0 {
-		if c < 0xFF {
-			c++
-		}
-	} else if c > 0 {
-		c--
-	}
-	return m&^(0xFF<<24) | c<<24
-}
+func metaStashCount(m uint64) int { return int(m >> metaStashShift & 0xFF) }
 
 func fpGet(lo, hi uint64, slot int) uint8 {
 	if slot < 8 {
@@ -119,8 +95,8 @@ func fpGet(lo, hi uint64, slot int) uint8 {
 
 // fpMatches returns the slots whose fingerprint in (lo, hi) is fp, bit s for
 // slot s, with no per-slot loop: a byte of w ^ fp·0x0101…01 is zero exactly
-// where the slot matches (zeroBytes). Bytes 6 and 7 of hi — the stash
-// indexes and a spare byte — are not slots and never set a bit.
+// where the slot matches (zeroBytes). Bytes 6 and 7 of hi are not slots and
+// never set a bit.
 func fpMatches(lo, hi uint64, fp uint8) uint64 {
 	b := uint64(fp) * lowBytes
 	return (zeroBytes(lo^b) | zeroBytes(hi^b)<<8) & slotMask
@@ -148,12 +124,6 @@ func fpSet(lo, hi uint64, slot int, fp uint8) (uint64, uint64) {
 	sh := uint(8 * (slot - 8))
 	hi = hi&^(0xFF<<sh) | uint64(fp)<<sh
 	return lo, hi
-}
-
-func ovIdxGet(hi uint64, i int) int { return int(hi>>uint(48+2*i)) & 3 }
-func ovIdxSet(hi uint64, i, idx int) uint64 {
-	sh := uint(48 + 2*i)
-	return hi&^(3<<sh) | uint64(idx&3)<<sh
 }
 
 func recordAddr(b pmem.Addr, slot int) pmem.Addr {
@@ -203,7 +173,7 @@ func unlockBucket(mir *segMirror, bi int) {
 // --- writer-side operations; the caller holds the bucket's lock ---
 //
 // Every decision a mutator makes — which slot is free, which fingerprints
-// and tracking slots are set — is read from the mirror, which is exact by
+// are set — is read from the mirror, which is exact by
 // write-through: PM is only stored to, and only records and bitmaps. Charging
 // follows the tree's one-charge-per-line rule (pmem/access.go) with nothing
 // paid in advance: the first store an operation makes to a line is a charged
@@ -319,45 +289,12 @@ func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot 
 	mir.word(bi, mirBkMeta).Store(m)
 }
 
-// bucketTrackOverflow records in the home bucket's mirror that one of its
-// keys went to stash bucket stashIdx: precisely (fingerprint + stash index)
-// while a tracking slot is free, otherwise by bumping the overflow count. It
+// bucketAddStash adds delta (±1) to the stash count of home bucket home, in
+// the mirror alone: a record homed there entered or left the stash. It
 // stores nothing to PM: the stash record's own bitmap bit commits it, and
-// recovery recomputes the tracking from the committed records.
-func bucketTrackOverflow(mir *segMirror, bi int, fp uint8, stashIdx int) {
-	m := mir.word(bi, mirBkMeta).Load()
-	for i := 0; i < maxOvSlots; i++ {
-		if metaOvSlotUsed(m, i) {
-			continue
-		}
-		mir.word(bi, mirBkFPHi).Store(ovIdxSet(mir.word(bi, mirBkFPHi).Load(), i, stashIdx))
-		mir.word(bi, mirBkMeta).Store(metaSetOvFP(m, i, fp))
-		return
-	}
-	mir.word(bi, mirBkMeta).Store(metaAddOvCount(m, +1))
-}
-
-// bucketUntrackOverflow undoes bucketTrackOverflow for a record leaving the
-// stash, in the mirror alone: trackedSlot names the tracking slot when the
-// record was tracked, or -1 when it was only counted.
-func bucketUntrackOverflow(mir *segMirror, bi int, trackedSlot int) {
-	m := mir.word(bi, mirBkMeta).Load()
-	if trackedSlot >= 0 {
-		m = metaClearOvFP(m, trackedSlot)
-	} else {
-		m = metaAddOvCount(m, -1)
-	}
-	mir.word(bi, mirBkMeta).Store(m)
-}
-
-// metaFindTracked returns the tracking slot in a home bucket's header words
-// (m the meta word, hi the fingerprint word carrying the stash indexes)
-// matching (fingerprint, stash index), or -1.
-func metaFindTracked(m, hi uint64, fp uint8, stashIdx int) int {
-	for i := 0; i < maxOvSlots; i++ {
-		if metaOvSlotUsed(m, i) && metaOvFP(m, i) == fp && ovIdxGet(hi, i) == stashIdx {
-			return i
-		}
-	}
-	return -1
+// recovery recounts from the committed records. The caller holds home's
+// lock or owns the segment.
+func bucketAddStash(mir *segMirror, home, delta int) {
+	w := mir.word(home, mirBkMeta)
+	w.Store(w.Load() + uint64(delta)<<metaStashShift)
 }

@@ -24,47 +24,44 @@ func TestMetaBitHelpers(t *testing.T) {
 	if metaFirstFree(m) != 5 || metaLastFree(m) != 9 {
 		t.Fatalf("slots 5 and 9 free: first %d, last %d", metaFirstFree(m), metaLastFree(m))
 	}
-	// Tracking bits above the bitmap are not slots.
-	if metaLastFree(metaAddOvCount(m, +1)) != 9 {
-		t.Fatal("the overflow count reads as a free slot")
+	// The stash count above the bitmap is not slots.
+	if metaLastFree(m|0xFF<<metaStashShift) != 9 || metaFreeSlots(m|0xFF<<metaStashShift) != 2 {
+		t.Fatal("the stash count reads as free slots")
 	}
 }
 
-func TestMetaOverflowHelpers(t *testing.T) {
-	var m uint64
-	for i := 0; i < maxOvSlots; i++ {
-		if metaOvSlotUsed(m, i) {
-			t.Fatalf("ov slot %d unexpectedly used", i)
+// TestBucketAddStash counts a home bucket's stash records up to the stash's
+// capacity and back down: the count is exact at every step, and neither the
+// bitmap below it nor any other header word moves.
+func TestBucketAddStash(t *testing.T) {
+	mir := &segMirror{}
+	const home, bitmap = 5, 0x2A5A
+	mir.word(home, mirBkMeta).Store(bitmap)
+	mir.word(home, mirBkFPLo).Store(0x0102030405060708)
+	mir.word(home, mirBkFPHi).Store(0x0000090A0B0C0D0E)
+	const stashSlots = stashBuckets * slotsPerBucket
+	for n := 1; n <= stashSlots; n++ {
+		bucketAddStash(mir, home, +1)
+		if m := mir.word(home, mirBkMeta).Load(); metaStashCount(m) != n || m&slotMask != bitmap || m>>(metaStashShift+8) != 0 {
+			t.Fatalf("after %d spills: meta %#x, stash count %d", n, m, metaStashCount(m))
 		}
-		m = metaSetOvFP(m, i, uint8(0xA0+i))
 	}
-	for i := 0; i < maxOvSlots; i++ {
-		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != uint8(0xA0+i) {
-			t.Fatalf("ov slot %d: used=%v fp=%#x", i, metaOvSlotUsed(m, i), metaOvFP(m, i))
+	for n := stashSlots - 1; n >= 0; n-- {
+		bucketAddStash(mir, home, -1)
+		if m := mir.word(home, mirBkMeta).Load(); metaStashCount(m) != n || m&slotMask != bitmap {
+			t.Fatalf("after a stash delete: meta %#x, stash count %d, want %d", m, metaStashCount(m), n)
 		}
 	}
-	m = metaClearOvFP(m, 2)
-	if metaOvSlotUsed(m, 2) || metaOvFP(m, 2) != 0 {
-		t.Fatal("clear ov slot 2 not reflected")
+	if m := mir.word(home, mirBkMeta).Load(); m != bitmap {
+		t.Fatalf("meta %#x with an empty stash, want the bitmap %#x alone", m, bitmap)
 	}
-	// Overflow count saturates up and floors at zero.
-	if metaOvCount(m) != 0 {
-		t.Fatal("fresh ov count not zero")
+	if mir.word(home, mirBkFPLo).Load() != 0x0102030405060708 || mir.word(home, mirBkFPHi).Load() != 0x0000090A0B0C0D0E {
+		t.Fatal("the stash count moved a fingerprint word")
 	}
-	m = metaAddOvCount(m, +1)
-	m = metaAddOvCount(m, +1)
-	if metaOvCount(m) != 2 {
-		t.Fatalf("ov count = %d, want 2", metaOvCount(m))
-	}
-	m = metaAddOvCount(m, -1)
-	m = metaAddOvCount(m, -1)
-	m = metaAddOvCount(m, -1)
-	if metaOvCount(m) != 0 {
-		t.Fatalf("ov count = %d, want floor 0", metaOvCount(m))
-	}
-	// Count and slot bits must not clobber the allocation bitmap.
-	if m&slotMask != 0 {
-		t.Fatal("overflow ops leaked into allocation bitmap")
+	for bi := 0; bi < totalBuckets; bi++ {
+		if bi != home && mir.word(bi, mirBkMeta).Load() != 0 {
+			t.Fatalf("bucket %d's meta moved", bi)
+		}
 	}
 }
 
@@ -76,21 +73,6 @@ func TestFingerprintWords(t *testing.T) {
 	for slot := 0; slot < slotsPerBucket; slot++ {
 		if fpGet(lo, hi, slot) != uint8(slot+1) {
 			t.Fatalf("fp slot %d = %d", slot, fpGet(lo, hi, slot))
-		}
-	}
-	// Stash indexes live in the high byte of hi and must not collide with
-	// the slot-8..13 fingerprints.
-	for i := 0; i < maxOvSlots; i++ {
-		hi = ovIdxSet(hi, i, i%stashBuckets)
-	}
-	for i := 0; i < maxOvSlots; i++ {
-		if ovIdxGet(hi, i) != i%stashBuckets {
-			t.Fatalf("ov idx %d = %d", i, ovIdxGet(hi, i))
-		}
-	}
-	for slot := 8; slot < slotsPerBucket; slot++ {
-		if fpGet(lo, hi, slot) != uint8(slot+1) {
-			t.Fatalf("ov idx writes clobbered fp slot %d", slot)
 		}
 	}
 }
@@ -111,8 +93,8 @@ func fpMatchesRef(lo, hi uint64, fp uint8) uint64 {
 // per-slot loop for every fingerprint: over random words, over words built
 // from the bytes a zero-byte test that lets a borrow cross bytes gets wrong
 // (0x00, 0x80, 0xFF, the fingerprint and its neighbours), and with the
-// fingerprint in every byte, hi's bytes 6 and 7 included — the stash indexes
-// and the spare byte, which are not slots and must never set a bit.
+// fingerprint in every byte, hi's bytes 6 and 7 included — unused bytes,
+// which are not slots and must never set a bit.
 func TestFPMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	check := func(lo, hi uint64, fp uint8) {

@@ -48,7 +48,7 @@
 //	               comment is the list of what DRAM and PM must agree on.
 //	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
 //	               insert across a bucket pair, displacement into neighbors,
-//	               stash overflow with fingerprint tracking metadata.
+//	               stash overflow counted in the home bucket's mirror.
 //	bucket.go    — 256-byte cacheline-aligned buckets of 14 records with
 //	               one-byte fingerprints probed before any key dereference
 //	               and a bitmap commit point; the bucket's seqlock version

@@ -453,29 +453,32 @@ func stashSpillHistory(t *testing.T) (prefix []fuzzOp, spill fuzzOp) {
 
 // TestCrashStashSpill crashes an insert that spills to the stash at every
 // flush: its record's, then its stash bucket's bitmap, the commit. The home
-// bucket's tracking is the mirror's alone, so a spill stores and persists
-// nothing else (a third flush, the home's header line, while PM kept the
-// tracking), and every reopened image's tracking is recomputed from the
-// stash records that survived (verifyCrashPoint checks it is exact).
+// bucket's stash count is the mirror's alone, so a spill stores and persists
+// nothing else (a third flush, the home's header line, while PM kept stash
+// tracking), and every reopened image's counts are recomputed from the
+// stash records that survived (verifyCrashPoint's Verify checks they are
+// exact).
 func TestCrashStashSpill(t *testing.T) {
 	prefix, spill := stashSpillHistory(t)
 	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: prefix, last: spill})
 	if points != 2 {
 		t.Fatalf("the stash spill issued %d flushes, want 2: record, bitmap", points)
 	}
-	requireExactTracking(t, done, "the completed spill")
+	requireVerified(t, done)
+	requireStashFound(t, done, "the completed spill")
 }
 
 // TestCrashStashDelete crashes the delete of a stash record at its one
-// flush, the stash bucket's bitmap: the untrack is the home's mirror's
-// alone (a second flush while PM kept the tracking).
+// flush, the stash bucket's bitmap: the count's decrement is the home's
+// mirror's alone (a second flush while PM kept stash tracking).
 func TestCrashStashDelete(t *testing.T) {
 	prefix, spill := stashSpillHistory(t)
 	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: append(prefix, spill), last: fuzzOp{kind: 'd', id: spill.id}})
 	if points != 1 {
 		t.Fatalf("the stash delete issued %d flushes, want 1: the bitmap", points)
 	}
-	requireExactTracking(t, done, "the completed delete")
+	requireVerified(t, done)
+	requireStashFound(t, done, "the completed delete")
 }
 
 // TestCrashStashMovedBySplit: stash records on both sides of a split, a
@@ -483,9 +486,9 @@ func TestCrashStashDelete(t *testing.T) {
 // kept — its first touch — crashed at every flush. The split drops its moved
 // half's stash records from the old mirror alone, so the old segment's PM
 // stash still holds them under set bits; first touch drops them by route and
-// computes the stash tracking from the records that survive, so it must be
-// exact: no home tracks a record the filter dropped, none is counted but
-// unreachable, and the mirrors count what Count does.
+// recounts the stash counts from the records that survive, so they must be
+// exact: no home counts a record the filter dropped (Verify), no stash
+// record is unreachable, and the mirrors count what Count does.
 func TestCrashStashMovedBySplit(t *testing.T) {
 	withLazyGates(t)
 	opt := Options{InitialDepth: 1}
@@ -532,7 +535,7 @@ func TestCrashStashMovedBySplit(t *testing.T) {
 	}
 	done.RecoverAll()
 	requireVerified(t, done)
-	requireExactTracking(t, done, "the completed first touch")
+	requireStashFound(t, done, "the completed first touch")
 	if st := done.Stats(); st.Records != done.Count() {
 		t.Fatalf("the mirrors hold %d records, Count is %d", st.Records, done.Count())
 	}
@@ -543,62 +546,28 @@ func TestCrashStashMovedBySplit(t *testing.T) {
 	}
 }
 
-// requireExactTracking checks the overflow tracking of every recovered
-// segment of tbl against its stash records: each home bucket's tracking
-// slots and overflow count add up to the stash records homed there, each
-// tracking slot names the fingerprint and stash bucket of one of them, and
-// the writers' probe finds every stash record — none is counted but
-// unreachable. (Verify checks only the last: a tracking that
-// over-approximates costs probes a stash scan, not an answer.)
-func requireExactTracking(t *testing.T, tbl *Table, where string) {
+// requireStashFound checks that the writers' probe finds every stash record
+// of every recovered segment of tbl, in the stash bucket that holds it: no
+// home's stash count lets a probe skip the stash while it holds a record of
+// that home. That each count is exact is Verify's to check, which every
+// caller runs on tbl too.
+func requireStashFound(t *testing.T, tbl *Table, where string) {
 	t.Helper()
-	type mark struct {
-		fp uint8
-		j  int
-	}
 	for seg, d := range tbl.cache.descs {
 		mir := d.mir.Load()
 		if mir == nil {
 			continue
 		}
-		var homed [normalBuckets]int
-		marks := make(map[int]map[mark]int)
-		for j := 0; j < stashBuckets; j++ {
-			sb := normalBuckets + j
+		for sb := normalBuckets; sb < totalBuckets; sb++ {
 			for used := mir.word(sb, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
 				kv := mir.rec(sb, bits.TrailingZeros64(used))
-				parts := recSplitParts(kv, tbl.seed)
-				home := int(parts.BucketIndex(bucketBits))
-				homed[home]++
-				if marks[home] == nil {
-					marks[home] = make(map[mark]int)
-				}
-				marks[home][mark{parts.FP, j}]++
 				pk := tbl.probeU64(kv.Key)
 				if recIsIndirect(kv.Key) {
 					pk = tbl.probeBytes(tbl.vlog.KeyBytes(recBlobAddr(kv.Key)))
 				}
-				if _, loc, ok := mirSegSearch(tbl.vlog, mir, &pk, true); !ok || loc.bucket != sb {
-					t.Fatalf("%s: segment %#x: the stash record %+v of home %d is unreachable", where, seg, kv, home)
+				if _, loc, ok, _ := mirSegSearch(tbl.vlog, mir, &pk, true); !ok || loc.bucket != sb {
+					t.Fatalf("%s: segment %#x: the stash record %+v is unreachable", where, seg, kv)
 				}
-			}
-		}
-		for home := 0; home < normalBuckets; home++ {
-			m, hi := mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load()
-			n := int(metaOvCount(m))
-			for i := 0; i < maxOvSlots; i++ {
-				if !metaOvSlotUsed(m, i) {
-					continue
-				}
-				n++
-				k := mark{metaOvFP(m, i), ovIdxGet(hi, i)}
-				if marks[home][k] == 0 {
-					t.Fatalf("%s: segment %#x home %d: tracking slot %d names fingerprint %#x in stash bucket %d, which holds no such record of it", where, seg, home, i, k.fp, k.j)
-				}
-				marks[home][k]--
-			}
-			if n != homed[home] {
-				t.Fatalf("%s: segment %#x home %d tracks %d stash records, the stash holds %d", where, seg, home, n, homed[home])
 			}
 		}
 	}

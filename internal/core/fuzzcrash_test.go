@@ -31,8 +31,8 @@ import (
 //     background sweep, the record log's live set equals the set of blobs
 //     the slots reference (no leak, no double-free) — and keeps passing it
 //     after writes that split a recovered segment (writesAfterReopen);
-//   - the stash tracking recovery recomputed is exact: every home bucket
-//     tracks exactly the stash records homed there (requireExactTracking).
+//   - the stash counts recovery recomputed are exact (Verify) and let the
+//     probe find every stash record (requireStashFound).
 //
 // Flush boundaries within one prefix of the history are deterministic (the
 // table is single-threaded here and owns every flush), so "the Kth flush"
@@ -234,7 +234,7 @@ func verifyCrashPoint(t *testing.T, pool *pmem.Pool, runs []crashRun, where stri
 	if err := tbl.Verify(); err != nil {
 		fail("after recovery: %v", err)
 	}
-	requireExactTracking(t, tbl, where)
+	requireStashFound(t, tbl, where)
 	writesAfterReopen(t, tbl, where)
 	if err := tbl.Verify(); err != nil {
 		fail("after writes on the recovered table: %v", err)

@@ -20,7 +20,7 @@ import (
 // directory-reachable segment's descriptor starts "unrecovered"; the first
 // operation routed to it wins a CAS gate (the split-claim idiom) and
 // runs the per-segment reconcile — mirror build, route filter with the
-// fingerprints and stash tracking PM does not keep, duplicate sweep, count
+// fingerprints and stash counts PM does not keep, duplicate sweep, count
 // re-derivation — while losers spin the winner out.
 // The record-log sweep runs as an incremental background pass once every
 // segment has recovered (it needs the complete reference set), free-listing
@@ -31,7 +31,7 @@ import (
 // duplicate, and the root holds the count — but first touch still installs
 // the segment's mirror, drops by route the records splits moved away (a
 // split removes them from the old segment's mirror only, so every image,
-// clean or not, can hold them), recomputes fingerprints and stash tracking,
+// clean or not, can hold them), recomputes fingerprints and stash counts,
 // and contributes its blob references,
 // and the background pass still runs to rebuild the record log's DRAM free
 // list.
@@ -296,12 +296,11 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 // directory routes elsewhere — the moved half a split left in PM, and on a
 // crash image a half-published split's leftovers — from the mirror alone,
 // as the publish does (dropMeta), storing nothing. Every record it keeps gets
-// its fingerprint and, in the stash, its home bucket's overflow tracking:
-// recomputed from the committed records, the tracking covers exactly the
-// stash records that survive: every kept one is reachable, and no home
-// tracks one the filter dropped. The duplicate sweep, which
-// only a crash can make work for, persists its deletes and untracks as every
-// delete does.
+// its fingerprint and, in the stash, a unit of its home bucket's stash
+// count: recounted from the committed records, each home's count is exactly
+// the stash records that survive homed there. The duplicate sweep, which
+// only a crash can make work for, persists its deletes and decrements the
+// count as every delete does.
 func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	p, seg := t.pool, d.seg
 	start := obs.Now()
@@ -313,7 +312,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	mirDone := obs.Now()
 
 	// Stash buckets come last, so every home's meta word is final but for
-	// the tracking they add to it.
+	// the count they add to it.
 	for bi := 0; bi < totalBuckets; bi++ {
 		m := mir.word(bi, mirBkMeta).Load()
 		var lo, hi, misrouted uint64
@@ -326,7 +325,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 			}
 			lo, hi = fpSet(lo, hi, slot, parts.FP)
 			if bi >= normalBuckets {
-				bucketTrackOverflow(mir, int(parts.BucketIndex(bucketBits)), parts.FP, bi-normalBuckets)
+				bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), +1)
 			}
 		}
 		mir.word(bi, mirBkFPLo).Store(lo)

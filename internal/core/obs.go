@@ -123,6 +123,7 @@ func (t *Table) initObs() {
 	// Per-segment filter mirrors.
 	t.filters.hits = reg.Counter("segfilter.hits")
 	t.filters.misses = reg.Counter("segfilter.misses")
+	t.filters.stashProbes = reg.Counter("segfilter.stash_probes")
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
 	// The bucket locks live in the mirrors: acquisitions that had to wait.
 	t.filters.lockContended = reg.Counter("bucket.lock_contended")

@@ -20,7 +20,7 @@ import (
 //
 //   - per bucket: the version lock (a seqlock word, odd while a writer holds
 //     the bucket — it exists only here, bucket.go), the meta word (allocation
-//     bitmap, PM's, plus overflow tracking, the mirror's own), both
+//     bitmap, PM's, plus the home's stash count, the mirror's own), both
 //     fingerprint words (the mirror's own) and all 14 record word pairs — for
 //     inline records the key and value themselves, for indirect records the
 //     packed blob address and the stored full key hash;
@@ -35,7 +35,7 @@ import (
 // charged PM lines, an indirect candidate charges a read of its blob (key
 // lines for a writer, the whole blob for a reader, who wants the value
 // next). Writers take every placement decision here too — free slots,
-// displacement victims, overflow tracking — and PM only takes their stores,
+// displacement victims, stash counts — and PM only takes their stores,
 // each followed at once by the same store to the mirror. DRAM is therefore
 // the runtime truth: a mirror word that differs from its PM word, or from
 // what recovery would recompute from the records, is a bug that can misplace
@@ -45,12 +45,12 @@ import (
 // Coherence:
 //
 //   - write-through from every mutator (insert, delete, in-place and
-//     copy-on-write update, displacement, stash spill and untrack, the
-//     split metadata bump, recovery's duplicate sweep), all
+//     copy-on-write update, displacement, stash spill and stash delete,
+//     the split metadata bump, recovery's duplicate sweep), all
 //     inside the bucket's lock with the version odd. No mutator has a
 //     mirror-less form: the mirror is built before the first of them can
 //     run. PM does not take the mirror's own words (fingerprints, stash
-//     tracking), nor a drop (segDrop, the publish's sweep of the moved
+//     counts), nor a drop (segDrop, the publish's sweep of the moved
 //     half; dropMeta, recovery's route filter), which clears slots in DRAM
 //     alone; the bucket remembers the PM bitmap it left behind (pmMeta)
 //     until its next persisted meta store;
@@ -85,9 +85,9 @@ import (
 // recWord and reset know this layout.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
-	mirBkMeta    = 1 // bits 0..13 PM's bitmap; bits 16..63 overflow tracking (bucket.go)
+	mirBkMeta    = 1 // bits 0..13 PM's bitmap; bits 16..23 the stash count (bucket.go)
 	mirBkFPLo    = 2 // fingerprints of slots 0..7
-	mirBkFPHi    = 3 // fingerprints of slots 8..13; byte 6 the overflow stash indexes
+	mirBkFPHi    = 3 // fingerprints of slots 8..13
 	mirHdrWords  = 4 // header words per bucket
 )
 
@@ -178,6 +178,8 @@ type segFilters struct {
 	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
 	misses *obs.Counter // reads whose claim or route check failed: repaired, then retried
 
+	stashProbes *obs.Counter // reads whose probe entered the stash: the home's stash count was non-zero
+
 	lockContended *obs.Counter // bucket-lock acquisitions that found the bucket taken
 	stalePersists *obs.Counter // inserts that persisted their bucket's meta first: the slot was still set in PM
 }
@@ -196,8 +198,8 @@ func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 
 // mirrorFillBucket copies one bucket's PM words — its bitmap and the records
 // under it — into the mirror: recovery's build, under its first-touch gate,
-// and the only PM read of a bucket there is. The fingerprints and overflow
-// tracking PM does not keep are recomputed from the records afterwards
+// and the only PM read of a bucket there is. The fingerprints and stash
+// counts PM does not keep are recomputed from the records afterwards
 // (recoverSegment). The meta load pays for the header line, which holds
 // records 0..hdrLineSlots-1 too; the other record lines are charged as one
 // sequential read from the first to the last that holds a used slot, so
@@ -223,10 +225,11 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 // --- the probe: one for readers and writers ---
 
 // mirBucketSearch scans one mirrored bucket for the probe's key and returns
-// the matching record's words and slot (-1: none), plus the meta and
-// fingerprint-hi words for the caller's overflow-probing decisions. The
-// header words alone pick the candidates — used slots whose fingerprint
-// matches, in one compare (fpMatches) — and only their records are read.
+// the matching record's words and slot (-1: none), plus the meta word the
+// scan read, whose stash count tells the caller whether to go on into the
+// stash. The header words alone pick the candidates — used slots whose
+// fingerprint matches, in one compare (fpMatches) — and only their records
+// are read.
 //
 // A reader (locked = false) does not take the bucket's lock: it loops until a
 // scan completes under an unchanged even version (seqlock read), so what it
@@ -238,7 +241,7 @@ func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 // commit until epoch reclamation and the caller holds an epoch guard, so they
 // cannot change or be reused underneath the read; a reader's match through a
 // slot that mutated mid-scan is discarded by the version recheck.
-func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, locked bool) (kv pmem.KV, slot int, m, hi uint64) {
+func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, locked bool) (kv pmem.KV, slot int, m uint64) {
 	ver := mir.word(bi, mirBkVersion)
 	for {
 		v := ver.Load()
@@ -247,8 +250,7 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, lock
 			continue
 		}
 		m = mir.word(bi, mirBkMeta).Load()
-		lo := mir.word(bi, mirBkFPLo).Load()
-		hi = mir.word(bi, mirBkFPHi).Load()
+		lo, hi := mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 		kv, slot = pmem.KV{}, -1
 		for c := fpMatches(lo, hi, pk.parts.FP) & m; c != 0; c &= c - 1 {
 			s := bits.TrailingZeros64(c)
@@ -264,40 +266,34 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, lock
 }
 
 // mirSegSearch locates the probe's key within one segment: probe the
-// candidate pair fingerprint-first, then follow the home bucket's overflow
-// metadata into the stash. Zero PM traffic except the blob read of an
-// indirect candidate. The match is returned as the raw record words, which
-// stay interpretable under the caller's epoch guard, and its place.
+// candidate pair fingerprint-first, then — only when the home bucket's stash
+// count is non-zero — both stash buckets, by their own fingerprints. Zero PM
+// traffic except the blob read of an indirect candidate. The match is
+// returned as the raw record words, which stay interpretable under the
+// caller's epoch guard, and its place; stashed reports whether the probe
+// entered the stash.
 //
 // A reader's bucket scans are individually version-stable; cross-bucket races
 // are caught by searchOpt's route recheck. A writer (locked = true) holds the
 // home pair's locks; the stash buckets it scans without theirs: records of
 // this home cannot move (every stash mutation of this home takes the home
 // lock), and records of other homes can never alias the key.
-func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey, locked bool) (pmem.KV, recLoc, bool) {
+func mirSegSearch(vl *pmem.VarLog, mir *segMirror, pk *probeKey, locked bool) (kv pmem.KV, loc recLoc, found, stashed bool) {
 	b, b2 := homePair(pk.parts)
-	kv, slot, m, hi := mirBucketSearch(vl, mir, b, pk, locked)
+	kv, slot, m := mirBucketSearch(vl, mir, b, pk, locked)
 	if slot >= 0 {
-		return kv, recLoc{bucket: b, slot: slot, tracked: -1}, true
+		return kv, recLoc{bucket: b, slot: slot}, true, false
 	}
-	if kv, slot, _, _ = mirBucketSearch(vl, mir, b2, pk, locked); slot >= 0 {
-		return kv, recLoc{bucket: b2, slot: slot, tracked: -1}, true
+	if kv, slot, _ = mirBucketSearch(vl, mir, b2, pk, locked); slot >= 0 {
+		return kv, recLoc{bucket: b2, slot: slot}, true, false
 	}
-	for i := 0; i < maxOvSlots; i++ {
-		if !metaOvSlotUsed(m, i) || metaOvFP(m, i) != pk.parts.FP {
-			continue
-		}
-		sb := normalBuckets + ovIdxGet(hi, i)
-		if kv, slot, _, _ = mirBucketSearch(vl, mir, sb, pk, locked); slot >= 0 {
-			return kv, recLoc{bucket: sb, slot: slot, tracked: i}, true
-		}
+	if metaStashCount(m) == 0 {
+		return pmem.KV{}, recLoc{}, false, false
 	}
-	if metaOvCount(m) > 0 {
-		for sb := normalBuckets; sb < totalBuckets; sb++ {
-			if kv, slot, _, _ = mirBucketSearch(vl, mir, sb, pk, locked); slot >= 0 {
-				return kv, recLoc{bucket: sb, slot: slot, tracked: -1}, true
-			}
+	for sb := normalBuckets; sb < totalBuckets; sb++ {
+		if kv, slot, _ = mirBucketSearch(vl, mir, sb, pk, locked); slot >= 0 {
+			return kv, recLoc{bucket: sb, slot: slot}, true, true
 		}
 	}
-	return pmem.KV{}, recLoc{}, false
+	return pmem.KV{}, recLoc{}, false, true
 }

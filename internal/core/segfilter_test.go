@@ -436,7 +436,7 @@ func TestMirrorDuringSplitMigration(t *testing.T) {
 	if d := tbl.cache.route(pk.parts); d.seg != sibling {
 		t.Errorf("Insert(%d) routes to %#x after the split, want the sibling %#x", fresh, d.seg, sibling)
 	}
-	if kv, _, ok := mirSegSearch(tbl.vlog, mirrorOf(tbl, sibling), &pk, true); !ok || kv.Value != 99 {
+	if kv, _, ok, _ := mirSegSearch(tbl.vlog, mirrorOf(tbl, sibling), &pk, true); !ok || kv.Value != 99 {
 		t.Errorf("Insert(%d) is not in the sibling's half", fresh)
 	}
 	for k, want := range acked {
@@ -519,5 +519,73 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 	}
 	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
 		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)
+	}
+}
+
+// TestStashProbesMeter: segfilter.stash_probes counts the reads whose probe
+// entered the stash, which a read does only when its home bucket's stash
+// count is non-zero. A miss in a home whose count is 0 leaves the meter at
+// 0; a miss in a home with stash records adds one, as does a hit in the
+// stash; a hit in the bucket pair adds nothing.
+func TestStashProbesMeter(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{})
+	defer tbl.Close()
+	const n = 20000
+	for k := uint64(0); k < n; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := tbl.filters.stashProbes.Total
+	if got := probes(); got != 0 {
+		t.Fatalf("inserts moved the read-side meter to %d", got)
+	}
+	// probe classifies key k without a metered read: whether its home counts
+	// stash records, and where the probe finds it.
+	probe := func(k uint64) (counted bool, loc recLoc) {
+		pk := tbl.probeU64(k)
+		mir := tbl.mirror(tbl.cache.route(pk.parts))
+		b, _ := homePair(pk.parts)
+		_, loc, _, _ = mirSegSearch(tbl.vlog, mir, &pk, false)
+		return metaStashCount(mir.word(b, mirBkMeta).Load()) > 0, loc
+	}
+	var uncounted, counted []uint64 // absent keys by their home's count
+	for k := uint64(n); len(uncounted) < 100 || len(counted) == 0; k++ {
+		if c, _ := probe(k); c {
+			counted = append(counted, k)
+		} else {
+			uncounted = append(uncounted, k)
+		}
+	}
+	for _, k := range uncounted {
+		if _, ok := tbl.Get(k); ok {
+			t.Fatalf("absent key %d found", k)
+		}
+	}
+	if got := probes(); got != 0 {
+		t.Fatalf("%d misses in homes with no stash records: stash_probes = %d, want 0", len(uncounted), got)
+	}
+	if _, ok := tbl.Get(counted[0]); ok {
+		t.Fatal("absent key found")
+	}
+	if got := probes(); got != 1 {
+		t.Fatalf("one miss in a home with stash records: stash_probes = %d, want 1", got)
+	}
+	var inPair, inStash uint64
+	for k := uint64(1); k < n; k++ {
+		if c, loc := probe(k); c && loc.inStash() {
+			inStash = k
+		} else if c {
+			inPair = k
+		}
+	}
+	if inPair == 0 || inStash == 0 {
+		t.Fatal("the homes with stash records hold no pair record or no stash record")
+	}
+	if _, ok := tbl.Get(inPair); !ok || probes() != 1 {
+		t.Fatalf("a hit in the pair: found %v, stash_probes = %d, want 1", ok, probes())
+	}
+	if _, ok := tbl.Get(inStash); !ok || probes() != 2 {
+		t.Fatalf("a hit in the stash: found %v, stash_probes = %d, want 2", ok, probes())
 	}
 }

@@ -12,8 +12,8 @@ import (
 // segment's extendible-hashing state (local depth + pattern). Keys map to a
 // target bucket b and may also live in its neighbor b+1 (balanced insert),
 // migrate a neighbor's record one bucket over (displacement), or spill into
-// a stash bucket with tracking metadata left in the home bucket's mirror so
-// that negative lookups rarely touch the stash.
+// a stash bucket, counted in the home bucket's mirror so that a lookup whose
+// home has no stash records never scans the stash.
 const (
 	bucketBits    = 6
 	normalBuckets = 1 << bucketBits // 64
@@ -106,19 +106,11 @@ func unlockPair(mir *segMirror, b1, b2 int) {
 
 // recLoc names a record inside a segment.
 type recLoc struct {
-	bucket  int // index into the segment's bucket array (≥ normalBuckets = stash)
-	slot    int
-	tracked int // stash hits: tracking slot in the home bucket, or -1
+	bucket int // index into the segment's bucket array (≥ normalBuckets = stash)
+	slot   int
 }
 
 func (l recLoc) inStash() bool { return l.bucket >= normalBuckets }
-
-// stashReachable reports whether a lookup reaches a record with fingerprint
-// fp in stash bucket j, given its home bucket's meta and fingerprint-hi
-// words: the home tracks it, or counts untracked spills.
-func stashReachable(hm, hhi uint64, fp uint8, j int) bool {
-	return metaFindTracked(hm, hhi, fp, j) >= 0 || metaOvCount(hm) > 0
-}
 
 // Where segPlace put a record: the meters' index (insert.placed.*).
 const (
@@ -207,8 +199,8 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 	}
 
 	// Stash: the record goes to any stash bucket with room, where its bitmap
-	// bit commits it; the home bucket (locked by us) learns about it through
-	// its mirror's overflow tracking, which PM does not keep.
+	// bit commits it; the home bucket (locked by us) counts it in its
+	// mirror, which PM does not keep.
 	for j := 0; j < stashBuckets; j++ {
 		if !private {
 			t.lockBucket(mir, normalBuckets+j)
@@ -218,34 +210,32 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 			unlockBucket(mir, normalBuckets+j)
 		}
 		if slot >= 0 {
-			bucketTrackOverflow(mir, b, parts.FP, j)
+			bucketAddStash(mir, b, +1)
 			return placedStash, slot
 		}
 	}
 	return placedStash, -1
 }
 
-// segDeleteAt removes the record at loc, fixing the home bucket's overflow
-// tracking (in its mirror) when the record lived in the stash. Caller holds
-// the home pair's locks (or owns the whole segment).
-func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc, concurrent bool) {
+// segDeleteAt removes the record at loc, taking the stash bucket's lock and
+// decrementing the home bucket's stash count (in its mirror) when the record
+// lived in the stash. Caller holds the home pair's locks, or owns the whole
+// segment — recovery, on a mirror nobody else can reach, where the stash
+// lock is free and taking it never waits.
+func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc) {
 	p, sa := t.pool, segBucket(seg, loc.bucket)
 	if !loc.inStash() {
 		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 		return
 	}
-	if concurrent {
-		t.lockBucket(mir, loc.bucket)
-	}
+	t.lockBucket(mir, loc.bucket)
 	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
-	if concurrent {
-		unlockBucket(mir, loc.bucket)
-	}
-	bucketUntrackOverflow(mir, int(parts.BucketIndex(bucketBits)), loc.tracked)
+	unlockBucket(mir, loc.bucket)
+	bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
 }
 
 // segSweep deletes every record for which drop returns true, persisted,
-// fixing stash tracking metadata as it goes, and returns the number of records
+// fixing stash counts as it goes, and returns the number of records
 // removed. Recovery's duplicate sweep (dedupeSegment): the caller owns the
 // whole segment (its first-touch gate) and has built mir from it, so like
 // every mutator it reads the mirror and stores to both.
@@ -262,12 +252,7 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 			if !drop(parts, kv) {
 				continue
 			}
-			loc := recLoc{bucket: bi, slot: slot, tracked: -1}
-			if loc.inStash() {
-				home := int(parts.BucketIndex(bucketBits))
-				loc.tracked = metaFindTracked(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets)
-			}
-			t.segDeleteAt(mir, seg, parts, loc, false)
+			t.segDeleteAt(mir, seg, parts, recLoc{bucket: bi, slot: slot})
 			removed++
 		}
 	}
@@ -285,7 +270,7 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 // record the segment does not claim: recovery's route filter, which runs on
 // every image, drops it again, and an insert never reuses it before a bitmap
 // with its bit clear is durable (bucketInsertLocked). Each dropped stash
-// record also leaves its home bucket's overflow tracking, which lives in the
+// record also leaves its home bucket's stash count, which lives in the
 // mirror alone.
 func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -300,8 +285,7 @@ func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 		}
 		for ; d != 0; d &= d - 1 {
 			parts := recSplitParts(mir.rec(bi, bits.TrailingZeros64(d)), seed)
-			home := int(parts.BucketIndex(bucketBits))
-			bucketUntrackOverflow(mir, home, metaFindTracked(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, bi-normalBuckets))
+			bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
 		}
 	}
 }

@@ -246,8 +246,11 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 		dirInit(p, newDir, g+1, func(i uint64) pmem.Addr { return v.entries[i>>1].Load().seg })
 		p.StoreU64(rootAddr.Add(rootOffDir), uint64(newDir))
 		p.Persist(rootAddr.Add(rootOffDir), 8)
-		old, oldSize := dir, dirSize(g)
-		t.em.Retire(func() { t.freePush(old, oldSize) })
+		// The old block is free at once: no operation loads a PM directory
+		// entry — routes come from the view — and the only readers of the PM
+		// directory are cacheRebuild (Create, Open) and the quiescent Verify,
+		// which read the block the root names.
+		t.freePush(dir, dirSize(g))
 		dir = newDir
 		g++
 		t.cacheDouble(newDir)
@@ -270,8 +273,8 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	oldMir.setClaim(l+1, pat<<1)
 	// The copy scanned the state the locks froze, so its moved-slot bitmaps
 	// are exact: the drop clears them from the mirror alone and re-reads only
-	// the stash records (each needs its hash to fix its home bucket's
-	// overflow tracking). PM keeps the moved records under their bits: the
+	// the stash records (each needs its hash to decrement its home bucket's
+	// stash count). PM keeps the moved records under their bits: the
 	// directory already routes them to the sibling, and recovery drops them by
 	// route on whatever image it opens.
 	segDrop(oldMir, t.seed, &sc.moved)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -266,7 +267,7 @@ func TestSplitLeavesHeaderLineFree(t *testing.T) {
 		}
 		pk := tbl.probeU64(k)
 		into := tbl.cache.route(pk.parts)
-		_, at, _ := mirSegSearch(tbl.vlog, into.mir.Load(), &pk, true)
+		_, at, _, _ := mirSegSearch(tbl.vlog, into.mir.Load(), &pk, true)
 		mir := sib.mir.Load()
 		for bi := 0; bi < totalBuckets; bi++ {
 			m := mir.word(bi, mirBkMeta).Load() & slotMask
@@ -397,7 +398,7 @@ func TestStaleSlotInsertCharges(t *testing.T) {
 			t.Fatalf("Insert(%d) into stale slot %d of bucket %d charged read/write/flush/fence = %v, want %v", k, slot, bi, got, want)
 		}
 		pk := tbl.probeU64(k)
-		if _, loc, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.bucket != bi || loc.slot != slot {
+		if _, loc, _, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.bucket != bi || loc.slot != slot {
 			t.Fatalf("Insert(%d) landed in bucket %d slot %d, want the stale slot %d of bucket %d", k, loc.bucket, loc.slot, slot, bi)
 		}
 		if n := tbl.filters.stalePersists.Total() - persists; n != 1 {
@@ -464,16 +465,19 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	}
 	requireVerified(t, tbl)
 
-	// The retried split takes the recycled block, not a new one.
+	// The retried split takes the recycled block, not a new one. It doubles
+	// the directory, which frees the old directory block at once: that block
+	// is all the free list may hold after it.
 	frontier := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt))
+	oldDir := tbl.cache.view.Load().dir
 	for ; tbl.met.splits.Total() == 0; k++ {
 		if err := tbl.Insert(k, k+1); err != nil {
 			t.Fatalf("insert %d after the rollback: %v", k, err)
 		}
 		acked[k] = k + 1
 	}
-	if tbl.cache.descs[sibling] == nil || len(tbl.freeList) != 0 {
-		t.Fatalf("the retried split did not publish the recycled block (free list %+v)", tbl.freeList)
+	if tbl.cache.descs[sibling] == nil || len(tbl.freeList) != 1 || tbl.freeList[0] != (freeSpan{addr: oldDir, size: allocRound(dirSize(1))}) {
+		t.Fatalf("the retried split did not publish the recycled block (free list %+v, want only the old directory %#x)", tbl.freeList, oldDir)
 	}
 	if got := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)); got-frontier >= allocRound(segmentSize) {
 		t.Fatalf("the retried split moved the frontier %d→%d: room for a segment, past its doubled directory", frontier, got)
@@ -587,4 +591,30 @@ func TestPoolFullMidSplitStaysServiceable(t *testing.T) {
 	reopened := openTestTable(t, pool)
 	defer reopened.Close()
 	check("reopened", reopened)
+}
+
+// TestDoublingFreesOldDirectoryAtOnce: a doubling puts the old PM directory
+// block on the free list before the insert that carried it returns, with no
+// epoch drain and nothing retired: no operation loads a PM directory entry,
+// so no reader can still be in the block.
+func TestDoublingFreesOldDirectoryAtOnce(t *testing.T) {
+	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	doublings := 0
+	for k := uint64(0); doublings < 4; k++ {
+		v, retired := tbl.cache.view.Load(), tbl.em.Retired.Total()
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if tbl.GlobalDepth() == v.depth {
+			continue
+		}
+		doublings++
+		if want := (freeSpan{addr: v.dir, size: allocRound(dirSize(v.depth))}); !slices.Contains(tbl.freeList, want) {
+			t.Fatalf("after doubling to depth %d: free list %+v lacks the old directory %+v", tbl.GlobalDepth(), tbl.freeList, want)
+		}
+		if got := tbl.em.Retired.Total(); got != retired {
+			t.Fatalf("the doubling retired %d objects through the epoch manager", got-retired)
+		}
+	}
 }

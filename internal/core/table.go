@@ -22,8 +22,7 @@ import (
 //   - Every operation routes key → segment through the DRAM directory cache
 //     (dircache.go), which a stale route repairs from too; the PM directory
 //     is only stored to. Every operation runs inside an epoch guard so a
-//     retired directory block is never recycled under a reader still
-//     traversing it.
+//     retired blob is never reused under a reader still reading it.
 //   - Every probe, a reader's or a writer's, runs in the routed segment's
 //     DRAM mirror (segfilter.go — the only probe there is). DRAM is the
 //     runtime truth — routes, locks, claims, bitmaps, fingerprints, record
@@ -72,7 +71,7 @@ const (
 
 	tableMagic = 0x44617368454831 // "DashEH1"
 	// tableFormat 6: a PM bucket header is the bitmap alone and records start
-	// at offset 16 (bucket.go); fingerprints and stash tracking are
+	// at offset 16 (bucket.go); fingerprints and stash counts are
 	// recomputed at first touch. A format-5 image keeps them in the words
 	// where format 6 keeps records. 5 = a split leaves its moved records set
 	// in the old segment's PM bitmaps (segDrop), so every image needs
@@ -124,8 +123,7 @@ type Table struct {
 	// vlog is the PM record log holding every variable-length (and every
 	// bit-63-keyed uint64) record's key/value blob; bucket slots reference
 	// blobs by packed address (record.go). Freed blobs are epoch-deferred
-	// like retired directory blocks so lock-free readers never dereference
-	// reused bytes.
+	// so lock-free readers never dereference reused bytes.
 	vlog *pmem.VarLog
 
 	// cache is the DRAM-resident mirror of the PM directory (dircache.go),
@@ -448,7 +446,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 	for {
 		d, mir := t.lockOwner(parts, b, b2)
 		seg := d.seg
-		if _, _, found := mirSegSearch(t.vlog, mir, pk, true); found {
+		if _, _, found, _ := mirSegSearch(t.vlog, mir, pk, true); found {
 			unlockPair(mir, b, b2)
 			return ErrKeyExists
 		}
@@ -533,7 +531,10 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	for {
 		d := t.cache.route(pk.parts)
 		mir := t.mirror(d)
-		kv, _, found := mirSegSearch(t.vlog, mir, pk, false)
+		kv, _, found, stashed := mirSegSearch(t.vlog, mir, pk, false)
+		if stashed {
+			t.filters.stashProbes.Inc()
+		}
 		if found || mirClaims(mir, pk.parts) && t.cache.route(pk.parts) == d {
 			t.cache.hits.Inc()
 			t.filters.hits.Inc()
@@ -569,9 +570,9 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 	b, b2 := homePair(parts)
 	d, mir := t.lockOwner(parts, b, b2)
 	seg := d.seg
-	kv, loc, found := mirSegSearch(t.vlog, mir, pk, true)
+	kv, loc, found, _ := mirSegSearch(t.vlog, mir, pk, true)
 	if found {
-		t.segDeleteAt(mir, seg, parts, loc, true)
+		t.segDeleteAt(mir, seg, parts, loc)
 		if recIsIndirect(kv.Key) {
 			t.retireBlob(recBlobAddr(kv.Key))
 		}
@@ -657,7 +658,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 	for {
 		d, mir := t.lockOwner(parts, b, b2)
 		seg := d.seg
-		old, loc, found := mirSegSearch(t.vlog, mir, pk, true)
+		old, loc, found, _ := mirSegSearch(t.vlog, mir, pk, true)
 		if !found {
 			unlockPair(mir, b, b2)
 			freeBlob()
@@ -729,7 +730,7 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// have displaced records, but never this one (displacement only
 		// moves records homed in the probing neighbor b2; this key's home
 		// is b).
-		t.segDeleteAt(mir, seg, parts, loc, true)
+		t.segDeleteAt(mir, seg, parts, loc)
 		unlockPair(mir, b, b2)
 		return true, nil
 	}

@@ -34,11 +34,11 @@ import (
 //   - in a segment whose mirror matches PM so, every used slot, read from the
 //     mirror: its fingerprint is its record hash's (PM keeps none: the
 //     mirror's must be what recovery recomputes), the hash is claimed by the
-//     segment, a normal record sits in its home pair, a stash record is
-//     reachable from its home bucket by a matching tracking slot or an
-//     overflow count > 0 (the tracking, also the mirror's alone, is what
-//     keeps a probe from missing a stash record), and no canonical key
-//     appears twice;
+//     segment, a normal record sits in its home pair, and no canonical key
+//     appears twice; and every bucket's mirror meta word holds, above its
+//     bitmap, exactly the number of stash records homed there (the stash
+//     count, also the mirror's alone: a count too low lets a probe skip the
+//     stash and miss a record, one too high costs misses a stash scan);
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
 //     frees are drained: count is the bitmaps' popcount; every blob a slot
@@ -146,13 +146,14 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 	at := func(bi, slot int, format string, args ...any) {
 		slotErrs = append(slotErrs, fmt.Errorf("segment %#x bucket %d slot %d: "+format, append([]any{seg, bi, slot}, args...)...))
 	}
-	var metas, his [totalBuckets]uint64 // the mirror's, for the stash records' home buckets
-	keys8 := make(map[uint64]bool)      // canonical 8-byte keys, as little-endian uint64s
-	keys := make(map[string]bool)       // every other canonical key
+	var metas [totalBuckets]uint64 // the mirror's
+	var homed [totalBuckets]int    // per home bucket, the stash records homed there
+	keys8 := make(map[uint64]bool) // canonical 8-byte keys, as little-endian uint64s
+	keys := make(map[string]bool)  // every other canonical key
 	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
-		metas[bi], his[bi] = m, hi
+		metas[bi] = m
 		// PM's meta word is a bitmap and nothing else. Where the mirror
 		// remembers no PM bitmap, PM's is the mirror's and joins the record
 		// words' comparison. Where it remembers one, PM's is that one, every
@@ -202,8 +203,8 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 			if b, b2 := homePair(parts); bi < normalBuckets && bi != b && bi != b2 {
 				at(bi, slot, "record outside its home pair (%d, %d)", b, b2)
 			}
-			if home := parts.BucketIndex(bucketBits); bi >= normalBuckets && !stashReachable(metas[home], his[home], parts.FP, bi-normalBuckets) {
-				at(bi, slot, "stash record unreachable from its home bucket")
+			if bi >= normalBuckets {
+				homed[parts.BucketIndex(bucketBits)]++
 			}
 			key := kv.Key
 			if recIsIndirect(kv.Key) {
@@ -228,6 +229,11 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 		if !same {
 			fail("segment %#x bucket %d: mirror diverges from PM", seg, bi)
 			ok = false
+		}
+	}
+	for bi, m := range metas {
+		if c := m &^ slotMask >> metaStashShift; c != uint64(homed[bi]) {
+			slotErrs = append(slotErrs, fmt.Errorf("segment %#x bucket %d: stash count %d, the stash holds %d records homed there", seg, bi, c, homed[bi]))
 		}
 	}
 	if ok { // findings against a mirror that diverged from PM prove nothing

@@ -160,13 +160,17 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			putRecord(t, tbl, d, bi, d.mir.Load().rec(bi, slot))
 			tbl.count.Add(1)
 		}},
-		{"untracked stash record", "unreachable from its home bucket", func(t *testing.T, tbl *Table) {
-			d, bi, slot := slotWhere(t, tbl, func(d *segDesc, bi, _ int, kv pmem.KV) bool {
-				parts, mir := recSplitParts(kv, tbl.seed), d.mir.Load()
-				home := int(parts.BucketIndex(bucketBits))
-				return bi < normalBuckets && !stashReachable(mir.word(home, mirBkMeta).Load(), mir.word(home, mirBkFPHi).Load(), parts.FP, 0)
+		{"under-counted home", "stash count", func(t *testing.T, tbl *Table) {
+			// A record moved into the stash that its home does not count:
+			// a probe that finds the count at zero skips the stash.
+			d, bi, slot := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool {
+				return bi < normalBuckets && bucketFreeSlots(d.mir.Load(), normalBuckets) > 0
 			})
 			moveRecord(t, tbl, d, bi, slot, normalBuckets)
+		}},
+		{"over-counted home", "stash count", func(t *testing.T, tbl *Table) {
+			d, bi, _ := slotWhere(t, tbl, normalSlot)
+			bucketAddStash(d.mir.Load(), bi, +1)
 		}},
 		{"PM meta other than the remembered word", "but the mirror remembers", func(t *testing.T, tbl *Table) {
 			d, bi := rememberingBucket(t, tbl, func(*segMirror, int) bool { return true })
@@ -181,10 +185,10 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaSetSlot(m, metaFirstFree(m))&slotMask)
 		}},
 		{"PM meta with bits above the bitmap", "bits above 13", func(t *testing.T, tbl *Table) {
-			// The mirror's overflow tracking, stored where format 5 kept it:
+			// A stash count stored where format 5 kept stash tracking:
 			// every bit of the bitmap is right.
 			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool { return d.mir.Load().pmMeta[bi].Load() == 0 })
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaAddOvCount(d.mir.Load().word(bi, mirBkMeta).Load(), +1))
+			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load()+1<<metaStashShift)
 		}},
 		{"PM record word other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
 			d, bi, slot := slotWhere(t, tbl, normalSlot)

@@ -43,7 +43,7 @@ func lineSpan(a pmem.Addr, n int) uint64 {
 // the quiescent table.
 func blobOf(t *testing.T, tbl *Table, pk probeKey) pmem.Addr {
 	t.Helper()
-	kv, _, found := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
+	kv, _, found, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
 	if !found || !recIsIndirect(kv.Key) {
 		t.Fatalf("record %x: found=%v, want an indirect record", pk.parts.Hash, found)
 	}
@@ -187,7 +187,7 @@ func TestWriterWriteCharges(t *testing.T) {
 			}
 		})
 		pk := tbl.probeU64(k)
-		_, loc, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
+		_, loc, _, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
 		want := [4]uint64{0, 2, 2, 2}
 		if loc.slot < hdrLineSlots {
 			want[1] = 1
@@ -249,7 +249,7 @@ func TestWriterWriteCharges(t *testing.T) {
 		mir := tbl.mirror(tbl.cache.route(pk.parts))
 		b, b2 := homePair(pk.parts)
 		pairFull := bucketFreeSlots(mir, b) == 0 && bucketFreeSlots(mir, b2) == 0
-		old, _, present := mirSegSearch(tbl.vlog, mir, &pk, true)
+		old, _, present, _ := mirSegSearch(tbl.vlog, mir, &pk, true)
 
 		kind := ""
 		before, splits := p.Stats(), tbl.met.splits.Total()
@@ -257,7 +257,7 @@ func TestWriterWriteCharges(t *testing.T) {
 		case r < 40:
 			kind = "Insert"
 			if err := tbl.Insert(k, k); err == nil && pairFull && tbl.met.splits.Total() == splits {
-				if _, loc, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.inStash() {
+				if _, loc, _, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.inStash() {
 					spilled++
 				} else {
 					displaced++
