@@ -18,11 +18,11 @@ race:
 
 # race-split repeats the tests that race writers and readers against segment
 # splits — the locked copy and publish, rollback, splits of distinct segments
-# in parallel, a second claimant against a publish in flight, the copy's
-# top-down fill — and the ones that crash what a split's DRAM-only sweep
-# leaves in PM (an insert into a stale slot, a first touch after a clean
-# reopen, a second split, stash records on both sides of a split) or what
-# the stash count recovery recomputes rests on (a spill, a stash delete)
+# in parallel, a second claimant against a publish in flight — and the ones
+# that crash what a split's DRAM-only sweep leaves in PM (an insert into a
+# stale slot, its torn lines, a first touch after a clean reopen, a second
+# split, stash records on both sides of a split) or what the stash count
+# recovery recomputes rests on (a spill, a stash delete)
 # five times under the race detector: a split's interleavings are timing,
 # and one pass of `race` samples few of them.
 race-split:
@@ -79,7 +79,8 @@ docs-check: vet
 			hookVarAppended hookVarMidUpdate DASH_CRASH_SWEEP mirBkWords \
 			hookMidMigrate splitRecopies pauseFirstCopy \
 			metaFindTracked bucketTrackOverflow bucketUntrackOverflow stashReachable \
-			maxOvSlots ovIdxGet metaOvCount; do \
+			maxOvSlots ovIdxGet metaOvCount \
+			pmMeta metaPersisted hdrLineSlots metaLastFree stale_meta_persists header_line; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

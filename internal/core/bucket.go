@@ -7,16 +7,14 @@ import (
 	"dash/internal/pmem"
 )
 
-// Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: a 16-byte
-// header holding the allocation bitmap, then 14 fixed-size records, then 16
-// bytes of padding. The bitmap word is the single atomic commit point for
-// inserts and deletes, and it lives in the bucket's first cacheline together
-// with records 0..2: an insert into one of those slots publishes its record
-// and commits it in one line.
+// Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: 16 bytes of
+// padding, then 14 fixed-size records, then 16 bytes of padding. PM keeps no
+// bitmap: a slot is live iff its record's word 0 is non-zero (record.go
+// encodes every live word 0 so), so the store of word 0 is the atomic commit
+// point of an insert and the store of a zero word 0 that of a delete, each
+// persisted with its record's one line.
 //
-//	off   0: the meta word — bits 0..13 the allocation bitmap (slot in use);
-//	         every other bit is zero
-//	off   8: padding — never read, any value is legal
+//	off   0: padding — never read, any value is legal
 //	off  16: 14 × 16-byte records, each either an inline 8B/8B KV or an
 //	         indirect (log blob address | key-length class, full key hash)
 //	         pair — see record.go
@@ -24,29 +22,24 @@ import (
 //
 // PM holds nothing a running op loads: every probe, a reader's or a
 // writer's, runs in the segment's DRAM mirror (segfilter.go), whose header
-// words also carry what PM does not keep — per-slot fingerprints and the
-// home bucket's stash count — and the bucket's version lock. Both are
-// functions of the committed records (a fingerprint is a byte of the
-// record's hash, a stash count the number of stash records whose hash names
-// the bucket their home), so recovery recomputes them at first touch
-// (recoverSegment) and storing them would only cost lines.
+// words carry what PM does not keep — the allocation bitmap, per-slot
+// fingerprints and the home bucket's stash count — and the bucket's version
+// lock. All are functions of the committed records (a bitmap bit is a
+// non-zero word 0, a fingerprint a byte of the record's hash, a stash count
+// the number of stash records whose hash names the bucket their home), so
+// recovery recomputes them at first touch (recoverSegment) and storing them
+// would only cost lines.
 //
-// The two record words are still stored value-word-first and probed
-// fingerprint-first whatever the representation; word 0's bit 63
-// discriminates inline from indirect, and every publish/commit path below
-// is representation-blind.
+// The two record words are probed fingerprint-first whatever the
+// representation; word 0's bit 63 discriminates inline from indirect, and
+// every publish/commit path below is representation-blind.
 const (
 	bucketSize     = 256
 	slotsPerBucket = 14
 
-	bkOffMeta    = 0
-	bkOffPadding = 8 // header padding: keeps records 16-aligned
+	bkOffPadding = 0 // head padding: keeps records 16-aligned
 	bkOffRecords = 16
 	bkOffTail    = bkOffRecords + slotsPerBucket*pmem.RecordSize // tail padding, to bucketSize
-
-	// hdrLineSlots is how many records share the header's cacheline: an
-	// insert into one of them stores one line, the others two.
-	hdrLineSlots = (pmem.CachelineSize - bkOffRecords) / pmem.RecordSize
 
 	slotMask = (1 << slotsPerBucket) - 1
 
@@ -59,7 +52,8 @@ const (
 //
 // The mirror (segfilter.go) packs a bucket's header into three words:
 //
-//	meta: bits 0..13  allocation bitmap — PM's meta word is these bits alone
+//	meta: bits 0..13  allocation bitmap: bit s set iff slot s's PM word 0 is
+//	                  non-zero, but for a slot a drop cleared (segDrop)
 //	      bits 16..23 stash count: how many records homed here live in the
 //	                  stash (at most the stash's 28 slots); every other bit 0
 //	fpLo: fingerprints of slots 0..7
@@ -80,9 +74,6 @@ func metaFirstFree(m uint64) int {
 	}
 	return bits.TrailingZeros64(free)
 }
-
-// metaLastFree returns the highest free slot, or -1.
-func metaLastFree(m uint64) int { return bits.Len64(^m&slotMask) - 1 }
 
 func metaStashCount(m uint64) int { return int(m >> metaStashShift & 0xFF) }
 
@@ -173,125 +164,89 @@ func unlockBucket(mir *segMirror, bi int) {
 // --- writer-side operations; the caller holds the bucket's lock ---
 //
 // Every decision a mutator makes — which slot is free, which fingerprints
-// are set — is read from the mirror, which is exact by
-// write-through: PM is only stored to, and only records and bitmaps. Charging
-// follows the tree's one-charge-per-line rule (pmem/access.go) with nothing
-// paid in advance: the first store an operation makes to a line is a charged
-// store, further stores to that line before its flush are quiet — real
-// hardware absorbs them in the cache and writes the line back once. A
-// bucket's header line also holds records 0..hdrLineSlots-1, so a record
-// store into one of those slots has paid for the bitmap store that commits
-// it. All flush/fence charges are untouched, so per-op media traffic remains
-// honestly counted.
-
-// storeWord stores one PM word: charged, or quiet (crash-tracked all the
-// same) when the caller has already paid for the word's line or a later
-// whole-segment flush will.
-func storeWord(p *pmem.Pool, a pmem.Addr, v uint64, charged bool) {
-	if charged {
-		p.StoreU64(a, v)
-	} else {
-		p.QuietStoreU64(a, v)
-	}
-}
+// are set — is read from the mirror, which is exact by write-through: PM is
+// only stored to, and only records. Charging follows the tree's
+// one-charge-per-line rule (pmem/access.go) with nothing paid in advance: the
+// first store an operation makes to a line is a charged store, further
+// stores to that line before its flush are quiet — real hardware absorbs
+// them in the cache and writes the line back once. Every insert and every
+// delete stores to its record's line alone, so each is one line, one flush
+// and one fence. All flush/fence charges are untouched, so per-op media
+// traffic remains honestly counted.
 
 func bucketFreeSlots(mir *segMirror, bi int) int {
 	return metaFreeSlots(mir.word(bi, mirBkMeta).Load())
 }
 
-// bucketInsertLocked writes the record, persists it, and only then publishes
-// it by setting its bitmap bit and persisting the meta word: the single
-// atomic bitmap store is the commit point, a crash before the header line is
-// flushed leaves the slot invisible, a crash after leaves the whole record
-// durable (§4.1 insert ordering). The fingerprint goes to the mirror alone.
-// It returns the slot taken, or -1 when the bucket is full.
+// bucketInsertLocked stores the record into the mirror's lowest free slot
+// and persists it: word 0, the commit, goes last, and a crash before the
+// record's line is flushed leaves the slot as it was (§4.1 insert ordering,
+// with the record's own word 0 in the bitmap's place). The fingerprint and
+// the bitmap bit go to the mirror alone. It returns the slot taken, or -1
+// when the bucket is full.
 //
-// The slot is the mirror's lowest free one — the header line's slots first —
-// and it may still be set in PM: a drop (segDrop) clears slots in the mirror
-// alone. No record is stored under a committed bit, so then the bucket's
-// bitmap — the mirror's, which has the bit clear — is persisted first. That
-// store pays for the header line, which the insert stores to anyway, so the
-// line is charged once and the detour costs one flush and one fence
-// (bucket.stale_meta_persists).
+// The slot may still hold a record in PM: a drop (segDrop, recovery's route
+// filter) clears slots in the mirror alone, leaving each dropped record — one
+// the segment no longer claims — in PM, a stale slot. So the insert stores
+// three words into the record's line, zero to word 0, then the value word,
+// then word 0, and persists the line once. Stores to one cacheline persist
+// in program order (the Px86 model; the simulator flushes whole lines), so
+// every prefix a crash can leave is the slot as it was, an empty slot (word
+// 0 zero), or the new record: no prefix pairs the old word 0 with the new
+// value word — which for a stale indirect record would make the new value
+// its hash, one the segment might claim. Only the first store is charged;
+// the other two share its line (records are 16-aligned and never straddle
+// one).
 //
-// persist=false skips every persist: the mode for building an *unpublished*
-// split sibling, whose durability comes from one whole-segment flush+fence
-// right before the directory publishes it — a crash before that point rolls
-// the whole sibling back, so nothing written into it needs individual
-// ordering — and whose mirror, new, remembers no PM word. That mode takes the
-// highest free slot instead, so the records a split copies leave the header
-// line's slots to the inserts that follow the publish.
-// All mutators below write through to the segment mirror after mutating PM;
-// the caller's lock holds the bucket's version odd, so the store order within
-// the window is immaterial.
-func (t *Table) bucketInsertLocked(mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
-	p := t.pool
+// persist=false skips the persist and charges nothing: the mode for building
+// an *unpublished* split sibling, zeroed when allocated, whose durability
+// comes from one whole-segment flush+fence right before the directory
+// publishes it — a crash before that point rolls the whole sibling back, so
+// nothing written into it needs individual ordering — and whose lines that
+// publish charges wholesale. All mutators below write through to the segment
+// mirror after mutating PM; the caller's lock holds the bucket's version odd,
+// so the store order within the window is immaterial.
+func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
 	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
-	if !persist {
-		slot = metaLastFree(m)
-	}
 	if slot < 0 {
 		return -1
 	}
-	var pm uint64 // PM's bitmap where a drop left it behind, else 0
-	if persist {
-		pm = mir.pmMeta[bi].Load()
-	}
-	hdrPaid := metaSlotUsed(pm, slot)
-	if hdrPaid {
-		p.StoreU64(b.Add(bkOffMeta), m&slotMask)
-		p.Persist(b.Add(bkOffMeta), 8)
-		t.filters.stalePersists.Inc()
-	}
 	ra := recordAddr(b, slot)
-	// Value first, then key (a torn observation under a stale version never
-	// pairs the new key with the old value); the first store pays for the
-	// record's cacheline, the second shares it (records are 16-aligned and
-	// never straddle a line). In persist=false mode — building an
-	// unpublished split sibling — every store is quiet: the sibling's lines
-	// are charged wholesale by the publish's one flush+fence per line, which
-	// is also when they actually reach media.
-	storeWord(p, ra.Add(8), kv.Value, persist && (slot >= hdrLineSlots || !hdrPaid))
+	if persist {
+		p.StoreU64(ra, 0)
+	}
+	p.QuietStoreU64(ra.Add(8), kv.Value)
 	p.QuietStoreU64(ra, kv.Key)
 	if persist {
 		p.Persist(ra, pmem.RecordSize)
-	}
-	// The header line is a second line unless the record went into one of
-	// the slots that share it, or the stale-slot detour has paid for it.
-	m = metaSetSlot(m, slot)
-	storeWord(p, b.Add(bkOffMeta), m&slotMask, persist && slot >= hdrLineSlots && !hdrPaid)
-	if persist {
-		p.Persist(b.Add(bkOffMeta), 8)
-		if pm != 0 {
-			mir.pmMeta[bi].Store(0)
-		}
 	}
 	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
 	mir.recWord(bi, slot, 1).Store(kv.Value)
 	mir.recWord(bi, slot, 0).Store(kv.Key)
 	mir.word(bi, mirBkFPLo).Store(lo)
 	mir.word(bi, mirBkFPHi).Store(hi)
-	mir.word(bi, mirBkMeta).Store(m)
+	mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
 	return slot
 }
 
-// bucketDeleteLocked unpublishes a slot. Clearing the bitmap bit is the
-// whole operation; the record bytes and fingerprint become dead.
+// bucketDeleteLocked unpublishes a slot: a zero word 0, persisted, is the
+// whole operation; the record's word 1 and fingerprint become dead.
 // persist=false is for unpublished split siblings (see bucketInsertLocked).
 func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot int, persist bool) {
-	m := metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot)
-	storeWord(p, b.Add(bkOffMeta), m&slotMask, persist)
+	ra := recordAddr(b, slot)
 	if persist {
-		p.Persist(b.Add(bkOffMeta), 8)
-		mir.metaPersisted(bi)
+		p.StoreU64(ra, 0)
+		p.Persist(ra, 8)
+	} else {
+		p.QuietStoreU64(ra, 0)
 	}
-	mir.word(bi, mirBkMeta).Store(m)
+	mir.word(bi, mirBkMeta).Store(metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 
 // bucketAddStash adds delta (±1) to the stash count of home bucket home, in
 // the mirror alone: a record homed there entered or left the stash. It
-// stores nothing to PM: the stash record's own bitmap bit commits it, and
+// stores nothing to PM: the stash record's own word 0 commits it, and
 // recovery recounts from the committed records. The caller holds home's
 // lock or owns the segment.
 func bucketAddStash(mir *segMirror, home, delta int) {

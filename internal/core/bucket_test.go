@@ -7,25 +7,25 @@ import (
 
 func TestMetaBitHelpers(t *testing.T) {
 	var m uint64
-	if metaFirstFree(m) != 0 || metaLastFree(m) != slotsPerBucket-1 || metaFreeSlots(m) != slotsPerBucket {
+	if metaFirstFree(m) != 0 || metaFreeSlots(m) != slotsPerBucket {
 		t.Fatal("empty bucket should have all slots free")
 	}
 	for i := 0; i < slotsPerBucket; i++ {
 		m = metaSetSlot(m, i)
 	}
-	if metaFirstFree(m) != -1 || metaLastFree(m) != -1 || metaFreeSlots(m) != 0 {
+	if metaFirstFree(m) != -1 || metaFreeSlots(m) != 0 {
 		t.Fatal("full bucket should have no free slots")
 	}
 	m = metaClearSlot(m, 5)
-	if metaFirstFree(m) != 5 || metaLastFree(m) != 5 || !metaSlotUsed(m, 4) || metaSlotUsed(m, 5) {
+	if metaFirstFree(m) != 5 || !metaSlotUsed(m, 4) || metaSlotUsed(m, 5) {
 		t.Fatal("clear slot 5 not reflected")
 	}
 	m = metaClearSlot(m, 9)
-	if metaFirstFree(m) != 5 || metaLastFree(m) != 9 {
-		t.Fatalf("slots 5 and 9 free: first %d, last %d", metaFirstFree(m), metaLastFree(m))
+	if metaFirstFree(m) != 5 || metaFreeSlots(m) != 2 {
+		t.Fatalf("slots 5 and 9 free: first %d, %d free", metaFirstFree(m), metaFreeSlots(m))
 	}
 	// The stash count above the bitmap is not slots.
-	if metaLastFree(m|0xFF<<metaStashShift) != 9 || metaFreeSlots(m|0xFF<<metaStashShift) != 2 {
+	if metaFirstFree(m|0xFF<<metaStashShift) != 5 || metaFreeSlots(m|0xFF<<metaStashShift) != 2 {
 		t.Fatal("the stash count reads as free slots")
 	}
 }

@@ -50,9 +50,10 @@
 //	               insert across a bucket pair, displacement into neighbors,
 //	               stash overflow counted in the home bucket's mirror.
 //	bucket.go    — 256-byte cacheline-aligned buckets of 14 records with
-//	               one-byte fingerprints probed before any key dereference
-//	               and a bitmap commit point; the bucket's seqlock version
-//	               lock, which lives in the mirror, and the mutators.
+//	               one-byte fingerprints probed before any key dereference;
+//	               a record's own non-zero word 0 is its commit point, PM
+//	               keeps no bitmap. The bucket's seqlock version lock, which
+//	               lives in the mirror, and the mutators.
 //	stats.go     — lock-free TableStats snapshot: the shape walk (count,
 //	               depth, segments, load factor, stash share, allocated
 //	               bytes), plus meter readings the repo benchmark reads by

@@ -180,14 +180,15 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 // a table of InitialDepth 1 inserts the keys next yields (asked once per
 // insert, with the dry-run table) up to the first whose insert carries a
 // split that want accepts, given the global depth before the insert and the
-// local depth of the segment the key routed to, and whether that segment's
-// mirror remembered a PM meta word — a drop an earlier split left; growth
-// on one goroutine is deterministic, so a fresh table given the inserts
-// before it as a prefix splits the same way at the same insert. That insert
-// is crashed at each of its flushes — at least 7: the allocator's frontier,
-// the marker, the sibling, an entry flip, the header and the retried insert's
-// record and header (the sweep of the moved half flushes nothing).
-func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8, remembered bool) bool) {
+// local depth of the segment the key routed to, and whether that segment
+// held stale slots — records an earlier split dropped from its mirror and
+// left in PM (holdsStale); growth on one goroutine is deterministic, so a
+// fresh table given the inserts before it as a prefix splits the same way at
+// the same insert. That insert is crashed at each of its flushes — at least
+// 6: the allocator's frontier, the marker, the sibling, an entry flip, the
+// header and the retried insert's record line (the sweep of the moved half
+// flushes nothing).
+func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8, stale bool) bool) {
 	t.Helper()
 	t.Parallel()
 	opt := Options{InitialDepth: 1}
@@ -198,18 +199,18 @@ func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table,
 		k := next(dry)
 		op := fuzzOp{kind: 'i', id: k, val: k*3 + 1}
 		g0, splits := dry.GlobalDepth(), dry.met.splits.Total()
-		mir := dry.cache.route(dry.parts(k)).mir.Load()
-		l0, remembered := uint8(mir.depth.Load()), remembersPM(mir)
+		d := dry.cache.route(dry.parts(k))
+		l0, stale := uint8(d.mir.Load().depth.Load()), holdsStale(dry, d)
 		if err := applyCrashOp(dry, op); err != nil {
 			t.Fatalf("dry run: %v", err)
 		}
-		if dry.met.splits.Total() == splits || !want(dry, g0, l0, remembered) {
+		if dry.met.splits.Total() == splits || !want(dry, g0, l0, stale) {
 			prefix = append(prefix, op)
 			continue
 		}
 		_, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op})
-		if points < 7 {
-			t.Fatalf("the splitting insert issued %d flushes, want >= 7", points)
+		if points < 6 {
+			t.Fatalf("the splitting insert issued %d flushes, want >= 6", points)
 		}
 		t.Logf("crashed the splitting insert, after %d inserts, at each of its %d flushes", len(prefix), points)
 		return
@@ -238,17 +239,6 @@ func prefix0(_ *Table, p hashfn.Parts) bool { return p.DirIndex(1) == 0 }
 // doubled the directory, or it did not.
 func doubles(tbl *Table, g0, _ uint8, _ bool) bool    { return tbl.GlobalDepth() > g0 }
 func keepsDepth(tbl *Table, g0, _ uint8, _ bool) bool { return tbl.GlobalDepth() == g0 }
-
-// remembersPM reports whether any bucket of mir remembers a PM meta word: a
-// drop left PM behind the mirror there.
-func remembersPM(mir *segMirror) bool {
-	for bi := range mir.pmMeta {
-		if mir.pmMeta[bi].Load() != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // TestCrashBeforePublish crashes the first split of a one-bit directory —
 // the split that doubles it — at every flush: before the publish (the
@@ -345,25 +335,111 @@ func TestCrashMidPublish(t *testing.T) {
 }
 
 // TestCrashStaleSlotInsert crashes, at every flush, the first insert after a
-// split into a slot the publish left set in PM: the persist of the bucket's
-// meta word that clears the slot's bit, then the insert's record and header
-// persists. Had the record gone in first, a crash after its flush would
-// leave it under the moved record's committed bit and fingerprint.
+// split into a stale slot — one whose moved record the publish dropped from
+// the mirror and left in PM: its one flush, of the record's line. A crash
+// there leaves the moved record, which recovery's route filter drops again;
+// the completed insert overwrote it in PM. The torn lines a crash of real
+// hardware could leave in between are TestTornInsertImages'.
 func TestCrashStaleSlotInsert(t *testing.T) {
 	opt := Options{InitialDepth: 1}
 	dry := newTestTable(t, 2<<20, opt)
 	defer dry.Close()
 	prefix := insertThroughSplit(t, dry)
-	k, bi, slot, ok := staleSlotKey(dry, rememberingSegment(t, dry), 1<<40)
+	k, bi, slot, ok := staleSlotKey(dry, staleSegment(t, dry), 1<<40)
 	if !ok {
 		t.Fatal("no insert after the split lands in a stale slot")
 	}
 	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: fuzzOp{kind: 'i', id: k, val: k*3 + 1}})
-	if points != 3 {
-		t.Fatalf("the insert into stale slot %d of bucket %d issued %d flushes, want 3: meta word, record, header", slot, bi, points)
+	if points != 1 {
+		t.Fatalf("the insert into stale slot %d of bucket %d issued %d flushes, want 1: the record's line", slot, bi, points)
 	}
-	if n := done.filters.stalePersists.Total(); n != 1 {
-		t.Fatalf("the completed insert counted %d stale meta persists, want 1", n)
+	d := done.cache.route(done.parts(k))
+	if got := done.pool.QuietLoadU64(recordAddr(segBucket(d.seg, bi), slot)); got != recInlineWord(k) {
+		t.Fatalf("after the completed insert, stale slot %d of bucket %d holds word 0 %#x, want key %d's", slot, bi, got, k)
+	}
+}
+
+// TestTornStaleSlotInsert builds by hand, on a post-split image, the torn
+// lines a crashed insert could leave on hardware that persists one line's
+// stores in program order but may write the line back between two of them —
+// states the simulator, which copies whole lines at a flush, never makes —
+// and reopens each. A new value word under an empty slot's zero word 0 (or
+// under the zero the insert stores first) must reopen as an empty slot. A
+// new value word under a stale slot's old word 0 — the torn state the
+// insert's zero store rules out, here by hand all the same — must be
+// dropped by the route filter, which routes it by its inline key: the moved
+// key is then found exactly once, in the sibling, with its own value. Both
+// images must pass Verify and verifyCrashPoint's whole contract.
+func TestTornStaleSlotInsert(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		stale bool
+	}{{"value under an empty slot", false}, {"value under a stale slot", true}} {
+		stale := row.stale
+		t.Run(row.name, func(t *testing.T) {
+			pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := Create(pool, Options{InitialDepth: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := insertThroughSplit(t, tbl)
+			old := staleSegment(t, tbl)
+			// An empty slot has a zero word 0 (a live one never does).
+			bi, slot := -1, -1
+			for b := 0; b < totalBuckets && slot < 0; b++ {
+				for s := 0; s < slotsPerBucket; s++ {
+					empty := pool.QuietLoadU64(recordAddr(segBucket(old.seg, b), s)) == 0
+					if stale && staleSlot(tbl, old, b, s) || !stale && empty {
+						bi, slot = b, s
+						break
+					}
+				}
+			}
+			if slot < 0 {
+				t.Fatalf("segment %#x has no slot to tear", old.seg)
+			}
+			ra := recordAddr(segBucket(old.seg, bi), slot)
+			w0 := pool.QuietLoadU64(ra)
+			pool.QuietStoreU64(ra.Add(8), 0xF00DF00DF00DF00D)
+			pool.Persist(ra, pmem.RecordSize)
+			pool.Crash()
+
+			img, err := pmem.OpenSnapshot(pool.Snapshot(), pmem.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re.RecoverAll()
+			if m := re.cache.descs[old.seg].mir.Load().word(bi, mirBkMeta).Load(); metaSlotUsed(m, slot) {
+				t.Fatalf("the torn slot %d of bucket %d reopened live", slot, bi)
+			}
+			if stale {
+				k := recWordKey(w0)
+				pk := re.probeU64(k)
+				var in []*segDesc
+				for _, d := range re.cache.descs {
+					if kv, _, ok, _ := mirSegSearch(re.vlog, d.mir.Load(), &pk, true); ok {
+						in = append(in, d)
+						if kv.Value != k*3+1 {
+							t.Fatalf("moved key %d holds %#x in segment %#x, want its own value %d", k, kv.Value, d.seg, k*3+1)
+						}
+					}
+				}
+				if len(in) != 1 || in[0] == re.cache.descs[old.seg] || in[0] != re.cache.route(pk.parts) {
+					t.Fatalf("moved key %d is found in %d segments, want once, in its sibling", k, len(in))
+				}
+			}
+			if err := re.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			verifyCrashPoint(t, pool, []crashRun{{ops, len(ops)}}, row.name)
+		})
 	}
 }
 
@@ -389,13 +465,13 @@ func TestCrashFirstTouchAfterCleanReopen(t *testing.T) {
 	dry.Close()
 	dry = openTestTable(t, pool)
 	dry.RecoverAll()
-	k, _, _, ok := staleSlotKey(dry, rememberingSegment(t, dry), 1<<40)
+	k, _, _, ok := staleSlotKey(dry, staleSegment(t, dry), 1<<40)
 	if !ok {
 		t.Fatal("no insert after the clean reopen lands in a slot the route filter dropped")
 	}
 	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: fuzzOp{kind: 'i', id: k, val: k*3 + 1}, reopen: true})
-	if points != 3 {
-		t.Fatalf("the first touch and its insert issued %d flushes, want 3: meta word, record, header", points)
+	if points != 1 {
+		t.Fatalf("the first touch and its insert issued %d flushes, want 1: the record's line", points)
 	}
 	done.RecoverAll()
 	if err := done.Verify(); err != nil {
@@ -407,18 +483,19 @@ func TestCrashFirstTouchAfterCleanReopen(t *testing.T) {
 }
 
 // TestCrashSecondSplitRemembered crashes, at every flush, the second split of
-// a segment whose buckets still remember the PM meta words its first split
+// a segment whose PM buckets still hold the stale records its first split
 // left: after the first split the prefix inserts only keys of the old
 // segment's bucket 0, so the pair (0, 1) and the stash fill and split it
-// again while its other buckets have not been written since. Its drop must
-// keep the older remembered words, which are what PM holds.
+// again while its other buckets have not been written since. The second
+// split's copy reads the mirror, so it must not carry the stale records to
+// its sibling, and every image must still drop them by route.
 func TestCrashSecondSplitRemembered(t *testing.T) {
 	crashSplitRow(t, keysWhere(func(tbl *Table, p hashfn.Parts) bool {
 		if tbl.GlobalDepth() < 2 {
 			return p.DirIndex(1) == 0
 		}
 		return p.DirIndex(2) == 0 && p.BucketIndex(bucketBits) == 0
-	}), func(_ *Table, _, _ uint8, remembered bool) bool { return remembered })
+	}), func(_ *Table, _, _ uint8, stale bool) bool { return stale })
 }
 
 // homedIn5 is a keysWhere predicate: the keys of the prefix-0 segment of a
@@ -452,30 +529,31 @@ func stashSpillHistory(t *testing.T) (prefix []fuzzOp, spill fuzzOp) {
 }
 
 // TestCrashStashSpill crashes an insert that spills to the stash at every
-// flush: its record's, then its stash bucket's bitmap, the commit. The home
-// bucket's stash count is the mirror's alone, so a spill stores and persists
-// nothing else (a third flush, the home's header line, while PM kept stash
-// tracking), and every reopened image's counts are recomputed from the
-// stash records that survived (verifyCrashPoint's Verify checks they are
-// exact).
+// flush: its one, of the record's line in the stash bucket, whose word 0 is
+// the commit. The home bucket's stash count is the mirror's alone, so a
+// spill stores and persists nothing else (a second flush, the stash
+// bucket's bitmap, while PM kept one; a third, the home's header line, while
+// PM kept stash tracking), and every reopened image's counts are recomputed
+// from the stash records that survived (verifyCrashPoint's Verify checks
+// they are exact).
 func TestCrashStashSpill(t *testing.T) {
 	prefix, spill := stashSpillHistory(t)
 	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: prefix, last: spill})
-	if points != 2 {
-		t.Fatalf("the stash spill issued %d flushes, want 2: record, bitmap", points)
+	if points != 1 {
+		t.Fatalf("the stash spill issued %d flushes, want 1: the record's line", points)
 	}
 	requireVerified(t, done)
 	requireStashFound(t, done, "the completed spill")
 }
 
 // TestCrashStashDelete crashes the delete of a stash record at its one
-// flush, the stash bucket's bitmap: the count's decrement is the home's
+// flush, the record's zeroed word 0: the count's decrement is the home's
 // mirror's alone (a second flush while PM kept stash tracking).
 func TestCrashStashDelete(t *testing.T) {
 	prefix, spill := stashSpillHistory(t)
 	done, points := crashAtEveryFlush(t, crashCase{opt: Options{InitialDepth: 1}, prefix: append(prefix, spill), last: fuzzOp{kind: 'd', id: spill.id}})
 	if points != 1 {
-		t.Fatalf("the stash delete issued %d flushes, want 1: the bitmap", points)
+		t.Fatalf("the stash delete issued %d flushes, want 1: word 0", points)
 	}
 	requireVerified(t, done)
 	requireStashFound(t, done, "the completed delete")
@@ -485,7 +563,7 @@ func TestCrashStashDelete(t *testing.T) {
 // clean Close and an Open, then the delete of a stash record the old segment
 // kept — its first touch — crashed at every flush. The split drops its moved
 // half's stash records from the old mirror alone, so the old segment's PM
-// stash still holds them under set bits; first touch drops them by route and
+// stash still holds them, stale; first touch drops them by route and
 // recounts the stash counts from the records that survive, so they must be
 // exact: no home counts a record the filter dropped (Verify), no stash
 // record is unreachable, and the mirrors count what Count does.
@@ -531,7 +609,7 @@ func TestCrashStashMovedBySplit(t *testing.T) {
 	}
 	done, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, reopen: true, last: fuzzOp{kind: 'd', id: kept[0]}})
 	if points != 1 {
-		t.Fatalf("the first touch and its stash delete issued %d flushes, want 1: the bitmap", points)
+		t.Fatalf("the first touch and its stash delete issued %d flushes, want 1: word 0", points)
 	}
 	done.RecoverAll()
 	requireVerified(t, done)
@@ -561,7 +639,7 @@ func requireStashFound(t *testing.T, tbl *Table, where string) {
 		for sb := normalBuckets; sb < totalBuckets; sb++ {
 			for used := mir.word(sb, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
 				kv := mir.rec(sb, bits.TrailingZeros64(used))
-				pk := tbl.probeU64(kv.Key)
+				pk := tbl.probeU64(recWordKey(kv.Key))
 				if recIsIndirect(kv.Key) {
 					pk = tbl.probeBytes(tbl.vlog.KeyBytes(recBlobAddr(kv.Key)))
 				}

@@ -460,10 +460,11 @@ func runWritersToCrash(t *testing.T, hists [][]fuzzOp, crashAt int64) (img []byt
 
 // TestCrashPointsWritersInFlight crashes the three-writer run at >= 100
 // evenly spaced flushes and checks, per writer, the contract of
-// TestCrashPointFuzz on the reopened image.
+// TestCrashPointFuzz on the reopened image. The histories are long enough to
+// flush at least 2000 times.
 func TestCrashPointsWritersInFlight(t *testing.T) {
 	withLazyGates(t)
-	hists := writerHistories(21, 400)
+	hists := writerHistories(21, 480)
 	_, _, total := runWritersToCrash(t, hists, 0)
 	if total < 2000 {
 		t.Fatalf("the history flushed only %d times", total)

@@ -295,7 +295,7 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 // does not keep. The route filter, on every image, drops each record the
 // directory routes elsewhere — the moved half a split left in PM, and on a
 // crash image a half-published split's leftovers — from the mirror alone,
-// as the publish does (dropMeta), storing nothing. Every record it keeps gets
+// as the publish does (segDrop), storing nothing. Every record it keeps gets
 // its fingerprint and, in the stash, a unit of its home bucket's stash
 // count: recounted from the committed records, each home's count is exactly
 // the stash records that survive homed there. The duplicate sweep, which
@@ -330,7 +330,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 		}
 		mir.word(bi, mirBkFPLo).Store(lo)
 		mir.word(bi, mirBkFPHi).Store(hi)
-		mir.dropMeta(bi, m&^misrouted)
+		mir.word(bi, mirBkMeta).Store(m &^ misrouted)
 	}
 	if !lr.clean {
 		t.dedupeSegment(seg, mir)
@@ -387,7 +387,7 @@ func (t *Table) dedupeSegment(seg pmem.Addr, mir *segMirror) {
 		if recIsIndirect(kv.Key) {
 			k = string(t.vlog.KeyBytes(recBlobAddr(kv.Key)))
 		} else {
-			binary.LittleEndian.PutUint64(buf[:], kv.Key)
+			binary.LittleEndian.PutUint64(buf[:], recWordKey(kv.Key))
 			k = string(buf[:])
 		}
 		if seenKeys[k] {

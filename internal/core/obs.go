@@ -72,10 +72,8 @@ type meters struct {
 	splitPublishStallNS *obs.Histogram
 
 	// Where the table's inserts land (segInsertLocked; a split's copy is not
-	// counted), indexed placedHome..placedStash, and how many of them took a
-	// slot that shares its bucket's header line: a one-line commit.
-	placed     [placedKinds]*obs.Counter
-	headerLine *obs.Counter
+	// counted), indexed placedHome..placedStash.
+	placed [placedKinds]*obs.Counter
 
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a
 	// freshly created table. phaseDir is added once by Open; the lazy
@@ -127,7 +125,6 @@ func (t *Table) initObs() {
 	reg.Gauge("segfilter.bytes", func() int64 { return int64(t.filters.bytes.Load()) })
 	// The bucket locks live in the mirrors: acquisitions that had to wait.
 	t.filters.lockContended = reg.Counter("bucket.lock_contended")
-	t.filters.stalePersists = reg.Counter("bucket.stale_meta_persists")
 
 	// Splits: lifecycle counters and phase-duration histograms.
 	t.met.splits = reg.Counter("split.completed")
@@ -135,11 +132,10 @@ func (t *Table) initObs() {
 	t.met.splitMigrateNS = reg.Histogram("split.migrate_ns")
 	t.met.splitPublishStallNS = reg.Histogram("split.publish_stall_ns")
 
-	// Inserts: where each record went, and the one-line commits.
+	// Inserts: where each record went.
 	for where, name := range placedNames {
 		t.met.placed[where] = reg.Counter("insert.placed." + name)
 	}
-	t.met.headerLine = reg.Counter("insert.header_line")
 
 	// Epoch reclamation: retire→free lag is the latency cost of a stalled
 	// reader; pending is the space cost.

@@ -7,17 +7,24 @@ import (
 	"dash/internal/pmem"
 )
 
-// Record representation (§4.1's long-key scheme). A bucket slot is still
-// one fixed 16-byte record — the layout, bitmap commit point and
-// fingerprint probe are untouched — but the two words now carry one of two
-// formats, discriminated by bit 63 of word 0:
+// Record representation (§4.1's long-key scheme). A bucket slot is one
+// fixed 16-byte record; its word 0 is non-zero exactly while the slot is
+// live (a PM bucket keeps no bitmap: bucket.go), and the two words carry one
+// of two formats, discriminated by bit 63 of word 0:
 //
-//	inline   (bit 63 = 0): word 0 = 8-byte key, word 1 = 8-byte value —
-//	         the original fast path, kept for uint64 records whose key has
-//	         bit 63 clear.
+//	inline   (bit 63 = 0): word 0 = the 8-byte key (recZeroKeyWord for key
+//	         0), word 1 = the 8-byte value — the fast path, for uint64
+//	         records whose key has bit 63 clear and is not recZeroKeyWord
+//	         itself (recInlineKey).
 //	indirect (bit 63 = 1): word 0 = blob address in the PM record log
 //	         (16-aligned, so its low 4 bits are free) packed with a 4-bit
 //	         key-length class; word 1 = the key's full 64-bit hash.
+//
+// Key 0 is the one key whose word 0 would be zero, an empty slot, so it
+// trades words with recZeroKeyWord: key 0 stays inline under that word, and
+// the key recZeroKeyWord goes through the log like a bit-63 key. Every other
+// inline key is stored as itself. Only recInlineWord and recWordKey know the
+// encoding.
 //
 // The indirect word 1 is what keeps every routing decision — split
 // migration, sweeps, recovery — free of blob dereferences: a record's
@@ -29,20 +36,44 @@ import (
 // The key-length class is an extra pre-dereference filter: the exact key
 // length when it fits in 4 bits (1..15), 0 meaning "16 bytes or longer".
 //
-// Because an inline record always has bit 63 clear and a uint64 key with
-// bit 63 set therefore cannot be stored inline, such keys route through
-// the log as 8-byte blobs; both representations of an 8-byte key are
-// found by every probe, so the uint64 and []byte APIs are two views of
-// one keyspace (a uint64 key is its 8-byte little-endian encoding, and
-// hashfn guarantees HashU64(k) == Hash64(le(k))).
+// Because an inline record always has bit 63 clear, a uint64 key with bit
+// 63 set cannot be stored inline and routes through the log as an 8-byte
+// blob; both representations of an 8-byte key are found by every probe, so
+// the uint64 and []byte APIs are two views of one keyspace (a uint64 key is
+// its 8-byte little-endian encoding, and hashfn guarantees HashU64(k) ==
+// Hash64(le(k))).
 
 const (
 	recIndirectBit = uint64(1) << 63
 	recClassMask   = uint64(0xF)
 	recBlobMask    = ^(recIndirectBit | recClassMask)
+
+	// recZeroKeyWord is inline key 0's word 0: bit 63 clear, so the word
+	// stays inline, and non-zero, so key 0 stays live.
+	recZeroKeyWord = uint64(0x5BD1E9955BD1E995)
 )
 
 func recIsIndirect(w0 uint64) bool { return w0&recIndirectBit != 0 }
+
+// recInlineKey reports whether a uint64 key is stored inline: its bit 63 is
+// clear, and it is not recZeroKeyWord, key 0's word 0.
+func recInlineKey(key uint64) bool { return key&recIndirectBit == 0 && key != recZeroKeyWord }
+
+// recInlineWord is an inline record's word 0 for key.
+func recInlineWord(key uint64) uint64 {
+	if key == 0 {
+		return recZeroKeyWord
+	}
+	return key
+}
+
+// recWordKey is the key of an inline record whose word 0 is w0.
+func recWordKey(w0 uint64) uint64 {
+	if w0 == recZeroKeyWord {
+		return 0
+	}
+	return w0
+}
 
 // recPack builds an indirect record's word 0 from a blob address and the
 // key length.
@@ -71,7 +102,7 @@ func recHash(kv pmem.KV, seed uint64) uint64 {
 	if recIsIndirect(kv.Key) {
 		return kv.Value
 	}
-	return hashfn.HashU64(kv.Key, seed)
+	return hashfn.HashU64(recWordKey(kv.Key), seed)
 }
 
 // recSplitParts is recHash split into the engine's routing parts.
@@ -129,9 +160,9 @@ func (pk *probeKey) keyLen() int {
 func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
 	if !recIsIndirect(r.Key) {
 		if pk.kb == nil {
-			return r.Key == pk.u
+			return recWordKey(r.Key) == pk.u
 		}
-		return len(pk.kb) == 8 && binary.LittleEndian.Uint64(pk.kb) == r.Key
+		return len(pk.kb) == 8 && binary.LittleEndian.Uint64(pk.kb) == recWordKey(r.Key)
 	}
 	if r.Value != pk.parts.Hash {
 		return false

@@ -13,17 +13,18 @@ import (
 
 // DRAM-resident per-segment mirror — the dirCache pattern pushed down one
 // layer, and the runtime home of everything an operation *reads*. PM holds
-// what recovery alone can answer — records, bitmaps, the (depth, pattern)
-// claim — and is the only crash truth; but a running table looks none of it
+// what recovery alone can answer — records, the (depth, pattern) claim — and
+// is the only crash truth; but a running table looks none of it
 // up there. Every segment carries a mirror of its buckets in ordinary Go
 // memory:
 //
 //   - per bucket: the version lock (a seqlock word, odd while a writer holds
 //     the bucket — it exists only here, bucket.go), the meta word (allocation
-//     bitmap, PM's, plus the home's stash count, the mirror's own), both
-//     fingerprint words (the mirror's own) and all 14 record word pairs — for
-//     inline records the key and value themselves, for indirect records the
-//     packed blob address and the stored full key hash;
+//     bitmap, derived from PM's non-zero word 0s, plus the home's stash
+//     count, the mirror's own), both fingerprint words (the mirror's own) and
+//     all 14 record word pairs, PM's words — for inline records the key
+//     (recInlineWord) and the value, for indirect records the packed blob
+//     address and the stored full key hash;
 //   - per segment: the header's (local depth, pattern) claim, against which
 //     a writer validates its route under its pair locks (Table.lockOwner) and
 //     a negative lookup validates its miss, neither touching the PM
@@ -49,11 +50,12 @@ import (
 //     the split metadata bump, recovery's duplicate sweep), all
 //     inside the bucket's lock with the version odd. No mutator has a
 //     mirror-less form: the mirror is built before the first of them can
-//     run. PM does not take the mirror's own words (fingerprints, stash
-//     counts), nor a drop (segDrop, the publish's sweep of the moved
-//     half; dropMeta, recovery's route filter), which clears slots in DRAM
-//     alone; the bucket remembers the PM bitmap it left behind (pmMeta)
-//     until its next persisted meta store;
+//     run. PM does not take the mirror's own words (bitmaps, fingerprints,
+//     stash counts), nor a drop (segDrop, the publish's sweep of the moved
+//     half; recovery's route filter), which clears slots in the mirror's
+//     bitmap alone and leaves their records in PM, stale: records the
+//     segment does not claim, which the next insert into the slot
+//     overwrites (bucketInsertLocked);
 //   - a split's sibling gets its mirror when it gets its block, and the
 //     split's copy — the only writer an unpublished sibling has, so it
 //     takes no lock and the versions stay even — writes every insert
@@ -85,7 +87,7 @@ import (
 // recWord and reset know this layout.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
-	mirBkMeta    = 1 // bits 0..13 PM's bitmap; bits 16..23 the stash count (bucket.go)
+	mirBkMeta    = 1 // bits 0..13 the allocation bitmap; bits 16..23 the stash count (bucket.go)
 	mirBkFPLo    = 2 // fingerprints of slots 0..7
 	mirBkFPHi    = 3 // fingerprints of slots 8..13
 	mirHdrWords  = 4 // header words per bucket
@@ -96,7 +98,6 @@ const (
 type segMirror struct {
 	hdr     [totalBuckets][mirHdrWords]atomic.Uint64
 	recs    [totalBuckets * slotsPerBucket][2]atomic.Uint64 // a record's word 0 and word 1
-	pmMeta  [totalBuckets]atomic.Uint64                     // per bucket, the PM bitmap a DRAM-only drop left behind; 0: PM's is the mirror's
 	depth   atomic.Uint64                                   // mirror of the segment header's local depth
 	pattern atomic.Uint64                                   // mirror of the segment header's pattern
 }
@@ -117,33 +118,6 @@ func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
 // validates its version.
 func (m *segMirror) rec(bi, slot int) pmem.KV {
 	return pmem.KV{Key: m.recWord(bi, slot, 0).Load(), Value: m.recWord(bi, slot, 1).Load()}
-}
-
-// dropMeta is the DRAM-only meta store of a drop (segDrop, recovery's route
-// filter): bucket bi's mirror meta becomes nm, whose bitmap has lost slots,
-// and PM keeps its bitmap, which the mirror remembers unless it already
-// remembers one — then PM has not moved since. The bitmap a drop changes has
-// a bit set, so the remembered word is never 0. The caller holds the
-// bucket's lock or owns the segment.
-func (m *segMirror) dropMeta(bi int, nm uint64) {
-	w := m.word(bi, mirBkMeta)
-	old := w.Load()
-	if old == nm {
-		return
-	}
-	if m.pmMeta[bi].Load() == 0 {
-		m.pmMeta[bi].Store(old & slotMask)
-	}
-	w.Store(nm)
-}
-
-// metaPersisted forgets bucket bi's remembered PM meta word once a persisted
-// store of the mirror's bitmap — every meta store a bucket mutator makes
-// (bucket.go) — is durable: PM's word is the mirror's bitmap again.
-func (m *segMirror) metaPersisted(bi int) {
-	if m.pmMeta[bi].Load() != 0 {
-		m.pmMeta[bi].Store(0)
-	}
 }
 
 // setClaim writes the segment header's (depth, pattern) through to the
@@ -181,7 +155,6 @@ type segFilters struct {
 	stashProbes *obs.Counter // reads whose probe entered the stash: the home's stash count was non-zero
 
 	lockContended *obs.Counter // bucket-lock acquisitions that found the bucket taken
-	stalePersists *obs.Counter // inserts that persisted their bucket's meta first: the slot was still set in PM
 }
 
 // newMirror returns a zeroed mirror — every bucket unlocked — carrying the
@@ -196,30 +169,28 @@ func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	return mir
 }
 
-// mirrorFillBucket copies one bucket's PM words — its bitmap and the records
-// under it — into the mirror: recovery's build, under its first-touch gate,
-// and the only PM read of a bucket there is. The fingerprints and stash
-// counts PM does not keep are recomputed from the records afterwards
-// (recoverSegment). The meta load pays for the header line, which holds
-// records 0..hdrLineSlots-1 too; the other record lines are charged as one
-// sequential read from the first to the last that holds a used slot, so
-// the per-record loads are quiet. Neither padding is read.
+// mirrorFillBucket copies one bucket's PM records into the mirror and
+// derives its bitmap from them — a slot is used iff its word 0 is non-zero:
+// recovery's build, under its first-touch gate, and the only PM read of a
+// bucket there is. The fingerprints and stash counts PM does not keep are
+// recomputed from the records afterwards, and the records the segment does
+// not claim dropped (recoverSegment). The record lines are charged as one
+// sequential read, so the per-word loads are quiet; neither padding is read.
 func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
 	ba := segBucket(seg, bi)
-	m := p.LoadU64(ba.Add(bkOffMeta)) & slotMask
-	mir.word(bi, mirBkMeta).Store(m)
-	if rest := m >> hdrLineSlots; rest != 0 {
-		first := recordAddr(ba, hdrLineSlots+bits.TrailingZeros64(rest))
-		p.TouchRead(first, uint64(recordAddr(ba, bits.Len64(m))-first))
-	}
+	p.TouchRead(recordAddr(ba, 0), slotsPerBucket*pmem.RecordSize)
+	var m uint64
 	for slot := 0; slot < slotsPerBucket; slot++ {
-		if !metaSlotUsed(m, slot) {
+		ra := recordAddr(ba, slot)
+		w0 := p.QuietLoadU64(ra)
+		if w0 == 0 {
 			continue
 		}
-		ra := recordAddr(ba, slot)
-		mir.recWord(bi, slot, 0).Store(p.QuietLoadU64(ra))
+		m = metaSetSlot(m, slot)
+		mir.recWord(bi, slot, 0).Store(w0)
 		mir.recWord(bi, slot, 1).Store(p.QuietLoadU64(ra.Add(8)))
 	}
+	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // --- the probe: one for readers and writers ---

@@ -127,7 +127,11 @@ func TestMirrorPoisonSelfHeal(t *testing.T) {
 	pk := tbl.probeU64(key)
 	d := tbl.cache.route(pk.parts)
 	mir := d.mir.Load()
+	_, at, _, _ := mirSegSearch(tbl.vlog, mir, &pk, true)
 	b := int(pk.parts.BucketIndex(bucketBits))
+	if at.bucket != b {
+		t.Fatalf("key %d went to bucket %d, not its home %d", key, at.bucket, b)
+	}
 	// Zero the home bucket's mirrored bitmap and fingerprints: the mirror
 	// now swears the key does not exist, and the negative still validates
 	// (depth/pattern claim and route are intact).
@@ -143,7 +147,7 @@ func TestMirrorPoisonSelfHeal(t *testing.T) {
 		t.Fatalf("the poisoned read went to PM for %d lines", n)
 	}
 	err := tbl.Verify()
-	want := fmt.Sprintf("segment %#x bucket %d: mirror diverges from PM", d.seg, b)
+	want := fmt.Sprintf("segment %#x bucket %d slot %d: clear in the mirror, but PM holds a record the segment claims (hash %#x)", d.seg, b, at.slot, pk.parts.Hash)
 	if err == nil || err.Error() != want {
 		t.Fatalf("Verify = %v, want exactly %q", err, want)
 	}
@@ -469,11 +473,10 @@ func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
 // cacheline for every even b, so a key's candidate pair costs one header
 // line (two adjacent ones for odd b). It also pins the mirror's size, which
 // core.segfilter_bytes is measured in, and the allocator size class it is
-// served from, which heap_mb is: 17 440 bytes, in the 18 432-byte class (the
-// remembered PM meta words, 528 bytes, fit in what rounding to it wasted).
+// served from, which heap_mb is: 16 912 bytes, in the 18 432-byte class.
 func TestMirrorHeaderPairsShareALine(t *testing.T) {
-	if segMirrorBytes != 17440 {
-		t.Fatalf("a mirror is %d bytes, want 17440: 66 × 32 B of headers, 66 × 14 × 16 B of records, 66 remembered PM meta words, the claim", segMirrorBytes)
+	if segMirrorBytes != 16912 {
+		t.Fatalf("a mirror is %d bytes, want 16912: 66 × 32 B of headers, 66 × 14 × 16 B of records, the claim", segMirrorBytes)
 	}
 	const class = 18432
 	var before, after runtime.MemStats
@@ -515,7 +518,6 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 		for slot := 0; slot < slotsPerBucket; slot++ {
 			words = append(words, mir.recWord(bi, slot, 0), mir.recWord(bi, slot, 1))
 		}
-		words = append(words, &mir.pmMeta[bi])
 	}
 	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
 		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)

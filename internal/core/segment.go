@@ -122,10 +122,8 @@ const (
 )
 
 // segInsertLocked places a record (segPlace) and reports whether it found a
-// slot; false means the segment needs to split. Placements of the table's
-// own inserts are metered — where the record went, and whether its slot
-// shares its bucket's header line (insert.header_line: a one-line commit) —
-// a split's copy is not.
+// slot; false means the segment needs to split. Where the table's own
+// inserts go is metered (insert.placed.*); a split's copy is not.
 func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) bool {
 	where, slot := t.segPlace(mir, seg, parts, kv, private)
 	if slot < 0 {
@@ -133,9 +131,6 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 	}
 	if !private {
 		t.met.placed[where].Inc()
-		if slot < hdrLineSlots {
-			t.met.headerLine.Inc()
-		}
 	}
 	return true
 }
@@ -162,10 +157,10 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
 	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
-		return placedHome, t.bucketInsertLocked(mir, ba, b, parts.FP, kv, persist)
+		return placedHome, bucketInsertLocked(p, mir, ba, b, parts.FP, kv, persist)
 	}
 	if f2 > 0 {
-		return placedProbe, t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
+		return placedProbe, bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
 	}
 
 	// Displacement: make room in the probing bucket b2 by moving one of its
@@ -185,7 +180,7 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
-				t.bucketInsertLocked(mir, b3a, b3, vp.FP, vict, persist)
+				bucketInsertLocked(p, mir, b3a, b3, vp.FP, vict, persist)
 				bucketDeleteLocked(p, mir, b2a, b2, vs, persist)
 				displaced = true
 			}
@@ -194,18 +189,18 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 			unlockBucket(mir, b3)
 		}
 		if displaced {
-			return placedDisplaced, t.bucketInsertLocked(mir, b2a, b2, parts.FP, kv, persist)
+			return placedDisplaced, bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
 		}
 	}
 
-	// Stash: the record goes to any stash bucket with room, where its bitmap
-	// bit commits it; the home bucket (locked by us) counts it in its
-	// mirror, which PM does not keep.
+	// Stash: the record goes to any stash bucket with room, where its word 0
+	// commits it; the home bucket (locked by us) counts it in its mirror,
+	// which PM does not keep.
 	for j := 0; j < stashBuckets; j++ {
 		if !private {
 			t.lockBucket(mir, normalBuckets+j)
 		}
-		slot = t.bucketInsertLocked(mir, segBucket(seg, normalBuckets+j), normalBuckets+j, parts.FP, kv, persist)
+		slot = bucketInsertLocked(p, mir, segBucket(seg, normalBuckets+j), normalBuckets+j, parts.FP, kv, persist)
 		if !private {
 			unlockBucket(mir, normalBuckets+j)
 		}
@@ -261,17 +256,15 @@ func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.P
 
 // segDrop removes the slots drops names (per bucket, a slot bitmap) from the
 // segment's mirror alone: the split publish's sweep of its moved half. It
-// stores nothing to PM. A bucket it changes keeps its PM bitmap, which the
-// mirror remembers (dropMeta) until the bucket's next persisted meta store,
-// and each dropped record stays in PM under its set bit — a stale slot —
-// until then. The publish drops only records the directory routes to the
-// sibling, and routing only narrows (a split hands a segment's keys to a
-// sibling, nothing ever hands them back), so a stale slot always holds a
-// record the segment does not claim: recovery's route filter, which runs on
-// every image, drops it again, and an insert never reuses it before a bitmap
-// with its bit clear is durable (bucketInsertLocked). Each dropped stash
-// record also leaves its home bucket's stash count, which lives in the
-// mirror alone.
+// stores nothing to PM, where each dropped record stays, its word 0 non-zero
+// — a stale slot — until an insert reuses the slot. The publish drops only
+// records the directory routes to the sibling, and routing only narrows (a
+// split hands a segment's keys to a sibling, nothing ever hands them back),
+// so a stale slot always holds a record the segment does not claim:
+// recovery's route filter, which runs on every image, drops it again, and a
+// crash in the insert that reuses the slot leaves it stale, empty or holding
+// the new record (bucketInsertLocked). Each dropped stash record also leaves
+// its home bucket's stash count, which lives in the mirror alone.
 func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 	for bi := 0; bi < totalBuckets; bi++ {
 		m := mir.word(bi, mirBkMeta).Load()
@@ -279,7 +272,7 @@ func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 		if d == 0 {
 			continue
 		}
-		mir.dropMeta(bi, m&^d)
+		mir.word(bi, mirBkMeta).Store(m &^ d)
 		if bi < normalBuckets {
 			continue
 		}
@@ -290,7 +283,7 @@ func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 	}
 }
 
-// segCount returns the number of live records (allocation bitmap popcount).
+// segCount returns the number of live records (the mirror bitmaps' popcount).
 func segCount(mir *segMirror) int {
 	n := 0
 	for bi := 0; bi < totalBuckets; bi++ {

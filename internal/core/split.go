@@ -27,9 +27,9 @@ import (
 //  3. publishes (splitPublish), still under those locks: the sibling is
 //     persisted with one flush+fence, the directory entries flip (doubling
 //     first if needed, both under dirMu), oldSeg's metadata bumps, its moved
-//     records are dropped from its mirror — PM keeps them, under bits only
-//     the next persisted meta store of their bucket clears (segDrop) — and
-//     the directory cache is written through.
+//     records are dropped from its mirror — PM keeps each, stale, until an
+//     insert reuses its slot (segDrop) — and the directory cache is written
+//     through.
 //
 // A crash before the first entry flip leaves the sibling unpublished:
 // recovery clears the marker and the block leaks. A crash after it leaves
@@ -133,11 +133,8 @@ type splitCand struct {
 // sibling lock, nobody else can reach it, and persisting nothing: the publish
 // makes the whole sibling durable with one flush+fence before any directory
 // entry points at it, and a crash before that rolls it back wholesale.
-// Each bucket fills from its highest free slot down (bucketInsertLocked's
-// unpublished mode), so every sibling bucket the copy leaves with room keeps
-// its header line's slots free: the inserts that follow the publish commit
-// there in one line. Reports false when the sibling has no room for a
-// record: the pathological one-sided overflow.
+// Reports false when the sibling has no room for a record: the pathological
+// one-sided overflow.
 func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
 

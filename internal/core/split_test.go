@@ -200,19 +200,15 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 // old header, the retried insert — with no lock among them; the doubled
 // directory's words are quiet, charged by the flush that publishes the block,
 // and the sweep of the moved half stores nothing (segDrop). The retried
-// insert routes to the sibling and lands in slot 0 of its bucket 10, which
-// the copy, filling each bucket from its highest free slot down, left free:
-// its record shares the header line, so it writes one line where an insert
-// into slot 3 or above writes two (12 writes while the copy filled from
-// slot 0, which put the insert in slot 5). The slot is free in PM too; had
-// a drop left it set there, the insert would persist its bucket's meta word
-// first, one more flush and fence (TestStaleSlotInsertCharges). History:
-// with the sweep persisted — one meta
-// word per bucket it touched, each flushed, and a fence — the same insert
-// charged 0 / 78 / 341 / 11; with the claim a CAS on the PM split word, PM
-// directory walks, the allocator's frontier a PM CAS and the doubling charged
-// per entry, 10 / 84 / 341 / 11, and with the locks and the copy's scan in PM
-// too, 284 / 90 / 341 / 11.
+// insert routes to the sibling and, like every insert, writes its record's
+// line alone, with one flush and one fence. Had the slot been stale, the
+// insert would cost the same (TestStaleSlotInsertCharges). History: with a
+// PM bitmap, which the insert also stored and persisted, 0 / 11 / 275 / 10;
+// with the sweep persisted — one meta word per bucket it touched,
+// each flushed, and a fence — the same insert charged 0 / 78 / 341 / 11; with
+// the claim a CAS on the PM split word, PM directory walks, the allocator's
+// frontier a PM CAS and the doubling charged per entry, 10 / 84 / 341 / 11,
+// and with the locks and the copy's scan in PM too, 284 / 90 / 341 / 11.
 func TestSplitCharges(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 	defer tbl.Close()
@@ -226,69 +222,11 @@ func TestSplitCharges(t *testing.T) {
 		if tbl.met.splits.Total() == 0 {
 			continue
 		}
-		if want := [4]uint64{0, 11, 275, 10}; got != want {
+		if want := [4]uint64{0, 11, 274, 9}; got != want {
 			t.Fatalf("Insert(%d) with the first split charged read/write/flush/fence = %v, want %v", k, got, want)
 		}
 		break
 	}
-}
-
-// TestSplitLeavesHeaderLineFree: the split's copy fills each sibling bucket
-// from its highest free slot down, so a sibling bucket the copy leaves with
-// room keeps its header line's slots for the inserts that follow. Over the
-// first 12 splits of sequential keys, every bucket of each new sibling that
-// holds at most slotsPerBucket-hdrLineSlots records — the insert that
-// carried the split aside, which may have gone there — has slots
-// 0..hdrLineSlots-1 free in its mirror and in PM. (A displacement inside the
-// copy frees a slot of a full bucket and refills it at once, so a bucket
-// never holds fewer records than the highest slot the copy gave it implies.)
-func TestSplitLeavesHeaderLineFree(t *testing.T) {
-	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
-	defer tbl.Close()
-	const hdrSlots = 1<<hdrLineSlots - 1
-	known := make(map[pmem.Addr]bool)
-	for seg := range tbl.cache.descs {
-		known[seg] = true
-	}
-	checked := 0
-	for k := uint64(0); tbl.met.splits.Total() < 12; k++ {
-		splits := tbl.met.splits.Total()
-		if err := tbl.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-		if tbl.met.splits.Total() == splits {
-			continue
-		}
-		var sib *segDesc
-		for seg, d := range tbl.cache.descs {
-			if !known[seg] {
-				sib, known[seg] = d, true
-			}
-		}
-		pk := tbl.probeU64(k)
-		into := tbl.cache.route(pk.parts)
-		_, at, _, _ := mirSegSearch(tbl.vlog, into.mir.Load(), &pk, true)
-		mir := sib.mir.Load()
-		for bi := 0; bi < totalBuckets; bi++ {
-			m := mir.word(bi, mirBkMeta).Load() & slotMask
-			pm := tbl.pool.QuietLoadU64(segBucket(sib.seg, bi).Add(bkOffMeta))
-			if into == sib && at.bucket == bi {
-				m, pm = metaClearSlot(m, at.slot), metaClearSlot(pm, at.slot)
-			}
-			if metaFreeSlots(m) < hdrLineSlots {
-				continue
-			}
-			checked++
-			if m&hdrSlots != 0 || pm&hdrSlots != 0 {
-				t.Fatalf("split %d: sibling %#x bucket %d holds %d copied records, and its header line's slots are used: mirror %#x, PM %#x",
-					tbl.met.splits.Total(), sib.seg, bi, slotsPerBucket-metaFreeSlots(m), m, pm)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no sibling bucket was left with room")
-	}
-	t.Logf("%d sibling buckets checked over 12 splits", checked)
 }
 
 // insertThroughSplit inserts sequential keys into tbl, from 0, up to and
@@ -307,31 +245,50 @@ func insertThroughSplit(t *testing.T, tbl *Table) []fuzzOp {
 	return ops
 }
 
-// rememberingSegment returns the one segment of tbl whose mirror remembers a
-// PM meta word: the old segment of tbl's only split, or after a reopen the
-// segment the route filter dropped its leftovers from.
-func rememberingSegment(t *testing.T, tbl *Table) *segDesc {
+// staleSlot reports whether slot of bucket bi of d's segment is stale: clear
+// in its mirror, while PM holds a record there (a non-zero word 0) — one a
+// drop removed from the mirror alone.
+func staleSlot(tbl *Table, d *segDesc, bi, slot int) bool {
+	return !metaSlotUsed(d.mir.Load().word(bi, mirBkMeta).Load(), slot) &&
+		tbl.pool.QuietLoadU64(recordAddr(segBucket(d.seg, bi), slot)) != 0
+}
+
+// holdsStale reports whether any slot of d's segment is stale.
+func holdsStale(tbl *Table, d *segDesc) bool {
+	for bi := 0; bi < totalBuckets; bi++ {
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			if staleSlot(tbl, d, bi, slot) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// staleSegment returns the one segment of tbl that holds stale slots: the
+// old segment of tbl's only split, or after a reopen the segment the route
+// filter dropped its leftovers from.
+func staleSegment(t *testing.T, tbl *Table) *segDesc {
 	t.Helper()
 	var found *segDesc
 	for _, d := range tbl.cache.descs {
-		if mir := d.mir.Load(); mir != nil && remembersPM(mir) {
+		if d.mir.Load() != nil && holdsStale(tbl, d) {
 			if found != nil {
-				t.Fatalf("segments %#x and %#x both remember PM meta words", found.seg, d.seg)
+				t.Fatalf("segments %#x and %#x both hold stale slots", found.seg, d.seg)
 			}
 			found = d
 		}
 	}
 	if found == nil {
-		t.Fatal("no segment remembers a PM meta word: nothing was dropped in DRAM alone")
+		t.Fatal("no segment holds a stale slot: nothing was dropped in DRAM alone")
 	}
 	return found
 }
 
 // staleSlotKey returns the first key from `from` up, of the next 1<<16, that
 // routes to d and whose insert lands in a stale slot: the bucket a balanced
-// insert picks for it has its lowest free slot still set in the PM meta word
-// its mirror remembers. It returns that bucket and slot too; ok is false if
-// no key of the range does.
+// insert picks for it has its lowest free slot stale. It returns that bucket
+// and slot too; ok is false if no key of the range does.
 func staleSlotKey(tbl *Table, d *segDesc, from uint64) (k uint64, bi, slot int, ok bool) {
 	mir := d.mir.Load()
 	for k = from; k < from+1<<16; k++ {
@@ -349,69 +306,56 @@ func staleSlotKey(tbl *Table, d *segDesc, from uint64) (k uint64, bi, slot int, 
 			continue
 		}
 		slot = metaFirstFree(mir.word(bi, mirBkMeta).Load())
-		if metaSlotUsed(mir.pmMeta[bi].Load(), slot) {
+		if staleSlot(tbl, d, bi, slot) {
 			return k, bi, slot, true
 		}
 	}
 	return 0, 0, 0, false
 }
 
-// TestStaleSlotInsertCharges pins the one cost a DRAM-only sweep moves onto
-// a later insert. After a split the old segment's moved records stay set in
-// its PM bitmaps; an insert whose slot — the lowest free one in the mirror,
-// as always — is one of them persists the bucket's meta word before it
-// stores the record, so no record is ever stored under a committed bit. On a
-// quiet table with the cost model off, each such first insert after the
-// split writes the lines an insert into that slot always writes (2, or 1 for
-// slots 0 and 1, which share the header's line), plus exactly one flush and
-// one fence: 0 / 2 / 3 / 3 or 0 / 1 / 3 / 3. It counts in
-// bucket.stale_meta_persists, lands in the slot, and leaves its bucket
-// remembering no PM word.
+// TestStaleSlotInsertCharges pins what a DRAM-only sweep costs a later
+// insert: nothing. After a split the old segment's moved records stay in its
+// PM buckets; an insert whose slot — the lowest free one in the mirror, as
+// always — holds one of them overwrites it in the record's one line, with
+// its zero, value and key stores and one persist (bucketInsertLocked). On a
+// quiet table with the cost model off, each such insert charges
+// read/write/flush/fence 0 / 1 / 1 / 1, as every insert does, lands in the
+// slot, and leaves it no longer stale.
 func TestStaleSlotInsertCharges(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 	defer tbl.Close()
 	p := tbl.pool
 	insertThroughSplit(t, tbl)
-	d := rememberingSegment(t, tbl)
+	d := staleSegment(t, tbl)
 	mir := d.mir.Load()
-	var inHeader, inRecordLine int
+	inserts := 0
 	for from := uint64(1) << 40; ; {
 		k, bi, slot, ok := staleSlotKey(tbl, d, from)
 		if !ok {
 			break
 		}
 		from = k + 1
-		persists := tbl.filters.stalePersists.Total()
 		got := pmLines(p, func() {
 			if err := tbl.Insert(k, k); err != nil {
 				t.Fatal(err)
 			}
 		})
-		want := [4]uint64{0, 2, 3, 3}
-		if slot < hdrLineSlots {
-			want[1] = 1
-			inHeader++
-		} else {
-			inRecordLine++
-		}
-		if got != want {
+		if want := [4]uint64{0, 1, 1, 1}; got != want {
 			t.Fatalf("Insert(%d) into stale slot %d of bucket %d charged read/write/flush/fence = %v, want %v", k, slot, bi, got, want)
 		}
 		pk := tbl.probeU64(k)
 		if _, loc, _, _ := mirSegSearch(tbl.vlog, mir, &pk, true); loc.bucket != bi || loc.slot != slot {
 			t.Fatalf("Insert(%d) landed in bucket %d slot %d, want the stale slot %d of bucket %d", k, loc.bucket, loc.slot, slot, bi)
 		}
-		if n := tbl.filters.stalePersists.Total() - persists; n != 1 {
-			t.Fatalf("Insert(%d) counted %d stale meta persists, want 1", k, n)
+		if staleSlot(tbl, d, bi, slot) {
+			t.Fatalf("after Insert(%d), slot %d of bucket %d is still stale", k, slot, bi)
 		}
-		if r := mir.pmMeta[bi].Load(); r != 0 {
-			t.Fatalf("after Insert(%d), bucket %d still remembers PM meta %#x", k, bi, r)
-		}
+		inserts++
 	}
-	if inRecordLine == 0 {
-		t.Fatal("no insert after the split took a stale slot outside the header line")
+	if inserts == 0 {
+		t.Fatal("no insert after the split took a stale slot")
 	}
-	t.Logf("%d stale-slot inserts into record lines, %d into the header line", inRecordLine, inHeader)
+	t.Logf("%d stale-slot inserts", inserts)
 }
 
 // TestSplitOverflowUnderLocksRecyclesSibling drives the copy into
@@ -444,7 +388,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	sib := &segDesc{seg: sibling}
 	sib.mir.Store(tbl.newMirror(l+1, pat<<1|1))
 	for bi := 0; bi < totalBuckets; bi++ {
-		for tbl.bucketInsertLocked(sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) >= 0 {
+		for bucketInsertLocked(tbl.pool, sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) >= 0 {
 		}
 	}
 	spa := old.seg.Add(segOffSplit)

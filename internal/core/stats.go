@@ -65,8 +65,8 @@ type TableStats struct {
 // Stats walks the DRAM directory cache for the segment set and the mirrors
 // of the recovered segments for their records — observing the table reads no
 // PM line, so it does not perturb the PM-traffic counters or the cost model
-// mid-benchmark. (PM bitmaps would count a split's moved records twice: the
-// old segment keeps them in PM until its buckets are next written.) A segment
+// mid-benchmark. (PM records would count a split's moved records twice: the
+// old segment keeps them in PM until an insert reuses their slots.) A segment
 // still awaiting first touch has no mirror and is not walked; Stats does not
 // recover it. It takes no locks; the epoch guard keeps the walk well-defined
 // against concurrent structural changes.

@@ -48,9 +48,9 @@ import (
 //     else can reach, the fully-built sibling is persisted with one
 //     flush+fence, the directory entries flip, the old segment's metadata
 //     bumps, moved records are dropped from its mirror (DRAM only: PM keeps
-//     them until each bucket's next persisted meta store, and recovery drops
-//     them by route), and the directory cache is written through — then
-//     everything unlocks.
+//     each until an insert reuses its slot, and recovery drops them by
+//     route), and the directory cache is written through — then everything
+//     unlocks.
 //   - Directory doubling (and the entry flips of a publish) serialize on the
 //     narrow dirMu; nothing else does. Lock order is: bucket locks → dirMu,
 //     buckets acquired in ascending index order (pairs sorted, displacement
@@ -70,14 +70,16 @@ const (
 	rootOffCount    = 56 // record count persisted by a clean Close
 
 	tableMagic = 0x44617368454831 // "DashEH1"
-	// tableFormat 6: a PM bucket header is the bitmap alone and records start
-	// at offset 16 (bucket.go); fingerprints and stash counts are
-	// recomputed at first touch. A format-5 image keeps them in the words
-	// where format 6 keeps records. 5 = a split leaves its moved records set
-	// in the old segment's PM bitmaps (segDrop), so every image needs
-	// recovery's route filter; 4 = one-word blob header, no commit word; 3 =
-	// clean-shutdown marker root; 2 = indirect (varlog) records.
-	tableFormat = 6
+	// tableFormat 7: a PM slot is live iff its record's word 0 is non-zero,
+	// inline key 0 is stored as recZeroKeyWord (record.go), and a bucket's
+	// first 16 bytes are padding (bucket.go). A format-6 image keeps a
+	// bitmap there and key 0 as itself. 6 = records from offset 16,
+	// fingerprints and stash counts recomputed at first touch; 5 = a split
+	// leaves its moved records in the old segment's PM (segDrop), so every
+	// image needs recovery's route filter; 4 = one-word blob header, no
+	// commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog)
+	// records.
+	tableFormat = 7
 	allocStart  = 256 // first allocatable offset; keeps blocks 256-aligned
 	allocAlign  = 256
 
@@ -121,7 +123,7 @@ type Table struct {
 	seed uint64
 
 	// vlog is the PM record log holding every variable-length (and every
-	// bit-63-keyed uint64) record's key/value blob; bucket slots reference
+	// non-inline uint64, recInlineKey) record's key/value blob; bucket slots reference
 	// blobs by packed address (record.go). Freed blobs are epoch-deferred
 	// so lock-free readers never dereference reused bytes.
 	vlog *pmem.VarLog
@@ -366,19 +368,20 @@ func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (*segDesc, *segMirror) 
 // Insert adds key → value. It fails with ErrKeyExists if the key is present
 // and ErrPoolFull if the pool cannot grow the table any further. Keys with
 // bit 63 clear are stored inline (the original fixed-record fast path);
-// bit-63 keys cannot use the inline format (its discriminator bit) and
-// route through the record log as 8-byte blobs.
+// bit-63 keys cannot use the inline format (its discriminator bit), nor can
+// recZeroKeyWord (the word 0 that stands for key 0), and they route
+// through the record log as 8-byte blobs (recInlineKey).
 func (t *Table) Insert(key, value uint64) error {
 	pk := t.probeU64(key)
 	op := t.opBegin(&pk)
 	var err error
-	if key&recIndirectBit != 0 {
+	if recInlineKey(key) {
+		err = t.insertKV(&pk, pmem.KV{Key: recInlineWord(key), Value: value})
+	} else {
 		var kb, vb [8]byte
 		binary.LittleEndian.PutUint64(kb[:], key)
 		binary.LittleEndian.PutUint64(vb[:], value)
 		err = t.insertIndirect(&pk, kb[:], vb[:])
-	} else {
-		err = t.insertKV(&pk, pmem.KV{Key: key, Value: value})
 	}
 	t.opEnd(op, &pk, obs.EvInsert, insOutcome(err))
 	return err
@@ -387,8 +390,9 @@ func (t *Table) Insert(key, value uint64) error {
 // InsertB adds a variable-length record. Keys must be non-empty; keys and
 // values past the log bounds fail with ErrRecordTooLarge. An 8-byte key is
 // the same key as its little-endian uint64 (the two APIs are views of one
-// keyspace), and an 8-byte-key/8-byte-value record whose key has bit 63
-// clear is stored inline, taking the fixed-record fast path.
+// keyspace), and an 8-byte-key/8-byte-value record whose key is inline as
+// a uint64 (recInlineKey) is stored inline, taking the fixed-record fast
+// path.
 func (t *Table) InsertB(key, value []byte) error {
 	if len(key) == 0 || len(key) > pmem.MaxVarKeyLen || len(value) > pmem.MaxVarValueLen {
 		return ErrRecordTooLarge
@@ -396,9 +400,9 @@ func (t *Table) InsertB(key, value []byte) error {
 	pk := t.probeBytes(key)
 	op := t.opBegin(&pk)
 	var err error
-	if len(key) == 8 && len(value) == 8 && binary.LittleEndian.Uint64(key)&recIndirectBit == 0 {
+	if len(key) == 8 && len(value) == 8 && recInlineKey(binary.LittleEndian.Uint64(key)) {
 		err = t.insertKV(&pk, pmem.KV{
-			Key:   binary.LittleEndian.Uint64(key),
+			Key:   recInlineWord(binary.LittleEndian.Uint64(key)),
 			Value: binary.LittleEndian.Uint64(value),
 		})
 	} else {

@@ -202,6 +202,108 @@ func TestVarU64Interop(t *testing.T) {
 	}
 }
 
+// TestRecInlineKey: a uint64 key is stored inline unless bit 63 is set or it
+// is recZeroKeyWord, the word 0 that stands for key 0; every inline key's
+// word 0 is non-zero, has bit 63 clear and decodes back to the key, and
+// every inline key but 0 is stored as itself.
+func TestRecInlineKey(t *testing.T) {
+	if recZeroKeyWord == 0 || recIsIndirect(recZeroKeyWord) {
+		t.Fatalf("recZeroKeyWord %#x must be non-zero with bit 63 clear", recZeroKeyWord)
+	}
+	for _, c := range []struct {
+		key    uint64
+		inline bool
+	}{
+		{0, true}, {1, true}, {1<<63 - 1, true}, {recZeroKeyWord ^ 1, true},
+		{recZeroKeyWord, false}, {1 << 63, false}, {recZeroKeyWord | 1<<63, false}, {^uint64(0), false},
+	} {
+		if got := recInlineKey(c.key); got != c.inline {
+			t.Fatalf("recInlineKey(%#x) = %v, want %v", c.key, got, c.inline)
+		}
+		if !c.inline {
+			continue
+		}
+		if w := recInlineWord(c.key); w == 0 || recIsIndirect(w) || recWordKey(w) != c.key || c.key != 0 && w != c.key {
+			t.Fatalf("key %#x: word 0 %#x, decoded %#x", c.key, w, recWordKey(w))
+		}
+	}
+}
+
+// TestZeroKeyRoundTrip drives the two keys the word 0 encoding singles out
+// through every uint64 and []byte op and a crash reopen: recZeroKeyWord, the
+// one key with bit 63 clear that goes through the log, and key 0, which stays
+// inline with that word for its word 0. After the reopen both are found, and
+// a Get of key 0 reads no PM line.
+func TestZeroKeyRoundTrip(t *testing.T) {
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	for _, k := range []uint64{recZeroKeyWord, 0} {
+		if err := tbl.Insert(k, 11); err != nil {
+			t.Fatal(err)
+		}
+		pk := tbl.probeU64(k)
+		kv, _, _, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
+		if recIsIndirect(kv.Key) != (k == recZeroKeyWord) {
+			t.Fatalf("key %#x stored with word 0 %#x", k, kv.Key)
+		}
+		if v, ok := tbl.Get(k); !ok || v != 11 {
+			t.Fatalf("Get(%#x) = %d,%v", k, v, ok)
+		}
+		if v, ok := tbl.GetB(le(k)); !ok || !bytes.Equal(v, le(11)) {
+			t.Fatalf("GetB(le(%#x)) = %x,%v", k, v, ok)
+		}
+		if err := tbl.Insert(k, 1); !errors.Is(err, ErrKeyExists) {
+			t.Fatalf("duplicate Insert(%#x): %v", k, err)
+		}
+		if err := tbl.InsertB(le(k), le(1)); !errors.Is(err, ErrKeyExists) {
+			t.Fatalf("duplicate InsertB(le(%#x)): %v", k, err)
+		}
+		if ok, err := tbl.Update(k, 12); !ok || err != nil {
+			t.Fatalf("Update(%#x) = %v, %v", k, ok, err)
+		}
+		if ok, err := tbl.UpdateB(le(k), le(13)); !ok || err != nil {
+			t.Fatalf("UpdateB(le(%#x)) = %v, %v", k, ok, err)
+		}
+		if v, ok := tbl.Get(k); !ok || v != 13 {
+			t.Fatalf("Get(%#x) after the updates = %d,%v", k, v, ok)
+		}
+		if !tbl.Delete(k) || tbl.Delete(k) {
+			t.Fatalf("Delete(%#x) did not delete exactly once", k)
+		}
+		if _, ok := tbl.Get(k); ok {
+			t.Fatalf("Get(%#x) found the deleted key", k)
+		}
+		if err := tbl.Insert(k, 14); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool.Crash()
+	re := openTestTable(t, pool)
+	defer re.Close()
+	if n := re.Count(); n != 2 {
+		t.Fatalf("Count after the reopen = %d, want 2", n)
+	}
+	for _, k := range []uint64{recZeroKeyWord, 0} {
+		if v, ok := re.GetB(le(k)); !ok || !bytes.Equal(v, le(14)) {
+			t.Fatalf("GetB(le(%#x)) after the reopen = %x,%v", k, v, ok)
+		}
+	}
+	if got := readLines(pool, func() {
+		if v, ok := re.Get(0); !ok || v != 14 {
+			t.Fatalf("Get(0) after the reopen = %d,%v", v, ok)
+		}
+	}); got != 0 {
+		t.Fatalf("Get(0) after the reopen read %d PM lines, want 0: key 0 is inline", got)
+	}
+}
+
 func TestVarRecordTooLarge(t *testing.T) {
 	tbl := newTestTable(t, 8<<20, Options{})
 	cases := []struct{ k, v []byte }{

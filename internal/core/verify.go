@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"dash/internal/hashfn"
 	"dash/internal/pmem"
@@ -23,14 +22,12 @@ import (
 //     claims partition the hash space;
 //   - no split marker is set, no splitter held; a recovered segment has a
 //     mirror, and its mirror equals PM but for what a DRAM-only drop
-//     (segDrop) left behind: a bucket's PM meta word has no bit above 13
-//     set, and its bitmap is the one its mirror remembers where it remembers
-//     one, and the mirror's bitmap elsewhere; every slot set in the mirror is
-//     set in PM; the record words of every used slot equal PM's; and every
-//     slot set in PM but not in the mirror — a stale slot — holds a record
-//     the segment does not claim, routed to another segment (routing only
-//     narrows, so this holds across generations of splits). A bucket's two
-//     paddings are never read: any bytes there are legal;
+//     (segDrop) left behind: every slot set in the mirror has a non-zero
+//     word 0 in PM — PM's commit — and both its record words equal PM's; and
+//     every slot clear in the mirror holds word 0 = 0 in PM, or a record the
+//     segment does not claim — a stale slot, routed to another segment
+//     (routing only narrows, so this holds across generations of splits).
+//     A bucket's two paddings are never read: any bytes there are legal;
 //   - in a segment whose mirror matches PM so, every used slot, read from the
 //     mirror: its fingerprint is its record hash's (PM keeps none: the
 //     mirror's must be what recovery recomputes), the hash is claimed by the
@@ -41,9 +38,9 @@ import (
 //     stash and miss a record, one too high costs misses a stash scan);
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
-//     frees are drained: count is the bitmaps' popcount; every blob a slot
-//     names is one the log's chunk walk reaches, off the free list, and
-//     every blob the walk reaches is named by a slot or free
+//     frees are drained: count is the mirror bitmaps' popcount; every blob
+//     a slot names is one the log's chunk walk reaches, off the free list,
+//     and every blob the walk reaches is named by a slot or free
 //     (pmem.VarLog.Verify).
 //
 // It returns an error naming each entry, segment, slot and word that breaks
@@ -128,8 +125,8 @@ func (t *Table) Verify() error {
 }
 
 // verifySegment checks a recovered segment in one pass: its mirror against
-// PM — word for word but for the stale slots a drop left in PM, each of which
-// must hold a record the segment does not claim — and, read from the mirror,
+// PM — word for word in every used slot, and in every other an empty word 0
+// or a stale record the segment does not claim — and, read from the mirror,
 // every used slot, whose findings count only if the whole mirror matched. It
 // returns the records the bitmaps hold and whether the mirror matched;
 // indirect records' blobs go into refs.
@@ -154,45 +151,29 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 		metas[bi] = m
-		// PM's meta word is a bitmap and nothing else. Where the mirror
-		// remembers no PM bitmap, PM's is the mirror's and joins the record
-		// words' comparison. Where it remembers one, PM's is that one, every
-		// slot the mirror uses is set there, and a slot set there alone is
-		// stale: it must hold a record the segment does not claim.
-		pm := p.QuietLoadU64(ba.Add(bkOffMeta))
-		if pm&^slotMask != 0 {
-			fail("segment %#x bucket %d: PM meta %#x has bits above 13 set", seg, bi, pm)
-			ok = false
-		}
-		pm &= slotMask
-		r := mir.pmMeta[bi].Load()
-		same := r != 0 || pm == m&slotMask
-		if r != 0 {
-			if pm != r {
-				fail("segment %#x bucket %d: PM meta %#x, but the mirror remembers %#x", seg, bi, pm, r)
-				ok = false
-			}
-			if lost := m &^ pm & slotMask; lost != 0 {
-				fail("segment %#x bucket %d: slots %#x set in the mirror, clear in PM", seg, bi, lost)
-				ok = false
-			}
-			for stale := pm &^ m & slotMask; stale != 0; stale &= stale - 1 {
-				slot := bits.TrailingZeros64(stale)
-				ra := recordAddr(ba, slot)
-				kv := pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}
-				if h := recSplitParts(kv, t.seed).Hash; hashfn.SegmentIndex(h, uint8(l)) == pat {
-					fail("segment %#x bucket %d slot %d: stale in PM, and its record hash %#x is claimed by the segment", seg, bi, slot, h)
+		same := true
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			ra := recordAddr(ba, slot)
+			pkv := pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}
+			if !metaSlotUsed(m, slot) {
+				if pkv.Key == 0 {
+					continue // empty in PM too
+				}
+				// Stale: a record routed to another segment.
+				if h := recSplitParts(pkv, t.seed).Hash; hashfn.SegmentIndex(h, uint8(l)) == pat {
+					fail("segment %#x bucket %d slot %d: clear in the mirror, but PM holds a record the segment claims (hash %#x)", seg, bi, slot, h)
 					ok = false
 				}
-			}
-		}
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
 				continue
 			}
 			n++
-			kv, ra := mir.rec(bi, slot), recordAddr(ba, slot)
-			same = same && (pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}) == kv
+			kv := mir.rec(bi, slot)
+			if pkv.Key == 0 {
+				fail("segment %#x bucket %d slot %d: set in the mirror, clear in PM (word 0 is zero)", seg, bi, slot)
+				ok = false
+			} else if pkv != kv {
+				same = false
+			}
 			parts := recSplitParts(kv, t.seed)
 			if fp := fpGet(lo, hi, slot); fp != parts.FP {
 				at(bi, slot, "fingerprint %#x, the record's hash has %#x", fp, parts.FP)
@@ -206,7 +187,7 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 			if bi >= normalBuckets {
 				homed[parts.BucketIndex(bucketBits)]++
 			}
-			key := kv.Key
+			key := recWordKey(kv.Key) // an indirect record's key is its blob's
 			if recIsIndirect(kv.Key) {
 				a := recBlobAddr(kv.Key)
 				refs[a] = struct{}{}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,9 +60,9 @@ func slotWhere(t *testing.T, tbl *Table, ok func(d *segDesc, bi, slot int, kv pm
 }
 
 // putRecord stores kv into a free slot of bucket bi of d's segment, in PM and
-// mirror alike, quietly and outside every protocol: the record's words and its
-// bitmap bit, and its fingerprint in the mirror, the only place that keeps
-// one.
+// mirror alike, quietly and outside every protocol: the record's words, and
+// in the mirror, the only place that keeps them, its bitmap bit and its
+// fingerprint.
 func putRecord(t *testing.T, tbl *Table, d *segDesc, bi int, kv pmem.KV) {
 	t.Helper()
 	mir, ba := d.mir.Load(), segBucket(d.seg, bi)
@@ -78,26 +77,23 @@ func putRecord(t *testing.T, tbl *Table, d *segDesc, bi int, kv pmem.KV) {
 	setWord(tbl, ra.Add(8), mir.recWord(bi, slot, 1), kv.Value)
 	mir.word(bi, mirBkFPLo).Store(lo)
 	mir.word(bi, mirBkFPHi).Store(hi)
-	m = metaSetSlot(m, slot)
-	tbl.pool.QuietStoreU64(ba.Add(bkOffMeta), m&slotMask)
-	mir.word(bi, mirBkMeta).Store(m)
+	mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
 }
 
 // moveRecord moves the record in slot of bucket bi to bucket to, PM and
-// mirror alike.
+// mirror alike: the slot it leaves is empty in both.
 func moveRecord(t *testing.T, tbl *Table, d *segDesc, bi, slot, to int) {
 	t.Helper()
 	mir := d.mir.Load()
 	putRecord(t, tbl, d, to, mir.rec(bi, slot))
-	m := metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot)
-	tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), m&slotMask)
-	mir.word(bi, mirBkMeta).Store(m)
+	tbl.pool.QuietStoreU64(recordAddr(segBucket(d.seg, bi), slot), 0)
+	mir.word(bi, mirBkMeta).Store(metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 
-// rememberingBucket returns the first bucket, in view order, whose mirror
-// remembers a PM meta word and for which ok holds, after inserting keys until
-// one more split has left such words behind.
-func rememberingBucket(t *testing.T, tbl *Table, ok func(mir *segMirror, bi int) bool) (*segDesc, int) {
+// freeSlotWhere returns the first slot, in view order, clear in its mirror
+// for which ok holds, after inserting keys until one more split has left
+// stale slots behind.
+func freeSlotWhere(t *testing.T, tbl *Table, ok func(d *segDesc, bi, slot int) bool) (*segDesc, int, int) {
 	t.Helper()
 	for k, splits := uint64(1)<<40, tbl.met.splits.Total(); tbl.met.splits.Total() == splits; k++ {
 		if err := tbl.Insert(k, k); err != nil {
@@ -109,13 +105,15 @@ func rememberingBucket(t *testing.T, tbl *Table, ok func(mir *segMirror, bi int)
 		d := v.entries[i].Load()
 		mir := d.mir.Load()
 		for bi := 0; bi < totalBuckets; bi++ {
-			if mir.pmMeta[bi].Load() != 0 && ok(mir, bi) {
-				return d, bi
+			for slot := 0; slot < slotsPerBucket; slot++ {
+				if !metaSlotUsed(mir.word(bi, mirBkMeta).Load(), slot) && ok(d, bi, slot) {
+					return d, bi, slot
+				}
 			}
 		}
 	}
-	t.Fatal("no bucket remembers a PM meta word the corruption needs")
-	return nil, 0
+	t.Fatal("the table holds no free slot the corruption needs")
+	return nil, 0, 0
 }
 
 func normalSlot(_ *segDesc, bi, _ int, _ pmem.KV) bool { return bi < normalBuckets }
@@ -172,40 +170,39 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			d, bi, _ := slotWhere(t, tbl, normalSlot)
 			bucketAddStash(d.mir.Load(), bi, +1)
 		}},
-		{"PM meta other than the remembered word", "but the mirror remembers", func(t *testing.T, tbl *Table) {
-			d, bi := rememberingBucket(t, tbl, func(*segMirror, int) bool { return true })
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load()&slotMask)
-		}},
-		{"PM meta other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
-			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool {
-				mir := d.mir.Load()
-				return mir.pmMeta[bi].Load() == 0 && bucketFreeSlots(mir, bi) > 0
-			})
-			m := d.mir.Load().word(bi, mirBkMeta).Load()
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), metaSetSlot(m, metaFirstFree(m))&slotMask)
-		}},
-		{"PM meta with bits above the bitmap", "bits above 13", func(t *testing.T, tbl *Table) {
-			// A stash count stored where format 5 kept stash tracking:
-			// every bit of the bitmap is right.
-			d, bi, _ := slotWhere(t, tbl, func(d *segDesc, bi, _ int, _ pmem.KV) bool { return d.mir.Load().pmMeta[bi].Load() == 0 })
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), d.mir.Load().word(bi, mirBkMeta).Load()+1<<metaStashShift)
-		}},
 		{"PM record word other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
 			d, bi, slot := slotWhere(t, tbl, normalSlot)
 			a := recordAddr(segBucket(d.seg, bi), slot).Add(8)
 			tbl.pool.QuietStoreU64(a, tbl.pool.QuietLoadU64(a)+1)
 		}},
 		{"mirror slot clear in PM", "set in the mirror, clear in PM", func(t *testing.T, tbl *Table) {
-			d, bi := rememberingBucket(t, tbl, func(mir *segMirror, bi int) bool { return mir.word(bi, mirBkMeta).Load()&slotMask != 0 })
-			mir := d.mir.Load()
-			r := mir.pmMeta[bi].Load() &^ (1 << bits.TrailingZeros64(mir.word(bi, mirBkMeta).Load()))
-			mir.pmMeta[bi].Store(r)
-			tbl.pool.QuietStoreU64(segBucket(d.seg, bi).Add(bkOffMeta), r)
+			// A bit set in the mirror over a slot that was never written:
+			// the record words agree, zero in both.
+			d, bi, slot := freeSlotWhere(t, tbl, func(d *segDesc, bi, slot int) bool {
+				return bi < normalBuckets && !staleSlot(tbl, d, bi, slot) && d.mir.Load().rec(bi, slot) == pmem.KV{}
+			})
+			w := d.mir.Load().word(bi, mirBkMeta)
+			w.Store(metaSetSlot(w.Load(), slot))
 		}},
-		{"stale slot holding a record the segment claims", "stale in PM", func(t *testing.T, tbl *Table) {
+		{"mirror slot with word 0 zero in PM", "word 0 is zero", func(t *testing.T, tbl *Table) {
+			// A delete that reached PM alone.
 			d, bi, slot := slotWhere(t, tbl, normalSlot)
-			mir := d.mir.Load()
-			mir.dropMeta(bi, metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
+			tbl.pool.QuietStoreU64(recordAddr(segBucket(d.seg, bi), slot), 0)
+		}},
+		{"stale slot holding a record the segment claims", "clear in the mirror, but PM holds a record the segment claims", func(t *testing.T, tbl *Table) {
+			// A stale slot a split left, whose PM words became those of a
+			// record the segment claims.
+			d, bi, slot := freeSlotWhere(t, tbl, func(d *segDesc, bi, slot int) bool { return staleSlot(tbl, d, bi, slot) })
+			_, ubi, uslot := slotWhere(t, tbl, func(c *segDesc, _, _ int, _ pmem.KV) bool { return c == d })
+			kv, ra := d.mir.Load().rec(ubi, uslot), recordAddr(segBucket(d.seg, bi), slot)
+			tbl.pool.QuietStoreU64(ra, kv.Key)
+			tbl.pool.QuietStoreU64(ra.Add(8), kv.Value)
+		}},
+		{"slot clear in the mirror holding a claimed record in PM", "clear in the mirror, but PM holds a record the segment claims", func(t *testing.T, tbl *Table) {
+			// A delete that reached the mirror alone.
+			d, bi, slot := slotWhere(t, tbl, normalSlot)
+			w := d.mir.Load().word(bi, mirBkMeta)
+			w.Store(metaClearSlot(w.Load(), slot))
 			tbl.count.Add(-1)
 		}},
 		{"count off by one", "bitmaps hold", func(_ *testing.T, tbl *Table) { tbl.count.Add(1) }},
@@ -309,7 +306,7 @@ func fillPadding[D any](p *pmem.Pool, segs map[pmem.Addr]D) {
 	for seg := range segs {
 		for bi := 0; bi < totalBuckets; bi++ {
 			ba := segBucket(seg, bi)
-			for _, off := range []uint64{bkOffPadding, bkOffTail, bkOffTail + 8} {
+			for _, off := range []uint64{bkOffPadding, bkOffPadding + 8, bkOffTail, bkOffTail + 8} {
 				p.QuietStoreU64(ba.Add(off), 0xDEADBEEF_FFFFFFFF^uint64(bi)<<16^off)
 			}
 		}
@@ -335,6 +332,7 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 		{"format-3 image, blobs with a commit word", "unsupported table format 3", rootAddr.Add(rootOffFormat), 3},
 		{"format-4 image, no route filter on a clean open", "unsupported table format 4", rootAddr.Add(rootOffFormat), 4},
 		{"format-5 image, fingerprints and stash tracking in PM", "unsupported table format 5", rootAddr.Add(rootOffFormat), 5},
+		{"format-6 image, a bitmap in PM and key 0 stored as zero", "unsupported table format 6", rootAddr.Add(rootOffFormat), 6},
 		{"directory pointer past the pool", "root names directory", rootAddr.Add(rootOffDir), p.Size() + 4096},
 		{"misaligned directory pointer", "root names directory", rootAddr.Add(rootOffDir), uint64(dir) + 8},
 		{"directory depth no pool holds", "of depth 40 overruns", dir.Add(dirOffDepth), 40},

@@ -165,17 +165,15 @@ func TestWriterReadCharges(t *testing.T) {
 
 // TestWriterWriteCharges pins a write's PM stores the way TestWriterReadCharges
 // pins its reads: on a quiet table with the cost model off an Insert of an
-// inline record writes one line when its slot shares the bucket's header line
-// (slots 0..2 since the header shrank to the bitmap; 0 and 1 before) and two
-// otherwise, an in-place Update and a Delete one; each
-// persists what it always did (2 flushed lines and 2 fences, 1 and 1, 1 and
-// 1). With no lock word in PM every line an operation changes is a store the
+// inline record, an in-place Update and a Delete each write one line, their
+// record's, and persist it with one flush and one fence. With no lock word in
+// PM every line an operation changes is a store the
 // protocol needs, which gives the second half its oracle: over a mixed
 // history — displacement, stash spill, copy-on-write, representation
 // conversion, splits — the cachelines of the pool whose bytes an operation
 // changed are never more than the write lines it was charged (plus, for an
 // operation that ran a split, the flushed lines: the unpublished sibling is
-// charged by its publishing flush). A header store left quiet fails it.
+// charged by its publishing flush). A record store left quiet fails it.
 func TestWriterWriteCharges(t *testing.T) {
 	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 2})
 	defer tbl.Close()
@@ -186,14 +184,8 @@ func TestWriterWriteCharges(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		pk := tbl.probeU64(k)
-		_, loc, _, _ := mirSegSearch(tbl.vlog, tbl.mirror(tbl.cache.route(pk.parts)), &pk, true)
-		want := [4]uint64{0, 2, 2, 2}
-		if loc.slot < hdrLineSlots {
-			want[1] = 1
-		}
-		if got != want {
-			t.Fatalf("Insert(%d) into slot %d charged read/write/flush/fence = %v, want %v", k, loc.slot, got, want)
+		if got != [4]uint64{0, 1, 1, 1} {
+			t.Fatalf("Insert(%d) charged read/write/flush/fence = %v, want [0 1 1 1]", k, got)
 		}
 		if got := pmLines(p, func() {
 			if ok, err := tbl.Update(k, k+1); !ok || err != nil {
