@@ -119,8 +119,11 @@ func BenchmarkGetMiss(b *testing.B) { benchGets(b, 1<<40, false) }
 
 // BenchmarkMirSegSearch is the probe alone — mirSegSearch on the mirror a
 // Get routes to, with the key hashed and routed beforehand — over the shared
-// table, whose mirrors exceed L2: keys found in their home bucket, keys found
-// in its neighbour, and absent keys, each a stride walk of 2^16 probes.
+// table, whose mirrors exceed L2: keys found in their home bucket, by the
+// line of the bucket's block their slot sits on (the header's line: slots
+// 0..1; the adjacent line: 2..5; beyond: 6..13), keys found in its
+// neighbour, and absent keys, each a stride walk of 2^16 probes (2^15 for
+// slots 0..1, which the 1M keys fill less often).
 func BenchmarkMirSegSearch(b *testing.B) {
 	tbl := readBenchTable(b)
 	type probe struct {
@@ -128,35 +131,49 @@ func BenchmarkMirSegSearch(b *testing.B) {
 		pk  probeKey
 	}
 	const n = 1 << 16
-	var home, neighbour, miss []probe
-	for i := uint64(0); i < readBenchKeys && (len(home) < n || len(neighbour) < n || len(miss) < n); i++ {
+	cases := []struct {
+		name  string
+		found bool
+		ps    []probe
+	}{{"hit-home-slot0-1", true, nil}, {"hit-home-slot2-5", true, nil}, {"hit-home-slot6-13", true, nil},
+		{"hit-neighbour", true, nil}, {"miss", false, nil}}
+	// which names the case a probe belongs to, by the index of cases.
+	which := func(found bool, loc recLoc, b1 int) int {
+		switch {
+		case !found:
+			return 4
+		case loc.bucket != b1:
+			return 3
+		case loc.slot < 2:
+			return 0
+		case loc.slot < 6:
+			return 1
+		}
+		return 2
+	}
+	short := len(cases)
+	for i := uint64(0); i < readBenchKeys && short > 0; i++ {
 		k := i * 7919 % readBenchKeys
 		for _, key := range []uint64{k, k + 1<<40} {
 			p := probe{pk: tbl.probeU64(key)}
 			p.mir = tbl.mirror(tbl.cache.route(p.pk.parts))
 			_, loc, found, _ := mirSegSearch(tbl.vlog, p.mir, &p.pk, false)
-			b1, b2 := homePair(p.pk.parts)
-			switch {
-			case !found && len(miss) < n:
-				miss = append(miss, p)
-			case found && loc.bucket == b1 && len(home) < n:
-				home = append(home, p)
-			case found && loc.bucket == b2 && len(neighbour) < n:
-				neighbour = append(neighbour, p)
+			b1, _ := homePair(p.pk.parts)
+			if c := &cases[which(found, loc, b1)]; len(c.ps) < n {
+				if c.ps = append(c.ps, p); len(c.ps) == n {
+					short--
+				}
 			}
 		}
 	}
-	for _, c := range []struct {
-		name  string
-		ps    []probe
-		found bool
-	}{{"hit-home", home, true}, {"hit-neighbour", neighbour, true}, {"miss", miss, false}} {
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			if len(c.ps) != n {
-				b.Fatalf("%d probes, want %d", len(c.ps), n)
+			if len(c.ps) < n/2 {
+				b.Fatalf("%d probes, want %d", len(c.ps), n/2)
 			}
+			walk := len(c.ps) &^ (n/2 - 1) // n or n/2: a power of two
 			for i := 0; i < b.N; i++ {
-				p := &c.ps[i&(n-1)]
+				p := &c.ps[i&(walk-1)]
 				if _, _, found, _ := mirSegSearch(tbl.vlog, p.mir, &p.pk, false); found != c.found {
 					b.Fatalf("key %d: found = %v", p.pk.u, found)
 				}

@@ -89,6 +89,31 @@ func fpMatchesRef(lo, hi uint64, fp uint8) uint64 {
 	return mask
 }
 
+// fuzzSeedWords seeds the fuzz targets' corpora, so plain go test runs
+// each on them: zero, inline key 0's word 0, bit 63 alone and all ones.
+var fuzzSeedWords = []uint64{0, recZeroKeyWord, 1 << 63, ^uint64(0)}
+
+// FuzzFPMatches: the one-compare fingerprint match equals the per-slot loop
+// over fpGet for slots 0..13, and bytes 6 and 7 of hi, which are not slots,
+// never set a bit.
+func FuzzFPMatches(f *testing.F) {
+	for _, lo := range fuzzSeedWords {
+		for _, hi := range fuzzSeedWords {
+			f.Add(lo, hi, uint8(lo))
+			f.Add(lo, hi, uint8(hi>>48))
+		}
+	}
+	f.Fuzz(func(t *testing.T, lo, hi uint64, fp uint8) {
+		got := fpMatches(lo, hi, fp)
+		if want := fpMatchesRef(lo, hi, fp); got != want {
+			t.Fatalf("fpMatches(%#x, %#x, %#x) = %#x, the per-slot loop says %#x", lo, hi, fp, got, want)
+		}
+		if other := fpMatches(lo, hi^^uint64(1<<48-1), fp); other != got {
+			t.Fatalf("fpMatches(%#x, %#x, %#x): bytes 6 and 7 of hi moved the result %#x to %#x", lo, hi, fp, got, other)
+		}
+	})
+}
+
 // TestFPMatches checks the one-compare fingerprint match against the
 // per-slot loop for every fingerprint: over random words, over words built
 // from the bytes a zero-byte test that lets a borrow cross bytes gets wrong

@@ -378,14 +378,21 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 // and once as a blob pointer. segSweep's scan order matches lookup order
 // (normal buckets ascending, then stash), so the surviving copy is the one
 // lookups would return. This is the one recovery pass that dereferences
-// blobs — recovery is already O(data).
+// blobs — recovery is already O(data) — and it dereferences none the log
+// does not hold (pmem.VarLog.Holds): a slot naming anything else is corrupt,
+// and is deleted like a duplicate and counted (recovery.dangling_slots).
 func (t *Table) dedupeSegment(seg pmem.Addr, mir *segMirror) {
 	seenKeys := make(map[string]bool)
 	var buf [8]byte
 	t.segSweep(mir, seg, func(_ hashfn.Parts, kv pmem.KV) bool {
 		var k string
 		if recIsIndirect(kv.Key) {
-			k = string(t.vlog.KeyBytes(recBlobAddr(kv.Key)))
+			a := recBlobAddr(kv.Key)
+			if !t.vlog.Holds(a) {
+				t.met.danglingSlots.Inc()
+				return true
+			}
+			k = string(t.vlog.KeyBytes(a))
 		} else {
 			binary.LittleEndian.PutUint64(buf[:], recWordKey(kv.Key))
 			k = string(buf[:])

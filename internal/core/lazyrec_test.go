@@ -428,3 +428,88 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstTouchDeletesDanglingBlobSlot: a crash image whose slot has bit
+// 63 set but names no blob the log holds — past the pool, outside every
+// chunk, past the head chunk's frontier — reopens and recovers: the
+// duplicate sweep does not dereference the address, it deletes the slot
+// (word 0 persisted zero) and counts it in recovery.dangling_slots, and
+// the table verifies with the key absent and every other record intact.
+func TestFirstTouchDeletesDanglingBlobSlot(t *testing.T) {
+	withLazyGates(t)
+	pool, err := pmem.NewPool(pmem.Options{Size: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := tbl.InsertB(lazyVarKey(i), lazyVarVal(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(uint64(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const victim = 7
+	pk := tbl.probeBytes(lazyVarKey(victim))
+	d := tbl.cache.route(pk.parts)
+	kv, loc, found, _ := mirSegSearch(tbl.vlog, tbl.mirror(d), &pk, false)
+	if !found || !recIsIndirect(kv.Key) {
+		t.Fatalf("key %d: found %v, word 0 %#x", victim, found, kv.Key)
+	}
+	ra := recordAddr(segBucket(d.seg, loc.bucket), loc.slot)
+	img := pool.Snapshot() // the table was never closed: a crash image
+	head := pmem.Addr(pool.QuietLoadU64(rootAddr.Add(rootOffVarLog)))
+	frontier := pmem.Addr(pool.QuietLoadU64(head.Add(16))) // the chunk header's word 2
+
+	for _, c := range []struct {
+		name string
+		blob pmem.Addr
+	}{
+		{"past the pool", pmem.Addr(pool.Size())},
+		{"outside every chunk", d.seg},
+		{"past the head chunk's frontier", frontier.Add(pmem.CachelineSize)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := pmem.OpenSnapshot(img, pmem.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.QuietStoreU64(ra, recPack(c.blob, len(lazyVarKey(victim))))
+			// Not openTestTable: its teardown would wait forever on a first
+			// touch that panicked.
+			re, err := Open(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re.RecoverAll()
+			requireVerified(t, re)
+			if got := re.met.danglingSlots.Total(); got != 1 {
+				t.Fatalf("recovery.dangling_slots = %d, want 1", got)
+			}
+			if w0 := p.QuietLoadU64(ra); w0 != 0 {
+				t.Fatalf("the slot's word 0 is %#x, want it deleted", w0)
+			}
+			if _, ok := re.GetB(lazyVarKey(victim)); ok {
+				t.Fatalf("key %d found through a slot naming %#x", victim, c.blob)
+			}
+			for i := 0; i < n; i++ {
+				if v, ok := re.GetB(lazyVarKey(i)); i != victim && (!ok || !bytes.Equal(v, lazyVarVal(i))) {
+					t.Fatalf("GetB(%d) = %q, %v", i, v, ok)
+				}
+				if v, ok := re.Get(uint64(i)); !ok || v != uint64(i) {
+					t.Fatalf("Get(%d) = %d, %v", i, v, ok)
+				}
+			}
+			if got := re.Count(); got != 2*n-1 {
+				t.Fatalf("Count = %d, want %d", got, 2*n-1)
+			}
+			requireVerified(t, re)
+			re.Close()
+		})
+	}
+}

@@ -76,41 +76,44 @@ import (
 //     rebuild is what makes the locks vanish with the process that held
 //     them: a new mirror's version words are zero.
 //
-// Layout. A probe decides from a bucket's header alone which records to
-// read (§4.2), so the headers are packed apart from the records: hdr holds
-// every bucket's four header words (32 B, two buckets to a cacheline — the
-// mirror is a pointer-free object of a 64-byte-aligned size class, and hdr
-// comes first), recs the 14 record word pairs of each bucket in bucket
-// order. The pair (b, b+1) a key probes shares one header line for even b
-// and spans two adjacent ones for odd b (the wrapping pair (63, 0) aside),
-// and a probe reads only the records its fingerprints name. Only word,
-// recWord and reset know this layout.
+// Layout. A mirror bucket is one 256-byte block, the PM bucket's own shape
+// with the header where PM keeps its padding: the four header words (32 B)
+// first, then the 14 record word pairs. A probe decides from the header alone
+// which records to read (§4.2), and the header shares the block's first line
+// with slots 0 and 1, slots 2..5 fill the adjacent line: a probe's header and
+// the records it reads sit in one block, never on another page. The mirror is
+// a pointer-free object of the 18 432-byte size class, whose objects start at
+// multiples of 256 bytes, so every block is 256-aligned and lies within one
+// 4 KiB page; the (depth, pattern) claim follows the last block. Only word and
+// recWord know this layout.
 const (
 	mirBkVersion = 0 // the bucket's version lock: odd while held (bucket.go)
 	mirBkMeta    = 1 // bits 0..13 the allocation bitmap; bits 16..23 the stash count (bucket.go)
 	mirBkFPLo    = 2 // fingerprints of slots 0..7
 	mirBkFPHi    = 3 // fingerprints of slots 8..13
 	mirHdrWords  = 4 // header words per bucket
+
+	mirBlockWords = mirHdrWords + 2*slotsPerBucket // a bucket's block: 32 words, 256 bytes
 )
 
 // segMirror is the DRAM mirror of one segment, permanent for its segment
-// address.
+// address: one block per bucket — its header words, then its record word
+// pairs (a record's word 0 and word 1) — and the segment header's claim.
 type segMirror struct {
-	hdr     [totalBuckets][mirHdrWords]atomic.Uint64
-	recs    [totalBuckets * slotsPerBucket][2]atomic.Uint64 // a record's word 0 and word 1
-	depth   atomic.Uint64                                   // mirror of the segment header's local depth
-	pattern atomic.Uint64                                   // mirror of the segment header's pattern
+	blocks  [totalBuckets][mirBlockWords]atomic.Uint64
+	depth   atomic.Uint64 // mirror of the segment header's local depth
+	pattern atomic.Uint64 // mirror of the segment header's pattern
 }
 
 // segMirrorBytes is the DRAM footprint one mirror adds, for Stats.
 var segMirrorBytes = uint64(unsafe.Sizeof(segMirror{}))
 
 func (m *segMirror) word(bi, off int) *atomic.Uint64 {
-	return &m.hdr[bi][off]
+	return &m.blocks[bi][off]
 }
 
 func (m *segMirror) recWord(bi, slot, j int) *atomic.Uint64 {
-	return &m.recs[bi*slotsPerBucket+slot][j]
+	return &m.blocks[bi][mirHdrWords+2*slot+j]
 }
 
 // rec loads the two words of one mirrored record. The loads are individually

@@ -468,15 +468,17 @@ func TestMirrorRecordsNeverStraddleALine(t *testing.T) {
 	})
 }
 
-// TestMirrorHeaderPairsShareALine pins the layout a probe's header read
-// rests on: on a live mirror the header words of buckets b and b+1 lie in one
-// cacheline for every even b, so a key's candidate pair costs one header
-// line (two adjacent ones for odd b). It also pins the mirror's size, which
-// core.segfilter_bytes is measured in, and the allocator size class it is
-// served from, which heap_mb is: 16 912 bytes, in the 18 432-byte class.
-func TestMirrorHeaderPairsShareALine(t *testing.T) {
+// TestMirrorBucketIsOneBlock pins the layout a probe's reads rest on: on a
+// live mirror every bucket is one 256-byte block, 256-aligned and so within
+// one 4 KiB page, its header words sharing the block's first cacheline with
+// slots 0 and 1 and slots 2..5 filling the next line, so a probe's header
+// and the records it reads come from one block. It also pins the mirror's
+// size, which core.segfilter_bytes is measured in, and the allocator size
+// class it is served from, which heap_mb is, and whose 256-byte object
+// alignment the blocks inherit: 16 912 bytes, in the 18 432-byte class.
+func TestMirrorBucketIsOneBlock(t *testing.T) {
 	if segMirrorBytes != 16912 {
-		t.Fatalf("a mirror is %d bytes, want 16912: 66 × 32 B of headers, 66 × 14 × 16 B of records, the claim", segMirrorBytes)
+		t.Fatalf("a mirror is %d bytes, want 16912: 66 blocks of 32 B of header and 14 × 16 B of records, the claim", segMirrorBytes)
 	}
 	const class = 18432
 	var before, after runtime.MemStats
@@ -497,30 +499,46 @@ func TestMirrorHeaderPairsShareALine(t *testing.T) {
 		t.Fatalf("%d mirrors allocated, but the %d-byte class counted %d allocations", len(held), class, n)
 	}
 	runtime.KeepAlive(held)
-	line := func(w *atomic.Uint64) uintptr { return uintptr(unsafe.Pointer(w)) / pmem.CachelineSize }
+	const block, page = 256, 4096
+	addr := func(w *atomic.Uint64) uintptr { return uintptr(unsafe.Pointer(w)) }
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 3})
 	defer tbl.Close()
 	tbl.cache.view.Load().eachSegment(func(d *segDesc) {
 		mir := d.mir.Load()
-		for b := 0; b < totalBuckets; b += 2 {
-			if first, last := line(mir.word(b, mirBkVersion)), line(mir.word(b+1, mirBkFPHi)); first != last {
-				t.Errorf("mirror %p: the headers of buckets %d and %d span lines %d..%d", mir, b, b+1, first, last)
+		for b := 0; b < totalBuckets; b++ {
+			first, last := addr(mir.word(b, mirBkVersion)), addr(mir.recWord(b, slotsPerBucket-1, 1))
+			if first%block != 0 || last-first != block-8 {
+				t.Fatalf("mirror %p bucket %d: words %#x..%#x, want one %d-aligned %d-byte block", mir, b, first, last, block, block)
+			}
+			if first/page != last/page {
+				t.Fatalf("mirror %p bucket %d: the block spans pages", mir, b)
+			}
+			line := func(w *atomic.Uint64) uintptr { return (addr(w) - first) / pmem.CachelineSize }
+			for off := 0; off < mirHdrWords; off++ {
+				if line(mir.word(b, off)) != 0 {
+					t.Fatalf("mirror %p bucket %d: header word %d is off the block's first line", mir, b, off)
+				}
+			}
+			for slot := 0; slot < 6; slot++ {
+				if got, want := line(mir.recWord(b, slot, 0)), uintptr(min(slot/2, 1)); got != want || line(mir.recWord(b, slot, 1)) != want {
+					t.Fatalf("mirror %p bucket %d slot %d: record on line %d of its block, want %d", mir, b, slot, got, want)
+				}
 			}
 		}
 	})
 
 	mir := &segMirror{}
-	var words []*atomic.Uint64
+	seen := make(map[*atomic.Uint64]bool)
 	for bi := 0; bi < totalBuckets; bi++ {
 		for off := 0; off < mirHdrWords; off++ {
-			words = append(words, mir.word(bi, off))
+			seen[mir.word(bi, off)] = true
 		}
 		for slot := 0; slot < slotsPerBucket; slot++ {
-			words = append(words, mir.recWord(bi, slot, 0), mir.recWord(bi, slot, 1))
+			seen[mir.recWord(bi, slot, 0)], seen[mir.recWord(bi, slot, 1)] = true, true
 		}
 	}
-	if n := uint64(len(words)) * 8; n+16 != segMirrorBytes {
-		t.Fatalf("the accessors reach %d bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)
+	if n := uint64(len(seen)) * 8; n+16 != segMirrorBytes {
+		t.Fatalf("the accessors reach %d distinct bytes of a %d-byte mirror, want all but the 16-byte claim", n, segMirrorBytes)
 	}
 }
 

@@ -229,6 +229,33 @@ func TestRecInlineKey(t *testing.T) {
 	}
 }
 
+// FuzzRecordWord: an inline record's word 0 gives back its key, is never 0
+// (an empty slot) and never has bit 63 set (an indirect record); the keys
+// recInlineKey refuses are exactly recZeroKeyWord and the bit-63 keys.
+func FuzzRecordWord(f *testing.F) {
+	for _, k := range fuzzSeedWords {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, k uint64) {
+		if !recInlineKey(k) {
+			if k != recZeroKeyWord && k&recIndirectBit == 0 {
+				t.Fatalf("key %#x refused as inline", k)
+			}
+			return
+		}
+		if k == recZeroKeyWord || k&recIndirectBit != 0 {
+			t.Fatalf("key %#x accepted as inline", k)
+		}
+		w := recInlineWord(k)
+		if w == 0 || recIsIndirect(w) {
+			t.Fatalf("key %#x: inline word 0 %#x is empty or indirect", k, w)
+		}
+		if got := recWordKey(w); got != k {
+			t.Fatalf("key %#x: word 0 %#x reads back key %#x", k, w, got)
+		}
+	})
+}
+
 // TestZeroKeyRoundTrip drives the two keys the word 0 encoding singles out
 // through every uint64 and []byte op and a crash reopen: recZeroKeyWord, the
 // one key with bit 63 clear that goes through the log, and key 0, which stays

@@ -35,7 +35,9 @@ import (
 //     appears twice; and every bucket's mirror meta word holds, above its
 //     bitmap, exactly the number of stash records homed there (the stash
 //     count, also the mirror's alone: a count too low lets a probe skip the
-//     stash and miss a record, one too high costs misses a stash scan);
+//     stash and miss a record, one too high costs misses a stash scan); an
+//     indirect record names a blob the log holds (pmem.VarLog.Holds), which
+//     is checked before the blob is read;
 //   - both allocators' DRAM frontiers are the PM ones;
 //   - once recovery is complete and every slot was checked, and retired
 //     frees are drained: count is the mirror bitmaps' popcount; every blob
@@ -190,6 +192,10 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 			key := recWordKey(kv.Key) // an indirect record's key is its blob's
 			if recIsIndirect(kv.Key) {
 				a := recBlobAddr(kv.Key)
+				if !t.vlog.Holds(a) {
+					at(bi, slot, "names %#x, not a blob the chunk walk reaches: the log does not hold it", a)
+					continue
+				}
 				refs[a] = struct{}{}
 				klen, _ := t.vlog.Lens(a)
 				kb := p.QuietBytes(a.Add(pmem.BlobHeaderSize), uint64(klen))

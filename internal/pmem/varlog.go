@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,9 +74,11 @@ type VarLog struct {
 	// frontier's stores (allocBlob). free maps blob capacity → reusable blob
 	// addresses. Exact-capacity reuse only: the header's capacity field must
 	// keep describing the span so a post-crash log walk can stride over it.
+	// chunks lists every chunk of the chain by address, for Holds.
 	mu             sync.Mutex
 	cur, bump, end uint64
 	free           map[uint64][]Addr
+	chunks         []Addr
 
 	// DRAM stats; rebuilt by RecoverChunks and the sweep.
 	chunkBytes atomic.Uint64 // pool bytes held by chunks
@@ -258,8 +261,43 @@ func (l *VarLog) grow() error {
 	p.StoreU64(l.headAddr, uint64(chunk))
 	p.Persist(l.headAddr, 8)
 	l.cur, l.bump, l.end = uint64(chunk), uint64(chunk)+chunkHeaderSize, uint64(chunk)+l.chunkSz
+	l.addChunk(chunk)
 	l.chunkBytes.Add(l.chunkSz)
 	return nil
+}
+
+// addChunk inserts a chunk into the address-ordered list Holds searches.
+// The caller holds mu.
+func (l *VarLog) addChunk(chunk Addr) {
+	i, _ := slices.BinarySearch(l.chunks, chunk)
+	l.chunks = slices.Insert(l.chunks, i, chunk)
+}
+
+// Holds reports whether a names a blob the log holds: an address inside a
+// chunk of the chain, past its header and below its frontier, whose header
+// gives a non-empty key and lengths that end below that frontier too. Every
+// slot the table commits names such a blob (Append persists blob and frontier
+// before it returns the address), so a slot that names anything else is
+// corrupt: recovery asks before it dereferences a slot's blob, and Verify
+// before it reads one. The loads are quiet.
+func (l *VarLog) Holds(a Addr) bool {
+	l.mu.Lock()
+	i, _ := slices.BinarySearch(l.chunks, a+1) // chunks[i-1] is the last at or below a
+	var chunk Addr
+	if i > 0 {
+		chunk = l.chunks[i-1]
+	}
+	l.mu.Unlock()
+	if i == 0 || uint64(a) < uint64(chunk)+chunkHeaderSize {
+		return false
+	}
+	p := l.pool
+	frontier := p.QuietLoadU64(chunk.Add(chunkOffBump))
+	if uint64(a)+BlobHeaderSize > frontier {
+		return false
+	}
+	klen, vlen := blobHeaderLens(p.QuietLoadU64(a))
+	return klen > 0 && uint64(a)+BlobHeaderSize+uint64(klen)+uint64(vlen) <= frontier
 }
 
 // Lens returns the blob's key and value lengths (quiet: the header shares
@@ -333,6 +371,7 @@ func (l *VarLog) RecoverChunks() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.free = make(map[uint64][]Addr)
+	l.chunks = nil
 	l.chunkBytes.Store(0)
 	l.liveBytes.Store(0)
 	l.liveBlobs.Store(0)
@@ -357,6 +396,7 @@ func (l *VarLog) RecoverChunks() error {
 		if chunk == head {
 			l.sweepLimit, l.bump, l.end = bump, bump, uint64(chunk)+size
 		}
+		l.addChunk(chunk)
 		l.chunkBytes.Add(size)
 		from = chunk.Add(chunkOffNext)
 		chunk = Addr(p.LoadU64(from))

@@ -218,6 +218,76 @@ func TestVarLogChunkRollover(t *testing.T) {
 	}
 }
 
+// TestVarLogHolds: every appended blob, in every chunk of a grown chain and
+// after RecoverChunks, is one the log holds; an address before the first
+// chunk, in a chunk's header, past a chunk's frontier or past the pool is
+// not, and neither is a blob whose header's lengths run past the frontier.
+func TestVarLogHolds(t *testing.T) {
+	p, l := testLog(t, 1<<20, 1024)
+	var addrs []Addr
+	for i := 0; i < 40; i++ {
+		a, err := l.Append([]byte(fmt.Sprintf("holds-key-%03d", i)), make([]byte, 48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Commit(a)
+		addrs = append(addrs, a)
+	}
+	check := func(stage string) {
+		for i, a := range addrs {
+			if !l.Holds(a) {
+				t.Fatalf("%s: blob %d at %#x is not held", stage, i, a)
+			}
+		}
+		head := Addr(p.QuietLoadU64(Addr(CachelineSize)))
+		frontier := Addr(p.QuietLoadU64(head.Add(chunkOffBump)))
+		for _, a := range []Addr{0, Addr(CachelineSize), head, head.Add(16), frontier, frontier.Add(16), Addr(p.Size()), Addr(1 << 62)} {
+			if l.Holds(a) {
+				t.Fatalf("%s: %#x is held", stage, a)
+			}
+		}
+	}
+	check("appended")
+	if l.Stats().ChunkBytes < 4*1024 {
+		t.Fatal("the chain did not grow")
+	}
+	// A header whose key runs past the frontier.
+	last := addrs[len(addrs)-1]
+	p.QuietStoreU64(last, packBlobHeader(MaxVarKeyLen, 0, blobCap(MaxVarKeyLen, 0)))
+	if l.Holds(last) {
+		t.Fatalf("a blob whose key runs past the frontier is held")
+	}
+	p.QuietStoreU64(last, packBlobHeader(len("holds-key-039"), 48, blobCap(len("holds-key-039"), 48)))
+	if err := l.RecoverChunks(); err != nil {
+		t.Fatal(err)
+	}
+	check("recovered")
+
+	// Holds races appends that grow the chain: every blob appended before
+	// the race stays held throughout.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := l.Append([]byte(fmt.Sprintf("racing-key-%03d", i)), make([]byte, 48)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	held := true
+	for round := 0; round < 20 && held; round++ {
+		for _, a := range addrs {
+			held = held && l.Holds(a)
+		}
+	}
+	wg.Wait()
+	if !held {
+		t.Fatal("a blob appended before the race is not held while appends grow the chain")
+	}
+}
+
 // recoverLog is RecoverChunks plus a full sweep: recovery with no concurrent
 // traffic to stay out of the way of. It returns the recovered log.
 func recoverLog(t *testing.T, p *Pool, referenced map[Addr]struct{}) *VarLog {
