@@ -18,15 +18,16 @@ race:
 
 # race-split repeats the tests that race writers and readers against segment
 # splits — the locked copy and publish, rollback, splits of distinct segments
-# in parallel, a second claimant against a publish in flight — and the ones
-# that crash what a split's DRAM-only sweep leaves in PM (an insert into a
-# stale slot, its torn lines, a first touch after a clean reopen, a second
-# split, stash records on both sides of a split) or what the stash count
-# recovery recomputes rests on (a spill, a stash delete)
-# five times under the race detector: a split's interleavings are timing,
-# and one pass of `race` samples few of them.
+# in parallel, a second claimant against a publish in flight — the
+# first-touch races on a segment's owner lock, the lock a split holds, and
+# the tests that crash what a split's DRAM-only sweep leaves in PM (an insert
+# into a stale slot, its torn lines, a first touch after a clean reopen, a
+# second split, stash records on both sides of a split) or what the stash
+# count recovery recomputes rests on (a spill, a stash delete) five times
+# under the race detector: a split's interleavings are timing, and one pass
+# of `race` samples few of them.
 race-split:
-	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|Stash' ./internal/core
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash' ./internal/core
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -81,7 +82,9 @@ docs-check: vet
 			metaFindTracked bucketTrackOverflow bucketUntrackOverflow stashReachable \
 			maxOvSlots ovIdxGet metaOvCount \
 			pmMeta metaPersisted hdrLineSlots metaLastFree stale_meta_persists header_line \
-			TestMirrorHeaderPairsShareALine; do \
+			TestMirrorHeaderPairsShareALine \
+			segOffSplit splitStateInFlight segRecDone segRecPending segRecInFlight markerWords \
+			TestCrashAfterSplitMarker; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -167,6 +167,13 @@ type equivCell struct {
 //   - delete-heavy (2 446 inserts, 1 389 of them outside the header line;
 //     2 616 deletes). Writes 6 451 → 5 062: −1 389. Flushed lines and fences
 //     7 513 → 5 062: −2 446 bitmap persists, −5 persist-first steps.
+//
+// The balanced cell was re-pinned once more when the split stopped
+// persisting a progress marker into the old segment's header: per split two
+// stores (set, and clear with the header bump), one flush and one fence
+// fewer. Its 8 splits take writes 5 143 → 5 127, flushed lines 7 234 →
+// 7 226 and fences 5 120 → 5 112; counts and reads did not move, and no
+// other cell splits while measured.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -197,7 +204,7 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5143, FlushedLines: 7234, Fences: 5120},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5127, FlushedLines: 7226, Fences: 5112},
 	},
 	{
 		mix:    "delete-heavy",

@@ -185,9 +185,8 @@ func crashAtEveryFlush(t *testing.T, c crashCase) (done *Table, points int) {
 // left in PM (holdsStale); growth on one goroutine is deterministic, so a
 // fresh table given the inserts before it as a prefix splits the same way at
 // the same insert. That insert is crashed at each of its flushes — at least
-// 6: the allocator's frontier, the marker, the sibling, an entry flip, the
-// header and the retried insert's record line (the sweep of the moved half
-// flushes nothing).
+// 5: the allocator's frontier, the sibling, an entry flip, the header and the
+// retried insert's record line (the sweep of the moved half flushes nothing).
 func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table, g0, l0 uint8, stale bool) bool) {
 	t.Helper()
 	t.Parallel()
@@ -209,8 +208,8 @@ func crashSplitRow(t *testing.T, next func(*Table) uint64, want func(tbl *Table,
 			continue
 		}
 		_, points := crashAtEveryFlush(t, crashCase{opt: opt, prefix: prefix, last: op})
-		if points < 6 {
-			t.Fatalf("the splitting insert issued %d flushes, want >= 6", points)
+		if points < 5 {
+			t.Fatalf("the splitting insert issued %d flushes, want >= 5", points)
 		}
 		t.Logf("crashed the splitting insert, after %d inserts, at each of its %d flushes", len(prefix), points)
 		return
@@ -242,11 +241,11 @@ func keepsDepth(tbl *Table, g0, _ uint8, _ bool) bool { return tbl.GlobalDepth()
 
 // TestCrashBeforePublish crashes the first split of a one-bit directory —
 // the split that doubles it — at every flush: before the publish (the
-// marker, the sibling's persist, the doubled directory block and the root
-// pointer that names it) and after it (the entry flip, the header, the
-// sweep, the retried insert). Before the first entry flip recovery rolls
-// back through the marker and the sibling leaks; after it, recovery rolls
-// forward from the directory.
+// allocator's frontier, the sibling's persist, the doubled directory block
+// and the root pointer that names it) and after it (the entry flip, the
+// header, the retried insert). Before the first entry flip no entry names
+// the sibling: the old segment keeps everything and the sibling leaks.
+// After it, recovery rolls forward from the directory.
 func TestCrashBeforePublish(t *testing.T) {
 	crashSplitRow(t, keysWhere(prefix0), doubles)
 }
@@ -254,10 +253,13 @@ func TestCrashBeforePublish(t *testing.T) {
 // crashAtHook builds a crash-tracked table of InitialDepth 1, lets arm set up
 // the one crash point it names, and inserts keys until arm's fire cuts the
 // power there: fire panics, and so does every flush after it, so nothing the
-// unwinding insert flushes reaches media. The reopened image is checked
-// against the acknowledged inserts (verifyCrashPoint); the insert in flight
-// never reached its record's store, so it is no part of the history.
-func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
+// unwinding insert flushes reaches media. If edit is not nil, it may then
+// change the crashed image, given the table that crashed — the keys from 0
+// up to len(acked) were acknowledged, and len(acked) was in flight. The
+// reopened image is checked against the acknowledged inserts
+// (verifyCrashPoint); the insert in flight never reached its record's store,
+// so it is no part of the history.
+func crashAtHook(t *testing.T, arm func(tbl *Table, fire func()), edit func(tbl *Table, acked map[uint64]uint64)) {
 	t.Helper()
 	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
 	if err != nil {
@@ -277,6 +279,9 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 	}
 	pool.SetFlushHook(nil)
 	pool.Crash()
+	if edit != nil {
+		edit(tbl, acked)
+	}
 	ops := make([]fuzzOp, 0, len(acked))
 	for k, v := range acked {
 		ops = append(ops, fuzzOp{kind: 'i', id: k, val: v})
@@ -284,22 +289,45 @@ func crashAtHook(t *testing.T, arm func(tbl *Table, fire func())) {
 	verifyCrashPoint(t, pool, []crashRun{{ops, len(ops)}}, t.Name())
 }
 
-// TestCrashAfterSplitMarker: power loss right after the first split's
-// progress marker is persisted, at the flush that follows it (the sibling's
-// persist). Recovery must clear the marker and roll the split back; the old
-// segment still owns everything. The marker's flush is the one 8-byte flush
-// of a segment's marker word. The image is the one TestCrashBeforePublish
-// checks at the second flush of the same split; this test names the point.
-func TestCrashAfterSplitMarker(t *testing.T) {
-	crashAtHook(t, func(tbl *Table, fire func()) {
-		markers := markerWords(tbl)
-		marked := false
+// atSiblingPersist is an arm function for crashAtHook: the crash point is
+// the first split's sibling persist, the one flush of a whole segment, whose
+// address goes to *sibling.
+func atSiblingPersist(sibling *pmem.Addr) func(*Table, func()) {
+	return func(tbl *Table, fire func()) {
 		tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
-			if marked {
+			if n == segmentSize {
+				*sibling = a
 				fire()
 			}
-			marked = n == 8 && markers[a]
 		})
+	}
+}
+
+// TestCrashAtSplitSiblingPersist: power loss at the first split's sibling
+// persist. Nothing durable names the sibling yet, so recovery must leave the
+// old segment owning everything and the sibling's block leaked. The image is
+// the one TestCrashBeforePublish checks at the same flush of the same split;
+// this test names the point.
+func TestCrashAtSplitSiblingPersist(t *testing.T) {
+	var sibling pmem.Addr
+	crashAtHook(t, atSiblingPersist(&sibling), nil)
+}
+
+// TestOpenIgnoresOldSplitMarker: earlier writers of format 7 persisted a
+// split-progress marker — the sibling's address with the low bit set — into
+// the splitting segment's header word 16 before the sibling's persist, and
+// cleared it with the header bump. Nothing reads that word any more, which
+// is why images written so are still format 7: the crash image of
+// TestCrashAtSplitSiblingPersist, with the marker stored as such a writer
+// left it, must reopen to a table that verifies and holds every acknowledged
+// key.
+func TestOpenIgnoresOldSplitMarker(t *testing.T) {
+	var sibling pmem.Addr
+	crashAtHook(t, atSiblingPersist(&sibling), func(tbl *Table, acked map[uint64]uint64) {
+		// The in-flight insert's key routes to the splitting segment: the
+		// publish that would route part of it elsewhere never ran.
+		old := tbl.cache.route(tbl.parts(uint64(len(acked))))
+		tbl.pool.QuietStoreU64(old.seg.Add(16), uint64(sibling)|1)
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"dash/internal/hashfn"
@@ -19,7 +20,7 @@ import (
 //
 //   - the global depth and the mirrored directory block's address,
 //   - one pointer per directory entry, to the segment's DRAM descriptor
-//     (segDesc): its PM address, its split claim and its filter mirror
+//     (segDesc): its PM address, its owner lock and its filter mirror
 //     (segfilter.go), which carries the segment's (local depth, pattern).
 //     One load of the entry therefore yields the segment and everything
 //     DRAM knows about it, and a reader touches only lines no operation
@@ -83,9 +84,12 @@ type dirView struct {
 // address: every view entry covering the segment points at the same object,
 // so whoever routed to the segment, whenever, reads the same mirror.
 type segDesc struct {
-	seg      pmem.Addr
-	rec      atomic.Uint32 // first-touch recovery claim after Open (lazyrec.go); 0 = recovered
-	splitter atomic.Bool   // split ownership (split.go): set from the claim until the publish is written through
+	seg pmem.Addr
+
+	// owner is held by whoever does the segment's structural work: its
+	// first touch after Open (lazyrec.go) or a split, from its claim until
+	// the publish is written through (split.go). Operations never take it.
+	owner sync.Mutex
 
 	// mir is the segment's filter mirror, never replaced once set.
 	// Invariant: a descriptor an operation has routed to and gated has a

@@ -17,11 +17,12 @@ import (
 // Lazy per-segment recovery (§4.6): Open does only the O(directory) work —
 // entry claims, segment metadata fixes, chunk-chain validation, dirCache
 // rebuild — and defers everything O(data) to first touch. Every
-// directory-reachable segment's descriptor starts "unrecovered"; the first
-// operation routed to it wins a CAS gate (the split-claim idiom) and
-// runs the per-segment reconcile — mirror build, route filter with the
-// fingerprints and stash counts PM does not keep, duplicate sweep, count
-// re-derivation — while losers spin the winner out.
+// directory-reachable segment's descriptor starts without a mirror; the
+// first operation routed to it takes the segment's owner lock
+// (segDesc.owner, the lock a split holds) and runs the per-segment
+// reconcile — mirror build, claim filter with the fingerprints and stash
+// counts PM does not keep, duplicate sweep, count re-derivation — while
+// later arrivals block on the lock and find the mirror when they get it.
 // The record-log sweep runs as an incremental background pass once every
 // segment has recovered (it needs the complete reference set), free-listing
 // dead blobs in small batches under epoch guards.
@@ -36,33 +37,21 @@ import (
 // and the background pass still runs to rebuild the record log's DRAM free
 // list.
 
-// A descriptor's first-touch claim (segDesc.rec): who recovers the segment,
-// and whether that is over. Done is the zero value: segments created after
-// Open (split siblings) are born recovered. Operations pass the gate by
-// fetching the mirror recovery stores last (Table.mirror), and come here
-// only when there is none yet.
-const (
-	segRecDone uint32 = iota
-	segRecPending
-	segRecInFlight
-)
-
 // lazyRecovery is the DRAM side table describing what Open deferred. The
 // Table drops its pointer once the background pass finishes, restoring the
 // ungated hot path.
 type lazyRecovery struct {
-	clean  bool        // clean-shutdown image: skip the duplicate sweep and count derivation
-	g      uint8       // global depth at Open
-	fixed  []pmem.Addr // reconciled directory image at Open, for misroute checks
-	openAt int64       // obs.Now() at Open, base of time-to-fully-recovered
+	clean  bool  // clean-shutdown image: skip the duplicate sweep and count derivation
+	openAt int64 // obs.Now() at Open, base of time-to-fully-recovered
 
-	// order lists every directory-reachable segment at Open, each gated
-	// until its first touch: the deterministic iteration for driveRecovery.
+	// order lists every directory-reachable segment at Open, each without a
+	// mirror until its first touch: the deterministic iteration for
+	// driveRecovery.
 	order     []*segDesc
 	remaining atomic.Int64
 
 	// refs accumulates the blob addresses referenced by recovered segments'
-	// slots, captured inside each segment's exclusive gate. Complete once
+	// slots, captured under each segment's owner lock. Complete once
 	// remaining hits zero; the background sweep then reads it without the
 	// mutex (every insert happened-before the sweep's state observations).
 	refMu sync.Mutex
@@ -85,10 +74,9 @@ var disableBackgroundRecovery atomic.Bool
 // it, its local depth and pattern — is re-derived by letting deeper segments
 // claim their canonical entry ranges first. This completes a partially
 // published split (the new segment was fully durable before the first entry
-// flip) and rolls an unpublished one back to a harmless leak; split markers
-// are cleared in the same per-segment pass (a small constant per segment, so
-// still O(directory)). Bucket locks need no pass at all: they live in the
-// mirrors, which died with the process that held them. The O(data) work —
+// flip) and leaves an unpublished one a harmless leak: no entry names its
+// sibling. Bucket and owner locks need no pass at all: they live in DRAM,
+// which died with the process that held them. The O(data) work —
 // mirror builds, the route filter, dedupe, count derivation, the record-log
 // sweep — is deferred: recoverLazy builds the lazyRecovery side table and returns.
 // After a clean shutdown the image needs none of that reconciliation (the
@@ -169,9 +157,9 @@ func (t *Table) recoverLazy(clean bool) error {
 		p.Persist(dirEntryAddr(dir, 0), 8*n)
 	}
 
-	// Re-derive each segment's (depth, pattern) from its actual coverage.
-	// Coverage ranges are contiguous by construction, so one pass over fixed
-	// collects first/count for every segment.
+	// Re-derive each segment's (depth, pattern) from its coverage, which must
+	// be the one aligned range its count and first entry name: a corrupt
+	// image can scatter it, and no claim describes that.
 	type cover struct{ first, count uint64 }
 	covers := make(map[pmem.Addr]*cover, len(segs))
 	for i := uint64(0); i < n; i++ {
@@ -191,22 +179,14 @@ func (t *Table) recoverLazy(clean bool) error {
 		}
 		l := g - uint8(bits.TrailingZeros64(count))
 		pat := first >> (g - l)
+		start, span := dirCoverage(g, l, pat)
+		for i := start; i < start+span; i++ {
+			if fixed[i] != s.addr {
+				return fmt.Errorf("core: recovery: segment %#x covers %d entries from %d, not the range (depth %d, pattern %#x)", s.addr, count, first, l, pat)
+			}
+		}
 		if l != s.l || pat != s.pat {
 			segSetMeta(p, s.addr, l, pat)
-		}
-		// Clear any split-progress marker, finishing or rolling back the
-		// half-migrated split it describes. If the marker's sibling made it
-		// into the directory, the claiming pass above already completed the
-		// flips and metadata and the route filter at first touch drops the moved
-		// records' leftovers — the split rolls forward. Otherwise the
-		// sibling was never published: the directory still routes every key
-		// to this segment (which kept all its records; migration only
-		// reads), so the marker clear rolls the split back and the sibling
-		// block is leaked, like an unpublished block under the old
-		// protocol.
-		if p.LoadU64(s.addr.Add(segOffSplit)) != 0 {
-			p.StoreU64(s.addr.Add(segOffSplit), 0)
-			p.Persist(s.addr.Add(segOffSplit), 8)
 		}
 	}
 
@@ -224,16 +204,12 @@ func (t *Table) recoverLazy(clean bool) error {
 
 	lr := &lazyRecovery{
 		clean:  clean,
-		g:      g,
-		fixed:  fixed,
 		openAt: rstart,
 		order:  make([]*segDesc, 0, len(segs)),
 		refs:   make(map[pmem.Addr]struct{}),
 	}
 	for _, s := range segs {
-		d := t.cache.descs[s.addr]
-		d.rec.Store(segRecPending)
-		lr.order = append(lr.order, d)
+		lr.order = append(lr.order, t.cache.descs[s.addr])
 	}
 	lr.remaining.Store(int64(len(segs)))
 	t.lazy.Store(lr)
@@ -256,34 +232,27 @@ func (t *Table) mirror(d *segDesc) (mir *segMirror) {
 	return
 }
 
-// firstTouch is the once-per-segment gate: the CAS winner recovers the
-// segment (a gated descriptor implies t.lazy is still set), losers wait it
-// out (no locks held at the call sites, so spinning is deadlock-free — the
-// same shape as split's claim). Either way the segment's mirror exists on
-// return; a descriptor with no mirror and no recovery to wait for is a bug.
+// firstTouch is the once-per-segment gate: under the segment's owner lock
+// the first caller recovers the segment (a mirror-less descriptor implies
+// t.lazy is still set) and later ones find its mirror. The call sites hold
+// no lock, so blocking here cannot deadlock.
 func (t *Table) firstTouch(d *segDesc) *segMirror {
-	if d.rec.CompareAndSwap(segRecPending, segRecInFlight) {
-		lr := t.lazy.Load()
-		t.recoverSegment(lr, d)
-		d.rec.Store(segRecDone)
-		lr.remaining.Add(-1)
-	} else {
-		for d.rec.Load() != segRecDone {
-			runtime.Gosched()
-		}
+	d.owner.Lock()
+	defer d.owner.Unlock()
+	if mir := d.mir.Load(); mir != nil {
+		return mir
 	}
-	mir := d.mir.Load()
-	if mir == nil {
-		panic("core: recovered segment has no mirror")
-	}
-	return mir
+	lr := t.lazy.Load()
+	t.recoverSegment(lr, d)
+	lr.remaining.Add(-1)
+	return d.mir.Load()
 }
 
-// recoverSegment runs the deferred per-segment work under the caller's
-// exclusive gate: no operation can touch the segment's buckets until the
-// gate releases, so it runs single-threaded exactly as eager recovery did. A
+// recoverSegment runs the deferred per-segment work under the segment's
+// owner lock: no operation can touch the segment's buckets before the mirror
+// is stored, so it runs single-threaded exactly as eager recovery did. A
 // segment cannot split before it recovers (every mutator gates first), so
-// lr.fixed/lr.g still describe its coverage.
+// the claim recoverLazy reconciled into its header is still its coverage.
 //
 // The mirror comes first — one streaming pass over the segment's PM lines,
 // the only PM reads recovery makes of it — because the sweeps are mutators
@@ -293,8 +262,9 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 //
 // One pass over the records then does, from each record's hash, what PM
 // does not keep. The route filter, on every image, drops each record the
-// directory routes elsewhere — the moved half a split left in PM, and on a
-// crash image a half-published split's leftovers — from the mirror alone,
+// segment's claim — exactly its coverage — does not cover: the moved half a
+// split left in PM, and on a crash image a half-published split's leftovers
+// — from the mirror alone,
 // as the publish does (segDrop), storing nothing. Every record it keeps gets
 // its fingerprint and, in the stash, a unit of its home bucket's stash
 // count: recounted from the committed records, each home's count is exactly
@@ -319,7 +289,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 		for used := m; used != 0; used &= used - 1 {
 			slot := bits.TrailingZeros64(used)
 			parts := recSplitParts(mir.rec(bi, slot), t.seed)
-			if lr.fixed[parts.DirIndex(lr.g)] != seg {
+			if !mirClaims(mir, parts) {
 				misrouted |= 1 << uint(slot)
 				continue
 			}
@@ -433,7 +403,7 @@ func (t *Table) driveRecovery(lr *lazyRecovery) {
 		return
 	}
 	for _, d := range lr.order {
-		if d.rec.Load() != segRecDone {
+		if d.mir.Load() == nil {
 			t.firstTouch(d)
 			runtime.Gosched()
 		}

@@ -338,7 +338,7 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 // recovery, the ops and Verify read neither — so no value there can change
 // what a reopened table holds. Two images get garbage in both paddings of
 // every bucket of every segment: a crash image taken at a split's sibling
-// persist (the marker set, the sibling's block among the segments filled)
+// persist (the sibling's block among the segments filled)
 // and the image a clean Close leaves. On each reopened table every kind of
 // write, further splits included, must complete and leave a table that
 // verifies, with the mirrors counting what Count does.
@@ -352,9 +352,10 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashImg []byte
-	pool.SetFlushHook(func(_ pmem.Addr, n uint64) {
+	var sibling pmem.Addr
+	pool.SetFlushHook(func(a pmem.Addr, n uint64) {
 		if crashImg == nil && n == segmentSize && tbl.met.splits.Total() >= 2 {
-			crashImg = pool.Snapshot()
+			crashImg, sibling = pool.Snapshot(), a
 		}
 	})
 	acked := make(map[uint64]uint64)
@@ -387,13 +388,9 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
-			segs := make(map[pmem.Addr]bool)
+			segs := map[pmem.Addr]bool{sibling: true}
 			for i := uint64(0); i < 1<<dirDepth(p, dir); i++ {
-				seg := dirLoadEntry(p, dir, i)
-				segs[seg] = true
-				if sib := p.QuietLoadU64(seg.Add(segOffSplit)) &^ splitStateInFlight; sib != 0 {
-					segs[pmem.Addr(sib)] = true
-				}
+				segs[dirLoadEntry(p, dir, i)] = true
 			}
 			fillPadding(p, segs)
 			re, err := Open(p)

@@ -367,15 +367,18 @@ func TestMirrorDuringSplitMigration(t *testing.T) {
 	}
 
 	// The inserter is parked inside the publish, so acked is frozen and the
-	// channel close orders these reads after its last write.
+	// channel close orders these reads after its last write. The splitting
+	// segment is the one whose owner lock is held.
 	var old *segDesc
 	tbl.cache.view.Load().eachSegment(func(d *segDesc) {
-		if p := tbl.pool.QuietLoadU64(d.seg.Add(segOffSplit)); p == uint64(sibling)|splitStateInFlight {
+		if d.owner.TryLock() {
+			d.owner.Unlock()
+		} else {
 			old = d
 		}
 	})
 	if old == nil {
-		t.Fatal("no segment's marker names the parked sibling")
+		t.Fatal("no segment's owner lock is held by the parked split")
 	}
 	l := uint8(old.mir.Load().depth.Load())
 	splitting := func(k uint64) bool { return tbl.cache.route(tbl.parts(k)) == old }

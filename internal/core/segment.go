@@ -21,24 +21,18 @@ const (
 
 	totalBuckets = normalBuckets + stashBuckets
 
+	// The header line: word 0 the local depth, word 8 the pattern, the
+	// rest unused. Word 16 held a split-progress marker in earlier writers
+	// of this format; nothing reads it, so any value there is legal and
+	// their images open unchanged (TestOpenIgnoresOldSplitMarker).
 	segHeaderSize = 64
 	segOffDepth   = 0
 	segOffPattern = 8
-	segOffSplit   = 16 // split-progress marker; see splitStateInFlight
 
 	segmentSize = segHeaderSize + totalBuckets*bucketSize
 
 	slotsPerSegment = totalBuckets * slotsPerBucket
 )
-
-// The split-state word at segOffSplit is the persistent split-progress
-// marker — nothing else: who owns a running split is DRAM state (segDesc).
-// Zero means no split is in flight; otherwise the low bit is set and the
-// remaining bits hold the sibling segment's (256-aligned) address. A split
-// stores it, persisted, before it copies anything, and clears it in the same
-// header persist that narrows the claim. Recovery reads the marker to finish
-// or roll back a half-migrated split (see Table.recoverLazy) and clears it.
-const splitStateInFlight = 1
 
 func segBucket(seg pmem.Addr, i int) pmem.Addr {
 	return seg.Add(uint64(segHeaderSize + i*bucketSize))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -11,17 +10,14 @@ import (
 )
 
 // split replaces oldSeg by two segments of local depth+1 with bounded
-// stalls. Ownership is claimed by CAS on the segment's DRAM descriptor
-// (per-segment: splits of distinct segments run in parallel; a loser waits
-// the winner out and retries its operation) and released only once the
-// publish has written the view through, so the next owner reads the claim
-// this split published. From the claim to the publish the owner is the only
-// goroutine that reads or writes the sibling; writers of oldSeg know nothing
-// of the split and tell it nothing. The owner:
+// stalls. It holds the segment's owner lock (segDesc.owner) from its claim
+// until the publish has written the view through: splits of distinct
+// segments run in parallel, and a second claimant of the same segment waits
+// the first out and then reads the published claim. From the claim to the
+// publish the owner is the only goroutine that reads or writes the sibling;
+// writers of oldSeg know nothing of the split and tell it nothing. The owner:
 //
-//  1. allocates and initializes the sibling, and persists the split-progress
-//     marker (sibling address | in-flight bit) into oldSeg's header — the
-//     point from which a crash rolls back by clearing the marker;
+//  1. allocates and initializes the sibling, persisting nothing;
 //  2. under all of oldSeg's bucket locks, copies the sibling's half of the
 //     records into the sibling (splitCopy) — the paper's split;
 //  3. publishes (splitPublish), still under those locks: the sibling is
@@ -31,28 +27,21 @@ import (
 //     insert reuses its slot (segDrop) — and the directory cache is written
 //     through.
 //
-// A crash before the first entry flip leaves the sibling unpublished:
-// recovery clears the marker and the block leaks. A crash after it leaves
-// the directory image authoritative: recovery completes the flips and fixes
-// metadata, and first touch drops the moved records' leftovers by route —
-// the same filter that drops them after a clean shutdown, since the publish
-// never removes them from PM.
+// A crash's outcome is the directory's (Table.recoverLazy): before the first
+// entry flip no entry names the sibling, so the old segment keeps everything
+// and the block leaks; after it, recovery completes the flips and narrows
+// the old header, and first touch drops the moved records' leftovers by
+// route — the same filter that drops them after a clean shutdown, since the
+// publish never removes them from PM.
 func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	p, oldSeg, oldMir := t.pool, old.seg, t.mirror(old)
 	t.fr.Record(obs.EvSplitTrigger, obs.TagNone, uint64(oldSeg), 0)
-	if !old.splitter.CompareAndSwap(false, true) {
-		// Another goroutine owns this segment's split. Wait it out (no
-		// locks held here); the caller revalidates its route and retries.
-		for old.splitter.Load() {
-			runtime.Gosched()
-		}
-		return nil
-	}
-	defer old.splitter.Store(false)
-	// We own the split. Between the failed insert that brought us here and
+	old.owner.Lock()
+	defer old.owner.Unlock()
+	// We own the segment. Between the failed insert that brought us here and
 	// the claim, a finished split may have relocated the key range or made
 	// room; re-check cheaply, in DRAM, and decline if so: the previous owner
-	// released the claim only after writing its publish through, so the
+	// released the lock only after writing its publish through, so the
 	// mirrored claim and bitmaps read here are the published ones.
 	b, b2 := homePair(parts)
 	if !mirClaims(oldMir, parts) || bucketFreeSlots(oldMir, b) > 0 || bucketFreeSlots(oldMir, b2) > 0 {
@@ -75,22 +64,15 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	// rebuild pass.
 	sib := &segDesc{seg: newSeg}
 	sib.mir.Store(t.newMirror(l+1, pat<<1|1))
-
-	spa := oldSeg.Add(segOffSplit)
-	p.StoreU64(spa, uint64(newSeg)|splitStateInFlight)
-	p.Persist(spa, 8)
 	return t.splitPublish(old, sib, l, pat)
 }
 
-// splitRollback abandons an unpublished split: the marker is cleared and the
-// sibling's block goes back to the allocator. Only this split ever held the
-// sibling's address — no directory entry, no cache entry, no other goroutine
-// — so the block is reusable at once, and a split that keeps failing (a pool
-// with no room for the doubled directory) costs one block, not one per retry.
+// splitRollback abandons an unpublished split: the sibling's block goes back
+// to the allocator. Only this split ever held the sibling's address — no
+// directory entry, no cache entry, no other goroutine — so the block is
+// reusable at once, and a split that keeps failing (a pool with no room for
+// the doubled directory) costs one block, not one per retry.
 func (t *Table) splitRollback(old, sib *segDesc) {
-	spa := old.seg.Add(segOffSplit)
-	t.pool.StoreU64(spa, 0)
-	t.pool.Persist(spa, 8)
 	t.freePush(sib.seg, segmentSize)
 	t.filters.bytes.Add(^(segMirrorBytes - 1))
 	t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(old.seg), uint64(sib.seg))
@@ -191,9 +173,8 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
 // no room, rolls the split back — the finished sibling becomes durable with a
 // single whole-segment flush+fence, the directory entries flip under dirMu
 // (doubling first when the segment's depth has caught up with the global
-// depth), oldSeg's metadata bumps together with the marker clear in one
-// header persist, the moved records are dropped from oldSeg's mirror — a
-// DRAM-only sweep that stores nothing to oldSeg's buckets (segDrop) — and the
+// depth), oldSeg's metadata bumps in one header persist, the moved records
+// are dropped from oldSeg's mirror — a DRAM-only sweep that stores nothing to oldSeg's buckets (segDrop) — and the
 // DRAM directory cache is written through — only then do the locks release.
 // The stall this window causes is accumulated in split.stall_ns.
 func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
@@ -261,11 +242,9 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	}
 	t.fr.Record(obs.EvSplitPublish, obs.TagNone, uint64(oldSeg), uint64(newSeg))
 
-	// Metadata bump and marker clear share the header line and persist
-	// once. The directory already routes the moved half to the sibling, so
-	// from here a crash rolls forward through recovery's directory-driven
+	// The directory already routes the moved half to the sibling, so from
+	// here a crash rolls forward through recovery's directory-driven
 	// reconciliation.
-	p.StoreU64(oldSeg.Add(segOffSplit), 0)
 	segSetMeta(p, oldSeg, l+1, pat<<1)
 	oldMir.setClaim(l+1, pat<<1)
 	// The copy scanned the state the locks froze, so its moved-slot bitmaps
@@ -278,7 +257,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to
-	// newSeg. The split claim (split) is released after both.
+	// newSeg. The owner lock (split) is released after both.
 	t.cachePublishSplit(sib, estart, span)
 	t.met.splits.Inc()
 	return nil

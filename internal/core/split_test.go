@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,37 +36,26 @@ func fillPrefix(t *testing.T, tbl *Table, prefix uint64, start, n uint64) uint64
 	return k
 }
 
-// markerWords returns the split-marker word of every segment tbl has now. A
-// split persists its marker with the one 8-byte flush of that word, so a
-// flush hook recognises the split of any of these segments by the range.
-func markerWords(tbl *Table) map[pmem.Addr]bool {
-	words := make(map[pmem.Addr]bool)
-	for seg := range tbl.cache.descs {
-		words[seg.Add(segOffSplit)] = true
-	}
-	return words
-}
-
 // TestConcurrentSplitsDistinctSegments proves splits of distinct segments
-// proceed in parallel: the first split to persist its progress marker blocks
-// at that flush until a split of a *different* segment has persisted its own.
-// Under a table-wide split mutex the second split could never start and this
-// test would time out; with per-segment split ownership both arrive.
+// proceed in parallel: the first split to persist its sibling — the one flush
+// of a whole segment — blocks at that flush, holding its segment's owner lock
+// and every bucket lock, until a split of a *different* segment has persisted
+// its own. Under a table-wide split mutex the second split could never start
+// and this test would time out; with per-segment owner locks both arrive.
 func TestConcurrentSplitsDistinctSegments(t *testing.T) {
 	tbl := newTestTable(t, 64<<20, Options{InitialDepth: 2})
 
 	// Each goroutine below fills one initial segment's subtree, so the first
 	// split it carries is of that segment.
-	markers := markerWords(tbl)
 	var (
 		mu      sync.Mutex
-		marked  = make(map[pmem.Addr]bool)
+		marked  = make(map[pmem.Addr]bool) // the siblings persisted
 		both    = make(chan struct{})
 		closed  bool
 		timeout atomic.Bool
 	)
 	tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
-		if n != 8 || !markers[a] {
+		if n != segmentSize {
 			return
 		}
 		mu.Lock()
@@ -97,7 +87,7 @@ func TestConcurrentSplitsDistinctSegments(t *testing.T) {
 	wg.Wait()
 
 	if timeout.Load() {
-		t.Fatal("second segment's split never persisted its marker: splits are serialized")
+		t.Fatal("second segment's split never persisted its sibling: splits are serialized")
 	}
 	if s := tbl.Stats().Splits; s < 2 {
 		t.Fatalf("expected >= 2 completed splits, got %d", s)
@@ -108,26 +98,23 @@ func TestConcurrentSplitsDistinctSegments(t *testing.T) {
 // its header persist — the sibling published, the moved half's directory
 // entries flipped, the old segment's claim about to narrow, every lock of it
 // held — and has a second goroutine call split on the same descriptor with a
-// key the publish keeps on the old side, whose bucket pair is full. Split
-// ownership lasts until the publish is written through, so the second split
-// waits for it and then sees the published claim: it declines (the sweep
+// key the publish keeps on the old side, whose bucket pair is full. The
+// owner lock is held until the publish is written through, so the second
+// split waits for it and then sees the published claim: it declines (the sweep
 // made room) or splits the old segment at depth l+1 — never at the stale
 // (l, pattern), which would flip the first sibling's entries to a sibling of
 // its own and strand every key the first split moved.
 func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
-	// The first split is of an initial segment, named by its marker flush.
-	markers := markerWords(tbl)
+	// The first split is of an initial segment, named by its header persist
+	// (segSetMeta), the only flush of a segment's first line.
+	initial := maps.Clone(tbl.cache.descs)
 	var first atomic.Uint64 // the first split's segment
 	var parkedOnce atomic.Bool
 	parked, release := make(chan struct{}), make(chan struct{})
 	tbl.pool.SetFlushHook(func(a pmem.Addr, n uint64) {
-		if n == 8 && markers[a] {
-			first.CompareAndSwap(0, uint64(a)-segOffSplit)
-		}
-		// The header persist (segSetMeta) is the only flush of a whole
-		// segment header; the marker's persists flush its one word.
-		if uint64(a) == first.Load() && n == segHeaderSize && parkedOnce.CompareAndSwap(false, true) {
+		if initial[a] != nil && n == segHeaderSize && parkedOnce.CompareAndSwap(false, true) {
+			first.Store(uint64(a))
 			close(parked)
 			select {
 			case <-release:
@@ -192,17 +179,20 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 // TestWriterReadCharges: on a quiet table with the cost model off, the insert
 // that carries the first split (sequential keys, default seed: its failed
 // attempt, the split, its retry) charges exactly these PM lines. It reads
-// none: the claim is a DRAM CAS, the post-claim re-check, the publish and the
-// doubling take the route, the directory's address and depth and its entries
-// from the view, the allocator's frontier is DRAM, and the copy scans the old
-// segment's mirror. The 11 writes are the stores the protocol makes — two
-// allocator frontiers, marker, sibling header, root pointer, flipped entry,
-// old header, the retried insert — with no lock among them; the doubled
+// none: the claim is a DRAM lock, the post-claim re-check, the publish and
+// the doubling take the route, the directory's address and depth and its
+// entries from the view, the allocator's frontier is DRAM, and the copy scans
+// the old segment's mirror. The 9 writes are the stores the protocol makes —
+// two allocator frontiers, sibling header, root pointer, flipped entry, old
+// header, the retried insert — with no lock among them; the doubled
 // directory's words are quiet, charged by the flush that publishes the block,
 // and the sweep of the moved half stores nothing (segDrop). The retried
 // insert routes to the sibling and, like every insert, writes its record's
 // line alone, with one flush and one fence. Had the slot been stale, the
-// insert would cost the same (TestStaleSlotInsertCharges). History: with a
+// insert would cost the same (TestStaleSlotInsertCharges).
+// History: with a persisted split-progress marker in the old segment's
+// header — stored when the split began, cleared with the header bump: two
+// stores, one 8-byte flush and one fence more — 0 / 11 / 274 / 9; with a
 // PM bitmap, which the insert also stored and persisted, 0 / 11 / 275 / 10;
 // with the sweep persisted — one meta word per bucket it touched,
 // each flushed, and a fence — the same insert charged 0 / 78 / 341 / 11; with
@@ -222,7 +212,7 @@ func TestSplitCharges(t *testing.T) {
 		if tbl.met.splits.Total() == 0 {
 			continue
 		}
-		if want := [4]uint64{0, 11, 274, 9}; got != want {
+		if want := [4]uint64{0, 9, 273, 8}; got != want {
 			t.Fatalf("Insert(%d) with the first split charged read/write/flush/fence = %v, want %v", k, got, want)
 		}
 		break
@@ -391,16 +381,10 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 		for bucketInsertLocked(tbl.pool, sib.mir.Load(), segBucket(sibling, bi), bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) >= 0 {
 		}
 	}
-	spa := old.seg.Add(segOffSplit)
-	p.StoreU64(spa, uint64(sibling)|splitStateInFlight)
-	p.Persist(spa, 8)
 	if err := tbl.splitPublish(old, sib, l, pat); !errors.Is(err, ErrSegmentOverflow) {
 		t.Fatalf("splitPublish into a stuffed sibling = %v, want ErrSegmentOverflow", err)
 	}
 
-	if m := p.QuietLoadU64(spa); m != 0 {
-		t.Fatalf("the rollback left the marker at %#x", m)
-	}
 	if len(tbl.freeList) != 1 || tbl.freeList[0] != (freeSpan{addr: sibling, size: allocRound(segmentSize)}) {
 		t.Fatalf("free list = %+v, want the sibling's block %#x", tbl.freeList, sibling)
 	}

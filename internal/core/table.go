@@ -14,9 +14,8 @@ import (
 )
 
 // Table layer (§4.4–4.6): the public Insert/Get/Delete/Update API and the
-// locking protocol tying the layers together. Segment-split orchestration
-// with its crash-consistent three-step publish is split.go, post-crash
-// recovery lazyrec.go.
+// locking protocol tying the layers together. Segment splits are split.go,
+// post-crash recovery lazyrec.go.
 //
 // Concurrency protocol:
 //   - Every operation routes key → segment through the DRAM directory cache
@@ -39,14 +38,14 @@ import (
 //     (lockOwner, §4.4): no PM read at all. They decide where the record goes
 //     from the mirror, store to PM, persist, and store the same words to the
 //     mirror before unlocking.
-//   - Segment splits are per-segment and concurrent: ownership is claimed by
-//     CAS on the segment's DRAM descriptor (the PM split-state word is only
-//     the persistent split-progress marker), so splits of distinct segments
-//     proceed in parallel. Readers and writers never look at the split
-//     state. The only stop-the-world moment is the publish step: all bucket
-//     locks are taken, the sibling's half is copied into a sibling nobody
-//     else can reach, the fully-built sibling is persisted with one
-//     flush+fence, the directory entries flip, the old segment's metadata
+//   - Segment splits are per-segment and concurrent: a split holds the
+//     segment's owner lock (on its DRAM descriptor) from its claim until
+//     the publish is written through, so splits of distinct segments
+//     proceed in parallel. Readers and writers never take it. The only
+//     stop-the-world moment is the publish step: all bucket locks are
+//     taken, the sibling's half is copied into a sibling nobody else can
+//     reach, the fully-built sibling is persisted with one flush+fence, the
+//     directory entries flip, the old segment's metadata
 //     bumps, moved records are dropped from its mirror (DRAM only: PM keeps
 //     each until an insert reuses its slot, and recovery drops them by
 //     route), and the directory cache is written through — then everything
@@ -85,8 +84,8 @@ const (
 
 	// cleanShutdownMagic in the root's clean word certifies the image was
 	// left by Close with no operation in flight: every segment reconciled,
-	// every marker clear, the persisted count exact. Open consumes (clears)
-	// it immediately, so a crash after reopening takes the crash path.
+	// the persisted count exact. Open consumes (clears) it immediately, so a
+	// crash after reopening takes the crash path.
 	cleanShutdownMagic = 0x436C65616E4F4B31 // "CleanOK1"
 )
 

@@ -20,8 +20,8 @@ import (
 //   - each segment's claim (its PM header's, which a mirror must equal)
 //     covers every entry naming it, and every entry it covers names it: the
 //     claims partition the hash space;
-//   - no split marker is set, no splitter held; a recovered segment has a
-//     mirror, and its mirror equals PM but for what a DRAM-only drop
+//   - once recovery is complete, no owner lock is held and every segment
+//     has a mirror; a mirror equals PM but for what a DRAM-only drop
 //     (segDrop) left behind: every slot set in the mirror has a non-zero
 //     word 0 in PM — PM's commit — and both its record words equal PM's; and
 //     every slot clear in the mirror holds word 0 = 0 in PM, or a record the
@@ -90,15 +90,16 @@ func (t *Table) Verify() error {
 		} else if l, pat := claim(seg); l <= v.depth && n != 1<<(v.depth-l) {
 			fail("segment %#x claims (depth %d, pattern %#x), but only %d of its %d entries name it", seg, l, pat, n, 1<<(v.depth-l))
 		}
-		if st := p.QuietLoadU64(seg.Add(segOffSplit)); st != 0 {
-			fail("segment %#x: split marker %#x left set", seg, st)
-		}
-		if d.splitter.Load() {
-			fail("segment %#x: split ownership held", seg)
-		}
 		mir := d.mir.Load()
-		if mir == nil && d.rec.Load() == segRecDone {
-			fail("segment %#x: recovered, but has no mirror", seg)
+		if t.lazy.Load() == nil { // else the recovery driver may hold a lock
+			if !d.owner.TryLock() {
+				fail("segment %#x: owner lock held", seg)
+			} else {
+				d.owner.Unlock()
+			}
+			if mir == nil {
+				fail("segment %#x: recovered, but has no mirror", seg)
+			}
 		}
 		if mir == nil {
 			judged = false

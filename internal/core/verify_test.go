@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -234,12 +235,8 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			tbl.vlog.Free(a)
 			tbl.pool.QuietStoreU64(a, 0)
 		}},
-		{"split marker left set", "split marker", func(_ *testing.T, tbl *Table) {
-			d := tbl.cache.view.Load().entries[0].Load()
-			tbl.pool.QuietStoreU64(d.seg.Add(segOffSplit), uint64(d.seg)|splitStateInFlight)
-		}},
-		{"splitter held", "split ownership held", func(_ *testing.T, tbl *Table) {
-			tbl.cache.view.Load().entries[0].Load().splitter.Store(true)
+		{"owner held", "owner lock held", func(_ *testing.T, tbl *Table) {
+			tbl.cache.view.Load().entries[0].Load().owner.Lock()
 		}},
 		{"descriptor no entry names", "no view entry names it", func(_ *testing.T, tbl *Table) {
 			d := &segDesc{seg: pmem.Addr(tbl.pool.Size() - segmentSize)} // zeroed, like its mirror
@@ -345,19 +342,125 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			pool, err := pmem.OpenSnapshot(img, pmem.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pool := openImage(t, img)
 			pool.QuietStoreU64(r.word, r.v)
-			defer func() {
-				if v := recover(); v != nil {
-					t.Fatalf("Open panicked: %v", v)
-				}
-			}()
-			if _, err := Open(pool); err == nil || !strings.Contains(err.Error(), r.want) {
-				t.Fatalf("Open = %v, want an error naming %q", err, r.want)
-			}
+			requireOpenFails(t, pool, r.want)
 		})
 	}
+	// Two words: entry 3 of a depth-2 directory names segment 0, whose depth
+	// word says 0. Segments 1 and 2 keep their entries, so segment 0 covers
+	// entries 0 and 3 — a count a claim could have, at a place none can.
+	// Accepted, the image would leave every operation on a key routed to
+	// entry 3 failing its claim check forever.
+	t.Run("coverage scattered across the directory", func(t *testing.T) {
+		img, segs, _ := depth2Image(t)
+		pool := openImage(t, img)
+		dir := pmem.Addr(pool.QuietLoadU64(rootAddr.Add(rootOffDir)))
+		pool.QuietStoreU64(dirEntryAddr(dir, 3), uint64(segs[0]))
+		pool.QuietStoreU64(segs[0].Add(segOffDepth), 0)
+		requireOpenFails(t, pool, fmt.Sprintf("segment %#x covers 2 entries from 0, not the range", segs[0]))
+	})
+}
+
+// openImage returns a pool holding img.
+func openImage(t testing.TB, img []byte) *pmem.Pool {
+	t.Helper()
+	pool, err := pmem.OpenSnapshot(img, pmem.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+// requireOpenFails requires Open of pool to return an error naming want:
+// not to panic, and not to succeed.
+func requireOpenFails(t *testing.T, pool *pmem.Pool, want string) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			t.Fatalf("Open panicked: %v", v)
+		}
+	}()
+	if _, err := Open(pool); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want an error naming %q", err, want)
+	}
+}
+
+// depth2Image returns the image of a table of four depth-2 segments, never
+// split, holding inline and variable-length records, and never closed, so
+// that Open takes the crash path and derives the count; with the segments'
+// addresses in entry order and the allocation frontier.
+func depth2Image(t testing.TB) (img []byte, segs [4]pmem.Addr, frontier uint64) {
+	t.Helper()
+	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := tbl.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if err := tbl.InsertB(varKey(i, 24), varVal(i, 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := tbl.cache.view.Load()
+	for i := range segs {
+		segs[i] = v.entries[i].Load().seg
+	}
+	return pool.Snapshot(), segs, pool.QuietLoadU64(rootAddr.Add(rootOffAllocNxt))
+}
+
+// FuzzOpenDirectory mutates the words Open's directory reconcile reads of a
+// depth-2 image — the directory's depth, its four entries, and each
+// segment's depth, pattern and word 16 (the split marker of earlier
+// writers) — and requires that Open fail, or that Open and RecoverAll leave
+// a table that verifies. An entry below 4 names that segment of the image;
+// any other value is stored as it is. The seeds are the image itself, the
+// scattered coverage, an old writer's split marker, and
+// TestOpenRejectsCorruptImage's directory and segment rows.
+func FuzzOpenDirectory(f *testing.F) {
+	img, segs, frontier := depth2Image(f)
+	for _, seed := range [][17]uint64{
+		{2, 0, 1, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},                    // the image
+		{2, 0, 1, 2, 0, 0, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},                    // scattered coverage
+		{2, 0, 1, 2, 3, 2, 0, frontier | 1, 2, 1, 0, 2, 2, 0, 2, 3, 0},         // old split marker
+		{40, 0, 1, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},                   // directory depth no pool holds
+		{2, 0, frontier, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},             // directory entry past the frontier
+		{2, uint64(segs[0]) + 64, 1, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0}, // misaligned directory entry
+		{2, 0, 1, 2, 3, 2, 1 << 20, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},              // segment pattern wider than its depth
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8], seed[9], seed[10], seed[11], seed[12], seed[13], seed[14], seed[15], seed[16])
+	}
+	f.Fuzz(func(t *testing.T, g, e0, e1, e2, e3, l0, p0, m0, l1, p1, m1, l2, p2, m2, l3, p3, m3 uint64) {
+		pool := openImage(t, img)
+		dir := pmem.Addr(pool.QuietLoadU64(rootAddr.Add(rootOffDir)))
+		for i, e := range []uint64{e0, e1, e2, e3} {
+			if e < 4 {
+				e = uint64(segs[e])
+			}
+			pool.QuietStoreU64(dirEntryAddr(dir, uint64(i)), e)
+		}
+		for i, w := range [][3]uint64{{l0, p0, m0}, {l1, p1, m1}, {l2, p2, m2}, {l3, p3, m3}} {
+			pool.QuietStoreU64(segs[i].Add(segOffDepth), w[0])
+			pool.QuietStoreU64(segs[i].Add(segOffPattern), w[1])
+			pool.QuietStoreU64(segs[i].Add(16), w[2])
+		}
+		pool.QuietStoreU64(dir.Add(dirOffDepth), g)
+		tbl, err := Open(pool)
+		if err != nil {
+			return
+		}
+		defer tbl.Close()
+		tbl.RecoverAll()
+		if err := tbl.Verify(); err != nil {
+			t.Fatalf("Open accepted the image, which then fails Verify: %v", err)
+		}
+	})
 }
