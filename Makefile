@@ -84,7 +84,8 @@ docs-check: vet
 			pmMeta metaPersisted hdrLineSlots metaLastFree stale_meta_persists header_line \
 			TestMirrorHeaderPairsShareALine \
 			segOffSplit splitStateInFlight segRecDone segRecPending segRecInFlight markerWords \
-			TestCrashAfterSplitMarker; do \
+			TestCrashAfterSplitMarker \
+			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

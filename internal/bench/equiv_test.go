@@ -174,6 +174,17 @@ type equivCell struct {
 // fewer. Its 8 splits take writes 5 143 → 5 127, flushed lines 7 234 →
 // 7 226 and fences 5 120 → 5 112; counts and reads did not move, and no
 // other cell splits while measured.
+//
+// The balanced cell was re-pinned again when the split's copy stopped
+// grouping the sibling's records by destination home and began inserting
+// each as its scan of the old segment finds it, bucket then slot. The
+// sibling's records land in other places, so later inserts do too: of the
+// 4 960 placements, home 3 000 → 2 982, probe 1 731 → 1 739, displaced
+// 59 → 69, stash 170 unchanged, and the 8 splits stay 8. Each of the 10
+// extra displacements moves its victim (one line, one flush, one fence) and
+// deletes it (one more each), so writes 5 127 → 5 147, flushed lines
+// 7 226 → 7 246 and fences 5 112 → 5 132; counts and reads did not move,
+// and no other cell splits while measured.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -204,7 +215,7 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5127, FlushedLines: 7226, Fences: 5112},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5147, FlushedLines: 7246, Fences: 5132},
 	},
 	{
 		mix:    "delete-heavy",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -20,28 +21,29 @@ import (
 // directory-reachable segment's descriptor starts without a mirror; the
 // first operation routed to it takes the segment's owner lock
 // (segDesc.owner, the lock a split holds) and runs the per-segment
-// reconcile — mirror build, claim filter with the fingerprints and stash
-// counts PM does not keep, duplicate sweep, count re-derivation — while
-// later arrivals block on the lock and find the mirror when they get it.
-// The record-log sweep runs as an incremental background pass once every
-// segment has recovered (it needs the complete reference set), free-listing
-// dead blobs in small batches under epoch guards.
+// reconcile — mirror build, then one pass over the records: route filter,
+// fingerprints and stash counts PM does not keep, corrupt and duplicate
+// deletes, count re-derivation — while later arrivals block on the lock and
+// find the mirror when they get it. The record-log sweep runs as an
+// incremental background pass once every segment has recovered (it needs the
+// complete reference set), free-listing dead blobs in small batches under
+// epoch guards.
 //
 // After a *clean* shutdown (Close persisted the root's clean marker) the
-// duplicate sweep and the count derivation are skipped — the image holds no
-// duplicate, and the root holds the count — but first touch still installs
-// the segment's mirror, drops by route the records splits moved away (a
-// split removes them from the old segment's mirror only, so every image,
-// clean or not, can hold them), recomputes fingerprints and stash counts,
-// and contributes its blob references,
-// and the background pass still runs to rebuild the record log's DRAM free
-// list.
+// duplicate and blob checks and the count derivation are skipped — the image
+// holds no duplicate, and the root holds the count — but first touch still
+// installs the segment's mirror, drops by route the records splits moved
+// away (a split removes them from the old segment's mirror only, so every
+// image, clean or not, can hold them), deletes a record outside its home
+// pair, recomputes fingerprints and stash counts, and contributes its blob
+// references, and the background pass still runs to rebuild the record
+// log's DRAM free list.
 
 // lazyRecovery is the DRAM side table describing what Open deferred. The
 // Table drops its pointer once the background pass finishes, restoring the
 // ungated hot path.
 type lazyRecovery struct {
-	clean  bool  // clean-shutdown image: skip the duplicate sweep and count derivation
+	clean  bool  // clean-shutdown image: skip the duplicate and blob checks and count derivation
 	openAt int64 // obs.Now() at Open, base of time-to-fully-recovered
 
 	// order lists every directory-reachable segment at Open, each without a
@@ -77,8 +79,9 @@ var disableBackgroundRecovery atomic.Bool
 // flip) and leaves an unpublished one a harmless leak: no entry names its
 // sibling. Bucket and owner locks need no pass at all: they live in DRAM,
 // which died with the process that held them. The O(data) work —
-// mirror builds, the route filter, dedupe, count derivation, the record-log
-// sweep — is deferred: recoverLazy builds the lazyRecovery side table and returns.
+// mirror builds, the route filter, duplicate deletes, count derivation, the
+// record-log sweep — is deferred: recoverLazy builds the lazyRecovery side
+// table and returns.
 // After a clean shutdown the image needs none of that reconciliation (the
 // passes are cheap no-ops, run anyway for their validation) and the count
 // comes straight from the root.
@@ -255,24 +258,25 @@ func (t *Table) firstTouch(d *segDesc) *segMirror {
 // the claim recoverLazy reconciled into its header is still its coverage.
 //
 // The mirror comes first — one streaming pass over the segment's PM lines,
-// the only PM reads recovery makes of it — because the sweeps are mutators
-// like any other: they read the mirror and store to both. It goes into the
+// the only PM reads recovery makes of it but for blob keys. It goes into the
 // descriptor last: storing it is what opens the segment to operations
-// (Table.mirror).
-//
-// One pass over the records then does, from each record's hash, what PM
-// does not keep. The route filter, on every image, drops each record the
-// segment's claim — exactly its coverage — does not cover: the moved half a
-// split left in PM, and on a crash image a half-published split's leftovers
-// — from the mirror alone,
-// as the publish does (segDrop), storing nothing. Every record it keeps gets
-// its fingerprint and, in the stash, a unit of its home bucket's stash
-// count: recounted from the committed records, each home's count is exactly
-// the stash records that survive homed there. The duplicate sweep, which
-// only a crash can make work for, persists its deletes and decrements the
-// count as every delete does.
+// (Table.mirror). One pass over the records, bucket then slot, stash buckets
+// last, then does from each record's hash what PM does not keep. On every
+// image it drops from the mirror alone, as the publish does (segDrop), each
+// record the segment's claim — exactly its coverage — does not cover: the
+// moved half a split left in PM, and on a crash image a half-published
+// split's leftovers. It deletes a corrupt record, counted in
+// recovery.corrupt_slots — on every image a normal-bucket record outside its
+// home pair, which no probe reaches, and on a crash image an indirect record
+// blobCorrupt rejects — and on a crash image a duplicate (keptCopy), the
+// later copy an interrupted displacement or converting update leaves. Each
+// delete is a zero word 0 persisted in one line. Every record it keeps gets
+// its fingerprint, in the stash a unit of its home bucket's stash count —
+// final but for that count by then — and, if indirect, a blob reference for
+// the record-log sweep. A crash image's count is the records kept; a clean
+// image restored it from the root and gives one back per corrupt record.
 func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
-	p, seg := t.pool, d.seg
+	p, seg, crash := t.pool, d.seg, !lr.clean
 	start := obs.Now()
 	l, pat := segMeta(p, seg)
 	mir := t.newMirror(l, pat)
@@ -281,45 +285,53 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	}
 	mirDone := obs.Now()
 
-	// Stash buckets come last, so every home's meta word is final but for
-	// the count they add to it.
+	var refs []pmem.Addr
+	var kept, corrupt int64
 	for bi := 0; bi < totalBuckets; bi++ {
 		m := mir.word(bi, mirBkMeta).Load()
-		var lo, hi, misrouted uint64
+		var lo, hi uint64
 		for used := m; used != 0; used &= used - 1 {
 			slot := bits.TrailingZeros64(used)
-			parts := recSplitParts(mir.rec(bi, slot), t.seed)
-			if !mirClaims(mir, parts) {
-				misrouted |= 1 << uint(slot)
+			kv := mir.rec(bi, slot)
+			parts := recSplitParts(kv, t.seed)
+			if hashfn.SegmentIndex(parts.Hash, l) != pat {
+				m = metaClearSlot(m, slot)
+				continue
+			}
+			// Outside the home pair: one predictable compare, not two on
+			// which of the pair holds the record.
+			b, _ := homePair(parts)
+			bad := bi < normalBuckets && (bi-b)&(normalBuckets-1) > 1 || crash && t.blobCorrupt(kv)
+			if bad || crash && t.keptCopy(mir, bi, slot, m, lo, hi, kv, parts) {
+				ra := recordAddr(segBucket(seg, bi), slot)
+				p.StoreU64(ra, 0)
+				p.Persist(ra, 8)
+				m = metaClearSlot(m, slot)
+				if bad {
+					corrupt++
+				}
 				continue
 			}
 			lo, hi = fpSet(lo, hi, slot, parts.FP)
 			if bi >= normalBuckets {
 				bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), +1)
 			}
+			if recIsIndirect(kv.Key) {
+				refs = append(refs, recBlobAddr(kv.Key))
+			}
+			kept++
 		}
 		mir.word(bi, mirBkFPLo).Store(lo)
 		mir.word(bi, mirBkFPHi).Store(hi)
-		mir.word(bi, mirBkMeta).Store(m &^ misrouted)
+		mir.word(bi, mirBkMeta).Store(m)
 	}
-	if !lr.clean {
-		t.dedupeSegment(seg, mir)
-		t.count.Add(int64(segCount(mir)))
+	t.met.corruptSlots.Add(uint64(corrupt))
+	if crash {
+		t.count.Add(kept)
+	} else {
+		t.count.Add(-corrupt)
 	}
-	sweepDone := obs.Now()
-	// Blob references of the records that survived the sweeps.
-	var refs []pmem.Addr
-	for bi := 0; bi < totalBuckets; bi++ {
-		m := mir.word(bi, mirBkMeta).Load()
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
-			if w0 := mir.recWord(bi, slot, 0).Load(); recIsIndirect(w0) {
-				refs = append(refs, recBlobAddr(w0))
-			}
-		}
-	}
+	passDone := obs.Now()
 	if len(refs) > 0 {
 		lr.refMu.Lock()
 		for _, a := range refs {
@@ -333,46 +345,70 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	// Phase meters accumulate across first touches (the lazy analogue of the
 	// eager one-shot phases); the per-segment latency histogram is what the
 	// tail pays at first touch.
-	t.met.recoveryNS[phaseSegments].Add(uint64(sweepDone - mirDone))
-	t.met.recoveryNS[phaseMirrors].Add(uint64(mirDone - start + end - sweepDone))
+	t.met.recoveryNS[phaseSegments].Add(uint64(passDone - mirDone))
+	t.met.recoveryNS[phaseMirrors].Add(uint64(mirDone - start + end - passDone))
 	t.met.lazySegNS.Record(end - start)
 	t.met.lazySegs.Inc()
 	t.fr.RecordAt(start, obs.EvSegRecover, obs.PhaseSegments, uint64(seg), uint64(end-start))
 }
 
-// dedupeSegment removes all but the first copy of any key appearing twice
-// in the segment, comparing *canonical* keys (an inline record's 8-byte
-// little-endian key, an indirect record's blob key bytes): an interrupted
-// displacement duplicates a record verbatim, but an interrupted
-// representation-converting update leaves the same user key once inline
-// and once as a blob pointer. segSweep's scan order matches lookup order
-// (normal buckets ascending, then stash), so the surviving copy is the one
-// lookups would return. This is the one recovery pass that dereferences
-// blobs — recovery is already O(data) — and it dereferences none the log
-// does not hold (pmem.VarLog.Holds): a slot naming anything else is corrupt,
-// and is deleted like a duplicate and counted (recovery.dangling_slots).
-func (t *Table) dedupeSegment(seg pmem.Addr, mir *segMirror) {
-	seenKeys := make(map[string]bool)
-	var buf [8]byte
-	t.segSweep(mir, seg, func(_ hashfn.Parts, kv pmem.KV) bool {
-		var k string
-		if recIsIndirect(kv.Key) {
-			a := recBlobAddr(kv.Key)
-			if !t.vlog.Holds(a) {
-				t.met.danglingSlots.Inc()
+// blobCorrupt reports whether kv is an indirect record naming no blob the
+// log holds (pmem.VarLog.Holds, asked before the blob is read) or a blob
+// whose key does not hash to the stored hash or fit the length class: a
+// record no probe could match, and one that would break keptCopy's premise.
+func (t *Table) blobCorrupt(kv pmem.KV) bool {
+	if !recIsIndirect(kv.Key) {
+		return false
+	}
+	a := recBlobAddr(kv.Key)
+	if !t.vlog.Holds(a) {
+		return true
+	}
+	key := t.vlog.KeyBytes(a)
+	return hashfn.Hash64(key, t.seed) != kv.Value || recClass(kv.Key) != klenClass(len(key))
+}
+
+// keptCopy reports whether recoverSegment's pass already kept a record with
+// the canonical key of kv, the record at (bi, slot): an inline record's
+// 8-byte little-endian key, an indirect one's blob key. Copies of a key share
+// its full hash, and every kept record sits in its home pair or the stash, so
+// it probes by fingerprint the kept slots of kv's home pair and, for a stash
+// record, of the stash — in a bucket the pass has left, its mirror words; in
+// bi, the pass's m, lo and hi below slot — and compares keys only when the
+// full hashes are equal.
+func (t *Table) keptCopy(mir *segMirror, bi, slot int, m, lo, hi uint64, kv pmem.KV, parts hashfn.Parts) bool {
+	b, b2 := homePair(parts)
+	cands := [...]int{b, b2, normalBuckets, normalBuckets + 1}
+	n := 2
+	if bi >= normalBuckets {
+		n = len(cands)
+	}
+	for _, c := range cands[:n] {
+		km, klo, khi := m&(1<<uint(slot)-1), lo, hi
+		if c > bi {
+			continue
+		} else if c < bi {
+			km = mir.word(c, mirBkMeta).Load() & slotMask
+			klo, khi = mir.word(c, mirBkFPLo).Load(), mir.word(c, mirBkFPHi).Load()
+		}
+		for s := fpMatches(klo, khi, parts.FP) & km; s != 0; s &= s - 1 {
+			r := mir.rec(c, bits.TrailingZeros64(s))
+			var rb, kb [8]byte
+			if recHash(r, t.seed) == parts.Hash && bytes.Equal(t.recKey(r, &rb), t.recKey(kv, &kb)) {
 				return true
 			}
-			k = string(t.vlog.KeyBytes(a))
-		} else {
-			binary.LittleEndian.PutUint64(buf[:], recWordKey(kv.Key))
-			k = string(buf[:])
 		}
-		if seenKeys[k] {
-			return true
-		}
-		seenKeys[k] = true
-		return false
-	})
+	}
+	return false
+}
+
+// recKey returns a record's canonical key, using buf for an inline one.
+func (t *Table) recKey(kv pmem.KV, buf *[8]byte) []byte {
+	if recIsIndirect(kv.Key) {
+		return t.vlog.KeyBytes(recBlobAddr(kv.Key))
+	}
+	binary.LittleEndian.PutUint64(buf[:], recWordKey(kv.Key))
+	return buf[:]
 }
 
 // RecoverAll completes recovery synchronously: recovers every still-pending

@@ -430,7 +430,7 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 // 63 set but names no blob the log holds — past the pool, outside every
 // chunk, past the head chunk's frontier — reopens and recovers: the
 // duplicate sweep does not dereference the address, it deletes the slot
-// (word 0 persisted zero) and counts it in recovery.dangling_slots, and
+// (word 0 persisted zero) and counts it in recovery.corrupt_slots, and
 // the table verifies with the key absent and every other record intact.
 func TestFirstTouchDeletesDanglingBlobSlot(t *testing.T) {
 	withLazyGates(t)
@@ -485,8 +485,8 @@ func TestFirstTouchDeletesDanglingBlobSlot(t *testing.T) {
 			}
 			re.RecoverAll()
 			requireVerified(t, re)
-			if got := re.met.danglingSlots.Total(); got != 1 {
-				t.Fatalf("recovery.dangling_slots = %d, want 1", got)
+			if got := re.met.corruptSlots.Total(); got != 1 {
+				t.Fatalf("recovery.corrupt_slots = %d, want 1", got)
 			}
 			if w0 := p.QuietLoadU64(ra); w0 != 0 {
 				t.Fatalf("the slot's word 0 is %#x, want it deleted", w0)

@@ -86,14 +86,14 @@ type meters struct {
 	// Lazy-recovery meters: Open's O(directory) wall time (time-to-first-op),
 	// the Open→sweep-done wall time (time-to-fully-recovered), each added
 	// once, per-segment first-touch latencies, and counters for recovered
-	// segments, blobs the background sweep free-listed and slots the
-	// duplicate sweep deleted because they name no blob the log holds.
+	// segments, blobs the background sweep free-listed and slots first touch
+	// deleted as corrupt (recoverSegment).
 	recoveryOpenNS *obs.Counter
 	recoveryFullNS *obs.Counter
 	lazySegNS      *obs.Histogram
 	lazySegs       *obs.Counter
 	lazySweepFreed *obs.Counter
-	danglingSlots  *obs.Counter
+	corruptSlots   *obs.Counter
 }
 
 const (
@@ -168,7 +168,7 @@ func (t *Table) initObs() {
 	t.met.lazySegNS = reg.Histogram("recovery.lazy.seg_ns")
 	t.met.lazySegs = reg.Counter("recovery.lazy.segments")
 	t.met.lazySweepFreed = reg.Counter("recovery.lazy.sweep_freed")
-	t.met.danglingSlots = reg.Counter("recovery.dangling_slots")
+	t.met.corruptSlots = reg.Counter("recovery.corrupt_slots")
 
 	// Records held. (The table's shape — depth, segments — is Stats(); the
 	// op lane's sample period is OpSamplePeriod.)

@@ -35,14 +35,14 @@ func TestTraceSplitLifecycle(t *testing.T) {
 	// segment reaching stage 5 saw the full lifecycle in order. (The control
 	// lane holds thousands of slots, so none of these rare events wrapped.)
 	want := []obs.EventType{
-		obs.EvSplitTrigger, obs.EvSplitCAS, obs.EvSplitMigrate,
+		obs.EvSplitTrigger, obs.EvSplitClaim, obs.EvSplitMigrate,
 		obs.EvSplitPublish, obs.EvSplitSweep,
 	}
 	stage := map[uint64]int{}
 	complete := 0
 	for _, e := range ev {
 		switch e.Type {
-		case obs.EvSplitTrigger, obs.EvSplitCAS, obs.EvSplitMigrate,
+		case obs.EvSplitTrigger, obs.EvSplitClaim, obs.EvSplitMigrate,
 			obs.EvSplitPublish, obs.EvSplitSweep:
 			if want[stage[e.A]%len(want)] == e.Type {
 				stage[e.A]++

@@ -47,8 +47,9 @@ import (
 //
 //   - write-through from every mutator (insert, delete, in-place and
 //     copy-on-write update, displacement, stash spill and stash delete,
-//     the split metadata bump, recovery's duplicate sweep), all
-//     inside the bucket's lock with the version odd. No mutator has a
+//     the split metadata bump), all inside the bucket's lock with the
+//     version odd, and recovery's deletes, before anyone can see the
+//     mirror they build. No mutator has a
 //     mirror-less form: the mirror is built before the first of them can
 //     run. PM does not take the mirror's own words (bitmaps, fingerprints,
 //     stash counts), nor a drop (segDrop, the publish's sweep of the moved

@@ -208,9 +208,7 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 
 // segDeleteAt removes the record at loc, taking the stash bucket's lock and
 // decrementing the home bucket's stash count (in its mirror) when the record
-// lived in the stash. Caller holds the home pair's locks, or owns the whole
-// segment — recovery, on a mirror nobody else can reach, where the stash
-// lock is free and taking it never waits.
+// lived in the stash. Caller holds the home pair's locks.
 func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc) {
 	p, sa := t.pool, segBucket(seg, loc.bucket)
 	if !loc.inStash() {
@@ -221,31 +219,6 @@ func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, l
 	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
 	unlockBucket(mir, loc.bucket)
 	bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
-}
-
-// segSweep deletes every record for which drop returns true, persisted,
-// fixing stash counts as it goes, and returns the number of records
-// removed. Recovery's duplicate sweep (dedupeSegment): the caller owns the
-// whole segment (its first-touch gate) and has built mir from it, so like
-// every mutator it reads the mirror and stores to both.
-func (t *Table) segSweep(mir *segMirror, seg pmem.Addr, drop func(parts hashfn.Parts, kv pmem.KV) bool) int {
-	removed := 0
-	for bi := 0; bi < totalBuckets; bi++ {
-		m := mir.word(bi, mirBkMeta).Load()
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
-			kv := mir.rec(bi, slot)
-			parts := recSplitParts(kv, t.seed)
-			if !drop(parts, kv) {
-				continue
-			}
-			t.segDeleteAt(mir, seg, parts, recLoc{bucket: bi, slot: slot})
-			removed++
-		}
-	}
-	return removed
 }
 
 // segDrop removes the slots drops names (per bucket, a slot bitmap) from the
@@ -275,13 +248,4 @@ func segDrop(mir *segMirror, seed uint64, drops *[totalBuckets]uint64) {
 			bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
 		}
 	}
-}
-
-// segCount returns the number of live records (the mirror bitmaps' popcount).
-func segCount(mir *segMirror) int {
-	n := 0
-	for bi := 0; bi < totalBuckets; bi++ {
-		n += slotsPerBucket - bucketFreeSlots(mir, bi)
-	}
-	return n
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"math/bits"
 	"time"
 
 	"dash/internal/hashfn"
@@ -47,7 +47,7 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	if !mirClaims(oldMir, parts) || bucketFreeSlots(oldMir, b) > 0 || bucketFreeSlots(oldMir, b2) > 0 {
 		return nil
 	}
-	t.fr.Record(obs.EvSplitCAS, obs.TagNone, uint64(oldSeg), 0)
+	t.fr.Record(obs.EvSplitClaim, obs.TagNone, uint64(oldSeg), 0)
 	// Only a publish changes a segment's claim, and this segment's next
 	// publish is ours.
 	l, pat := uint8(oldMir.depth.Load()), oldMir.pattern.Load()
@@ -78,90 +78,33 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 	t.fr.Record(obs.EvSplitRollback, obs.TagNone, uint64(old.seg), uint64(sib.seg))
 }
 
-// splitScan is what splitCopy's scan of the old segment's mirror learned, kept
-// for the publish: per bucket the bitmap of moved (sibling-claimed) slots,
-// which the publish's drop then clears without re-reading a normal record.
-//
-// Instances are pooled: a split allocates nothing steady-state, so the
-// resize path adds no GC pressure (on small-core boxes, GC mark assists
-// were showing up as multi-ms latency outliers dwarfing the splits
-// themselves). The buffers are arrays sized for a full segment, so an
-// instance the pool dropped costs one allocation to replace, not a regrowth.
-type splitScan struct {
-	moved   [totalBuckets]uint64
-	n       int // cand[:n] holds the scan's finds
-	cand    [slotsPerSegment]splitCand
-	grouped [slotsPerSegment]splitCand
-}
-
-var splitScanPool = sync.Pool{New: func() any { return new(splitScan) }}
-
-// splitCand is one sibling-claimed record the scan found: its two words as
-// scanned, its hash parts (read from the record words; the scan never
-// dereferences blobs, which is what keeps split cost independent of record
-// size) and its place in the copy order — the destination home bucket, or
-// for a stash record its source bucket, which sorts after every home.
-type splitCand struct {
-	kv    pmem.KV
-	rp    hashfn.Parts
-	group int
-}
-
 // splitCopy builds the sibling's half of old in the private sibling. The
-// caller holds every bucket lock of old, so its mirror is frozen: the scan
-// reads each bucket's records from the mirror — no PM line of old — and the
-// sibling-claimed records are inserted — normal-bucket records grouped by
-// destination home pair, then stash records in slot order — taking no
-// sibling lock, nobody else can reach it, and persisting nothing: the publish
-// makes the whole sibling durable with one flush+fence before any directory
-// entry points at it, and a crash before that rolls it back wholesale.
-// Reports false when the sibling has no room for a record: the pathological
-// one-sided overflow.
-func (t *Table) splitCopy(old, sib *segDesc, l uint8, sc *splitScan) bool {
+// caller holds every bucket lock of old, so its mirror is frozen: one scan
+// reads each bucket's records from the mirror — no PM line of old — in
+// bucket-then-slot order, stash buckets last, and inserts each
+// sibling-claimed record into the sibling as soon as it finds it, taking no
+// sibling lock — nobody else can reach it — and persisting nothing: the
+// publish makes the whole sibling durable with one flush+fence before any
+// directory entry points at it, and a crash before that rolls it back
+// wholesale. The record's hash parts come from its words (recSplitParts): the
+// copy never dereferences a blob, so its cost is independent of record size.
+// Each moved slot is set in moved (per bucket, a slot bitmap), which the
+// publish's drop clears from old's mirror. Reports false when the sibling has
+// no room for a record: the pathological one-sided overflow.
+func (t *Table) splitCopy(old, sib *segDesc, l uint8, moved *[totalBuckets]uint64) bool {
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
-
-	// Scan. It never mutates the old segment.
-	sc.n = 0
 	for bi := 0; bi < totalBuckets; bi++ {
-		m := oldMir.word(bi, mirBkMeta).Load()
-		moved := uint64(0)
-		for slot := 0; slot < slotsPerBucket; slot++ {
-			if !metaSlotUsed(m, slot) {
-				continue
-			}
+		for used := oldMir.word(bi, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
+			slot := bits.TrailingZeros64(used)
 			kv := oldMir.rec(bi, slot)
 			rp := recSplitParts(kv, t.seed)
-			if rp.DepthBit(l) {
-				moved |= 1 << uint(slot)
-				group := bi
-				if bi < normalBuckets {
-					group = int(rp.BucketIndex(bucketBits))
-				}
-				sc.cand[sc.n] = splitCand{kv: kv, rp: rp, group: group}
-				sc.n++
+			if !rp.DepthBit(l) {
+				continue
 			}
-		}
-		sc.moved[bi] = moved
-	}
-
-	// Copy, in group order (a stable counting sort: within a group records
-	// keep their scan order, bucket then slot).
-	cand := sc.cand[:sc.n]
-	var pos [totalBuckets + 1]int
-	for _, c := range cand {
-		pos[c.group+1]++
-	}
-	for g := 1; g <= totalBuckets; g++ {
-		pos[g] += pos[g-1]
-	}
-	grouped := sc.grouped[:sc.n]
-	for _, c := range cand {
-		grouped[pos[c.group]] = c
-		pos[c.group]++
-	}
-	for _, c := range grouped {
-		if !t.segInsertLocked(newMir, sib.seg, c.rp, c.kv, true) {
-			return false
+			if !t.segInsertLocked(newMir, sib.seg, rp, kv, true) {
+				return false
+			}
+			moved[bi] |= 1 << uint(slot)
 		}
 	}
 	return true
@@ -194,9 +137,8 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	}()
 
 	mstart := obs.Now()
-	sc := splitScanPool.Get().(*splitScan)
-	defer splitScanPool.Put(sc)
-	if !t.splitCopy(old, sib, l, sc) {
+	var moved [totalBuckets]uint64
+	if !t.splitCopy(old, sib, l, &moved) {
 		t.splitRollback(old, sib)
 		return ErrSegmentOverflow
 	}
@@ -253,7 +195,7 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 	// stash count). PM keeps the moved records under their bits: the
 	// directory already routes them to the sibling, and recovery drops them by
 	// route on whatever image it opens.
-	segDrop(oldMir, t.seed, &sc.moved)
+	segDrop(oldMir, t.seed, &moved)
 	t.fr.Record(obs.EvSplitSweep, obs.TagNone, uint64(oldSeg), uint64(time.Since(begin).Nanoseconds()))
 	// Write-through before the deferred bucket unlocks: once writers can
 	// get past the locks, the cache already routes the moved half to

@@ -232,11 +232,12 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 // Open revives the table stored in pool with O(directory) work up front
 // (§4.6 instant restart): directory reconciliation, segment metadata fixes,
 // dirCache rebuild. Everything O(data) — mirror builds, the route filter,
-// the duplicate sweep, count re-derivation — is deferred to each segment's
-// first touch (lazyrec.go), and the record-log sweep runs as an incremental
-// background pass. After a clean shutdown (Close persisted the root's clean
-// marker) the duplicate sweep and the count derivation are skipped. Call
-// RecoverAll to force the deferred work to complete synchronously.
+// corrupt and duplicate deletes, count re-derivation — is deferred to each
+// segment's first touch (lazyrec.go), and the record-log sweep runs as an
+// incremental background pass. After a clean shutdown (Close persisted the
+// root's clean marker) the duplicate and blob checks and the count
+// derivation are skipped. Call RecoverAll to force the deferred work to
+// complete synchronously.
 func Open(pool *pmem.Pool) (*Table, error) {
 	p := pool
 	if p.LoadU64(rootAddr.Add(rootOffMagic)) != tableMagic {
@@ -638,8 +639,8 @@ func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 //     flip is a single word whatever the value length.
 //   - inline record, non-8-byte value → representation conversion: the new
 //     indirect record is inserted alongside the old inline one and the old
-//     slot is deleted after it. A crash in between leaves both — recovery's
-//     canonical-key dedupe keeps exactly one, which is correct for an
+//     slot is deleted after it. A crash in between leaves both — first touch
+//     compares canonical keys and keeps exactly one, which is correct for an
 //     unacknowledged update.
 //
 // The new blob is allocated lazily on first need and reused across split

@@ -23,7 +23,7 @@ const (
 	evOpMax // lane boundary, not a real event
 
 	EvSplitTrigger  // an insert found the segment full; A = segment addr
-	EvSplitCAS      // split ownership CAS won; A = segment addr
+	EvSplitClaim    // split owner lock taken, claim re-checked; A = segment addr
 	EvSplitMigrate  // records copied to sibling; A = old seg, B = new seg
 	EvSplitPublish  // directory entries flipped; A = old seg, B = new seg
 	EvSplitSweep    // moved records swept from old seg; A = old seg, B = stall ns
@@ -41,7 +41,7 @@ var evNames = map[EventType]string{
 	EvUpdate:        "update",
 	EvDelete:        "delete",
 	EvSplitTrigger:  "split-trigger",
-	EvSplitCAS:      "split-cas",
+	EvSplitClaim:    "split-claim",
 	EvSplitMigrate:  "split-migrate",
 	EvSplitPublish:  "split-publish",
 	EvSplitSweep:    "split-sweep",

@@ -25,10 +25,11 @@ var chargeKinds = []struct {
 
 func costPool(t testing.TB, m *CostModel) *Pool {
 	t.Helper()
-	p, err := NewPool(Options{Size: 1 << 20, CostModel: m})
+	p, err := NewPool(Options{Size: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetModel(m)
 	return p
 }
 

@@ -15,9 +15,9 @@
 // receives a line only when it is flushed, plus one atomic state word per
 // line (clean or dirty, and busy while it is being copied); Crash discards
 // everything that never reached media, exactly like power loss discards
-// dirty CPU cachelines. An optional CostModel charges Optane-shaped latencies
-// and a bandwidth penalty so that excessive PM traffic destroys multicore
-// scalability the way it does on the real DIMMs.
+// dirty CPU cachelines. An optional CostModel (SetModel) charges
+// Optane-shaped latencies and a bandwidth penalty so that excessive PM
+// traffic destroys multicore scalability the way it does on the real DIMMs.
 //
 // On top of the raw arena, VarLog (varlog.go) provides a crash-consistent
 // bump-allocated log of variable-length key/value blobs — the record store
@@ -89,9 +89,6 @@ type Pool struct {
 type Options struct {
 	// Size is the arena capacity in bytes. Rounded up to a cacheline.
 	Size uint64
-	// CostModel, when non-nil, charges simulated Optane latencies on every
-	// tracked PM access. Leave nil for functional tests.
-	CostModel *CostModel
 	// TrackCrashes enables the media image and line table Crash and Snapshot
 	// need: Size bytes of media plus 4 bytes per cacheline. Every store then
 	// marks its line and every flush copies it, so it is meant for
@@ -114,7 +111,6 @@ func NewPool(opt Options) (*Pool, error) {
 		words: words,
 		data:  unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
 		size:  size,
-		model: opt.CostModel,
 	}
 	if opt.TrackCrashes {
 		p.crash = newTracker(size)

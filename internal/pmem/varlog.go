@@ -352,11 +352,14 @@ func (l *VarLog) QuietValueU64(a Addr) uint64 {
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// KeyBytes returns a copy of the blob's key (charged).
+// KeyBytes returns a read view of the blob's key, charging its lines. The
+// bytes are immutable until the blob is freed, so the view is good for as
+// long as the caller keeps the blob from reclamation.
 func (l *VarLog) KeyBytes(a Addr) []byte {
 	p := l.pool
 	klen, _ := blobHeaderLens(p.QuietLoadU64(a))
-	return p.ReadBytes(a.Add(BlobHeaderSize), uint64(klen))
+	p.TouchRead(a.Add(BlobHeaderSize), uint64(klen))
+	return p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen))
 }
 
 // RecoverChunks rebuilds the log's chunk-level DRAM state after Open — the

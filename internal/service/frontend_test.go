@@ -67,7 +67,7 @@ func TestFrontendBatchReducesFences(t *testing.T) {
 // and key volume chosen so shards split segments concurrently while reads,
 // updates and deletes run against them.
 func TestFrontendPipelinedMixedOpsRace(t *testing.T) {
-	s, err := New(Config{Shards: 4, PoolSize: 16 << 20, Seed: 21, InitialDepth: 1})
+	s, err := New(Config{Shards: 4, PoolSize: 16 << 20, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}

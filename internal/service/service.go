@@ -58,9 +58,6 @@ type Config struct {
 	// hash. Reopening the same images requires the same seed, because the
 	// routing seed is DRAM-only state.
 	Seed uint64
-	// InitialDepth is each shard table's starting global depth (see
-	// core.Options).
-	InitialDepth uint8
 	// TrackCrashes enables crash tracking on every shard's pool (see
 	// pmem.Options).
 	TrackCrashes bool
@@ -106,10 +103,7 @@ func New(cfg Config) (*Shards, error) {
 			return nil, fmt.Errorf("service: shard %d pool: %w", i, err)
 		}
 		s.pools[i] = pool
-		s.tables[i], err = core.Create(pool, core.Options{
-			InitialDepth: cfg.InitialDepth,
-			Seed:         tableSeed(cfg.Seed, i),
-		})
+		s.tables[i], err = core.Create(pool, core.Options{Seed: tableSeed(cfg.Seed, i)})
 		if err != nil {
 			return nil, fmt.Errorf("service: shard %d create: %w", i, err)
 		}
