@@ -85,7 +85,8 @@ docs-check: vet
 			TestMirrorHeaderPairsShareALine \
 			segOffSplit splitStateInFlight segRecDone segRecPending segRecInFlight markerWords \
 			TestCrashAfterSplitMarker \
-			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots; do \
+			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots \
+			ReadBytes; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -4,16 +4,31 @@ import (
 	"runtime"
 	"sync/atomic"
 	"unsafe"
+
+	"dash/internal/obs"
 )
 
 // Every access to the arena goes through this file, and every store through
-// one function, store. The accessors are the instrumented data path: they
-// perform the memory operation, record PM traffic, charge the cost model and
-// mark the crash tracker's lines dirty, so that the experiment counters mean
-// something and Crash discards exactly what real hardware would.
+// one function, store — save NewPool's page advice (hugepage_linux.go),
+// which stores zero bytes into the still all-zero arena before the pool is
+// handed out. The accessors are the instrumented data path: they
+// read the clock, perform the memory operation, record PM traffic, charge
+// the cost model and mark the crash tracker's lines dirty, in that order, so
+// that the experiment counters mean something and Crash discards exactly
+// what real hardware would.
 //
-// Each direction has a charged and a quiet form for a word and for a byte
-// range: LoadU64 / QuietLoadU64 and ReadBytes / QuietBytes for loads,
+// The clock comes first because a charge prices the access, not what
+// follows it: the door reads the clock before the host touches the arena,
+// and the charge spends only what the host access left of the modelled
+// latency. A simulated PM access then takes about the model's time (plus
+// one clock read), not the host's cache and TLB misses on the arena plus
+// the model's time. TouchRead, which charges lines its caller reads through
+// a quiet view, loads one word of each line before it spends, so those
+// reads hit lines fetched while the model's latency ran. With no model
+// installed the door reads no clock.
+//
+// Each direction has a charged and a quiet form for a word, and a quiet
+// form for a byte range: LoadU64 / QuietLoadU64 and QuietBytes for loads,
 // StoreU64 / QuietStoreU64 and QuietStoreBytes for stores; TouchRead and
 // TouchWrite charge for a range a caller moved quietly (VarLog.Append stores
 // a blob's header words and bytes quietly and charges the blob's lines
@@ -45,7 +60,8 @@ import (
 
 // store is the pool's one door for PM stores: it writes either the word v at
 // a, atomically (word), or the bytes of src (a range; an empty one stores
-// nothing), then charges the lines written (if charged) and marks them dirty.
+// nothing), then charges the lines written (if charged) from the clock read
+// it took before the store, and marks them dirty.
 func (p *Pool) store(a Addr, word bool, v uint64, src []byte, charged bool) {
 	n := uint64(8)
 	if !word {
@@ -54,6 +70,10 @@ func (p *Pool) store(a Addr, word bool, v uint64, src []byte, charged bool) {
 		}
 	}
 	p.check(a, n)
+	var now int64
+	if charged {
+		now = p.entryClock()
+	}
 	t := p.crash
 	switch {
 	case word:
@@ -70,7 +90,7 @@ func (p *Pool) store(a Addr, word bool, v uint64, src []byte, charged bool) {
 		}
 	}
 	if charged {
-		p.onWrite(a, n)
+		p.onWrite(a, n, now)
 	}
 	if t != nil {
 		t.markDirty(a, n)
@@ -96,8 +116,10 @@ func (p *Pool) WriteU64(a Addr, v uint64) { p.StoreU64(a, v) }
 // LoadU64 atomically loads the uint64 at a (8-aligned), charged.
 func (p *Pool) LoadU64(a Addr) uint64 {
 	p.check(a, 8)
-	p.onRead(a, 8)
-	return atomic.LoadUint64(p.word(a))
+	now := p.entryClock()
+	v := atomic.LoadUint64(p.word(a))
+	p.onRead(a, 8, now)
+	return v
 }
 
 // QuietLoadU64 atomically loads the uint64 at a without accounting.
@@ -108,14 +130,6 @@ func (p *Pool) QuietLoadU64(a Addr) uint64 {
 
 // ReadU64 is LoadU64.
 func (p *Pool) ReadU64(a Addr) uint64 { return p.LoadU64(a) }
-
-// ReadBytes copies n bytes at a out of the pool, charged.
-func (p *Pool) ReadBytes(a Addr, n uint64) []byte {
-	out := make([]byte, n)
-	copy(out, p.QuietBytes(a, n))
-	p.onRead(a, n)
-	return out
-}
 
 // QuietBytes returns a read view of [a, a+n) without accounting, for
 // callers that pay with TouchRead. Stores go through QuietStoreBytes.
@@ -130,26 +144,59 @@ func (p *Pool) QuietBytes(a Addr, n uint64) []byte {
 func (p *Pool) Bytes(a Addr, n uint64) []byte { return p.QuietBytes(a, n) }
 
 // TouchRead charges a PM read of [a, a+n) made through a quiet view (e.g. a
-// bulk key comparison).
-func (p *Pool) TouchRead(a Addr, n uint64) { p.check(a, n); p.onRead(a, n) }
+// bulk key comparison). Under a cost model it first loads one word of each
+// line, so the host fetches the lines the caller reads next while the
+// charge spends the modelled latency, not after it.
+func (p *Pool) TouchRead(a Addr, n uint64) { p.touchRead(a, n, p.entryClock()) }
+
+// touchRead is TouchRead counting from the entry clock now, which a caller
+// that loaded part of the range quietly took before that load.
+func (p *Pool) touchRead(a Addr, n uint64, now int64) {
+	p.check(a, n)
+	if now != 0 {
+		p.touchLines(a, n)
+	}
+	p.onRead(a, n, now)
+}
 
 // TouchWrite charges a PM write of [a, a+n) made through quiet stores, which
 // tracked the lines themselves.
-func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n) }
+func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n, p.entryClock()) }
 
-func (p *Pool) onRead(a Addr, n uint64) {
-	lines := lineSpan(a, n)
-	p.stats.addRead(lines)
-	if p.model != nil {
-		p.stats.addDevice(devRead, p.model.chargeRead(lines))
+// entryClock is a charged door's clock read, taken before the host access it
+// prices so that the charge spends only the modelled time the access left:
+// the obs.Now timeline, or 0 when no model is installed (nothing to spend).
+func (p *Pool) entryClock() int64 {
+	if p.model == nil {
+		return 0
+	}
+	return obs.Now()
+}
+
+// touchLines atomically loads one aligned word of [a, a+n) in each line that
+// holds a whole one, and discards it. The loads only start the host's line
+// fetches; they stay inside the range, whose bytes no other goroutine stores
+// while the caller reads them.
+func (p *Pool) touchLines(a Addr, n uint64) {
+	end := uint64(a) + n
+	for w := (uint64(a) + 7) &^ 7; w+8 <= end; w = (w + CachelineSize) &^ (CachelineSize - 1) {
+		atomic.LoadUint64(p.word(Addr(w)))
 	}
 }
 
-func (p *Pool) onWrite(a Addr, n uint64) {
+func (p *Pool) onRead(a Addr, n uint64, now int64) {
+	lines := lineSpan(a, n)
+	p.stats.addRead(lines)
+	if p.model != nil {
+		p.stats.addDevice(devRead, p.model.chargeRead(lines, now))
+	}
+}
+
+func (p *Pool) onWrite(a Addr, n uint64, now int64) {
 	lines := lineSpan(a, n)
 	p.stats.addWrite(lines)
 	if p.model != nil {
-		p.stats.addDevice(devWrite, p.model.chargeWrite(lines))
+		p.stats.addDevice(devWrite, p.model.chargeWrite(lines, now))
 	}
 }
 

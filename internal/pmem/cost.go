@@ -26,16 +26,24 @@ import (
 //
 // Device time is made to pass by spinning the calling goroutine on the
 // process's monotonic clock (obs.Now), and a clock read costs about as much
-// as the cheapest thing being priced. So a charge reads the clock once at
-// entry — for the regulator and the spin deadline both — and settles through
-// a per-goroutine carry ledger (spend): what a spin overshot is credited to
-// the goroutine's next charge, and a charge smaller than a clock read waits
-// on the ledger for the next spin. The ledger moves time between adjacent
-// charges of one goroutine and bounds how much: credit never exceeds tickNS
-// and debt stays below deferNS, so a goroutine is never ahead of or behind
-// its device time by 100 ns, and over any run of charges it is never charged
-// less than their sum. Flush is still eager and synchronous; the ledger is
-// the seam an asynchronous Flush with a draining Fence would book into.
+// as the cheapest thing being priced: 56 ns per read in the benchmark's own
+// probe (bench.clock_read_ns) on the 2-CPU reference box, 66–83 ns per
+// obs.Now in a tight loop there. So a charge reads the clock once, for the
+// regulator and the spin deadline both, and that read is its entry clock:
+// the pool's door (access.go) takes it before the host access the charge
+// prices, so the host's own cache and TLB misses on the arena count toward
+// the modelled latency instead of being added to it; Flush and Fence, which
+// touch no arena on an untracked pool, let the charge take its own. Each
+// charge settles through a per-goroutine carry ledger (spend): what a spin
+// overshot — or what the host access alone outlasted the model by — is
+// credited to the goroutine's next charge, and a charge smaller than a
+// clock read waits on the ledger for the next spin. The ledger moves time
+// between adjacent charges of one goroutine and bounds how much: credit
+// never exceeds tickNS and debt stays below deferNS, so a goroutine is never
+// ahead of or behind its device time by 100 ns, and over any run of charges
+// it is never charged less than their sum. Flush is still eager and
+// synchronous; the ledger is the seam an asynchronous Flush with a draining
+// Fence would book into.
 //
 // All costs scale by Scale so test suites can run the same code path fast.
 type CostModel struct {
@@ -105,12 +113,13 @@ func (m *CostModel) scale(ns int64) int64 {
 }
 
 // The carry ledger's two bounds. The spin loop samples the clock once per
-// read, 37–47 ns on the reference box, so an undisturbed spin overshoots its
-// deadline by less than one read; tickNS, one read rounded up to a power of
-// two, is the most credit a spin may bank, however late a pre-empted one
-// wakes. deferNS is the smallest charge worth a clock read of its own: below
-// the cheapest read measured, above the 25 ns fence, and no more than tickNS/2
-// so the debt a goroutine parks on two shards still sums to under one tick.
+// read, 56–83 ns on the reference box, so an undisturbed spin overshoots its
+// deadline by about one read; tickNS, a power of two near one read, is the
+// most credit a spin may bank, however late a pre-empted one wakes or
+// however long the host access before it took. deferNS is the smallest
+// charge worth a clock read of its own: below the cheapest read measured,
+// above the 25 ns fence, and no more than tickNS/2 so the debt a goroutine
+// parks on two shards still sums to under one tick.
 const (
 	tickNS  = 64
 	deferNS = 32
@@ -159,11 +168,17 @@ func (m *CostModel) spend(ns, now int64) {
 // the scaled base latency, and the bandwidth queueing beyond it.
 type charged struct{ baseNS, queueNS int64 }
 
-// charge prices one regulated access: a single clock read at entry serves
-// both the bandwidth regulator (busyNS of device time on clock) and the spin
+// charge prices one regulated access: a single clock read serves both the
+// bandwidth regulator (busyNS of device time on clock) and the spin
 // deadline, latencyNS or the queueing delay past it, whichever is longer.
-func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS int64) charged {
-	now := obs.Now()
+// That read is now, the door's entry clock, taken before the host access
+// the charge prices, so the spin pays only what the access left of the
+// modelled time; 0 means the caller took none, and charge reads the clock
+// itself.
+func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS, now int64) charged {
+	if now == 0 {
+		now = obs.Now()
+	}
 	c := charged{baseNS: m.scale(latencyNS)}
 	if q := regulate(clock, now, m.scale(busyNS)); q > c.baseNS {
 		c.queueNS = q - c.baseNS
@@ -172,17 +187,18 @@ func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS int64) charged
 	return c
 }
 
-func (m *CostModel) chargeRead(lines uint64) charged {
-	return m.charge(&m.readClock, int64(lines)*m.ReadLineNS, m.ReadLatencyNS)
+func (m *CostModel) chargeRead(lines uint64, now int64) charged {
+	return m.charge(&m.readClock, int64(lines)*m.ReadLineNS, m.ReadLatencyNS, now)
 }
 
-func (m *CostModel) chargeWrite(lines uint64) charged {
-	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.WriteLatencyNS)
+func (m *CostModel) chargeWrite(lines uint64, now int64) charged {
+	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.WriteLatencyNS, now)
 }
 
-// A flush pushes the lines toward media, consuming write bandwidth.
+// A flush pushes the lines toward media, consuming write bandwidth. It takes
+// its clock read at the charge: an untracked flush touches no host memory.
 func (m *CostModel) chargeFlush(lines uint64) charged {
-	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.FlushNS)
+	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.FlushNS, 0)
 }
 
 func (m *CostModel) chargeFence() charged {

@@ -156,6 +156,53 @@ func TestPreemptedSpinBanksOneTick(t *testing.T) {
 	}
 }
 
+// TestChargeCountsFromEntryClock: a charge counts from the clock read its
+// door took before the host access. One whose entry lies further back than
+// its latency returns at its first clock read, books exactly its modelled
+// time and banks at most one tick of credit; one entered now still waits
+// its full latency. The latencies are 20 µs, so "did not spin" is a bound
+// no clock read or pre-emption-free call comes near.
+func TestChargeCountsFromEntryClock(t *testing.T) {
+	const latency = 20_000
+	for _, kind := range []struct {
+		name   string
+		charge func(p *Pool, a Addr, now int64)
+		want   DeviceNS
+	}{
+		{"read", func(p *Pool, a Addr, now int64) { p.onRead(a, 8, now) }, DeviceNS{Read: latency}},
+		{"write", func(p *Pool, a Addr, now int64) { p.onWrite(a, 8, now) }, DeviceNS{Write: latency}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			m := &CostModel{ReadLatencyNS: latency, WriteLatencyNS: latency, ReadLineNS: 7, WriteLineNS: 26}
+			p := costPool(t, m)
+			took := int64(1) << 62
+			for try := 0; try < 5; try++ { // best of a few: a pre-empted call says nothing
+				setCarry(m, 0)
+				before := p.Stats()
+				t0 := obs.Now()
+				kind.charge(p, lineAddr(try), t0-10*latency)
+				took = min(took, obs.Now()-t0)
+				if got := p.Stats().Sub(before).DeviceNS; got != kind.want {
+					t.Errorf("a late-entered charge booked %+v, want %+v", got, kind.want)
+				}
+				if credit := -carrySum(t, m); credit < 0 || credit > tickNS {
+					t.Errorf("a late-entered charge left %d ns of credit, want 0..%d", credit, tickNS)
+				}
+			}
+			if took >= latency/2 {
+				t.Errorf("a late-entered charge took %d ns: it spun, though its %d ns latency had passed at entry", took, latency)
+			}
+
+			setCarry(m, 0)
+			t0 := obs.Now()
+			kind.charge(p, lineAddr(8), t0)
+			if took, unspent := obs.Now()-t0, carrySum(t, m); took+unspent < latency {
+				t.Errorf("a charge entered now took %d ns (+%d on the ledger), want its %d ns latency", took, unspent, latency)
+			}
+		})
+	}
+}
+
 // TestScaleDividesEveryCharge: at Scale 4 every kind owes a quarter (integer
 // division) and is still never under-charged.
 func TestScaleDividesEveryCharge(t *testing.T) {

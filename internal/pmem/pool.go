@@ -10,7 +10,8 @@
 // The pool models the persistence domain of real hardware: a store becomes
 // durable only once its cacheline has been flushed (CLWB) and a fence has
 // ordered the flush. Every store enters the arena through one door
-// (access.go) that stores, charges and marks the line dirty, in that order.
+// (access.go) that reads the clock, stores, charges and marks the line
+// dirty, in that order.
 // With crash tracking enabled the pool keeps a shadow "media" image that
 // receives a line only when it is flushed, plus one atomic state word per
 // line (clean or dirty, and busy while it is being copied); Crash discards
@@ -18,6 +19,13 @@
 // dirty CPU cachelines. An optional CostModel (SetModel) charges
 // Optane-shaped latencies and a bandwidth penalty so that excessive PM
 // traffic destroys multicore scalability the way it does on the real DIMMs.
+//
+// The arena is a Go-heap slice (so the runtime's heap figures count it),
+// and on Linux its 2 MiB-aligned interior is advised onto transparent huge
+// pages when the kernel offers them (hugepage_linux.go): a simulated PM
+// access should cost the model's time, and an arena of a hundred MiB on
+// 4 KiB pages would add a host TLB walk to most of them. The door's charges
+// count from before the host access for the same reason (access.go).
 //
 // On top of the raw arena, VarLog (varlog.go) provides a crash-consistent
 // bump-allocated log of variable-length key/value blobs — the record store
@@ -112,6 +120,7 @@ func NewPool(opt Options) (*Pool, error) {
 		data:  unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
 		size:  size,
 	}
+	adviseHugePages(p.data)
 	if opt.TrackCrashes {
 		p.crash = newTracker(size)
 	}

@@ -313,9 +313,13 @@ func (l *VarLog) Lens(a Addr) (klen, vlen int) {
 // lines), which is why the extractors (QuietAppendValue, QuietValueU64)
 // charge nothing. On the rare non-match (a full-hash collision) withValue
 // over-charges the value lines; the caller's filter makes that negligible
-// against the line a split charge would double-count on every match.
+// against the line a split charge would double-count on every match. The
+// charge counts from a clock read taken before the header load, which is
+// the first host access to the blob and usually a miss; a length mismatch
+// returns uncharged.
 func (l *VarLog) KeyEquals(a Addr, key []byte, withValue bool) bool {
 	p := l.pool
+	now := p.entryClock()
 	klen, vlen := blobHeaderLens(p.QuietLoadU64(a))
 	if klen != len(key) {
 		return false
@@ -324,7 +328,7 @@ func (l *VarLog) KeyEquals(a Addr, key []byte, withValue bool) bool {
 	if withValue {
 		n += uint64(vlen)
 	}
-	p.TouchRead(a, n)
+	p.touchRead(a, n, now)
 	return string(p.QuietBytes(a.Add(BlobHeaderSize), uint64(klen))) == string(key)
 }
 

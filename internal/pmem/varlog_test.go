@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -444,5 +445,106 @@ func TestVarLogAppendRacesFlush(t *testing.T) {
 				t.Fatalf("blob %#x: value = %x, want %x", r.a, got, r.v)
 			}
 		}
+	}
+}
+
+// FuzzBlobHeader: packBlobHeader round-trips every legal (key length, value
+// length, capacity) through blobHeaderLens and blobHeaderCap, and Holds, on
+// a one-chunk log with a fuzzed word at a fuzzed 16-aligned address of the
+// chunk, never panics and accepts only a non-empty key whose blob ends at
+// or below the chunk's frontier.
+func FuzzBlobHeader(f *testing.F) {
+	for _, seed := range []struct {
+		klen, vlen, capPad uint16
+		word               uint64
+		slot               uint16
+	}{
+		{1, 0, 0, packBlobHeader(1, 0, blobCap(1, 0)), 0},
+		{16, 64, 0, packBlobHeader(16, 64, blobCap(16, 64)), 0},
+		{MaxVarKeyLen, MaxVarValueLen, 0xFFFF, packBlobHeader(MaxVarKeyLen, 0, blobCap(MaxVarKeyLen, 0)), 0},
+		{32, 256, 3, packBlobHeader(0, 40, blobCap(0, 40)), 1},
+		{24, 100, 1, ^uint64(0), 2},
+		{8, 8, 0, packBlobHeader(8, 8, blobCap(8, 8)), 5},
+		{8, 8, 0, 0, 500},
+	} {
+		f.Add(seed.klen, seed.vlen, seed.capPad, seed.word, seed.slot)
+	}
+	f.Fuzz(func(t *testing.T, klen16, vlen16, capPad uint16, word uint64, slot uint16) {
+		klen, vlen := int(klen16)%(MaxVarKeyLen+1), int(vlen16)%(MaxVarValueLen+1)
+		capBytes := min(blobCap(klen, vlen)+uint64(capPad)*blobAlign, maxBlobCap)
+		h := packBlobHeader(klen, vlen, capBytes)
+		if k, v := blobHeaderLens(h); k != klen || v != vlen {
+			t.Fatalf("header %#x: lens (%d, %d), packed (%d, %d)", h, k, v, klen, vlen)
+		}
+		if c := blobHeaderCap(h); c != capBytes || h>>48 != 0 {
+			t.Fatalf("header %#x: capacity %d, packed %d", h, c, capBytes)
+		}
+
+		const chunkSize = 4096
+		p, l := testLog(t, 16<<10, chunkSize)
+		if _, err := l.Append([]byte("fuzz-key"), make([]byte, 40)); err != nil {
+			t.Fatal(err)
+		}
+		chunk := Addr(p.QuietLoadU64(Addr(CachelineSize)))
+		frontier := p.QuietLoadU64(chunk.Add(chunkOffBump))
+		a := chunk.Add(chunkHeaderSize + uint64(slot)*blobAlign%(chunkSize-chunkHeaderSize))
+		p.QuietStoreU64(a, word)
+		if !l.Holds(a) {
+			return
+		}
+		k, v := blobHeaderLens(word)
+		if k == 0 || uint64(a)+BlobHeaderSize+uint64(k)+uint64(v) > frontier {
+			t.Fatalf("Holds(%#x) accepts header %#x: key %d, value %d bytes, frontier %#x", a, word, k, v, frontier)
+		}
+	})
+}
+
+// BenchmarkChargedBlobRead times one Get's blob read under the default
+// Optane model: KeyEquals with the value, then QuietAppendValue, on blobs of
+// 88–296 bytes (keys 16–32, values 64–256, like the var_churn workload) at
+// random addresses of an untracked 128 MiB pool, so the host's cache and
+// TLB misses on the arena land inside the charge or after it, as the door
+// orders them.
+func BenchmarkChargedBlobRead(b *testing.B) {
+	p, err := NewPool(Options{Size: 128 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	headAddr, next := Addr(CachelineSize), Addr(4*CachelineSize)
+	l := NewVarLog(p, headAddr, 0, func(size uint64) (Addr, error) {
+		if uint64(next)+size > p.Size() {
+			return Null, errors.New("pool full")
+		}
+		a := next
+		next = next.Add(size)
+		return a, nil
+	})
+	keyOf := func(buf []byte, i int) []byte {
+		buf = buf[:16+i%17]
+		for j := range buf {
+			buf[j] = byte(i >> (8 * (j % 4)))
+		}
+		return buf
+	}
+	var key [32]byte
+	value := make([]byte, 256)
+	var addrs []Addr
+	for i := 0; ; i++ {
+		a, err := l.Append(keyOf(key[:], i), value[:64+i*37%193])
+		if err != nil {
+			break
+		}
+		addrs = append(addrs, a)
+	}
+	p.SetModel(DefaultOptane())
+	rng := rand.New(rand.NewPCG(1, 2))
+	dst := make([]byte, 0, 256)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := rng.IntN(len(addrs))
+		if !l.KeyEquals(addrs[i], keyOf(key[:], i), true) {
+			b.Fatalf("blob %d: key mismatch", i)
+		}
+		dst = l.QuietAppendValue(dst[:0], addrs[i])
 	}
 }
