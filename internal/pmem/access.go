@@ -160,8 +160,9 @@ func (p *Pool) touchRead(a Addr, n uint64, now int64) {
 }
 
 // TouchWrite charges a PM write of [a, a+n) made through quiet stores, which
-// tracked the lines themselves.
-func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n, p.entryClock()) }
+// tracked the lines themselves. The stores came first, so the charge takes
+// its own clock read.
+func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n, 0) }
 
 // entryClock is a charged door's clock read, taken before the host access it
 // prices so that the charge spends only the modelled time the access left:

@@ -28,12 +28,14 @@ import (
 // process's monotonic clock (obs.Now), and a clock read costs about as much
 // as the cheapest thing being priced: 56 ns per read in the benchmark's own
 // probe (bench.clock_read_ns) on the 2-CPU reference box, 66–83 ns per
-// obs.Now in a tight loop there. So a charge reads the clock once, for the
-// regulator and the spin deadline both, and that read is its entry clock:
-// the pool's door (access.go) takes it before the host access the charge
-// prices, so the host's own cache and TLB misses on the arena count toward
-// the modelled latency instead of being added to it; Flush and Fence, which
-// touch no arena on an untracked pool, let the charge take its own. Each
+// obs.Now in a tight loop there. So a spin's deadline counts from an entry
+// clock that the pool's door (access.go) reads before the host access the
+// charge prices, so the host's own cache and TLB misses on the arena count
+// toward the modelled latency instead of being added to it; Flush and
+// Fence, which touch no arena on an untracked pool, take none. The charge's
+// own read, after the access, serves the bandwidth regulator and is the
+// spin's first loop sample, so a charged access that has to spin reads the
+// clock no more often than one priced from that read alone. Each
 // charge settles through a per-goroutine carry ledger (spend): what a spin
 // overshot — or what the host access alone outlasted the model by — is
 // credited to the goroutine's next charge, and a charge smaller than a
@@ -135,8 +137,9 @@ type ledgerShard struct {
 
 // spend is the one spin kernel. It makes the calling goroutine's wall time
 // pass for ns of device time plus whatever its ledger carries, measured from
-// now — the caller's entry clock read, or 0 if it took none (a fence has no
-// regulator to consult). What it owes below deferNS rides on the ledger to
+// from — the door's entry clock read, or 0 to measure from the first clock
+// read — and takes now, a clock read the caller already made (0 if none), as
+// its first loop sample. What it owes below deferNS rides on the ledger to
 // the goroutine's next charge instead of buying clock reads of its own; what
 // the last loop read shows the spin overshot is credited to that next charge,
 // clamped to tickNS. The carry only ever moves by Add, by exactly what this
@@ -144,7 +147,7 @@ type ledgerShard struct {
 // share a shard or one goroutine's call depths straddle two: a collision can
 // push a shard past a bound until its next charge settles it, never lose
 // device time or spend a credit twice.
-func (m *CostModel) spend(ns, now int64) {
+func (m *CostModel) spend(ns, from, now int64) {
 	sh := &m.ledger[obs.GoShard()]
 	carry := sh.carry.Load()
 	owed := ns + carry
@@ -155,9 +158,12 @@ func (m *CostModel) spend(ns, now int64) {
 	if now == 0 {
 		now = obs.Now()
 	}
-	deadline := now + owed
-	for {
-		if over := obs.Now() - deadline; over >= 0 {
+	if from == 0 {
+		from = now
+	}
+	deadline := from + owed
+	for ; ; now = obs.Now() {
+		if over := now - deadline; over >= 0 {
 			sh.carry.Add(-carry - min(over, tickNS))
 			return
 		}
@@ -168,31 +174,31 @@ func (m *CostModel) spend(ns, now int64) {
 // the scaled base latency, and the bandwidth queueing beyond it.
 type charged struct{ baseNS, queueNS int64 }
 
-// charge prices one regulated access: a single clock read serves both the
-// bandwidth regulator (busyNS of device time on clock) and the spin
-// deadline, latencyNS or the queueing delay past it, whichever is longer.
-// That read is now, the door's entry clock, taken before the host access
-// the charge prices, so the spin pays only what the access left of the
-// modelled time; 0 means the caller took none, and charge reads the clock
-// itself.
-func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS, now int64) charged {
-	if now == 0 {
-		now = obs.Now()
-	}
+// charge prices one regulated access. Its clock read, taken after the host
+// access, serves the bandwidth regulator (busyNS of device time on clock)
+// and is the spin's first loop sample; the spin, latencyNS or the queueing
+// past it, whichever is longer, counts from entry, the door's clock read
+// taken before the host access, so it pays only what the access left of the
+// modelled time. The regulator keeps the read after the access: an entry
+// clock that reached it late, behind another goroutine's later read, would
+// book the device's idle time in between as queueing. entry 0 means the
+// caller took none (nothing came before the charge).
+func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS, entry int64) charged {
+	now := obs.Now()
 	c := charged{baseNS: m.scale(latencyNS)}
 	if q := regulate(clock, now, m.scale(busyNS)); q > c.baseNS {
 		c.queueNS = q - c.baseNS
 	}
-	m.spend(c.baseNS+c.queueNS, now)
+	m.spend(c.baseNS+c.queueNS, entry, now)
 	return c
 }
 
-func (m *CostModel) chargeRead(lines uint64, now int64) charged {
-	return m.charge(&m.readClock, int64(lines)*m.ReadLineNS, m.ReadLatencyNS, now)
+func (m *CostModel) chargeRead(lines uint64, entry int64) charged {
+	return m.charge(&m.readClock, int64(lines)*m.ReadLineNS, m.ReadLatencyNS, entry)
 }
 
-func (m *CostModel) chargeWrite(lines uint64, now int64) charged {
-	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.WriteLatencyNS, now)
+func (m *CostModel) chargeWrite(lines uint64, entry int64) charged {
+	return m.charge(&m.writeClock, int64(lines)*m.WriteLineNS, m.WriteLatencyNS, entry)
 }
 
 // A flush pushes the lines toward media, consuming write bandwidth. It takes
@@ -203,6 +209,6 @@ func (m *CostModel) chargeFlush(lines uint64) charged {
 
 func (m *CostModel) chargeFence() charged {
 	c := charged{baseNS: m.scale(m.FenceNS)}
-	m.spend(c.baseNS, 0)
+	m.spend(c.baseNS, 0, 0)
 	return c
 }

@@ -3,6 +3,7 @@ package pmem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,7 +145,7 @@ func TestPreemptedSpinBanksOneTick(t *testing.T) {
 	for k, kind := range chargeKinds {
 		m := DefaultOptane()
 		p := costPool(t, m)
-		m.spend(m.scale(m.ReadLatencyNS), obs.Now()-int64(time.Millisecond))
+		m.spend(m.scale(m.ReadLatencyNS), obs.Now()-int64(time.Millisecond), 0)
 		if got := carrySum(t, m); got != -tickNS {
 			t.Fatalf("%s: late spin banked %d ns, want %d", kind.name, got, -tickNS)
 		}
@@ -156,21 +157,25 @@ func TestPreemptedSpinBanksOneTick(t *testing.T) {
 	}
 }
 
-// TestChargeCountsFromEntryClock: a charge counts from the clock read its
-// door took before the host access. One whose entry lies further back than
-// its latency returns at its first clock read, books exactly its modelled
-// time and banks at most one tick of credit; one entered now still waits
-// its full latency. The latencies are 20 µs, so "did not spin" is a bound
-// no clock read or pre-emption-free call comes near.
+// TestChargeCountsFromEntryClock: a charge's spin counts from the clock read
+// its door took before the host access. One whose entry lies further back
+// than its latency returns at its first clock read, books exactly its
+// modelled time and banks at most one tick of credit; one entered now still
+// waits its full latency. The bandwidth regulator reads the clock after the
+// access instead: an entry older than an idle device's last booking (by an
+// access that entered later but reached the regulator first) books no
+// queueing. The latencies are 20 µs, so "did not spin" is a bound no clock
+// read or pre-emption-free call comes near.
 func TestChargeCountsFromEntryClock(t *testing.T) {
 	const latency = 20_000
 	for _, kind := range []struct {
 		name   string
 		charge func(p *Pool, a Addr, now int64)
+		clock  func(m *CostModel) *atomic.Int64
 		want   DeviceNS
 	}{
-		{"read", func(p *Pool, a Addr, now int64) { p.onRead(a, 8, now) }, DeviceNS{Read: latency}},
-		{"write", func(p *Pool, a Addr, now int64) { p.onWrite(a, 8, now) }, DeviceNS{Write: latency}},
+		{"read", func(p *Pool, a Addr, now int64) { p.onRead(a, 8, now) }, func(m *CostModel) *atomic.Int64 { return &m.readClock }, DeviceNS{Read: latency}},
+		{"write", func(p *Pool, a Addr, now int64) { p.onWrite(a, 8, now) }, func(m *CostModel) *atomic.Int64 { return &m.writeClock }, DeviceNS{Write: latency}},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			m := &CostModel{ReadLatencyNS: latency, WriteLatencyNS: latency, ReadLineNS: 7, WriteLineNS: 26}
@@ -198,6 +203,14 @@ func TestChargeCountsFromEntryClock(t *testing.T) {
 			kind.charge(p, lineAddr(8), t0)
 			if took, unspent := obs.Now()-t0, carrySum(t, m); took+unspent < latency {
 				t.Errorf("a charge entered now took %d ns (+%d on the ledger), want its %d ns latency", took, unspent, latency)
+			}
+
+			now := obs.Now()
+			kind.clock(m).Store(now)
+			before := p.Stats()
+			kind.charge(p, lineAddr(9), now-2*latency)
+			if got := p.Stats().Sub(before).DeviceNS; got != kind.want {
+				t.Errorf("a charge entered before an idle device's last booking booked %+v, want %+v", got, kind.want)
 			}
 		})
 	}
