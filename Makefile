@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-split ci fmt-check docs-check pm-door benchmark-check bench bench-smoke bench-gate bench-once
+.PHONY: all vet build test race race-split fuzz ci fmt-check docs-check pm-door benchmark-check bench bench-smoke bench-gate bench-once
 
 all: ci
 
@@ -28,6 +28,20 @@ race:
 # of `race` samples few of them.
 race-split:
 	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash' ./internal/core
+
+# fuzz runs each of the tree's fuzz targets for a fixed 10 s, one at a time
+# (go test fuzzes one target per invocation); plain `go test` runs only their
+# seed corpora. A failing input is written under the package's
+# testdata/fuzz/<target>/ and fails the target.
+FUZZ_TARGETS = internal/core:FuzzFPMatches internal/core:FuzzRecordWord \
+	internal/core:FuzzOpenDirectory internal/core:FuzzFirstTouch \
+	internal/pmem:FuzzBlobHeader internal/hashfn:FuzzHash
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz $$name (./$$pkg, 10s)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s ./$$pkg; \
+	done
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -86,7 +100,7 @@ docs-check: vet
 			segOffSplit splitStateInFlight segRecDone segRecPending segRecInFlight markerWords \
 			TestCrashAfterSplitMarker \
 			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots \
-			ReadBytes; do \
+			ReadBytes keyBytes updateOp deleteOp; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -175,7 +175,7 @@ func BenchmarkMirSegSearch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := &c.ps[i&(walk-1)]
 				if _, _, found, _ := mirSegSearch(tbl.vlog, p.mir, &p.pk, false); found != c.found {
-					b.Fatalf("key %d: found = %v", p.pk.u, found)
+					b.Fatalf("key %x: found = %v", p.pk.kb, found)
 				}
 			}
 		})

@@ -3,13 +3,16 @@
 // VLDB 2020) as a stack of four layers, each in its own file with a narrow
 // interface onto the one below:
 //
-//	table.go     — public Insert/Get/Delete/Update (uint64) and
-//	               InsertB/GetB/DeleteB/UpdateB ([]byte) APIs — two views of
-//	               one keyspace; optimistic readers that take no lock and
-//	               write no shared line (epoch.Manager guards) and probe
-//	               only the segment's DRAM mirror, writers on bucket version
-//	               locks; Create/Open/Close, the allocator and routing.
-//	split.go     — segment splits: a per-segment CAS claim on the DRAM
+//	table.go     — public InsertB/GetB/DeleteB/UpdateB ([]byte) API and
+//	               its uint64 view, Insert/Get/Delete/Update: a uint64 key
+//	               is its 8-byte little-endian encoding, the mutators encode
+//	               and call their []byte twins, and Get probes with the
+//	               encoding but extracts a word; optimistic readers that
+//	               take no lock and write no shared line (epoch.Manager
+//	               guards) and probe only the segment's DRAM mirror, writers
+//	               on bucket version locks; Create/Open/Close, the allocator
+//	               and routing.
+//	split.go     — segment splits: the segment's owner mutex on its DRAM
 //	               descriptor, a copy under the old segment's bucket locks
 //	               into a sibling only the owner can reach, and the
 //	               three-step crash-consistent publish. Writers are blind
@@ -29,7 +32,7 @@
 //	               routes through dircache.go and only stores here.
 //	dircache.go  — DRAM-resident mirror of the directory: global depth and,
 //	               per entry, a pointer to the segment's descriptor (PM
-//	               address, split claim, filter mirror), so one load routes
+//	               address, owner mutex, filter mirror), so one load routes
 //	               an operation and hands it everything DRAM knows about
 //	               the segment. The runtime truth of routing: kept exact by
 //	               write-through from splits and doublings, a stale route
@@ -63,9 +66,9 @@
 //	               split.*, epoch.*, varlog.*, recovery.*, pmem.*) and an
 //	               obs.Flight recording every split lifecycle transition,
 //	               route repair, epoch advance and recovery phase, and —
-//	               through the one op prologue/epilogue all eight share
-//	               (opBegin/opEnd: epoch guard, sampling decision, clock
-//	               reads) — a 1-in-64 key-hash sample of op completions
+//	               through the op prologue/epilogue (opBegin/opEnd: epoch
+//	               guard, sampling decision, clock reads) that five sites
+//	               share — Get, GetBAppend, InsertB, UpdateB, DeleteB — a 1-in-64 key-hash sample of op completions
 //	               with their serving path, plus every rare diagnostic
 //	               outcome; Metrics()/TraceSnapshot() expose both, and
 //	               obs.Serve puts them on HTTP.

@@ -38,10 +38,11 @@ import (
 //
 // Because an inline record always has bit 63 clear, a uint64 key with bit
 // 63 set cannot be stored inline and routes through the log as an 8-byte
-// blob; both representations of an 8-byte key are found by every probe, so
-// the uint64 and []byte APIs are two views of one keyspace (a uint64 key is
-// its 8-byte little-endian encoding, and hashfn guarantees HashU64(k) ==
-// Hash64(le(k))).
+// blob; both representations of an 8-byte key are found by every probe. The
+// uint64 API is a view of the []byte one: a uint64 key is its 8-byte
+// little-endian encoding, every probe carries that encoding, and the uint64
+// mutators encode key and value and call their []byte twins (hashfn hashes
+// an 8-byte input with HashU64's code, so HashU64(k) == Hash64(le(k))).
 
 const (
 	recIndirectBit = uint64(1) << 63
@@ -110,40 +111,16 @@ func recSplitParts(kv pmem.KV, seed uint64) hashfn.Parts {
 	return hashfn.Split(recHash(kv, seed))
 }
 
-// probeKey is a representation-agnostic lookup key: precomputed hash parts
-// plus the canonical key in whichever form the caller holds it. kb == nil
-// is the uint64 fast path (canonically the 8-byte little-endian encoding
-// of u): inline records compare words, and only an indirect candidate's
-// blob compare encodes u, into a stack buffer (keyBytes).
+// probeKey is a lookup key: its canonical bytes plus their precomputed
+// hash parts. A uint64 key probes as its 8-byte little-endian encoding, held
+// by the caller on its stack; an inline record matches an 8-byte key by word.
 type probeKey struct {
 	parts hashfn.Parts
-	kb    []byte // canonical key bytes; nil for the uint64 fast path
-	u     uint64 // the key when kb == nil
-}
-
-func (t *Table) probeU64(key uint64) probeKey {
-	return probeKey{parts: t.parts(key), u: key}
+	kb    []byte
 }
 
 func (t *Table) probeBytes(key []byte) probeKey {
 	return probeKey{parts: hashfn.Split(hashfn.Hash64(key, t.seed)), kb: key}
-}
-
-// keyBytes returns the probe's canonical key bytes, using buf for the
-// uint64 fast path.
-func (pk *probeKey) keyBytes(buf *[8]byte) []byte {
-	if pk.kb != nil {
-		return pk.kb
-	}
-	binary.LittleEndian.PutUint64(buf[:], pk.u)
-	return buf[:]
-}
-
-func (pk *probeKey) keyLen() int {
-	if pk.kb != nil {
-		return len(pk.kb)
-	}
-	return 8
 }
 
 // mirRecMatch reports whether the mirrored record words r hold the probe's
@@ -159,19 +136,15 @@ func (pk *probeKey) keyLen() int {
 // lines only.
 func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
 	if !recIsIndirect(r.Key) {
-		if pk.kb == nil {
-			return recWordKey(r.Key) == pk.u
-		}
 		return len(pk.kb) == 8 && binary.LittleEndian.Uint64(pk.kb) == recWordKey(r.Key)
 	}
 	if r.Value != pk.parts.Hash {
 		return false
 	}
-	if c := recClass(r.Key); c != 0 && c != klenClass(pk.keyLen()) {
+	if c := recClass(r.Key); c != 0 && c != klenClass(len(pk.kb)) {
 		return false
 	}
-	var buf [8]byte
-	return vl.KeyEquals(recBlobAddr(r.Key), pk.keyBytes(&buf), !writer)
+	return vl.KeyEquals(recBlobAddr(r.Key), pk.kb, !writer)
 }
 
 // recValueU64 extracts the uint64 view of a record mirRecMatch matched. An

@@ -263,7 +263,7 @@ func TestReaderReadCharges(t *testing.T) {
 	p := tbl.pool
 	// blobLines is the number of cachelines pk's record's blob spans.
 	blobLines := func(pk probeKey, vlen int) uint64 {
-		return lineSpan(blobOf(t, tbl, pk), pmem.BlobHeaderSize+pk.keyLen()+vlen)
+		return lineSpan(blobOf(t, tbl, pk), pmem.BlobHeaderSize+len(pk.kb)+vlen)
 	}
 
 	const n = 300

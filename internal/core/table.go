@@ -338,10 +338,6 @@ func (t *Table) freePush(a pmem.Addr, size uint64) {
 
 func allocRound(size uint64) uint64 { return (size + allocAlign - 1) &^ (allocAlign - 1) }
 
-func (t *Table) parts(key uint64) hashfn.Parts {
-	return hashfn.Split(hashfn.HashU64(key, t.seed))
-}
-
 // lockOwner is every writer's first step: route the key through the DRAM
 // directory cache, take its pair locks in the routed segment, and check that
 // this segment's mirrored header claims the key — no PM read, and under the
@@ -365,26 +361,18 @@ func (t *Table) lockOwner(parts hashfn.Parts, b, b2 int) (*segDesc, *segMirror) 
 	}
 }
 
-// Insert adds key → value. It fails with ErrKeyExists if the key is present
-// and ErrPoolFull if the pool cannot grow the table any further. Keys with
-// bit 63 clear are stored inline (the original fixed-record fast path);
-// bit-63 keys cannot use the inline format (its discriminator bit), nor can
-// recZeroKeyWord (the word 0 that stands for key 0), and they route
-// through the record log as 8-byte blobs (recInlineKey).
+// Insert adds key → value: InsertB of their little-endian encodings. It
+// fails with ErrKeyExists if the key is present and ErrPoolFull if the pool
+// cannot grow the table any further. Keys with bit 63 clear are stored
+// inline (the fixed-record fast path); bit-63 keys cannot use the inline
+// format (its discriminator bit), nor can recZeroKeyWord (the word 0 that
+// stands for key 0), and they go through the record log as 8-byte blobs
+// (recInlineKey).
 func (t *Table) Insert(key, value uint64) error {
-	pk := t.probeU64(key)
-	op := t.opBegin(&pk)
-	var err error
-	if recInlineKey(key) {
-		err = t.insertKV(&pk, pmem.KV{Key: recInlineWord(key), Value: value})
-	} else {
-		var kb, vb [8]byte
-		binary.LittleEndian.PutUint64(kb[:], key)
-		binary.LittleEndian.PutUint64(vb[:], value)
-		err = t.insertIndirect(&pk, kb[:], vb[:])
-	}
-	t.opEnd(op, &pk, obs.EvInsert, insOutcome(err))
-	return err
+	var kb, vb [8]byte
+	binary.LittleEndian.PutUint64(kb[:], key)
+	binary.LittleEndian.PutUint64(vb[:], value)
+	return t.InsertB(kb[:], vb[:])
 }
 
 // InsertB adds a variable-length record. Keys must be non-empty; keys and
@@ -473,12 +461,15 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 // reclaimed, and a key's record is physically present only in segments that
 // route to it — see dircache.go). A miss is trusted once the mirrored claim
 // and the route vouch for it; a stale route waits out the publish that moved
-// it and retries (searchOpt). For a record stored
-// through the log the result is the little-endian uint64 of the value's
-// first 8 bytes (zero-padded when shorter) — the fixed-width view of a
-// variable value.
+// it and retries (searchOpt). Get probes with the key's little-endian
+// encoding, as GetB does, but extracts the value as a word: for a record
+// stored through the log the result is the little-endian uint64 of the
+// value's first 8 bytes (zero-padded when shorter) — the fixed-width view of
+// a variable value.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	pk := t.probeU64(key)
+	var kb [8]byte
+	binary.LittleEndian.PutUint64(kb[:], key)
+	pk := t.probeBytes(kb[:])
 	op := t.opBegin(&pk)
 	kv, found := t.searchOpt(&pk)
 	var v uint64
@@ -550,22 +541,20 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	}
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present: DeleteB of its
+// little-endian encoding.
 func (t *Table) Delete(key uint64) bool {
-	pk := t.probeU64(key)
-	return t.deleteOp(&pk)
+	var kb [8]byte
+	binary.LittleEndian.PutUint64(kb[:], key)
+	return t.DeleteB(kb[:])
 }
 
 // DeleteB removes a variable-length key, reporting whether it was present.
 func (t *Table) DeleteB(key []byte) bool {
 	pk := t.probeBytes(key)
-	return t.deleteOp(&pk)
-}
-
-func (t *Table) deleteOp(pk *probeKey) bool {
-	op := t.opBegin(pk)
-	found := t.deleteByProbe(pk)
-	t.opEnd(op, pk, obs.EvDelete, updOutcome(found, nil))
+	op := t.opBegin(&pk)
+	found := t.deleteByProbe(&pk)
+	t.opEnd(op, &pk, obs.EvDelete, updOutcome(found, nil))
 	return found
 }
 
@@ -587,23 +576,28 @@ func (t *Table) deleteByProbe(pk *probeKey) bool {
 }
 
 // retireBlob frees a blob once no in-flight reader can still dereference
-// it, the same epoch deferral retired directory blocks use. The slot that
+// it: blobs are the only objects the table retires through its epoch
+// manager (segments are never freed, and a doubling frees the old PM
+// directory block at once, as no reader reads it). The slot that
 // referenced the blob is already unpublished and persisted, so at crash
 // granularity the blob is dead either way.
 func (t *Table) retireBlob(blob pmem.Addr) {
 	t.em.Retire(func() { t.vlog.Free(blob) })
 }
 
-// Update overwrites the value of an existing key. The bool reports whether
-// the key was present; a non-nil error means the key exists but the update
-// did not happen (value unchanged): records stored through the log update
-// copy-on-write, which can fail with ErrPoolFull (ErrRecordTooLarge is
-// impossible here). Inline records update in place (one atomic persisted
-// store, no error path). Lock-free readers always observe either the whole
-// old or the whole new value.
+// Update overwrites the value of an existing key: UpdateB of their
+// little-endian encodings. The bool reports whether the key was present; a
+// non-nil error means the key exists but the update did not happen (value
+// unchanged): records stored through the log update copy-on-write, which can
+// fail with ErrPoolFull (ErrRecordTooLarge is impossible here). Inline
+// records update in place (one atomic persisted store, no error path).
+// Lock-free readers always observe either the whole old or the whole new
+// value.
 func (t *Table) Update(key, value uint64) (bool, error) {
-	pk := t.probeU64(key)
-	return t.updateOp(&pk, nil, value)
+	var kb, vb [8]byte
+	binary.LittleEndian.PutUint64(kb[:], key)
+	binary.LittleEndian.PutUint64(vb[:], value)
+	return t.UpdateB(kb[:], vb[:])
 }
 
 // UpdateB overwrites the value of an existing variable-length key. The
@@ -618,18 +612,14 @@ func (t *Table) UpdateB(key, value []byte) (bool, error) {
 		return false, ErrRecordTooLarge
 	}
 	pk := t.probeBytes(key)
-	return t.updateOp(&pk, value, 0)
-}
-
-func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
-	op := t.opBegin(pk)
-	found, err := t.updateByProbe(pk, vb, vu)
-	t.opEnd(op, pk, obs.EvUpdate, updOutcome(found, err))
+	op := t.opBegin(&pk)
+	found, err := t.updateByProbe(&pk, value)
+	t.opEnd(op, &pk, obs.EvUpdate, updOutcome(found, err))
 	return found, err
 }
 
-// updateByProbe implements both update flavors: vb == nil is the uint64
-// path (value = vu). The write strategy is chosen per record:
+// updateByProbe writes value under the probe's key. The write strategy is
+// chosen per record:
 //
 //   - inline record, 8-byte new value → in-place store of the value word
 //     (the original fast path; crash-atomic by word atomicity).
@@ -645,7 +635,7 @@ func (t *Table) updateOp(pk *probeKey, vb []byte, vu uint64) (bool, error) {
 //
 // The new blob is allocated lazily on first need and reused across split
 // retries; it is freed on any outcome that does not publish it.
-func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) {
+func (t *Table) updateByProbe(pk *probeKey, value []byte) (bool, error) {
 	p := t.pool
 	parts := pk.parts
 	b, b2 := homePair(parts)
@@ -658,7 +648,6 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 			t.vlog.Free(blob)
 		}
 	}
-	inline8 := vb == nil || len(vb) == 8
 	for {
 		d, mir := t.lockOwner(parts, b, b2)
 		seg := d.seg
@@ -671,11 +660,8 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		ra := recordAddr(segBucket(seg, loc.bucket), loc.slot)
 		w0 := old.Key
 
-		if !recIsIndirect(w0) && inline8 {
-			v := vu
-			if vb != nil {
-				v = binary.LittleEndian.Uint64(vb)
-			}
+		if !recIsIndirect(w0) && len(value) == 8 {
+			v := binary.LittleEndian.Uint64(value)
 			p.StoreU64(ra.Add(8), v)
 			p.Persist(ra.Add(8), 8)
 			// Single-word mirror store; for a stash-resident record it
@@ -691,22 +677,15 @@ func (t *Table) updateByProbe(pk *probeKey, vb []byte, vu uint64) (bool, error) 
 		// Log-backed value needed: build the blob once (under the locks —
 		// acceptable: this path is the variable-length/cross-format case).
 		if blob.IsNull() {
-			var kbuf [8]byte
-			value := vb
-			if value == nil {
-				var vbuf [8]byte
-				binary.LittleEndian.PutUint64(vbuf[:], vu)
-				value = vbuf[:]
-			}
 			var err error
-			blob, err = t.vlog.Append(pk.keyBytes(&kbuf), value)
+			blob, err = t.vlog.Append(pk.kb, value)
 			if err != nil {
 				unlockPair(mir, b, b2)
 				return true, t.mapLogErr(err)
 			}
 			t.vlog.Commit(blob)
 		}
-		kv := pmem.KV{Key: recPack(blob, pk.keyLen()), Value: parts.Hash}
+		kv := pmem.KV{Key: recPack(blob, len(pk.kb)), Value: parts.Hash}
 
 		if recIsIndirect(w0) {
 			// Copy-on-write flip: word 1 already holds the key's hash.

@@ -143,6 +143,22 @@ func TestVarU64Interop(t *testing.T) {
 	if v, ok := tbl.Get(42); !ok || v != binary.LittleEndian.Uint64(long[:8]) {
 		t.Fatalf("Get(42) fixed-width view after conversion = %#x, %v", v, ok)
 	}
+	// Short values: the uint64 view zero-pads them, GetB returns them as
+	// stored.
+	for _, c := range []struct {
+		val  string
+		want uint64
+	}{{"abc", 0x636261}, {"", 0}} {
+		if ok, err := tbl.UpdateB(k42, []byte(c.val)); !ok || err != nil {
+			t.Fatalf("UpdateB(le(42), %q): %v %v", c.val, ok, err)
+		}
+		if v, ok := tbl.Get(42); !ok || v != c.want {
+			t.Fatalf("Get(42) after UpdateB(%q) = %#x, %v; want %#x, true", c.val, v, ok, c.want)
+		}
+		if v, ok := tbl.GetB(k42); !ok || string(v) != c.val {
+			t.Fatalf("GetB(le(42)) after UpdateB(%q) = %q, %v", c.val, v, ok)
+		}
+	}
 	// Back to a u64-sized value via the u64 API: copy-on-write, record
 	// stays indirect, both views agree.
 	if ok, err := tbl.Update(42, 777); !ok || err != nil {

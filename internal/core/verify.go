@@ -148,8 +148,7 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 	}
 	var metas [totalBuckets]uint64 // the mirror's
 	var homed [totalBuckets]int    // per home bucket, the stash records homed there
-	keys8 := make(map[uint64]bool) // canonical 8-byte keys, as little-endian uint64s
-	keys := make(map[string]bool)  // every other canonical key
+	keys := make(map[string]bool)  // canonical keys: an inline key is its 8-byte encoding
 	for bi := 0; bi < totalBuckets; bi++ {
 		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
@@ -190,7 +189,8 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 			if bi >= normalBuckets {
 				homed[parts.BucketIndex(bucketBits)]++
 			}
-			key := recWordKey(kv.Key) // an indirect record's key is its blob's
+			var buf [8]byte
+			kb := binary.LittleEndian.AppendUint64(buf[:0], recWordKey(kv.Key)) // an indirect record's key is its blob's
 			if recIsIndirect(kv.Key) {
 				a := recBlobAddr(kv.Key)
 				if !t.vlog.Holds(a) {
@@ -199,20 +199,12 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 				}
 				refs[a] = struct{}{}
 				klen, _ := t.vlog.Lens(a)
-				kb := p.QuietBytes(a.Add(pmem.BlobHeaderSize), uint64(klen))
-				if klen != 8 {
-					if keys[string(kb)] {
-						at(bi, slot, "key %q appears twice", kb)
-					}
-					keys[string(kb)] = true
-					continue
-				}
-				key = binary.LittleEndian.Uint64(kb)
+				kb = p.QuietBytes(a.Add(pmem.BlobHeaderSize), uint64(klen))
 			}
-			if keys8[key] {
-				at(bi, slot, "key %#x appears twice", key)
+			if keys[string(kb)] {
+				at(bi, slot, "key %x appears twice", kb)
 			}
-			keys8[key] = true
+			keys[string(kb)] = true
 		}
 		if !same {
 			fail("segment %#x bucket %d: mirror diverges from PM", seg, bi)

@@ -1,8 +1,11 @@
 // Package epoch implements epoch-based memory reclamation (EBR), the
 // mechanism Dash uses so that optimistic, lock-free readers never follow a
-// pointer into a deallocated segment (§4.4): a segment retired by a merge or
-// a directory replacement is only handed back to the allocator once every
-// reader that could have observed it has exited its critical section.
+// pointer into deallocated memory (§4.4). In this engine the only objects
+// retired are record-log blobs (core's retireBlob): a blob a delete or a
+// copy-on-write update unlinked is handed back to the log's free list once
+// every reader that could have observed it has exited its critical section.
+// Segments are never freed, and a directory doubling frees the old PM
+// directory block at once, since no reader reads a PM directory.
 //
 // The scheme is the classic three-epoch design: a global epoch advances only
 // when every active guard has observed the current one, so anything retired

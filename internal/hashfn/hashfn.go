@@ -12,9 +12,10 @@
 //		[ directory index ]............[ bucket index ][ fingerprint ]
 //		  top `depth` bits               bits 8..8+B-1     bits 0..7
 //
-//	  - Fingerprint — the least-significant byte (bits 0..7). Stored in the
-//	    bucket header and compared before any record dereference, so a probe
-//	    touches a record's PM only on a 1/256 false-positive or a true hit.
+//	  - Fingerprint — the least-significant byte (bits 0..7). Kept in the
+//	    header of a bucket's DRAM mirror (PM stores none) and compared before
+//	    any record is read, so a probe dereferences a blob only on a 1/256
+//	    false positive or a true hit.
 //	  - Bucket index — the B bits directly above the fingerprint (bits
 //	    8..8+B-1 for a segment with 2^B normal buckets; B = 6 in core).
 //	  - Directory index — the most-significant `global depth` bits (the
@@ -54,8 +55,18 @@ const (
 // DefaultSeed seeds every table unless a test overrides it.
 const DefaultSeed uint64 = 0xdeadbeefcafebabe
 
-// Hash64 computes MurmurHash64A of data with the given seed.
+// Hash64 computes MurmurHash64A of data with the given seed. An 8-byte
+// input takes HashU64's straight-line code, so a uint64 key hashes the same
+// and as fast through either API.
 func Hash64(data []byte, seed uint64) uint64 {
+	if len(data) == 8 {
+		return HashU64(binary.LittleEndian.Uint64(data), seed)
+	}
+	return murmur64A(data, seed)
+}
+
+// murmur64A is MurmurHash64A's general loop, for any length.
+func murmur64A(data []byte, seed uint64) uint64 {
 	h := seed ^ uint64(len(data))*murmurM
 	n := len(data)
 	for ; n >= 8; n -= 8 {
@@ -100,7 +111,8 @@ func Hash64(data []byte, seed uint64) uint64 {
 // HashU64(x, s) == Hash64(le(x), s) exactly — a uint64 key and its 8-byte
 // little-endian encoding are the same key to every layer above, which is
 // what lets the engine's uint64 and []byte APIs share one keyspace
-// (asserted by TestHashU64MatchesHash64).
+// (Hash64 dispatches 8-byte inputs here; TestHashU64MatchesHash64 and
+// FuzzHash check this code against the general loop).
 func HashU64(x, seed uint64) uint64 {
 	// 8*murmurM truncated to 64 bits; as an untyped constant expression it
 	// would overflow uint64 and fail to compile.

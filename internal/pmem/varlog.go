@@ -56,8 +56,8 @@ import (
 // written to PM — an unreferenced blob is already dead at crash granularity.
 // The caller frees a blob only after the slot store that stopped naming it
 // has persisted, and epoch-defers the Free of a blob that lock-free readers
-// may still be dereferencing (the same discipline the engine applies to
-// retired directory blocks). A reused span is then named by no slot on media
+// may still be dereferencing (the only objects the engine retires through
+// its epoch manager). A reused span is then named by no slot on media
 // until the new blob's own slot publishes, after Append's persist: whatever
 // mix of old and new bytes a crash leaves in it is unreferenced, and the
 // header's capacity, equal on both sides of the reuse, keeps the walk's

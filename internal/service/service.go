@@ -153,8 +153,9 @@ func (s *Shards) Route(key uint64) int {
 }
 
 // RouteB returns the shard index owning a []byte key. An 8-byte key routes
-// by its byte hash, not its uint64 alias — callers must route a key the
-// same way they submit it (the frontend does).
+// with its uint64 alias, RouteB(le(k)) == Route(k): hashfn.Hash64 of the
+// encoding equals HashU64 of the word under the same routing seed, so both
+// spellings of a key reach the shard that holds it.
 func (s *Shards) RouteB(key []byte) int {
 	if s.shift == 64 {
 		return 0

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"dash/internal/pmem"
@@ -34,6 +36,23 @@ func TestRoutingDeterministic(t *testing.T) {
 	}
 	if got := a.Route(1); got < 0 || got >= 4 {
 		t.Fatalf("Route out of range: %d", got)
+	}
+}
+
+// An 8-byte key routes with its uint64 alias: RouteB(le(k)) == Route(k), so
+// the frontend sends both spellings of a key to the shard that holds it.
+func TestRouteBMatchesRoute(t *testing.T) {
+	s := newShards(t, 8, 7)
+	defer s.Close()
+	rng := rand.New(rand.NewPCG(1, 2))
+	keys := []uint64{0, 1 << 63, ^uint64(0)}
+	for i := 0; i < 4096; i++ {
+		keys = append(keys, rng.Uint64())
+	}
+	for _, k := range keys {
+		if got, want := s.RouteB(binary.LittleEndian.AppendUint64(nil, k)), s.Route(k); got != want {
+			t.Fatalf("RouteB(le(%#x)) = %d, Route = %d", k, got, want)
+		}
 	}
 }
 
