@@ -22,12 +22,13 @@ race:
 # first-touch races on a segment's owner lock, the lock a split holds, and
 # the tests that crash what a split's DRAM-only sweep leaves in PM (an insert
 # into a stale slot, its torn lines, a first touch after a clean reopen, a
-# second split, stash records on both sides of a split) or what the stash
-# count recovery recomputes rests on (a spill, a stash delete) five times
+# second split, stash records on both sides of a split), what the stash
+# count recovery recomputes rests on (a spill, a stash delete), or writers
+# in flight on lines two bucket locks share (WritersInFlight) five times
 # under the race detector: a split's interleavings are timing, and one pass
 # of `race` samples few of them.
 race-split:
-	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash' ./internal/core
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash|WritersInFlight' ./internal/core
 
 # fuzz runs each of the tree's fuzz targets for a fixed 10 s, one at a time
 # (go test fuzzes one target per invocation); plain `go test` runs only their
@@ -100,7 +101,9 @@ docs-check: vet
 			segOffSplit splitStateInFlight segRecDone segRecPending segRecInFlight markerWords \
 			TestCrashAfterSplitMarker \
 			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots \
-			ReadBytes keyBytes updateOp deleteOp; do \
+			ReadBytes keyBytes updateOp deleteOp \
+			bkOffPadding bkOffRecords bkOffTail segBucket recordAddr mirrorFillBucket fillPadding \
+			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

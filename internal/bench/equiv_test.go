@@ -185,6 +185,13 @@ type equivCell struct {
 // deletes it (one more each), so writes 5 127 → 5 147, flushed lines
 // 7 226 → 7 246 and fences 5 112 → 5 132; counts and reads did not move,
 // and no other cell splits while measured.
+//
+// The balanced cell's flushed lines were re-pinned when the PM bucket lost
+// its paddings (table format 8): a segment is its header line and 924
+// records back to back, 232 lines instead of 265, so each of the 8 splits'
+// sibling persists flushes 33 lines fewer: 7 246 → 6 982. No placement
+// moved — DRAM takes every decision — and neither did any other field or
+// cell.
 func TestEquivalenceWithParentHarness(t *testing.T) {
 	for _, want := range equivCells {
 		t.Run(want.mix, func(t *testing.T) {
@@ -215,7 +222,7 @@ var equivCells = []equivCell{
 	{
 		mix:    "balanced",
 		counts: Counts{Preloaded: 4096, InsertOK: 5505, ReadHit: 5495},
-		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5147, FlushedLines: 7246, Fences: 5132},
+		pm:     pmem.StatsSnapshot{ReadLines: 0, WriteLines: 5147, FlushedLines: 6982, Fences: 5132},
 	},
 	{
 		mix:    "delete-heavy",

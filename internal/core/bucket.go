@@ -7,18 +7,16 @@ import (
 	"dash/internal/pmem"
 )
 
-// Bucket layer (§4.1–4.2). A bucket is one 256-byte PM block: 16 bytes of
-// padding, then 14 fixed-size records, then 16 bytes of padding. PM keeps no
-// bitmap: a slot is live iff its record's word 0 is non-zero (record.go
+// Bucket layer (§4.1–4.2). In PM a bucket is its 14 records and nothing
+// else, 224 bytes, the segment's buckets back to back after its header line;
+// slotAddr is the one function that knows where a record lives. A record is
+// 16 bytes, 16-aligned, either an inline 8B/8B KV or an indirect (log blob
+// address | key-length class, full key hash) pair — see record.go. PM keeps
+// no bitmap: a slot is live iff its record's word 0 is non-zero (record.go
 // encodes every live word 0 so), so the store of word 0 is the atomic commit
 // point of an insert and the store of a zero word 0 that of a delete, each
-// persisted with its record's one line.
-//
-//	off   0: padding — never read, any value is legal
-//	off  16: 14 × 16-byte records, each either an inline 8B/8B KV or an
-//	         indirect (log blob address | key-length class, full key hash)
-//	         pair — see record.go
-//	off 240: padding — never read, any value is legal
+// persisted with its record's one line — which may also hold records of the
+// neighbouring bucket (bucketInsertLocked).
 //
 // PM holds nothing a running op loads: every probe, a reader's or a
 // writer's, runs in the segment's DRAM mirror (segfilter.go), whose header
@@ -34,12 +32,7 @@ import (
 // representation; word 0's bit 63 discriminates inline from indirect, and
 // every publish/commit path below is representation-blind.
 const (
-	bucketSize     = 256
 	slotsPerBucket = 14
-
-	bkOffPadding = 0 // head padding: keeps records 16-aligned
-	bkOffRecords = 16
-	bkOffTail    = bkOffRecords + slotsPerBucket*pmem.RecordSize // tail padding, to bucketSize
 
 	slotMask = (1 << slotsPerBucket) - 1
 
@@ -47,6 +40,12 @@ const (
 	// word, above the bitmap.
 	metaStashShift = 16
 )
+
+// slotAddr is the PM address of slot slot of bucket bi in segment seg: the
+// segment's records follow its header line back to back, bucket by bucket.
+func slotAddr(seg pmem.Addr, bi, slot int) pmem.Addr {
+	return seg.Add(uint64(segHeaderSize + (bi*slotsPerBucket+slot)*pmem.RecordSize))
+}
 
 // --- pure bit helpers on the packed header words (unit-testable) ---
 //
@@ -115,10 +114,6 @@ func fpSet(lo, hi uint64, slot int, fp uint8) (uint64, uint64) {
 	sh := uint(8 * (slot - 8))
 	hi = hi&^(0xFF<<sh) | uint64(fp)<<sh
 	return lo, hi
-}
-
-func recordAddr(b pmem.Addr, slot int) pmem.Addr {
-	return b.Add(uint64(bkOffRecords + pmem.RecordSize*slot))
 }
 
 // --- version lock (seqlock: even = free, odd = write-locked) ---
@@ -194,9 +189,11 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 // every prefix a crash can leave is the slot as it was, an empty slot (word
 // 0 zero), or the new record: no prefix pairs the old word 0 with the new
 // value word — which for a stale indirect record would make the new value
-// its hash, one the segment might claim. Only the first store is charged;
-// the other two share its line (records are 16-aligned and never straddle
-// one).
+// its hash, one the segment might claim. A writer holding the neighbouring
+// bucket's lock may store into the same line: what a crash leaves of the
+// line is a prefix of its store order, so of each writer's own stores, and
+// the argument holds record by record. Only the first store is charged; the
+// other two share its line (records are 16-aligned and never straddle one).
 //
 // persist=false skips the persist and charges nothing: the mode for building
 // an *unpublished* split sibling, zeroed when allocated, whose durability
@@ -206,13 +203,13 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 // publish charges wholesale. All mutators below write through to the segment
 // mirror after mutating PM; the caller's lock holds the bucket's version odd,
 // so the store order within the window is immaterial.
-func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
+func bucketInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
 	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
 	if slot < 0 {
 		return -1
 	}
-	ra := recordAddr(b, slot)
+	ra := slotAddr(seg, bi, slot)
 	if persist {
 		p.StoreU64(ra, 0)
 	}
@@ -233,8 +230,8 @@ func bucketInsertLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, fp ui
 // bucketDeleteLocked unpublishes a slot: a zero word 0, persisted, is the
 // whole operation; the record's word 1 and fingerprint become dead.
 // persist=false is for unpublished split siblings (see bucketInsertLocked).
-func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, b pmem.Addr, bi int, slot int, persist bool) {
-	ra := recordAddr(b, slot)
+func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi, slot int, persist bool) {
+	ra := slotAddr(seg, bi, slot)
 	if persist {
 		p.StoreU64(ra, 0)
 		p.Persist(ra, 8)

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"dash/internal/pmem"
 )
 
 func TestMetaBitHelpers(t *testing.T) {
@@ -148,5 +150,32 @@ func TestFPMatches(t *testing.T) {
 		check(all, all, fp)
 		check(^all, all, fp)                           // only hi: slots 8..13, bytes 6 and 7
 		check(^all, all&^(1<<48-1)|^all&(1<<48-1), fp) // only bytes 6 and 7: no slot
+	}
+}
+
+// TestSegmentLayout pins the PM segment: its header line, then all 66 × 14
+// records back to back — 14 848 bytes, 58 × 256, which the allocator rounds
+// up by nothing. Every record is 16-aligned, so none straddles a line, and a
+// bucket's last slot is followed at once by the next bucket's first.
+func TestSegmentLayout(t *testing.T) {
+	if segmentSize != 14848 || allocRound(segmentSize) != segmentSize {
+		t.Fatalf("a segment is %d bytes, rounded to %d, want 14848 for both", segmentSize, allocRound(segmentSize))
+	}
+	seg := pmem.Addr(4 * allocAlign)
+	next := seg.Add(segHeaderSize)
+	for bi := 0; bi < totalBuckets; bi++ {
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			a := slotAddr(seg, bi, slot)
+			if a != next {
+				t.Fatalf("bucket %d slot %d at %#x, want %#x: right after the record before it", bi, slot, a, next)
+			}
+			if a%pmem.RecordSize != 0 || lineSpan(a, pmem.RecordSize) != 1 {
+				t.Fatalf("bucket %d slot %d at %#x: not 16-aligned within one line", bi, slot, a)
+			}
+			next = a.Add(pmem.RecordSize)
+		}
+	}
+	if next != seg.Add(segmentSize) {
+		t.Fatalf("the records end at %#x, the segment at %#x", next, seg.Add(segmentSize))
 	}
 }

@@ -49,14 +49,17 @@
 //	               from the image on Open.
 //	verify.go    — Table.Verify, the table's one invariant checker; its doc
 //	               comment is the list of what DRAM and PM must agree on.
-//	segment.go   — fixed arrays of 64 normal + 2 stash buckets; balanced
-//	               insert across a bucket pair, displacement into neighbors,
-//	               stash overflow counted in the home bucket's mirror.
-//	bucket.go    — 256-byte cacheline-aligned buckets of 14 records with
-//	               one-byte fingerprints probed before any key dereference;
-//	               a record's own non-zero word 0 is its commit point, PM
-//	               keeps no bitmap. The bucket's seqlock version lock, which
-//	               lives in the mirror, and the mutators.
+//	segment.go   — fixed arrays of 64 normal + 2 stash buckets, in PM a
+//	               header line and then every bucket's records back to
+//	               back; balanced insert across a bucket pair, displacement
+//	               into neighbors, stash overflow counted in the home
+//	               bucket's mirror.
+//	bucket.go    — buckets of 14 records, 224 bytes in PM, with one-byte
+//	               fingerprints (in the mirror) probed before any key
+//	               dereference; slotAddr, the one function that knows where
+//	               a record lives; a record's own non-zero word 0 is its
+//	               commit point, PM keeps no bitmap. The bucket's seqlock
+//	               version lock, which lives in the mirror, and the mutators.
 //	stats.go     — lock-free TableStats snapshot: the shape walk (count,
 //	               depth, segments, load factor, stash share, allocated
 //	               bytes), plus meter readings the repo benchmark reads by

@@ -382,7 +382,7 @@ func TestCrashStaleSlotInsert(t *testing.T) {
 		t.Fatalf("the insert into stale slot %d of bucket %d issued %d flushes, want 1: the record's line", slot, bi, points)
 	}
 	d := done.cache.route(done.parts(k))
-	if got := done.pool.QuietLoadU64(recordAddr(segBucket(d.seg, bi), slot)); got != recInlineWord(k) {
+	if got := done.pool.QuietLoadU64(slotAddr(d.seg, bi, slot)); got != recInlineWord(k) {
 		t.Fatalf("after the completed insert, stale slot %d of bucket %d holds word 0 %#x, want key %d's", slot, bi, got, k)
 	}
 }
@@ -419,7 +419,7 @@ func TestTornStaleSlotInsert(t *testing.T) {
 			bi, slot := -1, -1
 			for b := 0; b < totalBuckets && slot < 0; b++ {
 				for s := 0; s < slotsPerBucket; s++ {
-					empty := pool.QuietLoadU64(recordAddr(segBucket(old.seg, b), s)) == 0
+					empty := pool.QuietLoadU64(slotAddr(old.seg, b, s)) == 0
 					if stale && staleSlot(tbl, old, b, s) || !stale && empty {
 						bi, slot = b, s
 						break
@@ -429,7 +429,7 @@ func TestTornStaleSlotInsert(t *testing.T) {
 			if slot < 0 {
 				t.Fatalf("segment %#x has no slot to tear", old.seg)
 			}
-			ra := recordAddr(segBucket(old.seg, bi), slot)
+			ra := slotAddr(old.seg, bi, slot)
 			w0 := pool.QuietLoadU64(ra)
 			pool.QuietStoreU64(ra.Add(8), 0xF00DF00DF00DF00D)
 			pool.Persist(ra, pmem.RecordSize)

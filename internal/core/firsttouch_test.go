@@ -26,9 +26,6 @@ func locate(t testing.TB, tbl *Table, pk probeKey) (*segDesc, recLoc, pmem.KV) {
 	return d, loc, kv
 }
 
-// slotAddr is the PM address of a segment's slot.
-func slotAddr(seg pmem.Addr, bi, slot int) pmem.Addr { return recordAddr(segBucket(seg, bi), slot) }
-
 // storeRec stores kv's two words into the PM slot at ra, quietly.
 func storeRec(p *pmem.Pool, ra pmem.Addr, kv pmem.KV) {
 	p.QuietStoreU64(ra, kv.Key)
@@ -43,6 +40,38 @@ func freeSlot(t testing.TB, d *segDesc, bi int) int {
 		t.Fatalf("bucket %d of segment %#x is full", bi, d.seg)
 	}
 	return s
+}
+
+// TestFirstTouchReadCharges pins what a segment's first touch reads, on a
+// crash image of inline records with the background driver off: the Get
+// that touches a segment first reads its header line and its 231 record
+// lines — one streaming read, each line two buckets share counted once — and
+// a second Get into it reads nothing.
+func TestFirstTouchReadCharges(t *testing.T) {
+	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{InitialDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := tbl.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withLazyGates(t)
+	re, _ := reopenImage(t, pool.Snapshot())
+	for i, want := range []uint64{1 + 231, 0} {
+		if got := readLines(re.pool, func() {
+			if v, ok := re.Get(7); !ok || v != 8 {
+				t.Fatalf("Get(7) = %d,%v", v, ok)
+			}
+		}); got != want {
+			t.Fatalf("Get %d into the segment read %d PM lines, want %d", i+1, got, want)
+		}
+	}
 }
 
 // TestFirstTouchDeletesMisplacedRecord: a normal-bucket record outside its

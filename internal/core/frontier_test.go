@@ -210,3 +210,33 @@ func TestFrontierCrashPoints(t *testing.T) {
 	}
 	t.Logf("crashed at each of %d flushes", total)
 }
+
+// TestAllocKeepsReusedBlockTail: a reused block larger than the request
+// hands out its head and keeps its tail on the free list. A freed depth-12
+// directory block (33 024 bytes) serves two segments, the second right
+// after the first, and the frontier does not move.
+func TestAllocKeepsReusedBlockTail(t *testing.T) {
+	tbl := newTestTable(t, 4<<20, Options{InitialDepth: 1})
+	defer tbl.Close()
+	dir, err := tbl.alloc(dirSize(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.freePush(dir, dirSize(12))
+	frontier := tbl.allocNext
+	var segs [2]pmem.Addr
+	for i := range segs {
+		if segs[i], err = tbl.alloc(segmentSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs[0] != dir || segs[1] != dir.Add(segmentSize) {
+		t.Fatalf("segments at %#x and %#x, want %#x and %#x: the freed block's head, then its tail", segs[0], segs[1], dir, dir.Add(segmentSize))
+	}
+	if tbl.allocNext != frontier {
+		t.Fatalf("the frontier moved %d→%d while the freed block had room", frontier, tbl.allocNext)
+	}
+	if want := (freeSpan{addr: dir.Add(2 * segmentSize), size: allocRound(dirSize(12)) - 2*segmentSize}); len(tbl.freeList) != 1 || tbl.freeList[0] != want {
+		t.Fatalf("free list = %+v, want the block's last %d bytes, %+v", tbl.freeList, want.size, want)
+	}
+}

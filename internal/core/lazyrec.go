@@ -280,9 +280,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 	start := obs.Now()
 	l, pat := segMeta(p, seg)
 	mir := t.newMirror(l, pat)
-	for bi := 0; bi < totalBuckets; bi++ {
-		mirrorFillBucket(p, mir, seg, bi)
-	}
+	mirrorFill(p, mir, seg)
 	mirDone := obs.Now()
 
 	var refs []pmem.Addr
@@ -303,7 +301,7 @@ func (t *Table) recoverSegment(lr *lazyRecovery, d *segDesc) {
 			b, _ := homePair(parts)
 			bad := bi < normalBuckets && (bi-b)&(normalBuckets-1) > 1 || crash && t.blobCorrupt(kv)
 			if bad || crash && t.keptCopy(mir, bi, slot, m, lo, hi, kv, parts) {
-				ra := recordAddr(segBucket(seg, bi), slot)
+				ra := slotAddr(seg, bi, slot)
 				p.StoreU64(ra, 0)
 				p.Persist(ra, 8)
 				m = metaClearSlot(m, slot)

@@ -333,16 +333,12 @@ func TestLazyCloseAfterCrashOpen(t *testing.T) {
 	tbl3.Close()
 }
 
-// TestOpenNeverReadsBucketPadding: a PM bucket's header padding (bytes
-// 8..15) and tail padding (bytes 240..255) hold nothing — first-touch
-// recovery, the ops and Verify read neither — so no value there can change
-// what a reopened table holds. Two images get garbage in both paddings of
-// every bucket of every segment: a crash image taken at a split's sibling
-// persist (the sibling's block among the segments filled)
-// and the image a clean Close leaves. On each reopened table every kind of
-// write, further splits included, must complete and leave a table that
-// verifies, with the mirrors counting what Count does.
-func TestOpenNeverReadsBucketPadding(t *testing.T) {
+// TestReopenAfterSplitCrashServesWrites: two images reopen — a crash image
+// taken at a split's sibling persist, and the image a clean Close leaves. On
+// each reopened table every kind of write, further splits included, must
+// complete and leave a table that verifies, with the mirrors counting what
+// Count does.
+func TestReopenAfterSplitCrashServesWrites(t *testing.T) {
 	pool, err := pmem.NewPool(pmem.Options{Size: 2 << 20, TrackCrashes: true})
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +348,9 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var crashImg []byte
-	var sibling pmem.Addr
-	pool.SetFlushHook(func(a pmem.Addr, n uint64) {
+	pool.SetFlushHook(func(_ pmem.Addr, n uint64) {
 		if crashImg == nil && n == segmentSize && tbl.met.splits.Total() >= 2 {
-			crashImg, sibling = pool.Snapshot(), a
+			crashImg = pool.Snapshot()
 		}
 	})
 	acked := make(map[uint64]uint64)
@@ -387,12 +382,6 @@ func TestOpenNeverReadsBucketPadding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := pmem.Addr(p.QuietLoadU64(rootAddr.Add(rootOffDir)))
-			segs := map[pmem.Addr]bool{sibling: true}
-			for i := uint64(0); i < 1<<dirDepth(p, dir); i++ {
-				segs[dirLoadEntry(p, dir, i)] = true
-			}
-			fillPadding(p, segs)
 			re, err := Open(p)
 			if err != nil {
 				t.Fatal(err)
@@ -458,7 +447,7 @@ func TestFirstTouchDeletesDanglingBlobSlot(t *testing.T) {
 	if !found || !recIsIndirect(kv.Key) {
 		t.Fatalf("key %d: found %v, word 0 %#x", victim, found, kv.Key)
 	}
-	ra := recordAddr(segBucket(d.seg, loc.bucket), loc.slot)
+	ra := slotAddr(d.seg, loc.bucket, loc.slot)
 	img := pool.Snapshot() // the table was never closed: a crash image
 	head := pmem.Addr(pool.QuietLoadU64(rootAddr.Add(rootOffVarLog)))
 	frontier := pmem.Addr(pool.QuietLoadU64(head.Add(16))) // the chunk header's word 2

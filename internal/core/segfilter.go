@@ -77,12 +77,12 @@ import (
 //     rebuild is what makes the locks vanish with the process that held
 //     them: a new mirror's version words are zero.
 //
-// Layout. A mirror bucket is one 256-byte block, the PM bucket's own shape
-// with the header where PM keeps its padding: the four header words (32 B)
-// first, then the 14 record word pairs. A probe decides from the header alone
-// which records to read (§4.2), and the header shares the block's first line
-// with slots 0 and 1, slots 2..5 fill the adjacent line: a probe's header and
-// the records it reads sit in one block, never on another page. The mirror is
+// Layout. A mirror bucket is one 256-byte block: the four header words
+// (32 B) first, then the 14 record word pairs, the PM bucket's 224 bytes. A
+// probe decides from the header alone which records to read (§4.2), and the
+// header shares the block's first line with slots 0 and 1, slots 2..5 fill
+// the adjacent line: a probe's header and the records it reads sit in one
+// block, never on another page. The mirror is
 // a pointer-free object of the 18 432-byte size class, whose objects start at
 // multiples of 256 bytes, so every block is 256-aligned and lies within one
 // 4 KiB page; the (depth, pattern) claim follows the last block. Only word and
@@ -173,28 +173,30 @@ func (t *Table) newMirror(depth uint8, pattern uint64) *segMirror {
 	return mir
 }
 
-// mirrorFillBucket copies one bucket's PM records into the mirror and
-// derives its bitmap from them — a slot is used iff its word 0 is non-zero:
-// recovery's build, under its first-touch gate, and the only PM read of a
-// bucket there is. The fingerprints and stash counts PM does not keep are
-// recomputed from the records afterwards, and the records the segment does
-// not claim dropped (recoverSegment). The record lines are charged as one
-// sequential read, so the per-word loads are quiet; neither padding is read.
-func mirrorFillBucket(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int) {
-	ba := segBucket(seg, bi)
-	p.TouchRead(recordAddr(ba, 0), slotsPerBucket*pmem.RecordSize)
-	var m uint64
-	for slot := 0; slot < slotsPerBucket; slot++ {
-		ra := recordAddr(ba, slot)
-		w0 := p.QuietLoadU64(ra)
-		if w0 == 0 {
-			continue
+// mirrorFill copies the segment's PM records into the mirror and derives
+// every bucket's bitmap from them — a slot is used iff its word 0 is
+// non-zero: recovery's build, under its first-touch gate, and the only PM
+// read of a segment's records there is. The fingerprints and stash counts PM
+// does not keep are recomputed from the records afterwards, and the records
+// the segment does not claim dropped (recoverSegment). The record lines are
+// charged as one sequential read (per-bucket charges would count each line
+// two buckets share twice), so the per-word loads are quiet.
+func mirrorFill(p *pmem.Pool, mir *segMirror, seg pmem.Addr) {
+	p.TouchRead(slotAddr(seg, 0, 0), slotsPerSegment*pmem.RecordSize)
+	for bi := 0; bi < totalBuckets; bi++ {
+		var m uint64
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			ra := slotAddr(seg, bi, slot)
+			w0 := p.QuietLoadU64(ra)
+			if w0 == 0 {
+				continue
+			}
+			m = metaSetSlot(m, slot)
+			mir.recWord(bi, slot, 0).Store(w0)
+			mir.recWord(bi, slot, 1).Store(p.QuietLoadU64(ra.Add(8)))
 		}
-		m = metaSetSlot(m, slot)
-		mir.recWord(bi, slot, 0).Store(w0)
-		mir.recWord(bi, slot, 1).Store(p.QuietLoadU64(ra.Add(8)))
+		mir.word(bi, mirBkMeta).Store(m)
 	}
-	mir.word(bi, mirBkMeta).Store(m)
 }
 
 // --- the probe: one for readers and writers ---

@@ -9,7 +9,8 @@ import (
 
 // Segment layer (§4.2). A segment is a fixed array of 64 normal buckets
 // followed by 2 stash buckets, prefixed by one header cacheline holding the
-// segment's extendible-hashing state (local depth + pattern). Keys map to a
+// segment's extendible-hashing state (local depth + pattern); in PM the
+// buckets are their records alone (bucket.go). Keys map to a
 // target bucket b and may also live in its neighbor b+1 (balanced insert),
 // migrate a neighbor's record one bucket over (displacement), or spill into
 // a stash bucket, counted in the home bucket's mirror so that a lookup whose
@@ -29,14 +30,11 @@ const (
 	segOffDepth   = 0
 	segOffPattern = 8
 
-	segmentSize = segHeaderSize + totalBuckets*bucketSize
-
 	slotsPerSegment = totalBuckets * slotsPerBucket
-)
 
-func segBucket(seg pmem.Addr, i int) pmem.Addr {
-	return seg.Add(uint64(segHeaderSize + i*bucketSize))
-}
+	// The header line, then the records (slotAddr): 14 848 bytes, 58 × 256.
+	segmentSize = segHeaderSize + slotsPerSegment*pmem.RecordSize
+)
 
 // segMeta returns seg's (local depth, pattern) pair — recovery's read of
 // the header the mirror carries at run time. The depth load pays for the
@@ -146,15 +144,14 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) (where, slot int) {
 	p, persist := t.pool, !private
 	b, b2 := homePair(parts)
-	ba, b2a := segBucket(seg, b), segBucket(seg, b2)
 
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
 	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
-		return placedHome, bucketInsertLocked(p, mir, ba, b, parts.FP, kv, persist)
+		return placedHome, bucketInsertLocked(p, mir, seg, b, parts.FP, kv, persist)
 	}
 	if f2 > 0 {
-		return placedProbe, bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+		return placedProbe, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv, persist)
 	}
 
 	// Displacement: make room in the probing bucket b2 by moving one of its
@@ -163,7 +160,6 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 	// still find it; the copy-then-delete order means a crash can at worst
 	// duplicate it, which recovery deduplicates.
 	b3 := (b2 + 1) % normalBuckets
-	b3a := segBucket(seg, b3)
 	if private || tryLockBucket(mir, b3) {
 		displaced := false
 		if bucketFreeSlots(mir, b3) > 0 {
@@ -174,8 +170,8 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
-				bucketInsertLocked(p, mir, b3a, b3, vp.FP, vict, persist)
-				bucketDeleteLocked(p, mir, b2a, b2, vs, persist)
+				bucketInsertLocked(p, mir, seg, b3, vp.FP, vict, persist)
+				bucketDeleteLocked(p, mir, seg, b2, vs, persist)
 				displaced = true
 			}
 		}
@@ -183,7 +179,7 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 			unlockBucket(mir, b3)
 		}
 		if displaced {
-			return placedDisplaced, bucketInsertLocked(p, mir, b2a, b2, parts.FP, kv, persist)
+			return placedDisplaced, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv, persist)
 		}
 	}
 
@@ -194,7 +190,7 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 		if !private {
 			t.lockBucket(mir, normalBuckets+j)
 		}
-		slot = bucketInsertLocked(p, mir, segBucket(seg, normalBuckets+j), normalBuckets+j, parts.FP, kv, persist)
+		slot = bucketInsertLocked(p, mir, seg, normalBuckets+j, parts.FP, kv, persist)
 		if !private {
 			unlockBucket(mir, normalBuckets+j)
 		}
@@ -210,13 +206,12 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 // decrementing the home bucket's stash count (in its mirror) when the record
 // lived in the stash. Caller holds the home pair's locks.
 func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc) {
-	p, sa := t.pool, segBucket(seg, loc.bucket)
 	if !loc.inStash() {
-		bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
+		bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot, true)
 		return
 	}
 	t.lockBucket(mir, loc.bucket)
-	bucketDeleteLocked(p, mir, sa, loc.bucket, loc.slot, true)
+	bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot, true)
 	unlockBucket(mir, loc.bucket)
 	bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
 }

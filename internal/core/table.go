@@ -69,16 +69,16 @@ const (
 	rootOffCount    = 56 // record count persisted by a clean Close
 
 	tableMagic = 0x44617368454831 // "DashEH1"
-	// tableFormat 7: a PM slot is live iff its record's word 0 is non-zero,
-	// inline key 0 is stored as recZeroKeyWord (record.go), and a bucket's
-	// first 16 bytes are padding (bucket.go). A format-6 image keeps a
-	// bitmap there and key 0 as itself. 6 = records from offset 16,
-	// fingerprints and stash counts recomputed at first touch; 5 = a split
-	// leaves its moved records in the old segment's PM (segDrop), so every
-	// image needs recovery's route filter; 4 = one-word blob header, no
-	// commit word; 3 = clean-shutdown marker root; 2 = indirect (varlog)
-	// records.
-	tableFormat = 7
+	// tableFormat 8: a segment is its header line and its records back to
+	// back, 224 bytes per bucket (slotAddr). 7 = 256-byte buckets, records
+	// between two paddings, a PM slot live iff its word 0 is non-zero and
+	// inline key 0 stored as recZeroKeyWord (record.go); 6 = a bitmap in a
+	// bucket's first 16 bytes, key 0 as itself, fingerprints and stash
+	// counts recomputed at first touch; 5 = a split leaves its moved records
+	// in the old segment's PM (segDrop), so every image needs recovery's
+	// route filter; 4 = one-word blob header, no commit word; 3 =
+	// clean-shutdown marker root; 2 = indirect (varlog) records.
+	tableFormat = 8
 	allocStart  = 256 // first allocatable offset; keeps blocks 256-aligned
 	allocAlign  = 256
 
@@ -298,19 +298,24 @@ func (t *Table) Close() {
 	p.Persist(rootAddr, pmem.CachelineSize)
 }
 
-// alloc carves size bytes (256-aligned) out of the pool, reusing retired
-// blocks when one fits. The bump frontier is a DRAM counter; its PM word is
-// stored under freeMu, so the stores land in the order of their values, and
-// persisted after the unlock but before the block is returned: a flush only
-// ever copies the latest (largest) value, so the persisted frontier never
-// goes backwards, and a crash can at worst leak a block that was never
-// published, never hand out the same published block twice.
+// alloc carves size bytes (256-aligned) out of the pool, reusing the first
+// retired block that fits, whose tail, if any, stays on the free list. The
+// bump frontier is a DRAM counter; its PM word is stored under freeMu, so the
+// stores land in the order of their values, and persisted after the unlock
+// but before the block is returned: a flush only ever copies the latest
+// (largest) value, so the persisted frontier never goes backwards, and a
+// crash can at worst leak a block that was never published, never hand out
+// the same published block twice.
 func (t *Table) alloc(size uint64) (pmem.Addr, error) {
 	size = allocRound(size)
 	t.freeMu.Lock()
 	for i, s := range t.freeList {
 		if s.size >= size {
-			t.freeList = append(t.freeList[:i], t.freeList[i+1:]...)
+			if s.size > size {
+				t.freeList[i] = freeSpan{addr: s.addr.Add(size), size: s.size - size}
+			} else {
+				t.freeList = append(t.freeList[:i], t.freeList[i+1:]...)
+			}
 			t.freeMu.Unlock()
 			return s.addr, nil
 		}
@@ -657,7 +662,7 @@ func (t *Table) updateByProbe(pk *probeKey, value []byte) (bool, error) {
 			freeBlob()
 			return false, nil
 		}
-		ra := recordAddr(segBucket(seg, loc.bucket), loc.slot)
+		ra := slotAddr(seg, loc.bucket, loc.slot)
 		w0 := old.Key
 
 		if !recIsIndirect(w0) && len(value) == 8 {

@@ -26,8 +26,7 @@ import (
 //     word 0 in PM — PM's commit — and both its record words equal PM's; and
 //     every slot clear in the mirror holds word 0 = 0 in PM, or a record the
 //     segment does not claim — a stale slot, routed to another segment
-//     (routing only narrows, so this holds across generations of splits).
-//     A bucket's two paddings are never read: any bytes there are legal;
+//     (routing only narrows, so this holds across generations of splits);
 //   - in a segment whose mirror matches PM so, every used slot, read from the
 //     mirror: its fingerprint is its record hash's (PM keeps none: the
 //     mirror's must be what recovery recomputes), the hash is claimed by the
@@ -150,12 +149,11 @@ func (t *Table) verifySegment(seg pmem.Addr, mir *segMirror, refs map[pmem.Addr]
 	var homed [totalBuckets]int    // per home bucket, the stash records homed there
 	keys := make(map[string]bool)  // canonical keys: an inline key is its 8-byte encoding
 	for bi := 0; bi < totalBuckets; bi++ {
-		ba := segBucket(seg, bi)
 		m, lo, hi := mir.word(bi, mirBkMeta).Load(), mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load()
 		metas[bi] = m
 		same := true
 		for slot := 0; slot < slotsPerBucket; slot++ {
-			ra := recordAddr(ba, slot)
+			ra := slotAddr(seg, bi, slot)
 			pkv := pmem.KV{Key: p.QuietLoadU64(ra), Value: p.QuietLoadU64(ra.Add(8))}
 			if !metaSlotUsed(m, slot) {
 				if pkv.Key == 0 {

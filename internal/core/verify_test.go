@@ -66,14 +66,14 @@ func slotWhere(t *testing.T, tbl *Table, ok func(d *segDesc, bi, slot int, kv pm
 // fingerprint.
 func putRecord(t *testing.T, tbl *Table, d *segDesc, bi int, kv pmem.KV) {
 	t.Helper()
-	mir, ba := d.mir.Load(), segBucket(d.seg, bi)
+	mir := d.mir.Load()
 	m := mir.word(bi, mirBkMeta).Load()
 	slot := metaFirstFree(m)
 	if slot < 0 {
 		t.Fatalf("bucket %d of segment %#x is full", bi, d.seg)
 	}
 	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, recSplitParts(kv, tbl.seed).FP)
-	ra := recordAddr(ba, slot)
+	ra := slotAddr(d.seg, bi, slot)
 	setWord(tbl, ra, mir.recWord(bi, slot, 0), kv.Key)
 	setWord(tbl, ra.Add(8), mir.recWord(bi, slot, 1), kv.Value)
 	mir.word(bi, mirBkFPLo).Store(lo)
@@ -87,7 +87,7 @@ func moveRecord(t *testing.T, tbl *Table, d *segDesc, bi, slot, to int) {
 	t.Helper()
 	mir := d.mir.Load()
 	putRecord(t, tbl, d, to, mir.rec(bi, slot))
-	tbl.pool.QuietStoreU64(recordAddr(segBucket(d.seg, bi), slot), 0)
+	tbl.pool.QuietStoreU64(slotAddr(d.seg, bi, slot), 0)
 	mir.word(bi, mirBkMeta).Store(metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 
@@ -173,7 +173,7 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 		}},
 		{"PM record word other than the mirror's", "mirror diverges from PM", func(t *testing.T, tbl *Table) {
 			d, bi, slot := slotWhere(t, tbl, normalSlot)
-			a := recordAddr(segBucket(d.seg, bi), slot).Add(8)
+			a := slotAddr(d.seg, bi, slot).Add(8)
 			tbl.pool.QuietStoreU64(a, tbl.pool.QuietLoadU64(a)+1)
 		}},
 		{"mirror slot clear in PM", "set in the mirror, clear in PM", func(t *testing.T, tbl *Table) {
@@ -188,14 +188,14 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 		{"mirror slot with word 0 zero in PM", "word 0 is zero", func(t *testing.T, tbl *Table) {
 			// A delete that reached PM alone.
 			d, bi, slot := slotWhere(t, tbl, normalSlot)
-			tbl.pool.QuietStoreU64(recordAddr(segBucket(d.seg, bi), slot), 0)
+			tbl.pool.QuietStoreU64(slotAddr(d.seg, bi, slot), 0)
 		}},
 		{"stale slot holding a record the segment claims", "clear in the mirror, but PM holds a record the segment claims", func(t *testing.T, tbl *Table) {
 			// A stale slot a split left, whose PM words became those of a
 			// record the segment claims.
 			d, bi, slot := freeSlotWhere(t, tbl, func(d *segDesc, bi, slot int) bool { return staleSlot(tbl, d, bi, slot) })
 			_, ubi, uslot := slotWhere(t, tbl, func(c *segDesc, _, _ int, _ pmem.KV) bool { return c == d })
-			kv, ra := d.mir.Load().rec(ubi, uslot), recordAddr(segBucket(d.seg, bi), slot)
+			kv, ra := d.mir.Load().rec(ubi, uslot), slotAddr(d.seg, bi, slot)
 			tbl.pool.QuietStoreU64(ra, kv.Key)
 			tbl.pool.QuietStoreU64(ra.Add(8), kv.Value)
 		}},
@@ -217,7 +217,7 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			d, bi, slot := slotWhere(t, tbl, indirectSlot)
 			w := d.mir.Load().recWord(bi, slot, 0)
 			tbl.vlog.Free(recBlobAddr(w.Load()))
-			setWord(tbl, recordAddr(segBucket(d.seg, bi), slot), w, w.Load()+16)
+			setWord(tbl, slotAddr(d.seg, bi, slot), w, w.Load()+16)
 		}},
 		{"walked blob neither referenced nor free", "neither referenced nor free", func(t *testing.T, tbl *Table) {
 			a, err := tbl.vlog.Append([]byte("nobody's key"), []byte("nobody's value"))
@@ -275,13 +275,6 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			}
 		})
 	}
-	t.Run("reads no padding", func(t *testing.T) {
-		tbl := corruptible(t)
-		fillPadding(tbl.pool, tbl.cache.descs)
-		if err := tbl.Verify(); err != nil {
-			t.Fatalf("Verify read the buckets' padding: %v", err)
-		}
-	})
 	t.Run("moves no PM counter", func(t *testing.T) {
 		tbl := corruptible(t)
 		if !tbl.DeleteB(varKey(0, 24)) { // a retired blob for Verify's drain to free
@@ -295,19 +288,6 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 			t.Fatalf("Verify moved the PM counters from %+v to %+v", before, after)
 		}
 	})
-}
-
-// fillPadding stores garbage over both paddings of every bucket of the
-// segments in segs — words no part of the table may read — quietly.
-func fillPadding[D any](p *pmem.Pool, segs map[pmem.Addr]D) {
-	for seg := range segs {
-		for bi := 0; bi < totalBuckets; bi++ {
-			ba := segBucket(seg, bi)
-			for _, off := range []uint64{bkOffPadding, bkOffPadding + 8, bkOffTail, bkOffTail + 8} {
-				p.QuietStoreU64(ba.Add(off), 0xDEADBEEF_FFFFFFFF^uint64(bi)<<16^off)
-			}
-		}
-	}
 }
 
 // TestOpenRejectsCorruptImage corrupts one word of a table's image per row —
@@ -330,6 +310,7 @@ func TestOpenRejectsCorruptImage(t *testing.T) {
 		{"format-4 image, no route filter on a clean open", "unsupported table format 4", rootAddr.Add(rootOffFormat), 4},
 		{"format-5 image, fingerprints and stash tracking in PM", "unsupported table format 5", rootAddr.Add(rootOffFormat), 5},
 		{"format-6 image, a bitmap in PM and key 0 stored as zero", "unsupported table format 6", rootAddr.Add(rootOffFormat), 6},
+		{"format-7 image, 256-byte buckets with padding", "unsupported table format 7", rootAddr.Add(rootOffFormat), 7},
 		{"directory pointer past the pool", "root names directory", rootAddr.Add(rootOffDir), p.Size() + 4096},
 		{"misaligned directory pointer", "root names directory", rootAddr.Add(rootOffDir), uint64(dir) + 8},
 		{"directory depth no pool holds", "of depth 40 overruns", dir.Add(dirOffDepth), 40},

@@ -41,9 +41,9 @@ type Manager struct {
 	retired [3][]retiredItem // indexed by epoch % 3
 	pending atomic.Uint64    // total retired not yet reclaimed
 
-	// AdvanceEvery controls how many retires trigger an advance+collect
-	// attempt. Defaults to 64.
-	AdvanceEvery uint64
+	// advanceEvery is how many retires trigger an advance+collect attempt:
+	// 64, from NewManager; tests set it lower.
+	advanceEvery uint64
 
 	// Optional observability, set before first use; all obs methods are
 	// nil-safe, so an uninstrumented Manager pays one predicted branch.
@@ -69,7 +69,7 @@ type retiredItem struct {
 
 // NewManager returns a ready Manager.
 func NewManager() *Manager {
-	m := &Manager{AdvanceEvery: 64}
+	m := &Manager{advanceEvery: 64}
 	m.global.Store(1)
 	return m
 }
@@ -112,16 +112,9 @@ func (m *Manager) Retire(free func()) {
 	m.retired[e%3] = append(m.retired[e%3], retiredItem{free: free, at: obs.Now()})
 	m.mu.Unlock()
 	m.Retired.Inc()
-	if m.pending.Add(1)%m.maxPending() == 0 {
+	if m.pending.Add(1)%m.advanceEvery == 0 {
 		m.TryAdvance()
 	}
-}
-
-func (m *Manager) maxPending() uint64 {
-	if m.AdvanceEvery == 0 {
-		return 64
-	}
-	return m.AdvanceEvery
 }
 
 // TryAdvance advances the global epoch if every active guard has observed

@@ -50,7 +50,7 @@ func TestDrainReclaimsEverything(t *testing.T) {
 // object must be freed exactly once.
 func TestGuardsConcurrent(t *testing.T) {
 	m := NewManager()
-	m.AdvanceEvery = 8
+	m.advanceEvery = 8
 	const workers = 16
 	const iters = 2000
 	var freed atomic.Int64
@@ -161,7 +161,7 @@ func TestFullGuardTableYields(t *testing.T) {
 func TestGuardProtectsAcrossAdvances(t *testing.T) {
 	type node struct{ freed atomic.Bool }
 	m := NewManager()
-	m.AdvanceEvery = 4
+	m.advanceEvery = 4
 	var cur atomic.Pointer[node]
 	cur.Store(new(node))
 	var retired, freed atomic.Int64

@@ -52,11 +52,13 @@ import (
 // survives the flush, and a store that landed before the clear is in the
 // copy; marking ahead of the store would let a flush copy the old bytes and
 // clear the mark, and the store would then land unmarked — Crash would keep
-// an unflushed store. Byte-range stores additionally copy each line under
-// its busy bit, so a flush never snapshots a line half-way through a copy
-// (the words of a range are plain memory, not atomics). Untracked pools
-// (every benchmark's measured phase) pay one nil check, and a range store
-// there is a plain memmove.
+// an unflushed store. On a tracked pool every store also holds its line's
+// busy bit — a word store for its one word, a byte-range store line by line
+// — so a flush copies a line between two stores, never during one: media
+// gets a prefix of the line's store order, as from real hardware, and never
+// an old word 0 beside a newer word 1. Untracked pools (every benchmark's
+// measured phase) pay one nil check, and a range store there is a plain
+// memmove.
 
 // store is the pool's one door for PM stores: it writes either the word v at
 // a, atomically (word), or the bytes of src (a range; an empty one stores
@@ -76,8 +78,13 @@ func (p *Pool) store(a Addr, word bool, v uint64, src []byte, charged bool) {
 	}
 	t := p.crash
 	switch {
-	case word:
+	case word && t == nil:
 		atomic.StoreUint64(p.word(a), v)
+	case word:
+		l := uint64(a) / CachelineSize
+		t.lock(l, 0)
+		atomic.StoreUint64(p.word(a), v)
+		t.unlock(l)
 	case t == nil:
 		copy(p.data[a:uint64(a)+n], src)
 	default:
@@ -225,7 +232,7 @@ type tracker struct {
 // Line state bits.
 const (
 	lineDirty uint32 = 1 << iota // stored since its last flush began
-	lineBusy                     // a flush or a byte-range store is copying the line
+	lineBusy                     // a flush or a store is copying the line
 )
 
 func newTracker(size uint64) *tracker {

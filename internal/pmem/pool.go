@@ -161,9 +161,9 @@ func (p *Pool) check(a Addr, n uint64) {
 // vanish).
 //
 // A tracked flush takes each line's busy bit, clearing its dirty bit, and
-// copies the line word by word: a second flush or a byte-range store on the
-// same line waits for the copy, so media never goes back to an older copy,
-// and a store that lands during the copy marks the line dirty again.
+// copies the line word by word: a second flush or a store on the same line
+// waits for the copy, so media never goes back to an older copy, and a
+// store that lands after the copy marks the line dirty again.
 func (p *Pool) Flush(a Addr, n uint64) {
 	if n == 0 {
 		return

@@ -179,6 +179,45 @@ func TestSameLineFlushes(t *testing.T) {
 	storer.Wait()
 }
 
+// TestFlushCopiesLineBetweenStores: what a flush writes to media is a line
+// between two stores, never one in the middle of a store sequence. A writer
+// stores a record's three words over and over — zero to word 0, then v to
+// word 1, then v to word 0, as an insert into a stale slot does — while a
+// flusher copies the line a fixed number of times. Every prefix of that
+// sequence leaves word 0 zero or equal to word 1; a copy that loaded word 0
+// before a sequence and word 1 after it would pair an old word 0 with a new
+// word 1, which no hardware can persist. More threads than cores let the OS
+// preempt a copy anywhere.
+func TestFlushCopiesLineBetweenStores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const flushes = 200_000
+	p := newTracked(t, 4*CachelineSize)
+	rec := Addr(CachelineSize)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for v := uint64(1); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.StoreU64(rec, 0)
+			p.QuietStoreU64(rec.Add(8), v)
+			p.QuietStoreU64(rec, v)
+		}
+	}()
+	defer func() { close(stop); writer.Wait() }()
+	for i := 0; i < flushes; i++ {
+		p.Flush(rec, RecordSize)
+		if w0, w1 := p.media(rec), p.media(rec.Add(8)); w0 != 0 && w0 != w1 {
+			t.Fatalf("flush %d put word 0 = %d next to word 1 = %d on media: a copy torn by a store sequence", i, w0, w1)
+		}
+	}
+}
+
 // TestStatsAccounting spot-checks the traffic counters the experiments use.
 func TestStatsAccounting(t *testing.T) {
 	p, err := NewPool(Options{Size: 4096})
