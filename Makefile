@@ -26,9 +26,14 @@ race:
 # count recovery recomputes rests on (a spill, a stash delete), or writers
 # in flight on lines two bucket locks share (WritersInFlight) five times
 # under the race detector: a split's interleavings are timing, and one pass
-# of `race` samples few of them.
+# of `race` samples few of them. It then repeats, ten times, the service
+# tier's tests of a client's wait — a waiter or a Submit on a full queue
+# sleeping in its shard's combiner lock and the Unlock that hands it on,
+# 64 clients on 2 procs, a Submit beyond the queue's capacity, Close
+# draining while a combiner is stuck — whose lost wake-up would be a hang.
 race-split:
 	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash|WritersInFlight' ./internal/core
+	$(GO) test -race -count=10 -run 'ParkAndHandOff|Oversubscribed|SubmitBeyondCapacity|CloseDrainsAndRefuses|FullQueueSleeps' ./internal/service
 
 # fuzz runs each of the tree's fuzz targets for a fixed 10 s, one at a time
 # (go test fuzzes one target per invocation); plain `go test` runs only their
@@ -103,7 +108,8 @@ docs-check: vet
 			splitScan splitScanPool splitCand segSweep dedupeSegment EvSplitCAS dangling_slots \
 			ReadBytes keyBytes updateOp deleteOp \
 			bkOffPadding bkOffRecords bkOffTail segBucket recordAddr mirrorFillBucket fillPadding \
-			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending; do \
+			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending \
+			reqParked ScaledOptane CostScale; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -143,19 +149,20 @@ benchmark-check:
 
 # bench-smoke is a seconds-long fixed configuration proving the whole
 # dashbench pipeline (workload → harness → CLI → JSON) end to end; the cost
-# model is off (-scale 0) so it measures nothing, it only has to run.
+# model is off (-model=false) so it measures nothing, it only has to run.
 # delete-heavy exercises the epoch-reclamation meters, -recovery the
 # snapshot→reopen timing path, and -shards 2 -batch 8 the service tier
 # (shards + batched frontend + client simulation, baseline and batched).
 bench-smoke:
 	$(GO) run ./cmd/dashbench -only -mix balanced,read,read-neg,var-insert,var-read,delete-heavy -threads 2 \
-		-ops 8000 -warmup 800 -keyspace 8192 -scale 0 -recovery \
+		-ops 8000 -warmup 800 -keyspace 8192 -model=false -recovery \
 		-shards 2 -batch 8 -sims svc-balanced \
 		-out $${TMPDIR:-/tmp}/BENCH_smoke.json
 
-# bench-gate is the perf-regression gate: seven fixed seeded cells under the
-# full cost model (u64 and variable-length inserts and reads, negative
-# reads, a restart, one service-tier cell), checked against the thresholds
+# bench-gate is the perf-regression gate: seven fixed seeded cells, all but
+# the restart cell ("model": false) under the full cost model (u64 and
+# variable-length inserts and reads, negative reads, a restart, one
+# service-tier cell), checked against the thresholds
 # committed in bench-gate.json (tail latency, PM traffic per op,
 # load-factor floor).
 # Fails the build when a tracked metric regresses past them; update the

@@ -1,7 +1,7 @@
 // Command benchgate is the perf-regression gate wired into `make ci` and
 // the hosted CI workflow. It runs a small set of fixed, seeded benchmark
 // cells (each seconds-long, with the full Optane cost model so PM traffic
-// has a price) and fails — exit status 1 — when any tracked metric
+// has a price, unless the cell says "model": false) and fails — exit status 1 — when any tracked metric
 // regresses past the thresholds committed in bench-gate.json.
 //
 // The cells guard the wins this repo has banked: the u64-insert cell keeps
@@ -21,7 +21,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +43,7 @@ type cellConfig struct {
 	Keyspace  uint64  `json:"keyspace"`
 	Theta     float64 `json:"theta"`
 	Seed      uint64  `json:"seed"`
-	Scale     int64   `json:"scale"`
+	Model     bool    `json:"model"`
 	// Shards > 0 makes the cell a service cell at (Shards, Batch), which is
 	// additionally run at the unbatched single-table baseline (1, 1) for the
 	// svc_* ratio thresholds to compare against.
@@ -97,12 +99,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var gf gateFile
-	if err := json.Unmarshal(data, &gf); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *cfgPath, err))
-	}
-	if len(gf.Cells) == 0 {
-		fatal(fmt.Errorf("%s declares no gate cells", *cfgPath))
+	gf, err := loadGate(data)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", *cfgPath, err))
 	}
 
 	failed := false
@@ -118,6 +117,22 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: PASS")
+}
+
+// loadGate parses a gate file. A key that names no field is an error, not
+// ignored: an absent threshold reads 0, which disables it, so a misspelled
+// threshold key would otherwise turn its check off without a word.
+func loadGate(data []byte) (gateFile, error) {
+	var gf gateFile
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&gf); err != nil {
+		return gf, fmt.Errorf("parse: %w", err)
+	}
+	if len(gf.Cells) == 0 {
+		return gf, errors.New("declares no gate cells")
+	}
+	return gf, nil
 }
 
 // runCell runs one gate cell and checks its thresholds. A service cell runs
@@ -140,7 +155,7 @@ func runCell(cell gateCell) bool {
 			Keyspace:        cc.Keyspace,
 			Theta:           cc.Theta,
 			Seed:            cc.Seed,
-			CostScale:       cc.Scale,
+			Model:           cc.Model,
 			Shards:          shards,
 			Batch:           batch,
 			MeasureRecovery: th.RecoveryOpenNSMax > 0,
@@ -150,8 +165,8 @@ func runCell(cell gateCell) bool {
 		}
 		return res
 	}
-	fmt.Printf("benchgate[%s]: %s, %d threads, %d ops, keyspace %d, seed %d, scale %d",
-		cell.Name, sim.Name, cc.Threads, cc.Ops, cc.Keyspace, cc.Seed, cc.Scale)
+	fmt.Printf("benchgate[%s]: %s, %d threads, %d ops, keyspace %d, seed %d, model %v",
+		cell.Name, sim.Name, cc.Threads, cc.Ops, cc.Keyspace, cc.Seed, cc.Model)
 	if cc.Shards > 0 {
 		fmt.Printf(" — %d×%d vs 1×1 baseline", cc.Shards, cc.Batch)
 	}

@@ -59,7 +59,7 @@ type benchJSON struct {
 		OpsPerRun int64   `json:"ops_per_run"`
 		WarmupOps int64   `json:"warmup_ops"`
 		Seed      uint64  `json:"seed"`
-		CostScale int64   `json:"cost_scale"` // 0 = cost model disabled
+		Model     bool    `json:"model"` // false = cost model disabled
 		Shards    int     `json:"shards,omitempty"`
 		Batch     int     `json:"batch,omitempty"`
 	} `json:"config"`
@@ -77,7 +77,7 @@ func main() {
 		only      = flag.Bool("only", false, "run only the -mix list, skipping the core suite (quick experiments)")
 		poolSize  = flag.Uint64("pool", 0, "PM pool bytes per cell (0 = sized automatically)")
 		seed      = flag.Uint64("seed", 42, "workload seed; identical seeds replay identical op sequences")
-		scale     = flag.Int64("scale", 1, "Optane cost-model speedup factor; 0 disables cost charging")
+		model     = flag.Bool("model", true, "charge the Optane cost model on the measured phase; -model=false disables cost charging")
 		out       = flag.String("out", "BENCH_dashbench.json", "JSON output path ('' skips writing)")
 		list      = flag.Bool("list", false, "list registered mixes and exit")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
@@ -138,7 +138,7 @@ func main() {
 	outJSON.Config.OpsPerRun = *ops
 	outJSON.Config.WarmupOps = *warmup
 	outJSON.Config.Seed = *seed
-	outJSON.Config.CostScale = *scale
+	outJSON.Config.Model = *model
 	outJSON.Config.Shards = *shards
 	if *shards > 0 {
 		outJSON.Config.Batch = *batch
@@ -157,7 +157,7 @@ func main() {
 			Theta:           *theta,
 			Seed:            *seed,
 			PoolSize:        *poolSize,
-			CostScale:       *scale,
+			Model:           *model,
 			Shards:          shards,
 			Batch:           batch,
 			MeasureRecovery: *recovery,
@@ -188,8 +188,8 @@ func main() {
 		outJSON.Results = append(outJSON.Results, res)
 	}
 
-	fmt.Printf("dashbench: %d mixes × threads %v, %d ops/cell, keyspace %d, theta %g, cost scale %d\n",
-		len(mixes), ladder, *ops, *keyspace, *theta, *scale)
+	fmt.Printf("dashbench: %d mixes × threads %v, %d ops/cell, keyspace %d, theta %g, cost model %v\n",
+		len(mixes), ladder, *ops, *keyspace, *theta, *model)
 
 	for _, mix := range mixes {
 		fmt.Printf("\nmix %s\n", mix.Mix)

@@ -51,11 +51,10 @@ type Config struct {
 	// PoolSize overrides the PM pool size (per shard); 0 sizes it from
 	// Keyspace and the mix's expected insert volume.
 	PoolSize uint64
-	// CostScale, when > 0, installs pmem.ScaledOptane(CostScale) on every
-	// pool after preload, so the measured phase pays simulated Optane
-	// latencies and bandwidth limits. Preload runs uncharged: it is setup,
-	// not workload.
-	CostScale int64
+	// Model, when true, installs pmem.DefaultOptane() on every pool after
+	// preload, so the measured phase pays simulated Optane latencies and
+	// bandwidth limits. Preload runs uncharged: it is setup, not workload.
+	Model bool
 	// Shards selects the engine. 0 is a direct cell: clients call one
 	// core.Table synchronously, and latency is the engine call's. ≥ 1 (a
 	// power of two) is a service cell: clients pipeline requests through a
@@ -294,8 +293,8 @@ func (c *cell) start(cfg Config) ([]*client, error) {
 	// The cost model joins after preload, so only workload traffic is
 	// charged. One model for all pools shares its bandwidth clocks, modeling
 	// shards that live on one socket's DIMMs.
-	if cfg.CostScale > 0 {
-		model := pmem.ScaledOptane(cfg.CostScale)
+	if cfg.Model {
+		model := pmem.DefaultOptane()
 		for _, p := range c.pools {
 			p.SetModel(model)
 		}

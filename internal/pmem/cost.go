@@ -46,8 +46,6 @@ import (
 // it is never charged less than their sum. Flush is still eager and
 // synchronous; the ledger is the seam an asynchronous Flush with a draining
 // Fence would book into.
-//
-// All costs scale by Scale so test suites can run the same code path fast.
 type CostModel struct {
 	// Base latencies, nanoseconds per access (not per line).
 	ReadLatencyNS  int64 // media read, paid when the line is not cached
@@ -59,10 +57,6 @@ type CostModel struct {
 	// Aggregate throughput is capped near 1 line per this many ns.
 	ReadLineNS  int64
 	WriteLineNS int64
-
-	// Scale divides every delay; 0 or 1 means full cost, 10 runs 10× faster
-	// with the same relative shape.
-	Scale int64
 
 	// Device-busy-until times on the obs.Now timeline, one per direction.
 	readClock  atomic.Int64
@@ -82,15 +76,7 @@ func DefaultOptane() *CostModel {
 		FenceNS:        25,
 		ReadLineNS:     7,  // ≈ 9.1 GB/s aggregate
 		WriteLineNS:    26, // ≈ 2.5 GB/s aggregate
-		Scale:          1,
 	}
-}
-
-// ScaledOptane returns DefaultOptane sped up by factor (for tests).
-func ScaledOptane(factor int64) *CostModel {
-	m := DefaultOptane()
-	m.Scale = factor
-	return m
 }
 
 // regulate books costNS of device time on clock and returns how many
@@ -105,13 +91,6 @@ func regulate(clock *atomic.Int64, now, costNS int64) int64 {
 		return 0
 	}
 	return clock.Add(costNS) - now
-}
-
-func (m *CostModel) scale(ns int64) int64 {
-	if m.Scale > 1 {
-		return ns / m.Scale
-	}
-	return ns
 }
 
 // The carry ledger's two bounds. The spin loop samples the clock once per
@@ -171,7 +150,7 @@ func (m *CostModel) spend(ns, from, now int64) {
 }
 
 // charged is what the model decided one access costs, known before it spins:
-// the scaled base latency, and the bandwidth queueing beyond it.
+// the base latency, and the bandwidth queueing beyond it.
 type charged struct{ baseNS, queueNS int64 }
 
 // charge prices one regulated access. Its clock read, taken after the host
@@ -185,8 +164,8 @@ type charged struct{ baseNS, queueNS int64 }
 // caller took none (nothing came before the charge).
 func (m *CostModel) charge(clock *atomic.Int64, busyNS, latencyNS, entry int64) charged {
 	now := obs.Now()
-	c := charged{baseNS: m.scale(latencyNS)}
-	if q := regulate(clock, now, m.scale(busyNS)); q > c.baseNS {
+	c := charged{baseNS: latencyNS}
+	if q := regulate(clock, now, busyNS); q > c.baseNS {
 		c.queueNS = q - c.baseNS
 	}
 	m.spend(c.baseNS+c.queueNS, entry, now)
@@ -208,7 +187,7 @@ func (m *CostModel) chargeFlush(lines uint64) charged {
 }
 
 func (m *CostModel) chargeFence() charged {
-	c := charged{baseNS: m.scale(m.FenceNS)}
+	c := charged{baseNS: m.FenceNS}
 	m.spend(c.baseNS, 0, 0)
 	return c
 }

@@ -17,11 +17,11 @@ var chargeKinds = []struct {
 	nominal func(m *CostModel) int64
 	do      func(p *Pool, a Addr)
 }{
-	{"read", func(m *CostModel) int64 { return m.scale(m.ReadLatencyNS) }, func(p *Pool, a Addr) { p.ReadU64(a) }},
-	{"write", func(m *CostModel) int64 { return m.scale(m.WriteLatencyNS) }, func(p *Pool, a Addr) { p.WriteU64(a, 1) }},
-	{"flush", func(m *CostModel) int64 { return m.scale(m.FlushNS) }, func(p *Pool, a Addr) { p.Flush(a, 8) }},
-	{"fence", func(m *CostModel) int64 { return m.scale(m.FenceNS) }, func(p *Pool, _ Addr) { p.Fence() }},
-	{"persist", func(m *CostModel) int64 { return m.scale(m.FlushNS) + m.scale(m.FenceNS) }, func(p *Pool, a Addr) { p.Persist(a, 8) }},
+	{"read", func(m *CostModel) int64 { return m.ReadLatencyNS }, func(p *Pool, a Addr) { p.ReadU64(a) }},
+	{"write", func(m *CostModel) int64 { return m.WriteLatencyNS }, func(p *Pool, a Addr) { p.WriteU64(a, 1) }},
+	{"flush", func(m *CostModel) int64 { return m.FlushNS }, func(p *Pool, a Addr) { p.Flush(a, 8) }},
+	{"fence", func(m *CostModel) int64 { return m.FenceNS }, func(p *Pool, _ Addr) { p.Fence() }},
+	{"persist", func(m *CostModel) int64 { return m.FlushNS + m.FenceNS }, func(p *Pool, a Addr) { p.Persist(a, 8) }},
 }
 
 func costPool(t testing.TB, m *CostModel) *Pool {
@@ -104,9 +104,11 @@ func TestNeverUnderCharges(t *testing.T) {
 
 // TestLedgerStaysInBounds checks the carry after every single call (carrySum
 // fails on a shard outside [-tickNS, deferNS)), on the default model and on
-// one scaled until every charge is smaller than a clock read.
+// one priced at a sixteenth of it, where every charge is smaller than a
+// clock read.
 func TestLedgerStaysInBounds(t *testing.T) {
-	for _, m := range []*CostModel{DefaultOptane(), ScaledOptane(16)} {
+	cheap := &CostModel{ReadLatencyNS: 18, WriteLatencyNS: 5, FlushNS: 5, FenceNS: 1, WriteLineNS: 1}
+	for _, m := range []*CostModel{DefaultOptane(), cheap} {
 		p := costPool(t, m)
 		for i := 0; i < 5_000; i++ {
 			chargeKinds[i%len(chargeKinds)].do(p, lineAddr(i))
@@ -145,7 +147,7 @@ func TestPreemptedSpinBanksOneTick(t *testing.T) {
 	for k, kind := range chargeKinds {
 		m := DefaultOptane()
 		p := costPool(t, m)
-		m.spend(m.scale(m.ReadLatencyNS), obs.Now()-int64(time.Millisecond), 0)
+		m.spend(m.ReadLatencyNS, obs.Now()-int64(time.Millisecond), 0)
 		if got := carrySum(t, m); got != -tickNS {
 			t.Fatalf("%s: late spin banked %d ns, want %d", kind.name, got, -tickNS)
 		}
@@ -216,31 +218,6 @@ func TestChargeCountsFromEntryClock(t *testing.T) {
 	}
 }
 
-// TestScaleDividesEveryCharge: at Scale 4 every kind owes a quarter (integer
-// division) and is still never under-charged.
-func TestScaleDividesEveryCharge(t *testing.T) {
-	full, m := DefaultOptane(), ScaledOptane(4)
-	p := costPool(t, m)
-	const n = 20_000
-	for k, kind := range chargeKinds[:4] {
-		if got, want := kind.nominal(m), kind.nominal(full)/4; got != want {
-			t.Errorf("%s: scaled nominal %d, want %d", kind.name, got, want)
-		}
-		elapsed, unspent := run(t, p, k, n)
-		if want := n * kind.nominal(m); elapsed+unspent < want {
-			t.Errorf("%s: %d scaled calls took %d ns (+%d); owed %d", kind.name, n, elapsed, unspent, want)
-		}
-	}
-	if !raceEnabled {
-		// And no more than full price: a Scale the kernel ignored would
-		// land at ≈ 300 + overhead per read.
-		elapsed, _ := run(t, p, 0, n)
-		if per := elapsed / n; per > full.ReadLatencyNS {
-			t.Errorf("scaled read costs %d ns per call, full price is %d", per, full.ReadLatencyNS)
-		}
-	}
-}
-
 // hammer runs g goroutines of n single-line reads each and returns aggregate
 // lines per second.
 func hammer(p *Pool, g, n int) float64 {
@@ -308,12 +285,12 @@ func TestLiteralModelRegulates(t *testing.T) {
 	}
 }
 
-// TestDeviceTimeBooked: every charge books the scaled nominal price it
-// decided on under its own category — from four goroutines at once, so the
-// regulator clocks and the ledger are shared under the race detector too —
-// windows subtract, pools add, and the registry shows the same figures.
+// TestDeviceTimeBooked: every charge books the nominal price it decided on
+// under its own category — from four goroutines at once, so the regulator
+// clocks and the ledger are shared under the race detector too — windows
+// subtract, pools add, and the registry shows the same figures.
 func TestDeviceTimeBooked(t *testing.T) {
-	m := ScaledOptane(2)
+	m := &CostModel{ReadLatencyNS: 150, WriteLatencyNS: 45, FlushNS: 40, FenceNS: 12, ReadLineNS: 3, WriteLineNS: 13}
 	p := costPool(t, m)
 	before := p.Stats()
 	const n, workers = 300, 4

@@ -196,10 +196,11 @@ func TestFrontendAckAfterTailFence(t *testing.T) {
 }
 
 // Parking and hand-off, deterministically: with batch 1 and shard 0's
-// combiner stuck on A's request, B and C run out of yields and park behind
-// it. When A's batch ends, A has its result and leaves; the queue still
-// holds B's and C's requests and both owners sleep, so A's release must
-// wake B, and B's — once it has run its own request — must wake C.
+// combiner stuck on A's request, B and C run out of yields and sleep in the
+// shard's combiner lock behind it. When A's batch ends, A has its result
+// and leaves; the queue still holds B's and C's requests and both owners
+// sleep, so A's Unlock must wake one of them in Lock, which runs a batch,
+// and its Unlock the other.
 func TestFrontendParkAndHandOff(t *testing.T) {
 	s := newShards(t, 1, 3)
 	defer s.Close()
@@ -237,6 +238,84 @@ func TestFrontendParkAndHandOff(t *testing.T) {
 	}
 }
 
+// A Submit into a full queue whose combiner is stuck sleeps in the shard's
+// combiner lock once its yields run out; it does not spin until there is
+// room. With batch 1 (queue capacity 16) and shard 0's combiner stopped in
+// a flush on A's request, B submits 17 requests without waiting: the 17th
+// must be counted in service.wait.parked while the combiner is still
+// stuck, and once it is released all 17 complete, in FIFO order — they
+// alternate an insert and a delete of one key, so any two swapped fail.
+func TestFrontendFullQueueSleeps(t *testing.T) {
+	s := newShards(t, 1, 17)
+	defer s.Close()
+	fe := NewFrontend(s, 1)
+	defer fe.Close()
+	if got := len(fe.queues[0].ring); got != 16 {
+		t.Fatalf("queue capacity %d at batch 1, want 16", got)
+	}
+
+	entered, release := blockFlush(s.Pool(0), nil)
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	a := &Request{Op: OpInsert, Key: 1 << 40, Value: 1}
+	fe.Submit(a)
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		a.Wait()
+	}()
+	watchdog(t, entered, 30*time.Second, "A becoming the combiner")
+
+	const key = 7
+	reqs := make([]Request, len(fe.queues[0].ring)+1)
+	var submitted atomic.Int32
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		for i := range reqs {
+			reqs[i].Op, reqs[i].Key, reqs[i].Value = OpInsert, key, uint64(i)
+			if i%2 == 1 {
+				reqs[i].Op = OpDelete
+			}
+			fe.Submit(&reqs[i])
+			submitted.Add(1)
+		}
+		for i := range reqs {
+			reqs[i].Wait()
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); counter(fe, "service.wait.parked") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("service.wait.parked = 0 after %d Submits into a full queue: the 17th spins instead of sleeping",
+				submitted.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := submitted.Load(); n != int32(len(reqs)-1) {
+		t.Errorf("%d Submits returned while the combiner was stuck, want %d", n, len(reqs)-1)
+	}
+	released = true
+	close(release)
+	watchdog(t, aDone, 30*time.Second, "A's batch")
+	watchdog(t, bDone, 30*time.Second, "B's 17 requests")
+	if res := a.Wait(); res.Err != nil {
+		t.Errorf("A's insert: %v", res.Err)
+	}
+	for i := range reqs {
+		res := reqs[i].Wait()
+		if reqs[i].Op == OpInsert && res.Err != nil || reqs[i].Op == OpDelete && !res.Found {
+			t.Errorf("request %d (op %d) out of order: %+v", i, reqs[i].Op, res)
+		}
+	}
+	if v, ok := s.Table(0).Get(key); !ok || v != uint64(len(reqs)-1) {
+		t.Errorf("key after the last insert: found=%v v=%d, want %d", ok, v, len(reqs)-1)
+	}
+}
+
 // Liveness and per-shard order with far more clients than processors: 64
 // clients, each pipelining insert → get → update → get → delete → get on
 // one key without waiting in between, on 2 procs. Every request completes
@@ -245,7 +324,8 @@ func TestFrontendParkAndHandOff(t *testing.T) {
 // a time), and the frontend owns no goroutine. Over 4 shards a waiter
 // nearly always finds a shard to help; over 1 shard whose combiner stalls
 // now and then (a flush hook that sleeps) there is nothing to help and the
-// other 63 run out of yields, so parking and hand-off carry the load.
+// other 63 run out of yields, so sleeping in the combiner lock carries the
+// load.
 func TestFrontendOversubscribedOrder(t *testing.T) {
 	t.Run("shards=4", func(t *testing.T) { testOversubscribed(t, 4, 60, 0) })
 	t.Run("shards=1,stalls", func(t *testing.T) { testOversubscribed(t, 1, 20, 500) })

@@ -26,10 +26,14 @@ import (
 // is elided and one ordering fence at the batch tail covers them all — the
 // paper's selective-persistence economics applied across requests instead
 // of within one. A waiter that finds its shard's lock taken helps another
-// shard that has queued work and a free lock, else yields the processor,
-// and parks only after parkAfterYields fruitless yields; the combiner that
-// releases a non-empty queue wakes the oldest parked waiter in it, so
-// "queued work, free lock, every owner asleep" is unreachable.
+// shard that has queued work and a free lock, else yields the processor;
+// after parkAfterYields fruitless rounds it sleeps in the shard's combiner
+// lock itself — sync.Mutex's own spin-then-park, handed on in FIFO order
+// under starvation — and, holding it, runs a batch unless its request was
+// completed meanwhile. A Submit that finds the queue full waits for room
+// the same way. Every batch ends in an Unlock of its shard's lock and a
+// sleeper holds no other lock, so "queued work, free lock, every owner
+// asleep" is unreachable without a wake-up protocol of the frontend's own.
 //
 // A request nobody waits for is executed by the next client that runs its
 // shard: a waiter combining for a request queued behind it, a Submit that
@@ -84,13 +88,10 @@ type Result struct {
 // A request's state word; reqIdle is the zero Request's, never submitted.
 // Submit moves it to reqQueued; the combiner that
 // executed it (or the Submit that refused it) moves it to reqDone, strictly
-// after the batch's tail fence. reqParked is reqQueued with the owner
-// asleep on wake: whoever moves the word out of reqParked other than the
-// owner itself owes wake exactly one token.
+// after the batch's tail fence.
 const (
 	reqIdle uint32 = iota
 	reqQueued
-	reqParked
 	reqDone
 )
 
@@ -114,9 +115,8 @@ type Request struct {
 	ValueB []byte
 
 	res      Result
-	fe       *Frontend     // set by Submit: Wait runs this frontend's shards
-	wake     chan struct{} // made on the owner's first park, then reused
-	submitAt int64         // obs.Now() at Submit if queue-wait sampled, else 0
+	fe       *Frontend // set by Submit: Wait runs this frontend's shards
+	submitAt int64     // obs.Now() at Submit if queue-wait sampled, else 0
 	shard    int32
 	// state is driven by sync/atomic functions rather than an atomic.Uint32
 	// so that a Request stays copyable under go vet.
@@ -136,23 +136,19 @@ func (r *Request) Wait() Result {
 
 // complete publishes r.res: the last touch of r by anyone but its owner,
 // who may reuse it the moment the word reads reqDone.
-func (r *Request) complete() {
-	if atomic.SwapUint32(&r.state, reqDone) == reqParked {
-		r.wake <- struct{}{}
-	}
-}
+func (r *Request) complete() { atomic.StoreUint32(&r.state, reqDone) }
 
 // parkAfterYields is how many fruitless rounds — own shard held by another
 // combiner, no other shard to help, runtime.Gosched — a waiter makes before
-// it parks. Parking costs two futex hand-offs, the very cost this tier was
-// rebuilt to avoid, so the bound only has to keep a client whose shard is
-// stuck behind a slow combiner from burning a core for long. Measured on
-// the 2-vCPU reference box, benchmark/ svc_pipelined (2 clients x 16
-// outstanding, 2 shards, batch 16), seeds 1–3, k ops/s: 64 yields 821 865
-// 736; 512 yields 884 1 009 942; 4 096 yields 997 971 1 107; never parking
-// 938 1 032 925 — 512 is on the plateau. The executor-goroutine design this
-// replaced, which parked on every empty queue and every pending reply: 586
-// 635 629.
+// it sleeps in its shard's combiner lock. A sleep costs futex hand-offs, the
+// very cost this tier was rebuilt to avoid, so the bound only has to keep a
+// client whose shard is stuck behind a slow combiner from burning a core
+// for long. Measured on the 2-vCPU reference box, benchmark/ svc_pipelined
+// (2 clients x 16 outstanding, 2 shards, batch 16), seeds 1–3, k ops/s: 64
+// yields 821 865 736; 512 yields 884 1 009 942; 4 096 yields 997 971 1 107;
+// never sleeping 938 1 032 925 — 512 is on the plateau. The
+// executor-goroutine design this replaced, which parked on every empty
+// queue and every pending reply: 586 635 629.
 const parkAfterYields = 512
 
 // queueWaitSamplePeriod is the sampling period of service.queue_wait_ns.
@@ -173,14 +169,11 @@ type shardQueue struct {
 
 	// combiner is the shard's single-writer lock: its holder alone pops
 	// requests and executes them, inside one fence-batch window per batch.
-	// Clients only TryLock it; Close, which must get in, Locks it.
+	// Clients TryLock it while they have anything else to do; a client out
+	// of yields (sleep) and Close, which must get in, Lock it.
 	combiner sync.Mutex
 	batch    []*Request   // the holder's current batch
 	inWindow atomic.Int32 // goroutines between window open and close; 1 at most
-	// parked counts waiters parked or about to park on this shard. A waiter
-	// raises it before its last TryLock and a combiner reads it after
-	// Unlock, so one of the two always sees the other.
-	parked atomic.Int32
 
 	// The two errors a dead or closed frontend turns requests away with,
 	// built once: a dead shard makes this path hot.
@@ -307,11 +300,12 @@ func (f *Frontend) Imbalance() float64 {
 
 // Submit routes r to its shard's queue and returns once it is enqueued;
 // the request completes when some client runs that shard, and Wait does so
-// itself if nobody has. A full queue does not block: the submitter runs
-// the shard (or helps another, or yields to the combiner that is draining
-// it) until there is room. A closed frontend or a dead shard refuses the
-// request at once, with ErrClosed or ErrShardDown as its result. Safe from
-// any number of goroutines.
+// itself if nobody has. A full queue is waited out as Wait waits (waitStep):
+// the submitter runs the shard, helps another or yields, and sleeps in the
+// shard's combiner lock once that stays fruitless, until there is room. A
+// closed frontend or a dead shard refuses the request at once, with
+// ErrClosed or ErrShardDown as its result. Safe from any number of
+// goroutines.
 func (f *Frontend) Submit(r *Request) {
 	var h uint64
 	if r.KeyB != nil {
@@ -327,7 +321,7 @@ func (f *Frontend) Submit(r *Request) {
 		r.submitAt = obs.Now()
 	}
 	atomic.StoreUint32(&r.state, reqQueued)
-	for full := false; ; {
+	for full, yields := false, 0; ; {
 		q.mu.Lock()
 		// closed and dead are read under the lock Close's drain and a crash's
 		// sweep pop under: a request enqueued past this check is one they see.
@@ -337,7 +331,7 @@ func (f *Frontend) Submit(r *Request) {
 			if closed {
 				r.res.Err = q.errClosed
 			}
-			atomic.StoreUint32(&r.state, reqDone)
+			r.complete()
 			return
 		}
 		if n := int(q.depth.Load()); n < len(q.ring) {
@@ -351,34 +345,15 @@ func (f *Frontend) Submit(r *Request) {
 			full = true
 			f.submitFull.Inc()
 		}
-		if f.combine(shard, shard) == 0 && f.help(shard) == 0 {
-			runtime.Gosched()
-		}
+		f.waitStep(r, &yields)
 	}
 }
 
-// await runs shards until r is done: r's own whenever its combiner lock is
-// free, any other with queued work while it is not. Only after
-// parkAfterYields rounds in which neither was possible does it park.
+// await runs waitStep until r is done.
 func (f *Frontend) await(r *Request) {
-	own := int(r.shard)
-	ran := 0 // requests this call executed, r among them or not
-	for yields := 0; atomic.LoadUint32(&r.state) != reqDone; {
-		n := f.combine(own, own)
-		if n == 0 {
-			n = f.help(own)
-		}
-		switch {
-		case n > 0:
-			ran += n
-			yields = 0
-		case yields < parkAfterYields:
-			yields++
-			runtime.Gosched()
-		default:
-			ran += f.park(r)
-			yields = 0
-		}
+	ran, yields := 0, 0 // ran: requests this call executed, r among them or not
+	for atomic.LoadUint32(&r.state) != reqDone {
+		ran += f.waitStep(r, &yields)
 	}
 	// Having worked for other clients, let them run before this one submits
 	// more. With more clients than processors the owners of the requests a
@@ -394,6 +369,31 @@ func (f *Frontend) await(r *Request) {
 	}
 }
 
+// waitStep is one round of a client's wait on r's shard, for r to complete
+// (await) or for room in its queue (Submit), and returns how many requests
+// it ran: a batch of r's shard if its combiner lock is free, else of
+// another shard with queued work and a free lock (help), else none, and the
+// processor is yielded. *yields counts the fruitless rounds in a row; the
+// round after parkAfterYields of them sleeps in the shard's combiner lock.
+func (f *Frontend) waitStep(r *Request, yields *int) int {
+	own := int(r.shard)
+	n := f.combine(own, own)
+	if n == 0 {
+		n = f.help(own)
+	}
+	switch {
+	case n > 0:
+		*yields = 0
+	case *yields < parkAfterYields:
+		*yields++
+		runtime.Gosched()
+	default:
+		*yields = 0
+		n = f.sleep(r)
+	}
+	return n
+}
+
 // help runs one batch on the first shard other than own that has queued
 // work and a free combiner lock, and returns how many requests it ran.
 func (f *Frontend) help(own int) int {
@@ -405,36 +405,24 @@ func (f *Frontend) help(own int) int {
 	return 0
 }
 
-// park puts r's owner to sleep until r is done or a releasing combiner
-// picks it to run the shard. The last TryLock, after the parked count and
-// the state word are raised, closes the race with a combiner releasing the
-// lock concurrently: either this waiter gets the lock — it then runs a
-// batch instead of sleeping, and returns its size — or that combiner's
-// release sees the count, and r if it is still queued. (TryLock can also
-// fail with no holder while Close, the one caller that blocks in Lock, is
-// being handed the mutex; Close then drains the queue, r included.)
-func (f *Frontend) park(r *Request) int {
+// sleep takes r's shard's combiner lock with Lock — sync.Mutex spins
+// briefly, then parks until an Unlock hands the lock on — and, holding it,
+// runs a batch unless r completed meanwhile; it returns how many requests
+// it ran. No wake-up can be lost: every batch, the one that completes r or
+// frees a queue slot included, ends in an Unlock of the shard's lock, and a
+// sleeper holds no other lock. service.wait.parked counts the Locks that
+// follow a failed TryLock: taking a free lock is not a sleep.
+func (f *Frontend) sleep(r *Request) int {
 	q := &f.queues[r.shard]
-	if r.wake == nil {
-		r.wake = make(chan struct{}, 1)
-	}
-	q.parked.Add(1)
-	defer q.parked.Add(-1)
-	if !atomic.CompareAndSwapUint32(&r.state, reqQueued, reqParked) {
-		return 0 // done meanwhile
-	}
 	if !q.combiner.TryLock() {
 		f.waitParked.Inc()
-		<-r.wake
-		return 0
+		q.combiner.Lock()
 	}
-	// Nobody is running the shard: stay awake and run it. If the word
-	// already left reqParked, a token is on its way; take it.
-	if !atomic.CompareAndSwapUint32(&r.state, reqParked, reqQueued) {
-		<-r.wake
+	n := 0
+	if atomic.LoadUint32(&r.state) != reqDone {
+		n = f.runBatch(int(r.shard), int(r.shard))
 	}
-	n := f.runBatch(int(r.shard), int(r.shard))
-	f.release(q)
+	q.combiner.Unlock()
 	return n
 }
 
@@ -447,27 +435,8 @@ func (f *Frontend) combine(shard, own int) int {
 		return 0
 	}
 	n := f.runBatch(shard, own)
-	f.release(q)
-	return n
-}
-
-// release gives the combiner lock up and, if requests are still queued and
-// some waiter sleeps, wakes the oldest sleeper among them to take over.
-// Sleepers whose request was in the batch were woken by complete.
-func (f *Frontend) release(q *shardQueue) {
 	q.combiner.Unlock()
-	if q.parked.Load() == 0 {
-		return
-	}
-	q.mu.Lock()
-	for i, n := 0, int(q.depth.Load()); i < n; i++ {
-		r := q.ring[(q.head+i)%len(q.ring)]
-		if atomic.CompareAndSwapUint32(&r.state, reqParked, reqQueued) {
-			r.wake <- struct{}{}
-			break
-		}
-	}
-	q.mu.Unlock()
+	return n
 }
 
 // pop moves up to max requests, in FIFO order, from the queue into q.batch
@@ -580,7 +549,7 @@ func (f *Frontend) Close() {
 		q.combiner.Lock()
 		for f.runBatch(i, i) > 0 {
 		}
-		f.release(q)
+		q.combiner.Unlock()
 	}
 }
 
