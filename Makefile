@@ -109,7 +109,8 @@ docs-check: vet
 			ReadBytes keyBytes updateOp deleteOp \
 			bkOffPadding bkOffRecords bkOffTail segBucket recordAddr mirrorFillBucket fillPadding \
 			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending \
-			reqParked ScaledOptane CostScale; do \
+			reqParked ScaledOptane CostScale \
+			cacheRebuild descFor 'dircache\.rebuilds' opSampleMask; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -444,14 +444,14 @@ func TestTornStaleSlotInsert(t *testing.T) {
 				t.Fatal(err)
 			}
 			re.RecoverAll()
-			if m := re.cache.descs[old.seg].mir.Load().word(bi, mirBkMeta).Load(); metaSlotUsed(m, slot) {
+			if m := segDescs(re)[old.seg].mir.Load().word(bi, mirBkMeta).Load(); metaSlotUsed(m, slot) {
 				t.Fatalf("the torn slot %d of bucket %d reopened live", slot, bi)
 			}
 			if stale {
 				k := recWordKey(w0)
 				pk := re.probeU64(k)
 				var in []*segDesc
-				for _, d := range re.cache.descs {
+				for _, d := range segDescs(re) {
 					if kv, _, ok, _ := mirSegSearch(re.vlog, d.mir.Load(), &pk, true); ok {
 						in = append(in, d)
 						if kv.Value != k*3+1 {
@@ -459,7 +459,7 @@ func TestTornStaleSlotInsert(t *testing.T) {
 						}
 					}
 				}
-				if len(in) != 1 || in[0] == re.cache.descs[old.seg] || in[0] != re.cache.route(pk.parts) {
+				if len(in) != 1 || in[0] == segDescs(re)[old.seg] || in[0] != re.cache.route(pk.parts) {
 					t.Fatalf("moved key %d is found in %d segments, want once, in its sibling", k, len(in))
 				}
 			}
@@ -659,7 +659,7 @@ func TestCrashStashMovedBySplit(t *testing.T) {
 // caller runs on tbl too.
 func requireStashFound(t *testing.T, tbl *Table, where string) {
 	t.Helper()
-	for seg, d := range tbl.cache.descs {
+	for seg, d := range segDescs(tbl) {
 		mir := d.mir.Load()
 		if mir == nil {
 			continue

@@ -47,12 +47,14 @@ import (
 // named — the writers' check relies on it: a leaked split sibling's header
 // claims too.
 //
-// Open and Create build the cache with one O(directory) pass over the PM
-// directory (cacheRebuild) — the only time it is read; nothing about the
-// cache is persisted.
+// Create and Open install the view from the directory entries they hold —
+// the ones Create just wrote, the ones Open's reconcile just read and fixed
+// (setView) — so no pass re-reads the PM directory to build it; nothing
+// about the cache is persisted. The view is the table's only index of
+// segments: a segment's descriptor is whatever its entries hold.
 type dirCache struct {
 	// view is an immutable-shape snapshot: the entries slice is fixed at
-	// 2^depth and only ever swapped wholesale (doubling, rebuild). Entry
+	// 2^depth and only ever swapped wholesale (setView, doubling). Entry
 	// values mutate in place through the atomics.
 	view atomic.Pointer[dirView]
 
@@ -61,17 +63,10 @@ type dirCache struct {
 	// misses counts stale routes that forced a repair + retry. Both are
 	// goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real
-	// thread counts. rebuilds counts full O(directory) reconstructions
-	// (Create, Open) — rare, but registered the same way for uniformity.
-	// All three live in the table's obs.Registry (initObs) under
+	// thread counts. Both live in the table's obs.Registry (initObs) under
 	// dircache.* names.
-	hits     *obs.Counter
-	misses   *obs.Counter
-	rebuilds *obs.Counter
-
-	// descs owns the descriptors, one per segment a PM directory has named,
-	// so every entry of a segment shares one. Rebuild and publish only.
-	descs map[pmem.Addr]*segDesc
+	hits   *obs.Counter
+	misses *obs.Counter
 }
 
 type dirView struct {
@@ -120,32 +115,26 @@ func (v *dirView) eachSegment(fn func(*segDesc)) {
 	}
 }
 
-// descFor returns the descriptor of a segment the PM directory names,
-// creating it (mirror-less) the first time the address is seen. Create and
-// Open only: single-threaded.
-func (t *Table) descFor(seg pmem.Addr) *segDesc {
-	d := t.cache.descs[seg]
-	if d == nil {
-		d = &segDesc{seg: seg}
-		t.cache.descs[seg] = d
-	}
-	return d
-}
-
-// cacheRebuild reconstructs the whole view from the PM directory in one
-// O(directory) pass: Create and Open, single-threaded, are its only callers
-// and the only readers of the PM directory.
-func (t *Table) cacheRebuild() {
-	p := t.pool
-	dir := pmem.Addr(p.LoadU64(rootAddr.Add(rootOffDir)))
-	depth := dirDepth(p, dir)
+// setView installs the view of directory block dir at depth, whose entry i
+// names segment seg(i): one new, mirror-less descriptor per distinct segment,
+// shared by every entry that names it. The entries of a segment are one
+// contiguous run (Create writes one entry per segment; Open has checked each
+// coverage). It returns the descriptors in first-entry order. Create and Open
+// only: single-threaded, and the entries come from the caller, not from PM.
+func (t *Table) setView(dir pmem.Addr, depth uint8, seg func(i uint64) pmem.Addr) []*segDesc {
 	n := uint64(1) << depth
 	v := &dirView{depth: depth, dir: dir, entries: make([]atomic.Pointer[segDesc], n)}
+	var descs []*segDesc
+	var d *segDesc
 	for i := uint64(0); i < n; i++ {
-		v.entries[i].Store(t.descFor(dirLoadEntry(p, dir, i)))
+		if s := seg(i); d == nil || d.seg != s {
+			d = &segDesc{seg: s}
+			descs = append(descs, d)
+		}
+		v.entries[i].Store(d)
 	}
 	t.cache.view.Store(v)
-	t.cache.rebuilds.Inc()
+	return descs
 }
 
 // cacheRepair is what an operation does after its route failed a claim
@@ -154,7 +143,7 @@ func (t *Table) cacheRebuild() {
 // mirrored claim before it writes the view entries, both under dirMu. Taking
 // dirMu waits out the one in flight; the caller then routes again from the
 // current view, which write-through has made right. Pure DRAM: nothing here
-// reads the PM directory, which only a rebuild does.
+// reads the PM directory.
 func (t *Table) cacheRepair(parts hashfn.Parts) {
 	t.fr.Record(obs.EvRouteRepair, obs.TagNone, parts.Hash, 0)
 	t.dirMu.Lock()
@@ -163,11 +152,11 @@ func (t *Table) cacheRepair(parts hashfn.Parts) {
 
 // cachePublishSplit write-through: mirror a completed split of the entry
 // range [start, start+span) — lower half keeps old, upper half routes to its
-// sibling, from here on a directory-named segment. The caller holds dirMu
+// sibling, from here on a directory-named segment whose descriptor the view's
+// entries hold. The caller holds dirMu
 // and every bucket lock of old.seg, so this lands before any writer can
 // observe the post-split segment metadata.
 func (t *Table) cachePublishSplit(sib *segDesc, start, span uint64) {
-	t.cache.descs[sib.seg] = sib
 	v := t.cache.view.Load()
 	for i := start + span>>1; i < start+span; i++ {
 		v.entries[i].Store(sib)

@@ -7,8 +7,8 @@ import (
 // Directory layer (§4.3, §4.7). The directory is one PM block: a header
 // cacheline holding the global depth, followed by 2^depth segment pointers.
 // It is the crash-consistent source of truth for routing — written through
-// on every split publish and doubling, read back by Create and recovery —
-// but a running table never reads it: operations route, validate and repair
+// on every split publish and doubling, read back only by Open's reconcile
+// (and the quiescent Verify) — but a running table never reads it: operations route, validate and repair
 // through the DRAM-resident view in dircache.go, and a doubling copies the
 // entries from that view.
 // Indexing uses the hash's most-significant bits, so all entries covering

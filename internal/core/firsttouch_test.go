@@ -305,7 +305,7 @@ func TestFirstTouchKeepsFirstCopy(t *testing.T) {
 			}
 			defer re.Close()
 			before := p.Stats()
-			re.mirror(re.cache.descs[seg])
+			re.mirror(segDescs(re)[seg])
 			if d := p.Stats().Sub(before); d.WriteLines != 1 || d.FlushedLines != 1 || d.Fences != 1 {
 				t.Errorf("first touch wrote %d lines, flushed %d and fenced %d times, want 1, 1, 1", d.WriteLines, d.FlushedLines, d.Fences)
 			}

@@ -16,8 +16,9 @@ import (
 )
 
 // Lazy per-segment recovery (§4.6): Open does only the O(directory) work —
-// entry claims, segment metadata fixes, chunk-chain validation, dirCache
-// rebuild — and defers everything O(data) to first touch. Every
+// one pass of entry claims over the directory, segment metadata fixes,
+// chunk-chain validation, the view installed from the reconciled entries —
+// and defers everything O(data) to first touch. Every
 // directory-reachable segment's descriptor starts without a mirror; the
 // first operation routed to it takes the segment's owner lock
 // (segDesc.owner, the lock a split holds) and runs the per-segment
@@ -46,9 +47,9 @@ type lazyRecovery struct {
 	clean  bool  // clean-shutdown image: skip the duplicate and blob checks and count derivation
 	openAt int64 // obs.Now() at Open, base of time-to-fully-recovered
 
-	// order lists every directory-reachable segment at Open, each without a
-	// mirror until its first touch: the deterministic iteration for
-	// driveRecovery.
+	// order lists every directory-reachable segment at Open in directory
+	// order (the descriptors setView made), each without a mirror until its
+	// first touch: the deterministic iteration for driveRecovery.
 	order     []*segDesc
 	remaining atomic.Int64
 
@@ -74,7 +75,9 @@ var disableBackgroundRecovery atomic.Bool
 // recoverLazy reconciles the table image with O(directory) work only. The
 // directory is the source of truth: every segment's true coverage — and from
 // it, its local depth and pattern — is re-derived by letting deeper segments
-// claim their canonical entry ranges first. This completes a partially
+// claim their canonical entry ranges first, in one pass that reads each
+// directory entry once and hands the reconciled entries to setView, so the
+// view needs no second read of the directory. This completes a partially
 // published split (the new segment was fully durable before the first entry
 // flip) and leaves an unpublished one a harmless leak: no entry names its
 // sibling. Bucket and owner locks need no pass at all: they live in DRAM,
@@ -109,10 +112,14 @@ func (t *Table) recoverLazy(clean bool) error {
 	}
 	n := uint64(1) << g
 
+	// A segment's coverage is what it claims in its deepest-first turn below:
+	// its first entry, their count, and whether the run had a gap.
 	type segInfo struct {
-		addr pmem.Addr
-		l    uint8
-		pat  uint64
+		addr         pmem.Addr
+		l            uint8
+		pat          uint64
+		first, count uint64
+		gap          bool
 	}
 	entries := make([]pmem.Addr, n)
 	var segs []segInfo
@@ -135,15 +142,24 @@ func (t *Table) recoverLazy(clean bool) error {
 
 	// Deepest-first claiming: a new segment (depth L+1) takes its canonical
 	// half before the stale old segment (still claiming depth L) takes the
-	// remainder, which completes any half-flipped publish.
+	// remainder, which completes any half-flipped publish. A segment claims
+	// entries only in its own turn, so its coverage is complete when the
+	// turn ends.
 	sort.SliceStable(segs, func(i, j int) bool { return segs[i].l > segs[j].l })
 	fixed := make([]pmem.Addr, n)
-	for _, s := range segs {
+	for k := range segs {
+		s := &segs[k]
 		start, span := dirCoverage(g, s.l, s.pat)
 		for i := start; i < start+span; i++ {
-			if fixed[i].IsNull() {
-				fixed[i] = s.addr
+			if !fixed[i].IsNull() {
+				continue
 			}
+			if s.count == 0 {
+				s.first = i
+			}
+			s.gap = s.gap || i != s.first+s.count
+			fixed[i] = s.addr
+			s.count++
 		}
 	}
 	changed := false
@@ -163,30 +179,14 @@ func (t *Table) recoverLazy(clean bool) error {
 	// Re-derive each segment's (depth, pattern) from its coverage, which must
 	// be the one aligned range its count and first entry name: a corrupt
 	// image can scatter it, and no claim describes that.
-	type cover struct{ first, count uint64 }
-	covers := make(map[pmem.Addr]*cover, len(segs))
-	for i := uint64(0); i < n; i++ {
-		if c := covers[fixed[i]]; c != nil {
-			c.count++
-		} else {
-			covers[fixed[i]] = &cover{first: i, count: 1}
-		}
-	}
 	for _, s := range segs {
-		first, count := uint64(0), uint64(0)
-		if c := covers[s.addr]; c != nil {
-			first, count = c.first, c.count
+		if s.count == 0 || s.count&(s.count-1) != 0 {
+			return fmt.Errorf("core: recovery: segment %#x covers %d entries", s.addr, s.count)
 		}
-		if count == 0 || count&(count-1) != 0 {
-			return fmt.Errorf("core: recovery: segment %#x covers %d entries", s.addr, count)
-		}
-		l := g - uint8(bits.TrailingZeros64(count))
-		pat := first >> (g - l)
-		start, span := dirCoverage(g, l, pat)
-		for i := start; i < start+span; i++ {
-			if fixed[i] != s.addr {
-				return fmt.Errorf("core: recovery: segment %#x covers %d entries from %d, not the range (depth %d, pattern %#x)", s.addr, count, first, l, pat)
-			}
+		l := g - uint8(bits.TrailingZeros64(s.count))
+		pat := s.first >> (g - l)
+		if s.gap || s.first%s.count != 0 {
+			return fmt.Errorf("core: recovery: segment %#x covers %d entries from %d, not the range (depth %d, pattern %#x)", s.addr, s.count, s.first, l, pat)
 		}
 		if l != s.l || pat != s.pat {
 			segSetMeta(p, s.addr, l, pat)
@@ -195,26 +195,21 @@ func (t *Table) recoverLazy(clean bool) error {
 
 	// Validate the record log's chunk chain and snapshot the sweep frontier
 	// (O(#chunks)); the blob-level sweep itself is the background pass. Then
-	// mirror the reconciled directory into the DRAM cache — the last
-	// O(directory) step — and build the deferred-work side table.
+	// install the view from the reconciled entries — it reads no PM — and
+	// build the deferred-work side table over the segments it names.
 	if clean {
 		t.count.Store(int64(p.LoadU64(rootAddr.Add(rootOffCount))))
 	}
 	if err := t.vlog.RecoverChunks(); err != nil {
 		return err
 	}
-	t.cacheRebuild()
-
 	lr := &lazyRecovery{
 		clean:  clean,
 		openAt: rstart,
-		order:  make([]*segDesc, 0, len(segs)),
+		order:  t.setView(dir, g, func(i uint64) pmem.Addr { return fixed[i] }),
 		refs:   make(map[pmem.Addr]struct{}),
 	}
-	for _, s := range segs {
-		lr.order = append(lr.order, t.cache.descs[s.addr])
-	}
-	lr.remaining.Store(int64(len(segs)))
+	lr.remaining.Store(int64(len(lr.order)))
 	t.lazy.Store(lr)
 	end := obs.Now()
 	t.recordRecoveryPhase(phaseDir, obs.PhaseDirectory, rstart, end)

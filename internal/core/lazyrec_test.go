@@ -499,3 +499,43 @@ func TestFirstTouchDeletesDanglingBlobSlot(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenReadsDirectoryOnce pins what Open reads of a crash image holding
+// only inline records, at two directory depths g, each just past a doubling
+// so that the directory has more entries than segments: one line per
+// directory entry, read once by the reconcile that also builds the view; one
+// header line per segment, its claim; and k = 8 more lines — five root words
+// Open checks (magic, format, seed, allocation frontier, clean marker), the
+// root's directory pointer and the directory's depth word, and the record
+// log's head pointer, which names no chunk in an image without blobs. A view
+// built by a second pass over the directory would read each entry twice.
+func TestOpenReadsDirectoryOnce(t *testing.T) {
+	withLazyGates(t) // the background driver would read segments during the window
+	pool, err := pmem.NewPool(pmem.Options{Size: 8 << 20, TrackCrashes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Create(pool, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make(map[uint64]uint64)
+	next := uint64(0)
+	for _, g := range []uint8{4, 6} {
+		growTo(t, tbl, g, &next, acked)
+		segs := tbl.Stats().Segments
+		if segs >= 1<<g {
+			t.Fatalf("depth %d: %d segments, want fewer than the %d entries", g, segs, 1<<g)
+		}
+		img := openImage(t, pool.Snapshot()) // the durable image, never closed
+		before := img.Stats()
+		re := openTestTable(t, img)
+		const k = 8
+		if got, want := img.Stats().Sub(before).ReadLines, uint64(1)<<g+uint64(segs)+k; got != want {
+			t.Errorf("depth %d, %d segments: Open read %d lines, want 2^%d + %d + %d = %d", g, segs, got, g, segs, k, want)
+		}
+		re.RecoverAll()
+		requireVerified(t, re)
+	}
+	verifyAtTeardown(t, tbl)
+}

@@ -36,7 +36,7 @@ type opSpan struct {
 // no clock and writes nothing but its own guard slot.
 func (t *Table) opBegin(pk *probeKey) opSpan {
 	op := opSpan{g: t.em.Enter()}
-	if (pk.parts.Hash>>32)&t.opSampleMask == 0 {
+	if (pk.parts.Hash>>32)%opSamplePeriod == 0 {
 		op.start, op.sampled = obs.Now(), true
 	}
 	return op
@@ -118,7 +118,6 @@ func (t *Table) initObs() {
 	// Directory-cache routing.
 	t.cache.hits = reg.Counter("dircache.hits")
 	t.cache.misses = reg.Counter("dircache.misses")
-	t.cache.rebuilds = reg.Counter("dircache.rebuilds")
 
 	// Per-segment filter mirrors.
 	t.filters.hits = reg.Counter("segfilter.hits")
@@ -185,7 +184,7 @@ func (t *Table) Metrics() *obs.Registry { return t.reg }
 // OpSamplePeriod is the flight recorder's op-lane sampling period: the
 // operations of one key in that many are recorded (obs.Serve's /trace says
 // so).
-func (t *Table) OpSamplePeriod() int { return int(t.opSampleMask + 1) }
+func (t *Table) OpSamplePeriod() int { return opSamplePeriod }
 
 // TraceSnapshot dumps the flight recorder: every retained event (sampled op
 // completions, split lifecycle transitions, route repairs, epoch advances,

@@ -157,21 +157,39 @@ func TestObsConcurrentWithWriters(t *testing.T) {
 	}
 }
 
+// inSample reports whether the op lane's sample takes key k: every operation
+// on it is recorded.
+func inSample(tbl *Table, k uint64) bool {
+	return (tbl.probeU64(k).parts.Hash>>32)%opSamplePeriod == 0
+}
+
+// sampledKeys returns the first n keys from k on that the op lane's sample
+// takes.
+func sampledKeys(tbl *Table, k uint64, n int) []uint64 {
+	var keys []uint64
+	for ; len(keys) < n; k++ {
+		if inSample(tbl, k) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestReadPathTraceTags checks EvGet events carry the path that served them:
 // mirror hits for present keys, DRAM-vouched negatives for absent ones.
 func TestReadPathTraceTags(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
-	tbl.opSampleMask = 0 // record every op
-	for k := uint64(0); k < 100; k++ {
+	keys, absent := sampledKeys(tbl, 0, 100), sampledKeys(tbl, 1<<40, 100)
+	for _, k := range keys {
 		if err := tbl.Insert(k, k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := uint64(0); k < 100; k++ {
+	for i, k := range keys {
 		if _, ok := tbl.Get(k); !ok {
 			t.Fatalf("key %d missing", k)
 		}
-		tbl.Get(k + 1<<40) // absent
+		tbl.Get(absent[i])
 	}
 	var hit, neg int
 	for _, e := range tbl.TraceSnapshot() {
@@ -244,17 +262,17 @@ func TestRecoveryPhaseTimings(t *testing.T) {
 // outcome tags.
 func TestMutatorOutcomeTags(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{})
-	tbl.opSampleMask = 0 // record every op
-	if err := tbl.Insert(1, 1); err != nil {
+	keys := sampledKeys(tbl, 1, 3)
+	if err := tbl.Insert(keys[0], 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(1, 2); err != ErrKeyExists {
+	if err := tbl.Insert(keys[0], 2); err != ErrKeyExists {
 		t.Fatalf("dup insert: %v", err)
 	}
-	if ok, _ := tbl.Update(2, 9); ok {
+	if ok, _ := tbl.Update(keys[1], 9); ok {
 		t.Fatal("update of absent key succeeded")
 	}
-	if tbl.Delete(3) {
+	if tbl.Delete(keys[2]) {
 		t.Fatal("delete of absent key succeeded")
 	}
 	want := map[obs.EventType]uint8{
@@ -281,7 +299,6 @@ func TestMutatorOutcomeTags(t *testing.T) {
 // not sampled is TestTraceSplitLifecycle's business.)
 func TestOpLaneSampling(t *testing.T) {
 	tbl := newTestTable(t, 64<<20, Options{})
-	sampled := func(k uint64) bool { return (tbl.probeU64(k).parts.Hash>>32)&tbl.opSampleMask == 0 }
 	count := func(tb *Table, ty obs.EventType, tag uint8, unsampledOnly bool) (n int) {
 		for _, e := range tb.TraceSnapshot() {
 			if e.Type == ty && e.Tag == tag && !(unsampledOnly && e.B != 0) {
@@ -300,7 +317,7 @@ func TestOpLaneSampling(t *testing.T) {
 	want := 0
 	for k := uint64(0); k < gets; k++ {
 		tbl.Get(k)
-		if sampled(k) {
+		if inSample(tbl, k) {
 			want++
 		}
 	}
@@ -319,7 +336,7 @@ func TestOpLaneSampling(t *testing.T) {
 	}
 	failed := 1
 	for ; failed < 20; k++ {
-		if sampled(k) {
+		if inSample(tbl, k) {
 			continue
 		}
 		if err := small.Insert(k, k); err == nil {

@@ -168,8 +168,8 @@ func (t *Table) splitPublish(old, sib *segDesc, l uint8, pat uint64) error {
 		p.Persist(rootAddr.Add(rootOffDir), 8)
 		// The old block is free at once: no operation loads a PM directory
 		// entry — routes come from the view — and the only readers of the PM
-		// directory are cacheRebuild (Create, Open) and the quiescent Verify,
-		// which read the block the root names.
+		// directory are Open's reconcile and the quiescent Verify, which read
+		// the block the root names.
 		t.freePush(dir, dirSize(g))
 		dir = newDir
 		g++

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -108,7 +107,7 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 	tbl := newTestTable(t, 16<<20, Options{InitialDepth: 1})
 	// The first split is of an initial segment, named by its header persist
 	// (segSetMeta), the only flush of a segment's first line.
-	initial := maps.Clone(tbl.cache.descs)
+	initial := segDescs(tbl)
 	var first atomic.Uint64 // the first split's segment
 	var parkedOnce atomic.Bool
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -145,7 +144,7 @@ func TestSecondClaimantSeesPublishedClaim(t *testing.T) {
 
 	// The inserter is parked inside the publish: acked, the descriptors and
 	// the old segment's (still unnarrowed) mirror are safe to read.
-	old := tbl.cache.descs[pmem.Addr(first.Load())]
+	old := segDescs(tbl)[pmem.Addr(first.Load())]
 	mir := old.mir.Load()
 	l, pat := uint8(mir.depth.Load()), mir.pattern.Load()
 	var parts hashfn.Parts
@@ -265,7 +264,7 @@ func holdsStale(tbl *Table, d *segDesc) bool {
 func staleSegment(t *testing.T, tbl *Table) *segDesc {
 	t.Helper()
 	var found *segDesc
-	for _, d := range tbl.cache.descs {
+	for _, d := range segDescs(tbl) {
 		if d.mir.Load() != nil && holdsStale(tbl, d) {
 			if found != nil {
 				t.Fatalf("segments %#x and %#x both hold stale slots", found.seg, d.seg)
@@ -408,7 +407,7 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 		}
 		acked[k] = k + 1
 	}
-	if tbl.cache.descs[sibling] == nil || len(tbl.freeList) != 1 || tbl.freeList[0] != (freeSpan{addr: oldDir, size: allocRound(dirSize(1))}) {
+	if segDescs(tbl)[sibling] == nil || len(tbl.freeList) != 1 || tbl.freeList[0] != (freeSpan{addr: oldDir, size: allocRound(dirSize(1))}) {
 		t.Fatalf("the retried split did not publish the recycled block (free list %+v, want only the old directory %#x)", tbl.freeList, oldDir)
 	}
 	if got := p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)); got-frontier >= allocRound(segmentSize) {

@@ -133,14 +133,11 @@ type Table struct {
 
 	// filters meters the per-segment DRAM filter mirrors (segfilter.go), the
 	// cache's counterpart one layer down: reads probe buckets in DRAM and
-	// touch PM only for blob payloads. opSampleMask tunes the flight
-	// recorder's op lane (obs.go): period-1, and tests set it to 0 to record
-	// every operation.
-	filters      segFilters
-	opSampleMask uint64
+	// touch PM only for blob payloads.
+	filters segFilters
 
-	// dirMu serializes directory mutation: doubling, the entry flips of a
-	// split publish, and the cache's rebuild; a repair waits on it. Splits
+	// dirMu serializes directory mutation: doubling and the entry flips of
+	// a split publish; a repair waits on it. Splits
 	// themselves are per-segment (claimed on the segment's descriptor) and
 	// run concurrently; they touch dirMu only for their short publish.
 	dirMu sync.Mutex
@@ -176,8 +173,7 @@ type freeSpan struct {
 // newTableState builds the DRAM side of a table over pool: what Create and
 // Open share before either touches the image.
 func newTableState(pool *pmem.Pool, seed uint64) *Table {
-	t := &Table{pool: pool, em: epoch.NewManager(), seed: seed, opSampleMask: opSamplePeriod - 1}
-	t.cache.descs = make(map[pmem.Addr]*segDesc)
+	t := &Table{pool: pool, em: epoch.NewManager(), seed: seed}
 	t.vlog = pmem.NewVarLog(pool, rootAddr.Add(rootOffVarLog), 0, t.alloc)
 	t.initObs()
 	return t
@@ -213,25 +209,28 @@ func Create(pool *pmem.Pool, opt Options) (*Table, error) {
 		}
 		segInit(p, seg, opt.InitialDepth, uint64(i))
 		segPersist(p, seg)
-		t.descFor(seg).mir.Store(t.newMirror(opt.InitialDepth, uint64(i)))
 		segs[i] = seg
 	}
 	dir, err := t.alloc(dirSize(opt.InitialDepth))
 	if err != nil {
 		return nil, err
 	}
-	dirInit(p, dir, opt.InitialDepth, func(i uint64) pmem.Addr { return segs[i] })
+	entry := func(i uint64) pmem.Addr { return segs[i] }
+	dirInit(p, dir, opt.InitialDepth, entry)
 	p.StoreU64(rootAddr.Add(rootOffDir), uint64(dir))
 	// Magic last: its persist is the commit point of formatting.
 	p.StoreU64(rootAddr.Add(rootOffMagic), tableMagic)
 	p.Persist(rootAddr, pmem.CachelineSize)
-	t.cacheRebuild()
+	for i, d := range t.setView(dir, opt.InitialDepth, entry) {
+		d.mir.Store(t.newMirror(opt.InitialDepth, uint64(i)))
+	}
 	return t, nil
 }
 
 // Open revives the table stored in pool with O(directory) work up front
-// (§4.6 instant restart): directory reconciliation, segment metadata fixes,
-// dirCache rebuild. Everything O(data) — mirror builds, the route filter,
+// (§4.6 instant restart): one pass that reads and reconciles the directory,
+// segment metadata fixes, and the view installed from the reconciled
+// entries. Everything O(data) — mirror builds, the route filter,
 // corrupt and duplicate deletes, count re-derivation — is deferred to each
 // segment's first touch (lazyrec.go), and the record-log sweep runs as an
 // incremental background pass. After a clean shutdown (Close persisted the

@@ -55,8 +55,16 @@ func requireVerified(t testing.TB, tbl *Table) {
 	}
 }
 
+// segDescs returns the descriptors the view holds, by segment: the table's
+// only index of its segments.
+func segDescs(tbl *Table) map[pmem.Addr]*segDesc {
+	descs := make(map[pmem.Addr]*segDesc)
+	tbl.cache.view.Load().eachSegment(func(d *segDesc) { descs[d.seg] = d })
+	return descs
+}
+
 // mirrorOf returns the mirror of a directory-named, recovered segment.
-func mirrorOf(tbl *Table, seg pmem.Addr) *segMirror { return tbl.cache.descs[seg].mir.Load() }
+func mirrorOf(tbl *Table, seg pmem.Addr) *segMirror { return segDescs(tbl)[seg].mir.Load() }
 
 func TestBasicOps(t *testing.T) {
 	tbl := newTestTable(t, 1<<20, Options{})

@@ -14,9 +14,9 @@ import (
 // from its PM word, or a record stored where no probe looks. On a quiescent
 // table, with quiet loads only (it moves no traffic counter), it checks:
 //
-//   - the view mirrors the PM directory: block address, depth, every entry;
-//   - each entry's descriptor is its segment's registered one, and every
-//     registered segment is named;
+//   - the view mirrors the PM directory: block address, depth, every entry,
+//     and no segment the PM directory names is missing from the view;
+//   - the entries naming a segment hold one descriptor;
 //   - each segment's claim (its PM header's, which a mirror must equal)
 //     covers every entry naming it, and every entry it covers names it: the
 //     claims partition the hash space;
@@ -61,20 +61,24 @@ func (t *Table) Verify() error {
 	claim := func(seg pmem.Addr) (uint8, uint64) {
 		return uint8(p.QuietLoadU64(seg.Add(segOffDepth))), p.QuietLoadU64(seg.Add(segOffPattern))
 	}
+	descs := make(map[pmem.Addr]*segDesc) // per segment the view names, the descriptor its first entry holds
 	covered := make(map[pmem.Addr]uint64) // per named segment, the entries naming it that its claim covers
+	lost := make(map[pmem.Addr]bool)      // segments PM entries name where the view names another
 	for i := range v.entries {
 		d := v.entries[i].Load()
 		if sameDir {
 			if seg := pmem.Addr(p.QuietLoadU64(dirEntryAddr(dir, uint64(i)))); d.seg != seg {
 				fail("view entry %d names segment %#x, PM directory %#x", i, d.seg, seg)
+				lost[seg] = true
 			}
 		}
-		if t.cache.descs[d.seg] != d {
-			fail("view entry %d: segment %#x has a descriptor other than its registered one", i, d.seg)
+		if first := descs[d.seg]; first == nil {
+			descs[d.seg] = d
+		} else if first != d {
+			fail("view entry %d: segment %#x has a descriptor other than its first entry's", i, d.seg)
 		}
 		if l, pat := claim(d.seg); l > v.depth || uint64(i)>>(v.depth-l) != pat {
 			fail("view entry %d: segment %#x claims (depth %d, pattern %#x), which does not cover it", i, d.seg, l, pat)
-			covered[d.seg] += 0 // named all the same
 		} else {
 			covered[d.seg]++
 		}
@@ -83,11 +87,15 @@ func (t *Table) Verify() error {
 	refs := make(map[pmem.Addr]struct{})
 	var records int64
 	judged := true // every segment's slots were checked: count and log can be
-	for seg, d := range t.cache.descs {
-		if n, named := covered[seg]; !named {
-			fail("segment %#x has a descriptor, but no view entry names it", seg)
-		} else if l, pat := claim(seg); l <= v.depth && n != 1<<(v.depth-l) {
-			fail("segment %#x claims (depth %d, pattern %#x), but only %d of its %d entries name it", seg, l, pat, n, 1<<(v.depth-l))
+	for seg := range lost {
+		if descs[seg] == nil {
+			fail("segment %#x is named by the PM directory, but by no view entry", seg)
+			judged = false // its records are beyond the count
+		}
+	}
+	for seg, d := range descs {
+		if l, pat := claim(seg); l <= v.depth && covered[seg] != 1<<(v.depth-l) {
+			fail("segment %#x claims (depth %d, pattern %#x), but only %d of its %d entries name it", seg, l, pat, covered[seg], 1<<(v.depth-l))
 		}
 		mir := d.mir.Load()
 		if t.lazy.Load() == nil { // else the recovery driver may hold a lock

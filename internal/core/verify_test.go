@@ -238,16 +238,24 @@ func TestVerifyNamesEachCorruption(t *testing.T) {
 		{"owner held", "owner lock held", func(_ *testing.T, tbl *Table) {
 			tbl.cache.view.Load().entries[0].Load().owner.Lock()
 		}},
-		{"descriptor no entry names", "no view entry names it", func(_ *testing.T, tbl *Table) {
-			d := &segDesc{seg: pmem.Addr(tbl.pool.Size() - segmentSize)} // zeroed, like its mirror
-			d.mir.Store(&segMirror{})
-			tbl.cache.descs[d.seg] = d
-		}},
-		{"second descriptor of a segment", "other than its registered one", func(_ *testing.T, tbl *Table) {
-			e := &tbl.cache.view.Load().entries[0]
-			c := &segDesc{seg: e.Load().seg}
-			c.mir.Store(e.Load().mir.Load())
-			e.Store(c)
+		{"second descriptor of a segment", "has a descriptor other than its first entry's", func(t *testing.T, tbl *Table) {
+			// A doubling leaves every segment but the split one named by
+			// two entries; the second of a pair gets a copy of the
+			// descriptor.
+			for k, g := uint64(1)<<41, tbl.GlobalDepth(); tbl.GlobalDepth() == g; k++ {
+				if err := tbl.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v := tbl.cache.view.Load()
+			i := 1
+			for v.entries[i].Load() != v.entries[i-1].Load() {
+				i += 2
+			}
+			d := v.entries[i].Load()
+			c := &segDesc{seg: d.seg}
+			c.mir.Store(d.mir.Load())
+			v.entries[i].Store(c)
 		}},
 		{"recovered descriptor without a mirror", "has no mirror", func(_ *testing.T, tbl *Table) {
 			tbl.cache.view.Load().entries[0].Load().mir.Store(nil)
@@ -404,8 +412,10 @@ func depth2Image(t testing.TB) (img []byte, segs [4]pmem.Addr, frontier uint64) 
 // writers) — and requires that Open fail, or that Open and RecoverAll leave
 // a table that verifies. An entry below 4 names that segment of the image;
 // any other value is stored as it is. The seeds are the image itself, the
-// scattered coverage, an old writer's split marker, and
-// TestOpenRejectsCorruptImage's directory and segment rows.
+// scattered coverage, an old writer's split marker,
+// TestOpenRejectsCorruptImage's directory and segment rows, a contiguous
+// but misaligned coverage, and a segment whose whole claim a segment
+// claiming before it took.
 func FuzzOpenDirectory(f *testing.F) {
 	img, segs, frontier := depth2Image(f)
 	for _, seed := range [][17]uint64{
@@ -416,6 +426,8 @@ func FuzzOpenDirectory(f *testing.F) {
 		{2, 0, frontier, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},             // directory entry past the frontier
 		{2, uint64(segs[0]) + 64, 1, 2, 3, 2, 0, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0}, // misaligned directory entry
 		{2, 0, 1, 2, 3, 2, 1 << 20, 0, 2, 1, 0, 2, 2, 0, 2, 3, 0},              // segment pattern wider than its depth
+		{2, 1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 2, 3, 0, 2, 3, 0},                    // contiguous coverage, misaligned: segment 0 left entries 1–2
+		{2, 0, 0, 1, 2, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2, 3, 0},                    // a claim another segment took first: segment 1 covers nothing
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5], seed[6], seed[7], seed[8], seed[9], seed[10], seed[11], seed[12], seed[13], seed[14], seed[15], seed[16])
 	}

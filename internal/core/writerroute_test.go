@@ -700,8 +700,8 @@ func TestLeakedSiblingNeverRouted(t *testing.T) {
 	// A bucket lock is a word of the segment's mirror, and a mirror hangs off
 	// a descriptor: a segment without one cannot be locked. What an operation
 	// could still do to the leaked block is store into it.
-	if tbl.cache.descs[leaked] != nil {
-		t.Fatal("the leaked sibling has a registered descriptor after Open")
+	if segDescs(tbl)[leaked] != nil {
+		t.Fatal("the leaked sibling has a descriptor in the view after Open")
 	}
 	before := string(pool.QuietBytes(leaked, segmentSize))
 
