@@ -27,13 +27,13 @@ race:
 # in flight on lines two bucket locks share (WritersInFlight) five times
 # under the race detector: a split's interleavings are timing, and one pass
 # of `race` samples few of them. It then repeats, ten times, the service
-# tier's tests of a client's wait — a waiter or a Submit on a full queue
-# sleeping in its shard's combiner lock and the Unlock that hands it on,
-# 64 clients on 2 procs, a Submit beyond the queue's capacity, Close
-# draining while a combiner is stuck — whose lost wake-up would be a hang.
+# tier's concurrency tests — many clients running requests on one shard's
+# table at once (64 clients on 2 procs, mixed ops racing splits), Submits
+# racing Close and refused after it, and four clients writing while a
+# crash image is taken.
 race-split:
 	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash|WritersInFlight' ./internal/core
-	$(GO) test -race -count=10 -run 'ParkAndHandOff|Oversubscribed|SubmitBeyondCapacity|CloseDrainsAndRefuses|FullQueueSleeps' ./internal/service
+	$(GO) test -race -count=10 -run 'Oversubscribed|PipelinedMixedOps|SubmitCloseRace|RefusesAfterClose|CrashMidBatch' ./internal/service
 
 # fuzz runs each of the tree's fuzz targets for a fixed 10 s, one at a time
 # (go test fuzzes one target per invocation); plain `go test` runs only their
@@ -110,7 +110,8 @@ docs-check: vet
 			bkOffPadding bkOffRecords bkOffTail segBucket recordAddr mirrorFillBucket fillPadding \
 			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending \
 			reqParked ScaledOptane CostScale \
-			cacheRebuild descFor 'dircache\.rebuilds' opSampleMask; do \
+			cacheRebuild descFor 'dircache\.rebuilds' opSampleMask \
+			BeginFenceBatch EndFenceBatch AbortFenceBatch waitStep parkAfterYields execBatch; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \
@@ -152,12 +153,12 @@ benchmark-check:
 # dashbench pipeline (workload → harness → CLI → JSON) end to end; the cost
 # model is off (-model=false) so it measures nothing, it only has to run.
 # delete-heavy exercises the epoch-reclamation meters, -recovery the
-# snapshot→reopen timing path, and -shards 2 -batch 8 the service tier
-# (shards + batched frontend + client simulation, baseline and batched).
+# snapshot→reopen timing path, and -shards 2 the service tier (shards +
+# frontend + client simulation, at 1 shard and at 2).
 bench-smoke:
 	$(GO) run ./cmd/dashbench -only -mix balanced,read,read-neg,var-insert,var-read,delete-heavy -threads 2 \
 		-ops 8000 -warmup 800 -keyspace 8192 -model=false -recovery \
-		-shards 2 -batch 8 -sims svc-balanced \
+		-shards 2 -sims svc-balanced \
 		-out $${TMPDIR:-/tmp}/BENCH_smoke.json
 
 # bench-gate is the perf-regression gate: seven fixed seeded cells, all but
@@ -186,8 +187,8 @@ bench-once:
 
 # bench is the real measurement matrix (core mix suite plus the
 # variable-length mixes × 1..8 threads under the full Optane cost model,
-# plus the service-tier suite: every client simulation at 4 shards ×
-# batch 16 against its 1×1 baseline), recovery timings included. It writes
+# plus the service-tier suite: every client simulation at 4 shards against
+# its 1-shard baseline), recovery timings included. It writes
 # $(BENCH_OUT) — by default the git-ignored BENCH_local.json; ROADMAP.md's
 # "Measured baselines" keeps the trajectory of earlier runs, so name a new
 # file to bank one: make bench BENCH_OUT=BENCH_banked.json
@@ -195,7 +196,7 @@ BENCH_OUT ?= BENCH_local.json
 bench:
 	$(GO) run ./cmd/dashbench -threads 8 -ops 100000 -keyspace 100000 \
 		-mix var-insert,var-read,var-ycsb-b -recovery \
-		-shards 4 -batch 16 -out $(BENCH_OUT)
+		-shards 4 -out $(BENCH_OUT)
 
 # pm-door fails if a PM store can bypass the pool's one door
 # (internal/pmem/access.go): nothing under internal/ outside that file

@@ -16,19 +16,18 @@
 // phase timings, and -debug-addr serves the live table's metrics registry,
 // flight-recorder trace and pprof over HTTP while the run progresses.
 //
-// -shards N (with -batch B) additionally runs the service-tier suite: each
+// -shards N additionally runs the service-tier suite: each
 // client-simulation profile (-sims, default all of workload.ClientSims) is
 // driven through a service.Shards + service.Frontend stack twice — once at
-// the unbatched single-table baseline (1 shard, batch 1) and once at the
-// requested (N, B) — so one BENCH file shows the fence amortization and
-// scaling the batched sharded pipeline buys. Both suites run through the one
-// bench.Run; service cells report client-observed submit→completion latency,
-// table shape and telemetry summed over shards, plus per-shard rows.
+// the single-table baseline (1 shard) and once over N shards — so one BENCH
+// file shows what sharding buys. Both suites run through the one bench.Run;
+// service cells report client-observed Submit→Wait latency, table shape and
+// telemetry summed over shards, plus per-shard rows.
 //
 // Example:
 //
 //	go run ./cmd/dashbench -threads 8 -mix balanced -debug-addr localhost:6060
-//	go run ./cmd/dashbench -only -shards 4 -batch 16 -sims svc-balanced
+//	go run ./cmd/dashbench -only -shards 4 -sims svc-balanced
 package main
 
 import (
@@ -61,7 +60,6 @@ type benchJSON struct {
 		Seed      uint64  `json:"seed"`
 		Model     bool    `json:"model"` // false = cost model disabled
 		Shards    int     `json:"shards,omitempty"`
-		Batch     int     `json:"batch,omitempty"`
 	} `json:"config"`
 	Results []*bench.Result `json:"results"`
 }
@@ -83,7 +81,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
 		recovery  = flag.Bool("recovery", false, "after each cell, reopen its durable image and report recovery phase timings")
 		shards    = flag.Int("shards", 0, "run the service-tier suite over this many shards (power of two; 0 = skip the service suite)")
-		batch     = flag.Int("batch", 16, "frontend batch size for service-tier cells (1 = unbatched)")
 		sims      = flag.String("sims", "all", "comma-separated client simulations for the service suite; 'all' runs every registered one")
 	)
 	flag.Parse()
@@ -132,7 +129,7 @@ func main() {
 		fmt.Printf("dashbench: debug endpoint on http://%s (/metrics, /trace, /debug/pprof)\n", srv.Addr())
 	}
 
-	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 9}
+	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 10}
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
@@ -140,14 +137,11 @@ func main() {
 	outJSON.Config.Seed = *seed
 	outJSON.Config.Model = *model
 	outJSON.Config.Shards = *shards
-	if *shards > 0 {
-		outJSON.Config.Batch = *batch
-	}
 
 	// run executes one cell — every cell of both suites goes through here —
 	// prints what any cell may have to say below its row, and files the
 	// result, which is the BENCH row, as is.
-	run := func(sim workload.ClientSim, clients, shards, batch int, row func(*bench.Result)) {
+	run := func(sim workload.ClientSim, clients, shards int, row func(*bench.Result)) {
 		res, err := bench.Run(bench.Config{
 			Sim:             sim,
 			Threads:         clients,
@@ -159,12 +153,11 @@ func main() {
 			PoolSize:        *poolSize,
 			Model:           *model,
 			Shards:          shards,
-			Batch:           batch,
 			MeasureRecovery: *recovery,
 			OnTable:         live.attach,
 		})
 		if err != nil {
-			fatal(fmt.Errorf("%s threads %d shards %d batch %d: %w", sim.Name, clients, shards, batch, err))
+			fatal(fmt.Errorf("%s threads %d shards %d: %w", sim.Name, clients, shards, err))
 		}
 		row(res)
 		if n := res.InsertOverflow; n > 0 {
@@ -196,7 +189,7 @@ func main() {
 		fmt.Printf("  %7s %9s %9s %9s %9s %9s %10s %10s %9s %6s %5s %7s %7s %6s\n",
 			"threads", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)", "PMrd B/op", "PMwr B/op", "dev ns/op", "lf", "depth", "dchit%", "fhit%", "splits")
 		for _, th := range ladder {
-			run(mix, th, 0, 0, func(res *bench.Result) {
+			run(mix, th, 0, func(res *bench.Result) {
 				fmt.Printf("  %7d %9.3f %9.1f %9.1f %9.1f %9.1f %10.1f %10.1f %9.0f %6.2f %5d %7.3f %7.3f %6d\n",
 					th, res.MopsPerS,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3,
@@ -209,20 +202,19 @@ func main() {
 		}
 	}
 
-	// Service-tier suite: each simulation at the unbatched single-table
-	// baseline (1, 1) then at the requested (-shards, -batch), so the fence
-	// amortization is visible inside one BENCH file.
+	// Service-tier suite: each simulation at the single-table baseline
+	// (1 shard) then over -shards, so what sharding buys is visible inside
+	// one BENCH file.
 	for _, sim := range simList {
 		fmt.Printf("\nservice sim %s (%d clients)\n", sim.Name, *threads)
-		fmt.Printf("  %13s %9s %9s %9s %9s %10s %9s %9s %9s %7s %6s %6s\n",
-			"shards×batch", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "elided/op", "dev ns/op", "batchmean", "imbal", "reconn", "lf")
-		for _, shape := range [][2]int{{1, 1}, {*shards, *batch}} {
-			run(sim, *threads, shape[0], shape[1], func(res *bench.Result) {
-				fmt.Printf("  %13s %9.3f %9.1f %9.1f %9.1f %10.3f %9.3f %9.0f %9.1f %7.3f %6d %6.2f\n",
-					fmt.Sprintf("%d×%d", res.Shards, res.Batch), res.MopsPerS,
+		fmt.Printf("  %6s %9s %9s %9s %9s %10s %9s %7s %6s %6s\n",
+			"shards", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "dev ns/op", "imbal", "reconn", "lf")
+		for _, n := range []int{1, *shards} {
+			run(sim, *threads, n, func(res *bench.Result) {
+				fmt.Printf("  %6d %9.3f %9.1f %9.1f %9.1f %10.3f %9.0f %7.3f %6d %6.2f\n",
+					res.Shards, res.MopsPerS,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3, float64(res.P999NS)/1e3,
-					res.FencesPerOp, res.FencesElidedPerOp, res.DeviceNSPerOp, res.Meters.Hists["service.batch.size"].Mean,
-					res.Imbalance, res.Reconnects, res.LoadFactor)
+					res.FencesPerOp, res.DeviceNSPerOp, res.Imbalance, res.Reconnects, res.LoadFactor)
 				if res.Shards > 1 {
 					for _, row := range res.PerShard {
 						fmt.Printf("          shard %d: %d ops, %.3f fences/op, count %d, lf %.2f, %d splits\n",

@@ -13,7 +13,7 @@ import (
 	"dash/internal/workload"
 )
 
-// The BENCH row's header (schema v9): every key of a row but "meters". A
+// The BENCH row's header (schema v10): every key of a row but "meters". A
 // key added to bench.Result must be listed here and in the README's
 // "Reading the BENCH JSON" section, or TestRowSchema fails. The restart
 // walls are present on -recovery rows only, the service columns on service
@@ -28,7 +28,7 @@ var (
 		"insert_overflows", "insert_too_large",
 	}
 	recoveryKeys = []string{"recovery_open_ns", "recovery_full_ns", "recovery_clean_open_ns", "recovery_meters"}
-	serviceKeys  = []string{"shards", "batch", "pm_fences_elided_per_op", "shard_imbalance", "svc_reconnects", "shard_rows"}
+	serviceKeys  = []string{"shards", "shard_imbalance", "svc_reconnects", "shard_rows"}
 )
 
 // TestRowSchema pins the BENCH row format: a marshalled bench.Result has
@@ -51,7 +51,7 @@ func TestRowSchema(t *testing.T) {
 	direct.Sim, direct.MeasureRecovery = sim("insert"), true
 	// svc-churn reconnects, and two shards never take exactly equal shares
 	// of this seed's ops: neither of the columns omitted at zero is.
-	svc.Sim, svc.Shards, svc.Batch = sim("svc-churn"), 2, 4
+	svc.Sim, svc.Shards = sim("svc-churn"), 2
 
 	pool, err := pmem.NewPool(pmem.Options{Size: 1 << 20})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestRowSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shards.Close()
-	fe := service.NewFrontend(shards, 4)
+	fe := service.NewFrontend(shards, 0)
 	defer fe.Close()
 	tableMeters := meterNames(t, marshal(t, tbl.Metrics().Snapshot()))
 	serviceMeters := meterNames(t, marshal(t, tbl.Metrics().Snapshot().Add(fe.Metrics().Snapshot())))

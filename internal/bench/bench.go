@@ -1,5 +1,5 @@
 // Package bench is the concurrent benchmark harness for the Dash-EH engine:
-// it builds a cell (one bare table, or a sharded service behind the batched
+// it builds a cell (one bare table, or a sharded service behind the
 // frontend), preloads it, drives N client goroutines through a deterministic
 // workload (warmup phase, then a timed measurement phase), and reports
 // throughput, per-op latency quantiles, PM traffic per operation, and the
@@ -7,9 +7,9 @@
 //
 // There is one runner. A bare table is a service cell with no frontend: the
 // same client loop fills the same service.Request from each workload.Op and
-// either hands it to service.Exec on the spot (Config.Shards == 0) or
-// submits it to the frontend's pipeline, and the same Result — which is the
-// BENCH file's row, JSON tags included — comes out of both.
+// either hands it to service.Exec (Config.Shards == 0) or submits it to the
+// frontend, and the same Result — which is the BENCH file's row, JSON tags
+// included — comes out of both.
 package bench
 
 import (
@@ -56,16 +56,11 @@ type Config struct {
 	// bandwidth limits. Preload runs uncharged: it is setup, not workload.
 	Model bool
 	// Shards selects the engine. 0 is a direct cell: clients call one
-	// core.Table synchronously, and latency is the engine call's. ≥ 1 (a
-	// power of two) is a service cell: clients pipeline requests through a
-	// service.Frontend over that many shards, each keeping 2×Batch requests
-	// in flight, and latency is client-observed submit→completion time,
-	// queueing and batching included.
+	// core.Table, and latency is the engine call's. ≥ 1 (a power of two) is
+	// a service cell: clients send requests through a service.Frontend over
+	// that many shards, and latency is client-observed Submit→Wait time,
+	// routing included.
 	Shards int
-	// Batch is the frontend's max requests per fence-amortized batch
-	// (service cells only); 1, or anything below, is the unbatched baseline
-	// — one fence per write op.
-	Batch int
 	// MeasureRecovery, when true, exercises both restart paths after the
 	// measured phase: the crash path (images snapshotted while the tables
 	// are open, so Open must reconcile and recovery completes lazily) and
@@ -115,10 +110,9 @@ type ShardRow struct {
 	Shard int `json:"shard"`
 	// Ops counts operations the shard executed in the measured phase.
 	Ops uint64 `json:"ops"`
-	// FencesPerOp and FencesElidedPerOp are the shard pool's measured-phase
-	// fence traffic per shard-local operation.
-	FencesPerOp       float64 `json:"fences_per_op"`
-	FencesElidedPerOp float64 `json:"fences_elided_per_op"`
+	// FencesPerOp is the shard pool's measured-phase fence count per
+	// shard-local operation.
+	FencesPerOp float64 `json:"fences_per_op"`
 	// Count and LoadFactor describe the shard table after the run.
 	Count      int64   `json:"count"`
 	LoadFactor float64 `json:"load_factor"`
@@ -133,12 +127,11 @@ type ShardRow struct {
 // under its registry name, with no copy in between.
 type Result struct {
 	// Mix names the mix or client simulation that ran; Threads is the client
-	// goroutine count. Shards and Batch echo a service cell's shape (zero,
+	// goroutine count. Shards echoes a service cell's shard count (zero,
 	// and absent from the row, for a direct cell).
 	Mix     string `json:"mix"`
 	Threads int    `json:"threads"`
 	Shards  int    `json:"shards,omitempty"`
-	Batch   int    `json:"batch,omitempty"`
 	// Ops and Elapsed cover the measured phase; MopsPerS is aggregate
 	// throughput (across all shards).
 	Ops      int64         `json:"ops"`
@@ -160,9 +153,7 @@ type Result struct {
 
 	// PM is the raw traffic delta over the measured phase, summed over every
 	// pool; the *PerOp fields convert it to bytes (lines × cacheline size)
-	// or counts per measured operation. FencesElidedPerOp counts the
-	// ordering points batch tail fences absorbed (service cells; FencesPerOp
-	// already reflects the saving). DeviceNSPerOp is the simulated device
+	// or counts per measured operation. DeviceNSPerOp is the simulated device
 	// time the cost model charged per op (DeviceNS, a copy of PM.DeviceNS,
 	// has it by category): MeanNS minus it is CPU time plus the simulator's
 	// own overhead.
@@ -171,7 +162,6 @@ type Result struct {
 	WriteBytesPerOp   float64            `json:"pm_write_bytes_per_op"`
 	FlushedBytesPerOp float64            `json:"pm_flushed_bytes_per_op"`
 	FencesPerOp       float64            `json:"pm_fences_per_op"`
-	FencesElidedPerOp float64            `json:"pm_fences_elided_per_op,omitempty"`
 	DeviceNSPerOp     float64            `json:"pm_device_ns_per_op"`
 	DeviceNS          pmem.DeviceNS      `json:"pm_device_ns"`
 
@@ -299,14 +289,12 @@ func (c *cell) start(cfg Config) ([]*client, error) {
 			p.SetModel(model)
 		}
 	}
-	window := 1
 	if c.svc != nil {
-		c.fe = service.NewFrontend(c.svc, cfg.Batch)
-		window = 2 * cfg.Batch // enough in-flight work to fill batches
+		c.fe = service.NewFrontend(c.svc, 0)
 	}
 	clients := make([]*client, cfg.Threads)
 	for i := range clients {
-		clients[i] = &client{cell: c, sim: sim, stream: gen.Stream(i), slots: make([]slot, window)}
+		clients[i] = &client{cell: c, sim: sim, stream: gen.Stream(i)}
 	}
 	return clients, nil
 }
@@ -405,12 +393,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Ops <= 0 {
 		return nil, fmt.Errorf("bench: ops must be > 0")
 	}
-	if cfg.Shards == 0 {
-		cfg.Batch = 0
-	} else if cfg.Batch < 1 {
-		cfg.Batch = 1
-	}
-
 	c, err := newCell(cfg)
 	if err != nil {
 		return nil, err
@@ -450,7 +432,6 @@ func Run(cfg Config) (*Result, error) {
 		Mix:     cfg.Sim.Name,
 		Threads: cfg.Threads,
 		Shards:  cfg.Shards,
-		Batch:   cfg.Batch,
 		Ops:     cfg.Ops,
 		Elapsed: elapsed,
 	}
@@ -493,7 +474,6 @@ func Run(cfg Config) (*Result, error) {
 	res.WriteBytesPerOp = float64(res.PM.WriteLines) * pmem.CachelineSize / ops
 	res.FlushedBytesPerOp = float64(res.PM.FlushedLines) * pmem.CachelineSize / ops
 	res.FencesPerOp = float64(res.PM.Fences) / ops
-	res.FencesElidedPerOp = float64(res.PM.FencesElided) / ops
 	res.DeviceNS = res.PM.DeviceNS
 	res.DeviceNSPerOp = float64(res.DeviceNS.Total()) / ops
 
@@ -513,7 +493,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			if row.Ops > 0 {
 				row.FencesPerOp = float64(pmAfter[i].Fences) / float64(row.Ops)
-				row.FencesElidedPerOp = float64(pmAfter[i].FencesElided) / float64(row.Ops)
 			}
 			res.PerShard = append(res.PerShard, row)
 			opsSum += row.Ops

@@ -12,30 +12,27 @@ import (
 	"dash/internal/workload"
 )
 
-// client is one benchmark goroutine: a window of reusable request slots it
-// fills from its operation stream. In a service cell the window is the
-// client's pipeline over the frontend; in a direct cell it is one slot that
-// completes before the next op is drawn. Requests and their encode buffers
-// are reused, so the measured phase stays allocation-free.
+// client is one benchmark goroutine: it fills its one reusable request from
+// its operation stream and runs it, through the frontend in a service cell
+// or straight on the table in a direct cell, before it draws the next. The
+// request and its encode buffers are reused, so the measured phase stays
+// allocation-free.
 type client struct {
 	cell   *cell
 	sim    workload.ClientSim
 	stream *workload.SimStream
-	slots  []slot
-	next   int // round-robin slot cursor
+
+	// The operation in flight: its request, the request's key buffer, when
+	// its timed span started and what kind of workload op it is.
+	req   service.Request
+	kbuf  []byte
+	start time.Time
+	kind  workload.OpKind
 
 	hist       obs.Histogram
 	counts     Counts
 	reconnects int64
 	updateSalt uint64
-}
-
-type slot struct {
-	req      service.Request
-	kbuf     []byte
-	start    time.Time
-	kind     workload.OpKind
-	inflight bool
 }
 
 // runPhase drives every client through its share of totalOps operations,
@@ -71,72 +68,46 @@ func runPhase(clients []*client, totalOps int64, measured bool) error {
 	return nil
 }
 
-// run drives ops operations, keeping up to len(slots) in flight, and drains
-// the window at session boundaries and at the end of the phase. The timed
-// span of an operation starts after its request is encoded: in a direct
-// cell it is exactly the engine call.
+// run drives ops operations. The timed span of an operation starts after
+// its request is encoded: in a direct cell it is exactly the engine call,
+// in a service cell Submit through Wait.
 func (c *client) run(ops int64, measured bool, stopped *atomic.Bool) error {
 	fe, tb := c.cell.fe, c.cell.tables[0] // tb is the whole engine when fe is nil
 	for i := int64(0); i < ops; i++ {
 		if stopped.Load() {
-			c.drain(measured) // complete what is in flight before stopping
 			return errStopped
 		}
 		if c.stream.NewSession() {
-			if err := c.drain(measured); err != nil {
-				return err
-			}
 			c.reconnects++
 		}
-		s := &c.slots[c.next]
-		if c.next++; c.next == len(c.slots) {
-			c.next = 0
-		}
-		if s.inflight {
-			if err := c.wait(s, measured); err != nil {
-				return err
-			}
-		}
-		c.fill(s, c.stream.Next())
+		c.fill(c.stream.Next())
 		if measured {
-			s.start = time.Now()
+			c.start = time.Now()
 		}
+		var res service.Result
 		if fe != nil {
-			s.inflight = true
-			fe.Submit(&s.req)
-			continue
+			fe.Submit(&c.req)
+			res = c.req.Wait()
+		} else {
+			res = service.Exec(tb, &c.req)
 		}
-		res := service.Exec(tb, &s.req)
-		if err := c.complete(s, &res, measured); err != nil {
+		if err := c.complete(&res, measured); err != nil {
 			return err
 		}
 	}
-	return c.drain(measured)
+	return nil
 }
 
-// drain completes every in-flight request in the window.
-func (c *client) drain(measured bool) error {
-	var firstErr error
-	for i := range c.slots {
-		if s := &c.slots[i]; s.inflight {
-			if err := c.wait(s, measured); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// fill encodes op into s's request: the one place a workload.Op becomes a
-// service.Request. Keys that have a VarSpec (the mix's, or their tenant's)
-// go through the []byte API, encoded into the slot's reusable buffers.
-func (c *client) fill(s *slot, op workload.Op) {
-	r := &s.req
-	s.kind = op.Kind
+// fill encodes op into the client's request: the one place a workload.Op
+// becomes a service.Request. Keys that have a VarSpec (the mix's, or their
+// tenant's) go through the []byte API, encoded into reusable buffers.
+func (c *client) fill(op workload.Op) {
+	r := &c.req
+	c.kind = op.Kind
 	spec := c.sim.SpecFor(op.Key)
 	if spec != nil {
-		s.kbuf = spec.AppendKey(s.kbuf[:0], op.Key)
-		r.KeyB = s.kbuf
+		c.kbuf = spec.AppendKey(c.kbuf[:0], op.Key)
+		r.KeyB = c.kbuf
 	} else {
 		r.KeyB = nil
 		r.Key = op.Key
@@ -166,24 +137,18 @@ func (c *client) fill(s *slot, op workload.Op) {
 	}
 }
 
-// wait blocks for s's in-flight request and completes it.
-func (c *client) wait(s *slot, measured bool) error {
-	res := s.req.Wait()
-	s.inflight = false
-	return c.complete(s, &res, measured)
-}
-
-// complete records the latency of s's finished request and tallies its
-// outcome. Insert rejections that add no record are counted, not fatal.
-func (c *client) complete(s *slot, res *service.Result, measured bool) error {
+// complete records the latency of the client's finished request and
+// tallies its outcome. Insert rejections that add no record are counted,
+// not fatal.
+func (c *client) complete(res *service.Result, measured bool) error {
 	if measured {
-		c.hist.Record(time.Since(s.start).Nanoseconds())
+		c.hist.Record(time.Since(c.start).Nanoseconds())
 	}
 	if res.ValueB != nil {
-		s.req.ValueB = res.ValueB // keep a Get's grown read buffer for reuse
+		c.req.ValueB = res.ValueB // keep a Get's grown read buffer for reuse
 	}
 	ct := &c.counts
-	if s.kind == workload.OpInsert {
+	if c.kind == workload.OpInsert {
 		switch {
 		case res.Err == nil:
 			ct.InsertOK++
@@ -202,7 +167,7 @@ func (c *client) complete(s *slot, res *service.Result, measured bool) error {
 		return res.Err
 	}
 	var found, notFound *int64
-	switch s.kind {
+	switch c.kind {
 	case workload.OpRead:
 		found, notFound = &ct.ReadHit, &ct.ReadMiss
 	case workload.OpReadNeg:

@@ -210,7 +210,7 @@ func TestEquivalenceWithParentHarness(t *testing.T) {
 				t.Errorf("counts = %+v\nwant %+v", res.Counts, want.counts)
 			}
 			got := res.PM
-			got.FencesElided, got.DeviceNS = 0, pmem.DeviceNS{}
+			got.DeviceNS = pmem.DeviceNS{}
 			if got != want.pm {
 				t.Errorf("PM traffic = %+v\nwant %+v", got, want.pm)
 			}

@@ -9,15 +9,14 @@ import (
 )
 
 // Every registered client simulation must run end to end through a service
-// cell at a small scale, pass its own lost-op audit, and show fence elision
-// working (elided > 0 on write-bearing mixes).
+// cell at a small scale, pass its own lost-op audit, and pay fences for its
+// writes (every simulation's mix writes).
 func TestServiceCellAllSims(t *testing.T) {
 	for _, sim := range workload.ClientSims {
 		sim := sim
 		t.Run(sim.Name, func(t *testing.T) {
 			res, err := Run(Config{
 				Shards:    2,
-				Batch:     4,
 				Threads:   2,
 				Ops:       4000,
 				WarmupOps: 400,
@@ -31,8 +30,8 @@ func TestServiceCellAllSims(t *testing.T) {
 			if res.Ops != 4000 {
 				t.Fatalf("Ops = %d, want 4000", res.Ops)
 			}
-			if res.Mix != sim.Name || res.Threads != 2 || res.Shards != 2 || res.Batch != 4 {
-				t.Fatalf("result echoes %q threads %d shards %d batch %d", res.Mix, res.Threads, res.Shards, res.Batch)
+			if res.Mix != sim.Name || res.Threads != 2 || res.Shards != 2 {
+				t.Fatalf("result echoes %q threads %d shards %d", res.Mix, res.Threads, res.Shards)
 			}
 			if res.Hist.Count != 4000 {
 				t.Fatalf("latency samples = %d, want 4000", res.Hist.Count)
@@ -52,8 +51,8 @@ func TestServiceCellAllSims(t *testing.T) {
 			if shardCount != res.Count {
 				t.Fatalf("per-shard counts sum to %d, aggregate count %d", shardCount, res.Count)
 			}
-			if res.FencesElidedPerOp <= 0 {
-				t.Fatal("no fences elided; the batch window never engaged")
+			if res.FencesPerOp <= 0 {
+				t.Fatal("no fences in the measured phase: writes were acknowledged without one")
 			}
 			if sim.SessionOps > 0 && res.Reconnects == 0 {
 				t.Fatal("churn sim produced no reconnects")
@@ -65,39 +64,6 @@ func TestServiceCellAllSims(t *testing.T) {
 	}
 }
 
-// The batched configuration must use strictly fewer PM fences per op than
-// the unbatched baseline on a write-bearing simulation — the relation the
-// svc-balanced gate cell asserts with committed thresholds.
-func TestServiceCellFenceReduction(t *testing.T) {
-	run := func(shards, batch int) *Result {
-		res, err := Run(Config{
-			Shards:    shards,
-			Batch:     batch,
-			Threads:   2,
-			Ops:       4000,
-			WarmupOps: 400,
-			Keyspace:  4096,
-			Sim:       simFor(t, "svc-balanced"),
-			Seed:      7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	baseline := run(1, 0) // batch < 1 means the unbatched baseline
-	batched := run(2, 8)
-	if baseline.Batch != 1 {
-		t.Fatalf("baseline ran at batch %d, want 1", baseline.Batch)
-	}
-	if batched.FencesPerOp >= baseline.FencesPerOp {
-		t.Fatalf("batched %.3f fences/op, want < baseline %.3f", batched.FencesPerOp, baseline.FencesPerOp)
-	}
-	if mean := batched.Meters.Hists["service.batch.size"].Mean; mean <= 1 {
-		t.Fatalf("batch mean %.2f, want > 1", mean)
-	}
-}
-
 // A service row carries the engine's telemetry summed over its shards: the
 // table-shape, DRAM-tier and split columns the old service harness left at
 // zero. Global depth is the deepest shard's, load factor is total count over
@@ -106,7 +72,6 @@ func TestServiceRowCarriesTableTelemetry(t *testing.T) {
 	var tables []*core.Table
 	res, err := Run(Config{
 		Shards:    2,
-		Batch:     8,
 		Threads:   2,
 		Ops:       10_000,
 		WarmupOps: 1_000,
@@ -156,7 +121,6 @@ func TestServiceCellRecoveryAndOnTable(t *testing.T) {
 	var tables []*core.Table
 	res, err := Run(Config{
 		Shards:          2,
-		Batch:           4,
 		Threads:         2,
 		Ops:             4000,
 		Keyspace:        4096,
@@ -194,8 +158,8 @@ func TestMeasuredPhaseAllocationFree(t *testing.T) {
 	}{
 		{"direct-u64", Config{Sim: simFor(t, "balanced")}},
 		{"direct-var", Config{Sim: simFor(t, "var-read")}},
-		{"frontend-u64", Config{Sim: simFor(t, "svc-balanced"), Shards: 2, Batch: 8}},
-		{"frontend-var", Config{Sim: simFor(t, "var-read"), Shards: 2, Batch: 8}},
+		{"frontend-u64", Config{Sim: simFor(t, "svc-balanced"), Shards: 2}},
+		{"frontend-var", Config{Sim: simFor(t, "var-read"), Shards: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

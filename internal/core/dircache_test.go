@@ -194,23 +194,48 @@ func poisonEntry(t *testing.T, v *dirView, idx uint64) (right *segDesc) {
 // the runtime truth of routing, so nothing at run time repairs it from PM:
 // Verify must name the entry, and only it — that it differs from the PM
 // directory, that its segment's claim does not cover it, and that the
-// segment whose claim does lost it. An operation meeting the same route
-// while a publish is still writing it through must wait for that write,
-// then succeed.
+// segment whose claim does lost it: entirely, when the entry was the
+// segment's only one, so that no view entry names it any more, or one of
+// its two. An operation meeting the same route while a publish is still
+// writing it through must wait for that write, then succeed.
 func TestDirCachePoisonedEntry(t *testing.T) {
+	for _, span := range []int{1, 2} {
+		t.Run(fmt.Sprintf("segment-entries=%d", span), func(t *testing.T) { testPoisonedEntry(t, span) })
+	}
+}
+
+// testPoisonedEntry poisons the first view entry whose segment has span
+// entries, right after the directory doubled to depth 4: the two halves of
+// the split that doubled it have one entry each, every other segment two.
+func testPoisonedEntry(t *testing.T, span int) {
 	tbl := newTestTable(t, 64<<20, Options{})
 	defer tbl.Close()
 	acked := make(map[uint64]uint64)
 	next := uint64(0)
 	growTo(t, tbl, 4, &next, acked)
 
-	var key, val uint64
-	for k, v := range acked {
-		key, val = k, v
-		break
-	}
 	v := tbl.cache.view.Load()
-	idx := tbl.parts(key).DirIndex(v.depth)
+	entries := make(map[*segDesc]int)
+	for i := range v.entries {
+		entries[v.entries[i].Load()]++
+	}
+	idx := uint64(len(v.entries))
+	for i := range v.entries {
+		if entries[v.entries[i].Load()] == span {
+			idx = uint64(i)
+			break
+		}
+	}
+	if idx == uint64(len(v.entries)) {
+		t.Fatalf("no segment has %d entries in a depth-%d view", span, v.depth)
+	}
+	key := uint64(0)
+	for tbl.parts(key).DirIndex(v.depth) != idx {
+		if key++; key == next {
+			t.Fatalf("no inserted key routes to entry %d", idx)
+		}
+	}
+	val := acked[key]
 	right := poisonEntry(t, v, idx)
 	wrong := v.entries[idx].Load()
 	err := tbl.Verify()
@@ -220,7 +245,11 @@ func TestDirCachePoisonedEntry(t *testing.T) {
 	want := []string{
 		fmt.Sprintf("view entry %d names segment %#x, PM directory %#x", idx, wrong.seg, right.seg),
 		fmt.Sprintf("view entry %d: segment %#x claims", idx, wrong.seg),
-		fmt.Sprintf("segment %#x ", right.seg), // its claim is named once less, or not at all
+		fmt.Sprintf("segment %#x is named by the PM directory, but by no view entry", right.seg),
+	}
+	if span == 2 {
+		want[2] = fmt.Sprintf("segment %#x claims (depth %d, pattern %#x), but only 1 of its 2 entries name it",
+			right.seg, v.depth-1, idx>>1)
 	}
 	lines := strings.Split(err.Error(), "\n")
 	if len(lines) != len(want) {

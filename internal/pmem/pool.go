@@ -84,13 +84,6 @@ type Pool struct {
 	// lose it. Installed via SetFlushHook; the hook may call Crash and panic
 	// to unwind the interrupted operation.
 	flushHook atomic.Pointer[func(a Addr, n uint64)]
-
-	// Fence-batching window (BeginFenceBatch/EndFenceBatch): while depth is
-	// non-zero, Fence elides the real fence and counts it instead, and the
-	// batch owner issues one ordering fence at the window's end. elided
-	// counts the fences elided in the current window.
-	fenceBatchDepth  atomic.Int32
-	fenceBatchElided atomic.Uint64
 }
 
 // Options configures a Pool.
@@ -203,59 +196,12 @@ func (p *Pool) SetFlushHook(h func(a Addr, n uint64)) {
 }
 
 // Fence simulates SFENCE ordering of prior flushes. With the eager Flush
-// model it only costs accounting. Inside a fence-batch window
-// (BeginFenceBatch) the fence is elided — counted but neither charged nor
-// added to the fence total — and the one real fence EndFenceBatch issues
-// orders everything the window flushed.
+// model it only costs accounting.
 func (p *Pool) Fence() {
-	if p.fenceBatchDepth.Load() > 0 {
-		p.fenceBatchElided.Add(1)
-		p.stats.addElidedFence()
-		return
-	}
 	p.stats.addFence()
 	if p.model != nil {
 		p.stats.addDevice(devFence, p.model.chargeFence())
 	}
-}
-
-// BeginFenceBatch opens a fence-batching window: until EndFenceBatch, every
-// Fence on this pool is elided and counted instead of issued, so a batch of
-// N persists pays one ordering fence at the tail instead of N. This is the
-// service tier's group-commit hook: because the simulator flushes eagerly,
-// deferring only the fence never weakens crash consistency within the
-// window — but on real hardware nothing in the window is durable until the
-// tail fence, so callers must not acknowledge any operation in the window
-// before EndFenceBatch returns. Single-writer discipline required: the
-// window owner must be the only goroutine issuing persists on this pool
-// while the window is open (the service tier guarantees it with a per-shard
-// combiner lock: whichever client holds it runs the shard's requests, and
-// nothing else writes to the shard's pool). Windows do not nest.
-func (p *Pool) BeginFenceBatch() {
-	p.fenceBatchElided.Store(0)
-	p.fenceBatchDepth.Store(1)
-}
-
-// EndFenceBatch closes the window opened by BeginFenceBatch, issuing one
-// real fence if any fence was elided inside it, and returns the number of
-// elided fences (so callers can meter the saving: elided minus the single
-// tail fence).
-func (p *Pool) EndFenceBatch() uint64 {
-	p.fenceBatchDepth.Store(0)
-	n := p.fenceBatchElided.Swap(0)
-	if n > 0 {
-		p.Fence()
-	}
-	return n
-}
-
-// AbortFenceBatch abandons an open fence-batch window without issuing the
-// tail fence — for unwinding after a simulated crash interrupted the batch
-// owner mid-window (the pool's contents are post-crash state; ordering the
-// dead window's flushes would be meaningless).
-func (p *Pool) AbortFenceBatch() {
-	p.fenceBatchDepth.Store(0)
-	p.fenceBatchElided.Store(0)
 }
 
 // Persist is the common Flush+Fence pair.

@@ -7,11 +7,10 @@ import "dash/internal/obs"
 // scalability bottleneck it measures: increments land on goroutine-private
 // cachelines and reads sum the shards.
 type Stats struct {
-	readLines    obs.Counter
-	writeLines   obs.Counter
-	flushes      obs.Counter
-	fences       obs.Counter
-	elidedFences obs.Counter
+	readLines  obs.Counter
+	writeLines obs.Counter
+	flushes    obs.Counter
+	fences     obs.Counter
 
 	// deviceNS is the simulated device time the cost model charged, by what
 	// it was charged for: the nanoseconds the model decided on before it
@@ -36,7 +35,6 @@ func (s *Stats) addRead(lines uint64)  { s.readLines.Add(lines) }
 func (s *Stats) addWrite(lines uint64) { s.writeLines.Add(lines) }
 func (s *Stats) addFlush(lines uint64) { s.flushes.Add(lines) }
 func (s *Stats) addFence()             { s.fences.Inc() }
-func (s *Stats) addElidedFence()       { s.elidedFences.Inc() }
 
 // addDevice books one charge: its base latency under kind, and under
 // devQueue whatever a saturated device made it wait beyond that.
@@ -55,7 +53,6 @@ func (s *Stats) Register(r *obs.Registry) {
 	r.RegisterCounter("pmem.write_lines", &s.writeLines)
 	r.RegisterCounter("pmem.flushed_lines", &s.flushes)
 	r.RegisterCounter("pmem.fences", &s.fences)
-	r.RegisterCounter("pmem.fences_elided", &s.elidedFences)
 	for k, name := range deviceKindNames {
 		r.RegisterCounter("pmem.device_ns."+name, &s.deviceNS[k])
 	}
@@ -73,9 +70,8 @@ type StatsSnapshot struct {
 	ReadLines, WriteLines uint64
 	// FlushedLines counts cachelines flushed (CLWB), Fences counts SFENCEs.
 	FlushedLines, Fences uint64
-	// FencesElided counts fences absorbed by fence-batch windows
-	// (Pool.BeginFenceBatch): ordering points the caller would have paid
-	// without batching, covered instead by each window's single tail fence.
+	// FencesElided is always 0: no fence is elided. It stays for the
+	// benchmark, which reads it by name.
 	FencesElided uint64
 	// DeviceNS is the simulated device time charged by the cost model (zero
 	// without one), split by what it was charged for.
@@ -102,7 +98,7 @@ func (d DeviceNS) Total() uint64 { return d.Read + d.Write + d.Flush + d.Fence +
 // snapshots is written once.
 func (s *StatsSnapshot) counters() []*uint64 {
 	d := &s.DeviceNS
-	return []*uint64{&s.ReadLines, &s.WriteLines, &s.FlushedLines, &s.Fences, &s.FencesElided,
+	return []*uint64{&s.ReadLines, &s.WriteLines, &s.FlushedLines, &s.Fences,
 		&d.Read, &d.Write, &d.Flush, &d.Fence, &d.Queue}
 }
 
@@ -139,7 +135,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		WriteLines:   s.writeLines.Total(),
 		FlushedLines: s.flushes.Total(),
 		Fences:       s.fences.Total(),
-		FencesElided: s.elidedFences.Total(),
 		DeviceNS: DeviceNS{
 			Read:  s.deviceNS[devRead].Total(),
 			Write: s.deviceNS[devWrite].Total(),

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -28,46 +27,33 @@ func benchShards(tb testing.TB, shards int) *Shards {
 	return s
 }
 
-// BenchmarkFrontendRoundTrip is Submit → Wait per request over 2 shards at
-// batch 16, each parallel client keeping window requests in flight: window 1
-// is the unpipelined round trip (a batch of one, run by its own client),
-// window 16 the pipelined one. Gets and in-place updates of preloaded keys,
-// so the table's shape does not depend on b.N. Run with -cpu 1,2.
+// BenchmarkFrontendRoundTrip is Submit → Wait per request over 2 shards,
+// from parallel clients: gets and in-place updates of preloaded keys, so the
+// table's shape does not depend on b.N. Run with -cpu 1,2.
 func BenchmarkFrontendRoundTrip(b *testing.B) {
-	for _, window := range []int{1, 16} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			s := benchShards(b, 2)
-			defer s.Close()
-			fe := NewFrontend(s, 16)
-			defer fe.Close()
-			var seed sync.Mutex
-			next := int64(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				seed.Lock()
-				rng := rand.New(rand.NewSource(next))
-				next++
-				seed.Unlock()
-				ring := make([]Request, window)
-				n := 0
-				for ; pb.Next(); n++ {
-					r := &ring[n%window]
-					if n >= window {
-						r.Wait()
-					}
-					r.Key = uint64(rng.Intn(benchPreload))
-					if r.Op = OpGet; n&1 == 1 {
-						r.Op, r.Value = OpUpdate, uint64(n)
-					}
-					fe.Submit(r)
-				}
-				for i := 0; i < min(window, n); i++ {
-					ring[i].Wait()
-				}
-			})
-		})
-	}
+	s := benchShards(b, 2)
+	defer s.Close()
+	fe := NewFrontend(s, 0)
+	defer fe.Close()
+	var seed sync.Mutex
+	next := int64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		seed.Lock()
+		rng := rand.New(rand.NewSource(next))
+		next++
+		seed.Unlock()
+		var r Request
+		for n := 0; pb.Next(); n++ {
+			r.Key = uint64(rng.Intn(benchPreload))
+			if r.Op = OpGet; n&1 == 1 {
+				r.Op, r.Value = OpUpdate, uint64(n)
+			}
+			fe.Submit(&r)
+			r.Wait()
+		}
+	})
 }
 
 // taxOp is one operation of TestFrontendTaxBounded's stream.
@@ -102,38 +88,28 @@ func taxStream(c, clients, n int) []taxOp {
 }
 
 // taxRun drives every client's stream against fresh preloaded shards and
-// returns ops per second: through a batch-16 frontend with 16 requests in
-// flight per client, or — direct — by calling Exec on the routed table.
+// returns ops per second: through the frontend, or — direct — by calling
+// Exec on the routed table.
 func taxRun(t *testing.T, streams [][]taxOp, direct bool) float64 {
-	const window = 16
 	s := benchShards(t, 2)
 	defer s.Close()
-	var fe *Frontend
-	if !direct {
-		fe = NewFrontend(s, 16)
-		defer fe.Close()
-	}
+	fe := NewFrontend(s, 0)
+	defer fe.Close()
 	var wg sync.WaitGroup
 	start := time.Now()
 	for _, ops := range streams {
 		wg.Add(1)
 		go func(ops []taxOp) {
 			defer wg.Done()
-			var ring [window]Request
-			for i, o := range ops {
-				r := &ring[i%window]
-				if !direct && i >= window {
-					r.Wait()
-				}
+			var r Request
+			for _, o := range ops {
 				r.Op, r.Key, r.Value = o.op, o.key, o.val
 				if direct {
-					Exec(s.Table(s.Route(o.key)), r)
+					Exec(s.Table(s.Route(o.key)), &r)
 				} else {
-					fe.Submit(r)
+					fe.Submit(&r)
+					r.Wait()
 				}
-			}
-			for i := 0; !direct && i < min(window, len(ops)); i++ {
-				ring[i].Wait()
 			}
 		}(ops)
 	}
@@ -146,12 +122,13 @@ func taxRun(t *testing.T, streams [][]taxOp, direct bool) float64 {
 }
 
 // TestFrontendTaxBounded is the gate on what the tier costs: the same
-// seeded 50/20/15/15 stream, 2 clients, run through the frontend (16 in
-// flight each, 2 shards, batch 16) must reach at least 0.35 of the rate it
+// seeded 50/20/15/15 stream, 2 clients, run through the frontend (2 shards,
+// Submit then Wait per request) must reach at least 0.35 of the rate it
 // reaches straight on the tables. Stated as a ratio, best of 5 each, so it
-// holds on any box with two processors; on the 2-vCPU reference box the
-// executor-goroutine frontend this design replaced measured 0.27–0.33 and
-// the combining one 0.50–0.65 at the time of the change.
+// holds on any box with two processors. On the 2-vCPU reference box an
+// executor-goroutine frontend measured 0.27–0.33 and a flat-combining one
+// 0.50–0.65; the synchronous Submit adds a route and an op count to the
+// direct call.
 func TestFrontendTaxBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-time comparison; the race detector multiplies the cost of every atomic")

@@ -1,7 +1,7 @@
 // Package service is the sharded KV service tier over the Dash-EH engine:
 // the shape every production embedding of Dash ends up with (a parameter
-// server, a feature store) — N fully independent tables behind one batched,
-// pipelined front-end.
+// server, a feature store) — N fully independent tables behind one front
+// door.
 //
 // Two layers:
 //
@@ -11,19 +11,15 @@
 //     *routing* hash whose seed differs from every per-table hash seed, so
 //     shard routing and each table's MSB directory indexing draw from
 //     independent bit streams.
-//   - Frontend — an asynchronous request pipeline (frontend.go): clients
-//     submit Get/Insert/Update/Delete requests into per-shard FIFO queues,
-//     and the tier owns no goroutine to drain them — the client that waits
-//     for a result takes the shard's combiner lock and runs the queue
-//     itself, in batches, each inside a pmem fence-batch window that pays
-//     one ordering fence per batch tail instead of one per operation. A
-//     request nobody waits for is run by the next client that does run its
-//     shard, or by Close; parallelism is min(waiting clients, shards).
+//   - Frontend — a router (frontend.go): Submit routes a
+//     Get/Insert/Update/Delete request to its key's shard and runs it there
+//     on the caller's goroutine, and Wait returns its result. The tier owns
+//     no goroutine, queue or lock; parallelism is the number of clients.
 //
 // Nothing above a single table's crash consistency changes: each shard is a
-// complete, independently recoverable Dash table, and a batch is
-// acknowledged only after its tail fence, so every acknowledged operation
-// is durable in its shard's pool.
+// complete, independently recoverable Dash table, and a request is
+// completed only after its operation's own fence, so every acknowledged
+// operation is durable in its shard's pool.
 package service
 
 import (

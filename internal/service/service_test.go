@@ -130,49 +130,3 @@ func TestOpenRestartRoutesIdentically(t *testing.T) {
 		}
 	}
 }
-
-// The fence-batch window is deterministic at the pool level: N inserts
-// inside one window cost exactly one real fence, with every per-op ordering
-// point elided (vs one-plus fences per insert outside a window). This is the
-// primitive the frontend's batch amortization stands on.
-func TestFenceBatchWindowDeterministic(t *testing.T) {
-	const n = 64
-	s := newShards(t, 1, 5)
-	defer s.Close()
-	pool, tb := s.Pool(0), s.Table(0)
-
-	// Unbatched: every insert pays its own fences.
-	base := pool.Stats()
-	for k := uint64(0); k < n; k++ {
-		if err := tb.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unbatched := pool.Stats().Sub(base)
-	if unbatched.Fences < n {
-		t.Fatalf("unbatched fences = %d, want >= %d (one per insert)", unbatched.Fences, n)
-	}
-
-	// Batched: the same work inside one window pays one tail fence.
-	base = pool.Stats()
-	pool.BeginFenceBatch()
-	for k := uint64(n); k < 2*n; k++ {
-		if err := tb.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	elided := pool.EndFenceBatch()
-	batched := pool.Stats().Sub(base)
-	if batched.Fences != 1 {
-		t.Fatalf("batched fences = %d, want exactly 1 (the tail)", batched.Fences)
-	}
-	if elided < n {
-		t.Fatalf("elided = %d, want >= %d (every per-op fence)", elided, n)
-	}
-	if batched.FencesElided != elided {
-		t.Fatalf("stats elided %d != EndFenceBatch %d", batched.FencesElided, elided)
-	}
-	if batched.FlushedLines < n {
-		t.Fatalf("batched flushed lines = %d, want >= %d (flushes are not elided)", batched.FlushedLines, n)
-	}
-}

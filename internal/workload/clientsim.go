@@ -13,11 +13,10 @@ import "fmt"
 //     service, which per-key Zipf on a hashed keyspace can never produce
 //     (hashing spreads even a skewed key distribution evenly over shards).
 //   - connection churn: a deterministic session schedule — every
-//     SessionOps operations the client "reconnects": it drains its
-//     pipeline (waits for every outstanding request) before continuing.
-//     No sleeping is involved, so throughput stays comparable; what churn
-//     costs is batching opportunity, since every drain empties the queues
-//     batches are formed from.
+//     SessionOps operations the client "reconnects". No sleeping is
+//     involved, so throughput stays comparable; the harness counts the
+//     sessions (a client of the synchronous frontend has no request in
+//     flight to drain at a boundary).
 //   - mixed tenant profiles: each key belongs deterministically to one of
 //     a fixed set of tenants, each with its own VarSpec key/value-size
 //     shape, so one run carries small-record and large-record tenants
@@ -37,8 +36,8 @@ type ClientSim struct {
 	// leaves rank selection to the base distribution.
 	ShardTheta float64
 	// SessionOps, when non-zero, is the connection-churn period: every
-	// SessionOps operations the client starts a new session, draining its
-	// pipeline first (SimStream.NewSession marks the boundary ops).
+	// SessionOps operations the client starts a new session
+	// (SimStream.NewSession marks the boundary ops).
 	SessionOps int64
 	// Tenants, when non-empty, gives each key one of these VarSpec shapes
 	// (selected by SpecFor) instead of the mix's single Var shape.
@@ -234,9 +233,8 @@ func (g *SimGenerator) Stream(worker int) *SimStream {
 }
 
 // NewSession reports whether the operation the following Next returns opens
-// a new session — a connection-churn boundary: the client must drain its
-// pipeline (every outstanding request completed) before submitting it,
-// modeling a reconnect. Call it exactly once before each Next.
+// a new session — a connection-churn boundary: a client with requests in
+// flight completes them all before submitting it, modeling a reconnect. Call it exactly once before each Next.
 func (s *SimStream) NewSession() bool {
 	s.left--
 	if s.left != 0 {
