@@ -47,8 +47,8 @@ var epoch = time.Now()
 // Now returns nanoseconds since process start on the monotonic clock.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// Shards is the fan-out of Counter, of the flight recorder's op lane and of
-// anything else keyed by GoShard (pmem's carry ledger). 64 cachelines of
+// Shards is the fan-out of Counter, of the flight recorder's op lane, of
+// anything else keyed by GoShard, and of pmem's carry ledger. 64 cachelines of
 // counter is 4KiB per Counter — cheap enough to register dozens, wide
 // enough that a few dozen runnable goroutines rarely collide.
 const Shards = 64

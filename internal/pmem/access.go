@@ -19,13 +19,16 @@ import (
 //
 // The clock comes first because a charge prices the access, not what
 // follows it: the door reads the clock before the host touches the arena,
-// and the charge spends only what the host access left of the modelled
-// latency. A simulated PM access then takes about the model's time (plus
-// one clock read), not the host's cache and TLB misses on the arena plus
-// the model's time. TouchRead, which charges lines its caller reads through
-// a quiet view, loads one word of each line before it spends, so those
-// reads hit lines fetched while the model's latency ran. With no model
-// installed the door reads no clock.
+// and the spin that pays for the access counts from that read. A read's
+// charge spins at once, for what the host access left of the modelled
+// latency; a store's charge spins not at all and records the read as the
+// start of the persist its fence pays for (cost.go), so the host work up to
+// the fence runs inside the modelled time too. A simulated PM access then
+// takes about the model's time (plus a clock read or two), not the host's
+// cache and TLB misses on the arena plus the model's time. TouchRead, which
+// charges lines its caller reads through a quiet view, loads one word of
+// each line before it spends, so those reads hit lines fetched while the
+// model's latency ran. With no model installed the door reads no clock.
 //
 // Each direction has a charged and a quiet form for a word, and a quiet
 // form for a byte range: LoadU64 / QuietLoadU64 and QuietBytes for loads,
@@ -167,12 +170,12 @@ func (p *Pool) touchRead(a Addr, n uint64, now int64) {
 }
 
 // TouchWrite charges a PM write of [a, a+n) made through quiet stores, which
-// tracked the lines themselves. The stores came first, so the charge takes
-// its own clock read.
+// tracked the lines themselves. The stores came first, so it has no entry
+// clock to give the charge.
 func (p *Pool) TouchWrite(a Addr, n uint64) { p.check(a, n); p.onWrite(a, n, 0) }
 
 // entryClock is a charged door's clock read, taken before the host access it
-// prices so that the charge spends only the modelled time the access left:
+// prices so that the spin paying for it counts the access as modelled time:
 // the obs.Now timeline, or 0 when no model is installed (nothing to spend).
 func (p *Pool) entryClock() int64 {
 	if p.model == nil {

@@ -147,7 +147,8 @@ func (p *Pool) check(a Addr, n uint64) {
 
 // Flush simulates CLWB over the cachelines covering [a, a+n): the lines are
 // copied to the durable media image (when crash tracking is on), counted,
-// and charged by the cost model. On real hardware the flush only becomes
+// and charged by the cost model, whose calling goroutine pays the charge at
+// its next Fence. On real hardware the flush only becomes
 // ordered at the next Fence; the simulation persists eagerly, which is a
 // strictly weaker adversary for ordering bugs *within* a line but identical
 // at the granularity crash tests exercise (whole lines either survive or
@@ -196,7 +197,9 @@ func (p *Pool) SetFlushHook(h func(a Addr, n uint64)) {
 }
 
 // Fence simulates SFENCE ordering of prior flushes. With the eager Flush
-// model it only costs accounting.
+// model it orders nothing, but under a cost model it is where the calling
+// goroutine waits out the device time of its stores and flushes since its
+// last fence or charged read.
 func (p *Pool) Fence() {
 	p.stats.addFence()
 	if p.model != nil {
