@@ -41,7 +41,7 @@ race-split:
 # testdata/fuzz/<target>/ and fails the target.
 FUZZ_TARGETS = internal/core:FuzzFPMatches internal/core:FuzzRecordWord \
 	internal/core:FuzzOpenDirectory internal/core:FuzzFirstTouch \
-	internal/pmem:FuzzBlobHeader internal/hashfn:FuzzHash
+	internal/pmem:FuzzBlobHeader internal/pmem:FuzzLogSweep internal/hashfn:FuzzHash
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t#*:}; \
@@ -111,7 +111,8 @@ docs-check: vet
 			TestOpenNeverReadsBucketPadding AdvanceEvery maxPending \
 			reqParked ScaledOptane CostScale \
 			cacheRebuild descFor 'dircache\.rebuilds' opSampleMask \
-			BeginFenceBatch EndFenceBatch AbortFenceBatch waitStep parkAfterYields execBatch; do \
+			BeginFenceBatch EndFenceBatch AbortFenceBatch waitStep parkAfterYields execBatch \
+			adviseHugePages TestVarLogRecoverTornHeader; do \
 		hits=$$(grep -rn "$$ident" README.md ARCHITECTURE.md ROADMAP.md 2>/dev/null); \
 		if [ -n "$$hits" ] && ! grep -rqw "$$ident" --include='*.go' .; then \
 			echo "$$hits"; \

@@ -9,7 +9,7 @@ import (
 )
 
 // Every access to the arena goes through this file, and every store through
-// one function, store — save NewPool's page advice (hugepage_linux.go),
+// one function, store — save NewPool's page advice (AdviseHugePages),
 // which stores zero bytes into the still all-zero arena before the pool is
 // handed out. The accessors are the instrumented data path: they
 // read the clock, perform the memory operation, record PM traffic, charge

@@ -2,6 +2,8 @@
 
 package pmem
 
-// adviseHugePages leaves the arena as the heap gave it: page advice is
-// Linux-only.
-func adviseHugePages([]byte) {}
+// THPMode reports "never": page advice is Linux-only.
+func THPMode() string { return "never" }
+
+// AdviseHugePages leaves b as the heap gave it: page advice is Linux-only.
+func AdviseHugePages([]byte) {}

@@ -21,8 +21,9 @@
 // traffic destroys multicore scalability the way it does on the real DIMMs.
 //
 // The arena is a Go-heap slice (so the runtime's heap figures count it),
-// and on Linux its 2 MiB-aligned interior is advised onto transparent huge
-// pages when the kernel offers them (hugepage_linux.go): a simulated PM
+// and on Linux its 2 MiB regions are advised onto transparent huge pages
+// when the kernel offers them (AdviseHugePages, hugepage_linux.go — the one
+// page-advice helper, which core's segment mirrors share): a simulated PM
 // access should cost the model's time, and an arena of a hundred MiB on
 // 4 KiB pages would add a host TLB walk to most of them. The door's charges
 // count from before the host access for the same reason (access.go).
@@ -113,7 +114,7 @@ func NewPool(opt Options) (*Pool, error) {
 		data:  unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size),
 		size:  size,
 	}
-	adviseHugePages(p.data)
+	AdviseHugePages(p.data)
 	if opt.TrackCrashes {
 		p.crash = newTracker(size)
 	}

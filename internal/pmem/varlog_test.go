@@ -2,10 +2,12 @@ package pmem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -345,38 +347,109 @@ func TestVarLogRecover(t *testing.T) {
 	}
 }
 
-// TestVarLogRecoverTornHeader: a blob allocated (frontier persisted) whose
-// header never reached media is a hole of unknown length, with a referenced
-// blob and an unreferenced one behind it. Recovery must bridge the hole with
-// one free filler up to the referenced blob, keep that blob live and walk on
-// past it; a second recovery of the image strides over the filler, reaches
-// the same state and writes nothing.
-func TestVarLogRecoverTornHeader(t *testing.T) {
-	p, l := testLog(t, 1<<20, 0)
-	a1, _ := l.Append([]byte("first-key-012345"), []byte("v1"))
-	hole, err := l.allocBlob(64) // a torn append: the header never lands
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, _ := l.Append([]byte("behind-the-hole"), []byte("v2"))
-	a3, _ := l.Append([]byte("unreferenced-key"), []byte("v3"))
-	p.Crash()
+// FuzzLogSweep drives the recovery sweep's hole filler. The fuzz bytes, three
+// per step, run appends of assorted key and value sizes and torn
+// allocations — a blob allocated (frontier persisted) whose header never
+// reached media, a hole of unknown length — into a log of 2 KiB chunks, on
+// until the log has grown a second chunk, and pick which appended blobs a
+// slot references. Crash and recovery run twice: every referenced blob
+// is live and reads back, every hole and every unreferenced blob lies inside
+// a free span (a filler bridges a hole up to the next referenced blob, so it
+// may swallow unreferenced blobs behind it), live plus free bytes equal the
+// bytes the chunk walk covers, Verify passes, and the second recovery, which
+// strides over the fillers the first one persisted, writes nothing.
+//
+// A step is (op, x, y): op&3 == 3 is a torn allocation of 16·(1+x%24)
+// bytes; otherwise an append of a 1+x%48-byte key and a y%64-byte value,
+// 256 bytes longer if op&8, referenced if op&4.
+func FuzzLogSweep(f *testing.F) {
+	// A referenced blob, a 64-byte hole, a referenced blob behind it and an
+	// unreferenced one: the torn-header shape.
+	f.Add([]byte{4, 15, 2, 3, 3, 0, 4, 14, 2, 0, 15, 2})
+	f.Add([]byte{})
+	f.Add([]byte{3, 23, 0, 3, 0, 0, 12, 47, 63, 3, 7, 0, 8, 1, 1, 7, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const chunk = 2 << 10
+		p, l := testLog(t, 1<<19, chunk)
+		type blob struct {
+			a    Addr
+			cap  uint64
+			k, v []byte
+			ref  bool
+		}
+		var blobs []blob
+		refs := map[Addr]struct{}{}
+		at := func(i int) byte {
+			if len(data) == 0 {
+				return byte(i * 37)
+			}
+			return data[i%len(data)]
+		}
+		for i := 0; i < min(len(data)/3, 256) || l.Stats().ChunkBytes < 2*chunk; i++ {
+			op, x, y := at(3*i), at(3*i+1), at(3*i+2)
+			if op&3 == 3 {
+				capBytes := blobAlign * (1 + uint64(x%24))
+				a, err := l.allocBlob(capBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blobs = append(blobs, blob{a: a, cap: capBytes})
+				continue
+			}
+			k := bytes.Repeat([]byte{byte(i) | 1}, 1+int(x%48))
+			v := bytes.Repeat([]byte{y}, int(y%64)+int(op&8)*32)
+			a, err := l.Append(k, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := blob{a: a, cap: blobCap(len(k), len(v)), k: k, v: v, ref: op&4 != 0}
+			if b.ref {
+				l.Commit(a)
+				refs[a] = struct{}{}
+			}
+			blobs = append(blobs, b)
+		}
 
-	refs := map[Addr]struct{}{a1: {}, a2: {}}
-	for run := 1; run <= 2; run++ {
-		img := p.Snapshot()
-		l2 := recoverLog(t, p, refs)
-		free := l2.FreeSpans()
-		if st := l2.Stats(); st.LiveBlobs != 2 || !free[hole] || !free[a3] || st.FreeBytes != 64+blobCap(16, 2) {
-			t.Fatalf("recovery %d: stats %+v, free %v; want a1 and a2 live, the 64-byte hole and a3 free", run, st, free)
+		for run := 1; run <= 2; run++ {
+			p.Crash() // the second run: a crash after the first recovery
+			img := p.Snapshot()
+			l2 := recoverLog(t, p, refs)
+			free := l2.FreeSpans()
+			var spans []blob // the free spans, by address
+			for a := range free {
+				spans = append(spans, blob{a: a, cap: blobHeaderCap(p.QuietLoadU64(a))})
+			}
+			slices.SortFunc(spans, func(x, y blob) int { return cmp.Compare(x.a, y.a) })
+			for _, b := range blobs {
+				if b.ref {
+					if free[b.a] {
+						t.Fatalf("recovery %d: referenced blob %#x is free", run, b.a)
+					}
+					if !l2.KeyEquals(b.a, b.k, true) || !bytes.Equal(l2.QuietAppendValue(nil, b.a), b.v) {
+						t.Fatalf("recovery %d: referenced blob %#x does not read back", run, b.a)
+					}
+					continue
+				}
+				i, _ := slices.BinarySearchFunc(spans, b.a+1, func(s blob, a Addr) int { return cmp.Compare(s.a, a) })
+				if i == 0 || uint64(b.a)+b.cap > uint64(spans[i-1].a)+spans[i-1].cap {
+					t.Fatalf("recovery %d: unreferenced blob or hole [%#x, +%d) lies in no free span", run, b.a, b.cap)
+				}
+			}
+			var walked uint64
+			for c := Addr(p.QuietLoadU64(Addr(CachelineSize))); !c.IsNull(); c = Addr(p.QuietLoadU64(c.Add(chunkOffNext))) {
+				walked += p.QuietLoadU64(c.Add(chunkOffBump)) - uint64(c) - chunkHeaderSize
+			}
+			if st := l2.Stats(); st.LiveBlobs != int64(len(refs)) || st.LiveBytes+st.FreeBytes != walked {
+				t.Fatalf("recovery %d: stats %+v for %d referenced blobs; want live plus free bytes = the %d bytes walked", run, st, len(refs), walked)
+			}
+			if err := l2.Verify(refs); err != nil {
+				t.Fatalf("recovery %d: %v", run, err)
+			}
+			if run == 2 && !bytes.Equal(img, p.Snapshot()) {
+				t.Fatal("recovering a bridged image wrote PM")
+			}
 		}
-		if err := l2.Verify(refs); err != nil {
-			t.Fatalf("recovery %d: %v", run, err)
-		}
-		if run == 2 && !bytes.Equal(img, p.Snapshot()) {
-			t.Fatal("recovering a bridged image wrote PM")
-		}
-	}
+	})
 }
 
 // TestVarLogAppendRacesFlush is the -race regression for the byte-range
