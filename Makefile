@@ -155,11 +155,10 @@ benchmark-check:
 # model is off (-model=false) so it measures nothing, it only has to run.
 # delete-heavy exercises the epoch-reclamation meters, -recovery the
 # snapshot→reopen timing path, and -shards 2 the service tier (shards +
-# frontend + client simulation, at 1 shard and at 2).
+# frontend, each of the six mixes at 1 shard and at 2).
 bench-smoke:
 	$(GO) run ./cmd/dashbench -only -mix balanced,read,read-neg,var-insert,var-read,delete-heavy -threads 2 \
-		-ops 8000 -warmup 800 -keyspace 8192 -model=false -recovery \
-		-shards 2 -sims svc-balanced \
+		-ops 8000 -warmup 800 -keyspace 8192 -model=false -recovery -shards 2 \
 		-out $${TMPDIR:-/tmp}/BENCH_smoke.json
 
 # bench-gate is the perf-regression gate: seven fixed seeded cells, all but
@@ -188,8 +187,8 @@ bench-once:
 
 # bench is the real measurement matrix (core mix suite plus the
 # variable-length mixes × 1..8 threads under the full Optane cost model,
-# plus the service-tier suite: every client simulation at 4 shards against
-# its 1-shard baseline), recovery timings included. It writes
+# plus the service-tier suite: every one of those mixes with 8 clients at 4
+# shards against its 1-shard baseline), recovery timings included. It writes
 # $(BENCH_OUT) — by default the git-ignored BENCH_local.json; ROADMAP.md's
 # "Measured baselines" keeps the trajectory of earlier runs, so name a new
 # file to bank one: make bench BENCH_OUT=BENCH_banked.json

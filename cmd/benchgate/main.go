@@ -34,8 +34,8 @@ import (
 )
 
 type cellConfig struct {
-	// Mix names a registered mix or client simulation
-	// (workload.ClientSimByName).
+	// Mix names a registered mix (workload.MixByName); loadGate rejects any
+	// other name.
 	Mix       string  `json:"mix"`
 	Threads   int     `json:"threads"`
 	Ops       int64   `json:"ops"`
@@ -121,7 +121,8 @@ func main() {
 
 // loadGate parses a gate file. A key that names no field is an error, not
 // ignored: an absent threshold reads 0, which disables it, so a misspelled
-// threshold key would otherwise turn its check off without a word.
+// threshold key would otherwise turn its check off without a word. A cell
+// whose mix is not registered is an error too, found before any cell runs.
 func loadGate(data []byte) (gateFile, error) {
 	var gf gateFile
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -131,6 +132,11 @@ func loadGate(data []byte) (gateFile, error) {
 	}
 	if len(gf.Cells) == 0 {
 		return gf, errors.New("declares no gate cells")
+	}
+	for _, c := range gf.Cells {
+		if _, ok := workload.MixByName(c.Config.Mix); !ok {
+			return gf, fmt.Errorf("gate cell %q: unknown mix %q", c.Name, c.Config.Mix)
+		}
 	}
 	return gf, nil
 }
@@ -142,13 +148,10 @@ func loadGate(data []byte) (gateFile, error) {
 // aggregate throughput must not collapse against the table's.
 func runCell(cell gateCell) bool {
 	cc, th := cell.Config, cell.Thresholds
-	sim, ok := workload.ClientSimByName(cc.Mix)
-	if !ok {
-		fatal(fmt.Errorf("unknown mix or client sim %q in gate cell %q", cc.Mix, cell.Name))
-	}
+	mix, _ := workload.MixByName(cc.Mix) // loadGate checked the name
 	run := func(shards int) *bench.Result {
 		res, err := bench.Run(bench.Config{
-			Sim:             sim,
+			Mix:             mix,
 			Threads:         cc.Threads,
 			Ops:             cc.Ops,
 			WarmupOps:       cc.WarmupOps,
@@ -165,7 +168,7 @@ func runCell(cell gateCell) bool {
 		return res
 	}
 	fmt.Printf("benchgate[%s]: %s, %d threads, %d ops, keyspace %d, seed %d, model %v",
-		cell.Name, sim.Name, cc.Threads, cc.Ops, cc.Keyspace, cc.Seed, cc.Model)
+		cell.Name, mix.Name, cc.Threads, cc.Ops, cc.Keyspace, cc.Seed, cc.Model)
 	if cc.Shards > 0 {
 		fmt.Printf(" — %d shards vs one bare table", cc.Shards)
 	}
@@ -221,7 +224,7 @@ func runCell(cell gateCell) bool {
 			fmt.Sprintf("; %.3f vs %.3f fences/op", res.FencesPerOp, base.FencesPerOp))
 		check("throughput vs baseline", ratio(res.MopsPerS, base.MopsPerS), th.SvcMopsRatioMin, true, 3,
 			fmt.Sprintf("; %.3f vs %.3f Mops/s", res.MopsPerS, base.MopsPerS))
-		fmt.Printf("  info imbalance=%.3f reconnects=%d\n", res.Imbalance, res.Reconnects)
+		fmt.Printf("  info imbalance=%.3f\n", res.Imbalance)
 	}
 	return passed
 }

@@ -16,18 +16,18 @@
 // phase timings, and -debug-addr serves the live table's metrics registry,
 // flight-recorder trace and pprof over HTTP while the run progresses.
 //
-// -shards N additionally runs the service-tier suite: each
-// client-simulation profile (-sims, default all of workload.ClientSims) is
-// driven through a service.Shards + service.Frontend stack twice — once at
-// the single-table baseline (1 shard) and once over N shards — so one BENCH
-// file shows what sharding buys. Both suites run through the one bench.Run;
-// service cells report client-observed Submit→Wait latency, table shape and
-// telemetry summed over shards, plus per-shard rows.
+// -shards N additionally runs the service-tier suite over the same mixes:
+// each mix is driven by -threads clients through a service.Shards +
+// service.Frontend stack twice — once at the single-table baseline (1 shard)
+// and once over N shards — so one BENCH file shows what sharding buys. Both
+// suites run through the one bench.Run; service cells report
+// client-observed Submit→Wait latency, table shape and telemetry summed
+// over shards, plus per-shard rows.
 //
 // Example:
 //
 //	go run ./cmd/dashbench -threads 8 -mix balanced -debug-addr localhost:6060
-//	go run ./cmd/dashbench -only -shards 4 -sims svc-balanced
+//	go run ./cmd/dashbench -only -mix balanced -shards 4
 package main
 
 import (
@@ -80,8 +80,7 @@ func main() {
 		list      = flag.Bool("list", false, "list registered mixes and exit")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
 		recovery  = flag.Bool("recovery", false, "after each cell, reopen its durable image and report recovery phase timings")
-		shards    = flag.Int("shards", 0, "run the service-tier suite over this many shards (power of two; 0 = skip the service suite)")
-		sims      = flag.String("sims", "all", "comma-separated client simulations for the service suite; 'all' runs every registered one")
+		shards    = flag.Int("shards", 0, "also run every mix through the service tier at 1 shard and at this many (power of two; 0 = skip the service suite)")
 	)
 	flag.Parse()
 
@@ -100,19 +99,13 @@ func main() {
 		return
 	}
 
-	mixes, err := selectMixes(*mixFlag, *only, *shards > 0)
+	mixes, err := selectMixes(*mixFlag, *only)
 	if err != nil {
 		fatal(err)
 	}
-	var simList []workload.ClientSim
+	var svcMixes []workload.Mix // the service suite runs the same mixes
 	if *shards > 0 {
-		names := workload.ClientSimNames()
-		if *sims != "all" && *sims != "" {
-			names = strings.Split(*sims, ",")
-		}
-		if simList, err = resolve(names); err != nil {
-			fatal(err)
-		}
+		svcMixes = mixes
 	}
 	ladder := threadLadder(*threads)
 	if *warmup < 0 {
@@ -129,7 +122,7 @@ func main() {
 		fmt.Printf("dashbench: debug endpoint on http://%s (/metrics, /trace, /debug/pprof)\n", srv.Addr())
 	}
 
-	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 10}
+	outJSON := benchJSON{Bench: "dashbench", SchemaVersion: 11}
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
@@ -141,9 +134,9 @@ func main() {
 	// run executes one cell — every cell of both suites goes through here —
 	// prints what any cell may have to say below its row, and files the
 	// result, which is the BENCH row, as is.
-	run := func(sim workload.ClientSim, clients, shards int, row func(*bench.Result)) {
+	run := func(mix workload.Mix, clients, shards int, row func(*bench.Result)) {
 		res, err := bench.Run(bench.Config{
-			Sim:             sim,
+			Mix:             mix,
 			Threads:         clients,
 			Ops:             *ops,
 			WarmupOps:       *warmup,
@@ -157,7 +150,7 @@ func main() {
 			OnTable:         live.attach,
 		})
 		if err != nil {
-			fatal(fmt.Errorf("%s threads %d shards %d: %w", sim.Name, clients, shards, err))
+			fatal(fmt.Errorf("%s threads %d shards %d: %w", mix.Name, clients, shards, err))
 		}
 		row(res)
 		if n := res.InsertOverflow; n > 0 {
@@ -185,7 +178,7 @@ func main() {
 		len(mixes), ladder, *ops, *keyspace, *theta, *model)
 
 	for _, mix := range mixes {
-		fmt.Printf("\nmix %s\n", mix.Mix)
+		fmt.Printf("\nmix %s\n", mix)
 		fmt.Printf("  %7s %9s %9s %9s %9s %9s %10s %10s %9s %6s %5s %7s %7s %6s\n",
 			"threads", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)", "PMrd B/op", "PMwr B/op", "dev ns/op", "lf", "depth", "dchit%", "fhit%", "splits")
 		for _, th := range ladder {
@@ -202,19 +195,19 @@ func main() {
 		}
 	}
 
-	// Service-tier suite: each simulation at the single-table baseline
-	// (1 shard) then over -shards, so what sharding buys is visible inside
-	// one BENCH file.
-	for _, sim := range simList {
-		fmt.Printf("\nservice sim %s (%d clients)\n", sim.Name, *threads)
-		fmt.Printf("  %6s %9s %9s %9s %9s %10s %9s %7s %6s %6s\n",
-			"shards", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "dev ns/op", "imbal", "reconn", "lf")
+	// Service-tier suite: each mix at the single-table baseline (1 shard)
+	// then over -shards, so what sharding buys is visible inside one BENCH
+	// file.
+	for _, mix := range svcMixes {
+		fmt.Printf("\nservice mix %s (%d clients)\n", mix.Name, *threads)
+		fmt.Printf("  %6s %9s %9s %9s %9s %10s %9s %7s %6s\n",
+			"shards", "Mops/s", "p50(µs)", "p99(µs)", "p999(µs)", "fences/op", "dev ns/op", "imbal", "lf")
 		for _, n := range []int{1, *shards} {
-			run(sim, *threads, n, func(res *bench.Result) {
-				fmt.Printf("  %6d %9.3f %9.1f %9.1f %9.1f %10.3f %9.0f %7.3f %6d %6.2f\n",
+			run(mix, *threads, n, func(res *bench.Result) {
+				fmt.Printf("  %6d %9.3f %9.1f %9.1f %9.1f %10.3f %9.0f %7.3f %6.2f\n",
 					res.Shards, res.MopsPerS,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3, float64(res.P999NS)/1e3,
-					res.FencesPerOp, res.DeviceNSPerOp, res.Imbalance, res.Reconnects, res.LoadFactor)
+					res.FencesPerOp, res.DeviceNSPerOp, res.Imbalance, res.LoadFactor)
 				if res.Shards > 1 {
 					for _, row := range res.PerShard {
 						fmt.Printf("          shard %d: %d ops, %.3f fences/op, count %d, lf %.2f, %d splits\n",
@@ -247,9 +240,8 @@ func hitRate(m obs.Snapshot, tier string) float64 {
 }
 
 // selectMixes resolves the mix set: the core suite plus -mix additions, or
-// exactly the -mix list under -only. An empty -only list is allowed when the
-// service suite runs instead (haveSvc).
-func selectMixes(mixFlag string, only, haveSvc bool) ([]workload.ClientSim, error) {
+// exactly the -mix list under -only.
+func selectMixes(mixFlag string, only bool) ([]workload.Mix, error) {
 	var names []string
 	if !only {
 		names = append(names, coreSuite...)
@@ -259,16 +251,16 @@ func selectMixes(mixFlag string, only, haveSvc bool) ([]workload.ClientSim, erro
 		names = workload.MixNames()
 	case mixFlag != "":
 		names = append(names, strings.Split(mixFlag, ",")...)
-	case only && !haveSvc:
-		return nil, fmt.Errorf("-only requires -mix (or -shards for the service suite)")
+	case only:
+		return nil, fmt.Errorf("-only requires -mix")
 	}
 	return resolve(names)
 }
 
 // resolve looks each name up once (duplicates dropped) among the registered
-// mixes and client simulations; a mix runs as a simulation with no stressor.
-func resolve(names []string) ([]workload.ClientSim, error) {
-	var sims []workload.ClientSim
+// mixes.
+func resolve(names []string) ([]workload.Mix, error) {
+	var mixes []workload.Mix
 	seen := map[string]bool{}
 	for _, n := range names {
 		n = strings.TrimSpace(n)
@@ -276,14 +268,13 @@ func resolve(names []string) ([]workload.ClientSim, error) {
 			continue
 		}
 		seen[n] = true
-		s, ok := workload.ClientSimByName(n)
+		m, ok := workload.MixByName(n)
 		if !ok {
-			return nil, fmt.Errorf("unknown mix or sim %q (mixes: %s; sims: %s)", n,
-				strings.Join(workload.MixNames(), ", "), strings.Join(workload.ClientSimNames(), ", "))
+			return nil, fmt.Errorf("unknown mix %q (mixes: %s)", n, strings.Join(workload.MixNames(), ", "))
 		}
-		sims = append(sims, s)
+		mixes = append(mixes, m)
 	}
-	return sims, nil
+	return mixes, nil
 }
 
 // threadLadder returns the powers of two up to and including max.

@@ -5,6 +5,8 @@
 // throughput, per-op latency quantiles, PM traffic per operation, and the
 // final table shape — the axes the paper evaluates on (§6, Fig. 6–9).
 //
+// A cell is a mix, a thread count and a shard count (Config): the same
+// registered workload.Mix drives a bare table and a sharded service alike.
 // There is one runner. A bare table is a service cell with no frontend: the
 // same client loop fills the same service.Request from each workload.Op and
 // either hands it to service.Exec (Config.Shards == 0) or submits it to the
@@ -28,10 +30,9 @@ import (
 
 // Config describes one benchmark cell.
 type Config struct {
-	// Sim is the workload: an operation mix plus the service-shaped
-	// stressors of a client simulation. A plain mix is a simulation with
-	// none (workload.ClientSimByName resolves mix names that way).
-	Sim workload.ClientSim
+	// Mix is the operation mix every client runs; a non-nil Mix.Var drives
+	// the variable-length API.
+	Mix workload.Mix
 	// Threads is the number of client goroutines.
 	Threads int
 	// Ops is the total number of measured operations, split across clients.
@@ -44,7 +45,6 @@ type Config struct {
 	// by routing).
 	Keyspace uint64
 	// Theta is the per-key Zipfian skew (0 = uniform); see workload.Config.
-	// Shard-level skew comes from the simulation profile.
 	Theta float64
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -121,12 +121,12 @@ type ShardRow struct {
 }
 
 // Result is the outcome of one benchmark cell, and the cell's row in a
-// BENCH file: dashbench marshals it as is (schema v9; the JSON tags here and
+// BENCH file: dashbench marshals it as is (schema v11; the JSON tags here and
 // on Counts are the row's header). The header holds what the harness itself
 // measures, times or walks; every meter the engine keeps arrives in Meters,
 // under its registry name, with no copy in between.
 type Result struct {
-	// Mix names the mix or client simulation that ran; Threads is the client
+	// Mix names the mix that ran; Threads is the client
 	// goroutine count. Shards echoes a service cell's shard count (zero,
 	// and absent from the row, for a direct cell).
 	Mix     string `json:"mix"`
@@ -140,15 +140,13 @@ type Result struct {
 
 	// Latency over the measured phase, nanoseconds: the engine call in a
 	// direct cell, submit→completion in a service cell. Hist is every
-	// client's recorder merged; MaxUS is MaxNS in µs, the tail number
-	// tracked across PRs.
+	// client's recorder merged.
 	Hist   obs.HistSnapshot `json:"-"`
 	P50NS  int64            `json:"p50_ns"`
 	P90NS  int64            `json:"p90_ns"`
 	P99NS  int64            `json:"p99_ns"`
 	P999NS int64            `json:"p999_ns"`
 	MaxNS  int64            `json:"max_ns"`
-	MaxUS  float64          `json:"max_us"`
 	MeanNS float64          `json:"mean_ns"`
 
 	// PM is the raw traffic delta over the measured phase, summed over every
@@ -192,11 +190,9 @@ type Result struct {
 	Recovery            *obs.Snapshot `json:"recovery_meters,omitempty"`
 
 	// Service cells only: Imbalance is the (max/mean − 1) spread of ops
-	// across shards, Reconnects the connection-churn session count,
-	// PerShard the per-shard breakdown.
-	Imbalance  float64    `json:"shard_imbalance,omitempty"`
-	Reconnects int64      `json:"svc_reconnects,omitempty"`
-	PerShard   []ShardRow `json:"shard_rows,omitempty"`
+	// across shards, PerShard the per-shard breakdown.
+	Imbalance float64    `json:"shard_imbalance,omitempty"`
+	PerShard  []ShardRow `json:"shard_rows,omitempty"`
 
 	// Meters is every table's registry windowed to the measured phase
 	// (obs.Snapshot.Sub) and summed over the tables (obs.Snapshot.Add), plus
@@ -241,7 +237,7 @@ func newCell(cfg Config) (*cell, error) {
 			cfg.OnTable(tb)
 		}
 	}
-	if err := c.preload(cfg.Sim, cfg.Keyspace); err != nil {
+	if err := c.preload(cfg.Mix.Var, cfg.Keyspace); err != nil {
 		c.close()
 		return nil, err
 	}
@@ -262,20 +258,11 @@ func serviceCell(svc *service.Shards) *cell {
 // starts the frontend of a service cell, and returns cfg.Threads clients,
 // each with its own deterministic operation stream.
 func (c *cell) start(cfg Config) ([]*client, error) {
-	sim := cfg.Sim
-	gen, err := workload.NewSimGenerator(workload.SimConfig{
-		Keyspace:  cfg.Keyspace,
-		Theta:     cfg.Theta,
-		Seed:      cfg.Seed,
-		Sim:       sim,
-		NumShards: len(c.tables),
-		ShardOf: func(rank uint64) int {
-			key := workload.PreloadKey(rank)
-			if spec := sim.SpecFor(key); spec != nil {
-				return c.route(0, spec.AppendKey(nil, key))
-			}
-			return c.route(key, nil)
-		},
+	gen, err := workload.NewGenerator(workload.Config{
+		Keyspace: cfg.Keyspace,
+		Theta:    cfg.Theta,
+		Mix:      cfg.Mix,
+		Seed:     cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -294,7 +281,7 @@ func (c *cell) start(cfg Config) ([]*client, error) {
 	}
 	clients := make([]*client, cfg.Threads)
 	for i := range clients {
-		clients[i] = &client{cell: c, sim: sim, stream: gen.Stream(i)}
+		clients[i] = &client{cell: c, spec: cfg.Mix.Var, stream: gen.Stream(i)}
 	}
 	return clients, nil
 }
@@ -336,13 +323,14 @@ func (c *cell) route(key uint64, kb []byte) int {
 }
 
 // preload inserts the keyspace straight into the tables (bypassing the
-// frontend: preload is setup, not workload).
-func (c *cell) preload(sim workload.ClientSim, keyspace uint64) error {
+// frontend: preload is setup, not workload), each key encoded through spec
+// when it is non-nil.
+func (c *cell) preload(spec *workload.VarSpec, keyspace uint64) error {
 	var kbuf, vbuf []byte
 	for i := uint64(0); i < keyspace; i++ {
 		k := workload.PreloadKey(i)
 		var err error
-		if spec := sim.SpecFor(k); spec != nil {
+		if spec != nil {
 			kbuf = spec.AppendKey(kbuf[:0], k)
 			vbuf = spec.AppendValue(vbuf[:0], k, 0)
 			err = c.tables[c.route(0, kbuf)].InsertB(kbuf, vbuf)
@@ -429,7 +417,7 @@ func Run(cfg Config) (*Result, error) {
 	after := c.meters()
 
 	res := &Result{
-		Mix:     cfg.Sim.Name,
+		Mix:     cfg.Mix.Name,
 		Threads: cfg.Threads,
 		Shards:  cfg.Shards,
 		Ops:     cfg.Ops,
@@ -439,7 +427,6 @@ func Run(cfg Config) (*Result, error) {
 	for _, cl := range clients {
 		res.Hist = res.Hist.Add(cl.hist.Snapshot())
 		res.Counts.add(&cl.counts)
-		res.Reconnects += cl.reconnects
 	}
 	if res.Hist.Count != uint64(cfg.Ops) {
 		return nil, fmt.Errorf("bench: recorded %d latencies for %d ops", res.Hist.Count, cfg.Ops)
@@ -467,7 +454,6 @@ func Run(cfg Config) (*Result, error) {
 	res.P99NS = res.Hist.P99
 	res.P999NS = res.Hist.P999
 	res.MaxNS = res.Hist.Max
-	res.MaxUS = float64(res.Hist.Max) / 1e3
 	res.MeanNS = res.Hist.Mean
 	ops := float64(cfg.Ops)
 	res.ReadBytesPerOp = float64(res.PM.ReadLines) * pmem.CachelineSize / ops
@@ -649,20 +635,11 @@ func (cfg Config) poolSize() uint64 {
 	if cfg.PoolSize != 0 {
 		return cfg.PoolSize
 	}
-	mix, total := cfg.Sim.Mix, cfg.Ops+cfg.WarmupOps
+	mix, total := cfg.Mix, cfg.Ops+cfg.WarmupOps
 	inserts := uint64(total * int64(mix.Percent[workload.OpInsert]) / 100)
 	size := (cfg.Keyspace + inserts) * 64
-	if cfg.Sim.Var() {
-		specs := cfg.Sim.Tenants
-		if len(specs) == 0 {
-			specs = []workload.VarSpec{*mix.Var}
-		}
-		maxKey, maxVal := 0, 0
-		for _, s := range specs {
-			maxKey = max(maxKey, s.MaxKeyLen)
-			maxVal = max(maxVal, s.MaxValLen)
-		}
-		blob := uint64(16+maxKey+maxVal+15) &^ 15
+	if v := mix.Var; v != nil {
+		blob := uint64(16+v.MaxKeyLen+v.MaxValLen+15) &^ 15
 		updates := uint64(total * int64(mix.Percent[workload.OpUpdate]) / 100)
 		size += (cfg.Keyspace + inserts + updates) * blob
 	}

@@ -6,15 +6,14 @@ import (
 	"dash/internal/workload"
 )
 
-// simFor resolves a registered mix (run as a plain simulation) or client
-// simulation.
-func simFor(t *testing.T, name string) workload.ClientSim {
+// mixFor resolves a registered mix.
+func mixFor(t *testing.T, name string) workload.Mix {
 	t.Helper()
-	s, ok := workload.ClientSimByName(name)
+	m, ok := workload.MixByName(name)
 	if !ok {
-		t.Fatalf("mix or sim %q not registered", name)
+		t.Fatalf("mix %q not registered", name)
 	}
-	return s
+	return m
 }
 
 // TestSmokeBalanced is the harness's own smoke benchmark: 2 goroutines, ~10k
@@ -27,7 +26,7 @@ func TestSmokeBalanced(t *testing.T) {
 		Ops:       10_000,
 		WarmupOps: 1_000,
 		Keyspace:  4_096,
-		Sim:       simFor(t, "balanced"),
+		Mix:       mixFor(t, "balanced"),
 		Seed:      42,
 	})
 	if err != nil {
@@ -75,7 +74,7 @@ func TestSmokeDeleteHeavy(t *testing.T) {
 		Ops:      8_000,
 		Keyspace: 2_048,
 		Theta:    0.9,
-		Sim:      simFor(t, "delete-heavy"),
+		Mix:      mixFor(t, "delete-heavy"),
 		Seed:     7,
 	})
 	if err != nil {
@@ -95,7 +94,7 @@ func TestSmokeNegativeReads(t *testing.T) {
 		Threads:  2,
 		Ops:      4_000,
 		Keyspace: 1_024,
-		Sim:      simFor(t, "read-neg"),
+		Mix:      mixFor(t, "read-neg"),
 		Seed:     9,
 	})
 	if err != nil {
@@ -111,17 +110,17 @@ func TestSmokeNegativeReads(t *testing.T) {
 
 // TestRunRejectsBadConfig covers the validation edges.
 func TestRunRejectsBadConfig(t *testing.T) {
-	sim := simFor(t, "read")
-	if _, err := Run(Config{Threads: 0, Ops: 10, Keyspace: 16, Sim: sim}); err == nil {
+	mix := mixFor(t, "read")
+	if _, err := Run(Config{Threads: 0, Ops: 10, Keyspace: 16, Mix: mix}); err == nil {
 		t.Error("threads=0 accepted")
 	}
-	if _, err := Run(Config{Threads: 1, Ops: 0, Keyspace: 16, Sim: sim}); err == nil {
+	if _, err := Run(Config{Threads: 1, Ops: 0, Keyspace: 16, Mix: mix}); err == nil {
 		t.Error("ops=0 accepted")
 	}
-	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Sim: sim, Shards: -1}); err == nil {
+	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Mix: mix, Shards: -1}); err == nil {
 		t.Error("shards=-1 accepted")
 	}
-	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Sim: sim, Shards: 3}); err == nil {
+	if _, err := Run(Config{Threads: 1, Ops: 10, Keyspace: 16, Mix: mix, Shards: 3}); err == nil {
 		t.Error("shards=3 (not a power of two) accepted")
 	}
 }
@@ -136,7 +135,7 @@ func TestSmokeVarMixes(t *testing.T) {
 		Ops:       6_000,
 		WarmupOps: 600,
 		Keyspace:  2_048,
-		Sim:       simFor(t, "var-ycsb-b"),
+		Mix:       mixFor(t, "var-ycsb-b"),
 		Seed:      42,
 	})
 	if err != nil {
@@ -162,7 +161,7 @@ func TestSmokeVarMixes(t *testing.T) {
 		Ops:       4_000,
 		WarmupOps: 400,
 		Keyspace:  1_024,
-		Sim:       simFor(t, "var-insert"),
+		Mix:       mixFor(t, "var-insert"),
 		Seed:      7,
 	})
 	if err != nil {

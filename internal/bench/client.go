@@ -19,8 +19,8 @@ import (
 // allocation-free.
 type client struct {
 	cell   *cell
-	sim    workload.ClientSim
-	stream *workload.SimStream
+	spec   *workload.VarSpec // the mix's key/value encoding; nil in uint64 mode
+	stream *workload.Stream
 
 	// The operation in flight: its request, the request's key buffer, when
 	// its timed span started and what kind of workload op it is.
@@ -31,7 +31,6 @@ type client struct {
 
 	hist       obs.Histogram
 	counts     Counts
-	reconnects int64
 	updateSalt uint64
 }
 
@@ -77,9 +76,6 @@ func (c *client) run(ops int64, measured bool, stopped *atomic.Bool) error {
 		if stopped.Load() {
 			return errStopped
 		}
-		if c.stream.NewSession() {
-			c.reconnects++
-		}
 		c.fill(c.stream.Next())
 		if measured {
 			c.start = time.Now()
@@ -99,12 +95,12 @@ func (c *client) run(ops int64, measured bool, stopped *atomic.Bool) error {
 }
 
 // fill encodes op into the client's request: the one place a workload.Op
-// becomes a service.Request. Keys that have a VarSpec (the mix's, or their
-// tenant's) go through the []byte API, encoded into reusable buffers.
+// becomes a service.Request. A variable-length mix's keys go through the
+// []byte API, encoded into reusable buffers.
 func (c *client) fill(op workload.Op) {
 	r := &c.req
 	c.kind = op.Kind
-	spec := c.sim.SpecFor(op.Key)
+	spec := c.spec
 	if spec != nil {
 		c.kbuf = spec.AppendKey(c.kbuf[:0], op.Key)
 		r.KeyB = c.kbuf

@@ -200,7 +200,7 @@ func TestEquivalenceWithParentHarness(t *testing.T) {
 				Ops:       10_000,
 				WarmupOps: 1_000,
 				Keyspace:  4_096,
-				Sim:       simFor(t, want.mix),
+				Mix:       mixFor(t, want.mix),
 				Seed:      42,
 			})
 			if err != nil {

@@ -5,23 +5,22 @@ import (
 	"testing"
 
 	"dash/internal/core"
-	"dash/internal/workload"
 )
 
-// Every registered client simulation must run end to end through a service
-// cell at a small scale, pass its own lost-op audit, and pay fences for its
-// writes (every simulation's mix writes).
-func TestServiceCellAllSims(t *testing.T) {
-	for _, sim := range workload.ClientSims {
-		sim := sim
-		t.Run(sim.Name, func(t *testing.T) {
+// A service cell runs a mix end to end at a small scale — a uint64 mix, one
+// that deletes and a variable-length one — passes its own lost-op audit,
+// accounts for every op and record in its per-shard rows, and pays fences
+// for its writes (every one of these mixes writes).
+func TestServiceCellMixes(t *testing.T) {
+	for _, name := range []string{"balanced", "delete-heavy", "var-ycsb-b"} {
+		t.Run(name, func(t *testing.T) {
 			res, err := Run(Config{
 				Shards:    2,
 				Threads:   2,
 				Ops:       4000,
 				WarmupOps: 400,
 				Keyspace:  4096,
-				Sim:       sim,
+				Mix:       mixFor(t, name),
 				Seed:      42,
 			})
 			if err != nil {
@@ -30,7 +29,7 @@ func TestServiceCellAllSims(t *testing.T) {
 			if res.Ops != 4000 {
 				t.Fatalf("Ops = %d, want 4000", res.Ops)
 			}
-			if res.Mix != sim.Name || res.Threads != 2 || res.Shards != 2 {
+			if res.Mix != name || res.Threads != 2 || res.Shards != 2 {
 				t.Fatalf("result echoes %q threads %d shards %d", res.Mix, res.Threads, res.Shards)
 			}
 			if res.Hist.Count != 4000 {
@@ -54,12 +53,6 @@ func TestServiceCellAllSims(t *testing.T) {
 			if res.FencesPerOp <= 0 {
 				t.Fatal("no fences in the measured phase: writes were acknowledged without one")
 			}
-			if sim.SessionOps > 0 && res.Reconnects == 0 {
-				t.Fatal("churn sim produced no reconnects")
-			}
-			if sim.ShardTheta != 0 && res.Imbalance <= 0 {
-				t.Fatal("hot-shard sim produced no shard imbalance")
-			}
 		})
 	}
 }
@@ -76,7 +69,7 @@ func TestServiceRowCarriesTableTelemetry(t *testing.T) {
 		Ops:       10_000,
 		WarmupOps: 1_000,
 		Keyspace:  4_096,
-		Sim:       simFor(t, "svc-balanced"),
+		Mix:       mixFor(t, "balanced"),
 		Seed:      42,
 		OnTable:   func(tb *core.Table) { tables = append(tables, tb) },
 	})
@@ -116,7 +109,8 @@ func TestServiceRowCarriesTableTelemetry(t *testing.T) {
 }
 
 // MeasureRecovery on a service cell reopens every shard through
-// service.Open; OnTable sees every table the cell builds.
+// service.Open; OnTable sees every table the cell builds. The mix is
+// variable-length, so both shards' record logs are swept on the way back.
 func TestServiceCellRecoveryAndOnTable(t *testing.T) {
 	var tables []*core.Table
 	res, err := Run(Config{
@@ -124,7 +118,7 @@ func TestServiceCellRecoveryAndOnTable(t *testing.T) {
 		Threads:         2,
 		Ops:             4000,
 		Keyspace:        4096,
-		Sim:             simFor(t, "svc-tenants"),
+		Mix:             mixFor(t, "var-ycsb-b"),
 		Seed:            3,
 		MeasureRecovery: true,
 		OnTable:         func(tb *core.Table) { tables = append(tables, tb) },
@@ -156,10 +150,10 @@ func TestMeasuredPhaseAllocationFree(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"direct-u64", Config{Sim: simFor(t, "balanced")}},
-		{"direct-var", Config{Sim: simFor(t, "var-read")}},
-		{"frontend-u64", Config{Sim: simFor(t, "svc-balanced"), Shards: 2}},
-		{"frontend-var", Config{Sim: simFor(t, "var-read"), Shards: 2}},
+		{"direct-u64", Config{Mix: mixFor(t, "balanced")}},
+		{"direct-var", Config{Mix: mixFor(t, "var-read")}},
+		{"frontend-u64", Config{Mix: mixFor(t, "balanced"), Shards: 2}},
+		{"frontend-var", Config{Mix: mixFor(t, "var-read"), Shards: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -3,6 +3,10 @@
 // the microbenchmarks the Dash paper is evaluated on (§6: insert-only,
 // positive/negative search, deletes, and YCSB-style mixed workloads).
 //
+// A mix is the whole workload: the harness runs the same registered mixes on
+// a bare table and through the sharded service tier, so a service cell's
+// stream is its mix's, draw for draw.
+//
 // Everything is driven by explicit seeds — no clock, no global PRNG — so a
 // (Config, worker) pair always replays the identical operation sequence.
 // That is what makes benchmark numbers comparable across runs and PRs.
@@ -235,17 +239,10 @@ type Stream struct {
 	r         *rng
 	cum       [numOpKinds]int // cumulative mix percentages
 	insertKey uint64          // next fresh insert key
-
-	// rankFn, when set, overrides the rank distribution — the hook the
-	// client-simulation streams use for shard-level skew (clientsim.go).
-	rankFn func(*rng) uint64
 }
 
 // rank draws a key rank in [0, Keyspace) from the configured distribution.
 func (s *Stream) rank() uint64 {
-	if s.rankFn != nil {
-		return s.rankFn(s.r)
-	}
 	if s.g.z != nil {
 		return s.g.z.next(s.r)
 	}
