@@ -149,19 +149,18 @@ type Result struct {
 	MaxNS  int64            `json:"max_ns"`
 	MeanNS float64          `json:"mean_ns"`
 
-	// PM is the raw traffic delta over the measured phase, summed over every
-	// pool; the *PerOp fields convert it to bytes (lines × cacheline size)
-	// or counts per measured operation. DeviceNSPerOp is the simulated device
-	// time the cost model charged per op (DeviceNS, a copy of PM.DeviceNS,
-	// has it by category): MeanNS minus it is CPU time plus the simulator's
-	// own overhead.
-	PM                pmem.StatsSnapshot `json:"-"`
-	ReadBytesPerOp    float64            `json:"pm_read_bytes_per_op"`
-	WriteBytesPerOp   float64            `json:"pm_write_bytes_per_op"`
-	FlushedBytesPerOp float64            `json:"pm_flushed_bytes_per_op"`
-	FencesPerOp       float64            `json:"pm_fences_per_op"`
-	DeviceNSPerOp     float64            `json:"pm_device_ns_per_op"`
-	DeviceNS          pmem.DeviceNS      `json:"pm_device_ns"`
+	// PM traffic per measured operation, read off the pools' pmem.* counters
+	// in Meters: bytes (lines × cacheline size) read, written and flushed,
+	// and fences. DeviceNS is the simulated device time the cost model
+	// charged over the measured phase, by category, and DeviceNSPerOp its
+	// total per op: MeanNS minus it is CPU time plus the simulator's own
+	// overhead.
+	ReadBytesPerOp    float64       `json:"pm_read_bytes_per_op"`
+	WriteBytesPerOp   float64       `json:"pm_write_bytes_per_op"`
+	FlushedBytesPerOp float64       `json:"pm_flushed_bytes_per_op"`
+	FencesPerOp       float64       `json:"pm_fences_per_op"`
+	DeviceNSPerOp     float64       `json:"pm_device_ns_per_op"`
+	DeviceNS          pmem.DeviceNS `json:"pm_device_ns"`
 
 	// The tables' shape after the run (core.Table.Stats), summed over
 	// shards: total count, segments and allocated bytes, the deepest
@@ -344,15 +343,13 @@ func (c *cell) preload(spec *workload.VarSpec, keyspace uint64) error {
 	return nil
 }
 
-// snapshot reads every pool's traffic counters and walks every table.
-func (c *cell) snapshot() ([]pmem.StatsSnapshot, []core.TableStats) {
-	pm := make([]pmem.StatsSnapshot, len(c.tables))
+// stats walks every table.
+func (c *cell) stats() []core.TableStats {
 	ts := make([]core.TableStats, len(c.tables))
 	for i, tb := range c.tables {
-		pm[i] = c.pools[i].Stats()
 		ts[i] = tb.Stats()
 	}
-	return pm, ts
+	return ts
 }
 
 // meters reads every table's registry, then the frontend's if it runs.
@@ -406,14 +403,13 @@ func Run(cfg Config) (*Result, error) {
 	gcPrev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPrev)
 
-	pmBefore, _ := c.snapshot()
 	before := c.meters()
 	start := time.Now()
 	if err := runPhase(clients, cfg.Ops, true); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	pmAfter, ts := c.snapshot()
+	ts := c.stats()
 	after := c.meters()
 
 	res := &Result{
@@ -432,17 +428,13 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("bench: recorded %d latencies for %d ops", res.Hist.Count, cfg.Ops)
 	}
 
-	// Window every pool's traffic and every registry to the measured phase
-	// — preload and warmup would otherwise dilute the reported rates — then
-	// sum over the pools and registries.
+	// Window every registry — a table's carries its pool's traffic — to the
+	// measured phase (preload and warmup would otherwise dilute the reported
+	// rates), then sum over the registries.
 	win := make([]obs.Snapshot, len(after))
 	for i := range after {
 		win[i] = after[i].Sub(before[i])
 		res.Meters = res.Meters.Add(win[i])
-	}
-	for i := range pmAfter {
-		pmAfter[i] = pmAfter[i].Sub(pmBefore[i])
-		res.PM = res.PM.Add(pmAfter[i])
 	}
 	res.addShape(ts)
 
@@ -455,12 +447,18 @@ func Run(cfg Config) (*Result, error) {
 	res.P999NS = res.Hist.P999
 	res.MaxNS = res.Hist.Max
 	res.MeanNS = res.Hist.Mean
-	ops := float64(cfg.Ops)
-	res.ReadBytesPerOp = float64(res.PM.ReadLines) * pmem.CachelineSize / ops
-	res.WriteBytesPerOp = float64(res.PM.WriteLines) * pmem.CachelineSize / ops
-	res.FlushedBytesPerOp = float64(res.PM.FlushedLines) * pmem.CachelineSize / ops
-	res.FencesPerOp = float64(res.PM.Fences) / ops
-	res.DeviceNS = res.PM.DeviceNS
+	ops, pm := float64(cfg.Ops), res.Meters.Counters
+	res.ReadBytesPerOp = float64(pm["pmem.read_lines"]) * pmem.CachelineSize / ops
+	res.WriteBytesPerOp = float64(pm["pmem.write_lines"]) * pmem.CachelineSize / ops
+	res.FlushedBytesPerOp = float64(pm["pmem.flushed_lines"]) * pmem.CachelineSize / ops
+	res.FencesPerOp = float64(pm["pmem.fences"]) / ops
+	res.DeviceNS = pmem.DeviceNS{
+		Read:  pm["pmem.device_ns.read"],
+		Write: pm["pmem.device_ns.write"],
+		Flush: pm["pmem.device_ns.flush"],
+		Fence: pm["pmem.device_ns.fence"],
+		Queue: pm["pmem.device_ns.queue"],
+	}
 	res.DeviceNSPerOp = float64(res.DeviceNS.Total()) / ops
 
 	if c.fe != nil {
@@ -478,7 +476,7 @@ func Run(cfg Config) (*Result, error) {
 				Splits:     win[i].Counters["split.completed"],
 			}
 			if row.Ops > 0 {
-				row.FencesPerOp = float64(pmAfter[i].Fences) / float64(row.Ops)
+				row.FencesPerOp = float64(win[i].Counters["pmem.fences"]) / float64(row.Ops)
 			}
 			res.PerShard = append(res.PerShard, row)
 			opsSum += row.Ops

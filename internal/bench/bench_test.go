@@ -58,8 +58,9 @@ func TestSmokeBalanced(t *testing.T) {
 	}
 	// A u64 mix reads no PM line (a running table reads PM only for blob
 	// payloads), so the meter's proof of life is the writes and flushes.
-	if res.PM.ReadLines != 0 || res.PM.WriteLines == 0 || res.PM.FlushedLines == 0 {
-		t.Errorf("measured phase PM traffic %+v, want writes and flushes and no read", res.PM)
+	if pm := res.Meters.Counters; pm["pmem.read_lines"] != 0 || pm["pmem.write_lines"] == 0 || pm["pmem.flushed_lines"] == 0 {
+		t.Errorf("measured phase PM lines read %d, written %d, flushed %d, want writes and flushes and no read",
+			pm["pmem.read_lines"], pm["pmem.write_lines"], pm["pmem.flushed_lines"])
 	}
 	if res.P50NS < 0 || res.P99NS < res.P50NS || res.MaxNS < res.P99NS {
 		t.Errorf("latency quantiles inconsistent: p50=%d p99=%d max=%d", res.P50NS, res.P99NS, res.MaxNS)

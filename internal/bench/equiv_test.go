@@ -209,8 +209,13 @@ func TestEquivalenceWithParentHarness(t *testing.T) {
 			if res.Counts != want.counts {
 				t.Errorf("counts = %+v\nwant %+v", res.Counts, want.counts)
 			}
-			got := res.PM
-			got.DeviceNS = pmem.DeviceNS{}
+			pm := res.Meters.Counters
+			got := pmem.StatsSnapshot{
+				ReadLines:    pm["pmem.read_lines"],
+				WriteLines:   pm["pmem.write_lines"],
+				FlushedLines: pm["pmem.flushed_lines"],
+				Fences:       pm["pmem.fences"],
+			}
 			if got != want.pm {
 				t.Errorf("PM traffic = %+v\nwant %+v", got, want.pm)
 			}

@@ -170,14 +170,14 @@ func TestMeasuredPhaseAllocationFree(t *testing.T) {
 			if err := runPhase(clients, cfg.WarmupOps, false); err != nil {
 				t.Fatal(err)
 			}
-			_, ts0 := c.snapshot()
+			ts0 := c.stats()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if err := runPhase(clients, ops, true); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			_, ts1 := c.snapshot()
+			ts1 := c.stats()
 			var splits uint64
 			for i := range ts1 {
 				splits += ts1[i].Splits - ts0[i].Splits

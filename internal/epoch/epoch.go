@@ -32,9 +32,11 @@ const (
 type Manager struct {
 	global atomic.Uint64
 
-	// slots holds one padded word per possible guard. A goroutine claims a
-	// slot in its own obs.GoShard region, so guards on different cores write
-	// different cachelines; only TryAdvance's scan reads across them.
+	// slots holds one padded word per possible guard, in obs.Shards regions
+	// of MaxGuards/obs.Shards. A goroutine claims a slot in its own
+	// obs.GoShard region, the same one at every call depth and for its whole
+	// life, so guards of goroutines on different shards write different
+	// cachelines; only TryAdvance's scan reads across them.
 	slots [MaxGuards]paddedSlot
 
 	mu      sync.Mutex

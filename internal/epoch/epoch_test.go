@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dash/internal/obs"
+	"dash/internal/obs/obstest"
 )
 
 // TestRetireNotFreedUnderActiveGuard: an object retired while a guard is
@@ -261,4 +264,30 @@ func BenchmarkEnterExit(b *testing.B) {
 			m.Enter().Exit()
 		}
 	})
+}
+
+// TestEnterOneRegionPerGoroutine: a goroutine's guards, entered at 200 call
+// depths and again after its stack has moved, all start in one guard
+// region, its obs.GoShard's: with no other guard active, each takes the
+// region's first slot.
+func TestEnterOneRegionPerGoroutine(t *testing.T) {
+	const depths = 200
+	m := NewManager()
+	slots := map[int]int{}
+	moved := obstest.AtDepths(depths, func(int) {
+		g := m.Enter()
+		slots[g.slot]++
+		g.Exit()
+	})
+	if !moved {
+		t.Fatal("the large-frame recursion did not move the goroutine's stack")
+	}
+	if len(slots) != 1 {
+		t.Errorf("one goroutine's guards started at %d slots (slot: guards) over %d call depths and a stack move: %v", len(slots), depths, slots)
+	}
+	for s := range slots {
+		if s%(MaxGuards/obs.Shards) != 0 {
+			t.Errorf("a guard with no other active took slot %d, not its region's first", s)
+		}
+	}
 }

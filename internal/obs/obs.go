@@ -6,8 +6,8 @@
 //
 //   - Counter and Histogram — lock-free, cacheline-sharded primitives cheap
 //     enough for every hot path (a Counter increment is one uncontended
-//     atomic add on a goroutine-private shard; a Histogram record is two).
-//     The bench harness's clients record latency into Histograms too, so
+//     atomic add on the calling goroutine's shard; a Histogram record is
+//     two). The bench harness's clients record latency into Histograms too, so
 //     engine-side and harness-side distributions share one layout (16
 //     linear sub-buckets per octave) and one quantile walk.
 //   - Registry — names the meters. Every layer registers its counters,
@@ -26,6 +26,9 @@
 //     TraceSnapshot merges the rings into one time-ordered
 //     log that turns a p999 outlier into a narrative.
 //
+// GoShard is the tree's one goroutine key: one shard per goroutine, whatever
+// its call depth, for every goroutine-sharded structure.
+//
 // Serve exposes all of it (plus net/http/pprof) over HTTP for live
 // introspection of a running table.
 //
@@ -37,7 +40,6 @@ package obs
 import (
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // epoch anchors the package timeline. Using one base for every component
@@ -47,25 +49,21 @@ var epoch = time.Now()
 // Now returns nanoseconds since process start on the monotonic clock.
 func Now() int64 { return int64(time.Since(epoch)) }
 
-// Shards is the fan-out of Counter, of the flight recorder's op lane, of
-// anything else keyed by GoShard, and of pmem's carry ledger. 64 cachelines of
-// counter is 4KiB per Counter — cheap enough to register dozens, wide
-// enough that a few dozen runnable goroutines rarely collide.
+// Shards is the fan-out of everything keyed by GoShard: Counter, the flight
+// recorder's op lane, epoch's guard regions and pmem's carry ledger. 64
+// cachelines of counter is 4KiB per Counter — cheap enough to register
+// dozens, wide enough that a few dozen runnable goroutines rarely collide.
 const Shards = 64
 
-// GoShard keys a shard in [0, Shards) by the calling goroutine: the address
-// of a stack local, pages apart for distinct goroutine stacks. Keying by
+// GoShard keys a shard in [0, Shards) by the calling goroutine: a hash of
+// the address of its runtime descriptor (getg), the same at every call depth
+// and across stack moves, for the goroutine's whole life. Keying by
 // goroutine rather than by the operation's key hash matters under skew —
 // hash keying would re-converge every access to a hot key onto one
 // cacheline, recreating exactly the cross-thread hotspot the sharding
-// removes. A goroutine's shard is stable apart from stack moves and call
-// depths a KiB apart, which only redistribute, never contend.
-func GoShard() uint64 {
-	var probe byte
-	s := uint64(uintptr(unsafe.Pointer(&probe)))
-	// Goroutine stacks are kibibytes apart; fold a few page-granular bits.
-	return (s>>10 ^ s>>16) % Shards
-}
+// removes. Two goroutines share a shard with odds of about 1/Shards, for as
+// long as both live; off amd64 and arm64 all share shard 0.
+func GoShard() uint64 { return (uint64(getg()) * 0x9e3779b97f4a7c15 >> 32) % Shards }
 
 // Counter is a cacheline-sharded event counter: increments spread over
 // independent lines, reads sum the shards. The total is exact (per-shard

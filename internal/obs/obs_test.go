@@ -220,16 +220,15 @@ func TestSnapshotAdd(t *testing.T) {
 }
 
 // TestFlightWraparound fills tiny rings far past capacity and checks the
-// snapshot retains exactly the newest events, time-ordered. The op events go
-// into op-lane shard 0 directly: RecordAt picks the shard from the calling
-// goroutine's stack address (GoShard), which a stack growth mid-loop moves,
-// and events spread over two shards would retain more than one ring holds.
+// snapshot retains exactly the newest events, time-ordered. Every op event
+// of one goroutine goes to its own op-lane shard, so exactly one op ring's
+// worth survives.
 func TestFlightWraparound(t *testing.T) {
 	f := NewFlightSized(4, 8)
 	const total = 100
 	for i := 0; i < total; i++ {
 		// Explicit ascending timestamps; A carries the sequence number.
-		f.opLane(0).record(int64(i), EvGet, PathMirrorHit, uint64(i), 0)
+		f.RecordAt(int64(i), EvGet, PathMirrorHit, uint64(i), 0)
 		f.RecordAt(int64(i), EvSplitTrigger, TagNone, uint64(i), 0)
 	}
 	ev := f.Snapshot()
@@ -435,4 +434,13 @@ func BenchmarkFlightRecord(b *testing.B) {
 			f.Record(EvGet, PathMirrorHit, i, i)
 		}
 	})
+}
+
+// BenchmarkCounterAdd is one goroutine's increments: an add on its own
+// shard, keyed by GoShard.
+func BenchmarkCounterAdd(b *testing.B) {
+	var c Counter
+	for i := 0; i < b.N; i++ {
+		c.Add(1)
+	}
 }

@@ -103,11 +103,12 @@ func regulate(clock *atomic.Int64, now, costNS int64) int64 {
 // by.
 const tickNS = 64
 
-// ledgerShard is one goroutine's carry (keyed by goShard): what its stores
-// and flushes since its last settle owe (pend: their base latencies, not yet
+// ledgerShard is one goroutine's carry, keyed by obs.GoShard (so a store
+// and its fence book on one shard at any call depth): what its stores and
+// flushes since its last settle owe (pend: their base latencies, not yet
 // spun, and the write lines they have not yet booked on the bandwidth
-// regulator); the entry clock of the first of them that took one (from, 0 if
-// none did); and the time its last spin ran past its deadline, which the
+// regulator); the entry clock of the first of them that took one (from, 0
+// if none did); and the time its last spin ran past its deadline, which the
 // next settle need not spin again (credit, at most tickNS). Every field
 // moves only by Add, Swap or a CAS from 0, by exactly what one charge added
 // or took, so the ledger stays conserved when goroutines share a shard: a
@@ -144,7 +145,7 @@ type charged struct{ baseNS, queueNS int64 }
 // model's. Later charges of the persist read no clock.
 func (m *CostModel) deferWrite(lines uint64, latencyNS, entry int64) charged {
 	c := charged{baseNS: latencyNS}
-	sh := &m.ledger[goShard()]
+	sh := &m.ledger[obs.GoShard()]
 	if sh.from.Load() == 0 {
 		if entry == 0 {
 			entry = obs.Now()
@@ -171,7 +172,7 @@ func (m *CostModel) deferWrite(lines uint64, latencyNS, entry int64) charged {
 // behind. What the last loop read shows the spin overshot is the next
 // settle's credit, clamped to tickNS.
 func (m *CostModel) settle(c *charged, entry, now int64) {
-	sh := &m.ledger[goShard()]
+	sh := &m.ledger[obs.GoShard()]
 	from := entry
 	if sh.from.Load() != 0 {
 		if f := sh.from.Swap(0); f != 0 && (from == 0 || f < from) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dash/internal/obs"
+	"dash/internal/obs/obstest"
 )
 
 // chargeKind is a priced pool call, with the nominal device time one call
@@ -358,12 +359,40 @@ func TestDeferWriteSettlesAFullLedger(t *testing.T) {
 	for _, seed := range []int64{1<<(pendLineShift-1) - 50, (1<<26 - 1) << pendLineShift} {
 		m := &CostModel{WriteLatencyNS: 90, FlushNS: 80, FenceNS: 25}
 		p := costPool(t, m)
-		sh := &m.ledger[goShard()]
+		sh := &m.ledger[obs.GoShard()]
 		sh.from.Store(obs.Now() - 100*int64(time.Second))
 		sh.pend.Store(seed)
 		p.WriteU64(lineAddr(0), 1)
 		requireSettled(t, m)
 	}
+}
+
+// TestLedgerOneShardPerGoroutine: a goroutine's stores at 200 call depths
+// all defer onto its own ledger shard, and the fence it issues at the
+// deepest of them settles that shard; then again after its stack has moved.
+func TestLedgerOneShardPerGoroutine(t *testing.T) {
+	const depths = 200
+	m := &CostModel{WriteLatencyNS: 90, FenceNS: 25}
+	p := costPool(t, m)
+	var stores, strays int64
+	moved := obstest.AtDepths(depths, func(d int) {
+		p.WriteU64(lineAddr(d), uint64(d))
+		stores++
+		if m.ledger[obs.GoShard()].pend.Load() != stores<<pendLineShift+stores*m.WriteLatencyNS {
+			strays++
+		}
+		if d == depths {
+			p.Fence()
+			stores = 0
+		}
+	})
+	if !moved {
+		t.Fatal("the large-frame recursion did not move the goroutine's stack")
+	}
+	if strays != 0 {
+		t.Errorf("after %d of %d stores the goroutine's ledger shard did not hold every store since its fence", strays, 2*depths)
+	}
+	requireSettled(t, m)
 }
 
 // hammer runs g goroutines of n single-line reads each and returns aggregate
