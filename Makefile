@@ -169,7 +169,7 @@ benchmark-check:
 # frontend, each of the six mixes at 1 shard and at 2).
 bench-smoke:
 	$(GO) run ./cmd/dashbench -only -mix balanced,read,read-neg,var-insert,var-read,delete-heavy -threads 2 \
-		-ops 8000 -warmup 800 -keyspace 8192 -model=false -recovery -shards 2 \
+		-ops 8000 -keyspace 8192 -model=false -recovery -shards 2 \
 		-out $${TMPDIR:-/tmp}/BENCH_smoke.json
 
 # bench-gate is the perf-regression gate: seven fixed seeded cells, all but

@@ -36,14 +36,15 @@ import (
 type cellConfig struct {
 	// Mix names a registered mix (workload.MixByName); loadGate rejects any
 	// other name.
-	Mix       string  `json:"mix"`
-	Threads   int     `json:"threads"`
-	Ops       int64   `json:"ops"`
-	WarmupOps int64   `json:"warmup_ops"`
-	Keyspace  uint64  `json:"keyspace"`
-	Theta     float64 `json:"theta"`
-	Seed      uint64  `json:"seed"`
-	Model     bool    `json:"model"`
+	Mix     string `json:"mix"`
+	Threads int    `json:"threads"`
+	// Ops counts the measured operations; Ops/10 unmeasured warmup
+	// operations run first, as in dashbench.
+	Ops      int64   `json:"ops"`
+	Keyspace uint64  `json:"keyspace"`
+	Theta    float64 `json:"theta"`
+	Seed     uint64  `json:"seed"`
+	Model    bool    `json:"model"`
 	// Shards > 0 makes the cell a service cell over that many shards, which
 	// is additionally run as a direct cell on one bare table, the baseline
 	// the svc_* ratio thresholds compare against.
@@ -154,7 +155,7 @@ func runCell(cell gateCell) bool {
 			Mix:             mix,
 			Threads:         cc.Threads,
 			Ops:             cc.Ops,
-			WarmupOps:       cc.WarmupOps,
+			WarmupOps:       cc.Ops / 10,
 			Keyspace:        cc.Keyspace,
 			Theta:           cc.Theta,
 			Seed:            cc.Seed,

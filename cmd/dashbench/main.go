@@ -68,12 +68,10 @@ func main() {
 	var (
 		threads   = flag.Int("threads", 8, "max worker goroutines; the run covers the powers-of-two ladder up to this")
 		ops       = flag.Int64("ops", 100_000, "measured operations per cell")
-		warmup    = flag.Int64("warmup", -1, "warmup operations per cell (-1 = ops/10)")
 		keyspace  = flag.Uint64("keyspace", 100_000, "preloaded keys; positive ops draw from this range")
 		theta     = flag.Float64("theta", 0, "Zipfian skew in (0,1); 0 = uniform")
 		mixFlag   = flag.String("mix", "", "comma-separated mixes to run in addition to the core suite; 'all' runs every registered mix")
 		only      = flag.Bool("only", false, "run only the -mix list, skipping the core suite (quick experiments)")
-		poolSize  = flag.Uint64("pool", 0, "PM pool bytes per cell (0 = sized automatically)")
 		seed      = flag.Uint64("seed", 42, "workload seed; identical seeds replay identical op sequences")
 		model     = flag.Bool("model", true, "charge the Optane cost model on the measured phase; -model=false disables cost charging")
 		out       = flag.String("out", "BENCH_dashbench.json", "JSON output path ('' skips writing)")
@@ -108,9 +106,7 @@ func main() {
 		svcMixes = mixes
 	}
 	ladder := threadLadder(*threads)
-	if *warmup < 0 {
-		*warmup = *ops / 10
-	}
+	warmup := *ops / 10
 
 	var live liveSource
 	if *debugAddr != "" {
@@ -126,7 +122,7 @@ func main() {
 	outJSON.Config.Keyspace = *keyspace
 	outJSON.Config.Theta = *theta
 	outJSON.Config.OpsPerRun = *ops
-	outJSON.Config.WarmupOps = *warmup
+	outJSON.Config.WarmupOps = warmup
 	outJSON.Config.Seed = *seed
 	outJSON.Config.Model = *model
 	outJSON.Config.Shards = *shards
@@ -139,11 +135,10 @@ func main() {
 			Mix:             mix,
 			Threads:         clients,
 			Ops:             *ops,
-			WarmupOps:       *warmup,
+			WarmupOps:       warmup,
 			Keyspace:        *keyspace,
 			Theta:           *theta,
 			Seed:            *seed,
-			PoolSize:        *poolSize,
 			Model:           *model,
 			Shards:          shards,
 			MeasureRecovery: *recovery,

@@ -48,9 +48,6 @@ type Config struct {
 	Theta float64
 	// Seed makes the run reproducible.
 	Seed uint64
-	// PoolSize overrides the PM pool size (per shard); 0 sizes it from
-	// Keyspace and the mix's expected insert volume.
-	PoolSize uint64
 	// Model, when true, installs pmem.DefaultOptane() on every pool after
 	// preload, so the measured phase pays simulated Optane latencies and
 	// bandwidth limits. Preload runs uncharged: it is setup, not workload.
@@ -621,18 +618,15 @@ func (r *Result) addShape(ts []core.TableStats) {
 	}
 }
 
-// poolSize returns cfg.PoolSize or a per-pool size derived from the record
-// volume the run can reach. 64 bytes per record covers the segment layout
-// down to ~27% load factor (the post-split trough). Variable-length
-// workloads additionally budget a worst-case blob per record plus per
-// update (updates copy-on-write and superseded blobs recycle through the
-// free list, but capacity classes don't always line up for reuse). A direct
-// cell's one pool holds it all plus directory blocks and slack; a service
-// cell splits it over the shards with 2× headroom for routing imbalance.
+// poolSize returns a per-pool size derived from the record volume the run
+// can reach. 64 bytes per record covers the segment layout down to ~27% load
+// factor (the post-split trough). Variable-length workloads additionally
+// budget a worst-case blob per record plus per update (updates copy-on-write
+// and superseded blobs recycle through the free list, but capacity classes
+// don't always line up for reuse). A direct cell's one pool holds it all
+// plus directory blocks and slack; a service cell splits it over the shards
+// with 2× headroom for routing imbalance.
 func (cfg Config) poolSize() uint64 {
-	if cfg.PoolSize != 0 {
-		return cfg.PoolSize
-	}
 	mix, total := cfg.Mix, cfg.Ops+cfg.WarmupOps
 	inserts := uint64(total * int64(mix.Percent[workload.OpInsert]) / 100)
 	size := (cfg.Keyspace + inserts) * 64

@@ -177,8 +177,8 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 // and persists it: word 0, the commit, goes last, and a crash before the
 // record's line is flushed leaves the slot as it was (§4.1 insert ordering,
 // with the record's own word 0 in the bitmap's place). The fingerprint and
-// the bitmap bit go to the mirror alone. It returns the slot taken, or -1
-// when the bucket is full.
+// the bitmap bit go to the mirror alone (bucketPut). It returns the slot
+// taken, or -1 when the bucket is full.
 //
 // The slot may still hold a record in PM: a drop (segDrop, recovery's route
 // filter) clears slots in the mirror alone, leaving each dropped record — one
@@ -194,50 +194,44 @@ func bucketFreeSlots(mir *segMirror, bi int) int {
 // line is a prefix of its store order, so of each writer's own stores, and
 // the argument holds record by record. Only the first store is charged; the
 // other two share its line (records are 16-aligned and never straddle one).
-//
-// persist=false skips the persist and charges nothing: the mode for building
-// an *unpublished* split sibling, zeroed when allocated, whose durability
-// comes from one whole-segment flush+fence right before the directory
-// publishes it — a crash before that point rolls the whole sibling back, so
-// nothing written into it needs individual ordering — and whose lines that
-// publish charges wholesale. All mutators below write through to the segment
-// mirror after mutating PM; the caller's lock holds the bucket's version odd,
-// so the store order within the window is immaterial.
-func bucketInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int, fp uint8, kv pmem.KV, persist bool) int {
-	m := mir.word(bi, mirBkMeta).Load()
-	slot := metaFirstFree(m)
+// The caller's lock holds the bucket's version odd, so the order of the PM
+// and mirror stores within the window is immaterial to readers.
+func bucketInsertLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi int, fp uint8, kv pmem.KV) int {
+	slot := metaFirstFree(mir.word(bi, mirBkMeta).Load())
 	if slot < 0 {
 		return -1
 	}
 	ra := slotAddr(seg, bi, slot)
-	if persist {
-		p.StoreU64(ra, 0)
-	}
+	p.StoreU64(ra, 0)
+	bucketPut(p, mir, seg, bi, slot, fp, kv)
+	p.Persist(ra, pmem.RecordSize)
+	return slot
+}
+
+// bucketPut writes kv into free slot slot of bucket bi: the value word and
+// then word 0 with quiet stores, then the mirror's record words, fingerprint
+// and bitmap bit. It persists nothing and charges nothing — the line's charge
+// is its caller's: bucketInsertLocked's zero store and persist, or, for a
+// split's unpublished sibling (splitPlace), the publish's whole-segment
+// flush.
+func bucketPut(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi, slot int, fp uint8, kv pmem.KV) {
+	ra := slotAddr(seg, bi, slot)
 	p.QuietStoreU64(ra.Add(8), kv.Value)
 	p.QuietStoreU64(ra, kv.Key)
-	if persist {
-		p.Persist(ra, pmem.RecordSize)
-	}
 	lo, hi := fpSet(mir.word(bi, mirBkFPLo).Load(), mir.word(bi, mirBkFPHi).Load(), slot, fp)
 	mir.recWord(bi, slot, 1).Store(kv.Value)
 	mir.recWord(bi, slot, 0).Store(kv.Key)
 	mir.word(bi, mirBkFPLo).Store(lo)
 	mir.word(bi, mirBkFPHi).Store(hi)
-	mir.word(bi, mirBkMeta).Store(metaSetSlot(m, slot))
-	return slot
+	mir.word(bi, mirBkMeta).Store(metaSetSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 
 // bucketDeleteLocked unpublishes a slot: a zero word 0, persisted, is the
 // whole operation; the record's word 1 and fingerprint become dead.
-// persist=false is for unpublished split siblings (see bucketInsertLocked).
-func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi, slot int, persist bool) {
+func bucketDeleteLocked(p *pmem.Pool, mir *segMirror, seg pmem.Addr, bi, slot int) {
 	ra := slotAddr(seg, bi, slot)
-	if persist {
-		p.StoreU64(ra, 0)
-		p.Persist(ra, 8)
-	} else {
-		p.QuietStoreU64(ra, 0)
-	}
+	p.StoreU64(ra, 0)
+	p.Persist(ra, 8)
 	mir.word(bi, mirBkMeta).Store(metaClearSlot(mir.word(bi, mirBkMeta).Load(), slot))
 }
 

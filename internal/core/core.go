@@ -14,9 +14,10 @@
 //	               and routing.
 //	split.go     — segment splits: the segment's owner mutex on its DRAM
 //	               descriptor, a copy under the old segment's bucket locks
-//	               into a sibling only the owner can reach, and the
-//	               three-step crash-consistent publish. Writers are blind
-//	               to it.
+//	               that places each moved record into a sibling only the
+//	               owner can reach, with no lock and no persist of its own,
+//	               and the three-step crash-consistent publish. Writers are
+//	               blind to it.
 //	lazyrec.go   — recovery: Open's O(directory) reconcile, the per-segment
 //	               first-touch gate every operation passes (Table.mirror),
 //	               the background driver and the record-log sweep.

@@ -71,8 +71,8 @@ type meters struct {
 	splitMigrateNS      *obs.Histogram
 	splitPublishStallNS *obs.Histogram
 
-	// Where the table's inserts land (segInsertLocked; a split's copy is not
-	// counted), indexed placedHome..placedStash.
+	// Where the table's inserts land (segInsertLocked), indexed
+	// placedHome..placedStash.
 	placed [placedKinds]*obs.Counter
 
 	// Recovery phase wall times, indexed phaseDir..phaseMirrors; zero on a

@@ -114,16 +114,14 @@ const (
 )
 
 // segInsertLocked places a record (segPlace) and reports whether it found a
-// slot; false means the segment needs to split. Where the table's own
-// inserts go is metered (insert.placed.*); a split's copy is not.
-func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) bool {
-	where, slot := t.segPlace(mir, seg, parts, kv, private)
+// slot; false means the segment needs to split. Where it went is metered
+// (insert.placed.*).
+func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV) bool {
+	where, slot := t.segPlace(mir, seg, parts, kv)
 	if slot < 0 {
 		return false
 	}
-	if !private {
-		t.met.placed[where].Inc()
-	}
+	t.met.placed[where].Inc()
 	return true
 }
 
@@ -135,23 +133,17 @@ func (t *Table) segInsertLocked(mir *segMirror, seg pmem.Addr, parts hashfn.Part
 // trylock to stay deadlock-free, stash buckets in ascending order). Every
 // placement decision — free-slot counts, the displacement victim — is read
 // from the mirror.
-//
-// private=true is the mode for building a split's unpublished sibling, which
-// only the split owner can reach: there is nobody to exclude, so no lock is
-// taken at all (the caller holds none either), and nothing is persisted —
-// durability comes from the publish's whole-segment flush (see
-// bucketInsertLocked).
-func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV, private bool) (where, slot int) {
-	p, persist := t.pool, !private
+func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV) (where, slot int) {
+	p := t.pool
 	b, b2 := homePair(parts)
 
 	// Balanced insert: prefer the bucket with more free slots, home on ties.
 	f1, f2 := bucketFreeSlots(mir, b), bucketFreeSlots(mir, b2)
 	if f1 >= f2 && f1 > 0 {
-		return placedHome, bucketInsertLocked(p, mir, seg, b, parts.FP, kv, persist)
+		return placedHome, bucketInsertLocked(p, mir, seg, b, parts.FP, kv)
 	}
 	if f2 > 0 {
-		return placedProbe, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv, persist)
+		return placedProbe, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv)
 	}
 
 	// Displacement: make room in the probing bucket b2 by moving one of its
@@ -160,7 +152,7 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 	// still find it; the copy-then-delete order means a crash can at worst
 	// duplicate it, which recovery deduplicates.
 	b3 := (b2 + 1) % normalBuckets
-	if private || tryLockBucket(mir, b3) {
+	if tryLockBucket(mir, b3) {
 		displaced := false
 		if bucketFreeSlots(mir, b3) > 0 {
 			// b2 is full (f1 == f2 == 0): every slot holds a record.
@@ -170,16 +162,14 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 				if int(vp.BucketIndex(bucketBits)) != b2 {
 					continue
 				}
-				bucketInsertLocked(p, mir, seg, b3, vp.FP, vict, persist)
-				bucketDeleteLocked(p, mir, seg, b2, vs, persist)
+				bucketInsertLocked(p, mir, seg, b3, vp.FP, vict)
+				bucketDeleteLocked(p, mir, seg, b2, vs)
 				displaced = true
 			}
 		}
-		if !private {
-			unlockBucket(mir, b3)
-		}
+		unlockBucket(mir, b3)
 		if displaced {
-			return placedDisplaced, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv, persist)
+			return placedDisplaced, bucketInsertLocked(p, mir, seg, b2, parts.FP, kv)
 		}
 	}
 
@@ -187,13 +177,9 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 	// commits it; the home bucket (locked by us) counts it in its mirror,
 	// which PM does not keep.
 	for j := 0; j < stashBuckets; j++ {
-		if !private {
-			t.lockBucket(mir, normalBuckets+j)
-		}
-		slot = bucketInsertLocked(p, mir, seg, normalBuckets+j, parts.FP, kv, persist)
-		if !private {
-			unlockBucket(mir, normalBuckets+j)
-		}
+		t.lockBucket(mir, normalBuckets+j)
+		slot = bucketInsertLocked(p, mir, seg, normalBuckets+j, parts.FP, kv)
+		unlockBucket(mir, normalBuckets+j)
 		if slot >= 0 {
 			bucketAddStash(mir, b, +1)
 			return placedStash, slot
@@ -207,11 +193,11 @@ func (t *Table) segPlace(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv p
 // lived in the stash. Caller holds the home pair's locks.
 func (t *Table) segDeleteAt(mir *segMirror, seg pmem.Addr, parts hashfn.Parts, loc recLoc) {
 	if !loc.inStash() {
-		bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot, true)
+		bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot)
 		return
 	}
 	t.lockBucket(mir, loc.bucket)
-	bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot, true)
+	bucketDeleteLocked(t.pool, mir, seg, loc.bucket, loc.slot)
 	unlockBucket(mir, loc.bucket)
 	bucketAddStash(mir, int(parts.BucketIndex(bucketBits)), -1)
 }

@@ -59,7 +59,7 @@ func (t *Table) split(parts hashfn.Parts, old *segDesc) error {
 	}
 	segInit(p, newSeg, l+1, pat<<1|1)
 	// The sibling's descriptor and mirror are as private as its block until
-	// cachePublishSplit hands them to the view. Every insert of the copy
+	// cachePublishSplit hands them to the view. Every record the copy places
 	// writes through, so the mirror is complete at publish time with no
 	// rebuild pass.
 	sib := &segDesc{seg: newSeg}
@@ -81,16 +81,13 @@ func (t *Table) splitRollback(old, sib *segDesc) {
 // splitCopy builds the sibling's half of old in the private sibling. The
 // caller holds every bucket lock of old, so its mirror is frozen: one scan
 // reads each bucket's records from the mirror — no PM line of old — in
-// bucket-then-slot order, stash buckets last, and inserts each
-// sibling-claimed record into the sibling as soon as it finds it, taking no
-// sibling lock — nobody else can reach it — and persisting nothing: the
-// publish makes the whole sibling durable with one flush+fence before any
-// directory entry points at it, and a crash before that rolls it back
-// wholesale. The record's hash parts come from its words (recSplitParts): the
-// copy never dereferences a blob, so its cost is independent of record size.
-// Each moved slot is set in moved (per bucket, a slot bitmap), which the
-// publish's drop clears from old's mirror. Reports false when the sibling has
-// no room for a record: the pathological one-sided overflow.
+// bucket-then-slot order, stash buckets last, and places each
+// sibling-claimed record into the sibling as soon as it finds it
+// (splitPlace). The record's hash parts come from its words (recSplitParts):
+// the copy never dereferences a blob, so its cost is independent of record
+// size. Each moved slot is set in moved (per bucket, a slot bitmap), which
+// the publish's drop clears from old's mirror. Reports false when the sibling
+// has no room for a record: the pathological one-sided overflow.
 func (t *Table) splitCopy(old, sib *segDesc, l uint8, moved *[totalBuckets]uint64) bool {
 	oldMir, newMir := t.mirror(old), sib.mir.Load()
 	for bi := 0; bi < totalBuckets; bi++ {
@@ -101,11 +98,41 @@ func (t *Table) splitCopy(old, sib *segDesc, l uint8, moved *[totalBuckets]uint6
 			if !rp.DepthBit(l) {
 				continue
 			}
-			if !t.segInsertLocked(newMir, sib.seg, rp, kv, true) {
+			if !splitPlace(t.pool, newMir, sib.seg, rp, kv) {
 				return false
 			}
 			moved[bi] |= 1 << uint(slot)
 		}
+	}
+	return true
+}
+
+// splitPlace puts a moved record into the unpublished sibling where an
+// insert into it would (segPlace): the emptier bucket of its pair, home on
+// ties, else the first stash bucket with room, counted in its home's mirror.
+// Only the split's owner can reach the sibling, so it takes no lock. Unlike
+// segPlace it does not try displacement, which needs both buckets of a pair
+// full: in a sibling that receives about half of a full segment, the stash
+// takes that rare record instead. It persists nothing: the publish makes the
+// whole sibling durable with one flush+fence before any directory entry
+// points at it, and a crash before that rolls it back wholesale. Reports
+// false when no bucket has room.
+func splitPlace(p *pmem.Pool, mir *segMirror, seg pmem.Addr, parts hashfn.Parts, kv pmem.KV) bool {
+	home, b2 := homePair(parts)
+	bi := home
+	if bucketFreeSlots(mir, b2) > bucketFreeSlots(mir, home) {
+		bi = b2
+	}
+	slot := metaFirstFree(mir.word(bi, mirBkMeta).Load())
+	for j := normalBuckets; slot < 0 && j < totalBuckets; j++ {
+		bi, slot = j, metaFirstFree(mir.word(j, mirBkMeta).Load())
+	}
+	if slot < 0 {
+		return false
+	}
+	bucketPut(p, mir, seg, bi, slot, parts.FP, kv)
+	if bi >= normalBuckets {
+		bucketAddStash(mir, home, +1)
 	}
 	return true
 }

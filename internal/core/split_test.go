@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -351,6 +354,117 @@ func TestStaleSlotInsertCharges(t *testing.T) {
 	t.Logf("%d stale-slot inserts", inserts)
 }
 
+// TestSplitSiblingLayoutIsInsertLayout pins the sibling's layout: a split's
+// copy leaves the sibling exactly as inserting its moved records, in the
+// copy's scan order (bucket then slot, stash last), into an empty segment of
+// the sibling's claim does — the same buckets, slots, fingerprints and stash
+// counts, with no displacement. The read path pays for where records sit (a
+// copy that kept each record in its own bucket read measurably slower), so
+// the copy may not pick a layout of its own.
+func TestSplitSiblingLayoutIsInsertLayout(t *testing.T) {
+	for _, tc := range []struct {
+		seed  uint64
+		depth uint8
+		nth   uint64
+	}{{1, 1, 1}, {2, 1, 4}, {3, 1, 12}, {4, 3, 1}, {5, 3, 6}, {6, 3, 16}} {
+		t.Run(fmt.Sprintf("seed%d/depth%d/split%d", tc.seed, tc.depth, tc.nth), func(t *testing.T) {
+			checkSiblingLayout(t, tc.seed, tc.depth, tc.nth)
+		})
+	}
+}
+
+// checkSiblingLayout fills a seeded table with random inline keys until an
+// insert carries exactly one split, the nth or a later one, and compares that
+// split's sibling with the same segment built by inserts into a fresh table.
+func checkSiblingLayout(t *testing.T, seed uint64, depth uint8, nth uint64) {
+	tbl := newTestTable(t, 64<<20, Options{InitialDepth: depth, Seed: seed})
+	defer tbl.Close()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	for {
+		k := rng.Uint64() >> 1 // bit 63 clear: an inline record
+		if k == 0 || k == recZeroKeyWord {
+			continue
+		}
+		parts := tbl.parts(k)
+		old := tbl.cache.route(parts)
+		mir := tbl.mirror(old)
+		b, b2 := homePair(parts)
+		// A split needs the key's home pair full; only then is the old
+		// segment's content worth capturing, in the copy's scan order.
+		var before []pmem.KV
+		if bucketFreeSlots(mir, b) == 0 && bucketFreeSlots(mir, b2) == 0 {
+			before = mirScan(mir)
+		}
+		l, pat := uint8(mir.depth.Load()), mir.pattern.Load()
+		splits := tbl.met.splits.Total()
+		if err := tbl.Insert(k, k^0x5A5A); err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+		if n := tbl.met.splits.Total(); n != splits+1 || n < nth {
+			continue
+		}
+
+		var moved []uint64
+		for _, kv := range before {
+			if recSplitParts(kv, seed).DepthBit(l) {
+				moved = append(moved, recWordKey(kv.Key))
+			}
+		}
+		if parts.DepthBit(l) {
+			moved = append(moved, k)
+		}
+		if len(moved) == 0 {
+			t.Fatalf("split %d of segment (depth %d, pattern %d) moved nothing", splits+1, l, pat)
+		}
+		sib := tbl.mirror(tbl.cache.route(tbl.parts(moved[0])))
+		if uint8(sib.depth.Load()) != l+1 || sib.pattern.Load() != pat<<1|1 {
+			t.Fatalf("moved key routes to (depth %d, pattern %d), want the sibling (%d, %d)", sib.depth.Load(), sib.pattern.Load(), l+1, pat<<1|1)
+		}
+
+		fresh := newTestTable(t, 64<<20, Options{InitialDepth: l + 1, Seed: seed})
+		defer fresh.Close()
+		for _, mk := range moved {
+			if err := fresh.Insert(mk, mk^0x5A5A); err != nil {
+				t.Fatalf("fresh Insert(%d): %v", mk, err)
+			}
+		}
+		if d := fresh.met.placed[placedDisplaced].Total(); d != 0 || fresh.met.splits.Total() != 0 {
+			t.Fatalf("the fresh table displaced %d records and split %d times; the layout needs neither", d, fresh.met.splits.Total())
+		}
+		want := fresh.mirror(fresh.cache.route(fresh.parts(moved[0])))
+		if want.pattern.Load() != pat<<1|1 {
+			t.Fatalf("fresh segment has pattern %d, want %d", want.pattern.Load(), pat<<1|1)
+		}
+		for bi := 0; bi < totalBuckets; bi++ {
+			for _, w := range []int{mirBkMeta, mirBkFPLo, mirBkFPHi} {
+				if got, exp := sib.word(bi, w).Load(), want.word(bi, w).Load(); got != exp {
+					t.Fatalf("bucket %d header word %d: sibling %#x, inserts %#x (%d records moved)", bi, w, got, exp, len(moved))
+				}
+			}
+			for used := sib.word(bi, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
+				slot := bits.TrailingZeros64(used)
+				if got, exp := sib.rec(bi, slot), want.rec(bi, slot); got != exp {
+					t.Fatalf("bucket %d slot %d: sibling %+v, inserts %+v", bi, slot, got, exp)
+				}
+			}
+		}
+		t.Logf("split %d: %d records moved into the sibling at depth %d", splits+1, len(moved), l+1)
+		return
+	}
+}
+
+// mirScan returns the records of a segment's mirror in the split copy's scan
+// order: bucket then slot, stash buckets last.
+func mirScan(mir *segMirror) []pmem.KV {
+	var recs []pmem.KV
+	for bi := 0; bi < totalBuckets; bi++ {
+		for used := mir.word(bi, mirBkMeta).Load() & slotMask; used != 0; used &= used - 1 {
+			recs = append(recs, mir.rec(bi, bits.TrailingZeros64(used)))
+		}
+	}
+	return recs
+}
+
 // TestSplitOverflowUnderLocksRecyclesSibling drives the copy into
 // ErrSegmentOverflow: splitPublish is handed a private sibling whose mirror is
 // already stuffed, so the copy, under all of the old segment's locks, cannot
@@ -381,7 +495,8 @@ func TestSplitOverflowUnderLocksRecyclesSibling(t *testing.T) {
 	sib := &segDesc{seg: sibling}
 	sib.mir.Store(tbl.newMirror(l+1, pat<<1|1))
 	for bi := 0; bi < totalBuckets; bi++ {
-		for bucketInsertLocked(tbl.pool, sib.mir.Load(), sibling, bi, 0xEE, pmem.KV{Key: 1, Value: 1}, false) >= 0 {
+		for slot := 0; slot < slotsPerBucket; slot++ {
+			bucketPut(p, sib.mir.Load(), sibling, bi, slot, 0xEE, pmem.KV{Key: 1, Value: 1})
 		}
 	}
 	if err := tbl.splitPublish(old, sib, l, pat); !errors.Is(err, ErrSegmentOverflow) {

@@ -446,7 +446,7 @@ func (t *Table) insertKV(pk *probeKey, kv pmem.KV) error {
 			unlockPair(mir, b, b2)
 			return ErrKeyExists
 		}
-		if t.segInsertLocked(mir, seg, parts, kv, false) {
+		if t.segInsertLocked(mir, seg, parts, kv) {
 			unlockPair(mir, b, b2)
 			t.count.Add(1)
 			return nil
@@ -705,7 +705,7 @@ func (t *Table) updateByProbe(pk *probeKey, value []byte) (bool, error) {
 		// record first and only then delete the old inline slot — at every
 		// crash point the key exists at least once and at most twice
 		// (deduped by recovery).
-		if !t.segInsertLocked(mir, seg, parts, kv, false) {
+		if !t.segInsertLocked(mir, seg, parts, kv) {
 			unlockPair(mir, b, b2)
 			if err := t.split(parts, d); err != nil {
 				freeBlob()
