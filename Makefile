@@ -34,16 +34,18 @@ race:
 # the tests that crash what a split's DRAM-only sweep leaves in PM (an insert
 # into a stale slot, its torn lines, a first touch after a clean reopen, a
 # second split, stash records on both sides of a split), what the stash
-# count recovery recomputes rests on (a spill, a stash delete), or writers
-# in flight on lines two bucket locks share (WritersInFlight) five times
-# under the race detector: a split's interleavings are timing, and one pass
-# of `race` samples few of them. It then repeats, ten times, the service
-# tier's concurrency tests — many clients running requests on one shard's
-# table at once (64 clients on 2 procs, mixed ops racing splits), Submits
-# racing Close and refused after it, and four clients writing while a
-# crash image is taken.
+# count recovery recomputes rests on (a spill, a stash delete), writers
+# in flight on lines two bucket locks share (WritersInFlight), or the
+# epoch-guard contract (Guard: readers of blobs that copy-on-write updates
+# free and reuse at once, the re-check of a slot after a lazy guard entry,
+# every guard slot held) five times under the race detector: a split's
+# interleavings are timing, and one pass of `race` samples few of them. It
+# then repeats, ten times, the service tier's concurrency tests — many
+# clients running requests on one shard's table at once (64 clients on 2
+# procs, mixed ops racing splits), Submits racing Close and refused after
+# it, and four clients writing while a crash image is taken.
 race-split:
-	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash|WritersInFlight' ./internal/core
+	$(GO) test -race -count=5 -run 'Split|WriterHistory|MovedHalf|LeakedSibling|PoolFullMidSplit|SecondClaimant|StaleSlot|FirstTouchAfterClean|LazyFirstTouch|Stash|WritersInFlight|Guard' ./internal/core
 	$(GO) test -race -count=10 -run 'Oversubscribed|PipelinedMixedOps|SubmitCloseRace|RefusesAfterClose|CrashMidBatch' ./internal/service
 
 # fuzz runs each of the tree's fuzz targets for a fixed 10 s, one at a time

@@ -184,7 +184,7 @@ func main() {
 					float64(res.P999NS)/1e3, float64(res.MaxNS)/1e3,
 					res.ReadBytesPerOp, res.WriteBytesPerOp, res.DeviceNSPerOp,
 					res.LoadFactor, res.GlobalDepth,
-					100*hitRate(res.Meters, "dircache"), 100*hitRate(res.Meters, "segfilter"),
+					100*hitRate(res.Meters, "dircache", "segfilter"), 100*hitRate(res.Meters, "segfilter"),
 					res.Meters.Counters["split.completed"])
 			})
 		}
@@ -225,9 +225,15 @@ func main() {
 	}
 }
 
-// hitRate is a tier's hits over its hits and misses in m (1 when idle).
-func hitRate(m obs.Snapshot, tier string) float64 {
-	hits, misses := m.Counters[tier+".hits"], m.Counters[tier+".misses"]
+// hitRate is the tiers' summed hits over their summed hits and misses in m
+// (1 when idle). dchit% sums dircache (writers' routes) and segfilter (a
+// read's route, metered with its probe): every operation's route.
+func hitRate(m obs.Snapshot, tiers ...string) float64 {
+	var hits, misses uint64
+	for _, tier := range tiers {
+		hits += m.Counters[tier+".hits"]
+		misses += m.Counters[tier+".misses"]
+	}
 	if hits+misses == 0 {
 		return 1
 	}

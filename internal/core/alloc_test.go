@@ -117,6 +117,30 @@ func benchGets(b *testing.B, base uint64, wantFound bool) {
 func BenchmarkGetHit(b *testing.B)  { benchGets(b, 0, true) }
 func BenchmarkGetMiss(b *testing.B) { benchGets(b, 1<<40, false) }
 
+// cachedBenchKeys is BenchmarkGetCached's table size: 32 segments, whose
+// 0.54 MB of mirrors stay in L2, so a Get's CPU cost shows without the DRAM
+// misses that dominate BenchmarkGetHit.
+const cachedBenchKeys = 20_000
+
+// BenchmarkGetCached is BenchmarkGetHit on a cache-resident table: the same
+// stride walk, over every key of a table of cachedBenchKeys.
+func BenchmarkGetCached(b *testing.B) {
+	tbl := warmU64Table(b, cachedBenchKeys, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var lane atomic.Uint64
+	b.RunParallel(func(pb *testing.PB) {
+		i := lane.Add(1) * 104729
+		for pb.Next() {
+			if _, ok := tbl.Get(i % cachedBenchKeys); !ok {
+				b.Errorf("Get(%d) missed", i%cachedBenchKeys)
+				return
+			}
+			i += 7919
+		}
+	})
+}
+
 // BenchmarkMirSegSearch is the probe alone — mirSegSearch on the mirror a
 // Get routes to, with the key hashed and routed beforehand — over the shared
 // table, whose mirrors exceed L2: keys found in their home bucket, by the

@@ -8,10 +8,11 @@
 //	               is its 8-byte little-endian encoding, the mutators encode
 //	               and call their []byte twins, and Get probes with the
 //	               encoding but extracts a word; optimistic readers that
-//	               take no lock and write no shared line (epoch.Manager
-//	               guards) and probe only the segment's DRAM mirror, writers
-//	               on bucket version locks; Create/Open/Close, the allocator
-//	               and routing.
+//	               take no lock and write no shared line and probe only the
+//	               segment's DRAM mirror, writers on bucket version locks;
+//	               Create/Open/Close, the allocator and routing. An
+//	               operation enters an epoch.Manager guard only when its
+//	               probe is about to read a blob (probeKey.pin).
 //	split.go     — segment splits: the segment's owner mutex on its DRAM
 //	               descriptor, a copy under the old segment's bucket locks
 //	               that places each moved record into a sibling only the
@@ -70,12 +71,15 @@
 //	               split.*, epoch.*, varlog.*, recovery.*, pmem.*) and an
 //	               obs.Flight recording every split lifecycle transition,
 //	               route repair, epoch advance and recovery phase, and —
-//	               through the op prologue/epilogue (opBegin/opEnd: epoch
-//	               guard, sampling decision, clock reads) that five sites
-//	               share — Get, GetBAppend, InsertB, UpdateB, DeleteB — a 1-in-64 key-hash sample of op completions
-//	               with their serving path, plus every rare diagnostic
-//	               outcome; Metrics()/TraceSnapshot() expose both, and
-//	               obs.Serve puts them on HTTP.
+//	               through the op prologue/epilogue (opBegin/opEnd:
+//	               sampling decision, clock reads, and the release of the
+//	               epoch guard if the probe entered one) that five sites
+//	               share — Get, GetBAppend, InsertB, UpdateB, DeleteB — a
+//	               1-in-64 key-hash sample of op completions with their
+//	               serving path, plus every rare diagnostic outcome;
+//	               Metrics()/TraceSnapshot() expose both, and obs.Serve
+//	               puts them on HTTP. Each op's route is metered once: a
+//	               read's in segfilter.*, a writer's in dircache.*.
 //
 // Everything persistent is addressed by pmem.Pool offsets, so the whole
 // structure survives pmem's simulated power loss (Pool.Crash) and reopens

@@ -58,10 +58,12 @@ type dirCache struct {
 	// values mutate in place through the atomics.
 	view atomic.Pointer[dirView]
 
-	// hits counts routes that served their operation (a read answered in
-	// DRAM, a writer's route its locked segment's mirrored claim confirmed);
-	// misses counts stale routes that forced a repair + retry. Both are
-	// goroutine-sharded obs.Counters so the every-operation increment
+	// hits counts writers' routes that served their operation (the locked
+	// segment's mirrored claim confirmed them); misses counts writers' stale
+	// routes that forced a repair + retry. A read's route is metered with
+	// its probe, once, in segFilters' hits and misses, and
+	// TableStats.DirCacheHits / DirCacheMisses read both tiers' sums. Both
+	// are goroutine-sharded obs.Counters so the every-operation increment
 	// cannot make one counter cacheline a table-wide hotspot at real
 	// thread counts. Both live in the table's obs.Registry (initObs) under
 	// dircache.* names.

@@ -198,7 +198,7 @@ func (t *Table) recoverLazy(clean bool) error {
 	// install the view from the reconciled entries — it reads no PM — and
 	// build the deferred-work side table over the segments it names.
 	if clean {
-		t.count.Store(int64(p.LoadU64(rootAddr.Add(rootOffCount))))
+		t.count.Add(int64(p.LoadU64(rootAddr.Add(rootOffCount)))) // onto a new table's 0
 	}
 	if err := t.vlog.RecoverChunks(); err != nil {
 		return err

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"dash/internal/epoch"
 	"dash/internal/obs"
 )
 
@@ -24,18 +23,20 @@ import (
 // thus traced on every operation or on none.
 const opSamplePeriod = 64
 
-// opSpan carries an operation's epoch guard and, if sampled, its start time
-// from opBegin to opEnd.
+// opSpan carries an operation's sampling decision and, if sampled, its start
+// time from opBegin to opEnd. Its epoch guard rides in the probe key, entered
+// only if the probe reads a blob (probeKey.pin).
 type opSpan struct {
-	g       epoch.Guard
 	start   int64
 	sampled bool
 }
 
 // opBegin is every Table operation's prologue. An unsampled operation reads
-// no clock and writes nothing but its own guard slot.
+// no clock and writes nothing; it hands the probe the table's epoch manager,
+// so the probe can enter a guard should it meet a blob.
 func (t *Table) opBegin(pk *probeKey) opSpan {
-	op := opSpan{g: t.em.Enter()}
+	pk.em = t.em
+	var op opSpan
 	if (pk.parts.Hash>>32)%opSamplePeriod == 0 {
 		op.start, op.sampled = obs.Now(), true
 	}
@@ -45,7 +46,8 @@ func (t *Table) opBegin(pk *probeKey) opSpan {
 // opEnd is the matching epilogue: a sampled operation is recorded with its
 // start time and duration, an unsampled one only if a post-mortem must not
 // miss its outcome — a mutation that failed for a reason other than the
-// key's presence — at completion, with duration 0.
+// key's presence — at completion, with duration 0. The guard, if the probe
+// entered one, is released last: the caller is done with the record words.
 func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 	if op.sampled {
 		t.fr.RecordAt(op.start, ev, tag, pk.parts.Hash, uint64(obs.Now()-op.start))
@@ -55,7 +57,9 @@ func (t *Table) opEnd(op opSpan, pk *probeKey, ev obs.EventType, tag uint8) {
 			t.fr.Record(ev, tag, pk.parts.Hash, 0)
 		}
 	}
-	op.g.Exit()
+	if pk.guard != 0 {
+		t.em.ExitSlot(pk.guard - 1)
+	}
 }
 
 // meters holds the obs handles the table's code paths record into (the

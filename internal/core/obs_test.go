@@ -146,8 +146,8 @@ func TestObsConcurrentWithWriters(t *testing.T) {
 
 	// Quiesced, the registry and Stats() must agree: one source of truth.
 	st, snap := tbl.Stats(), tbl.Metrics().Snapshot()
-	if snap.Counters["dircache.hits"] != st.DirCacheHits {
-		t.Fatalf("dircache.hits: registry %d, stats %d", snap.Counters["dircache.hits"], st.DirCacheHits)
+	if routes := snap.Counters["dircache.hits"] + snap.Counters["segfilter.hits"]; routes != st.DirCacheHits {
+		t.Fatalf("dircache.hits + segfilter.hits: registry %d, stats %d", routes, st.DirCacheHits)
 	}
 	if snap.Counters["epoch.retired"] != st.EpochRetired {
 		t.Fatalf("epoch.retired: registry %d, stats %d", snap.Counters["epoch.retired"], st.EpochRetired)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 
+	"dash/internal/epoch"
 	"dash/internal/hashfn"
 	"dash/internal/pmem"
 )
@@ -114,42 +115,75 @@ func recSplitParts(kv pmem.KV, seed uint64) hashfn.Parts {
 // probeKey is a lookup key: its canonical bytes plus their precomputed
 // hash parts. A uint64 key probes as its 8-byte little-endian encoding, held
 // by the caller on its stack; an inline record matches an 8-byte key by word.
+//
+// It also carries its operation's epoch guard, entered lazily (pin): em is
+// the table's manager, which opBegin sets — a probe no operation began, a
+// test's look into a quiet table, takes no guard — and guard is the slot the
+// guard announces in, plus one (0: none held), which opEnd releases. It is
+// an index, not an epoch.Guard: a Guard stored here moves every caller's
+// key buffer to the heap, an allocation per operation.
 type probeKey struct {
 	parts hashfn.Parts
 	kb    []byte
+	em    *epoch.Manager
+	guard int
 }
 
 func (t *Table) probeBytes(key []byte) probeKey {
 	return probeKey{parts: hashfn.Split(hashfn.Hash64(key, t.seed)), kb: key}
 }
 
-// mirRecMatch reports whether the mirrored record words r hold the probe's
-// key — the one record matcher, the hash-filter hook of the mirror's probe
-// (segfilter.go). Inline records compare entirely in DRAM; an indirect
-// candidate is pre-filtered by the mirrored full key hash and length class
-// (also DRAM) and only then verified against the blob's key bytes, which
-// remains a PM read: a 64-bit hash match is not key equality, and skipping
-// the byte compare would return wrong records on hash collisions. A reader
-// makes that one dereference charging the whole blob as a single streaming
-// read, so the value bytes of an indirect match are already paid for
-// (recValueU64 / recAppendValue); a writer wants no value and reads the key
-// lines only.
-func mirRecMatch(vl *pmem.VarLog, r pmem.KV, pk *probeKey, writer bool) bool {
+// pin is called by the probe just before it dereferences the blob of an
+// indirect candidate: w0 is the word 0 it loaded from slot slot of mirrored
+// bucket bi. It reports whether the blob is safe to read until the
+// operation ends. An operation that holds its guard already loaded w0 after
+// announcing itself, so the blob cannot be freed under it. Otherwise pin
+// enters the guard and re-checks the slot: its bitmap bit, then its word 0.
+// A set bit says the slot held a live record after the announcement, and a
+// word 0 still equal to w0 is that record's or was stored since — every
+// store of a blob address into a slot publishes a live blob — so the blob w0
+// names was live after the announcement: its unpublish, and the retire that
+// follows it, come later, and the free waits for this guard. A changed slot
+// means the blob may have been retired, even freed and reused, before the
+// announcement: pin returns false and the probe rescans, now under the
+// guard. The bit matters as much as the word: a delete and a split's drop
+// clear the bit and leave word 0 as it was. So does the order: a bit read
+// after word 0 could belong to a record inserted into the slot after w0's
+// was deleted.
+func (pk *probeKey) pin(mir *segMirror, bi, slot int, w0 uint64) bool {
+	if pk.guard != 0 || pk.em == nil {
+		return true
+	}
+	pk.guard = pk.em.EnterSlot() + 1
+	return metaSlotUsed(mir.word(bi, mirBkMeta).Load(), slot) && mir.recWord(bi, slot, 0).Load() == w0
+}
+
+// mirRecFilter reports whether the mirrored record words r can hold the
+// probe's key — the DRAM half of the one record matcher, the hash-filter
+// hook of the mirror's probe (mirBucketSearch holds the other half). An
+// inline record is decided here, entirely in DRAM. An indirect candidate is
+// pre-filtered by the mirrored full key hash and length class (also DRAM);
+// passing, it is only a candidate, verified against the blob's key bytes,
+// which remains a PM read: a 64-bit hash match is not key equality, and
+// skipping the byte compare would return wrong records on hash collisions.
+// A reader makes that one dereference charging the whole blob as a single
+// streaming read, so the value bytes of an indirect match are already paid
+// for (recValueU64 / recAppendValue); a writer wants no value and reads the
+// key lines only.
+func mirRecFilter(r pmem.KV, pk *probeKey) bool {
 	if !recIsIndirect(r.Key) {
 		return len(pk.kb) == 8 && binary.LittleEndian.Uint64(pk.kb) == recWordKey(r.Key)
 	}
 	if r.Value != pk.parts.Hash {
 		return false
 	}
-	if c := recClass(r.Key); c != 0 && c != klenClass(len(pk.kb)) {
-		return false
-	}
-	return vl.KeyEquals(recBlobAddr(r.Key), pk.kb, !writer)
+	c := recClass(r.Key)
+	return c == 0 || c == klenClass(len(pk.kb))
 }
 
-// recValueU64 extracts the uint64 view of a record mirRecMatch matched. An
-// indirect record's blob was charged whole by that match, so the extraction
-// is quiet.
+// recValueU64 extracts the uint64 view of a record the probe matched. An
+// indirect record's blob was charged whole by that match, and is still held
+// by the guard the match entered, so the extraction is quiet.
 func recValueU64(vl *pmem.VarLog, kv pmem.KV) uint64 {
 	if recIsIndirect(kv.Key) {
 		return vl.QuietValueU64(recBlobAddr(kv.Key))
@@ -157,7 +191,7 @@ func recValueU64(vl *pmem.VarLog, kv pmem.KV) uint64 {
 	return kv.Value
 }
 
-// recAppendValue appends the value bytes of a record mirRecMatch matched to
+// recAppendValue appends the value bytes of a record the probe matched to
 // dst (the little-endian encoding for inline records); quiet like
 // recValueU64.
 func recAppendValue(vl *pmem.VarLog, dst []byte, kv pmem.KV) []byte {

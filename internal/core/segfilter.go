@@ -31,7 +31,7 @@ import (
 //     directory or segment header.
 //
 // Readers and writers run one probe (mirSegSearch → mirBucketSearch →
-// mirRecMatch; a writer passes locked) and dereference PM only for record
+// mirRecFilter; a writer passes locked) and dereference PM only for record
 // payloads that genuinely live there: an inline hit or any miss costs zero
 // charged PM lines, an indirect candidate charges a read of its blob (key
 // lines for a writer, the whole blob for a reader, who wants the value
@@ -160,7 +160,7 @@ type segFilters struct {
 
 	huge pmem.HugePageAdvice // puts new mirrors on 2 MiB pages (newMirror)
 
-	hits   *obs.Counter // reads served by a mirror (positive or validated miss)
+	hits   *obs.Counter // reads served by a mirror (positive or validated miss): a read's route and probe, metered once
 	misses *obs.Counter // reads whose claim or route check failed: repaired, then retried
 
 	stashProbes *obs.Counter // reads whose probe entered the stash: the home's stash count was non-zero
@@ -214,7 +214,7 @@ func mirrorFill(p *pmem.Pool, mir *segMirror, seg pmem.Addr) {
 // scan read, whose stash count tells the caller whether to go on into the
 // stash. The header words alone pick the candidates — used slots whose
 // fingerprint matches, in one compare (fpMatches) — and only their records
-// are read.
+// are read, and filtered in DRAM (mirRecFilter).
 //
 // A reader (locked = false) does not take the bucket's lock: it loops until a
 // scan completes under an unchanged even version (seqlock read), so what it
@@ -222,12 +222,16 @@ func mirrorFill(p *pmem.Pool, mir *segMirror, seg pmem.Addr) {
 // holds the lock of the bucket — or, for a stash bucket, of the key's home
 // bucket, which every mutation of that home's stash records takes — so the
 // words that could match its key cannot move and it scans once. An indirect
-// candidate's blob is verified during the scan: blob bytes are immutable from
-// commit until epoch reclamation and the caller holds an epoch guard, so they
-// cannot change or be reused underneath the read; a reader's match through a
-// slot that mutated mid-scan is discarded by the version recheck.
+// candidate's blob is verified during the scan, under the operation's epoch
+// guard, which the scan enters here, before the first blob it reads
+// (probeKey.pin), and not before: blob bytes are immutable from commit
+// until epoch reclamation, so they cannot change or be reused underneath
+// the read. A candidate whose slot changed while the guard was entered
+// restarts the scan. A reader's match through a slot that mutated mid-scan
+// is discarded by the version recheck.
 func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, locked bool) (kv pmem.KV, slot int, m uint64) {
 	ver := mir.word(bi, mirBkVersion)
+scan:
 	for {
 		v := ver.Load()
 		if v&1 != 0 && !locked {
@@ -239,10 +243,20 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, lock
 		kv, slot = pmem.KV{}, -1
 		for c := fpMatches(lo, hi, pk.parts.FP) & m; c != 0; c &= c - 1 {
 			s := bits.TrailingZeros64(c)
-			if r := mir.rec(bi, s); mirRecMatch(vl, r, pk, locked) {
-				kv, slot = r, s
-				break
+			r := mir.rec(bi, s)
+			if !mirRecFilter(r, pk) {
+				continue
 			}
+			if recIsIndirect(r.Key) {
+				if !pk.pin(mir, bi, s, r.Key) {
+					continue scan
+				}
+				if !vl.KeyEquals(recBlobAddr(r.Key), pk.kb, !locked) {
+					continue
+				}
+			}
+			kv, slot = r, s
+			break
 		}
 		if locked || ver.Load() == v {
 			return
@@ -255,8 +269,8 @@ func mirBucketSearch(vl *pmem.VarLog, mir *segMirror, bi int, pk *probeKey, lock
 // count is non-zero — both stash buckets, by their own fingerprints. Zero PM
 // traffic except the blob read of an indirect candidate. The match is
 // returned as the raw record words, which stay interpretable under the
-// caller's epoch guard, and its place; stashed reports whether the probe
-// entered the stash.
+// operation's epoch guard (an indirect match entered it), and its place;
+// stashed reports whether the probe entered the stash.
 //
 // A reader's bucket scans are individually version-stable; cross-bucket races
 // are caught by searchOpt's route recheck. A writer (locked = true) holds the

@@ -39,10 +39,13 @@ type TableStats struct {
 	AllocatedBytes uint64
 
 	// The frozen readings, cumulative since Create/Open where the meter is a
-	// counter; each names its meter. Two are shape, not meters:
-	// DirCacheBytes is the route cache's 8 bytes per directory entry,
-	// LogChunkBytes the pool bytes the record log's chunks hold.
-	DirCacheHits, DirCacheMisses                     uint64 // dircache.hits, .misses
+	// counter; each names its meter. DirCacheHits and DirCacheMisses count
+	// every operation's route, so they sum two meters: a writer's route is
+	// metered in dircache.*, a read's, with its probe, in segfilter.*. Two
+	// are shape, not meters: DirCacheBytes is the route cache's 8 bytes per
+	// directory entry, LogChunkBytes the pool bytes the record log's chunks
+	// hold.
+	DirCacheHits, DirCacheMisses                     uint64 // dircache.hits + segfilter.hits, dircache.misses + segfilter.misses
 	DirCacheBytes                                    uint64
 	SegFilterBytes, SegFilterHits, SegFilterMisses   uint64 // segfilter.bytes, .hits, .misses
 	Splits                                           uint64 // split.completed
@@ -103,8 +106,8 @@ func (t *Table) Stats() TableStats {
 		StashRecords:   stash,
 		AllocatedBytes: p.QuietLoadU64(rootAddr.Add(rootOffAllocNxt)) - allocStart,
 
-		DirCacheHits:       t.cache.hits.Total(),
-		DirCacheMisses:     t.cache.misses.Total(),
+		DirCacheHits:       t.cache.hits.Total() + t.filters.hits.Total(),
+		DirCacheMisses:     t.cache.misses.Total() + t.filters.misses.Total(),
 		DirCacheBytes:      8 * uint64(len(v.entries)),
 		SegFilterBytes:     t.filters.bytes.Load(),
 		SegFilterHits:      t.filters.hits.Total(),

@@ -20,8 +20,10 @@ import (
 // Concurrency protocol:
 //   - Every operation routes key → segment through the DRAM directory cache
 //     (dircache.go), which a stale route repairs from too; the PM directory
-//     is only stored to. Every operation runs inside an epoch guard so a
-//     retired blob is never reused under a reader still reading it.
+//     is only stored to. An operation whose probe reads a blob enters an
+//     epoch guard first (probeKey.pin), so a retired blob is never reused
+//     under a reader still reading it; one that meets no blob — every
+//     inline hit, every miss — enters none.
 //   - Every probe, a reader's or a writer's, runs in the routed segment's
 //     DRAM mirror (segfilter.go — the only probe there is). DRAM is the
 //     runtime truth — routes, locks, claims, bitmaps, fingerprints, record
@@ -149,7 +151,7 @@ type Table struct {
 	allocNext uint64
 	freeList  []freeSpan
 
-	count atomic.Int64
+	count recordCount
 
 	// lazy is the deferred-recovery side table built by Open (lazyrec.go):
 	// non-nil while any segment still awaits its first-touch recovery or the
@@ -164,6 +166,19 @@ type Table struct {
 	fr  *obs.Flight
 	met meters
 }
+
+// recordCount is the table's live-record count: a goroutine-sharded
+// obs.Counter taking two's-complement adds, so the inserts and deletes of
+// different goroutines write different cachelines, and Load sums the
+// shards. It is exact at quiescence; read while records come and go, it is
+// approximate, as Stats is.
+type recordCount struct{ c obs.Counter }
+
+// Add adds n (negative for deletes) to the calling goroutine's shard.
+func (rc *recordCount) Add(n int64) { rc.c.Add(uint64(n)) }
+
+// Load is the count: the shards' sum, read as signed.
+func (rc *recordCount) Load() int64 { return int64(rc.c.Total()) }
 
 type freeSpan struct {
 	addr pmem.Addr
@@ -524,8 +539,11 @@ func (t *Table) GetBAppend(dst, key []byte) ([]byte, bool) {
 //     moving: the reader does what a writer does — waits it out
 //     (cacheRepair) and retries from the current view.
 //
-// The returned record words stay interpretable under the caller's epoch
-// guard.
+// A read's route and probe are one event, metered once, in segfilter.hits or
+// .misses; dircache.* counts writers' routes (lockOwner), and
+// TableStats.DirCacheHits / DirCacheMisses read the sums. The returned
+// record words stay interpretable under the operation's epoch guard, which
+// an indirect match entered.
 func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 	for {
 		d := t.cache.route(pk.parts)
@@ -535,12 +553,10 @@ func (t *Table) searchOpt(pk *probeKey) (pmem.KV, bool) {
 			t.filters.stashProbes.Inc()
 		}
 		if found || mirClaims(mir, pk.parts) && t.cache.route(pk.parts) == d {
-			t.cache.hits.Inc()
 			t.filters.hits.Inc()
 			return kv, found
 		}
 		t.filters.misses.Inc()
-		t.cache.misses.Inc()
 		t.cacheRepair(pk.parts)
 	}
 }

@@ -5,7 +5,11 @@
 // copy-on-write update unlinked is handed back to the log's free list once
 // every reader that could have observed it has exited its critical section.
 // Segments are never freed, and a directory doubling frees the old PM
-// directory block at once, since no reader reads a PM directory.
+// directory block at once, since no reader reads a PM directory. Because
+// blobs are all a guard protects, core enters one lazily: an operation
+// announces itself only when its probe is about to dereference a blob, and
+// an operation that meets none — every inline read and write — writes no
+// guard slot at all.
 //
 // The scheme is the classic three-epoch design: a global epoch advances only
 // when every active guard has observed the current one, so anything retired
@@ -82,16 +86,26 @@ type Guard struct {
 	slot int
 }
 
-// Enter opens a critical section and returns its guard: one CAS 0 →
-// activeBit|epoch on the first slot of the calling goroutine's shard region,
-// probing linearly past slots that are taken (a nested guard, or another
-// goroutine that hashed to the same shard). With every slot busy it yields
-// after each full pass, so the holders get the core they need to exit.
-func (m *Manager) Enter() Guard {
+// Enter opens a critical section and returns its guard (EnterSlot).
+func (m *Manager) Enter() Guard { return Guard{m: m, slot: m.EnterSlot()} }
+
+// Exit closes the critical section.
+func (g Guard) Exit() { g.m.ExitSlot(g.slot) }
+
+// EnterSlot opens a critical section and returns the index of the slot that
+// announces it, for a caller that keeps the manager itself and closes the
+// section with ExitSlot: core keeps the index in its probe key, where a
+// stored Guard makes escape analysis move every caller's key buffer to the
+// heap. It is one CAS 0 → activeBit|epoch on the first
+// slot of the calling goroutine's shard region, probing linearly past slots
+// that are taken (a nested guard, or another goroutine that hashed to the
+// same shard). With every slot busy it yields after each full pass, so the
+// holders get the core they need to exit.
+func (m *Manager) EnterSlot() int {
 	i := int(obs.GoShard()) * (MaxGuards / obs.Shards)
 	for n := 1; ; n++ {
 		if m.slots[i].v.CompareAndSwap(0, activeBit|m.global.Load()) {
-			return Guard{m: m, slot: i}
+			return i
 		}
 		i = (i + 1) % MaxGuards
 		if n%MaxGuards == 0 {
@@ -100,8 +114,8 @@ func (m *Manager) Enter() Guard {
 	}
 }
 
-// Exit closes the critical section.
-func (g Guard) Exit() { g.m.slots[g.slot].v.Store(0) }
+// ExitSlot closes the critical section EnterSlot returned slot for.
+func (m *Manager) ExitSlot(slot int) { m.slots[slot].v.Store(0) }
 
 // Retire schedules free to run once no active guard can still reach the
 // retired object.
